@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race check stress fmt vet bench figures obs-smoke crash-smoke rebalance-smoke ship-smoke tail-smoke gc-smoke lag-smoke clean
+.PHONY: all build test race check stress fmt vet bench figures obs-smoke tail-smoke lag-smoke clean
 
 all: build
 
@@ -35,7 +35,7 @@ bench:
 
 # figures replays YCSB Load A / Run A / Run C through a replicated
 # Send-Index cluster with the metrics sampler on and writes
-# BENCH_figures.json + BENCH_fig{6,7,8}_*.csv time series (DESIGN.md §8).
+# BENCH_figures.json + BENCH_fig{6,7,8,10}_*.csv time series.
 figures:
 	$(GO) run ./cmd/tebis-bench -experiment figures
 
@@ -44,27 +44,6 @@ figures:
 # observability surface end to end.
 obs-smoke:
 	$(GO) run ./scripts/obssmoke
-
-# crash-smoke runs the crash-consistency suites under the race
-# detector: randomized torn-write recovery (vlog + engine), corrupt-node
-# fuzzing of the index rewriter, the replica scrub-and-repair protocol,
-# the offline fsck, and the cluster corruption acceptance test.
-crash-smoke:
-	$(GO) test -race \
-		-run 'TestRecover|TestCrash|TestVlog|TestScrub|TestRepair|TestFetchSegment|TestTorn|TestCorrupt|TestRun|TestClusterScrub|TestVerify|TestFault' \
-		./internal/vlog ./internal/lsm ./internal/storage ./internal/btree \
-		./internal/replica ./internal/fsck ./internal/cluster
-
-# ship-smoke runs the ship-codec suites under the race detector: codec
-# and delta round trips, wire-frame compatibility with pre-codec
-# payloads, the replica-level delta ship/fallback protocol, and the
-# cluster acceptance test where a replicated Send-Index cluster runs
-# with compression + delta on (the default) and a full scrub proves
-# byte convergence.
-ship-smoke:
-	$(GO) test -race \
-		-run 'TestShip|TestCrashLeavesNoGoroutines' \
-		./internal/shipcodec ./internal/wire ./internal/replica ./internal/cluster
 
 # tail-smoke runs the two-tenant flash-burst tail experiment at quick
 # scale and gates on the ISSUE acceptance bars: zero lost acks,
@@ -81,26 +60,6 @@ tail-smoke:
 # costing <= 5% of offered-load throughput.
 lag-smoke:
 	sh scripts/lagsmoke.sh
-
-# gc-smoke runs the online value-log GC suites under the race detector:
-# victim selection and the space ledger, crash/torn-seal injection at
-# every GC phase, concurrent-writer relocation, recycled-segment read
-# guards, Trim/Replay boundary properties, replica release propagation,
-# and the Promote-after-GC ErrTrimmed fallback.
-gc-smoke:
-	$(GO) test -race \
-		-run 'TestGCOnce|TestGCLog|TestVlogSpace|TestTrimReplay|TestGetFreedOffset|TestReleaseTail|TestSyncPromoteAfterGC|TestSpace' \
-		./internal/lsm ./internal/vlog ./internal/replica ./internal/fsck
-
-# rebalance-smoke runs the dynamic-region suites under the race
-# detector: online split/merge round trips, index-shipped live
-# migration, master failover mid-reconfiguration, and the skewed-load
-# acceptance test where a hot region is split and its child migrated to
-# an idle server under sustained writes with zero lost acks.
-rebalance-smoke:
-	$(GO) test -race \
-		-run 'TestSplit|TestMerge|TestMigrate|TestRebalance|TestMasterFailoverMid|TestLookup|TestRegionMap' \
-		./internal/region ./internal/master ./internal/server ./internal/cluster
 
 clean:
 	$(GO) clean ./...

@@ -4,12 +4,11 @@
 // Usage:
 //
 //	tebis-bench [-experiment all|table2,fig6,fig7a,fig7b,fig8,table3,fig9a,fig9b,fig10a,fig10b,sec55,compaction,observability,integrity,figures,tail,gc,lag]
-//	            [-records N] [-ops N] [-l0 N] [-quick] [-compaction-json FILE]
-//	            [-observability-json FILE] [-integrity-json FILE]
-//	            [-figures-json FILE] [-figures-csv-dir DIR]
-//	            [-tail-json FILE] [-tail-csv-dir DIR]
-//	            [-gc-json FILE] [-gc-csv-dir DIR]
-//	            [-lag-json FILE] [-lag-csv-dir DIR]
+//	            [-records N] [-ops N] [-l0 N] [-quick] [-out-dir DIR]
+//
+// Experiments with machine-readable output (compaction, observability,
+// integrity, figures, tail, gc, lag) write BENCH_<experiment>.json and
+// their BENCH_fig*.csv time series into -out-dir (default ".").
 //
 // The figures experiment replays YCSB Load A / Run A / Run C against a
 // replicated Send-Index cluster with the metrics sampler on and writes
@@ -44,41 +43,10 @@ func main() {
 		l0      = flag.Int("l0", 0, "per-region L0 capacity in keys (0 = scale default)")
 		quick   = flag.Bool("quick", false, "use the quick scale (smaller runs)")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
-		cmpJSON = flag.String("compaction-json", bench.CompactionJSONPath,
-			"output path for the compaction experiment's JSON report (empty = no file)")
-		obsJSON = flag.String("observability-json", bench.ObservabilityJSONPath,
-			"output path for the observability experiment's JSON report (empty = no file)")
-		intJSON = flag.String("integrity-json", bench.IntegrityJSONPath,
-			"output path for the integrity experiment's JSON report (empty = no file)")
-		figJSON = flag.String("figures-json", bench.FiguresJSONPath,
-			"output path for the figures experiment's JSON report (empty = no file)")
-		figCSV = flag.String("figures-csv-dir", bench.FiguresCSVDir,
-			"directory for the figures experiment's per-figure CSVs (empty = no files)")
-		tailJSON = flag.String("tail-json", bench.TailJSONPath,
-			"output path for the tail experiment's JSON report (empty = no file)")
-		tailCSV = flag.String("tail-csv-dir", bench.TailCSVDir,
-			"directory for the tail experiment's BENCH_fig11_tail.csv (empty = no file)")
-		gcJSON = flag.String("gc-json", bench.GCJSONPath,
-			"output path for the gc experiment's JSON report (empty = no file)")
-		gcCSV = flag.String("gc-csv-dir", bench.GCCSVDir,
-			"directory for the gc experiment's BENCH_fig12_space.csv (empty = no file)")
-		lagJSON = flag.String("lag-json", bench.LagJSONPath,
-			"output path for the lag experiment's JSON report (empty = no file)")
-		lagCSV = flag.String("lag-csv-dir", bench.LagCSVDir,
-			"directory for the lag experiment's BENCH_fig13_lag.csv (empty = no file)")
+		outDir  = flag.String("out-dir", ".",
+			"directory for BENCH_<experiment>.json reports and BENCH_fig*.csv series (empty = no files)")
 	)
 	flag.Parse()
-	bench.CompactionJSONPath = *cmpJSON
-	bench.ObservabilityJSONPath = *obsJSON
-	bench.IntegrityJSONPath = *intJSON
-	bench.FiguresJSONPath = *figJSON
-	bench.FiguresCSVDir = *figCSV
-	bench.TailJSONPath = *tailJSON
-	bench.TailCSVDir = *tailCSV
-	bench.GCJSONPath = *gcJSON
-	bench.GCCSVDir = *gcCSV
-	bench.LagJSONPath = *lagJSON
-	bench.LagCSVDir = *lagCSV
 
 	if *list {
 		for _, e := range bench.AllExperiments {
@@ -115,7 +83,7 @@ func main() {
 			fmt.Println()
 		}
 		start := time.Now()
-		if err := bench.RunExperiment(exp, sc, os.Stdout); err != nil {
+		if err := bench.RunExperiment(exp, sc, os.Stdout, *outDir); err != nil {
 			fmt.Fprintf(os.Stderr, "tebis-bench: %s: %v\n", exp, err)
 			os.Exit(1)
 		}

@@ -1,238 +1,46 @@
-// Command tebis-server runs a standalone single-node Tebis deployment
-// with a file-backed device and a line-oriented TCP front end — a
-// convenience binary for poking at the storage engine outside the
-// in-process benchmark harness. The full replicated data plane (RDMA
-// simulation, Send-Index) lives in the library and is exercised by
-// cmd/tebis-bench and the examples; -replica attaches one in-process
-// Send-Index backup so the full merge → build → ship → rewrite pipeline
-// is observable from this binary alone.
+// Command tebis-server runs a small Tebis deployment — one region server
+// on a file-backed device, two with -replica (a Send-Index backup on an
+// in-memory device) — behind a line-oriented TCP front end. The binary
+// only parses flags, builds the deployment with cluster.New, and
+// translates text commands into client calls: dispatch, admission
+// control, stage attribution, the GC loop and every metric family are
+// internal/server's, the same code the benchmarks and tests drive.
 //
-// Usage:
-//
-//	tebis-server [-addr :7625] [-data /tmp/tebis.img] [-segment 2097152]
-//	             [-metrics 127.0.0.1:7626] [-replica] [-fsck]
-//	             [-workers 8] [-task-threshold 64] [-queue-depth 256]
-//	             [-admission] [-trace-sample 0.0078125]
-//
-// Every sealed segment is written with a CRC32C frame trailer; -fsck
-// re-verifies an existing image read-only and exits (cmd/tebis-fsck is
-// the standalone version with a -recover mode).
-//
-// Commands execute on a bounded worker pool with the same dispatch
-// discipline as the RDMA data plane (DESIGN.md §11): -workers worker
-// goroutines (default 8, the data plane's DefaultWorkers), each with a
-// -queue-depth task queue (default 4x the threshold, the data plane's
-// WorkerQueueDepth default), and a -task-threshold wake-up threshold
-// (default 64, DefaultTaskThreshold) beyond which dispatch spills to
-// the next worker. With -admission (default on), a signal-driven
-// controller watches queue wait, adapts the wake-up threshold, and
-// sheds mutations under overload ("ERR overloaded ..."; reads are never
-// refused); -admission=false pins the fixed knob. A -trace-sample
-// fraction of commands (default 1/128) is decomposed into
-// tebis_op_stage_seconds stage latencies with exemplar trace IDs
-// resolvable on /debug/trace.
-//
-// With -metrics, an HTTP endpoint serves Prometheus text exposition on
-// /metrics, sampled time-series history on /metrics/history, expvar on
-// /debug/vars, Chrome trace-event JSON of the compaction pipeline on
-// /debug/trace (load it in chrome://tracing or https://ui.perfetto.dev),
-// net/http/pprof on /debug/pprof/, and the watchdog profiler's capture
-// log on /debug/profiler. The watchdog grabs heap+CPU profiles when
-// writer stalls spike or the history sampler wedges.
-//
-// Protocol (one request per line, space-separated, values hex-escaped
-// via Go %q):
-//
-//	PUT <key> <value>   -> OK
-//	GET <key>           -> VALUE <value> | NOTFOUND
-//	DEL <key>           -> OK
-//	SCAN <start> <n>    -> KV <key> <value> (n lines) then END
-//	STATS               -> STATS <json>
-//	QUIT                -> closes the connection
+// Every sealed segment carries a CRC32C frame trailer; cmd/tebis-fsck
+// verifies (or, with -recover, repairs) the -data image offline. With
+// -admission (default on) the server sheds mutations under overload and
+// the front end answers "ERR overloaded ..."; reads are never refused.
+// -metrics serves obs.Serve's HTTP surface (/metrics, /metrics/history,
+// /debug/{vars,trace,events,pprof/,profiler}, /healthz, /readyz). The
+// line protocol is documented at the usage table below.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"net"
 	"os"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"tebis/internal/admission"
 	"tebis/internal/client"
-	"tebis/internal/fsck"
-	"tebis/internal/kv"
+	"tebis/internal/cluster"
 	"tebis/internal/lsm"
 	"tebis/internal/metrics"
 	"tebis/internal/obs"
-	"tebis/internal/rdma"
-	"tebis/internal/region"
 	"tebis/internal/replica"
 	"tebis/internal/server"
-	"tebis/internal/shipcodec"
 	"tebis/internal/storage"
 )
 
-// engineState bundles the engine with its instrumentation for the serve
-// loop: per-command latency histograms and the user-byte counter that
-// anchors the amplification gauges.
-type engineState struct {
-	db      *lsm.DB
-	dev     storage.Device
-	cycles  *metrics.Cycles
-	opLat   map[string]*metrics.Histogram
-	dataset atomic.Uint64
-}
-
-func newEngineState(db *lsm.DB, dev storage.Device, cycles *metrics.Cycles) *engineState {
-	st := &engineState{db: db, dev: dev, cycles: cycles,
-		opLat: make(map[string]*metrics.Histogram)}
-	for _, op := range []string{"PUT", "GET", "DEL", "SCAN"} {
-		st.opLat[op] = metrics.NewHistogram()
-	}
-	return st
-}
-
-// poolTenant labels this binary's single tenant in stage series and
-// admission counters (the line protocol carries no tenant field).
-const poolTenant = "t0"
-
-// poolTask is one command handed to the worker pool.
-type poolTask struct {
-	sentAt  time.Time
-	traceID uint64
-	run     func(rt *obs.ReqTrace, traceID uint64)
-	done    chan struct{}
-}
-
-// pool executes line-protocol commands on a bounded worker pool with
-// the data plane's dispatch discipline (DESIGN.md §11): per-worker task
-// queues, a wake-up threshold that spills work to the next worker when
-// a queue runs deep, an admission door that sheds mutations under
-// overload, and per-stage latency attribution for sampled commands.
-type pool struct {
-	workers   []chan poolTask
-	threshold int
-	ctrl      *admission.Controller
-	stages    *metrics.StageSet
-	tracer    *obs.Tracer
-	// sampleEvery is the command-sampling period (0 = sampling off).
-	sampleEvery uint64
-
-	next atomic.Int64
-	seq  atomic.Uint64
-}
-
-func newPool(workers, threshold, depth int, ctrl *admission.Controller,
-	stages *metrics.StageSet, tracer *obs.Tracer, sampleRate float64) *pool {
-	p := &pool{
-		workers:   make([]chan poolTask, workers),
-		threshold: threshold,
-		ctrl:      ctrl,
-		stages:    stages,
-		tracer:    tracer,
-	}
-	if sampleRate > 0 {
-		p.sampleEvery = uint64(math.Round(1 / sampleRate))
-	}
-	for i := range p.workers {
-		q := make(chan poolTask, depth)
-		p.workers[i] = q
-		go p.work(q)
-	}
-	return p
-}
-
-// work drains one worker queue. Every task's queue wait feeds the
-// admission controller's EWMA; sampled tasks additionally record the
-// dispatch stage and its span before running.
-func (p *pool) work(q chan poolTask) {
-	for t := range q {
-		start := time.Now()
-		wait := start.Sub(t.sentAt)
-		if wait < 0 {
-			wait = 0
-		}
-		p.ctrl.Observe(wait)
-		rt := p.tracer.Request(t.traceID)
-		if t.traceID != 0 {
-			p.stages.Record(metrics.StageDispatch, poolTenant, t.traceID, wait)
-			rt.Record(obs.Span{Cat: "request", Name: "dispatch",
-				Start: t.sentAt, Dur: wait})
-		}
-		t.run(rt, t.traceID)
-		close(t.done)
-	}
-}
-
-// do runs one command through the pool and waits for it. mutation
-// routes the command through the admission door first; a false return
-// means it was shed (nothing ran) and the caller should answer
-// overloaded. Reads are never refused, so clients can always audit what
-// was acked.
-func (p *pool) do(mutation bool, fn func(rt *obs.ReqTrace, traceID uint64)) bool {
-	if mutation {
-		switch d := p.ctrl.Admit(poolTenant, 0); d.Action {
-		case admission.Shed:
-			return false
-		case admission.Delay:
-			time.Sleep(d.Delay)
-		}
-	}
-	var traceID uint64
-	if p.sampleEvery > 0 {
-		if n := p.seq.Add(1); n%p.sampleEvery == 0 {
-			traceID = n
-		}
-	}
-	t := poolTask{sentAt: time.Now(), traceID: traceID,
-		run: fn, done: make(chan struct{})}
-	p.dispatch(t)
-	<-t.done
-	return true
-}
-
-// dispatch places a task on a worker queue, spilling past workers whose
-// queues exceed the wake-up threshold — the controller's adaptive value
-// when tightened below the configured one. When every queue is past the
-// threshold it blocks on one: the bounded queue is the backpressure.
-func (p *pool) dispatch(t poolTask) {
-	threshold := p.threshold
-	if adaptive := p.ctrl.Threshold(); adaptive > 0 && adaptive < threshold {
-		threshold = adaptive
-	}
-	next := int(p.next.Add(1))
-	for tries := 0; tries < len(p.workers); tries++ {
-		q := p.workers[(next+tries)%len(p.workers)]
-		if len(q) <= threshold {
-			select {
-			case q <- t:
-				return
-			default:
-			}
-		}
-	}
-	p.workers[next%len(p.workers)] <- t
-}
-
-// recordApply attributes one sampled mutation's engine time to the
-// apply stage (rt may be nil when no tracer is wired; the stage series
-// still collect).
-func (p *pool) recordApply(rt *obs.ReqTrace, traceID uint64, start time.Time) {
-	if traceID == 0 {
-		return
-	}
-	dur := time.Since(start)
-	rt.Record(obs.Span{Cat: "request", Name: "apply", Start: start, Dur: dur})
-	p.stages.Record(metrics.StageApply, poolTenant, traceID, dur)
-}
+// primaryNode is the server hosting the one region's primary (the first
+// name region.Partition assigns); it owns the -data file image.
+var primaryNode = cluster.ServerNames(1)[0]
 
 func main() {
 	var (
@@ -242,15 +50,13 @@ func main() {
 		l0          = flag.Int("l0", lsm.DefaultL0MaxKeys, "L0 capacity in keys")
 		metricsAddr = flag.String("metrics", "", "observability HTTP listen address (empty = off)")
 		profileDir  = flag.String("profile-dir", "", "watchdog profile output directory (empty = OS temp)")
-		withReplica = flag.Bool("replica", false, "attach an in-process Send-Index backup")
-		shipRaw     = flag.Bool("ship-uncompressed", false, "ship raw index segments (disable the DESIGN.md §10 wire codec)")
-		fsckMode    = flag.Bool("fsck", false, "verify the device image read-only and exit (see cmd/tebis-fsck)")
-		workers     = flag.Int("workers", server.DefaultWorkers, "worker pool size behind the line protocol")
+		withReplica = flag.Bool("replica", false, "add a second server hosting a Send-Index backup")
+		shipRaw     = flag.Bool("ship-uncompressed", false, "ship raw index segments (disable the wire codec)")
+		workers     = flag.Int("workers", server.DefaultWorkers, "worker threads per server")
 		taskThresh  = flag.Int("task-threshold", server.DefaultTaskThreshold, "worker wake-up threshold: tasks queued on a worker before dispatch spills to the next")
-		queueDepth  = flag.Int("queue-depth", 0, "per-worker task-queue capacity (0 = 4x task-threshold, the data-plane default)")
 		admissionOn = flag.Bool("admission", true, "signal-driven admission control: adapt the wake-up threshold to queue wait and shed mutations under overload (false = fixed knob)")
-		traceSample = flag.Float64("trace-sample", client.DefaultTraceSampleRate, "fraction of commands sampled into stage telemetry and /debug/trace")
-		gcOn        = flag.Bool("gc", false, "online value-log garbage collection: relocate live records out of mostly-dead segments and free them (DESIGN.md §12)")
+		traceSample = flag.Float64("trace-sample", client.DefaultTraceSampleRate, "fraction of commands sampled into stage telemetry and /debug/trace (negative = off)")
+		gcOn        = flag.Bool("gc", false, "online value-log garbage collection: relocate live records out of mostly-dead segments and free them")
 		gcRatio     = flag.Float64("gc-dead-ratio", 0, "dead-byte fraction past which a sealed segment becomes a GC victim (0 = engine default 0.5)")
 		gcMaxSegs   = flag.Int("gc-max-segments", 0, "victim segments per GC pass (0 = engine default 4)")
 		gcInterval  = flag.Duration("gc-interval", server.DefaultGCInterval, "pause between background GC passes")
@@ -258,9 +64,7 @@ func main() {
 	)
 	flag.Parse()
 
-	// One leveled structured stream for everything the binary says:
-	// direct log calls and, via the event journal's sink, every
-	// control-plane transition — one grep surface, key=value fields.
+	// One key=value stream: log calls and, via the sink, journal events.
 	logger := obs.NewLogger(os.Stderr, *logLevel)
 	fatal := func(msg string, kv ...any) {
 		logger.Error(msg, kv...)
@@ -269,239 +73,54 @@ func main() {
 	ev := obs.NewEventLog(0)
 	ev.SetSink(logger)
 
-	if *fsckMode {
-		res, err := fsck.Run(fsck.Options{Path: *data, SegmentSize: *segSize, Log: os.Stdout})
-		if err != nil {
-			fatal("fsck failed", "path", *data, "err", err)
-		}
-		if !res.Clean() {
-			fatal("fsck found corruption", "path", *data,
-				"corrupt", len(res.Findings), "scanned", res.Scanned)
-		}
-		logger.Info("fsck clean", "path", *data, "scanned", res.Scanned)
-		return
-	}
-
-	fdev, err := storage.NewFileDevice(*data, *segSize, 0)
-	if err != nil {
-		fatal("open device failed", "path", *data, "err", err)
-	}
-	defer fdev.Close()
-	// Write through the integrity layer so every sealed segment carries
-	// a CRC32C frame and the image is checkable with -fsck (DESIGN.md §7).
-	dev := storage.AsVerifying(fdev)
-
-	var (
-		cycles   metrics.Cycles
-		cstats   metrics.CompactionStats
-		failures metrics.FailureStats
-		tracer   *obs.Tracer
-		reg      *obs.Registry
-	)
-	if *metricsAddr != "" {
-		tracer = obs.NewTracer(0)
-		reg = obs.NewRegistry()
-	}
-
-	opt := lsm.Options{
-		Device:          dev,
-		L0MaxKeys:       *l0,
-		Cycles:          &cycles,
-		CompactionStats: &cstats,
-		Trace:           tracer.Node("primary"),
-	}
-
-	// With -replica, the engine's listener is a Send-Index primary
-	// attached to one in-memory backup node, so every compaction runs
-	// the paper's full pipeline: merge → build → ship → offset rewrite.
-	var (
-		primary *replica.Primary
-		epP     *rdma.Endpoint
-		epB     *rdma.Endpoint
-		devB    *storage.MemDevice
-	)
-	shipStats := &metrics.ShipStats{}
-	lag := metrics.NewLagSet()
-	if *withReplica {
-		epP = rdma.NewEndpoint("primary")
-		epB = rdma.NewEndpoint("backup0")
-		devB, err = storage.NewMemDevice(*segSize, 0)
-		if err != nil {
-			fatal("open backup device failed", "err", err)
-		}
-		defer devB.Close()
-		shipCodec := shipcodec.Flate
-		if *shipRaw {
-			shipCodec = shipcodec.None
-		}
-		primary = replica.NewPrimary(replica.PrimaryConfig{
-			RegionID:     region.ID(1),
-			ServerName:   "primary",
-			Mode:         replica.SendIndex,
-			Endpoint:     epP,
-			Cycles:       &cycles,
-			Cost:         metrics.DefaultCostModel(),
-			Failures:     &failures,
-			Trace:        tracer.Node("primary"),
-			ShipCodec:    shipCodec,
-			ShipDelta:    !*shipRaw,
-			ShipPageSize: lsm.DefaultNodeSize,
-			Ship:         shipStats,
-			Lag:          lag,
-			Events:       ev,
-		})
-		opt.Listener = primary
-	}
-
-	db, err := lsm.New(opt)
-	if err != nil {
-		fatal("open engine failed", "err", err)
-	}
-	defer db.Close()
-
-	if *withReplica {
-		var cyB metrics.Cycles
-		backup, err := replica.NewBackup(replica.BackupConfig{
-			RegionID:   region.ID(1),
-			ServerName: "backup0",
-			Mode:       replica.SendIndex,
-			Device:     storage.AsVerifying(devB),
-			Endpoint:   epB,
-			Cycles:     &cyB,
-			Cost:       metrics.DefaultCostModel(),
-			LSM:        lsm.Options{L0MaxKeys: *l0, NodeSize: lsm.DefaultNodeSize},
-			Trace:      tracer.Node("backup0"),
-		})
-		if err != nil {
-			fatal("open backup failed", "err", err)
-		}
-		replica.Attach(primary, backup)
-		primary.SetDB(db)
-		if reg != nil {
-			reg.RegisterDevice(obs.Labels{"node": "backup0"}, devB)
-			reg.RegisterEndpoint(obs.Labels{"node": "backup0"}, epB)
-			reg.RegisterCycles(obs.Labels{"node": "backup0"}, &cyB)
-		}
-	}
-
-	st := newEngineState(db, dev, &cycles)
-
-	// The bounded worker pool and admission door the serve loop routes
-	// commands through; the stage set only exists (and costs) with the
-	// observability stack on — both are nil-safe off that path.
-	if *queueDepth <= 0 {
-		*queueDepth = 4 * *taskThresh
-	}
-	ctrl := admission.New(admission.Config{
-		MaxThreshold: *taskThresh,
-		Disabled:     !*admissionOn,
-	})
-	var stages *metrics.StageSet
-	if reg != nil {
-		stages = metrics.NewStageSet()
-	}
-	pl := newPool(*workers, *taskThresh, *queueDepth, ctrl, stages, tracer, *traceSample)
-
-	// Online value-log GC (DESIGN.md §12): a background worker relocates
-	// live records out of mostly-dead segments and frees them, paced by
-	// the admission controller so foreground load always wins.
-	gcStats := &metrics.GCStats{}
-	if *gcOn {
-		go func() {
-			t := time.NewTicker(*gcInterval)
-			defer t.Stop()
-			for range t.C {
-				if _, err := db.GCOnce(lsm.GCPolicy{
-					MinDeadRatio: *gcRatio,
-					MaxSegments:  *gcMaxSegs,
-					Pacer:        ctrl,
-					Stats:        gcStats,
-				}); err != nil {
-					return
-				}
+	cfg := cluster.Config{
+		Servers:          1,
+		Regions:          1,
+		SegmentSize:      *segSize,
+		LSM:              lsm.Options{L0MaxKeys: *l0, CompactionStats: &metrics.CompactionStats{}},
+		Workers:          *workers,
+		TaskThreshold:    *taskThresh,
+		Admission:        &admission.Config{Disabled: !*admissionOn},
+		TraceSampleRate:  *traceSample,
+		ShipUncompressed: *shipRaw,
+		GC: server.GCConfig{Enabled: *gcOn, MinDeadRatio: *gcRatio,
+			MaxSegments: *gcMaxSegs, Interval: *gcInterval},
+		Events: ev,
+		Device: func(name string) (storage.Device, error) {
+			if name == primaryNode {
+				return storage.NewFileDevice(*data, *segSize, 0)
 			}
-		}()
+			return storage.NewMemDevice(*segSize, 0)
+		},
+	}
+	if *withReplica {
+		cfg.Servers, cfg.Replicas, cfg.Mode = 2, 1, replica.SendIndex
+	}
+	if *metricsAddr != "" {
+		cfg.Trace = obs.NewTracer(0)
+	}
+	c, err := cluster.New(cfg)
+	if err != nil {
+		fatal("open deployment failed", "device", *data, "err", err)
 	}
 
-	// Readiness: the node reports not-ready while replication to the
-	// attached backup is degraded — the same semantics server.Ready gives
-	// the in-process cluster nodes.
-	health := obs.NewHealth()
-	health.AddCheck("replication", func() error {
-		if primary != nil && primary.Degraded() {
-			return errors.New("replication degraded: backup evicted or unresponsive")
-		}
-		return nil
-	})
-
-	if reg != nil {
-		labels := obs.Labels{"node": "primary"}
-		reg.RegisterStages(nil, stages)
-		reg.RegisterLag(labels, lag)
-		reg.RegisterEvents(nil, ev)
-		ctrl.Register(reg, labels)
-		reg.RegisterDevice(labels, dev)
-		reg.RegisterCycles(labels, &cycles)
-		reg.RegisterCompaction(labels, &cstats)
-		reg.RegisterFailure(labels, &failures)
-		reg.RegisterShip(labels, shipStats)
-		reg.RegisterVlogSpace(labels, db.Log().SpaceReport)
-		reg.RegisterGC(labels, gcStats)
-		for op, h := range st.opLat {
-			reg.RegisterOpLatency(labels, op, h)
-		}
-		dataset := func() float64 { return float64(st.dataset.Load()) }
-		var netTraffic func() float64
-		if epP != nil {
-			reg.RegisterEndpoint(labels, epP)
-			netTraffic = func() float64 { return float64(epP.TxBytes() + epP.RxBytes()) }
-		}
-		reg.RegisterAmplification(labels,
-			func() float64 {
-				s := dev.Stats()
-				return float64(s.BytesRead + s.BytesWritten)
-			},
-			netTraffic, dataset)
-
-		reg.RegisterTracer(nil, tracer)
-
-		// Continuous profiling: the watchdog captures heap+CPU profiles
-		// when writer stalls spike (the paper's §5.1 backpressure
-		// pathology) or when the history sampler itself stops ticking.
-		prof, err := obs.NewProfiler(*profileDir)
+	if *metricsAddr != "" {
+		got, err := serveMetrics(*metricsAddr, *profileDir, c, cfg.Trace, cfg.LSM.CompactionStats)
 		if err != nil {
-			fatal("profiler init failed", "err", err)
+			fatal("metrics endpoint failed", "addr", *metricsAddr, "err", err)
 		}
-		samp := obs.NewSampler(reg, 0, 0)
-		samp.Start()
-		prof.Watch(time.Second,
-			obs.StallCondition("writer-stall", 250*time.Millisecond,
-				func() time.Duration { return cstats.Snapshot().WriterStallTime }),
-			obs.ScrapeStallCondition(samp, 5*obs.DefaultSampleInterval))
-
-		got, err := obs.Serve(*metricsAddr, reg, tracer, prof, samp, ev, health)
-		if err != nil {
-			fatal("metrics listen failed", "addr", *metricsAddr, "err", err)
-		}
-		logger.Info("metrics endpoint up",
-			"url", "http://"+got+"/metrics",
-			"trace", "/debug/trace", "events", "/debug/events",
-			"health", "/healthz", "ready", "/readyz",
-			"history", "/metrics/history", "pprof", "/debug/pprof/")
+		logger.Info("metrics endpoint up", "url", "http://"+got+"/metrics")
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal("listen failed", "addr", *addr, "err", err)
 	}
-	logger.Info("listening",
-		"addr", ln.Addr().String(), "device", *data, "segment_bytes", *segSize,
-		"replica", *withReplica, "workers", *workers, "threshold", *taskThresh,
-		"depth", *queueDepth, "admission", *admissionOn)
-	ev.Record(obs.Event{Type: obs.EvServerStarted, Node: "primary",
-		Msg: "line-protocol front end accepting connections",
-		Fields: map[string]string{
-			"addr": ln.Addr().String(), "replica": fmt.Sprint(*withReplica)}})
+	logger.Info("listening", "addr", ln.Addr().String(), "device", *data,
+		"segment_bytes", *segSize, "replica", *withReplica)
+	ev.Record(obs.Event{Type: obs.EvServerStarted, Node: primaryNode,
+		Msg:    "line-protocol front end accepting connections",
+		Fields: map[string]string{"addr": ln.Addr().String(), "replica": fmt.Sprint(*withReplica)}})
 
 	for {
 		conn, err := ln.Accept()
@@ -509,135 +128,147 @@ func main() {
 			logger.Warn("accept failed", "err", err)
 			continue
 		}
-		go serve(conn, st, pl)
+		go serve(conn, c)
 	}
 }
 
-func serve(conn net.Conn, st *engineState, p *pool) {
-	db, dev, cycles := st.db, st.dev, st.cycles
+// serveMetrics serves the deployment's observability surface over HTTP
+// and starts the watchdog that captures heap+CPU profiles when writer
+// stalls spike (§5.1's backpressure) or the history sampler stops.
+func serveMetrics(addr, profileDir string, c *cluster.Cluster, tracer *obs.Tracer, cstats *metrics.CompactionStats) (string, error) {
+	reg := obs.NewRegistry()
+	c.Observe(reg)
+	health := obs.NewHealth()
+	for _, n := range c.Nodes {
+		n.Server.RegisterHealth(health)
+	}
+	prof, err := obs.NewProfiler(profileDir)
+	if err != nil {
+		return "", err
+	}
+	samp := obs.NewSampler(reg, 0, 0)
+	samp.Start()
+	prof.Watch(time.Second,
+		obs.StallCondition("writer-stall", 250*time.Millisecond,
+			func() time.Duration { return cstats.Snapshot().WriterStallTime }),
+		obs.ScrapeStallCondition(samp, 5*obs.DefaultSampleInterval))
+	return obs.Serve(addr, reg, tracer, prof, samp, c.Events(), health)
+}
+
+// serve speaks the line protocol on one connection through its own client.
+func serve(conn net.Conn, c *cluster.Cluster) {
 	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	w := bufio.NewWriter(conn)
 	defer w.Flush()
+	cl, err := c.NewClient()
+	if err != nil {
+		fmt.Fprintf(w, "ERR %v\n", err)
+		return
+	}
+	defer cl.Close()
+	sc := bufio.NewScanner(conn)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		fields := splitFields(sc.Text())
 		if len(fields) == 0 {
 			continue
 		}
-		cmd := strings.ToUpper(fields[0])
-		start := time.Now()
-		switch cmd {
-		case "PUT":
-			if len(fields) != 3 {
-				fmt.Fprintln(w, "ERR usage: PUT <key> <value>")
-				break
-			}
-			key, err1 := unq(fields[1])
-			val, err2 := unq(fields[2])
-			if err1 != nil || err2 != nil {
-				fmt.Fprintln(w, "ERR bad escaping")
-				break
-			}
-			if !p.do(true, func(rt *obs.ReqTrace, traceID uint64) {
-				applyStart := time.Now()
-				if err := db.PutTraced(key, val, rt); err != nil {
-					fmt.Fprintf(w, "ERR %v\n", err)
-					return
-				}
-				p.recordApply(rt, traceID, applyStart)
-				st.dataset.Add(uint64(len(key) + len(val)))
-				fmt.Fprintln(w, "OK")
-			}) {
-				fmt.Fprintln(w, "ERR overloaded: shed by admission control, back off and retry")
-			}
-		case "GET":
-			if len(fields) != 2 {
-				fmt.Fprintln(w, "ERR usage: GET <key>")
-				break
-			}
-			key, err := unq(fields[1])
-			if err != nil {
-				fmt.Fprintln(w, "ERR bad escaping")
-				break
-			}
-			p.do(false, func(rt *obs.ReqTrace, traceID uint64) {
-				v, found, err := db.Get(key)
-				switch {
-				case err != nil:
-					fmt.Fprintf(w, "ERR %v\n", err)
-				case !found:
-					fmt.Fprintln(w, "NOTFOUND")
-				default:
-					fmt.Fprintf(w, "VALUE %q\n", v)
-				}
-			})
-		case "DEL":
-			if len(fields) != 2 {
-				fmt.Fprintln(w, "ERR usage: DEL <key>")
-				break
-			}
-			key, err := unq(fields[1])
-			if err != nil {
-				fmt.Fprintln(w, "ERR bad escaping")
-				break
-			}
-			if !p.do(true, func(rt *obs.ReqTrace, traceID uint64) {
-				applyStart := time.Now()
-				if err := db.DeleteTraced(key, rt); err != nil {
-					fmt.Fprintf(w, "ERR %v\n", err)
-					return
-				}
-				p.recordApply(rt, traceID, applyStart)
-				fmt.Fprintln(w, "OK")
-			}) {
-				fmt.Fprintln(w, "ERR overloaded: shed by admission control, back off and retry")
-			}
-		case "SCAN":
-			if len(fields) != 3 {
-				fmt.Fprintln(w, "ERR usage: SCAN <start> <n>")
-				break
-			}
-			startKey, err := unq(fields[1])
-			if err != nil {
-				fmt.Fprintln(w, "ERR bad escaping")
-				break
-			}
-			n, err := strconv.Atoi(fields[2])
-			if err != nil || n < 1 {
-				fmt.Fprintln(w, "ERR bad count")
-				break
-			}
-			p.do(false, func(rt *obs.ReqTrace, traceID uint64) {
-				err := db.Scan(startKey, func(pr kv.Pair) bool {
-					fmt.Fprintf(w, "KV %q %q\n", pr.Key, pr.Value)
-					n--
-					return n > 0
-				})
-				if err != nil {
-					fmt.Fprintf(w, "ERR %v\n", err)
-					return
-				}
-				fmt.Fprintln(w, "END")
-			})
-		case "STATS":
-			devStats := dev.Stats()
-			out, _ := json.Marshal(map[string]any{
-				"bytes_read":    devStats.BytesRead,
-				"bytes_written": devStats.BytesWritten,
-				"segments_live": devStats.SegmentsLive,
-				"cycles_total":  cycles.Snapshot().Total(),
-			})
-			fmt.Fprintf(w, "STATS %s\n", out)
-		case "QUIT":
+		if strings.EqualFold(fields[0], "QUIT") {
 			return
-		default:
-			fmt.Fprintf(w, "ERR unknown command %q\n", fields[0])
 		}
-		st.opLat[cmd].Record(time.Since(start))
+		execute(w, c, cl, fields)
 		if err := w.Flush(); err != nil {
 			return
 		}
+	}
+}
+
+// usage lists the commands: one request per line, space-separated,
+// keys and values optionally escaped as Go %q strings. PUT and DEL
+// answer OK, GET answers VALUE <value> or NOTFOUND, SCAN answers up to
+// n "KV <key> <value>" lines then END, STATS answers STATS <json>, QUIT
+// closes the connection, and any failure answers ERR <reason>.
+var usage = map[string]string{
+	"PUT": "PUT <key> <value>", "GET": "GET <key>", "DEL": "DEL <key>",
+	"SCAN": "SCAN <start> <n>", "STATS": "STATS",
+}
+
+// execute runs one command and writes its reply lines.
+func execute(w io.Writer, c *cluster.Cluster, cl *client.Client, fields []string) {
+	cmd := strings.ToUpper(fields[0])
+	want, known := usage[cmd]
+	if !known {
+		fmt.Fprintf(w, "ERR unknown command %q\n", fields[0])
+		return
+	}
+	if len(fields) != len(strings.Fields(want)) {
+		fmt.Fprintf(w, "ERR usage: %s\n", want)
+		return
+	}
+	args := make([][]byte, len(fields)-1)
+	for i, f := range fields[1:] {
+		var err error
+		if args[i], err = unq(f); err != nil {
+			fmt.Fprintln(w, "ERR bad escaping")
+			return
+		}
+	}
+	switch cmd {
+	case "PUT":
+		writeStatus(w, cl.Put(args[0], args[1]))
+	case "DEL":
+		writeStatus(w, cl.Delete(args[0]))
+	case "GET":
+		switch v, found, err := cl.Get(args[0]); {
+		case err != nil:
+			writeStatus(w, err)
+		case !found:
+			fmt.Fprintln(w, "NOTFOUND")
+		default:
+			fmt.Fprintf(w, "VALUE %q\n", v)
+		}
+	case "SCAN":
+		n, err := strconv.Atoi(string(args[1]))
+		if err != nil || n < 1 {
+			fmt.Fprintln(w, "ERR bad count")
+			return
+		}
+		// One client scan stops at its reply-slot budget; continue
+		// from the last key until n pairs or the end of the data.
+		for start := args[0]; n > 0; {
+			pairs, err := cl.Scan(start, n)
+			if err != nil {
+				writeStatus(w, err)
+				return
+			}
+			if len(pairs) == 0 {
+				break
+			}
+			for _, p := range pairs {
+				fmt.Fprintf(w, "KV %q %q\n", p.Key, p.Value)
+			}
+			n -= len(pairs)
+			start = append(pairs[len(pairs)-1].Key, 0)
+		}
+		fmt.Fprintln(w, "END")
+	case "STATS":
+		n := c.Nodes[primaryNode]
+		dev := n.Device.Stats()
+		fmt.Fprintf(w, `STATS {"bytes_read":%d,"bytes_written":%d,"segments_live":%d,"cycles_total":%d}`+"\n",
+			dev.BytesRead, dev.BytesWritten, dev.SegmentsLive, n.Cycles.Snapshot().Total())
+	}
+}
+
+// writeStatus answers OK, the overload refusal (nothing was applied;
+// the client already backed off and retried), or the error.
+func writeStatus(w io.Writer, err error) {
+	switch {
+	case err == nil:
+		fmt.Fprintln(w, "OK")
+	case errors.Is(err, client.ErrOverloaded):
+		fmt.Fprintln(w, "ERR overloaded: shed by admission control, back off and retry")
+	default:
+		fmt.Fprintf(w, "ERR %v\n", err)
 	}
 }
 
@@ -645,34 +276,16 @@ func serve(conn net.Conn, st *engineState, p *pool) {
 // (which may contain spaces) as single tokens.
 func splitFields(line string) []string {
 	var out []string
-	i := 0
-	for i < len(line) {
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
-			i++
-		}
-		if i >= len(line) {
-			break
-		}
-		start := i
-		if line[i] == '"' {
-			i++
-			for i < len(line) {
-				if line[i] == '\\' {
-					i += 2
-					continue
-				}
-				if line[i] == '"' {
-					i++
-					break
-				}
-				i++
-			}
-		} else {
-			for i < len(line) && line[i] != ' ' && line[i] != '\t' {
-				i++
+	for line = strings.TrimLeft(line, " \t"); line != ""; line = strings.TrimLeft(line, " \t") {
+		tok, err := strconv.QuotedPrefix(line)
+		if err != nil || line[0] != '"' {
+			// A bare token — or an unterminated quote, which unq rejects.
+			if tok = line; strings.ContainsAny(line, " \t") {
+				tok = line[:strings.IndexAny(line, " \t")]
 			}
 		}
-		out = append(out, line[start:i])
+		out = append(out, tok)
+		line = line[len(tok):]
 	}
 	return out
 }

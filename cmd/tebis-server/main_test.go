@@ -9,39 +9,40 @@ import (
 	"time"
 
 	"tebis/internal/admission"
+	"tebis/internal/cluster"
 	"tebis/internal/lsm"
 	"tebis/internal/metrics"
-	"tebis/internal/storage"
+	"tebis/internal/obs"
 )
 
-// startPipeServerWith wires the serve loop to an in-memory connection
-// using the given worker pool.
-func startPipeServerWith(t *testing.T, pl *pool) (net.Conn, *lsm.DB) {
+// startPipeServer boots a one-server deployment (in-memory device),
+// adjusted by tweak, and wires the serve loop to an in-memory
+// connection.
+func startPipeServer(t *testing.T, tweak func(*cluster.Config)) (net.Conn, *cluster.Cluster) {
 	t.Helper()
-	dev, err := storage.NewMemDevice(64<<10, 0)
-	if err != nil {
-		t.Fatal(err)
+	cfg := cluster.Config{
+		Servers:     1,
+		Regions:     1,
+		SegmentSize: 64 << 10,
+		LSM:         lsm.Options{L0MaxKeys: 256, NodeSize: 512, MaxLevels: 5},
+		Workers:     2,
 	}
-	var cycles metrics.Cycles
-	db, err := lsm.New(lsm.Options{Device: dev, L0MaxKeys: 256, NodeSize: 512, MaxLevels: 5, Cycles: &cycles})
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	c, err := cluster.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	client, server := net.Pipe()
-	go serve(server, newEngineState(db, dev, &cycles), pl)
+	go serve(server, c)
 	t.Cleanup(func() {
 		client.Close()
-		db.Close()
-		dev.Close()
+		if err := c.Close(); err != nil {
+			t.Errorf("cluster close: %v", err)
+		}
 	})
-	return client, db
-}
-
-// startPipeServer is startPipeServerWith on a sample-everything pool
-// with no admission control.
-func startPipeServer(t *testing.T) (net.Conn, *lsm.DB) {
-	t.Helper()
-	return startPipeServerWith(t, newPool(2, 4, 16, nil, metrics.NewStageSet(), nil, 1))
+	return client, c
 }
 
 // roundTripLines sends one line and reads n reply lines.
@@ -62,7 +63,7 @@ func roundTripLines(t *testing.T, conn net.Conn, r *bufio.Reader, line string, n
 }
 
 func TestServeProtocol(t *testing.T) {
-	conn, _ := startPipeServer(t)
+	conn, _ := startPipeServer(t, nil)
 	r := bufio.NewReader(conn)
 
 	if got := roundTripLines(t, conn, r, `PUT "alpha" "value one"`, 1)[0]; got != "OK" {
@@ -91,7 +92,7 @@ func TestServeProtocol(t *testing.T) {
 }
 
 func TestServeScanAndStats(t *testing.T) {
-	conn, _ := startPipeServer(t)
+	conn, _ := startPipeServer(t, nil)
 	r := bufio.NewReader(conn)
 	for i := 0; i < 10; i++ {
 		line := fmt.Sprintf("PUT key%02d val%02d", i, i)
@@ -110,7 +111,7 @@ func TestServeScanAndStats(t *testing.T) {
 }
 
 func TestServeErrors(t *testing.T) {
-	conn, _ := startPipeServer(t)
+	conn, _ := startPipeServer(t, nil)
 	r := bufio.NewReader(conn)
 	for _, bad := range []string{
 		"PUT onlykey",
@@ -130,13 +131,14 @@ func TestServeErrors(t *testing.T) {
 	}
 }
 
-// TestServeStageAttribution: a sample-everything pool decomposes
-// commands into dispatch and apply stage records under the binary's
-// single tenant.
+// TestServeStageAttribution: with every command sampled, the serving
+// stack decomposes each PUT into dispatch and apply stage records under
+// the default tenant.
 func TestServeStageAttribution(t *testing.T) {
-	stages := metrics.NewStageSet()
-	pl := newPool(2, 4, 16, nil, stages, nil, 1)
-	conn, _ := startPipeServerWith(t, pl)
+	conn, c := startPipeServer(t, func(cfg *cluster.Config) {
+		cfg.Trace = obs.NewTracer(0)
+		cfg.TraceSampleRate = 1
+	})
 	r := bufio.NewReader(conn)
 	for i := 0; i < 4; i++ {
 		line := fmt.Sprintf("PUT key%d val%d", i, i)
@@ -145,9 +147,9 @@ func TestServeStageAttribution(t *testing.T) {
 		}
 	}
 	seen := map[string]uint64{}
-	for _, snap := range stages.Snapshot() {
-		if snap.Tenant != poolTenant {
-			t.Fatalf("stage %s under tenant %q, want %q", snap.Stage, snap.Tenant, poolTenant)
+	for _, snap := range c.Stages().Snapshot() {
+		if snap.Tenant != "t0" {
+			t.Fatalf("stage %s under tenant %q, want t0", snap.Stage, snap.Tenant)
 		}
 		seen[snap.Stage] = snap.Count
 	}
@@ -159,30 +161,33 @@ func TestServeStageAttribution(t *testing.T) {
 // TestServeAdmissionShedsMutations: with the controller escalated to
 // shedding, mutations answer overloaded while reads still serve.
 func TestServeAdmissionShedsMutations(t *testing.T) {
-	ctrl := admission.New(admission.Config{
-		MaxThreshold: 1, HighWater: time.Nanosecond, Window: 1,
+	conn, c := startPipeServer(t, func(cfg *cluster.Config) {
+		cfg.Admission = &admission.Config{MaxThreshold: 1, HighWater: time.Nanosecond, Window: 1}
 	})
-	pl := newPool(2, 4, 16, ctrl, metrics.NewStageSet(), nil, 1)
-	conn, _ := startPipeServerWith(t, pl)
 	r := bufio.NewReader(conn)
 	if got := roundTripLines(t, conn, r, "PUT survivor val", 1)[0]; got != "OK" {
 		t.Fatalf("PUT -> %q", got)
 	}
-	// Drive the state machine to shed: threshold is already at its
-	// floor, so two high-wait windows escalate normal -> delay -> shed.
-	ctrl.Observe(time.Millisecond)
-	ctrl.Observe(time.Millisecond)
+	// Drive the state machine to shed: the threshold is already at its
+	// floor, so every high-wait window escalates one step.
+	ctrl := c.Nodes[primaryNode].Server.Admission()
+	for i := 0; i < 3 && ctrl.State() != admission.StateShed; i++ {
+		ctrl.Observe(time.Millisecond)
+	}
 	if st := ctrl.State(); st != admission.StateShed {
 		t.Fatalf("controller state = %v, want shed", st)
 	}
 	got := roundTripLines(t, conn, r, "PUT blocked val", 1)[0]
-	if !strings.Contains(got, "overloaded") {
-		t.Fatalf("shed PUT -> %q, want overloaded error", got)
+	if !strings.HasPrefix(got, "ERR overloaded") {
+		t.Fatalf("shed PUT -> %q, want ERR overloaded", got)
 	}
 	if got := roundTripLines(t, conn, r, "GET survivor", 1)[0]; got != `VALUE "val"` {
 		t.Fatalf("GET under shed -> %q, want the acked value (reads are never refused)", got)
 	}
-	if n := ctrl.Snapshot().Shed[poolTenant]; n != 1 {
-		t.Fatalf("shed counter = %d, want 1", n)
+	if got := roundTripLines(t, conn, r, "GET blocked", 1)[0]; got != "NOTFOUND" {
+		t.Fatalf("GET of the shed key -> %q, want NOTFOUND (a shed write applies nothing)", got)
+	}
+	if n := ctrl.Snapshot().Shed["t0"]; n == 0 {
+		t.Fatal("shed counter still zero")
 	}
 }

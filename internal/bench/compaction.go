@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"time"
 
@@ -12,10 +10,6 @@ import (
 	"tebis/internal/metrics"
 	"tebis/internal/storage"
 )
-
-// CompactionJSONPath is where the compaction experiment writes its
-// machine-readable report; empty disables the file.
-var CompactionJSONPath = "BENCH_compaction.json"
 
 // CompactionModeResult measures one scheduler configuration.
 type CompactionModeResult struct {
@@ -165,7 +159,7 @@ func medianCompactionMode(sc Scale, mode string, workers, buffers int, opsPerSec
 // runCompaction compares the paper-faithful serial compactor (one
 // worker, one frozen L0) against the staged scheduler (two workers,
 // double-buffered L0) under an identical offered load, prints the
-// comparison, and writes CompactionJSONPath.
+// comparison, and writes BENCH_compaction.json into outDir.
 //
 // The in-memory device makes an unthrottled writer orders of magnitude
 // faster than compaction, which no amount of buffering can hide — every
@@ -174,7 +168,7 @@ func medianCompactionMode(sc Scale, mode string, workers, buffers int, opsPerSec
 // compaction to overlap, so the comparison first calibrates the serial
 // engine's raw throughput and then drives both engines at half of it,
 // where stalls measure scheduling, not raw compaction speed.
-func runCompaction(sc Scale, w io.Writer) error {
+func runCompaction(sc Scale, w io.Writer, outDir string) error {
 	calib, err := runCompactionMode(sc, "calibrate", 1, 1, 0)
 	if err != nil {
 		return err
@@ -208,15 +202,8 @@ func runCompaction(sc Scale, w io.Writer) error {
 			r.WriterStalls, r.WriterStallMillis, r.Jobs, 100*r.OverlapFraction)
 	}
 
-	if CompactionJSONPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(CompactionJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", CompactionJSONPath)
+	if outDir == "" {
+		return nil
 	}
-	return nil
+	return writeReport(w, outDir, ExpCompaction, report)
 }

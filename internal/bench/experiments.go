@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"tebis/internal/metrics"
@@ -94,8 +97,10 @@ var twoWaySetups = []Setup{BuildIndex, SendIndex, NoReplication}
 var threeWaySetups = []Setup{BuildIndexRL, BuildIndex, SendIndex, NoReplication}
 
 // RunExperiment executes one artifact and writes the paper-shaped rows
-// to w.
-func RunExperiment(exp Experiment, sc Scale, w io.Writer) error {
+// to w. Experiments with machine-readable output also write
+// BENCH_<experiment>.json and their BENCH_fig*.csv series into outDir;
+// an empty outDir writes no files.
+func RunExperiment(exp Experiment, sc Scale, w io.Writer, outDir string) error {
 	switch exp {
 	case ExpTable2:
 		return runTable2(sc, w)
@@ -120,21 +125,40 @@ func RunExperiment(exp Experiment, sc Scale, w io.Writer) error {
 	case ExpSec55:
 		return runSec55(sc, w)
 	case ExpCompaction:
-		return runCompaction(sc, w)
+		return runCompaction(sc, w, outDir)
 	case ExpObservability:
-		return runObservability(sc, w)
+		return runObservability(sc, w, outDir)
 	case ExpIntegrity:
-		return runIntegrity(sc, w)
+		return runIntegrity(sc, w, outDir)
 	case ExpFigures:
-		return runFigures(sc, w)
+		return runFigures(sc, w, outDir)
 	case ExpTail:
-		return runTail(sc, w)
+		return runTail(sc, w, outDir)
 	case ExpGC:
-		return runGC(sc, w)
+		return runGC(sc, w, outDir)
 	case ExpLag:
-		return runLag(sc, w)
+		return runLag(sc, w, outDir)
 	}
 	return fmt.Errorf("bench: unknown experiment %q", exp)
+}
+
+// writeReport writes an experiment's report as BENCH_<exp>.json in
+// outDir.
+func writeReport(w io.Writer, outDir string, exp Experiment, report any) error {
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	return writeArtifact(w, filepath.Join(outDir, "BENCH_"+string(exp)+".json"), append(data, '\n'))
+}
+
+// writeArtifact writes one output file and says so on w.
+func writeArtifact(w io.Writer, path string, data []byte) error {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s\n", path)
+	return nil
 }
 
 func params(setup Setup, wl ycsb.Workload, mix ycsb.SizeMix, sc Scale, replicas int) Params {

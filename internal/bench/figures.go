@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -18,14 +16,6 @@ import (
 	"tebis/internal/obs"
 	"tebis/internal/ycsb"
 )
-
-// FiguresJSONPath is where the figures experiment writes its
-// machine-readable report; empty disables the file.
-var FiguresJSONPath = "BENCH_figures.json"
-
-// FiguresCSVDir is where the figures experiment writes its per-figure
-// CSVs; empty disables them.
-var FiguresCSVDir = "."
 
 // figureSampleTicks is the minimum time-series density per measured
 // run. The sampler is ticked from the op stream (not a wall-clock
@@ -395,7 +385,7 @@ func (fc *figCluster) phase(wl ycsb.Workload) (FigureRun, error) {
 // each phase so throughput, amplification, and network traffic are
 // plotted over time, and it runs with request tracing at the default
 // sample rate so the figures reflect the instrumented system.
-func runFigures(sc Scale, w io.Writer) error {
+func runFigures(sc Scale, w io.Writer, outDir string) error {
 	p := params(SendIndex, ycsb.LoadA, ycsb.MixSD, sc, 1)
 	p.applyDefaults()
 
@@ -473,43 +463,26 @@ func runFigures(sc Scale, w io.Writer) error {
 		fig10.NetAmpRatio, fig10.BaselineNetAmpRatio, fig10.ThroughputDeltaPercent)
 	fmt.Fprintf(w, "trace spans recorded: %d\n", report.TraceSpans)
 
-	if FiguresCSVDir != "" {
-		csvs, err := writeFigureCSVs(FiguresCSVDir, &report)
-		if err != nil {
-			return err
-		}
-		report.CSVs = csvs
-		for _, f := range csvs {
-			fmt.Fprintf(w, "wrote %s\n", f)
-		}
+	if outDir == "" {
+		return nil
 	}
-	if FiguresJSONPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(FiguresJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", FiguresJSONPath)
+	if report.CSVs, err = writeFigureCSVs(w, outDir, &report); err != nil {
+		return err
 	}
-	return nil
+	return writeReport(w, outDir, ExpFigures, report)
 }
 
 // writeFigureCSVs renders the per-figure CSVs next to the JSON report:
 // Fig. 6 throughput-over-time, Fig. 7 amplification + network bytes
 // over time, Fig. 8 latency percentiles, Fig. 10 ship-traffic
 // comparison against the uncompressed baseline.
-func writeFigureCSVs(dir string, report *FiguresReport) ([]string, error) {
+func writeFigureCSVs(w io.Writer, dir string, report *FiguresReport) ([]string, error) {
 	runs := report.Runs
 	var files []string
 	write := func(name, content string) error {
 		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			return err
-		}
 		files = append(files, path)
-		return nil
+		return writeArtifact(w, path, []byte(content))
 	}
 
 	var fig6 strings.Builder

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -14,15 +12,6 @@ import (
 	"tebis/internal/metrics"
 	"tebis/internal/storage"
 )
-
-// GCJSONPath is where the gc experiment writes its machine-readable
-// report; empty disables the file.
-var GCJSONPath = "BENCH_gc.json"
-
-// GCCSVDir is where the gc experiment writes BENCH_fig12_space.csv
-// (log occupancy over the overwrite rounds, GC off vs on); empty
-// disables the file.
-var GCCSVDir = "."
 
 // gcRounds is the overwrite factor: every key is rewritten this many
 // times, so without GC the log holds ~gcRounds copies per key.
@@ -261,7 +250,7 @@ func medianGCMode(sc Scale, gcOn bool, opsPerSec float64) (GCModeResult, error) 
 
 // runGC measures the overwrite-endurance acceptance: space held by the
 // value log with GC off vs on, and GC's cost at a fixed offered load.
-func runGC(sc Scale, w io.Writer) error {
+func runGC(sc Scale, w io.Writer, outDir string) error {
 	// Unpaced runs carry the space time series and steady-state report.
 	off, err := runGCMode(sc, false, 0, true)
 	if err != nil {
@@ -328,34 +317,24 @@ func runGC(sc Scale, w io.Writer) error {
 	fmt.Fprintf(w, "space amplification %.2fx (budget 2x), offered-load cost %.2f%% (budget 10%%)\n",
 		report.SpaceAmp, report.OverheadOfferedLoadPercent)
 
-	if GCCSVDir != "" {
-		var csv strings.Builder
-		csv.WriteString("mode,round,live_bytes,dead_bytes,trimmed_bytes,space_amp,log_segments\n")
-		for _, r := range []GCModeResult{off, on} {
-			name := "gc-off"
-			if r.GCEnabled {
-				name = "gc-on"
-			}
-			for _, s := range r.Series {
-				fmt.Fprintf(&csv, "%s,%d,%d,%d,%d,%.3f,%d\n",
-					name, s.Round, s.LiveBytes, s.DeadBytes, s.TrimmedBytes, s.SpaceAmp, s.LogSegments)
-			}
-		}
-		path := filepath.Join(GCCSVDir, "BENCH_fig12_space.csv")
-		if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", path)
+	if outDir == "" {
+		return nil
 	}
-	if GCJSONPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
+	var csv strings.Builder
+	csv.WriteString("mode,round,live_bytes,dead_bytes,trimmed_bytes,space_amp,log_segments\n")
+	for _, r := range []GCModeResult{off, on} {
+		name := "gc-off"
+		if r.GCEnabled {
+			name = "gc-on"
 		}
-		if err := os.WriteFile(GCJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
+		for _, s := range r.Series {
+			fmt.Fprintf(&csv, "%s,%d,%d,%d,%d,%.3f,%d\n",
+				name, s.Round, s.LiveBytes, s.DeadBytes, s.TrimmedBytes, s.SpaceAmp, s.LogSegments)
 		}
-		fmt.Fprintf(w, "wrote %s\n", GCJSONPath)
 	}
-	return nil
+	path := filepath.Join(outDir, "BENCH_fig12_space.csv")
+	if err := writeArtifact(w, path, []byte(csv.String())); err != nil {
+		return err
+	}
+	return writeReport(w, outDir, ExpGC, report)
 }

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"time"
 
@@ -12,10 +10,6 @@ import (
 	"tebis/internal/metrics"
 	"tebis/internal/storage"
 )
-
-// IntegrityJSONPath is where the integrity experiment writes its
-// machine-readable report; empty disables the file.
-var IntegrityJSONPath = "BENCH_integrity.json"
 
 // IntegrityModeResult measures the write and read hot paths with
 // segment checksumming either on (every seal framed with a CRC32C
@@ -160,7 +154,7 @@ func medianIntegrityMode(sc Scale, framed bool, opsPerSec float64) (IntegrityMod
 // runIntegrity measures the checksum tax on the engine hot paths: the
 // same paced-load protocol as the observability experiment, once on a
 // raw device and once through storage.AsVerifying.
-func runIntegrity(sc Scale, w io.Writer) error {
+func runIntegrity(sc Scale, w io.Writer, outDir string) error {
 	// Calibrate raw throughput on the unframed engine, then pace both
 	// runs at half of it (see runCompaction for why unthrottled
 	// in-memory runs measure only the compactor).
@@ -223,15 +217,8 @@ func runIntegrity(sc Scale, w io.Writer) error {
 		report.OverheadNsPerOpPercent, report.OverheadGetNsPerOpPercent,
 		report.OverheadOfferedLoadPercent)
 
-	if IntegrityJSONPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(IntegrityJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", IntegrityJSONPath)
+	if outDir == "" {
+		return nil
 	}
-	return nil
+	return writeReport(w, outDir, ExpIntegrity, report)
 }

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -17,15 +15,6 @@ import (
 	"tebis/internal/rdma"
 	"tebis/internal/region"
 )
-
-// LagJSONPath is where the lag experiment writes its machine-readable
-// report; empty disables the file.
-var LagJSONPath = "BENCH_lag.json"
-
-// LagCSVDir is where the lag experiment writes BENCH_fig13_lag.csv
-// (the per-backup lag/staleness time series around the injected delay);
-// empty disables the file.
-var LagCSVDir = "."
 
 // lagDelay is the injected per-write stall on the slow backup. It sits
 // far below RetryPolicy.AckTimeout, so the primary must absorb it as
@@ -371,7 +360,7 @@ func medianLagMode(sc Scale, tracking bool, opsPerSec float64) (LagModeResult, e
 // runLag measures the replication-plane health acceptance: a 50ms
 // delayed backup must show up as lag and staleness, drain to ~0 when
 // the delay clears, lose nothing, and the tracker must be ~free.
-func runLag(sc Scale, w io.Writer) error {
+func runLag(sc Scale, w io.Writer, outDir string) error {
 	var report LagReport
 	if err := runLagFault(sc, &report); err != nil {
 		return err
@@ -431,28 +420,18 @@ func runLag(sc Scale, w io.Writer) error {
 	fmt.Fprintf(w, "tracker offered-load cost %.2f%% (budget 5%%)\n",
 		report.OverheadOfferedLoadPercent)
 
-	if LagCSVDir != "" {
-		var csv strings.Builder
-		csv.WriteString("t_ms,phase,lag_ops,lag_bytes,staleness_ms\n")
-		for _, s := range report.Series {
-			fmt.Fprintf(&csv, "%.1f,%s,%d,%d,%.3f\n",
-				s.TMillis, s.Phase, s.LagOps, s.LagBytes, s.StalenessMillis)
-		}
-		path := filepath.Join(LagCSVDir, "BENCH_fig13_lag.csv")
-		if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", path)
+	if outDir == "" {
+		return nil
 	}
-	if LagJSONPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(LagJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", LagJSONPath)
+	var csv strings.Builder
+	csv.WriteString("t_ms,phase,lag_ops,lag_bytes,staleness_ms\n")
+	for _, s := range report.Series {
+		fmt.Fprintf(&csv, "%.1f,%s,%d,%d,%.3f\n",
+			s.TMillis, s.Phase, s.LagOps, s.LagBytes, s.StalenessMillis)
 	}
-	return nil
+	path := filepath.Join(outDir, "BENCH_fig13_lag.csv")
+	if err := writeArtifact(w, path, []byte(csv.String())); err != nil {
+		return err
+	}
+	return writeReport(w, outDir, ExpLag, report)
 }

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"time"
 
@@ -15,10 +13,6 @@ import (
 	"tebis/internal/obs"
 	"tebis/internal/storage"
 )
-
-// ObservabilityJSONPath is where the observability experiment writes
-// its machine-readable report; empty disables the file.
-var ObservabilityJSONPath = "BENCH_observability.json"
 
 // ObservabilityModeResult measures the compaction hot path with
 // instrumentation either fully enabled (registry + tracer + a scraping
@@ -213,7 +207,7 @@ func overheadPercent(without, with float64) float64 {
 // hot path: the same paced-load protocol as the compaction experiment,
 // once with no observability and once with the registry, tracer, and a
 // continuous scraper attached.
-func runObservability(sc Scale, w io.Writer) error {
+func runObservability(sc Scale, w io.Writer, outDir string) error {
 	// Calibrate raw throughput on the uninstrumented engine, then pace
 	// both runs at half of it (see runCompaction for why unthrottled
 	// in-memory runs measure only the compactor).
@@ -278,15 +272,8 @@ func runObservability(sc Scale, w io.Writer) error {
 	fmt.Fprintf(w, "overhead: %.2f%% ns/op, %.2f%% offered-load throughput\n",
 		report.OverheadNsPerOpPercent, report.OverheadOfferedLoadPercent)
 
-	if ObservabilityJSONPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(ObservabilityJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", ObservabilityJSONPath)
+	if outDir == "" {
+		return nil
 	}
-	return nil
+	return writeReport(w, outDir, ExpObservability, report)
 }

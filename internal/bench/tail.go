@@ -1,11 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"tebis/internal/admission"
@@ -22,14 +21,6 @@ import (
 // trace IDs for the worst offenders, and quantifies what signal-driven
 // admission control buys back during a flash burst versus the
 // fixed-knob baseline.
-
-// TailJSONPath is where the tail experiment writes its machine-readable
-// report; empty disables the file.
-var TailJSONPath = "BENCH_tail.json"
-
-// TailCSVDir is where the tail experiment writes BENCH_fig11_tail.csv;
-// empty disables it.
-var TailCSVDir = "."
 
 // tailSampleRate is the elevated trace-sampling probability the tail
 // runs use: 1/8 gives the stage histograms and the admission
@@ -398,7 +389,7 @@ func tailOverhead(sc Scale, dur time.Duration) (paced, unpaced float64, err erro
 // not a paper artifact): per-stage, per-tenant p50/p99 under uniform,
 // zipfian, ramp, and flash-burst traffic, the flash burst run both
 // fixed-knob and adaptive. Emits BENCH_fig11_tail.csv + BENCH_tail.json.
-func runTail(sc Scale, w io.Writer) error {
+func runTail(sc Scale, w io.Writer, outDir string) error {
 	dur := tailDur(sc)
 	report := TailReport{SampleRate: tailSampleRate}
 
@@ -450,11 +441,11 @@ func runTail(sc Scale, w io.Writer) error {
 
 	report.Gate = tailGate(&report, overhead)
 	report.Gate.OverheadUnpacedPercent = overheadUnpaced
-	if err := writeTailArtifacts(&report); err != nil {
-		return err
-	}
 	printTail(w, &report)
-	return nil
+	if outDir == "" {
+		return nil
+	}
+	return writeTailArtifacts(w, outDir, &report)
 }
 
 // tailGate derives the acceptance numbers from the collected scenarios.
@@ -483,41 +474,21 @@ func tailGate(report *TailReport, overhead float64) TailGate {
 }
 
 // writeTailArtifacts emits BENCH_fig11_tail.csv and BENCH_tail.json.
-func writeTailArtifacts(report *TailReport) error {
-	if TailCSVDir != "" {
-		path := filepath.Join(TailCSVDir, "BENCH_fig11_tail.csv")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(f, "scenario,tenant,stage,count,p50_us,p99_us")
-		for _, scen := range report.Scenarios {
-			for _, r := range scen.Stages {
-				fmt.Fprintf(f, "%s,%s,%s,%d,%.1f,%.1f\n",
-					r.Scenario, r.Tenant, r.Stage, r.Count, r.P50Us, r.P99Us)
-			}
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		report.CSVs = append(report.CSVs, path)
-	}
-	if TailJSONPath != "" {
-		f, err := os.Create(TailJSONPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
+func writeTailArtifacts(w io.Writer, outDir string, report *TailReport) error {
+	var csv strings.Builder
+	csv.WriteString("scenario,tenant,stage,count,p50_us,p99_us\n")
+	for _, scen := range report.Scenarios {
+		for _, r := range scen.Stages {
+			fmt.Fprintf(&csv, "%s,%s,%s,%d,%.1f,%.1f\n",
+				r.Scenario, r.Tenant, r.Stage, r.Count, r.P50Us, r.P99Us)
 		}
 	}
-	return nil
+	path := filepath.Join(outDir, "BENCH_fig11_tail.csv")
+	if err := writeArtifact(w, path, []byte(csv.String())); err != nil {
+		return err
+	}
+	report.CSVs = append(report.CSVs, path)
+	return writeReport(w, outDir, ExpTail, report)
 }
 
 // printTail writes the human-readable summary.

@@ -76,6 +76,10 @@ var (
 	ErrNoServer = errors.New("client: no handle for server")
 	ErrServer   = errors.New("client: server error")
 	ErrClosed   = errors.New("client: closed")
+	// ErrOverloaded is the ErrServer a mutation fails with when
+	// admission control kept shedding it through every backoff retry:
+	// nothing was applied, and the caller should back off further.
+	ErrOverloaded = fmt.Errorf("%w: overloaded", ErrServer)
 )
 
 // Client is a Tebis client: it routes operations by cached region map
@@ -532,6 +536,9 @@ func (c *Client) doAttempts(key []byte, op wire.Op, payload []byte, replySize in
 			continue
 		}
 		if h.Flags&wire.FlagError != 0 {
+			if h.Flags&wire.FlagOverload != 0 {
+				return h, nil, rid, fmt.Errorf("%w: %s", ErrOverloaded, body)
+			}
 			return h, nil, rid, fmt.Errorf("%w: %s", ErrServer, body)
 		}
 		return h, body, rid, nil

@@ -84,23 +84,26 @@ func (r *ring) alloc(size int) (e, noopE *extent, err error) {
 				r.extents = append(r.extents, e)
 				return e, noopE, nil
 			}
-			// Residual end space cannot hold the message: reserve it
-			// for a NOOP and wrap (at most once per alloc).
-			if noopE == nil {
-				// The front region a wrap opens is capped by the wrap
-				// position: if the request exceeds it, no amount of
-				// freeing can ever make room, and reserving the NOOP
-				// would leave this caller waiting forever on an
-				// otherwise drained ring.
-				if size > r.head {
-					return nil, nil, fmt.Errorf("client: request of %d bytes cannot fit ahead of wrap position %d", size, r.head)
-				}
-				noopE = &extent{off: r.head, size: r.size - r.head, noop: true}
-				r.head = 0
-				r.extents = append(r.extents, noopE)
-				continue
+			// Residual end space cannot hold the message: it becomes a
+			// NOOP and the message wraps to the front. The front region
+			// a wrap opens is capped by the wrap position: if the
+			// request exceeds it, no amount of freeing can ever make
+			// room, so fail instead of waiting forever.
+			if size > r.head {
+				return nil, nil, fmt.Errorf("client: request of %d bytes cannot fit ahead of wrap position %d", size, r.head)
 			}
-			// Already wrapped once and still no room at the front.
+			// Reserve the NOOP and take the front in one step, and only
+			// once the front [0, tail) has room: a caller parked while
+			// holding the NOOP would pin the ring's oldest extent (done
+			// extents behind it cannot be reclaimed) while other callers
+			// consume the very space it waits for — a deadlock.
+			if !busy || size <= tail {
+				noopE = &extent{off: r.head, size: r.size - r.head, noop: true}
+				e := &extent{off: 0, size: size}
+				r.head = size
+				r.extents = append(r.extents, noopE, e)
+				return e, noopE, nil
+			}
 		default: // head < tail: free space is [head, tail)
 			if r.head+size <= tail {
 				e := &extent{off: r.head, size: size}

@@ -37,6 +37,10 @@ type Config struct {
 	Mode replica.Mode
 	// SegmentSize is the device/log/index segment size.
 	SegmentSize int64
+	// Device opens the named server's storage device; nil gives every
+	// server an in-memory device of SegmentSize segments. A deployment
+	// setting: tebis-server puts its primary on a file image with it.
+	Device func(server string) (storage.Device, error)
 	// LSM is the per-region engine template.
 	LSM lsm.Options
 	// Workers and SpinThreads size each server (paper: 8 and 2).
@@ -101,6 +105,10 @@ func (c *Config) applyDefaults() {
 	if c.MasterCandidates == 0 {
 		c.MasterCandidates = 1
 	}
+	if c.Device == nil {
+		segSize := c.SegmentSize
+		c.Device = func(string) (storage.Device, error) { return storage.NewMemDevice(segSize, 0) }
+	}
 	if c.Cost == (metrics.CostModel{}) {
 		c.Cost = metrics.DefaultCostModel()
 	}
@@ -115,7 +123,7 @@ func (c *Config) applyDefaults() {
 // Node bundles one region server with its device and liveness session.
 type Node struct {
 	Server *server.Server
-	Device *storage.MemDevice
+	Device storage.Device
 	Cycles *metrics.Cycles
 	// Failures collects the node's replication-failure metrics (retries,
 	// evictions, degraded time, resync bytes).
@@ -171,7 +179,7 @@ func New(cfg Config) (*Cluster, error) {
 		shipCodec = shipcodec.None
 	}
 	for _, name := range names {
-		dev, err := storage.NewMemDevice(cfg.SegmentSize, 0)
+		dev, err := cfg.Device(name)
 		if err != nil {
 			return nil, err
 		}

@@ -10,32 +10,64 @@ import (
 	"tebis/internal/storage"
 )
 
-// CompactAll forces every populated level down into the next one until
-// only the deepest populated level holds data. Garbage collection uses
-// it to eliminate every stale index entry pointing into the log's head
-// segments before they are trimmed.
-//
-// CompactAll runs in exclusive mode: it drains the scheduler's in-flight
-// jobs first, then owns the whole level range, so no background job
-// races its full-cascade merges.
-func (db *DB) CompactAll() error {
-	if err := db.Flush(); err != nil {
-		return err
-	}
+// holdJobs stops the scheduler at a job boundary: it waits until no
+// compaction job is in flight or pending (every finished job has
+// delivered its OnCompactionDone) and then claims exclusive mode, so no
+// new job is planned. The caller owns the whole level range until
+// releaseJobs.
+func (db *DB) holdJobs() error {
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	for (len(db.inflight) > 0 || len(db.frozen) > 0 || db.exclusive) && db.bgErr == nil {
 		db.cond.Wait()
 	}
 	if db.bgErr != nil {
-		err := db.bgErr
-		db.mu.Unlock()
-		return err
+		return db.bgErr
 	}
 	db.exclusive = true
-	db.mu.Unlock()
+	return nil
+}
 
-	var err error
-	for i := 1; i < len(db.levels)-1 && err == nil; i++ {
+// releaseJobs ends a holdJobs window and restarts the scheduler.
+func (db *DB) releaseJobs() {
+	db.mu.Lock()
+	db.exclusive = false
+	db.cond.Broadcast()
+	db.maybeScheduleLocked()
+	db.mu.Unlock()
+}
+
+// AtJobBoundary runs fn while no compaction job is in flight or pending
+// and none can start: every earlier job has installed its level and told
+// the listener, and the level set stays as fn finds it until fn returns.
+// Replication uses it to seed a newly attached backup between jobs, so
+// the snapshot it ships holds every finished job's result. Writers keep
+// appending; they stall only if L0 fills while fn runs.
+func (db *DB) AtJobBoundary(fn func() error) error {
+	if err := db.holdJobs(); err != nil {
+		return err
+	}
+	defer db.releaseJobs()
+	return fn()
+}
+
+// CompactAll forces every populated level down into the next one until
+// only the deepest populated level holds data. Garbage collection uses
+// it to eliminate every stale index entry pointing into victim segments
+// before they are released.
+//
+// CompactAll flushes L0, then holds the scheduler and runs the cascade
+// itself, so no background job races its full-cascade merges.
+func (db *DB) CompactAll() error {
+	if err := db.Flush(); err != nil {
+		return err
+	}
+	if err := db.holdJobs(); err != nil {
+		return err
+	}
+	defer db.releaseJobs()
+
+	for i := 1; i < len(db.levels)-1; i++ {
 		db.mu.Lock()
 		if db.levels[i] == nil {
 			db.mu.Unlock()
@@ -50,20 +82,17 @@ func (db *DB) CompactAll() error {
 		db.inflight[job.id] = job
 		db.mu.Unlock()
 
-		err = db.executeJob(job)
+		err := db.executeJob(job)
 
 		db.mu.Lock()
 		delete(db.inflight, job.id)
 		db.cond.Broadcast()
 		db.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
-
-	db.mu.Lock()
-	db.exclusive = false
-	db.cond.Broadcast()
-	db.maybeScheduleLocked()
-	db.mu.Unlock()
-	return err
+	return nil
 }
 
 // fail records a background error and wakes every waiter: stalled

@@ -55,7 +55,8 @@ func (d *durabilityTracker) OnAppend(res vlog.AppendResult, _ *obs.ReqTrace) {
 func (d *durabilityTracker) OnCompactionStart(CompactionJob)                    {}
 func (d *durabilityTracker) OnIndexSegment(CompactionJob, btree.EmittedSegment) {}
 func (d *durabilityTracker) OnCompactionDone(CompactionResult)                  {}
-func (d *durabilityTracker) OnTrim(storage.Offset)                              {}
+func (d *durabilityTracker) OnSeal(*vlog.Sealed)                                {}
+func (d *durabilityTracker) OnRelease([]storage.SegmentID)                      {}
 
 // TestEngineCrashPoints power-cuts a file-backed engine at 25 randomized
 // crash points. Each point tears device write #k — which, with

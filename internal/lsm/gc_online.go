@@ -205,9 +205,7 @@ func (db *DB) GCOnce(policy GCPolicy) (GCResult, error) {
 	res.SegmentsFreed = freed
 	res.BytesReclaimed = reclaimed
 	if l := db.getListener(); l != nil {
-		if rl, ok := l.(ReleaseListener); ok {
-			rl.OnRelease(processed)
-		}
+		l.OnRelease(processed)
 	}
 	policy.Stats.AddReclaim(freed, reclaimed)
 	policy.Stats.RecordPass()
@@ -422,9 +420,7 @@ func (db *DB) gcSealTail() error {
 	}
 	db.charge(metrics.CompInsertL0, db.cost.WriteIO(len(sealed.Data)))
 	if l := db.getListener(); l != nil {
-		if sl, ok := l.(SealListener); ok {
-			sl.OnSeal(sealed)
-		}
+		l.OnSeal(sealed)
 	}
 	return nil
 }

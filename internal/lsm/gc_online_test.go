@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"tebis/internal/metrics"
@@ -560,18 +561,6 @@ func TestVlogSpaceLedgerAccounting(t *testing.T) {
 		t.Fatalf("ledger tracks %d segments, log holds %d sealed", len(rep.Segments), len(live))
 	}
 	_ = sum
-
-	// GCLog (the head-prefix trimmer) still composes with the ledger.
-	segs := len(db.Log().Segments())
-	if segs >= 2 {
-		if _, err := db.GCLog(1); err != nil {
-			t.Fatal(err)
-		}
-		rep2 := db.Log().SpaceReport()
-		if len(rep2.Segments) != segs-1 {
-			t.Fatalf("GCLog(1) left %d ledger segments, want %d", len(rep2.Segments), segs-1)
-		}
-	}
 }
 
 // TestGCOnceRecordLenAndVictimOrder pins two internals the protocol
@@ -614,5 +603,86 @@ func TestGCOnceRecordLenAndVictimOrder(t *testing.T) {
 	_, err = db.Log().RecordLen(storage.NilOffset)
 	if err == nil {
 		t.Fatal("RecordLen(NilOffset) did not error")
+	}
+}
+
+// TestGCOnceMovesLiveRecords pins relocation: keys written once and
+// never overwritten sit in segments the overwrite rounds turn mostly
+// dead, so a pass must move them to the tail, not lose them.
+func TestGCOnceMovesLiveRecords(t *testing.T) {
+	db := gcTestDB(t)
+	const keepers = 30
+	for i := 0; i < keepers; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("keeper-%03d", i)), []byte("payload-0123456789")); err != nil {
+			t.Fatal(err)
+		}
+		// Interleave churn so every early segment holds a few keepers
+		// among records the later rounds supersede.
+		for j := 0; j < 8; j++ {
+			if err := db.Put([]byte(fmt.Sprintf("key-%04d", i*8+j)), []byte("val-00-0123456789abcdef")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	overwriteWorkload(t, db, keepers*8, 4)
+
+	res, err := db.GCOnce(GCPolicy{MinDeadRatio: 0.5, MaxSegments: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SegmentsFreed == 0 || res.RecordsMoved == 0 || res.RecordsDropped == 0 {
+		t.Fatalf("pass freed %d segments, moved %d, dropped %d records; want all non-zero",
+			res.SegmentsFreed, res.RecordsMoved, res.RecordsDropped)
+	}
+	for i := 0; i < keepers; i++ {
+		k := fmt.Sprintf("keeper-%03d", i)
+		v, found, err := db.Get([]byte(k))
+		if err != nil || !found || string(v) != "payload-0123456789" {
+			t.Fatalf("Get(%s) after GC = %q, %v, %v", k, v, found, err)
+		}
+	}
+	checkWorkloadReads(t, db, keepers*8, 4)
+}
+
+func TestGCOnceOnEmptyLog(t *testing.T) {
+	db := gcTestDB(t)
+	res, err := db.GCOnce(GCPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Victims) != 0 || res.SegmentsFreed != 0 || res.RecordsMoved != 0 {
+		t.Fatalf("GC on an empty log did work: %+v", res)
+	}
+}
+
+// TestGCOnceNotifiesListener: a pass that frees segments tells the
+// listener exactly once, naming the victims, after the relocation
+// commit point (the forced seal) was announced.
+func TestGCOnceNotifiesListener(t *testing.T) {
+	mem, err := storage.NewMemDevice(4096, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingListener{}
+	db, err := New(Options{Device: storage.AsVerifying(mem), NodeSize: 512, L0MaxKeys: 64, Seed: 1, Listener: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	overwriteWorkload(t, db, 120, 6)
+	res, err := db.GCOnce(GCPolicy{MaxSegments: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SegmentsFreed == 0 {
+		t.Fatalf("GC freed nothing: %+v", res)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.releases) != 1 || !slices.Equal(rec.releases[0], res.Victims) {
+		t.Fatalf("OnRelease calls = %v, want one naming %v", rec.releases, res.Victims)
+	}
+	if rec.gcSeals != 1 {
+		t.Fatalf("OnSeal fired %d times in one pass, want 1", rec.gcSeals)
 	}
 }

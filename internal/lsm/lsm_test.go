@@ -338,7 +338,8 @@ type recordingListener struct {
 	starts   [][2]int
 	segments []btree.EmittedSegment
 	dones    []CompactionResult
-	trims    int
+	gcSeals  int
+	releases [][]storage.SegmentID
 }
 
 func (r *recordingListener) OnAppend(res vlog.AppendResult, _ *obs.ReqTrace) {
@@ -368,9 +369,15 @@ func (r *recordingListener) OnCompactionDone(res CompactionResult) {
 	r.mu.Unlock()
 }
 
-func (r *recordingListener) OnTrim(keep storage.Offset) {
+func (r *recordingListener) OnSeal(*vlog.Sealed) {
 	r.mu.Lock()
-	r.trims++
+	r.gcSeals++
+	r.mu.Unlock()
+}
+
+func (r *recordingListener) OnRelease(segs []storage.SegmentID) {
+	r.mu.Lock()
+	r.releases = append(r.releases, segs)
 	r.mu.Unlock()
 }
 

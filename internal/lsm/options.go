@@ -98,30 +98,19 @@ type Listener interface {
 	// OnCompactionDone fires after the new level is installed, carrying
 	// the new root (primary device space) for backup root translation.
 	OnCompactionDone(res CompactionResult)
-	// OnTrim fires after a GC pass trimmed the value log up to (but
-	// excluding) keep; backups perform the same trim without moving any
-	// data (§4: "the primary informs backups for this operation and
-	// they only perform the trim").
-	OnTrim(keep storage.Offset)
-}
-
-// SealListener is an optional Listener extension: OnSeal fires, under
-// the engine lock, after GC force-sealed a partial log tail — the
-// commit point of a relocation pass. The replication layer reacts like
-// a natural seal (OnAppend with Sealed set): it commands every backup
-// to persist its mirrored log buffer so the relocated records are
-// durable on all replicas before any victim segment is released.
-type SealListener interface {
+	// OnSeal fires, under the engine lock, after GC force-sealed a
+	// partial log tail — the commit point of a relocation pass. The
+	// replication layer reacts like a natural seal (OnAppend with
+	// Sealed set): every backup persists its mirrored log buffer, so
+	// the relocated records are durable on all replicas before any
+	// victim segment is released.
 	OnSeal(sealed *vlog.Sealed)
-}
-
-// ReleaseListener is an optional Listener extension: OnRelease fires
-// after GC freed victim segments anywhere in the log (the cost-based
-// counterpart of OnTrim's prefix reclaim). segs are primary-space
-// segment IDs; backups translate them through their log maps and free
-// the local copies, keeping the replicas byte-convergent. Backups skip
-// unknown segments, so delivery is idempotent under crash-retry.
-type ReleaseListener interface {
+	// OnRelease fires after GC freed victim segments anywhere in the
+	// log (§4: the primary moves, backups only free). segs are
+	// primary-space segment IDs; backups translate them through their
+	// log maps and free the local copies, keeping the replicas
+	// byte-convergent. Backups skip unknown segments, so delivery is
+	// idempotent under crash-retry.
 	OnRelease(segs []storage.SegmentID)
 }
 

@@ -142,7 +142,8 @@ func (g *gateListener) OnCompactionStart(job CompactionJob) {
 }
 func (g *gateListener) OnIndexSegment(CompactionJob, btree.EmittedSegment) {}
 func (g *gateListener) OnCompactionDone(CompactionResult)                  {}
-func (g *gateListener) OnTrim(storage.Offset)                              {}
+func (g *gateListener) OnSeal(*vlog.Sealed)                                {}
+func (g *gateListener) OnRelease([]storage.SegmentID)                      {}
 
 // runStallWorkload drives the same write pattern against an engine with
 // the given scheduler knobs while an L1→L2 compaction is pinned in
@@ -374,7 +375,8 @@ func (r *jobRecorder) OnCompactionDone(res CompactionResult) {
 	r.done[res.JobID] = true
 }
 
-func (r *jobRecorder) OnTrim(storage.Offset) {}
+func (r *jobRecorder) OnSeal(*vlog.Sealed)           {}
+func (r *jobRecorder) OnRelease([]storage.SegmentID) {}
 
 // TestConcurrentWorkersPreserveData runs the scheduler with two workers
 // and a deep frozen queue under a heavy overwrite workload and verifies

@@ -389,12 +389,6 @@ func (b *Backup) handle(h wire.Header, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		return b.handleCompactionDone(h, req)
-	case wire.OpTrimLog:
-		req, err := wire.DecodeTrimLog(payload)
-		if err != nil {
-			return nil, err
-		}
-		return b.handleTrimLog(h, req)
 	case wire.OpSyncTail:
 		req, err := wire.DecodeFlushTail(payload)
 		if err != nil {
@@ -708,34 +702,12 @@ func (b *Backup) handleCompactionDone(h wire.Header, req wire.CompactionDone) ([
 	return ackMessage(h, wire.OpCompactionDoneAck), nil
 }
 
-// handleTrimLog performs the backup side of GC: translate the keep
-// offset into local space through the log map and trim the replicated
-// log (§4 — no data movement at backups).
-func (b *Backup) handleTrimLog(h wire.Header, req wire.TrimLog) ([]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	keepPrimary := storage.Offset(req.Keep)
-	local, ok := b.logMap.Lookup(b.geo.Segment(keepPrimary))
-	if ok {
-		if _, err := b.log.Trim(b.geo.Rebase(keepPrimary, local)); err != nil {
-			return nil, err
-		}
-	}
-	// If the keep segment was never flushed here (it is the primary's
-	// tail), every sealed local segment is trimmable.
-	if !ok {
-		if _, err := b.log.Trim(b.geo.Pack(b.log.TailSegment(), 0)); err != nil {
-			return nil, err
-		}
-	}
-	return ackMessage(h, wire.OpTrimLogAck), nil
-}
-
-// handleGCRelease performs the backup side of a cost-based GC reclaim:
-// translate each victim through the log map, free the local copy, and
-// retire the primary-space name so a recycled segment ID resolves to a
-// fresh local segment (DESIGN.md §12). Unknown segments are skipped —
-// redelivery after a primary retry or a backup resync is harmless.
+// handleGCRelease performs the backup side of GC (§4: the primary moves
+// data, backups only free): translate each victim through the log map,
+// free the local copy, and retire the primary-space name so a recycled
+// segment ID resolves to a fresh local segment (DESIGN.md §12). Unknown
+// segments are skipped — redelivery after a primary retry or a backup
+// resync is harmless.
 //
 // A Build-Index backup only retires the name: its own LSM may still
 // hold entries pointing into the local copy until its own compactions

@@ -3,6 +3,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,16 +150,28 @@ type Primary struct {
 	evictions []Eviction
 	deficit   int
 
-	// deferred buffers emitted segments per compaction job when
-	// ShipAtCompactionEnd is set (ablation only).
-	deferred map[uint64][]btree.EmittedSegment
+	// jobs holds the replication state of every in-flight compaction
+	// job, from OnCompactionStart to OnCompactionDone.
+	jobs map[uint64]*jobState
+}
 
-	// deltaBases holds, per in-flight compaction job, the destination
-	// level's segments as they were when the job started — the images
-	// delta-shipped segments are diffed against. The engine frees those
-	// segments only after the job's ship stage completes, so they stay
-	// readable for the job's lifetime.
-	deltaBases map[uint64][]storage.SegmentID
+// jobState is the primary's view of one in-flight compaction job.
+type jobState struct {
+	// targets are the backups that acknowledged the job's
+	// CompactionStart and so hold staging state for it. The job's
+	// segments and its done message go to them only: a backup attached
+	// mid-job never sees a job it missed the start of (Sync seeds it at
+	// the next job boundary instead).
+	targets []*backupHandle
+	// deltaBases are the destination level's segments as they were when
+	// the job started — the images delta-shipped segments are diffed
+	// against, consumed one per shipped segment. The engine frees them
+	// only after the job's ship stage completes, so they stay readable
+	// for the job's lifetime.
+	deltaBases []storage.SegmentID
+	// deferred buffers emitted segments when ShipAtCompactionEnd is set
+	// (ablation only).
+	deferred []btree.EmittedSegment
 }
 
 // Eviction records one backup the primary declared dead.
@@ -174,7 +187,7 @@ var _ lsm.Listener = (*Primary)(nil)
 // NewPrimary creates the primary-side replica state. Bind the engine
 // afterwards with SetDB (the engine takes the Primary as its Listener).
 func NewPrimary(cfg PrimaryConfig) *Primary {
-	return &Primary{cfg: cfg, retry: cfg.Retry.withDefaults()}
+	return &Primary{cfg: cfg, retry: cfg.Retry.withDefaults(), jobs: make(map[uint64]*jobState)}
 }
 
 // SetDB binds the engine after construction (the engine's Options take
@@ -573,24 +586,20 @@ func (p *Primary) OnAppend(res vlog.AppendResult, rt *obs.ReqTrace) {
 }
 
 // OnCompactionStart announces a compaction job to Send-Index backups so
-// they open job-keyed staging state (index map + pending segments).
+// they open job-keyed staging state (index map + pending segments), and
+// records which of them did: those are the job's ship targets.
 func (p *Primary) OnCompactionStart(job lsm.CompactionJob) {
 	if p.cfg.Mode != SendIndex {
 		return
 	}
+	st := &jobState{}
 	if p.cfg.ShipDelta && p.cfg.ShipCodec != shipcodec.None && job.DstLevel >= 1 && p.db != nil {
 		// Snapshot the destination level's current segments: the k-th
 		// segment this job ships will be diffed against the k-th old
 		// one (same builder, sorted key order, so fronts tend to align;
 		// EncodeDelta falls back to a full frame when they don't).
 		if lvls := p.db.Levels(); job.DstLevel-1 < len(lvls) {
-			segs := append([]storage.SegmentID(nil), lvls[job.DstLevel-1].Segments...)
-			p.mu.Lock()
-			if p.deltaBases == nil {
-				p.deltaBases = make(map[uint64][]storage.SegmentID)
-			}
-			p.deltaBases[job.ID] = segs
-			p.mu.Unlock()
+			st.deltaBases = append([]storage.SegmentID(nil), lvls[job.DstLevel-1].Segments...)
 		}
 	}
 	payload := wire.CompactionStart{
@@ -603,8 +612,31 @@ func (p *Primary) OnCompactionStart(job lsm.CompactionJob) {
 		p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAPost)
 		if err := p.rpc(h, wire.OpCompactionStart, payload); err != nil {
 			p.evict(h, err)
+			continue
+		}
+		st.targets = append(st.targets, h)
+	}
+	p.mu.Lock()
+	p.jobs[job.ID] = st
+	p.mu.Unlock()
+}
+
+// jobTargets returns the still-attached backups that received the
+// job's start.
+func (p *Primary) jobTargets(jobID uint64) []*backupHandle {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := p.jobs[jobID]
+	if st == nil {
+		return nil
+	}
+	var out []*backupHandle
+	for _, h := range st.targets {
+		if slices.Contains(p.backups, h) {
+			out = append(out, h)
 		}
 	}
+	return out
 }
 
 // OnIndexSegment ships one sealed index segment: a one-sided write of
@@ -618,14 +650,13 @@ func (p *Primary) OnIndexSegment(job lsm.CompactionJob, seg btree.EmittedSegment
 	}
 	if p.cfg.ShipAtCompactionEnd {
 		p.mu.Lock()
-		if p.deferred == nil {
-			p.deferred = make(map[uint64][]btree.EmittedSegment)
+		if st := p.jobs[job.ID]; st != nil {
+			st.deferred = append(st.deferred, btree.EmittedSegment{
+				Seg:  seg.Seg,
+				Kind: seg.Kind,
+				Data: append([]byte(nil), seg.Data...),
+			})
 		}
-		p.deferred[job.ID] = append(p.deferred[job.ID], btree.EmittedSegment{
-			Seg:  seg.Seg,
-			Kind: seg.Kind,
-			Data: append([]byte(nil), seg.Data...),
-		})
 		p.mu.Unlock()
 		return
 	}
@@ -659,12 +690,12 @@ func (p *Primary) encodeShip(job lsm.CompactionJob, seg btree.EmittedSegment) (f
 	// Consume the job's next delta base (one per shipped segment, in
 	// ship order).
 	p.mu.Lock()
-	bases := p.deltaBases[job.ID]
 	var base storage.SegmentID
-	haveBase := len(bases) > 0
+	st := p.jobs[job.ID]
+	haveBase := st != nil && len(st.deltaBases) > 0
 	if haveBase {
-		base = bases[0]
-		p.deltaBases[job.ID] = bases[1:]
+		base = st.deltaBases[0]
+		st.deltaBases = st.deltaBases[1:]
 	}
 	p.mu.Unlock()
 	if !haveBase {
@@ -729,7 +760,7 @@ func (p *Primary) shipSegment(job lsm.CompactionJob, seg btree.EmittedSegment) {
 		p.setErr(err)
 		return
 	}
-	for _, h := range p.handles() {
+	for _, h := range p.jobTargets(job.ID) {
 		h.mu.Lock()
 		shipStart := time.Now()
 		p.cfg.Lag.BacklogAdd(uint64(p.cfg.RegionID), h.backup.cfg.ServerName)
@@ -785,24 +816,6 @@ func (p *Primary) shipFrameLocked(h *backupHandle, job lsm.CompactionJob, seg bt
 	return p.rpcLocked(h, wire.OpIndexSegment, payload)
 }
 
-// OnTrim propagates a GC trim: backups release the same log prefix
-// without moving any data (§4).
-func (p *Primary) OnTrim(keep storage.Offset) {
-	if p.cfg.Mode == NoReplication {
-		return
-	}
-	payload := wire.TrimLog{
-		RegionID: uint16(p.cfg.RegionID),
-		Keep:     uint64(keep),
-	}.Encode(nil)
-	for _, h := range p.handles() {
-		p.charge(metrics.CompLogReplication, p.cfg.Cost.RDMAWrite(wire.MessageSize(len(payload))))
-		if err := p.rpc(h, wire.OpTrimLog, payload); err != nil {
-			p.evict(h, err)
-		}
-	}
-}
-
 // OnSeal reacts to a GC relocation commit point: the engine force-
 // sealed a partial tail holding relocated records, and every backup
 // must persist its mirrored log buffer before any victim segment can
@@ -826,8 +839,8 @@ func (p *Primary) OnSeal(sealed *vlog.Sealed) {
 }
 
 // OnRelease propagates a cost-based GC reclaim: backups free their
-// local copies of the victim segments and drop the log-map names, the
-// mid-log counterpart of OnTrim's prefix trim (DESIGN.md §12). The
+// local copies of the victim segments and drop the log-map names
+// (DESIGN.md §12). The
 // primary has already relocated, sealed, and compacted, so no shipped
 // index entry references the victims anymore; a backup that misses the
 // message (crash, eviction) merely leaks the segments until its next
@@ -858,18 +871,20 @@ func (p *Primary) OnCompactionDone(res lsm.CompactionResult) {
 	if p.cfg.Mode != SendIndex {
 		return
 	}
+	p.mu.Lock()
+	st := p.jobs[res.JobID]
+	p.mu.Unlock()
+	if st == nil {
+		return // the job started before this primary was listening
+	}
 	defer func() {
 		p.mu.Lock()
-		delete(p.deltaBases, res.JobID)
+		delete(p.jobs, res.JobID)
 		p.mu.Unlock()
 	}()
 	if p.cfg.ShipAtCompactionEnd {
-		p.mu.Lock()
-		segs := p.deferred[res.JobID]
-		delete(p.deferred, res.JobID)
-		p.mu.Unlock()
 		job := lsm.CompactionJob{ID: res.JobID, SrcLevel: res.SrcLevel, DstLevel: res.DstLevel}
-		for _, seg := range segs {
+		for _, seg := range st.deferred {
 			p.shipSegment(job, seg)
 		}
 	}
@@ -882,7 +897,7 @@ func (p *Primary) OnCompactionDone(res lsm.CompactionResult) {
 		NumKeys:   uint32(res.Built.NumKeys),
 		Watermark: uint64(res.Watermark),
 	}.Encode(nil)
-	for _, h := range p.handles() {
+	for _, h := range p.jobTargets(res.JobID) {
 		p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAWrite(wire.MessageSize(len(payload))))
 		if err := p.rpc(h, wire.OpCompactionDone, payload); err != nil {
 			p.evict(h, err)

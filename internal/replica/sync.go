@@ -25,13 +25,32 @@ import (
 // The caller must quiesce writes to the region for the duration of the
 // transfer (the master performs transfers on regions whose primary just
 // changed, before re-admitting client traffic). An incremental catch-up
-// protocol is future work, as in the paper.
+// protocol is future work, as in the paper. Background compactions need
+// no quiescing: the transfer runs at a job boundary (lsm.AtJobBoundary),
+// so a job in flight when the backup was attached finishes first — it
+// ships only to the backups that saw its start — and the level snapshot
+// shipped here already holds its result; jobs planned afterwards
+// include the new backup from their start.
 //
 // Sync returns the number of payload bytes it shipped — log segments,
 // tail, and built index segments — which region migration reports
 // through the tebis_region_ship_bytes_total family: the evidence the
 // destination was seeded by shipping, not by re-compacting.
 func (p *Primary) Sync(b *Backup) (int64, error) {
+	db := p.DB()
+	if db == nil {
+		return 0, fmt.Errorf("replica: Sync without engine")
+	}
+	var shipped int64
+	err := db.AtJobBoundary(func() (err error) {
+		shipped, err = p.transfer(b)
+		return err
+	})
+	return shipped, err
+}
+
+// transfer is Sync's body, run with the compaction scheduler held.
+func (p *Primary) transfer(b *Backup) (int64, error) {
 	var shipped int64
 	var h *backupHandle
 	for _, cand := range p.handles() {
@@ -44,9 +63,6 @@ func (p *Primary) Sync(b *Backup) (int64, error) {
 		return 0, fmt.Errorf("replica: Sync target not attached")
 	}
 	db := p.DB()
-	if db == nil {
-		return 0, fmt.Errorf("replica: Sync without engine")
-	}
 	p.cfg.Events.Record(obs.Event{
 		Type: obs.EvSyncStarted, Node: p.cfg.ServerName,
 		Msg: "full-state transfer to attached backup",

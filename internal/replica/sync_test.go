@@ -2,11 +2,16 @@ package replica
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
+	"tebis/internal/btree"
+	"tebis/internal/lsm"
 	"tebis/internal/metrics"
 	"tebis/internal/rdma"
 	"tebis/internal/storage"
+	"tebis/internal/wire"
 )
 
 // addEmptyBackup attaches a brand-new backup to an existing rig primary.
@@ -97,5 +102,93 @@ func TestSyncRequiresAttachment(t *testing.T) {
 	}
 	if _, err := r.primary.Sync(orphan); err == nil {
 		t.Fatal("Sync of unattached backup succeeded")
+	}
+}
+
+// midBuildGate is the primary as the engine's listener, except that it
+// parks the first index segment it sees until released — a compaction
+// job held mid-build.
+type midBuildGate struct {
+	*Primary
+	once    sync.Once
+	parked  chan struct{} // closed once a job is held
+	release chan struct{}
+}
+
+func (g *midBuildGate) OnIndexSegment(job lsm.CompactionJob, seg btree.EmittedSegment) {
+	g.once.Do(func() {
+		close(g.parked)
+		<-g.release
+	})
+	g.Primary.OnIndexSegment(job, seg)
+}
+
+// TestSyncBackupAttachedMidJob is the regression for the attach race: a
+// backup attached while a compaction job is in flight never saw that
+// job's start, so the job must not ship to it (it would fail with
+// "index segment for unknown job" and drop off), and Sync must still
+// leave it holding the job's result.
+func TestSyncBackupAttachedMidJob(t *testing.T) {
+	r := newRig(t, SendIndex, 1)
+	gate := &midBuildGate{Primary: r.primary, parked: make(chan struct{}), release: make(chan struct{})}
+	r.db.SetListener(gate)
+
+	const n = 300 // past L0MaxKeys: the first L0→L1 job starts and parks
+	for i := 0; i < n; i++ {
+		if err := r.db.Put([]byte(fmt.Sprintf("user%08d", i)), []byte(fmt.Sprintf("v-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-gate.parked
+
+	nb := r.addEmptyBackup(SendIndex)
+	synced := make(chan error, 1)
+	go func() {
+		_, err := r.primary.Sync(nb)
+		synced <- err
+	}()
+	close(gate.release)
+	if err := <-synced; err != nil {
+		t.Fatalf("Sync of a backup attached mid-job: %v", err)
+	}
+	if err := r.db.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	r.checkHealthy()
+
+	// The transfer ran after the held job installed its level, so the
+	// new backup holds the same levels as the one attached from the start.
+	want := r.backups[0].LevelStates(lsmOpts().MaxLevels)
+	for i, st := range nb.LevelStates(lsmOpts().MaxLevels) {
+		if st.NumKeys != want[i].NumKeys {
+			t.Fatalf("level %d: synced backup holds %d keys, original backup %d", i+1, st.NumKeys, want[i].NumKeys)
+		}
+	}
+
+	r.primary.Detach(nb)
+	db2, err := nb.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("user%08d", i)
+		v, found, err := db2.Get([]byte(k))
+		if err != nil || !found || string(v) != fmt.Sprintf("v-%d", i) {
+			t.Fatalf("promoted Get(%s) = %q, %v, %v", k, v, found, err)
+		}
+	}
+}
+
+// TestReservedOpcodesRejected: opcodes 21 and 22 belonged to the retired
+// head-trim command; a backup answers them like any opcode it does not
+// know.
+func TestReservedOpcodesRejected(t *testing.T) {
+	r := newRig(t, SendIndex, 1)
+	for _, op := range []wire.Op{21, 22, 200} {
+		_, err := r.backups[0].handle(wire.Header{Opcode: op}, nil)
+		if err == nil || !strings.Contains(err.Error(), "unexpected op") {
+			t.Fatalf("handle(op %d) = %v, want the unexpected-op error", op, err)
+		}
 	}
 }

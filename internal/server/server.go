@@ -156,6 +156,11 @@ func (c *Config) applyDefaults() {
 	if c.GC.Stats == nil {
 		c.GC.Stats = &metrics.GCStats{}
 	}
+	if c.LSM.NodeSize == 0 {
+		// Backups rewrite shipped segments by this size and the ship
+		// codec pages by it, outside the engine's own defaulting.
+		c.LSM.NodeSize = lsm.DefaultNodeSize
+	}
 	if c.LSM.CompactionStats == nil {
 		// Share one sink across all hosted regions so Observe exposes a
 		// per-node compaction family.

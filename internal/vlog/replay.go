@@ -9,7 +9,7 @@ import (
 )
 
 // ErrTrimmed reports a replay start offset that is no longer in the
-// live log: GC trimmed past its segment. Nothing was replayed; the
+// live log: GC released its segment. Nothing was replayed; the
 // caller must decide between a full replay (promotion, where an empty
 // L0 would silently lose the suffix) and treating the log as drained.
 var ErrTrimmed = errors.New("vlog: replay start offset trimmed")
@@ -20,15 +20,15 @@ type ReplayFunc func(off storage.Offset, pair kv.Pair, tombstone bool) bool
 
 // Replay scans the log from the given offset (inclusive) through the end
 // of the in-memory tail, invoking fn for every record in append order.
-// A NilOffset start replays the whole live log. A from inside a trimmed
-// segment returns ErrTrimmed without invoking fn.
+// A NilOffset start replays the whole live log. A from inside a
+// released segment returns ErrTrimmed without invoking fn.
 //
 // This is the mechanism a promoted backup uses to reconstruct L0: the
 // new primary replays the value-log suffix past the last compaction
 // watermark (§3.5).
 func (l *Log) Replay(from storage.Offset, fn ReplayFunc) error {
 	l.mu.Lock()
-	segs := append([]storage.SegmentID(nil), l.segs[l.head:]...)
+	segs := append([]storage.SegmentID(nil), l.segs...)
 	tailSeg := l.tailSeg
 	tail := append([]byte(nil), l.tailBuf[:l.tailLen]...)
 	l.mu.Unlock()
@@ -62,7 +62,7 @@ func (l *Log) Replay(from storage.Offset, fn ReplayFunc) error {
 	if !started {
 		if tailSeg != startSeg {
 			// The start segment is neither sealed-and-live nor the
-			// tail: GC trimmed past it. Returning nil here would be a
+			// tail: GC released it. Returning nil here would be a
 			// silent empty replay.
 			return ErrTrimmed
 		}

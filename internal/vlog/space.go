@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"tebis/internal/storage"
 )
@@ -52,8 +53,8 @@ type SpaceReport struct {
 	// Live and Dead aggregate over sealed segments plus the tail.
 	Live uint64
 	Dead uint64
-	// Trimmed is the cumulative payload bytes reclaimed by Trim and
-	// Release over the log's lifetime.
+	// Trimmed is the cumulative payload bytes reclaimed by Release over
+	// the log's lifetime.
 	Trimmed uint64
 }
 
@@ -67,7 +68,7 @@ func (l *Log) SpaceReport() SpaceReport {
 		TailDead: l.tailDead,
 		Trimmed:  l.trimmed,
 	}
-	for _, seg := range l.segs[l.head:] {
+	for _, seg := range l.segs {
 		sp := l.space[seg]
 		if sp == nil {
 			sp = &segSpace{}
@@ -133,11 +134,12 @@ func (l *Log) RecordLen(off storage.Offset) (int, error) {
 }
 
 // Release frees the given sealed segments wherever they sit in the log —
-// the GC reclaim primitive. Unlike Trim it is not restricted to the log
-// head: a cost-based victim may be any sealed segment whose live records
-// have been relocated to the tail. Segments not currently live (already
-// trimmed, released, or unknown) are skipped, making Release idempotent
-// under crash-retry. The tail is never released.
+// the GC reclaim primitive, on the primary and (translated through the
+// log map) on backups. A victim may be any sealed segment whose live
+// records have been relocated to the tail; a log prefix is just one
+// such set. Segments not currently live (already released or unknown)
+// are skipped, making Release idempotent under crash-retry. The tail is
+// never released.
 //
 // The caller (DB.GCOnce) must guarantee no index entry still points into
 // the victims before calling; afterwards, reads of released offsets
@@ -149,20 +151,14 @@ func (l *Log) Release(victims []storage.SegmentID) (freed int, err error) {
 		if seg == l.tailSeg {
 			return freed, fmt.Errorf("vlog: release of live tail segment %d", seg)
 		}
-		idx := -1
-		for i := l.head; i < len(l.segs); i++ {
-			if l.segs[i] == seg {
-				idx = i
-				break
-			}
-		}
+		idx := slices.Index(l.segs, seg)
 		if idx < 0 {
 			continue
 		}
 		if err := l.dev.Free(seg); err != nil {
 			return freed, err
 		}
-		l.segs = append(l.segs[:idx], l.segs[idx+1:]...)
+		l.segs = slices.Delete(l.segs, idx, idx+1)
 		if sp, ok := l.space[seg]; ok {
 			l.trimmed += sp.total
 			delete(l.space, seg)

@@ -33,13 +33,14 @@ func appendWorkload(t *testing.T, segSize int64, seed int64, n int) (*Log, *stor
 	return l, dev, keys, offs
 }
 
-// TestTrimReplayBoundaryProperty exercises Trim+Replay at every record
-// index adjacent to a segment boundary, across several workload shapes:
-// trimming to the first record of a segment, the last record of the
-// previous segment, and one past the boundary must each preserve the
-// exact surviving suffix, return ErrTrimmed for freed offsets, and keep
-// every record of the keep segment readable (Trim frees whole segments,
-// so records before keep in the same segment survive).
+// TestTrimReplayBoundaryProperty exercises prefix Release+Replay at
+// every record index adjacent to a segment boundary, across several
+// workload shapes: releasing up to the first record of a segment, the
+// last record of the previous segment, and one past the boundary must
+// each preserve the exact surviving suffix, return ErrTrimmed for freed
+// offsets, and keep every record of the keep segment readable (Release
+// frees whole segments, so records before keep in the same segment
+// survive).
 func TestTrimReplayBoundaryProperty(t *testing.T) {
 	const n = 100
 	for seed := int64(1); seed <= 5; seed++ {
@@ -69,12 +70,9 @@ func TestTrimReplayBoundaryProperty(t *testing.T) {
 				firstInSeg--
 			}
 
-			freed, err := l.Trim(offs[k])
-			if err != nil {
-				t.Fatalf("seed %d keep %d: Trim: %v", seed, k, err)
-			}
+			freed := releasePrefix(t, l, offs[k])
 			if firstInSeg > 0 && freed == 0 {
-				t.Fatalf("seed %d keep %d: Trim freed nothing with %d earlier records", seed, k, firstInSeg)
+				t.Fatalf("seed %d keep %d: Release freed nothing with %d earlier records", seed, k, firstInSeg)
 			}
 
 			// Replay from the keep offset yields exactly records k..n-1.

@@ -68,11 +68,10 @@ type Log struct {
 	cap int64 // usable payload bytes per segment (framing-aware)
 
 	mu      sync.Mutex
-	segs    []storage.SegmentID // sealed segments, oldest first
+	segs    []storage.SegmentID // sealed live segments, oldest first
 	tailSeg storage.SegmentID
 	tailBuf []byte
 	tailLen int64
-	head    int    // index into segs of the first live segment (GC)
 	bytes   uint64 // total user bytes appended
 
 	// Space ledger (space.go): per sealed live segment, how many payload
@@ -210,8 +209,8 @@ func (l *Log) readAt(off storage.Offset, p []byte) error {
 		l.mu.Unlock()
 		return nil
 	}
-	// Membership check before touching the device: a trimmed or
-	// GC-released segment may have been re-allocated for unrelated data,
+	// Membership check before touching the device: a GC-released
+	// segment may have been re-allocated for unrelated data,
 	// so a raw device read could succeed and return recycled bytes.
 	if !l.liveSegmentLocked(seg) {
 		l.mu.Unlock()
@@ -318,12 +317,12 @@ func (l *Log) TailSnapshot() (storage.SegmentID, []byte, int64) {
 	return l.tailSeg, append([]byte(nil), l.tailBuf[:l.tailLen]...), l.tailLen
 }
 
-// Segments returns the sealed segments in append order (oldest first),
-// excluding trimmed ones.
+// Segments returns the sealed live segments in append order (oldest
+// first); segments GC released are gone.
 func (l *Log) Segments() []storage.SegmentID {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]storage.SegmentID(nil), l.segs[l.head:]...)
+	return append([]storage.SegmentID(nil), l.segs...)
 }
 
 // UserBytes returns the cumulative user data (keys+values) appended.
@@ -331,27 +330,4 @@ func (l *Log) UserBytes() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.bytes
-}
-
-// Trim releases all sealed segments up to but excluding the one holding
-// keep. It is the garbage-collection hook: the primary decides what to
-// trim and backups only perform the trim (§4). Segments are freed on the
-// device; trimming never touches the tail.
-func (l *Log) Trim(keep storage.Offset) (freed int, err error) {
-	keepSeg := l.geo.Segment(keep)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.head < len(l.segs) && l.segs[l.head] != keepSeg {
-		seg := l.segs[l.head]
-		if err := l.dev.Free(seg); err != nil {
-			return freed, err
-		}
-		if sp, ok := l.space[seg]; ok {
-			l.trimmed += sp.total
-			delete(l.space, seg)
-		}
-		l.head++
-		freed++
-	}
-	return freed, nil
 }

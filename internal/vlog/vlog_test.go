@@ -194,7 +194,27 @@ func TestReplayEarlyStop(t *testing.T) {
 	}
 }
 
-func TestTrimFreesSegments(t *testing.T) {
+// releasePrefix releases every sealed segment older than the one holding
+// keep — a GC pass whose victims happen to be a log prefix — and returns
+// how many segments it freed.
+func releasePrefix(t *testing.T, l *Log, keep storage.Offset) int {
+	t.Helper()
+	keepSeg := l.Geometry().Segment(keep)
+	var victims []storage.SegmentID
+	for _, seg := range l.Segments() {
+		if seg == keepSeg {
+			break
+		}
+		victims = append(victims, seg)
+	}
+	freed, err := l.Release(victims)
+	if err != nil {
+		t.Fatalf("Release(%v): %v", victims, err)
+	}
+	return freed
+}
+
+func TestReleasePrefixFreesSegments(t *testing.T) {
 	l, dev := newTestLog(t, 512)
 	var offs []storage.Offset
 	for i := 0; i < 100; i++ {
@@ -205,19 +225,16 @@ func TestTrimFreesSegments(t *testing.T) {
 		offs = append(offs, res.Off)
 	}
 	before := dev.Stats().SegmentsLive
-	freed, err := l.Trim(offs[70])
-	if err != nil {
-		t.Fatal(err)
-	}
+	freed := releasePrefix(t, l, offs[70])
 	if freed == 0 {
-		t.Fatal("expected trim to free segments")
+		t.Fatal("expected the release to free segments")
 	}
 	if after := dev.Stats().SegmentsLive; after != before-uint64(freed) {
 		t.Fatalf("live segments = %d, want %d", after, before-uint64(freed))
 	}
-	// Records after the trim point must still be readable.
+	// Records after the released prefix must still be readable.
 	if _, _, err := l.Get(offs[75]); err != nil {
-		t.Fatalf("Get after trim: %v", err)
+		t.Fatalf("Get after release: %v", err)
 	}
 }
 
@@ -309,11 +326,9 @@ func TestReplayFromTrimmedSegmentReturnsErrTrimmed(t *testing.T) {
 		}
 		offs = append(offs, res.Off)
 	}
-	// Trim everything before record 70's segment; record 10 now lives
-	// in a freed segment.
-	if _, err := l.Trim(offs[70]); err != nil {
-		t.Fatal(err)
-	}
+	// Release everything before record 70's segment; record 10 now
+	// lives in a freed segment.
+	releasePrefix(t, l, offs[70])
 
 	n := 0
 	err := l.Replay(offs[10], func(off storage.Offset, pair kv.Pair, tomb bool) bool {
@@ -321,13 +336,13 @@ func TestReplayFromTrimmedSegmentReturnsErrTrimmed(t *testing.T) {
 		return true
 	})
 	if !errors.Is(err, ErrTrimmed) {
-		t.Fatalf("Replay from trimmed offset: err = %v, want ErrTrimmed", err)
+		t.Fatalf("Replay from released offset: err = %v, want ErrTrimmed", err)
 	}
 	if n != 0 {
 		t.Fatalf("Replay invoked fn %d times despite ErrTrimmed", n)
 	}
 
-	// Replaying from a live offset still works after the trim.
+	// Replaying from a live offset still works after the release.
 	n = 0
 	if err := l.Replay(offs[70], func(off storage.Offset, pair kv.Pair, tomb bool) bool {
 		n++

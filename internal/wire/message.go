@@ -60,8 +60,11 @@ const (
 	OpCompactionDoneAck
 	OpGetBuffer
 	OpGetBufferReply
-	OpTrimLog
-	OpTrimLogAck
+	// 21 and 22 were the head-trim GC command and its ack, replaced by
+	// OpGCRelease. The numbers stay reserved so later opcodes keep their
+	// wire values; a backup answers them like any unknown opcode.
+	_
+	_
 	OpSyncTail
 	OpSyncTailAck
 
@@ -79,8 +82,7 @@ const (
 	// Value-log GC plane (DESIGN.md §12). After a cost-based GC pass
 	// relocated a victim segment's live records and compacted every
 	// stale index pointer away, the primary tells backups to free their
-	// local copies of the victims (OpGCRelease) — the mid-log
-	// counterpart of OpTrimLog's prefix trim.
+	// local copies of the victims (OpGCRelease).
 	OpGCRelease
 	OpGCReleaseAck
 )
@@ -92,7 +94,7 @@ func (o Op) String() string {
 		"put-reply", "delete-reply", "get-reply", "scan-reply", "noop-reply",
 		"flush-tail", "flush-tail-ack", "index-segment", "index-segment-ack",
 		"compaction-start", "compaction-done", "compaction-done-ack",
-		"get-buffer", "get-buffer-reply", "trim-log", "trim-log-ack",
+		"get-buffer", "get-buffer-reply", "reserved-21", "reserved-22",
 		"sync-tail", "sync-tail-ack",
 		"scrub", "scrub-reply", "fetch-segment", "fetch-segment-reply",
 		"repair-segment", "repair-segment-ack",

@@ -373,38 +373,12 @@ func DecodeIndexSegment(p []byte) (IndexSegment, error) {
 	return r, nil
 }
 
-// TrimLog is the primary → backup garbage-collection command: trim the
-// replicated value log up to (but excluding) the segment holding the
-// primary-space offset Keep (§4 — backups only perform the trim).
-type TrimLog struct {
-	RegionID uint16
-	Keep     uint64 // primary device offset
-}
-
-// Encode appends the payload to dst.
-func (r TrimLog) Encode(dst []byte) []byte {
-	dst = appendU32(dst, uint32(r.RegionID))
-	return appendU64(dst, r.Keep)
-}
-
-// DecodeTrimLog parses a TrimLog payload.
-func DecodeTrimLog(p []byte) (TrimLog, error) {
-	rid, rest, err := readU32(p)
-	if err != nil {
-		return TrimLog{}, err
-	}
-	keep, _, err := readU64(rest)
-	if err != nil {
-		return TrimLog{}, err
-	}
-	return TrimLog{RegionID: uint16(rid), Keep: keep}, nil
-}
-
-// GCRelease is the primary → backup command to free mid-log victim
-// segments a cost-based GC pass reclaimed (DESIGN.md §12). Segs are
-// primary-space segment IDs; the backup translates each through its log
-// map, frees the local copy, and drops the mapping. Segments the backup
-// does not know are skipped, so redelivery after a crash is harmless.
+// GCRelease is the primary → backup command to free the victim segments
+// a GC pass reclaimed (§4: the primary moves data, backups only free;
+// DESIGN.md §12). Segs are primary-space segment IDs; the backup
+// translates each through its log map, frees the local copy, and drops
+// the mapping. Segments the backup does not know are skipped, so
+// redelivery after a crash is harmless.
 type GCRelease struct {
 	RegionID uint16
 	Segs     []uint32 // primary-space victim segments

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -289,7 +290,7 @@ func TestDecodeRobustnessRandomBytes(t *testing.T) {
 		_, _ = DecodeCompactionStart(buf)
 		_, _ = DecodeIndexSegment(buf)
 		_, _ = DecodeCompactionDone(buf)
-		_, _ = DecodeTrimLog(buf)
+		_, _ = DecodeGCRelease(buf)
 	}
 }
 
@@ -381,10 +382,16 @@ func TestTraceIDFrameCompat(t *testing.T) {
 	}
 }
 
-func TestTrimLogRoundTrip(t *testing.T) {
-	got, err := DecodeTrimLog(TrimLog{RegionID: 7, Keep: 1 << 45}.Encode(nil))
-	if err != nil || got.RegionID != 7 || got.Keep != 1<<45 {
-		t.Fatalf("trim = %+v %v", got, err)
+func TestGCReleaseRoundTrip(t *testing.T) {
+	got, err := DecodeGCRelease(GCRelease{RegionID: 7, Segs: []uint32{3, 1 << 20, 9}}.Encode(nil))
+	if err != nil || got.RegionID != 7 || !slices.Equal(got.Segs, []uint32{3, 1 << 20, 9}) {
+		t.Fatalf("release = %+v %v", got, err)
+	}
+	// Opcodes 21 and 22 (the retired head-trim command) stay reserved,
+	// so everything declared after them keeps its wire value.
+	if OpSyncTail != 23 || OpGCRelease != 31 || OpGCReleaseAck != 32 {
+		t.Fatalf("opcodes renumbered: sync-tail=%d gc-release=%d gc-release-ack=%d",
+			OpSyncTail, OpGCRelease, OpGCReleaseAck)
 	}
 }
 

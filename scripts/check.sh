@@ -1,7 +1,9 @@
 #!/bin/sh
 # check.sh — the repository's tier-1 gate, run by `make check` and CI.
-# Fails on unformatted files, vet findings, build errors, or any test
-# failure under the race detector.
+# Fails on unformatted files, vet findings, build errors, any test
+# failure under the race detector, or a missed gate in the stages that
+# boot or measure something (every suite already ran under -race, so no
+# stage re-runs tests by name).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -23,28 +25,11 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
-# The full -race run above already includes the failure-handling suite;
-# this focused pass re-runs it by name so a gate log shows explicitly
-# that fault injection, eviction/repair, and the failover-path
-# regressions were exercised.
 # obs-smoke boots a real tebis-server with -metrics and -replica and
 # asserts the whole observability surface (Prometheus exposition, Chrome
 # trace export, expvar) works end to end against live compactions.
 echo "== obs smoke"
 go run ./scripts/obssmoke
-
-# crash-smoke re-runs the crash-consistency suites by name under -race
-# so a gate log shows explicitly that torn-write recovery, corrupt-node
-# hardening, scrub-and-repair, and fsck were exercised.
-echo "== crash smoke"
-make crash-smoke
-
-# ship-smoke re-runs the ship-codec suites by name under -race so a
-# gate log shows explicitly that codec/delta round trips, pre-codec
-# wire compatibility, the delta fallback protocol, and the compressed
-# cluster's scrub-verified byte convergence were exercised.
-echo "== ship smoke"
-make ship-smoke
 
 # figures-smoke runs the paper-figure harness at a tiny scale and
 # asserts it emits BENCH_figures.json plus the per-figure CSVs,
@@ -53,7 +38,7 @@ make ship-smoke
 echo "== figures smoke"
 figdir=$(mktemp -d)
 go run ./cmd/tebis-bench -experiment figures -records 3000 -ops 1500 -l0 256 \
-    -figures-json "$figdir/BENCH_figures.json" -figures-csv-dir "$figdir" >/dev/null
+    -out-dir "$figdir" >/dev/null
 for f in BENCH_figures.json BENCH_fig6_throughput.csv \
          BENCH_fig7_amplification.csv BENCH_fig8_latency.csv \
          BENCH_fig10_netamp.csv; do
@@ -83,8 +68,7 @@ rm -rf "$figdir"
 # most 5% of offered-load throughput versus instrumentation off.
 echo "== observability overhead gate"
 obsdir=$(mktemp -d)
-go run ./cmd/tebis-bench -experiment observability -quick \
-    -observability-json "$obsdir/BENCH_observability.json" >/dev/null
+go run ./cmd/tebis-bench -experiment observability -quick -out-dir "$obsdir" >/dev/null
 overhead=$(sed -n 's/.*"overhead_offered_load_percent": \([0-9.eE+-]*\).*/\1/p' \
     "$obsdir/BENCH_observability.json")
 if [ -z "$overhead" ]; then
@@ -103,21 +87,13 @@ rm -rf "$obsdir"
 echo "== tail smoke"
 make tail-smoke
 
-# gc-smoke re-runs the online value-log GC suites by name under -race
-# so a gate log shows explicitly that crash injection at every GC phase,
-# recycled-segment read guards, replica release propagation, and the
-# Promote-after-GC fallback were exercised.
-echo "== gc smoke"
-make gc-smoke
-
 # The overwrite-endurance gate (DESIGN.md §12): under a 10x overwrite
 # workload, online GC must hold steady-state log occupancy within 2x the
 # live data while costing at most 10% of offered-load throughput versus
 # GC off.
 echo "== gc endurance gate"
 gcdir=$(mktemp -d)
-go run ./cmd/tebis-bench -experiment gc -quick \
-    -gc-json "$gcdir/BENCH_gc.json" -gc-csv-dir "$gcdir" >/dev/null
+go run ./cmd/tebis-bench -experiment gc -quick -out-dir "$gcdir" >/dev/null
 if [ ! -s "$gcdir/BENCH_fig12_space.csv" ]; then
     echo "gc gate: missing BENCH_fig12_space.csv" >&2
     exit 1
@@ -142,16 +118,5 @@ rm -rf "$gcdir"
 # draining back to ~0, and <= 5% lag-tracker overhead at offered load.
 echo "== lag smoke"
 make lag-smoke
-
-# rebalance-smoke re-runs the dynamic-region suites by name under -race
-# so a gate log shows explicitly that online split/merge, index-shipped
-# live migration, failover mid-reconfiguration, and the skewed-load
-# split+migrate acceptance test were exercised.
-echo "== rebalance smoke"
-make rebalance-smoke
-
-echo "== failover suite (focused re-run)"
-go test -race -run 'TestBackupFailure|TestBackupCrash|TestRPCRetry|TestSyncPromote|TestPromoteSmallLogBuffer|TestBackupEvictionReplacementAndFailover|TestReplayFromTrimmedSegment|TestRingProperty|TestRingWrap|TestFreeListProperty|TestGCOnceReleasePropagation' \
-    ./internal/replica ./internal/cluster ./internal/vlog ./internal/client
 
 echo "OK"

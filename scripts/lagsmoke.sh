@@ -30,8 +30,7 @@ field() { # field KEY FILE -> numeric value of "KEY": N
 
 attempt=1
 while :; do
-    "$tmp/tebis-bench" -experiment lag -quick \
-        -lag-json "$tmp/BENCH_lag.json" -lag-csv-dir "$tmp" >/dev/null
+    "$tmp/tebis-bench" -experiment lag -quick -out-dir "$tmp" >/dev/null
 
     json="$tmp/BENCH_lag.json"
     csv="$tmp/BENCH_fig13_lag.csv"

@@ -31,8 +31,7 @@ field() { # field KEY FILE -> numeric value of "KEY": N
 
 attempt=1
 while :; do
-    "$tmp/tebis-bench" -experiment tail -quick \
-        -tail-json "$tmp/BENCH_tail.json" -tail-csv-dir "$tmp" >/dev/null
+    "$tmp/tebis-bench" -experiment tail -quick -out-dir "$tmp" >/dev/null
 
     json="$tmp/BENCH_tail.json"
     csv="$tmp/BENCH_fig11_tail.csv"
