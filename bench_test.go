@@ -1,8 +1,8 @@
 // Package tebis_test holds one Go benchmark per table and figure of the
 // paper's evaluation section, plus ablation benchmarks for the design
-// choices called out in DESIGN.md §4. Each benchmark iteration runs a
-// complete scaled-down experiment (cluster bring-up, YCSB phase over the
-// RDMA protocol, metric collection) and reports the paper's metrics as
+// choices called out in DESIGN.md "Data path". Each benchmark iteration
+// runs a complete scaled-down experiment (cluster bring-up, YCSB phase over
+// the RDMA protocol, metric collection) and reports the paper's metrics as
 // custom benchmark outputs:
 //
 //	Kops/s        measured throughput
@@ -226,7 +226,7 @@ func BenchmarkSec55(b *testing.B) {
 }
 
 // BenchmarkAblationRewriteVsRebuild isolates the paper's core mechanism
-// (DESIGN.md §4.2): translating a shipped index by rewriting segment
+// (DESIGN.md "Data path"): translating a shipped index by rewriting segment
 // pointers versus rebuilding the index from a sorted merge, at the
 // backup. The rewrite must be cheaper by a wide margin.
 func BenchmarkAblationRewriteVsRebuild(b *testing.B) {
@@ -288,7 +288,7 @@ func BenchmarkAblationRewriteVsRebuild(b *testing.B) {
 
 // BenchmarkAblationShipIncrementalVsAtEnd compares streaming index
 // segments as they seal (the paper's design) against shipping the whole
-// index after the compaction finishes (DESIGN.md §4.1).
+// index after the compaction finishes (DESIGN.md "Data path").
 func BenchmarkAblationShipIncrementalVsAtEnd(b *testing.B) {
 	run := func(b *testing.B, deferred bool) {
 		for i := 0; i < b.N; i++ {

@@ -7,22 +7,20 @@
 //	            [-records N] [-ops N] [-l0 N] [-quick] [-out-dir DIR]
 //
 // Experiments with machine-readable output (compaction, observability,
-// integrity, figures, tail, gc, lag) write BENCH_<experiment>.json and
-// their BENCH_fig*.csv time series into -out-dir (default ".").
-//
-// The figures experiment replays YCSB Load A / Run A / Run C against a
-// replicated Send-Index cluster with the metrics sampler on and writes
-// BENCH_figures.json plus per-figure CSV time series (throughput over
-// time, I/O and network amplification, latency percentiles) shaped
-// like the paper's Fig. 6-8.
+// integrity, figures, tail, gc, lag) write one bench.Report as
+// BENCH_<experiment>.json, plus their BENCH_fig*.csv series, into
+// -out-dir (default "."). Each declares its acceptance gates in
+// internal/bench; tebis-bench prints the gate table and exits non-zero
+// when a gate is missed (a run that misses only timing gates is re-run
+// once first). EXPERIMENTS.md lists every gate.
 //
 // Each experiment prints rows shaped like the paper's artifact:
 // throughput (Kops/s), efficiency (Kcycles/op), I/O amplification, and
 // network amplification per configuration; Figure 8 prints latency
 // percentiles and Table 3 the cycles/op component breakdown. Absolute
-// values are not comparable to the paper's testbed (see DESIGN.md §2);
-// the relative comparisons are the reproduction target, recorded in
-// EXPERIMENTS.md.
+// values are not comparable to the paper's testbed (see DESIGN.md
+// "Packages and substitutions"); the relative comparisons are the
+// reproduction target, recorded in EXPERIMENTS.md.
 package main
 
 import (

@@ -1,5 +1,5 @@
 // Command tebis-fsck checks a file-backed Tebis device image for
-// corruption (DESIGN.md §7).
+// corruption (DESIGN.md "Storage integrity").
 //
 // Usage:
 //

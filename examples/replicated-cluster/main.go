@@ -32,7 +32,7 @@ func run(mode replica.Mode) cluster.Totals {
 			MaxLevels:    6,
 		},
 		// This example demonstrates the paper's raw-shipping trade-off;
-		// the default ship codec (DESIGN.md §10) would shrink the
+		// the default ship codec (DESIGN.md "Replication") would shrink the
 		// network column and add delta-base reads to the device column.
 		ShipUncompressed: true,
 	})

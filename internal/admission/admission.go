@@ -1,5 +1,5 @@
 // Package admission implements signal-driven admission control for the
-// server worker pools (DESIGN.md §11). A Controller watches sampled
+// server worker pools (DESIGN.md "Data path"). A Controller watches sampled
 // worker-queue wait (the "dispatch" stage of the request pipeline) and
 // closes a feedback loop over the pool's wake-up threshold: when queue
 // wait crosses the high-water bound it tightens the threshold so tasks
@@ -309,9 +309,9 @@ func (c *Controller) Enabled() bool {
 }
 
 // GCAllowed reports whether background value-log GC may run right now
-// (DESIGN.md §12). GC is the lowest-priority work in the system, so any
-// sign of load pressure pauses it: an escalated state (delay/shed) or a
-// tightened wake-up threshold both mean foreground latency already
+// (DESIGN.md "Value-log GC"). GC is the lowest-priority work in the system,
+// so any sign of load pressure pauses it: an escalated state (delay/shed)
+// or a tightened wake-up threshold both mean foreground latency already
 // suffers and GC must yield. Nil or disabled controllers never pace.
 func (c *Controller) GCAllowed() bool {
 	if c == nil || c.cfg.Disabled {

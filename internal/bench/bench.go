@@ -90,7 +90,7 @@ type Params struct {
 	GrowthFactor int
 	// SegmentSize and NodeSize scale the storage layout (defaults
 	// 64 KiB and 512 B — the paper's 2 MiB and 4 KiB scaled down with
-	// the dataset; see DESIGN.md §2).
+	// the dataset; see DESIGN.md "Packages and substitutions").
 	SegmentSize int64
 	NodeSize    int
 	// Seed fixes the workload streams.
@@ -210,25 +210,17 @@ func Run(p Params) (Result, error) {
 		ycsb.OpUpdate: metrics.NewHistogram(),
 	}
 
-	if p.Workload == ycsb.LoadA {
-		// Measured load phase.
-		stats, err := runLoad(c, clients, p, nil, res.Latency, nil)
-		if err != nil {
+	if p.Workload != ycsb.LoadA {
+		// Unmeasured load before the measured run phase.
+		if _, err := runPhase(clients, p, ycsb.LoadA, nil, nil, nil); err != nil {
 			return Result{}, err
 		}
-		finalize(c, &res, stats)
-		return res, nil
+		if err := c.WaitIdle(); err != nil {
+			return Result{}, err
+		}
+		c.ResetCounters()
 	}
-
-	// Unmeasured load, then measured run phase.
-	if _, err := runLoad(c, clients, p, nil, nil, nil); err != nil {
-		return Result{}, err
-	}
-	if err := c.WaitIdle(); err != nil {
-		return Result{}, err
-	}
-	c.ResetCounters()
-	stats, err := runPhase(c, clients, p, nil, res.Latency, nil)
+	stats, err := runPhase(clients, p, p.Workload, nil, res.Latency, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -243,75 +235,42 @@ type phaseStats struct {
 	elapsed time.Duration
 }
 
-// runLoad executes Load A, sharded across client threads. stats, when
+// runPhase executes workload wl sharded across client threads: Load A
+// splits the record range, a Run A-D phase splits p.Ops. stats, when
 // non-nil, is the externally owned accumulator (the figures experiment
 // exposes it as live registry gauges); onOp, when non-nil, runs after
 // every completed op (the figures experiment ticks its time-series
 // sampler from there for deterministic sample density).
-func runLoad(c *cluster.Cluster, clients []*client.Client, p Params, stats *phaseStats, lat map[ycsb.OpKind]*metrics.Histogram, onOp func()) (*phaseStats, error) {
+func runPhase(clients []*client.Client, p Params, wl ycsb.Workload, stats *phaseStats, lat map[ycsb.OpKind]*metrics.Histogram, onOp func()) (*phaseStats, error) {
 	if stats == nil {
 		stats = &phaseStats{}
 	}
-	threads := p.ClientThreads
-	per := p.Records / uint64(threads)
+	threads := uint64(p.ClientThreads)
+	total, seed := p.Ops, p.Seed*1000
+	if wl == ycsb.LoadA {
+		total, seed = p.Records, p.Seed
+	}
+	per := total / threads
 	var wg sync.WaitGroup
 	errCh := make(chan error, threads)
 	start := time.Now()
-	for t := 0; t < threads; t++ {
-		from := uint64(t) * per
-		to := from + per
+	for t := uint64(0); t < threads; t++ {
+		from, n := t*per, per
 		if t == threads-1 {
-			to = p.Records
+			n = total - from
 		}
 		g := ycsb.NewGenerator(ycsb.Config{
-			Workload: ycsb.LoadA,
+			Workload: wl,
 			Records:  p.Records,
 			Mix:      p.Mix,
-			Seed:     p.Seed + int64(t),
+			Seed:     seed + int64(t),
 		})
-		g.SetLoadRange(from, to)
-		cl := clients[t%len(clients)]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := execStream(cl, g, 0, stats, lat, onOp); err != nil {
-				errCh <- err
-			}
-		}()
-	}
-	wg.Wait()
-	stats.elapsed = time.Since(start)
-	select {
-	case err := <-errCh:
-		return nil, err
-	default:
-	}
-	return stats, nil
-}
-
-// runPhase executes a bounded Run A-D phase across client threads; see
-// runLoad for the stats and onOp parameters.
-func runPhase(c *cluster.Cluster, clients []*client.Client, p Params, stats *phaseStats, lat map[ycsb.OpKind]*metrics.Histogram, onOp func()) (*phaseStats, error) {
-	if stats == nil {
-		stats = &phaseStats{}
-	}
-	threads := p.ClientThreads
-	per := p.Ops / uint64(threads)
-	var wg sync.WaitGroup
-	errCh := make(chan error, threads)
-	start := time.Now()
-	for t := 0; t < threads; t++ {
-		n := per
-		if t == threads-1 {
-			n = p.Ops - per*uint64(threads-1)
+		if wl == ycsb.LoadA {
+			// The generator ends at the shard's last record.
+			g.SetLoadRange(from, from+n)
+			n = 0
 		}
-		g := ycsb.NewGenerator(ycsb.Config{
-			Workload: p.Workload,
-			Records:  p.Records,
-			Mix:      p.Mix,
-			Seed:     p.Seed*1000 + int64(t),
-		})
-		cl := clients[t%len(clients)]
+		cl := clients[t%uint64(len(clients))]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -391,5 +350,4 @@ func finalize(c *cluster.Cluster, res *Result, stats *phaseStats) {
 	res.Breakdown = tot.Cycles.PerOp(res.Ops)
 	res.IOAmp = metrics.Amplification(tot.DeviceBytes, res.DatasetBytes)
 	res.NetAmp = metrics.Amplification(tot.NetServerBytes, res.DatasetBytes)
-	return
 }

@@ -3,6 +3,9 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -118,93 +121,348 @@ func TestRunExperimentTable2(t *testing.T) {
 	}
 }
 
-// runReport runs exp at tinyScale into a fresh output directory and
-// decodes its BENCH_<exp>.json into rep.
-func runReport(t *testing.T, exp Experiment, rep any) {
+// reportExperiments are the experiments with machine-readable output.
+var reportExperiments = []Experiment{
+	ExpCompaction, ExpObservability, ExpIntegrity, ExpFigures, ExpTail, ExpGC, ExpLag,
+}
+
+// detailAs decodes a decoded report's Detail into its typed form.
+func detailAs[T any](t *testing.T, rep Report) (v T) {
 	t.Helper()
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := RunExperiment(exp, tinyScale, &buf, dir); err != nil {
-		t.Fatal(err)
+	data, err := json.Marshal(rep.Detail)
+	if err == nil {
+		err = json.Unmarshal(data, &v)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_"+string(exp)+".json"))
+	if err != nil {
+		t.Fatalf("detail does not decode: %v", err)
+	}
+	return v
+}
+
+// positive fails unless every named metric was measured above zero.
+func positive(t *testing.T, rep Report, keys ...string) {
+	t.Helper()
+	for _, k := range keys {
+		if rep.Metrics[k] <= 0 {
+			t.Errorf("metric %q = %v, want > 0", k, rep.Metrics[k])
+		}
+	}
+}
+
+// reportChecks holds, per experiment, the behaviour its report must
+// show beyond the schema checks TestReports applies to all of them.
+var reportChecks = map[Experiment]func(t *testing.T, rep Report, raw []byte){
+	ExpCompaction: func(t *testing.T, rep Report, _ []byte) {
+		for _, mode := range []string{"serial.", "pipelined."} {
+			positive(t, rep, mode+"jobs", mode+"segments_shipped", mode+"kops_per_sec")
+		}
+		m := rep.Metrics
+		if m["serial.compaction_workers"] != 1 || m["serial.l0_buffers"] != 1 {
+			t.Errorf("serial knobs: %v workers, %v buffers", m["serial.compaction_workers"], m["serial.l0_buffers"])
+		}
+		if m["pipelined.compaction_workers"] <= 1 || m["pipelined.l0_buffers"] <= 1 {
+			t.Errorf("pipelined knobs: %v workers, %v buffers", m["pipelined.compaction_workers"], m["pipelined.l0_buffers"])
+		}
+		// The pipelined engine must actually overlap ship with build, and
+		// a second frozen L0 must not make the paced writer stall more.
+		positive(t, rep, "pipelined.overlap_fraction")
+		if m["pipelined.writer_stalls"] > m["serial.writer_stalls"] {
+			t.Errorf("pipelined writer stalled %v times, serial %v", m["pipelined.writer_stalls"], m["serial.writer_stalls"])
+		}
+	},
+	ExpObservability: func(t *testing.T, rep Report, _ []byte) {
+		for _, mode := range []string{"off.", "on."} {
+			positive(t, rep, mode+"ns_per_op", mode+"kops_per_sec", mode+"paced_kops_per_sec", mode+"jobs")
+		}
+		// The instrumented run must have actually exercised the obs layer,
+		// and the bare one must not have.
+		positive(t, rep, "on.trace_spans", "on.scrapes")
+		if _, ok := rep.Metrics["off.trace_spans"]; ok {
+			t.Error("uninstrumented run reports trace spans")
+		}
+	},
+	ExpIntegrity: func(t *testing.T, rep Report, _ []byte) {
+		for _, mode := range []string{"raw.", "framed."} {
+			positive(t, rep, mode+"ns_per_op", mode+"kops_per_sec", mode+"paced_kops_per_sec",
+				mode+"get_ns_per_op", mode+"jobs")
+		}
+	},
+	ExpFigures: func(t *testing.T, rep Report, _ []byte) {
+		d := detailAs[figuresDetail](t, rep)
+		if len(d.Runs) != 3 {
+			t.Fatalf("runs = %d, want 3 (Load A, Run A, Run C)", len(d.Runs))
+		}
+		for _, r := range d.Runs {
+			if r.Ops == 0 || r.KOpsPerSec <= 0 {
+				t.Fatalf("run %q measured nothing: %+v", r.Workload, r)
+			}
+			if len(r.Throughput) < 10 {
+				t.Fatalf("run %q throughput series has %d points", r.Workload, len(r.Throughput))
+			}
+			if len(r.NetBytesSeries) == 0 || r.NetBytesSeries[len(r.NetBytesSeries)-1].V <= 0 {
+				t.Fatalf("run %q recorded no replication network bytes", r.Workload)
+			}
+			if len(r.Latency) == 0 {
+				t.Fatalf("run %q has no latency summary", r.Workload)
+			}
+			for op, l := range r.Latency {
+				if l.Count == 0 || l.P50Us <= 0 || l.P99Us < l.P50Us || l.P999Us < l.P99Us {
+					t.Fatalf("run %q op %q latency implausible: %+v", r.Workload, op, l)
+				}
+			}
+		}
+		// The run phases replicate through Send-Index, so tracing at the
+		// default rate must have produced request spans.
+		positive(t, rep, "trace_spans", "load_a.kops_per_sec", "run_c.io_amp")
+		// Fig. 10: the compressed default must move fewer ship bytes than
+		// raw images, and shipping them must still cost something.
+		loadA, base := d.Runs[0], d.Baseline
+		if loadA.ShipWireBytes == 0 || loadA.ShipWireBytes >= loadA.ShipRawBytes {
+			t.Fatalf("compression saved nothing: raw=%d wire=%d", loadA.ShipRawBytes, loadA.ShipWireBytes)
+		}
+		if base.ShipWireBytes != base.ShipRawBytes || base.ShipWireBytes == 0 {
+			t.Fatalf("baseline shipped framed bytes: raw=%d wire=%d", base.ShipRawBytes, base.ShipWireBytes)
+		}
+		ratio, baseline := rep.Metrics["net_amp_ratio"], rep.Metrics["baseline_net_amp_ratio"]
+		if ratio <= 1 || ratio >= baseline {
+			t.Fatalf("net-amp ratio = %.3f, want in (1, baseline %.3f)", ratio, baseline)
+		}
+	},
+	ExpTail: func(t *testing.T, rep Report, raw []byte) {
+		d := detailAs[map[string][]TailScenario](t, rep)
+		if len(d["scenarios"]) != 5 {
+			t.Fatalf("scenarios = %d, want 5", len(d["scenarios"]))
+		}
+		// README's exemplar lookup greps the report for trace IDs.
+		if !bytes.Contains(raw, []byte(`"trace_id": `)) {
+			t.Error("report carries no exemplar trace_id")
+		}
+		positive(t, rep, "pre_burst_p99_us", "adaptive_burst_p99_us", "fixed_burst_p99_us")
+	},
+	ExpGC: func(t *testing.T, rep Report, _ []byte) {
+		d := detailAs[map[string][]GCSpaceSample](t, rep)
+		if len(d["gc_off"]) != gcRounds || len(d["gc_on"]) != gcRounds {
+			t.Fatalf("space series: %d off / %d on samples, want %d each", len(d["gc_off"]), len(d["gc_on"]), gcRounds)
+		}
+		positive(t, rep, "gc_on.gc_passes", "gc_on.gc_segments_freed")
+		if amp := rep.Metrics["gc_off.final_space_amp"]; amp < gcRounds/2 {
+			t.Errorf("GC off holds %.2fx the live data after a %dx overwrite", amp, gcRounds)
+		}
+	},
+	ExpLag: func(t *testing.T, rep Report, _ []byte) {
+		if len(detailAs[map[string][]LagSample](t, rep)["series"]) == 0 {
+			t.Error("no lag series")
+		}
+		positive(t, rep, "acked_writes", "max_lag_ops", "tracking_on.paced_kops_per_sec")
+	},
+}
+
+// TestReports runs every report-writing experiment once at tinyScale —
+// without the retry policy, since wall-clock bounds are not asserted at
+// a scale this small — and checks the one schema: the report decodes
+// into Report, every gate reads a measured metric, every hard gate
+// passes, and the declared files are written.
+func TestReports(t *testing.T) {
+	for _, exp := range reportExperiments {
+		t.Run(string(exp), func(t *testing.T) {
+			e := experiments[exp]
+			dir := t.TempDir()
+			var out bytes.Buffer
+			if _, err := e.runOnce(exp, tinyScale, &out, dir); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(filepath.Join(dir, "BENCH_"+string(exp)+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep Report
+			dec := json.NewDecoder(bytes.NewReader(raw))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&rep); err != nil {
+				t.Fatalf("report does not decode into Report: %v\n%s", err, raw)
+			}
+			if rep.Experiment != exp || rep.Scale != tinyScale {
+				t.Fatalf("report is for %q at %+v", rep.Experiment, rep.Scale)
+			}
+			for k, v := range rep.Metrics {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Errorf("metric %q = %v", k, v)
+				}
+			}
+
+			if len(rep.Gates) != len(e.gates) {
+				t.Fatalf("report has %d gates, %d declared", len(rep.Gates), len(e.gates))
+			}
+			for _, g := range rep.Gates {
+				v, ok := rep.Metrics[g.Metric]
+				if !ok || v != g.Measured {
+					t.Errorf("gate %q measured %v, metric %q = %v (present=%v)", g.Name, g.Measured, g.Metric, v, ok)
+				}
+				if !g.Timing && !g.Pass {
+					t.Errorf("hard gate %q failed: %v %s %v", g.Name, g.Measured, g.Op, g.Budget)
+				}
+				// Loose sanity bound on the paced figures only: the
+				// closed-loop ns/op ratio of a run this small is wall-clock
+				// noise (seen at 193%% on a busy 2-core box while the paced
+				// figure read 1.4%%). tebis-bench enforces the real budgets.
+				if g.Timing && g.Op == "<=" && g.Measured > 10*g.Budget {
+					t.Errorf("timing gate %q implausible: %v against a budget of %v", g.Name, g.Measured, g.Budget)
+				}
+				if !strings.Contains(out.String(), g.Name) {
+					t.Errorf("gate %q missing from the printed table", g.Name)
+				}
+			}
+
+			want := append(e.csvs[:len(e.csvs):len(e.csvs)], "BENCH_"+string(exp)+".json")
+			if len(rep.Artifacts) != len(want) {
+				t.Fatalf("artifacts = %v, want %v", rep.Artifacts, want)
+			}
+			for i, path := range rep.Artifacts {
+				data, err := os.ReadFile(path)
+				if err != nil || filepath.Base(path) != want[i] {
+					t.Fatalf("artifact %d = %q (%v), want %s", i, path, err, want[i])
+				}
+				if lines := bytes.Count(data, []byte("\n")); lines < 4 {
+					t.Errorf("%s has only %d lines", want[i], lines)
+				}
+			}
+			reportChecks[exp](t, rep, raw)
+		})
+	}
+}
+
+// fakeExperiment reports values[i] as metric "v" on its i-th run, gated
+// at v <= 5.
+func fakeExperiment(timing bool, values ...float64) (experiment, *int) {
+	runs := new(int)
+	return experiment{
+		gates: []Gate{{Name: "g", Metric: "v", Op: "<=", Budget: 5, Timing: timing}},
+		run: func(Scale, io.Writer) (*measurement, error) {
+			v := values[*runs]
+			*runs++
+			return &measurement{metrics: map[string]float64{"v": v}}, nil
+		},
+	}, runs
+}
+
+func TestGatePolicy(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		timing   bool
+		values   []float64
+		wantRuns int
+		wantErr  bool
+	}{
+		{"all pass: one run", true, []float64{1}, 1, false},
+		{"hard gate fails: error, no second run", false, []float64{9, 1}, 1, true},
+		{"timing gate fails: exactly one re-run", true, []float64{9, 1}, 2, false},
+		{"timing gate fails twice: error", true, []float64{9, 9, 1}, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, runs := fakeExperiment(tc.timing, tc.values...)
+			err := e.runGated("fake", tinyScale, io.Discard, "")
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error %v", err, tc.wantErr)
+			}
+			if *runs != tc.wantRuns {
+				t.Fatalf("ran %d times, want %d", *runs, tc.wantRuns)
+			}
+		})
+	}
+}
+
+// TestBrokenBudgetFails shows the path that makes tebis-bench exit 1: a
+// real experiment under a budget it cannot meet (shipping an index
+// always costs some network) returns an error naming the gate, and
+// still writes the report that records the miss.
+func TestBrokenBudgetFails(t *testing.T) {
+	e := experiments[ExpFigures]
+	e.gates = []Gate{{Name: "net-amp", Metric: "net_amp_ratio", Op: "<=", Budget: 1}}
+	dir := t.TempDir()
+	err := e.runGated(ExpFigures, tinyScale, io.Discard, dir)
+	if err == nil || !strings.Contains(err.Error(), "net-amp") {
+		t.Fatalf("err = %v, want a missed net-amp gate", err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_figures.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, rep); err != nil {
-		t.Fatalf("report does not parse: %v\n%s", err, data)
+	var rep Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Gates) != 1 || rep.Gates[0].Pass || rep.Gates[0].Measured <= 1 {
+		t.Fatalf("report gates = %+v, want one failed net-amp gate", rep.Gates)
 	}
 }
 
-func TestRunExperimentCompaction(t *testing.T) {
-	var rep CompactionReport
-	runReport(t, ExpCompaction, &rep)
-	if rep.Records != tinyScale.Records {
-		t.Fatalf("records = %d, want %d", rep.Records, tinyScale.Records)
+// TestPacedABOffersHalfTheSlowerMode pins the protocol: both modes are
+// paced at the same rate, at most half of what either sustained
+// unpaced, so neither paced run is a capacity measurement.
+func TestPacedABOffersHalfTheSlowerMode(t *testing.T) {
+	unpaced := map[bool][]float64{false: {100, 90, 110}, true: {60, 50, 70}}
+	calls := map[bool]int{}
+	var offered []float64
+	off, on, loss, err := pacedAB(func(on bool, opsPerSec float64) (trial, error) {
+		if opsPerSec == 0 {
+			calls[on]++
+			return trial{kopsKey: unpaced[on][calls[on]-1]}, nil
+		}
+		offered = append(offered, opsPerSec)
+		achieved := opsPerSec / 1000
+		if on {
+			achieved *= 0.9
+		}
+		return trial{kopsKey: achieved}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range []CompactionModeResult{rep.Serial, rep.Pipelined} {
-		if m.Jobs == 0 || m.SegmentsShipped == 0 || m.KOpsPerSec <= 0 {
-			t.Fatalf("mode %q measured nothing: %+v", m.Mode, m)
+	if len(offered) != 6 {
+		t.Fatalf("%d paced trials, want 3 per mode", len(offered))
+	}
+	for _, rate := range offered {
+		if rate != offered[0] || rate > 0.5*1000*off[kopsKey] || rate > 0.5*1000*on[kopsKey] {
+			t.Fatalf("offered %v ops/s with unpaced medians off=%v on=%v Kops/s", offered, off[kopsKey], on[kopsKey])
 		}
 	}
-	if rep.Serial.CompactionWorkers != 1 || rep.Serial.L0Buffers != 1 {
-		t.Fatalf("serial knobs: %+v", rep.Serial)
+	if off[kopsKey] != 100 || on[kopsKey] != 60 || offered[0] != 30000 {
+		t.Fatalf("medians off=%v on=%v, offered %v; want 100, 60, 30000", off[kopsKey], on[kopsKey], offered[0])
 	}
-	if rep.Pipelined.CompactionWorkers <= 1 || rep.Pipelined.L0Buffers <= 1 {
-		t.Fatalf("pipelined knobs: %+v", rep.Pipelined)
-	}
-	// The pipelined engine must actually overlap ship with build.
-	if rep.Pipelined.OverlapFraction <= 0 {
-		t.Fatalf("pipelined overlap fraction = %v", rep.Pipelined.OverlapFraction)
+	if off["paced_kops_per_sec"] != 30 || on["paced_kops_per_sec"] != 27 || math.Abs(loss-10) > 1e-9 {
+		t.Fatalf("paced off=%v on=%v loss=%v%%, want 30, 27, 10%%", off["paced_kops_per_sec"], on["paced_kops_per_sec"], loss)
 	}
 }
 
-func TestRunExperimentObservability(t *testing.T) {
-	var rep ObservabilityReport
-	runReport(t, ExpObservability, &rep)
-	if rep.Records != tinyScale.Records {
-		t.Fatalf("records = %d, want %d", rep.Records, tinyScale.Records)
-	}
-	for _, m := range []ObservabilityModeResult{rep.Off, rep.On} {
-		if m.NsPerOp <= 0 || m.KOpsPerSec <= 0 || m.PacedKOpsPerSec <= 0 || m.Jobs == 0 {
-			t.Fatalf("mode (instrumented=%v) measured nothing: %+v", m.Instrumented, m)
+// TestGateTableMatchesDeclarations keeps EXPERIMENTS.md's gate table
+// equal to the Go declarations: the table is this rendering, verbatim.
+func TestGateTableMatchesDeclarations(t *testing.T) {
+	var table strings.Builder
+	table.WriteString("| Experiment | Gate | Bound | Kind | Files written |\n|---|---|---|---|---|\n")
+	for _, exp := range reportExperiments {
+		e := experiments[exp]
+		files := "`BENCH_" + string(exp) + ".json`"
+		for _, f := range e.csvs {
+			files += ", `" + f + "`"
+		}
+		if len(e.gates) == 0 {
+			fmt.Fprintf(&table, "| `%s` | — | — | — | %s |\n", exp, files)
+		}
+		for _, g := range e.gates {
+			kind := "hard"
+			if g.Timing {
+				kind = "timing"
+			}
+			fmt.Fprintf(&table, "| `%s` | %s | `%s` %s %g | %s | %s |\n", exp, g.Name, g.Metric, g.Op, g.Budget, kind, files)
+			files = ""
 		}
 	}
-	if rep.Off.Instrumented || !rep.On.Instrumented {
-		t.Fatalf("mode flags swapped: off=%+v on=%+v", rep.Off, rep.On)
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The instrumented run must have actually exercised the obs layer.
-	if rep.On.TraceSpans == 0 {
-		t.Fatal("instrumented run recorded no trace spans")
-	}
-	// Loose sanity bound on the paced figure only: the closed-loop
-	// ns/op ratio of a run this small is wall-clock noise (seen at 193%
-	// on a busy 2-core box while the paced figure read 1.4%). The
-	// acceptance bound (≤5%) is gated in scripts/check.sh.
-	if rep.OverheadOfferedLoadPercent > 50 {
-		t.Fatalf("implausible offered-load overhead: %.1f%%", rep.OverheadOfferedLoadPercent)
-	}
-}
-
-func TestRunExperimentIntegrity(t *testing.T) {
-	var rep IntegrityReport
-	runReport(t, ExpIntegrity, &rep)
-	if rep.Records != tinyScale.Records {
-		t.Fatalf("records = %d, want %d", rep.Records, tinyScale.Records)
-	}
-	for _, m := range []IntegrityModeResult{rep.Raw, rep.Framed} {
-		if m.NsPerOp <= 0 || m.KOpsPerSec <= 0 || m.PacedKOpsPerSec <= 0 ||
-			m.GetNsPerOp <= 0 || m.Jobs == 0 {
-			t.Fatalf("mode (framed=%v) measured nothing: %+v", m.Framed, m)
-		}
-	}
-	if rep.Raw.Framed || !rep.Framed.Framed {
-		t.Fatalf("mode flags swapped: raw=%+v framed=%+v", rep.Raw, rep.Framed)
-	}
-	// Paced figure only, as in the observability test; the ≤5%
-	// acceptance bound is checked on the full-scale tebis-bench run.
-	if rep.OverheadOfferedLoadPercent > 50 {
-		t.Fatalf("implausible offered-load overhead: %.1f%%", rep.OverheadOfferedLoadPercent)
+	if !bytes.Contains(doc, []byte(table.String())) {
+		t.Fatalf("EXPERIMENTS.md's gate table is out of date; it must read:\n%s", table.String())
 	}
 }
 
@@ -217,76 +475,5 @@ func TestSetupStringsAndModes(t *testing.T) {
 	}
 	if BuildIndexRL.Mode() != BuildIndex.Mode() {
 		t.Fatal("RL must share Build-Index mode")
-	}
-}
-
-func TestRunExperimentFigures(t *testing.T) {
-	var rep FiguresReport
-	runReport(t, ExpFigures, &rep)
-	if len(rep.Runs) != 3 {
-		t.Fatalf("runs = %d, want 3 (Load A, Run A, Run C)", len(rep.Runs))
-	}
-	for _, r := range rep.Runs {
-		if r.Ops == 0 || r.KOpsPerSec <= 0 {
-			t.Fatalf("run %q measured nothing: %+v", r.Workload, r)
-		}
-		// The acceptance floor: every run carries >= 20 time-series
-		// samples and a non-trivial throughput curve.
-		if r.Samples < 20 {
-			t.Fatalf("run %q has %d samples, want >= 20", r.Workload, r.Samples)
-		}
-		if len(r.Throughput) < 10 {
-			t.Fatalf("run %q throughput series has %d points", r.Workload, len(r.Throughput))
-		}
-		if len(r.NetBytesSeries) == 0 || r.NetBytesSeries[len(r.NetBytesSeries)-1].V <= 0 {
-			t.Fatalf("run %q recorded no replication network bytes", r.Workload)
-		}
-		if len(r.Latency) == 0 {
-			t.Fatalf("run %q has no latency summary", r.Workload)
-		}
-		for op, l := range r.Latency {
-			if l.Count == 0 || l.P50Us <= 0 || l.P99Us < l.P50Us || l.P999Us < l.P99Us {
-				t.Fatalf("run %q op %q latency implausible: %+v", r.Workload, op, l)
-			}
-		}
-	}
-	// The run phases replicate through Send-Index, so tracing at the
-	// default rate must have produced request spans.
-	if rep.TraceSpans == 0 {
-		t.Fatal("figures run recorded no trace spans")
-	}
-	if len(rep.CSVs) != 4 {
-		t.Fatalf("CSVs = %v, want 4 files", rep.CSVs)
-	}
-	// Fig. 10: the compressed default must move fewer ship bytes than
-	// raw images, and index shipping with the codec on must inflate
-	// replication network by at most 1.1x over log replication alone.
-	if rep.Fig10 == nil {
-		t.Fatal("report has no fig10 section")
-	}
-	loadA := rep.Runs[0]
-	if loadA.ShipWireBytes == 0 || loadA.ShipWireBytes >= loadA.ShipRawBytes {
-		t.Fatalf("compression saved nothing: raw=%d wire=%d", loadA.ShipRawBytes, loadA.ShipWireBytes)
-	}
-	base := rep.Fig10.Baseline
-	if base.ShipWireBytes != base.ShipRawBytes || base.ShipWireBytes == 0 {
-		t.Fatalf("baseline shipped framed bytes: raw=%d wire=%d", base.ShipRawBytes, base.ShipWireBytes)
-	}
-	if rep.Fig10.NetAmpRatio <= 1 || rep.Fig10.NetAmpRatio > 1.1 {
-		t.Fatalf("net-amp ratio = %.3f, want (1, 1.1]", rep.Fig10.NetAmpRatio)
-	}
-	if rep.Fig10.NetAmpRatio >= rep.Fig10.BaselineNetAmpRatio {
-		t.Fatalf("compression did not reduce net amplification: %.3f >= %.3f",
-			rep.Fig10.NetAmpRatio, rep.Fig10.BaselineNetAmpRatio)
-	}
-	for _, f := range rep.CSVs {
-		csv, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := bytes.Count(csv, []byte("\n"))
-		if lines < 4 {
-			t.Fatalf("CSV %s has only %d lines", f, lines)
-		}
 	}
 }

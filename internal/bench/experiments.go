@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"tebis/internal/metrics"
@@ -15,11 +13,11 @@ import (
 // Scale sizes an experiment suite. The paper runs 100M-record loads on
 // three Xeon servers; the suite reproduces the comparisons at a reduced
 // scale that preserves the compaction depth (records per region per L0)
-// and every protocol path (DESIGN.md §2).
+// and every protocol path (DESIGN.md "Packages and substitutions").
 type Scale struct {
-	Records   uint64
-	Ops       uint64
-	L0MaxKeys int
+	Records   uint64 `json:"records"`
+	Ops       uint64 `json:"ops"`
+	L0MaxKeys int    `json:"l0_max_keys"`
 }
 
 // Scales for quick runs (unit benches) and fuller runs (tebis-bench).
@@ -47,39 +45,37 @@ const (
 	ExpSec55  Experiment = "sec55"
 	ExpTable2 Experiment = "table2"
 	// ExpCompaction is not a paper artifact: it ablates the staged
-	// compaction scheduler (serial vs pipelined) on a bare engine and
-	// writes BENCH_compaction.json.
+	// compaction scheduler (serial vs pipelined) on a bare engine.
 	ExpCompaction Experiment = "compaction"
 	// ExpObservability is not a paper artifact: it measures the hot-path
 	// cost of the obs layer (registry + tracer + scraping) on the
-	// compaction path and writes BENCH_observability.json.
+	// compaction path.
 	ExpObservability Experiment = "observability"
 	// ExpIntegrity is not a paper artifact: it measures the checksum
 	// tax of the crash-consistency layer (CRC32C framing + read
-	// verification, DESIGN.md §7) and writes BENCH_integrity.json.
+	// verification, DESIGN.md "Storage integrity").
 	ExpIntegrity Experiment = "integrity"
 	// ExpFigures drives YCSB Load A / Run A / Run C through a replicated
 	// Send-Index cluster with the registry sampler on and emits
-	// BENCH_figures.json plus per-figure CSV time series shaped like the
-	// paper's Fig. 6-8 (DESIGN.md §8).
+	// per-figure CSV time series shaped like the paper's Fig. 6-8
+	// (DESIGN.md "Observability").
 	ExpFigures Experiment = "figures"
 	// ExpTail is not a paper artifact: it drives adversarial multi-tenant
 	// traffic (uniform, zipfian, diurnal ramp, flash burst) through a
 	// replicated cluster with tracing at an elevated sample rate and
 	// emits per-stage/per-tenant tail attribution plus the fixed-knob
-	// versus adaptive-admission burst comparison — BENCH_fig11_tail.csv
-	// and BENCH_tail.json (DESIGN.md §11).
+	// versus adaptive-admission burst comparison (DESIGN.md
+	// "Observability").
 	ExpTail Experiment = "tail"
 	// ExpGC is not a paper artifact: it drives a 10x overwrite workload
-	// with online value-log GC off vs on (DESIGN.md §12), measuring
-	// steady-state space amplification and GC's offered-load cost, and
-	// emits BENCH_gc.json plus BENCH_fig12_space.csv.
+	// with online value-log GC off vs on (DESIGN.md "Value-log GC"),
+	// measuring steady-state space amplification and GC's offered-load
+	// cost.
 	ExpGC Experiment = "gc"
 	// ExpLag is not a paper artifact: it injects a 50ms-delayed backup
 	// via RDMA fault hooks and verifies the replication-plane health
-	// surface (DESIGN.md §13) — lag/staleness rise then drain to ~0
-	// with zero lost acks and a ~free tracker — emitting BENCH_lag.json
-	// plus BENCH_fig13_lag.csv.
+	// surface (DESIGN.md "Observability") — lag/staleness rise then
+	// drain to ~0 with zero lost acks and a ~free tracker.
 	ExpLag Experiment = "lag"
 )
 
@@ -96,60 +92,42 @@ var twoWaySetups = []Setup{BuildIndex, SendIndex, NoReplication}
 // threeWaySetups are the Figure 10 configurations (§5.4-5.5).
 var threeWaySetups = []Setup{BuildIndexRL, BuildIndex, SendIndex, NoReplication}
 
-// RunExperiment executes one artifact and writes the paper-shaped rows
-// to w. Experiments with machine-readable output also write
-// BENCH_<experiment>.json and their BENCH_fig*.csv series into outDir;
-// an empty outDir writes no files.
-func RunExperiment(exp Experiment, sc Scale, w io.Writer, outDir string) error {
-	switch exp {
-	case ExpTable2:
-		return runTable2(sc, w)
-	case ExpFig6:
-		return runFig6(sc, w)
-	case ExpFig7a:
-		return runFig7(sc, w, ycsb.LoadA)
-	case ExpFig7b:
-		return runFig7(sc, w, ycsb.RunA)
-	case ExpFig8:
-		return runFig8(sc, w)
-	case ExpTable3:
-		return runTable3(sc, w)
-	case ExpFig9a:
-		return runFig9(sc, w, ycsb.LoadA)
-	case ExpFig9b:
-		return runFig9(sc, w, ycsb.RunA)
-	case ExpFig10a:
-		return runFig10(sc, w, ycsb.LoadA)
-	case ExpFig10b:
-		return runFig10(sc, w, ycsb.RunA)
-	case ExpSec55:
-		return runSec55(sc, w)
-	case ExpCompaction:
-		return runCompaction(sc, w, outDir)
-	case ExpObservability:
-		return runObservability(sc, w, outDir)
-	case ExpIntegrity:
-		return runIntegrity(sc, w, outDir)
-	case ExpFigures:
-		return runFigures(sc, w, outDir)
-	case ExpTail:
-		return runTail(sc, w, outDir)
-	case ExpGC:
-		return runGC(sc, w, outDir)
-	case ExpLag:
-		return runLag(sc, w, outDir)
-	}
-	return fmt.Errorf("bench: unknown experiment %q", exp)
+// experiments is every runnable artifact with the gates it must hold
+// and the series files it writes. Gates are declared beside the
+// experiment that measures them (compaction.go … lag.go).
+var experiments = map[Experiment]experiment{
+	ExpTable2: {run: rows(runTable2)},
+	ExpFig6:   {run: rows(runFig6)},
+	ExpFig7a:  {run: rows(func(sc Scale, w io.Writer) error { return runFig7(sc, w, ycsb.LoadA) })},
+	ExpFig7b:  {run: rows(func(sc Scale, w io.Writer) error { return runFig7(sc, w, ycsb.RunA) })},
+	ExpFig8:   {run: rows(runFig8)},
+	ExpTable3: {run: rows(runTable3)},
+	ExpFig9a:  {run: rows(func(sc Scale, w io.Writer) error { return runFig9(sc, w, ycsb.LoadA) })},
+	ExpFig9b:  {run: rows(func(sc Scale, w io.Writer) error { return runFig9(sc, w, ycsb.RunA) })},
+	ExpFig10a: {run: rows(func(sc Scale, w io.Writer) error { return runFig10(sc, w, ycsb.LoadA) })},
+	ExpFig10b: {run: rows(func(sc Scale, w io.Writer) error { return runFig10(sc, w, ycsb.RunA) })},
+	ExpSec55:  {run: rows(runSec55)},
+
+	ExpCompaction:    {run: runCompaction},
+	ExpObservability: {run: runObservability, gates: observabilityGates},
+	ExpIntegrity:     {run: runIntegrity, gates: integrityGates},
+	ExpFigures:       {run: runFigures, gates: figuresGates, csvs: figuresCSVs},
+	ExpTail:          {run: runTail, gates: tailGates, csvs: []string{tailCSV}},
+	ExpGC:            {run: runGC, gates: gcGates, csvs: []string{gcCSV}},
+	ExpLag:           {run: runLag, gates: lagGates, csvs: []string{lagCSV}},
 }
 
-// writeReport writes an experiment's report as BENCH_<exp>.json in
-// outDir.
-func writeReport(w io.Writer, outDir string, exp Experiment, report any) error {
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
+// RunExperiment executes one artifact, writing the paper-shaped rows to
+// w. Experiments with machine-readable output also print a gate table
+// and write BENCH_<experiment>.json and their BENCH_fig*.csv series
+// into outDir (an empty outDir writes no files). A missed gate is an
+// error; see experiment.runGated for the retry policy.
+func RunExperiment(exp Experiment, sc Scale, w io.Writer, outDir string) error {
+	e, ok := experiments[exp]
+	if !ok {
+		return fmt.Errorf("bench: unknown experiment %q", exp)
 	}
-	return writeArtifact(w, filepath.Join(outDir, "BENCH_"+string(exp)+".json"), append(data, '\n'))
+	return e.runGated(exp, sc, w, outDir)
 }
 
 // writeArtifact writes one output file and says so on w.

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -74,38 +73,30 @@ type FigureRun struct {
 	Latency map[string]FigureLatency `json:"latency"`
 }
 
-// FigureNetAmp is the Fig. 10 data product: the replication-network
-// cost of Send-Index shipping with the ship codec on (the default)
-// versus the uncompressed baseline, measured over identical Load A
-// phases on two otherwise-equal clusters.
-type FigureNetAmp struct {
-	// Baseline is the uncompressed cluster's Load A run.
-	Baseline FigureRun `json:"baseline"`
-	// NetAmpRatio is net / (net - ship wire traffic) for the compressed
-	// cluster: how much the index-ship traffic inflates replication
-	// network over log replication alone. Every shipped byte shows up
-	// twice in the summed NIC counters (sender tx + receiver rx).
-	NetAmpRatio float64 `json:"net_amp_ratio"`
-	// BaselineNetAmpRatio is the same ratio with the codec off — the
-	// paper's 1.09-1.82x Send-Index overhead regime.
-	BaselineNetAmpRatio float64 `json:"baseline_net_amp_ratio"`
-	// CompressionRatio is ship raw/wire bytes on the compressed cluster.
-	CompressionRatio float64 `json:"compression_ratio"`
-	// ThroughputDeltaPercent is the compressed cluster's Load A
-	// throughput relative to the baseline's (negative = slower).
-	ThroughputDeltaPercent float64 `json:"throughput_delta_percent"`
+// figuresCSVs are the per-figure series files, in the order written.
+var figuresCSVs = []string{
+	"BENCH_fig6_throughput.csv",
+	"BENCH_fig7_amplification.csv",
+	"BENCH_fig8_latency.csv",
+	"BENCH_fig10_netamp.csv",
 }
 
-// FiguresReport is the BENCH_figures.json document.
-type FiguresReport struct {
-	Setup      string        `json:"setup"`
-	Replicas   int           `json:"replicas"`
-	Records    uint64        `json:"records"`
-	RunOps     uint64        `json:"run_ops"`
-	TraceSpans int           `json:"trace_spans"`
-	Runs       []FigureRun   `json:"runs"`
-	Fig10      *FigureNetAmp `json:"fig10,omitempty"`
-	CSVs       []string      `json:"csvs"`
+// figuresGates: every run carries the time-series density the harness
+// guarantees, all five artifacts have content, and (Fig. 10) with the
+// ship codec on — the default — index shipping inflates replication
+// network by at most 1.1x over log replication alone.
+var figuresGates = []Gate{
+	{Name: "samples", Metric: "min_samples", Op: ">=", Budget: 20},
+	{Name: "net-amp", Metric: "net_amp_ratio", Op: "<=", Budget: 1.1},
+	artifactsGate(len(figuresCSVs)),
+}
+
+// figuresDetail is the figures report's Detail: the measured runs and
+// the Fig. 10 baseline — the same Load A on an otherwise-equal cluster
+// shipping raw segment images.
+type figuresDetail struct {
+	Runs     []FigureRun `json:"runs"`
+	Baseline FigureRun   `json:"fig10_baseline"`
 }
 
 // figFamily strips a ReadSeries key down to its family name (the part
@@ -284,8 +275,6 @@ func (fc *figCluster) Close() {
 // sampler and returns its FigureRun.
 func (fc *figCluster) phase(wl ycsb.Workload) (FigureRun, error) {
 	run := FigureRun{Workload: wl.String()}
-	pp := fc.p
-	pp.Workload = wl
 
 	stats := &phaseStats{}
 	fc.cur.Store(stats)
@@ -301,9 +290,9 @@ func (fc *figCluster) phase(wl ycsb.Workload) (FigureRun, error) {
 	// tickEvery completed ops: sample density is deterministic in the
 	// op count, not the host's speed, so even smoke runs plot.
 	samp := obs.NewSampler(fc.reg, obs.DefaultSampleInterval, 4*figureSampleTicks)
-	total := pp.Records
+	total := fc.p.Records
 	if wl != ycsb.LoadA {
-		total = pp.Ops
+		total = fc.p.Ops
 	}
 	tickEvery := total / figureSampleTicks
 	if tickEvery == 0 {
@@ -317,13 +306,7 @@ func (fc *figCluster) phase(wl ycsb.Workload) (FigureRun, error) {
 	}
 
 	samp.Tick() // t=0 baseline
-	var err error
-	if wl == ycsb.LoadA {
-		_, err = runLoad(fc.c, fc.clients, pp, stats, lat, onOp)
-	} else {
-		_, err = runPhase(fc.c, fc.clients, pp, stats, lat, onOp)
-	}
-	if err != nil {
+	if _, err := runPhase(fc.clients, fc.p, wl, stats, lat, onOp); err != nil {
 		return run, err
 	}
 	if err := fc.c.FlushAll(); err != nil {
@@ -379,43 +362,38 @@ func (fc *figCluster) phase(wl ycsb.Workload) (FigureRun, error) {
 // Send-Index cluster with the registry sampler on — plus the Fig. 10
 // net-amplification comparison: the same Load A repeated on a second
 // cluster with the ship codec off, so the report quantifies what
-// compression and delta shipping save. Emits BENCH_figures.json plus
-// one CSV per figure. Unlike runFig6/7/8 — which report one scalar per
-// configuration — this harness samples the live registry throughout
-// each phase so throughput, amplification, and network traffic are
-// plotted over time, and it runs with request tracing at the default
-// sample rate so the figures reflect the instrumented system.
-func runFigures(sc Scale, w io.Writer, outDir string) error {
+// compression and delta shipping save. Unlike runFig6/7/8 — which
+// report one scalar per configuration — this harness samples the live
+// registry throughout each phase so throughput, amplification, and
+// network traffic are plotted over time, and it runs with request
+// tracing at the default sample rate so the figures reflect the
+// instrumented system.
+func runFigures(sc Scale, w io.Writer) (*measurement, error) {
 	p := params(SendIndex, ycsb.LoadA, ycsb.MixSD, sc, 1)
 	p.applyDefaults()
 
 	tracer := obs.NewTracer(0)
 	fc, err := newFigCluster(p, tracer, false)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer fc.Close()
 
-	report := FiguresReport{
-		Setup:    p.Setup.String(),
-		Replicas: p.Replicas,
-		Records:  p.Records,
-		RunOps:   p.Ops,
-	}
+	var d figuresDetail
 	for _, wl := range []ycsb.Workload{ycsb.LoadA, ycsb.RunA, ycsb.RunC} {
 		run, err := fc.phase(wl)
 		if err != nil {
-			return fmt.Errorf("bench: figures %s: %w", wl, err)
+			return nil, fmt.Errorf("bench: figures %s: %w", wl, err)
 		}
-		report.Runs = append(report.Runs, run)
+		d.Runs = append(d.Runs, run)
 		if wl == ycsb.LoadA {
 			// Run phases start from drained, loaded data, as Run() does.
 			if err := fc.c.WaitIdle(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	report.TraceSpans = len(tracer.Snapshot())
+	spans := len(tracer.Snapshot())
 
 	// Fig. 10 baseline: an identical cluster shipping raw segment
 	// images (the paper's prototype), driven through the same Load A.
@@ -423,67 +401,67 @@ func runFigures(sc Scale, w io.Writer, outDir string) error {
 	// instrumentation and the throughput comparison is ship-codec-only.
 	fb, err := newFigCluster(p, obs.NewTracer(0), true)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	base, err := fb.phase(ycsb.LoadA)
+	d.Baseline, err = fb.phase(ycsb.LoadA)
 	fb.Close()
 	if err != nil {
-		return fmt.Errorf("bench: figures baseline: %w", err)
+		return nil, fmt.Errorf("bench: figures baseline: %w", err)
 	}
-	loadA := report.Runs[0]
-	fig10 := &FigureNetAmp{
-		Baseline:            base,
-		NetAmpRatio:         shipOverhead(float64(loadA.NetServerBytes), float64(loadA.ShipWireBytes)),
-		BaselineNetAmpRatio: shipOverhead(float64(base.NetServerBytes), float64(base.ShipWireBytes)),
+	loadA, base := d.Runs[0], d.Baseline
+	m := &measurement{
+		config: map[string]any{"setup": p.Setup.String(), "replicas": p.Replicas},
+		detail: d,
+		metrics: map[string]float64{
+			"trace_spans": float64(spans),
+			// net / (net - ship wire traffic) for the compressed cluster:
+			// how much the index-ship traffic inflates replication network
+			// over log replication alone — and the same ratio with the
+			// codec off, the paper's 1.09-1.82x Send-Index overhead regime.
+			"net_amp_ratio":          shipOverhead(float64(loadA.NetServerBytes), float64(loadA.ShipWireBytes)),
+			"baseline_net_amp_ratio": shipOverhead(float64(base.NetServerBytes), float64(base.ShipWireBytes)),
+			// Ship raw/wire bytes on the compressed cluster.
+			"compression_ratio": float64(loadA.ShipRawBytes) / float64(max(loadA.ShipWireBytes, 1)),
+		},
 	}
-	if loadA.ShipWireBytes > 0 {
-		fig10.CompressionRatio = float64(loadA.ShipRawBytes) / float64(loadA.ShipWireBytes)
-	}
+	v := m.metrics
 	if base.KOpsPerSec > 0 {
-		fig10.ThroughputDeltaPercent = (loadA.KOpsPerSec - base.KOpsPerSec) / base.KOpsPerSec * 100
+		// The compressed cluster's Load A throughput relative to the
+		// baseline's (negative = slower).
+		v["throughput_delta_percent"] = (loadA.KOpsPerSec - base.KOpsPerSec) / base.KOpsPerSec * 100
 	}
-	report.Fig10 = fig10
+	v["min_samples"] = float64(loadA.Samples)
 
 	fmt.Fprintf(w, "Figures harness: Send-Index, two-way, SD mix (records=%d, ops=%d)\n",
 		p.Records, p.Ops)
 	fmt.Fprintf(w, "%-10s %10s %12s %8s %8s %8s %12s\n",
 		"Run", "Ops", "Kops/s", "I/O-amp", "Net-amp", "Samples", "p99 µs")
-	for _, r := range report.Runs {
+	for _, r := range d.Runs {
 		p99 := 0.0
 		for _, l := range r.Latency {
-			if l.P99Us > p99 {
-				p99 = l.P99Us
-			}
+			p99 = max(p99, l.P99Us)
 		}
 		fmt.Fprintf(w, "%-10s %10d %12.1f %8.2f %8.2f %8d %12.1f\n",
 			r.Workload, r.Ops, r.KOpsPerSec, r.IOAmp, r.NetAmp, r.Samples, p99)
+		key := strings.ReplaceAll(strings.ToLower(r.Workload), " ", "_")
+		v[key+".kops_per_sec"], v[key+".io_amp"], v[key+".net_amp"] = r.KOpsPerSec, r.IOAmp, r.NetAmp
+		v["min_samples"] = min(v["min_samples"], float64(r.Samples))
 	}
 	fmt.Fprintf(w, "Fig10: ship raw=%d wire=%d (%.2fx), net-amp ratio %.3f (uncompressed baseline %.3f), load throughput %+.1f%% vs baseline\n",
-		loadA.ShipRawBytes, loadA.ShipWireBytes, fig10.CompressionRatio,
-		fig10.NetAmpRatio, fig10.BaselineNetAmpRatio, fig10.ThroughputDeltaPercent)
-	fmt.Fprintf(w, "trace spans recorded: %d\n", report.TraceSpans)
+		loadA.ShipRawBytes, loadA.ShipWireBytes, v["compression_ratio"],
+		v["net_amp_ratio"], v["baseline_net_amp_ratio"], v["throughput_delta_percent"])
+	fmt.Fprintf(w, "trace spans recorded: %d\n", spans)
 
-	if outDir == "" {
-		return nil
-	}
-	if report.CSVs, err = writeFigureCSVs(w, outDir, &report); err != nil {
-		return err
-	}
-	return writeReport(w, outDir, ExpFigures, report)
+	m.csvs = figureCSVs(&d)
+	return m, nil
 }
 
-// writeFigureCSVs renders the per-figure CSVs next to the JSON report:
-// Fig. 6 throughput-over-time, Fig. 7 amplification + network bytes
-// over time, Fig. 8 latency percentiles, Fig. 10 ship-traffic
-// comparison against the uncompressed baseline.
-func writeFigureCSVs(w io.Writer, dir string, report *FiguresReport) ([]string, error) {
-	runs := report.Runs
-	var files []string
-	write := func(name, content string) error {
-		path := filepath.Join(dir, name)
-		files = append(files, path)
-		return writeArtifact(w, path, []byte(content))
-	}
+// figureCSVs renders the per-figure CSVs, in figuresCSVs order: Fig. 6
+// throughput-over-time, Fig. 7 amplification + network bytes over time,
+// Fig. 8 latency percentiles, Fig. 10 ship-traffic comparison against
+// the uncompressed baseline.
+func figureCSVs(d *figuresDetail) [][]byte {
+	runs := d.Runs
 
 	var fig6 strings.Builder
 	fig6.WriteString("run,t_ms,kops_per_sec\n")
@@ -491,9 +469,6 @@ func writeFigureCSVs(w io.Writer, dir string, report *FiguresReport) ([]string, 
 		for _, pt := range r.Throughput {
 			fmt.Fprintf(&fig6, "%s,%.3f,%.3f\n", r.Workload, pt.TMS, pt.V)
 		}
-	}
-	if err := write("BENCH_fig6_throughput.csv", fig6.String()); err != nil {
-		return nil, err
 	}
 
 	var fig7 strings.Builder
@@ -516,9 +491,6 @@ func writeFigureCSVs(w io.Writer, dir string, report *FiguresReport) ([]string, 
 				r.Workload, r.IOAmpSeries[i].TMS, r.IOAmpSeries[i].V, netAmp, netBytes)
 		}
 	}
-	if err := write("BENCH_fig7_amplification.csv", fig7.String()); err != nil {
-		return nil, err
-	}
 
 	var fig8 strings.Builder
 	fig8.WriteString("run,op,count,p50_us,p99_us,p999_us\n")
@@ -534,34 +506,27 @@ func writeFigureCSVs(w io.Writer, dir string, report *FiguresReport) ([]string, 
 				r.Workload, op, l.Count, l.P50Us, l.P99Us, l.P999Us)
 		}
 	}
-	if err := write("BENCH_fig8_latency.csv", fig8.String()); err != nil {
-		return nil, err
-	}
 
-	if report.Fig10 != nil {
-		var fig10 strings.Builder
-		fig10.WriteString("config,t_ms,raw_bytes,wire_bytes,net_bytes,ratio\n")
-		emit := func(config string, r FigureRun) {
-			n := len(r.ShipWireSeries)
-			for i := 0; i < n; i++ {
-				raw, net := 0.0, 0.0
-				if i < len(r.ShipRawSeries) {
-					raw = r.ShipRawSeries[i].V
-				}
-				if i < len(r.NetBytesSeries) {
-					net = r.NetBytesSeries[i].V
-				}
-				wire := r.ShipWireSeries[i].V
-				fmt.Fprintf(&fig10, "%s,%.3f,%.0f,%.0f,%.0f,%.4f\n",
-					config, r.ShipWireSeries[i].TMS, raw, wire, net,
-					shipOverhead(net, wire))
+	var fig10 strings.Builder
+	fig10.WriteString("config,t_ms,raw_bytes,wire_bytes,net_bytes,ratio\n")
+	emit := func(config string, r FigureRun) {
+		n := len(r.ShipWireSeries)
+		for i := 0; i < n; i++ {
+			raw, net := 0.0, 0.0
+			if i < len(r.ShipRawSeries) {
+				raw = r.ShipRawSeries[i].V
 			}
-		}
-		emit("compressed", runs[0])
-		emit("uncompressed", report.Fig10.Baseline)
-		if err := write("BENCH_fig10_netamp.csv", fig10.String()); err != nil {
-			return nil, err
+			if i < len(r.NetBytesSeries) {
+				net = r.NetBytesSeries[i].V
+			}
+			wire := r.ShipWireSeries[i].V
+			fmt.Fprintf(&fig10, "%s,%.3f,%.0f,%.0f,%.0f,%.4f\n",
+				config, r.ShipWireSeries[i].TMS, raw, wire, net,
+				shipOverhead(net, wire))
 		}
 	}
-	return files, nil
+	emit("compressed", runs[0])
+	emit("uncompressed", d.Baseline)
+
+	return [][]byte{[]byte(fig6.String()), []byte(fig7.String()), []byte(fig8.String()), []byte(fig10.String())}
 }

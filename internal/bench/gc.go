@@ -3,14 +3,11 @@ package bench
 import (
 	"fmt"
 	"io"
-	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
 	"tebis/internal/lsm"
 	"tebis/internal/metrics"
-	"tebis/internal/storage"
 )
 
 // gcRounds is the overwrite factor: every key is rewritten this many
@@ -25,6 +22,19 @@ const gcValueSize = 128
 // records GC must relocate out of otherwise-dead victim segments.
 func gcKeeper(i uint64) bool { return i%10 == 0 }
 
+// gcCSV is the per-round space series, both modes.
+const gcCSV = "BENCH_fig12_space.csv"
+
+// gcGates is the overwrite-endurance acceptance (DESIGN.md "Value-log
+// GC"): under a 10x overwrite workload, online GC must hold steady-state
+// log occupancy within 2x the live data while costing at most 10% of
+// offered-load throughput versus GC off.
+var gcGates = []Gate{
+	{Name: "space-amp", Metric: "space_amp", Op: "<=", Budget: 2},
+	{Name: "cost", Metric: "overhead_offered_load_percent", Op: "<=", Budget: 10, Timing: true},
+	artifactsGate(1),
+}
+
 // GCSpaceSample is one point of the space time series, taken after each
 // overwrite round (and the GC pass that follows it, when GC is on).
 type GCSpaceSample struct {
@@ -36,93 +46,30 @@ type GCSpaceSample struct {
 	LogSegments  int     `json:"log_segments"`
 }
 
-// GCModeResult measures the 10x overwrite workload with online GC
-// either off (the log grows one copy per overwrite) or on (a cost-based
-// pass after every round holds occupancy near the live set).
-type GCModeResult struct {
-	GCEnabled         bool    `json:"gc_enabled"`
-	NsPerOp           float64 `json:"ns_per_op"`
-	KOpsPerSec        float64 `json:"kops_per_sec"`
-	OfferedKopsPerSec float64 `json:"offered_kops_per_sec"`
-	PacedKOpsPerSec   float64 `json:"paced_kops_per_sec"`
-
-	// FinalSpaceAmp is occupied/live payload bytes at steady state.
-	FinalSpaceAmp float64 `json:"final_space_amp"`
-	LiveBytes     uint64  `json:"live_bytes"`
-	DeadBytes     uint64  `json:"dead_bytes"`
-	TrimmedBytes  uint64  `json:"trimmed_bytes"`
-	LogSegments   int     `json:"log_segments"`
-
-	Passes         uint64 `json:"gc_passes"`
-	SegmentsFreed  uint64 `json:"gc_segments_freed"`
-	RecordsMoved   uint64 `json:"gc_records_moved"`
-	BytesReclaimed uint64 `json:"gc_bytes_reclaimed"`
-
-	Series []GCSpaceSample `json:"series,omitempty"`
-}
-
-// GCReport is the endurance acceptance artifact (DESIGN.md §12): under
-// a 10x overwrite workload, online GC must hold steady-state space
-// amplification within 2x the live data at no more than 10% of
-// offered-load throughput.
-type GCReport struct {
-	Keys      uint64 `json:"keys"`
-	Rounds    int    `json:"rounds"`
-	ValueSize int    `json:"value_size"`
-	L0MaxKeys int    `json:"l0_max_keys"`
-
-	Off GCModeResult `json:"gc_off"`
-	On  GCModeResult `json:"gc_on"`
-
-	// SpaceAmp is the gated figure: GC-on steady-state occupancy over
-	// live bytes (must stay <= 2).
-	SpaceAmp float64 `json:"space_amp"`
-	// OverheadOfferedLoadPercent compares paced throughput at the same
-	// offered load, GC on vs off (must stay <= 10%).
-	OverheadOfferedLoadPercent float64 `json:"overhead_offered_load_percent"`
-}
+func gcKeys(sc Scale) uint64 { return max(sc.Records/gcRounds, 200) }
 
 // runGCMode drives gcRounds whole-keyspace overwrite rounds against a
-// bare framed engine. With gc on, a cost-based pass runs after every
-// round, paced like production (pass accounting goes to stats). The
-// run fails if any key reads back a stale value afterwards — GC must
-// never serve wrong data to earn its space numbers.
-func runGCMode(sc Scale, gcOn bool, opsPerSec float64, series bool) (GCModeResult, error) {
-	res := GCModeResult{GCEnabled: gcOn, OfferedKopsPerSec: opsPerSec / 1000}
-	keys := sc.Records / gcRounds
-	if keys < 200 {
-		keys = 200
-	}
-
-	mem, err := storage.NewMemDevice(64<<10, 0)
+// bare framed engine, with online GC off (the log grows one copy per
+// overwrite) or on (a cost-based pass every other round holds occupancy
+// near the live set; pass accounting goes to stats). It returns the
+// trial and the per-round space series. The run fails if any key reads
+// back a stale value afterwards — GC must never serve wrong data to earn
+// its space numbers.
+func runGCMode(sc Scale, gcOn bool, opsPerSec float64) (trial, []GCSpaceSample, error) {
+	keys := gcKeys(sc)
+	e, err := openEngine(sc, 2, 2, true, nil)
 	if err != nil {
-		return res, err
+		return nil, nil, err
 	}
-	defer mem.Close()
-	db, err := lsm.New(lsm.Options{
-		Device:            storage.AsVerifying(mem),
-		NodeSize:          512,
-		GrowthFactor:      4,
-		L0MaxKeys:         sc.L0MaxKeys,
-		MaxLevels:         7,
-		Seed:              1,
-		CompactionWorkers: 2,
-		L0Buffers:         2,
-	})
-	if err != nil {
-		return res, err
-	}
-	defer db.Close()
+	defer e.Close()
+	db := e.db
 
 	stats := &metrics.GCStats{}
 	policy := lsm.GCPolicy{MinDeadRatio: 0.5, MaxSegments: 16, Stats: stats}
 	val := make([]byte, gcValueSize)
 
-	var interval time.Duration
-	if opsPerSec > 0 {
-		interval = time.Duration(float64(time.Second) / opsPerSec)
-	}
-	sample := func(round int) {
+	var series []GCSpaceSample
+	space := func(round int) GCSpaceSample {
 		rep := db.Log().SpaceReport()
 		s := GCSpaceSample{
 			Round:        round,
@@ -134,11 +81,11 @@ func runGCMode(sc Scale, gcOn bool, opsPerSec float64, series bool) (GCModeResul
 		if rep.Live > 0 {
 			s.SpaceAmp = float64(rep.Live+rep.Dead) / float64(rep.Live)
 		}
-		res.Series = append(res.Series, s)
+		return s
 	}
 
+	p := newPacer(opsPerSec)
 	start := time.Now()
-	next := start
 	var ops uint64
 	for round := 0; round < gcRounds; round++ {
 		for i := uint64(0); i < keys; i++ {
@@ -150,12 +97,9 @@ func runGCMode(sc Scale, gcOn bool, opsPerSec float64, series bool) (GCModeResul
 			for j := range val {
 				val[j] = byte('a' + (round+int(i)+j)%26)
 			}
-			if interval > 0 {
-				next = next.Add(interval)
-				waitUntil(next)
-			}
-			if err := db.Put([]byte(fmt.Sprintf("user%012d", i)), val); err != nil {
-				return res, err
+			p.arrive()
+			if err := db.Put(loadKey(i), val); err != nil {
+				return nil, nil, err
 			}
 			ops++
 		}
@@ -166,47 +110,42 @@ func runGCMode(sc Scale, gcOn bool, opsPerSec float64, series bool) (GCModeResul
 			// No pass after the final round — with no load left to serve,
 			// its cost belongs to the untimed steady-state drain below.
 			if _, err := db.GCOnce(policy); err != nil {
-				return res, err
+				return nil, nil, err
 			}
 		}
-		if series {
-			sample(round)
-		}
+		series = append(series, space(round))
 	}
 	elapsed := time.Since(start)
-	res.NsPerOp = float64(elapsed.Nanoseconds()) / float64(ops)
-	res.KOpsPerSec = float64(ops) / elapsed.Seconds() / 1000
 
 	// Steady state: drain compactions, then run GC to its fixed point —
 	// the occupancy a continuously ticking server gcLoop converges to.
 	// MaxSegments bounds one pass's write amplification, not the total.
 	if err := db.CompactAll(); err != nil {
-		return res, err
+		return nil, nil, err
 	}
 	if gcOn {
 		for i := 0; i < 64; i++ {
 			gr, err := db.GCOnce(policy)
 			if err != nil {
-				return res, err
+				return nil, nil, err
 			}
 			if gr.SegmentsFreed == 0 {
 				break
 			}
 		}
 	}
-	rep := db.Log().SpaceReport()
-	res.LiveBytes = rep.Live
-	res.DeadBytes = rep.Dead
-	res.TrimmedBytes = rep.Trimmed
-	res.LogSegments = len(db.Log().Segments())
-	if rep.Live > 0 {
-		res.FinalSpaceAmp = float64(rep.Live+rep.Dead) / float64(rep.Live)
-	}
+	final := space(gcRounds)
 	snap := stats.Snapshot()
-	res.Passes = snap.Passes
-	res.SegmentsFreed = snap.SegmentsFreed
-	res.RecordsMoved = snap.RecordsMoved
-	res.BytesReclaimed = snap.BytesReclaimed
+	t := newTrial(ops, elapsed)
+	t["final_space_amp"] = final.SpaceAmp
+	t["live_bytes"] = float64(final.LiveBytes)
+	t["dead_bytes"] = float64(final.DeadBytes)
+	t["trimmed_bytes"] = float64(final.TrimmedBytes)
+	t["log_segments"] = float64(final.LogSegments)
+	t["gc_passes"] = float64(snap.Passes)
+	t["gc_segments_freed"] = float64(snap.SegmentsFreed)
+	t["gc_records_moved"] = float64(snap.RecordsMoved)
+	t["gc_bytes_reclaimed"] = float64(snap.BytesReclaimed)
 
 	// Zero wrong reads: every key must hold its newest value — the
 	// round-0 write for keepers (possibly relocated several times), the
@@ -220,121 +159,60 @@ func runGCMode(sc Scale, gcOn bool, opsPerSec float64, series bool) (GCModeResul
 		for j := range want {
 			want[j] = byte('a' + (round+int(i)+j)%26)
 		}
-		got, found, err := db.Get([]byte(fmt.Sprintf("user%012d", i)))
+		got, found, err := db.Get(loadKey(i))
 		if err != nil || !found {
-			return res, fmt.Errorf("bench: gc: key %d unreadable after workload: found=%v err=%v", i, found, err)
+			return nil, nil, fmt.Errorf("bench: gc: key %d unreadable after workload: found=%v err=%v", i, found, err)
 		}
 		if string(got) != string(want) {
-			return res, fmt.Errorf("bench: gc: key %d reads a stale value after GC", i)
+			return nil, nil, fmt.Errorf("bench: gc: key %d reads a stale value after GC", i)
 		}
 	}
-	return res, nil
-}
-
-// medianGCMode reruns one configuration and returns the
-// median-throughput trial, damping single-core scheduler noise.
-func medianGCMode(sc Scale, gcOn bool, opsPerSec float64) (GCModeResult, error) {
-	trials := make([]GCModeResult, 0, 3)
-	for i := 0; i < 3; i++ {
-		r, err := runGCMode(sc, gcOn, opsPerSec, false)
-		if err != nil {
-			return GCModeResult{}, err
-		}
-		trials = append(trials, r)
-	}
-	sort.Slice(trials, func(i, j int) bool {
-		return trials[i].KOpsPerSec < trials[j].KOpsPerSec
-	})
-	return trials[1], nil
+	return t, series, nil
 }
 
 // runGC measures the overwrite-endurance acceptance: space held by the
 // value log with GC off vs on, and GC's cost at a fixed offered load.
-func runGC(sc Scale, w io.Writer, outDir string) error {
-	// Unpaced runs carry the space time series and steady-state report.
-	off, err := runGCMode(sc, false, 0, true)
-	if err != nil {
-		return err
-	}
-	on, err := runGCMode(sc, true, 0, true)
-	if err != nil {
-		return err
-	}
-
-	// Offered-load comparison at half the unpaced GC-off rate, like the
-	// other overhead gates (an unthrottled in-memory run has no slack
-	// for maintenance work, which no production deployment matches).
-	rate := off.KOpsPerSec * 1000 * 0.5
-	pacedOff, err := medianGCMode(sc, false, rate)
-	if err != nil {
-		return err
-	}
-	pacedOn, err := medianGCMode(sc, true, rate)
-	if err != nil {
-		return err
-	}
-	off.PacedKOpsPerSec = pacedOff.KOpsPerSec
-	off.OfferedKopsPerSec = pacedOff.OfferedKopsPerSec
-	on.PacedKOpsPerSec = pacedOn.KOpsPerSec
-	on.OfferedKopsPerSec = pacedOn.OfferedKopsPerSec
-
-	keys := sc.Records / gcRounds
-	if keys < 200 {
-		keys = 200
-	}
-	report := GCReport{
-		Keys:      keys,
-		Rounds:    gcRounds,
-		ValueSize: gcValueSize,
-		L0MaxKeys: sc.L0MaxKeys,
-		Off:       off,
-		On:        on,
-		SpaceAmp:  on.FinalSpaceAmp,
-	}
-	if pacedOff.KOpsPerSec > 0 {
-		loss := (pacedOff.KOpsPerSec - pacedOn.KOpsPerSec) / pacedOff.KOpsPerSec * 100
-		if loss < 0 {
-			loss = 0
+func runGC(sc Scale, w io.Writer) (*measurement, error) {
+	// The unpaced runs carry the space time series.
+	series := map[bool][]GCSpaceSample{}
+	off, on, loss, err := pacedAB(func(gcOn bool, opsPerSec float64) (trial, error) {
+		t, s, err := runGCMode(sc, gcOn, opsPerSec)
+		if opsPerSec == 0 {
+			series[gcOn] = s
 		}
-		report.OverheadOfferedLoadPercent = loss
+		return t, err
+	})
+	if err != nil {
+		return nil, err
 	}
+	keys := gcKeys(sc)
+	m := &measurement{
+		config: map[string]any{"keys": keys, "rounds": gcRounds, "value_size": gcValueSize},
+		detail: map[string][]GCSpaceSample{"gc_off": series[false], "gc_on": series[true]},
+	}
+	m.add("gc_off", off)
+	m.add("gc_on", on)
+	m.metrics["space_amp"] = on["final_space_amp"]
+	m.metrics["overhead_offered_load_percent"] = loss
 
 	fmt.Fprintf(w, "Online GC endurance: %dx overwrite of %d keys (%d B values, L0=%d keys)\n",
 		gcRounds, keys, gcValueSize, sc.L0MaxKeys)
 	fmt.Fprintf(w, "%-8s %10s %12s %12s %10s %10s %8s\n",
 		"Config", "ns/op", "Kops/s", "paced Kop/s", "live MB", "dead MB", "amp")
-	for _, r := range []GCModeResult{off, on} {
-		name := "gc-off"
-		if r.GCEnabled {
-			name = "gc-on"
-		}
-		fmt.Fprintf(w, "%-8s %10.0f %12.1f %12.1f %10.2f %10.2f %8.2f\n",
-			name, r.NsPerOp, r.KOpsPerSec, r.PacedKOpsPerSec,
-			float64(r.LiveBytes)/1e6, float64(r.DeadBytes)/1e6, r.FinalSpaceAmp)
-	}
-	fmt.Fprintf(w, "gc-on: %d passes, %d segments freed, %d records moved, %.2f MB reclaimed\n",
-		on.Passes, on.SegmentsFreed, on.RecordsMoved, float64(on.BytesReclaimed)/1e6)
-	fmt.Fprintf(w, "space amplification %.2fx (budget 2x), offered-load cost %.2f%% (budget 10%%)\n",
-		report.SpaceAmp, report.OverheadOfferedLoadPercent)
-
-	if outDir == "" {
-		return nil
-	}
 	var csv strings.Builder
 	csv.WriteString("mode,round,live_bytes,dead_bytes,trimmed_bytes,space_amp,log_segments\n")
-	for _, r := range []GCModeResult{off, on} {
-		name := "gc-off"
-		if r.GCEnabled {
-			name = "gc-on"
-		}
-		for _, s := range r.Series {
+	for i, r := range []mode{{"gc-off", off}, {"gc-on", on}} {
+		fmt.Fprintf(w, "%-8s %10.0f %12.1f %12.1f %10.2f %10.2f %8.2f\n",
+			r.name, r.t["ns_per_op"], r.t[kopsKey], r.t["paced_kops_per_sec"],
+			r.t["live_bytes"]/1e6, r.t["dead_bytes"]/1e6, r.t["final_space_amp"])
+		for _, s := range series[i == 1] {
 			fmt.Fprintf(&csv, "%s,%d,%d,%d,%d,%.3f,%d\n",
-				name, s.Round, s.LiveBytes, s.DeadBytes, s.TrimmedBytes, s.SpaceAmp, s.LogSegments)
+				r.name, s.Round, s.LiveBytes, s.DeadBytes, s.TrimmedBytes, s.SpaceAmp, s.LogSegments)
 		}
 	}
-	path := filepath.Join(outDir, "BENCH_fig12_space.csv")
-	if err := writeArtifact(w, path, []byte(csv.String())); err != nil {
-		return err
-	}
-	return writeReport(w, outDir, ExpGC, report)
+	fmt.Fprintf(w, "gc-on: %.0f passes, %.0f segments freed, %.0f records moved, %.2f MB reclaimed\n",
+		on["gc_passes"], on["gc_segments_freed"], on["gc_records_moved"], on["gc_bytes_reclaimed"]/1e6)
+	fmt.Fprintf(w, "space amplification %.2fx, offered-load cost %.2f%%\n", m.metrics["space_amp"], loss)
+	m.csvs = [][]byte{[]byte(csv.String())}
+	return m, nil
 }

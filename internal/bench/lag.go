@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -30,6 +28,27 @@ const lagValueSize = 128
 // (~40 × 50ms ≈ 2s of wall time).
 const lagDelayedOps = 40
 
+// lagCSV is the sampled lag/staleness series across the three phases.
+const lagCSV = "BENCH_fig13_lag.csv"
+
+// lagGates is the replication-plane health acceptance (DESIGN.md
+// "Observability"): under an injected 50ms-delayed backup the staleness
+// gauge must rise and then drain back to ~0 once the delay clears, with
+// zero lost acks, zero wrong reads and zero evictions — a merely-slow
+// backup must never be declared dead (delay ≪ AckTimeout) — and the
+// tracker itself may cost at most 5% at a fixed offered load.
+var lagGates = []Gate{
+	{Name: "lost-acks", Metric: "lost_acks", Op: "==", Budget: 0},
+	{Name: "wrong-reads", Metric: "wrong_reads", Op: "==", Budget: 0},
+	{Name: "evictions", Metric: "evictions", Op: "==", Budget: 0},
+	{Name: "staleness-rises", Metric: "max_staleness_ms", Op: ">=", Budget: 25},
+	{Name: "lag-drains", Metric: "final_lag_ops", Op: "==", Budget: 0},
+	{Name: "staleness-drains", Metric: "final_staleness_ms", Op: "<=", Budget: 1},
+	{Name: "overhead", Metric: "overhead_offered_load_percent", Op: "<=", Budget: 5, Timing: true},
+	{Name: "csv-phases", Metric: "csv_phases_covered", Op: ">=", Budget: 3},
+	artifactsGate(1),
+}
+
 // LagSample is one point of the lag time series, taken by a sampler
 // goroutine polling the primary's lag tracker while the workload runs.
 type LagSample struct {
@@ -38,56 +57,6 @@ type LagSample struct {
 	LagOps          uint64  `json:"lag_ops"`
 	LagBytes        uint64  `json:"lag_bytes"`
 	StalenessMillis float64 `json:"staleness_ms"`
-}
-
-// LagModeResult measures the put path with the lag tracker on or off,
-// for the observability-overhead comparison.
-type LagModeResult struct {
-	LagTracking       bool    `json:"lag_tracking"`
-	NsPerOp           float64 `json:"ns_per_op"`
-	KOpsPerSec        float64 `json:"kops_per_sec"`
-	OfferedKopsPerSec float64 `json:"offered_kops_per_sec"`
-	PacedKOpsPerSec   float64 `json:"paced_kops_per_sec"`
-}
-
-// LagReport is the replication-plane health acceptance artifact
-// (DESIGN.md §13): under an injected 50ms-delayed backup, the lag and
-// staleness gauges must rise and then drain back to ~0 once the delay
-// clears, with zero lost acks, zero wrong reads, and zero evictions —
-// and the tracker itself must cost ≤5% at a fixed offered load.
-type LagReport struct {
-	Region      uint64  `json:"region"`
-	Backup      string  `json:"backup"`
-	DelayMillis float64 `json:"delay_ms"`
-
-	BaselineOps int `json:"baseline_ops"`
-	DelayedOps  int `json:"delayed_ops"`
-	DrainOps    int `json:"drain_ops"`
-
-	// AckedWrites is every put the client saw succeed, across all three
-	// phases; each must read back its exact value afterwards.
-	AckedWrites uint64 `json:"acked_writes"`
-	LostAcks    uint64 `json:"lost_acks"`
-	WrongReads  uint64 `json:"wrong_reads"`
-	// Evictions counts backup_evicted journal events — a merely-slow
-	// backup must never be declared dead (delay ≪ AckTimeout).
-	Evictions uint64 `json:"evictions"`
-
-	MaxLagOps          uint64  `json:"max_lag_ops"`
-	MaxLagBytes        uint64  `json:"max_lag_bytes"`
-	MaxStalenessMillis float64 `json:"max_staleness_ms"`
-
-	FinalLagOps          uint64  `json:"final_lag_ops"`
-	FinalLagBytes        uint64  `json:"final_lag_bytes"`
-	FinalStalenessMillis float64 `json:"final_staleness_ms"`
-
-	Off LagModeResult `json:"tracking_off"`
-	On  LagModeResult `json:"tracking_on"`
-	// OverheadOfferedLoadPercent compares paced throughput at the same
-	// offered load, tracker on vs off (must stay ≤ 5%).
-	OverheadOfferedLoadPercent float64 `json:"overhead_offered_load_percent"`
-
-	Series []LagSample `json:"series,omitempty"`
 }
 
 func lagClusterConfig(sc Scale, disableLag bool) cluster.Config {
@@ -120,18 +89,18 @@ func lagValue(i int) []byte {
 // runLagFault drives the fault-injection phase: baseline puts, a window
 // of puts with every RDMA write into the backup stalled by lagDelay,
 // then a drain, with a sampler goroutine recording the primary's lag
-// tracker throughout. It fills the report's lag, staleness, and
-// correctness fields.
-func runLagFault(sc Scale, report *LagReport) error {
+// tracker throughout. It returns the measurement's config, the lag,
+// staleness, and correctness metrics, and the sampled series.
+func runLagFault(sc Scale) (*measurement, []LagSample, error) {
 	c, err := cluster.New(lagClusterConfig(sc, false))
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer c.Close()
 
 	rmap, err := c.Map()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	var r region.Region
 	for _, cand := range rmap.Regions {
@@ -141,57 +110,44 @@ func runLagFault(sc Scale, report *LagReport) error {
 		}
 	}
 	if r.Primary == "" || len(r.Backups) == 0 {
-		return fmt.Errorf("bench: lag: no replicated region in the map")
+		return nil, nil, fmt.Errorf("bench: lag: no replicated region in the map")
 	}
 	backup := r.Backups[0]
 	lag := c.Nodes[r.Primary].Server.Lag()
 	regionID := uint64(r.ID)
-	report.Region = regionID
-	report.Backup = backup
-	report.DelayMillis = float64(lagDelay) / float64(time.Millisecond)
 
 	cl, err := c.NewClient()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer cl.Close()
 
-	baseline := int(sc.Ops / 20)
-	if baseline < 200 {
-		baseline = 200
-	}
-	report.BaselineOps = baseline
-	report.DelayedOps = lagDelayedOps
-	report.DrainOps = baseline
+	baseline := max(int(sc.Ops/20), 200)
 
 	// Sampler: poll the tracker every 5ms while the workload runs. The
 	// 50ms stalls are wide against that period, so the series resolves
 	// each rise (shipped, unacked) and fall (ack lands).
-	var mu sync.Mutex
-	phase := "baseline"
+	var (
+		mu               sync.Mutex
+		phase            = "baseline"
+		series           []LagSample
+		maxOps, maxBytes uint64
+		maxStale         float64
+	)
 	setPhase := func(p string) { mu.Lock(); phase = p; mu.Unlock() }
 	start := time.Now()
 	takeSample := func() {
 		ops, bytes := lag.Lag(regionID, backup)
-		st := lag.Staleness(regionID, backup)
+		stale := millis(lag.Staleness(regionID, backup))
 		mu.Lock()
-		s := LagSample{
-			TMillis:         float64(time.Since(start)) / float64(time.Millisecond),
+		series = append(series, LagSample{
+			TMillis:         millis(time.Since(start)),
 			Phase:           phase,
 			LagOps:          ops,
 			LagBytes:        bytes,
-			StalenessMillis: float64(st) / float64(time.Millisecond),
-		}
-		report.Series = append(report.Series, s)
-		if ops > report.MaxLagOps {
-			report.MaxLagOps = ops
-		}
-		if bytes > report.MaxLagBytes {
-			report.MaxLagBytes = bytes
-		}
-		if s.StalenessMillis > report.MaxStalenessMillis {
-			report.MaxStalenessMillis = s.StalenessMillis
-		}
+			StalenessMillis: stale,
+		})
+		maxOps, maxBytes, maxStale = max(maxOps, ops), max(maxBytes, bytes), max(maxStale, stale)
 		mu.Unlock()
 	}
 	stop := make(chan struct{})
@@ -210,27 +166,27 @@ func runLagFault(sc Scale, report *LagReport) error {
 			takeSample()
 		}
 	}()
+	stopSampler := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopSampler()
 
-	put := func(i int) error {
-		if err := cl.Put(lagKey(i), lagValue(i)); err != nil {
-			return fmt.Errorf("bench: lag: put %d: %w", i, err)
+	// puts issues the next count puts; n numbers every acked write.
+	n := 0
+	puts := func(count int) error {
+		for end := n + count; n < end; n++ {
+			if err := cl.Put(lagKey(n), lagValue(n)); err != nil {
+				return fmt.Errorf("bench: lag: put %d: %w", n, err)
+			}
 		}
-		report.AckedWrites++
+		// An unpaced phase can finish inside one ticker period, so each
+		// phase boundary also samples explicitly: every phase is
+		// guaranteed at least one point in the series.
+		takeSample()
 		return nil
 	}
 
-	n := 0
-	for i := 0; i < baseline; i++ {
-		if err := put(n); err != nil {
-			return err
-		}
-		n++
+	if err := puts(baseline); err != nil {
+		return nil, nil, err
 	}
-	// An unpaced baseline can finish inside one ticker period, so each
-	// phase boundary also samples explicitly: every phase is guaranteed
-	// at least one point in the series.
-	takeSample()
-
 	// Stall every RDMA write targeting the backup — value-log appends
 	// and index-segment ships both ride QP.Write.
 	setPhase("delayed")
@@ -241,23 +197,15 @@ func runLagFault(sc Scale, report *LagReport) error {
 			}
 			return rdma.Fault{}
 		})
-	for i := 0; i < lagDelayedOps; i++ {
-		if err := put(n); err != nil {
-			return err
-		}
-		n++
-	}
-	takeSample()
+	err = puts(lagDelayedOps)
 	c.Nodes[backup].Server.Endpoint().InjectFault(nil)
-
-	setPhase("drain")
-	for i := 0; i < baseline; i++ {
-		if err := put(n); err != nil {
-			return err
-		}
-		n++
+	if err != nil {
+		return nil, nil, err
 	}
-	takeSample()
+	setPhase("drain")
+	if err := puts(baseline); err != nil {
+		return nil, nil, err
+	}
 
 	// The gauges must return to ~0 once the delay is gone: poll the
 	// fast paths until the stream is fully acked (or time out and let
@@ -270,168 +218,121 @@ func runLagFault(sc Scale, report *LagReport) error {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	close(stop)
-	wg.Wait()
-	ops, bytes := lag.Lag(regionID, backup)
-	report.FinalLagOps = ops
-	report.FinalLagBytes = bytes
-	report.FinalStalenessMillis = float64(lag.Staleness(regionID, backup)) / float64(time.Millisecond)
+	stopSampler()
+	finalOps, finalBytes := lag.Lag(regionID, backup)
+	finalStale := millis(lag.Staleness(regionID, backup))
 
 	// Zero lost acks, zero wrong reads: every acked put must read back
 	// its exact value.
+	var lost, wrong float64
 	for i := 0; i < n; i++ {
 		got, found, err := cl.Get(lagKey(i))
 		if err != nil {
-			return fmt.Errorf("bench: lag: get %d: %w", i, err)
+			return nil, nil, fmt.Errorf("bench: lag: get %d: %w", i, err)
 		}
 		if !found {
-			report.LostAcks++
-			continue
-		}
-		if string(got) != string(lagValue(i)) {
-			report.WrongReads++
+			lost++
+		} else if string(got) != string(lagValue(i)) {
+			wrong++
 		}
 	}
-	report.Evictions = c.Events().Counts()[obs.EvBackupEvicted]
-	return nil
+	return &measurement{
+		config: map[string]any{"region": regionID, "backup": backup, "delay_ms": millis(lagDelay)},
+		metrics: map[string]float64{
+			"baseline_ops": float64(baseline),
+			"delayed_ops":  lagDelayedOps,
+			"drain_ops":    float64(baseline),
+			// Every put the client saw succeed, across all three phases.
+			"acked_writes": float64(n),
+			"lost_acks":    lost,
+			"wrong_reads":  wrong,
+			// backup_evicted journal events.
+			"evictions":          float64(c.Events().Counts()[obs.EvBackupEvicted]),
+			"max_lag_ops":        float64(maxOps),
+			"max_lag_bytes":      float64(maxBytes),
+			"max_staleness_ms":   maxStale,
+			"final_lag_ops":      float64(finalOps),
+			"final_lag_bytes":    float64(finalBytes),
+			"final_staleness_ms": finalStale,
+		},
+	}, series, nil
 }
 
 // runLagMode prices the lag tracker itself: the same replicated put
 // workload with the tracker on (every append records ship/ack and the
 // gauges are live) or off (nil LagSet, record sites short-circuit).
-func runLagMode(sc Scale, tracking bool, opsPerSec float64) (LagModeResult, error) {
-	res := LagModeResult{LagTracking: tracking, OfferedKopsPerSec: opsPerSec / 1000}
+func runLagMode(sc Scale, tracking bool, opsPerSec float64) (trial, error) {
 	c, err := cluster.New(lagClusterConfig(sc, !tracking))
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	defer c.Close()
 	cl, err := c.NewClient()
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	defer cl.Close()
 
 	// The whole op count per trial: paced trials must run long enough
 	// (hundreds of ms) that one compaction stall doesn't decide the
 	// overhead comparison.
-	ops := int(sc.Ops)
-	if ops < 2000 {
-		ops = 2000
-	}
-	var interval time.Duration
-	if opsPerSec > 0 {
-		interval = time.Duration(float64(time.Second) / opsPerSec)
-	}
+	ops := max(int(sc.Ops), 2000)
+	p := newPacer(opsPerSec)
 	start := time.Now()
-	next := start
 	for i := 0; i < ops; i++ {
-		if interval > 0 {
-			next = next.Add(interval)
-			waitUntil(next)
-		}
+		p.arrive()
 		if err := cl.Put(lagKey(i), lagValue(i)); err != nil {
-			return res, err
+			return nil, err
 		}
 	}
-	elapsed := time.Since(start)
-	res.NsPerOp = float64(elapsed.Nanoseconds()) / float64(ops)
-	res.KOpsPerSec = float64(ops) / elapsed.Seconds() / 1000
-	return res, nil
-}
-
-// medianLagMode reruns one configuration and returns the
-// median-throughput trial, damping single-core scheduler noise.
-func medianLagMode(sc Scale, tracking bool, opsPerSec float64) (LagModeResult, error) {
-	trials := make([]LagModeResult, 0, 3)
-	for i := 0; i < 3; i++ {
-		r, err := runLagMode(sc, tracking, opsPerSec)
-		if err != nil {
-			return LagModeResult{}, err
-		}
-		trials = append(trials, r)
-	}
-	sort.Slice(trials, func(i, j int) bool {
-		return trials[i].KOpsPerSec < trials[j].KOpsPerSec
-	})
-	return trials[1], nil
+	return newTrial(uint64(ops), time.Since(start)), nil
 }
 
 // runLag measures the replication-plane health acceptance: a 50ms
 // delayed backup must show up as lag and staleness, drain to ~0 when
 // the delay clears, lose nothing, and the tracker must be ~free.
-func runLag(sc Scale, w io.Writer, outDir string) error {
-	var report LagReport
-	if err := runLagFault(sc, &report); err != nil {
-		return err
+func runLag(sc Scale, w io.Writer) (*measurement, error) {
+	m, series, err := runLagFault(sc)
+	if err != nil {
+		return nil, err
 	}
+	off, on, loss, err := pacedAB(func(on bool, opsPerSec float64) (trial, error) {
+		return runLagMode(sc, on, opsPerSec)
+	})
+	if err != nil {
+		return nil, err
+	}
+	m.add("tracking_off", off)
+	m.add("tracking_on", on)
+	m.metrics["overhead_offered_load_percent"] = loss
+	m.detail = map[string][]LagSample{"series": series}
 
-	// Offered-load comparison at half the unpaced tracker-off rate,
-	// like the other overhead gates.
-	off, err := runLagMode(sc, false, 0)
-	if err != nil {
-		return err
-	}
-	on, err := runLagMode(sc, true, 0)
-	if err != nil {
-		return err
-	}
-	rate := off.KOpsPerSec * 1000 * 0.5
-	pacedOff, err := medianLagMode(sc, false, rate)
-	if err != nil {
-		return err
-	}
-	pacedOn, err := medianLagMode(sc, true, rate)
-	if err != nil {
-		return err
-	}
-	off.PacedKOpsPerSec = pacedOff.KOpsPerSec
-	off.OfferedKopsPerSec = pacedOff.OfferedKopsPerSec
-	on.PacedKOpsPerSec = pacedOn.KOpsPerSec
-	on.OfferedKopsPerSec = pacedOn.OfferedKopsPerSec
-	report.Off = off
-	report.On = on
-	if pacedOff.KOpsPerSec > 0 {
-		loss := (pacedOff.KOpsPerSec - pacedOn.KOpsPerSec) / pacedOff.KOpsPerSec * 100
-		if loss < 0 {
-			loss = 0
-		}
-		report.OverheadOfferedLoadPercent = loss
-	}
-
-	fmt.Fprintf(w, "Replication lag under a %.0fms-delayed backup (region %d, backup %s)\n",
-		report.DelayMillis, report.Region, report.Backup)
-	fmt.Fprintf(w, "phases: %d baseline / %d delayed / %d drain puts (%d B values)\n",
-		report.BaselineOps, report.DelayedOps, report.DrainOps, lagValueSize)
-	fmt.Fprintf(w, "peak: lag %d ops / %d B, staleness %.1fms; final: lag %d ops, staleness %.2fms\n",
-		report.MaxLagOps, report.MaxLagBytes, report.MaxStalenessMillis,
-		report.FinalLagOps, report.FinalStalenessMillis)
-	fmt.Fprintf(w, "%d acked writes: %d lost acks, %d wrong reads, %d evictions\n",
-		report.AckedWrites, report.LostAcks, report.WrongReads, report.Evictions)
-	fmt.Fprintf(w, "%-12s %10s %12s %12s\n", "Tracker", "ns/op", "Kops/s", "paced Kop/s")
-	for _, r := range []LagModeResult{off, on} {
-		name := "off"
-		if r.LagTracking {
-			name = "on"
-		}
-		fmt.Fprintf(w, "%-12s %10.0f %12.1f %12.1f\n",
-			name, r.NsPerOp, r.KOpsPerSec, r.PacedKOpsPerSec)
-	}
-	fmt.Fprintf(w, "tracker offered-load cost %.2f%% (budget 5%%)\n",
-		report.OverheadOfferedLoadPercent)
-
-	if outDir == "" {
-		return nil
-	}
 	var csv strings.Builder
 	csv.WriteString("t_ms,phase,lag_ops,lag_bytes,staleness_ms\n")
-	for _, s := range report.Series {
+	phases := map[string]bool{}
+	for _, s := range series {
 		fmt.Fprintf(&csv, "%.1f,%s,%d,%d,%.3f\n",
 			s.TMillis, s.Phase, s.LagOps, s.LagBytes, s.StalenessMillis)
+		phases[s.Phase] = true
 	}
-	path := filepath.Join(outDir, "BENCH_fig13_lag.csv")
-	if err := writeArtifact(w, path, []byte(csv.String())); err != nil {
-		return err
+	m.metrics["csv_phases_covered"] = float64(len(phases))
+	m.csvs = [][]byte{[]byte(csv.String())}
+
+	v := m.metrics
+	fmt.Fprintf(w, "Replication lag under a %vms-delayed backup (region %v, backup %v)\n",
+		m.config["delay_ms"], m.config["region"], m.config["backup"])
+	fmt.Fprintf(w, "phases: %.0f baseline / %.0f delayed / %.0f drain puts (%d B values)\n",
+		v["baseline_ops"], v["delayed_ops"], v["drain_ops"], lagValueSize)
+	fmt.Fprintf(w, "peak: lag %.0f ops / %.0f B, staleness %.1fms; final: lag %.0f ops, staleness %.2fms\n",
+		v["max_lag_ops"], v["max_lag_bytes"], v["max_staleness_ms"],
+		v["final_lag_ops"], v["final_staleness_ms"])
+	fmt.Fprintf(w, "%.0f acked writes: %.0f lost acks, %.0f wrong reads, %.0f evictions\n",
+		v["acked_writes"], v["lost_acks"], v["wrong_reads"], v["evictions"])
+	fmt.Fprintf(w, "%-12s %10s %12s %12s\n", "Tracker", "ns/op", "Kops/s", "paced Kop/s")
+	for _, r := range []mode{{"off", off}, {"on", on}} {
+		fmt.Fprintf(w, "%-12s %10.0f %12.1f %12.1f\n",
+			r.name, r.t["ns_per_op"], r.t[kopsKey], r.t["paced_kops_per_sec"])
 	}
-	return writeReport(w, outDir, ExpLag, report)
+	fmt.Fprintf(w, "tracker offered-load cost %.2f%%\n", loss)
+	return m, nil
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -14,13 +13,13 @@ import (
 )
 
 // This file is the tail-latency attribution experiment (ExpTail,
-// DESIGN.md §11): the adversarial traffic layer (traffic.go) drives a
-// replicated cluster with tracing at an elevated sample rate, and the
-// report decomposes every tenant's tail into the pipeline stages
-// (client queue → dispatch → apply → ship → ack), retains exemplar
-// trace IDs for the worst offenders, and quantifies what signal-driven
-// admission control buys back during a flash burst versus the
-// fixed-knob baseline.
+// DESIGN.md "Observability"): the adversarial traffic layer (traffic.go)
+// drives a replicated cluster with tracing at an elevated sample rate,
+// and the report decomposes every tenant's tail into the pipeline
+// stages (client queue → dispatch → apply → ship → ack), retains
+// exemplar trace IDs for the worst offenders, and quantifies what
+// signal-driven admission control buys back during a flash burst versus
+// the fixed-knob baseline.
 
 // tailSampleRate is the elevated trace-sampling probability the tail
 // runs use: 1/8 gives the stage histograms and the admission
@@ -87,42 +86,26 @@ type TailScenario struct {
 	Tightens uint64 `json:"tightens"`
 }
 
-// TailGate holds the tail-smoke acceptance numbers under uniquely-named
-// keys so shell gates can extract them with a one-line sed.
-type TailGate struct {
-	// OverheadPercent is the offered-load cost of the full observability
-	// stack (elevated-rate tracing + stage records + scrape loop):
-	// throughput lost at a fixed paced rate — budget ≤ 5%, matching the
-	// observability experiment's acceptance metric.
-	OverheadPercent float64 `json:"overhead_percent"`
-	// OverheadUnpacedPercent is the same comparison issuing unpaced
-	// (saturating): the raw hot-path tax, reported but not gated — on a
-	// saturated single core every sampled op's span records come straight
-	// out of throughput.
-	OverheadUnpacedPercent float64 `json:"overhead_unpaced_percent"`
-	// PreBurstP99Us is the victim tenant's put p99 before the burst
-	// window opens on the adaptive cluster (recovery after the burst is
-	// excluded, so the baseline is undisturbed).
-	PreBurstP99Us float64 `json:"pre_burst_p99_us"`
-	// FixedBurstP99Us and AdaptiveBurstP99Us are the victim's put p99
-	// inside the burst window with the fixed-knob versus the adaptive
-	// controller — budget: adaptive ≤ 3x pre-burst.
-	FixedBurstP99Us    float64 `json:"fixed_burst_p99_us"`
-	AdaptiveBurstP99Us float64 `json:"adaptive_burst_p99_us"`
-	// TotalLostAcks counts acked writes that did not read back, summed
-	// over every scenario and tenant — budget: zero.
-	TotalLostAcks uint64 `json:"total_lost_acks"`
-	// ExemplarsResolved counts exemplar trace IDs whose spans the
-	// /debug/trace ring still held — budget: ≥ 1.
-	ExemplarsResolved int `json:"exemplars_resolved"`
-}
+// tailCSV is the per-(scenario, tenant, stage) attribution table.
+const tailCSV = "BENCH_fig11_tail.csv"
 
-// TailReport is the BENCH_tail.json document.
-type TailReport struct {
-	SampleRate float64        `json:"sample_rate"`
-	Gate       TailGate       `json:"gate"`
-	Scenarios  []TailScenario `json:"scenarios"`
-	CSVs       []string       `json:"csvs"`
+// tailGates is the tail acceptance: shedding may refuse work but never
+// lose acknowledged work (a single loss fails, no retry); the full
+// observability stack — elevated-rate tracing, stage records, a tight
+// scrape loop — costs at most 5% of paced offered-load throughput; with
+// adaptive admission on, the victim tenant's under-burst put p99 stays
+// within 3x its pre-burst baseline; at least one stage exemplar resolves
+// back to a full trace in the span ring (the "find the p99 offender"
+// loop closes end to end); and the CSV covers the uniform, zipfian and
+// flash-burst-adaptive scenarios and both tenants.
+var tailGates = []Gate{
+	{Name: "lost-acks", Metric: "total_lost_acks", Op: "==", Budget: 0},
+	{Name: "overhead", Metric: "overhead_percent", Op: "<=", Budget: 5, Timing: true},
+	{Name: "burst-p99", Metric: "adaptive_burst_p99_over_pre", Op: "<=", Budget: 3, Timing: true},
+	{Name: "exemplars", Metric: "exemplars_resolved", Op: ">=", Budget: 1},
+	{Name: "csv-scenarios", Metric: "csv_scenarios_covered", Op: ">=", Budget: 3},
+	{Name: "csv-tenants", Metric: "csv_tenants_covered", Op: ">=", Budget: 2},
+	artifactsGate(1),
 }
 
 // tailCluster is one instrumented cluster a tail scenario runs against.
@@ -270,12 +253,10 @@ func runTailScenario(tc *tailCluster, name string, adaptive bool, specs []Tenant
 	return scen, nil
 }
 
-// tailDur sizes one scenario window from the suite scale.
+// tailDur sizes one scenario window from the suite scale: 900ms at
+// QuickScale, capped at twice that.
 func tailDur(sc Scale) time.Duration {
-	if sc.Ops <= QuickScale.Ops {
-		return 900 * time.Millisecond
-	}
-	return 1800 * time.Millisecond
+	return min(time.Duration(sc.Ops)*150*time.Microsecond, 1800*time.Millisecond)
 }
 
 // tailSteadySpecs is the two-tenant mix the steady scenarios share:
@@ -302,100 +283,38 @@ func tailBurstSpecs(dur time.Duration) []TenantSpec {
 	}
 }
 
-// tailOverhead measures the observability tax two ways, stack off (no
-// tracer, sampling disabled) versus fully on (elevated-rate tracing,
-// stage records, and a tight scrape loop): achieved throughput at the
-// paced offered load the tail scenarios run — the gated metric,
-// matching the observability experiment's acceptance criterion — and
-// unpaced saturating throughput, the raw hot-path tax, reported but not
-// gated. Three runs per mode, best each, to shrink scheduler noise.
-func tailOverhead(sc Scale, dur time.Duration) (paced, unpaced float64, err error) {
-	best := func(obsOn, pace bool) (float64, error) {
-		spec := TenantSpec{ID: 1, Priority: 1, Pattern: PatternUniform, Concurrency: 4}
-		if pace {
-			spec.RateOps = 1800
-			spec.Concurrency = 2
-		}
-		var top float64
-		for i := 0; i < 3; i++ {
-			tc, err := newTailCluster(sc, false, obsOn)
-			if err != nil {
-				return 0, err
-			}
-			var stop chan struct{}
-			var done chan struct{}
-			if obsOn {
-				// Scrape continuously, like a Prometheus server with an
-				// aggressive interval, so exposition costs are charged.
-				stop, done = make(chan struct{}), make(chan struct{})
-				go func() {
-					tick := time.NewTicker(10 * time.Millisecond)
-					defer tick.Stop()
-					for {
-						select {
-						case <-stop:
-							close(done)
-							return
-						case <-tick.C:
-							_ = tc.reg.WritePrometheus(io.Discard)
-						}
-					}
-				}()
-			}
-			res, err := RunTraffic(tc.c, []TenantSpec{spec}, dur, int64(100+i))
-			if obsOn {
-				close(stop)
-				<-done
-			}
-			tc.Close()
-			if err != nil {
-				return 0, err
-			}
-			kops := float64(res.Tenants[0].Ops) / res.Elapsed.Seconds() / 1000
-			if kops > top {
-				top = kops
-			}
-		}
-		return top, nil
+// runTailOverheadMode drives one uniform tenant for dur at opsPerSec
+// (0 = saturating) against a fixed-knob cluster with the observability
+// stack off (no tracer, sampling disabled) or fully on (elevated-rate
+// tracing, stage records, and a tight scrape loop).
+func runTailOverheadMode(sc Scale, dur time.Duration, obsOn bool, opsPerSec float64) (trial, error) {
+	tc, err := newTailCluster(sc, false, obsOn)
+	if err != nil {
+		return nil, err
 	}
-	loss := func(pace bool) (float64, error) {
-		off, err := best(false, pace)
-		if err != nil {
-			return 0, err
-		}
-		on, err := best(true, pace)
-		if err != nil {
-			return 0, err
-		}
-		if off <= 0 {
-			return 0, fmt.Errorf("bench: tail overhead: zero baseline throughput")
-		}
-		pct := (off - on) / off * 100
-		if pct < 0 {
-			pct = 0
-		}
-		return pct, nil
+	defer tc.Close()
+	if obsOn {
+		defer scrapeLoop(tc.reg)()
 	}
-	if paced, err = loss(true); err != nil {
-		return 0, 0, err
+	spec := TenantSpec{ID: 1, Priority: 1, Pattern: PatternUniform, RateOps: opsPerSec, Concurrency: 4}
+	res, err := RunTraffic(tc.c, []TenantSpec{spec}, dur, 100)
+	if err != nil {
+		return nil, err
 	}
-	if unpaced, err = loss(false); err != nil {
-		return 0, 0, err
-	}
-	return paced, unpaced, nil
+	return trial{kopsKey: float64(res.Tenants[0].Ops) / res.Elapsed.Seconds() / 1000}, nil
 }
 
 // runTail reproduces the tail-attribution figure (the repo's "Fig. 11",
 // not a paper artifact): per-stage, per-tenant p50/p99 under uniform,
 // zipfian, ramp, and flash-burst traffic, the flash burst run both
-// fixed-knob and adaptive. Emits BENCH_fig11_tail.csv + BENCH_tail.json.
-func runTail(sc Scale, w io.Writer, outDir string) error {
+// fixed-knob and adaptive.
+func runTail(sc Scale, w io.Writer) (*measurement, error) {
 	dur := tailDur(sc)
-	report := TailReport{SampleRate: tailSampleRate}
+	var scenarios []TailScenario
 
 	adaptive, err := newTailCluster(sc, true, true)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer adaptive.Close()
 
@@ -410,94 +329,101 @@ func runTail(sc Scale, w io.Writer, outDir string) error {
 	for i, s := range steady {
 		scen, err := runTailScenario(adaptive, s.name, true, s.specs, dur, int64(i+1))
 		if err != nil {
-			return fmt.Errorf("bench: tail %s: %w", s.name, err)
+			return nil, fmt.Errorf("bench: tail %s: %w", s.name, err)
 		}
-		report.Scenarios = append(report.Scenarios, scen)
+		scenarios = append(scenarios, scen)
 	}
 
 	// The flash burst, adaptive first (same cluster), then the
 	// fixed-knob baseline on an otherwise-identical cluster.
 	burstAdaptive, err := runTailScenario(adaptive, "flash-burst-adaptive", true, tailBurstSpecs(dur), dur, 10)
 	if err != nil {
-		return fmt.Errorf("bench: tail flash-burst adaptive: %w", err)
+		return nil, fmt.Errorf("bench: tail flash-burst adaptive: %w", err)
 	}
-	report.Scenarios = append(report.Scenarios, burstAdaptive)
-
 	fixed, err := newTailCluster(sc, false, true)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	burstFixed, err := runTailScenario(fixed, "flash-burst-fixed", false, tailBurstSpecs(dur), dur, 10)
 	fixed.Close()
 	if err != nil {
-		return fmt.Errorf("bench: tail flash-burst fixed: %w", err)
+		return nil, fmt.Errorf("bench: tail flash-burst fixed: %w", err)
 	}
-	report.Scenarios = append(report.Scenarios, burstFixed)
+	scenarios = append(scenarios, burstAdaptive, burstFixed)
 
-	overhead, overheadUnpaced, err := tailOverhead(sc, dur/2)
+	// The observability tax: the saturating pair is the raw hot-path
+	// tax, reported but not gated — on a saturated single core every
+	// sampled op's span records come straight out of throughput.
+	off, on, loss, err := pacedAB(func(on bool, opsPerSec float64) (trial, error) {
+		return runTailOverheadMode(sc, dur/2, on, opsPerSec)
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	report.Gate = tailGate(&report, overhead)
-	report.Gate.OverheadUnpacedPercent = overheadUnpaced
-	printTail(w, &report)
-	if outDir == "" {
-		return nil
+	m := &measurement{
+		config: map[string]any{"sample_rate": tailSampleRate},
+		detail: map[string][]TailScenario{"scenarios": scenarios},
 	}
-	return writeTailArtifacts(w, outDir, &report)
-}
+	m.add("obs_off", off)
+	m.add("obs_on", on)
+	v := m.metrics
+	v["overhead_percent"] = loss
+	v["overhead_unpaced_percent"] = overheadPercent(off[kopsKey], on[kopsKey], true)
+	v["total_lost_acks"], v["exemplars_resolved"] = 0, 0
 
-// tailGate derives the acceptance numbers from the collected scenarios.
-func tailGate(report *TailReport, overhead float64) TailGate {
-	g := TailGate{OverheadPercent: overhead}
-	for _, scen := range report.Scenarios {
+	var csv strings.Builder
+	csv.WriteString("scenario,tenant,stage,count,p50_us,p99_us\n")
+	covered := map[string]bool{}
+	for _, scen := range scenarios {
 		for _, t := range scen.Tenants {
-			g.TotalLostAcks += t.LostAcks
+			// Acked writes that did not read back, over every scenario
+			// and tenant.
+			v["total_lost_acks"] += float64(t.LostAcks)
+			// The victim tenant's put p99 before the burst window opens on
+			// the adaptive cluster (recovery after the burst is excluded,
+			// so the baseline is undisturbed) and inside it, with the
+			// adaptive versus the fixed-knob controller.
 			if t.Tenant == "t1" {
 				switch scen.Name {
 				case "flash-burst-adaptive":
-					g.PreBurstP99Us = t.PreP99Us
-					g.AdaptiveBurstP99Us = t.BurstP99Us
+					v["pre_burst_p99_us"] = t.PreP99Us
+					v["adaptive_burst_p99_us"] = t.BurstP99Us
 				case "flash-burst-fixed":
-					g.FixedBurstP99Us = t.BurstP99Us
+					v["fixed_burst_p99_us"] = t.BurstP99Us
 				}
 			}
 		}
 		for _, ex := range scen.Exemplars {
 			if ex.Resolved {
-				g.ExemplarsResolved++
+				v["exemplars_resolved"]++
 			}
 		}
-	}
-	return g
-}
-
-// writeTailArtifacts emits BENCH_fig11_tail.csv and BENCH_tail.json.
-func writeTailArtifacts(w io.Writer, outDir string, report *TailReport) error {
-	var csv strings.Builder
-	csv.WriteString("scenario,tenant,stage,count,p50_us,p99_us\n")
-	for _, scen := range report.Scenarios {
 		for _, r := range scen.Stages {
 			fmt.Fprintf(&csv, "%s,%s,%s,%d,%.1f,%.1f\n",
 				r.Scenario, r.Tenant, r.Stage, r.Count, r.P50Us, r.P99Us)
+			covered[r.Scenario], covered[r.Tenant] = true, true
 		}
 	}
-	path := filepath.Join(outDir, "BENCH_fig11_tail.csv")
-	if err := writeArtifact(w, path, []byte(csv.String())); err != nil {
-		return err
+	// A pre-burst p99 below 1µs is not measurable; clamp the divisor.
+	v["adaptive_burst_p99_over_pre"] = v["adaptive_burst_p99_us"] / max(v["pre_burst_p99_us"], 1)
+	count := func(names ...string) (n float64) {
+		for _, name := range names {
+			if covered[name] {
+				n++
+			}
+		}
+		return n
 	}
-	report.CSVs = append(report.CSVs, path)
-	return writeReport(w, outDir, ExpTail, report)
-}
+	v["csv_scenarios_covered"] = count("uniform", "zipfian", "flash-burst-adaptive")
+	v["csv_tenants_covered"] = count("t1", "t2")
+	m.csvs = [][]byte{[]byte(csv.String())}
 
-// printTail writes the human-readable summary.
-func printTail(w io.Writer, report *TailReport) {
 	fmt.Fprintf(w, "Tail attribution: per-stage/per-tenant p99 under adversarial traffic (sample rate %.3f)\n",
-		report.SampleRate)
+		tailSampleRate)
 	fmt.Fprintf(w, "%-22s %-4s %-12s %8s %10s %10s %10s %8s\n",
 		"Scenario", "Ten", "Pattern", "Acked", "pre p99", "burst p99", "shed", "lost")
-	for _, scen := range report.Scenarios {
+	for _, scen := range scenarios {
 		shed := fmt.Sprintf("%d", scen.Shed)
 		for _, t := range scen.Tenants {
 			burst := "-"
@@ -509,9 +435,9 @@ func printTail(w io.Writer, report *TailReport) {
 			shed = ""
 		}
 	}
-	g := report.Gate
 	fmt.Fprintf(w, "burst victim p99: pre-burst %.0fµs, fixed-knob %.0fµs, adaptive %.0fµs\n",
-		g.PreBurstP99Us, g.FixedBurstP99Us, g.AdaptiveBurstP99Us)
-	fmt.Fprintf(w, "observability overhead: %.2f%% offered-load (%.2f%% unpaced); lost acks: %d; exemplars resolved: %d\n",
-		g.OverheadPercent, g.OverheadUnpacedPercent, g.TotalLostAcks, g.ExemplarsResolved)
+		v["pre_burst_p99_us"], v["fixed_burst_p99_us"], v["adaptive_burst_p99_us"])
+	fmt.Fprintf(w, "observability overhead: %.2f%% offered-load (%.2f%% unpaced); lost acks: %.0f; exemplars resolved: %.0f\n",
+		loss, v["overhead_unpaced_percent"], v["total_lost_acks"], v["exemplars_resolved"])
+	return m, nil
 }

@@ -13,12 +13,13 @@ import (
 	"tebis/internal/ycsb"
 )
 
-// This file is the adversarial traffic layer (DESIGN.md §11): per-tenant
-// generators that shape offered load over time — steady uniform, zipfian
-// hot-key skew, a diurnal ramp, and flash bursts — paced by token-bucket
-// rate limits and issued through per-tenant clients, so the stage
-// telemetry and admission control can be exercised and measured under
-// exactly the traffic that makes tails interesting.
+// This file is the adversarial traffic layer (DESIGN.md
+// "Observability"): per-tenant generators that shape offered load over
+// time — steady uniform, zipfian hot-key skew, a diurnal ramp, and flash
+// bursts — paced by token-bucket rate limits and issued through
+// per-tenant clients, so the stage telemetry and admission control can
+// be exercised and measured under exactly the traffic that makes tails
+// interesting.
 
 // Pattern shapes one tenant's keys and rate over time.
 type Pattern int

@@ -54,7 +54,7 @@ type Config struct {
 	TraceSampleRate float64
 	// Tenant identifies this client's tenant in every request header,
 	// for per-tenant latency attribution and admission control
-	// (DESIGN.md §11). 0 is the default tenant.
+	// (DESIGN.md "Data path" and "Observability"). 0 is the default tenant.
 	Tenant uint8
 	// Priority is the admission-control class stamped on requests.
 	// Class 0 (the default) is the one the server delays or sheds
@@ -517,9 +517,9 @@ func (c *Client) doAttempts(key []byte, op wire.Op, payload []byte, replySize in
 			return wire.Header{}, nil, rid, err
 		}
 		if h.Flags&wire.FlagOverload != 0 && attempt < maxAttempts {
-			// Admission control shed the request (DESIGN.md §11): nothing
-			// was applied. Back off — doubling with each rejection so a
-			// shedding server's flash crowd parks instead of hammering
+			// Admission control shed the request (DESIGN.md "Data path"):
+			// nothing was applied. Back off — doubling with each rejection
+			// so a shedding server's flash crowd parks instead of hammering
 			// the door — and retry.
 			c.overloadRetries.Add(1)
 			time.Sleep(time.Duration(1<<attempt) * time.Millisecond)

@@ -2,7 +2,8 @@
 // coordination service, a master (with standby candidates), N region
 // servers with their devices and NICs, and client factories. It is the
 // substrate every integration test, example, and benchmark runs on —
-// the stand-in for the paper's three-server RDMA testbed (DESIGN.md §2).
+// the stand-in for the paper's three-server RDMA testbed (DESIGN.md
+// "Packages and substitutions").
 package cluster
 
 import (
@@ -50,7 +51,7 @@ type Config struct {
 	// (server.DefaultTaskThreshold if zero).
 	TaskThreshold int
 	// Admission enables signal-driven admission control on every server
-	// (DESIGN.md §11); nil keeps the fixed-knob dispatch threshold.
+	// (DESIGN.md "Data path"); nil keeps the fixed-knob dispatch threshold.
 	Admission *admission.Config
 	// Stages aggregates per-stage, per-tenant latency of sampled
 	// requests across every server and client built here into one set
@@ -76,12 +77,12 @@ type Config struct {
 	// segment images as the paper's Tebis prototype does. The zero value
 	// turns compression and delta shipping ON — the wire frames decode
 	// back to identical bytes before the offset rewrite, so byte
-	// convergence is unaffected (DESIGN.md §10). Benchmarks set this to
-	// measure the uncompressed baseline.
+	// convergence is unaffected (DESIGN.md "Replication"). Benchmarks set
+	// this to measure the uncompressed baseline.
 	ShipUncompressed bool
 	// GC configures online value-log garbage collection on every
-	// server's hosted primaries (DESIGN.md §12); the zero value keeps
-	// GC off. Each server gets its own stats sink.
+	// server's hosted primaries (DESIGN.md "Value-log GC"); the zero value
+	// keeps GC off. Each server gets its own stats sink.
 	GC server.GCConfig
 	// Events is the cluster-wide structured event journal shared by
 	// every server and master candidate (created on demand): one ring
@@ -459,7 +460,7 @@ func (c *Cluster) FlushAll() error {
 // ScrubAll runs a scrub-and-repair pass on every live server: each
 // server scrubs the regions it is primary for, heals its own corrupt
 // segments from backup copies, and pushes repairs to corrupt backups
-// (DESIGN.md §7). The per-server reports are aggregated.
+// (DESIGN.md "Storage integrity"). The per-server reports are aggregated.
 func (c *Cluster) ScrubAll() (replica.RepairReport, error) {
 	var total replica.RepairReport
 	for name, n := range c.Nodes {

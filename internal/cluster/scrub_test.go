@@ -22,14 +22,13 @@ func scrubVal(i int) []byte {
 }
 
 // TestClusterScrubRepairsCorruptNode is the crash-consistency
-// acceptance test (DESIGN.md §7): flip bits in every framed segment on
-// one node, then require that (1) reads during the corruption window
-// never return wrong data — each Get either fails with a checksum
-// error or returns the correct bytes, (2) a cluster-wide scrub detects
-// every corrupted segment, (3) repair restores each segment
-// byte-equivalent to its pre-corruption image from the surviving
-// replica copies, and (4) the cluster is fully readable and writable
-// afterwards.
+// acceptance test (DESIGN.md "Storage integrity"): flip bits in every
+// framed segment on one node, then require that (1) reads during the
+// corruption window never return wrong data — each Get either fails with a
+// checksum error or returns the correct bytes, (2) a cluster-wide scrub
+// detects every corrupted segment, (3) repair restores each segment
+// byte-equivalent to its pre-corruption image from the surviving replica
+// copies, and (4) the cluster is fully readable and writable afterwards.
 func TestClusterScrubRepairsCorruptNode(t *testing.T) {
 	c := newTestCluster(t, replica.SendIndex, 1)
 	cl, err := c.NewClient()

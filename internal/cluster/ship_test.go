@@ -7,12 +7,12 @@ import (
 )
 
 // TestShipCompressionConvergence is the ship-codec acceptance test at
-// the cluster level (DESIGN.md §10): with the default configuration —
-// compression and delta shipping ON — a replicated Send-Index cluster
-// must (1) actually move fewer bytes on the wire than the raw segment
-// images it ships, and (2) still converge byte-for-byte, which a full
-// scrub-and-repair pass proves by finding nothing to repair. The codec
-// is wire-only, so the backups' devices hold the same images an
+// the cluster level (DESIGN.md "Replication"): with the default
+// configuration — compression and delta shipping ON — a replicated
+// Send-Index cluster must (1) actually move fewer bytes on the wire than
+// the raw segment images it ships, and (2) still converge byte-for-byte,
+// which a full scrub-and-repair pass proves by finding nothing to repair.
+// The codec is wire-only, so the backups' devices hold the same images an
 // uncompressed cluster would.
 func TestShipCompressionConvergence(t *testing.T) {
 	c := newTestCluster(t, replica.SendIndex, 1)

@@ -1,6 +1,6 @@
 // Package fsck implements the offline crash-consistency checker for
-// file-backed Tebis devices (DESIGN.md §7), shared by cmd/tebis-fsck
-// and the -fsck mode of cmd/tebis-server.
+// file-backed Tebis devices (DESIGN.md "Storage integrity"), shared by
+// cmd/tebis-fsck and the -fsck mode of cmd/tebis-server.
 //
 // The default pass is read-only: every framed segment on the image is
 // re-verified against its stored CRC32C and failures are reported, but

@@ -36,9 +36,9 @@ func (s SpaceSegment) DeadRatio() float64 {
 }
 
 // SpaceReport is the offline view of the engine's value-log space
-// ledger (DESIGN.md §12), rebuilt purely from the sealed log frames —
-// the same replay semantics recovery uses, so it reflects exactly what
-// an engine opening this image would see.
+// ledger (DESIGN.md "Value-log GC"), rebuilt purely from the sealed log
+// frames — the same replay semantics recovery uses, so it reflects exactly
+// what an engine opening this image would see.
 type SpaceReport struct {
 	// Segments lists every sealed log segment oldest-first.
 	Segments []SpaceSegment

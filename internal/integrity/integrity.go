@@ -1,5 +1,5 @@
 // Package integrity defines the checksummed segment frame shared by the
-// value log and the btree builder (DESIGN.md §7).
+// value log and the btree builder (DESIGN.md "Storage integrity").
 //
 // A framed segment carries a fixed-size trailer in the final TrailerSize
 // bytes of the segment image:

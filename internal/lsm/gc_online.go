@@ -12,7 +12,8 @@ import (
 
 // GCPhase names one step of a cost-based GC pass, in execution order.
 // Tests use the GCPolicy.Hook to crash or inject faults at each phase
-// boundary; every phase is individually crash-safe (DESIGN.md §12).
+// boundary; every phase is individually crash-safe (DESIGN.md "Value-log
+// GC").
 type GCPhase int
 
 const (
@@ -52,7 +53,7 @@ func (p GCPhase) String() string {
 
 // GCPacer gates GC progress on system load. The admission controller
 // implements it: GC yields whenever the controller is tightening,
-// delaying, or shedding foreground load (DESIGN.md §11) — reclaiming
+// delaying, or shedding foreground load (DESIGN.md "Data path") — reclaiming
 // space must never contribute to a tail-latency incident.
 type GCPacer interface {
 	GCAllowed() bool
@@ -120,11 +121,11 @@ type GCResult struct {
 }
 
 // GCOnce runs one cost-based online GC pass over the value log
-// (DESIGN.md §12). Victim segments — sealed segments whose recorded
-// dead-byte ratio meets policy.MinDeadRatio — have their live records
-// relocated to the log tail through the normal append path (so backups
-// receive them via value-log replication), the tail is sealed as the
-// relocation commit point, a full compaction cascade purges every stale
+// (DESIGN.md "Value-log GC"). Victim segments — sealed segments whose
+// recorded dead-byte ratio meets policy.MinDeadRatio — have their live
+// records relocated to the log tail through the normal append path (so
+// backups receive them via value-log replication), the tail is sealed as
+// the relocation commit point, a full compaction cascade purges every stale
 // index pointer into the victims, and the victims are then freed locally
 // and on every backup.
 //

@@ -39,10 +39,10 @@ func (r ScrubReport) Corrupt() bool { return len(r.Findings) > 0 }
 
 // Scrub walks every sealed value-log segment and every level-index
 // segment, re-verifying stored checksums against payloads (the fsck
-// read pass; DESIGN.md §7). The in-memory tail is skipped — it has not
-// been sealed, so there is nothing durable to verify. Scrub reads every
-// payload byte; it is an offline/background operation, not a fast
-// health check. stats may be nil.
+// read pass; DESIGN.md "Storage integrity"). The in-memory tail is skipped
+// — it has not been sealed, so there is nothing durable to verify. Scrub
+// reads every payload byte; it is an offline/background operation, not a
+// fast health check. stats may be nil.
 func (db *DB) Scrub(stats *metrics.ScrubStats) (ScrubReport, error) {
 	ver := storage.AsVerifier(db.dev)
 	if ver == nil {

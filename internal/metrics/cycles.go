@@ -7,9 +7,9 @@
 // as an in-process simulation, so instead we *meter the work actually
 // performed* by each component — KVs merged, bytes read/written, RDMA
 // messages posted, pointers rewritten — and convert it to cycles with a
-// fixed cost model (DESIGN.md §2). Relative results between Send-Index
-// and Build-Index then follow from which work each scheme performs
-// where, exactly as in the paper.
+// fixed cost model (DESIGN.md "Packages and substitutions"). Relative
+// results between Send-Index and Build-Index then follow from which work
+// each scheme performs where, exactly as in the paper.
 package metrics
 
 import (

@@ -5,8 +5,8 @@ import "sync"
 // GCStats counts value-log garbage-collection activity on one node:
 // passes run or paused by admission control, victim segments reclaimed,
 // records relocated or dropped, and the byte volumes moved and freed
-// (DESIGN.md §12). All methods are nil-safe so callers can leave the
-// stats unwired.
+// (DESIGN.md "Value-log GC"). All methods are nil-safe so callers can leave
+// the stats unwired.
 type GCStats struct {
 	mu             sync.Mutex
 	passes         uint64

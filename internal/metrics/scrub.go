@@ -4,8 +4,9 @@ import "sync"
 
 // ScrubStats counts integrity-scrub and repair activity on one node:
 // segments walked, checksum failures found, segments repaired from a
-// replica, and segments nothing could repair (DESIGN.md §7). All
-// methods are nil-safe so callers can leave the stats unwired.
+// replica, and segments nothing could repair (DESIGN.md "Storage
+// integrity"). All methods are nil-safe so callers can leave the stats
+// unwired.
 type ScrubStats struct {
 	mu           sync.Mutex
 	runs         uint64

@@ -5,9 +5,9 @@ import "sync"
 // ShipStats counts index-segment shipping traffic on one primary:
 // how many raw segment-image bytes were handed to the ship path versus
 // how many actually crossed the wire after the ship codec ran
-// (DESIGN.md §10). The gap between the two is the network-amplification
-// win over the paper's uncompressed Send-Index. All methods are
-// nil-safe so callers can leave the stats unwired.
+// (DESIGN.md "Replication"). The gap between the two is the
+// network-amplification win over the paper's uncompressed Send-Index. All
+// methods are nil-safe so callers can leave the stats unwired.
 type ShipStats struct {
 	mu        sync.Mutex
 	rawBytes  uint64

@@ -86,8 +86,8 @@ func (r *Registry) RegisterFailure(labels Labels, s *metrics.FailureStats) {
 }
 
 // RegisterScrub exposes the integrity scrub-and-repair counters
-// (DESIGN.md §7): segments verified, checksum failures found, and how
-// many of those a replica could (or could not) repair.
+// (DESIGN.md "Storage integrity"): segments verified, checksum failures
+// found, and how many of those a replica could (or could not) repair.
 func (r *Registry) RegisterScrub(labels Labels, s *metrics.ScrubStats) {
 	if r == nil {
 		return
@@ -194,7 +194,7 @@ func (r *Registry) RegisterAmplification(labels Labels, ioTraffic, netTraffic, d
 	}
 }
 
-// RegisterShip exposes the ship-codec counters (DESIGN.md §10): raw
+// RegisterShip exposes the ship-codec counters (DESIGN.md "Replication"): raw
 // versus wire bytes for shipped index segments, the full/delta transfer
 // split, rejected-delta fallbacks, and the resulting compression ratio.
 // The ratio gauge reports NaN until any bytes have shipped.
@@ -262,8 +262,8 @@ func (r *Registry) RegisterVlogSpace(labels Labels, snap func() vlog.SpaceReport
 		})
 }
 
-// RegisterGC exposes the online value-log GC counters (DESIGN.md §12):
-// passes run and paused, segments and bytes reclaimed, and the
+// RegisterGC exposes the online value-log GC counters (DESIGN.md "Value-log
+// GC"): passes run and paused, segments and bytes reclaimed, and the
 // relocation breakdown (records moved, dead records dropped, tombstones
 // dragged to preserve replay semantics).
 func (r *Registry) RegisterGC(labels Labels, s *metrics.GCStats) {
@@ -321,7 +321,7 @@ func (r *Registry) RegisterTracer(labels Labels, tr *Tracer) {
 var stageQuantileLabels = []string{"0.5", "0.9", "0.99", "0.999"}
 
 // RegisterStages exposes a StageSet as the tail-attribution families
-// (DESIGN.md §11):
+// (DESIGN.md "Observability"):
 //
 //   - tebis_op_stage_seconds{stage,tenant,quantile} — per-stage latency
 //     quantiles of the sampled request pipeline;

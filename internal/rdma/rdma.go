@@ -3,7 +3,7 @@
 // work-completion events (§2 "Remote Direct Memory Access").
 //
 // The simulation enforces the two properties the paper's design depends
-// on (DESIGN.md §2):
+// on (DESIGN.md "Packages and substitutions"):
 //
 //  1. One-sided writes never involve the target CPU. A Write memcpys
 //     into the target's registered memory and raises only a passive

@@ -605,7 +605,7 @@ func (b *Backup) handleIndexSegment(h wire.Header, req wire.IndexSegment) ([]byt
 }
 
 // decodeShippedLocked inverts the ship codec on one staged frame
-// (DESIGN.md §10). For delta frames it reconstructs the base: the
+// (DESIGN.md "Replication"). For delta frames it reconstructs the base: the
 // destination level's retained translation map names the base segment
 // in primary space, its stored (local-space) bytes are read back and
 // run through the inverse offset rewrite — the same inversion the fetch
@@ -705,9 +705,9 @@ func (b *Backup) handleCompactionDone(h wire.Header, req wire.CompactionDone) ([
 // handleGCRelease performs the backup side of GC (§4: the primary moves
 // data, backups only free): translate each victim through the log map,
 // free the local copy, and retire the primary-space name so a recycled
-// segment ID resolves to a fresh local segment (DESIGN.md §12). Unknown
-// segments are skipped — redelivery after a primary retry or a backup
-// resync is harmless.
+// segment ID resolves to a fresh local segment (DESIGN.md "Value-log GC").
+// Unknown segments are skipped — redelivery after a primary retry or a
+// backup resync is harmless.
 //
 // A Build-Index backup only retires the name: its own LSM may still
 // hold entries pointing into the local copy until its own compactions

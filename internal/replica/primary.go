@@ -86,11 +86,11 @@ type PrimaryConfig struct {
 	// ShipAtCompactionEnd defers index-segment shipping until the
 	// compaction completes instead of streaming segments as they seal.
 	// The default (false) is the paper's incremental design; the
-	// deferred variant exists for the DESIGN.md §4.1 ablation.
+	// deferred variant exists for the DESIGN.md "Data path" ablation.
 	ShipAtCompactionEnd bool
 	// ShipCodec compresses index-segment images on the wire before they
-	// are staged in a backup's buffer (DESIGN.md §10). Zero (None) ships
-	// raw bytes — the paper's baseline.
+	// are staged in a backup's buffer (DESIGN.md "Replication"). Zero
+	// (None) ships raw bytes — the paper's baseline.
 	ShipCodec shipcodec.Codec
 	// ShipDelta additionally delta-encodes compaction-shipped segments
 	// against the destination level's previous image when the backup
@@ -110,13 +110,13 @@ type PrimaryConfig struct {
 	// (optional).
 	Trace *obs.Tracer
 	// Stages aggregates the ship/ack stage latency of sampled requests
-	// per tenant (optional; DESIGN.md §11).
+	// per tenant (optional; DESIGN.md "Observability").
 	Stages *metrics.StageSet
 	// Lag tracks per-backup acked-vs-shipped lag, staleness, and ack
-	// round trips (optional; DESIGN.md §13).
+	// round trips (optional; DESIGN.md "Observability").
 	Lag *metrics.LagSet
 	// Events journals control-plane transitions — evictions, syncs —
-	// this primary makes (optional; DESIGN.md §13).
+	// this primary makes (optional; DESIGN.md "Observability").
 	Events *obs.EventLog
 }
 
@@ -819,9 +819,9 @@ func (p *Primary) shipFrameLocked(h *backupHandle, job lsm.CompactionJob, seg bt
 // OnSeal reacts to a GC relocation commit point: the engine force-
 // sealed a partial tail holding relocated records, and every backup
 // must persist its mirrored log buffer before any victim segment can
-// be released (DESIGN.md §12). It is the same flush-tail handshake a
-// natural seal performs in OnAppend, invoked under the engine lock so
-// backups observe it in log order.
+// be released (DESIGN.md "Value-log GC"). It is the same flush-tail
+// handshake a natural seal performs in OnAppend, invoked under the engine
+// lock so backups observe it in log order.
 func (p *Primary) OnSeal(sealed *vlog.Sealed) {
 	if p.cfg.Mode == NoReplication || sealed == nil {
 		return
@@ -840,7 +840,7 @@ func (p *Primary) OnSeal(sealed *vlog.Sealed) {
 
 // OnRelease propagates a cost-based GC reclaim: backups free their
 // local copies of the victim segments and drop the log-map names
-// (DESIGN.md §12). The
+// (DESIGN.md "Value-log GC"). The
 // primary has already relocated, sealed, and compacted, so no shipped
 // index entry references the victims anymore; a backup that misses the
 // message (crash, eviction) merely leaks the segments until its next

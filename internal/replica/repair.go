@@ -1,10 +1,10 @@
 package replica
 
-// Scrub-and-repair plane (DESIGN.md §7). The primary orchestrates: it
-// scrubs its own engine and heals corrupt segments from any backup's
-// clean copy (OpFetchSegment), then commands each backup to scrub its
-// replicated segments (OpScrub) and pushes clean images for whatever
-// they report corrupt (OpRepairSegment).
+// Scrub-and-repair plane (DESIGN.md "Storage integrity"). The primary
+// orchestrates: it scrubs its own engine and heals corrupt segments from
+// any backup's clean copy (OpFetchSegment), then commands each backup to
+// scrub its replicated segments (OpScrub) and pushes clean images for
+// whatever they report corrupt (OpRepairSegment).
 //
 // Everything on the wire travels in primary space — the segment
 // numbering both sides share. A backup serving a fetch inverts the same
@@ -352,8 +352,8 @@ func (p *Primary) repairLocal(ref wire.SegRef) bool {
 // fetchFrom pulls a primary-space copy of one segment from a backup.
 // The request advertises the primary's ship codec; a codec-aware backup
 // answers with a compressed frame the primary inverts here, after the
-// backup already inverted the offset rewrite (DESIGN.md §10 — the codec
-// is the outermost layer on the wire).
+// backup already inverted the offset rewrite (DESIGN.md "Replication" — the
+// codec is the outermost layer on the wire).
 func (p *Primary) fetchFrom(h *backupHandle, ref wire.SegRef) ([]byte, bool) {
 	payload := wire.FetchSegment{
 		RegionID: uint16(p.cfg.RegionID),

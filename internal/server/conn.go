@@ -235,7 +235,7 @@ func (s *Server) detect(conn *clientConn, hdr []byte) (task, bool, error) {
 // adaptive value (never above the configured one), and overloaded
 // states act at the door: a shed task is refused before any worker
 // slot or engine work is spent on it, a delayed one paces the spinning
-// thread itself (DESIGN.md §11).
+// thread itself (DESIGN.md "Data path").
 func (s *Server) dispatch(t task, next int) int {
 	if t.hdr.Opcode == wire.OpPut || t.hdr.Opcode == wire.OpDelete {
 		// Only mutations face the admission door: writes are the

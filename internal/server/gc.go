@@ -14,8 +14,8 @@ import (
 const DefaultGCInterval = 500 * time.Millisecond
 
 // GCConfig configures online value-log garbage collection on hosted
-// primaries (DESIGN.md §12). The zero value keeps GC off; the space
-// ledger and its metric families are live either way.
+// primaries (DESIGN.md "Value-log GC"). The zero value keeps GC off; the
+// space ledger and its metric families are live either way.
 type GCConfig struct {
 	// Enabled starts a background worker that sweeps every hosted
 	// primary engine once per Interval.

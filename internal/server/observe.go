@@ -74,7 +74,7 @@ func (s *Server) Observe(reg *obs.Registry) {
 			}
 			return total
 		})
-	// Value-log space accounting and GC counters (DESIGN.md §12).
+	// Value-log space accounting and GC counters (DESIGN.md "Value-log GC").
 	// Registered even with GC disabled so reclaimable space is visible
 	// before it is turned on. Hosted engines share one device, so
 	// segment IDs are node-unique and the per-segment children merge.

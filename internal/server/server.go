@@ -66,7 +66,7 @@ type Config struct {
 	// if zero).
 	BufferSize int
 	// ShipCodec compresses shipped index segments on the wire
-	// (DESIGN.md §10); zero ships raw bytes.
+	// (DESIGN.md "Replication"); zero ships raw bytes.
 	ShipCodec shipcodec.Codec
 	// ShipDelta delta-encodes compaction ships against the destination
 	// level's previous image (requires a nonzero ShipCodec).
@@ -88,11 +88,11 @@ type Config struct {
 	Trace *obs.Tracer
 	// Stages aggregates per-stage, per-tenant latency of sampled
 	// requests (created on demand when nil); Observe exposes it as the
-	// tebis_op_stage_* families (DESIGN.md §11).
+	// tebis_op_stage_* families (DESIGN.md "Observability").
 	Stages *metrics.StageSet
 	// Lag tracks per-backup replication lag, staleness, and ack round
 	// trips on hosted primaries (created on demand when nil); Observe
-	// exposes it as the tebis_replica_* families (DESIGN.md §13).
+	// exposes it as the tebis_replica_* families (DESIGN.md "Observability").
 	Lag *metrics.LagSet
 	// DisableLag leaves the lag tracker off entirely (every record site
 	// tolerates a nil LagSet). Bench-only ablation knob: the lag
@@ -104,15 +104,15 @@ type Config struct {
 	// journal holds the whole cluster's transition history.
 	Events *obs.EventLog
 	// Admission enables signal-driven admission control over the worker
-	// pool (DESIGN.md §11): the controller watches the sampled
+	// pool (DESIGN.md "Data path"): the controller watches the sampled
 	// worker-queue wait, adapts the wake-up threshold below
 	// TaskThreshold, and under sustained overload delays then sheds
 	// priority-0 load. Nil keeps the fixed-knob behavior unchanged; a
 	// zero MaxThreshold inherits TaskThreshold.
 	Admission *admission.Config
 	// GC configures online value-log garbage collection on hosted
-	// primaries (DESIGN.md §12); the zero value keeps GC off but still
-	// exposes the space ledger on /metrics.
+	// primaries (DESIGN.md "Value-log GC"); the zero value keeps GC off but
+	// still exposes the space ledger on /metrics.
 	GC GCConfig
 }
 
@@ -178,7 +178,7 @@ type hostedRegion struct {
 
 	// isAlias marks a split child that still shares its parent's engine:
 	// the entry resolves ops to the owner's engine until a migration
-	// separates the child onto its own server (DESIGN.md §9).
+	// separates the child onto its own server (DESIGN.md "Control plane").
 	isAlias bool
 	owner   region.ID // engine-owning region when isAlias
 
@@ -248,7 +248,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Every hosted engine and replica writes through the integrity layer:
 	// segment frames with CRC-32C trailers, verified on first read
-	// (DESIGN.md §7). A device that already verifies is left as-is.
+	// (DESIGN.md "Storage integrity"). A device that already verifies is
+	// left as-is.
 	cfg.Device = storage.AsVerifying(cfg.Device)
 	s := &Server{
 		cfg:     cfg,
@@ -632,9 +633,9 @@ func (s *Server) ShipStats() *metrics.ShipStats { return s.cfg.Ship }
 // ScrubAndRepair runs one integrity pass over every region this server
 // is primary for: scrub the local engine, heal corrupt segments from
 // backup copies, then drive each backup's scrub and push repairs for
-// what they report (DESIGN.md §7). Regions hosted here as backups are
-// scrubbed by their own primaries. Reports are aggregated; the first
-// hard error (a scrub that cannot even run) aborts the pass.
+// what they report (DESIGN.md "Storage integrity"). Regions hosted here as
+// backups are scrubbed by their own primaries. Reports are aggregated; the
+// first hard error (a scrub that cannot even run) aborts the pass.
 func (s *Server) ScrubAndRepair() (replica.RepairReport, error) {
 	s.mu.Lock()
 	prims := make([]*replica.Primary, 0, len(s.regions))

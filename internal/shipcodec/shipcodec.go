@@ -1,15 +1,15 @@
 // Package shipcodec is the wire codec for shipped index segments
-// (DESIGN.md §10). Send-Index trades network traffic for backup CPU —
-// the one metric where the paper loses to Build-Index (Fig. 7/10,
-// 1.09–1.82× network amplification) — so the primary compresses, and
-// when possible delta-encodes, every segment image before it is staged
-// in a backup's RDMA buffer.
+// (DESIGN.md "Replication"). Send-Index trades network traffic for backup
+// CPU — the one metric where the paper loses to Build-Index (Fig. 7/10,
+// 1.09–1.82× network amplification) — so the primary compresses, and when
+// possible delta-encodes, every segment image before it is staged in a
+// backup's RDMA buffer.
 //
 // The codec is wire-only: the backup decodes the frame back to the raw
 // segment bytes before the offset rewrite, so the bytes that reach the
 // device are identical to an uncompressed ship and the integrity layer's
-// byte-convergence guarantees (scrub, fetch, repair — DESIGN.md §7) are
-// untouched.
+// byte-convergence guarantees (scrub, fetch, repair — DESIGN.md "Storage
+// integrity") are untouched.
 //
 // A frame is self-describing:
 //

@@ -11,8 +11,8 @@
 // The device counts every byte read and written; those counters are the
 // ground truth for the paper's I/O amplification metric. Two
 // implementations are provided: an in-memory device (used by tests and
-// benchmarks, standing in for the paper's NVMe SSD; see DESIGN.md §2) and
-// a file-backed device for the standalone binaries.
+// benchmarks, standing in for the paper's NVMe SSD; see DESIGN.md "Packages
+// and substitutions") and a file-backed device for the standalone binaries.
 package storage
 
 import (
@@ -178,7 +178,8 @@ func UsableCapacity(dev Device) int64 {
 }
 
 // MemDevice is an in-memory segment device with byte-accurate traffic
-// accounting. It stands in for the paper's NVMe SSD (DESIGN.md §2).
+// accounting. It stands in for the paper's NVMe SSD (DESIGN.md "Packages
+// and substitutions").
 type MemDevice struct {
 	geo  Geometry
 	maxN int

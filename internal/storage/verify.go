@@ -62,11 +62,11 @@ type segState struct {
 }
 
 // VerifyingDevice wraps a Device and enforces the integrity frame
-// (DESIGN.md §7): every segment write gains a CRC-32C trailer in the
-// final integrity.TrailerSize bytes, and the first read of a segment
-// after a write (or after open) verifies the stored CRC before any
-// bytes are served. Corruption surfaces as ErrChecksum instead of
-// silent garbage.
+// (DESIGN.md "Storage integrity"): every segment write gains a CRC-32C
+// trailer in the final integrity.TrailerSize bytes, and the first read of a
+// segment after a write (or after open) verifies the stored CRC before any
+// bytes are served. Corruption surfaces as ErrChecksum instead of silent
+// garbage.
 //
 // Writes must target the start of a segment (the engine's writers are
 // whole-segment by construction); the usable payload shrinks to

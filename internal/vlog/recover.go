@@ -39,9 +39,9 @@ type RecoveryReport struct {
 }
 
 // Open rebuilds a value log from the segments already on dev after a
-// crash or restart (DESIGN.md §7). Sealed log segments are identified
-// by their frame kind and ordered by frame sequence number; each is
-// checksum-verified before it is trusted.
+// crash or restart (DESIGN.md "Storage integrity"). Sealed log segments are
+// identified by their frame kind and ordered by frame sequence number; each
+// is checksum-verified before it is trusted.
 //
 // A torn tail truncates: unframed segments, and a bad checksum on the
 // newest log segment (a seal that tore inside its own trailer), are

@@ -68,10 +68,10 @@ const (
 	OpSyncTail
 	OpSyncTailAck
 
-	// Scrub-and-repair plane (DESIGN.md §7). A primary asks its backups
-	// to verify their replicated segments (OpScrub), pulls a clean copy
-	// of a corrupt segment from a peer (OpFetchSegment), and pushes a
-	// repaired image to a corrupt backup (OpRepairSegment).
+	// Scrub-and-repair plane (DESIGN.md "Storage integrity"). A primary
+	// asks its backups to verify their replicated segments (OpScrub), pulls
+	// a clean copy of a corrupt segment from a peer (OpFetchSegment), and
+	// pushes a repaired image to a corrupt backup (OpRepairSegment).
 	OpScrub
 	OpScrubReply
 	OpFetchSegment
@@ -79,8 +79,8 @@ const (
 	OpRepairSegment
 	OpRepairSegmentAck
 
-	// Value-log GC plane (DESIGN.md §12). After a cost-based GC pass
-	// relocated a victim segment's live records and compacted every
+	// Value-log GC plane (DESIGN.md "Value-log GC"). After a cost-based GC
+	// pass relocated a victim segment's live records and compacted every
 	// stale index pointer away, the primary tells backups to free their
 	// local copies of the victims (OpGCRelease).
 	OpGCRelease
@@ -159,17 +159,17 @@ type Header struct {
 	// means "unchecked" (old encoders), preserving compatibility.
 	Epoch uint32
 	// Tenant identifies the requesting tenant for per-tenant latency
-	// attribution and admission control (DESIGN.md §11). One
-	// previously reserved-as-zero byte: old encoders produce tenant 0
-	// (the default tenant), old decoders ignore it — compatible by
-	// construction like TraceID and Epoch.
+	// attribution and admission control (DESIGN.md "Data path" and
+	// "Observability"). One previously reserved-as-zero byte: old encoders
+	// produce tenant 0 (the default tenant), old decoders ignore it —
+	// compatible by construction like TraceID and Epoch.
 	Tenant uint8
 	// SentAt is the client's send wall-clock in Unix nanoseconds,
 	// stamped on sampled requests only (SentAt 0 = unstamped). The
 	// worker subtracts it from its pickup time to attribute the whole
 	// pre-service wait — ring, wire, spinning-thread detection, and
 	// worker queue — to the dispatch stage, and to feed the admission
-	// controller's queue-wait signal (DESIGN.md §11). Meaningful only
+	// controller's queue-wait signal (DESIGN.md "Data path"). Meaningful only
 	// within one process (shared clock); zero by construction for old
 	// encoders.
 	SentAt int64

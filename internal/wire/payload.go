@@ -375,7 +375,7 @@ func DecodeIndexSegment(p []byte) (IndexSegment, error) {
 
 // GCRelease is the primary → backup command to free the victim segments
 // a GC pass reclaimed (§4: the primary moves data, backups only free;
-// DESIGN.md §12). Segs are primary-space segment IDs; the backup
+// DESIGN.md "Value-log GC"). Segs are primary-space segment IDs; the backup
 // translates each through its log map, frees the local copy, and drops
 // the mapping. Segments the backup does not know are skipped, so
 // redelivery after a crash is harmless.

@@ -1,6 +1,7 @@
 package wire
 
-// Payload codecs for the scrub-and-repair plane (DESIGN.md §7).
+// Payload codecs for the scrub-and-repair plane (DESIGN.md "Storage
+// integrity").
 
 // SegRef names one replicated segment in primary space: the segment
 // numbering both sides share. Kind is the integrity frame kind

@@ -2,8 +2,9 @@
 // Zookeeper primitives Tebis consumes (§3.1, §3.5): a hierarchical
 // znode store, ephemeral nodes tied to sessions (failure detection),
 // sequence nodes, one-shot watches, and leader election. It stands in
-// for the external Zookeeper ensemble (DESIGN.md §2); like Zookeeper, it
-// is never on the common path of client operations.
+// for the external Zookeeper ensemble (DESIGN.md "Packages and
+// substitutions"); like Zookeeper, it is never on the common path of client
+// operations.
 package zklite
 
 import (

@@ -45,18 +45,18 @@ var requiredFamilies = []string{
 	"tebis_net_tx_bytes_total",
 	"tebis_trace_dropped_spans_total",
 	"tebis_trace_spans",
-	// Tail attribution (DESIGN.md §11): stage quantiles with exemplars,
-	// fed by the serve loop's command sampling, plus the signal-driven
-	// admission controller's state machine.
+	// Tail attribution (DESIGN.md "Observability"): stage quantiles with
+	// exemplars, fed by the serve loop's command sampling, plus the
+	// signal-driven admission controller's state machine.
 	"tebis_op_stage_seconds",
 	"tebis_op_stage_samples_total",
 	"tebis_admission_state",
 	"tebis_admission_threshold",
 	"tebis_admission_queue_wait_seconds",
 	"tebis_admission_threshold_adjustments_total",
-	// Replication-plane health (DESIGN.md §13): per-backup lag/staleness
-	// from the primary's lag tracker and the structured event journal's
-	// per-type counters.
+	// Replication-plane health (DESIGN.md "Observability"): per-backup
+	// lag/staleness from the primary's lag tracker and the structured event
+	// journal's per-type counters.
 	"tebis_replica_lag_ops",
 	"tebis_replica_lag_bytes",
 	"tebis_replica_backlog",
