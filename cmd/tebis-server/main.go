@@ -31,7 +31,6 @@ import (
 	"tebis/internal/client"
 	"tebis/internal/cluster"
 	"tebis/internal/lsm"
-	"tebis/internal/metrics"
 	"tebis/internal/obs"
 	"tebis/internal/replica"
 	"tebis/internal/server"
@@ -42,42 +41,35 @@ import (
 // name region.Partition assigns); it owns the -data file image.
 var primaryNode = cluster.ServerNames(1)[0]
 
-func main() {
-	var (
-		addr        = flag.String("addr", ":7625", "listen address")
-		data        = flag.String("data", "/tmp/tebis.img", "device file path")
-		segSize     = flag.Int64("segment", 2<<20, "segment size in bytes (power of two)")
-		l0          = flag.Int("l0", lsm.DefaultL0MaxKeys, "L0 capacity in keys")
-		metricsAddr = flag.String("metrics", "", "observability HTTP listen address (empty = off)")
-		profileDir  = flag.String("profile-dir", "", "watchdog profile output directory (empty = OS temp)")
-		withReplica = flag.Bool("replica", false, "add a second server hosting a Send-Index backup")
-		shipRaw     = flag.Bool("ship-uncompressed", false, "ship raw index segments (disable the wire codec)")
-		workers     = flag.Int("workers", server.DefaultWorkers, "worker threads per server")
-		taskThresh  = flag.Int("task-threshold", server.DefaultTaskThreshold, "worker wake-up threshold: tasks queued on a worker before dispatch spills to the next")
-		admissionOn = flag.Bool("admission", true, "signal-driven admission control: adapt the wake-up threshold to queue wait and shed mutations under overload (false = fixed knob)")
-		traceSample = flag.Float64("trace-sample", client.DefaultTraceSampleRate, "fraction of commands sampled into stage telemetry and /debug/trace (negative = off)")
-		gcOn        = flag.Bool("gc", false, "online value-log garbage collection: relocate live records out of mostly-dead segments and free them")
-		gcRatio     = flag.Float64("gc-dead-ratio", 0, "dead-byte fraction past which a sealed segment becomes a GC victim (0 = engine default 0.5)")
-		gcMaxSegs   = flag.Int("gc-max-segments", 0, "victim segments per GC pass (0 = engine default 4)")
-		gcInterval  = flag.Duration("gc-interval", server.DefaultGCInterval, "pause between background GC passes")
-		logLevel    = flag.String("log-level", obs.LevelInfo, "minimum log level (debug, info, warn, error)")
-	)
-	flag.Parse()
+var (
+	addr        = flag.String("addr", ":7625", "listen address")
+	data        = flag.String("data", "/tmp/tebis.img", "device file path")
+	segSize     = flag.Int64("segment", 2<<20, "segment size in bytes (power of two)")
+	l0          = flag.Int("l0", lsm.DefaultL0MaxKeys, "L0 capacity in keys")
+	metricsAddr = flag.String("metrics", "", "observability HTTP listen address (empty = off)")
+	profileDir  = flag.String("profile-dir", "", "watchdog profile output directory (empty = OS temp)")
+	withReplica = flag.Bool("replica", false, "add a second server hosting a Send-Index backup")
+	shipRaw     = flag.Bool("ship-uncompressed", false, "ship raw index segments (disable the wire codec)")
+	workers     = flag.Int("workers", server.DefaultWorkers, "worker threads per server")
+	taskThresh  = flag.Int("task-threshold", server.DefaultTaskThreshold, "worker wake-up threshold: tasks queued on a worker before dispatch spills to the next")
+	admissionOn = flag.Bool("admission", true, "signal-driven admission control: adapt the wake-up threshold to queue wait and shed mutations under overload (false = fixed knob)")
+	traceSample = flag.Float64("trace-sample", client.DefaultTraceSampleRate, "fraction of commands sampled into stage telemetry and /debug/trace (negative = off)")
+	gcOn        = flag.Bool("gc", false, "online value-log garbage collection: relocate live records out of mostly-dead segments and free them")
+	gcRatio     = flag.Float64("gc-dead-ratio", 0, "dead-byte fraction past which a sealed segment becomes a GC victim (0 = engine default 0.5)")
+	gcMaxSegs   = flag.Int("gc-max-segments", 0, "victim segments per GC pass (0 = engine default 4)")
+	gcInterval  = flag.Duration("gc-interval", server.DefaultGCInterval, "pause between background GC passes")
+	logLevel    = flag.String("log-level", obs.LevelInfo, "minimum log level (debug, info, warn, error)")
+)
 
-	// One key=value stream: log calls and, via the sink, journal events.
-	logger := obs.NewLogger(os.Stderr, *logLevel)
-	fatal := func(msg string, kv ...any) {
-		logger.Error(msg, kv...)
-		os.Exit(1)
-	}
-	ev := obs.NewEventLog(0)
-	ev.SetSink(logger)
-
+// deployment translates the flags into the cluster to build. The engine
+// template carries no stats sink: a sink set there is one cluster-wide
+// sink, and every server defaults one of its own.
+func deployment(ev *obs.EventLog) cluster.Config {
 	cfg := cluster.Config{
 		Servers:          1,
 		Regions:          1,
 		SegmentSize:      *segSize,
-		LSM:              lsm.Options{L0MaxKeys: *l0, CompactionStats: &metrics.CompactionStats{}},
+		LSM:              lsm.Options{L0MaxKeys: *l0},
 		Workers:          *workers,
 		TaskThreshold:    *taskThresh,
 		Admission:        &admission.Config{Disabled: !*admissionOn},
@@ -99,13 +91,29 @@ func main() {
 	if *metricsAddr != "" {
 		cfg.Trace = obs.NewTracer(0)
 	}
+	return cfg
+}
+
+func main() {
+	flag.Parse()
+
+	// One key=value stream: log calls and, via the sink, journal events.
+	logger := obs.NewLogger(os.Stderr, *logLevel)
+	fatal := func(msg string, kv ...any) {
+		logger.Error(msg, kv...)
+		os.Exit(1)
+	}
+	ev := obs.NewEventLog(0)
+	ev.SetSink(logger)
+
+	cfg := deployment(ev)
 	c, err := cluster.New(cfg)
 	if err != nil {
 		fatal("open deployment failed", "device", *data, "err", err)
 	}
 
 	if *metricsAddr != "" {
-		got, err := serveMetrics(*metricsAddr, *profileDir, c, cfg.Trace, cfg.LSM.CompactionStats)
+		got, err := serveMetrics(*metricsAddr, *profileDir, c, cfg.Trace)
 		if err != nil {
 			fatal("metrics endpoint failed", "addr", *metricsAddr, "err", err)
 		}
@@ -135,7 +143,7 @@ func main() {
 // serveMetrics serves the deployment's observability surface over HTTP
 // and starts the watchdog that captures heap+CPU profiles when writer
 // stalls spike (§5.1's backpressure) or the history sampler stops.
-func serveMetrics(addr, profileDir string, c *cluster.Cluster, tracer *obs.Tracer, cstats *metrics.CompactionStats) (string, error) {
+func serveMetrics(addr, profileDir string, c *cluster.Cluster, tracer *obs.Tracer) (string, error) {
 	reg := obs.NewRegistry()
 	c.Observe(reg)
 	health := obs.NewHealth()
@@ -148,6 +156,7 @@ func serveMetrics(addr, profileDir string, c *cluster.Cluster, tracer *obs.Trace
 	}
 	samp := obs.NewSampler(reg, 0, 0)
 	samp.Start()
+	cstats := c.Nodes[primaryNode].Server.CompactionStats()
 	prof.Watch(time.Second,
 		obs.StallCondition("writer-stall", 250*time.Millisecond,
 			func() time.Duration { return cstats.Snapshot().WriterStallTime }),

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -128,6 +129,40 @@ func TestServeErrors(t *testing.T) {
 	fmt.Fprintln(conn, "QUIT")
 	if _, err := r.ReadString('\n'); err == nil {
 		t.Fatal("connection still open after QUIT")
+	}
+}
+
+// TestReplicaNodesCountTheirOwnCompactions: the -replica deployment
+// gives each server its own compaction sink. The Send-Index backup
+// compacts nothing, so its counters stay zero while the primary's move.
+func TestReplicaNodesCountTheirOwnCompactions(t *testing.T) {
+	oldReplica, oldData, oldSeg, oldL0 := *withReplica, *data, *segSize, *l0
+	t.Cleanup(func() { *withReplica, *data, *segSize, *l0 = oldReplica, oldData, oldSeg, oldL0 })
+	*withReplica, *data, *segSize, *l0 = true, filepath.Join(t.TempDir(), "tebis.img"), 64<<10, 256
+	c, err := cluster.New(deployment(obs.NewEventLog(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i := 0; i < 1000; i++ {
+		if err := cl.Put([]byte(fmt.Sprintf("key%06d", i)), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	c.Observe(reg)
+	jobs := reg.ReadSeries()
+	primary, backup := jobs[`tebis_compaction_jobs_total{node="s0"}`], jobs[`tebis_compaction_jobs_total{node="s1"}`]
+	if primary == 0 || backup != 0 {
+		t.Fatalf("compaction jobs: primary s0 = %v (want > 0), Send-Index backup s1 = %v (want 0)", primary, backup)
 	}
 }
 

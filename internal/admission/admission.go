@@ -20,10 +20,12 @@
 package admission
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"tebis/internal/metrics"
 	"tebis/internal/obs"
 )
 
@@ -299,6 +301,41 @@ func (c *Controller) Snapshot() Snapshot {
 		Relaxes:   c.relaxes,
 		Delayed:   d,
 		Shed:      s,
+	}
+}
+
+// Collect implements metrics.Source with the tebis_admission_*
+// families. Tenants appear on their first delayed or shed task.
+func (c *Controller) Collect() []metrics.Family {
+	if c == nil {
+		return nil
+	}
+	sn := c.Snapshot()
+	delayed := metrics.Counter("tebis_admission_delayed_total",
+		"Tasks paced by admission control, by tenant.")
+	for tenant, n := range sn.Delayed {
+		delayed.Add(fmt.Sprintf(`tenant=%q`, tenant), float64(n))
+	}
+	shed := metrics.Counter("tebis_admission_shed_total",
+		"Tasks rejected by admission control, by tenant.")
+	for tenant, n := range sn.Shed {
+		shed.Add(fmt.Sprintf(`tenant=%q`, tenant), float64(n))
+	}
+	return []metrics.Family{
+		metrics.Gauge("tebis_admission_state",
+			"Admission-control state: 0 normal, 1 delaying, 2 shedding lowest-priority load.",
+			metrics.Value(float64(sn.State))),
+		metrics.Gauge("tebis_admission_threshold",
+			"Current adaptive worker wake-up threshold (tasks queued per worker before spilling to the next).",
+			metrics.Value(float64(sn.Threshold))),
+		metrics.Gauge("tebis_admission_queue_wait_seconds",
+			"Smoothed sampled worker-queue wait driving admission decisions.",
+			metrics.Value(sn.WaitEWMA.Seconds())),
+		metrics.Counter("tebis_admission_threshold_adjustments_total",
+			"Adaptive threshold adjustments, by direction.",
+			metrics.Labeled("direction", "tighten", float64(sn.Tightens)),
+			metrics.Labeled("direction", "relax", float64(sn.Relaxes))),
+		delayed, shed,
 	}
 }
 

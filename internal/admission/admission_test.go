@@ -102,7 +102,7 @@ func TestDisabledIsFixedKnob(t *testing.T) {
 func TestRegisterFamilies(t *testing.T) {
 	c := New(Config{MaxThreshold: 64, HighWater: time.Millisecond, Window: 16})
 	reg := obs.NewRegistry()
-	c.Register(reg, obs.Labels{"node": "s0"})
+	reg.Register(obs.Labels{"node": "s0"}, c)
 	feed(c, 10*time.Millisecond, 8)
 	c.Admit("t0", 0)
 

@@ -253,13 +253,20 @@ func newFigCluster(p Params, tracer *obs.Tracer, shipUncompressed bool) (*figClu
 	fc.reg = obs.NewRegistry()
 	fc.c.Observe(fc.reg)
 	fc.cur.Store(&phaseStats{})
-	fc.reg.GaugeFunc("tebis_bench_ops",
-		"Client ops completed in the current measured phase.", nil,
-		func() float64 { return float64(fc.cur.Load().ops.Load()) })
-	fc.reg.GaugeFunc("tebis_bench_dataset_bytes",
-		"User bytes moved by the current measured phase.", nil,
-		func() float64 { return float64(fc.cur.Load().dataset.Load()) })
+	fc.reg.Register(nil, fc)
 	return fc, nil
+}
+
+// Collect implements metrics.Source with the client-side counters of
+// the current measured phase.
+func (fc *figCluster) Collect() []metrics.Family {
+	cur := fc.cur.Load()
+	return []metrics.Family{
+		metrics.Gauge("tebis_bench_ops",
+			"Client ops completed in the current measured phase.", metrics.Value(float64(cur.ops.Load()))),
+		metrics.Gauge("tebis_bench_dataset_bytes",
+			"User bytes moved by the current measured phase.", metrics.Value(float64(cur.dataset.Load()))),
+	}
 }
 
 func (fc *figCluster) Close() {

@@ -10,6 +10,7 @@ import (
 	"tebis/internal/lsm"
 	"tebis/internal/metrics"
 	"tebis/internal/obs"
+	"tebis/internal/storage"
 )
 
 // observabilityGates: the instrumented hot path (registry scraping +
@@ -48,8 +49,8 @@ func runObservabilityMode(sc Scale, instrumented bool, opsPerSec float64) (trial
 	}
 	defer e.Close()
 	reg := obs.NewRegistry()
-	reg.RegisterCompaction(obs.Labels{"node": "bench"}, stats)
-	reg.RegisterDevice(obs.Labels{"node": "bench"}, e.mem)
+	reg.Register(obs.Labels{"node": "bench"}, stats)
+	reg.Register(obs.Labels{"node": "bench"}, storage.Meter{Device: e.mem})
 	stopScrape := scrapeLoop(reg)
 
 	traceEvery := uint64(math.Round(1 / client.DefaultTraceSampleRate))

@@ -42,7 +42,10 @@ type Config struct {
 	// server an in-memory device of SegmentSize segments. A deployment
 	// setting: tebis-server puts its primary on a file image with it.
 	Device func(server string) (storage.Device, error)
-	// LSM is the per-region engine template.
+	// LSM is the per-region engine template, copied to every server. A
+	// non-nil CompactionStats is therefore one cluster-wide sink — every
+	// server records into it and exposes its totals under its own node
+	// label; leave it nil and each server counts its own compactions.
 	LSM lsm.Options
 	// Workers and SpinThreads size each server (paper: 8 and 2).
 	Workers     int

@@ -12,6 +12,14 @@ import (
 	"tebis/internal/storage"
 )
 
+// memtableGauge reads a live engine gauge at scrape time.
+type memtableGauge struct{ db *DB }
+
+func (g memtableGauge) Collect() []metrics.Family {
+	return []metrics.Family{metrics.Gauge("tebis_race_memtable_bytes", "live engine gauge",
+		metrics.Value(float64(g.db.MemtableBytes())))}
+}
+
 // TestConcurrentScrapeAndSample exercises the full observability read
 // path under -race while the compaction scheduler is live: one
 // goroutine scrapes /metrics-style expositions, one ticks the
@@ -45,11 +53,10 @@ func TestConcurrentScrapeAndSample(t *testing.T) {
 	defer db.Close()
 
 	reg := obs.NewRegistry()
-	reg.RegisterCompaction(obs.Labels{"node": "race"}, stats)
-	reg.RegisterDevice(obs.Labels{"node": "race"}, dev)
-	reg.RegisterTracer(nil, tracer)
-	reg.GaugeFunc("tebis_race_memtable_bytes", "live engine gauge", nil,
-		func() float64 { return float64(db.MemtableBytes()) })
+	reg.Register(obs.Labels{"node": "race"}, stats)
+	reg.Register(obs.Labels{"node": "race"}, storage.Meter{Device: dev})
+	reg.Register(nil, tracer)
+	reg.Register(nil, memtableGauge{db})
 	samp := obs.NewSampler(reg, time.Millisecond, 128)
 
 	stop := make(chan struct{})

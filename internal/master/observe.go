@@ -3,43 +3,38 @@ package master
 import (
 	"fmt"
 
+	"tebis/internal/metrics"
 	"tebis/internal/obs"
 )
 
-// Observe registers the master's reconfiguration metric families:
+// Observe registers the master with reg under its name.
+func (m *Master) Observe(reg *obs.Registry) {
+	reg.Register(obs.Labels{"master": m.name}, m)
+}
+
+// Collect implements metrics.Source with the reconfiguration families:
 // lifetime split/merge/migration/abort counters and the per-region bytes
 // shipped to seed migration destinations over the index-ship path (the
 // figure-of-merit showing migrations reuse built indexes instead of
 // re-compacting).
-func (m *Master) Observe(reg *obs.Registry) {
-	if reg == nil {
-		return
+func (m *Master) Collect() []metrics.Family {
+	shipped := metrics.Counter("tebis_region_ship_bytes_total",
+		"Bytes of built index segments and log tail shipped to seed each migrated region's destination.")
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for id, n := range m.shipBytes {
+		shipped.Add(fmt.Sprintf(`region="%d"`, id), float64(n))
 	}
-	labels := obs.Labels{"master": m.name}
-	counter := func(name, help string, read func() uint64) {
-		reg.CounterFunc(name, help, labels, func() float64 {
-			return float64(read())
-		})
+	return []metrics.Family{
+		metrics.Counter("tebis_region_splits_total",
+			"Completed online region splits.", metrics.Value(float64(m.splits))),
+		metrics.Counter("tebis_region_merges_total",
+			"Completed online region merges.", metrics.Value(float64(m.merges))),
+		metrics.Counter("tebis_region_migrations_total",
+			"Completed live region migrations.", metrics.Value(float64(m.migrations))),
+		metrics.Counter("tebis_region_reconfig_aborts_total",
+			"Reconfigurations rolled back (failed mid-flight or aborted by a successor master).",
+			metrics.Value(float64(m.reconfAborts))),
+		shipped,
 	}
-	counter("tebis_region_splits_total",
-		"Completed online region splits.",
-		func() uint64 { m.mu.Lock(); defer m.mu.Unlock(); return m.splits })
-	counter("tebis_region_merges_total",
-		"Completed online region merges.",
-		func() uint64 { m.mu.Lock(); defer m.mu.Unlock(); return m.merges })
-	counter("tebis_region_migrations_total",
-		"Completed live region migrations.",
-		func() uint64 { m.mu.Lock(); defer m.mu.Unlock(); return m.migrations })
-	counter("tebis_region_reconfig_aborts_total",
-		"Reconfigurations rolled back (failed mid-flight or aborted by a successor master).",
-		func() uint64 { m.mu.Lock(); defer m.mu.Unlock(); return m.reconfAborts })
-	reg.FamilyFunc("tebis_region_ship_bytes_total",
-		"Bytes of built index segments and log tail shipped to seed each migrated region's destination.",
-		"counter", labels, func() map[string]float64 {
-			out := make(map[string]float64)
-			for id, n := range m.ShipBytes() {
-				out[fmt.Sprintf(`region="%d"`, id)] = float64(n)
-			}
-			return out
-		})
 }

@@ -96,6 +96,33 @@ func (s *CompactionStats) Snapshot() CompactionSnapshot {
 	}
 }
 
+// Collect implements Source: stage durations (Figure 9's merge/build/ship
+// pipeline), the early-ship split, and writer stalls (the paper's L0
+// backpressure signal).
+func (s *CompactionStats) Collect() []Family {
+	if s == nil {
+		return nil
+	}
+	sn := s.Snapshot()
+	return []Family{
+		Counter("tebis_compaction_jobs_total",
+			"Compaction jobs completed by the scheduler.", Value(float64(sn.Jobs))),
+		Counter("tebis_compaction_stage_seconds_total",
+			"Cumulative time spent in each Send-Index pipeline stage.",
+			Labeled("stage", "merge", sn.MergeTime.Seconds()),
+			Labeled("stage", "build", sn.BuildTime.Seconds()),
+			Labeled("stage", "ship", sn.ShipTime.Seconds())),
+		Counter("tebis_compaction_segments_shipped_total",
+			"Index segments shipped to backups, split by whether the ship overlapped the build.",
+			Labeled("early", "true", float64(sn.SegmentsShippedEarly)),
+			Labeled("early", "false", float64(sn.SegmentsShipped-sn.SegmentsShippedEarly))),
+		Counter("tebis_writer_stalls_total",
+			"Writer stalls caused by a full L0 waiting on compaction.", Value(float64(sn.WriterStalls))),
+		Counter("tebis_writer_stall_seconds_total",
+			"Cumulative writer stall time.", Value(sn.WriterStallTime.Seconds())),
+	}
+}
+
 // CompactionSnapshot is a point-in-time copy of CompactionStats.
 type CompactionSnapshot struct {
 	// Jobs counts completed compaction jobs.

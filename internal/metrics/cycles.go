@@ -1,7 +1,10 @@
 // Package metrics provides the measurement machinery for the Tebis
 // reproduction: a deterministic CPU cycle cost model mirroring the
-// paper's Table 3 component breakdown, amplification calculators, and a
-// latency percentile recorder for the tail-latency figures.
+// paper's Table 3 component breakdown, amplification calculators, a
+// latency percentile recorder for the tail-latency figures, and the
+// per-subsystem stats structs. Each stats type declares the metric
+// families it exports beside its counters by implementing Source
+// (source.go); the package imports nothing from this module.
 //
 // The paper measures CPU with mpstat/perf on real Xeons. This repo runs
 // as an in-process simulation, so instead we *meter the work actually
@@ -98,6 +101,19 @@ func (cy *Cycles) Snapshot() Breakdown {
 		b[i] = cy.c[i].Load()
 	}
 	return b
+}
+
+// Collect implements Source: the Table 3 breakdown, one series per
+// component.
+func (cy *Cycles) Collect() []Family {
+	if cy == nil {
+		return nil
+	}
+	f := Counter("tebis_cycles_total", "Simulated CPU cycles charged per Table 3 component.")
+	for c, n := range cy.Snapshot() {
+		f.Samples = append(f.Samples, Labeled("component", Component(c).String(), float64(n)))
+	}
+	return []Family{f}
 }
 
 // Reset zeroes all counters.

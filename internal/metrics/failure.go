@@ -116,3 +116,27 @@ func (s *FailureStats) Snapshot() FailureSnapshot {
 	}
 	return snap
 }
+
+// Collect implements Source.
+func (s *FailureStats) Collect() []Family {
+	if s == nil {
+		return nil
+	}
+	sn := s.Snapshot()
+	degraded := 0.0
+	if sn.Degraded {
+		degraded = 1
+	}
+	return []Family{
+		Counter("tebis_replication_retries_total",
+			"Replication RPC retries after transient failures.", Value(float64(sn.Retries))),
+		Counter("tebis_backup_evictions_total",
+			"Backups evicted from a replica group after exhausting retries.", Value(float64(sn.Evictions))),
+		Counter("tebis_resync_bytes_total",
+			"Bytes transferred to resynchronize rejoining backups.", Value(float64(sn.ResyncBytes))),
+		Gauge("tebis_degraded",
+			"1 while the replica group runs below its replication factor.", Value(degraded)),
+		Counter("tebis_degraded_seconds_total",
+			"Cumulative time spent degraded.", Value(sn.DegradedDuration.Seconds())),
+	}
+}

@@ -1,22 +1,21 @@
 package metrics
 
-import "sync"
+import "sync/atomic"
 
 // GCStats counts value-log garbage-collection activity on one node:
 // passes run or paused by admission control, victim segments reclaimed,
 // records relocated or dropped, and the byte volumes moved and freed
-// (DESIGN.md "Value-log GC"). All methods are nil-safe so callers can leave
-// the stats unwired.
+// (DESIGN.md "Value-log GC"). All methods are safe for concurrent use and
+// nil-safe so callers can leave the stats unwired.
 type GCStats struct {
-	mu             sync.Mutex
-	passes         uint64
-	paused         uint64
-	segmentsFreed  uint64
-	recordsMoved   uint64
-	recordsDropped uint64
-	tombsDragged   uint64
-	bytesMoved     uint64
-	bytesReclaimed uint64
+	passes         atomic.Uint64
+	paused         atomic.Uint64
+	segmentsFreed  atomic.Uint64
+	recordsMoved   atomic.Uint64
+	recordsDropped atomic.Uint64
+	tombsDragged   atomic.Uint64
+	bytesMoved     atomic.Uint64
+	bytesReclaimed atomic.Uint64
 }
 
 // GCSnapshot is a point-in-time copy of GCStats.
@@ -47,9 +46,7 @@ func (s *GCStats) RecordPass() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.passes++
-	s.mu.Unlock()
+	s.passes.Add(1)
 }
 
 // RecordPaused counts one pass skipped or cut short by admission
@@ -58,9 +55,7 @@ func (s *GCStats) RecordPaused() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.paused++
-	s.mu.Unlock()
+	s.paused.Add(1)
 }
 
 // AddReclaim accounts one pass's reclamation: victim segments freed and
@@ -69,10 +64,8 @@ func (s *GCStats) AddReclaim(segments int, bytes uint64) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.segmentsFreed += uint64(segments)
-	s.bytesReclaimed += bytes
-	s.mu.Unlock()
+	s.segmentsFreed.Add(uint64(segments))
+	s.bytesReclaimed.Add(bytes)
 }
 
 // AddRelocation accounts one pass's record traffic.
@@ -80,12 +73,10 @@ func (s *GCStats) AddRelocation(moved, dropped, dragged int, bytesMoved uint64) 
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.recordsMoved += uint64(moved)
-	s.recordsDropped += uint64(dropped)
-	s.tombsDragged += uint64(dragged)
-	s.bytesMoved += bytesMoved
-	s.mu.Unlock()
+	s.recordsMoved.Add(uint64(moved))
+	s.recordsDropped.Add(uint64(dropped))
+	s.tombsDragged.Add(uint64(dragged))
+	s.bytesMoved.Add(bytesMoved)
 }
 
 // Snapshot returns a copy of the counters. Nil-safe.
@@ -93,16 +84,41 @@ func (s *GCStats) Snapshot() GCSnapshot {
 	if s == nil {
 		return GCSnapshot{}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return GCSnapshot{
-		Passes:            s.passes,
-		Paused:            s.paused,
-		SegmentsFreed:     s.segmentsFreed,
-		RecordsMoved:      s.recordsMoved,
-		RecordsDropped:    s.recordsDropped,
-		TombstonesDragged: s.tombsDragged,
-		BytesMoved:        s.bytesMoved,
-		BytesReclaimed:    s.bytesReclaimed,
+		Passes:            s.passes.Load(),
+		Paused:            s.paused.Load(),
+		SegmentsFreed:     s.segmentsFreed.Load(),
+		RecordsMoved:      s.recordsMoved.Load(),
+		RecordsDropped:    s.recordsDropped.Load(),
+		TombstonesDragged: s.tombsDragged.Load(),
+		BytesMoved:        s.bytesMoved.Load(),
+		BytesReclaimed:    s.bytesReclaimed.Load(),
+	}
+}
+
+// Collect implements Source: passes run and paused, segments and bytes
+// reclaimed, and the relocation breakdown (records moved, dead records
+// dropped, tombstones dragged to preserve replay semantics).
+func (s *GCStats) Collect() []Family {
+	if s == nil {
+		return nil
+	}
+	sn := s.Snapshot()
+	return []Family{
+		Counter("tebis_vlog_gc_passes_total",
+			"Completed online GC passes.", Value(float64(sn.Passes))),
+		Counter("tebis_vlog_gc_paused_total",
+			"GC passes paused by the admission controller before or during relocation.", Value(float64(sn.Paused))),
+		Counter("tebis_vlog_gc_segments_freed_total",
+			"Victim segments freed after relocation, compaction, and replica release.", Value(float64(sn.SegmentsFreed))),
+		Counter("tebis_vlog_gc_reclaimed_bytes_total",
+			"Bytes reclaimed by freeing victim segments.", Value(float64(sn.BytesReclaimed))),
+		Counter("tebis_vlog_gc_records_total",
+			"Records processed during GC relocation, by disposition.",
+			Labeled("disposition", "moved", float64(sn.RecordsMoved)),
+			Labeled("disposition", "dropped", float64(sn.RecordsDropped)),
+			Labeled("disposition", "dragged", float64(sn.TombstonesDragged))),
+		Counter("tebis_vlog_gc_moved_bytes_total",
+			"Live record bytes re-appended to the log tail by GC relocation.", Value(float64(sn.BytesMoved))),
 	}
 }

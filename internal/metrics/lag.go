@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -118,6 +119,17 @@ func (s *LagSet) Evict(region uint64, backup string) {
 	s.mu.Unlock()
 }
 
+// lag is the shipped-but-unacknowledged window of one stream under s.mu.
+func (r *lagRec) lag() (ops, bytes uint64) {
+	if r.shippedOps > r.ackedOps {
+		ops = r.shippedOps - r.ackedOps
+	}
+	if r.shippedBytes > r.ackedBytes {
+		bytes = r.shippedBytes - r.ackedBytes
+	}
+	return ops, bytes
+}
+
 // staleness computes the last-ack age of one stream under s.mu: zero
 // while the backup is caught up (every shipped unit acked), otherwise
 // the time since its last ack — or since the first un-acked ship when
@@ -146,7 +158,7 @@ type LagSnapshot struct {
 	// Staleness is the last-ack age: zero while caught up.
 	Staleness time.Duration
 	AckCount  uint64
-	// AckPercentiles aligns index-for-index with StageQuantiles.
+	// AckPercentiles aligns index-for-index with Quantiles.
 	AckPercentiles []time.Duration
 }
 
@@ -167,23 +179,13 @@ func (s *LagSet) Snapshot() []LagSnapshot {
 			Backlog:   r.backlog,
 			Staleness: r.staleness(now),
 		}
-		if r.shippedOps > r.ackedOps {
-			snap.LagOps = r.shippedOps - r.ackedOps
-		}
-		if r.shippedBytes > r.ackedBytes {
-			snap.LagBytes = r.shippedBytes - r.ackedBytes
-		}
+		snap.LagOps, snap.LagBytes = r.lag()
 		out = append(out, snap)
 		hists = append(hists, r.rtt)
 	}
 	s.mu.Unlock()
 	for i, h := range hists {
-		out[i].AckCount = h.Count()
-		ps := make([]time.Duration, len(StageQuantiles))
-		for j, q := range StageQuantiles {
-			ps[j] = h.Percentile(q)
-		}
-		out[i].AckPercentiles = ps
+		out[i].AckCount, out[i].AckPercentiles = h.Summarize()
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Region != out[b].Region {
@@ -192,6 +194,42 @@ func (s *LagSet) Snapshot() []LagSnapshot {
 		return out[a].Backup < out[b].Backup
 	})
 	return out
+}
+
+// Collect implements Source with the replication-plane lag families,
+// one child per (region, backup) stream: records and bytes shipped but
+// not yet acknowledged, index-segment ships in flight, the last-ack age
+// (zero while caught up), and the ack round-trip quantiles with the
+// acks behind them.
+func (s *LagSet) Collect() []Family {
+	if s == nil {
+		return nil
+	}
+	ops := Gauge("tebis_replica_lag_ops",
+		"Value-log records shipped to a backup but not yet acknowledged.")
+	bytes := Gauge("tebis_replica_lag_bytes",
+		"Bytes shipped to a backup but not yet acknowledged.")
+	backlog := Gauge("tebis_replica_backlog",
+		"Index-segment ships in flight per backup.")
+	staleness := Gauge("tebis_replica_staleness_seconds",
+		"Age of a backup's last acknowledgement; zero while caught up.")
+	ack := Summary("tebis_replica_ack_seconds",
+		"Per-backup acknowledgement round-trip quantiles.")
+	acks := Counter("tebis_replica_ack_seconds_count",
+		"Acknowledgements behind the per-backup round-trip quantiles.")
+	for _, sn := range s.Snapshot() {
+		stream := fmt.Sprintf(`backup=%q,region="%d"`, sn.Backup, sn.Region)
+		ops.Add(stream, float64(sn.LagOps))
+		bytes.Add(stream, float64(sn.LagBytes))
+		backlog.Add(stream, float64(sn.Backlog))
+		staleness.Add(stream, sn.Staleness.Seconds())
+		for i, q := range Quantiles {
+			ack.Add(fmt.Sprintf(`backup=%q,quantile=%q,region="%d"`, sn.Backup, q.Label, sn.Region),
+				sn.AckPercentiles[i].Seconds())
+		}
+		acks.Add(stream, float64(sn.AckCount))
+	}
+	return []Family{ops, bytes, backlog, staleness, ack, acks}
 }
 
 // Lag answers a single stream's current lag — the bench harness' fast
@@ -206,13 +244,7 @@ func (s *LagSet) Lag(region uint64, backup string) (ops, bytes uint64) {
 	if r == nil {
 		return 0, 0
 	}
-	if r.shippedOps > r.ackedOps {
-		ops = r.shippedOps - r.ackedOps
-	}
-	if r.shippedBytes > r.ackedBytes {
-		bytes = r.shippedBytes - r.ackedBytes
-	}
-	return ops, bytes
+	return r.lag()
 }
 
 // Staleness answers a single stream's last-ack age; zero when caught

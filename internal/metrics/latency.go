@@ -83,6 +83,11 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.percentile(p)
+}
+
+// percentile is Percentile under h.mu.
+func (h *Histogram) percentile(p float64) time.Duration {
 	if h.count == 0 {
 		return 0
 	}
@@ -105,6 +110,38 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 		}
 	}
 	return h.max
+}
+
+// Summarize returns the sample count and the percentiles of the Quantiles
+// grid, index-aligned with it, from one locked read — what a scrape
+// exposes of a histogram.
+func (h *Histogram) Summarize() (count uint64, ps []time.Duration) {
+	ps = make([]time.Duration, len(Quantiles))
+	if h == nil {
+		return 0, ps
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i, q := range Quantiles {
+		ps[i] = h.percentile(q.Percentile)
+	}
+	return h.count, ps
+}
+
+// Collect implements Source for a per-operation latency histogram — the
+// Figure 8 tail-latency view. Register it under an "op" label.
+func (h *Histogram) Collect() []Family {
+	if h == nil {
+		return nil
+	}
+	count, ps := h.Summarize()
+	lat := Summary("tebis_op_latency_seconds", "Per-operation service latency (Figure 8).")
+	for i, q := range Quantiles {
+		lat.Add(`quantile="`+q.Label+`"`, ps[i].Seconds())
+	}
+	lat.Samples = append(lat.Samples, Sample{Suffix: "_count", Value: float64(count)})
+	return []Family{lat,
+		Counter("tebis_ops_total", "Operations served, by kind.", Value(float64(count)))}
 }
 
 // Merge adds all samples of o into h. A nil h or o is a no-op.

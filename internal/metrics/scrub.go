@@ -1,19 +1,18 @@
 package metrics
 
-import "sync"
+import "sync/atomic"
 
 // ScrubStats counts integrity-scrub and repair activity on one node:
 // segments walked, checksum failures found, segments repaired from a
 // replica, and segments nothing could repair (DESIGN.md "Storage
-// integrity"). All methods are nil-safe so callers can leave the stats
-// unwired.
+// integrity"). All methods are safe for concurrent use and nil-safe so
+// callers can leave the stats unwired.
 type ScrubStats struct {
-	mu           sync.Mutex
-	runs         uint64
-	scanned      uint64
-	corruptions  uint64
-	repaired     uint64
-	unrepairable uint64
+	runs         atomic.Uint64
+	scanned      atomic.Uint64
+	corruptions  atomic.Uint64
+	repaired     atomic.Uint64
+	unrepairable atomic.Uint64
 }
 
 // ScrubSnapshot is a point-in-time copy of ScrubStats.
@@ -36,9 +35,7 @@ func (s *ScrubStats) RecordRun() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.runs++
-	s.mu.Unlock()
+	s.runs.Add(1)
 }
 
 // AddScanned counts n segments verified.
@@ -46,9 +43,7 @@ func (s *ScrubStats) AddScanned(n int) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.scanned += uint64(n)
-	s.mu.Unlock()
+	s.scanned.Add(uint64(n))
 }
 
 // RecordCorruption counts one segment that failed verification.
@@ -56,9 +51,7 @@ func (s *ScrubStats) RecordCorruption() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.corruptions++
-	s.mu.Unlock()
+	s.corruptions.Add(1)
 }
 
 // RecordRepair counts one corrupt segment restored.
@@ -66,9 +59,7 @@ func (s *ScrubStats) RecordRepair() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.repaired++
-	s.mu.Unlock()
+	s.repaired.Add(1)
 }
 
 // RecordUnrepairable counts one corrupt segment left unrestored.
@@ -76,9 +67,7 @@ func (s *ScrubStats) RecordUnrepairable() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.unrepairable++
-	s.mu.Unlock()
+	s.unrepairable.Add(1)
 }
 
 // Snapshot returns a copy of the counters. Nil-safe.
@@ -86,13 +75,31 @@ func (s *ScrubStats) Snapshot() ScrubSnapshot {
 	if s == nil {
 		return ScrubSnapshot{}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return ScrubSnapshot{
-		Runs:             s.runs,
-		SegmentsScanned:  s.scanned,
-		CorruptionsFound: s.corruptions,
-		SegmentsRepaired: s.repaired,
-		Unrepairable:     s.unrepairable,
+		Runs:             s.runs.Load(),
+		SegmentsScanned:  s.scanned.Load(),
+		CorruptionsFound: s.corruptions.Load(),
+		SegmentsRepaired: s.repaired.Load(),
+		Unrepairable:     s.unrepairable.Load(),
+	}
+}
+
+// Collect implements Source.
+func (s *ScrubStats) Collect() []Family {
+	if s == nil {
+		return nil
+	}
+	sn := s.Snapshot()
+	return []Family{
+		Counter("tebis_scrub_runs_total",
+			"Completed integrity scrub passes.", Value(float64(sn.Runs))),
+		Counter("tebis_scrub_segments_scanned_total",
+			"Segments checksum-verified by the scrubber.", Value(float64(sn.SegmentsScanned))),
+		Counter("tebis_scrub_corruptions_found_total",
+			"Segments that failed checksum verification.", Value(float64(sn.CorruptionsFound))),
+		Counter("tebis_scrub_segments_repaired_total",
+			"Corrupt segments restored from a replica or local reframe.", Value(float64(sn.SegmentsRepaired))),
+		Counter("tebis_scrub_unrepairable_total",
+			"Corrupt segments no replica could restore.", Value(float64(sn.Unrepairable))),
 	}
 }

@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -24,10 +26,6 @@ const (
 var StageOrder = []string{
 	StageClientQueue, StageDispatch, StageApply, StageShip, StageAck,
 }
-
-// StageQuantiles are the percentiles StageSnapshot carries, aligned
-// with the summary quantiles the obs exposition renders.
-var StageQuantiles = []float64{50, 90, 99, 99.9}
 
 // exemplarBounds are the upper bounds of the coarse log-scale buckets
 // each (stage, tenant) record retains exemplars for. The last,
@@ -127,7 +125,7 @@ type StageSnapshot struct {
 	Stage  string
 	Tenant string
 	Count  uint64
-	// Percentiles aligns index-for-index with StageQuantiles.
+	// Percentiles aligns index-for-index with Quantiles.
 	Percentiles []time.Duration
 	// Exemplars holds the retained worst offenders, lowest bucket
 	// first; empty buckets are omitted.
@@ -141,35 +139,21 @@ func (s *StageSet) Snapshot() []StageSnapshot {
 		return nil
 	}
 	s.mu.Lock()
-	keys := make([]stageKey, 0, len(s.recs))
-	recs := make([]*stageRec, 0, len(s.recs))
-	exs := make([][]Exemplar, 0, len(s.recs))
+	out := make([]StageSnapshot, 0, len(s.recs))
+	hists := make([]*Histogram, 0, len(s.recs))
 	for k, r := range s.recs {
-		keys = append(keys, k)
-		recs = append(recs, r)
-		var e []Exemplar
+		snap := StageSnapshot{Stage: k.stage, Tenant: k.tenant}
 		for _, x := range r.ex {
 			if x.TraceID != 0 {
-				e = append(e, x)
+				snap.Exemplars = append(snap.Exemplars, x)
 			}
 		}
-		exs = append(exs, e)
+		out = append(out, snap)
+		hists = append(hists, r.hist)
 	}
 	s.mu.Unlock()
-
-	out := make([]StageSnapshot, len(keys))
-	for i, k := range keys {
-		ps := make([]time.Duration, len(StageQuantiles))
-		for j, q := range StageQuantiles {
-			ps[j] = recs[i].hist.Percentile(q)
-		}
-		out[i] = StageSnapshot{
-			Stage:       k.stage,
-			Tenant:      k.tenant,
-			Count:       recs[i].hist.Count(),
-			Percentiles: ps,
-			Exemplars:   exs[i],
-		}
+	for i, h := range hists {
+		out[i].Count, out[i].Percentiles = h.Summarize()
 	}
 	sort.Slice(out, func(a, b int) bool {
 		sa, sb := stageRank(out[a].Stage), stageRank(out[b].Stage)
@@ -182,6 +166,42 @@ func (s *StageSet) Snapshot() []StageSnapshot {
 		return out[a].Tenant < out[b].Tenant
 	})
 	return out
+}
+
+// Collect implements Source with the tail-attribution families
+// (DESIGN.md "Observability"): per-stage latency quantiles of the
+// sampled request pipeline, the samples behind them, and the retained
+// worst offenders, one per coarse latency bucket — feed an exemplar's
+// trace_id to /debug/trace to see that exact request's fan-out.
+func (s *StageSet) Collect() []Family {
+	if s == nil {
+		return nil
+	}
+	seconds := Summary("tebis_op_stage_seconds",
+		"Per-stage latency quantiles of sampled requests (client queue, dispatch, apply, ship, ack).")
+	samples := Counter("tebis_op_stage_samples_total",
+		"Sampled stage durations recorded per stage and tenant.")
+	exemplars := Gauge("tebis_op_stage_exemplar_seconds",
+		"Recent worst-offender stage durations; trace_id resolves on /debug/trace.")
+	for _, sn := range s.Snapshot() {
+		tenant := sn.Tenant
+		if tenant == "" {
+			tenant = "default"
+		}
+		series := fmt.Sprintf(`stage=%q,tenant=%q`, sn.Stage, tenant)
+		for i, q := range Quantiles {
+			seconds.Add(fmt.Sprintf(`%s,quantile=%q`, series, q.Label), sn.Percentiles[i].Seconds())
+		}
+		samples.Add(series, float64(sn.Count))
+		for _, ex := range sn.Exemplars {
+			le := "+Inf"
+			if ex.Le > 0 {
+				le = strconv.FormatFloat(ex.Le.Seconds(), 'g', -1, 64)
+			}
+			exemplars.Add(fmt.Sprintf(`%s,le=%q,trace_id="%d"`, series, le, ex.TraceID), ex.Dur.Seconds())
+		}
+	}
+	return []Family{seconds, samples, exemplars}
 }
 
 // Percentile answers a single (stage, tenant) percentile query — the

@@ -38,8 +38,8 @@ func TestStageSetRecordSnapshot(t *testing.T) {
 	if apply.Tenant != "tenant-a" || apply.Count != 101 {
 		t.Fatalf("apply snapshot = %+v", apply)
 	}
-	if len(apply.Percentiles) != len(StageQuantiles) {
-		t.Fatalf("got %d percentiles, want %d", len(apply.Percentiles), len(StageQuantiles))
+	if len(apply.Percentiles) != len(Quantiles) {
+		t.Fatalf("got %d percentiles, want %d", len(apply.Percentiles), len(Quantiles))
 	}
 	if p50 := apply.Percentiles[0]; p50 > time.Millisecond {
 		t.Fatalf("p50 = %v, want ~100µs", p50)

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"tebis/internal/metrics"
 )
 
 // Event types of the control plane. Every state transition the cluster
@@ -202,6 +204,20 @@ func (l *EventLog) Counts() map[string]uint64 {
 		out[k] = v
 	}
 	return out
+}
+
+// Collect implements metrics.Source: the cumulative per-type counters
+// as tebis_events_total{type}; the events themselves serve on
+// /debug/events.
+func (l *EventLog) Collect() []metrics.Family {
+	if l == nil {
+		return nil
+	}
+	f := metrics.Counter("tebis_events_total", "Control-plane events recorded in the journal, by type.")
+	for t, n := range l.Counts() {
+		f.Add(fmt.Sprintf(`type=%q`, t), float64(n))
+	}
+	return []metrics.Family{f}
 }
 
 // Handler serves the journal as JSON: the retained events oldest first

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tebis/internal/metrics"
 )
 
 func get(t *testing.T, mux *http.ServeMux, path string) (int, string) {
@@ -21,7 +23,7 @@ func get(t *testing.T, mux *http.ServeMux, path string) (int, string) {
 
 func TestMuxEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("tebis_test_total", "h", nil).Add(9)
+	reg.Register(nil, &fixedSource{fams: []metrics.Family{metrics.Counter("tebis_test_total", "h", metrics.Value(9))}})
 	tr := NewTracer(8)
 	tr.Record(Span{Name: "merge", JobID: 1, Start: time.Now(), Dur: time.Millisecond})
 	samp := NewSampler(reg, time.Hour, 4)
@@ -196,7 +198,7 @@ func TestMuxNilComponents(t *testing.T) {
 
 func TestServe(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("tebis_served_total", "h", nil).Inc()
+	reg.Register(nil, &fixedSource{fams: []metrics.Family{metrics.Counter("tebis_served_total", "h", metrics.Value(1))}})
 	addr, err := Serve("127.0.0.1:0", reg, nil, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)

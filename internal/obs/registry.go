@@ -1,20 +1,18 @@
-// Package obs is the unified observability layer: a concurrency-safe
-// metrics registry with Prometheus-style text exposition, a bounded
-// ring tracer exporting Chrome trace-event JSON, and collectors that
-// wrap the measurement structs in internal/metrics into live metric
-// families.
+// Package obs is the observability surface: a registry that renders
+// metric families in the Prometheus text exposition format, a bounded
+// ring tracer exporting Chrome trace-event JSON, the control-plane event
+// journal, health checks, a history sampler, a profiler watchdog, and
+// the HTTP mux that serves them.
 //
-// The paper's entire argument is quantitative — Send-Index trades
-// network traffic for backup CPU, read I/O, and memory (§4, Table 3,
-// Figures 7-9) — so every quantity those figures report is exposed here
-// as a scrapeable family: compaction stage durations, writer stalls,
-// failure/eviction state, op latency percentiles, and the I/O and
-// network amplification ratios. The tracer makes one Send-Index
-// compaction visible end to end: merge → build → ship (per backup) →
-// offset rewrite, keyed by the scheduler's job IDs.
+// obs owns no metric family but its own (the trace ring's and the
+// journal's). Every other family is declared by the module that counts
+// it, as a metrics.Source beside the counters (internal/metrics, the
+// server, the master, the admission controller); Registry.Register
+// attaches a source under a label set and every scrape calls it once.
+// internal/cluster/testdata/families.golden is the catalogue.
 //
-// Everything is nil-safe: a nil *Registry hands out nil instruments and
-// a nil *Tracer drops spans, so the hot path pays only a nil check when
+// Everything is nil-safe: a nil *Registry registers nothing and a nil
+// *Tracer drops spans, so the hot path pays only a nil check when
 // observability is off.
 package obs
 
@@ -26,17 +24,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"tebis/internal/metrics"
 )
 
-// Labels is one instrument's label set (e.g. {"node": "s0"}).
+// Labels is the label set a source is registered under (e.g.
+// {"node": "s0"}).
 type Labels map[string]string
-
-// Clone copies ls with extra pairs merged in — the exported form for
-// collectors living outside obs.
-func (ls Labels) Clone(extra Labels) Labels { return ls.clone(extra) }
 
 // clone copies ls with extra pairs merged in.
 func (ls Labels) clone(extra Labels) Labels {
@@ -52,8 +46,8 @@ func (ls Labels) clone(extra Labels) Labels {
 
 // render serializes labels in the exposition format, sorted by key so
 // output is deterministic: `{a="x",b="y"}`, or "" when empty.
-func (ls Labels) render(extra string) string {
-	if len(ls) == 0 && extra == "" {
+func (ls Labels) render() string {
+	if len(ls) == 0 {
 		return ""
 	}
 	keys := make([]string, 0, len(ls))
@@ -72,14 +66,19 @@ func (ls Labels) render(extra string) string {
 		sb.WriteString(escapeLabel(ls[k]))
 		sb.WriteByte('"')
 	}
-	if extra != "" {
-		if len(keys) > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(extra)
-	}
 	sb.WriteByte('}')
 	return sb.String()
+}
+
+// withExtra appends pre-rendered label pairs to a rendered label set.
+func withExtra(rendered, extra string) string {
+	switch {
+	case extra == "":
+		return rendered
+	case rendered == "":
+		return "{" + extra + "}"
+	}
+	return rendered[:len(rendered)-1] + "," + extra + "}"
 }
 
 func escapeLabel(v string) string {
@@ -87,290 +86,130 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
-// Counter is a monotonically increasing uint64 instrument. A nil
-// *Counter discards updates.
-type Counter struct {
-	v atomic.Uint64
+// registration is one source attached under one label set.
+type registration struct {
+	labels   Labels
+	rendered string
+	src      metrics.Source
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a settable float64 instrument. A nil *Gauge discards
-// updates.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add increments the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		v := math.Float64frombits(old) + delta
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-// sample is one exposition line of a child: name+suffix{labels,extra} value.
-type sample struct {
-	suffix string // appended to the family name ("", "_count", ...)
-	extra  string // extra rendered label pair (`quantile="0.5"`) or ""
-	value  float64
-	isInt  bool
-}
-
-// child is one labeled instrument inside a family.
-type child struct {
-	labels Labels
-	read   func() []sample
-	// instrument holds the *Counter or *Gauge backing this child so a
-	// second registration under the same name+labels returns the same
-	// instrument instead of a shadowed duplicate.
-	instrument any
-}
-
-// family is one named metric family.
-type family struct {
-	name, help, kind string
-	children         map[string]*child
-}
-
-// Registry holds metric families and renders them in the Prometheus
-// text exposition format. All methods are safe for concurrent use and
-// nil-safe: registration on a nil *Registry returns nil instruments.
+// Registry holds registered sources and renders their families in the
+// Prometheus text exposition format. All methods are safe for concurrent
+// use and nil-safe: a nil *Registry registers and renders nothing.
 type Registry struct {
 	mu   sync.Mutex
-	fams map[string]*family
+	regs []registration
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{fams: make(map[string]*family)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
-// register adds (or finds) the child keyed by labels under name. The
-// first registration of a family fixes its help string and kind. When a
-// child already exists under the same name and labels the existing one
-// is returned untouched, so callers can rebind to its instrument.
-func (r *Registry) register(name, help, kind string, labels Labels, instrument any, read func() []sample) *child {
+// Register attaches src under labels: from now on every WritePrometheus,
+// ReadSeries and Families call collects it exactly once and exposes its
+// families with labels joined to each sample's own. Registering the same
+// source under the same labels again is a no-op, so servers sharing one
+// cluster-wide stage set, journal or trace ring each register it and it
+// renders once. A nil registry or source is a no-op.
+func (r *Registry) Register(labels Labels, src metrics.Source) {
+	if r == nil || src == nil {
+		return
+	}
+	rendered := labels.render()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.fams[name]
-	if f == nil {
-		f = &family{name: name, help: help, kind: kind, children: make(map[string]*child)}
-		r.fams[name] = f
-	}
-	key := labels.render("")
-	if c, ok := f.children[key]; ok {
-		return c
-	}
-	c := &child{labels: labels.clone(nil), read: read, instrument: instrument}
-	f.children[key] = c
-	return c
-}
-
-// Counter registers (or finds) a counter under name with the given
-// labels and returns it. A nil registry returns a nil (discarding)
-// counter.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	if r == nil {
-		return nil
-	}
-	ctr := &Counter{}
-	c := r.register(name, help, "counter", labels, ctr, func() []sample {
-		return []sample{{value: float64(ctr.Value()), isInt: true}}
-	})
-	// Re-registration returns the existing instrument so every call site
-	// updates the same series.
-	if existing, ok := c.instrument.(*Counter); ok {
-		return existing
-	}
-	return ctr
-}
-
-// CounterFunc registers a counter whose value is pulled from fn at
-// exposition time — for wrapping monotone snapshot fields
-// (e.g. CompactionSnapshot.Jobs).
-func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
-	if r == nil {
-		return
-	}
-	r.register(name, help, "counter", labels, nil, func() []sample {
-		return []sample{{value: fn()}}
-	})
-}
-
-// Gauge registers (or finds) a gauge under name with the given labels.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	c := r.register(name, help, "gauge", labels, g, func() []sample {
-		return []sample{{value: g.Value()}}
-	})
-	if existing, ok := c.instrument.(*Gauge); ok {
-		return existing
-	}
-	return g
-}
-
-// GaugeFunc registers a gauge whose value is pulled from fn at
-// exposition time.
-func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	if r == nil {
-		return
-	}
-	r.register(name, help, "gauge", labels, nil, func() []sample {
-		return []sample{{value: fn()}}
-	})
-}
-
-// FamilyFunc registers a metric family whose children are produced at
-// exposition time: fn returns a map from a rendered extra-label string
-// (e.g. `region="3",kind="read"`) to the child's current value. Dynamic
-// label sets — per-region families whose members appear when the master
-// splits a region — cannot pre-register children, so the whole family is
-// re-enumerated on every scrape. Children render sorted by label string,
-// keeping output deterministic. kind is "counter" or "gauge".
-func (r *Registry) FamilyFunc(name, help, kind string, base Labels, fn func() map[string]float64) {
-	if r == nil {
-		return
-	}
-	r.register(name, help, kind, base, nil, func() []sample {
-		vals := fn()
-		keys := make([]string, 0, len(vals))
-		for k := range vals {
-			keys = append(keys, k)
+	for _, g := range r.regs {
+		if g.src == src && g.rendered == rendered {
+			return
 		}
-		sort.Strings(keys)
-		out := make([]sample, 0, len(keys))
-		for _, k := range keys {
-			out = append(out, sample{extra: k, value: vals[k]})
-		}
-		return out
-	})
-}
-
-// SummaryQuantiles are the percentiles a Summary family exposes; the
-// label is pre-rendered so 99.9/100 doesn't pick up float dust.
-var SummaryQuantiles = []struct {
-	Percentile float64
-	Label      string
-}{
-	{50, "0.5"},
-	{90, "0.9"},
-	{99, "0.99"},
-	{99.9, "0.999"},
-}
-
-// Summary registers h as a summary family: one series per quantile in
-// SummaryQuantiles plus a _count series. Percentiles are computed at
-// exposition time from the histogram's current contents; values are in
-// seconds (the Prometheus base unit for time).
-func (r *Registry) Summary(name, help string, labels Labels, h *metrics.Histogram) {
-	if r == nil {
-		return
 	}
-	r.register(name, help, "summary", labels, h, func() []sample {
-		out := make([]sample, 0, len(SummaryQuantiles)+1)
-		for _, q := range SummaryQuantiles {
-			out = append(out, sample{
-				extra: fmt.Sprintf(`quantile="%s"`, q.Label),
-				value: h.Percentile(q.Percentile).Seconds(),
-			})
-		}
-		out = append(out, sample{suffix: "_count", value: float64(h.Count()), isInt: true})
-		return out
-	})
+	r.regs = append(r.regs, registration{labels: labels.clone(nil), rendered: rendered, src: src})
 }
 
-// Families returns the sorted registered family names.
+// series is one exposition line of a family: name+suffix{labels,extra}
+// value. Lines sort by labels, then suffix, then extra.
+type series struct {
+	labels, suffix, extra string
+	value                 float64
+}
+
+// id is the series identifier after the family name.
+func (s series) id() string { return s.suffix + withExtra(s.labels, s.extra) }
+
+// family is one named family of a scrape, merged across registrations.
+type family struct {
+	name, help, kind string
+	series           []series
+}
+
+// collect calls every registered source once and merges what they
+// return into families sorted by name, each family's series sorted by
+// label set. The first source to name a family fixes its help and kind.
+// Sources run outside the registry lock.
+func (r *Registry) collect() []*family {
+	r.mu.Lock()
+	regs := r.regs
+	r.mu.Unlock()
+	byName := make(map[string]*family)
+	var fams []*family
+	for _, g := range regs {
+		for _, mf := range g.src.Collect() {
+			f := byName[mf.Name]
+			if f == nil {
+				f = &family{name: mf.Name, help: mf.Help, kind: mf.Kind}
+				byName[mf.Name] = f
+				fams = append(fams, f)
+			}
+			for _, sm := range mf.Samples {
+				labels := g.rendered
+				if len(sm.Labels) > 0 {
+					labels = g.labels.clone(sm.Labels).render()
+				}
+				f.series = append(f.series, series{labels, sm.Suffix, sm.Extra, sm.Value})
+			}
+		}
+	}
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	for _, f := range fams {
+		sort.SliceStable(f.series, func(i, j int) bool {
+			a, b := f.series[i], f.series[j]
+			if a.labels != b.labels {
+				return a.labels < b.labels
+			}
+			if a.suffix != b.suffix {
+				return a.suffix < b.suffix
+			}
+			return a.extra < b.extra
+		})
+	}
+	return fams
+}
+
+// Families returns the sorted names of the families the registered
+// sources currently report.
 func (r *Registry) Families() []string {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.fams))
-	for name := range r.fams {
-		out = append(out, name)
+	fams := r.collect()
+	out := make([]string, len(fams))
+	for i, f := range fams {
+		out[i] = f.name
 	}
-	sort.Strings(out)
 	return out
 }
 
-// ReadSeries returns the current value of every series in the named
-// families — all families when names is empty. Keys are full series
-// identifiers as they appear in the exposition output (family name,
-// suffix, rendered labels), so history samples line up with scraped
-// lines. Reader funcs run outside the registry lock, matching
-// WritePrometheus.
-func (r *Registry) ReadSeries(names ...string) map[string]float64 {
+// ReadSeries returns the current value of every series. Keys are full
+// series identifiers as they appear in the exposition output (family
+// name, suffix, rendered labels), so history samples line up with
+// scraped lines.
+func (r *Registry) ReadSeries() map[string]float64 {
 	if r == nil {
 		return nil
 	}
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
-	type pending struct {
-		name   string
-		labels Labels
-		read   func() []sample
-	}
-	r.mu.Lock()
-	var ps []pending
-	for _, f := range r.fams {
-		if len(want) > 0 && !want[f.name] {
-			continue
-		}
-		for _, c := range f.children {
-			ps = append(ps, pending{name: f.name, labels: c.labels, read: c.read})
-		}
-	}
-	r.mu.Unlock()
-	out := make(map[string]float64, len(ps))
-	for _, p := range ps {
-		for _, s := range p.read() {
-			out[p.name+s.suffix+p.labels.render(s.extra)] = s.value
+	out := make(map[string]float64)
+	for _, f := range r.collect() {
+		for _, s := range f.series {
+			out[f.name+s.id()] = s.value
 		}
 	}
 	return out
@@ -382,15 +221,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
-	for _, f := range r.fams {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	for _, f := range fams {
+	for _, f := range r.collect() {
 		if f.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
 				return err
@@ -399,35 +230,22 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 			return err
 		}
-		keys := make([]string, 0, len(f.children))
-		for k := range f.children {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			c := f.children[k]
-			for _, s := range c.read() {
-				if math.IsNaN(s.value) {
-					// An undefined sample (e.g. an amplification ratio
-					// before any user bytes): omit the series rather
-					// than exposing a bogus value.
-					continue
-				}
-				var val string
-				switch {
-				case s.isInt:
-					val = strconv.FormatUint(uint64(s.value), 10)
-				case s.value == math.Trunc(s.value) && math.Abs(s.value) < 1e15:
-					// Integral floats (byte totals, counts pulled through
-					// CounterFunc) read better without an exponent.
-					val = strconv.FormatFloat(s.value, 'f', -1, 64)
-				default:
-					val = strconv.FormatFloat(s.value, 'g', -1, 64)
-				}
-				line := f.name + s.suffix + c.labels.render(s.extra) + " " + val + "\n"
-				if _, err := io.WriteString(w, line); err != nil {
-					return err
-				}
+		for _, s := range f.series {
+			if math.IsNaN(s.value) {
+				// An undefined sample (e.g. an amplification ratio
+				// before any user bytes): omit the series rather
+				// than exposing a bogus value.
+				continue
+			}
+			format := byte('g')
+			if s.value == math.Trunc(s.value) && math.Abs(s.value) < 1e15 {
+				// Integral values (byte totals, counts) read better
+				// without an exponent.
+				format = 'f'
+			}
+			line := f.name + s.id() + " " + strconv.FormatFloat(s.value, format, -1, 64) + "\n"
+			if _, err := io.WriteString(w, line); err != nil {
+				return err
 			}
 		}
 	}

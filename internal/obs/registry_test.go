@@ -3,10 +3,16 @@ package obs
 import (
 	"bytes"
 	"flag"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,122 +23,168 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
+// fixedSource is a test-local source: it reports the families it holds
+// and counts how often it is collected.
+type fixedSource struct {
+	calls atomic.Int64
+	fams  []metrics.Family
+}
+
+func (f *fixedSource) Collect() []metrics.Family {
+	f.calls.Add(1)
+	return f.fams
+}
+
+func render(t *testing.T, r *Registry) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestRegistryNilSafe: a nil registry, a nil source and nil stats
+// receivers are all no-ops.
 func TestRegistryNilSafe(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x_total", "", nil)
-	c.Inc()
-	if c.Value() != 0 {
-		t.Fatal("nil registry counter retained a value")
-	}
-	g := r.Gauge("x", "", nil)
-	g.Set(3)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Fatal("nil registry gauge retained a value")
-	}
-	r.CounterFunc("y_total", "", nil, func() float64 { return 1 })
-	r.GaugeFunc("y", "", nil, func() float64 { return 1 })
-	r.Summary("z", "", nil, metrics.NewHistogram())
-	r.RegisterCompaction(nil, nil)
-	r.RegisterFailure(nil, nil)
-	r.RegisterCycles(nil, nil)
-	r.RegisterDevice(nil, nil)
-	r.RegisterEndpoint(nil, nil)
-	r.RegisterAmplification(nil, nil, nil, nil)
-	r.RegisterOpLatency(nil, "GET", nil)
-	r.RegisterLag(nil, nil)
-	r.RegisterEvents(nil, nil)
+	r.Register(nil, &fixedSource{})
+	r.Register(nil, nil)
 	if got := r.Families(); got != nil {
 		t.Fatalf("nil registry listed families %v", got)
+	}
+	if got := r.ReadSeries(); got != nil {
+		t.Fatalf("nil registry read series %v", got)
 	}
 	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-}
 
-func TestRegistryRebind(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("dup_total", "h", Labels{"node": "s0"})
-	b := r.Counter("dup_total", "h", Labels{"node": "s0"})
-	a.Add(2)
-	b.Add(3)
-	if a.Value() != 5 || b.Value() != 5 {
-		t.Fatalf("re-registered counter split series: a=%d b=%d", a.Value(), b.Value())
+	live := NewRegistry()
+	live.Register(nil, nil)
+	for _, src := range []metrics.Source{
+		(*metrics.CompactionStats)(nil), (*metrics.FailureStats)(nil), (*metrics.ScrubStats)(nil),
+		(*metrics.ShipStats)(nil), (*metrics.GCStats)(nil), (*metrics.Cycles)(nil),
+		(*metrics.StageSet)(nil), (*metrics.LagSet)(nil), (*metrics.Histogram)(nil),
+		(*Tracer)(nil), (*EventLog)(nil),
+	} {
+		live.Register(Labels{"node": "s0"}, src)
 	}
-	// A distinct label set is a distinct series.
-	c := r.Counter("dup_total", "h", Labels{"node": "s1"})
-	if c.Value() != 0 {
-		t.Fatalf("distinct labels shared the instrument: %d", c.Value())
-	}
-	ga := r.Gauge("dup_gauge", "h", nil)
-	gb := r.Gauge("dup_gauge", "h", nil)
-	ga.Set(7)
-	if gb.Value() != 7 {
-		t.Fatalf("re-registered gauge split series: %v", gb.Value())
+	if out := render(t, live); out != "" {
+		t.Fatalf("nil sources rendered:\n%s", out)
 	}
 }
 
-func TestRegistryConcurrent(t *testing.T) {
+// TestOneCollectPerScrape: every render path collects a source exactly
+// once per registration, and a source shared by several registrants
+// under the same labels is one registration.
+func TestOneCollectPerScrape(t *testing.T) {
 	r := NewRegistry()
+	src := &fixedSource{fams: []metrics.Family{
+		metrics.Counter("tebis_test_a_total", "a", metrics.Value(1)),
+		metrics.Gauge("tebis_test_b", "b", metrics.Labeled("k", "v", 2), metrics.Labeled("k", "w", 3)),
+	}}
+	r.Register(Labels{"node": "s0"}, src)
+	r.Register(Labels{"node": "s1"}, src)
+	shared := &fixedSource{fams: []metrics.Family{metrics.Counter("tebis_test_shared_total", "s", metrics.Value(7))}}
+	for i := 0; i < 3; i++ {
+		r.Register(nil, shared)
+	}
+
+	out := render(t, r)
+	if got := src.calls.Load(); got != 2 {
+		t.Fatalf("WritePrometheus collected the source %d times, want 2 (one per registration)", got)
+	}
+	if got := strings.Count(out, "tebis_test_shared_total 7"); got != 1 || shared.calls.Load() != 1 {
+		t.Fatalf("shared source rendered %d times from %d collects, want 1 and 1:\n%s", got, shared.calls.Load(), out)
+	}
+	if got := strings.Count(out, "# TYPE tebis_test_b gauge"); got != 1 {
+		t.Fatalf("family header rendered %d times:\n%s", got, out)
+	}
+	series := r.ReadSeries()
+	if got := src.calls.Load(); got != 4 {
+		t.Fatalf("ReadSeries collected the source %d times, want 2", got-2)
+	}
+	if len(series) != 7 || series[`tebis_test_b{k="w",node="s1"}`] != 3 {
+		t.Fatalf("ReadSeries = %v", series)
+	}
+	fams := r.Families()
+	if got := src.calls.Load(); got != 6 {
+		t.Fatalf("Families collected the source %d times, want 2", got-4)
+	}
+	if want := []string{"tebis_test_a_total", "tebis_test_b", "tebis_test_shared_total"}; !slices.Equal(fams, want) {
+		t.Fatalf("Families = %v, want %v", fams, want)
+	}
+	if shared.calls.Load() != 3 {
+		t.Fatalf("shared source collected %d times over three scrapes", shared.calls.Load())
+	}
+}
+
+// TestScrapeIsOneSnapshot: under concurrent RecordShip, registration and
+// scraping, every scrape's compression ratio is the quotient of the byte
+// totals printed in that same scrape.
+func TestScrapeIsOneSnapshot(t *testing.T) {
+	r := NewRegistry()
+	ship := &metrics.ShipStats{}
+	r.Register(nil, ship)
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			c := r.Counter("conc_total", "", nil)
-			g := r.Gauge("conc_gauge", "", nil)
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-				g.Add(1)
+			own := &fixedSource{}
+			for n := 1; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+					ship.RecordShip(1000+n%977, 100+n%89, n%2 == 0)
+					r.Register(Labels{"node": strconv.Itoa(i)}, own)
+				}
 			}
-		}()
+		}(i)
 	}
-	// Scrape concurrently with updates.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			var buf bytes.Buffer
-			if err := r.WritePrometheus(&buf); err != nil {
-				t.Error(err)
-				return
-			}
+	for i := 0; i < 200; i++ {
+		s := r.ReadSeries()
+		raw, wire := s["tebis_ship_raw_bytes_total"], s["tebis_ship_wire_bytes_total"]
+		if raw == 0 {
+			continue
 		}
-	}()
+		if got := s["tebis_ship_compression_ratio"]; got != raw/wire {
+			close(stop)
+			t.Fatalf("scrape %d: ratio %v beside raw %v / wire %v = %v", i, got, raw, wire, raw/wire)
+		}
+	}
+	close(stop)
 	wg.Wait()
-	c := r.Counter("conc_total", "", nil)
-	if c.Value() != 8000 {
-		t.Fatalf("lost counter updates: %d", c.Value())
-	}
-	g := r.Gauge("conc_gauge", "", nil)
-	if g.Value() != 8000 {
-		t.Fatalf("lost gauge updates: %v", g.Value())
-	}
 }
 
 // TestExpositionGolden locks the exposition format against
-// testdata/metrics.golden: a registry exercising every instrument kind
-// and every collector must render byte-identically. Run with
+// testdata/metrics.golden: a registry exercising every family kind and
+// the stats sources must render byte-identically. Run with
 // -update-golden after an intentional format change.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	node := Labels{"node": "s0"}
 
-	c := r.Counter("tebis_test_requests_total", "Requests handled.", node)
-	c.Add(42)
-	g := r.Gauge("tebis_test_queue_depth", "Queued jobs.", node)
-	g.Set(3.5)
-	r.GaugeFunc("tebis_test_pull_gauge", "Pulled at scrape time.", nil,
-		func() float64 { return 1.25 })
-	esc := r.Counter("tebis_test_escaped_total", "Label escaping.",
-		Labels{"path": `a"b\c` + "\n"})
-	esc.Inc()
+	// Test-local families: a labelled counter and gauge, an unlabelled
+	// gauge, and a label value that needs escaping.
+	r.Register(node, &fixedSource{fams: []metrics.Family{
+		metrics.Counter("tebis_test_requests_total", "Requests handled.", metrics.Value(42)),
+		metrics.Gauge("tebis_test_queue_depth", "Queued jobs.", metrics.Value(3.5)),
+	}})
+	r.Register(nil, &fixedSource{fams: []metrics.Family{
+		metrics.Gauge("tebis_test_pull_gauge", "Pulled at scrape time.", metrics.Value(1.25)),
+		metrics.Counter("tebis_test_escaped_total", "Label escaping.",
+			metrics.Labeled("path", `a"b\c`+"\n", 1)),
+	}})
 
 	h := metrics.NewHistogram()
 	for i := 1; i <= 100; i++ {
 		h.Record(time.Duration(i) * time.Millisecond)
 	}
-	r.RegisterOpLatency(node, "GET", h)
+	r.Register(Labels{"node": "s0", "op": "GET"}, h)
 
 	cs := &metrics.CompactionStats{}
 	cs.RecordJob()
@@ -142,19 +194,19 @@ func TestExpositionGolden(t *testing.T) {
 	cs.RecordShip(50*time.Millisecond, false)
 	cs.StallBegin()
 	cs.StallEnd(10 * time.Millisecond)
-	r.RegisterCompaction(node, cs)
+	r.Register(node, cs)
 
 	fs := &metrics.FailureStats{}
 	fs.RecordRetry()
 	fs.RecordRetry()
 	fs.RecordEviction()
 	fs.AddResyncBytes(1 << 20)
-	r.RegisterFailure(node, fs)
+	r.Register(node, fs)
 
 	cy := &metrics.Cycles{}
 	cy.Charge(metrics.CompCompaction, 12345)
 	cy.Charge(metrics.CompSendIndex, 678)
-	r.RegisterCycles(node, cy)
+	r.Register(node, cy)
 
 	dev, err := storage.NewMemDevice(4096, 64)
 	if err != nil {
@@ -172,17 +224,15 @@ func TestExpositionGolden(t *testing.T) {
 	if err := dev.ReadAt(dev.Geometry().Pack(seg, 0), buf[:1024]); err != nil {
 		t.Fatal(err)
 	}
-	r.RegisterDevice(node, dev)
+	r.Register(node, storage.Meter{Device: dev})
 
-	r.RegisterAmplification(node,
-		func() float64 { return float64(dev.Stats().BytesRead + dev.Stats().BytesWritten) },
-		func() float64 { return 2048 },
-		func() float64 { return 1024 })
-
-	// The space ledger and GC collectors must render even when GC never
-	// ran (the gauges come straight from the ledger snapshot).
-	r.RegisterVlogSpace(node, func() vlog.SpaceReport {
-		return vlog.SpaceReport{
+	// The amplification gauges and the space ledger are the server's to
+	// report; their declarations render here over fixed inputs. The
+	// ledger must render even when GC never ran.
+	st := dev.Stats()
+	r.Register(node, &fixedSource{fams: append(
+		metrics.AmplificationFamilies(st.BytesRead+st.BytesWritten, 2048, 1024),
+		vlog.SpaceReport{
 			Segments: []vlog.SegmentSpace{
 				{Seg: 2, Total: 4000, Dead: 3000},
 				{Seg: 5, Total: 4000, Dead: 1000},
@@ -192,14 +242,13 @@ func TestExpositionGolden(t *testing.T) {
 			Live:     4400,
 			Dead:     4100,
 			Trimmed:  8192,
-		}
-	})
+		}.Families()...)})
 	gs := &metrics.GCStats{}
 	gs.RecordPass()
 	gs.RecordPaused()
 	gs.AddRelocation(7, 120, 2, 700)
 	gs.AddReclaim(3, 12288)
-	r.RegisterGC(node, gs)
+	r.Register(node, gs)
 
 	// Replication lag: a fully caught-up stream (shipped == acked) keeps
 	// the staleness gauge deterministically zero; the backlog and ack
@@ -212,13 +261,13 @@ func TestExpositionGolden(t *testing.T) {
 	lag.BacklogAdd(7, "s1")
 	lag.BacklogAdd(7, "s1")
 	lag.BacklogDone(7, "s1")
-	r.RegisterLag(node, lag)
+	r.Register(node, lag)
 
 	ev := NewEventLog(8)
 	ev.Record(Event{Type: EvBackupEvicted, Node: "s0"})
 	ev.Record(Event{Type: EvSyncDone, Node: "s0"})
 	ev.Record(Event{Type: EvSyncDone, Node: "s0"})
-	r.RegisterEvents(node, ev)
+	r.Register(node, ev)
 
 	var out bytes.Buffer
 	if err := r.WritePrometheus(&out); err != nil {
@@ -252,36 +301,31 @@ func TestExpositionGolden(t *testing.T) {
 	}
 }
 
-func TestRegisterAmplificationZeroDataset(t *testing.T) {
+// TestAmplificationZeroDataset: until user bytes arrive the ratios are
+// undefined, and an undefined sample is omitted, not exposed as 0.
+func TestAmplificationZeroDataset(t *testing.T) {
 	r := NewRegistry()
-	r.RegisterAmplification(nil,
-		func() float64 { return 100 },
-		func() float64 { return 100 },
-		func() float64 { return 0 })
-	var out bytes.Buffer
-	if err := r.WritePrometheus(&out); err != nil {
-		t.Fatal(err)
+	r.Register(nil, &fixedSource{fams: metrics.AmplificationFamilies(100, 100, 0)})
+	out := render(t, r)
+	if !strings.Contains(out, "# TYPE tebis_io_amplification gauge") {
+		t.Fatalf("family header missing:\n%s", out)
 	}
-	for _, line := range strings.Split(out.String(), "\n") {
-		if strings.HasPrefix(line, "tebis_io_amplification") && !strings.HasSuffix(line, " 0") {
-			t.Fatalf("zero dataset produced non-zero amplification: %q", line)
+	for _, line := range strings.Split(out, "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			t.Fatalf("zero dataset exposed a ratio: %q", line)
 		}
 	}
 }
 
-func TestFamilyFunc(t *testing.T) {
+// TestDynamicChildren: a family whose children come and go renders them
+// after the registration's labels, sorted, and re-enumerates per scrape.
+func TestDynamicChildren(t *testing.T) {
 	r := NewRegistry()
-	vals := map[string]float64{
-		`region="1",kind="read"`:  7,
-		`region="0",kind="write"`: 3,
-	}
-	r.FamilyFunc("tebis_region_ops_total", "per-region ops", "counter",
-		Labels{"node": "s0"}, func() map[string]float64 { return vals })
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	src := &fixedSource{fams: []metrics.Family{metrics.Counter("tebis_region_ops_total", "per-region ops")}}
+	src.fams[0].Add(`region="1",kind="read"`, 7)
+	src.fams[0].Add(`region="0",kind="write"`, 3)
+	r.Register(Labels{"node": "s0"}, src)
+	out := render(t, r)
 	for _, want := range []string{
 		"# TYPE tebis_region_ops_total counter",
 		`tebis_region_ops_total{node="s0",region="0",kind="write"} 3`,
@@ -291,26 +335,41 @@ func TestFamilyFunc(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	// Children render sorted by label string for deterministic scrapes.
 	if strings.Index(out, `region="0"`) > strings.Index(out, `region="1"`) {
 		t.Fatalf("children not sorted:\n%s", out)
 	}
-	// Dynamic families grow: a new key appears on the next scrape.
-	vals[`region="2",kind="read"`] = 1
-	buf.Reset()
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `region="2"`) {
+	src.fams[0].Add(`region="2",kind="read"`, 1)
+	if !strings.Contains(render(t, r), `region="2"`) {
 		t.Fatal("new child not exposed on re-scrape")
 	}
-	series := r.ReadSeries("tebis_region_ops_total")
+	series := r.ReadSeries()
 	if series[`tebis_region_ops_total{node="s0",region="1",kind="read"}`] != 7 {
 		t.Fatalf("ReadSeries keys: %v", series)
 	}
-	// Nil-safe like every other registration path.
-	var nilReg *Registry
-	nilReg.FamilyFunc("x", "", "gauge", nil, func() map[string]float64 { return nil })
+}
+
+// TestLayering keeps the stats layer from growing back: metrics is a
+// leaf, and obs renders what sources hand it without knowing any module
+// that counts.
+func TestLayering(t *testing.T) {
+	for dir, allowed := range map[string]string{"../metrics": "", ".": "tebis/internal/metrics"} {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for name, file := range pkg.Files {
+				for _, imp := range file.Imports {
+					path, _ := strconv.Unquote(imp.Path.Value)
+					if strings.HasPrefix(path, "tebis/") && path != allowed {
+						t.Errorf("%s imports %s", name, path)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestSpanRegionInChromeTrace(t *testing.T) {

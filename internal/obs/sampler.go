@@ -63,7 +63,7 @@ const DefaultSampleInterval = 100 * time.Millisecond
 // given none: at the default interval it holds ~50s of history.
 const DefaultSampleCap = 512
 
-// Sampler periodically snapshots selected registry families into
+// Sampler periodically snapshots every registry series into
 // fixed-size per-series rings — the time-series dimension the
 // point-in-time /metrics scrape lacks, and the data source for the
 // paper-figure harness's throughput/amplification-over-time CSVs
@@ -71,7 +71,6 @@ const DefaultSampleCap = 512
 // /metrics/history. A nil *Sampler is inert.
 type Sampler struct {
 	reg      *Registry
-	families []string
 	interval time.Duration
 	capacity int
 
@@ -86,11 +85,11 @@ type Sampler struct {
 	started bool
 }
 
-// NewSampler returns a sampler that reads the named registry families
-// (all families when none are given) every interval
+// NewSampler returns a sampler that reads every registry series every
+// interval
 // (DefaultSampleInterval when <= 0) into rings of capacity points
 // (DefaultSampleCap when <= 0). Call Start to begin sampling.
-func NewSampler(reg *Registry, interval time.Duration, capacity int, families ...string) *Sampler {
+func NewSampler(reg *Registry, interval time.Duration, capacity int) *Sampler {
 	if interval <= 0 {
 		interval = DefaultSampleInterval
 	}
@@ -99,7 +98,6 @@ func NewSampler(reg *Registry, interval time.Duration, capacity int, families ..
 	}
 	return &Sampler{
 		reg:      reg,
-		families: append([]string(nil), families...),
 		interval: interval,
 		capacity: capacity,
 		series:   make(map[string]*seriesRing),
@@ -173,7 +171,7 @@ func (s *Sampler) Tick() {
 	if s == nil {
 		return
 	}
-	vals := s.reg.ReadSeries(s.families...)
+	vals := s.reg.ReadSeries()
 	now := time.Now()
 	s.mu.Lock()
 	if s.start.IsZero() {

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"tebis/internal/metrics"
 )
 
 // Span is one completed interval of work: a merge, build, ship (per
@@ -207,6 +209,28 @@ func (t *Tracer) Bytes() int {
 	t.r.mu.Lock()
 	defer t.r.mu.Unlock()
 	return t.r.bytes
+}
+
+// Collect implements metrics.Source: the span ring's occupancy and
+// eviction counters, so trace loss under load (spans dropped to stay
+// inside the ring's span-count and byte bounds) is visible on /metrics.
+// Views made by Node share the ring; register the tracer they came from.
+func (t *Tracer) Collect() []metrics.Family {
+	if t == nil {
+		return nil
+	}
+	r := t.r
+	r.mu.Lock()
+	dropped, size, bytes := r.dropped, r.size, r.bytes
+	r.mu.Unlock()
+	return []metrics.Family{
+		metrics.Counter("tebis_trace_dropped_spans_total",
+			"Spans evicted from the trace ring to stay within its bounds.", metrics.Value(float64(dropped))),
+		metrics.Gauge("tebis_trace_spans",
+			"Spans currently buffered in the trace ring.", metrics.Value(float64(size))),
+		metrics.Gauge("tebis_trace_bytes",
+			"Approximate resident bytes of the buffered trace spans.", metrics.Value(float64(bytes))),
+	}
 }
 
 // MaxBytes returns the ring's byte budget.

@@ -398,30 +398,3 @@ func (s *Server) statsFor(id region.ID) *regionStats {
 	}
 	return nil
 }
-
-// servingStats snapshots the stats sinks of every serving region — the
-// iteration backing the per-region metric families.
-func (s *Server) servingStats() map[region.ID]*regionStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[region.ID]*regionStats, len(s.regions))
-	for id, hr := range s.regions {
-		if hr.db == nil && !hr.isAlias {
-			continue
-		}
-		out[id] = hr.stats
-	}
-	return out
-}
-
-// regionEpochs snapshots the epoch of every hosted region (serving or
-// backup), for the tebis_region_epoch gauge family.
-func (s *Server) regionEpochs() map[region.ID]uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[region.ID]uint32, len(s.regions))
-	for id, hr := range s.regions {
-		out[id] = hr.info.Epoch
-	}
-	return out
-}

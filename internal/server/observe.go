@@ -4,156 +4,56 @@ import (
 	"fmt"
 
 	"tebis/internal/lsm"
+	"tebis/internal/metrics"
 	"tebis/internal/obs"
+	"tebis/internal/region"
 	"tebis/internal/vlog"
 )
 
-// Observe registers this server's metric families with reg, labeled by
-// node name: cycle breakdown (Table 3), compaction stages and writer
-// stalls, failure/eviction state, device and network byte counters with
-// the derived amplification ratios (Figure 7), per-op latency summaries
-// (Figure 8), and live engine gauges (memtable size, value-log
-// position, compaction queue depth).
+// Observe registers everything this server counts with reg, labeled by
+// node name: its own families (Collect) and the stats sinks it feeds.
+// The stage set, the event journal and the span ring may be shared
+// cluster-wide (cluster.Config), so they register unlabeled — their own
+// stage, tenant, type and Event.Node fields carry the attribution — and
+// co-registered servers dedupe onto one registration.
 func (s *Server) Observe(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	labels := obs.Labels{"node": s.cfg.Name}
-	reg.RegisterCycles(labels, s.cfg.Cycles)
-	reg.RegisterCompaction(labels, s.cfg.LSM.CompactionStats)
-	reg.RegisterFailure(labels, s.cfg.Failures)
-	reg.RegisterScrub(labels, s.cfg.Scrub)
-	reg.RegisterShip(labels, s.cfg.Ship)
-	reg.RegisterDevice(labels, s.cfg.Device)
-	reg.RegisterEndpoint(labels, s.cfg.Endpoint)
-	for _, op := range opKinds {
-		reg.RegisterOpLatency(labels, op, s.opLat[op])
+	for _, src := range []metrics.Source{
+		s, s.cfg.Cycles, s.cfg.LSM.CompactionStats, s.cfg.Failures, s.cfg.Scrub,
+		s.cfg.Ship, s.cfg.GC.Stats, s.cfg.Lag, s.ctrl,
+	} {
+		reg.Register(labels, src)
 	}
-	reg.RegisterLag(labels, s.cfg.Lag)
-	// The event journal may be shared cluster-wide (cluster.Config.Events),
-	// so like the stage set it registers unlabeled: Event.Node carries the
-	// attribution and co-registered servers dedupe onto one counter family.
-	reg.RegisterEvents(nil, s.cfg.Events)
-	// Like the span ring, the stage set may be shared cluster-wide
-	// (cluster.Config.Stages), so it registers unlabeled: stage and
-	// tenant labels carry the attribution and co-registered servers
-	// dedupe onto one family set.
-	reg.RegisterStages(nil, s.cfg.Stages)
-	s.ctrl.Register(reg, labels)
-	// The span ring is shared by every node view, so its occupancy and
-	// drop counters register unlabeled: all servers dedupe onto one
-	// ring-global series.
-	reg.RegisterTracer(nil, s.trace)
-
-	dataset := func() float64 { return float64(s.dataset.Load()) }
-	reg.RegisterAmplification(labels,
-		func() float64 {
-			st := s.cfg.Device.Stats()
-			return float64(st.BytesRead + st.BytesWritten)
-		},
-		func() float64 {
-			return float64(s.cfg.Endpoint.TxBytes() + s.cfg.Endpoint.RxBytes())
-		},
-		dataset)
-
-	reg.GaugeFunc("tebis_memtable_bytes",
-		"Byte footprint of the active L0 memtables across hosted regions.",
-		labels, func() float64 {
-			var total int64
-			for _, db := range s.hostedDBs() {
-				total += db.MemtableBytes()
-			}
-			return float64(total)
-		})
-	reg.GaugeFunc("tebis_vlog_bytes",
-		"Value-log write position across hosted regions.",
-		labels, func() float64 {
-			var total float64
-			for _, db := range s.hostedDBs() {
-				total += float64(db.Log().Position())
-			}
-			return total
-		})
-	// Value-log space accounting and GC counters (DESIGN.md "Value-log GC").
-	// Registered even with GC disabled so reclaimable space is visible
-	// before it is turned on. Hosted engines share one device, so
-	// segment IDs are node-unique and the per-segment children merge.
-	reg.RegisterVlogSpace(labels, func() vlog.SpaceReport {
-		var rep vlog.SpaceReport
-		for _, db := range s.hostedDBs() {
-			r := db.Log().SpaceReport()
-			rep.Live += r.Live
-			rep.Dead += r.Dead
-			rep.Trimmed += r.Trimmed
-			rep.Segments = append(rep.Segments, r.Segments...)
-		}
-		return rep
-	})
-	reg.RegisterGC(labels, s.cfg.GC.Stats)
-	// Per-region families are dynamic: children appear when the master
-	// splits a region or migrates one here, so the whole family is
-	// re-enumerated from the hosted-region table at scrape time.
-	reg.FamilyFunc("tebis_region_ops_total",
-		"Operations served per hosted region, by kind.",
-		"counter", labels, func() map[string]float64 {
-			out := make(map[string]float64)
-			for id, l := range s.RegionLoads() {
-				out[fmt.Sprintf(`kind="read",region="%d"`, id)] = float64(l.Reads)
-				out[fmt.Sprintf(`kind="scan",region="%d"`, id)] = float64(l.Scans)
-				out[fmt.Sprintf(`kind="write",region="%d"`, id)] = float64(l.Writes)
-			}
-			return out
-		})
-	reg.FamilyFunc("tebis_region_bytes_total",
-		"Request payload bytes absorbed per hosted region.",
-		"counter", labels, func() map[string]float64 {
-			out := make(map[string]float64)
-			for id, l := range s.RegionLoads() {
-				out[fmt.Sprintf(`region="%d"`, id)] = float64(l.Bytes)
-			}
-			return out
-		})
-	reg.FamilyFunc("tebis_region_epoch",
-		"Current epoch of every hosted region; a jump marks a split, merge, or migration.",
-		"gauge", labels, func() map[string]float64 {
-			out := make(map[string]float64)
-			for id, e := range s.regionEpochs() {
-				out[fmt.Sprintf(`region="%d"`, id)] = float64(e)
-			}
-			return out
-		})
-	reg.FamilyFunc("tebis_region_op_latency_seconds",
-		"Per-region service latency quantiles over the region's lifetime.",
-		"gauge", labels, func() map[string]float64 {
-			out := make(map[string]float64)
-			for id, st := range s.servingStats() {
-				for _, q := range obs.SummaryQuantiles {
-					out[fmt.Sprintf(`quantile="%s",region="%d"`, q.Label, id)] =
-						st.lat.Percentile(q.Percentile).Seconds()
-				}
-			}
-			return out
-		})
-
-	reg.GaugeFunc("tebis_compaction_queue_depth",
-		"Frozen L0 tables waiting plus compaction jobs in flight.",
-		labels, func() float64 {
-			var total int
-			for _, db := range s.hostedDBs() {
-				frozen, inflight := db.QueueDepth()
-				total += frozen + inflight
-			}
-			return float64(total)
-		})
+	for _, op := range opKinds {
+		reg.Register(obs.Labels{"node": s.cfg.Name, "op": op}, s.opLat[op])
+	}
+	reg.Register(nil, s.cfg.Stages)
+	reg.Register(nil, s.cfg.Events)
+	reg.Register(nil, s.cfg.Trace)
 }
 
-// hostedDBs snapshots every live engine on this server — hosted
-// primaries plus Build-Index backup engines.
-func (s *Server) hostedDBs() []*lsm.DB {
+// Collect implements metrics.Source with the families the server itself
+// owns, all from one pass over the hosted-region table and one read of
+// each byte counter: device and network bytes with the amplification
+// ratios derived from them (Figure 7), live engine gauges (memtable
+// size, value-log position and space, compaction queue depth), and the
+// per-region families, whose children appear when the master splits a
+// region or migrates one here.
+func (s *Server) Collect() []metrics.Family {
+	type hosted struct {
+		id    region.ID
+		epoch uint32
+		stats *regionStats // nil unless this server serves the region's ops
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	dbs := make([]*lsm.DB, 0, len(s.regions))
-	for _, hr := range s.regions {
+	regions := make([]hosted, 0, len(s.regions))
+	var dbs []*lsm.DB // hosted primaries plus Build-Index backup engines
+	for id, hr := range s.regions {
+		h := hosted{id: id, epoch: hr.info.Epoch}
+		if hr.db != nil || hr.isAlias {
+			h.stats = hr.stats
+		}
+		regions = append(regions, h)
 		if hr.db != nil {
 			dbs = append(dbs, hr.db)
 		}
@@ -161,5 +61,66 @@ func (s *Server) hostedDBs() []*lsm.DB {
 			dbs = append(dbs, hr.backup.DB())
 		}
 	}
-	return dbs
+	s.mu.Unlock()
+
+	ops := metrics.Counter("tebis_region_ops_total",
+		"Operations served per hosted region, by kind.")
+	bytes := metrics.Counter("tebis_region_bytes_total",
+		"Request payload bytes absorbed per hosted region.")
+	epoch := metrics.Gauge("tebis_region_epoch",
+		"Current epoch of every hosted region; a jump marks a split, merge, or migration.")
+	latency := metrics.Gauge("tebis_region_op_latency_seconds",
+		"Per-region service latency quantiles over the region's lifetime.")
+	for _, h := range regions {
+		epoch.Add(fmt.Sprintf(`region="%d"`, h.id), float64(h.epoch))
+		if h.stats == nil {
+			continue
+		}
+		l := h.stats.load()
+		ops.Add(fmt.Sprintf(`kind="read",region="%d"`, h.id), float64(l.Reads))
+		ops.Add(fmt.Sprintf(`kind="scan",region="%d"`, h.id), float64(l.Scans))
+		ops.Add(fmt.Sprintf(`kind="write",region="%d"`, h.id), float64(l.Writes))
+		bytes.Add(fmt.Sprintf(`region="%d"`, h.id), float64(l.Bytes))
+		_, ps := h.stats.lat.Summarize()
+		for i, q := range metrics.Quantiles {
+			latency.Add(fmt.Sprintf(`quantile="%s",region="%d"`, q.Label, h.id), ps[i].Seconds())
+		}
+	}
+
+	// Hosted engines share one device, so segment IDs are node-unique
+	// and the per-segment children of the space report merge.
+	var memtable int64
+	var vlogPos float64
+	var queued int
+	var space vlog.SpaceReport
+	for _, db := range dbs {
+		memtable += db.MemtableBytes()
+		vlogPos += float64(db.Log().Position())
+		frozen, inflight := db.QueueDepth()
+		queued += frozen + inflight
+		r := db.Log().SpaceReport()
+		space.Live += r.Live
+		space.Dead += r.Dead
+		space.Trimmed += r.Trimmed
+		space.Segments = append(space.Segments, r.Segments...)
+	}
+
+	dev := s.cfg.Device.Stats()
+	tx, rx := s.cfg.Endpoint.TxBytes(), s.cfg.Endpoint.RxBytes()
+	fams := []metrics.Family{
+		ops, bytes, epoch, latency,
+		metrics.Gauge("tebis_memtable_bytes",
+			"Byte footprint of the active L0 memtables across hosted regions.", metrics.Value(float64(memtable))),
+		metrics.Gauge("tebis_vlog_bytes",
+			"Value-log write position across hosted regions.", metrics.Value(vlogPos)),
+		metrics.Gauge("tebis_compaction_queue_depth",
+			"Frozen L0 tables waiting plus compaction jobs in flight.", metrics.Value(float64(queued))),
+		metrics.Counter("tebis_net_tx_bytes_total",
+			"Bytes transmitted over the replication network.", metrics.Value(float64(tx))),
+		metrics.Counter("tebis_net_rx_bytes_total",
+			"Bytes received over the replication network.", metrics.Value(float64(rx))),
+	}
+	fams = append(fams, dev.Families()...)
+	fams = append(fams, space.Families()...)
+	return append(fams, metrics.AmplificationFamilies(dev.BytesRead+dev.BytesWritten, tx+rx, s.dataset.Load())...)
 }

@@ -303,6 +303,10 @@ func (s *Server) Device() storage.Device { return s.cfg.Device }
 // Cycles returns the server's cycle account.
 func (s *Server) Cycles() *metrics.Cycles { return s.cfg.Cycles }
 
+// CompactionStats returns the node's compaction sink, shared by every
+// region it hosts.
+func (s *Server) CompactionStats() *metrics.CompactionStats { return s.cfg.LSM.CompactionStats }
+
 // Failures returns the node's failure metrics.
 func (s *Server) Failures() *metrics.FailureStats { return s.cfg.Failures }
 

@@ -22,6 +22,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"tebis/internal/metrics"
 )
 
 // SegmentID identifies one fixed-size segment on a device.
@@ -88,6 +90,26 @@ type Stats struct {
 	WriteOps     uint64
 	SegmentsLive uint64
 }
+
+// Families renders the counters as the device metric families — the
+// numerator of the paper's I/O amplification metric.
+func (st Stats) Families() []metrics.Family {
+	return []metrics.Family{
+		metrics.Counter("tebis_device_read_bytes_total",
+			"Bytes read from the storage device.", metrics.Value(float64(st.BytesRead))),
+		metrics.Counter("tebis_device_write_bytes_total",
+			"Bytes written to the storage device.", metrics.Value(float64(st.BytesWritten))),
+		metrics.Gauge("tebis_device_segments_live",
+			"Segments currently allocated on the device.", metrics.Value(float64(st.SegmentsLive))),
+	}
+}
+
+// Meter is a Device as a metrics.Source, for a device no server owns (a
+// server reports its device's families itself).
+type Meter struct{ Device }
+
+// Collect implements metrics.Source.
+func (m Meter) Collect() []metrics.Family { return m.Stats().Families() }
 
 // Device is the storage abstraction every Tebis subsystem writes to.
 //

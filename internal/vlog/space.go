@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"tebis/internal/metrics"
 	"tebis/internal/storage"
 )
 
@@ -80,6 +81,29 @@ func (l *Log) SpaceReport() SpaceReport {
 	rep.Live += uint64(l.tailLen) - l.tailDead
 	rep.Dead += l.tailDead
 	return rep
+}
+
+// Families renders the report as the space-ledger metric families
+// (DESIGN.md "Value-log GC"): live versus dead bytes across sealed
+// segments and the tail, the cumulative bytes reclaimed by trims and GC
+// releases, and the per-segment dead ratio — the input to the GC victim
+// picker. They are exposed even when GC is disabled, so operators can
+// see reclaimable space before turning GC on.
+func (r SpaceReport) Families() []metrics.Family {
+	ratios := metrics.Gauge("tebis_vlog_segment_dead_ratio",
+		"Dead-byte fraction per sealed value-log segment (the GC victim cost signal).")
+	for _, s := range r.Segments {
+		ratios.Add(fmt.Sprintf(`segment="%d"`, s.Seg), s.DeadRatio())
+	}
+	return []metrics.Family{
+		metrics.Gauge("tebis_vlog_live_bytes",
+			"Live (referenced) record bytes across the value log.", metrics.Value(float64(r.Live))),
+		metrics.Gauge("tebis_vlog_dead_bytes",
+			"Dead (overwritten or deleted) record bytes still occupying the value log.", metrics.Value(float64(r.Dead))),
+		metrics.Counter("tebis_vlog_trimmed_bytes_total",
+			"Value-log bytes reclaimed by prefix trims and GC releases.", metrics.Value(float64(r.Trimmed))),
+		ratios,
+	}
 }
 
 // AddDead marks n payload bytes at off as dead: the record there is no

@@ -122,8 +122,8 @@ const (
 	// refresh path.
 	FlagWrongEpoch = 1 << 3
 	// FlagOverload marks a reply shed by admission control (DESIGN.md
-	// §11): the server refused the request under overload, nothing was
-	// applied, and the client should back off before retrying.
+	// "Data path"): the server refused the request under overload, nothing
+	// was applied, and the client should back off before retrying.
 	FlagOverload = 1 << 4
 )
 
