@@ -23,11 +23,12 @@ race:
 check:
 	sh scripts/check.sh
 
-# stress re-runs the failure-prone suites — replication retry/eviction
-# and the client ring/freeList property tests — repeatedly under the
-# race detector, to shake out interleavings a single run can miss.
+# stress re-runs the failure-prone suites — replication retry/eviction,
+# the client ring/freeList property tests, and the master's hand-over
+# and interrupted-reconfiguration suites — repeatedly under the race
+# detector, to shake out interleavings a single run can miss.
 stress:
-	$(GO) test -race -count=5 ./internal/replica ./internal/client
+	$(GO) test -race -count=5 ./internal/replica ./internal/client ./internal/master
 
 fmt:
 	gofmt -w .

@@ -357,13 +357,6 @@ func mapReferences(rmap *region.Map, name string) bool {
 	return false
 }
 
-// SwitchPrimary gracefully moves a region's primary role to one of its
-// backups (load balancing). Clients discover the move through
-// wrong-region replies and a map refresh.
-func (c *Cluster) SwitchPrimary(id region.ID, to string) error {
-	return c.leader.SwitchPrimary(id, to)
-}
-
 // SplitRegion splits a region online at splitKey (nil asks the serving
 // host for its sampled median). The split is logical — both children
 // keep serving from the shared engine — and clients converge through
@@ -382,7 +375,9 @@ func (c *Cluster) MergeRegion(leftID, rightID region.ID) error {
 // destination is seeded with the source's built index segments and log
 // tail over the replica ship path, writes drain through a short freeze
 // window, and clients chase the move via stale-epoch retries. Returns
-// the bytes shipped.
+// the bytes shipped — zero when the destination is already one of the
+// region's backups, the planned primary hand-over used for load
+// balancing.
 func (c *Cluster) MigrateRegion(id region.ID, to string) (int64, error) {
 	return c.leader.MigrateRegion(id, to)
 }

@@ -279,14 +279,67 @@ func TestGracefulPrimarySwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A second client keeps writing across every hand-over — each one
+	// waits for a fresh ack first, so the writes interleave with all of
+	// them. The freeze window parks its ops and the epoch bump bounces them
+	// to the new primary, so each put it saw acknowledged must be readable
+	// afterwards.
+	wcl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wcl.Close()
+	stop := make(chan struct{})
+	progress := make(chan struct{}) // one token per ack, dropped when nobody waits
+	writerDone := make(chan struct{})
+	var acked []string
+	go func() {
+		defer close(writerDone)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := fmt.Sprintf("live-%02x-%06d", i%211, i)
+			if err := wcl.Put([]byte(k), []byte(k)); err != nil {
+				t.Errorf("Put(%s) during a planned hand-over: %v", k, err)
+				return
+			}
+			acked = append(acked, k)
+			select {
+			case progress <- struct{}{}:
+			default:
+			}
+		}
+	}()
+
 	// Move every region's primary to its first backup (a full cluster
-	// rebalance) while the client keeps its stale map.
+	// rebalance) while the clients keep their stale maps.
 	before, _ := c.Map()
 	for _, r := range before.Regions {
-		if err := c.SwitchPrimary(r.ID, r.Backups[0]); err != nil {
-			t.Fatalf("switch region %d: %v", r.ID, err)
+		select {
+		case <-progress:
+		case <-writerDone:
+			t.FailNow()
+		}
+		shipped, err := c.MigrateRegion(r.ID, r.Backups[0])
+		if err != nil {
+			t.Fatalf("hand over region %d: %v", r.ID, err)
+		}
+		if shipped != 0 {
+			t.Fatalf("hand-over of region %d to an existing backup shipped %d bytes", r.ID, shipped)
 		}
 	}
+	close(stop)
+	<-writerDone
+	for _, k := range acked {
+		v, found, err := cl.Get([]byte(k))
+		if err != nil || !found || string(v) != k {
+			t.Fatalf("acknowledged Get(%s) after hand-over = %q, %v, %v", k, v, found, err)
+		}
+	}
+	t.Logf("verified %d puts acknowledged across the hand-overs", len(acked))
 	after, _ := c.Map()
 	if after.Version <= before.Version {
 		t.Fatal("map version did not advance")

@@ -8,9 +8,12 @@ import (
 	"tebis/internal/replica"
 )
 
-func testSwitchPrimary(t *testing.T, mode replica.Mode) {
+// testHandOver moves a region's primary role to one of its backups: the
+// planned hand-over is MigrateRegion to a server already in the replica
+// group, which ships nothing.
+func testHandOver(t *testing.T, mode replica.Mode) {
 	h := newHarness(t, 3, mode)
-	h.bootstrap(2, 2) // three-way so a third replica also follows the switch
+	h.bootstrap(2, 2) // three-way so a third replica also follows the hand-over
 
 	r0, _ := h.m.Map().ByID(0)
 	p, _ := h.servers[r0.Primary].Primary(0)
@@ -22,13 +25,20 @@ func testSwitchPrimary(t *testing.T, mode replica.Mode) {
 	}
 
 	target := r0.Backups[0]
-	if err := h.m.SwitchPrimary(0, target); err != nil {
+	shipped, err := h.m.MigrateRegion(0, target)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if shipped != 0 {
+		t.Fatalf("hand-over to an existing backup shipped %d bytes", shipped)
 	}
 
 	after, _ := h.m.Map().ByID(0)
 	if after.Primary != target {
 		t.Fatalf("primary = %s, want %s", after.Primary, target)
+	}
+	if after.Epoch <= r0.Epoch {
+		t.Fatalf("epoch did not advance on hand-over: %d -> %d", r0.Epoch, after.Epoch)
 	}
 	// The old primary must now be a backup.
 	foundOld := false
@@ -53,7 +63,7 @@ func testSwitchPrimary(t *testing.T, mode replica.Mode) {
 		k := fmt.Sprintf("key%06d", i)
 		v, found, err := np.DB().Get([]byte(k))
 		if err != nil || !found || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("switched Get(%s) = %q, %v, %v", k, v, found, err)
+			t.Fatalf("handed-over Get(%s) = %q, %v, %v", k, v, found, err)
 		}
 	}
 
@@ -82,32 +92,32 @@ func testSwitchPrimary(t *testing.T, mode replica.Mode) {
 	if !ok {
 		t.Fatalf("final primary %s not hosted", final.Primary)
 	}
-	// Both pre-switch and post-switch writes must survive.
+	// Both pre- and post-hand-over writes must survive.
 	for _, k := range []string{"key000500", "post000399"} {
 		if _, found, err := fp.DB().Get([]byte(k)); err != nil || !found {
-			t.Fatalf("Get(%s) after switch+failover = %v, %v", k, found, err)
+			t.Fatalf("Get(%s) after hand-over+failover = %v, %v", k, found, err)
 		}
 	}
 }
 
-func TestSwitchPrimarySendIndex(t *testing.T)  { testSwitchPrimary(t, replica.SendIndex) }
-func TestSwitchPrimaryBuildIndex(t *testing.T) { testSwitchPrimary(t, replica.BuildIndex) }
+func TestHandOverSendIndex(t *testing.T)  { testHandOver(t, replica.SendIndex) }
+func TestHandOverBuildIndex(t *testing.T) { testHandOver(t, replica.BuildIndex) }
 
-func TestSwitchPrimaryRejectsNonBackup(t *testing.T) {
+func TestHandOverRefusals(t *testing.T) {
 	h := newHarness(t, 3, replica.SendIndex)
 	h.bootstrap(1, 1)
+	h.seed(0, 300)
 	r0, _ := h.m.Map().ByID(0)
-	// A live server that is not in the region's replica set.
-	var outsider string
-	for name := range h.servers {
-		if name != r0.Primary && name != r0.Backups[0] {
-			outsider = name
-		}
+	if _, err := h.m.MigrateRegion(region.ID(99), r0.Backups[0]); err == nil {
+		t.Fatal("hand-over of unknown region accepted")
 	}
-	if err := h.m.SwitchPrimary(0, outsider); err == nil {
-		t.Fatal("switch to non-backup accepted")
+	// An engine owner with alias children cannot hand its primary role
+	// over, not even to a backup that already holds the whole engine.
+	if _, err := h.m.SplitRegion(0, nil); err != nil {
+		t.Fatal(err)
 	}
-	if err := h.m.SwitchPrimary(region.ID(99), r0.Backups[0]); err == nil {
-		t.Fatal("switch of unknown region accepted")
+	if _, err := h.m.MigrateRegion(0, r0.Backups[0]); err == nil {
+		t.Fatal("hand-over of an engine owner with alias children accepted")
 	}
+	h.assertConverged(h.m)
 }

@@ -8,6 +8,7 @@ package master
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -155,6 +156,16 @@ func (m *Master) RegisterHost(h Host) {
 	m.mu.Unlock()
 }
 
+// host resolves a registered region server by name.
+func (m *Master) host(name string) (Host, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if h, ok := m.hosts[name]; ok {
+		return h, nil
+	}
+	return nil, fmt.Errorf("%w: %s", ErrNoHost, name)
+}
+
 // Map returns the master's current region map.
 func (m *Master) Map() *region.Map {
 	m.mu.Lock()
@@ -175,11 +186,8 @@ func (m *Master) publishMap() error {
 // Bootstrap opens every region of rmap on its assigned servers, attaches
 // backups to primaries, and publishes the map. Leader only.
 func (m *Master) Bootstrap(rmap *region.Map) error {
-	if lead, _, err := m.elec.IsLeader(); err != nil || !lead {
-		if err != nil {
-			return err
-		}
-		return ErrNotLeader
+	if err := m.requireLeader(); err != nil {
+		return err
 	}
 	if err := rmap.Validate(); err != nil {
 		return err
@@ -200,11 +208,9 @@ func (m *Master) Bootstrap(rmap *region.Map) error {
 // openRegion issues the open-region commands for one region: primary
 // first, then each backup, then attach.
 func (m *Master) openRegion(r region.Region) error {
-	m.mu.Lock()
-	ph, ok := m.hosts[r.Primary]
-	m.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoHost, r.Primary)
+	ph, err := m.host(r.Primary)
+	if err != nil {
+		return err
 	}
 	mode := m.mode
 	if len(r.Backups) == 0 {
@@ -215,11 +221,9 @@ func (m *Master) openRegion(r region.Region) error {
 		return err
 	}
 	for _, bname := range r.Backups {
-		m.mu.Lock()
-		bh, ok := m.hosts[bname]
-		m.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrNoHost, bname)
+		bh, err := m.host(bname)
+		if err != nil {
+			return err
 		}
 		b, err := bh.OpenBackup(r, mode)
 		if err != nil {
@@ -235,11 +239,8 @@ func (m *Master) openRegion(r region.Region) error {
 // finishes or rolls back any reconfiguration the previous master left
 // in flight.
 func (m *Master) TakeOver() error {
-	if lead, _, err := m.elec.IsLeader(); err != nil || !lead {
-		if err != nil {
-			return err
-		}
-		return ErrNotLeader
+	if err := m.requireLeader(); err != nil {
+		return err
 	}
 	data, err := m.sess.Get(RegionMapPath)
 	if err != nil {
@@ -320,112 +321,6 @@ func (m *Master) reconcile(liveNow []string) error {
 	return nil
 }
 
-// SwitchPrimary gracefully moves a region's primary role to one of its
-// backups — the master's load-balancing operation (§3.1). Unlike a
-// failure promotion, the old primary survives and becomes a backup of
-// the new primary; no state transfer is needed because every replica
-// already holds the full log and index. Client traffic on the region
-// should be quiesced for the switch (clients that race it retry on
-// wrong-region replies).
-func (m *Master) SwitchPrimary(id region.ID, to string) error {
-	m.mu.Lock()
-	r, err := m.rmap.ByID(id)
-	if err != nil {
-		m.mu.Unlock()
-		return err
-	}
-	isBackup := false
-	for _, b := range r.Backups {
-		if b == to {
-			isBackup = true
-		}
-	}
-	oldHost := m.hosts[r.Primary]
-	newHost := m.hosts[to]
-	m.mu.Unlock()
-	if !isBackup {
-		return fmt.Errorf("master: %s is not a backup of region %d", to, id)
-	}
-	if oldHost == nil || newHost == nil {
-		return fmt.Errorf("%w: %s or %s", ErrNoHost, r.Primary, to)
-	}
-	p, ok := oldHost.Primary(id)
-	if !ok {
-		return fmt.Errorf("master: %s does not host primary of region %d", r.Primary, id)
-	}
-
-	// Quiesce: drain compactions, seal and flush the log tail so every
-	// replica's buffer is empty and its log map complete.
-	if err := p.DB().WaitIdle(); err != nil {
-		return err
-	}
-	if err := p.SealTail(); err != nil {
-		return err
-	}
-
-	// Snapshot the target's log map before promotion: the other
-	// replicas (including the demoted old primary) re-key through it.
-	nb, ok := newHost.Backup(id)
-	if !ok {
-		return fmt.Errorf("master: %s does not host backup of region %d", to, id)
-	}
-	oldToNew := nb.LogMap().Snapshot()
-
-	p.DetachAll()
-	newP, err := newHost.PromoteToPrimary(id)
-	if err != nil {
-		return err
-	}
-
-	// Remaining backups follow the new primary.
-	m.mu.Lock()
-	var others []Host
-	for _, b := range r.Backups {
-		if b != to && m.live[b] {
-			others = append(others, m.hosts[b])
-		}
-	}
-	mode := m.mode
-	m.mu.Unlock()
-	for _, bh := range others {
-		ob, ok := bh.Backup(id)
-		if !ok {
-			return fmt.Errorf("master: %s lost backup of region %d", bh.Name(), id)
-		}
-		if err := ob.LogMap().Retarget(oldToNew); err != nil {
-			return err
-		}
-		replica.Attach(newP, ob)
-	}
-
-	// The old primary becomes a backup of the new one.
-	oldB, err := oldHost.DemoteToBackup(id, mode, oldToNew)
-	if err != nil {
-		return err
-	}
-	replica.Attach(newP, oldB)
-
-	m.mu.Lock()
-	if err := m.rmap.SetPrimary(id, to); err != nil {
-		m.mu.Unlock()
-		return err
-	}
-	if err := m.rmap.AddBackup(id, r.Primary); err != nil {
-		m.mu.Unlock()
-		return err
-	}
-	updated, _ := m.rmap.ByID(id)
-	m.mu.Unlock()
-	// Install the current descriptor and a serving lease on the new
-	// primary (its backup-era descriptor may lag the region's epoch).
-	if err := newHost.Unfreeze(updated, region.Lease{
-		Region: id, Epoch: updated.Epoch, Holder: to,
-	}); err != nil {
-		return err
-	}
-	return m.publishMap()
-}
-
 // HandleServerFailure recovers every region the failed server
 // participated in: primary regions are failed over to a backup, backup
 // slots are refilled from live servers with a full state transfer
@@ -451,12 +346,9 @@ func (m *Master) HandleServerFailure(name string) error {
 			}
 			continue
 		}
-		for _, b := range r.Backups {
-			if b == name {
-				if err := m.failBackup(r, name); err != nil {
-					return err
-				}
-				break
+		if slices.Contains(r.Backups, name) {
+			if err := m.failBackup(r, name); err != nil {
+				return err
 			}
 		}
 	}
@@ -485,11 +377,9 @@ func (m *Master) reparentAliases() error {
 		if r.Primary == root.Primary {
 			continue
 		}
-		m.mu.Lock()
-		host := m.hosts[root.Primary]
-		m.mu.Unlock()
-		if host == nil {
-			return fmt.Errorf("%w: %s", ErrNoHost, root.Primary)
+		host, err := m.host(root.Primary)
+		if err != nil {
+			return err
 		}
 		if err := host.SplitHosted(root, r); err != nil {
 			return err
@@ -520,69 +410,89 @@ func rootOwner(rm *region.Map, r region.Region) (region.Region, error) {
 	return r, nil
 }
 
-// failPrimary promotes the first live backup of r to primary, rewires
-// the remaining backups to it, retargets their log maps, and refills the
-// vacated backup slot.
-func (m *Master) failPrimary(r region.Region) error {
+// liveBackups lists r's backups on live servers, skipping except.
+func (m *Master) liveBackups(r region.Region, except string) []string {
 	m.mu.Lock()
-	var promoteTo string
+	defer m.mu.Unlock()
+	var out []string
 	for _, b := range r.Backups {
-		if m.live[b] {
-			promoteTo = b
-			break
+		if b != except && m.live[b] {
+			out = append(out, b)
 		}
 	}
-	host := m.hosts[promoteTo]
-	m.mu.Unlock()
-	if promoteTo == "" {
-		return fmt.Errorf("%w: region %d lost its primary and has no live backup", ErrNoCapacity, r.ID)
-	}
+	return out
+}
 
-	// Snapshot the new primary's log map before promotion: the other
-	// backups retarget through it (§3.2).
-	nb, ok := host.Backup(r.ID)
-	if !ok {
-		return fmt.Errorf("master: %s does not host backup of region %d", promoteTo, r.ID)
-	}
-	newPrimaryLogMap := nb.LogMap().Snapshot()
-
-	p, err := host.PromoteToPrimary(r.ID)
+// handOver is the one promote-and-rewire sequence behind every change of
+// a region's primary — failure promotion, whole-region migration, and a
+// split child's separation (§3.1, §3.5): the backup of region id on
+// server to becomes the primary, the followers re-key their log maps
+// through its pre-promotion log map and attach to it, and demoted (the
+// old primary's host; nil when it failed or keeps its own engine) joins
+// them as one more backup. The caller has detached the old primary from
+// its backups and, for a planned hand-over, frozen the region, drained
+// compactions and sealed the log tail.
+func (m *Master) handOver(id region.ID, to string, followers []string, demoted Host) error {
+	dst, err := m.host(to)
 	if err != nil {
 		return err
 	}
-
-	// Rewire the remaining live backups to the new primary.
-	m.mu.Lock()
-	var remaining []string
-	for _, b := range r.Backups {
-		if b != promoteTo && m.live[b] {
-			remaining = append(remaining, b)
+	nb, ok := dst.Backup(id)
+	if !ok {
+		return fmt.Errorf("master: %s does not host backup of region %d", to, id)
+	}
+	// Snapshot the new primary's log map before promotion: the other
+	// replicas retarget through it (§3.2).
+	oldToNew := nb.LogMap().Snapshot()
+	p, err := dst.PromoteToPrimary(id)
+	if err != nil {
+		return err
+	}
+	for _, name := range followers {
+		bh, err := m.host(name)
+		if err != nil {
+			return err
 		}
-	}
-	hosts := make([]Host, 0, len(remaining))
-	for _, b := range remaining {
-		hosts = append(hosts, m.hosts[b])
-	}
-	m.mu.Unlock()
-	for _, bh := range hosts {
-		ob, ok := bh.Backup(r.ID)
+		ob, ok := bh.Backup(id)
 		if !ok {
-			return fmt.Errorf("master: %s lost backup state of region %d", bh.Name(), r.ID)
+			return fmt.Errorf("master: %s lost backup of region %d", name, id)
 		}
-		if err := ob.LogMap().Retarget(newPrimaryLogMap); err != nil {
+		if err := ob.LogMap().Retarget(oldToNew); err != nil {
 			return err
 		}
 		replica.Attach(p, ob)
 	}
+	if demoted != nil {
+		ob, err := demoted.DemoteToBackup(id, m.mode, oldToNew)
+		if err != nil {
+			return err
+		}
+		replica.Attach(p, ob)
+	}
+	return nil
+}
+
+// failPrimary hands r over to its first live backup and refills the
+// replica slot the failed primary vacated.
+func (m *Master) failPrimary(r region.Region) error {
+	live := m.liveBackups(r, "")
+	if len(live) == 0 {
+		return fmt.Errorf("%w: region %d lost its primary and has no live backup", ErrNoCapacity, r.ID)
+	}
+	promoteTo := live[0]
+	if err := m.handOver(r.ID, promoteTo, live[1:], nil); err != nil {
+		return err
+	}
 
 	// Update the map: new primary, old primary no longer a backup.
 	m.mu.Lock()
-	if err := m.rmap.SetPrimary(r.ID, promoteTo); err != nil {
-		m.mu.Unlock()
+	err := m.rmap.SetPrimary(r.ID, promoteTo)
+	updated, _ := m.rmap.ByID(r.ID)
+	host := m.hosts[promoteTo]
+	m.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	updated, _ := m.rmap.ByID(r.ID)
-	m.mu.Unlock()
 
 	// The promoted backup's hosted descriptor predates any splits of the
 	// region (backups don't track epoch bumps); install the current one
@@ -633,15 +543,9 @@ func (m *Master) ReplaceBackup(id region.ID, failed string) error {
 		m.mu.Unlock()
 		return err
 	}
-	isBackup := false
-	for _, b := range r.Backups {
-		if b == failed {
-			isBackup = true
-		}
-	}
 	fh := m.hosts[failed]
 	m.mu.Unlock()
-	if !isBackup {
+	if !slices.Contains(r.Backups, failed) {
 		return fmt.Errorf("master: %s is not a backup of region %d", failed, id)
 	}
 	// A live evicted host still holds the region slot; drop it so the

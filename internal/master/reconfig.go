@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"tebis/internal/obs"
@@ -116,7 +117,7 @@ func (m *Master) hookPoint(op, phase string) error {
 
 // beginPhase durably advances the intent to the given phase, then runs
 // the crash hook. The switch phase instead records first and hooks after
-// its actions (see the callers): the record must precede the commit, and
+// its actions (see reconfigure): the record must precede the commit, and
 // the interesting crash point is after it.
 func (m *Master) beginPhase(it *Intent, phase string) error {
 	it.Phase = phase
@@ -163,10 +164,79 @@ func (m *Master) requireLeader() error {
 	return nil
 }
 
-func (m *Master) host(name string) Host {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hosts[name]
+// reconfigSteps are the parts of a reconfiguration that differ between
+// operations; reconfigure supplies everything around them.
+type reconfigSteps struct {
+	// prepare freezes the affected regions.
+	prepare func() error
+	// transfer seeds a migration's destination; nil for splits and
+	// merges, which move nothing.
+	transfer func() error
+	// commit flips roles on the hosts and applies the change to m.rmap;
+	// the driver publishes the map right after.
+	commit func() error
+}
+
+// reconfigure drives one reconfiguration. plan runs with the
+// reconfiguration slot held: it validates the request against the current
+// map, fills in the intent, and returns the operation's own steps. The
+// driver is what enforces the protocol: the intent is durably recorded
+// before every phase, so a successor knows the furthest point a dead
+// leader could have reached, and everything after the publish is
+// completeIntent — the completion a successor's TakeOver runs — so what
+// a live leader and a successor do to finish cannot drift. A failure
+// before the publish rolls back through abortIntent. A ReconfigHook
+// interruption leaves all state for the successor, and so does a failure
+// after the publish: the operation is committed and only its completion
+// is owed.
+func (m *Master) reconfigure(plan func(it *Intent) (reconfigSteps, error)) error {
+	if err := m.requireLeader(); err != nil {
+		return err
+	}
+	if err := m.lockReconfig(); err != nil {
+		return err
+	}
+	defer m.unlockReconfig()
+
+	var it Intent
+	st, err := plan(&it)
+	if err != nil {
+		return err
+	}
+	precommit := func() error {
+		if err := m.beginPhase(&it, PhasePrepare); err != nil {
+			return err
+		}
+		if err := st.prepare(); err != nil {
+			return err
+		}
+		if err := m.beginPhase(&it, PhaseTransfer); err != nil {
+			return err
+		}
+		if st.transfer != nil {
+			if err := st.transfer(); err != nil {
+				return err
+			}
+		}
+		it.Phase = PhaseSwitch
+		if err := m.saveIntent(it); err != nil {
+			return err
+		}
+		if err := st.commit(); err != nil {
+			return err
+		}
+		return m.publishMap()
+	}
+	if err := precommit(); err != nil {
+		if !errors.Is(err, ErrReconfigInterrupted) {
+			m.abortIntent(it)
+		}
+		return err
+	}
+	if err := m.hookPoint(it.Op, PhaseSwitch); err != nil {
+		return err
+	}
+	return m.completeIntent(it)
 }
 
 // SplitRegion splits a region online at splitKey (nil asks the serving
@@ -177,82 +247,43 @@ func (m *Master) host(name string) Host {
 // short freeze window; no acknowledged write is lost. Returns the right
 // child's ID.
 func (m *Master) SplitRegion(id region.ID, splitKey []byte) (region.ID, error) {
-	if err := m.requireLeader(); err != nil {
-		return 0, err
-	}
-	if err := m.lockReconfig(); err != nil {
-		return 0, err
-	}
-	defer m.unlockReconfig()
-
-	m.mu.Lock()
-	r, err := m.rmap.ByID(id)
-	newID := m.rmap.NextID()
-	host := m.hosts[r.Primary]
-	m.mu.Unlock()
+	var newID region.ID
+	err := m.reconfigure(func(it *Intent) (reconfigSteps, error) {
+		m.mu.Lock()
+		r, err := m.rmap.ByID(id)
+		newID = m.rmap.NextID()
+		m.mu.Unlock()
+		if err != nil {
+			return reconfigSteps{}, err
+		}
+		host, err := m.host(r.Primary)
+		if err != nil {
+			return reconfigSteps{}, err
+		}
+		if splitKey == nil {
+			if splitKey, err = host.SplitKey(id); err != nil {
+				return reconfigSteps{}, err
+			}
+		}
+		*it = Intent{Op: OpSplit, Region: id, NewID: newID, SplitKey: splitKey, From: r.Primary}
+		return reconfigSteps{
+			prepare: func() error { return host.Freeze(id) },
+			// A split ships nothing: its commit installs the shared-engine
+			// alias on the serving host.
+			commit: func() error {
+				m.mu.Lock()
+				err := m.rmap.Split(id, splitKey, newID)
+				left, _ := m.rmap.ByID(id)
+				right, _ := m.rmap.ByID(newID)
+				m.mu.Unlock()
+				if err != nil {
+					return err
+				}
+				return host.SplitHosted(left, right)
+			},
+		}, nil
+	})
 	if err != nil {
-		return 0, err
-	}
-	if host == nil {
-		return 0, fmt.Errorf("%w: %s", ErrNoHost, r.Primary)
-	}
-	if splitKey == nil {
-		if splitKey, err = host.SplitKey(id); err != nil {
-			return 0, err
-		}
-	}
-
-	it := Intent{Op: OpSplit, Region: id, NewID: newID, SplitKey: splitKey, From: r.Primary}
-	run := func() error {
-		if err := m.beginPhase(&it, PhasePrepare); err != nil {
-			return err
-		}
-		if err := host.Freeze(id); err != nil {
-			return err
-		}
-
-		// Transfer: a split ships nothing — it installs the shared-engine
-		// alias on the serving host.
-		if err := m.beginPhase(&it, PhaseTransfer); err != nil {
-			return err
-		}
-		m.mu.Lock()
-		if err := m.rmap.Split(id, splitKey, newID); err != nil {
-			m.mu.Unlock()
-			return err
-		}
-		left, _ := m.rmap.ByID(id)
-		right, _ := m.rmap.ByID(newID)
-		m.mu.Unlock()
-		if err := host.SplitHosted(left, right); err != nil {
-			return err
-		}
-
-		it.Phase = PhaseSwitch
-		if err := m.saveIntent(it); err != nil {
-			return err
-		}
-		if err := m.publishMap(); err != nil {
-			return err
-		}
-		if err := m.hookPoint(OpSplit, PhaseSwitch); err != nil {
-			return err
-		}
-		if err := host.Unfreeze(left, region.Lease{
-			Region: id, Epoch: left.Epoch, Holder: r.Primary,
-		}); err != nil {
-			return err
-		}
-		m.mu.Lock()
-		m.splits++
-		m.mu.Unlock()
-		return m.clearIntent()
-	}
-	if err := run(); err != nil {
-		if errors.Is(err, ErrReconfigInterrupted) {
-			return 0, err
-		}
-		m.abortIntent(it)
 		return 0, err
 	}
 	return newID, nil
@@ -262,378 +293,174 @@ func (m *Master) SplitRegion(id region.ID, splitKey []byte) (region.ID, error) {
 // while both still share an engine. The merged region's epoch advances
 // so stale-map requests bounce into a refresh.
 func (m *Master) MergeRegion(leftID, rightID region.ID) error {
-	if err := m.requireLeader(); err != nil {
-		return err
-	}
-	if err := m.lockReconfig(); err != nil {
-		return err
-	}
-	defer m.unlockReconfig()
-
-	m.mu.Lock()
-	left, err := m.rmap.ByID(leftID)
-	host := m.hosts[left.Primary]
-	m.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if host == nil {
-		return fmt.Errorf("%w: %s", ErrNoHost, left.Primary)
-	}
-
-	it := Intent{Op: OpMerge, Region: leftID, NewID: rightID, From: left.Primary}
-	run := func() error {
-		if err := m.beginPhase(&it, PhasePrepare); err != nil {
-			return err
-		}
-		if err := host.Freeze(leftID); err != nil {
-			return err
-		}
-		if err := host.Freeze(rightID); err != nil {
-			return err
-		}
-
-		if err := m.beginPhase(&it, PhaseTransfer); err != nil {
-			return err
-		}
+	return m.reconfigure(func(it *Intent) (reconfigSteps, error) {
 		m.mu.Lock()
-		if err := m.rmap.Merge(leftID, rightID); err != nil {
-			m.mu.Unlock()
-			return err
-		}
-		merged, _ := m.rmap.ByID(leftID)
+		left, err := m.rmap.ByID(leftID)
 		m.mu.Unlock()
-		// MergeHosted also thaws the right child's parked ops; the entry is
-		// gone, so they bounce as unknown-region into a map refresh.
-		if err := host.MergeHosted(merged, rightID); err != nil {
-			return err
+		if err != nil {
+			return reconfigSteps{}, err
 		}
-
-		it.Phase = PhaseSwitch
-		if err := m.saveIntent(it); err != nil {
-			return err
+		host, err := m.host(left.Primary)
+		if err != nil {
+			return reconfigSteps{}, err
 		}
-		if err := m.publishMap(); err != nil {
-			return err
-		}
-		if err := m.hookPoint(OpMerge, PhaseSwitch); err != nil {
-			return err
-		}
-		if err := host.Unfreeze(merged, region.Lease{
-			Region: leftID, Epoch: merged.Epoch, Holder: left.Primary,
-		}); err != nil {
-			return err
-		}
-		m.mu.Lock()
-		m.merges++
-		m.mu.Unlock()
-		return m.clearIntent()
-	}
-	if err := run(); err != nil {
-		if errors.Is(err, ErrReconfigInterrupted) {
-			return err
-		}
-		m.abortIntent(it)
-		return err
-	}
-	return nil
+		*it = Intent{Op: OpMerge, Region: leftID, NewID: rightID, From: left.Primary}
+		return reconfigSteps{
+			prepare: func() error {
+				if err := host.Freeze(leftID); err != nil {
+					return err
+				}
+				return host.Freeze(rightID)
+			},
+			commit: func() error {
+				m.mu.Lock()
+				err := m.rmap.Merge(leftID, rightID)
+				merged, _ := m.rmap.ByID(leftID)
+				m.mu.Unlock()
+				if err != nil {
+					return err
+				}
+				// MergeHosted also thaws the right child's parked ops; the
+				// entry is gone, so they bounce as unknown-region into a map
+				// refresh.
+				return host.MergeHosted(merged, rightID)
+			},
+		}, nil
+	})
 }
 
-// MigrateRegion moves a region's serving role to another server,
-// seeding the destination over the replica ship path — built index
-// segments plus the sealed log tail, no re-compaction — inside a freeze
-// window, so no acknowledged write is lost and no read sees the region
-// mid-handoff. A split child migrating away gets its own engine for the
-// first time (this is what physically separates a split); a whole region
-// moves with its replica group rewired behind it. Returns the bytes
-// shipped to seed the destination.
+// MigrateRegion moves a region's serving role to another server inside a
+// freeze window, so no acknowledged write is lost and no read sees the
+// region mid-handoff. A destination that is not yet a backup of the
+// region is seeded over the replica ship path — built index segments
+// plus the sealed log tail, no re-compaction; one that already is (the
+// planned hand-over used for load balancing, §3.1) needs no transfer.
+// A whole region moves with its replica group rewired behind it and the
+// old primary staying on as a backup. A split child migrating away gets
+// its own engine for the first time (this is what physically separates a
+// split): it leaves the parent link behind and its replica set is
+// re-seeded from the new primary. Returns the bytes shipped to seed the
+// destination.
 func (m *Master) MigrateRegion(id region.ID, to string) (int64, error) {
-	if err := m.requireLeader(); err != nil {
-		return 0, err
-	}
-	if m.mode == replica.NoReplication {
-		return 0, errors.New("master: migration requires a replication mode (the destination is seeded over the backup ship path)")
-	}
-	if err := m.lockReconfig(); err != nil {
-		return 0, err
-	}
-	defer m.unlockReconfig()
-
-	m.mu.Lock()
-	r, err := m.rmap.ByID(id)
-	var blocked bool
-	for _, x := range m.rmap.Regions {
-		if x.HasParent && x.Parent == id {
-			blocked = true
-		}
-	}
-	src := m.hosts[r.Primary]
-	dst := m.hosts[to]
-	dstLive := m.live[to]
-	snap := m.rmap.Clone()
-	m.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if blocked {
-		return 0, fmt.Errorf("master: region %d has split children sharing its engine; migrate or merge them first", id)
-	}
-	if to == r.Primary {
-		return 0, fmt.Errorf("master: region %d is already served by %s", id, to)
-	}
-	if src == nil || dst == nil {
-		return 0, fmt.Errorf("%w: %s or %s", ErrNoHost, r.Primary, to)
-	}
-	if !dstLive {
-		return 0, fmt.Errorf("%w: %s is down", ErrNoCapacity, to)
-	}
-
-	it := Intent{Op: OpMigrate, Region: id, From: r.Primary, To: to}
 	var shipped int64
-	run := func() error {
-		if r.HasParent {
-			root, err := rootOwner(snap, r)
-			if err != nil {
-				return err
+	err := m.reconfigure(func(it *Intent) (reconfigSteps, error) {
+		if m.mode == replica.NoReplication {
+			return reconfigSteps{}, errors.New("master: migration requires a replication mode (the destination is seeded over the backup ship path)")
+		}
+		m.mu.Lock()
+		r, err := m.rmap.ByID(id)
+		var blocked bool
+		for _, x := range m.rmap.Regions {
+			if x.HasParent && x.Parent == id {
+				blocked = true
 			}
-			return m.migrateChild(&it, r, root, src, dst, &shipped)
 		}
-		if kids := src.AliasChildren(id); len(kids) > 0 {
-			return fmt.Errorf("master: region %d still owns the engine of split children %v", id, kids)
+		dstLive := m.live[to]
+		snap := m.rmap.Clone()
+		m.mu.Unlock()
+		if err != nil {
+			return reconfigSteps{}, err
 		}
-		return m.migrateWhole(&it, r, src, dst, &shipped)
-	}
-	if err := run(); err != nil {
-		if errors.Is(err, ErrReconfigInterrupted) {
-			return shipped, err
+		if blocked {
+			return reconfigSteps{}, fmt.Errorf("master: region %d has split children sharing its engine; migrate or merge them first", id)
 		}
-		m.abortIntent(it)
+		if to == r.Primary {
+			return reconfigSteps{}, fmt.Errorf("master: region %d is already served by %s", id, to)
+		}
+		src, err := m.host(r.Primary)
+		if err != nil {
+			return reconfigSteps{}, err
+		}
+		dst, err := m.host(to)
+		if err != nil {
+			return reconfigSteps{}, err
+		}
+		if !dstLive {
+			return reconfigSteps{}, fmt.Errorf("%w: %s is down", ErrNoCapacity, to)
+		}
+		// The engine owner: the region itself unless it is a split child.
+		root, err := rootOwner(snap, r)
+		if err != nil {
+			return reconfigSteps{}, err
+		}
+		kids := src.AliasChildren(root.ID)
+		if !r.HasParent && len(kids) > 0 {
+			return reconfigSteps{}, fmt.Errorf("master: region %d still owns the engine of split children %v", id, kids)
+		}
+
+		*it = Intent{Op: OpMigrate, Region: id, From: r.Primary, To: to}
+		var p *replica.Primary
+		return reconfigSteps{
+			// Everything served from the engine freezes: siblings share one log.
+			prepare: func() error {
+				for _, sid := range append([]region.ID{root.ID}, kids...) {
+					if err := src.Freeze(sid); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+			transfer: func() error {
+				var ok bool
+				if p, ok = src.Primary(root.ID); !ok {
+					return fmt.Errorf("master: %s does not host primary of region %d", it.From, root.ID)
+				}
+				// Quiesce the engine: drain compactions, seal and ship the log
+				// tail so every replica's copy is complete.
+				if err := p.DB().WaitIdle(); err != nil {
+					return err
+				}
+				if err := p.SealTail(); err != nil {
+					return err
+				}
+				if _, already := dst.Backup(id); already {
+					return nil
+				}
+				nb, err := dst.OpenBackup(r, m.mode)
+				if err != nil {
+					return err
+				}
+				replica.Attach(p, nb)
+				shipped, err = p.Sync(nb)
+				return err
+			},
+			commit: func() error {
+				nr := r.Clone()
+				nr.Primary = to
+				nr.Epoch++
+				var err error
+				if r.HasParent {
+					// Only the seeded copy leaves the owner's replica group,
+					// which keeps serving the rest of the engine.
+					if nb, ok := dst.Backup(id); ok {
+						p.Detach(nb)
+					}
+					err = m.handOver(id, to, nil, nil)
+					// Parent-keyed replicas can't serve the child; completion
+					// re-seeds its replica set.
+					nr.Backups, nr.HasParent, nr.Parent = nil, false, 0
+				} else {
+					p.DetachAll()
+					followers := m.liveBackups(r, to)
+					err = m.handOver(id, to, followers, src)
+					nr.Backups = append(followers, it.From)
+				}
+				if err != nil {
+					return err
+				}
+				m.mu.Lock()
+				defer m.mu.Unlock()
+				return m.rmap.SetRegion(nr)
+			},
+		}, nil
+	})
+	if err != nil {
 		return shipped, err
 	}
 	m.mu.Lock()
-	m.migrations++
 	m.shipBytes[id] += shipped
 	m.mu.Unlock()
 	return shipped, nil
-}
-
-// migrateChild separates a split child from the engine it shares with
-// its parent: the whole sibling set freezes (they share one log), the
-// destination is seeded as a backup of the engine owner — receiving the
-// owner's built index segments and sealed log tail — then promoted to
-// the child's primary. The child leaves the parent link behind, gets a
-// fresh epoch, and its replica set is re-seeded from the new primary.
-func (m *Master) migrateChild(it *Intent, r, root region.Region, src, dst Host, shipped *int64) error {
-	if err := m.beginPhase(it, PhasePrepare); err != nil {
-		return err
-	}
-	sibs := append([]region.ID{root.ID}, src.AliasChildren(root.ID)...)
-	for _, sid := range sibs {
-		if err := src.Freeze(sid); err != nil {
-			return err
-		}
-	}
-
-	if err := m.beginPhase(it, PhaseTransfer); err != nil {
-		return err
-	}
-	p, ok := src.Primary(root.ID)
-	if !ok {
-		return fmt.Errorf("master: %s does not host primary of region %d", it.From, root.ID)
-	}
-	// Quiesce the shared engine: drain compactions, seal and ship the
-	// log tail so the destination's copy is complete.
-	if err := p.DB().WaitIdle(); err != nil {
-		return err
-	}
-	if err := p.SealTail(); err != nil {
-		return err
-	}
-	nb, err := dst.OpenBackup(r, m.mode)
-	if err != nil {
-		return err
-	}
-	replica.Attach(p, nb)
-	n, err := p.Sync(nb)
-	*shipped = n
-	if err != nil {
-		return err
-	}
-
-	it.Phase = PhaseSwitch
-	if err := m.saveIntent(*it); err != nil {
-		return err
-	}
-	p.Detach(nb)
-	if _, err := dst.PromoteToPrimary(r.ID); err != nil {
-		return err
-	}
-	nr := r.Clone()
-	nr.Primary = it.To
-	nr.Backups = nil // parent-keyed replicas can't serve it; re-seeded below
-	nr.HasParent = false
-	nr.Parent = 0
-	nr.Epoch++
-	m.mu.Lock()
-	err = m.rmap.SetRegion(nr)
-	m.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := m.publishMap(); err != nil {
-		return err
-	}
-	if err := m.hookPoint(OpMigrate, PhaseSwitch); err != nil {
-		return err
-	}
-
-	// Thaw: destination first (it serves the new epoch), then drop the
-	// source's alias (parked ops bounce to a refresh), then the rest of
-	// the sibling set under fresh leases.
-	if err := dst.Unfreeze(nr, region.Lease{
-		Region: nr.ID, Epoch: nr.Epoch, Holder: it.To,
-	}); err != nil {
-		return err
-	}
-	if err := src.DropRegion(r.ID); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	snap := m.rmap.Clone()
-	m.mu.Unlock()
-	for _, sid := range sibs {
-		if sid == r.ID {
-			continue
-		}
-		sr, err := snap.ByID(sid)
-		if err != nil {
-			return err
-		}
-		if err := src.Unfreeze(sr, region.Lease{
-			Region: sid, Epoch: sr.Epoch, Holder: it.From,
-		}); err != nil {
-			return err
-		}
-	}
-	// Restore the migrated region's replication factor from its new
-	// primary, and publish the refilled backup list.
-	if err := m.refillBackup(nr, ""); err != nil {
-		return err
-	}
-	if err := m.publishMap(); err != nil {
-		return err
-	}
-	return m.clearIntent()
-}
-
-// migrateWhole moves a non-split region to a server outside (or inside)
-// its replica group: the destination is seeded as one more backup over
-// the ship path if it isn't one already, promoted, the surviving backups
-// re-attach to it, and the old primary stays behind as a backup.
-func (m *Master) migrateWhole(it *Intent, r region.Region, src, dst Host, shipped *int64) error {
-	if err := m.beginPhase(it, PhasePrepare); err != nil {
-		return err
-	}
-	if err := src.Freeze(r.ID); err != nil {
-		return err
-	}
-
-	if err := m.beginPhase(it, PhaseTransfer); err != nil {
-		return err
-	}
-	p, ok := src.Primary(r.ID)
-	if !ok {
-		return fmt.Errorf("master: %s does not host primary of region %d", it.From, r.ID)
-	}
-	if err := p.DB().WaitIdle(); err != nil {
-		return err
-	}
-	if err := p.SealTail(); err != nil {
-		return err
-	}
-	nb, already := dst.Backup(r.ID)
-	if !already {
-		var err error
-		if nb, err = dst.OpenBackup(r, m.mode); err != nil {
-			return err
-		}
-		replica.Attach(p, nb)
-		n, err := p.Sync(nb)
-		*shipped = n
-		if err != nil {
-			return err
-		}
-	}
-
-	it.Phase = PhaseSwitch
-	if err := m.saveIntent(*it); err != nil {
-		return err
-	}
-	oldToNew := nb.LogMap().Snapshot()
-	p.DetachAll()
-	newP, err := dst.PromoteToPrimary(r.ID)
-	if err != nil {
-		return err
-	}
-	// Surviving backups follow the new primary.
-	m.mu.Lock()
-	var others []Host
-	newBackups := make([]string, 0, len(r.Backups)+1)
-	for _, b := range r.Backups {
-		if b == it.To {
-			continue
-		}
-		if m.live[b] {
-			others = append(others, m.hosts[b])
-			newBackups = append(newBackups, b)
-		}
-	}
-	m.mu.Unlock()
-	for _, bh := range others {
-		ob, ok := bh.Backup(r.ID)
-		if !ok {
-			return fmt.Errorf("master: %s lost backup of region %d", bh.Name(), r.ID)
-		}
-		if err := ob.LogMap().Retarget(oldToNew); err != nil {
-			return err
-		}
-		replica.Attach(newP, ob)
-	}
-	// The old primary stays in the replica group as a backup.
-	oldB, err := src.DemoteToBackup(r.ID, m.mode, oldToNew)
-	if err != nil {
-		return err
-	}
-	replica.Attach(newP, oldB)
-	newBackups = append(newBackups, it.From)
-
-	nr := r.Clone()
-	nr.Primary = it.To
-	nr.Backups = newBackups
-	nr.Epoch++
-	m.mu.Lock()
-	err = m.rmap.SetRegion(nr)
-	m.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := m.publishMap(); err != nil {
-		return err
-	}
-	if err := m.hookPoint(OpMigrate, PhaseSwitch); err != nil {
-		return err
-	}
-	if err := dst.Unfreeze(nr, region.Lease{
-		Region: nr.ID, Epoch: nr.Epoch, Holder: it.To,
-	}); err != nil {
-		return err
-	}
-	// The source keeps the region as a backup; thawing it bounces parked
-	// ops (stale epoch or not-primary) into a client map refresh.
-	if err := src.Unfreeze(nr, region.Lease{}); err != nil {
-		return err
-	}
-	return m.clearIntent()
 }
 
 // resumeReconfig finishes or rolls back the reconfiguration a dead
@@ -674,8 +501,11 @@ func (m *Master) intentCommitted(it Intent) bool {
 	return false
 }
 
-// completeIntent replays the post-commit cleanup of a committed
-// operation: every step is idempotent, so it is safe no matter how far
+// completeIntent is the post-commit tail of every reconfiguration: thaw
+// under fresh leases, drop a migrated child's stale alias, re-seed its
+// replica set, count the operation, clear the intent. A live leader runs
+// it right after the publish and a successor's TakeOver replays it for a
+// dead one; every step is idempotent, so it is safe no matter how far
 // the dead leader got past the publish.
 func (m *Master) completeIntent(it Intent) error {
 	m.mu.Lock()
@@ -691,9 +521,9 @@ func (m *Master) completeIntent(it Intent) error {
 		if err != nil {
 			return err
 		}
-		h := m.host(left.Primary)
-		if h == nil {
-			return fmt.Errorf("%w: %s", ErrNoHost, left.Primary)
+		h, err := m.host(left.Primary)
+		if err != nil {
+			return err
 		}
 		// Ensure the alias exists (idempotent), then thaw the left child.
 		if err := h.SplitHosted(left, right); err != nil {
@@ -713,9 +543,9 @@ func (m *Master) completeIntent(it Intent) error {
 		if err != nil {
 			return err
 		}
-		h := m.host(merged.Primary)
-		if h == nil {
-			return fmt.Errorf("%w: %s", ErrNoHost, merged.Primary)
+		h, err := m.host(merged.Primary)
+		if err != nil {
+			return err
 		}
 		root, err := rootOwner(snap, merged)
 		if err != nil {
@@ -742,16 +572,16 @@ func (m *Master) completeIntent(it Intent) error {
 		if err != nil {
 			return err
 		}
-		dst := m.host(it.To)
-		if dst == nil {
-			return fmt.Errorf("%w: %s", ErrNoHost, it.To)
+		dst, err := m.host(it.To)
+		if err != nil {
+			return err
 		}
 		if err := dst.Unfreeze(rg, region.Lease{
 			Region: rg.ID, Epoch: rg.Epoch, Holder: it.To,
 		}); err != nil {
 			return err
 		}
-		if src := m.host(it.From); src != nil {
+		if src, err := m.host(it.From); err == nil {
 			if _, isBackup := src.Backup(it.Region); isBackup {
 				// Whole-region flavor: the source stays as a backup.
 				if src.Frozen(it.Region) {
@@ -825,7 +655,7 @@ func (m *Master) abortIntent(it Intent) error {
 	case OpSplit:
 		r, err := pub.ByID(it.Region)
 		if err == nil {
-			if h := m.host(r.Primary); h != nil {
+			if h, err := m.host(r.Primary); err == nil {
 				_ = h.DropRegion(it.NewID) // alias, if the split got that far
 				// Restore the full pre-split descriptor and thaw.
 				if err := h.Unfreeze(r, region.Lease{
@@ -840,7 +670,7 @@ func (m *Master) abortIntent(it Intent) error {
 		left, lerr := pub.ByID(it.Region)
 		right, rerr := pub.ByID(it.NewID)
 		if lerr == nil && rerr == nil {
-			if h := m.host(left.Primary); h != nil {
+			if h, err := m.host(left.Primary); err == nil {
 				// Re-ensure the right child's alias (MergeHosted may have
 				// removed it before the map was republished), then thaw both.
 				if err := h.SplitHosted(left, right); err != nil {
@@ -857,13 +687,18 @@ func (m *Master) abortIntent(it Intent) error {
 		if err != nil {
 			break
 		}
-		if dst := m.host(it.To); dst != nil {
-			if nb, ok := dst.Backup(it.Region); ok {
+		if dst, err := m.host(it.To); err == nil {
+			// A destination the published map lists as a backup was a replica
+			// before the migration began (a planned hand-over): it stays.
+			// Split children only mirror their owner's list, so a child's
+			// copy on the destination is always the migration's own seed.
+			nb, ok := dst.Backup(it.Region)
+			if ok && (r.HasParent || !slices.Contains(r.Backups, it.To)) {
 				// Detach the half-seeded backup from whichever primary was
 				// shipping to it before tearing it down.
 				root, rerr := rootOwner(pub, r)
 				if rerr == nil {
-					if src := m.host(it.From); src != nil {
+					if src, err := m.host(it.From); err == nil {
 						if p, ok := src.Primary(root.ID); ok {
 							p.Detach(nb)
 						}
@@ -876,7 +711,7 @@ func (m *Master) abortIntent(it Intent) error {
 				_ = dst.DropRegion(it.Region)
 			}
 		}
-		if src := m.host(it.From); src != nil {
+		if src, err := m.host(it.From); err == nil {
 			if err := thaw(src, it.From); err != nil {
 				return err
 			}

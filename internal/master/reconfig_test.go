@@ -331,56 +331,110 @@ func TestMasterFailoverMidSplit(t *testing.T) {
 }
 
 func TestMasterFailoverMidMigration(t *testing.T) {
-	for _, phase := range []string{PhasePrepare, PhaseTransfer, PhaseSwitch} {
-		t.Run(phase, func(t *testing.T) {
-			h := newHarness(t, 3, replica.SendIndex)
-			h.bootstrap(1, 1)
-			h.seed(0, 500)
-			newID, err := h.m.SplitRegion(0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+	// bootstrap(1, 1) places region 0 on s0 with backup s1; s2 is outside.
+	flavors := []struct {
+		name  string
+		split bool   // migrate region 0's split child instead of region 0
+		to    string // destination server
+	}{
+		{"child", true, "s2"},
+		{"whole-to-outsider", false, "s2"},
+		{"whole-to-backup", false, "s1"},
+	}
+	for _, fl := range flavors {
+		for _, phase := range []string{PhasePrepare, PhaseTransfer, PhaseSwitch} {
+			t.Run(fl.name+"/"+phase, func(t *testing.T) {
+				h := newHarness(t, 3, replica.SendIndex)
+				h.bootstrap(1, 1)
+				h.seed(0, 500)
+				id := region.ID(0)
+				if fl.split {
+					var err error
+					if id, err = h.m.SplitRegion(0, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
 
-			h.m.ReconfigHook = func(op, ph string) error {
-				if op == OpMigrate && ph == phase {
-					return errors.New("master killed by test")
+				h.m.ReconfigHook = func(op, ph string) error {
+					if op == OpMigrate && ph == phase {
+						return errors.New("master killed by test")
+					}
+					return nil
 				}
-				return nil
-			}
-			if _, err := h.m.MigrateRegion(newID, "s2"); !errors.Is(err, ErrReconfigInterrupted) {
-				t.Fatalf("err = %v, want interrupted", err)
-			}
+				if _, err := h.m.MigrateRegion(id, fl.to); !errors.Is(err, ErrReconfigInterrupted) {
+					t.Fatalf("err = %v, want interrupted", err)
+				}
 
-			m2 := h.successor()
-			h.assertConverged(m2)
-			moved, _ := m2.Map().ByID(newID)
-			if moved.Primary != "s2" {
-				if phase == PhaseSwitch {
-					t.Fatal("post-publish interruption must complete, not abort")
+				m2 := h.successor()
+				h.assertConverged(m2)
+				moved, _ := m2.Map().ByID(id)
+				if moved.Primary != fl.to {
+					if phase == PhaseSwitch {
+						t.Fatal("post-publish interruption must complete, not abort")
+					}
+					if fl.to == "s1" {
+						h.assertBackupSurvivedAbort(m2)
+						return
+					}
+					// Rolled back: the source still serves and the migration
+					// re-runs cleanly.
+					if _, err := m2.MigrateRegion(id, fl.to); err != nil {
+						t.Fatalf("re-migrate after abort: %v", err)
+					}
+					moved, _ = m2.Map().ByID(id)
 				}
-				// Rolled back: the child is still an alias on the source and
-				// the migration re-runs cleanly.
-				if _, err := m2.MigrateRegion(newID, "s2"); err != nil {
-					t.Fatalf("re-migrate after abort: %v", err)
+				if moved.Primary != fl.to {
+					t.Fatalf("primary after recovery = %s", moved.Primary)
 				}
-				moved, _ = m2.Map().ByID(newID)
-			}
-			if moved.Primary != "s2" {
-				t.Fatalf("child primary after recovery = %s", moved.Primary)
-			}
-			h.assertConverged(m2)
-			// Exactly one serving copy: destination primary, no source alias.
-			if _, ok := h.servers["s2"].Primary(newID); !ok {
-				t.Fatal("destination not serving after recovery")
-			}
-			if kids := h.servers["s0"].AliasChildren(0); len(kids) != 0 {
-				t.Fatalf("source still aliases the migrated child: %v", kids)
-			}
-			np, _ := h.servers["s2"].Primary(newID)
-			if err := np.DB().Put([]byte("zzz-post-recovery"), []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-		})
+				h.assertConverged(m2)
+				// Exactly one serving copy: destination primary, no source alias.
+				np, ok := h.servers[fl.to].Primary(id)
+				if !ok {
+					t.Fatal("destination not serving after recovery")
+				}
+				if kids := h.servers["s0"].AliasChildren(0); len(kids) != 0 {
+					t.Fatalf("source still aliases the migrated child: %v", kids)
+				}
+				if len(moved.Backups) == 0 {
+					t.Fatal("migrated region has no backups after recovery")
+				}
+				if err := np.DB().Put([]byte("zzz-post-recovery"), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// assertBackupSurvivedAbort checks that rolling back a hand-over to s1,
+// region 0's pre-existing backup, left it an attached replica: a write
+// after the abort reaches it, and when the primary then crashes the
+// failure path can promote it.
+func (h *harness) assertBackupSurvivedAbort(m2 *Master) {
+	h.t.Helper()
+	if _, ok := h.servers["s1"].Backup(0); !ok {
+		h.t.Fatal("abort dropped the pre-existing backup the published map still lists")
+	}
+	p, _ := h.servers["s0"].Primary(0)
+	if err := p.DB().Put([]byte("zzz-post-abort"), []byte("v")); err != nil {
+		h.t.Fatal(err)
+	}
+	if err := h.servers["s0"].WaitIdle(); err != nil {
+		h.t.Fatal(err)
+	}
+	h.servers["s0"].Crash()
+	h.sess["s0"].Close()
+	if err := m2.HandleServerFailure("s0"); err != nil {
+		h.t.Fatalf("failover onto the surviving backup: %v", err)
+	}
+	np, ok := h.servers["s1"].Primary(0)
+	if !ok {
+		h.t.Fatal("s1 not promoted")
+	}
+	for _, k := range []string{"key000123", "zzz-post-abort"} {
+		if _, found, err := np.DB().Get([]byte(k)); err != nil || !found {
+			h.t.Fatalf("Get(%s) after abort+failover = %v, %v", k, found, err)
+		}
 	}
 }
 

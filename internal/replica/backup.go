@@ -620,25 +620,12 @@ func (b *Backup) decodeShippedLocked(req wire.IndexSegment, frame []byte) ([]byt
 		if !ok {
 			return nil, fmt.Errorf("replica: delta base segment %d not held at level %d", req.DeltaBase, lvl)
 		}
-		ver := storage.AsVerifier(b.cfg.Device)
-		if ver == nil {
-			return nil, lsm.ErrUnverifiedDevice
-		}
-		if err := ver.VerifySegment(local); err != nil {
-			return nil, err
-		}
-		t, err := ver.SegmentInfo(local)
-		if err != nil {
-			return nil, err
-		}
-		base = make([]byte, t.PayloadLen)
-		if err := b.cfg.Device.ReadAt(b.geo.Pack(local, 0), base); err != nil {
+		var err error
+		if base, err = readVerifiedPayload(b.cfg.Device, local); err != nil {
 			return nil, err
 		}
 		b.charge(metrics.CompOther, b.cfg.Cost.ReadIO(len(base)))
-		if _, err := btree.RewriteSegment(base, b.cfg.LSM.NodeSize, b.geo,
-			strictMapper(invertSegMap(b.levelMaps[lvl])),
-			strictMapper(invertSegMap(b.logMap.Snapshot()))); err != nil {
+		if err := b.toPrimarySpace(lvl, base); err != nil {
 			return nil, err
 		}
 	}

@@ -720,23 +720,8 @@ func (p *Primary) readSegmentPayload(seg storage.SegmentID) ([]byte, bool) {
 	if db == nil {
 		return nil, false
 	}
-	dev := db.Device()
-	ver := storage.AsVerifier(dev)
-	if ver == nil {
-		return nil, false
-	}
-	if err := ver.VerifySegment(seg); err != nil {
-		return nil, false
-	}
-	t, err := ver.SegmentInfo(seg)
-	if err != nil {
-		return nil, false
-	}
-	data := make([]byte, t.PayloadLen)
-	if err := dev.ReadAt(dev.Geometry().Pack(seg, 0), data); err != nil {
-		return nil, false
-	}
-	return data, true
+	data, err := readVerifiedPayload(db.Device(), seg)
+	return data, err == nil
 }
 
 // shipSegment performs the actual transfer of one segment. It holds the

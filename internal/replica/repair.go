@@ -48,6 +48,39 @@ func strictMapper(m map[storage.SegmentID]storage.SegmentID) btree.SegmentMapper
 	}
 }
 
+// readVerifiedPayload reads the used (framed) payload bytes of one local
+// segment, re-verifying its stored CRC first: a copy that becomes a delta
+// base, a fetch reply or a repair image must be provably clean.
+func readVerifiedPayload(dev storage.Device, seg storage.SegmentID) ([]byte, error) {
+	ver := storage.AsVerifier(dev)
+	if ver == nil {
+		return nil, lsm.ErrUnverifiedDevice
+	}
+	if err := ver.VerifySegment(seg); err != nil {
+		return nil, err
+	}
+	t, err := ver.SegmentInfo(seg)
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, t.PayloadLen)
+	if err := dev.ReadAt(dev.Geometry().Pack(seg, 0), data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// toPrimarySpace undoes, in place, the ship-time localization of one
+// stored index segment of the given level: every child pointer and
+// value offset goes back through the inverted maps, yielding the exact
+// payload the primary originally shipped. Caller holds b.mu.
+func (b *Backup) toPrimarySpace(level int, data []byte) error {
+	_, err := btree.RewriteSegment(data, b.cfg.LSM.NodeSize, b.geo,
+		strictMapper(invertSegMap(b.levelMaps[level])),
+		strictMapper(invertSegMap(b.logMap.Snapshot())))
+	return err
+}
+
 // handleScrub checksum-verifies every replicated segment this backup
 // holds — the flushed value-log segments and each installed level's
 // index segments — and reports failures in primary space.
@@ -105,10 +138,6 @@ func (b *Backup) handleFetchSegment(h wire.Header, req wire.FetchSegment) ([]byt
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	miss := ackWithPayload(h, wire.OpFetchSegmentReply, wire.FetchSegmentReply{}.Encode(nil))
-	ver := storage.AsVerifier(b.cfg.Device)
-	if ver == nil {
-		return miss, nil
-	}
 	var (
 		local storage.SegmentID
 		ok    bool
@@ -123,26 +152,13 @@ func (b *Backup) handleFetchSegment(h wire.Header, req wire.FetchSegment) ([]byt
 		return miss, nil
 	}
 	// Serve only a provably clean copy: re-verify the stored CRC now.
-	if err := ver.VerifySegment(local); err != nil {
-		return miss, nil
-	}
-	t, err := ver.SegmentInfo(local)
+	data, err := readVerifiedPayload(b.cfg.Device, local)
 	if err != nil {
-		return miss, nil
-	}
-	data := make([]byte, t.PayloadLen)
-	if err := b.cfg.Device.ReadAt(b.geo.Pack(local, 0), data); err != nil {
 		return miss, nil
 	}
 	b.charge(metrics.CompOther, b.cfg.Cost.ReadIO(len(data)))
 	if integrity.Kind(req.Ref.Kind) == integrity.KindIndex {
-		// Undo the ship-time localization: every child pointer and
-		// value offset goes back through the inverted maps, yielding
-		// the exact payload the primary originally shipped.
-		_, err := btree.RewriteSegment(data, b.cfg.LSM.NodeSize, b.geo,
-			strictMapper(invertSegMap(b.levelMaps[int(req.Ref.Level)])),
-			strictMapper(invertSegMap(b.logMap.Snapshot())))
-		if err != nil {
+		if err := b.toPrimarySpace(int(req.Ref.Level), data); err != nil {
 			return miss, nil
 		}
 	}
@@ -388,23 +404,10 @@ func (p *Primary) fetchFrom(h *backupHandle, ref wire.SegRef) ([]byte, bool) {
 // The handle lock is held across both so a concurrent compaction ship
 // cannot interleave on the staging buffer.
 func (p *Primary) repairBackup(h *backupHandle, ref wire.SegRef) bool {
-	dev := p.db.Device()
-	ver := storage.AsVerifier(dev)
-	if ver == nil {
-		return false
-	}
-	seg := storage.SegmentID(ref.PrimarySeg)
 	// The primary's own copy must be clean to be a repair source (a
 	// corrupt one was already healed — or not — in the local pass).
-	if err := ver.VerifySegment(seg); err != nil {
-		return false
-	}
-	t, err := ver.SegmentInfo(seg)
+	data, err := readVerifiedPayload(p.db.Device(), storage.SegmentID(ref.PrimarySeg))
 	if err != nil {
-		return false
-	}
-	data := make([]byte, t.PayloadLen)
-	if err := dev.ReadAt(dev.Geometry().Pack(seg, 0), data); err != nil {
 		return false
 	}
 	// Compress the repair image like a regular ship; the transfer CRC

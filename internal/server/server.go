@@ -386,19 +386,11 @@ func (s *Server) lsmOptions() lsm.Options {
 	return opt
 }
 
-// OpenPrimary hosts a region with the primary role and returns its
-// replica state so the master can attach backups.
-func (s *Server) OpenPrimary(r region.Region, mode replica.Mode) (*replica.Primary, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if _, ok := s.regions[r.ID]; ok {
-		return nil, fmt.Errorf("%w: %d", ErrRegionExists, r.ID)
-	}
-	p := replica.NewPrimary(replica.PrimaryConfig{
-		RegionID:     r.ID,
+// primaryConfig wires one hosted region's primary replica to the
+// server's endpoint, cost model and stats sinks.
+func (s *Server) primaryConfig(id region.ID, mode replica.Mode) replica.PrimaryConfig {
+	return replica.PrimaryConfig{
+		RegionID:     id,
 		ServerName:   s.cfg.Name,
 		Mode:         mode,
 		Endpoint:     s.cfg.Endpoint,
@@ -414,7 +406,41 @@ func (s *Server) OpenPrimary(r region.Region, mode replica.Mode) (*replica.Prima
 		Stages:       s.cfg.Stages,
 		Lag:          s.cfg.Lag,
 		Events:       s.cfg.Events,
-	})
+	}
+}
+
+// backupConfig is primaryConfig's counterpart for the backup role. It
+// draws an engine seed, so the caller holds s.mu.
+func (s *Server) backupConfig(id region.ID, mode replica.Mode) replica.BackupConfig {
+	opt := s.cfg.LSM
+	s.seed++
+	opt.Seed = s.seed
+	opt.Trace = s.trace
+	return replica.BackupConfig{
+		RegionID:   id,
+		ServerName: s.cfg.Name,
+		Mode:       mode,
+		Device:     s.cfg.Device,
+		Endpoint:   s.cfg.Endpoint,
+		Cycles:     s.cfg.Cycles,
+		Cost:       s.cfg.Cost,
+		LSM:        opt,
+		Trace:      s.trace,
+	}
+}
+
+// OpenPrimary hosts a region with the primary role and returns its
+// replica state so the master can attach backups.
+func (s *Server) OpenPrimary(r region.Region, mode replica.Mode) (*replica.Primary, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	if _, ok := s.regions[r.ID]; ok {
+		return nil, fmt.Errorf("%w: %d", ErrRegionExists, r.ID)
+	}
+	p := replica.NewPrimary(s.primaryConfig(r.ID, mode))
 	opt := s.lsmOptions()
 	if mode != replica.NoReplication {
 		opt.Listener = p
@@ -444,21 +470,7 @@ func (s *Server) OpenBackup(r region.Region, mode replica.Mode) (*replica.Backup
 	if _, ok := s.regions[r.ID]; ok {
 		return nil, fmt.Errorf("%w: %d", ErrRegionExists, r.ID)
 	}
-	opt := s.cfg.LSM
-	s.seed++
-	opt.Seed = s.seed
-	opt.Trace = s.trace
-	b, err := replica.NewBackup(replica.BackupConfig{
-		RegionID:   r.ID,
-		ServerName: s.cfg.Name,
-		Mode:       mode,
-		Device:     s.cfg.Device,
-		Endpoint:   s.cfg.Endpoint,
-		Cycles:     s.cfg.Cycles,
-		Cost:       s.cfg.Cost,
-		LSM:        opt,
-		Trace:      s.trace,
-	})
+	b, err := replica.NewBackup(s.backupConfig(r.ID, mode))
 	if err != nil {
 		return nil, err
 	}
@@ -480,24 +492,7 @@ func (s *Server) PromoteToPrimary(id region.ID) (*replica.Primary, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := replica.NewPrimary(replica.PrimaryConfig{
-		RegionID:     id,
-		ServerName:   s.cfg.Name,
-		Mode:         hr.mode,
-		Endpoint:     s.cfg.Endpoint,
-		Cycles:       s.cfg.Cycles,
-		Cost:         s.cfg.Cost,
-		ShipCodec:    s.cfg.ShipCodec,
-		ShipDelta:    s.cfg.ShipDelta,
-		ShipPageSize: s.cfg.LSM.NodeSize,
-		Ship:         s.cfg.Ship,
-		Retry:        s.cfg.Retry,
-		Failures:     s.cfg.Failures,
-		Trace:        s.trace,
-		Stages:       s.cfg.Stages,
-		Lag:          s.cfg.Lag,
-		Events:       s.cfg.Events,
-	})
+	p := replica.NewPrimary(s.primaryConfig(id, hr.mode))
 	p.SetDB(db)
 	db.SetListener(p)
 
@@ -519,31 +514,18 @@ func (s *Server) PromoteToPrimary(id region.ID) (*replica.Primary, error) {
 // DemoteToBackup converts a hosted primary into a backup of a newly
 // promoted primary (the graceful-switch path used for load balancing).
 // oldToNew is the new primary's log-map snapshot taken before its
-// promotion. The caller must have quiesced client traffic on the
-// region; after demotion this server answers wrong-region so clients
-// refresh their maps.
+// promotion. The master calls it inside the region's freeze window, so
+// client traffic is quiesced; after demotion this server answers
+// wrong-region so clients refresh their maps.
 func (s *Server) DemoteToBackup(id region.ID, mode replica.Mode, oldToNew map[storage.SegmentID]storage.SegmentID) (*replica.Backup, error) {
 	s.mu.Lock()
 	hr, ok := s.regions[id]
+	cfg := s.backupConfig(id, mode)
 	s.mu.Unlock()
 	if !ok || hr.primary == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownRegion, id)
 	}
-	opt := s.cfg.LSM
-	s.seed++
-	opt.Seed = s.seed
-	opt.Trace = s.trace
-	b, err := replica.NewBackupFromPrimary(hr.primary, replica.BackupConfig{
-		RegionID:   id,
-		ServerName: s.cfg.Name,
-		Mode:       mode,
-		Device:     s.cfg.Device,
-		Endpoint:   s.cfg.Endpoint,
-		Cycles:     s.cfg.Cycles,
-		Cost:       s.cfg.Cost,
-		LSM:        opt,
-		Trace:      s.trace,
-	}, oldToNew)
+	b, err := replica.NewBackupFromPrimary(hr.primary, cfg, oldToNew)
 	if err != nil {
 		return nil, err
 	}
