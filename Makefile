@@ -4,7 +4,7 @@ GO ?= go
 # "Gates", has the table).
 GATED = figures,observability,integrity,tail,gc,lag
 
-.PHONY: all build test race check stress fmt vet bench figures gates obs-smoke tail-smoke lag-smoke clean
+.PHONY: all build test race check stress fuzz-smoke fmt vet bench figures gates obs-smoke tail-smoke lag-smoke clean
 
 all: build
 
@@ -18,8 +18,8 @@ race:
 	$(GO) test -race ./...
 
 # check is the tier-1 gate: formatting, vet, build, the full test suite
-# under the race detector, the observability smoke and the experiment
-# gates. CI and pre-merge runs use this target.
+# under the race detector, the fuzz smoke, the observability smoke and
+# the experiment gates. CI and pre-merge runs use this target.
 check:
 	sh scripts/check.sh
 
@@ -29,6 +29,13 @@ check:
 # detector, to shake out interleavings a single run can miss.
 stress:
 	$(GO) test -race -count=5 ./internal/replica ./internal/client ./internal/master
+
+# fuzz-smoke mutates each native fuzz target's seed corpus for five
+# seconds (`go test -fuzz` takes one target per run, so each gets a
+# line). New-coverage inputs are not minimised: that alone can eat the
+# whole budget. A crasher lands in the package's testdata/fuzz.
+fuzz-smoke:
+	$(GO) test ./internal/btree -run '^$$' -fuzz '^FuzzIndexNode$$' -fuzztime 5s -fuzzminimizetime 0
 
 fmt:
 	gofmt -w .

@@ -14,9 +14,9 @@ import (
 // tebis-top: a refreshing cluster health view assembled from each
 // node's observability endpoint. Every interval it scrapes /metrics,
 // /debug/events, and /readyz on every node and renders one table of
-// node state (readiness, admission state, GC progress) and one of
-// replication streams (per-region, per-backup lag, staleness, backlog),
-// followed by the most recent journal events.
+// node state (readiness, admission state, GC progress, index node
+// cache) and one of replication streams (per-region, per-backup lag,
+// staleness, backlog), followed by the most recent journal events.
 
 // sample is one parsed Prometheus exposition line.
 type sample struct {
@@ -182,16 +182,16 @@ func renderTop(out io.Writer, scrapes []nodeScrape) {
 	fmt.Fprintf(out, "tebis-top  %s  %d node(s)\n\n",
 		time.Now().Format("15:04:05"), len(scrapes))
 
-	// Node table: readiness, admission state, GC progress.
-	fmt.Fprintf(out, "%-22s %-10s %-10s %12s %14s\n",
-		"NODE", "READY", "ADMISSION", "GC-FREED", "GC-RECLAIMED")
+	// Node table: readiness, admission state, GC progress, node cache.
+	fmt.Fprintf(out, "%-22s %-10s %-10s %12s %14s %8s %10s %10s %10s\n",
+		"NODE", "READY", "ADMISSION", "GC-FREED", "GC-RECLAIMED", "IDX-HIT", "IDX-CACHE", "IDX-EVICT", "IDX-INVAL")
 	for _, ns := range scrapes {
 		if ns.err != nil {
 			fmt.Fprintf(out, "%-22s %-10s %s\n", ns.addr, "DOWN", ns.err)
 			continue
 		}
 		admission := "-"
-		var gcFreed, gcBytes float64
+		var gcFreed, gcBytes, hits, misses, cacheBytes, evictions, invalidations float64
 		for _, s := range ns.samples {
 			switch s.name {
 			case "tebis_admission_state":
@@ -200,14 +200,29 @@ func renderTop(out io.Writer, scrapes []nodeScrape) {
 				gcFreed += s.value
 			case "tebis_vlog_gc_reclaimed_bytes_total":
 				gcBytes += s.value
+			case "tebis_node_cache_hits_total":
+				hits += s.value
+			case "tebis_node_cache_misses_total":
+				misses += s.value
+			case "tebis_node_cache_bytes":
+				cacheBytes += s.value
+			case "tebis_node_cache_evictions_total":
+				evictions += s.value
+			case "tebis_node_cache_invalidations_total":
+				invalidations += s.value
 			}
+		}
+		hitRatio := "-"
+		if hits+misses > 0 {
+			hitRatio = fmt.Sprintf("%.1f%%", 100*hits/(hits+misses))
 		}
 		ready := "ready"
 		if !ns.ready {
 			ready = "NOT-READY"
 		}
-		fmt.Fprintf(out, "%-22s %-10s %-10s %12.0f %14s\n",
-			ns.addr, ready, admission, gcFreed, fmtBytes(gcBytes))
+		fmt.Fprintf(out, "%-22s %-10s %-10s %12.0f %14s %8s %10s %10.0f %10.0f\n",
+			ns.addr, ready, admission, gcFreed, fmtBytes(gcBytes),
+			hitRatio, fmtBytes(cacheBytes), evictions, invalidations)
 		if ns.readyWhy != "" {
 			fmt.Fprintf(out, "  └─ %s\n", ns.readyWhy)
 		}

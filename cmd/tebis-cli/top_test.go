@@ -25,6 +25,16 @@ tebis_admission_state{node="s0"} 1
 tebis_vlog_gc_segments_freed_total{node="s0"} 7
 # TYPE tebis_vlog_gc_reclaimed_bytes_total counter
 tebis_vlog_gc_reclaimed_bytes_total{node="s0"} 1048576
+# TYPE tebis_node_cache_hits_total counter
+tebis_node_cache_hits_total{node="s0"} 975
+# TYPE tebis_node_cache_misses_total counter
+tebis_node_cache_misses_total{node="s0"} 25
+# TYPE tebis_node_cache_bytes gauge
+tebis_node_cache_bytes{node="s0"} 2097152
+# TYPE tebis_node_cache_evictions_total counter
+tebis_node_cache_evictions_total{node="s0"} 3
+# TYPE tebis_node_cache_invalidations_total counter
+tebis_node_cache_invalidations_total{node="s0"} 11
 `
 
 const topTestEvents = `{"events":[
@@ -67,6 +77,8 @@ func TestTopRendersOneFrame(t *testing.T) {
 		"ready",          // readiness column
 		"delay",          // admission state decoded from the gauge
 		"1.0MiB",         // GC reclaimed bytes
+		"97.5%",          // node cache hit ratio
+		"2.0MiB",         // node cache resident bytes
 		"s1",             // backup column
 		"42",             // lag ops
 		"10.5KiB",        // lag bytes

@@ -44,7 +44,7 @@ func (f *fakeLog) reader() FullKeyReader {
 	}
 }
 
-func newDev(t *testing.T, segSize int64) *storage.MemDevice {
+func newDev(t testing.TB, segSize int64) *storage.MemDevice {
 	t.Helper()
 	d, err := storage.NewMemDevice(segSize, 0)
 	if err != nil {
@@ -56,7 +56,7 @@ func newDev(t *testing.T, segSize int64) *storage.MemDevice {
 
 // buildTree builds a tree over the given sorted keys and returns it with
 // its fake log.
-func buildTree(t *testing.T, dev *storage.MemDevice, nodeSize int, keys [][]byte, emit EmitFunc) (*Tree, *fakeLog, Built) {
+func buildTree(t testing.TB, dev storage.Device, nodeSize int, keys [][]byte, emit EmitFunc) (*Tree, *fakeLog, Built) {
 	t.Helper()
 	fl := newFakeLog(dev.Geometry())
 	b, err := NewBuilder(dev, nodeSize, emit)

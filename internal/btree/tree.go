@@ -14,15 +14,16 @@ type FullKeyReader func(storage.Offset) ([]byte, error)
 // Tree provides read access to a built B+ tree.
 type Tree struct {
 	dev      storage.Device
-	geo      storage.Geometry
+	cache    *storage.NodeCache // dev's; nil when dev keeps none
 	nodeSize int
 	root     storage.Offset
 }
 
 // NewTree opens a tree rooted at root on dev. A NilOffset root denotes
-// an empty tree.
+// an empty tree. Point lookups and seeks go through dev's node cache
+// when it keeps one (storage.NodeCacher).
 func NewTree(dev storage.Device, nodeSize int, root storage.Offset) *Tree {
-	return &Tree{dev: dev, geo: dev.Geometry(), nodeSize: nodeSize, root: root}
+	return &Tree{dev: dev, cache: storage.NodeCacheOf(dev), nodeSize: nodeSize, root: root}
 }
 
 // Root returns the root device offset.
@@ -33,44 +34,76 @@ func (t *Tree) Root() storage.Offset { return t.root }
 // turns those into ErrCorruptNode instead of an infinite loop.
 const maxDepth = 64
 
-// readNode fetches the node block at off from the device and validates
-// its header, so corrupt counts surface here as typed errors instead
-// of out-of-range slice panics in the decoders.
-func (t *Tree) readNode(off storage.Offset) ([]byte, error) {
-	block := make([]byte, t.nodeSize)
-	if err := t.dev.ReadAt(off, block); err != nil {
-		return nil, err
+// node is a decoded node block. It is immutable once readNode returns
+// it: the node cache shares one between every reader.
+type node struct {
+	block []byte    // the nodeSize-byte image; kind in block[0]
+	index indexNode // pivots and children; zero for a leaf
+}
+
+func (n *node) isLeaf() bool { return n.block[0] == kindLeaf }
+
+// size is the node's footprint in the node cache: the image plus a
+// slice header per pivot and an offset per child.
+func (n *node) size() int {
+	return len(n.block) + len(n.index.pivots)*24 + len(n.index.children)*8
+}
+
+// readNode fetches the node block at off from the device into n,
+// validates its header and decodes it, so corrupt counts and pivot
+// bounds surface here as typed errors instead of out-of-range slice
+// panics later.
+func (t *Tree) readNode(off storage.Offset, n *node) error {
+	*n = node{block: make([]byte, t.nodeSize)}
+	if err := t.dev.ReadAt(off, n.block); err != nil {
+		return err
 	}
-	switch block[0] {
+	switch n.block[0] {
 	case kindLeaf:
-		if c := leafCount(block); c > leafCapacity(t.nodeSize) {
-			return nil, fmt.Errorf("%w: leaf count %d exceeds capacity %d at %#x",
+		if c := leafCount(n.block); c > leafCapacity(t.nodeSize) {
+			return fmt.Errorf("%w: leaf count %d exceeds capacity %d at %#x",
 				ErrCorruptNode, c, leafCapacity(t.nodeSize), off)
 		}
 	case kindIndex:
-		// Pivot bounds are checked entry-by-entry in decodeIndexNode.
+		var err error
+		if n.index, err = decodeIndexNode(n.block); err != nil {
+			return err
+		}
 	default:
-		return nil, fmt.Errorf("%w: kind %d at %#x", ErrCorruptNode, block[0], off)
+		return fmt.Errorf("%w: kind %d at %#x", ErrCorruptNode, n.block[0], off)
 	}
-	return block, nil
+	return nil
+}
+
+// cachedNode returns the node at off from the device's node cache,
+// reading and caching it on a miss. The incarnation a missing Get
+// returns predates the device read, so a node read while its segment
+// was being rewritten or freed is never hit (storage.NodeCache).
+func (t *Tree) cachedNode(off storage.Offset) (*node, error) {
+	v, inc := t.cache.Get(off)
+	if v != nil {
+		return v.(*node), nil
+	}
+	n := new(node)
+	if err := t.readNode(off, n); err != nil {
+		return nil, err
+	}
+	t.cache.Put(off, inc, n, n.size())
+	return n, nil
 }
 
 // findLeaf descends from the root to the leaf covering key.
 func (t *Tree) findLeaf(key []byte) ([]byte, error) {
 	off := t.root
 	for depth := 0; depth < maxDepth; depth++ {
-		block, err := t.readNode(off)
+		n, err := t.cachedNode(off)
 		if err != nil {
 			return nil, err
 		}
-		if block[0] == kindLeaf {
-			return block, nil
+		if n.isLeaf() {
+			return n.block, nil
 		}
-		n, err := decodeIndexNode(block)
-		if err != nil {
-			return nil, err
-		}
-		off = n.children[n.route(key)]
+		off = n.index.children[n.index.route(key)]
 	}
 	return nil, fmt.Errorf("%w: descent exceeded depth %d (pointer cycle?)", ErrCorruptNode, maxDepth)
 }
@@ -125,6 +158,8 @@ func (t *Tree) Get(key []byte, fullKey FullKeyReader) (valueOff storage.Offset, 
 // no extra linkage.
 type Iterator struct {
 	t         *Tree
+	cached    bool // descents go through the node cache
+	uncached  node // the node an uncached descent is standing on
 	stack     []iterFrame
 	leaf      []byte
 	pos       int
@@ -133,9 +168,19 @@ type Iterator struct {
 	nodesRead int
 }
 
-// NodesRead returns how many node blocks this iterator fetched from the
-// device, used by the compaction cost model to attribute read-I/O CPU.
+// NodesRead returns how many node blocks this iterator visited, used by
+// the compaction cost model to attribute read-I/O CPU.
 func (it *Iterator) NodesRead() int { return it.nodesRead }
+
+func (it *Iterator) node(off storage.Offset) (*node, error) {
+	it.nodesRead++
+	if it.cached {
+		return it.t.cachedNode(off)
+	}
+	// The frames and the leaf keep the slices, not the node, so one
+	// node per iterator does and a compaction allocates as before.
+	return &it.uncached, it.t.readNode(off, &it.uncached)
+}
 
 type iterFrame struct {
 	node indexNode
@@ -143,7 +188,10 @@ type iterFrame struct {
 }
 
 // Iter returns an iterator over the whole tree, positioned at the first
-// entry (invalid for an empty tree).
+// entry (invalid for an empty tree). It reads every node from the
+// device, past the node cache: compaction streams each leaf once, and
+// its reads must neither evict the lookups' hot set nor drop out of the
+// device's I/O counters.
 func (t *Tree) Iter() *Iterator {
 	it := &Iterator{t: t}
 	if t.root == storage.NilOffset {
@@ -156,7 +204,7 @@ func (t *Tree) Iter() *Iterator {
 // SeekGE returns an iterator positioned at the first entry whose full
 // key is >= key. fullKey resolves prefix ties.
 func (t *Tree) SeekGE(key []byte, fullKey FullKeyReader) (*Iterator, error) {
-	it := &Iterator{t: t}
+	it := &Iterator{t: t, cached: true}
 	if t.root == storage.NilOffset {
 		return it, nil
 	}
@@ -166,26 +214,20 @@ func (t *Tree) SeekGE(key []byte, fullKey FullKeyReader) (*Iterator, error) {
 			it.err = fmt.Errorf("%w: descent exceeded depth %d (pointer cycle?)", ErrCorruptNode, maxDepth)
 			return it, it.err
 		}
-		block, err := it.t.readNode(off)
-		it.nodesRead++
+		n, err := it.node(off)
 		if err != nil {
 			it.err = err
 			return it, err
 		}
-		if block[0] == kindLeaf {
-			it.leaf = block
-			it.count = leafCount(block)
+		if n.isLeaf() {
+			it.leaf = n.block
+			it.count = leafCount(n.block)
 			it.pos = 0
 			break
 		}
-		n, err := decodeIndexNode(block)
-		if err != nil {
-			it.err = err
-			return it, err
-		}
-		child := n.route(key)
-		it.stack = append(it.stack, iterFrame{node: n, next: child + 1})
-		off = n.children[child]
+		child := n.index.route(key)
+		it.stack = append(it.stack, iterFrame{node: n.index, next: child + 1})
+		off = n.index.children[child]
 	}
 	// Advance within the leaf to the first entry >= key.
 	prefix := kv.MakePrefix(key)
@@ -220,25 +262,19 @@ func (it *Iterator) descend(off storage.Offset) {
 			it.err = fmt.Errorf("%w: descent exceeded depth %d (pointer cycle?)", ErrCorruptNode, maxDepth)
 			return
 		}
-		block, err := it.t.readNode(off)
-		it.nodesRead++
+		n, err := it.node(off)
 		if err != nil {
 			it.err = err
 			return
 		}
-		if block[0] == kindLeaf {
-			it.leaf = block
-			it.count = leafCount(block)
+		if n.isLeaf() {
+			it.leaf = n.block
+			it.count = leafCount(n.block)
 			it.pos = 0
 			return
 		}
-		n, err := decodeIndexNode(block)
-		if err != nil {
-			it.err = err
-			return
-		}
-		it.stack = append(it.stack, iterFrame{node: n, next: 1})
-		off = n.children[0]
+		it.stack = append(it.stack, iterFrame{node: n.index, next: 1})
+		off = n.index.children[0]
 	}
 }
 

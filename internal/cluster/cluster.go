@@ -546,9 +546,12 @@ func (c *Cluster) Observe(reg *obs.Registry) {
 }
 
 // ResetCounters zeroes all device, network, and cycle counters (between
-// the load and run phases of a benchmark).
+// the load and run phases of a benchmark) and empties the index node
+// caches, so the phase that follows is charged the device reads that
+// fill the cache it runs on instead of inheriting them from a warm-up.
 func (c *Cluster) ResetCounters() {
 	for _, n := range c.Nodes {
+		storage.NodeCacheOf(n.Server.Device()).Reset()
 		n.Device.ResetStats()
 		n.Server.Endpoint().ResetCounters()
 		n.Cycles.Reset()

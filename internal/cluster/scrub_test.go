@@ -22,13 +22,16 @@ func scrubVal(i int) []byte {
 }
 
 // TestClusterScrubRepairsCorruptNode is the crash-consistency
-// acceptance test (DESIGN.md "Storage integrity"): flip bits in every
-// framed segment on one node, then require that (1) reads during the
-// corruption window never return wrong data — each Get either fails with a
-// checksum error or returns the correct bytes, (2) a cluster-wide scrub
-// detects every corrupted segment, (3) repair restores each segment
-// byte-equivalent to its pre-corruption image from the surviving replica
-// copies, and (4) the cluster is fully readable and writable afterwards.
+// acceptance test (DESIGN.md "Storage integrity"): read every probed key
+// so the victim's index nodes are cached, flip bits in every framed
+// segment on that node, then require that (1) reads during the
+// corruption window never return wrong data — each Get either fails with
+// a checksum error or returns the correct bytes, and every Get the
+// victim serves fails, because no node cached from an invalidated
+// segment may answer for it, (2) a cluster-wide scrub detects every
+// corrupted segment, (3) repair restores each segment byte-equivalent to
+// its pre-corruption image from the surviving replica copies, and (4)
+// the cluster is fully readable and writable afterwards.
 func TestClusterScrubRepairsCorruptNode(t *testing.T) {
 	c := newTestCluster(t, replica.SendIndex, 1)
 	cl, err := c.NewClient()
@@ -51,6 +54,21 @@ func TestClusterScrubRepairsCorruptNode(t *testing.T) {
 	}
 
 	const victim = "s0"
+	rmap, err := c.Map()
+	if err != nil {
+		t.Fatal(err)
+	}
+	onVictim := 0
+	for i := 0; i < n; i += 3 {
+		if val, found, err := cl.Get(scrubKey(i)); err != nil || !found || !bytes.Equal(val, scrubVal(i)) {
+			t.Fatalf("Get %d before corruption: found=%v err=%v", i, found, err)
+		}
+		if r, err := rmap.Lookup(scrubKey(i)); err != nil {
+			t.Fatal(err)
+		} else if r.Primary == victim {
+			onVictim++
+		}
+	}
 	node := c.Nodes[victim]
 	ver, ok := node.Server.Device().(*storage.VerifyingDevice)
 	if !ok {
@@ -117,6 +135,10 @@ func TestClusterScrubRepairsCorruptNode(t *testing.T) {
 	}
 	if sawChecksum == 0 {
 		t.Fatal("corruption window produced no checksum failures; corruption did not land on read paths")
+	}
+	if sawChecksum != onVictim {
+		t.Fatalf("%d of the %d gets served by %s failed with a checksum error; the rest were answered from nodes cached before the corruption",
+			sawChecksum, onVictim, victim)
 	}
 
 	rep, err := c.ScrubAll()

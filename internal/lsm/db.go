@@ -417,7 +417,7 @@ func (db *DB) resolveEntry(e memtable.Entry, levelsVisited int) ([]byte, bool, e
 		return nil, false, nil
 	}
 	db.charge(metrics.CompOther, db.cost.ReadIO(pair.Size()+8))
-	return append([]byte(nil), pair.Value...), true, nil
+	return pair.Value, true, nil // log.Get read it into a buffer of its own
 }
 
 // readKeyCharged resolves a full key from the log, charging read I/O.

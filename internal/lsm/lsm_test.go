@@ -548,3 +548,40 @@ func TestLargeValuesNearSegmentSize(t *testing.T) {
 		t.Fatalf("big value round trip failed: %v found=%v len=%d", err, found, len(v))
 	}
 }
+
+// TestWarmGetAllocCeiling pins the heap cost of a point lookup whose
+// index nodes are cached: two value-log reads — the full key that
+// settles the prefix tie, then the record, whose buffer is returned as
+// is — each a header and a buffer (the header escapes through the
+// Device interface), and nothing per level or per node. A Get that
+// starts copying the value or decoding nodes again lands above the
+// ceiling.
+func TestWarmGetAllocCeiling(t *testing.T) {
+	db, _ := newTestDB(t)
+	const n = 3000
+	for i := 0; i < n; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("key%05d", i)), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if db.L0Len() != 0 {
+		t.Fatalf("L0 holds %d keys after Flush; the lookup would not reach the levels", db.L0Len())
+	}
+	key := []byte(fmt.Sprintf("key%05d", n/2))
+	get := func() {
+		if v, found, err := db.Get(key); err != nil || !found || string(v) != "value" {
+			t.Fatalf("Get = %q, %v, %v", v, found, err)
+		}
+	}
+	get() // fill the node cache
+	const ceiling = 4
+	if got := testing.AllocsPerRun(200, get); got > ceiling {
+		t.Fatalf("a warm Get allocates %v times, ceiling %d", got, ceiling)
+	}
+}

@@ -10,19 +10,64 @@ import (
 	"testing/quick"
 
 	"tebis/internal/kv"
+	"tebis/internal/storage"
 )
 
 // TestModelEquivalence drives the engine with random mixed operation
 // sequences and checks every observable behaviour — point gets, full
 // scans, and post-flush state — against an in-memory reference map.
+//
+// The tinyNodeCache variant runs the same sequences on a verifying
+// device of 32 segments whose node cache holds four nodes, with a second
+// goroutine reading beside the compactions: freed index segments are
+// re-allocated and cached nodes evicted within every run, so a node
+// surviving its segment's incarnation shows as a model mismatch, a
+// malformed value or a corrupt-node error.
 func TestModelEquivalence(t *testing.T) {
+	t.Run("mem", func(t *testing.T) {
+		testModelEquivalence(t, false, func() Options {
+			opt, _ := testOptions(t)
+			return opt
+		})
+	})
+	t.Run("tinyNodeCache", func(t *testing.T) {
+		var caches []*storage.NodeCache
+		testModelEquivalence(t, true, func() Options {
+			mem, err := storage.NewMemDevice(16<<10, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { mem.Close() })
+			dev := storage.AsVerifying(mem)
+			dev.NodeCache().Resize(4)
+			caches = append(caches, dev.NodeCache())
+			opt, _ := testOptions(t)
+			opt.Device = dev
+			return opt
+		})
+		total := map[string]float64{}
+		for _, c := range caches {
+			for _, f := range c.Collect() {
+				total[f.Name] += f.Samples[0].Value
+			}
+		}
+		if total["tebis_node_cache_evictions_total"] == 0 || total["tebis_node_cache_invalidations_total"] == 0 {
+			t.Fatalf("the variant exercises no eviction or no invalidation: %v", total)
+		}
+	})
+}
+
+// testModelEquivalence runs the model check over engines opened with
+// open's options; with reader set, a second goroutine gets and scans
+// beside each sequence.
+func testModelEquivalence(t *testing.T, reader bool, open func() Options) {
 	type op struct {
 		Kind  uint8 // 0..5: put, overwrite-put, delete, get, flush, scan
 		Key   uint16
 		Value uint8
 	}
 	f := func(ops []op, seed int64) bool {
-		opt, _ := testOptions(t)
+		opt := open()
 		opt.Seed = seed
 		db, err := New(opt)
 		if err != nil {
@@ -31,6 +76,39 @@ func TestModelEquivalence(t *testing.T) {
 		}
 		defer db.Close()
 		ref := map[string]string{}
+
+		if reader {
+			stop := make(chan struct{})
+			stopped := make(chan struct{})
+			go func() {
+				defer close(stopped)
+				rnd := rand.New(rand.NewSource(seed))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					key := fmt.Sprintf("key%05d", rnd.Intn(512))
+					got, found, err := db.Get([]byte(key))
+					if err != nil || (found && !bytes.HasPrefix(got, []byte("value-"))) {
+						t.Errorf("concurrent Get(%s) = %q,%v,%v", key, got, found, err)
+						return
+					}
+					pairs, err := db.ScanN([]byte(key), 8)
+					if err != nil || !sort.SliceIsSorted(pairs, func(i, j int) bool {
+						return kv.Compare(pairs[i].Key, pairs[j].Key) < 0
+					}) {
+						t.Errorf("concurrent ScanN(%s) = %v, %v", key, pairs, err)
+						return
+					}
+				}
+			}()
+			defer func() {
+				close(stop)
+				<-stopped
+			}()
+		}
 
 		for _, o := range ops {
 			key := fmt.Sprintf("key%05d", o.Key%512)

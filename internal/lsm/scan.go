@@ -81,7 +81,7 @@ func (db *DB) Scan(start []byte, fn func(pair kv.Pair) bool) error {
 			continue
 		}
 		db.charge(metrics.CompOther, db.cost.ReadIO(pair.Size()+8))
-		if !fn(kv.Pair{Key: keyCopy, Value: append([]byte(nil), pair.Value...)}) {
+		if !fn(kv.Pair{Key: keyCopy, Value: pair.Value}) { // log.Get read it into a buffer of its own
 			break
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"tebis/internal/btree"
 	"tebis/internal/lsm"
 	"tebis/internal/metrics"
 	"tebis/internal/rdma"
@@ -354,6 +355,79 @@ func TestPromoteSendIndexBackupServesAllData(t *testing.T) {
 		}
 		if !found || string(v) != want {
 			t.Fatalf("promoted Get(%s) = %q, %v; want %q", k, v, found, want)
+		}
+	}
+}
+
+// TestPromoteReadsRewrittenNodesOfRecycledSegments: a Send-Index backup
+// frees the segments of a replaced level and rewrites later shipments
+// into the same local segments. Reading the earlier images (as a scrub,
+// a fetch or a promoted engine would) leaves their nodes in the device's
+// node cache at the very offsets the new image reuses; the first gets of
+// a promoted backup must resolve through the rewritten nodes, not those.
+func TestPromoteReadsRewrittenNodesOfRecycledSegments(t *testing.T) {
+	r := newRig(t, SendIndex, 1)
+	b := r.backups[0]
+	maxLevels, nodeSize := lsmOpts().MaxLevels, lsmOpts().NodeSize
+	const n = 3000
+	write := func(gen string) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := r.db.Put([]byte(fmt.Sprintf("user%08d", i)), []byte(fmt.Sprintf("%s-%d", gen, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.db.WaitIdle(); err != nil {
+			t.Fatal(err)
+		}
+		r.checkHealthy()
+	}
+
+	write("old")
+	// Walk every node of the backup's levels through the node cache (a
+	// seek to the smallest key, then the scan iterator's descents).
+	read := map[storage.SegmentID]bool{}
+	for _, st := range b.LevelStates(maxLevels) {
+		if st.Root == storage.NilOffset {
+			continue
+		}
+		it, err := btree.NewTree(r.devB[0], nodeSize, st.Root).SeekGE(nil, nil)
+		for ; err == nil && it.Valid(); it.Next() {
+		}
+		if err != nil || it.Err() != nil {
+			t.Fatalf("walking the backup's level: %v, %v", err, it.Err())
+		}
+		for _, seg := range st.Segments {
+			read[seg] = true
+		}
+	}
+
+	write("new")
+	recycled := 0
+	for _, st := range b.LevelStates(maxLevels) {
+		for _, seg := range st.Segments {
+			if read[seg] {
+				recycled++
+			}
+		}
+	}
+	if recycled == 0 {
+		t.Fatal("no local index segment was recycled between the two generations; the test lost its premise")
+	}
+
+	r.primary.Detach(b)
+	db2, err := b.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	for i := 0; i < n; i++ {
+		k, want := fmt.Sprintf("user%08d", i), fmt.Sprintf("new-%d", i)
+		if v, found, err := db2.Get([]byte(k)); err != nil || !found || string(v) != want {
+			t.Fatalf("promoted Get(%s) = %q, %v, %v; want %q", k, v, found, err, want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"tebis/internal/metrics"
 	"tebis/internal/obs"
 	"tebis/internal/region"
+	"tebis/internal/storage"
 	"tebis/internal/vlog"
 )
 
@@ -20,7 +21,7 @@ func (s *Server) Observe(reg *obs.Registry) {
 	labels := obs.Labels{"node": s.cfg.Name}
 	for _, src := range []metrics.Source{
 		s, s.cfg.Cycles, s.cfg.LSM.CompactionStats, s.cfg.Failures, s.cfg.Scrub,
-		s.cfg.Ship, s.cfg.GC.Stats, s.cfg.Lag, s.ctrl,
+		s.cfg.Ship, s.cfg.GC.Stats, s.cfg.Lag, s.ctrl, storage.NodeCacheOf(s.cfg.Device),
 	} {
 		reg.Register(labels, src)
 	}

@@ -203,8 +203,9 @@ func UsableCapacity(dev Device) int64 {
 // accounting. It stands in for the paper's NVMe SSD (DESIGN.md "Packages
 // and substitutions").
 type MemDevice struct {
-	geo  Geometry
-	maxN int
+	geo   Geometry
+	maxN  int
+	nodes *NodeCache
 
 	mu       sync.Mutex
 	segments map[SegmentID][]byte
@@ -225,6 +226,7 @@ func NewMemDevice(segmentSize int64, maxSegments int) (*MemDevice, error) {
 	return &MemDevice{
 		geo:      geo,
 		maxN:     maxSegments,
+		nodes:    newNodeCache(geo),
 		segments: make(map[SegmentID][]byte),
 		next:     1, // segment 0 is NilSegment
 	}, nil
@@ -232,6 +234,10 @@ func NewMemDevice(segmentSize int64, maxSegments int) (*MemDevice, error) {
 
 // Geometry implements Device.
 func (d *MemDevice) Geometry() Geometry { return d.geo }
+
+// NodeCache implements NodeCacher. Alloc, Free and WriteAt end the
+// incarnation of the segment they touch.
+func (d *MemDevice) NodeCache() *NodeCache { return d.nodes }
 
 // Alloc implements Device.
 func (d *MemDevice) Alloc() (SegmentID, error) {
@@ -252,6 +258,7 @@ func (d *MemDevice) Alloc() (SegmentID, error) {
 		d.next++
 	}
 	d.segments[id] = make([]byte, d.geo.segSize)
+	d.nodes.retire(id)
 	return id, nil
 }
 
@@ -270,6 +277,8 @@ func (d *MemDevice) Free(id SegmentID) error {
 	}
 	delete(d.segments, id)
 	d.free = append(d.free, id)
+	d.nodes.retire(id)
+	d.nodes.unlink(id)
 	return nil
 }
 
@@ -310,6 +319,7 @@ func (d *MemDevice) WriteAt(off Offset, p []byte) error {
 		return err
 	}
 	copy(buf[within:], p)
+	d.nodes.retire(d.geo.Segment(off))
 	d.ctr.write(len(p))
 	return nil
 }

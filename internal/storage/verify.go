@@ -55,10 +55,20 @@ func AsVerifier(dev Device) Verifier {
 
 // segState caches the verification status of one segment.
 type segState struct {
+	// pass is verified || unframed with no sticky error: reads go
+	// straight to the device without taking mu.
+	pass atomic.Bool
+
 	mu       sync.Mutex
 	verified bool  // payload CRC checked since the last write
 	unframed bool  // trailer carried no magic at last check
 	err      error // sticky checksum failure
+}
+
+// set records a verification outcome. Caller holds st.mu.
+func (st *segState) set(verified, unframed bool, err error) {
+	st.verified, st.unframed, st.err = verified, unframed, err
+	st.pass.Store((verified || unframed) && err == nil)
 }
 
 // VerifyingDevice wraps a Device and enforces the integrity frame
@@ -83,8 +93,9 @@ type VerifyingDevice struct {
 	inner Device
 	geo   Geometry
 	seq   atomic.Uint32
+	nodes *NodeCache
 
-	mu    sync.Mutex
+	mu    sync.RWMutex
 	state map[SegmentID]*segState
 }
 
@@ -99,6 +110,7 @@ func AsVerifying(dev Device) *VerifyingDevice {
 	d := &VerifyingDevice{
 		inner: dev,
 		geo:   dev.Geometry(),
+		nodes: newNodeCache(dev.Geometry()),
 		state: make(map[SegmentID]*segState),
 	}
 	if sl, ok := dev.(SegmentLister); ok {
@@ -124,7 +136,16 @@ func (d *VerifyingDevice) UsableCapacity() int64 {
 	return integrity.Capacity(d.geo.SegmentSize())
 }
 
+// NodeCache implements NodeCacher.
+func (d *VerifyingDevice) NodeCache() *NodeCache { return d.nodes }
+
 func (d *VerifyingDevice) segState(seg SegmentID) *segState {
+	d.mu.RLock()
+	st := d.state[seg]
+	d.mu.RUnlock()
+	if st != nil {
+		return st
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st, ok := d.state[seg]
@@ -135,10 +156,13 @@ func (d *VerifyingDevice) segState(seg SegmentID) *segState {
 	return st
 }
 
+// dropState forgets what is known about seg — its verification status
+// and, by ending its incarnation, every node cached from it.
 func (d *VerifyingDevice) dropState(seg SegmentID) {
 	d.mu.Lock()
 	delete(d.state, seg)
 	d.mu.Unlock()
+	d.nodes.retire(seg)
 }
 
 // Alloc implements Device.
@@ -167,6 +191,7 @@ func (d *VerifyingDevice) Free(seg SegmentID) error {
 		return err
 	}
 	d.dropState(seg)
+	d.nodes.unlink(seg)
 	return nil
 }
 
@@ -203,6 +228,10 @@ func (d *VerifyingDevice) WriteFramedAt(off Offset, p []byte, kind integrity.Kin
 	st := d.segState(seg)
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	// The incarnation ends after the bytes change and before the call
+	// returns, on failure too: a torn write changed them as well.
+	defer d.nodes.retire(seg)
+	var err error
 	if full {
 		// One underlying write: a full image replaces the old trailer in
 		// the same I/O, so a tear leaves either no magic or a CRC that
@@ -210,74 +239,72 @@ func (d *VerifyingDevice) WriteFramedAt(off Offset, p []byte, kind integrity.Kin
 		img := make([]byte, segSize)
 		copy(img, payload)
 		copy(img[cap:], tr)
-		if err := d.inner.WriteAt(off, img); err != nil {
-			st.verified, st.unframed, st.err = false, false, nil
-			return err
-		}
-	} else {
+		err = d.inner.WriteAt(off, img)
+	} else if err = d.inner.WriteAt(off, p); err == nil {
 		// Payload first, trailer last: the trailer write is the commit
 		// point, so a tear before it leaves the segment unframed (torn)
 		// rather than framed-but-wrong.
-		if err := d.inner.WriteAt(off, p); err != nil {
-			st.verified, st.unframed, st.err = false, false, nil
-			return err
-		}
-		if err := d.inner.WriteAt(d.geo.Pack(seg, cap), tr); err != nil {
-			st.verified, st.unframed, st.err = false, false, nil
-			return err
-		}
+		err = d.inner.WriteAt(d.geo.Pack(seg, cap), tr)
 	}
 	// A successful rewrite repairs: clear any sticky failure and mark
 	// the fresh payload verified (we just computed its CRC).
-	st.verified, st.unframed, st.err = true, false, nil
-	return nil
+	st.set(err == nil, false, nil)
+	return err
 }
 
 // ReadAt implements Device. The first read of a segment verifies its
 // payload CRC; later reads are served after a cheap cache check.
 func (d *VerifyingDevice) ReadAt(off Offset, p []byte) error {
 	seg := d.geo.Segment(off)
-	st := d.segState(seg)
-	st.mu.Lock()
-	if st.err != nil {
-		err := st.err
-		st.mu.Unlock()
-		return err
-	}
-	if !st.verified && !st.unframed {
-		if err := d.verifySegmentLocked(seg, st); err != nil {
-			st.mu.Unlock()
+	if st := d.segState(seg); !st.pass.Load() {
+		if err := d.verifyFirstRead(seg, st); err != nil {
 			return err
 		}
 	}
-	st.mu.Unlock()
 	return d.inner.ReadAt(off, p)
 }
 
-// verifySegmentLocked checks seg's frame and updates st (whose mu is
-// held). An unframed segment is recorded as such and passes; a CRC
-// mismatch is recorded sticky and returned.
-func (d *VerifyingDevice) verifySegmentLocked(seg SegmentID, st *segState) error {
-	t, err := d.readTrailer(seg)
-	if errors.Is(err, integrity.ErrNoFrame) {
-		st.unframed = true
-		return nil
-	}
-	if err != nil {
-		if isDeviceErr(err) {
-			return err
-		}
-		st.err = fmt.Errorf("%w: segment %d: %v", ErrChecksum, seg, err)
+// verifyFirstRead is ReadAt's path for a segment not known to be good:
+// it returns the sticky failure, or checks the frame. An unframed
+// segment passes.
+func (d *VerifyingDevice) verifyFirstRead(seg SegmentID, st *segState) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.err != nil {
 		return st.err
 	}
-	if err := d.checkPayload(seg, t); err != nil {
-		if errors.Is(err, ErrChecksum) {
-			st.err = err
-		}
+	if st.verified || st.unframed {
+		return nil
+	}
+	if err := d.verifyLocked(seg, st); !errors.Is(err, integrity.ErrNoFrame) {
 		return err
 	}
-	st.verified = true
 	return nil
+}
+
+// verifyLocked re-reads seg's trailer and payload and records the
+// outcome in st (whose mu is held): verified, unframed (returned as a
+// wrapped integrity.ErrNoFrame), or a sticky ErrChecksum, which also
+// ends the segment's incarnation so no node cached from it outlives the
+// verdict. Device errors surface as-is and are not recorded.
+func (d *VerifyingDevice) verifyLocked(seg SegmentID, st *segState) error {
+	t, err := d.readTrailer(seg)
+	switch {
+	case errors.Is(err, integrity.ErrNoFrame):
+		st.set(st.verified, true, st.err)
+		return fmt.Errorf("segment %d: %w", seg, err)
+	case err == nil:
+		err = d.checkPayload(seg, t)
+	case !isDeviceErr(err):
+		err = fmt.Errorf("%w: segment %d: %v", ErrChecksum, seg, err)
+	}
+	if errors.Is(err, ErrChecksum) {
+		st.set(st.verified, st.unframed, err)
+		d.nodes.retire(seg)
+	} else if err == nil {
+		st.set(true, st.unframed, nil)
+	}
+	return err
 }
 
 // isDeviceErr reports errors that belong to the allocator/device, not
@@ -316,26 +343,7 @@ func (d *VerifyingDevice) VerifySegment(seg SegmentID) error {
 	st := d.segState(seg)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	t, err := d.readTrailer(seg)
-	if errors.Is(err, integrity.ErrNoFrame) {
-		st.unframed = true
-		return fmt.Errorf("segment %d: %w", seg, err)
-	}
-	if err != nil {
-		if isDeviceErr(err) {
-			return err
-		}
-		st.err = fmt.Errorf("%w: segment %d: %v", ErrChecksum, seg, err)
-		return st.err
-	}
-	if err := d.checkPayload(seg, t); err != nil {
-		if errors.Is(err, ErrChecksum) {
-			st.err = err
-		}
-		return err
-	}
-	st.verified, st.err = true, nil
-	return nil
+	return d.verifyLocked(seg, st)
 }
 
 // SegmentInfo implements Verifier.

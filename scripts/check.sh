@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the repository's tier-1 gate, run by `make check` and CI.
 # Fails on unformatted files, vet findings, build errors, any test
-# failure under the race detector, a broken observability surface, or
-# an experiment gate that does not hold (every suite already ran under
+# failure under the race detector, a fuzz target that crashes within its
+# few seconds, a broken observability surface, or an experiment gate
+# that does not hold (every suite already ran under
 # -race, so no stage re-runs tests by name).
 set -eu
 
@@ -24,6 +25,9 @@ go build ./...
 
 echo "== go test -race"
 go test -race ./...
+
+echo "== fuzz smoke"
+make fuzz-smoke
 
 # obs-smoke boots a real tebis-server with -metrics and -replica and
 # asserts the whole observability surface (Prometheus exposition, Chrome
