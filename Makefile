@@ -36,6 +36,7 @@ stress:
 # whole budget. A crasher lands in the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/btree -run '^$$' -fuzz '^FuzzIndexNode$$' -fuzztime 5s -fuzzminimizetime 0
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 5s -fuzzminimizetime 0
 
 fmt:
 	gofmt -w .

@@ -40,6 +40,8 @@ type EmittedSegment struct {
 	// Data is the used portion of the segment image (a multiple of the
 	// node size). Sealed-full segments carry the whole segment;
 	// partially filled ones (emitted at Finish) carry only used nodes.
+	// It is the builder's own segment buffer, handed over: the builder
+	// keeps no reference, so the receiver may hold on to it.
 	Data []byte
 }
 
@@ -276,9 +278,10 @@ func (b *Builder) flushSegment(lb *levelBuilder, full bool) error {
 	if lb.kind == kindIndex {
 		kind = SegIndex
 	}
-	es := EmittedSegment{Seg: lb.seg, Kind: kind, Data: append([]byte(nil), data...)}
+	// The builder is done with this buffer — the next segment gets a fresh
+	// one — so the image is handed over, not copied.
 	lb.segBuf = nil
-	return b.emit(es)
+	return b.emit(EmittedSegment{Seg: lb.seg, Kind: kind, Data: data})
 }
 
 // dropSegment removes seg from the built segment list.

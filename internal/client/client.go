@@ -104,6 +104,9 @@ type Client struct {
 	// tenantLabel is the pre-rendered metrics label for cfg.Tenant.
 	tenantLabel string
 
+	// sendBufs recycles request buffers (*sendBuf) across calls.
+	sendBufs sync.Pool
+
 	// Request tracing (nil trace / sampleEvery 0 = off). opCtr drives
 	// the deterministic head-based sampling decision; traceBase spreads
 	// trace IDs so concurrent clients don't collide.
@@ -270,6 +273,25 @@ func (c *Client) refreshMap(staleVersion uint64) error {
 	return nil
 }
 
+// sendBuf is one call's request: the payload is encoded once, behind the
+// header slot of a reusable message buffer, and every attempt finishes
+// the message in place around it (a retry changes the header only).
+// QP.Write is the DMA — it copies the bytes into the server's registered
+// memory — so the buffer is free again when Write returns. A Client is
+// shared by goroutines and by Async, so buffers are recycled per call
+// (sync.Pool), not kept per connection.
+type sendBuf struct {
+	wire.MsgBuf
+	payload []byte
+}
+
+func (c *Client) sendBuf() *sendBuf {
+	if sb, _ := c.sendBufs.Get().(*sendBuf); sb != nil {
+		return sb
+	}
+	return new(sendBuf)
+}
+
 // sendNoop transmits NOOP messages filling the pre-reserved wrap extent
 // and waits for their replies before freeing it (§3.4.2 case b).
 func (sc *serverConn) sendNoop(e *extent) error {
@@ -300,30 +322,7 @@ func (sc *serverConn) sendNoop(e *extent) error {
 				return fmt.Errorf("client: cannot size noop chunk %d", sz)
 			}
 		}
-		replySize := wire.MessageSize(1)
-		replyOff := sc.replyFL.alloc(replySize)
-		hdr := wire.Header{
-			Opcode:      wire.OpNoop,
-			RequestID:   sc.c.reqID.Add(1),
-			ReplyOffset: uint32(replyOff),
-			ReplySize:   uint32(replySize),
-		}
-		msg := make([]byte, sz)
-		if _, err := wire.EncodeMessage(msg, hdr, make([]byte, payloadLen)); err != nil {
-			sc.replyFL.free(replyOff, replySize)
-			return err
-		}
-		if err := sc.reqQP.Write(sc.reqRKey, off, msg, hdr.RequestID); err != nil {
-			sc.replyFL.free(replyOff, replySize)
-			return err
-		}
-		if _, err := sc.reqQP.WaitCompletion(); err != nil {
-			sc.replyFL.free(replyOff, replySize)
-			return err
-		}
-		_, _, err := sc.awaitReply(replyOff, hdr.RequestID)
-		sc.replyFL.free(replyOff, replySize)
-		if err != nil {
+		if err := sc.noopRoundTrip(off, payloadLen); err != nil {
 			return err
 		}
 		off += sz
@@ -332,11 +331,40 @@ func (sc *serverConn) sendNoop(e *extent) error {
 	return nil
 }
 
-// call performs one synchronous request-reply round trip. traceID is
-// the sampled request's trace context (0 = unsampled), carried in the
-// header so every server-side hop records spans under it.
-func (sc *serverConn) call(op wire.Op, regionID region.ID, epoch uint32, payload []byte, replySize int, traceID uint64) (wire.Header, []byte, error) {
-	total := wire.MessageSize(len(payload))
+// noopRoundTrip writes one NOOP with payloadLen zero payload bytes at
+// ring offset off and waits for its reply.
+func (sc *serverConn) noopRoundTrip(off, payloadLen int) error {
+	replySize := wire.MessageSize(1)
+	replyOff := sc.replyFL.alloc(replySize)
+	defer sc.replyFL.free(replyOff, replySize)
+	hdr := wire.Header{
+		Opcode:      wire.OpNoop,
+		RequestID:   sc.c.reqID.Add(1),
+		ReplyOffset: uint32(replyOff),
+		ReplySize:   uint32(replySize),
+	}
+	sb := sc.c.sendBuf()
+	defer sc.c.sendBufs.Put(sb)
+	payload := sb.Reserve(payloadLen)[:payloadLen]
+	clear(payload)
+	msg := sb.Finish(hdr, payload)
+	if err := sc.reqQP.Write(sc.reqRKey, off, msg, hdr.RequestID); err != nil {
+		return err
+	}
+	if _, err := sc.reqQP.WaitCompletion(); err != nil {
+		return err
+	}
+	_, _, err := sc.awaitReply(replyOff, replySize, hdr.RequestID, false)
+	return err
+}
+
+// call performs one synchronous request-reply round trip with the
+// request sb holds. traceID is the sampled request's trace context (0 =
+// unsampled), carried in the header so every server-side hop records
+// spans under it. keep asks for the reply's payload; an error reply's
+// text is returned either way.
+func (sc *serverConn) call(op wire.Op, regionID region.ID, epoch uint32, sb *sendBuf, replySize int, traceID uint64, keep bool) (wire.Header, []byte, error) {
+	total := wire.MessageSize(len(sb.payload))
 	// The client_queue stage: everything a sampled op waits on before
 	// its bytes hit the wire — reply-slot allocation, ring space, and
 	// any wrap-filling NOOP round trips.
@@ -348,17 +376,17 @@ func (sc *serverConn) call(op wire.Op, regionID region.ID, epoch uint32, payload
 	// consumes requests in ring order, so a request written to the ring
 	// must never wait on resources freed by later replies.
 	replyOff := sc.replyFL.alloc(replySize)
+	defer sc.replyFL.free(replyOff, replySize)
 	e, noopE, err := sc.reqRing.alloc(total)
 	if err != nil {
-		sc.replyFL.free(replyOff, replySize)
 		return wire.Header{}, nil, err
 	}
 	if noopE != nil {
 		if err := sc.sendNoop(noopE); err != nil {
-			sc.replyFL.free(replyOff, replySize)
 			return wire.Header{}, nil, err
 		}
 	}
+	defer sc.reqRing.free(e)
 	hdr := wire.Header{
 		Opcode:      op,
 		RegionID:    uint16(regionID),
@@ -377,68 +405,32 @@ func (sc *serverConn) call(op wire.Op, regionID region.ID, epoch uint32, payload
 	// move the controller's EWMA within a few milliseconds, far faster
 	// than the trace sampler surfaces observations.
 	hdr.SentAt = time.Now().UnixNano()
-	msg := make([]byte, total)
-	if _, err := wire.EncodeMessage(msg, hdr, payload); err != nil {
-		sc.replyFL.free(replyOff, replySize)
-		sc.reqRing.free(e)
-		return wire.Header{}, nil, err
-	}
+	msg := sb.Finish(hdr, sb.payload)
 	if !queueStart.IsZero() {
 		sc.c.cfg.Stages.Record(metrics.StageClientQueue, sc.c.tenantLabel,
 			traceID, time.Since(queueStart))
 	}
 	if err := sc.reqQP.Write(sc.reqRKey, e.off, msg, hdr.RequestID); err != nil {
-		sc.replyFL.free(replyOff, replySize)
-		sc.reqRing.free(e)
 		return wire.Header{}, nil, err
 	}
 	if _, err := sc.reqQP.WaitCompletion(); err != nil {
-		sc.replyFL.free(replyOff, replySize)
-		sc.reqRing.free(e)
 		return wire.Header{}, nil, err
 	}
-	h, body, err := sc.awaitReply(replyOff, hdr.RequestID)
-	sc.reqRing.free(e)
-	sc.replyFL.free(replyOff, replySize)
-	return h, body, err
+	return sc.awaitReply(replyOff, replySize, hdr.RequestID, keep)
 }
 
-// awaitReply polls the reply slot until the complete reply lands, then
-// copies it out and zeroes the slot. A long silence (the server died
-// mid-request) surfaces as errReplyTimeout.
-func (sc *serverConn) awaitReply(off int, reqID uint64) (wire.Header, []byte, error) {
-	hdr := make([]byte, wire.HeaderSize)
+// awaitReply polls the reply slot [off, off+slot) until the complete
+// reply to reqID lands and takes it (takeReply). A long silence (the
+// server died mid-request) surfaces as errReplyTimeout.
+func (sc *serverConn) awaitReply(off, slot int, reqID uint64, keep bool) (wire.Header, []byte, error) {
 	spins := 0
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if spins%4096 == 4095 && time.Now().After(deadline) {
 			return wire.Header{}, nil, errReplyTimeout
 		}
-		if err := sc.replyBuf.ReadAt(off, hdr); err != nil {
-			return wire.Header{}, nil, err
-		}
-		if wire.HeaderArrived(hdr) {
-			h, err := wire.DecodeHeader(hdr)
-			if err == nil && h.RequestID == reqID {
-				padded := wire.PaddedPayloadSize(int(h.PayloadSize))
-				full := make([]byte, wire.HeaderSize+padded)
-				if err := sc.replyBuf.ReadAt(off, full); err != nil {
-					return wire.Header{}, nil, err
-				}
-				if wire.PayloadArrived(full, int(h.PayloadSize)) {
-					_, body, err := wire.DecodeMessage(full)
-					if err != nil {
-						return wire.Header{}, nil, err
-					}
-					bodyCopy := append([]byte(nil), body...)
-					// Zero the slot so stale magic never re-triggers.
-					zero := make([]byte, len(full))
-					if err := sc.replyBuf.WriteLocal(off, zero); err != nil {
-						return wire.Header{}, nil, err
-					}
-					return h, bodyCopy, nil
-				}
-			}
+		if h, body, done, err := sc.takeReply(off, slot, reqID, keep); done || err != nil {
+			return h, body, err
 		}
 		spins++
 		if spins < 256 {
@@ -447,6 +439,46 @@ func (sc *serverConn) awaitReply(off int, reqID uint64) (wire.Header, []byte, er
 			time.Sleep(10 * time.Microsecond)
 		}
 	}
+}
+
+// takeReply looks at the reply slot once, reading the reply where it
+// landed: the header into a stack buffer, then the trailer word, then —
+// when the caller keeps the payload, or the reply is an error whose text
+// it will need — the payload, copied exactly once into a slice the
+// caller owns from then on. A reply taken is cleared out of the slot
+// before the slot is handed back, so a stale magic never re-triggers.
+// done is false while the reply to reqID is not complete.
+func (sc *serverConn) takeReply(off, slot int, reqID uint64, keep bool) (h wire.Header, body []byte, done bool, err error) {
+	var hdr [wire.HeaderSize]byte
+	if err := sc.replyBuf.ReadAt(off, hdr[:]); err != nil {
+		return wire.Header{}, nil, false, err
+	}
+	if h, err = wire.DecodeHeader(hdr[:]); err != nil || h.RequestID != reqID {
+		return wire.Header{}, nil, false, nil
+	}
+	total := wire.MessageSize(int(h.PayloadSize))
+	if total > slot {
+		return wire.Header{}, nil, false, fmt.Errorf("%w: reply of %d bytes overruns its %d-byte slot", ErrServer, total, slot)
+	}
+	if total > wire.HeaderSize {
+		var trailer [4]byte
+		if err := sc.replyBuf.ReadAt(off+total-len(trailer), trailer[:]); err != nil {
+			return wire.Header{}, nil, false, err
+		}
+		if !wire.MagicArrived(trailer[:]) {
+			return wire.Header{}, nil, false, nil
+		}
+	}
+	if keep || h.Flags&wire.FlagError != 0 {
+		body = make([]byte, h.PayloadSize)
+		if err := sc.replyBuf.ReadAt(off+wire.HeaderSize, body); err != nil {
+			return wire.Header{}, nil, false, err
+		}
+	}
+	if err := sc.replyBuf.Clear(off, total); err != nil {
+		return wire.Header{}, nil, false, err
+	}
+	return h, body, true, nil
 }
 
 // sampleTrace makes the head-based sampling decision for one client
@@ -474,14 +506,14 @@ func (c *Client) sampleTrace() uint64 {
 // refresh and a retry against the new primary (§3.1, §3.5). When the
 // op is sampled, the whole routing/retry envelope is recorded as the
 // request's client-side span.
-func (c *Client) do(key []byte, op wire.Op, payload []byte, replySize int) (wire.Header, []byte, error) {
+func (c *Client) do(key []byte, op wire.Op, sb *sendBuf, replySize int, keep bool) (wire.Header, []byte, error) {
 	traceID := c.sampleTrace()
 	if traceID == 0 {
-		h, body, _, err := c.doAttempts(key, op, payload, replySize, 0)
+		h, body, _, err := c.doAttempts(key, op, sb, replySize, 0, keep)
 		return h, body, err
 	}
 	start := time.Now()
-	h, body, rid, err := c.doAttempts(key, op, payload, replySize, traceID)
+	h, body, rid, err := c.doAttempts(key, op, sb, replySize, traceID, keep)
 	c.trace.Record(obs.Span{
 		Cat:       "request",
 		Name:      op.String(),
@@ -489,14 +521,14 @@ func (c *Client) do(key []byte, op wire.Op, payload []byte, replySize int) (wire
 		Tenant:    c.tenantLabel,
 		Region:    uint16(rid),
 		HasRegion: true,
-		Bytes:     int64(len(payload)),
+		Bytes:     int64(len(sb.payload)),
 		Start:     start,
 		Dur:       time.Since(start),
 	})
 	return h, body, err
 }
 
-func (c *Client) doAttempts(key []byte, op wire.Op, payload []byte, replySize int, traceID uint64) (wire.Header, []byte, region.ID, error) {
+func (c *Client) doAttempts(key []byte, op wire.Op, sb *sendBuf, replySize int, traceID uint64, keep bool) (wire.Header, []byte, region.ID, error) {
 	const maxAttempts = 6
 	var rid region.ID
 	for attempt := 0; ; attempt++ {
@@ -505,7 +537,7 @@ func (c *Client) doAttempts(key []byte, op wire.Op, payload []byte, replySize in
 			return wire.Header{}, nil, rid, err
 		}
 		rid = rt.id
-		h, body, err := rt.conn.call(op, rt.id, rt.epoch, payload, replySize, traceID)
+		h, body, err := rt.conn.call(op, rt.id, rt.epoch, sb, replySize, traceID, keep)
 		if err != nil {
 			if isTransportErr(err) && attempt < maxAttempts {
 				time.Sleep(2 * time.Millisecond)
@@ -555,27 +587,37 @@ func isTransportErr(err error) bool {
 // request in flight).
 var errReplyTimeout = errors.New("client: reply timed out")
 
-// Put stores a key-value pair.
-func (c *Client) Put(key, value []byte) error {
-	payload := wire.PutReq{Key: key, Value: value}.Encode(nil)
-	// Put replies are fixed size: allocate exactly (§3.4.1).
-	_, _, err := c.do(key, wire.OpPut, payload, wire.MessageSize(1))
+// mutate sends one put or delete; a nil value with OpDelete tombstones
+// the key.
+func (c *Client) mutate(op wire.Op, key, value []byte) error {
+	req := wire.PutReq{Key: key, Value: value}
+	sb := c.sendBuf()
+	defer c.sendBufs.Put(sb)
+	sb.payload = req.Encode(sb.Reserve(req.Size()))
+	// Put replies are fixed size: allocate exactly (§3.4.1). The status
+	// byte says nothing the header's flags do not, so it is not copied
+	// out.
+	_, _, err := c.do(key, op, sb, wire.MessageSize(1), false)
 	return err
 }
 
+// Put stores a key-value pair.
+func (c *Client) Put(key, value []byte) error { return c.mutate(wire.OpPut, key, value) }
+
 // Delete removes a key.
-func (c *Client) Delete(key []byte) error {
-	payload := wire.PutReq{Key: key}.Encode(nil)
-	_, _, err := c.do(key, wire.OpDelete, payload, wire.MessageSize(1))
-	return err
-}
+func (c *Client) Delete(key []byte) error { return c.mutate(wire.OpDelete, key, nil) }
 
 // Get fetches the value for a key. Values exceeding the reply slot are
 // completed with follow-up OpGetRest round trips, and the slot estimate
-// grows so later gets avoid the extra trip (§3.4.1).
+// grows so later gets avoid the extra trip (§3.4.1). The returned value
+// is the caller's: it aliases no buffer the client reuses.
 func (c *Client) Get(key []byte) ([]byte, bool, error) {
 	slot := int(c.replySlot.Load())
-	h, body, err := c.do(key, wire.OpGet, wire.GetReq{Key: key}.Encode(nil), slot)
+	req := wire.GetReq{Key: key}
+	sb := c.sendBuf()
+	defer c.sendBufs.Put(sb)
+	sb.payload = req.Encode(sb.Reserve(req.Size()))
+	h, body, err := c.do(key, wire.OpGet, sb, slot, true)
 	if err != nil {
 		return nil, false, err
 	}
@@ -586,7 +628,9 @@ func (c *Client) Get(key []byte) ([]byte, bool, error) {
 	if !rep.Found {
 		return nil, false, nil
 	}
-	val := append([]byte(nil), rep.Value...)
+	// body is this call's own copy of the reply payload, so the value
+	// inside it is returned as it is.
+	val := rep.Value
 	if h.Flags&wire.FlagPartial != 0 {
 		// Grow the slot estimate for subsequent requests.
 		want := wire.MessageSize(int(rep.TotalSize) + 64)
@@ -597,8 +641,9 @@ func (c *Client) Get(key []byte) ([]byte, bool, error) {
 			}
 		}
 		for uint32(len(val)) < rep.TotalSize {
-			payload := wire.GetRestReq{Key: key, Offset: uint32(len(val))}.Encode(nil)
-			h2, body2, err := c.do(key, wire.OpGetRest, payload, want)
+			rest := wire.GetRestReq{Key: key, Offset: uint32(len(val))}
+			sb.payload = rest.Encode(sb.Reserve(rest.Size()))
+			h2, body2, err := c.do(key, wire.OpGetRest, sb, want, true)
 			if err != nil {
 				return nil, false, err
 			}
@@ -620,23 +665,24 @@ func (c *Client) Get(key []byte) ([]byte, bool, error) {
 
 // Scan returns up to count pairs with keys >= start. Scans are served by
 // the region covering start; a scan never crosses region boundaries in
-// one call (callers continue from the last key).
+// one call (callers continue from the last key). The returned pairs are
+// the caller's: they share one buffer no one else holds.
 func (c *Client) Scan(start []byte, count int) ([]kv.Pair, error) {
 	slot := int(c.replySlot.Load())
 	if slot < 4096 {
 		slot = 4096
 	}
-	payload := wire.ScanReq{Start: start, Count: uint32(count)}.Encode(nil)
-	_, body, err := c.do(start, wire.OpScan, payload, slot)
+	req := wire.ScanReq{Start: start, Count: uint32(count)}
+	sb := c.sendBuf()
+	defer c.sendBufs.Put(sb)
+	sb.payload = req.Encode(sb.Reserve(req.Size()))
+	_, body, err := c.do(start, wire.OpScan, sb, slot, true)
 	if err != nil {
 		return nil, err
 	}
 	rep, err := wire.DecodeScanReply(body)
 	if err != nil {
 		return nil, err
-	}
-	for i := range rep.Pairs {
-		rep.Pairs[i] = rep.Pairs[i].Clone()
 	}
 	return rep.Pairs, nil
 }

@@ -14,13 +14,18 @@ import (
 // Extents are freed out of order (replies arrive out of order) but space
 // is reclaimed in FIFO order, exactly like the on-wire buffer the server
 // consumes sequentially.
+//
+// An extent belongs to its caller from alloc until free; once freed and
+// reclaimed it is recycled for a later alloc, so a caller must not touch
+// an extent it has freed.
 type ring struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	size int
 
-	head    int // next allocation offset
-	extents []*extent
+	head    int       // next allocation offset
+	extents []*extent // live extents, oldest first
+	spare   []*extent // reclaimed extents, reused by the next allocs
 }
 
 type extent struct {
@@ -50,9 +55,32 @@ func (r *ring) tailLocked() (int, bool) {
 // advances (wrapping happens via exact fill or NOOP padding, in
 // lockstep with the server's spinning thread).
 func (r *ring) reclaimLocked() {
-	for len(r.extents) > 0 && r.extents[0].done {
-		r.extents = r.extents[1:]
+	n := 0
+	for n < len(r.extents) && r.extents[n].done {
+		n++
 	}
+	if n == 0 {
+		return
+	}
+	// Slide the live extents down instead of re-slicing past the done
+	// ones: the queue keeps its backing array, and the done extents move
+	// to spare, so a steady stream of requests allocates nothing here.
+	r.spare = append(r.spare, r.extents[:n]...)
+	r.extents = r.extents[:copy(r.extents, r.extents[n:])]
+}
+
+// pushLocked appends a fresh extent to the queue, recycling a reclaimed
+// one when there is any.
+func (r *ring) pushLocked(off, size int, noop bool) *extent {
+	var e *extent
+	if n := len(r.spare); n > 0 {
+		e, r.spare = r.spare[n-1], r.spare[:n-1]
+	} else {
+		e = new(extent)
+	}
+	*e = extent{off: off, size: size, noop: noop}
+	r.extents = append(r.extents, e)
+	return e
 }
 
 // alloc reserves size contiguous bytes. When the space at the end of
@@ -76,12 +104,11 @@ func (r *ring) alloc(size int) (e, noopE *extent, err error) {
 		case !busy || r.head > tail:
 			// Free space is [head, end) plus [0, tail).
 			if r.head+size <= r.size {
-				e := &extent{off: r.head, size: size}
+				e := r.pushLocked(r.head, size, false)
 				r.head += size
 				if r.head == r.size {
 					r.head = 0
 				}
-				r.extents = append(r.extents, e)
 				return e, noopE, nil
 			}
 			// Residual end space cannot hold the message: it becomes a
@@ -98,17 +125,15 @@ func (r *ring) alloc(size int) (e, noopE *extent, err error) {
 			// extents behind it cannot be reclaimed) while other callers
 			// consume the very space it waits for — a deadlock.
 			if !busy || size <= tail {
-				noopE = &extent{off: r.head, size: r.size - r.head, noop: true}
-				e := &extent{off: 0, size: size}
+				noopE = r.pushLocked(r.head, r.size-r.head, true)
+				e := r.pushLocked(0, size, false)
 				r.head = size
-				r.extents = append(r.extents, noopE, e)
 				return e, noopE, nil
 			}
 		default: // head < tail: free space is [head, tail)
 			if r.head+size <= tail {
-				e := &extent{off: r.head, size: size}
+				e := r.pushLocked(r.head, size, false)
 				r.head += size
-				r.extents = append(r.extents, e)
 				return e, noopE, nil
 			}
 		}

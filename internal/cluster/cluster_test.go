@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -210,6 +211,19 @@ func TestMasterFailover(t *testing.T) {
 }
 
 func TestSendIndexClusterBeatsBuildIndexOnBackupIO(t *testing.T) {
+	// Both runs must execute one job sequence each, whatever the timing:
+	// the scheduler drains a frozen L0 before it cascades an over-full
+	// level, so whether a second freeze lands before or after the first
+	// L0 job retires decides how large L1 is when it spills — and, two
+	// levels down, whether a ten-segment L2→L3 merge happens at all. So
+	// no engine may freeze twice between two drains. The primary freezes
+	// every L0MaxKeys (192) puts. A Build-Index backup gets its records a
+	// flushed log segment at a time, from a worker beside its control
+	// loop: the value is sized so a 16 KB segment holds fewer records
+	// (142) than an L0, the drain interval is shorter than both, and
+	// WaitIdle waits for that worker before it waits for the engine.
+	value := bytes.Repeat([]byte("0123456789"), 9)
+	const drainEvery = 120
 	run := func(mode replica.Mode) Totals {
 		c := newTestCluster(t, mode, 1)
 		cl, err := c.NewClient()
@@ -219,15 +233,10 @@ func TestSendIndexClusterBeatsBuildIndexOnBackupIO(t *testing.T) {
 		defer cl.Close()
 		for i := 0; i < 4000; i++ {
 			k := []byte(fmt.Sprintf("key-%02x-%06d", i%251, i))
-			if err := cl.Put(k, []byte("0123456789012345678901234567890123456789")); err != nil {
+			if err := cl.Put(k, value); err != nil {
 				t.Fatal(err)
 			}
-			// Drain compactions at fixed points so both runs execute the
-			// same job sequence. Left to timing, a slow ship stage (the
-			// codec under the race detector) lets frozen L0s queue ahead
-			// of the cascades, and the job mix — hence the device bytes
-			// compared below — varies by 2x from run to run.
-			if i%250 == 249 {
+			if i%drainEvery == drainEvery-1 {
 				if err := c.WaitIdle(); err != nil {
 					t.Fatal(err)
 				}

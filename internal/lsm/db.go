@@ -263,7 +263,7 @@ func (db *DB) mutate(key, value []byte, tombstone bool, rt *obs.ReqTrace) error 
 	db.charge(metrics.CompInsertL0, db.cost.L0Insert(recLen))
 	if res.Sealed != nil {
 		// Persisting the sealed tail costs write-I/O CPU.
-		db.charge(metrics.CompInsertL0, db.cost.WriteIO(len(res.Sealed.Data)))
+		db.charge(metrics.CompInsertL0, db.cost.WriteIO(res.Sealed.Len))
 	}
 	if l := db.getListener(); l != nil {
 		// Replication runs under the engine lock so backups observe

@@ -377,7 +377,7 @@ func (db *DB) relocateRecord(key, value []byte, tomb bool, victimOff storage.Off
 		}
 		db.charge(metrics.CompInsertL0, db.cost.L0Insert(recLen))
 		if res.Sealed != nil {
-			db.charge(metrics.CompInsertL0, db.cost.WriteIO(len(res.Sealed.Data)))
+			db.charge(metrics.CompInsertL0, db.cost.WriteIO(res.Sealed.Len))
 		}
 		if l := db.getListener(); l != nil {
 			l.OnAppend(res, nil)
@@ -393,7 +393,7 @@ func (db *DB) relocateRecord(key, value []byte, tomb bool, victimOff storage.Off
 	}
 	db.charge(metrics.CompInsertL0, db.cost.L0Insert(recLen))
 	if res.Sealed != nil {
-		db.charge(metrics.CompInsertL0, db.cost.WriteIO(len(res.Sealed.Data)))
+		db.charge(metrics.CompInsertL0, db.cost.WriteIO(res.Sealed.Len))
 	}
 	if l := db.getListener(); l != nil {
 		l.OnAppend(res, nil)
@@ -419,7 +419,7 @@ func (db *DB) gcSealTail() error {
 	if err != nil || sealed == nil {
 		return err
 	}
-	db.charge(metrics.CompInsertL0, db.cost.WriteIO(len(sealed.Data)))
+	db.charge(metrics.CompInsertL0, db.cost.WriteIO(sealed.Len))
 	if l := db.getListener(); l != nil {
 		l.OnSeal(sealed)
 	}

@@ -150,8 +150,8 @@ func (mr *MemoryRegion) ReadAt(off int, p []byte) error {
 	return nil
 }
 
-// WriteLocal lets the region's owner mutate its memory (zeroing consumed
-// message slots) under the region lock.
+// WriteLocal lets the region's owner mutate its memory under the region
+// lock.
 func (mr *MemoryRegion) WriteLocal(off int, p []byte) error {
 	mr.mu.Lock()
 	defer mr.mu.Unlock()
@@ -159,6 +159,20 @@ func (mr *MemoryRegion) WriteLocal(off int, p []byte) error {
 		return fmt.Errorf("%w: write [%d,%d) of %d", ErrBounds, off, off+len(p), len(mr.buf))
 	}
 	copy(mr.buf[off:], p)
+	return nil
+}
+
+// Clear zeroes [off, off+n) under the region lock: how the owner retires
+// a consumed message (or a flushed log tail) so no stale rendezvous
+// magic can re-trigger, in one lock acquisition and without a buffer of
+// zeros to copy from.
+func (mr *MemoryRegion) Clear(off, n int) error {
+	mr.mu.Lock()
+	defer mr.mu.Unlock()
+	if off < 0 || n < 0 || off+n > len(mr.buf) {
+		return fmt.Errorf("%w: clear [%d,%d) of %d", ErrBounds, off, off+n, len(mr.buf))
+	}
+	clear(mr.buf[off : off+n])
 	return nil
 }
 
@@ -288,8 +302,15 @@ func (qp *QP) WaitCompletion() (Completion, error) {
 // WaitCompletionTimeout is WaitCompletion bounded by d: it returns
 // ErrTimeout when no completion arrives in time — how an initiator
 // notices a write that vanished (a dead or faulted peer never
-// completes).
+// completes). Write queues its completion before it returns, so the
+// common call finds one waiting and arms no timer; only a write that
+// was dropped or is still in flight pays for the deadline.
 func (qp *QP) WaitCompletionTimeout(d time.Duration) (Completion, error) {
+	select {
+	case c := <-qp.cq:
+		return c, nil
+	default:
+	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestOneSidedWriteLandsInRemoteMemory(t *testing.T) {
@@ -245,5 +246,60 @@ func TestResetCounters(t *testing.T) {
 	b.ResetCounters()
 	if a.TxBytes() != 0 || b.RxBytes() != 0 {
 		t.Fatal("counters not reset")
+	}
+}
+
+// TestClearZeroesARangeUnderTheRegionLock: the owner retires a consumed
+// message with one call, not a buffer of zeros per header slot.
+func TestClearZeroesARangeUnderTheRegionLock(t *testing.T) {
+	ep := NewEndpoint("n")
+	mr, _ := ep.Register(64)
+	if err := mr.WriteLocal(0, bytes.Repeat([]byte{0xFF}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mr.Clear(8, 40); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 64)
+	if err := mr.ReadAt(0, got); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range got {
+		if want := byte(0xFF); (i >= 8 && i < 48) == (b == want) {
+			t.Fatalf("byte %d = %#x after Clear(8, 40)", i, b)
+		}
+	}
+	for _, r := range [][2]int{{-1, 4}, {60, 8}, {0, -1}} {
+		if err := mr.Clear(r[0], r[1]); !errors.Is(err, ErrBounds) {
+			t.Fatalf("Clear(%d, %d) = %v, want ErrBounds", r[0], r[1], err)
+		}
+	}
+	if got := testing.AllocsPerRun(50, func() { _ = mr.Clear(0, 64) }); got != 0 {
+		t.Fatalf("Clear allocates %v times", got)
+	}
+}
+
+// TestQueuedCompletionArmsNoTimer: Write queues its completion before it
+// returns, so the bounded wait that follows a successful write finds it
+// and pays for no timer — while a wait with nothing queued still times
+// out (TestFaultDropWriteVanishesSilently pins the dropped-write side).
+func TestQueuedCompletionArmsNoTimer(t *testing.T) {
+	a, b := NewEndpoint("a"), NewEndpoint("b")
+	mr, _ := b.Register(64)
+	qp := Connect(a, b, 4)
+	data := []byte("record")
+	roundTrip := func() {
+		if err := qp.Write(mr.RKey(), 0, data, 7); err != nil {
+			t.Fatal(err)
+		}
+		if c, err := qp.WaitCompletionTimeout(time.Hour); err != nil || c.WRID != 7 {
+			t.Fatalf("completion = %+v, %v", c, err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, roundTrip); got != 0 {
+		t.Fatalf("a write and its bounded completion wait allocate %v times: a timer was armed", got)
+	}
+	if _, err := qp.WaitCompletionTimeout(5 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("empty CQ: err = %v, want ErrTimeout", err)
 	}
 }

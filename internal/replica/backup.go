@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tebis/internal/btree"
@@ -132,11 +133,18 @@ type Backup struct {
 	lastReq uint64
 	lastAck []byte
 
+	// flushImg is handleFlushTail's segment-sized scratch, reused from
+	// flush to flush (guarded by mu).
+	flushImg []byte
+
 	// Build-Index: flushed segments are indexed by a background worker
 	// so the flush ack does not wait on L0 inserts (backup compactions
 	// run on the backup's own threads, as in the paper's baseline).
 	idxQueue chan idxWork
 	idxDone  chan struct{}
+	// idxPending counts flushed segments queued for the worker or being
+	// indexed by it (WaitIndexed).
+	idxPending atomic.Int64
 }
 
 // idxWork is one flushed log segment awaiting Build-Index indexing.
@@ -219,13 +227,26 @@ func (b *Backup) indexWorker(queue chan idxWork) {
 	defer close(b.idxDone)
 	failed := false
 	for w := range queue {
-		if failed {
-			continue
+		if !failed {
+			if err := b.indexFlushedSegment(w.local, w.data); err != nil {
+				b.fail(err)
+				failed = true
+			}
 		}
-		if err := b.indexFlushedSegment(w.local, w.data); err != nil {
-			b.fail(err)
-			failed = true
-		}
+		b.idxPending.Add(-1)
+	}
+}
+
+// WaitIndexed blocks until every log segment flushed to a Build-Index
+// backup so far has been inserted into its engine. The flush ack does
+// not wait for that (the worker runs beside the control loop), so a
+// caller about to drain or flush the engine — to read counters that
+// must include all of the backup's indexing work — waits here first;
+// otherwise a segment still in the queue is indexed after the drain and
+// its compactions are neither awaited nor counted.
+func (b *Backup) WaitIndexed() {
+	for b.idxPending.Load() > 0 {
+		time.Sleep(20 * time.Microsecond)
 	}
 }
 
@@ -469,8 +490,12 @@ func (b *Backup) handleFlushTail(h wire.Header, req wire.FlushTail) ([]byte, err
 
 	// Adopted segments are full segment images; a log buffer smaller
 	// than a segment is zero-padded (the unwritten suffix holds no
-	// records by construction).
-	data := make([]byte, b.geo.SegmentSize())
+	// records by construction, and nothing ever writes the scratch past
+	// the buffer's size).
+	if b.flushImg == nil {
+		b.flushImg = make([]byte, b.geo.SegmentSize())
+	}
+	data := b.flushImg
 	if err := b.logBuf.ReadAt(0, data[:b.logBuf.Size()]); err != nil {
 		return nil, err
 	}
@@ -487,18 +512,21 @@ func (b *Backup) handleFlushTail(h wire.Header, req wire.FlushTail) ([]byte, err
 	b.charge(metrics.CompLogReplication, b.cfg.Cost.WriteIO(len(data)))
 
 	if b.cfg.Mode == BuildIndex && b.db != nil {
-		// Build-Index: hand the flushed records to the indexing worker.
-		// Capture the channel under b.mu — Crash and Promote nil the
-		// field — then send unlocked so the worker can take the lock.
+		// Build-Index: hand the flushed records to the indexing worker —
+		// a copy of its own, the worker reads it after the scratch has
+		// taken the next tail. Capture the channel under b.mu — Crash and
+		// Promote nil the field — then send unlocked so the worker can
+		// take the lock.
 		q := b.idxQueue
+		work := idxWork{local: local, data: append([]byte(nil), data...)}
 		b.mu.Unlock()
-		q <- idxWork{local: local, data: data}
+		b.idxPending.Add(1)
+		q <- work
 		b.mu.Lock()
 	}
 
 	// Clear the buffer for the next tail (the primary restarts at 0).
-	zero := make([]byte, b.logBuf.Size())
-	if err := b.logBuf.WriteLocal(0, zero); err != nil {
+	if err := b.logBuf.Clear(0, b.logBuf.Size()); err != nil {
 		return nil, err
 	}
 	return ackMessage(h, wire.OpFlushTailAck), nil

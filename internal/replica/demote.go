@@ -23,7 +23,7 @@ func (p *Primary) SealTail() error {
 	if sealed == nil {
 		return nil // tail was empty
 	}
-	p.charge(metrics.CompInsertL0, p.cfg.Cost.WriteIO(len(sealed.Data)))
+	p.charge(metrics.CompInsertL0, p.cfg.Cost.WriteIO(sealed.Len))
 	payload := wire.FlushTail{
 		RegionID:   uint16(p.cfg.RegionID),
 		PrimarySeg: uint32(sealed.Seg),

@@ -128,7 +128,8 @@ type backupHandle struct {
 	reqSend *rdma.QP // control commands out
 	ackRecv *rdma.QP // acks back
 
-	mu sync.Mutex // one control RPC in flight per backup
+	mu  sync.Mutex  // one control RPC in flight per backup
+	msg wire.MsgBuf // the RPC in flight is built here (guarded by mu)
 }
 
 // Primary is the primary-side replica of one region. It implements
@@ -138,8 +139,11 @@ type Primary struct {
 	cfg   PrimaryConfig
 	retry RetryPolicy
 
-	mu      sync.Mutex
-	db      *lsm.DB
+	mu sync.Mutex
+	db *lsm.DB
+	// backups is copy-on-write: attach, detach and evict install a new
+	// slice and never edit one in place, so handles() hands the per-put
+	// path the current list itself, not a copy of it.
 	backups []*backupHandle
 	reqID   atomic.Uint64
 	repErr  atomic.Value // first replication error (type error)
@@ -237,7 +241,7 @@ func Attach(p *Primary, b *Backup) {
 	b.loopDone = make(chan struct{})
 
 	p.mu.Lock()
-	p.backups = append(p.backups, h)
+	p.backups = append(slices.Clone(p.backups), h)
 	p.mu.Unlock()
 
 	go b.serve()
@@ -251,7 +255,7 @@ func (p *Primary) Detach(b *Backup) {
 	for i, h := range p.backups {
 		if h.backup == b {
 			h.closeQPs()
-			p.backups = append(p.backups[:i], p.backups[i+1:]...)
+			p.backups = slices.Delete(slices.Clone(p.backups), i, i+1)
 			return
 		}
 	}
@@ -276,11 +280,12 @@ func (h *backupHandle) closeQPs() {
 	<-h.backup.loopDone
 }
 
-// handles snapshots the attached backups.
+// handles returns the attached backups: the current copy-on-write list,
+// read-only for the caller.
 func (p *Primary) handles() []*backupHandle {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]*backupHandle(nil), p.backups...)
+	return p.backups
 }
 
 // Backups returns the attached backup replicas.
@@ -341,14 +346,13 @@ func (e *RemoteError) Error() string {
 // discarded by RequestID matching.
 func (p *Primary) rpcReplyLocked(h *backupHandle, op wire.Op, payload []byte, recvSize int) ([]byte, error) {
 	reqID := p.reqID.Add(1)
-	msg := make([]byte, wire.MessageSize(len(payload)))
-	if _, err := wire.EncodeMessage(msg, wire.Header{
+	// A send copies the message into the backup's posted receive, so one
+	// buffer per handle serves every RPC and all of its retries.
+	msg := h.msg.Finish(wire.Header{
 		Opcode:    op,
 		RegionID:  uint16(p.cfg.RegionID),
 		RequestID: reqID,
-	}, payload); err != nil {
-		return nil, err
-	}
+	}, payload)
 	pol := p.retry
 	var lastErr error
 	for attempt := 0; attempt <= pol.MaxRetries; attempt++ {
@@ -432,7 +436,10 @@ func (p *Primary) writeWithRetryTraced(h *backupHandle, rkey uint32, off int, da
 			lastErr = err
 			continue
 		}
-		ackStart := time.Now()
+		var ackStart time.Time
+		if rt != nil {
+			ackStart = time.Now()
+		}
 		if _, err := h.dataQP.WaitCompletionTimeout(pol.AckTimeout); err != nil {
 			if errors.Is(err, rdma.ErrDisconnected) {
 				return err
@@ -469,7 +476,7 @@ func (p *Primary) evict(h *backupHandle, cause error) {
 	found := false
 	for i, cand := range p.backups {
 		if cand == h {
-			p.backups = append(p.backups[:i], p.backups[i+1:]...)
+			p.backups = slices.Delete(slices.Clone(p.backups), i, i+1)
 			found = true
 			break
 		}

@@ -370,11 +370,23 @@ func TestPromoteReadsRewrittenNodesOfRecycledSegments(t *testing.T) {
 	b := r.backups[0]
 	maxLevels, nodeSize := lsmOpts().MaxLevels, lsmOpts().NodeSize
 	const n = 3000
+	// Which local segments the backup frees and which it allocates next
+	// follows the primary's job sequence, and that follows timing unless
+	// every job retires before the next L0 freezes: each generation starts
+	// on an empty L0 and freezes on every L0MaxKeys-th put, so drain right
+	// there. The backup then allocates in one fixed order, and whether a
+	// read segment is recycled into the final levels is a property of
+	// this test's constants, not of the scheduler's luck under -race.
 	write := func(gen string) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			if err := r.db.Put([]byte(fmt.Sprintf("user%08d", i)), []byte(fmt.Sprintf("%s-%d", gen, i))); err != nil {
 				t.Fatal(err)
+			}
+			if (i+1)%lsmOpts().L0MaxKeys == 0 {
+				if err := r.db.WaitIdle(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if err := r.db.Flush(); err != nil {

@@ -70,18 +70,78 @@ func (s *Server) Connect(clientEP *rdma.Endpoint, replyRKey uint32) (ConnInfo, e
 		replyKey: replyRKey,
 	}
 	s.conns = append(s.conns, conn)
+	s.publishConnsLocked()
 	return ConnInfo{ReqRKey: reqBuf.RKey(), BufSize: s.cfg.BufferSize}, nil
+}
+
+// publishConnsLocked republishes the snapshot of open connections the
+// spinning threads walk. A snapshot is never modified once stored, so a
+// sweep reads it with one atomic load — no lock, no copy. Caller holds
+// s.mu.
+func (s *Server) publishConnsLocked() {
+	open := make([]*clientConn, 0, len(s.conns))
+	for _, conn := range s.conns {
+		if !conn.closed.Load() {
+			open = append(open, conn)
+		}
+	}
+	s.openConns.Store(&open)
+}
+
+// dropConn closes a connection whose buffers or queue pair failed and
+// takes it out of the spinning threads' snapshot.
+func (s *Server) dropConn(conn *clientConn) {
+	if conn.closed.Swap(true) {
+		return
+	}
+	s.mu.Lock()
+	s.publishConnsLocked()
+	s.mu.Unlock()
 }
 
 // task is one detected message handed to a worker.
 type task struct {
 	conn *clientConn
 	hdr  wire.Header
-	body []byte // payload copy (the buffer slot is zeroed on detection)
+	// body is the payload, copied out of the request buffer (the slot is
+	// cleared on detection) into a recycled buffer; nil for a header-only
+	// message. Whoever answers the task may read it until the reply is
+	// written and then hands it back with recycle: nothing the engine or
+	// the reply keeps may point into it.
+	body *[]byte
 	// recvAt is when the spinning thread detected the message; the
 	// worker's dispatch span starts here, so queue wait is visible in a
 	// sampled request's trace.
 	recvAt time.Time
+}
+
+// payload returns the task's payload bytes.
+func (t task) payload() []byte {
+	if t.body == nil {
+		return nil
+	}
+	return *t.body
+}
+
+// takeBody returns a buffer of n bytes for a task body, recycled when one
+// is on hand.
+func (s *Server) takeBody(n int) *[]byte {
+	b, _ := s.bodies.Get().(*[]byte)
+	if b == nil {
+		b = new([]byte)
+	}
+	if cap(*b) < n {
+		*b = make([]byte, n)
+	}
+	*b = (*b)[:n]
+	return b
+}
+
+// recycle hands a task's body back once its reply has been written.
+func (s *Server) recycle(t task) {
+	if t.body != nil {
+		s.bodies.Put(t.body)
+	}
 }
 
 // spin is one spinning thread: it polls the rendezvous points of its
@@ -94,6 +154,7 @@ func (s *Server) spin(idx int) {
 	idleSpins := 0
 	sweep := 0
 	hdr := make([]byte, wire.HeaderSize)
+	var shedBuf wire.MsgBuf // replies this thread writes itself (sheds)
 	for {
 		select {
 		case <-s.stop:
@@ -110,10 +171,7 @@ func (s *Server) spin(idx int) {
 		// harness measured 14ms average detection latency for paced
 		// clients from exactly this. So idle sweeps poll everything.
 		idle := idleSpins > 0
-		s.mu.Lock()
-		conns := append([]*clientConn(nil), s.conns...)
-		s.mu.Unlock()
-		for _, conn := range conns {
+		for _, conn := range *s.openConns.Load() {
 			if conn.closed.Load() || conn.id%s.cfg.SpinThreads != idx {
 				continue
 			}
@@ -125,7 +183,7 @@ func (s *Server) spin(idx int) {
 			}
 			t, ok, err := s.detect(conn, hdr)
 			if err != nil {
-				conn.closed.Store(true)
+				s.dropConn(conn)
 				continue
 			}
 			if !ok {
@@ -137,21 +195,21 @@ func (s *Server) spin(idx int) {
 			conn.hotness = hotBoost
 			progress = true
 			s.charge(metrics.CompOther, s.cfg.Cost.PollPerMessage)
-			next = s.dispatch(t, next)
+			next = s.dispatch(t, next, &shedBuf)
 			// Drain the connection while it stays hot: back-to-back
 			// messages from a pipelining client are picked up in one
 			// sweep.
 			for {
 				t, ok, err := s.detect(conn, hdr)
 				if err != nil {
-					conn.closed.Store(true)
+					s.dropConn(conn)
 					break
 				}
 				if !ok {
 					break
 				}
 				s.charge(metrics.CompOther, s.cfg.Cost.PollPerMessage)
-				next = s.dispatch(t, next)
+				next = s.dispatch(t, next, &shedBuf)
 			}
 		}
 		if progress {
@@ -171,8 +229,10 @@ func (s *Server) spin(idx int) {
 }
 
 // detect checks one connection's rendezvous point for a complete
-// message; on success it copies the message out, zeroes the consumed
-// header slots, and advances the rendezvous position.
+// message, reading it where it landed: the header into the thread's hdr,
+// then the trailer word. On success the payload is copied out for the
+// worker into a recycled body, the consumed area is cleared, and the
+// rendezvous position advances.
 func (s *Server) detect(conn *clientConn, hdr []byte) (task, bool, error) {
 	if err := conn.reqBuf.ReadAt(conn.pos, hdr); err != nil {
 		return task{}, false, err
@@ -184,37 +244,32 @@ func (s *Server) detect(conn *clientConn, hdr []byte) (task, bool, error) {
 	if err != nil {
 		return task{}, false, err
 	}
-	padded := wire.PaddedPayloadSize(int(h.PayloadSize))
-	total := wire.HeaderSize + padded
+	total := wire.MessageSize(int(h.PayloadSize))
 	if conn.pos+total > conn.reqBuf.Size() {
 		return task{}, false, fmt.Errorf("server: message overruns request buffer")
 	}
 	// Second rendezvous: whole payload must have landed.
-	if padded > 0 {
-		tail := make([]byte, 4)
-		if err := conn.reqBuf.ReadAt(conn.pos+total-4, tail); err != nil {
+	if total > wire.HeaderSize {
+		var trailer [4]byte
+		if err := conn.reqBuf.ReadAt(conn.pos+total-len(trailer), trailer[:]); err != nil {
 			return task{}, false, err
 		}
-		probe := make([]byte, wire.HeaderSize)
-		copy(probe[wire.HeaderSize-4:], tail)
-		if !wire.HeaderArrived(probe) { // same magic check
+		if !wire.MagicArrived(trailer[:]) {
 			return task{}, false, nil
 		}
 	}
-	body := make([]byte, h.PayloadSize)
+	var body *[]byte
 	if h.PayloadSize > 0 {
-		if err := conn.reqBuf.ReadAt(conn.pos+wire.HeaderSize, body); err != nil {
+		body = s.takeBody(int(h.PayloadSize))
+		if err := conn.reqBuf.ReadAt(conn.pos+wire.HeaderSize, *body); err != nil {
 			return task{}, false, err
 		}
 	}
-	// Zero the possible header slots of the consumed area so stale
-	// magics never re-trigger (the padding trick of §3.4.2: only
-	// header-size-aligned slots can hold future headers).
-	zero := make([]byte, wire.HeaderSize)
-	for off := conn.pos; off < conn.pos+total; off += wire.HeaderSize {
-		if err := conn.reqBuf.WriteLocal(off, zero); err != nil {
-			return task{}, false, err
-		}
+	// Clear the consumed area so stale magics never re-trigger (§3.4.2:
+	// messages are header-size multiples, so only header-size-aligned
+	// slots can hold future headers, and all of them are inside it).
+	if err := conn.reqBuf.Clear(conn.pos, total); err != nil {
+		return task{}, false, err
 	}
 	conn.pos += total
 	if conn.pos+wire.HeaderSize > conn.reqBuf.Size() {
@@ -236,7 +291,7 @@ func (s *Server) detect(conn *clientConn, hdr []byte) (task, bool, error) {
 // states act at the door: a shed task is refused before any worker
 // slot or engine work is spent on it, a delayed one paces the spinning
 // thread itself (DESIGN.md "Data path").
-func (s *Server) dispatch(t task, next int) int {
+func (s *Server) dispatch(t task, next int, shedBuf *wire.MsgBuf) int {
 	if t.hdr.Opcode == wire.OpPut || t.hdr.Opcode == wire.OpDelete {
 		// Only mutations face the admission door: writes are the
 		// expensive replicated path and retry-safe under FlagOverload
@@ -245,7 +300,7 @@ func (s *Server) dispatch(t task, next int) int {
 		// make an acknowledged write look lost.
 		switch d := s.ctrl.Admit(tenantLabel(t.hdr.Tenant), t.hdr.Priority); d.Action {
 		case admission.Shed:
-			s.shed(t)
+			s.shed(t, shedBuf)
 			return next
 		case admission.Delay:
 			time.Sleep(d.Delay)
@@ -267,11 +322,16 @@ func (s *Server) dispatch(t task, next int) int {
 	return next % len(s.workers)
 }
 
-// tenantLabel renders a wire tenant ID as the label shared by stage
-// series, admission counters, and request spans.
-func tenantLabel(t uint8) string {
-	return "t" + strconv.Itoa(int(t))
-}
+// tenantLabels holds every wire tenant ID rendered as the label shared
+// by stage series, admission counters, and request spans.
+var tenantLabels = func() (l [256]string) {
+	for t := range l {
+		l[t] = "t" + strconv.Itoa(t)
+	}
+	return l
+}()
+
+func tenantLabel(t uint8) string { return tenantLabels[t] }
 
 // replyOp maps a request opcode to its reply opcode, for replies built
 // outside a worker (sheds).
@@ -292,22 +352,38 @@ func replyOp(op wire.Op) wire.Op {
 // shed refuses one task under admission-control overload: the client
 // gets FlagError|FlagOverload — nothing was applied — and backs off
 // before retrying, so an acked write is still always an applied write.
-func (s *Server) shed(t task) {
-	payload := []byte("shed by admission control")
-	total := wire.MessageSize(len(payload))
-	if total > int(t.hdr.ReplySize) {
-		return // client violated the minimum slot size; drop
+func (s *Server) shed(t task, mb *wire.MsgBuf) {
+	s.sendReply(mb, t, replyOp(t.hdr.Opcode), wire.FlagError|wire.FlagOverload, shedText)
+	s.recycle(t)
+}
+
+// Fixed reply payloads, built once.
+var (
+	shedText          = []byte("shed by admission control")
+	replyOverflowText = []byte("reply overflow")
+	badOpcodeText     = []byte("bad opcode")
+)
+
+// sendReply finishes the reply to t in mb, around payload, and
+// RDMA-writes it into the client's reply slot, draining the completion.
+// It reports false, sending nothing, when the reply does not fit the
+// slot the client allocated.
+func (s *Server) sendReply(mb *wire.MsgBuf, t task, op wire.Op, flags uint8, payload []byte) bool {
+	if wire.MessageSize(len(payload)) > int(t.hdr.ReplySize) {
+		return false
 	}
-	msg := make([]byte, total)
-	if _, err := wire.EncodeMessage(msg, wire.Header{
-		Opcode:    replyOp(t.hdr.Opcode),
-		Flags:     wire.FlagError | wire.FlagOverload,
+	msg := mb.Finish(wire.Header{
+		Opcode:    op,
+		Flags:     flags,
 		RegionID:  t.hdr.RegionID,
 		RequestID: t.hdr.RequestID,
-	}, payload); err != nil {
-		return
+	}, payload)
+	err := t.conn.replyQP.Write(t.conn.replyKey, int(t.hdr.ReplyOffset), msg, 0)
+	if err == nil {
+		_, err = t.conn.replyQP.WaitCompletion()
 	}
-	if err := s.replyWrite(t.conn, int(t.hdr.ReplyOffset), msg); err != nil {
-		t.conn.closed.Store(true)
+	if err != nil {
+		s.dropConn(t.conn)
 	}
+	return true
 }

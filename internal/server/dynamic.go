@@ -65,86 +65,101 @@ func (st *regionStats) load() region.Load {
 	}
 }
 
+// regionRef is an admitted op's hold on the region it addressed: the
+// engine serving it, and the inflight counts Freeze drains. A value, not
+// a closure: acquiring a region allocates nothing.
+type regionRef struct {
+	db *lsm.DB
+	// end is the addressed region's exclusive upper bound (nil for +inf):
+	// split children share the parent's engine, so range reads must stop
+	// there rather than run into a sibling's keys. It is the hosted
+	// descriptor's own slice — descriptors are replaced, never edited, so
+	// it is safe to read without the lock, and must not be written.
+	end []byte
+	// stats is the addressed region's traffic sink. It is set whenever
+	// the region is hosted here, even if the op was then refused.
+	stats *regionStats
+
+	hr, eng *hostedRegion
+}
+
+// release drops the inflight hold; the caller invokes it when the op
+// completes.
+func (r regionRef) release() {
+	r.hr.inflight.Add(-1)
+	if r.eng != r.hr {
+		r.eng.inflight.Add(-1)
+	}
+}
+
 // acquire resolves the engine serving region id for one op, enforcing
 // the epoch check (epoch 0 means unchecked) and, for writes, the lease.
 // Ops arriving during a freeze window park until the window ends, then
 // re-resolve against the post-reconfiguration state — a parked write
 // routed with the old epoch bounces back as wrong-epoch instead of
 // landing on a range the region no longer covers. On success the
-// region's inflight count is held; the caller must invoke release when
-// the op completes. end is the addressed region's exclusive upper bound
-// (nil for +inf): split children share the parent's engine, so range
-// reads must stop there rather than run into a sibling's keys.
-func (s *Server) acquire(id region.ID, epoch uint32, write bool) (db *lsm.DB, end []byte, release func(), err error) {
+// region's inflight count is held until the ref is released.
+func (s *Server) acquire(id region.ID, epoch uint32, write bool) (regionRef, error) {
 	for {
-		db, end, release, wait, err := s.tryAcquire(id, epoch, write)
-		if err == nil {
-			return db, end, release, nil
-		}
-		if wait == nil {
-			return nil, nil, nil, err
+		ref, wait, err := s.tryAcquire(id, epoch, write)
+		if err == nil || wait == nil {
+			return ref, err
 		}
 		select {
 		case <-wait:
 			// Freeze window ended; re-resolve.
 		case <-s.stop:
-			return nil, nil, nil, ErrClosed
+			return ref, ErrClosed
 		case <-time.After(freezeWaitTimeout):
-			return nil, nil, nil, err
+			return ref, err
 		}
 	}
 }
 
 // tryAcquire is one resolution attempt; a non-nil wait channel means the
 // region (or its engine owner) is frozen and the caller should block on
-// it and retry.
-func (s *Server) tryAcquire(id region.ID, epoch uint32, write bool) (*lsm.DB, []byte, func(), chan struct{}, error) {
+// it and retry. On failure the ref carries nothing but stats.
+func (s *Server) tryAcquire(id region.ID, epoch uint32, write bool) (regionRef, chan struct{}, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, nil, nil, nil, ErrClosed
+		return regionRef{}, nil, ErrClosed
 	}
 	hr, ok := s.regions[id]
 	if !ok {
-		return nil, nil, nil, nil, ErrUnknownRegion
+		return regionRef{}, nil, ErrUnknownRegion
 	}
+	refused := regionRef{stats: hr.stats}
 	if hr.frozen {
-		return nil, nil, nil, hr.freezeCh, fmt.Errorf("server: region %d frozen for reconfiguration", id)
+		return refused, hr.freezeCh, fmt.Errorf("server: region %d frozen for reconfiguration", id)
 	}
 	if epoch != 0 && epoch != hr.info.Epoch {
-		return nil, nil, nil, nil, fmt.Errorf("%w: region %d is at epoch %d, request routed with %d",
+		return refused, nil, fmt.Errorf("%w: region %d is at epoch %d, request routed with %d",
 			ErrWrongEpoch, id, hr.info.Epoch, epoch)
 	}
 	eng := hr
 	if hr.isAlias {
 		eng = s.regions[hr.owner]
 		if eng == nil {
-			return nil, nil, nil, nil, ErrUnknownRegion
+			return refused, nil, ErrUnknownRegion
 		}
 		if eng.frozen {
-			return nil, nil, nil, eng.freezeCh, fmt.Errorf("server: region %d frozen for reconfiguration", hr.owner)
+			return refused, eng.freezeCh, fmt.Errorf("server: region %d frozen for reconfiguration", hr.owner)
 		}
 	}
 	if eng.db == nil {
-		return nil, nil, nil, nil, ErrNotPrimary
+		return refused, nil, ErrNotPrimary
 	}
 	if write && !hr.lease.Valid(hr.info.Epoch) {
-		return nil, nil, nil, nil, fmt.Errorf("%w: region %d at epoch %d", ErrNoLease, id, hr.info.Epoch)
+		return refused, nil, fmt.Errorf("%w: region %d at epoch %d", ErrNoLease, id, hr.info.Epoch)
 	}
-	end := append([]byte(nil), hr.info.End...)
 	hr.inflight.Add(1)
 	if eng != hr {
 		// Hold the owner too: freezing the owner must drain alias ops that
 		// run on its engine.
 		eng.inflight.Add(1)
 	}
-	release := func() {
-		hr.inflight.Add(-1)
-		if eng != hr {
-			eng.inflight.Add(-1)
-		}
-	}
-	return eng.db, end, release, nil, nil
+	return regionRef{db: eng.db, end: hr.info.End, stats: hr.stats, hr: hr, eng: eng}, nil, nil
 }
 
 // Freeze begins a reconfiguration freeze window on one hosted region:
@@ -384,17 +399,4 @@ func (s *Server) SplitKey(id region.ID) ([]byte, error) {
 	// keys are ascending and distinct, and index len/2 >= 1, so the
 	// median is strictly inside (Start, End) as Map.Split requires.
 	return keys[len(keys)/2], nil
-}
-
-// statsFor returns the stats sink of a hosted region, nil when the
-// region is unknown. Stats belong to the addressed region ID: an alias
-// child accounts separately from its engine owner, which is what lets
-// the rebalancer see which half of a split is hot.
-func (s *Server) statsFor(id region.ID) *regionStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if hr, ok := s.regions[id]; ok {
-		return hr.stats
-	}
-	return nil
 }

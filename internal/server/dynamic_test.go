@@ -42,29 +42,34 @@ func TestSplitHostedAliasServesAndMerges(t *testing.T) {
 	}
 
 	// Both children serve writes at the new epoch from the shared engine.
-	db, end, release, err := s.acquire(1, 2, true)
+	leftRef, err := s.acquire(1, 2, true)
 	if err != nil {
 		t.Fatalf("acquire left: %v", err)
 	}
-	if string(end) != "m" {
-		t.Fatalf("left end = %q, want m", end)
+	if string(leftRef.end) != "m" {
+		t.Fatalf("left end = %q, want m", leftRef.end)
 	}
-	release()
-	db2, end, release, err := s.acquire(2, 2, true)
+	leftRef.release()
+	rightRef, err := s.acquire(2, 2, true)
 	if err != nil {
 		t.Fatalf("acquire alias child: %v", err)
 	}
-	if db2 != db {
+	if rightRef.db != leftRef.db {
 		t.Fatal("alias child does not share the parent's engine")
 	}
-	if end != nil {
-		t.Fatalf("right end = %q, want +inf", end)
+	if rightRef.end != nil {
+		t.Fatalf("right end = %q, want +inf", rightRef.end)
 	}
-	release()
+	if rightRef.stats == leftRef.stats {
+		t.Fatal("alias child accounts into its owner's stats")
+	}
+	rightRef.release()
 
 	// A request routed with the pre-split epoch bounces.
-	if _, _, _, err := s.acquire(1, 1, false); !errors.Is(err, ErrWrongEpoch) {
+	if ref, err := s.acquire(1, 1, false); !errors.Is(err, ErrWrongEpoch) {
 		t.Fatalf("stale epoch err = %v", err)
+	} else if ref.stats != leftRef.stats {
+		t.Fatal("a refused op lost the addressed region's stats")
 	}
 
 	// Both halves report load so the rebalancer can tell them apart.
@@ -83,13 +88,13 @@ func TestSplitHostedAliasServesAndMerges(t *testing.T) {
 	if kids := s.AliasChildren(1); len(kids) != 0 {
 		t.Fatalf("AliasChildren after merge = %v", kids)
 	}
-	if _, _, _, err := s.acquire(2, 0, false); !errors.Is(err, ErrUnknownRegion) {
+	if _, err := s.acquire(2, 0, false); !errors.Is(err, ErrUnknownRegion) {
 		t.Fatalf("merged-away child err = %v", err)
 	}
-	if _, _, release, err := s.acquire(1, 3, true); err != nil {
+	if ref, err := s.acquire(1, 3, true); err != nil {
 		t.Fatalf("post-merge acquire: %v", err)
 	} else {
-		release()
+		ref.release()
 	}
 }
 
@@ -105,7 +110,7 @@ func TestFreezeParksOpsUntilUnfreeze(t *testing.T) {
 	}
 
 	// Freeze must not return while an admitted op is still in flight.
-	_, _, release, err := s.acquire(1, 1, false)
+	held, err := s.acquire(1, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +123,7 @@ func TestFreezeParksOpsUntilUnfreeze(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond)
 	released := time.Now()
-	release()
+	held.release()
 	if ts := <-frozeAt; ts.Before(released) {
 		t.Fatal("Freeze returned before in-flight ops drained")
 	}
@@ -131,7 +136,7 @@ func TestFreezeParksOpsUntilUnfreeze(t *testing.T) {
 	// wrong-epoch instead of landing on stale state.
 	parked := make(chan error, 1)
 	go func() {
-		_, _, _, err := s.acquire(1, 1, true)
+		_, err := s.acquire(1, 1, true)
 		parked <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -153,10 +158,10 @@ func TestFreezeParksOpsUntilUnfreeze(t *testing.T) {
 	}
 
 	// Current-epoch traffic resumes under the reissued lease.
-	if _, _, release, err := s.acquire(1, 2, true); err != nil {
+	if ref, err := s.acquire(1, 2, true); err != nil {
 		t.Fatalf("post-unfreeze write: %v", err)
 	} else {
-		release()
+		ref.release()
 	}
 
 	// A freeze window with no reissued lease leaves the region readable
@@ -167,13 +172,13 @@ func TestFreezeParksOpsUntilUnfreeze(t *testing.T) {
 	if err := s.Unfreeze(updated, region.Lease{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := s.acquire(1, 2, true); !errors.Is(err, ErrNoLease) {
+	if _, err := s.acquire(1, 2, true); !errors.Is(err, ErrNoLease) {
 		t.Fatalf("write without lease err = %v", err)
 	}
-	if _, _, release, err := s.acquire(1, 2, false); err != nil {
+	if ref, err := s.acquire(1, 2, false); err != nil {
 		t.Fatalf("read without lease: %v", err)
 	} else {
-		release()
+		ref.release()
 	}
 }
 

@@ -212,9 +212,15 @@ type Server struct {
 
 	mu      sync.Mutex
 	regions map[region.ID]*hostedRegion
-	conns   []*clientConn
+	conns   []*clientConn // every connection accepted, open or not
 	closed  bool
 	seed    int64
+	// openConns is the immutable snapshot of open connections the
+	// spinning threads walk, republished whenever one opens or closes.
+	openConns atomic.Pointer[[]*clientConn]
+	// bodies recycles task bodies (*[]byte) between detect and the
+	// reply.
+	bodies sync.Pool
 
 	wg      sync.WaitGroup
 	workers []*worker
@@ -261,6 +267,7 @@ func New(cfg Config) (*Server, error) {
 	for _, op := range opKinds {
 		s.opLat[op] = metrics.NewHistogram()
 	}
+	s.openConns.Store(new([]*clientConn))
 	if cfg.Admission != nil {
 		ac := *cfg.Admission
 		if ac.MaxThreshold == 0 {
@@ -602,12 +609,12 @@ func (s *Server) Regions() []region.ID {
 // checks — the pre-epoch resolution path, kept for direct engine access
 // in tests and tools.
 func (s *Server) primaryDB(id region.ID) (*lsm.DB, error) {
-	db, _, release, err := s.acquire(id, 0, false)
+	ref, err := s.acquire(id, 0, false)
 	if err != nil {
 		return nil, err
 	}
-	release()
-	return db, nil
+	ref.release()
+	return ref.db, nil
 }
 
 // ScrubStats returns the node's scrub-and-repair counters.
@@ -668,21 +675,35 @@ func (s *Server) ScrubAndRepair() (replica.RepairReport, error) {
 	return total, nil
 }
 
-// WaitIdle drains compactions of every hosted primary (benchmarks call
-// this before reading amplification counters).
-func (s *Server) WaitIdle() error {
+// engines snapshots every engine this server runs — its primaries' and
+// its Build-Index backups' own — once each such backup has indexed every
+// log segment flushed to it so far (the flush ack does not wait for the
+// indexing, so without this a drain can return with a segment's worth of
+// L0 inserts, and the compactions they trigger, still to come).
+func (s *Server) engines() []*lsm.DB {
 	s.mu.Lock()
 	dbs := make([]*lsm.DB, 0, len(s.regions))
+	var backups []*replica.Backup
 	for _, hr := range s.regions {
 		if hr.db != nil {
 			dbs = append(dbs, hr.db)
 		}
 		if hr.backup != nil && hr.backup.DB() != nil {
+			backups = append(backups, hr.backup)
 			dbs = append(dbs, hr.backup.DB())
 		}
 	}
 	s.mu.Unlock()
-	for _, db := range dbs {
+	for _, b := range backups {
+		b.WaitIndexed()
+	}
+	return dbs
+}
+
+// WaitIdle drains the compactions of every hosted engine (benchmarks
+// call this before reading amplification counters).
+func (s *Server) WaitIdle() error {
+	for _, db := range s.engines() {
 		if err := db.WaitIdle(); err != nil {
 			return err
 		}
@@ -695,23 +716,12 @@ func (s *Server) WaitIdle() error {
 // schemes are charged their full maintenance work before counters are
 // read.
 func (s *Server) Flush() error {
-	s.mu.Lock()
-	dbs := make([]*lsm.DB, 0, len(s.regions))
-	for _, hr := range s.regions {
-		if hr.db != nil {
-			dbs = append(dbs, hr.db)
-		}
-		if hr.backup != nil && hr.backup.DB() != nil {
-			dbs = append(dbs, hr.backup.DB())
-		}
-	}
-	s.mu.Unlock()
-	for _, db := range dbs {
+	for _, db := range s.engines() {
 		if err := db.Flush(); err != nil {
 			return err
 		}
 	}
-	return s.WaitIdle()
+	return nil
 }
 
 // Crash simulates a node failure: message processing stops immediately

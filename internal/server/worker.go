@@ -17,6 +17,16 @@ type worker struct {
 	s     *Server
 	id    int
 	queue chan task
+
+	// Per-worker scratch, reused from op to op: the reply payload is
+	// encoded straight into msg, behind its header slot, and the message
+	// finished around it; pairs collects a scan's result before it is
+	// encoded. Nothing here outlives the op's reply write.
+	msg   wire.MsgBuf
+	pairs []kv.Pair
+	// stats is the addressed region's sink, set by acquire for the op in
+	// progress (nil when the op never resolved a hosted region).
+	stats *regionStats
 }
 
 func newWorker(s *Server, id int) *worker {
@@ -73,8 +83,7 @@ func (w *worker) process(t task) {
 	}
 	switch t.hdr.Opcode {
 	case wire.OpNoop:
-		op = wire.OpNoopReply
-		payload = wire.StatusReply{}.Encode(nil)
+		op, payload = wire.OpNoopReply, w.statusOK()
 	case wire.OpPut:
 		op, flags, payload = w.doPut(t, false, rt)
 	case wire.OpDelete:
@@ -86,14 +95,30 @@ func (w *worker) process(t task) {
 	case wire.OpScan:
 		op, flags, payload = w.doScan(t)
 	default:
-		op, flags, payload = wire.OpNoopReply, wire.FlagError, []byte("bad opcode")
+		op, flags, payload = wire.OpNoopReply, wire.FlagError, badOpcodeText
 	}
 	w.reply(t, op, flags, payload)
 	if kind := opKind(t.hdr.Opcode); kind != "" {
 		elapsed := time.Since(start)
 		w.s.opLat[kind].Record(elapsed)
-		w.s.statsFor(region.ID(t.hdr.RegionID)).record(t.hdr.Opcode, len(t.body), elapsed)
+		w.stats.record(t.hdr.Opcode, len(t.payload()), elapsed)
 	}
+	w.stats = nil
+	w.s.recycle(t)
+}
+
+// acquire resolves the region t addresses (Server.acquire) and notes its
+// stats sink for process, so an op takes s.mu once, not once to resolve
+// and once more to account.
+func (w *worker) acquire(t task, write bool) (regionRef, error) {
+	ref, err := w.s.acquire(region.ID(t.hdr.RegionID), t.hdr.Epoch, write)
+	w.stats = ref.stats
+	return ref, err
+}
+
+// statusOK encodes the OK status payload into the worker's scratch.
+func (w *worker) statusOK() []byte {
+	return wire.StatusReply{}.Encode(w.msg.Reserve(wire.StatusReply{}.Size()))
 }
 
 // opKind maps request opcodes to the latency-histogram kinds; "" for
@@ -132,23 +157,23 @@ func (w *worker) doPut(t task, del bool, rt *obs.ReqTrace) (wire.Op, uint8, []by
 	if del {
 		okOp = wire.OpDeleteReply
 	}
-	req, err := wire.DecodePutReq(t.body)
+	req, err := wire.DecodePutReq(t.payload())
 	if err != nil {
 		return okOp, wire.FlagError, []byte(err.Error())
 	}
-	db, _, release, err := w.s.acquire(region.ID(t.hdr.RegionID), t.hdr.Epoch, true)
+	ref, err := w.acquire(t, true)
 	if err != nil {
 		return errReply(err, okOp)
 	}
-	defer release()
+	defer ref.release()
 	var applyStart time.Time
 	if rt != nil {
 		applyStart = time.Now()
 	}
 	if del {
-		err = db.DeleteTraced(req.Key, rt)
+		err = ref.db.DeleteTraced(req.Key, rt)
 	} else {
-		err = db.PutTraced(req.Key, req.Value, rt)
+		err = ref.db.PutTraced(req.Key, req.Value, rt)
 	}
 	if rt != nil {
 		applyDur := time.Since(applyStart)
@@ -164,7 +189,7 @@ func (w *worker) doPut(t task, del bool, rt *obs.ReqTrace) (wire.Op, uint8, []by
 		// Dataset size: the denominator of the amplification gauges.
 		w.s.dataset.Add(uint64(len(req.Key) + len(req.Value)))
 	}
-	return okOp, 0, wire.StatusReply{}.Encode(nil)
+	return okOp, 0, w.statusOK()
 }
 
 // getReplyBudget returns how many value bytes fit in the client's reply
@@ -181,16 +206,16 @@ func getReplyBudget(h wire.Header) int {
 }
 
 func (w *worker) doGet(t task) (wire.Op, uint8, []byte) {
-	req, err := wire.DecodeGetReq(t.body)
+	req, err := wire.DecodeGetReq(t.payload())
 	if err != nil {
 		return wire.OpGetReply, wire.FlagError, []byte(err.Error())
 	}
-	db, _, release, err := w.s.acquire(region.ID(t.hdr.RegionID), t.hdr.Epoch, false)
+	ref, err := w.acquire(t, false)
 	if err != nil {
 		return errReply(err, wire.OpGetReply)
 	}
-	defer release()
-	val, found, err := db.Get(req.Key)
+	defer ref.release()
+	val, found, err := ref.db.Get(req.Key)
 	if err != nil {
 		return wire.OpGetReply, wire.FlagError, []byte(err.Error())
 	}
@@ -202,50 +227,51 @@ func (w *worker) doGet(t task) (wire.Op, uint8, []byte) {
 		rep.Value = val[:budget]
 		flags |= wire.FlagPartial
 	}
-	return wire.OpGetReply, flags, rep.Encode(nil)
+	return wire.OpGetReply, flags, rep.Encode(w.msg.Reserve(rep.Size()))
 }
 
 func (w *worker) doGetRest(t task) (wire.Op, uint8, []byte) {
-	req, err := wire.DecodeGetRestReq(t.body)
+	req, err := wire.DecodeGetRestReq(t.payload())
 	if err != nil {
 		return wire.OpGetReply, wire.FlagError, []byte(err.Error())
 	}
-	db, _, release, err := w.s.acquire(region.ID(t.hdr.RegionID), t.hdr.Epoch, false)
+	ref, err := w.acquire(t, false)
 	if err != nil {
 		return errReply(err, wire.OpGetReply)
 	}
-	defer release()
-	val, found, err := db.Get(req.Key)
+	defer ref.release()
+	val, found, err := ref.db.Get(req.Key)
 	if err != nil {
 		return wire.OpGetReply, wire.FlagError, []byte(err.Error())
 	}
-	if !found || int(req.Offset) > len(val) {
-		return wire.OpGetReply, 0, wire.GetReply{Found: false}.Encode(nil)
-	}
-	rest := val[req.Offset:]
-	rep := wire.GetReply{Found: true, TotalSize: uint32(len(val)), Value: rest}
+	rep := wire.GetReply{}
 	var flags uint8
-	if budget := getReplyBudget(t.hdr); len(rest) > budget {
-		rep.Value = rest[:budget]
-		flags |= wire.FlagPartial
+	if found && int(req.Offset) <= len(val) {
+		rest := val[req.Offset:]
+		rep = wire.GetReply{Found: true, TotalSize: uint32(len(val)), Value: rest}
+		if budget := getReplyBudget(t.hdr); len(rest) > budget {
+			rep.Value = rest[:budget]
+			flags |= wire.FlagPartial
+		}
 	}
-	return wire.OpGetReply, flags, rep.Encode(nil)
+	return wire.OpGetReply, flags, rep.Encode(w.msg.Reserve(rep.Size()))
 }
 
 func (w *worker) doScan(t task) (wire.Op, uint8, []byte) {
-	req, err := wire.DecodeScanReq(t.body)
+	req, err := wire.DecodeScanReq(t.payload())
 	if err != nil {
 		return wire.OpScanReply, wire.FlagError, []byte(err.Error())
 	}
-	db, end, release, err := w.s.acquire(region.ID(t.hdr.RegionID), t.hdr.Epoch, false)
+	ref, err := w.acquire(t, false)
 	if err != nil {
 		return errReply(err, wire.OpScanReply)
 	}
-	defer release()
+	defer ref.release()
+	end := ref.end
 	budget := int(t.hdr.ReplySize) - wire.HeaderSize - 64
-	var pairs []kv.Pair
+	pairs := w.pairs[:0]
 	size := 0
-	err = db.Scan(req.Start, func(p kv.Pair) bool {
+	err = ref.db.Scan(req.Start, func(p kv.Pair) bool {
 		// Split children share the parent's engine, so the iteration must
 		// stop at the addressed region's bound instead of walking into a
 		// sibling's (or a migrated-away child's stale) keys.
@@ -259,47 +285,31 @@ func (w *worker) doScan(t task) (wire.Op, uint8, []byte) {
 		pairs = append(pairs, p)
 		return len(pairs) < int(req.Count)
 	})
+	var payload []byte
+	if err == nil {
+		rep := wire.ScanReply{Pairs: pairs}
+		payload = rep.Encode(w.msg.Reserve(rep.Size()))
+	}
+	// Keep the grown slice, not the pairs: they hold the engine's
+	// buffers, dead once encoded.
+	clear(pairs)
+	w.pairs = pairs
 	if err != nil {
 		return wire.OpScanReply, wire.FlagError, []byte(err.Error())
 	}
-	return wire.OpScanReply, 0, wire.ScanReply{Pairs: pairs}.Encode(nil)
+	return wire.OpScanReply, 0, payload
 }
 
 // reply RDMA-writes the response into the client's reply slot.
 func (w *worker) reply(t task, op wire.Op, flags uint8, payload []byte) {
-	total := wire.MessageSize(len(payload))
-	if total > int(t.hdr.ReplySize) {
+	if wire.MessageSize(len(payload)) > int(t.hdr.ReplySize) {
 		// The reply does not fit the slot the client allocated; replace
 		// it with an error the client can always hold (the slot always
-		// fits a header + minimum payload).
-		flags = wire.FlagError
-		payload = []byte("reply overflow")
-		total = wire.MessageSize(len(payload))
-		if total > int(t.hdr.ReplySize) {
-			return // client violated the minimum slot size; drop
-		}
+		// fits a header + minimum payload — a client that violated even
+		// that gets no reply).
+		flags, payload = wire.FlagError, replyOverflowText
 	}
-	msg := make([]byte, total)
-	if _, err := wire.EncodeMessage(msg, wire.Header{
-		Opcode:    op,
-		Flags:     flags,
-		RegionID:  t.hdr.RegionID,
-		RequestID: t.hdr.RequestID,
-	}, payload); err != nil {
-		return
+	if w.s.sendReply(&w.msg, t, op, flags, payload) {
+		w.s.charge(metrics.CompReply, w.s.cfg.Cost.ReplyPerMessage)
 	}
-	w.s.charge(metrics.CompReply, w.s.cfg.Cost.ReplyPerMessage)
-	if err := w.s.replyWrite(t.conn, int(t.hdr.ReplyOffset), msg); err != nil {
-		t.conn.closed.Store(true)
-	}
-}
-
-// replyWrite performs the one-sided reply write and drains the
-// completion.
-func (s *Server) replyWrite(conn *clientConn, off int, msg []byte) error {
-	if err := conn.replyQP.Write(conn.replyKey, off, msg, 0); err != nil {
-		return err
-	}
-	_, err := conn.replyQP.WaitCompletion()
-	return err
 }

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // Codec identifies the payload encoding requested by a shipper. The
@@ -151,29 +152,45 @@ func Peek(frame []byte) (Header, error) {
 	return h, nil
 }
 
+// deflater is the state one compression needs: a flate.Writer is 1.2 MB
+// of tables allocated and cleared at construction, far more than the
+// 256 KB segment it then compresses, so writers — and the buffer the
+// frame is assembled in — are kept and Reset from one frame to the next.
+type deflater struct {
+	zw  *flate.Writer
+	buf bytes.Buffer
+}
+
+var deflaters = sync.Pool{New: func() any {
+	d := new(deflater)
+	// BestSpeed is a valid level, so NewWriter cannot fail.
+	d.zw, _ = flate.NewWriter(&d.buf, flate.BestSpeed)
+	return d
+}}
+
 // encodeFrame assembles header+payload, choosing stored mode when the
 // encoded payload is not smaller than the plain one.
 func encodeFrame(codec Codec, flags uint8, raw []byte, plain []byte) ([]byte, error) {
+	if codec != None && codec != Flate {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownCodec, codec)
+	}
 	payload := plain
 	cbyte := uint8(codecStored)
 	if codec == Flate {
-		var buf bytes.Buffer
-		zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-		if err != nil {
+		d := deflaters.Get().(*deflater)
+		defer deflaters.Put(d)
+		d.buf.Reset()
+		d.zw.Reset(&d.buf)
+		if _, err := d.zw.Write(plain); err != nil {
 			return nil, err
 		}
-		if _, err := zw.Write(plain); err != nil {
+		if err := d.zw.Close(); err != nil {
 			return nil, err
 		}
-		if err := zw.Close(); err != nil {
-			return nil, err
-		}
-		if buf.Len() < len(plain) {
-			payload = buf.Bytes()
+		if d.buf.Len() < len(plain) {
+			payload = d.buf.Bytes() // copied into the frame below, before d goes back
 			cbyte = codecFlate
 		}
-	} else if codec != None {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownCodec, codec)
 	}
 	out := make([]byte, HeaderSize+len(payload))
 	binary.LittleEndian.PutUint16(out[0:2], frameMagic)
@@ -263,6 +280,63 @@ func applyPatch(patch, base []byte, rawLen int, pageSize int) ([]byte, error) {
 	return out, nil
 }
 
+// inflater is the decode-side counterpart of deflater: a flate reader
+// (44 KB of window and tables) Reset from frame to frame.
+type inflater struct {
+	src bytes.Reader
+	zr  io.ReadCloser // a flate.Resetter reading src
+}
+
+var inflaters = sync.Pool{New: func() any {
+	f := new(inflater)
+	f.zr = flate.NewReader(&f.src)
+	return f
+}}
+
+// inflateHeadroom is how many times its own length a compressed payload
+// may claim to inflate to before Decode stops taking the claim on trust
+// and grows the output only as the bytes arrive. Segment images deflate
+// to about 0.6 of their size, so a real frame's output is allocated
+// once, at its exact size.
+const inflateHeadroom = 8
+
+// inflateExact inflates payload, which must decode to exactly rawLen
+// bytes. The output is sized from rawLen, but never beyond
+// inflateHeadroom times the payload before the stream has produced that
+// much: a hostile header cannot make Decode allocate more than a small
+// multiple of the frame's own length.
+func (f *inflater) inflateExact(payload []byte, rawLen int) ([]byte, error) {
+	out := make([]byte, 0, min(rawLen, inflateHeadroom*len(payload)+HeaderSize))
+	for {
+		n, err := io.ReadFull(f.zr, out[len(out):cap(out)])
+		out = out[:len(out)+n]
+		if err == io.ErrUnexpectedEOF || err == io.EOF {
+			// The stream ended inside the buffer, which never extends past
+			// rawLen: short of the declared size.
+			return nil, fmt.Errorf("%w: payload inflates to %d bytes, declared %d", ErrCorrupt, len(out), rawLen)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		if len(out) == rawLen {
+			// Full: the stream must end here.
+			var one [1]byte
+			switch n, err := f.zr.Read(one[:]); {
+			case n == 0 && err == io.EOF:
+				return out, nil
+			case n == 0 && err != nil:
+				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			default:
+				return nil, fmt.Errorf("%w: inflated payload exceeds declared size", ErrCorrupt)
+			}
+		}
+		// The stream proved every byte so far; let it prove as many again.
+		grown := make([]byte, len(out), min(rawLen, 2*cap(out)))
+		copy(grown, out)
+		out = grown
+	}
+}
+
 // Decode reverses Encode/EncodeDelta: it validates the frame, inflates
 // the payload, applies the patch over base for delta frames (base may be
 // nil otherwise), and verifies the decoded bytes against the frame's raw
@@ -281,18 +355,28 @@ func Decode(frame, base []byte, pageSize int) ([]byte, error) {
 	}
 	payload := frame[HeaderSize : HeaderSize+int(h.PayloadLen)]
 	if h.Codec == codecFlate {
-		zr := flate.NewReader(bytes.NewReader(payload))
-		// A hostile rawLen cannot balloon the allocation: inflate output
-		// is bounded by rawLen+1 and over-long streams fail below.
-		limit := int64(h.RawLen) + int64(pageSize) + 16
-		inflated, err := io.ReadAll(io.LimitReader(zr, limit+1))
-		if err != nil {
+		f := inflaters.Get().(*inflater)
+		defer inflaters.Put(f)
+		f.src.Reset(payload)
+		if err := f.zr.(flate.Resetter).Reset(&f.src, nil); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		if int64(len(inflated)) > limit {
-			return nil, fmt.Errorf("%w: inflated payload exceeds declared size", ErrCorrupt)
+		if h.IsDelta() {
+			// A patch stream's own length is not in the header; a hostile
+			// rawLen cannot balloon it either: it never exceeds the image
+			// plus one page, and over-long streams fail below.
+			limit := int64(h.RawLen) + int64(pageSize) + 16
+			inflated, err := io.ReadAll(io.LimitReader(f.zr, limit+1))
+			if err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			}
+			if int64(len(inflated)) > limit {
+				return nil, fmt.Errorf("%w: inflated payload exceeds declared size", ErrCorrupt)
+			}
+			payload = inflated
+		} else if payload, err = f.inflateExact(payload, int(h.RawLen)); err != nil {
+			return nil, err
 		}
-		payload = inflated
 	}
 	var raw []byte
 	if h.IsDelta() {

@@ -42,8 +42,10 @@ var (
 type Sealed struct {
 	// Seg is the device segment the tail was flushed to.
 	Seg storage.SegmentID
-	// Data is the full segment image (valid until the log is closed).
-	Data []byte
+	// Len is the size of the segment image written (a full segment). The
+	// image itself is on the device and, for replication, already in the
+	// backups' log buffers record by record; nobody needs a third copy.
+	Len int
 }
 
 // AppendResult reports where an appended record landed.
@@ -169,10 +171,7 @@ func (l *Log) sealLocked() (*Sealed, error) {
 	if err := storage.WriteFramed(l.dev, l.geo.Pack(l.tailSeg, 0), l.tailBuf, integrity.KindLog); err != nil {
 		return nil, err
 	}
-	sealed := &Sealed{
-		Seg:  l.tailSeg,
-		Data: append([]byte(nil), l.tailBuf...),
-	}
+	sealed := &Sealed{Seg: l.tailSeg, Len: len(l.tailBuf)}
 	l.segs = append(l.segs, l.tailSeg)
 	l.space[l.tailSeg] = &segSpace{total: uint64(l.tailLen), dead: l.tailDead}
 	l.tailDead = 0

@@ -77,8 +77,8 @@ func TestSealOnOverflowAndDeviceReadback(t *testing.T) {
 		}
 		if res.Sealed != nil {
 			sealed++
-			if len(res.Sealed.Data) != 512 {
-				t.Fatalf("sealed data len = %d", len(res.Sealed.Data))
+			if res.Sealed.Len != 512 {
+				t.Fatalf("sealed image len = %d", res.Sealed.Len)
 			}
 		}
 		offs = append(offs, res.Off)

@@ -1,0 +1,153 @@
+package wire
+
+import (
+	"encoding/binary"
+	"testing"
+	"unsafe"
+
+	"tebis/internal/kv"
+)
+
+// FuzzDecodeMessage: the spinning thread, the client and the backups
+// decode registered memory a peer wrote, in place — the payload slices
+// they get back point into that memory and live as long as the request.
+// So on arbitrary bytes no decoder may panic, and none may return a
+// slice that runs past the end of its input (a length it trusted).
+//
+// The corpus starts from the golden and compat fixtures: frames as the
+// pre-TraceID, pre-SentAt and pre-tenant encoders wrote them, the
+// reserved opcodes 21 and 22, and the payloads whose ship-codec fields
+// ride at the end (with and without them).
+func FuzzDecodeMessage(f *testing.F) {
+	msg := func(h Header, payload []byte) []byte {
+		buf := make([]byte, MessageSize(len(payload)))
+		if _, err := EncodeMessage(buf, h, payload); err != nil {
+			f.Fatal(err)
+		}
+		return buf
+	}
+	full := Header{Opcode: OpPut, Flags: FlagPartial, RegionID: 11, RequestID: 0xfeedface,
+		ReplyOffset: 2048, ReplySize: 1024, TraceID: 0xabcdef, Epoch: 9, Tenant: 3, Priority: 1, SentAt: 1 << 40}
+	put := PutReq{Key: []byte("user000042"), Value: []byte("value-bytes")}.Encode(nil)
+	f.Add(msg(full, put))
+	// What older encoders wrote: the later header fields left zero.
+	for _, zero := range [][2]int{{24, 32}, {40, 48}, {36, 38}, {24, 48}} {
+		old := msg(full, put)
+		clear(old[zero[0]:zero[1]])
+		f.Add(old)
+	}
+	f.Add(msg(Header{Opcode: OpNoop, RequestID: 1}, nil)) // header-only
+	f.Add(msg(Header{Opcode: 21, RequestID: 2}, []byte{0}))
+	f.Add(msg(Header{Opcode: 22, RequestID: 3}, []byte{0}))
+	f.Add(msg(Header{Opcode: OpGet}, GetReq{Key: []byte("k")}.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpGetRest}, GetRestReq{Key: []byte("k"), Offset: 900}.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpScan}, ScanReq{Start: []byte("k"), Count: 16}.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpGetReply, Flags: FlagPartial}, GetReply{Found: true, TotalSize: 4096, Value: []byte("chunk")}.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpScanReply}, ScanReply{Pairs: []kv.Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b")}}}.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpPutReply, Flags: FlagError | FlagWrongRegion | FlagWrongEpoch}, []byte("server: region epoch mismatch")))
+	f.Add(msg(Header{Opcode: OpFlushTail}, FlushTail{RegionID: 3, PrimarySeg: 12}.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpCompactionStart}, CompactionStart{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2}.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpCompactionDone}, CompactionDone{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2, Root: 1 << 33, NumKeys: 5, Watermark: 99}.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpGCRelease}, GCRelease{RegionID: 7, Segs: []uint32{3, 1 << 20, 9}}.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpScrub}, ScrubReq{RegionID: 7}.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpScrubReply}, ScrubReply{Scanned: 40, Corrupt: []SegRef{{Kind: 2, Level: 1, PrimarySeg: 5}}}.Encode(nil)))
+	// Append-at-payload-end fields, present and — as older peers wrote
+	// them — absent.
+	ref := SegRef{Kind: 2, Level: 1, PrimarySeg: 5}
+	seg := IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, Kind: 1, PrimarySeg: 12, DataLen: 65536, Codec: 1, DeltaBase: 9}
+	f.Add(msg(Header{Opcode: OpIndexSegment}, seg.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpIndexSegment}, seg.Encode(nil)[:seg.Size()-5]))
+	f.Add(msg(Header{Opcode: OpIndexSegment}, seg.Encode(nil)[:seg.Size()-4])) // codec byte, no delta base
+	fetch := FetchSegment{RegionID: 4, Ref: ref, Codec: 1}
+	f.Add(msg(Header{Opcode: OpFetchSegment}, fetch.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpFetchSegment}, fetch.Encode(nil)[:fetch.Size()-1]))
+	reply := FetchSegmentReply{Found: true, Data: []byte("segment image"), Codec: 1}
+	f.Add(msg(Header{Opcode: OpFetchSegmentReply}, reply.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpFetchSegmentReply}, reply.Encode(nil)[:reply.Size()-1]))
+	repair := RepairSegment{RegionID: 4, Ref: ref, DataLen: 123, CRC: 456, Codec: 1}
+	f.Add(msg(Header{Opcode: OpRepairSegment}, repair.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpRepairSegment}, repair.Encode(nil)[:repair.Size()-1]))
+	// A header that promises more payload than follows it.
+	short := msg(full, put)
+	binary.LittleEndian.PutUint32(short[0:4], 1<<31)
+	f.Add(short)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The input sits in front of spare capacity, as a message sits in
+		// a larger registered buffer: a decoder that trusts a length can
+		// reach past len(in) without faulting, and inside catches it.
+		buf := make([]byte, len(data)+256)
+		in := buf[:copy(buf, data)]
+		inside := func(what string, sub []byte) {
+			t.Helper()
+			if len(sub) == 0 {
+				return
+			}
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+			p := uintptr(unsafe.Pointer(unsafe.SliceData(sub)))
+			if p >= lo && p < lo+uintptr(len(buf)) && p+uintptr(len(sub)) > lo+uintptr(len(in)) {
+				t.Fatalf("%s: a %d-byte slice at input offset %d runs past the %d-byte input", what, len(sub), p-lo, len(in))
+			}
+		}
+		payloads := func(p []byte) {
+			if r, err := DecodePutReq(p); err == nil {
+				inside("PutReq.Key", r.Key)
+				inside("PutReq.Value", r.Value)
+			}
+			if r, err := DecodeGetReq(p); err == nil {
+				inside("GetReq.Key", r.Key)
+			}
+			if r, err := DecodeGetRestReq(p); err == nil {
+				inside("GetRestReq.Key", r.Key)
+			}
+			if r, err := DecodeScanReq(p); err == nil {
+				inside("ScanReq.Start", r.Start)
+			}
+			if r, err := DecodeGetReply(p); err == nil {
+				inside("GetReply.Value", r.Value)
+			}
+			if r, err := DecodeScanReply(p); err == nil {
+				for _, pair := range r.Pairs {
+					inside("ScanReply key", pair.Key)
+					inside("ScanReply value", pair.Value)
+				}
+			}
+			if r, err := DecodeFetchSegmentReply(p); err == nil {
+				inside("FetchSegmentReply.Data", r.Data)
+			}
+			if r, err := DecodeGCRelease(p); err == nil && len(r.Segs) > len(p)/4 {
+				t.Fatalf("GCRelease: %d segments out of %d bytes", len(r.Segs), len(p))
+			}
+			if r, err := DecodeScrubReply(p); err == nil && len(r.Corrupt) > len(p)/segRefSize {
+				t.Fatalf("ScrubReply: %d refs out of %d bytes", len(r.Corrupt), len(p))
+			}
+			_, _ = DecodeStatusReply(p)
+			_, _ = DecodeFlushTail(p)
+			_, _ = DecodeCompactionStart(p)
+			_, _ = DecodeIndexSegment(p)
+			_, _ = DecodeCompactionDone(p)
+			_, _ = DecodeScrubReq(p)
+			_, _ = DecodeFetchSegment(p)
+			_, _ = DecodeRepairSegment(p)
+		}
+
+		h, herr := DecodeHeader(in)
+		if (herr == nil) != (HeaderArrived(in) && h.Opcode != OpInvalid) {
+			t.Fatalf("DecodeHeader err %v disagrees with HeaderArrived %v", herr, HeaderArrived(in))
+		}
+		if herr == nil {
+			// The poller's second rendezvous, at the size the header claims.
+			if PayloadArrived(in, int(h.PayloadSize)) && len(in) < MessageSize(int(h.PayloadSize)) {
+				t.Fatalf("PayloadArrived for %d payload bytes in a %d-byte input", h.PayloadSize, len(in))
+			}
+		}
+		if mh, payload, err := DecodeMessage(in); err == nil {
+			if mh != h || len(payload) != int(h.PayloadSize) {
+				t.Fatalf("DecodeMessage header %+v / %d payload bytes, DecodeHeader %+v", mh, len(payload), h)
+			}
+			inside("message payload", payload)
+			payloads(payload)
+		}
+		payloads(in)
+	})
+}

@@ -1,0 +1,114 @@
+package wire
+
+import (
+	"bytes"
+	"testing"
+
+	"tebis/internal/kv"
+)
+
+// sizedPayload is what every payload codec offers a sender.
+type sizedPayload interface {
+	Size() int
+	Encode(dst []byte) []byte
+}
+
+func everyPayload() map[string]sizedPayload {
+	ref := SegRef{Kind: 2, Level: 1, PrimarySeg: 5}
+	return map[string]sizedPayload{
+		"PutReq":            PutReq{Key: []byte("user000042"), Value: bytes.Repeat([]byte("v"), 700)},
+		"GetReq":            GetReq{Key: []byte("user000042")},
+		"GetRestReq":        GetRestReq{Key: []byte("user000042"), Offset: 900},
+		"ScanReq":           ScanReq{Start: []byte("user"), Count: 16},
+		"GetReply":          GetReply{Found: true, TotalSize: 300, Value: bytes.Repeat([]byte("x"), 300)},
+		"ScanReply":         ScanReply{Pairs: []kv.Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("bb")}, {Key: []byte("c"), Value: bytes.Repeat([]byte("z"), 90)}}},
+		"StatusReply":       StatusReply{Status: 1},
+		"FlushTail":         FlushTail{RegionID: 3, PrimarySeg: 12},
+		"CompactionStart":   CompactionStart{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2},
+		"IndexSegment":      IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, Kind: 1, PrimarySeg: 12, DataLen: 65536, Codec: 1, DeltaBase: 9},
+		"GCRelease":         GCRelease{RegionID: 7, Segs: []uint32{3, 1 << 20, 9}},
+		"CompactionDone":    CompactionDone{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2, Root: 1 << 33, NumKeys: 5, Watermark: 99},
+		"ScrubReq":          ScrubReq{RegionID: 7},
+		"ScrubReply":        ScrubReply{Scanned: 40, Corrupt: []SegRef{ref, ref}},
+		"FetchSegment":      FetchSegment{RegionID: 4, Ref: ref, Codec: 1},
+		"FetchSegmentReply": FetchSegmentReply{Found: true, Data: []byte("segment image"), Codec: 1},
+		"RepairSegment":     RepairSegment{RegionID: 4, Ref: ref, DataLen: 123, CRC: 456, Codec: 1},
+	}
+}
+
+// TestEncodeAllocatesOnceFromSize: Size is the exact encoded length, so
+// Encode(nil) allocates one buffer of exactly that size, and Encode into
+// a buffer with room allocates nothing and leaves what was there alone.
+func TestEncodeAllocatesOnceFromSize(t *testing.T) {
+	for name, p := range everyPayload() {
+		enc := p.Encode(nil)
+		if len(enc) != p.Size() || cap(enc) != p.Size() {
+			t.Errorf("%s: Encode(nil) is %d bytes in a %d-byte buffer, Size() %d", name, len(enc), cap(enc), p.Size())
+		}
+		if got := testing.AllocsPerRun(50, func() { _ = p.Encode(nil) }); got != 1 {
+			t.Errorf("%s: Encode(nil) allocates %v times, want 1", name, got)
+		}
+		scratch := make([]byte, HeaderSize, MessageSize(p.Size()))
+		if got := testing.AllocsPerRun(50, func() { _ = p.Encode(scratch) }); got != 0 {
+			t.Errorf("%s: Encode into a buffer with room allocates %v times", name, got)
+		}
+		if behind := p.Encode(scratch); !bytes.Equal(behind[HeaderSize:], enc) || &behind[0] != &scratch[0] {
+			t.Errorf("%s: Encode behind a header slot moved or changed the payload", name)
+		}
+	}
+}
+
+// TestMsgBufBuildsTheSameBytesInPlace: a message finished in place around
+// a payload encoded behind the header slot is byte-identical to
+// EncodeMessage of the same payload — whatever an earlier, longer message
+// left in the buffer — and is built without allocating; finishing again
+// under another header changes the header alone; a payload that is not
+// in the buffer is copied in.
+func TestMsgBufBuildsTheSameBytesInPlace(t *testing.T) {
+	var mb MsgBuf
+	dirty := bytes.Repeat([]byte{0xAB}, 4000)
+	mb.Finish(Header{Opcode: OpPut}, dirty) // leaves 0xAB where padding will be
+
+	hdr := Header{Opcode: OpGetReply, Flags: FlagPartial, RegionID: 3, RequestID: 99, TraceID: 7, Epoch: 2, Tenant: 1, SentAt: 12345}
+	for name, p := range everyPayload() {
+		want := make([]byte, MessageSize(p.Size()))
+		if _, err := EncodeMessage(want, hdr, p.Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+		payload := p.Encode(mb.Reserve(p.Size()))
+		got := mb.Finish(hdr, payload)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: in-place message differs from EncodeMessage", name)
+		}
+		if &payload[0] != &got[HeaderSize] {
+			t.Fatalf("%s: payload was not encoded in place", name)
+		}
+		// A retry: same payload, new header.
+		retry := hdr
+		retry.RequestID, retry.ReplyOffset = 100, 4096
+		if _, err := EncodeMessage(want, retry, p.Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+		if got := mb.Finish(retry, payload); !bytes.Equal(got, want) {
+			t.Fatalf("%s: re-finished message differs from EncodeMessage", name)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { mb.Finish(hdr, p.Encode(mb.Reserve(p.Size()))) }); allocs != 0 {
+			t.Errorf("%s: building a message in a warm MsgBuf allocates %v times", name, allocs)
+		}
+	}
+
+	// A payload from elsewhere (an error text) is copied in.
+	text := []byte("server: region epoch mismatch")
+	want := make([]byte, MessageSize(len(text)))
+	if _, err := EncodeMessage(want, hdr, text); err != nil {
+		t.Fatal(err)
+	}
+	if got := mb.Finish(hdr, text); !bytes.Equal(got, want) {
+		t.Fatal("foreign payload: message differs from EncodeMessage")
+	}
+	// Header-only and zero-value buffers work too.
+	var fresh MsgBuf
+	if got := fresh.Finish(Header{Opcode: OpNoop, RequestID: 5}, nil); len(got) != HeaderSize || !HeaderArrived(got) {
+		t.Fatalf("header-only message = %d bytes", len(got))
+	}
+}

@@ -213,9 +213,7 @@ func EncodeHeader(buf []byte, h Header) error {
 	if len(buf) < HeaderSize {
 		return ErrShortBuffer
 	}
-	for i := 0; i < HeaderSize; i++ {
-		buf[i] = 0
-	}
+	clear(buf[:HeaderSize])
 	binary.LittleEndian.PutUint32(buf[0:4], h.PayloadSize)
 	buf[4] = byte(h.Opcode)
 	buf[5] = h.Flags
@@ -238,7 +236,7 @@ func DecodeHeader(buf []byte) (Header, error) {
 	if len(buf) < HeaderSize {
 		return Header{}, ErrShortBuffer
 	}
-	if binary.LittleEndian.Uint32(buf[HeaderSize-4:HeaderSize]) != Magic {
+	if !MagicArrived(buf[HeaderSize-4 : HeaderSize]) {
 		return Header{}, ErrBadMagic
 	}
 	h := Header{
@@ -261,11 +259,18 @@ func DecodeHeader(buf []byte) (Header, error) {
 	return h, nil
 }
 
+// MagicArrived reports whether word — the last four bytes of a header
+// slot or of a padded payload — holds the rendezvous magic. A poller
+// that reads a message where it landed checks the two words alone
+// instead of copying the message out first.
+func MagicArrived(word []byte) bool {
+	return len(word) >= 4 && binary.LittleEndian.Uint32(word) == Magic
+}
+
 // HeaderArrived reports whether a header rendezvous magic is present at
 // buf (the spinning thread's first poll point).
 func HeaderArrived(buf []byte) bool {
-	return len(buf) >= HeaderSize &&
-		binary.LittleEndian.Uint32(buf[HeaderSize-4:HeaderSize]) == Magic
+	return len(buf) >= HeaderSize && MagicArrived(buf[HeaderSize-4:HeaderSize])
 }
 
 // PayloadArrived reports whether the end-of-payload rendezvous magic for
@@ -278,33 +283,79 @@ func PayloadArrived(buf []byte, payloadSize int) bool {
 		return true
 	}
 	end := HeaderSize + padded
-	if len(buf) < end {
-		return false
-	}
-	return binary.LittleEndian.Uint32(buf[end-4:end]) == Magic
+	return len(buf) >= end && MagicArrived(buf[end-4:end])
 }
 
 // EncodeMessage writes a complete message (header + payload + padding +
 // trailer magic) into buf and returns the total size.
 func EncodeMessage(buf []byte, h Header, payload []byte) (int, error) {
-	h.PayloadSize = uint32(len(payload))
 	total := MessageSize(len(payload))
 	if len(buf) < total {
 		return 0, fmt.Errorf("%w: need %d, have %d", ErrShortBuffer, total, len(buf))
 	}
-	if err := EncodeHeader(buf, h); err != nil {
-		return 0, err
-	}
-	padded := PaddedPayloadSize(len(payload))
-	body := buf[HeaderSize : HeaderSize+padded]
-	for i := range body {
-		body[i] = 0
-	}
-	copy(body, payload)
-	if padded > 0 {
-		binary.LittleEndian.PutUint32(body[padded-4:], Magic)
-	}
+	copy(buf[HeaderSize:], payload)
+	finishMessage(buf[:total], h, len(payload))
 	return total, nil
+}
+
+// finishMessage completes msg — exactly MessageSize(payloadLen) bytes
+// whose payload already sits behind the header slot — by writing the
+// header, zeroing the padding up to the trailer, and writing the trailer
+// magic. Only the bytes around the payload are touched.
+func finishMessage(msg []byte, h Header, payloadLen int) {
+	h.PayloadSize = uint32(payloadLen)
+	_ = EncodeHeader(msg, h) // msg holds at least a header
+	if len(msg) > HeaderSize {
+		clear(msg[HeaderSize+payloadLen : len(msg)-4])
+		binary.LittleEndian.PutUint32(msg[len(msg)-4:], Magic)
+	}
+}
+
+// MsgBuf is a reusable buffer a sender builds its messages in, so that a
+// message is encoded once, in memory that already exists:
+//
+//	payload := req.Encode(mb.Reserve(req.Size())) // behind the header slot
+//	msg := mb.Finish(hdr, payload)                // header, padding, trailer
+//
+// msg aliases the buffer and is valid until the next Reserve or Finish;
+// a one-sided write copies it into the peer's registered memory, so the
+// buffer is free again when the write returns. Finishing the same
+// payload again under another header (a retry) touches the header slot
+// only. The zero value is ready to use; a MsgBuf serves one goroutine at
+// a time.
+type MsgBuf struct {
+	b []byte
+}
+
+// room returns the buffer sized for a whole message of payloadLen
+// payload bytes, replacing it (contents and all) when it is too small.
+func (m *MsgBuf) room(payloadLen int) []byte {
+	total := MessageSize(payloadLen)
+	if cap(m.b) < total {
+		m.b = make([]byte, total)
+	}
+	return m.b[:total]
+}
+
+// Reserve returns the empty position behind the header slot, with
+// capacity for payloadLen payload bytes and the padding and trailer that
+// follow them. Append the payload to it and hand the result to Finish.
+func (m *MsgBuf) Reserve(payloadLen int) []byte {
+	msg := m.room(payloadLen)
+	return msg[HeaderSize:HeaderSize]
+}
+
+// Finish builds the message around payload and returns it. A payload
+// built on Reserve's slice is already in place and is not copied; any
+// other payload (an error text, a payload that outgrew its reservation)
+// is copied in behind the header slot first.
+func (m *MsgBuf) Finish(h Header, payload []byte) []byte {
+	msg := m.room(len(payload))
+	if len(payload) > 0 && &payload[0] != &msg[HeaderSize] {
+		copy(msg[HeaderSize:], payload)
+	}
+	finishMessage(msg, h, len(payload))
+	return msg
 }
 
 // DecodeMessage parses a complete message at buf, returning the header

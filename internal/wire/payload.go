@@ -9,11 +9,25 @@ import (
 
 // Payload codecs for every operation. All integers are little-endian;
 // byte strings are length-prefixed (u32).
+//
+// Every payload type has a Size (its exact encoded length) and an Encode
+// that appends to dst after one grow(dst, Size()): Encode(nil) allocates
+// exactly once, and Encode into a scratch buffer with room — behind the
+// header slot of a message about to be finished in place (FinishMessage)
+// — allocates nothing.
+
+// grow returns dst with room for n more bytes.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	out := make([]byte, len(dst), len(dst)+n)
+	copy(out, dst)
+	return out
+}
 
 func appendBytes(dst []byte, b []byte) []byte {
-	var l [4]byte
-	binary.LittleEndian.PutUint32(l[:], uint32(len(b)))
-	dst = append(dst, l[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
 	return append(dst, b...)
 }
 
@@ -21,17 +35,16 @@ func readBytes(src []byte) ([]byte, []byte, error) {
 	if len(src) < 4 {
 		return nil, nil, ErrShortBuffer
 	}
+	// Compared in 64 bits: 4+n must not wrap where int is 32 bits wide.
 	n := binary.LittleEndian.Uint32(src)
-	if len(src) < 4+int(n) {
+	if uint64(n) > uint64(len(src)-4) {
 		return nil, nil, ErrShortBuffer
 	}
-	return src[4 : 4+n], src[4+n:], nil
+	return src[4 : 4+int(n)], src[4+int(n):], nil
 }
 
 func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
+	return binary.LittleEndian.AppendUint32(dst, v)
 }
 
 func readU32(src []byte) (uint32, []byte, error) {
@@ -42,9 +55,7 @@ func readU32(src []byte) (uint32, []byte, error) {
 }
 
 func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
+	return binary.LittleEndian.AppendUint64(dst, v)
 }
 
 func readU64(src []byte) (uint64, []byte, error) {
@@ -60,9 +71,12 @@ type PutReq struct {
 	Value []byte
 }
 
+// Size returns the encoded payload length.
+func (r PutReq) Size() int { return 4 + len(r.Key) + 4 + len(r.Value) }
+
 // Encode appends the payload to dst.
 func (r PutReq) Encode(dst []byte) []byte {
-	dst = appendBytes(dst, r.Key)
+	dst = appendBytes(grow(dst, r.Size()), r.Key)
 	return appendBytes(dst, r.Value)
 }
 
@@ -84,8 +98,11 @@ type GetReq struct {
 	Key []byte
 }
 
+// Size returns the encoded payload length.
+func (r GetReq) Size() int { return 4 + len(r.Key) }
+
 // Encode appends the payload to dst.
-func (r GetReq) Encode(dst []byte) []byte { return appendBytes(dst, r.Key) }
+func (r GetReq) Encode(dst []byte) []byte { return appendBytes(grow(dst, r.Size()), r.Key) }
 
 // DecodeGetReq parses a GetReq payload.
 func DecodeGetReq(p []byte) (GetReq, error) {
@@ -103,9 +120,12 @@ type GetRestReq struct {
 	Offset uint32
 }
 
+// Size returns the encoded payload length.
+func (r GetRestReq) Size() int { return 4 + len(r.Key) + 4 }
+
 // Encode appends the payload to dst.
 func (r GetRestReq) Encode(dst []byte) []byte {
-	dst = appendBytes(dst, r.Key)
+	dst = appendBytes(grow(dst, r.Size()), r.Key)
 	return appendU32(dst, r.Offset)
 }
 
@@ -128,9 +148,12 @@ type ScanReq struct {
 	Count uint32
 }
 
+// Size returns the encoded payload length.
+func (r ScanReq) Size() int { return 4 + len(r.Start) + 4 }
+
 // Encode appends the payload to dst.
 func (r ScanReq) Encode(dst []byte) []byte {
-	dst = appendBytes(dst, r.Start)
+	dst = appendBytes(grow(dst, r.Size()), r.Start)
 	return appendU32(dst, r.Count)
 }
 
@@ -156,13 +179,16 @@ type GetReply struct {
 	Value     []byte
 }
 
+// Size returns the encoded payload length.
+func (r GetReply) Size() int { return 1 + 4 + 4 + len(r.Value) }
+
 // Encode appends the payload to dst.
 func (r GetReply) Encode(dst []byte) []byte {
 	b := byte(0)
 	if r.Found {
 		b = 1
 	}
-	dst = append(dst, b)
+	dst = append(grow(dst, r.Size()), b)
 	dst = appendU32(dst, r.TotalSize)
 	return appendBytes(dst, r.Value)
 }
@@ -189,9 +215,18 @@ type ScanReply struct {
 	Pairs []kv.Pair
 }
 
+// Size returns the encoded payload length.
+func (r ScanReply) Size() int {
+	n := 4
+	for _, p := range r.Pairs {
+		n += 8 + p.Size()
+	}
+	return n
+}
+
 // Encode appends the payload to dst.
 func (r ScanReply) Encode(dst []byte) []byte {
-	dst = appendU32(dst, uint32(len(r.Pairs)))
+	dst = appendU32(grow(dst, r.Size()), uint32(len(r.Pairs)))
 	for _, p := range r.Pairs {
 		dst = appendBytes(dst, p.Key)
 		dst = appendBytes(dst, p.Value)
@@ -231,8 +266,11 @@ type StatusReply struct {
 	Status uint8
 }
 
+// Size returns the encoded payload length.
+func (r StatusReply) Size() int { return 1 }
+
 // Encode appends the payload to dst.
-func (r StatusReply) Encode(dst []byte) []byte { return append(dst, r.Status) }
+func (r StatusReply) Encode(dst []byte) []byte { return append(grow(dst, r.Size()), r.Status) }
 
 // DecodeStatusReply parses a StatusReply payload.
 func DecodeStatusReply(p []byte) (StatusReply, error) {
@@ -250,9 +288,12 @@ type FlushTail struct {
 	PrimarySeg uint32
 }
 
+// Size returns the encoded payload length.
+func (r FlushTail) Size() int { return 4 + 4 }
+
 // Encode appends the payload to dst.
 func (r FlushTail) Encode(dst []byte) []byte {
-	dst = appendU32(dst, uint32(r.RegionID))
+	dst = appendU32(grow(dst, r.Size()), uint32(r.RegionID))
 	return appendU32(dst, r.PrimarySeg)
 }
 
@@ -280,9 +321,12 @@ type CompactionStart struct {
 	DstLevel uint8
 }
 
+// Size returns the encoded payload length.
+func (r CompactionStart) Size() int { return 4 + 8 + 2 }
+
 // Encode appends the payload to dst.
 func (r CompactionStart) Encode(dst []byte) []byte {
-	dst = appendU32(dst, uint32(r.RegionID))
+	dst = appendU32(grow(dst, r.Size()), uint32(r.RegionID))
 	dst = appendU64(dst, r.JobID)
 	return append(dst, r.SrcLevel, r.DstLevel)
 }
@@ -330,9 +374,12 @@ type IndexSegment struct {
 	DeltaBase  uint32 // primary seg the delta was diffed against; 0 = full
 }
 
+// Size returns the encoded payload length.
+func (r IndexSegment) Size() int { return 4 + 8 + 2 + 4 + 4 + 1 + 4 }
+
 // Encode appends the payload to dst.
 func (r IndexSegment) Encode(dst []byte) []byte {
-	dst = appendU32(dst, uint32(r.RegionID))
+	dst = appendU32(grow(dst, r.Size()), uint32(r.RegionID))
 	dst = appendU64(dst, r.JobID)
 	dst = append(dst, r.DstLevel, r.Kind)
 	dst = appendU32(dst, r.PrimarySeg)
@@ -384,9 +431,12 @@ type GCRelease struct {
 	Segs     []uint32 // primary-space victim segments
 }
 
+// Size returns the encoded payload length.
+func (r GCRelease) Size() int { return 4 + 4 + 4*len(r.Segs) }
+
 // Encode appends the payload to dst.
 func (r GCRelease) Encode(dst []byte) []byte {
-	dst = appendU32(dst, uint32(r.RegionID))
+	dst = appendU32(grow(dst, r.Size()), uint32(r.RegionID))
 	dst = appendU32(dst, uint32(len(r.Segs)))
 	for _, s := range r.Segs {
 		dst = appendU32(dst, s)
@@ -429,9 +479,12 @@ type CompactionDone struct {
 	Watermark uint64 // primary log offset covered by levels
 }
 
+// Size returns the encoded payload length.
+func (r CompactionDone) Size() int { return 4 + 8 + 2 + 8 + 4 + 8 }
+
 // Encode appends the payload to dst.
 func (r CompactionDone) Encode(dst []byte) []byte {
-	dst = appendU32(dst, uint32(r.RegionID))
+	dst = appendU32(grow(dst, r.Size()), uint32(r.RegionID))
 	dst = appendU64(dst, r.JobID)
 	dst = append(dst, r.SrcLevel, r.DstLevel)
 	dst = appendU64(dst, r.Root)

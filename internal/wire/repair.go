@@ -13,6 +13,9 @@ type SegRef struct {
 	PrimarySeg uint32
 }
 
+// segRefSize is the encoded size of one SegRef.
+const segRefSize = 2 + 4
+
 func appendSegRef(dst []byte, r SegRef) []byte {
 	dst = append(dst, r.Kind, r.Level)
 	return appendU32(dst, r.PrimarySeg)
@@ -37,9 +40,12 @@ type ScrubReq struct {
 	RegionID uint16
 }
 
+// Size returns the encoded payload length.
+func (r ScrubReq) Size() int { return 4 }
+
 // Encode appends the payload to dst.
 func (r ScrubReq) Encode(dst []byte) []byte {
-	return appendU32(dst, uint32(r.RegionID))
+	return appendU32(grow(dst, r.Size()), uint32(r.RegionID))
 }
 
 // DecodeScrubReq parses a ScrubReq payload.
@@ -59,9 +65,12 @@ type ScrubReply struct {
 	Corrupt []SegRef
 }
 
+// Size returns the encoded payload length.
+func (r ScrubReply) Size() int { return 4 + 4 + segRefSize*len(r.Corrupt) }
+
 // Encode appends the payload to dst.
 func (r ScrubReply) Encode(dst []byte) []byte {
-	dst = appendU32(dst, r.Scanned)
+	dst = appendU32(grow(dst, r.Size()), r.Scanned)
 	dst = appendU32(dst, uint32(len(r.Corrupt)))
 	for _, ref := range r.Corrupt {
 		dst = appendSegRef(dst, ref)
@@ -79,9 +88,9 @@ func DecodeScrubReply(p []byte) (ScrubReply, error) {
 	if err != nil {
 		return ScrubReply{}, err
 	}
-	// Each SegRef is 6 bytes on the wire; reject remote-controlled
-	// counts the payload cannot hold before allocating.
-	if int(n) > len(rest)/6+1 {
+	// Reject remote-controlled counts the payload cannot hold before
+	// allocating.
+	if int(n) > len(rest)/segRefSize+1 {
 		return ScrubReply{}, ErrBadHeader
 	}
 	out := ScrubReply{Scanned: scanned, Corrupt: make([]SegRef, 0, n)}
@@ -105,9 +114,12 @@ type FetchSegment struct {
 	Codec    uint8 // shipcodec.Codec the requester can decode; 0 = raw
 }
 
+// Size returns the encoded payload length.
+func (r FetchSegment) Size() int { return 4 + segRefSize + 1 }
+
 // Encode appends the payload to dst.
 func (r FetchSegment) Encode(dst []byte) []byte {
-	dst = appendU32(dst, uint32(r.RegionID))
+	dst = appendU32(grow(dst, r.Size()), uint32(r.RegionID))
 	dst = appendSegRef(dst, r.Ref)
 	return append(dst, r.Codec)
 }
@@ -139,13 +151,16 @@ type FetchSegmentReply struct {
 	Codec uint8 // shipcodec.Codec of Data; 0 = raw segment bytes
 }
 
+// Size returns the encoded payload length.
+func (r FetchSegmentReply) Size() int { return 1 + 4 + len(r.Data) + 1 }
+
 // Encode appends the payload to dst.
 func (r FetchSegmentReply) Encode(dst []byte) []byte {
 	b := byte(0)
 	if r.Found {
 		b = 1
 	}
-	dst = append(dst, b)
+	dst = append(grow(dst, r.Size()), b)
 	dst = appendBytes(dst, r.Data)
 	return append(dst, r.Codec)
 }
@@ -181,9 +196,12 @@ type RepairSegment struct {
 	Codec    uint8  // shipcodec.Codec of the staged bytes; 0 = raw
 }
 
+// Size returns the encoded payload length.
+func (r RepairSegment) Size() int { return 4 + segRefSize + 4 + 4 + 1 }
+
 // Encode appends the payload to dst.
 func (r RepairSegment) Encode(dst []byte) []byte {
-	dst = appendU32(dst, uint32(r.RegionID))
+	dst = appendU32(grow(dst, r.Size()), uint32(r.RegionID))
 	dst = appendSegRef(dst, r.Ref)
 	dst = appendU32(dst, r.DataLen)
 	dst = appendU32(dst, r.CRC)
