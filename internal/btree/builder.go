@@ -61,7 +61,7 @@ type Built struct {
 
 // Builder constructs a B+ tree bottom-up from a sorted key stream.
 //
-// Usage: create with NewBuilder, call Add for every (key, value-offset)
+// Usage: create with NewBuilder, call Add (or AddEntry) for every entry
 // in strictly ascending key order, then Finish.
 type Builder struct {
 	dev      storage.Device
@@ -70,8 +70,12 @@ type Builder struct {
 	slots    int // node slots per segment (framing-aware)
 	emit     EmitFunc
 
-	levels  []*levelBuilder // levels[0] = leaves
-	built   Built
+	levels []*levelBuilder // levels[0] = leaves
+	built  Built
+
+	// The previous entry, for the order guard. lastKey is its full key
+	// in a buffer the builder owns, empty while nobody has needed it.
+	last    LeafEntry
 	lastKey []byte
 	started bool
 }
@@ -154,11 +158,39 @@ func (b *Builder) Add(key []byte, valueOff storage.Offset, tombstone bool) error
 	if len(key) == 0 {
 		return fmt.Errorf("btree: empty key")
 	}
-	if b.started && kv.Compare(key, b.lastKey) <= 0 {
-		return fmt.Errorf("btree: keys out of order: %q after %q", key, b.lastKey)
+	return b.AddEntry(LeafEntry{Prefix: kv.MakePrefix(key), ValueOff: valueOff, Tombstone: tombstone}, key, nil)
+}
+
+// AddEntry appends one leaf entry as a leaf stores it. key is the
+// entry's full key when the caller holds it and nil when it does not:
+// a leaf records only the prefix, so the builder reads a full key
+// through fullKey only where it needs one — the first entry of each
+// leaf, whose key becomes the leaf's pivot, and both sides of a prefix
+// tie with the previous entry, which only the full keys can order.
+// Strictly ascending prefixes are strictly ascending keys (kv.MakePrefix),
+// so the order guard is as strong as comparing every key.
+func (b *Builder) AddEntry(e LeafEntry, key []byte, fullKey FullKeyReader) error {
+	var err error
+	if b.started {
+		c := b.last.Prefix.Compare(e.Prefix)
+		if c == 0 {
+			if key, err = resolveKey(key, e.ValueOff, fullKey); err != nil {
+				return err
+			}
+			if len(b.lastKey) == 0 {
+				prev, err := resolveKey(nil, b.last.ValueOff, fullKey)
+				if err != nil {
+					return err
+				}
+				b.lastKey = append(b.lastKey, prev...)
+			}
+			c = kv.Compare(b.lastKey, key)
+		}
+		if c >= 0 {
+			return fmt.Errorf("btree: keys out of order: %q after %q",
+				keyOrPrefix(key, e.Prefix), keyOrPrefix(b.lastKey, b.last.Prefix))
+		}
 	}
-	b.started = true
-	b.lastKey = append(b.lastKey[:0], key...)
 
 	if len(b.levels) == 0 {
 		b.levels = append(b.levels, b.newLevel(kindLeaf))
@@ -170,13 +202,42 @@ func (b *Builder) Add(key []byte, valueOff storage.Offset, tombstone bool) error
 		}
 	}
 	if leaf.count == 0 {
+		if key, err = resolveKey(key, e.ValueOff, fullKey); err != nil {
+			return err
+		}
 		leaf.firstKey = append(leaf.firstKey[:0], key...)
 	}
-	e := LeafEntry{Prefix: kv.MakePrefix(key), ValueOff: valueOff, Tombstone: tombstone}
+	b.started = true
+	b.last = e
+	b.lastKey = append(b.lastKey[:0], key...)
 	encodeLeafEntry(leaf.nodeBuf[nodeHdrSize+leaf.count*leafEntrySize:], e)
 	leaf.count++
 	b.built.NumKeys++
 	return nil
+}
+
+// resolveKey returns the full key of the entry at off: key when the
+// caller supplied it, otherwise what fullKey reads.
+func resolveKey(key []byte, off storage.Offset, fullKey FullKeyReader) ([]byte, error) {
+	if key != nil {
+		return key, nil
+	}
+	if fullKey == nil {
+		return nil, fmt.Errorf("btree: entry at %#x has neither a key nor a reader for it", off)
+	}
+	key, err := fullKey(off)
+	if err == nil && len(key) == 0 {
+		err = fmt.Errorf("btree: empty key at %#x", off)
+	}
+	return key, err
+}
+
+// keyOrPrefix names an entry in an error: by its key when known.
+func keyOrPrefix(key []byte, p kv.Prefix) []byte {
+	if len(key) > 0 {
+		return key
+	}
+	return p[:]
 }
 
 // addToIndex inserts a (pivot, child) produced by sealing a node one

@@ -84,6 +84,12 @@ func decodeLeafEntry(block []byte, i int) LeafEntry {
 	return e
 }
 
+// leafPrefix returns the key prefix of entry i of a leaf block, in place.
+func leafPrefix(block []byte, i int) []byte {
+	off := nodeHdrSize + i*leafEntrySize
+	return block[off : off+kv.PrefixSize]
+}
+
 // leafCount returns the number of entries in a leaf block.
 func leafCount(block []byte) int {
 	return int(binary.LittleEndian.Uint16(block[1:3]))

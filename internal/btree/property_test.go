@@ -29,6 +29,34 @@ func randomKeySet(rnd *rand.Rand, n int) [][]byte {
 	return keys
 }
 
+// checkSeekGE compares SeekGE(q) over a tree built from the sorted keys
+// with a reference binary search: the first key >= q, or exhausted.
+func checkSeekGE(t *testing.T, tree *Tree, fl *fakeLog, keys [][]byte, q []byte) {
+	t.Helper()
+	it, err := tree.SeekGE(q, fl.reader())
+	if err != nil {
+		t.Fatalf("SeekGE(%q): %v", q, err)
+	}
+	i := sort.Search(len(keys), func(i int) bool { return kv.Compare(keys[i], q) >= 0 })
+	if i == len(keys) {
+		if it.Valid() {
+			full, _ := fl.reader()(it.Entry().ValueOff)
+			t.Fatalf("SeekGE(%q) = %q, want exhausted", q, full)
+		}
+		return
+	}
+	if !it.Valid() {
+		t.Fatalf("SeekGE(%q) exhausted, want %q", q, keys[i])
+	}
+	full, err := fl.reader()(it.Entry().ValueOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kv.Compare(full, keys[i]) != 0 {
+		t.Fatalf("SeekGE(%q) = %q, want %q", q, full, keys[i])
+	}
+}
+
 // TestSeekGEProperty checks SeekGE against a reference binary search for
 // random key sets and random probes (present keys, absent keys, and
 // prefixes of present keys).
@@ -41,29 +69,7 @@ func TestSeekGEProperty(t *testing.T) {
 
 		probe := func(q []byte) {
 			t.Helper()
-			it, err := tree.SeekGE(q, fl.reader())
-			if err != nil {
-				t.Fatalf("SeekGE(%q): %v", q, err)
-			}
-			// Reference: first key >= q.
-			i := sort.Search(len(keys), func(i int) bool { return kv.Compare(keys[i], q) >= 0 })
-			if i == len(keys) {
-				if it.Valid() {
-					full, _ := fl.reader()(it.Entry().ValueOff)
-					t.Fatalf("SeekGE(%q) = %q, want exhausted", q, full)
-				}
-				return
-			}
-			if !it.Valid() {
-				t.Fatalf("SeekGE(%q) exhausted, want %q", q, keys[i])
-			}
-			full, err := fl.reader()(it.Entry().ValueOff)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if kv.Compare(full, keys[i]) != 0 {
-				t.Fatalf("SeekGE(%q) = %q, want %q", q, full, keys[i])
-			}
+			checkSeekGE(t, tree, fl, keys, q)
 		}
 
 		for trial := 0; trial < 120; trial++ {

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"bytes"
 	"fmt"
 
 	"tebis/internal/kv"
@@ -122,18 +123,8 @@ func (t *Tree) Get(key []byte, fullKey FullKeyReader) (valueOff storage.Offset, 
 	count := leafCount(block)
 	prefix := kv.MakePrefix(key)
 
-	// Binary search for the first entry with prefix >= search prefix.
-	lo, hi := 0, count
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if decodeLeafEntry(block, mid).Prefix.Compare(prefix) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
 	// Scan the run of equal prefixes, resolving ties via the log.
-	for i := lo; i < count; i++ {
+	for i := leafLowerBound(block, prefix); i < count; i++ {
 		e := decodeLeafEntry(block, i)
 		if e.Prefix.Compare(prefix) != 0 {
 			break
@@ -151,6 +142,23 @@ func (t *Tree) Get(key []byte, fullKey FullKeyReader) (valueOff storage.Offset, 
 		}
 	}
 	return storage.NilOffset, false, false, nil
+}
+
+// leafLowerBound returns the index of the first entry of the leaf block
+// whose prefix is >= prefix (the entry count when there is none). The
+// entries from there on that carry exactly prefix are the only ones a
+// full key can be needed for.
+func leafLowerBound(block []byte, prefix kv.Prefix) int {
+	lo, hi := 0, leafCount(block)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if bytes.Compare(leafPrefix(block, mid), prefix[:]) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Iterator walks a tree's leaf entries in ascending key order, keeping a
@@ -229,25 +237,23 @@ func (t *Tree) SeekGE(key []byte, fullKey FullKeyReader) (*Iterator, error) {
 		it.stack = append(it.stack, iterFrame{node: n.index, next: child + 1})
 		off = n.index.children[child]
 	}
-	// Advance within the leaf to the first entry >= key.
+	// Advance within the leaf to the first entry >= key: past every
+	// smaller prefix by binary search, then through the run of equal
+	// prefixes in full-key order.
 	prefix := kv.MakePrefix(key)
-	for it.pos < it.count {
+	for it.pos = leafLowerBound(it.leaf, prefix); it.pos < it.count; it.pos++ {
 		e := decodeLeafEntry(it.leaf, it.pos)
-		c := e.Prefix.Compare(prefix)
-		if c > 0 {
+		if e.Prefix != prefix {
 			return it, nil
 		}
-		if c == 0 {
-			full, err := fullKey(e.ValueOff)
-			if err != nil {
-				it.err = err
-				return it, err
-			}
-			if kv.Compare(full, key) >= 0 {
-				return it, nil
-			}
+		full, err := fullKey(e.ValueOff)
+		if err != nil {
+			it.err = err
+			return it, err
 		}
-		it.pos++
+		if kv.Compare(full, key) >= 0 {
+			return it, nil
+		}
 	}
 	// Leaf exhausted: step to the next leaf.
 	it.advanceLeaf()

@@ -19,7 +19,9 @@ type Prefix [PrefixSize]byte
 
 // MakePrefix extracts the prefix of key, zero-padding short keys.
 // Zero padding preserves ordering because a shorter key compares less
-// than any extension of it, and 0x00 is the minimum byte.
+// than any extension of it, and 0x00 is the minimum byte: two prefixes
+// that differ order their keys, and only equal prefixes leave the order
+// to the full keys ("ab" and "ab\x00" tie).
 func MakePrefix(key []byte) Prefix {
 	var p Prefix
 	copy(p[:], key)
@@ -29,13 +31,6 @@ func MakePrefix(key []byte) Prefix {
 // Compare orders two prefixes lexicographically.
 func (p Prefix) Compare(q Prefix) int {
 	return bytes.Compare(p[:], q[:])
-}
-
-// IsPrefixDecisive reports whether comparing the prefixes of two keys is
-// sufficient to order the full keys: it is unless the prefixes are equal
-// and at least one key is longer than the prefix.
-func IsPrefixDecisive(a, b Prefix) bool {
-	return a.Compare(b) != 0
 }
 
 // Compare orders two full keys lexicographically. It is the single key

@@ -23,11 +23,11 @@ func TestMakePrefixTruncation(t *testing.T) {
 }
 
 func TestPrefixCompareMatchesKeyCompare(t *testing.T) {
-	// Property: whenever the prefix comparison is decisive, it must agree
-	// with the full-key comparison.
+	// Property: prefixes that differ order their keys — what lets a merge
+	// or a scan read full keys on ties only.
 	f := func(a, b []byte) bool {
 		pa, pb := MakePrefix(a), MakePrefix(b)
-		if !IsPrefixDecisive(pa, pb) {
+		if pa == pb {
 			return true
 		}
 		return sign(pa.Compare(pb)) == sign(Compare(a, b))

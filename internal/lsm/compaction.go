@@ -7,7 +7,6 @@ import (
 	"tebis/internal/kv"
 	"tebis/internal/memtable"
 	"tebis/internal/metrics"
-	"tebis/internal/storage"
 )
 
 // holdJobs stops the scheduler at a job boundary: it waits until no
@@ -141,77 +140,72 @@ func (db *DB) notifyDone(res CompactionResult) {
 
 // levelCursor returns a merge cursor over level i plus the level itself
 // (for later freeing). An empty level yields an exhausted cursor.
-func (db *DB) levelCursor(i int) (cursor, *level) {
+func (db *DB) levelCursor(i int) (cursor, *level, error) {
 	db.mu.RLock()
 	lv := db.levels[i]
 	db.mu.RUnlock()
 	if lv == nil {
-		return &emptyCursor{}, nil
+		return &emptyCursor{}, nil, nil
 	}
-	return newTreeCursor(db, lv.tree.Iter()), lv
+	it := lv.tree.Iter()
+	return newTreeCursor(db, it, metrics.CompCompaction), lv, it.Err()
+}
+
+// mergedEntry is one index entry leaving a merge, as a leaf stores it.
+// key is the full key when the merge had it in memory (a memtable
+// entry, or a tree entry a prefix tie made it read) and nil otherwise;
+// it aliases memory nobody rewrites, so it crosses to the build stage
+// without a copy.
+type mergedEntry struct {
+	btree.LeafEntry
+	key []byte
 }
 
 // mergeStream streams src and dst (src is the newer data and wins ties)
 // through emit in key order, charging compaction CPU along the way. It
 // is the merge stage of the compaction pipeline; emit hands each entry
 // to the index-build stage.
-func (db *DB) mergeStream(src, dst cursor, emit func(key []byte, off storage.Offset, tomb bool) error) error {
+func (db *DB) mergeStream(src, dst cursor, emit func(mergedEntry) error) error {
 	merged := 0
-	add := func(key []byte, off storage.Offset, tomb bool) error {
+	// take emits the entry c stands on and advances c.
+	take := func(c cursor) error {
 		merged++
-		return emit(key, off, tomb)
+		if err := emit(mergedEntry{LeafEntry: c.entry(), key: c.heldKey()}); err != nil {
+			return err
+		}
+		return c.next()
 	}
 
 	for src.valid() && dst.valid() {
-		c := kv.Compare(src.key(), dst.key())
+		c, err := compareCursors(src, dst)
+		if err != nil {
+			return err
+		}
 		switch {
 		case c < 0:
-			if err := add(src.key(), src.off(), src.tomb()); err != nil {
-				return err
-			}
-			if err := src.next(); err != nil {
-				return err
-			}
+			err = take(src)
 		case c > 0:
-			if err := add(dst.key(), dst.off(), dst.tomb()); err != nil {
-				return err
-			}
-			if err := dst.next(); err != nil {
-				return err
-			}
+			err = take(dst)
 		default:
 			// Same key: the newer (src) version wins; the dst version
 			// is discarded (this discard is the LSM's space reclaim —
 			// the superseded record's bytes go to the dead ledger that
 			// drives GC victim selection).
-			db.recordDead(dst.off())
-			if err := add(src.key(), src.off(), src.tomb()); err != nil {
-				return err
-			}
+			db.recordDead(dst.entry().ValueOff)
 			merged++ // the dropped dst entry was still merge work
-			if err := src.next(); err != nil {
-				return err
+			if err = dst.next(); err == nil {
+				err = take(src)
 			}
-			if err := dst.next(); err != nil {
-				return err
-			}
+		}
+		if err != nil {
+			return err
 		}
 	}
 	for _, c := range []cursor{src, dst} {
 		for c.valid() {
-			if err := add(c.key(), c.off(), c.tomb()); err != nil {
+			if err := take(c); err != nil {
 				return err
 			}
-			if err := c.next(); err != nil {
-				return err
-			}
-		}
-	}
-	// A cursor that failed mid-stream reports !valid(); surface the
-	// error instead of silently truncating the merge.
-	for _, c := range []cursor{src, dst} {
-		if tc, ok := c.(*treeCursor); ok && tc.err != nil {
-			return tc.err
 		}
 	}
 
@@ -225,79 +219,105 @@ func (db *DB) mergeStream(src, dst cursor, emit func(key []byte, off storage.Off
 	return nil
 }
 
-// cursor is a sorted stream of (key, value-offset, tombstone) entries.
+// cursor is a sorted stream of index entries as a leaf stores them:
+// (prefix, value-offset, tombstone). The prefix orders two entries
+// unless it ties, so the full key is a separate, lazy question: key
+// answers it from the value log the first time it is asked at a
+// position and from memory until next; heldKey never reads. A failed
+// read or node fetch is returned by the call that made it.
 type cursor interface {
 	valid() bool
-	key() []byte
-	off() storage.Offset
-	tomb() bool
+	entry() btree.LeafEntry
+	key() ([]byte, error)
+	heldKey() []byte // the full key if it is in memory, else nil
 	next() error
+}
+
+// compareCursors orders the entries two valid cursors stand on, in key
+// order, reading full keys only when the prefixes are equal: strictly
+// ordered prefixes order the keys they were cut from, zero-padded short
+// keys included (kv.MakePrefix). It is the one comparison the
+// compaction merge and Scan share.
+func compareCursors(a, b cursor) (int, error) {
+	if c := a.entry().Prefix.Compare(b.entry().Prefix); c != 0 {
+		return c, nil
+	}
+	ka, err := a.key()
+	if err != nil {
+		return 0, err
+	}
+	kb, err := b.key()
+	if err != nil {
+		return 0, err
+	}
+	return kv.Compare(ka, kb), nil
 }
 
 // emptyCursor is an exhausted cursor.
 type emptyCursor struct{}
 
-func (*emptyCursor) valid() bool         { return false }
-func (*emptyCursor) key() []byte         { return nil }
-func (*emptyCursor) off() storage.Offset { return storage.NilOffset }
-func (*emptyCursor) tomb() bool          { return false }
-func (*emptyCursor) next() error         { return nil }
+func (*emptyCursor) valid() bool            { return false }
+func (*emptyCursor) entry() btree.LeafEntry { return btree.LeafEntry{} }
+func (*emptyCursor) key() ([]byte, error)   { return nil, nil }
+func (*emptyCursor) heldKey() []byte        { return nil }
+func (*emptyCursor) next() error            { return nil }
 
-// memCursor streams a memtable.
+// memCursor streams a memtable, whose entries hold their full keys.
 type memCursor struct {
 	it *memtable.Iterator
 }
 
-func (c *memCursor) valid() bool         { return c.it.Valid() }
-func (c *memCursor) key() []byte         { return c.it.Entry().Key }
-func (c *memCursor) off() storage.Offset { return c.it.Entry().Off }
-func (c *memCursor) tomb() bool          { return c.it.Entry().Tombstone }
-func (c *memCursor) next() error         { c.it.Next(); return nil }
+func (c *memCursor) valid() bool          { return c.it.Valid() }
+func (c *memCursor) key() ([]byte, error) { return c.it.Entry().Key, nil }
+func (c *memCursor) heldKey() []byte      { return c.it.Entry().Key }
+func (c *memCursor) next() error          { c.it.Next(); return nil }
 
-// treeCursor streams a B+-tree level, fetching each entry's full key
-// from the value log (the random-read cost KV separation trades for
-// lower write amplification; charged to compaction).
-type treeCursor struct {
-	db  *DB
-	it  *btree.Iterator
-	cur []byte
-	err error
+func (c *memCursor) entry() btree.LeafEntry {
+	e := c.it.Entry()
+	return btree.LeafEntry{Prefix: kv.MakePrefix(e.Key), ValueOff: e.Off, Tombstone: e.Tombstone}
 }
 
-func newTreeCursor(db *DB, it *btree.Iterator) *treeCursor {
-	c := &treeCursor{db: db, it: it}
-	c.load()
+// treeCursor streams a B+-tree level from its leaves. A leaf entry is
+// all it holds; the entry's full key is in the value log and is read —
+// into a buffer of its own, charged to comp — only if somebody asks
+// (the random-read cost KV separation trades for lower write
+// amplification, paid on prefix ties instead of on every entry).
+type treeCursor struct {
+	db   *DB
+	it   *btree.Iterator
+	comp metrics.Component // who drives the cursor: a compaction or a scan
+	e    btree.LeafEntry   // the entry it stands on, while valid
+	full []byte            // e's full key once read
+}
+
+func newTreeCursor(db *DB, it *btree.Iterator, comp metrics.Component) *treeCursor {
+	c := &treeCursor{db: db, it: it, comp: comp}
+	if it.Valid() {
+		c.e = it.Entry()
+	}
 	return c
 }
 
-func (c *treeCursor) load() {
-	if !c.it.Valid() {
-		c.cur = nil
-		if err := c.it.Err(); err != nil {
-			c.err = err
+func (c *treeCursor) valid() bool            { return c.it.Valid() }
+func (c *treeCursor) entry() btree.LeafEntry { return c.e }
+func (c *treeCursor) heldKey() []byte        { return c.full }
+
+func (c *treeCursor) key() ([]byte, error) {
+	if c.full == nil {
+		key, err := c.db.readKey(c.e.ValueOff, c.comp)
+		if err != nil {
+			return nil, err
 		}
-		return
+		c.full = key
 	}
-	key, err := c.db.log.GetKey(c.it.Entry().ValueOff)
-	if err != nil {
-		c.err = err
-		c.cur = nil
-		return
-	}
-	c.db.charge(metrics.CompCompaction, c.db.cost.ReadIO(len(key)+8))
-	c.cur = key
+	return c.full, nil
 }
 
-func (c *treeCursor) valid() bool         { return c.err == nil && c.it.Valid() }
-func (c *treeCursor) key() []byte         { return c.cur }
-func (c *treeCursor) off() storage.Offset { return c.it.Entry().ValueOff }
-func (c *treeCursor) tomb() bool          { return c.it.Entry().Tombstone }
-
 func (c *treeCursor) next() error {
-	if c.err != nil {
-		return c.err
-	}
 	c.it.Next()
-	c.load()
-	return c.err
+	c.full = nil
+	if c.it.Valid() {
+		c.e = c.it.Entry()
+	}
+	return c.it.Err()
 }

@@ -420,14 +420,21 @@ func (db *DB) resolveEntry(e memtable.Entry, levelsVisited int) ([]byte, bool, e
 	return pair.Value, true, nil // log.Get read it into a buffer of its own
 }
 
-// readKeyCharged resolves a full key from the log, charging read I/O.
-func (db *DB) readKeyCharged(off storage.Offset) ([]byte, error) {
+// readKey resolves a full key from the log, charging the read I/O to
+// the component whose work needed it.
+func (db *DB) readKey(off storage.Offset, c metrics.Component) ([]byte, error) {
 	key, err := db.log.GetKey(off)
 	if err != nil {
 		return nil, err
 	}
-	db.charge(metrics.CompOther, db.cost.ReadIO(len(key)+8))
+	db.charge(c, db.cost.ReadIO(len(key)+8))
 	return key, nil
+}
+
+// readKeyCharged is readKey for the foreground paths: a lookup's or a
+// scan seek's prefix ties.
+func (db *DB) readKeyCharged(off storage.Offset) ([]byte, error) {
+	return db.readKey(off, metrics.CompOther)
 }
 
 // Levels returns a snapshot of the on-device level states (index 0 of

@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"tebis/internal/kv"
+	"tebis/internal/metrics"
 	"tebis/internal/storage"
 )
 
@@ -25,14 +27,26 @@ import (
 // malformed value or a corrupt-node error.
 func TestModelEquivalence(t *testing.T) {
 	t.Run("mem", func(t *testing.T) {
-		testModelEquivalence(t, false, func() Options {
+		testModelEquivalence(t, false, plainKey, func() Options {
 			opt, _ := testOptions(t)
+			return opt
+		})
+	})
+	// The same sequences over keys that collide on their leaf prefixes,
+	// through levels small enough that versions of one key sit in three
+	// of them at once: every merge and scan comparison is a tie the
+	// full keys must settle.
+	t.Run("prefixTies", func(t *testing.T) {
+		testModelEquivalence(t, true, tieKey, func() Options {
+			opt, _ := testOptions(t)
+			opt.L0MaxKeys = 24
+			opt.GrowthFactor = 2
 			return opt
 		})
 	})
 	t.Run("tinyNodeCache", func(t *testing.T) {
 		var caches []*storage.NodeCache
-		testModelEquivalence(t, true, func() Options {
+		testModelEquivalence(t, true, plainKey, func() Options {
 			mem, err := storage.NewMemDevice(16<<10, 32)
 			if err != nil {
 				t.Fatal(err)
@@ -57,10 +71,26 @@ func TestModelEquivalence(t *testing.T) {
 	})
 }
 
+// plainKey is the model's default key population: 512 keys shorter than
+// the leaf prefix, so no two prefixes are equal.
+func plainKey(i int) string { return fmt.Sprintf("key%05d", i%512) }
+
+// tieKey is a population of 512 keys engineered to collide on the first
+// kv.PrefixSize bytes: three long runs that share a twelve-byte prefix
+// each, and short keys that differ only in trailing zero bytes, which
+// the prefix's zero padding hides ("ab" < "ab\x00", equal prefixes).
+func tieKey(i int) string {
+	i %= 512
+	if i%16 == 0 {
+		return "ab" + strings.Repeat("\x00", i/16%6)
+	}
+	return fmt.Sprintf("sameprefix%02d-%03d", i%3, i)
+}
+
 // testModelEquivalence runs the model check over engines opened with
-// open's options; with reader set, a second goroutine gets and scans
-// beside each sequence.
-func testModelEquivalence(t *testing.T, reader bool, open func() Options) {
+// open's options and keys drawn from keyOf; with reader set, a second
+// goroutine gets and scans beside each sequence.
+func testModelEquivalence(t *testing.T, reader bool, keyOf func(int) string, open func() Options) {
 	type op struct {
 		Kind  uint8 // 0..5: put, overwrite-put, delete, get, flush, scan
 		Key   uint16
@@ -89,7 +119,7 @@ func testModelEquivalence(t *testing.T, reader bool, open func() Options) {
 						return
 					default:
 					}
-					key := fmt.Sprintf("key%05d", rnd.Intn(512))
+					key := keyOf(rnd.Intn(512))
 					got, found, err := db.Get([]byte(key))
 					if err != nil || (found && !bytes.HasPrefix(got, []byte("value-"))) {
 						t.Errorf("concurrent Get(%s) = %q,%v,%v", key, got, found, err)
@@ -111,7 +141,7 @@ func testModelEquivalence(t *testing.T, reader bool, open func() Options) {
 		}
 
 		for _, o := range ops {
-			key := fmt.Sprintf("key%05d", o.Key%512)
+			key := keyOf(int(o.Key))
 			val := fmt.Sprintf("value-%d", o.Value)
 			switch o.Kind % 6 {
 			case 0, 1:
@@ -277,6 +307,143 @@ func TestModelRandomizedScanWindows(t *testing.T) {
 			if !bytes.Equal(p.Key, []byte(sorted[i+j])) {
 				t.Fatalf("ScanN window mismatch at %d: %q vs %q", j, p.Key, sorted[i+j])
 			}
+		}
+	}
+}
+
+// TestPrefixTiesAcrossEveryLevel places versions of colliding keys
+// (tieKey) in every source a scan merges — the active L0, a frozen
+// table no job may drain, and three on-device levels — with updates
+// and tombstones in each, and checks Scan before and after CompactAll
+// against the model. Every comparison between two sources is a prefix
+// tie, so the order and the shadowing rest on the lazily read keys.
+func TestPrefixTiesAcrossEveryLevel(t *testing.T) {
+	opt, _ := testOptions(t)
+	opt.L0MaxKeys = 24
+	opt.GrowthFactor = 2
+	opt.L0Buffers = 3
+	opt.Cycles = &metrics.Cycles{}
+	db, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	ref := map[string]string{}
+	write := func(i, round int) {
+		t.Helper()
+		key := tieKey(i)
+		if (i+round)%5 == 0 {
+			if err := db.Delete([]byte(key)); err != nil {
+				t.Fatal(err)
+			}
+			delete(ref, key)
+			return
+		}
+		val := fmt.Sprintf("value-%d-%d", round, i)
+		if err := db.Put([]byte(key), []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+		ref[key] = val
+	}
+	check := func(when string) {
+		t.Helper()
+		want := make([]string, 0, len(ref))
+		for k := range ref {
+			want = append(want, k)
+		}
+		sort.Strings(want)
+		i := 0
+		err := db.Scan(nil, func(p kv.Pair) bool {
+			if i >= len(want) || string(p.Key) != want[i] || string(p.Value) != ref[want[i]] {
+				t.Fatalf("%s: scan pair %d = %q:%q, want key %q", when, i, p.Key, p.Value, want[min(i, len(want)-1)])
+			}
+			i++
+			return true
+		})
+		if err != nil || i != len(want) {
+			t.Fatalf("%s: scan saw %d of %d keys, %v", when, i, len(want), err)
+		}
+		for _, start := range []string{"ab", "ab\x00\x00", "sameprefix00", "sameprefix01-100", "sameprefix02-511x"} {
+			pairs, err := db.ScanN([]byte(start), 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := sort.SearchStrings(want, start)
+			for j, p := range pairs {
+				if string(p.Key) != want[at+j] {
+					t.Fatalf("%s: ScanN(%q)[%d] = %q, want %q", when, start, j, p.Key, want[at+j])
+				}
+			}
+			if len(pairs) != min(7, len(want)-at) {
+				t.Fatalf("%s: ScanN(%q) = %d pairs", when, start, len(pairs))
+			}
+		}
+	}
+
+	// The whole population, then two rounds over parts of it: the
+	// cascade leaves the rounds in different levels.
+	for i := 0; i < 512; i++ {
+		write(i, 0)
+	}
+	for round := 1; round <= 2; round++ {
+		for i := round; i < 512; i += 3 * round {
+			write(i, round)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	populated := 0
+	for _, lv := range db.Levels() {
+		if lv.NumKeys > 0 {
+			populated++
+		}
+	}
+	if populated < 2 {
+		t.Fatalf("%d populated levels, want at least 2", populated)
+	}
+
+	// With the scheduler held, one more table freezes and stays frozen,
+	// and the writes after it stay in the active L0.
+	if err := db.holdJobs(); err != nil {
+		t.Fatal(err)
+	}
+	held := true
+	defer func() {
+		if held {
+			db.releaseJobs()
+		}
+	}()
+	for i := 3; i < 512; i += 13 {
+		write(i, 3)
+	}
+	if frozen, _ := db.QueueDepth(); frozen == 0 || db.L0Len() == 0 {
+		t.Fatalf("%d frozen tables and %d keys in L0, want both non-empty", frozen, db.L0Len())
+	}
+
+	// A scan is foreground work: the keys its ties read are charged to
+	// it, not to the compactor that shares its cursor.
+	before := opt.Cycles.Snapshot()
+	check("L0 + frozen + levels")
+	after := opt.Cycles.Snapshot()
+	if after[metrics.CompCompaction] != before[metrics.CompCompaction] {
+		t.Fatalf("scans over a quiescent engine charged %d cycles to compaction",
+			after[metrics.CompCompaction]-before[metrics.CompCompaction])
+	}
+	if after[metrics.CompOther] == before[metrics.CompOther] {
+		t.Fatal("the scans charged nothing to their own component")
+	}
+
+	db.releaseJobs()
+	held = false
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	check("after CompactAll")
+	for k, v := range ref {
+		if got, found, err := db.Get([]byte(k)); err != nil || !found || string(got) != v {
+			t.Fatalf("Get(%q) after CompactAll = %q, %v, %v, want %q", k, got, found, err, v)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func (db *DB) Scan(start []byte, fn func(pair kv.Pair) bool) error {
 		if err != nil {
 			return err
 		}
-		cursors = append(cursors, newTreeCursor(db, it))
+		cursors = append(cursors, newTreeCursor(db, it, metrics.CompOther))
 	}
 
 	visited := 0
@@ -43,37 +43,49 @@ func (db *DB) Scan(start []byte, fn func(pair kv.Pair) bool) error {
 		winner := -1
 		for i, c := range cursors {
 			if !c.valid() {
-				if tc, ok := c.(*treeCursor); ok && tc.err != nil {
-					return tc.err
-				}
 				continue
 			}
-			if winner < 0 || kv.Compare(c.key(), cursors[winner].key()) < 0 {
-				winner = i
+			if winner >= 0 {
+				if cmp, err := compareCursors(c, cursors[winner]); err != nil {
+					return err
+				} else if cmp >= 0 {
+					continue
+				}
 			}
+			winner = i
 		}
 		if winner < 0 {
 			break
 		}
 		w := cursors[winner]
-		keyCopy := append([]byte(nil), w.key()...)
-		off, tomb := w.off(), w.tomb()
+		won := w.entry()
 
-		// Advance every cursor positioned at this key (shadowed
-		// versions are skipped).
-		for _, c := range cursors {
-			for c.valid() && kv.Compare(c.key(), keyCopy) == 0 {
+		// Step past this key everywhere: the older cursors standing on
+		// it hold shadowed versions (a cursor holds a key once), then
+		// the winner itself.
+		for _, c := range cursors[winner+1:] {
+			if !c.valid() {
+				continue
+			}
+			if cmp, err := compareCursors(c, w); err != nil {
+				return err
+			} else if cmp == 0 {
 				if err := c.next(); err != nil {
 					return err
 				}
 			}
 		}
+		if err := w.next(); err != nil {
+			return err
+		}
 
 		visited++
-		if tomb {
+		if won.Tombstone {
 			continue
 		}
-		pair, tombRec, err := db.log.Get(off)
+		// The one read of the winning record: fn gets its key and value
+		// out of the buffer log.Get read them into.
+		pair, tombRec, err := db.log.Get(won.ValueOff)
 		if err != nil {
 			return err
 		}
@@ -81,7 +93,7 @@ func (db *DB) Scan(start []byte, fn func(pair kv.Pair) bool) error {
 			continue
 		}
 		db.charge(metrics.CompOther, db.cost.ReadIO(pair.Size()+8))
-		if !fn(kv.Pair{Key: keyCopy, Value: pair.Value}) { // log.Get read it into a buffer of its own
+		if !fn(pair) {
 			break
 		}
 	}

@@ -134,18 +134,18 @@ func (db *DB) executeJob(job *compactionJob) error {
 		l.OnCompactionStart(ref)
 	}
 
-	var src, dst cursor
+	var src, dst cursor = &emptyCursor{}, &emptyCursor{}
 	var oldSrc, oldDst *level
+	var err error
 	if job.srcLevel == 0 {
 		src = &memCursor{it: job.frozen.mt.Iter()}
-		if job.emptyDst {
-			dst = &emptyCursor{}
-		} else {
-			dst, oldDst = db.levelCursor(job.dstLevel)
+	} else if src, oldSrc, err = db.levelCursor(job.srcLevel); err != nil {
+		return err
+	}
+	if !job.emptyDst {
+		if dst, oldDst, err = db.levelCursor(job.dstLevel); err != nil {
+			return err
 		}
-	} else {
-		src, oldSrc = db.levelCursor(job.srcLevel)
-		dst, oldDst = db.levelCursor(job.dstLevel)
 	}
 
 	built, err := db.pipeline(ref, src, dst)
@@ -232,13 +232,6 @@ func (db *DB) freeBuilt(built btree.Built) {
 // the sibling's (root-cause) error is reported instead.
 var errPipelineAborted = errors.New("lsm: compaction pipeline aborted")
 
-// mergedEntry is one key crossing the merge→build channel.
-type mergedEntry struct {
-	key  []byte
-	off  storage.Offset
-	tomb bool
-}
-
 // pipeline runs one job's three stages concurrently, connected by
 // channels (§3.3's Send-Index streaming): the merge stage feeds sorted
 // entries to the build stage, which emits sealed index segments to the
@@ -267,9 +260,7 @@ func (db *DB) pipeline(ref CompactionJob, src, dst cursor) (btree.Built, error) 
 	go func() {
 		defer wg.Done()
 		start := time.Now()
-		mergeErr = db.mergeStream(src, dst, func(key []byte, off storage.Offset, tomb bool) error {
-			// Copy: cursor-owned key buffers may be reused after next().
-			e := mergedEntry{key: append([]byte(nil), key...), off: off, tomb: tomb}
+		mergeErr = db.mergeStream(src, dst, func(e mergedEntry) error {
 			select {
 			case entries <- e:
 				return nil
@@ -317,14 +308,19 @@ func (db *DB) pipeline(ref CompactionJob, src, dst cursor) (btree.Built, error) 
 			cancel()
 			return
 		}
+		// The builder reads a key the merge did not: each leaf's pivot
+		// and any prefix tie inside one source.
+		fullKey := func(off storage.Offset) ([]byte, error) {
+			return db.readKey(off, metrics.CompCompaction)
+		}
 		for e := range entries {
-			if e.tomb && dropTombstones {
+			if e.Tombstone && dropTombstones {
 				// The tombstone reached the last level: its log record
 				// will never be consulted again, so its bytes are dead.
-				db.recordDead(e.off)
+				db.recordDead(e.ValueOff)
 				continue
 			}
-			if err := b.Add(e.key, e.off, e.tomb); err != nil {
+			if err := b.AddEntry(e.LeafEntry, e.key, fullKey); err != nil {
 				buildErr = err
 				cancel()
 				// Keep draining entries so the merge stage can finish

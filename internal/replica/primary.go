@@ -157,6 +157,14 @@ type Primary struct {
 	// jobs holds the replication state of every in-flight compaction
 	// job, from OnCompactionStart to OnCompactionDone.
 	jobs map[uint64]*jobState
+
+	// pageSums holds, per level, the page checksums of every index
+	// segment this primary shipped into the level and still holds
+	// — what decides whether reading a segment back as a delta base can
+	// pay. A level's sums arrive with the job that built it and leave
+	// with the job that replaces or drains it; the levels a promoted
+	// primary inherited have none. Filled only under ShipDelta.
+	pageSums map[int]map[storage.SegmentID]shipcodec.PageSums
 }
 
 // jobState is the primary's view of one in-flight compaction job.
@@ -173,6 +181,10 @@ type jobState struct {
 	// only after the job's ship stage completes, so they stay readable
 	// for the job's lifetime.
 	deltaBases []storage.SegmentID
+	// pageSums are the page checksums of the segments the job has
+	// shipped so far: the destination level's Primary.pageSums once the
+	// job is done.
+	pageSums map[storage.SegmentID]shipcodec.PageSums
 	// deferred buffers emitted segments when ShipAtCompactionEnd is set
 	// (ablation only).
 	deferred []btree.EmittedSegment
@@ -191,7 +203,12 @@ var _ lsm.Listener = (*Primary)(nil)
 // NewPrimary creates the primary-side replica state. Bind the engine
 // afterwards with SetDB (the engine takes the Primary as its Listener).
 func NewPrimary(cfg PrimaryConfig) *Primary {
-	return &Primary{cfg: cfg, retry: cfg.Retry.withDefaults(), jobs: make(map[uint64]*jobState)}
+	return &Primary{
+		cfg:      cfg,
+		retry:    cfg.Retry.withDefaults(),
+		jobs:     make(map[uint64]*jobState),
+		pageSums: make(map[int]map[storage.SegmentID]shipcodec.PageSums),
+	}
 }
 
 // SetDB binds the engine after construction (the engine's Options take
@@ -695,17 +712,29 @@ func (p *Primary) encodeShip(job lsm.CompactionJob, seg btree.EmittedSegment) (f
 		return full, shipFrame{}, nil
 	}
 	// Consume the job's next delta base (one per shipped segment, in
-	// ship order).
+	// ship order), and leave this segment's page sums for the job that
+	// will one day use it as a base.
+	sums := shipcodec.SumPages(seg.Data, p.cfg.ShipPageSize)
 	p.mu.Lock()
 	var base storage.SegmentID
+	var baseSums shipcodec.PageSums
 	st := p.jobs[job.ID]
 	haveBase := st != nil && len(st.deltaBases) > 0
 	if haveBase {
 		base = st.deltaBases[0]
 		st.deltaBases = st.deltaBases[1:]
+		baseSums = p.pageSums[job.DstLevel][base]
+	}
+	if st != nil {
+		if st.pageSums == nil {
+			st.pageSums = make(map[storage.SegmentID]shipcodec.PageSums)
+		}
+		st.pageSums[seg.Seg] = sums
 	}
 	p.mu.Unlock()
-	if !haveBase {
+	// A base no page of which can match is not read: the delta could
+	// not win, so the frames are the ones reading it would have shipped.
+	if !haveBase || !sums.DeltaCanWin(baseSums) {
 		return full, shipFrame{}, nil
 	}
 	baseRaw, ok := p.readSegmentPayload(base)
@@ -866,14 +895,23 @@ func (p *Primary) OnCompactionDone(res lsm.CompactionResult) {
 	p.mu.Lock()
 	st := p.jobs[res.JobID]
 	p.mu.Unlock()
+	defer func() {
+		// The engine has freed the segments the job replaced (the old
+		// destination level) and drained (the source level); page sums
+		// go with their segments, and the job's own become the
+		// destination level's.
+		p.mu.Lock()
+		delete(p.jobs, res.JobID)
+		delete(p.pageSums, res.SrcLevel)
+		delete(p.pageSums, res.DstLevel)
+		if st != nil && st.pageSums != nil {
+			p.pageSums[res.DstLevel] = st.pageSums
+		}
+		p.mu.Unlock()
+	}()
 	if st == nil {
 		return // the job started before this primary was listening
 	}
-	defer func() {
-		p.mu.Lock()
-		delete(p.jobs, res.JobID)
-		p.mu.Unlock()
-	}()
 	if p.cfg.ShipAtCompactionEnd {
 		job := lsm.CompactionJob{ID: res.JobID, SrcLevel: res.SrcLevel, DstLevel: res.DstLevel}
 		for _, seg := range st.deferred {

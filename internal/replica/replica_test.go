@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -276,20 +277,56 @@ func TestBuildIndexBackupDoesCompactionWork(t *testing.T) {
 	}
 }
 
+// loadDrained is load with every engine drained each 120 puts — fewer
+// than an L0 (256 keys) or a log segment (204 of these records) holds —
+// so none freezes twice between two drains and a mode runs the same
+// compaction jobs whatever the timing. Left to race, the scheduler
+// drains a second frozen L0 before it cascades an over-full level, which
+// decides how much a run compacts at all: a Send-Index primary slowed
+// by -race wrote its backup twice the index of an unslowed one.
+func (r *rig) loadDrained(n, valSize int) {
+	r.t.Helper()
+	val := bytes.Repeat([]byte("v"), valSize)
+	drain := func() {
+		if err := r.db.WaitIdle(); err != nil {
+			r.t.Fatal(err)
+		}
+		for _, b := range r.backups {
+			if db := b.DB(); db != nil {
+				b.WaitIndexed()
+				if err := db.WaitIdle(); err != nil {
+					r.t.Fatal(err)
+				}
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if err := r.db.Put([]byte(fmt.Sprintf("user%08d", i)), val); err != nil {
+			r.t.Fatal(err)
+		}
+		if i%120 == 119 {
+			drain()
+		}
+	}
+	if err := r.db.Flush(); err != nil {
+		r.t.Fatal(err)
+	}
+	drain()
+	r.checkHealthy()
+}
+
 func TestSendIndexLowerBackupIOThanBuildIndex(t *testing.T) {
 	const n, vs = 6000, 60
 	rs := newRig(t, SendIndex, 1)
-	rs.load(n, vs)
+	rs.loadDrained(n, vs)
 	rb := newRig(t, BuildIndex, 1)
-	rb.load(n, vs)
-	if err := rb.backups[0].DB().WaitIdle(); err != nil {
-		t.Fatal(err)
-	}
+	rb.loadDrained(n, vs)
 
 	sIO := rs.devB[0].Stats()
 	bIO := rb.devB[0].Stats()
 	sTotal := sIO.BytesRead + sIO.BytesWritten
 	bTotal := bIO.BytesRead + bIO.BytesWritten
+	t.Logf("send backup r=%d w=%d, build backup r=%d w=%d", sIO.BytesRead, sIO.BytesWritten, bIO.BytesRead, bIO.BytesWritten)
 	if sTotal >= bTotal {
 		t.Fatalf("Send-Index backup I/O %d >= Build-Index %d", sTotal, bTotal)
 	}

@@ -1,7 +1,9 @@
 package replica
 
 import (
+	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"tebis/internal/lsm"
@@ -16,10 +18,17 @@ import (
 // the ship codec + delta encoder enabled.
 func newShipRig(t *testing.T, ship *metrics.ShipStats) (*rig, *storage.VerifyingDevice) {
 	t.Helper()
+	return newShipRigOver(t, ship, func(dev storage.Device) storage.Device { return dev })
+}
+
+// newShipRigOver is newShipRig with the primary's verifier stacked on
+// under(its raw device).
+func newShipRigOver(t *testing.T, ship *metrics.ShipStats, under func(storage.Device) storage.Device) (*rig, *storage.VerifyingDevice) {
+	t.Helper()
 	var bVer *storage.VerifyingDevice
 	r := newRigCfg(t, SendIndex, 1,
 		func(o *lsm.Options) {
-			o.Device = storage.AsVerifying(o.Device)
+			o.Device = storage.AsVerifying(under(o.Device))
 		},
 		func(pc *PrimaryConfig) {
 			pc.ShipCodec = shipcodec.Flate
@@ -100,6 +109,78 @@ func TestShipDeltaShipsAndReconverges(t *testing.T) {
 		if err != nil || !found || string(v) != fmt.Sprintf("late-%d", i) {
 			t.Fatalf("promoted Get(%s) = %q, %v, %v", k, v, found, err)
 		}
+	}
+}
+
+// bulkReads counts the bytes a device serves in reads larger than a
+// B+-tree node. On a primary those are delta bases read back whole: a
+// merge reads its levels a node at a time, and keys and records are
+// smaller still.
+type bulkReads struct {
+	storage.Device
+	bytes atomic.Int64
+}
+
+func (d *bulkReads) ReadAt(off storage.Offset, p []byte) error {
+	if len(p) > lsmOpts().NodeSize {
+		d.bytes.Add(int64(len(p)))
+	}
+	return d.Device.ReadAt(off, p)
+}
+
+// TestShipDeltaReadsNoBaseThatCannotWin: a base is read back only when
+// one of its pages can be left out of the delta. Batches that each sort
+// before every existing key shift all older entries by a fraction of a
+// leaf, so no page of a rebuilt level equals the page it replaces: the
+// primary reads not one base byte and ships full frames, as it would
+// have after reading them. Keys appended past the keyspace then leave
+// the early pages of each level as they were, and the same primary
+// reads those bases and wins with them.
+func TestShipDeltaReadsNoBaseThatCannotWin(t *testing.T) {
+	ship := &metrics.ShipStats{}
+	var bulk *bulkReads
+	r, _ := newShipRigOver(t, ship, func(dev storage.Device) storage.Device {
+		bulk = &bulkReads{Device: dev}
+		return bulk
+	})
+	drain := func() {
+		t.Helper()
+		if err := r.db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r.checkHealthy()
+	}
+
+	const n = 2500
+	val := bytes.Repeat([]byte("v"), 40)
+	for i := n; i > 0; i-- {
+		if err := r.db.Put([]byte(fmt.Sprintf("user%08d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain()
+	snap := ship.Snapshot()
+	t.Logf("descending batches: full=%d delta=%d, %d base bytes read", snap.FullSegments, snap.DeltaSegments, bulk.bytes.Load())
+	if snap.FullSegments < 10 || snap.DeltaSegments != 0 {
+		t.Fatalf("shipped %d full and %d delta segments, want every one of many in full", snap.FullSegments, snap.DeltaSegments)
+	}
+	if got := bulk.bytes.Load(); got != 0 {
+		t.Fatalf("read %d bytes of delta bases no page of which could match", got)
+	}
+
+	for i := 0; i < 1200; i++ {
+		if err := r.db.Put([]byte(fmt.Sprintf("zz%08d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain()
+	snap = ship.Snapshot()
+	t.Logf("appended keys: full=%d delta=%d, %d base bytes read", snap.FullSegments, snap.DeltaSegments, bulk.bytes.Load())
+	if snap.DeltaSegments == 0 || bulk.bytes.Load() == 0 {
+		t.Fatalf("%d delta segments from %d base bytes read: the guard skips bases that win", snap.DeltaSegments, bulk.bytes.Load())
+	}
+	if snap.Fallbacks != 0 {
+		t.Fatalf("%d delta ships were rejected by the backup", snap.Fallbacks)
 	}
 }
 

@@ -254,6 +254,52 @@ func diffPages(raw, base []byte, pageSize int) []byte {
 	return out
 }
 
+// PageSums are the CRC-32C of every page of one segment image: enough
+// to tell, without the image, whether a delta against it could leave a
+// page out. The zero value stands for an image nobody summed.
+type PageSums struct {
+	sums  []uint32
+	whole bool // the image ended on a page boundary
+}
+
+// SumPages sums raw page by page, paged as EncodeDelta pages it
+// (pageSize defaults to DefaultPageSize when <= 0; the final page may
+// be short).
+func SumPages(raw []byte, pageSize int) PageSums {
+	if pageSize <= 0 {
+		pageSize = DefaultPageSize
+	}
+	s := PageSums{
+		sums:  make([]uint32, 0, (len(raw)+pageSize-1)/pageSize),
+		whole: len(raw)%pageSize == 0,
+	}
+	for off := 0; off < len(raw); off += pageSize {
+		s.sums = append(s.sums, crc32.Checksum(raw[off:min(off+pageSize, len(raw))], crcTable))
+	}
+	return s
+}
+
+// DeltaCanWin reports whether EncodeDelta of the image s sums, against
+// the image base sums, could return a delta — whether the base is worth
+// fetching. diffPages leaves out exactly the pages equal to the base's
+// page at the same index, and a patch that leaves out none is larger
+// than the image, which EncodeDelta refuses: so when no sum of s equals
+// base's at its index, skipping the attempt changes no frame. Sums that
+// cannot decide answer true: an unsummed base, and an image ending in a
+// short page, which diffPages compares with a prefix of the base's page
+// that no sum describes.
+func (s PageSums) DeltaCanWin(base PageSums) bool {
+	if base.sums == nil || !s.whole {
+		return true
+	}
+	for i := 0; i < len(s.sums) && i < len(base.sums); i++ {
+		if s.sums[i] == base.sums[i] {
+			return true
+		}
+	}
+	return false
+}
+
 // applyPatch reconstructs rawLen bytes from base plus the patch stream.
 // Pages not named in the patch are copied from base; a page the base
 // cannot supply must appear in the patch.

@@ -100,6 +100,59 @@ func TestShipCodecDeltaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeltaCanWinNeverHidesADelta: page sums may only rule a base out
+// when EncodeDelta against it would have been refused anyway — over
+// images that share whole pages, none, a shifted copy, a longer or
+// shorter base and a short final page — and they do rule out a base
+// that shares nothing.
+func TestDeltaCanWinNeverHidesADelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const pageSize = 512
+	ruledOut := 0
+	for i := 0; i < 200; i++ {
+		base := randSegment(rng, pageSize*(1+rng.Intn(40)))
+		raw := append([]byte(nil), base...)
+		switch rng.Intn(5) {
+		case 0: // a few pages touched
+			for m := 0; m < 1+rng.Intn(4); m++ {
+				raw[rng.Intn(len(raw))] ^= 0xA5
+			}
+		case 1: // every page touched
+			for off := 0; off < len(raw); off += pageSize {
+				raw[off+rng.Intn(pageSize)] ^= 0x5A
+			}
+		case 2: // shifted: same bytes, no page in place
+			raw = append(randSegment(rng, 1+rng.Intn(pageSize-1)), raw...)
+			raw = raw[:len(raw)/pageSize*pageSize]
+			for off := 0; off < len(raw); off += pageSize {
+				raw[off] ^= 0x01 // break the zero and repeated-byte spans a shift maps onto themselves
+			}
+		case 3: // longer than the base, then cut to a short final page
+			raw = append(raw, randSegment(rng, pageSize*(1+rng.Intn(3)))...)
+			raw = raw[:len(raw)-rng.Intn(pageSize)]
+		case 4: // shorter than the base
+			raw = raw[:len(raw)-rng.Intn(len(raw))]
+		}
+		_, ok, err := EncodeDelta(Flate, raw, base, pageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canWin := SumPages(raw, pageSize).DeltaCanWin(SumPages(base, pageSize))
+		if ok && !canWin {
+			t.Fatalf("case %d: page sums rule out a base EncodeDelta wins against (raw %d, base %d bytes)", i, len(raw), len(base))
+		}
+		if !canWin {
+			ruledOut++
+		}
+		if !SumPages(raw, pageSize).DeltaCanWin(PageSums{}) {
+			t.Fatal("an unsummed base was ruled out")
+		}
+	}
+	if ruledOut < 20 {
+		t.Fatalf("page sums ruled out %d of 200 bases; the cases that share no page should all be", ruledOut)
+	}
+}
+
 func TestShipCodecDeltaIsSmall(t *testing.T) {
 	base := bytes.Repeat([]byte{0x42}, 64<<10)
 	raw := append([]byte(nil), base...)

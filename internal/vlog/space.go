@@ -1,7 +1,6 @@
 package vlog
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -137,24 +136,11 @@ func (l *Log) AddDead(off storage.Offset, n int) {
 // (header + key + value). The LSM uses it to size dead-byte charges
 // without decoding the full record.
 func (l *Log) RecordLen(off storage.Offset) (int, error) {
-	var hdr [recHdrSize]byte
-	if err := l.readAt(off, hdr[:]); err != nil {
+	h, err := l.header(off)
+	if err != nil {
 		return 0, err
 	}
-	keyLen := binary.LittleEndian.Uint32(hdr[0:4])
-	if keyLen == 0 {
-		return 0, fmt.Errorf("%w: zero key length at %#x", ErrBadOffset, off)
-	}
-	valLen := binary.LittleEndian.Uint32(hdr[4:8])
-	vl := int64(valLen)
-	if valLen == tombstoneLen {
-		vl = 0
-	}
-	n := recHdrSize + int64(keyLen) + vl
-	if l.geo.Within(off)+n > l.geo.SegmentSize() {
-		return 0, fmt.Errorf("%w: %d byte record at %#x", ErrCorruptRecord, n, off)
-	}
-	return int(n), nil
+	return recHdrSize + h.keyLen + h.valLen, nil
 }
 
 // Release frees the given sealed segments wherever they sit in the log —

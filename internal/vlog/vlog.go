@@ -219,52 +219,60 @@ func (l *Log) readAt(off storage.Offset, p []byte) error {
 	return l.dev.ReadAt(off, p)
 }
 
-// Get decodes the record at off. For tombstones it returns the key, a
-// nil value, and tombstone=true.
-func (l *Log) Get(off storage.Offset) (pair kv.Pair, tombstone bool, err error) {
+// recordHeader is the decoded header of one record.
+type recordHeader struct {
+	keyLen, valLen int // valLen is 0 for a tombstone
+	tomb           bool
+}
+
+// header reads and checks the header of the record at off — the one
+// decoder behind Get, GetKey and RecordLen. A zero key length means off
+// points into padding, not at a record (ErrBadOffset). A record never
+// crosses its segment, so lengths that would are corrupt log bytes
+// (ErrCorruptRecord); checking them here is also what stops a decoded
+// frame trailer or a flipped bit from sizing a giant allocation.
+func (l *Log) header(off storage.Offset) (recordHeader, error) {
 	var hdr [recHdrSize]byte
-	if err = l.readAt(off, hdr[:]); err != nil {
-		return kv.Pair{}, false, err
+	if err := l.readAt(off, hdr[:]); err != nil {
+		return recordHeader{}, err
 	}
 	keyLen := binary.LittleEndian.Uint32(hdr[0:4])
 	valLen := binary.LittleEndian.Uint32(hdr[4:8])
 	if keyLen == 0 {
-		return kv.Pair{}, false, fmt.Errorf("%w: zero key length at %#x", ErrBadOffset, off)
+		return recordHeader{}, fmt.Errorf("%w: zero key length at %#x", ErrBadOffset, off)
 	}
 	tomb := valLen == tombstoneLen
-	vl := valLen
 	if tomb {
-		vl = 0
+		valLen = 0
 	}
-	// Length sanity before allocating: a record never crosses its
-	// segment, so an impossible length means corrupt log bytes (this is
-	// also what stops a decoded frame trailer or flipped bit from
-	// triggering a giant allocation).
-	if l.geo.Within(off)+recHdrSize+int64(keyLen)+int64(vl) > l.geo.SegmentSize() {
-		return kv.Pair{}, false, fmt.Errorf("%w: %d+%d byte record at %#x", ErrCorruptRecord, keyLen, vl, off)
+	if l.geo.Within(off)+recHdrSize+int64(keyLen)+int64(valLen) > l.geo.SegmentSize() {
+		return recordHeader{}, fmt.Errorf("%w: %d+%d byte record at %#x", ErrCorruptRecord, keyLen, valLen, off)
 	}
-	buf := make([]byte, int(keyLen)+int(vl))
+	return recordHeader{keyLen: int(keyLen), valLen: int(valLen), tomb: tomb}, nil
+}
+
+// Get decodes the record at off. For tombstones it returns the key, a
+// nil value, and tombstone=true.
+func (l *Log) Get(off storage.Offset) (pair kv.Pair, tombstone bool, err error) {
+	h, err := l.header(off)
+	if err != nil {
+		return kv.Pair{}, false, err
+	}
+	buf := make([]byte, h.keyLen+h.valLen)
 	if err = l.readAt(off+recHdrSize, buf); err != nil {
 		return kv.Pair{}, false, err
 	}
-	return kv.Pair{Key: buf[:keyLen], Value: buf[keyLen:]}, tomb, nil
+	return kv.Pair{Key: buf[:h.keyLen], Value: buf[h.keyLen:]}, h.tomb, nil
 }
 
-// GetKey decodes only the key of the record at off. Compactions use it
-// to merge-sort leaf streams without fetching values.
+// GetKey decodes only the key of the record at off: what orders two
+// index entries whose prefixes tie, without fetching the value.
 func (l *Log) GetKey(off storage.Offset) ([]byte, error) {
-	var hdr [recHdrSize]byte
-	if err := l.readAt(off, hdr[:]); err != nil {
+	h, err := l.header(off)
+	if err != nil {
 		return nil, err
 	}
-	keyLen := binary.LittleEndian.Uint32(hdr[0:4])
-	if keyLen == 0 {
-		return nil, fmt.Errorf("%w: zero key length at %#x", ErrBadOffset, off)
-	}
-	if l.geo.Within(off)+recHdrSize+int64(keyLen) > l.geo.SegmentSize() {
-		return nil, fmt.Errorf("%w: %d byte key at %#x", ErrCorruptRecord, keyLen, off)
-	}
-	key := make([]byte, keyLen)
+	key := make([]byte, h.keyLen)
 	if err := l.readAt(off+recHdrSize, key); err != nil {
 		return nil, err
 	}
