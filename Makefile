@@ -38,6 +38,8 @@ fuzz-smoke:
 	$(GO) test ./internal/btree -run '^$$' -fuzz '^FuzzIndexNode$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/vlog -run '^$$' -fuzz '^FuzzRecord$$' -fuzztime 5s -fuzzminimizetime 0
+	$(GO) test ./internal/vlog -run '^$$' -fuzz '^FuzzWalk$$' -fuzztime 5s -fuzzminimizetime 0
+	$(GO) test ./internal/memtable -run '^$$' -fuzz '^FuzzOrder$$' -fuzztime 5s -fuzzminimizetime 0
 
 fmt:
 	gofmt -w .

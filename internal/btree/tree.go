@@ -9,7 +9,11 @@ import (
 )
 
 // FullKeyReader resolves a value-log device offset to the full key of
-// the record stored there. Lookups need it only on prefix ties.
+// the record stored there. Lookups need it only on prefix ties. How
+// long the key must stay good is the consumer's to say: Tree.Get and
+// the seeks compare a candidate and drop it, so a reader may hand them
+// the same buffer every call; Builder.AddEntry holds one key across its
+// next read and needs a slice of its own each time.
 type FullKeyReader func(storage.Offset) ([]byte, error)
 
 // Tree provides read access to a built B+ tree.
@@ -111,7 +115,9 @@ func (t *Tree) findLeaf(key []byte) ([]byte, error) {
 
 // Get looks up key. found reports whether the key is present (a
 // tombstone counts as present, with tombstone=true); valueOff is the
-// value-log location of the record. fullKey resolves prefix ties.
+// value-log location of the record. fullKey resolves prefix ties; each
+// key it returns is compared and dropped before the next call, and the
+// last call made, if the key is found, was for valueOff.
 func (t *Tree) Get(key []byte, fullKey FullKeyReader) (valueOff storage.Offset, tombstone, found bool, err error) {
 	if t.root == storage.NilOffset {
 		return storage.NilOffset, false, false, nil
@@ -163,7 +169,8 @@ func leafLowerBound(block []byte, prefix kv.Prefix) int {
 
 // Iterator walks a tree's leaf entries in ascending key order, keeping a
 // descent stack instead of leaf chaining so rewritten backup trees need
-// no extra linkage.
+// no extra linkage. An Iterator may be used again: First and SeekGE
+// position it over a tree afresh and keep the memory of its stack.
 type Iterator struct {
 	t         *Tree
 	cached    bool // descents go through the node cache
@@ -174,6 +181,14 @@ type Iterator struct {
 	count     int
 	err       error
 	nodesRead int
+}
+
+// Reset empties the iterator: it keeps its stack's memory and no
+// reference to a tree or a node.
+func (it *Iterator) Reset() {
+	stack := it.stack[:cap(it.stack)]
+	clear(stack)
+	*it = Iterator{stack: stack[:0]}
 }
 
 // NodesRead returns how many node blocks this iterator visited, used by
@@ -196,36 +211,51 @@ type iterFrame struct {
 }
 
 // Iter returns an iterator over the whole tree, positioned at the first
-// entry (invalid for an empty tree). It reads every node from the
-// device, past the node cache: compaction streams each leaf once, and
-// its reads must neither evict the lookups' hot set nor drop out of the
-// device's I/O counters.
+// entry (invalid for an empty tree): First on a new Iterator.
 func (t *Tree) Iter() *Iterator {
-	it := &Iterator{t: t}
-	if t.root == storage.NilOffset {
-		return it
-	}
-	it.descend(t.root)
+	it := new(Iterator)
+	it.First(t)
 	return it
 }
 
+// First positions it at t's first entry (invalid for an empty tree). It
+// reads every node from the device, past the node cache: compaction
+// streams each leaf once, and its reads must neither evict the lookups'
+// hot set nor drop out of the device's I/O counters.
+func (it *Iterator) First(t *Tree) {
+	it.Reset()
+	it.t = t
+	if t.root != storage.NilOffset {
+		it.descend(t.root)
+	}
+}
+
 // SeekGE returns an iterator positioned at the first entry whose full
-// key is >= key. fullKey resolves prefix ties.
+// key is >= key: Iterator.SeekGE on a new Iterator.
 func (t *Tree) SeekGE(key []byte, fullKey FullKeyReader) (*Iterator, error) {
-	it := &Iterator{t: t, cached: true}
+	it := new(Iterator)
+	return it, it.SeekGE(t, key, fullKey)
+}
+
+// SeekGE positions it at t's first entry whose full key is >= key,
+// through the node cache. fullKey resolves prefix ties; each key it
+// returns is compared and dropped before the next call.
+func (it *Iterator) SeekGE(t *Tree, key []byte, fullKey FullKeyReader) error {
+	it.Reset()
+	it.t, it.cached = t, true
 	if t.root == storage.NilOffset {
-		return it, nil
+		return nil
 	}
 	off := t.root
 	for depth := 0; ; depth++ {
 		if depth >= maxDepth {
 			it.err = fmt.Errorf("%w: descent exceeded depth %d (pointer cycle?)", ErrCorruptNode, maxDepth)
-			return it, it.err
+			return it.err
 		}
 		n, err := it.node(off)
 		if err != nil {
 			it.err = err
-			return it, err
+			return err
 		}
 		if n.isLeaf() {
 			it.leaf = n.block
@@ -244,20 +274,20 @@ func (t *Tree) SeekGE(key []byte, fullKey FullKeyReader) (*Iterator, error) {
 	for it.pos = leafLowerBound(it.leaf, prefix); it.pos < it.count; it.pos++ {
 		e := decodeLeafEntry(it.leaf, it.pos)
 		if e.Prefix != prefix {
-			return it, nil
+			return nil
 		}
 		full, err := fullKey(e.ValueOff)
 		if err != nil {
 			it.err = err
-			return it, err
+			return err
 		}
 		if kv.Compare(full, key) >= 0 {
-			return it, nil
+			return nil
 		}
 	}
 	// Leaf exhausted: step to the next leaf.
 	it.advanceLeaf()
-	return it, it.err
+	return it.err
 }
 
 // descend pushes the leftmost path from off onto the stack and loads the

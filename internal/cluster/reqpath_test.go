@@ -18,7 +18,7 @@ import (
 // it: one region whose L0 and log tail are far larger than what the test
 // writes, so no put freezes a memtable, seals a segment or starts a
 // compaction.
-func steadyCluster(t *testing.T) *client.Client {
+func steadyCluster(t *testing.T) (*Cluster, *client.Client) {
 	t.Helper()
 	c, err := New(Config{
 		Servers:     2,
@@ -48,23 +48,23 @@ func steadyCluster(t *testing.T) *client.Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	return cl
+	return c, cl
 }
 
 // TestRequestPathAllocCeilings pins what one steady-state round trip —
 // client → wire → rdma → spinning thread → worker → engine → replica
 // append → reply — costs the heap. AllocsPerRun counts mallocs of the
 // whole process, so the spinning threads, the workers and the backup
-// are inside each number. The message path's own rule (DESIGN.md "Data
-// path"): every message is built and read in buffers that already
-// exist, so the only allocation an op makes between the client call and
-// lsm.DB is the slice it hands back to its caller, and a put hands back
-// nothing. What is left below is the engine's, named per op.
+// are inside each number. The rule (DESIGN.md "Data path"): every
+// message is built and read in buffers that already exist, and a record
+// a read returns is read from the log once, into the reply it leaves
+// in. So the only allocation an op makes anywhere is the slice it hands
+// back to its caller, and a put hands back nothing.
 func TestRequestPathAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
 	}
-	cl := steadyCluster(t)
+	c, cl := steadyCluster(t)
 	value := bytes.Repeat([]byte("v"), 100)
 	key := func(i int) []byte { return []byte(fmt.Sprintf("user%06d", i)) }
 	for i := 0; i < 64; i++ {
@@ -73,46 +73,15 @@ func TestRequestPathAllocCeilings(t *testing.T) {
 		}
 	}
 	k := key(32)
-
-	for _, tc := range []struct {
-		name    string
-		ceiling float64
-		op      func()
-	}{
-		// The skiplist's predecessor array (memtable.InsertPrev). Nothing
-		// on the message path: the request is encoded in a pooled send
-		// buffer, its body lands in a recycled task body, the record goes
-		// into the log tail, the replica append is a one-sided write out of
-		// it, and the reply is a status byte the client never copies out.
-		{"put", 1, func() {
-			if err := cl.Put(k, value); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		// The record header and the record lsm.DB.Get reads out of the log
-		// (vlog.Get; the header escapes through the Device interface), and
-		// the reply payload the client copies out of its reply slot once
-		// and returns the value from.
-		{"get", 3, func() {
-			if v, found, err := cl.Get(k); err != nil || !found || !bytes.Equal(v, value) {
-				t.Fatalf("Get = %d bytes, %v, %v", len(v), found, err)
-			}
-		}},
-	} {
-		tc.op() // settle scratch buffers and the send-buffer pool
-		if got := testing.AllocsPerRun(200, tc.op); got > tc.ceiling {
-			t.Errorf("a steady-state %s allocates %v times, ceiling %v", tc.name, got, tc.ceiling)
-		} else {
-			t.Logf("%s: %v allocs/op (ceiling %v)", tc.name, got, tc.ceiling)
+	get := func() {
+		if v, found, err := cl.Get(k); err != nil || !found || !bytes.Equal(v, value) {
+			t.Fatalf("Get = %d bytes, %v, %v", len(v), found, err)
 		}
 	}
-
-	// Scan(start, 16): per returned pair the engine reads the record
-	// header and the record (vlog.Get, once; the pair's key and value
-	// both point into that buffer): 32; its cursor list, memtable cursor
-	// and memtable iterator: 3; on the client the reply payload and the
-	// pair slice whose keys and values point into it: 2 — no per-pair
-	// clone, and no key fetched to order entries whose prefixes differ.
+	// Scan(start, 16): on the client the reply payload and the pair
+	// slice whose keys and values point into it; in the engine nothing —
+	// its cursors and the one buffer every record passes through are
+	// pooled, and each pair is copied once, into the reply.
 	start := key(16)
 	scan := func() {
 		pairs, err := cl.Scan(start, 16)
@@ -120,12 +89,74 @@ func TestRequestPathAllocCeilings(t *testing.T) {
 			t.Fatalf("Scan = %d pairs, %v", len(pairs), err)
 		}
 	}
-	scan()
-	const scanCeiling = 37
-	if got := testing.AllocsPerRun(100, scan); got > scanCeiling {
-		t.Errorf("a steady-state Scan(start, 16) allocates %v times, ceiling %v", got, scanCeiling)
-	} else {
-		t.Logf("scan: %v allocs/op (ceiling %v)", got, scanCeiling)
+
+	measure := func(name string, ceiling float64, op func()) {
+		t.Helper()
+		op() // settle scratch buffers and the pools
+		if got := testing.AllocsPerRun(200, op); got > ceiling {
+			t.Errorf("a steady-state %s allocates %v times, ceiling %v", name, got, ceiling)
+		} else {
+			t.Logf("%s: %v allocs/op (ceiling %v)", name, got, ceiling)
+		}
+	}
+	// Nothing: the request is encoded in a pooled send buffer, its body
+	// lands in a recycled task body, the record goes into the log tail,
+	// the overwritten record's header is read through the engine's own
+	// scratch, the replica append is a one-sided write out of the tail,
+	// and the reply is a status byte the client never copies out.
+	measure("put", 0, func() {
+		if err := cl.Put(k, value); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The reply payload the client copies out of its reply slot once and
+	// returns the value from. The engine read the value straight into
+	// the worker's reply message.
+	measure("get", 1, get)
+	measure("scan", 2, scan)
+	// The same from the levels: a prefix tie's candidate key goes through
+	// pooled scratch, and the scan's tree cursors and iterators are
+	// pooled with it.
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	measure("level-resident get", 1, get)
+	measure("level-resident scan", 2, scan)
+}
+
+// TestGetRestReadsTheRangeOnly: a value larger than the client's reply
+// slot crosses in pieces (§3.4.1), and each piece reads its own bytes
+// from the device — the slot's worth for the get, the rest for the
+// get-rest — not the whole value once per round trip.
+func TestGetRestReadsTheRangeOnly(t *testing.T) {
+	c, cl := steadyCluster(t)
+	key, value := []byte("big"), make([]byte, 64<<10)
+	rand.New(rand.NewSource(1)).Read(value)
+	if err := cl.Put(key, value); err != nil {
+		t.Fatal(err)
+	}
+	// Seal the log tail the value sits in: a read served from the tail's
+	// memory is not device traffic.
+	filler := make([]byte, 64<<10)
+	for i := 0; i < 16; i++ {
+		if err := cl.Put([]byte(fmt.Sprintf("filler%02d", i)), filler); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fresh, err := c.NewClient() // its slot estimate is the 1 KB default
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	before := c.Totals().DeviceReadBytes
+	got, found, err := fresh.Get(key)
+	if err != nil || !found || !bytes.Equal(got, value) {
+		t.Fatalf("Get = %d bytes, %v, %v", len(got), found, err)
+	}
+	// Two round trips, a record header each, and every value byte once.
+	if read := c.Totals().DeviceReadBytes - before; read < uint64(len(value)) || read > uint64(len(value))+2*8 {
+		t.Fatalf("a %d byte value fetched through a 1 KB slot read %d bytes from the device", len(value), read)
 	}
 }
 
@@ -133,31 +164,49 @@ func TestRequestPathAllocCeilings(t *testing.T) {
 // goroutines sharing one Client — some through Async — put, get and scan
 // values of mixed sizes, retain every slice the client returned, and
 // re-verify all of them byte for byte once the traffic is over. A value
-// or pair that aliases a pooled send buffer, a worker's reply scratch or
-// a registered reply slot is overwritten by a later op; a task body
-// recycled before its reply was written corrupts the put that owned it.
-// Either way a retained slice stops matching what was written.
+// or pair that aliases a pooled send buffer, a worker's reply scratch, a
+// registered reply slot or the engine's pooled read buffer is
+// overwritten by a later op; a task body recycled before its reply was
+// written corrupts the put that owned it. Either way a retained slice
+// stops matching what was written.
+//
+// Small keys are overwritten, version after version, while they are
+// read: a value names its version in its first byte and is a function
+// of (key, version) from there on, so a get or a scan that races an
+// overwrite must still return one whole version. Large keys hold one
+// value each, above the default reply slot (a get that takes two round
+// trips is not atomic against an overwrite, here or in the paper), and
+// are fetched through clients new enough to still have the 1 KB slot,
+// so the partial reply and the get-rest range read run throughout.
 func TestReturnedSlicesAreTheCallers(t *testing.T) {
-	cl := steadyCluster(t)
+	c, cl := steadyCluster(t)
 
 	const (
-		workers = 4
-		keys    = 48
-		rounds  = 300
+		workers   = 4
+		keys      = 48
+		smallKeys = 32 // the rest are large
+		versions  = 4
+		rounds    = 300
 	)
-	// Every key's value is a function of the key alone, so a slice read at
-	// any time has exactly one right content, whichever writer wrote last.
-	valueOf := func(i int) []byte {
-		n := 8 + (i*131)%1400 // below, at and above the default reply slot
+	valueOf := func(i, ver int) []byte {
+		n := 1100 + (i*131)%2000 // above the default reply slot
+		if i < smallKeys {
+			n = 8 + (i*131+ver*57)%800
+		}
 		v := make([]byte, n)
-		for j := range v {
-			v[j] = byte(i*31 + j*7)
+		v[0] = byte(ver)
+		for j := 1; j < n; j++ {
+			v[j] = byte(i*31 + j*7 + ver*13)
 		}
 		return v
 	}
+	// intact reports whether v is one whole version of key i's value.
+	intact := func(i int, v []byte) bool {
+		return len(v) > 0 && int(v[0]) < versions && bytes.Equal(v, valueOf(i, int(v[0])))
+	}
 	keyOf := func(i int) []byte { return []byte(fmt.Sprintf("own%04d", i)) }
 	for i := 0; i < keys; i++ {
-		if err := cl.Put(keyOf(i), valueOf(i)); err != nil {
+		if err := cl.Put(keyOf(i), valueOf(i, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,9 +235,13 @@ func TestReturnedSlicesAreTheCallers(t *testing.T) {
 			async := cl.Async(8)
 			for r := 0; r < rounds; r++ {
 				i := rng.Intn(keys)
+				ver := 0
+				if i < smallKeys {
+					ver = rng.Intn(versions)
+				}
 				switch {
 				case w%2 == 0 && r%3 == 0:
-					async.Put(keyOf(i), valueOf(i))
+					async.Put(keyOf(i), valueOf(i, ver))
 					async.Get(keyOf(i), func(v []byte, found bool) {
 						if !found {
 							t.Errorf("async get: key %d missing", i)
@@ -196,7 +249,7 @@ func TestReturnedSlicesAreTheCallers(t *testing.T) {
 						keep(i, v)
 					})
 				case r%3 == 1:
-					if err := cl.Put(keyOf(i), valueOf(i)); err != nil {
+					if err := cl.Put(keyOf(i), valueOf(i, ver)); err != nil {
 						t.Errorf("put: %v", err)
 					}
 				case r%3 == 2:
@@ -207,6 +260,21 @@ func TestReturnedSlicesAreTheCallers(t *testing.T) {
 					mu.Lock()
 					pairs = append(pairs, ps...)
 					mu.Unlock()
+				case r%12 == 0:
+					// A large value through a 1 KB slot: a partial reply,
+					// then the rest.
+					big := smallKeys + rng.Intn(keys-smallKeys)
+					fresh, err := c.NewClient()
+					if err != nil {
+						t.Errorf("new client: %v", err)
+						continue
+					}
+					v, found, err := fresh.Get(keyOf(big))
+					fresh.Close()
+					if err != nil || !found {
+						t.Errorf("get large key %d: found=%v err=%v", big, found, err)
+					}
+					keep(big, v)
 				default:
 					v, found, err := cl.Get(keyOf(i))
 					if err != nil || !found {
@@ -226,8 +294,8 @@ func TestReturnedSlicesAreTheCallers(t *testing.T) {
 		t.Fatalf("retained %d values and %d pairs; the test lost its premise", len(retained), len(pairs))
 	}
 	for _, k := range retained {
-		if !bytes.Equal(k.val, valueOf(k.i)) {
-			t.Fatalf("a retained value of key %d changed after Get returned it: the slice aliases a reused buffer", k.i)
+		if !intact(k.i, k.val) {
+			t.Fatalf("a retained value of key %d is no version of it: torn by an overwrite when it was read, or changed after Get returned it because the slice aliases a reused buffer", k.i)
 		}
 	}
 	for _, p := range pairs {
@@ -235,8 +303,8 @@ func TestReturnedSlicesAreTheCallers(t *testing.T) {
 		if _, err := fmt.Sscanf(string(p.Key), "own%04d", &i); err != nil {
 			t.Fatalf("a retained scan key %q changed after Scan returned it", p.Key)
 		}
-		if !bytes.Equal(p.Value, valueOf(i)) {
-			t.Fatalf("a retained scan value of key %d changed after Scan returned it", i)
+		if !intact(i, p.Value) {
+			t.Fatalf("a retained scan value of key %d is no version of it", i)
 		}
 	}
 }

@@ -8,7 +8,10 @@
 // prefix ties require fetching the full key from the log.
 package kv
 
-import "bytes"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // PrefixSize is the number of leading key bytes stored in B+-tree leaves.
 // Kreon uses 12-byte prefixes; we keep the same default.
@@ -28,9 +31,22 @@ func MakePrefix(key []byte) Prefix {
 	return p
 }
 
-// Compare orders two prefixes lexicographically.
+// Compare orders two prefixes lexicographically: as two big-endian
+// integers, which order like the bytes they are read from and need no
+// call. It is the comparison a skiplist search or a merge makes per
+// entry, where a full-key comparison is the exception.
 func (p Prefix) Compare(q Prefix) int {
-	return bytes.Compare(p[:], q[:])
+	a, b := binary.BigEndian.Uint64(p[:8]), binary.BigEndian.Uint64(q[:8])
+	if a == b {
+		a, b = uint64(binary.BigEndian.Uint32(p[8:])), uint64(binary.BigEndian.Uint32(q[8:]))
+	}
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // Compare orders two full keys lexicographically. It is the single key

@@ -37,6 +37,27 @@ func TestPrefixCompareMatchesKeyCompare(t *testing.T) {
 	}
 }
 
+func TestPrefixCompareIsBytewise(t *testing.T) {
+	// Compare reads the prefix as integers; it must order like the bytes:
+	// at every position, across the sign bit, and on random pairs.
+	for i := 0; i < PrefixSize; i++ {
+		for _, pair := range [][2]byte{{0x00, 0x01}, {0x7f, 0x80}, {0x80, 0xff}, {0x01, 0xff}} {
+			var lo, hi Prefix
+			lo[i], hi[i] = pair[0], pair[1]
+			for j := i + 1; j < PrefixSize; j++ {
+				lo[j], hi[j] = 0xff, 0x00 // later bytes must not outvote byte i
+			}
+			if lo.Compare(hi) != -1 || hi.Compare(lo) != 1 || lo.Compare(lo) != 0 {
+				t.Fatalf("byte %d, %#x against %#x: Compare = %d, %d, %d", i, pair[0], pair[1], lo.Compare(hi), hi.Compare(lo), lo.Compare(lo))
+			}
+		}
+	}
+	f := func(p, q Prefix) bool { return p.Compare(q) == bytes.Compare(p[:], q[:]) }
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPrefixOrderingConsistentForShortKeys(t *testing.T) {
 	// Zero padding must not reorder keys shorter than the prefix.
 	a, b := []byte("a"), []byte("a\x00")

@@ -7,6 +7,7 @@ import (
 	"tebis/internal/kv"
 	"tebis/internal/memtable"
 	"tebis/internal/metrics"
+	"tebis/internal/vlog"
 )
 
 // holdJobs stops the scheduler at a job boundary: it waits until no
@@ -147,8 +148,10 @@ func (db *DB) levelCursor(i int) (cursor, *level, error) {
 	if lv == nil {
 		return &emptyCursor{}, nil, nil
 	}
-	it := lv.tree.Iter()
-	return newTreeCursor(db, it, metrics.CompCompaction), lv, it.Err()
+	c := &treeCursor{db: db, comp: metrics.CompCompaction}
+	c.it.First(lv.tree)
+	c.load()
+	return c, lv, c.it.Err()
 }
 
 // mergedEntry is one index entry leaving a merge, as a leaf stores it.
@@ -167,6 +170,7 @@ type mergedEntry struct {
 // to the index-build stage.
 func (db *DB) mergeStream(src, dst cursor, emit func(mergedEntry) error) error {
 	merged := 0
+	deadHdr := make([]byte, vlog.HeaderSize) // recordDead's scratch for this merge
 	// take emits the entry c stands on and advances c.
 	take := func(c cursor) error {
 		merged++
@@ -191,7 +195,7 @@ func (db *DB) mergeStream(src, dst cursor, emit func(mergedEntry) error) error {
 			// is discarded (this discard is the LSM's space reclaim —
 			// the superseded record's bytes go to the dead ledger that
 			// drives GC victim selection).
-			db.recordDead(dst.entry().ValueOff)
+			db.recordDead(dst.entry().ValueOff, deadHdr)
 			merged++ // the dropped dst entry was still merge work
 			if err = dst.next(); err == nil {
 				err = take(src)
@@ -262,9 +266,10 @@ func (*emptyCursor) key() ([]byte, error)   { return nil, nil }
 func (*emptyCursor) heldKey() []byte        { return nil }
 func (*emptyCursor) next() error            { return nil }
 
-// memCursor streams a memtable, whose entries hold their full keys.
+// memCursor streams a memtable, whose nodes hold their full keys and
+// the prefixes cut from them.
 type memCursor struct {
-	it *memtable.Iterator
+	it memtable.Iterator
 }
 
 func (c *memCursor) valid() bool          { return c.it.Valid() }
@@ -274,7 +279,7 @@ func (c *memCursor) next() error          { c.it.Next(); return nil }
 
 func (c *memCursor) entry() btree.LeafEntry {
 	e := c.it.Entry()
-	return btree.LeafEntry{Prefix: kv.MakePrefix(e.Key), ValueOff: e.Off, Tombstone: e.Tombstone}
+	return btree.LeafEntry{Prefix: c.it.Prefix(), ValueOff: e.Off, Tombstone: e.Tombstone}
 }
 
 // treeCursor streams a B+-tree level from its leaves. A leaf entry is
@@ -284,18 +289,33 @@ func (c *memCursor) entry() btree.LeafEntry {
 // amplification, paid on prefix ties instead of on every entry).
 type treeCursor struct {
 	db   *DB
-	it   *btree.Iterator
+	it   btree.Iterator
 	comp metrics.Component // who drives the cursor: a compaction or a scan
 	e    btree.LeafEntry   // the entry it stands on, while valid
 	full []byte            // e's full key once read
 }
 
-func newTreeCursor(db *DB, it *btree.Iterator, comp metrics.Component) *treeCursor {
-	c := &treeCursor{db: db, it: it, comp: comp}
-	if it.Valid() {
-		c.e = it.Entry()
+// seek makes c a scan's cursor over tree, standing on the first entry
+// whose key is >= start.
+func (c *treeCursor) seek(db *DB, tree *btree.Tree, start []byte, fullKey btree.FullKeyReader) error {
+	c.db, c.comp = db, metrics.CompOther
+	err := c.it.SeekGE(tree, start, fullKey)
+	c.load()
+	return err
+}
+
+// load notes the entry the iterator has come to stand on.
+func (c *treeCursor) load() {
+	c.full = nil
+	if c.it.Valid() {
+		c.e = c.it.Entry()
 	}
-	return c
+}
+
+// reset empties c, keeping its iterator's memory for the next scan.
+func (c *treeCursor) reset() {
+	c.it.Reset()
+	c.db, c.e, c.full = nil, btree.LeafEntry{}, nil
 }
 
 func (c *treeCursor) valid() bool            { return c.it.Valid() }
@@ -315,9 +335,6 @@ func (c *treeCursor) key() ([]byte, error) {
 
 func (c *treeCursor) next() error {
 	c.it.Next()
-	c.full = nil
-	if c.it.Valid() {
-		c.e = c.it.Entry()
-	}
+	c.load()
 	return c.it.Err()
 }

@@ -74,6 +74,7 @@ type DB struct {
 	closed    bool
 	bgErr     error
 	seedCtr   int64
+	deadHdr   [vlog.HeaderSize]byte // recordDead's header scratch for callers holding mu for writing
 
 	// Compaction scheduler state (guarded by mu).
 	inflight  map[uint64]*compactionJob
@@ -193,15 +194,17 @@ func (db *DB) Watermark() storage.Offset {
 // eliminated at the last level). The ledger is advisory (it only steers
 // GC victim selection), so lookup errors — e.g. the record's segment was
 // already reclaimed — are ignored rather than failing the write path.
-func (db *DB) recordDead(off storage.Offset) {
+// The record's header is read through scratch, eight bytes the caller
+// owns: db.deadHdr under the write lock, a job's own elsewhere.
+func (db *DB) recordDead(off storage.Offset, scratch []byte) {
 	if off == storage.NilOffset {
 		return
 	}
-	n, err := db.log.RecordLen(off)
+	h, err := db.log.ReadHeader(off, scratch)
 	if err != nil {
 		return
 	}
-	db.log.AddDead(off, n)
+	db.log.AddDead(off, h.RecLen())
 }
 
 // charge adds cycles if a recorder is configured.
@@ -272,7 +275,7 @@ func (db *DB) mutate(key, value []byte, tombstone bool, rt *obs.ReqTrace) error 
 	}
 
 	if prev, over := db.l0.InsertPrev(key, res.Off, tombstone); over && prev.Off != res.Off {
-		db.recordDead(prev.Off)
+		db.recordDead(prev.Off, db.deadHdr[:])
 	}
 
 	if db.l0.Len() >= db.opt.L0MaxKeys {
@@ -300,7 +303,7 @@ func (db *DB) PutIndexed(key []byte, off storage.Offset, tombstone bool, recLen 
 	}
 	db.charge(metrics.CompInsertL0, db.cost.L0Insert(recLen))
 	if prev, over := db.l0.InsertPrev(key, off, tombstone); over && prev.Off != off {
-		db.recordDead(prev.Off)
+		db.recordDead(prev.Off, db.deadHdr[:])
 	}
 	if db.l0.Len() >= db.opt.L0MaxKeys {
 		if err := db.freezeLocked(); err != nil {
@@ -365,78 +368,6 @@ func (db *DB) WaitIdle() error {
 	return db.bgErr
 }
 
-// Get returns the value for key. found is false for absent keys and
-// tombstones.
-func (db *DB) Get(key []byte) (value []byte, found bool, err error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return nil, false, ErrClosed
-	}
-	levelsVisited := 1
-
-	if e, ok := db.l0.Get(key); ok {
-		return db.resolveEntry(e, levelsVisited)
-	}
-	for i := len(db.frozen) - 1; i >= 0; i-- { // newest frozen table first
-		levelsVisited++
-		if e, ok := db.frozen[i].mt.Get(key); ok {
-			return db.resolveEntry(memtable.Entry{Key: key, Off: e.Off, Tombstone: e.Tombstone}, levelsVisited)
-		}
-	}
-	for i := 1; i < len(db.levels); i++ {
-		lv := db.levels[i]
-		if lv == nil {
-			continue
-		}
-		levelsVisited++
-		off, tomb, ok, err := lv.tree.Get(key, db.readKeyCharged)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return db.resolveEntry(memtable.Entry{Key: key, Off: off, Tombstone: tomb}, levelsVisited)
-		}
-	}
-	db.charge(metrics.CompOther, uint64(levelsVisited)*db.cost.GetPerLevel)
-	return nil, false, nil
-}
-
-// resolveEntry fetches the value for a located entry and charges the
-// walk cost. Caller holds at least a read lock.
-func (db *DB) resolveEntry(e memtable.Entry, levelsVisited int) ([]byte, bool, error) {
-	db.charge(metrics.CompOther, uint64(levelsVisited)*db.cost.GetPerLevel)
-	if e.Tombstone {
-		return nil, false, nil
-	}
-	pair, tomb, err := db.log.Get(e.Off)
-	if err != nil {
-		return nil, false, err
-	}
-	if tomb {
-		return nil, false, nil
-	}
-	db.charge(metrics.CompOther, db.cost.ReadIO(pair.Size()+8))
-	return pair.Value, true, nil // log.Get read it into a buffer of its own
-}
-
-// readKey resolves a full key from the log, charging the read I/O to
-// the component whose work needed it.
-func (db *DB) readKey(off storage.Offset, c metrics.Component) ([]byte, error) {
-	key, err := db.log.GetKey(off)
-	if err != nil {
-		return nil, err
-	}
-	db.charge(c, db.cost.ReadIO(len(key)+8))
-	return key, nil
-}
-
-// readKeyCharged is readKey for the foreground paths: a lookup's or a
-// scan seek's prefix ties.
-func (db *DB) readKeyCharged(off storage.Offset) ([]byte, error) {
-	return db.readKey(off, metrics.CompOther)
-}
-
 // Levels returns a snapshot of the on-device level states (index 0 of
 // the result is L1).
 func (db *DB) Levels() []LevelState {
@@ -491,7 +422,7 @@ func (db *DB) ReplayLog(from storage.Offset) (int, error) {
 		// recovery: every superseded record the replay walks over is
 		// charged back to the space ledger.
 		if prev, over := db.l0.InsertPrev(pair.Key, off, tomb); over && prev.Off != off {
-			db.recordDead(prev.Off)
+			db.recordDead(prev.Off, db.deadHdr[:])
 		}
 		db.mu.Unlock()
 		n++

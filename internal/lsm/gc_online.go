@@ -318,32 +318,16 @@ func (db *DB) relocateVictim(seg storage.SegmentID, res *GCResult) error {
 	return werr
 }
 
-// entryAtLocked returns the index's current entry for key — active L0,
-// then frozen L0s newest first, then the on-device levels. Caller holds
-// db.mu (read or write).
+// entryAtLocked returns the index's current entry for key (a lookup
+// that fails finds none). Caller holds db.mu (read or write).
 func (db *DB) entryAtLocked(key []byte) (memtable.Entry, bool) {
-	if e, ok := db.l0.Get(key); ok {
-		return e, true
+	r := db.acquireReader()
+	defer r.release()
+	off, tomb, found, _, err := db.locateLocked(key, r.fullKey)
+	if err != nil || !found {
+		return memtable.Entry{}, false
 	}
-	for i := len(db.frozen) - 1; i >= 0; i-- {
-		if e, ok := db.frozen[i].mt.Get(key); ok {
-			return e, true
-		}
-	}
-	for i := 1; i < len(db.levels); i++ {
-		lv := db.levels[i]
-		if lv == nil {
-			continue
-		}
-		off, tomb, ok, err := lv.tree.Get(key, db.readKeyCharged)
-		if err != nil {
-			return memtable.Entry{}, false
-		}
-		if ok {
-			return memtable.Entry{Key: key, Off: off, Tombstone: tomb}, true
-		}
-	}
-	return memtable.Entry{}, false
+	return memtable.Entry{Key: key, Off: off, Tombstone: tomb}, true
 }
 
 // relocateRecord re-checks one victim record's liveness under the

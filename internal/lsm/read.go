@@ -1,0 +1,298 @@
+package lsm
+
+import (
+	"math"
+	"slices"
+	"sync"
+
+	"tebis/internal/btree"
+	"tebis/internal/kv"
+	"tebis/internal/memtable"
+	"tebis/internal/metrics"
+	"tebis/internal/storage"
+	"tebis/internal/vlog"
+)
+
+// The foreground read path (DESIGN.md "Data path"): a record a get or a
+// scan returns is read from the value log once — its header is not
+// repeated, its key is not read twice — and lands where it leaves: in
+// the caller's destination for a get, in one reused buffer for a scan.
+
+// reader is the memory one Get or Scan reads the value log through,
+// pooled so that neither allocates per call: the buffer a candidate key
+// (get, seek) or a returned record (scan) is read into, the header that
+// came with the last key, and a scan's cursors.
+type reader struct {
+	db  *DB
+	buf []byte
+	hdr vlog.Header // of the record buf's key was read from; zero if none
+
+	cursors []cursor
+	mem     []memCursor
+	trees   []treeCursor
+}
+
+var readerPool = sync.Pool{New: func() any { return &reader{buf: make([]byte, 0, 256)} }}
+
+func (db *DB) acquireReader() *reader {
+	r := readerPool.Get().(*reader)
+	r.db = db
+	return r
+}
+
+// release returns r to the pool holding memory but no references: not
+// the engine, not a memtable node, not a cached index node.
+func (r *reader) release() {
+	r.db, r.hdr = nil, vlog.Header{}
+	clear(r.cursors)
+	clear(r.mem)
+	for i := range r.trees {
+		r.trees[i].reset()
+	}
+	r.cursors, r.mem, r.trees = r.cursors[:0], r.mem[:0], r.trees[:0]
+	readerPool.Put(r)
+}
+
+// fullKey is the btree.FullKeyReader of the foreground paths: it reads
+// the key of the record at off into r.buf, over the previous one, and
+// remembers the header that came with it. The key is good until the
+// next call — Tree.Get and Tree.SeekGE compare a candidate and drop it.
+func (r *reader) fullKey(off storage.Offset) ([]byte, error) {
+	var err error
+	r.buf, r.hdr, err = r.db.log.AppendKey(r.buf[:0], off)
+	if err != nil {
+		return nil, err
+	}
+	r.db.charge(metrics.CompOther, r.db.cost.ReadIO(vlog.HeaderSize+len(r.buf)))
+	return r.buf, nil
+}
+
+// header returns the header of the record at off: the one fullKey has
+// just read when the lookup ended on that candidate (a level hit), read
+// now otherwise (a memtable hit, whose key needed no log read).
+func (r *reader) header(off storage.Offset) (vlog.Header, error) {
+	if r.hdr.KeyLen() != 0 && r.hdr.Off() == off {
+		return r.hdr, nil
+	}
+	h, err := r.db.log.ReadHeader(off, r.buf[:cap(r.buf)])
+	if err == nil {
+		r.db.charge(metrics.CompOther, r.db.cost.ReadIO(vlog.HeaderSize))
+	}
+	return h, err
+}
+
+// locateLocked finds the newest index entry for key: the active L0, the
+// frozen tables newest first, then the levels, whose prefix ties
+// fullKey resolves. visited counts the tables looked in. Caller holds
+// db.mu (read or write).
+func (db *DB) locateLocked(key []byte, fullKey btree.FullKeyReader) (off storage.Offset, tomb, found bool, visited int, err error) {
+	visited = 1
+	if e, ok := db.l0.Get(key); ok {
+		return e.Off, e.Tombstone, true, visited, nil
+	}
+	for i := len(db.frozen) - 1; i >= 0; i-- {
+		visited++
+		if e, ok := db.frozen[i].mt.Get(key); ok {
+			return e.Off, e.Tombstone, true, visited, nil
+		}
+	}
+	for i := 1; i < len(db.levels); i++ {
+		lv := db.levels[i]
+		if lv == nil {
+			continue
+		}
+		visited++
+		off, tomb, found, err = lv.tree.Get(key, fullKey)
+		if err != nil || found {
+			return off, tomb, found, visited, err
+		}
+	}
+	return storage.NilOffset, false, false, visited, nil
+}
+
+// Get returns the value for key in a slice of its own. found is false
+// for absent keys and tombstones.
+func (db *DB) Get(key []byte) (value []byte, found bool, err error) {
+	return db.GetAppend(nil, key)
+}
+
+// GetAppend appends the value for key to dst and returns the extended
+// slice; dst comes back unchanged when the key is not found.
+func (db *DB) GetAppend(dst, key []byte) (out []byte, found bool, err error) {
+	out, _, found, err = db.GetRange(dst, key, 0, math.MaxInt)
+	return out, found, err
+}
+
+// GetRange appends up to n bytes of key's value, from byte from of it
+// on, to dst, and returns the extended slice and the whole value's
+// length: a caller with room for part of a value reads that part only.
+// The range is clipped to the value. Nothing before len(dst) is
+// written.
+//
+// A value in a level costs three log reads — the header and key that
+// resolved the prefix tie, then the value; one in L0, whose key the
+// memtable holds, two — the header, then the value.
+func (db *DB) GetRange(dst, key []byte, from, n int) (out []byte, total int, found bool, err error) {
+	r := db.acquireReader()
+	defer r.release()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if db.closed {
+		return dst, 0, false, ErrClosed
+	}
+	off, tomb, found, visited, err := db.locateLocked(key, r.fullKey)
+	if err != nil {
+		return dst, 0, false, err
+	}
+	db.charge(metrics.CompOther, uint64(visited)*db.cost.GetPerLevel)
+	if !found || tomb {
+		return dst, 0, false, nil
+	}
+	h, err := r.header(off)
+	if err != nil {
+		return dst, 0, false, err
+	}
+	if h.Tombstone() {
+		return dst, 0, false, nil
+	}
+	out, err = db.log.AppendValue(dst, h, from, n)
+	if err != nil {
+		return dst, 0, false, err
+	}
+	db.charge(metrics.CompOther, db.cost.ReadIO(len(out)-len(dst)))
+	return out, h.ValLen(), true, nil
+}
+
+// readKey resolves a full key from the log into a slice of its own,
+// charging the read I/O to c: for the compaction merge and the index
+// builder, which keep a key past their next read.
+func (db *DB) readKey(off storage.Offset, c metrics.Component) ([]byte, error) {
+	key, err := db.log.GetKey(off)
+	if err != nil {
+		return nil, err
+	}
+	db.charge(c, db.cost.ReadIO(vlog.HeaderSize+len(key)))
+	return key, nil
+}
+
+// Scan visits live key-value pairs with key >= start in ascending key
+// order, calling fn for each until fn returns false or the keyspace is
+// exhausted. Tombstones hide older versions, and the newest version of
+// each key wins, merging L0, the frozen L0s, and every on-device level.
+//
+// The pair fn receives is good until fn returns: every record is read
+// into the one buffer the next record overwrites. A caller that keeps a
+// key or a value copies it (ScanN does).
+func (db *DB) Scan(start []byte, fn func(pair kv.Pair) bool) error {
+	r := db.acquireReader()
+	defer r.release()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if db.closed {
+		return ErrClosed
+	}
+
+	// Cursors newest-first: active L0, frozen L0s (newest first), L1,
+	// L2, ... The cursor list points into r.mem and r.trees, so both
+	// are sized before anything takes an address in them.
+	r.mem = slices.Grow(r.mem, 1+len(db.frozen))
+	r.trees = slices.Grow(r.trees, len(db.levels))
+	addMem := func(it memtable.Iterator) {
+		r.mem = append(r.mem, memCursor{it: it})
+		r.cursors = append(r.cursors, &r.mem[len(r.mem)-1])
+	}
+	addMem(db.l0.SeekGE(start))
+	for i := len(db.frozen) - 1; i >= 0; i-- {
+		addMem(db.frozen[i].mt.SeekGE(start))
+	}
+	for i := 1; i < len(db.levels); i++ {
+		lv := db.levels[i]
+		if lv == nil {
+			continue
+		}
+		r.trees = r.trees[:len(r.trees)+1]
+		c := &r.trees[len(r.trees)-1]
+		if err := c.seek(db, lv.tree, start, r.fullKey); err != nil {
+			return err
+		}
+		r.cursors = append(r.cursors, c)
+	}
+	cursors := r.cursors
+
+	visited := 0
+	for {
+		// Find the smallest key among valid cursors; the earliest
+		// cursor in the list (newest data) wins ties.
+		winner := -1
+		for i, c := range cursors {
+			if !c.valid() {
+				continue
+			}
+			if winner >= 0 {
+				if cmp, err := compareCursors(c, cursors[winner]); err != nil {
+					return err
+				} else if cmp >= 0 {
+					continue
+				}
+			}
+			winner = i
+		}
+		if winner < 0 {
+			break
+		}
+		w := cursors[winner]
+		won := w.entry()
+
+		// Step past this key everywhere: the older cursors standing on
+		// it hold shadowed versions (a cursor holds a key once), then
+		// the winner itself.
+		for _, c := range cursors[winner+1:] {
+			if !c.valid() {
+				continue
+			}
+			if cmp, err := compareCursors(c, w); err != nil {
+				return err
+			} else if cmp == 0 {
+				if err := c.next(); err != nil {
+					return err
+				}
+			}
+		}
+		if err := w.next(); err != nil {
+			return err
+		}
+
+		visited++
+		if won.Tombstone {
+			continue
+		}
+		// The one read of the winning record, over the previous one: fn
+		// gets its key and value out of r.buf.
+		var h vlog.Header
+		var err error
+		if r.buf, h, err = db.log.AppendRecord(r.buf[:0], won.ValueOff); err != nil {
+			return err
+		}
+		if h.Tombstone() {
+			continue
+		}
+		db.charge(metrics.CompOther, db.cost.ReadIO(h.RecLen()))
+		if !fn(kv.Pair{Key: r.buf[:h.KeyLen():h.KeyLen()], Value: r.buf[h.KeyLen():]}) {
+			break
+		}
+	}
+	db.charge(metrics.CompOther, uint64(visited)*db.cost.GetPerLevel/4)
+	return nil
+}
+
+// ScanN collects up to n pairs starting at start (the YCSB scan shape),
+// each copied out of the scan's buffer into a record of its own.
+func (db *DB) ScanN(start []byte, n int) ([]kv.Pair, error) {
+	out := make([]kv.Pair, 0, n)
+	err := db.Scan(start, func(p kv.Pair) bool {
+		rec := append(append(make([]byte, 0, p.Size()), p.Key...), p.Value...)
+		out = append(out, kv.Pair{Key: rec[:len(p.Key):len(p.Key)], Value: rec[len(p.Key):]})
+		return len(out) < n
+	})
+	return out, err
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tebis/internal/btree"
+	"tebis/internal/kv"
 	"tebis/internal/storage"
 )
 
@@ -124,5 +125,137 @@ func TestScanReadsReturnedRecordsOnly(t *testing.T) {
 	const record, key = 8 + ruleKeyLen + ruleValLen, 8 + ruleKeyLen
 	if st.ReadOps > 2*(16+1) || st.BytesRead > 16*record+key {
 		t.Fatalf("ScanN(start, 16) made %d reads of %d bytes, budget %d of %d", st.ReadOps, st.BytesRead, 2*(16+1), 16*record+key)
+	}
+}
+
+// A get reads the record it returns once: the header and key that
+// settled the prefix tie in the level that holds it, then the value —
+// not the header and key a second time.
+func TestGetReadsTheRecordOnce(t *testing.T) {
+	db, dev, _ := twoLevelDB(t)
+	key := ruleKey(100)
+	get := func() {
+		t.Helper()
+		if v, found, err := db.Get(key); err != nil || !found || len(v) != ruleValLen {
+			t.Fatalf("Get = %d bytes, %v, %v", len(v), found, err)
+		}
+	}
+	get() // the index nodes on the way are cached from here on
+
+	dev.ResetStats()
+	get()
+	st := dev.Stats()
+	if st.ReadOps != 3 || st.BytesRead != 8+ruleKeyLen+ruleValLen {
+		t.Fatalf("a level-resident get made %d reads of %d bytes, want 3 of %d", st.ReadOps, st.BytesRead, 8+ruleKeyLen+ruleValLen)
+	}
+
+	// A range of the value reads that range.
+	dev.ResetStats()
+	part, total, found, err := db.GetRange([]byte("held"), key, 5, 7)
+	if err != nil || !found || total != ruleValLen || string(part) != "heldvvvvvvv" {
+		t.Fatalf("GetRange(5, 7) = %q of %d, %v, %v", part, total, found, err)
+	}
+	if st := dev.Stats(); st.BytesRead != 8+ruleKeyLen+7 {
+		t.Fatalf("a 7-byte range of a level-resident value read %d bytes, want %d", st.BytesRead, 8+ruleKeyLen+7)
+	}
+
+	// In L0 the memtable holds the key: the header, then the value.
+	fresh := bytes.Repeat([]byte("w"), 33)
+	if err := db.Put(key, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Log().Seal(); err != nil { // a tail read is not device traffic
+		t.Fatal(err)
+	}
+	dev.ResetStats()
+	if v, found, err := db.Get(key); err != nil || !found || !bytes.Equal(v, fresh) {
+		t.Fatalf("Get after overwrite = %q, %v, %v", v, found, err)
+	}
+	if st := dev.Stats(); st.ReadOps != 2 || st.BytesRead != 8+uint64(len(fresh)) {
+		t.Fatalf("an L0-resident get made %d reads of %d bytes, want 2 of %d", st.ReadOps, st.BytesRead, 8+len(fresh))
+	}
+}
+
+// A get whose key sits in a long run of equal prefixes reads candidate
+// keys — a header and a key each, into one scratch — until its match,
+// and no value but the one it returns.
+func TestGetWalksATieReadingKeysOnly(t *testing.T) {
+	opt, dev := testOptions(t)
+	opt.L0MaxKeys = 512
+	opt.NodeSize = 8192 // one leaf holds the whole run
+	db, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	const run, valLen = 300, 200
+	tied := func(i int) []byte { return []byte(fmt.Sprintf("sameprefix00-%04d", i)) }
+	value := bytes.Repeat([]byte("v"), valLen)
+	for i := 0; i < run; i++ {
+		if err := db.Put(tied(i), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Log().Seal(); err != nil {
+		t.Fatal(err)
+	}
+	keyLen := len(tied(0))
+
+	most := uint64(0)
+	for i := 0; i < run; i++ {
+		if i == 0 {
+			db.Get(tied(i)) // the one leaf is cached from here on
+		}
+		dev.ResetStats()
+		if v, found, err := db.Get(tied(i)); err != nil || !found || len(v) != valLen {
+			t.Fatalf("Get(%q) = %d bytes, %v, %v", tied(i), len(v), found, err)
+		}
+		st := dev.Stats()
+		cands := (st.ReadOps - 1) / 2
+		if st.ReadOps%2 != 1 || cands < 1 || cands > run || st.BytesRead != cands*uint64(8+keyLen)+valLen {
+			t.Fatalf("Get(%q) made %d reads of %d bytes: not %d keys and one value", tied(i), st.ReadOps, st.BytesRead, cands)
+		}
+		most = max(most, cands)
+	}
+	if most != run {
+		t.Fatalf("the longest walk compared %d candidate keys, want the whole run of %d", most, run)
+	}
+}
+
+// The pair Scan hands fn is good until fn returns, and the test holds
+// the contract from both sides: a pair kept without a copy is
+// overwritten by the next one, and ScanN's pairs, copied, are not.
+func TestScanPairIsGoodUntilFnReturns(t *testing.T) {
+	db, _, _ := twoLevelDB(t)
+	var kept []kv.Pair
+	var want []string
+	err := db.Scan(ruleKey(100), func(p kv.Pair) bool {
+		kept = append(kept, p) // no copy: against the contract
+		want = append(want, string(p.Key))
+		return len(kept) < 4
+	})
+	if err != nil || len(kept) != 4 {
+		t.Fatalf("Scan kept %d pairs, %v", len(kept), err)
+	}
+	for i, p := range kept[:3] {
+		if string(p.Key) == want[i] {
+			t.Fatalf("pair %d still reads %q after the scan moved on: Scan no longer reuses its buffer, and its doc comment is out of date", i, p.Key)
+		}
+	}
+
+	pairs, err := db.ScanN(ruleKey(100), 4)
+	if err != nil || len(pairs) != 4 {
+		t.Fatalf("ScanN = %d pairs, %v", len(pairs), err)
+	}
+	if _, err := db.ScanN(ruleKey(500), 16); err != nil { // reuses the pooled buffer
+		t.Fatal(err)
+	}
+	for i, p := range pairs {
+		if string(p.Key) != want[i] || len(p.Value) != ruleValLen {
+			t.Fatalf("ScanN pair %d = %q (%d byte value) after a later scan, want %q", i, p.Key, len(p.Value), want[i])
+		}
 	}
 }

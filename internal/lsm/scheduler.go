@@ -10,6 +10,7 @@ import (
 	"tebis/internal/metrics"
 	"tebis/internal/obs"
 	"tebis/internal/storage"
+	"tebis/internal/vlog"
 )
 
 // compactionJob is one planned unit of compaction work: merge srcLevel
@@ -313,11 +314,12 @@ func (db *DB) pipeline(ref CompactionJob, src, dst cursor) (btree.Built, error) 
 		fullKey := func(off storage.Offset) ([]byte, error) {
 			return db.readKey(off, metrics.CompCompaction)
 		}
+		deadHdr := make([]byte, vlog.HeaderSize) // recordDead's scratch for this stage
 		for e := range entries {
 			if e.Tombstone && dropTombstones {
 				// The tombstone reached the last level: its log record
 				// will never be consulted again, so its bytes are dead.
-				db.recordDead(e.ValueOff)
+				db.recordDead(e.ValueOff, deadHdr)
 				continue
 			}
 			if err := b.AddEntry(e.LeafEntry, e.key, fullKey); err != nil {

@@ -30,9 +30,23 @@ type Entry struct {
 	Tombstone bool
 }
 
+// node carries its key's prefix beside the pointers a search follows,
+// so that ordering two keys touches the key bytes themselves — another
+// cache line, behind another pointer — only when the prefixes tie: the
+// argument kv.MakePrefix makes for a leaf, applied to L0.
 type node struct {
-	entry Entry
-	next  []*node
+	prefix kv.Prefix
+	entry  Entry
+	next   []*node
+}
+
+// before reports whether n's key orders before key, whose prefix is
+// prefix.
+func (n *node) before(prefix kv.Prefix, key []byte) bool {
+	if c := n.prefix.Compare(prefix); c != 0 {
+		return c < 0
+	}
+	return kv.Compare(n.entry.Key, key) < 0
 }
 
 // Table is a sorted in-memory map from key to value-log offset.
@@ -70,13 +84,14 @@ func (t *Table) randomHeight() int {
 	return h
 }
 
-// findGE returns the first node with key >= key, filling prev with the
-// rightmost node before it at every level when prev is non-nil.
-func (t *Table) findGE(key []byte, prev []*node) *node {
+// findGE returns the first node with key >= key, whose prefix is
+// prefix, filling prev with the rightmost node before it at every level
+// when prev is non-nil.
+func (t *Table) findGE(prefix kv.Prefix, key []byte, prev []*node) *node {
 	x := t.head
 	for level := t.height - 1; level >= 0; level-- {
-		for x.next[level] != nil && kv.Compare(x.next[level].entry.Key, key) < 0 {
-			x = x.next[level]
+		for n := x.next[level]; n != nil && n.before(prefix, key); n = x.next[level] {
+			x = n
 		}
 		if prev != nil {
 			prev[level] = x
@@ -102,7 +117,8 @@ func (t *Table) InsertPrev(key []byte, off storage.Offset, tombstone bool) (prev
 	for i := range prev {
 		prev[i] = t.head
 	}
-	if n := t.findGE(key, prev); n != nil && kv.Compare(n.entry.Key, key) == 0 {
+	prefix := kv.MakePrefix(key)
+	if n := t.findGE(prefix, key, prev); n != nil && kv.Compare(n.entry.Key, key) == 0 {
 		prevEntry = n.entry
 		n.entry.Off = off
 		n.entry.Tombstone = tombstone
@@ -113,6 +129,7 @@ func (t *Table) InsertPrev(key []byte, off storage.Offset, tombstone bool) (prev
 		t.height = h
 	}
 	n := &node{
+		prefix: prefix,
 		entry: Entry{
 			Key:       append([]byte(nil), key...),
 			Off:       off,
@@ -131,7 +148,7 @@ func (t *Table) InsertPrev(key []byte, off storage.Offset, tombstone bool) (prev
 
 // Get returns the entry for key, if present.
 func (t *Table) Get(key []byte) (Entry, bool) {
-	n := t.findGE(key, nil)
+	n := t.findGE(kv.MakePrefix(key), key, nil)
 	if n != nil && kv.Compare(n.entry.Key, key) == 0 {
 		return n.entry, true
 	}
@@ -144,20 +161,21 @@ func (t *Table) Len() int { return t.count }
 // Bytes returns the approximate memory footprint of the table's entries.
 func (t *Table) Bytes() int64 { return t.bytes }
 
-// Iterator walks the table in ascending key order.
+// Iterator walks the table in ascending key order. It is a value: a
+// scan keeps it in memory it already has.
 type Iterator struct {
 	n *node
 }
 
 // Iter returns an iterator positioned at the first entry.
-func (t *Table) Iter() *Iterator {
-	return &Iterator{n: t.head.next[0]}
+func (t *Table) Iter() Iterator {
+	return Iterator{n: t.head.next[0]}
 }
 
 // SeekGE returns an iterator positioned at the first entry with
 // key >= the given key.
-func (t *Table) SeekGE(key []byte) *Iterator {
-	return &Iterator{n: t.findGE(key, nil)}
+func (t *Table) SeekGE(key []byte) Iterator {
+	return Iterator{n: t.findGE(kv.MakePrefix(key), key, nil)}
 }
 
 // Valid reports whether the iterator points at an entry.
@@ -165,6 +183,9 @@ func (it *Iterator) Valid() bool { return it.n != nil }
 
 // Entry returns the current entry. The iterator must be valid.
 func (it *Iterator) Entry() Entry { return it.n.entry }
+
+// Prefix returns the prefix of the current entry's key, as stored.
+func (it *Iterator) Prefix() kv.Prefix { return it.n.prefix }
 
 // Next advances the iterator.
 func (it *Iterator) Next() { it.n = it.n.next[0] }

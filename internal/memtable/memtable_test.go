@@ -1,9 +1,11 @@
 package memtable
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -145,6 +147,112 @@ func TestPropertyMatchesReferenceMap(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkAgainstOracle inserts keys in the order given — overwrites
+// included — and holds the table to a sorted slice of the distinct
+// keys: Get finds exactly those, each with its last offset and the
+// prefix cut from it; iteration visits them in order; and SeekGE of any
+// probe stands where a binary search of the slice does. findGE orders
+// nodes by their stored prefixes and looks at a key only on a tie, so
+// the key sets that matter are the ones whose prefixes collide.
+func checkAgainstOracle(t *testing.T, seed int64, keys, probes [][]byte) {
+	t.Helper()
+	tbl := New(seed)
+	last := map[string]storage.Offset{}
+	for i, k := range keys {
+		_, seen := last[string(k)]
+		if isNew := tbl.Insert(k, storage.Offset(i+1), i%5 == 0); isNew == seen {
+			t.Fatalf("Insert(%q) reported new=%v, seen before=%v", k, isNew, seen)
+		}
+		last[string(k)] = storage.Offset(i + 1)
+	}
+	sorted := make([]string, 0, len(last))
+	for k := range last {
+		sorted = append(sorted, k)
+	}
+	sort.Strings(sorted)
+	if tbl.Len() != len(sorted) {
+		t.Fatalf("Len = %d, want %d", tbl.Len(), len(sorted))
+	}
+
+	it := tbl.Iter()
+	for i, k := range sorted {
+		if !it.Valid() || string(it.Entry().Key) != k || it.Prefix() != kv.MakePrefix([]byte(k)) {
+			t.Fatalf("iteration: entry %d is not %q with its prefix", i, k)
+		}
+		it.Next()
+		if e, ok := tbl.Get([]byte(k)); !ok || e.Off != last[k] || string(e.Key) != k {
+			t.Fatalf("Get(%q) = %+v, %v, want offset %d", k, e, ok, last[k])
+		}
+	}
+	if it.Valid() {
+		t.Fatalf("iteration runs past the %d keys inserted, to %q", len(sorted), it.Entry().Key)
+	}
+
+	for _, p := range probes {
+		at := sort.SearchStrings(sorted, string(p))
+		it := tbl.SeekGE(p)
+		switch {
+		case at == len(sorted):
+			if it.Valid() {
+				t.Fatalf("SeekGE(%q) = %q, want the end", p, it.Entry().Key)
+			}
+		case !it.Valid() || string(it.Entry().Key) != sorted[at]:
+			t.Fatalf("SeekGE(%q) does not stand on %q", p, sorted[at])
+		}
+		if _, ok := tbl.Get(p); ok != (at < len(sorted) && sorted[at] == string(p)) {
+			t.Fatalf("Get(%q) found=%v", p, ok)
+		}
+	}
+}
+
+// TestPrefixTiesAgainstOracle is the engine's tie-heavy key population
+// (lsm model_test's tieKey): three long runs that share a twelve-byte
+// prefix each, and short keys that differ only in trailing zero bytes,
+// which the prefix's zero padding hides.
+func TestPrefixTiesAgainstOracle(t *testing.T) {
+	tieKey := func(i int) []byte {
+		i %= 512
+		if i%16 == 0 {
+			return []byte("ab" + strings.Repeat("\x00", i/16%6))
+		}
+		return []byte(fmt.Sprintf("sameprefix%02d-%03d", i%3, i))
+	}
+	rnd := rand.New(rand.NewSource(3))
+	var keys, probes [][]byte
+	for i := 0; i < 2000; i++ {
+		keys = append(keys, tieKey(rnd.Intn(512)))
+	}
+	for i := 0; i < 512; i++ {
+		k := tieKey(i)
+		probes = append(probes, k, k[:len(k)-1], append(append([]byte(nil), k...), 0), append(append([]byte(nil), k...), 'x'))
+	}
+	probes = append(probes, nil, []byte("a"), []byte("sameprefix0"), []byte("sameprefix00"), []byte("sameprefix03"), []byte("z"))
+	for seed := int64(1); seed <= 4; seed++ {
+		checkAgainstOracle(t, seed, keys, probes)
+	}
+}
+
+// FuzzOrder draws the key set itself from the fuzzer: data is cut into
+// keys at every sep byte, and each key is also probed with its last
+// byte dropped and with a zero byte added — the neighbours a prefix
+// comparison is most likely to misplace.
+func FuzzOrder(f *testing.F) {
+	f.Add([]byte("ab,ab\x00,ab\x00\x00,a,b,sameprefix00-001,sameprefix00-002,sameprefix00,sameprefix0"), byte(','), int64(1))
+	f.Add([]byte("twelve-bytes|twelve-bytes-and-more|twelve-bytes\x00|twelve-byte"), byte('|'), int64(7))
+	f.Add([]byte{}, byte(0), int64(0))
+	f.Fuzz(func(t *testing.T, data []byte, sep byte, seed int64) {
+		var keys, probes [][]byte
+		for _, k := range bytes.Split(data, []byte{sep}) {
+			if len(k) == 0 {
+				continue
+			}
+			keys = append(keys, k)
+			probes = append(probes, k, k[:len(k)-1], append(append([]byte(nil), k...), 0))
+		}
+		checkAgainstOracle(t, seed, keys, probes)
+	})
 }
 
 func BenchmarkInsert(b *testing.B) {

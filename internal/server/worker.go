@@ -19,11 +19,11 @@ type worker struct {
 	queue chan task
 
 	// Per-worker scratch, reused from op to op: the reply payload is
-	// encoded straight into msg, behind its header slot, and the message
-	// finished around it; pairs collects a scan's result before it is
-	// encoded. Nothing here outlives the op's reply write.
-	msg   wire.MsgBuf
-	pairs []kv.Pair
+	// built straight in msg, behind its header slot — the engine appends
+	// a get's value and a scan's pairs there as it reads them from the
+	// log — and the message finished around it. Nothing here outlives
+	// the op's reply write.
+	msg wire.MsgBuf
 	// stats is the addressed region's sink, set by acquire for the op in
 	// progress (nil when the op never resolved a hosted region).
 	stats *regionStats
@@ -195,9 +195,9 @@ func (w *worker) doPut(t task, del bool, rt *obs.ReqTrace) (wire.Op, uint8, []by
 // getReplyBudget returns how many value bytes fit in the client's reply
 // slot for a get.
 func getReplyBudget(h wire.Header) int {
-	// Reply slot holds header + encoded GetReply: 1 (found) + 4 (total)
-	// + 4 (len) + value, padded. Leave the padding headroom out.
-	overhead := wire.HeaderSize + 1 + 4 + 4 + 4 // + trailer magic
+	// Reply slot holds header + encoded GetReply (prefix + value),
+	// padded. Leave the padding headroom out.
+	overhead := wire.HeaderSize + wire.GetReplyPrefix + 4 // + trailer magic
 	budget := int(h.ReplySize) - overhead
 	if budget < 0 {
 		budget = 0
@@ -210,24 +210,7 @@ func (w *worker) doGet(t task) (wire.Op, uint8, []byte) {
 	if err != nil {
 		return wire.OpGetReply, wire.FlagError, []byte(err.Error())
 	}
-	ref, err := w.acquire(t, false)
-	if err != nil {
-		return errReply(err, wire.OpGetReply)
-	}
-	defer ref.release()
-	val, found, err := ref.db.Get(req.Key)
-	if err != nil {
-		return wire.OpGetReply, wire.FlagError, []byte(err.Error())
-	}
-	rep := wire.GetReply{Found: found, TotalSize: uint32(len(val)), Value: val}
-	var flags uint8
-	if budget := getReplyBudget(t.hdr); len(val) > budget {
-		// The value exceeds the client's reply slot: send the first
-		// chunk and let the client fetch the rest (§3.4.1).
-		rep.Value = val[:budget]
-		flags |= wire.FlagPartial
-	}
-	return wire.OpGetReply, flags, rep.Encode(w.msg.Reserve(rep.Size()))
+	return w.getRange(t, req.Key, 0)
 }
 
 func (w *worker) doGetRest(t task) (wire.Op, uint8, []byte) {
@@ -235,26 +218,36 @@ func (w *worker) doGetRest(t task) (wire.Op, uint8, []byte) {
 	if err != nil {
 		return wire.OpGetReply, wire.FlagError, []byte(err.Error())
 	}
+	return w.getRange(t, req.Key, int(req.Offset))
+}
+
+// getRange answers a get (from 0) or a get-rest (from the offset the
+// client has reached): the engine appends the value bytes from there
+// on, as many as the client's reply slot holds and no more, behind the
+// reply's prefix in w.msg, and the prefix is filled in afterwards. A
+// value that reaches past the slot is sent FlagPartial and the client
+// fetches the rest (§3.4.1); an offset past the value's end is a miss.
+func (w *worker) getRange(t task, key []byte, from int) (wire.Op, uint8, []byte) {
 	ref, err := w.acquire(t, false)
 	if err != nil {
 		return errReply(err, wire.OpGetReply)
 	}
 	defer ref.release()
-	val, found, err := ref.db.Get(req.Key)
+	budget := getReplyBudget(t.hdr)
+	rep := wire.BeginGetReply(w.msg.Reserve(wire.GetReplyPrefix + budget))
+	rep, total, found, err := ref.db.GetRange(rep, key, from, budget)
 	if err != nil {
 		return wire.OpGetReply, wire.FlagError, []byte(err.Error())
 	}
-	rep := wire.GetReply{}
 	var flags uint8
-	if found && int(req.Offset) <= len(val) {
-		rest := val[req.Offset:]
-		rep = wire.GetReply{Found: true, TotalSize: uint32(len(val)), Value: rest}
-		if budget := getReplyBudget(t.hdr); len(rest) > budget {
-			rep.Value = rest[:budget]
-			flags |= wire.FlagPartial
-		}
+	switch {
+	case !found || from > total:
+		found, total, rep = false, 0, rep[:wire.GetReplyPrefix]
+	case total-from > budget:
+		flags |= wire.FlagPartial
 	}
-	return wire.OpGetReply, flags, rep.Encode(w.msg.Reserve(rep.Size()))
+	wire.FinishGetReply(rep, found, uint32(total))
+	return wire.OpGetReply, flags, rep
 }
 
 func (w *worker) doScan(t task) (wire.Op, uint8, []byte) {
@@ -269,8 +262,11 @@ func (w *worker) doScan(t task) (wire.Op, uint8, []byte) {
 	defer ref.release()
 	end := ref.end
 	budget := int(t.hdr.ReplySize) - wire.HeaderSize - 64
-	pairs := w.pairs[:0]
-	size := 0
+	// Each pair goes into the reply as the scan hands it over — it is
+	// the scan's to overwrite once fn returns — and the count is filled
+	// in at the end.
+	rep := wire.BeginScanReply(w.msg.Reserve(4 + max(budget, 0)))
+	count, size := 0, 0
 	err = ref.db.Scan(req.Start, func(p kv.Pair) bool {
 		// Split children share the parent's engine, so the iteration must
 		// stop at the addressed region's bound instead of walking into a
@@ -279,25 +275,18 @@ func (w *worker) doScan(t task) (wire.Op, uint8, []byte) {
 			return false
 		}
 		size += p.Size() + 8
-		if size > budget && len(pairs) > 0 {
+		if size > budget && count > 0 {
 			return false
 		}
-		pairs = append(pairs, p)
-		return len(pairs) < int(req.Count)
+		rep = wire.AppendScanPair(rep, p)
+		count++
+		return count < int(req.Count)
 	})
-	var payload []byte
-	if err == nil {
-		rep := wire.ScanReply{Pairs: pairs}
-		payload = rep.Encode(w.msg.Reserve(rep.Size()))
-	}
-	// Keep the grown slice, not the pairs: they hold the engine's
-	// buffers, dead once encoded.
-	clear(pairs)
-	w.pairs = pairs
 	if err != nil {
 		return wire.OpScanReply, wire.FlagError, []byte(err.Error())
 	}
-	return wire.OpScanReply, 0, payload
+	wire.FinishScanReply(rep, count)
+	return wire.OpScanReply, 0, rep
 }
 
 // reply RDMA-writes the response into the client's reply slot.

@@ -1,7 +1,6 @@
 package vlog
 
 import (
-	"encoding/binary"
 	"errors"
 
 	"tebis/internal/kv"
@@ -75,29 +74,22 @@ func (l *Log) Replay(from storage.Offset, fn ReplayFunc) error {
 // WalkImage iterates the records of a raw (possibly partial) segment
 // image, invoking fn with each record's position, key, value, tombstone
 // flag, and encoded length. Iteration stops at the first zero key length
-// (padding), at a truncated trailer, or when fn returns false.
+// (padding), at a record the image does not hold to its end (a
+// truncated trailer), or when fn returns false. It is the one walker:
+// ScanUsed and Replay are loops over it, and it reads a header with the
+// decoder the record readers use.
 func WalkImage(data []byte, fn func(pos int64, key, value []byte, tomb bool, recLen int) bool) {
 	pos := int64(0)
 	for pos+recHdrSize <= int64(len(data)) {
-		keyLen := binary.LittleEndian.Uint32(data[pos : pos+4])
-		if keyLen == 0 {
+		h, ok, err := decodeHeader(data[pos:], int64(len(data))-pos)
+		if !ok || err != nil {
 			return
 		}
-		valLen := binary.LittleEndian.Uint32(data[pos+4 : pos+8])
-		tomb := valLen == tombstoneLen
-		vl := int64(valLen)
-		if tomb {
-			vl = 0
-		}
-		end := pos + recHdrSize + int64(keyLen) + vl
-		if end > int64(len(data)) {
+		rec := data[pos+recHdrSize : pos+int64(h.RecLen())]
+		if !fn(pos, rec[:h.keyLen], rec[h.keyLen:], h.tomb, h.RecLen()) {
 			return
 		}
-		rec := data[pos+recHdrSize : end]
-		if !fn(pos, rec[:keyLen], rec[keyLen:], tomb, int(end-pos)) {
-			return
-		}
-		pos = end
+		pos += int64(h.RecLen())
 	}
 }
 
@@ -107,51 +99,24 @@ func WalkImage(data []byte, fn func(pos int64, key, value []byte, tomb bool, rec
 // data (§3.5): records are contiguous and the rest of the buffer is
 // zeroed, so the first zero key length terminates the scan.
 func ScanUsed(data []byte) int64 {
-	pos := int64(0)
-	for pos+recHdrSize <= int64(len(data)) {
-		keyLen := binary.LittleEndian.Uint32(data[pos : pos+4])
-		if keyLen == 0 {
-			return pos
-		}
-		valLen := binary.LittleEndian.Uint32(data[pos+4 : pos+8])
-		vl := int64(valLen)
-		if valLen == tombstoneLen {
-			vl = 0
-		}
-		end := pos + recHdrSize + int64(keyLen) + vl
-		if end > int64(len(data)) {
-			return pos
-		}
-		pos = end
-	}
-	return pos
+	used := int64(0)
+	WalkImage(data, func(pos int64, _, _ []byte, _ bool, recLen int) bool {
+		used = pos + int64(recLen)
+		return true
+	})
+	return used
 }
 
-// replaySegment decodes records from data starting at pos. It returns
+// replaySegment hands fn the records of data from pos on. It returns
 // false if fn stopped the replay.
 func replaySegment(geo storage.Geometry, seg storage.SegmentID, data []byte, pos int64, fn ReplayFunc) bool {
-	for pos+recHdrSize <= int64(len(data)) {
-		keyLen := binary.LittleEndian.Uint32(data[pos : pos+4])
-		if keyLen == 0 {
-			// Zero padding: rest of segment is unused.
-			return true
-		}
-		valLen := binary.LittleEndian.Uint32(data[pos+4 : pos+8])
-		tomb := valLen == tombstoneLen
-		vl := int64(valLen)
-		if tomb {
-			vl = 0
-		}
-		end := pos + recHdrSize + int64(keyLen) + vl
-		if end > int64(len(data)) {
-			return true // truncated trailer; treat as padding
-		}
-		rec := data[pos+recHdrSize : end]
-		pair := kv.Pair{Key: rec[:keyLen], Value: rec[keyLen:]}
-		if !fn(geo.Pack(seg, pos), pair, tomb) {
-			return false
-		}
-		pos = end
+	if pos > int64(len(data)) {
+		return true
 	}
-	return true
+	more := true
+	WalkImage(data[pos:], func(p int64, key, value []byte, tomb bool, _ int) bool {
+		more = fn(geo.Pack(seg, pos+p), kv.Pair{Key: key, Value: value}, tomb)
+		return more
+	})
+	return more
 }

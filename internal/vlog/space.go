@@ -133,14 +133,13 @@ func (l *Log) AddDead(off storage.Offset, n int) {
 }
 
 // RecordLen returns the encoded on-log length of the record at off
-// (header + key + value). The LSM uses it to size dead-byte charges
-// without decoding the full record.
+// (header + key + value): ReadHeader for a caller with no scratch.
 func (l *Log) RecordLen(off storage.Offset) (int, error) {
-	h, err := l.header(off)
+	h, err := l.ReadHeader(off, nil)
 	if err != nil {
 		return 0, err
 	}
-	return recHdrSize + h.keyLen + h.valLen, nil
+	return h.RecLen(), nil
 }
 
 // Release frees the given sealed segments wherever they sit in the log —

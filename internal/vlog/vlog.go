@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"tebis/internal/integrity"
@@ -21,8 +22,12 @@ import (
 	"tebis/internal/storage"
 )
 
-// recHdrSize is the record header: 4-byte key length + 4-byte value length.
-const recHdrSize = 8
+// HeaderSize is the record header: 4-byte key length + 4-byte value
+// length — what a record costs on the log, and a read of it on the
+// device, beyond its key and value.
+const HeaderSize = 8
+
+const recHdrSize = HeaderSize
 
 // tombstoneLen is the value-length sentinel marking a delete record.
 const tombstoneLen = ^uint32(0)
@@ -219,64 +224,157 @@ func (l *Log) readAt(off storage.Offset, p []byte) error {
 	return l.dev.ReadAt(off, p)
 }
 
-// recordHeader is the decoded header of one record.
-type recordHeader struct {
+// Header is the decoded, checked header of one record: where the record
+// starts and how long its key and value are. Only the log hands one out
+// (ReadHeader, AppendKey, AppendRecord), so a caller that holds one
+// holds the result of the checks decodeHeader makes, for that offset,
+// and AppendValue need not read the header again.
+type Header struct {
+	off            storage.Offset
 	keyLen, valLen int // valLen is 0 for a tombstone
 	tomb           bool
 }
 
-// header reads and checks the header of the record at off — the one
-// decoder behind Get, GetKey and RecordLen. A zero key length means off
-// points into padding, not at a record (ErrBadOffset). A record never
-// crosses its segment, so lengths that would are corrupt log bytes
-// (ErrCorruptRecord); checking them here is also what stops a decoded
-// frame trailer or a flipped bit from sizing a giant allocation.
-func (l *Log) header(off storage.Offset) (recordHeader, error) {
-	var hdr [recHdrSize]byte
-	if err := l.readAt(off, hdr[:]); err != nil {
-		return recordHeader{}, err
-	}
+// Off returns the device offset of the record the header was read at;
+// the zero Header's is storage.NilOffset, which no record has.
+func (h Header) Off() storage.Offset { return h.off }
+
+// KeyLen and ValLen return the lengths of the record's key and value.
+func (h Header) KeyLen() int { return h.keyLen }
+func (h Header) ValLen() int { return h.valLen }
+
+// Tombstone reports whether the record is a delete.
+func (h Header) Tombstone() bool { return h.tomb }
+
+// RecLen returns the record's encoded on-log length.
+func (h Header) RecLen() int { return recHdrSize + h.keyLen + h.valLen }
+
+// decodeHeader decodes the eight header bytes of a record that has room
+// bytes from its first byte to the end of its segment (or image) — the
+// one header decoder, behind the record readers and the image walkers
+// alike. ok is false for a zero key length: the position holds padding,
+// not a record. A record never crosses its segment, so lengths that
+// would are corrupt log bytes (ErrCorruptRecord); checking them here is
+// also what stops a decoded frame trailer or a flipped bit from sizing
+// a giant read.
+func decodeHeader(hdr []byte, room int64) (h Header, ok bool, err error) {
 	keyLen := binary.LittleEndian.Uint32(hdr[0:4])
 	valLen := binary.LittleEndian.Uint32(hdr[4:8])
 	if keyLen == 0 {
-		return recordHeader{}, fmt.Errorf("%w: zero key length at %#x", ErrBadOffset, off)
+		return Header{}, false, nil
 	}
 	tomb := valLen == tombstoneLen
 	if tomb {
 		valLen = 0
 	}
-	if l.geo.Within(off)+recHdrSize+int64(keyLen)+int64(valLen) > l.geo.SegmentSize() {
-		return recordHeader{}, fmt.Errorf("%w: %d+%d byte record at %#x", ErrCorruptRecord, keyLen, valLen, off)
+	if recHdrSize+int64(keyLen)+int64(valLen) > room {
+		return Header{}, false, fmt.Errorf("%w: %d+%d byte record in %d bytes", ErrCorruptRecord, keyLen, valLen, room)
 	}
-	return recordHeader{keyLen: int(keyLen), valLen: int(valLen), tomb: tomb}, nil
+	return Header{keyLen: int(keyLen), valLen: int(valLen), tomb: tomb}, true, nil
 }
 
-// Get decodes the record at off. For tombstones it returns the key, a
-// nil value, and tombstone=true.
-func (l *Log) Get(off storage.Offset) (pair kv.Pair, tombstone bool, err error) {
-	h, err := l.header(off)
-	if err != nil {
-		return kv.Pair{}, false, err
+// ReadHeader reads and checks the header of the record at off. A zero
+// key length means off points into padding, not at a record
+// (ErrBadOffset). The eight bytes pass through scratch — memory the
+// caller already has, a destination's spare capacity for one — because
+// a buffer handed to storage.Device escapes: a local array would be a
+// heap allocation per record looked at. Only a scratch shorter than a
+// header is replaced by one.
+func (l *Log) ReadHeader(off storage.Offset, scratch []byte) (Header, error) {
+	if len(scratch) < recHdrSize {
+		scratch = make([]byte, recHdrSize)
 	}
-	buf := make([]byte, h.keyLen+h.valLen)
-	if err = l.readAt(off+recHdrSize, buf); err != nil {
+	if err := l.readAt(off, scratch[:recHdrSize]); err != nil {
+		return Header{}, err
+	}
+	h, ok, err := decodeHeader(scratch, l.geo.SegmentSize()-l.geo.Within(off))
+	if err != nil {
+		return Header{}, fmt.Errorf("%w at %#x", err, off)
+	}
+	if !ok {
+		return Header{}, fmt.Errorf("%w: zero key length at %#x", ErrBadOffset, off)
+	}
+	h.off = off
+	return h, nil
+}
+
+// appendAt appends the n bytes at off to dst: the one device read every
+// record reader ends in (none for n = 0: an empty value, an empty
+// range).
+func (l *Log) appendAt(dst []byte, off storage.Offset, n int) ([]byte, error) {
+	if n == 0 {
+		return dst, nil
+	}
+	dst = slices.Grow(dst, n)
+	end := len(dst) + n
+	if err := l.readAt(off, dst[len(dst):end]); err != nil {
+		return dst, err
+	}
+	return dst[:end], nil
+}
+
+// appendHead reads the header of the record at off through dst's spare
+// capacity — ReadHeader finds eight bytes of its own when dst has none
+// to spare, as Get's and GetKey's nil has not — and then, over it,
+// appends the record's key, and its value for the whole record. On an
+// error dst comes back as it was.
+func (l *Log) appendHead(dst []byte, off storage.Offset, whole bool) ([]byte, Header, error) {
+	h, err := l.ReadHeader(off, dst[len(dst):cap(dst)])
+	if err != nil {
+		return dst, Header{}, err
+	}
+	n := h.keyLen
+	if whole {
+		n += h.valLen
+	}
+	out, err := l.appendAt(dst, off+recHdrSize, n)
+	if err != nil {
+		return dst, Header{}, err
+	}
+	return out, h, nil
+}
+
+// AppendKey appends the key of the record at off to dst — what orders
+// two index entries whose prefixes tie, without fetching the value —
+// and returns the record's header with it, so that a caller who then
+// wants the value does not read the header twice. Nothing before
+// len(dst) is written.
+func (l *Log) AppendKey(dst []byte, off storage.Offset) ([]byte, Header, error) {
+	return l.appendHead(dst, off, false)
+}
+
+// AppendRecord appends the key and then the value of the record at off
+// to dst, in one read; the header it returns says where the key ends.
+// Nothing before len(dst) is written.
+func (l *Log) AppendRecord(dst []byte, off storage.Offset) ([]byte, Header, error) {
+	return l.appendHead(dst, off, true)
+}
+
+// AppendValue appends up to n bytes of the value of h's record,
+// starting from byte from of it, to dst: a reply slot smaller than the
+// value reads only what it sends. The range is clipped to the value;
+// nothing before len(dst) is written.
+func (l *Log) AppendValue(dst []byte, h Header, from, n int) ([]byte, error) {
+	from = min(max(from, 0), h.valLen)
+	n = min(max(n, 0), h.valLen-from)
+	return l.appendAt(dst, h.off+storage.Offset(recHdrSize+h.keyLen+from), n)
+}
+
+// Get decodes the record at off into a buffer of its own. For
+// tombstones it returns the key, a nil value, and tombstone=true.
+func (l *Log) Get(off storage.Offset) (pair kv.Pair, tombstone bool, err error) {
+	buf, h, err := l.AppendRecord(nil, off)
+	if err != nil {
 		return kv.Pair{}, false, err
 	}
 	return kv.Pair{Key: buf[:h.keyLen], Value: buf[h.keyLen:]}, h.tomb, nil
 }
 
-// GetKey decodes only the key of the record at off: what orders two
-// index entries whose prefixes tie, without fetching the value.
+// GetKey decodes only the key of the record at off, into a buffer of
+// its own.
 func (l *Log) GetKey(off storage.Offset) ([]byte, error) {
-	h, err := l.header(off)
-	if err != nil {
-		return nil, err
-	}
-	key := make([]byte, h.keyLen)
-	if err := l.readAt(off+recHdrSize, key); err != nil {
-		return nil, err
-	}
-	return key, nil
+	key, _, err := l.AppendKey(nil, off)
+	return key, err
 }
 
 // Geometry returns the underlying device geometry.

@@ -44,6 +44,13 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(msg(Header{Opcode: OpScan}, ScanReq{Start: []byte("k"), Count: 16}.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpGetReply, Flags: FlagPartial}, GetReply{Found: true, TotalSize: 4096, Value: []byte("chunk")}.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpScanReply}, ScanReply{Pairs: []kv.Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b")}}}.Encode(nil)))
+	gets, scans := replyCases() // every shape a worker builds in place
+	for _, r := range gets {
+		f.Add(msg(Header{Opcode: OpGetReply}, r.Encode(nil)))
+	}
+	for _, r := range scans {
+		f.Add(msg(Header{Opcode: OpScanReply}, r.Encode(nil)))
+	}
 	f.Add(msg(Header{Opcode: OpPutReply, Flags: FlagError | FlagWrongRegion | FlagWrongEpoch}, []byte("server: region epoch mismatch")))
 	f.Add(msg(Header{Opcode: OpFlushTail}, FlushTail{RegionID: 3, PrimarySeg: 12}.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpCompactionStart}, CompactionStart{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2}.Encode(nil)))

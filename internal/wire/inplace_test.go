@@ -112,3 +112,97 @@ func TestMsgBufBuildsTheSameBytesInPlace(t *testing.T) {
 		t.Fatalf("header-only message = %d bytes", len(got))
 	}
 }
+
+// replyCases are the replies a worker builds where they are sent from:
+// the shapes a get and a scan can take.
+func replyCases() (gets map[string]GetReply, scans map[string]ScanReply) {
+	sixteen := ScanReply{}
+	for i := 0; i < 16; i++ {
+		sixteen.Pairs = append(sixteen.Pairs, kv.Pair{Key: []byte{'k', byte('a' + i)}, Value: bytes.Repeat([]byte{byte(i)}, i*7)})
+	}
+	return map[string]GetReply{
+			"found":       {Found: true, TotalSize: 300, Value: bytes.Repeat([]byte("x"), 300)},
+			"miss":        {},
+			"partial":     {Found: true, TotalSize: 70000, Value: bytes.Repeat([]byte("p"), 883)},
+			"empty value": {Found: true},
+		}, map[string]ScanReply{
+			"no pairs": {},
+			"one pair": {Pairs: []kv.Pair{{Key: []byte("only"), Value: []byte("1")}}},
+			"16 pairs": sixteen,
+		}
+}
+
+// TestRepliesBuiltInPlace: a GetReply whose value the engine appends
+// behind a blank prefix, and a ScanReply whose pairs arrive one by one
+// behind a blank count, are — once finished — the bytes the format
+// says, written out here field by field, and the bytes Encode gives;
+// they decode to what went in; and over a buffer an earlier, longer
+// reply left dirty, building them allocates nothing.
+func TestRepliesBuiltInPlace(t *testing.T) {
+	le32 := func(dst []byte, v int) []byte { return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
+	var mb MsgBuf
+	mb.Finish(Header{Opcode: OpPut}, bytes.Repeat([]byte{0xAB}, 4000))
+	gets, scans := replyCases()
+
+	for name, r := range gets {
+		want := []byte{0}
+		if r.Found {
+			want[0] = 1
+		}
+		want = append(le32(le32(want, int(r.TotalSize)), len(r.Value)), r.Value...)
+
+		build := func() []byte {
+			p := BeginGetReply(mb.Reserve(GetReplyPrefix + len(r.Value)))
+			p = append(p, r.Value...) // the engine's append
+			FinishGetReply(p, r.Found, r.TotalSize)
+			return p
+		}
+		got := build()
+		if !bytes.Equal(got, want) || !bytes.Equal(r.Encode(nil), want) {
+			t.Fatalf("get %s: built in place %x, Encode %x, the format %x", name, got, r.Encode(nil), want)
+		}
+		if &got[0] != &mb.Finish(Header{Opcode: OpGetReply}, got)[HeaderSize] {
+			t.Fatalf("get %s: the reply was not built in the message", name)
+		}
+		back, err := DecodeGetReply(got)
+		if err != nil || back.Found != r.Found || back.TotalSize != r.TotalSize || !bytes.Equal(back.Value, r.Value) {
+			t.Fatalf("get %s: decodes to %+v, %v", name, back, err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { build() }); allocs != 0 {
+			t.Errorf("get %s: building the reply in a warm MsgBuf allocates %v times", name, allocs)
+		}
+	}
+
+	for name, r := range scans {
+		want := le32(nil, len(r.Pairs))
+		for _, p := range r.Pairs {
+			want = append(le32(want, len(p.Key)), p.Key...)
+			want = append(le32(want, len(p.Value)), p.Value...)
+		}
+
+		build := func() []byte {
+			p := BeginScanReply(mb.Reserve(r.Size()))
+			for _, pair := range r.Pairs { // the scan's fn, pair by pair
+				p = AppendScanPair(p, pair)
+			}
+			FinishScanReply(p, len(r.Pairs))
+			return p
+		}
+		got := build()
+		if !bytes.Equal(got, want) || !bytes.Equal(r.Encode(nil), want) {
+			t.Fatalf("scan %s: built in place %x, Encode %x, the format %x", name, got, r.Encode(nil), want)
+		}
+		back, err := DecodeScanReply(got)
+		if err != nil || len(back.Pairs) != len(r.Pairs) {
+			t.Fatalf("scan %s: decodes to %d pairs, %v", name, len(back.Pairs), err)
+		}
+		for i, p := range back.Pairs {
+			if !bytes.Equal(p.Key, r.Pairs[i].Key) || !bytes.Equal(p.Value, r.Pairs[i].Value) {
+				t.Fatalf("scan %s: pair %d decodes to %q:%q", name, i, p.Key, p.Value)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() { build() }); allocs != 0 {
+			t.Errorf("scan %s: building the reply in a warm MsgBuf allocates %v times", name, allocs)
+		}
+	}
+}

@@ -180,17 +180,38 @@ type GetReply struct {
 }
 
 // Size returns the encoded payload length.
-func (r GetReply) Size() int { return 1 + 4 + 4 + len(r.Value) }
+func (r GetReply) Size() int { return GetReplyPrefix + len(r.Value) }
 
 // Encode appends the payload to dst.
 func (r GetReply) Encode(dst []byte) []byte {
-	b := byte(0)
-	if r.Found {
-		b = 1
+	start := len(dst)
+	dst = append(BeginGetReply(grow(dst, r.Size())), r.Value...)
+	FinishGetReply(dst[start:], r.Found, r.TotalSize)
+	return dst
+}
+
+// GetReplyPrefix is the fixed part of a GetReply, ahead of the value
+// bytes: found (1), total size (4), value length (4).
+const GetReplyPrefix = 1 + 4 + 4
+
+// BeginGetReply starts a GetReply built where it is sent from: it
+// appends the prefix, still blank, to dst. The caller appends the value
+// bytes behind it — the engine reads them straight there — and
+// FinishGetReply fills the prefix in. A blank prefix alone is a miss.
+func BeginGetReply(dst []byte) []byte {
+	return append(dst, make([]byte, GetReplyPrefix)...)
+}
+
+// FinishGetReply completes the GetReply p — BeginGetReply's prefix and
+// whatever value bytes were appended behind it — giving the same bytes
+// as GetReply.Encode.
+func FinishGetReply(p []byte, found bool, total uint32) {
+	p[0] = 0
+	if found {
+		p[0] = 1
 	}
-	dst = append(grow(dst, r.Size()), b)
-	dst = appendU32(dst, r.TotalSize)
-	return appendBytes(dst, r.Value)
+	binary.LittleEndian.PutUint32(p[1:5], total)
+	binary.LittleEndian.PutUint32(p[5:GetReplyPrefix], uint32(len(p)-GetReplyPrefix))
 }
 
 // DecodeGetReply parses a GetReply payload.
@@ -226,12 +247,31 @@ func (r ScanReply) Size() int {
 
 // Encode appends the payload to dst.
 func (r ScanReply) Encode(dst []byte) []byte {
-	dst = appendU32(grow(dst, r.Size()), uint32(len(r.Pairs)))
+	start := len(dst)
+	dst = BeginScanReply(grow(dst, r.Size()))
 	for _, p := range r.Pairs {
-		dst = appendBytes(dst, p.Key)
-		dst = appendBytes(dst, p.Value)
+		dst = AppendScanPair(dst, p)
 	}
+	FinishScanReply(dst[start:], len(r.Pairs))
 	return dst
+}
+
+// BeginScanReply starts a ScanReply built where it is sent from: it
+// appends the pair count, still zero, to dst. The caller appends each
+// pair with AppendScanPair as the scan hands it over, and
+// FinishScanReply fills the count in.
+func BeginScanReply(dst []byte) []byte { return appendU32(dst, 0) }
+
+// AppendScanPair appends one pair to a ScanReply under construction. It
+// copies the pair, which the scan may then overwrite.
+func AppendScanPair(dst []byte, p kv.Pair) []byte {
+	return appendBytes(appendBytes(dst, p.Key), p.Value)
+}
+
+// FinishScanReply completes the ScanReply p of count pairs, giving the
+// same bytes as ScanReply.Encode.
+func FinishScanReply(p []byte, count int) {
+	binary.LittleEndian.PutUint32(p, uint32(count))
 }
 
 // DecodeScanReply parses a ScanReply payload.
