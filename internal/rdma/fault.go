@@ -82,9 +82,11 @@ type FaultFunc func(op FaultOp, from, to string, seq int, payload []byte) Fault
 // initiator or target, and its verdict applies before any effect of the
 // operation. Sequence numbers keep counting across InjectFault calls.
 func (ep *Endpoint) InjectFault(fn FaultFunc) {
-	ep.faultMu.Lock()
-	ep.faultFn = fn
-	ep.faultMu.Unlock()
+	if fn == nil {
+		ep.faultFn.Store(nil)
+		return
+	}
+	ep.faultFn.Store(&fn)
 }
 
 // evalFault consults both endpoints' hooks (initiator first); the first
@@ -97,13 +99,10 @@ func evalFault(op FaultOp, from, to *Endpoint, payload []byte) Fault {
 }
 
 func (ep *Endpoint) fault(op FaultOp, from, to string, payload []byte) Fault {
-	ep.faultMu.Lock()
-	fn := ep.faultFn
-	seq := ep.faultSeq[op]
-	ep.faultSeq[op] = seq + 1
-	ep.faultMu.Unlock()
+	seq := ep.faultSeq[op].Add(1) - 1
+	fn := ep.faultFn.Load()
 	if fn == nil {
 		return Fault{}
 	}
-	return fn(op, from, to, seq, payload)
+	return (*fn)(op, from, to, int(seq), payload)
 }

@@ -6,8 +6,8 @@
 // on (DESIGN.md "Packages and substitutions"):
 //
 //  1. One-sided writes never involve the target CPU. A Write memcpys
-//     into the target's registered memory and raises only a passive
-//     doorbell the target may poll; no target-side code runs.
+//     into the target's registered memory, which the target discovers by
+//     polling it; no target-side code runs.
 //  2. All traffic is byte-counted per endpoint, giving the network
 //     amplification metric.
 //
@@ -48,25 +48,19 @@ type Endpoint struct {
 	tx atomic.Uint64
 	rx atomic.Uint64
 
-	// doorbell wakes pollers when any region of this endpoint is
-	// written remotely. It models the memory the spinning thread polls:
-	// the writer's NIC makes bytes visible; the poller discovers them.
-	doorbell chan struct{}
-
 	// faultFn is the installed fault hook (nil when none); faultSeq
-	// counts operations per class for the hook's seq argument.
-	faultMu  sync.Mutex
-	faultFn  FaultFunc
-	faultSeq [numFaultOps]int
+	// counts operations per class for the hook's seq argument. Every
+	// Write and Send reads both at both ends, so neither takes a lock.
+	faultFn  atomic.Pointer[FaultFunc]
+	faultSeq [numFaultOps]atomic.Int64
 }
 
 // NewEndpoint creates a NIC for a node.
 func NewEndpoint(name string) *Endpoint {
 	return &Endpoint{
-		name:     name,
-		regions:  make(map[uint32]*MemoryRegion),
-		nextKey:  1,
-		doorbell: make(chan struct{}, 1),
+		name:    name,
+		regions: make(map[uint32]*MemoryRegion),
+		nextKey: 1,
 	}
 }
 
@@ -83,20 +77,6 @@ func (ep *Endpoint) RxBytes() uint64 { return ep.rx.Load() }
 func (ep *Endpoint) ResetCounters() {
 	ep.tx.Store(0)
 	ep.rx.Store(0)
-}
-
-// Doorbell returns a channel that receives a token whenever remote data
-// lands in any of this endpoint's regions. The server's spinning thread
-// blocks here when all rendezvous points are quiet — the sleep-wakeup
-// variant §3.4.1 mentions; detection work is still charged per message
-// by the cost model.
-func (ep *Endpoint) Doorbell() <-chan struct{} { return ep.doorbell }
-
-func (ep *Endpoint) ring() {
-	select {
-	case ep.doorbell <- struct{}{}:
-	default:
-	}
 }
 
 // MemoryRegion is registered memory remotely writable via its RKey.
@@ -254,7 +234,6 @@ func (qp *QP) Write(rkey uint32, off int, data []byte, wrID uint64) error {
 
 	qp.local.tx.Add(uint64(len(data)))
 	qp.remote.rx.Add(uint64(len(data)))
-	qp.remote.ring()
 
 	select {
 	case qp.cq <- Completion{WRID: wrID, Bytes: len(data)}:

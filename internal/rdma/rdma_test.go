@@ -60,25 +60,6 @@ func TestDeregisteredRegionRejected(t *testing.T) {
 	}
 }
 
-func TestDoorbellRingsOnWrite(t *testing.T) {
-	a, b := NewEndpoint("a"), NewEndpoint("b")
-	mr, _ := b.Register(64)
-	qp := Connect(a, b, 4)
-	select {
-	case <-b.Doorbell():
-		t.Fatal("doorbell rang before any write")
-	default:
-	}
-	if err := qp.Write(mr.RKey(), 0, []byte("x"), 1); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-b.Doorbell():
-	default:
-		t.Fatal("doorbell did not ring")
-	}
-}
-
 func TestSendRecvTwoSided(t *testing.T) {
 	a, b := NewEndpoint("a"), NewEndpoint("b")
 	qab := Connect(a, b, 4)

@@ -703,7 +703,7 @@ func (p *Primary) encodeShip(job lsm.CompactionJob, seg btree.EmittedSegment) (f
 	if p.cfg.ShipCodec == shipcodec.None {
 		return shipFrame{data: seg.Data}, shipFrame{}, nil
 	}
-	frame, err := shipcodec.Encode(p.cfg.ShipCodec, seg.Data)
+	frame, err := shipcodec.EncodePages(p.cfg.ShipCodec, seg.Data, p.cfg.ShipPageSize)
 	if err != nil {
 		return shipFrame{}, shipFrame{}, err
 	}

@@ -167,7 +167,7 @@ func (b *Backup) handleFetchSegment(h wire.Header, req wire.FetchSegment) ([]byt
 		// The codec is the outermost wire layer: compress AFTER the
 		// rewrite inversion, so the requester's decode yields the
 		// primary-space payload directly.
-		frame, err := shipcodec.Encode(shipcodec.Codec(req.Codec), data)
+		frame, err := shipcodec.EncodePages(shipcodec.Codec(req.Codec), data, b.cfg.LSM.NodeSize)
 		if err != nil {
 			return miss, nil
 		}
@@ -415,7 +415,7 @@ func (p *Primary) repairBackup(h *backupHandle, ref wire.SegRef) bool {
 	// transfer before inverting the codec (and only then rewrites).
 	var codec uint8
 	if p.cfg.ShipCodec != shipcodec.None {
-		frame, err := shipcodec.Encode(p.cfg.ShipCodec, data)
+		frame, err := shipcodec.EncodePages(p.cfg.ShipCodec, data, p.cfg.ShipPageSize)
 		if err != nil {
 			return false
 		}

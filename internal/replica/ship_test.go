@@ -251,3 +251,108 @@ func TestShipDeltaBaseMismatchFallsBack(t *testing.T) {
 		t.Fatal("primary degraded after delta fallback")
 	}
 }
+
+// TestPackedShipsLandTheBytesRawShipsDo: the ship codec is wire-only.
+// The same load — overwrites and tombstones included — shipped as page
+// streams and shipped raw leaves the two backups' devices byte for byte
+// alike, every index segment among them, and the backup that received
+// every level packed is promoted and answers each key as the primary
+// does.
+func TestPackedShipsLandTheBytesRawShipsDo(t *testing.T) {
+	const n = 4000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("user%08d", i*7919%n)) }
+	load := func(codec shipcodec.Codec, ship *metrics.ShipStats) *rig {
+		r := newRigCfg(t, SendIndex, 1,
+			// One compaction at a time, and none pending while the next
+			// batch is written: both rigs run the same jobs in the same
+			// order, so their backups allocate the same segments.
+			func(o *lsm.Options) { o.CompactionWorkers = 1 },
+			func(pc *PrimaryConfig) {
+				pc.ShipCodec = codec
+				pc.ShipPageSize = lsmOpts().NodeSize
+				pc.Ship = ship
+			}, nil)
+		for i := 0; i < n; i++ {
+			var err error
+			switch {
+			case i%11 == 3:
+				err = r.db.Delete(key(i / 2))
+			case i%5 == 0:
+				err = r.db.Put(key(i/3), []byte(fmt.Sprintf("again-%d", i)))
+			default:
+				err = r.db.Put(key(i), []byte(fmt.Sprintf("value-%d", i)))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%64 == 63 {
+				if err := r.db.WaitIdle(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := r.db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.db.WaitIdle(); err != nil {
+			t.Fatal(err)
+		}
+		r.checkHealthy()
+		return r
+	}
+	var packedShip, rawShip metrics.ShipStats
+	packed, raw := load(shipcodec.Flate, &packedShip), load(shipcodec.None, &rawShip)
+
+	ps, rs := packedShip.Snapshot(), rawShip.Snapshot()
+	t.Logf("packed: %d segments, raw=%d wire=%d; uncompressed: %d segments, wire=%d",
+		ps.FullSegments, ps.RawBytes, ps.WireBytes, rs.FullSegments, rs.WireBytes)
+	if ps.FullSegments == 0 || ps.FullSegments != rs.FullSegments || ps.RawBytes != rs.RawBytes {
+		t.Fatalf("the two loads shipped %d and %d segments of %d and %d bytes", ps.FullSegments, rs.FullSegments, ps.RawBytes, rs.RawBytes)
+	}
+	if 2*ps.WireBytes > ps.RawBytes {
+		t.Fatalf("packed ships put %d bytes on the wire for %d of segments", ps.WireBytes, ps.RawBytes)
+	}
+
+	segs := packed.devB[0].Segments()
+	if got := raw.devB[0].Segments(); fmt.Sprint(got) != fmt.Sprint(segs) {
+		t.Fatalf("backups hold different segments: %v and %v", segs, got)
+	}
+	geo := packed.devB[0].Geometry()
+	a, b := make([]byte, geo.SegmentSize()), make([]byte, geo.SegmentSize())
+	for _, seg := range segs {
+		if err := packed.devB[0].ReadAt(geo.Pack(seg, 0), a); err != nil {
+			t.Fatal(err)
+		}
+		if err := raw.devB[0].ReadAt(geo.Pack(seg, 0), b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("backup segment %d differs between packed and raw ships", seg)
+		}
+	}
+	indexSegs := 0
+	for _, lvl := range packed.backups[0].LevelStates(lsmOpts().MaxLevels) {
+		indexSegs += len(lvl.Segments)
+	}
+	if indexSegs == 0 {
+		t.Fatal("the backup installed no index segments: nothing was compared")
+	}
+
+	bk := packed.backups[0]
+	packed.primary.Detach(bk)
+	promoted, err := bk.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer promoted.Close()
+	for i := 0; i < n; i++ {
+		want, wantFound, err := packed.db.Get(key(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, found, err := promoted.Get(key(i))
+		if err != nil || found != wantFound || !bytes.Equal(got, want) {
+			t.Fatalf("promoted Get(%s) = %q, %v, %v; the primary answers %q, %v", key(i), got, found, err, want, wantFound)
+		}
+	}
+}

@@ -196,7 +196,7 @@ func (p *Primary) shipSegmentImage(h *backupHandle, jobID uint64, lvl int, seg s
 	raw := len(data)
 	var codec uint8
 	if p.cfg.ShipCodec != shipcodec.None {
-		frame, err := shipcodec.Encode(p.cfg.ShipCodec, data)
+		frame, err := shipcodec.EncodePages(p.cfg.ShipCodec, data, p.cfg.ShipPageSize)
 		if err != nil {
 			return 0, err
 		}

@@ -19,14 +19,24 @@
 // DECODED bytes, not the payload: it catches transport corruption and —
 // crucially for delta frames — a base image that does not match the one
 // the encoder diffed against, which would otherwise reconstruct silently
-// wrong bytes. Frames whose compressed payload would exceed the raw
-// bytes are stored verbatim (codec byte Stored), so a frame never grows
-// a segment by more than MaxOverhead.
+// wrong bytes — and a packer that did not rebuild a page bit for bit.
+// Frames whose encoded payload would not be smaller than the raw bytes
+// are stored verbatim (codec byte Stored), so a frame never grows a
+// segment by more than MaxOverhead.
+//
+// A full frame's payload is a page stream (pages.go): the image cut into
+// fixed-size pages, the B+-tree builder's node size. A page that is a
+// leaf goes in line in btree's packed form — 98 % of a shipped index
+// image is leaves of fixed <prefix, offset, flags> entries whose
+// redundancy is columnar, which a byte-stream compressor spends
+// 12–16 µs/KB rediscovering. Every other page (index nodes, a short last
+// page, and all of a value-log segment: Sync and repair push those
+// through the same Encode) is gathered in order as residue and DEFLATE-d
+// behind the packed pages.
 //
 // Delta frames (FlagDelta) carry a page patch stream instead of the
-// image: the pages (fixed-size blocks, the B+-tree builder's node size)
-// that differ from a base image both sides hold. The stream is itself
-// flate-compressed when that helps.
+// image: the pages that differ from a base image both sides hold. The
+// stream is itself flate-compressed when that helps.
 package shipcodec
 
 import (
@@ -49,7 +59,8 @@ type Codec uint8
 const (
 	// None ships raw bytes with no frame (legacy / baseline).
 	None Codec = 0
-	// Flate compresses frames with DEFLATE at BestSpeed.
+	// Flate frames images as page streams — leaves packed, everything
+	// else DEFLATE-d at BestSpeed — and deltas as DEFLATE-d patch streams.
 	Flate Codec = 1
 )
 
@@ -72,11 +83,13 @@ const (
 )
 
 // codec bytes stored inside a frame. stored marks a payload kept
-// verbatim because compression did not help; the frame-level Codec a
-// shipper announces on the wire stays Flate.
+// verbatim because encoding did not help; flate is a delta frame's
+// DEFLATE-d patch stream and pages a full frame's page stream. The
+// frame-level Codec a shipper announces on the wire stays Flate.
 const (
 	codecStored = 0
 	codecFlate  = 1
+	codecPages  = 2
 )
 
 // Frame layout.
@@ -112,7 +125,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Header is the decoded frame header.
 type Header struct {
-	// Codec is the payload encoding (codecStored or codecFlate).
+	// Codec is the payload encoding (codecStored, codecFlate or codecPages).
 	Codec uint8
 	// Flags carries FlagDelta.
 	Flags uint8
@@ -143,8 +156,12 @@ func Peek(frame []byte) (Header, error) {
 		PayloadLen: binary.LittleEndian.Uint32(frame[8:12]),
 		RawCRC:     binary.LittleEndian.Uint32(frame[12:16]),
 	}
-	if h.Codec != codecStored && h.Codec != codecFlate {
+	if h.Codec > codecPages {
 		return Header{}, fmt.Errorf("%w: %d", ErrUnknownCodec, h.Codec)
+	}
+	// A patch stream is deflated and an image is paged, never the reverse.
+	if h.Codec != codecStored && h.IsDelta() != (h.Codec == codecFlate) {
+		return Header{}, fmt.Errorf("%w: codec %d on a frame with flags %#x", ErrCorrupt, h.Codec, h.Flags)
 	}
 	if int64(h.PayloadLen) > int64(len(frame))-HeaderSize {
 		return Header{}, fmt.Errorf("%w: payload %d exceeds frame", ErrCorrupt, h.PayloadLen)
@@ -154,8 +171,9 @@ func Peek(frame []byte) (Header, error) {
 
 // deflater is the state one compression needs: a flate.Writer is 1.2 MB
 // of tables allocated and cleared at construction, far more than the
-// 256 KB segment it then compresses, so writers — and the buffer the
-// frame is assembled in — are kept and Reset from one frame to the next.
+// 256 KB segment it then compresses, so writers — and the buffer their
+// output collects in until its place in the frame is known — are kept and
+// Reset from one frame to the next.
 type deflater struct {
 	zw  *flate.Writer
 	buf bytes.Buffer
@@ -168,44 +186,54 @@ var deflaters = sync.Pool{New: func() any {
 	return d
 }}
 
-// encodeFrame assembles header+payload, choosing stored mode when the
-// encoded payload is not smaller than the plain one.
-func encodeFrame(codec Codec, flags uint8, raw []byte, plain []byte) ([]byte, error) {
+// putHeader fills in the header of frame, whose payload is already in
+// place behind it.
+func putHeader(frame []byte, cbyte, flags uint8, raw []byte) {
+	binary.LittleEndian.PutUint16(frame[0:2], frameMagic)
+	frame[2] = cbyte
+	frame[3] = flags
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(raw)))
+	binary.LittleEndian.PutUint32(frame[8:12], uint32(len(frame)-HeaderSize))
+	binary.LittleEndian.PutUint32(frame[12:16], crc32.Checksum(raw, crcTable))
+}
+
+// Encode frames raw as a full (non-delta) segment image under codec,
+// paged at DefaultPageSize.
+func Encode(codec Codec, raw []byte) ([]byte, error) {
+	return EncodePages(codec, raw, DefaultPageSize)
+}
+
+// EncodePages frames raw as a full (non-delta) segment image under
+// codec. pageSize is the node size of the B+-tree raw may be a segment
+// of (out of range selects DefaultPageSize): pages of that size that are
+// leaves are packed. It decides only how small the frame is — any image
+// round-trips at any page size — and the frame carries it, so Decode
+// needs none for a full frame. The frame is built in the one buffer
+// returned.
+func EncodePages(codec Codec, raw []byte, pageSize int) ([]byte, error) {
 	if codec != None && codec != Flate {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownCodec, codec)
 	}
-	payload := plain
+	if pageSize <= 0 || pageSize > maxPageSize {
+		pageSize = DefaultPageSize
+	}
+	frame := make([]byte, HeaderSize, HeaderSize+len(raw))
 	cbyte := uint8(codecStored)
 	if codec == Flate {
-		d := deflaters.Get().(*deflater)
-		defer deflaters.Put(d)
-		d.buf.Reset()
-		d.zw.Reset(&d.buf)
-		if _, err := d.zw.Write(plain); err != nil {
+		var err error
+		if frame, err = appendPageStream(frame, raw, pageSize); err != nil {
 			return nil, err
 		}
-		if err := d.zw.Close(); err != nil {
-			return nil, err
-		}
-		if d.buf.Len() < len(plain) {
-			payload = d.buf.Bytes() // copied into the frame below, before d goes back
-			cbyte = codecFlate
+		cbyte = codecPages
+		if len(frame)-HeaderSize >= len(raw) {
+			frame, cbyte = frame[:HeaderSize], codecStored
 		}
 	}
-	out := make([]byte, HeaderSize+len(payload))
-	binary.LittleEndian.PutUint16(out[0:2], frameMagic)
-	out[2] = cbyte
-	out[3] = flags
-	binary.LittleEndian.PutUint32(out[4:8], uint32(len(raw)))
-	binary.LittleEndian.PutUint32(out[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[12:16], crc32.Checksum(raw, crcTable))
-	copy(out[HeaderSize:], payload)
-	return out, nil
-}
-
-// Encode frames raw as a full (non-delta) segment image under codec.
-func Encode(codec Codec, raw []byte) ([]byte, error) {
-	return encodeFrame(codec, 0, raw, raw)
+	if cbyte == codecStored {
+		frame = append(frame, raw...)
+	}
+	putHeader(frame, cbyte, 0, raw)
+	return frame, nil
 }
 
 // EncodeDelta frames raw as a page patch stream against base. pageSize
@@ -217,14 +245,34 @@ func EncodeDelta(codec Codec, raw, base []byte, pageSize int) ([]byte, bool, err
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
+	if codec != None && codec != Flate {
+		return nil, false, fmt.Errorf("%w: %d", ErrUnknownCodec, codec)
+	}
 	patch := diffPages(raw, base, pageSize)
 	if len(patch) >= len(raw) {
 		return nil, false, nil
 	}
-	frame, err := encodeFrame(codec, FlagDelta, raw, patch)
-	if err != nil {
-		return nil, false, err
+	payload := patch
+	cbyte := uint8(codecStored)
+	if codec == Flate {
+		d := deflaters.Get().(*deflater)
+		defer deflaters.Put(d)
+		d.buf.Reset()
+		d.zw.Reset(&d.buf)
+		if _, err := d.zw.Write(patch); err != nil {
+			return nil, false, err
+		}
+		if err := d.zw.Close(); err != nil {
+			return nil, false, err
+		}
+		if d.buf.Len() < len(patch) {
+			payload = d.buf.Bytes() // copied into the frame below, before d goes back
+			cbyte = codecFlate
+		}
 	}
+	frame := make([]byte, HeaderSize+len(payload))
+	copy(frame[HeaderSize:], payload)
+	putHeader(frame, cbyte, FlagDelta, raw)
 	return frame, true, nil
 }
 
@@ -302,8 +350,13 @@ func (s PageSums) DeltaCanWin(base PageSums) bool {
 
 // applyPatch reconstructs rawLen bytes from base plus the patch stream.
 // Pages not named in the patch are copied from base; a page the base
-// cannot supply must appear in the patch.
+// cannot supply must appear in the patch — so an image longer than the
+// two together claims bytes neither holds, and is refused before its
+// length sizes anything.
 func applyPatch(patch, base []byte, rawLen int, pageSize int) ([]byte, error) {
+	if rawLen > len(base)+len(patch) {
+		return nil, fmt.Errorf("%w: %d-byte image from a %d-byte base and a %d-byte patch", ErrCorrupt, rawLen, len(base), len(patch))
+	}
 	out := make([]byte, rawLen)
 	copy(out, base)
 	for len(patch) > 0 {
@@ -331,6 +384,7 @@ func applyPatch(patch, base []byte, rawLen int, pageSize int) ([]byte, error) {
 type inflater struct {
 	src bytes.Reader
 	zr  io.ReadCloser // a flate.Resetter reading src
+	one [1]byte       // where a stream that should have ended is read for more
 }
 
 var inflaters = sync.Pool{New: func() any {
@@ -339,55 +393,20 @@ var inflaters = sync.Pool{New: func() any {
 	return f
 }}
 
-// inflateHeadroom is how many times its own length a compressed payload
-// may claim to inflate to before Decode stops taking the claim on trust
-// and grows the output only as the bytes arrive. Segment images deflate
-// to about 0.6 of their size, so a real frame's output is allocated
-// once, at its exact size.
-const inflateHeadroom = 8
-
-// inflateExact inflates payload, which must decode to exactly rawLen
-// bytes. The output is sized from rawLen, but never beyond
-// inflateHeadroom times the payload before the stream has produced that
-// much: a hostile header cannot make Decode allocate more than a small
-// multiple of the frame's own length.
-func (f *inflater) inflateExact(payload []byte, rawLen int) ([]byte, error) {
-	out := make([]byte, 0, min(rawLen, inflateHeadroom*len(payload)+HeaderSize))
-	for {
-		n, err := io.ReadFull(f.zr, out[len(out):cap(out)])
-		out = out[:len(out)+n]
-		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			// The stream ended inside the buffer, which never extends past
-			// rawLen: short of the declared size.
-			return nil, fmt.Errorf("%w: payload inflates to %d bytes, declared %d", ErrCorrupt, len(out), rawLen)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		if len(out) == rawLen {
-			// Full: the stream must end here.
-			var one [1]byte
-			switch n, err := f.zr.Read(one[:]); {
-			case n == 0 && err == io.EOF:
-				return out, nil
-			case n == 0 && err != nil:
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			default:
-				return nil, fmt.Errorf("%w: inflated payload exceeds declared size", ErrCorrupt)
-			}
-		}
-		// The stream proved every byte so far; let it prove as many again.
-		grown := make([]byte, len(out), min(rawLen, 2*cap(out)))
-		copy(grown, out)
-		out = grown
+// open points the inflater at one deflated stream.
+func (f *inflater) open(stream []byte) error {
+	f.src.Reset(stream)
+	if err := f.zr.(flate.Resetter).Reset(&f.src, nil); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	return nil
 }
 
-// Decode reverses Encode/EncodeDelta: it validates the frame, inflates
+// Decode reverses Encode/EncodeDelta: it validates the frame, decodes
 // the payload, applies the patch over base for delta frames (base may be
 // nil otherwise), and verifies the decoded bytes against the frame's raw
 // CRC. pageSize must match the encoder's for delta frames (<= 0 selects
-// DefaultPageSize).
+// DefaultPageSize); a full frame carries its own.
 func Decode(frame, base []byte, pageSize int) ([]byte, error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
@@ -400,37 +419,35 @@ func Decode(frame, base []byte, pageSize int) ([]byte, error) {
 		return nil, ErrNeedBase
 	}
 	payload := frame[HeaderSize : HeaderSize+int(h.PayloadLen)]
-	if h.Codec == codecFlate {
-		f := inflaters.Get().(*inflater)
-		defer inflaters.Put(f)
-		f.src.Reset(payload)
-		if err := f.zr.(flate.Resetter).Reset(&f.src, nil); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	var raw []byte
+	switch {
+	case h.Codec == codecPages:
+		if raw, err = decodePageStream(payload, int(h.RawLen)); err != nil {
+			return nil, err
 		}
-		if h.IsDelta() {
+	case h.IsDelta():
+		if h.Codec == codecFlate {
+			f := inflaters.Get().(*inflater)
+			defer inflaters.Put(f)
+			if err := f.open(payload); err != nil {
+				return nil, err
+			}
 			// A patch stream's own length is not in the header; a hostile
 			// rawLen cannot balloon it either: it never exceeds the image
 			// plus one page, and over-long streams fail below.
 			limit := int64(h.RawLen) + int64(pageSize) + 16
-			inflated, err := io.ReadAll(io.LimitReader(f.zr, limit+1))
+			payload, err = io.ReadAll(io.LimitReader(f.zr, limit+1))
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 			}
-			if int64(len(inflated)) > limit {
+			if int64(len(payload)) > limit {
 				return nil, fmt.Errorf("%w: inflated payload exceeds declared size", ErrCorrupt)
 			}
-			payload = inflated
-		} else if payload, err = f.inflateExact(payload, int(h.RawLen)); err != nil {
+		}
+		if raw, err = applyPatch(payload, base, int(h.RawLen), pageSize); err != nil {
 			return nil, err
 		}
-	}
-	var raw []byte
-	if h.IsDelta() {
-		raw, err = applyPatch(payload, base, int(h.RawLen), pageSize)
-		if err != nil {
-			return nil, err
-		}
-	} else {
+	default:
 		if len(payload) != int(h.RawLen) {
 			return nil, fmt.Errorf("%w: payload %d bytes, declared %d", ErrCorrupt, len(payload), h.RawLen)
 		}
