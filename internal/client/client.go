@@ -424,10 +424,14 @@ func (sc *serverConn) call(op wire.Op, regionID region.ID, epoch uint32, sb *sen
 // server died mid-request) surfaces as errReplyTimeout.
 func (sc *serverConn) awaitReply(off, slot int, reqID uint64, keep bool) (wire.Header, []byte, error) {
 	spins := 0
-	deadline := time.Now().Add(30 * time.Second)
+	var deadline time.Time // from the first look at the clock, which most replies land before
 	for {
-		if spins%4096 == 4095 && time.Now().After(deadline) {
-			return wire.Header{}, nil, errReplyTimeout
+		if spins%4096 == 4095 {
+			if now := time.Now(); deadline.IsZero() {
+				deadline = now.Add(30 * time.Second)
+			} else if now.After(deadline) {
+				return wire.Header{}, nil, errReplyTimeout
+			}
 		}
 		if h, body, done, err := sc.takeReply(off, slot, reqID, keep); done || err != nil {
 			return h, body, err

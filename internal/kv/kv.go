@@ -33,7 +33,7 @@ func MakePrefix(key []byte) Prefix {
 
 // Compare orders two prefixes lexicographically: as two big-endian
 // integers, which order like the bytes they are read from and need no
-// call. It is the comparison a skiplist search or a merge makes per
+// call. It is the comparison a memtable search or a merge makes per
 // entry, where a full-key comparison is the exception.
 func (p Prefix) Compare(q Prefix) int {
 	a, b := binary.BigEndian.Uint64(p[:8]), binary.BigEndian.Uint64(q[:8])

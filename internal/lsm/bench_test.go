@@ -38,6 +38,7 @@ func BenchmarkEnginePut(b *testing.B) {
 		b.Run(fmt.Sprintf("val%d", valSize), func(b *testing.B) {
 			db := benchDB(b, 8192)
 			val := make([]byte, valSize)
+			b.ReportAllocs() // two of them are the key this loop formats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := db.Put([]byte(fmt.Sprintf("user%012d", i)), val); err != nil {

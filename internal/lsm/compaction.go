@@ -266,8 +266,9 @@ func (*emptyCursor) key() ([]byte, error)   { return nil, nil }
 func (*emptyCursor) heldKey() []byte        { return nil }
 func (*emptyCursor) next() error            { return nil }
 
-// memCursor streams a memtable, whose nodes hold their full keys and
-// the prefixes cut from them.
+// memCursor streams a memtable, which holds its full keys — in its own
+// arena, good while the table is reachable — and the prefixes cut from
+// them.
 type memCursor struct {
 	it memtable.Iterator
 }

@@ -73,7 +73,6 @@ type DB struct {
 	watermark storage.Offset
 	closed    bool
 	bgErr     error
-	seedCtr   int64
 	deadHdr   [vlog.HeaderSize]byte // recordDead's header scratch for callers holding mu for writing
 
 	// Compaction scheduler state (guarded by mu).
@@ -132,8 +131,7 @@ func newWithLog(opt Options, log *vlog.Log, states []LevelState) (*DB, error) {
 	if opt.Listener != nil {
 		db.SetListener(opt.Listener)
 	}
-	db.l0 = memtable.New(opt.Seed)
-	db.seedCtr = opt.Seed
+	db.l0 = memtable.New(0)
 	for i, st := range states {
 		li := i + 1
 		if li >= opt.MaxLevels {
@@ -333,8 +331,7 @@ func (db *DB) freezeLocked() error {
 		return db.bgErr
 	}
 	db.frozen = append(db.frozen, &frozenL0{mt: db.l0, mark: db.log.Position()})
-	db.seedCtr++
-	db.l0 = memtable.New(db.seedCtr)
+	db.l0 = memtable.New(0)
 	db.maybeScheduleLocked()
 	return nil
 }
@@ -395,8 +392,8 @@ func (db *DB) L0Len() int {
 	return db.l0.Len()
 }
 
-// MemtableBytes returns the approximate byte footprint of the active L0
-// memtable.
+// MemtableBytes returns the memory the active L0 memtable has allocated
+// (memtable.Table.Bytes).
 func (db *DB) MemtableBytes() int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

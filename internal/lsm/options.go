@@ -1,5 +1,5 @@
 // Package lsm implements the Kreon-style LSM key-value engine each Tebis
-// region runs: an in-memory L0 skiplist over a KV-separated value log,
+// region runs: an in-memory L0 memtable over a KV-separated value log,
 // with on-device levels organized as segment-serialized B+ trees
 // (§2, "Kreon").
 //
@@ -126,7 +126,8 @@ type Options struct {
 	L0MaxKeys int
 	// MaxLevels bounds on-device levels (DefaultMaxLevels if zero).
 	MaxLevels int
-	// Seed fixes skiplist shapes for reproducibility.
+	// Seed is inert: it fixed the shape of the skiplist L0 once was, and
+	// stays while benchmark/ sets it (ROADMAP item 10).
 	Seed int64
 	// Listener receives replication hooks; may be nil.
 	Listener Listener

@@ -26,7 +26,7 @@ type Component int
 
 // Table 3 components.
 const (
-	// CompInsertL0 covers inserting KV pairs into an L0 skiplist plus
+	// CompInsertL0 covers inserting KV pairs into the L0 memtable plus
 	// persisting the value log.
 	CompInsertL0 Component = iota
 	// CompLogReplication covers RDMA-writing KV records into backup
@@ -169,7 +169,7 @@ func (b Breakdown) String() string {
 // neighbourhood of the paper's Table 3; see EXPERIMENTS.md for the
 // paper-vs-measured comparison.
 type CostModel struct {
-	// L0InsertBase is the skiplist insert cost per operation.
+	// L0InsertBase is the memtable insert cost per operation.
 	L0InsertBase uint64
 	// L0InsertPerByte is the value-log append (memcpy) cost per record
 	// byte.

@@ -490,8 +490,10 @@ func (b *Backup) handleFlushTail(h wire.Header, req wire.FlushTail) ([]byte, err
 
 	// Adopted segments are full segment images; a log buffer smaller
 	// than a segment is zero-padded (the unwritten suffix holds no
-	// records by construction, and nothing ever writes the scratch past
-	// the buffer's size).
+	// records by construction). Past the buffer's size only the frame
+	// writes the scratch: a framing device stamps its trailer into the
+	// image's last bytes (storage.FramedWriter), above the usable
+	// capacity no record reaches, and stamps over it on the next flush.
 	if b.flushImg == nil {
 		b.flushImg = make([]byte, b.geo.SegmentSize())
 	}
@@ -514,11 +516,12 @@ func (b *Backup) handleFlushTail(h wire.Header, req wire.FlushTail) ([]byte, err
 	if b.cfg.Mode == BuildIndex && b.db != nil {
 		// Build-Index: hand the flushed records to the indexing worker —
 		// a copy of its own, the worker reads it after the scratch has
-		// taken the next tail. Capture the channel under b.mu — Crash and
-		// Promote nil the field — then send unlocked so the worker can
-		// take the lock.
+		// taken the next tail, and of the usable capacity only: above it
+		// is the frame's trailer, not a record. Capture the channel under
+		// b.mu — Crash and Promote nil the field — then send unlocked so
+		// the worker can take the lock.
 		q := b.idxQueue
-		work := idxWork{local: local, data: append([]byte(nil), data...)}
+		work := idxWork{local: local, data: append([]byte(nil), data[:storage.UsableCapacity(b.cfg.Device)]...)}
 		b.mu.Unlock()
 		b.idxPending.Add(1)
 		q <- work

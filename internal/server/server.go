@@ -214,7 +214,6 @@ type Server struct {
 	regions map[region.ID]*hostedRegion
 	conns   []*clientConn // every connection accepted, open or not
 	closed  bool
-	seed    int64
 	// openConns is the immutable snapshot of open connections the
 	// spinning threads walk, republished whenever one opens or closes.
 	openConns atomic.Pointer[[]*clientConn]
@@ -388,8 +387,6 @@ func (s *Server) lsmOptions() lsm.Options {
 	opt.Cycles = s.cfg.Cycles
 	opt.Cost = s.cfg.Cost
 	opt.Trace = s.trace
-	s.seed++
-	opt.Seed = s.seed
 	return opt
 }
 
@@ -416,12 +413,9 @@ func (s *Server) primaryConfig(id region.ID, mode replica.Mode) replica.PrimaryC
 	}
 }
 
-// backupConfig is primaryConfig's counterpart for the backup role. It
-// draws an engine seed, so the caller holds s.mu.
+// backupConfig is primaryConfig's counterpart for the backup role.
 func (s *Server) backupConfig(id region.ID, mode replica.Mode) replica.BackupConfig {
 	opt := s.cfg.LSM
-	s.seed++
-	opt.Seed = s.seed
 	opt.Trace = s.trace
 	return replica.BackupConfig{
 		RegionID:   id,

@@ -19,6 +19,12 @@ var ErrChecksum = errors.New("storage: segment checksum mismatch")
 // value log, the index builder) declare the kind so recovery can
 // classify segments; plain WriteAt through such a device frames the
 // payload as integrity.KindOpaque.
+//
+// A full-size image's final integrity.TrailerSize bytes are the frame's
+// to write: p is either a payload of at most the usable capacity, which
+// WriteFramedAt only reads, or a whole segment image whose owner keeps
+// nothing in those bytes and finds the trailer there afterwards (the
+// image goes to the device in the one write, without a copy).
 type FramedWriter interface {
 	WriteFramedAt(off Offset, p []byte, kind integrity.Kind) error
 }
@@ -195,8 +201,12 @@ func (d *VerifyingDevice) Free(seg SegmentID) error {
 	return nil
 }
 
-// WriteAt implements Device; the payload is framed as KindOpaque.
+// WriteAt implements Device; the payload is framed as KindOpaque. A
+// Device only reads p, so a full-size image is framed in a copy.
 func (d *VerifyingDevice) WriteAt(off Offset, p []byte) error {
+	if int64(len(p)) == d.geo.SegmentSize() {
+		p = append([]byte(nil), p...)
+	}
 	return d.WriteFramedAt(off, p, integrity.KindOpaque)
 }
 
@@ -222,7 +232,12 @@ func (d *VerifyingDevice) WriteFramedAt(off Offset, p []byte, kind integrity.Kin
 		Seq:        d.seq.Add(1),
 	}
 	t.CRC = integrity.FrameChecksum(payload, t)
-	tr := make([]byte, integrity.TrailerSize)
+	var tr []byte
+	if full {
+		tr = p[cap:] // FramedWriter: the caller's image ends in room for it
+	} else {
+		tr = make([]byte, integrity.TrailerSize)
+	}
 	integrity.EncodeTrailer(tr, t)
 
 	st := d.segState(seg)
@@ -236,10 +251,7 @@ func (d *VerifyingDevice) WriteFramedAt(off Offset, p []byte, kind integrity.Kin
 		// One underlying write: a full image replaces the old trailer in
 		// the same I/O, so a tear leaves either no magic or a CRC that
 		// cannot cover the mixed bytes.
-		img := make([]byte, segSize)
-		copy(img, payload)
-		copy(img[cap:], tr)
-		err = d.inner.WriteAt(off, img)
+		err = d.inner.WriteAt(off, p)
 	} else if err = d.inner.WriteAt(off, p); err == nil {
 		// Payload first, trailer last: the trailer write is the commit
 		// point, so a tear before it leaves the segment unframed (torn)

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"tebis/internal/integrity"
@@ -78,6 +79,72 @@ func TestVerifyingFullImageWrite(t *testing.T) {
 	}
 	if info.Kind != integrity.KindIndex || int64(info.PayloadLen) != cap {
 		t.Fatalf("trailer = %+v", info)
+	}
+}
+
+// TestVerifyingFullImageSealsInPlace: a full-size image goes to the
+// device as it is — one inner write of segment size, the trailer stamped
+// into the image's own last bytes (FramedWriter), no second image —
+// and reads back, trailer included, as the caller's buffer now stands.
+// A plain WriteAt, whose p a Device only reads, leaves its caller's
+// bytes alone.
+func TestVerifyingFullImageSealsInPlace(t *testing.T) {
+	mem, dev := newVerifying(t)
+	seg, err := dev.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := dev.Geometry().Pack(seg, 0)
+	cap := integrity.Capacity(testSegSize)
+	img := bytes.Repeat([]byte{0x5A}, testSegSize)
+	clear(img[cap:]) // the owner keeps nothing there
+
+	before := mem.Stats()
+	if err := dev.WriteFramedAt(off, img, integrity.KindLog); err != nil {
+		t.Fatal(err)
+	}
+	after := mem.Stats()
+	if after.WriteOps-before.WriteOps != 1 || after.BytesWritten-before.BytesWritten != testSegSize {
+		t.Fatalf("a full image took %d inner writes of %d bytes in all, want one of %d",
+			after.WriteOps-before.WriteOps, after.BytesWritten-before.BytesWritten, testSegSize)
+	}
+	info, err := integrity.DecodeTrailer(img[cap:], testSegSize)
+	if err != nil || info.Kind != integrity.KindLog || int64(info.PayloadLen) != cap {
+		t.Fatalf("the image's last bytes hold %+v, %v; want the frame's trailer", info, err)
+	}
+	stored := make([]byte, testSegSize)
+	if err := mem.ReadAt(off, stored); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stored, img) {
+		t.Fatal("the device does not hold the caller's image byte for byte")
+	}
+	if err := dev.VerifySegment(seg); err != nil {
+		t.Fatalf("VerifySegment: %v", err)
+	}
+	// No second image: twenty more writes allocate less than one segment
+	// between them (the checksum's 16-byte trailer head each).
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < 20; i++ {
+		if err := dev.WriteFramedAt(off, img, integrity.KindLog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= testSegSize {
+		t.Fatalf("20 full-image framed writes allocated %d bytes; an image is %d", got, testSegSize)
+	}
+
+	plain := bytes.Repeat([]byte{0x33}, testSegSize)
+	if err := dev.WriteAt(off, plain); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain, bytes.Repeat([]byte{0x33}, testSegSize)) {
+		t.Fatal("WriteAt wrote into its caller's buffer")
+	}
+	if err := dev.VerifySegment(seg); err != nil {
+		t.Fatalf("VerifySegment after WriteAt: %v", err)
 	}
 }
 
