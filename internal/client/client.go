@@ -301,9 +301,9 @@ func (sc *serverConn) sendNoop(e *extent) error {
 		// residual always is too.
 		return fmt.Errorf("client: residual %d not a header multiple", residual)
 	}
-	// Fill the residual exactly. The minimum-payload rule makes the
-	// smallest payload-bearing message 3 header slots, so a residual of
-	// exactly 2 slots takes two header-only NOOPs.
+	// Fill the residual exactly. A message is one header slot (no payload,
+	// or an inline one) or, by the minimum-payload rule, at least 3, so a
+	// residual of exactly 2 slots takes two header-only NOOPs.
 	var sizes []int
 	switch {
 	case residual == wire.HeaderSize:
@@ -364,7 +364,7 @@ func (sc *serverConn) noopRoundTrip(off, payloadLen int) error {
 // spans under it. keep asks for the reply's payload; an error reply's
 // text is returned either way.
 func (sc *serverConn) call(op wire.Op, regionID region.ID, epoch uint32, sb *sendBuf, replySize int, traceID uint64, keep bool) (wire.Header, []byte, error) {
-	total := wire.MessageSize(len(sb.payload))
+	total := wire.SentSize(len(sb.payload))
 	// The client_queue stage: everything a sampled op waits on before
 	// its bytes hit the wire — reply-slot allocation, ring space, and
 	// any wrap-filling NOOP round trips.
@@ -446,21 +446,23 @@ func (sc *serverConn) awaitReply(off, slot int, reqID uint64, keep bool) (wire.H
 }
 
 // takeReply looks at the reply slot once, reading the reply where it
-// landed: the header into a stack buffer, then the trailer word, then —
-// when the caller keeps the payload, or the reply is an error whose text
-// it will need — the payload, copied exactly once into a slice the
-// caller owns from then on. A reply taken is cleared out of the slot
-// before the slot is handed back, so a stale magic never re-triggers.
-// done is false while the reply to reqID is not complete.
+// landed: the header's rendezvous word and, only once it is there, the
+// header into a stack buffer; of an out-of-line reply then the trailer
+// word; then — when the caller keeps the payload, or the reply is an
+// error whose text it will need — the payload, copied exactly once (an
+// inline one out of the header copy) into a slice the caller owns from
+// then on. A reply taken is cleared out of the slot before the slot is
+// handed back, so a stale magic never re-triggers. done is false while
+// the reply to reqID is not complete.
 func (sc *serverConn) takeReply(off, slot int, reqID uint64, keep bool) (h wire.Header, body []byte, done bool, err error) {
 	var hdr [wire.HeaderSize]byte
-	if err := sc.replyBuf.ReadAt(off, hdr[:]); err != nil {
+	if ok, err := sc.replyBuf.ReadIfWord(off, hdr[:], wire.Magic); !ok {
 		return wire.Header{}, nil, false, err
 	}
 	if h, err = wire.DecodeHeader(hdr[:]); err != nil || h.RequestID != reqID {
 		return wire.Header{}, nil, false, nil
 	}
-	total := wire.MessageSize(int(h.PayloadSize))
+	total := h.WireSize()
 	if total > slot {
 		return wire.Header{}, nil, false, fmt.Errorf("%w: reply of %d bytes overruns its %d-byte slot", ErrServer, total, slot)
 	}
@@ -474,9 +476,13 @@ func (sc *serverConn) takeReply(off, slot int, reqID uint64, keep bool) (h wire.
 		}
 	}
 	if keep || h.Flags&wire.FlagError != 0 {
-		body = make([]byte, h.PayloadSize)
-		if err := sc.replyBuf.ReadAt(off+wire.HeaderSize, body); err != nil {
-			return wire.Header{}, nil, false, err
+		if h.Inline() {
+			body = append([]byte(nil), wire.InlinePayload(hdr[:], h)...)
+		} else {
+			body = make([]byte, h.PayloadSize)
+			if err := sc.replyBuf.ReadAt(off+wire.HeaderSize, body); err != nil {
+				return wire.Header{}, nil, false, err
+			}
 		}
 	}
 	if err := sc.replyBuf.Clear(off, total); err != nil {

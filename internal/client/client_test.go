@@ -13,6 +13,7 @@ import (
 	"tebis/internal/replica"
 	"tebis/internal/server"
 	"tebis/internal/storage"
+	"tebis/internal/wire"
 )
 
 // newServerAndClient wires one region server (hosting the whole keyspace
@@ -20,15 +21,23 @@ import (
 // protocol.
 func newServerAndClient(t *testing.T) (*server.Server, *Client) {
 	t.Helper()
+	return newServerAndClientRing(t, 0)
+}
+
+// newServerAndClientRing is newServerAndClient with a request ring of
+// ringSize bytes (0 = the default).
+func newServerAndClientRing(t *testing.T, ringSize int) (*server.Server, *Client) {
+	t.Helper()
 	dev, err := storage.NewMemDevice(64<<10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := server.New(server.Config{
-		Name:     "s0",
-		Device:   dev,
-		Endpoint: rdma.NewEndpoint("s0"),
-		Cycles:   &metrics.Cycles{},
+		Name:       "s0",
+		Device:     dev,
+		Endpoint:   rdma.NewEndpoint("s0"),
+		Cycles:     &metrics.Cycles{},
+		BufferSize: ringSize,
 		LSM: lsm.Options{
 			NodeSize:     512,
 			GrowthFactor: 4,
@@ -126,6 +135,54 @@ func TestClientManyOpsWrapsRing(t *testing.T) {
 		v, found, err := cl.Get([]byte(fmt.Sprintf("user%08d", i)))
 		if err != nil || !found || !bytes.Equal(v, val) {
 			t.Fatalf("Get %d = %v, %v", i, found, err)
+		}
+	}
+}
+
+// TestClientRingWrapsWithHeaderSizedExtents: a small request takes one
+// header slot of the ring, so the ring's head — and the server's
+// rendezvous position with it — reaches every slot, and a request of
+// several slots finds 1, 2 or 3 of them left before the end. The
+// residual is still filled exactly: one or two header-only NOOPs, or
+// from 3 slots up one NOOP with a payload. Counted as the bytes each
+// put brings into the server's NIC, on a ring of 11 slots the test
+// walks a slot at a time.
+func TestClientRingWrapsWithHeaderSizedExtents(t *testing.T) {
+	const slots = 11
+	srv, cl := newServerAndClientRing(t, slots*wire.HeaderSize)
+	want := map[string][]byte{}
+	head := 0 // the ring's, in slots: ops are synchronous, so it is known
+	put := func(i, valueLen, wantSlots int) {
+		t.Helper()
+		k, v := fmt.Sprintf("user%06d", i), bytes.Repeat([]byte{byte('a' + i%26)}, valueLen)
+		before := srv.Endpoint().RxBytes()
+		if err := cl.Put([]byte(k), v); err != nil {
+			t.Fatalf("Put %d at ring slot %d: %v", i, head, err)
+		}
+		if got := int(srv.Endpoint().RxBytes() - before); got != wantSlots*wire.HeaderSize {
+			t.Fatalf("Put %d of %d value bytes at ring slot %d: %d bytes to the server, want %d slots", i, valueLen, head, got, wantSlots)
+		}
+		want[k] = v
+	}
+	n := 0
+	for round := 0; round < 20; round++ {
+		for _, tc := range []struct{ residual, valueLen, size int }{
+			{2, 100, 3}, // two header-only NOOPs
+			{1, 100, 3}, // one
+			{3, 300, 4}, // one NOOP of 3 slots, with a payload
+		} {
+			for ; head != slots-tc.residual; head = (head + 1) % slots {
+				put(n, 23, 1)
+				n++
+			}
+			put(n, tc.valueLen, tc.residual+tc.size)
+			n++
+			head = tc.size
+		}
+	}
+	for k, v := range want {
+		if got, found, err := cl.Get([]byte(k)); err != nil || !found || !bytes.Equal(got, v) {
+			t.Fatalf("Get %s = %d bytes, %v, %v", k, len(got), found, err)
 		}
 	}
 }

@@ -13,17 +13,17 @@ import (
 	"tebis/internal/replica"
 )
 
-// steadyCluster returns a client of a replicated Send-Index cluster
-// sized so that nothing but the request path runs while a test measures
-// it: one region whose L0 and log tail are far larger than what the test
-// writes, so no put freezes a memtable, seals a segment or starts a
-// compaction.
-func steadyCluster(t *testing.T) (*Cluster, *client.Client) {
+// steadyCluster returns a client of a Send-Index cluster with the given
+// number of backups, sized so that nothing but the request path runs
+// while a test measures it: one region whose L0 and log tail are far
+// larger than what the test writes, so no put freezes a memtable, seals
+// a segment or starts a compaction.
+func steadyCluster(t *testing.T, replicas int) (*Cluster, *client.Client) {
 	t.Helper()
 	c, err := New(Config{
-		Servers:     2,
+		Servers:     1 + replicas,
 		Regions:     1,
-		Replicas:    1,
+		Replicas:    replicas,
 		Mode:        replica.SendIndex,
 		SegmentSize: 1 << 20,
 		LSM: lsm.Options{
@@ -64,7 +64,7 @@ func TestRequestPathAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
 	}
-	c, cl := steadyCluster(t)
+	c, cl := steadyCluster(t, 1)
 	value := bytes.Repeat([]byte("v"), 100)
 	key := func(i int) []byte { return []byte(fmt.Sprintf("user%06d", i)) }
 	for i := 0; i < 64; i++ {
@@ -138,12 +138,61 @@ func TestRequestPathAllocCeilings(t *testing.T) {
 	measure("level-resident scan", 2, scan)
 }
 
+// TestRequestPathWireBytes counts what one round trip puts on the
+// server's NIC, with no backup so that nothing else crosses it. A
+// payload of at most wire.InlineMax bytes rides in its message's header
+// (DESIGN.md "Data path"), so a small put, a small get, and the status
+// that answers any put are 128 bytes each; a larger payload follows its
+// header, padded to at least 256. Byte counters, exact: a message that
+// stops going inline turns one of these red.
+func TestRequestPathWireBytes(t *testing.T) {
+	c, cl := steadyCluster(t, 0)
+	net := func(op func()) uint64 {
+		t.Helper()
+		before := c.Totals().NetServerBytes
+		op()
+		return c.Totals().NetServerBytes - before
+	}
+	put := func(k, v []byte) func() {
+		return func() {
+			if err := cl.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	get := func(k, want []byte) func() {
+		return func() {
+			if v, found, err := cl.Get(k); err != nil || !found || !bytes.Equal(v, want) {
+				t.Fatalf("Get = %d bytes, %v, %v", len(v), found, err)
+			}
+		}
+	}
+	// The benchmark's S pair: 33 bytes of key and value.
+	sKey, sVal := []byte("user000032"), bytes.Repeat([]byte("s"), 23)
+	mKey, mVal := []byte("user000064"), bytes.Repeat([]byte("m"), 100)
+	for _, tc := range []struct {
+		name string
+		op   func()
+		want uint64
+	}{
+		{"S put", put(sKey, sVal), 128 + 128},
+		{"S get", get(sKey, sVal), 128 + 128},
+		{"M put", put(mKey, mVal), 384 + 128},
+		{"M get", get(mKey, mVal), 128 + 384},
+		{"S put again", put(sKey, sVal), 128 + 128},
+	} {
+		if got := net(tc.op); got != tc.want {
+			t.Errorf("%s: %d bytes through the server's NIC, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestGetRestReadsTheRangeOnly: a value larger than the client's reply
 // slot crosses in pieces (§3.4.1), and each piece reads its own bytes
 // from the device — the slot's worth for the get, the rest for the
 // get-rest — not the whole value once per round trip.
 func TestGetRestReadsTheRangeOnly(t *testing.T) {
-	c, cl := steadyCluster(t)
+	c, cl := steadyCluster(t, 1)
 	key, value := []byte("big"), make([]byte, 64<<10)
 	rand.New(rand.NewSource(1)).Read(value)
 	if err := cl.Put(key, value); err != nil {
@@ -193,7 +242,7 @@ func TestGetRestReadsTheRangeOnly(t *testing.T) {
 // are fetched through clients new enough to still have the 1 KB slot,
 // so the partial reply and the get-rest range read run throughout.
 func TestReturnedSlicesAreTheCallers(t *testing.T) {
-	c, cl := steadyCluster(t)
+	c, cl := steadyCluster(t, 1)
 
 	const (
 		workers   = 4

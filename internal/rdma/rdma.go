@@ -16,6 +16,7 @@
 package rdma
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -130,16 +131,24 @@ func (mr *MemoryRegion) ReadAt(off int, p []byte) error {
 	return nil
 }
 
-// WriteLocal lets the region's owner mutate its memory under the region
-// lock.
-func (mr *MemoryRegion) WriteLocal(off int, p []byte) error {
-	mr.mu.Lock()
-	defer mr.mu.Unlock()
-	if off < 0 || off+len(p) > len(mr.buf) {
-		return fmt.Errorf("%w: write [%d,%d) of %d", ErrBounds, off, off+len(p), len(mr.buf))
+// ReadIfWord is ReadAt behind a rendezvous test: under one acquisition
+// of the region lock it compares the last four bytes of
+// [off, off+len(p)), little-endian, with want — where a message's
+// rendezvous word sits — and copies the range into p only when they
+// match. A poll that finds nothing copies nothing, and one that finds a
+// message has it without a second look.
+func (mr *MemoryRegion) ReadIfWord(off int, p []byte, want uint32) (bool, error) {
+	mr.mu.RLock()
+	defer mr.mu.RUnlock()
+	end := off + len(p)
+	if off < 0 || len(p) < 4 || end > len(mr.buf) {
+		return false, fmt.Errorf("%w: read [%d,%d) of %d", ErrBounds, off, end, len(mr.buf))
 	}
-	copy(mr.buf[off:], p)
-	return nil
+	if binary.LittleEndian.Uint32(mr.buf[end-4:end]) != want {
+		return false, nil
+	}
+	copy(p, mr.buf[off:end])
+	return true, nil
 }
 
 // Clear zeroes [off, off+n) under the region lock: how the owner retires
@@ -246,20 +255,6 @@ func (qp *QP) Write(rkey uint32, off int, data []byte, wrID uint64) error {
 	default:
 		return ErrCQOverflow
 	}
-}
-
-// PollCQ returns up to max pending completions without blocking.
-func (qp *QP) PollCQ(max int) []Completion {
-	out := make([]Completion, 0, max)
-	for len(out) < max {
-		select {
-		case c := <-qp.cq:
-			out = append(out, c)
-		default:
-			return out
-		}
-	}
-	return out
 }
 
 // WaitCompletion blocks for the next completion (or QP teardown).

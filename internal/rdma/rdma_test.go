@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -137,25 +138,6 @@ func TestWriteAfterCloseFails(t *testing.T) {
 	}
 }
 
-func TestPollCQ(t *testing.T) {
-	a, b := NewEndpoint("a"), NewEndpoint("b")
-	mr, _ := b.Register(1024)
-	qp := Connect(a, b, 16)
-	for i := 0; i < 5; i++ {
-		if err := qp.Write(mr.RKey(), i, []byte{1}, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := qp.PollCQ(3)
-	if len(got) != 3 || got[0].WRID != 0 || got[2].WRID != 2 {
-		t.Fatalf("PollCQ = %+v", got)
-	}
-	got = qp.PollCQ(10)
-	if len(got) != 2 {
-		t.Fatalf("second PollCQ = %+v", got)
-	}
-}
-
 func TestCQOverflow(t *testing.T) {
 	a, b := NewEndpoint("a"), NewEndpoint("b")
 	mr, _ := b.Register(64)
@@ -203,18 +185,55 @@ func TestConcurrentWritersDisjointRanges(t *testing.T) {
 func TestLocalRegionAccess(t *testing.T) {
 	ep := NewEndpoint("n")
 	mr, _ := ep.Register(32)
-	if err := mr.WriteLocal(4, []byte("abcd")); err != nil {
-		t.Fatal(err)
-	}
+	fill(t, mr, 4, []byte("abcd"))
 	got := make([]byte, 4)
 	if err := mr.ReadAt(4, got); err != nil || string(got) != "abcd" {
 		t.Fatalf("ReadAt = %q, %v", got, err)
 	}
-	if err := mr.WriteLocal(30, []byte("abcd")); !errors.Is(err, ErrBounds) {
+	if err := mr.ReadAt(30, got); !errors.Is(err, ErrBounds) {
 		t.Fatalf("err = %v", err)
 	}
 	if mr.Size() != 32 {
 		t.Fatalf("Size = %d", mr.Size())
+	}
+}
+
+// fill puts data into mr at off the way anything gets there: a one-sided
+// write.
+func fill(t *testing.T, mr *MemoryRegion, off int, data []byte) {
+	t.Helper()
+	qp := Connect(NewEndpoint("filler"), mr.ep, 1)
+	if err := qp.Write(mr.RKey(), off, data, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadIfWordCopiesOnlyWhatArrived: a poll reads a range only when the
+// word in its last four bytes is the one it waits for — until then it
+// leaves the caller's buffer alone — under one lock acquisition and
+// without allocating.
+func TestReadIfWordCopiesOnlyWhatArrived(t *testing.T) {
+	const word = 0x54454249
+	ep := NewEndpoint("n")
+	mr, _ := ep.Register(64)
+	msg := bytes.Repeat([]byte{7}, 16)
+	fill(t, mr, 8, msg[:12]) // everything but the word
+	p := bytes.Repeat([]byte{0xEE}, 16)
+	if ok, err := mr.ReadIfWord(8, p, word); ok || err != nil || !bytes.Equal(p, bytes.Repeat([]byte{0xEE}, 16)) {
+		t.Fatalf("before the word: %v, %v, buffer %x", ok, err, p)
+	}
+	binary.LittleEndian.PutUint32(msg[12:], word)
+	fill(t, mr, 8, msg)
+	if ok, err := mr.ReadIfWord(8, p, word); !ok || err != nil || !bytes.Equal(p, msg) {
+		t.Fatalf("after the word: %v, %v, buffer %x", ok, err, p)
+	}
+	for _, r := range [][2]int{{-1, 16}, {56, 16}, {0, 3}} {
+		if ok, err := mr.ReadIfWord(r[0], make([]byte, r[1]), word); ok || !errors.Is(err, ErrBounds) {
+			t.Fatalf("ReadIfWord(%d, %d bytes) = %v, %v, want ErrBounds", r[0], r[1], ok, err)
+		}
+	}
+	if got := testing.AllocsPerRun(50, func() { _, _ = mr.ReadIfWord(8, p, word) }); got != 0 {
+		t.Fatalf("ReadIfWord allocates %v times", got)
 	}
 }
 
@@ -235,9 +254,7 @@ func TestResetCounters(t *testing.T) {
 func TestClearZeroesARangeUnderTheRegionLock(t *testing.T) {
 	ep := NewEndpoint("n")
 	mr, _ := ep.Register(64)
-	if err := mr.WriteLocal(0, bytes.Repeat([]byte{0xFF}, 64)); err != nil {
-		t.Fatal(err)
-	}
+	fill(t, mr, 0, bytes.Repeat([]byte{0xFF}, 64))
 	if err := mr.Clear(8, 40); err != nil {
 		t.Fatal(err)
 	}

@@ -452,15 +452,7 @@ func ackMessage(h wire.Header, op wire.Op) []byte {
 // ackWithPayload builds a reply message carrying an arbitrary payload
 // (scrub reports and fetched segment images ride the ack path).
 func ackWithPayload(h wire.Header, op wire.Op, payload []byte) []byte {
-	buf := make([]byte, wire.MessageSize(len(payload)))
-	if _, err := wire.EncodeMessage(buf, wire.Header{
-		Opcode:    op,
-		RegionID:  h.RegionID,
-		RequestID: h.RequestID,
-	}, payload); err != nil {
-		panic(err) // buffer is sized exactly; cannot fail
-	}
-	return buf
+	return buildAck(h, op, 0, payload)
 }
 
 // ackError builds a FlagError reply: the handler failed for this
@@ -468,17 +460,21 @@ func ackWithPayload(h wire.Header, op wire.Op, payload []byte) []byte {
 // loop, so the loop keeps serving (a repair attempt on a segment the
 // backup never had must not take the whole replica down).
 func ackError(h wire.Header, op wire.Op, err error) []byte {
-	payload := []byte(err.Error())
-	buf := make([]byte, wire.MessageSize(len(payload)))
-	if _, encErr := wire.EncodeMessage(buf, wire.Header{
+	return buildAck(h, op, wire.FlagError, []byte(err.Error()))
+}
+
+// buildAck finishes the reply to h the way every sender does, so a
+// status byte or a short error text goes back as a header alone. An ack
+// outlives its request — it is cached for the primary's retry — so each
+// is built in a buffer of its own.
+func buildAck(h wire.Header, op wire.Op, flags uint8, payload []byte) []byte {
+	var mb wire.MsgBuf
+	return mb.Finish(wire.Header{
 		Opcode:    op,
-		Flags:     wire.FlagError,
+		Flags:     flags,
 		RegionID:  h.RegionID,
 		RequestID: h.RequestID,
-	}, payload); encErr != nil {
-		panic(encErr) // buffer is sized exactly; cannot fail
-	}
-	return buf
+	}, payload)
 }
 
 // handleFlushTail persists the replicated log buffer as a local segment

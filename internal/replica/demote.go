@@ -29,7 +29,7 @@ func (p *Primary) SealTail() error {
 		PrimarySeg: uint32(sealed.Seg),
 	}.Encode(nil)
 	for _, h := range p.handles() {
-		p.charge(metrics.CompLogReplication, p.cfg.Cost.RDMAWrite(wire.MessageSize(len(payload))))
+		p.charge(metrics.CompLogReplication, p.cfg.Cost.RDMAWrite(wire.SentSize(len(payload))))
 		if err := p.rpc(h, wire.OpFlushTail, payload); err != nil {
 			return err
 		}

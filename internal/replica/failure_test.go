@@ -310,7 +310,8 @@ func TestPromoteSmallLogBufferPersistsFullSegment(t *testing.T) {
 	var img []byte
 	img = encodeLogRecord(img, "alpha", "one")
 	img = encodeLogRecord(img, "beta", "two")
-	if err := b.logBuf.WriteLocal(0, img); err != nil {
+	qp := rdma.Connect(rdma.NewEndpoint("primary"), b.cfg.Endpoint, 1)
+	if err := qp.Write(b.LogBufferRKey(), 0, img, 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -578,7 +578,7 @@ func (p *Primary) OnAppend(res vlog.AppendResult, rt *obs.ReqTrace) {
 	const wrLogAppend = 1
 	for _, h := range handles {
 		if flushPayload != nil {
-			p.charge(metrics.CompLogReplication, p.cfg.Cost.RDMAWrite(wire.MessageSize(len(flushPayload))))
+			p.charge(metrics.CompLogReplication, p.cfg.Cost.RDMAWrite(wire.SentSize(len(flushPayload))))
 			if err := p.rpc(h, wire.OpFlushTail, flushPayload); err != nil {
 				p.evict(h, err)
 				continue
@@ -833,7 +833,7 @@ func (p *Primary) shipFrameLocked(h *backupHandle, job lsm.CompactionJob, seg bt
 		Codec:      frame.codec,
 		DeltaBase:  frame.deltaBase,
 	}.Encode(nil)
-	p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAWrite(wire.MessageSize(len(payload))))
+	p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAWrite(wire.SentSize(len(payload))))
 	return p.rpcLocked(h, wire.OpIndexSegment, payload)
 }
 
@@ -852,7 +852,7 @@ func (p *Primary) OnSeal(sealed *vlog.Sealed) {
 		PrimarySeg: uint32(sealed.Seg),
 	}.Encode(nil)
 	for _, h := range p.handles() {
-		p.charge(metrics.CompLogReplication, p.cfg.Cost.RDMAWrite(wire.MessageSize(len(payload))))
+		p.charge(metrics.CompLogReplication, p.cfg.Cost.RDMAWrite(wire.SentSize(len(payload))))
 		if err := p.rpc(h, wire.OpFlushTail, payload); err != nil {
 			p.evict(h, err)
 		}
@@ -879,7 +879,7 @@ func (p *Primary) OnRelease(segs []storage.SegmentID) {
 		Segs:     ids,
 	}.Encode(nil)
 	for _, h := range p.handles() {
-		p.charge(metrics.CompLogReplication, p.cfg.Cost.RDMAWrite(wire.MessageSize(len(payload))))
+		p.charge(metrics.CompLogReplication, p.cfg.Cost.RDMAWrite(wire.SentSize(len(payload))))
 		if err := p.rpc(h, wire.OpGCRelease, payload); err != nil {
 			p.evict(h, err)
 		}
@@ -928,7 +928,7 @@ func (p *Primary) OnCompactionDone(res lsm.CompactionResult) {
 		Watermark: uint64(res.Watermark),
 	}.Encode(nil)
 	for _, h := range p.jobTargets(res.JobID) {
-		p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAWrite(wire.MessageSize(len(payload))))
+		p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAWrite(wire.SentSize(len(payload))))
 		if err := p.rpc(h, wire.OpCompactionDone, payload); err != nil {
 			p.evict(h, err)
 		}

@@ -104,10 +104,12 @@ type task struct {
 	conn *clientConn
 	hdr  wire.Header
 	// body is the payload, copied out of the request buffer (the slot is
-	// cleared on detection) into a recycled buffer; nil for a header-only
-	// message. Whoever answers the task may read it until the reply is
-	// written and then hands it back with recycle: nothing the engine or
-	// the reply keeps may point into it.
+	// cleared on detection) — or, of an inline message, out of the
+	// spinning thread's header scratch (the next poll reuses it) — into a
+	// recycled buffer; nil for a header-only message. Whoever answers the
+	// task may read it until the reply is written and then hands it back
+	// with recycle: nothing the engine or the reply keeps may point into
+	// it.
 	body *[]byte
 	// recvAt is when the spinning thread detected the message; the
 	// worker's dispatch span starts here, so queue wait is visible in a
@@ -229,27 +231,34 @@ func (s *Server) spin(idx int) {
 }
 
 // detect checks one connection's rendezvous point for a complete
-// message, reading it where it landed: the header into the thread's hdr,
-// then the trailer word. On success the payload is copied out for the
-// worker into a recycled body, the consumed area is cleared, and the
-// rendezvous position advances.
+// message, reading it where it landed: the header's rendezvous word, and
+// with it — only once it is there — the header into the thread's hdr,
+// then, of an out-of-line message, the trailer word. On success the
+// payload is copied out for the worker into a recycled body (an inline
+// one out of hdr, which the next poll overwrites), the consumed area is
+// cleared, and the rendezvous position advances.
 func (s *Server) detect(conn *clientConn, hdr []byte) (task, bool, error) {
-	if err := conn.reqBuf.ReadAt(conn.pos, hdr); err != nil {
+	if ok, err := conn.reqBuf.ReadIfWord(conn.pos, hdr, wire.Magic); !ok {
 		return task{}, false, err
-	}
-	if !wire.HeaderArrived(hdr) {
-		return task{}, false, nil
 	}
 	h, err := wire.DecodeHeader(hdr)
 	if err != nil {
 		return task{}, false, err
 	}
-	total := wire.MessageSize(int(h.PayloadSize))
+	if h.ReplySize < wire.HeaderSize {
+		return task{}, false, fmt.Errorf("server: request names a %d-byte reply slot, smaller than a header", h.ReplySize)
+	}
+	total := h.WireSize()
 	if conn.pos+total > conn.reqBuf.Size() {
 		return task{}, false, fmt.Errorf("server: message overruns request buffer")
 	}
-	// Second rendezvous: whole payload must have landed.
-	if total > wire.HeaderSize {
+	var body *[]byte
+	switch {
+	case h.Inline():
+		body = s.takeBody(int(h.PayloadSize))
+		copy(*body, wire.InlinePayload(hdr, h))
+	case h.PayloadSize > 0:
+		// Second rendezvous: whole payload must have landed.
 		var trailer [4]byte
 		if err := conn.reqBuf.ReadAt(conn.pos+total-len(trailer), trailer[:]); err != nil {
 			return task{}, false, err
@@ -257,9 +266,6 @@ func (s *Server) detect(conn *clientConn, hdr []byte) (task, bool, error) {
 		if !wire.MagicArrived(trailer[:]) {
 			return task{}, false, nil
 		}
-	}
-	var body *[]byte
-	if h.PayloadSize > 0 {
 		body = s.takeBody(int(h.PayloadSize))
 		if err := conn.reqBuf.ReadAt(conn.pos+wire.HeaderSize, *body); err != nil {
 			return task{}, false, err
@@ -366,12 +372,9 @@ var (
 
 // sendReply finishes the reply to t in mb, around payload, and
 // RDMA-writes it into the client's reply slot, draining the completion.
-// It reports false, sending nothing, when the reply does not fit the
-// slot the client allocated.
-func (s *Server) sendReply(mb *wire.MsgBuf, t task, op wire.Op, flags uint8, payload []byte) bool {
-	if wire.MessageSize(len(payload)) > int(t.hdr.ReplySize) {
-		return false
-	}
+// The caller has made the reply fit the slot; an inline one (a shed, a
+// status) fits every slot detect lets in.
+func (s *Server) sendReply(mb *wire.MsgBuf, t task, op wire.Op, flags uint8, payload []byte) {
 	msg := mb.Finish(wire.Header{
 		Opcode:    op,
 		Flags:     flags,
@@ -385,5 +388,4 @@ func (s *Server) sendReply(mb *wire.MsgBuf, t task, op wire.Op, flags uint8, pay
 	if err != nil {
 		s.dropConn(t.conn)
 	}
-	return true
 }

@@ -1,0 +1,153 @@
+package server
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"tebis/internal/rdma"
+	"tebis/internal/replica"
+	"tebis/internal/wire"
+)
+
+// rawClient is a client's side of one connection, done by hand: a reply
+// buffer the server writes into and a queue pair into the server's
+// request buffer.
+type rawClient struct {
+	t        *testing.T
+	conn     *clientConn
+	info     ConnInfo
+	qp       *rdma.QP
+	replyBuf *rdma.MemoryRegion
+}
+
+func newRawClient(t *testing.T, s *Server) *rawClient {
+	t.Helper()
+	ep := rdma.NewEndpoint("raw")
+	replyBuf, err := ep.Register(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.Connect(ep, replyBuf.RKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	conn := s.conns[len(s.conns)-1]
+	s.mu.Unlock()
+	return &rawClient{t: t, conn: conn, info: info, qp: rdma.Connect(ep, s.cfg.Endpoint, 16), replyBuf: replyBuf}
+}
+
+// await polls the reply slot at offset 0 until a message lands there,
+// takes it, and returns it with how many bytes the server wrote.
+func (c *rawClient) await() (wire.Header, []byte) {
+	c.t.Helper()
+	hdr := make([]byte, wire.HeaderSize)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+		if ok, err := c.replyBuf.ReadIfWord(0, hdr, wire.Magic); err != nil {
+			c.t.Fatal(err)
+		} else if ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			c.t.Fatal("no reply")
+		}
+	}
+	h, err := wire.DecodeHeader(hdr)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	msg := make([]byte, h.WireSize())
+	if err := c.replyBuf.ReadAt(0, msg); err != nil {
+		c.t.Fatal(err)
+	}
+	_, payload, err := wire.DecodeMessage(msg)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	if err := c.replyBuf.Clear(0, len(msg)); err != nil {
+		c.t.Fatal(err)
+	}
+	return h, payload
+}
+
+// TestReplyThatOutgrowsItsSlot: an error reply too long for the client's
+// slot keeps its routing flags — a client told only "error" would not
+// refresh its map or back off — and as much of its text as the slot
+// holds; any slot of at least a header holds some, inline. A result
+// that outgrows the slot still becomes the overflow error.
+func TestReplyThatOutgrowsItsSlot(t *testing.T) {
+	s, _ := newTestServer(t, "s0")
+	c := newRawClient(t, s)
+	w := newWorker(s, 0)
+	text := bytes.Repeat([]byte("the region moved on; "), 20)
+	for _, tc := range []struct {
+		name      string
+		slot      int
+		flags     uint8
+		payload   []byte
+		wantFlags uint8
+		want      []byte
+	}{
+		{"wrong epoch into a header-sized slot", wire.HeaderSize,
+			wire.FlagError | wire.FlagWrongRegion | wire.FlagWrongEpoch, text,
+			wire.FlagError | wire.FlagWrongRegion | wire.FlagWrongEpoch | wire.FlagInline, text[:wire.InlineMax]},
+		{"overload into a put's slot", wire.MessageSize(1),
+			wire.FlagError | wire.FlagOverload, text,
+			wire.FlagError | wire.FlagOverload, text[:wire.MaxPayload(wire.MessageSize(1))]},
+		{"a result into a header-sized slot", wire.HeaderSize,
+			0, bytes.Repeat([]byte("v"), 500),
+			wire.FlagError | wire.FlagInline, replyOverflowText},
+		{"an error that fits", 1024,
+			wire.FlagError | wire.FlagWrongRegion, text[:100],
+			wire.FlagError | wire.FlagWrongRegion, text[:100]},
+	} {
+		tk := task{conn: c.conn, hdr: wire.Header{Opcode: wire.OpGet, RegionID: 1, RequestID: 7, ReplySize: uint32(tc.slot)}}
+		w.reply(tk, wire.OpGetReply, tc.flags, tc.payload)
+		h, got := c.await()
+		if h.Opcode != wire.OpGetReply || h.RequestID != 7 || h.Flags != tc.wantFlags || !bytes.Equal(got, tc.want) {
+			t.Errorf("%s: flags %#x and %d payload bytes %q, want %#x and %d", tc.name, h.Flags, len(got), got, tc.wantFlags, len(tc.want))
+		}
+		if h.WireSize() > tc.slot {
+			t.Errorf("%s: a %d-byte reply into a %d-byte slot", tc.name, h.WireSize(), tc.slot)
+		}
+	}
+}
+
+// TestRequestNamingNoReplySlotDropsTheConnection: a reply is at least a
+// header, so a request whose reply slot is smaller cannot be answered
+// without writing past it; the spinning thread treats it like any other
+// malformed message and closes the connection. A header-sized slot is
+// enough and is served.
+func TestRequestNamingNoReplySlotDropsTheConnection(t *testing.T) {
+	s, _ := newTestServer(t, "s0")
+	if _, err := s.OpenPrimary(wholeKeyspace("s0"), replica.NoReplication); err != nil {
+		t.Fatal(err)
+	}
+	c := newRawClient(t, s)
+	var mb wire.MsgBuf
+	send := func(off int, replySize uint32) {
+		t.Helper()
+		req := wire.GetReq{Key: []byte("nokey")}
+		msg := mb.Finish(wire.Header{Opcode: wire.OpGet, RegionID: 1, RequestID: 9, ReplySize: replySize},
+			req.Encode(mb.Reserve(req.Size())))
+		if len(msg) != wire.HeaderSize {
+			t.Fatalf("a %d-byte get request", len(msg))
+		}
+		if err := c.qp.Write(c.info.ReqRKey, off, msg, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(0, wire.HeaderSize)
+	if h, payload := c.await(); h.Flags&wire.FlagError != 0 || !h.Inline() {
+		t.Fatalf("get into a header-sized slot: flags %#x, %q", h.Flags, payload)
+	} else if rep, err := wire.DecodeGetReply(payload); err != nil || rep.Found {
+		t.Fatalf("get of a missing key = %+v, %v", rep, err)
+	}
+	send(wire.HeaderSize, wire.HeaderSize-1)
+	for deadline := time.Now().Add(5 * time.Second); !c.conn.closed.Load(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the connection stayed open")
+		}
+	}
+}

@@ -289,16 +289,17 @@ func (w *worker) doScan(t task) (wire.Op, uint8, []byte) {
 	return wire.OpScanReply, 0, rep
 }
 
-// reply RDMA-writes the response into the client's reply slot.
+// reply RDMA-writes the response into the client's reply slot. A result
+// that outgrew the slot becomes an error; an error keeps its flags — the
+// client acts on them (refresh the map, back off) — and as much of its
+// text as the slot holds, which is at least what rides in a header.
 func (w *worker) reply(t task, op wire.Op, flags uint8, payload []byte) {
-	if wire.MessageSize(len(payload)) > int(t.hdr.ReplySize) {
-		// The reply does not fit the slot the client allocated; replace
-		// it with an error the client can always hold (the slot always
-		// fits a header + minimum payload — a client that violated even
-		// that gets no reply).
-		flags, payload = wire.FlagError, replyOverflowText
+	if slot := int(t.hdr.ReplySize); wire.SentSize(len(payload)) > slot {
+		if flags&wire.FlagError == 0 {
+			flags, payload = wire.FlagError, replyOverflowText
+		}
+		payload = payload[:min(len(payload), wire.MaxPayload(slot))]
 	}
-	if w.s.sendReply(&w.msg, t, op, flags, payload) {
-		w.s.charge(metrics.CompReply, w.s.cfg.Cost.ReplyPerMessage)
-	}
+	w.s.sendReply(&w.msg, t, op, flags, payload)
+	w.s.charge(metrics.CompReply, w.s.cfg.Cost.ReplyPerMessage)
 }

@@ -17,7 +17,10 @@ import (
 // The corpus starts from the golden and compat fixtures: frames as the
 // pre-TraceID, pre-SentAt and pre-tenant encoders wrote them, the
 // reserved opcodes 21 and 22, and the payloads whose ship-codec fields
-// ride at the end (with and without them).
+// ride at the end (with and without them) — and the inline shape at its
+// edges: one payload byte, exactly InlineMax, a header flagged inline
+// that claims a byte more, and an inline message with a longer one's
+// stale trailer behind it.
 func FuzzDecodeMessage(f *testing.F) {
 	msg := func(h Header, payload []byte) []byte {
 		buf := make([]byte, MessageSize(len(payload)))
@@ -78,6 +81,18 @@ func FuzzDecodeMessage(f *testing.F) {
 	short := msg(full, put)
 	binary.LittleEndian.PutUint32(short[0:4], 1<<31)
 	f.Add(short)
+	// The inline shape, as MsgBuf.Finish sends small payloads.
+	inline := func(h Header, payload []byte) []byte {
+		var mb MsgBuf
+		return mb.Finish(h, payload)
+	}
+	f.Add(inline(full, put))
+	f.Add(inline(Header{Opcode: OpPutReply, RequestID: 4}, StatusReply{}.Encode(nil))) // one byte
+	f.Add(inline(Header{Opcode: OpGetReply}, make([]byte, InlineMax)))
+	over := inline(Header{Opcode: OpGetReply}, make([]byte, InlineMax))
+	over[0]++ // flagged inline, claims InlineMax+1
+	f.Add(over)
+	f.Add(append(inline(full, put), msg(full, make([]byte, 200))[HeaderSize:]...)) // a stale trailer behind it
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The input sits in front of spare capacity, as a message sits in
@@ -138,17 +153,42 @@ func FuzzDecodeMessage(f *testing.F) {
 			_, _ = DecodeRepairSegment(p)
 		}
 
+		// A header is there once its rendezvous word is, and decodes
+		// unless it names no opcode or, flagged inline, claims more
+		// payload than a header holds.
 		h, herr := DecodeHeader(in)
-		if (herr == nil) != (HeaderArrived(in) && h.Opcode != OpInvalid) {
-			t.Fatalf("DecodeHeader err %v disagrees with HeaderArrived %v", herr, HeaderArrived(in))
+		wellFormed := HeaderArrived(in) && Op(in[4]) != OpInvalid &&
+			(in[5]&FlagInline == 0 || binary.LittleEndian.Uint32(in[0:4]) <= InlineMax)
+		if (herr == nil) != wellFormed {
+			t.Fatalf("DecodeHeader err %v, header arrived %v and well-formed %v", herr, HeaderArrived(in), wellFormed)
 		}
-		if herr == nil {
-			// The poller's second rendezvous, at the size the header claims.
-			if PayloadArrived(in, int(h.PayloadSize)) && len(in) < MessageSize(int(h.PayloadSize)) {
+		mh, payload, merr := DecodeMessage(in)
+		switch {
+		case herr != nil:
+			if merr == nil {
+				t.Fatalf("DecodeMessage took a message whose header is %v", herr)
+			}
+		case h.Inline():
+			// The header's word is the whole arrival test: the message
+			// decodes whatever follows, out of the header alone.
+			if merr != nil || h.WireSize() != HeaderSize {
+				t.Fatalf("inline message: DecodeMessage %v, WireSize %d", merr, h.WireSize())
+			}
+			if len(payload) > 0 && (len(payload) > InlineMax || &payload[0] != &in[headerFields]) {
+				t.Fatalf("inline message: %d payload bytes, not in the header's reserved bytes", len(payload))
+			}
+		default:
+			// Out of line, the poller's second rendezvous at the size the
+			// header claims decides.
+			arrived := PayloadArrived(in, int(h.PayloadSize))
+			if arrived && len(in) < MessageSize(int(h.PayloadSize)) {
 				t.Fatalf("PayloadArrived for %d payload bytes in a %d-byte input", h.PayloadSize, len(in))
 			}
+			if (merr == nil) != arrived {
+				t.Fatalf("DecodeMessage err %v, PayloadArrived %v", merr, arrived)
+			}
 		}
-		if mh, payload, err := DecodeMessage(in); err == nil {
+		if merr == nil {
 			if mh != h || len(payload) != int(h.PayloadSize) {
 				t.Fatalf("DecodeMessage header %+v / %d payload bytes, DecodeHeader %+v", mh, len(payload), h)
 			}

@@ -8,6 +8,11 @@
 // message sizes are multiples of the header size, the spinning thread
 // only ever needs to zero the possible header locations after consuming
 // a message.
+//
+// A payload of at most InlineMax bytes does not follow the header: it
+// rides in the header's reserved bytes (FlagInline), the message is the
+// header alone, and the header's rendezvous word is the whole arrival
+// test. Decoders take both shapes; MsgBuf.Finish picks the one to send.
 package wire
 
 import (
@@ -26,6 +31,13 @@ const (
 	// messages the NIC packet rate is the bottleneck, so the paper's
 	// protocol uses a 256 B minimum payload (§4).
 	MinPayload = 256
+
+	// headerFields is how many leading header bytes the fields of Header
+	// occupy; the bytes from there to the rendezvous word are reserved.
+	headerFields = 48
+	// InlineMax is the largest payload that rides inside the header, in
+	// the reserved bytes between the last field and the rendezvous word.
+	InlineMax = HeaderSize - 4 - headerFields
 )
 
 // Op identifies a message type.
@@ -125,6 +137,12 @@ const (
 	// "Data path"): the server refused the request under overload, nothing
 	// was applied, and the client should back off before retrying.
 	FlagOverload = 1 << 4
+	// FlagInline marks a message whose payload sits in the header's
+	// reserved bytes [headerFields, headerFields+PayloadSize) and that
+	// ends with the header: no padded payload or trailer word follows.
+	// It describes the message's shape, so the encoders set and clear it
+	// themselves whatever the caller's Header says.
+	FlagInline = 1 << 5
 )
 
 // Header is the decoded fixed-size message header.
@@ -201,10 +219,51 @@ func PaddedPayloadSize(payloadLen int) int {
 	return (n + HeaderSize - 1) / HeaderSize * HeaderSize
 }
 
-// MessageSize returns the total on-wire size of a message with the given
-// payload length.
+// MessageSize returns the total size of a message whose payload of the
+// given length follows the header — the out-of-line shape, which is what
+// every payload over InlineMax is sent in and what a reply slot or a
+// buffer that must hold either shape is sized by.
 func MessageSize(payloadLen int) int {
 	return HeaderSize + PaddedPayloadSize(payloadLen)
+}
+
+// SentSize returns the size of the message MsgBuf.Finish emits for a
+// payload of the given length: the header alone up to InlineMax,
+// MessageSize beyond.
+func SentSize(payloadLen int) int {
+	if payloadLen <= InlineMax {
+		return HeaderSize
+	}
+	return MessageSize(payloadLen)
+}
+
+// MaxPayload returns the largest payload Finish can send in a message of
+// at most size bytes (size >= HeaderSize) — what an error text is cut to
+// when the slot it must land in is small.
+func MaxPayload(size int) int {
+	if size < HeaderSize+MinPayload {
+		return InlineMax
+	}
+	return size/HeaderSize*HeaderSize - HeaderSize - 4
+}
+
+// Inline reports whether the message h heads carries its payload inside
+// the header.
+func (h Header) Inline() bool { return h.Flags&FlagInline != 0 }
+
+// WireSize returns the size of the message h heads, in the shape it
+// arrived in.
+func (h Header) WireSize() int {
+	if h.Inline() {
+		return HeaderSize
+	}
+	return MessageSize(int(h.PayloadSize))
+}
+
+// InlinePayload returns the payload of the inline message whose header
+// bytes are hdr and decoded to h. It aliases hdr.
+func InlinePayload(hdr []byte, h Header) []byte {
+	return hdr[headerFields : headerFields+int(h.PayloadSize)]
 }
 
 // EncodeHeader writes h into buf[0:HeaderSize], including the rendezvous
@@ -231,7 +290,8 @@ func EncodeHeader(buf []byte, h Header) error {
 }
 
 // DecodeHeader parses buf[0:HeaderSize]; it fails unless the rendezvous
-// magic is present.
+// magic is present, and on an inline header that claims more payload
+// than a header holds.
 func DecodeHeader(buf []byte) (Header, error) {
 	if len(buf) < HeaderSize {
 		return Header{}, ErrShortBuffer
@@ -253,7 +313,7 @@ func DecodeHeader(buf []byte) (Header, error) {
 		Priority:    buf[37],
 		SentAt:      int64(binary.LittleEndian.Uint64(buf[40:48])),
 	}
-	if h.Opcode == OpInvalid {
+	if h.Opcode == OpInvalid || (h.Inline() && h.PayloadSize > InlineMax) {
 		return Header{}, ErrBadHeader
 	}
 	return h, nil
@@ -274,9 +334,9 @@ func HeaderArrived(buf []byte) bool {
 }
 
 // PayloadArrived reports whether the end-of-payload rendezvous magic for
-// a message with the given payload size is present (the spinning
-// thread's second poll point). Messages without payload are complete
-// once the header is.
+// an out-of-line message with the given payload size is present (the
+// spinning thread's second poll point). Messages without payload, and
+// inline ones, are complete once the header is.
 func PayloadArrived(buf []byte, payloadSize int) bool {
 	padded := PaddedPayloadSize(payloadSize)
 	if padded == 0 {
@@ -286,8 +346,11 @@ func PayloadArrived(buf []byte, payloadSize int) bool {
 	return len(buf) >= end && MagicArrived(buf[end-4:end])
 }
 
-// EncodeMessage writes a complete message (header + payload + padding +
-// trailer magic) into buf and returns the total size.
+// EncodeMessage writes a complete out-of-line message (header + payload +
+// padding + trailer magic) into buf and returns the total size. No
+// product code sends through it — every sender builds in a MsgBuf, which
+// also knows the inline shape; it is the reference the tests hold Finish
+// to and what the benchmark ladder's wire rungs time.
 func EncodeMessage(buf []byte, h Header, payload []byte) (int, error) {
 	total := MessageSize(len(payload))
 	if len(buf) < total {
@@ -304,6 +367,7 @@ func EncodeMessage(buf []byte, h Header, payload []byte) (int, error) {
 // magic. Only the bytes around the payload are touched.
 func finishMessage(msg []byte, h Header, payloadLen int) {
 	h.PayloadSize = uint32(payloadLen)
+	h.Flags &^= FlagInline
 	_ = EncodeHeader(msg, h) // msg holds at least a header
 	if len(msg) > HeaderSize {
 		clear(msg[HeaderSize+payloadLen : len(msg)-4])
@@ -321,16 +385,16 @@ func finishMessage(msg []byte, h Header, payloadLen int) {
 // a one-sided write copies it into the peer's registered memory, so the
 // buffer is free again when the write returns. Finishing the same
 // payload again under another header (a retry) touches the header slot
-// only. The zero value is ready to use; a MsgBuf serves one goroutine at
-// a time.
+// only. A payload of at most InlineMax bytes is moved into the header
+// slot and msg is that slot alone (SentSize says which, beforehand). The
+// zero value is ready to use; a MsgBuf serves one goroutine at a time.
 type MsgBuf struct {
 	b []byte
 }
 
-// room returns the buffer sized for a whole message of payloadLen
-// payload bytes, replacing it (contents and all) when it is too small.
-func (m *MsgBuf) room(payloadLen int) []byte {
-	total := MessageSize(payloadLen)
+// room returns the buffer sized to total bytes, replacing it (contents
+// and all) when it is too small.
+func (m *MsgBuf) room(total int) []byte {
 	if cap(m.b) < total {
 		m.b = make([]byte, total)
 	}
@@ -341,16 +405,26 @@ func (m *MsgBuf) room(payloadLen int) []byte {
 // capacity for payloadLen payload bytes and the padding and trailer that
 // follow them. Append the payload to it and hand the result to Finish.
 func (m *MsgBuf) Reserve(payloadLen int) []byte {
-	msg := m.room(payloadLen)
+	msg := m.room(MessageSize(payloadLen))
 	return msg[HeaderSize:HeaderSize]
 }
 
 // Finish builds the message around payload and returns it. A payload
-// built on Reserve's slice is already in place and is not copied; any
-// other payload (an error text, a payload that outgrew its reservation)
-// is copied in behind the header slot first.
+// over InlineMax built on Reserve's slice is already in place and is not
+// copied; any other (an error text, a payload that outgrew its
+// reservation) is copied in behind the header slot first. A payload that
+// fits the header's reserved bytes is copied there instead — where it
+// was built stays as it is, for a retry — and the header is the message.
 func (m *MsgBuf) Finish(h Header, payload []byte) []byte {
-	msg := m.room(len(payload))
+	if n := len(payload); n > 0 && n <= InlineMax {
+		msg := m.room(HeaderSize)
+		h.PayloadSize = uint32(n)
+		h.Flags |= FlagInline
+		_ = EncodeHeader(msg, h) // msg is exactly a header
+		copy(msg[headerFields:], payload)
+		return msg
+	}
+	msg := m.room(MessageSize(len(payload)))
 	if len(payload) > 0 && &payload[0] != &msg[HeaderSize] {
 		copy(msg[HeaderSize:], payload)
 	}
@@ -358,12 +432,16 @@ func (m *MsgBuf) Finish(h Header, payload []byte) []byte {
 	return msg
 }
 
-// DecodeMessage parses a complete message at buf, returning the header
-// and the unpadded payload (aliasing buf).
+// DecodeMessage parses a complete message of either shape at buf,
+// returning the header and the unpadded payload (aliasing buf). Of an
+// inline message it reads the header and nothing behind it.
 func DecodeMessage(buf []byte) (Header, []byte, error) {
 	h, err := DecodeHeader(buf)
 	if err != nil {
 		return Header{}, nil, err
+	}
+	if h.Inline() {
+		return h, InlinePayload(buf, h), nil
 	}
 	padded := PaddedPayloadSize(int(h.PayloadSize))
 	if len(buf) < HeaderSize+padded {
