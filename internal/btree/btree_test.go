@@ -75,6 +75,20 @@ func buildTree(t testing.TB, dev storage.Device, nodeSize int, keys [][]byte, em
 	return NewTree(dev, nodeSize, built.Root), fl, built
 }
 
+// first returns an iterator standing on t's first entry.
+func first(t *Tree) *Iterator {
+	it := new(Iterator)
+	it.First(t)
+	return it
+}
+
+// seekGE returns an iterator standing on t's first entry whose key is >=
+// key.
+func seekGE(t *Tree, key []byte, fullKey FullKeyReader) (*Iterator, error) {
+	it := new(Iterator)
+	return it, it.SeekGE(t, key, fullKey)
+}
+
 func sortedKeys(n int, format string) [][]byte {
 	keys := make([][]byte, n)
 	for i := range keys {
@@ -99,7 +113,7 @@ func TestEmptyTree(t *testing.T) {
 	if err != nil || found {
 		t.Fatalf("Get on empty tree = found %v, err %v", found, err)
 	}
-	if tree.Iter().Valid() {
+	if first(tree).Valid() {
 		t.Fatal("iterator on empty tree should be invalid")
 	}
 }
@@ -155,7 +169,7 @@ func TestIteratorFullOrder(t *testing.T) {
 	keys := sortedKeys(3000, "user%08d")
 	tree, fl, _ := buildTree(t, dev, 512, keys, nil)
 	i := 0
-	for it := tree.Iter(); it.Valid(); it.Next() {
+	for it := first(tree); it.Valid(); it.Next() {
 		full, err := fl.reader()(it.Entry().ValueOff)
 		if err != nil {
 			t.Fatal(err)
@@ -186,7 +200,7 @@ func TestSeekGE(t *testing.T) {
 		{"user00000999", "user00000999"},  // last
 	}
 	for _, c := range cases {
-		it, err := tree.SeekGE([]byte(c.seek), fl.reader())
+		it, err := seekGE(tree, []byte(c.seek), fl.reader())
 		if err != nil {
 			t.Fatalf("SeekGE(%q): %v", c.seek, err)
 		}
@@ -198,7 +212,7 @@ func TestSeekGE(t *testing.T) {
 			t.Fatalf("SeekGE(%q) = %q, want %q", c.seek, full, c.want)
 		}
 	}
-	it, err := tree.SeekGE([]byte("zzz"), fl.reader())
+	it, err := seekGE(tree, []byte("zzz"), fl.reader())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +358,7 @@ func TestBuildPropertyRandomKeys(t *testing.T) {
 		}
 		// Iterator yields exactly the key set in order.
 		i := 0
-		for it := tree.Iter(); it.Valid(); it.Next() {
+		for it := first(tree); it.Valid(); it.Next() {
 			full, err := fl.reader()(it.Entry().ValueOff)
 			if err != nil {
 				t.Fatal(err)

@@ -1,7 +1,9 @@
 package btree
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"tebis/internal/integrity"
 	"tebis/internal/kv"
@@ -89,10 +91,16 @@ type levelBuilder struct {
 	segBuf  []byte
 	nodeIdx int // next free node slot in segBuf
 
-	// Current node under construction.
-	nodeBuf  []byte
-	count    int
-	used     int    // bytes used in nodeBuf (index nodes)
+	// Current node under construction. A leaf stages its entries: its
+	// columns are known only once its last entry is. diffHi and diffLo
+	// are the OR over the staged prefixes of each one XOR the first's,
+	// bytes 0–7 and 8–11, which sharedEnds reads the columns off.
+	entries  []LeafEntry
+	diffHi   uint64
+	diffLo   uint32
+	nodeBuf  []byte // index node image
+	count    int    // index node pivots
+	used     int    // bytes used in nodeBuf
 	firstKey []byte // first key of the current node's subtree
 	hasLeft  bool   // index node: leftmost child set
 }
@@ -102,7 +110,7 @@ type levelBuilder struct {
 // divide the device segment size.
 func NewBuilder(dev storage.Device, nodeSize int, emit EmitFunc) (*Builder, error) {
 	geo := dev.Geometry()
-	if nodeSize < 64 || int64(nodeSize) > geo.SegmentSize() || geo.SegmentSize()%int64(nodeSize) != 0 {
+	if nodeSize < minNodeSize || int64(nodeSize) > geo.SegmentSize() || geo.SegmentSize()%int64(nodeSize) != 0 {
 		return nil, fmt.Errorf("btree: node size %d must divide segment size %d", nodeSize, geo.SegmentSize())
 	}
 	if emit == nil {
@@ -119,9 +127,8 @@ func NewBuilder(dev storage.Device, nodeSize int, emit EmitFunc) (*Builder, erro
 
 func (b *Builder) newLevel(kind byte) *levelBuilder {
 	lb := &levelBuilder{kind: kind}
-	lb.nodeBuf = make([]byte, b.nodeSize)
-	lb.used = nodeHdrSize
 	if kind == kindIndex {
+		lb.nodeBuf = make([]byte, b.nodeSize)
 		lb.used = indexFixedSize
 	}
 	return lb
@@ -168,8 +175,12 @@ func (b *Builder) Add(key []byte, valueOff storage.Offset, tombstone bool) error
 // leaf, whose key becomes the leaf's pivot, and both sides of a prefix
 // tie with the previous entry, which only the full keys can order.
 // Strictly ascending prefixes are strictly ascending keys (kv.MakePrefix),
-// so the order guard is as strong as comparing every key.
+// so the order guard is as strong as comparing every key. A value offset
+// a leaf cannot hold fails with ErrOffsetRange.
 func (b *Builder) AddEntry(e LeafEntry, key []byte, fullKey FullKeyReader) error {
+	if e.ValueOff > maxLeafOffset {
+		return fmt.Errorf("%w: %#x", ErrOffsetRange, e.ValueOff)
+	}
 	var err error
 	if b.started {
 		c := b.last.Prefix.Compare(e.Prefix)
@@ -196,12 +207,21 @@ func (b *Builder) AddEntry(e LeafEntry, key []byte, fullKey FullKeyReader) error
 		b.levels = append(b.levels, b.newLevel(kindLeaf))
 	}
 	leaf := b.levels[0]
-	if leaf.count >= leafCapacity(b.nodeSize) {
-		if err := b.sealNode(0); err != nil {
-			return err
+	var diffHi uint64
+	var diffLo uint32
+	if n := len(leaf.entries); n > 0 {
+		// The leaf seals at the first entry that would not fit beside the
+		// others once the columns they share shrink to take it in.
+		diffHi, diffLo = leaf.diffs(&e.Prefix)
+		head, tail := sharedEnds(diffHi, diffLo)
+		if n == maxLeafCount || leafSize(n+1, head, tail) > b.nodeSize {
+			if err := b.sealNode(0); err != nil {
+				return err
+			}
+			diffHi, diffLo = 0, 0
 		}
 	}
-	if leaf.count == 0 {
+	if len(leaf.entries) == 0 {
 		if key, err = resolveKey(key, e.ValueOff, fullKey); err != nil {
 			return err
 		}
@@ -210,10 +230,62 @@ func (b *Builder) AddEntry(e LeafEntry, key []byte, fullKey FullKeyReader) error
 	b.started = true
 	b.last = e
 	b.lastKey = append(b.lastKey[:0], key...)
-	encodeLeafEntry(leaf.nodeBuf[nodeHdrSize+leaf.count*leafEntrySize:], e)
-	leaf.count++
+	leaf.diffHi, leaf.diffLo = diffHi, diffLo
+	leaf.entries = append(leaf.entries, e)
 	b.built.NumKeys++
 	return nil
+}
+
+// diffs returns the staged leaf's prefix differences with p added.
+func (lb *levelBuilder) diffs(p *kv.Prefix) (hi uint64, lo uint32) {
+	first := &lb.entries[0].Prefix
+	hi = lb.diffHi | (binary.BigEndian.Uint64(p[:8]) ^ binary.BigEndian.Uint64(first[:8]))
+	lo = lb.diffLo | (binary.BigEndian.Uint32(p[8:]) ^ binary.BigEndian.Uint32(first[8:]))
+	return hi, lo
+}
+
+// sharedEnds returns how many leading (head) and trailing (tail) prefix
+// bytes a set of prefixes shares, given the OR of their differences from
+// one of them: a byte position is shared iff no prefix differs there.
+// For sorted prefixes the head is what the first and the last share.
+// Prefixes that are all the same share a head of all twelve bytes.
+func sharedEnds(diffHi uint64, diffLo uint32) (head, tail int) {
+	switch {
+	case diffHi != 0:
+		head = bits.LeadingZeros64(diffHi) / 8
+		tail = 4 + bits.TrailingZeros64(diffHi)/8
+		if diffLo != 0 {
+			tail = bits.TrailingZeros32(diffLo) / 8
+		}
+	case diffLo != 0:
+		head = 8 + bits.LeadingZeros32(diffLo)/8
+		tail = bits.TrailingZeros32(diffLo) / 8
+	default:
+		head = kv.PrefixSize
+	}
+	return head, tail
+}
+
+// encodeLeaf writes the staged entries into block, which is zero, as a
+// leaf.
+func (lb *levelBuilder) encodeLeaf(block []byte) {
+	head, tail := sharedEnds(lb.diffHi, lb.diffLo)
+	first := &lb.entries[0].Prefix
+	setNodeHeader(block, kindLeaf, len(lb.entries))
+	block[3], block[4] = byte(head), byte(tail)
+	p := nodeHdrSize
+	p += copy(block[p:], first[:head])
+	p += copy(block[p:], first[kv.PrefixSize-tail:])
+	for i := range lb.entries {
+		e := &lb.entries[i]
+		p += copy(block[p:], e.Prefix[head:kv.PrefixSize-tail])
+		v := uint64(e.ValueOff)
+		if e.Tombstone {
+			v |= leafTombstone
+		}
+		putU48(block[p:], v)
+		p += leafOffSize
+	}
 }
 
 // resolveKey returns the full key of the entry at off: key when the
@@ -281,20 +353,13 @@ func (b *Builder) addToIndex(level int, firstKey []byte, child storage.Offset) e
 // the node's first key + offset to the parent level.
 func (b *Builder) sealNode(level int) error {
 	lb := b.levels[level]
-	if lb.kind == kindLeaf && lb.count == 0 {
+	if !lb.hasNode() {
 		return nil
 	}
-	if lb.kind == kindIndex && !lb.hasLeft {
-		return nil
-	}
-	setNodeHeader(lb.nodeBuf, lb.kind, lb.count)
-
-	off, err := b.nodeOffset(lb)
+	off, err := b.placeNode(lb)
 	if err != nil {
 		return err
 	}
-	copy(lb.segBuf[lb.nodeIdx*b.nodeSize:], lb.nodeBuf)
-	lb.nodeIdx++
 	if lb.nodeIdx == b.slots {
 		if err := b.flushSegment(lb, true); err != nil {
 			return err
@@ -304,18 +369,41 @@ func (b *Builder) sealNode(level int) error {
 	firstKey := append([]byte(nil), lb.firstKey...)
 
 	// Reset the node.
-	for i := range lb.nodeBuf {
-		lb.nodeBuf[i] = 0
-	}
+	lb.entries = lb.entries[:0]
+	lb.diffHi, lb.diffLo = 0, 0
+	clear(lb.nodeBuf)
 	lb.count = 0
 	lb.hasLeft = false
-	lb.used = nodeHdrSize
-	if lb.kind == kindIndex {
-		lb.used = indexFixedSize
-	}
+	lb.used = indexFixedSize
 	lb.firstKey = lb.firstKey[:0]
 
 	return b.addToIndex(level+1, firstKey, off)
+}
+
+// hasNode reports whether lb's current node holds anything.
+func (lb *levelBuilder) hasNode() bool {
+	if lb.kind == kindLeaf {
+		return len(lb.entries) > 0
+	}
+	return lb.hasLeft
+}
+
+// placeNode writes lb's current node into the next free slot of the
+// level's segment and returns the node's device offset.
+func (b *Builder) placeNode(lb *levelBuilder) (storage.Offset, error) {
+	off, err := b.nodeOffset(lb)
+	if err != nil {
+		return storage.NilOffset, err
+	}
+	slot := lb.segBuf[lb.nodeIdx*b.nodeSize : (lb.nodeIdx+1)*b.nodeSize]
+	if lb.kind == kindLeaf {
+		lb.encodeLeaf(slot)
+	} else {
+		setNodeHeader(lb.nodeBuf, kindIndex, lb.count)
+		copy(slot, lb.nodeBuf)
+	}
+	lb.nodeIdx++
+	return off, nil
 }
 
 // flushSegment writes the used portion of lb's segment to the device and
@@ -368,13 +456,10 @@ func (b *Builder) Finish() (Built, error) {
 		top := level == len(b.levels)-1
 		if top && b.rootReady(lb) {
 			// The whole level is a single node: it becomes the root.
-			setNodeHeader(lb.nodeBuf, lb.kind, lb.count)
-			off, err := b.nodeOffset(lb)
+			off, err := b.placeNode(lb)
 			if err != nil {
 				return Built{}, err
 			}
-			copy(lb.segBuf[lb.nodeIdx*b.nodeSize:], lb.nodeBuf)
-			lb.nodeIdx++
 			if err := b.flushSegment(lb, false); err != nil {
 				return Built{}, err
 			}
@@ -396,11 +481,7 @@ func (b *Builder) Finish() (Built, error) {
 // rootReady reports whether lb's current node is the only node of its
 // level, i.e. nothing of this level was sealed before.
 func (b *Builder) rootReady(lb *levelBuilder) bool {
-	nothingSealed := lb.segBuf == nil && lb.nodeIdx == 0
-	if lb.kind == kindLeaf {
-		return nothingSealed && lb.count > 0
-	}
-	return nothingSealed && lb.hasLeft
+	return lb.segBuf == nil && lb.nodeIdx == 0 && lb.hasNode()
 }
 
 func putU16(b []byte, v uint16) {

@@ -1,14 +1,12 @@
 package btree
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"tebis/internal/integrity"
-	"tebis/internal/kv"
 	"tebis/internal/storage"
 )
 
@@ -56,13 +54,13 @@ func TestMangledNodeBlocksNoPanic(t *testing.T) {
 		key := []byte(fmt.Sprintf("key-%05d", rng.Intn(2100)))
 		_, _, _, _ = tree.Get(key, reader)
 
-		it, _ := tree.SeekGE(key, reader)
+		it, _ := seekGE(tree, key, reader)
 		for steps := 0; it.Valid() && steps < 100; steps++ {
 			_ = it.Entry()
 			it.Next()
 		}
 
-		full := tree.Iter()
+		full := first(tree)
 		for steps := 0; full.Valid() && steps < 5000; steps++ {
 			_ = full.Entry()
 			full.Next()
@@ -116,7 +114,7 @@ func TestPointerCycleBounded(t *testing.T) {
 	if err == nil {
 		t.Fatal("Get through a pointer cycle returned no error")
 	}
-	it := tree.Iter()
+	it := first(tree)
 	for steps := 0; it.Valid() && steps < 100000; steps++ {
 		it.Next()
 	}
@@ -137,6 +135,11 @@ var headerMangles = []struct {
 		block[1] = 0xFF
 		block[2] = 0xFF
 	}},
+	{"leafHeadPlusTail", func(block []byte) {
+		block[0] = kindLeaf
+		block[3], block[4] = 7, 6
+	}},
+	{"21ByteEntryLeaf", func(block []byte) { block[0] = 1 }},
 }
 
 // TestReadNodeRejectsBadHeaders checks the typed-error surface for
@@ -167,10 +170,10 @@ func TestReadNodeRejectsBadHeaders(t *testing.T) {
 			} else if !errors.Is(err, ErrCorruptNode) {
 				t.Fatalf("Get error = %v, want ErrCorruptNode", err)
 			}
-			if _, err := tree.SeekGE(keys[0], fl.reader()); err == nil {
+			if _, err := seekGE(tree, keys[0], fl.reader()); err == nil {
 				t.Fatal("SeekGE on corrupt root returned no error")
 			}
-			if it := tree.Iter(); it.Err() == nil {
+			if it := first(tree); it.Err() == nil {
 				t.Fatal("Iter on corrupt root returned no error")
 			}
 		})
@@ -228,7 +231,11 @@ func TestCachedNodesFollowSegmentRepair(t *testing.T) {
 
 	// Flip a bit of the first leaf entry's value offset on the raw
 	// medium, below the verifier.
-	entry := geo.Within(leafOff) + nodeHdrSize + kv.PrefixSize
+	l, err := leafOf(image[geo.Within(leafOff):][:nodeSize])
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := geo.Within(leafOff) + int64(nodeHdrSize+len(l.head)+len(l.tail)+l.mid)
 	if err := mem.WriteAt(geo.Pack(seg, entry), []byte{image[entry] ^ 0x10}); err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +243,13 @@ func TestCachedNodesFollowSegmentRepair(t *testing.T) {
 	if _, _, _, err := tree.Get(keys[0], reader); !errors.Is(err, storage.ErrChecksum) {
 		t.Fatalf("Get through a corrupt, invalidated segment = %v, want ErrChecksum", err)
 	}
-	if _, err := tree.SeekGE(keys[0], reader); !errors.Is(err, storage.ErrChecksum) {
+	if _, err := seekGE(tree, keys[0], reader); !errors.Is(err, storage.ErrChecksum) {
 		t.Fatalf("SeekGE through a corrupt, invalidated segment = %v, want ErrChecksum", err)
 	}
 
 	// Repair with an image whose first entry points at a new log offset.
 	moved := fl.add(keys[0])
-	binary.LittleEndian.PutUint64(image[entry:], uint64(moved))
+	putU48(image[entry:], uint64(moved))
 	if err := dev.WriteFramedAt(geo.Pack(seg, 0), image, integrity.KindIndex); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +260,7 @@ func TestCachedNodesFollowSegmentRepair(t *testing.T) {
 			t.Fatalf("Get(%q) after repair = %#x, %v, %v; want %#x", k, off, found, err, want[string(k)])
 		}
 	}
-	it, err := tree.SeekGE(keys[0], reader)
+	it, err := seekGE(tree, keys[0], reader)
 	if err != nil || !it.Valid() || it.Entry().ValueOff != moved {
 		t.Fatalf("SeekGE after repair: err %v, valid %v", err, it.Valid())
 	}
@@ -295,6 +302,14 @@ func FuzzIndexNode(f *testing.F) {
 	cycle := append([]byte(nil), root.block...)
 	putU64(cycle[nodeHdrSize:], uint64(dev.Geometry().Pack(1, 0)))
 	f.Add(cycle, keys[0])
+	// A leaf with a reserved byte set, and one whose rows end exactly at
+	// the block's end.
+	reserved := append([]byte(nil), leaf.block...)
+	reserved[7] = 0xA5
+	f.Add(reserved, keys[0])
+	edge := append([]byte(nil), leaf.block...)
+	edge[1], edge[2] = byte((nodeSize-nodeHdrSize-int(edge[3])-int(edge[4]))/(leaf.leaf.mid+leafOffSize)), 0
+	f.Add(edge, keys[len(keys)/2])
 
 	f.Fuzz(func(t *testing.T, block, key []byte) {
 		if len(block) > nodeSize {
@@ -324,13 +339,13 @@ func FuzzIndexNode(f *testing.F) {
 		reader := func(storage.Offset) ([]byte, error) { return key, nil }
 		for i := 0; i < 2; i++ { // the second round walks the cached node
 			_, _, _, _ = tree.Get(key, reader)
-			it, _ := tree.SeekGE(key, reader)
+			it, _ := seekGE(tree, key, reader)
 			for steps := 0; it.Valid() && steps < 64; steps++ {
 				_ = it.Entry()
 				it.Next()
 			}
 		}
-		full := tree.Iter()
+		full := first(tree)
 		for steps := 0; full.Valid() && steps < 64; steps++ {
 			_ = full.Entry()
 			full.Next()

@@ -6,19 +6,19 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"tebis/internal/kv"
 )
 
-// builtPages builds a tree over keys (every tombEvery-th one a
-// tombstone, 0 for none) and returns every emitted segment cut into node
-// blocks.
-func builtPages(t testing.TB, nodeSize int, keys [][]byte, tombEvery int) (pages [][]byte) {
+// builtSegments builds a tree over keys (every tombEvery-th one a
+// tombstone, 0 for none) on a device of 16-node segments and returns
+// every segment image it emits.
+func builtSegments(t testing.TB, nodeSize int, keys [][]byte, tombEvery int) (images [][]byte) {
 	t.Helper()
 	dev := newDev(t, 16*int64(nodeSize))
 	fl := newFakeLog(dev.Geometry())
 	b, err := NewBuilder(dev, nodeSize, func(es EmittedSegment) error {
-		for off := 0; off < len(es.Data); off += nodeSize {
-			pages = append(pages, es.Data[off:off+nodeSize])
-		}
+		images = append(images, es.Data)
 		return nil
 	})
 	if err != nil {
@@ -31,6 +31,17 @@ func builtPages(t testing.TB, nodeSize int, keys [][]byte, tombEvery int) (pages
 	}
 	if _, err := b.Finish(); err != nil {
 		t.Fatal(err)
+	}
+	return images
+}
+
+// builtPages is builtSegments cut into node blocks.
+func builtPages(t testing.TB, nodeSize int, keys [][]byte, tombEvery int) (pages [][]byte) {
+	t.Helper()
+	for _, img := range builtSegments(t, nodeSize, keys, tombEvery) {
+		for off := 0; off < len(img); off += nodeSize {
+			pages = append(pages, img[off:off+nodeSize])
+		}
 	}
 	return pages
 }
@@ -72,13 +83,15 @@ func checkPackRoundTrip(t testing.TB, page []byte) (packed int, ok bool) {
 // size, smaller than it went in; every index node is refused.
 func TestPackLeafRoundTripsBuilderOutput(t *testing.T) {
 	rnd := rand.New(rand.NewSource(21))
+	full := leafCount(builtPages(t, 512, sortedKeys(1000, "k%05d"), 0)[0])
 	keySets := map[string][][]byte{
 		"shared head":   sortedKeys(2000, "user-%08d"),
 		"shared tail":   sortedKeys(2000, "%06d-x"),
 		"short keys":    sortedKeys(500, "%03d"), // zero-padded prefix: a constant tail
 		"nothing alike": randomKeySet(rnd, 1500),
 		"one entry":     sortedKeys(1, "only-%d"),
-		"one past full": sortedKeys(leafCapacity(512)+1, "k%05d"),
+		"one past full": sortedKeys(full+1, "k%05d"),
+		"prefix ties":   sortedKeys(300, "sameprefix00-%05d"), // an empty middle column
 	}
 	for name, keys := range keySets {
 		for _, nodeSize := range []int{512, 1024, 4096} {
@@ -95,8 +108,8 @@ func TestPackLeafRoundTripsBuilderOutput(t *testing.T) {
 						}
 						leaves++
 						entries += leafCount(page)
-						if packed >= nodeHdrSize+leafCount(page)*leafEntrySize {
-							t.Fatalf("leaf of %d entries packed to %d bytes", leafCount(page), packed)
+						if used := leafSize(leafCount(page), int(page[3]), int(page[4])); packed >= used {
+							t.Fatalf("leaf of %d entries in %d bytes packed to %d bytes", leafCount(page), used, packed)
 						}
 					}
 					if entries != len(keys) {
@@ -108,17 +121,21 @@ func TestPackLeafRoundTripsBuilderOutput(t *testing.T) {
 	}
 }
 
-// TestPackLeafReadsTheColumnsOffThePage pins what the packed form costs
-// on the layout it exists for: sorted generated keys with a common head
-// and tail and log-sized offsets pack to under half the block.
+// TestPackLeafReadsTheColumnsOffThePage pins what a leaf costs on the
+// device and on the wire for the layout the columns exist for: sorted
+// generated keys with a common head and tail and log-sized offsets.
 func TestPackLeafReadsTheColumnsOffThePage(t *testing.T) {
 	const nodeSize = 4096
-	pages := builtPages(t, nodeSize, sortedKeys(leafCapacity(nodeSize), "user%04d-tail"), 0)
-	packed, ok := checkPackRoundTrip(t, pages[0])
-	// 194 keys "user0000-tai" … "user0193-tai": head "user0" and tail
-	// "-tai" leave 3 key bytes, and fakeLog offsets (segment 10000 of
-	// 64 KB) take 4 — 7 of an entry's 21 bytes.
-	if want := packHdrSize + 9 + leafCapacity(nodeSize)*7; !ok || packed != want {
+	page := builtPages(t, nodeSize, sortedKeys(1000, "user%04d-tail"), 0)[0]
+	// Keys "user0000-tai" … : head "user0" and tail "-tai" leave 3 key
+	// bytes, so a row is 3 + 6 and 453 rows fill the block (194 entries
+	// of 21 bytes did). On the wire fakeLog offsets (segment 10000 of
+	// 64 KB) take 4 bytes: 7 a row.
+	if n := leafCount(page); n != 453 || page[3] != 5 || page[4] != 4 {
+		t.Fatalf("first leaf holds %d entries, head %d, tail %d; want 453, 5, 4", n, page[3], page[4])
+	}
+	packed, ok := checkPackRoundTrip(t, page)
+	if want := packHdrSize + 9 + 453*7; !ok || packed != want {
 		t.Fatalf("full leaf packed to %d bytes (accepted %v), want %d", packed, ok, want)
 	}
 }
@@ -133,20 +150,29 @@ func TestPackLeafRefusesWhatItCannotRebuild(t *testing.T) {
 	if _, ok := checkPackRoundTrip(t, leaf); !ok {
 		t.Fatal("seed leaf refused")
 	}
-	end := nodeHdrSize + leafCount(leaf)*leafEntrySize
+	end := leafSize(leafCount(leaf), int(leaf[3]), int(leaf[4]))
 	for name, mangle := range map[string]func(b []byte) []byte{
-		"index node":       func(b []byte) []byte { b[0] = kindIndex; return b },
-		"free block":       func(b []byte) []byte { b[0] = kindFree; return b },
-		"reserved byte":    func(b []byte) []byte { b[5] = 1; return b },
-		"dirty padding":    func(b []byte) []byte { b[len(b)-1] = 1; return b },
-		"byte after count": func(b []byte) []byte { b[end] = 1; return b },
-		"no entries":       func(b []byte) []byte { b[1], b[2] = 0, 0; return b },
-		"count past block": func(b []byte) []byte { b[1] = byte(leafCapacity(nodeSize) + 1); return b },
-		"short block":      func(b []byte) []byte { return b[:nodeHdrSize-1] },
-		"empty":            func(b []byte) []byte { return nil },
+		"index node":          func(b []byte) []byte { b[0] = kindIndex; return b },
+		"free block":          func(b []byte) []byte { b[0] = kindFree; return b },
+		"21-byte-entry leaf":  func(b []byte) []byte { b[0] = 1; return b },
+		"reserved byte":       func(b []byte) []byte { b[5] = 1; return b },
+		"dirty padding":       func(b []byte) []byte { b[len(b)-1] = 1; return b },
+		"byte after the rows": func(b []byte) []byte { b[end] = 1; return b },
+		"no entries":          func(b []byte) []byte { b[1], b[2] = 0, 0; return b },
+		"count past block":    func(b []byte) []byte { b[1], b[2] = 0xFF, 0xFF; return b },
+		"head plus tail":      func(b []byte) []byte { b[3], b[4] = 7, 6; return b },
+		"short block":         func(b []byte) []byte { return b[:nodeHdrSize-1] },
+		"empty":               func(b []byte) []byte { return nil },
 	} {
 		if _, ok := checkPackRoundTrip(t, mangle(append([]byte(nil), leaf...))); ok {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	// The codec offers PackLeaf every page of a value-log segment, so a
+	// refusal allocates nothing.
+	for _, junk := range [][]byte{bytes.Repeat([]byte("value"), nodeSize/5), bytes.Repeat([]byte{kindLeaf, 0xFF}, nodeSize/2)} {
+		if n := testing.AllocsPerRun(100, func() { PackLeaf(nil, junk) }); n != 0 {
+			t.Errorf("refusing %q… allocated %v times", junk[:4], n)
 		}
 	}
 }
@@ -162,14 +188,20 @@ func TestUnpackLeafRejectsHostileForms(t *testing.T) {
 		t.Fatal("seed leaf refused")
 	}
 	for name, mangle := range map[string]func(f []byte) []byte{
-		"cut short":       func(f []byte) []byte { return f[:len(f)-1] },
-		"header only":     func(f []byte) []byte { return f[:packHdrSize] },
-		"empty":           func(f []byte) []byte { return nil },
-		"no entries":      func(f []byte) []byte { f[0], f[1] = 0, 0; return f },
-		"count past page": func(f []byte) []byte { f[0] = byte(leafCapacity(nodeSize) + 1); return f },
-		"head past key":   func(f []byte) []byte { f[2] = 13; return f },
-		"head plus tail":  func(f []byte) []byte { f[2], f[3] = 7, 6; return f },
-		"width past u64":  func(f []byte) []byte { f[4] = f[4]&packFlagsBit | 9; return f },
+		"cut short":            func(f []byte) []byte { return f[:len(f)-1] },
+		"header only":          func(f []byte) []byte { return f[:packHdrSize] },
+		"empty":                func(f []byte) []byte { return nil },
+		"no entries":           func(f []byte) []byte { f[0], f[1] = 0, 0; return f },
+		"count past page":      func(f []byte) []byte { f[0], f[1] = 0xFF, 0; return f },
+		"head past key":        func(f []byte) []byte { f[2] = 13; return f },
+		"head plus tail":       func(f []byte) []byte { f[2], f[3] = 7, 6; return f },
+		"width past field":     func(f []byte) []byte { f[4] = f[4]&packFlagsBit | (leafOffSize + 1); return f },
+		"flag not a tombstone": func(f []byte) []byte { f[len(f)-1] = 2; return f },
+		// One entry of an all-shared prefix whose 6-byte offset reaches
+		// into the tombstone bit.
+		"offset past 47 bits": func([]byte) []byte {
+			return append([]byte{1, 0, kv.PrefixSize, 0, leafOffSize}, append(make([]byte, kv.PrefixSize), 0, 0, 0, 0, 0, 0x80)...)
+		},
 	} {
 		page := bytes.Repeat([]byte{0xEE}, nodeSize)
 		if _, err := UnpackLeaf(page, mangle(append([]byte(nil), form...))); !errors.Is(err, ErrCorruptNode) {
@@ -192,13 +224,25 @@ func TestUnpackLeafRejectsHostileForms(t *testing.T) {
 func FuzzPackLeaf(f *testing.F) {
 	const nodeSize = 512
 	rnd := rand.New(rand.NewSource(5))
-	for _, keys := range [][][]byte{sortedKeys(200, "key-%04d"), randomKeySet(rnd, 60), sortedKeys(1, "%d")} {
+	for _, keys := range [][][]byte{sortedKeys(200, "key-%04d"), randomKeySet(rnd, 60), sortedKeys(1, "%d"), sortedKeys(300, "sameprefix00-%05d")} {
 		for _, page := range builtPages(f, nodeSize, keys, 5) {
 			f.Add(page)
 			if form, ok := PackLeaf(nil, page); ok {
 				f.Add(form)
 			}
 		}
+	}
+	// Blocks a reader must refuse: columns wider than the prefix, rows
+	// past the block, a reserved byte set.
+	leaf := builtPages(f, nodeSize, sortedKeys(20, "key-%04d"), 3)[0]
+	for _, mangle := range []func(b []byte){
+		func(b []byte) { b[3], b[4] = 7, 6 },
+		func(b []byte) { b[1], b[2] = 0xFF, 0 },
+		func(b []byte) { b[6] = 1 },
+	} {
+		mangled := append([]byte(nil), leaf...)
+		mangle(mangled)
+		f.Add(mangled)
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -33,7 +33,7 @@ func randomKeySet(rnd *rand.Rand, n int) [][]byte {
 // with a reference binary search: the first key >= q, or exhausted.
 func checkSeekGE(t *testing.T, tree *Tree, fl *fakeLog, keys [][]byte, q []byte) {
 	t.Helper()
-	it, err := tree.SeekGE(q, fl.reader())
+	it, err := seekGE(tree, q, fl.reader())
 	if err != nil {
 		t.Fatalf("SeekGE(%q): %v", q, err)
 	}
@@ -107,7 +107,7 @@ func TestIteratorCountMatchesBuildProperty(t *testing.T) {
 		}
 		n := 0
 		prev := []byte(nil)
-		for it := tree.Iter(); it.Valid(); it.Next() {
+		for it := first(tree); it.Valid(); it.Next() {
 			full, err := fl.reader()(it.Entry().ValueOff)
 			if err != nil {
 				t.Fatal(err)
@@ -118,7 +118,7 @@ func TestIteratorCountMatchesBuildProperty(t *testing.T) {
 			prev = append(prev[:0], full...)
 			n++
 		}
-		if err := tree.Iter().Err(); err != nil {
+		if err := first(tree).Err(); err != nil {
 			t.Fatal(err)
 		}
 		if n != len(keys) {

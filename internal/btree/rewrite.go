@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"tebis/internal/kv"
 	"tebis/internal/storage"
 )
 
@@ -19,16 +18,20 @@ type SegmentMapper func(storage.SegmentID) (storage.SegmentID, error)
 //
 //   - child pointers in index nodes (leftmost + one per pivot) are
 //     rebased through mapIndex (the index segment map), and
-//   - value-log offsets in leaf entries are rebased through mapLog (the
-//     log segment map).
+//   - value-log offsets in leaf rows are rebased through mapLog (the
+//     log segment map), keeping each row's tombstone bit.
 //
 // The rewrite replaces only the high-order segment bits of each offset,
 // keeping the in-segment offset — the O(1)-per-pointer translation the
 // paper describes. It returns the number of pointers rewritten, which
-// feeds the cycles/op cost model (Table 3, "Rewrite index").
+// feeds the cycles/op cost model (Table 3, "Rewrite index"). A value-log
+// offset the map moves to 2⁴⁷ or beyond fails with ErrOffsetRange.
 //
 // data must be a whole number of node blocks (as emitted by Builder).
 func RewriteSegment(data []byte, nodeSize int, geo storage.Geometry, mapIndex, mapLog SegmentMapper) (pointers int, err error) {
+	if nodeSize < minNodeSize {
+		return 0, fmt.Errorf("%w: node size %d", ErrCorruptNode, nodeSize)
+	}
 	if len(data) == 0 || len(data)%nodeSize != 0 {
 		return 0, fmt.Errorf("%w: segment image of %d bytes is not node-aligned", ErrCorruptNode, len(data))
 	}
@@ -60,22 +63,28 @@ func RewriteSegment(data []byte, nodeSize int, geo storage.Geometry, mapIndex, m
 }
 
 func rewriteLeaf(block []byte, geo storage.Geometry, mapLog SegmentMapper) (int, error) {
-	count := leafCount(block)
-	if count > leafCapacity(len(block)) {
-		return 0, fmt.Errorf("%w: leaf count %d exceeds capacity %d", ErrCorruptNode, count, leafCapacity(len(block)))
+	l, err := leafOf(block)
+	if err != nil {
+		return 0, err
 	}
-	for i := 0; i < count; i++ {
-		pos := nodeHdrSize + i*leafEntrySize + kv.PrefixSize
-		if err := rebase(block[pos:pos+8], geo, mapLog); err != nil {
+	for i := 0; i < l.count; i++ {
+		field := l.field(i)
+		v := getU48(field)
+		off, err := rebase(storage.Offset(v&^leafTombstone), geo, mapLog)
+		if err == nil && off > maxLeafOffset {
+			err = fmt.Errorf("%w: rebased to %#x", ErrOffsetRange, off)
+		}
+		if err != nil {
 			return i, fmt.Errorf("leaf entry %d: %w", i, err)
 		}
+		putU48(field, uint64(off)|v&leafTombstone)
 	}
-	return count, nil
+	return l.count, nil
 }
 
 func rewriteIndex(block []byte, geo storage.Geometry, mapIndex SegmentMapper) (int, error) {
 	count := int(binary.LittleEndian.Uint16(block[1:3]))
-	if err := rebase(block[nodeHdrSize:nodeHdrSize+8], geo, mapIndex); err != nil {
+	if err := rebaseField(block[nodeHdrSize:nodeHdrSize+8], geo, mapIndex); err != nil {
 		return 0, fmt.Errorf("leftmost child: %w", err)
 	}
 	rewritten := 1
@@ -89,7 +98,7 @@ func rewriteIndex(block []byte, geo storage.Geometry, mapIndex SegmentMapper) (i
 		if pos+8 > len(block) {
 			return rewritten, fmt.Errorf("%w: child %d past block end", ErrCorruptNode, i)
 		}
-		if err := rebase(block[pos:pos+8], geo, mapIndex); err != nil {
+		if err := rebaseField(block[pos:pos+8], geo, mapIndex); err != nil {
 			return rewritten, fmt.Errorf("child %d: %w", i, err)
 		}
 		rewritten++
@@ -98,13 +107,27 @@ func rewriteIndex(block []byte, geo storage.Geometry, mapIndex SegmentMapper) (i
 	return rewritten, nil
 }
 
-// rebase rewrites one little-endian offset in place through m.
-func rebase(field []byte, geo storage.Geometry, m SegmentMapper) error {
-	off := storage.Offset(binary.LittleEndian.Uint64(field))
-	local, err := m(geo.Segment(off))
+// rebaseField rewrites one little-endian 8-byte offset in place through m.
+func rebaseField(field []byte, geo storage.Geometry, m SegmentMapper) error {
+	off, err := rebase(storage.Offset(binary.LittleEndian.Uint64(field)), geo, m)
 	if err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(field, uint64(geo.Rebase(off, local)))
+	binary.LittleEndian.PutUint64(field, uint64(off))
 	return nil
+}
+
+// rebase moves off to the segment m maps its own to. An offset whose
+// segment number does not fit a SegmentID names no segment, and would
+// lose its high bits on the way: it is corrupt.
+func rebase(off storage.Offset, geo storage.Geometry, m SegmentMapper) (storage.Offset, error) {
+	seg := geo.Segment(off)
+	if geo.Rebase(off, seg) != off {
+		return 0, fmt.Errorf("%w: offset %#x names no segment", ErrCorruptNode, off)
+	}
+	local, err := m(seg)
+	if err != nil {
+		return 0, err
+	}
+	return geo.Rebase(off, local), nil
 }

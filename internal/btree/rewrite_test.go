@@ -1,7 +1,10 @@
 package btree
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"tebis/internal/kv"
@@ -147,7 +150,7 @@ func TestRewriteRoundTrip(t *testing.T) {
 
 	// Iteration over the rewritten tree must return all keys in order.
 	i := 0
-	for it := btree.Iter(); it.Valid(); it.Next() {
+	for it := first(btree); it.Valid(); it.Next() {
 		full, err := backupReader(it.Entry().ValueOff)
 		if err != nil {
 			t.Fatal(err)
@@ -170,6 +173,144 @@ func TestRewriteRejectsUnalignedData(t *testing.T) {
 	if _, err := RewriteSegment(nil, 512, geo, nil, nil); err == nil {
 		t.Fatal("empty data should fail")
 	}
+	// A node size below the builder's floor, zero among them, is refused
+	// before it divides anything.
+	for _, nodeSize := range []int{0, -512, 1, minNodeSize - 1} {
+		if _, err := RewriteSegment(make([]byte, 512), nodeSize, geo, nil, nil); !errors.Is(err, ErrCorruptNode) {
+			t.Fatalf("node size %d: RewriteSegment = %v, want ErrCorruptNode", nodeSize, err)
+		}
+	}
+}
+
+// TestRewriteRefusesOffsetsPastTheField: a log map that moves a value
+// offset to 2⁴⁷ or beyond fails the rewrite with ErrOffsetRange instead
+// of wrapping the pointer into the tombstone bit.
+func TestRewriteRefusesOffsetsPastTheField(t *testing.T) {
+	img := builtSegments(t, 256, sortedKeys(20, "key-%02d"), 0)[0]
+	geo, _ := storage.NewGeometry(rewriteFuzzSegSize)
+	identity := func(s storage.SegmentID) (storage.SegmentID, error) { return s, nil }
+	high := func(s storage.SegmentID) (storage.SegmentID, error) { return s | 1<<31, nil }
+	if _, err := RewriteSegment(append([]byte(nil), img...), 256, geo, identity, high); !errors.Is(err, ErrOffsetRange) {
+		t.Fatalf("RewriteSegment to segment 2^31 of 64 KB = %v, want ErrOffsetRange", err)
+	}
+	if _, err := RewriteSegment(append([]byte(nil), img...), 256, geo, high, identity); err != nil {
+		t.Fatalf("index pointers to segment 2^31: %v", err)
+	}
+}
+
+// rewriteFuzzSegSize is the segment size FuzzRewriteSegment rewrites
+// under: large enough that a segment number of 2³¹ puts an offset past a
+// leaf's 47 bits.
+const rewriteFuzzSegSize = 64 << 10
+
+// FuzzRewriteSegment drives the Send-Index rewrite, which a backup runs
+// over a primary's bytes, with arbitrary images, node sizes and segment
+// maps (an XOR, its own inverse). It never panics, and fails with
+// ErrCorruptNode or, when the map moves a leaf offset to 2⁴⁷ or beyond,
+// ErrOffsetRange. When it succeeds every pointer it counts kept its
+// in-segment bits and its tombstone bit and landed in the mapped
+// segment, and rewriting again through the inverse map restores the
+// image byte for byte — what a delta base rebuilt from a backup's
+// segment depends on.
+func FuzzRewriteSegment(f *testing.F) {
+	const nodeSize = 256
+	rnd := rand.New(rand.NewSource(12))
+	for _, img := range [][][]byte{
+		builtSegments(f, nodeSize, sortedKeys(400, "key-%04d"), 3),          // tombstones
+		builtSegments(f, nodeSize, sortedKeys(300, "sameprefix00-%05d"), 0), // empty middle column
+		builtSegments(f, nodeSize, randomKeySet(rnd, 500), 0),               // nothing shared
+	} {
+		for _, seg := range img {
+			f.Add(seg, uint16(nodeSize), uint32(0x15))
+		}
+		full, last := img[0], img[len(img)-1]
+		f.Add(full[:len(full)-nodeSize], uint16(nodeSize), uint32(3)) // a short last segment
+		f.Add(full, uint16(nodeSize), uint32(1<<31))                  // pushed past 2^47
+		f.Add(last, uint16(nodeSize), uint32(1<<31))
+		hole := append([]byte(nil), full...)
+		clear(hole[nodeSize : 2*nodeSize]) // a kind-0 block in the middle
+		f.Add(hole, uint16(nodeSize), uint32(7))
+		f.Add(full, uint16(0), uint32(0))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, nodeSize uint16, key uint32) {
+		ns := int(nodeSize)
+		geo, _ := storage.NewGeometry(rewriteFuzzSegSize)
+		m := func(s storage.SegmentID) (storage.SegmentID, error) { return s ^ storage.SegmentID(key), nil }
+		moved := func(off storage.Offset) storage.Offset {
+			return geo.Rebase(off, geo.Segment(off)^storage.SegmentID(key))
+		}
+		orig := append([]byte(nil), data...)
+
+		n, err := RewriteSegment(data, ns, geo, m, m)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptNode) && !errors.Is(err, ErrOffsetRange) {
+				t.Fatalf("untyped rewrite error: %v", err)
+			}
+			if errors.Is(err, ErrOffsetRange) && !anyLeafOffset(orig, ns, func(off storage.Offset) bool { return moved(off) > maxLeafOffset }) {
+				t.Fatalf("ErrOffsetRange with no leaf offset the map moves past 2^47: %v", err)
+			}
+			return
+		}
+		if ns < minNodeSize {
+			t.Fatalf("node size %d accepted", ns)
+		}
+		pointers := 0
+		for base := 0; base < len(orig) && orig[base] != kindFree; base += ns {
+			was, is := orig[base:base+ns], data[base:base+ns]
+			switch was[0] {
+			case kindLeaf:
+				lw, _ := leafOf(was)
+				li, _ := leafOf(is)
+				for i := 0; i < lw.count; i++ {
+					v, w := getU48(lw.field(i)), getU48(li.field(i))
+					if v&leafTombstone != w&leafTombstone {
+						t.Fatalf("block %d row %d: tombstone bit %#x became %#x", base/ns, i, v&leafTombstone, w&leafTombstone)
+					}
+					if want := moved(storage.Offset(v &^ leafTombstone)); storage.Offset(w&^leafTombstone) != want {
+						t.Fatalf("block %d row %d: %#x rewritten to %#x, want %#x", base/ns, i, v, w, want)
+					}
+				}
+				pointers += lw.count
+			case kindIndex:
+				nw, _ := decodeIndexNode(was)
+				ni, _ := decodeIndexNode(is)
+				for i, c := range nw.children {
+					if ni.children[i] != moved(c) {
+						t.Fatalf("block %d child %d: %#x rewritten to %#x, want %#x", base/ns, i, c, ni.children[i], moved(c))
+					}
+				}
+				pointers += len(nw.children)
+			}
+		}
+		if pointers != n {
+			t.Fatalf("rewrote %d pointers, reported %d", pointers, n)
+		}
+		if _, err := RewriteSegment(data, ns, geo, m, m); err != nil {
+			t.Fatalf("rewrite back through the inverse map: %v", err)
+		}
+		if !bytes.Equal(data, orig) {
+			t.Fatal("rewriting through the map and its inverse did not restore the image")
+		}
+	})
+}
+
+// anyLeafOffset reports whether pred holds for a value offset in a leaf
+// of the image that RewriteSegment would reach: a readable leaf before
+// the first free block.
+func anyLeafOffset(data []byte, nodeSize int, pred func(storage.Offset) bool) bool {
+	for base := 0; base+nodeSize <= len(data) && data[base] != kindFree; base += nodeSize {
+		l, err := leafOf(data[base : base+nodeSize])
+		if err != nil {
+			continue
+		}
+		for i := 0; i < l.count; i++ {
+			if pred(storage.Offset(getU48(l.field(i)) &^ leafTombstone)) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func TestRewriteRejectsCorruptKind(t *testing.T) {

@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"bytes"
 	"fmt"
 
 	"tebis/internal/kv"
@@ -44,6 +43,7 @@ const maxDepth = 64
 type node struct {
 	block []byte    // the nodeSize-byte image; kind in block[0]
 	index indexNode // pivots and children; zero for a leaf
+	leaf  leaf      // the columns, in block; zero for an index node
 }
 
 func (n *node) isLeaf() bool { return n.block[0] == kindLeaf }
@@ -63,14 +63,13 @@ func (t *Tree) readNode(off storage.Offset, n *node) error {
 	if err := t.dev.ReadAt(off, n.block); err != nil {
 		return err
 	}
+	var err error
 	switch n.block[0] {
 	case kindLeaf:
-		if c := leafCount(n.block); c > leafCapacity(t.nodeSize) {
-			return fmt.Errorf("%w: leaf count %d exceeds capacity %d at %#x",
-				ErrCorruptNode, c, leafCapacity(t.nodeSize), off)
+		if n.leaf, err = leafOf(n.block); err != nil {
+			return fmt.Errorf("%w at %#x", err, off)
 		}
 	case kindIndex:
-		var err error
 		if n.index, err = decodeIndexNode(n.block); err != nil {
 			return err
 		}
@@ -98,7 +97,7 @@ func (t *Tree) cachedNode(off storage.Offset) (*node, error) {
 }
 
 // findLeaf descends from the root to the leaf covering key.
-func (t *Tree) findLeaf(key []byte) ([]byte, error) {
+func (t *Tree) findLeaf(key []byte) (*leaf, error) {
 	off := t.root
 	for depth := 0; depth < maxDepth; depth++ {
 		n, err := t.cachedNode(off)
@@ -106,7 +105,7 @@ func (t *Tree) findLeaf(key []byte) ([]byte, error) {
 			return nil, err
 		}
 		if n.isLeaf() {
-			return n.block, nil
+			return &n.leaf, nil
 		}
 		off = n.index.children[n.index.route(key)]
 	}
@@ -122,19 +121,16 @@ func (t *Tree) Get(key []byte, fullKey FullKeyReader) (valueOff storage.Offset, 
 	if t.root == storage.NilOffset {
 		return storage.NilOffset, false, false, nil
 	}
-	block, err := t.findLeaf(key)
+	l, err := t.findLeaf(key)
 	if err != nil {
 		return storage.NilOffset, false, false, err
 	}
-	count := leafCount(block)
 	prefix := kv.MakePrefix(key)
 
 	// Scan the run of equal prefixes, resolving ties via the log.
-	for i := leafLowerBound(block, prefix); i < count; i++ {
-		e := decodeLeafEntry(block, i)
-		if e.Prefix.Compare(prefix) != 0 {
-			break
-		}
+	i, tie := l.seek(&prefix)
+	for ; tie && i < l.count && l.carries(i, &prefix); i++ {
+		e := l.entry(i)
 		full, err := fullKey(e.ValueOff)
 		if err != nil {
 			return storage.NilOffset, false, false, err
@@ -150,23 +146,6 @@ func (t *Tree) Get(key []byte, fullKey FullKeyReader) (valueOff storage.Offset, 
 	return storage.NilOffset, false, false, nil
 }
 
-// leafLowerBound returns the index of the first entry of the leaf block
-// whose prefix is >= prefix (the entry count when there is none). The
-// entries from there on that carry exactly prefix are the only ones a
-// full key can be needed for.
-func leafLowerBound(block []byte, prefix kv.Prefix) int {
-	lo, hi := 0, leafCount(block)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(leafPrefix(block, mid), prefix[:]) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Iterator walks a tree's leaf entries in ascending key order, keeping a
 // descent stack instead of leaf chaining so rewritten backup trees need
 // no extra linkage. An Iterator may be used again: First and SeekGE
@@ -176,9 +155,8 @@ type Iterator struct {
 	cached    bool // descents go through the node cache
 	uncached  node // the node an uncached descent is standing on
 	stack     []iterFrame
-	leaf      []byte
+	leaf      leaf // the leaf it stands in; zero past the end
 	pos       int
-	count     int
 	err       error
 	nodesRead int
 }
@@ -210,14 +188,6 @@ type iterFrame struct {
 	next int // next child index to visit
 }
 
-// Iter returns an iterator over the whole tree, positioned at the first
-// entry (invalid for an empty tree): First on a new Iterator.
-func (t *Tree) Iter() *Iterator {
-	it := new(Iterator)
-	it.First(t)
-	return it
-}
-
 // First positions it at t's first entry (invalid for an empty tree). It
 // reads every node from the device, past the node cache: compaction
 // streams each leaf once, and its reads must neither evict the lookups'
@@ -228,13 +198,6 @@ func (it *Iterator) First(t *Tree) {
 	if t.root != storage.NilOffset {
 		it.descend(t.root)
 	}
-}
-
-// SeekGE returns an iterator positioned at the first entry whose full
-// key is >= key: Iterator.SeekGE on a new Iterator.
-func (t *Tree) SeekGE(key []byte, fullKey FullKeyReader) (*Iterator, error) {
-	it := new(Iterator)
-	return it, it.SeekGE(t, key, fullKey)
 }
 
 // SeekGE positions it at t's first entry whose full key is >= key,
@@ -258,9 +221,7 @@ func (it *Iterator) SeekGE(t *Tree, key []byte, fullKey FullKeyReader) error {
 			return err
 		}
 		if n.isLeaf() {
-			it.leaf = n.block
-			it.count = leafCount(n.block)
-			it.pos = 0
+			it.leaf, it.pos = n.leaf, 0
 			break
 		}
 		child := n.index.route(key)
@@ -271,12 +232,12 @@ func (it *Iterator) SeekGE(t *Tree, key []byte, fullKey FullKeyReader) error {
 	// smaller prefix by binary search, then through the run of equal
 	// prefixes in full-key order.
 	prefix := kv.MakePrefix(key)
-	for it.pos = leafLowerBound(it.leaf, prefix); it.pos < it.count; it.pos++ {
-		e := decodeLeafEntry(it.leaf, it.pos)
-		if e.Prefix != prefix {
+	var tie bool
+	for it.pos, tie = it.leaf.seek(&prefix); it.pos < it.leaf.count; it.pos++ {
+		if !tie || !it.leaf.carries(it.pos, &prefix) {
 			return nil
 		}
-		full, err := fullKey(e.ValueOff)
+		full, err := fullKey(it.Entry().ValueOff)
 		if err != nil {
 			it.err = err
 			return err
@@ -304,9 +265,7 @@ func (it *Iterator) descend(off storage.Offset) {
 			return
 		}
 		if n.isLeaf() {
-			it.leaf = n.block
-			it.count = leafCount(n.block)
-			it.pos = 0
+			it.leaf, it.pos = n.leaf, 0
 			return
 		}
 		it.stack = append(it.stack, iterFrame{node: n.index, next: 1})
@@ -317,7 +276,7 @@ func (it *Iterator) descend(off storage.Offset) {
 // advanceLeaf moves to the first entry of the next leaf, popping
 // exhausted index frames.
 func (it *Iterator) advanceLeaf() {
-	it.leaf = nil
+	it.leaf = leaf{}
 	for len(it.stack) > 0 {
 		top := &it.stack[len(it.stack)-1]
 		if top.next >= len(top.node.children) {
@@ -333,7 +292,7 @@ func (it *Iterator) advanceLeaf() {
 
 // Valid reports whether the iterator points at an entry.
 func (it *Iterator) Valid() bool {
-	return it.err == nil && it.leaf != nil && it.pos < it.count
+	return it.err == nil && it.pos < it.leaf.count
 }
 
 // Err returns the first error the iterator hit, if any.
@@ -341,13 +300,13 @@ func (it *Iterator) Err() error { return it.err }
 
 // Entry returns the current leaf entry. The iterator must be valid.
 func (it *Iterator) Entry() LeafEntry {
-	return decodeLeafEntry(it.leaf, it.pos)
+	return it.leaf.entry(it.pos)
 }
 
 // Next advances to the following entry.
 func (it *Iterator) Next() {
 	it.pos++
-	if it.pos >= it.count {
+	if it.pos >= it.leaf.count {
 		it.advanceLeaf()
 	}
 }

@@ -217,7 +217,9 @@ func buildScrubDB(t *testing.T) (*DB, *storage.FaultDevice, *storage.VerifyingDe
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 1500; i++ {
+	// Enough keys for ten level segments at about 50 columnar leaf rows
+	// per 512-byte node.
+	for i := 0; i < 3500; i++ {
 		val := make([]byte, 32)
 		rng.Read(val)
 		if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), val); err != nil {

@@ -56,7 +56,7 @@ func (r *reader) release() {
 // fullKey is the btree.FullKeyReader of the foreground paths: it reads
 // the key of the record at off into r.buf, over the previous one, and
 // remembers the header that came with it. The key is good until the
-// next call — Tree.Get and Tree.SeekGE compare a candidate and drop it.
+// next call — Tree.Get and Iterator.SeekGE compare a candidate and drop it.
 func (r *reader) fullKey(off storage.Offset) ([]byte, error) {
 	var err error
 	r.buf, r.hdr, err = r.db.log.AppendKey(r.buf[:0], off)

@@ -63,7 +63,8 @@ func TestMergeReadsOneKeyPerLeaf(t *testing.T) {
 	db, dev, rec := twoLevelDB(t)
 	nodes := 0
 	for i := 1; i <= 2; i++ {
-		it := db.levels[i].tree.Iter()
+		it := new(btree.Iterator)
+		it.First(db.levels[i].tree)
 		for it.Valid() {
 			it.Next()
 		}

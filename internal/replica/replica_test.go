@@ -443,7 +443,8 @@ func TestPromoteReadsRewrittenNodesOfRecycledSegments(t *testing.T) {
 		if st.Root == storage.NilOffset {
 			continue
 		}
-		it, err := btree.NewTree(r.devB[0], nodeSize, st.Root).SeekGE(nil, nil)
+		it := new(btree.Iterator)
+		err := it.SeekGE(btree.NewTree(r.devB[0], nodeSize, st.Root), nil, nil)
 		for ; err == nil && it.Valid(); it.Next() {
 		}
 		if err != nil || it.Err() != nil {

@@ -309,7 +309,10 @@ func TestPackedShipsLandTheBytesRawShipsDo(t *testing.T) {
 	if ps.FullSegments == 0 || ps.FullSegments != rs.FullSegments || ps.RawBytes != rs.RawBytes {
 		t.Fatalf("the two loads shipped %d and %d segments of %d and %d bytes", ps.FullSegments, rs.FullSegments, ps.RawBytes, rs.RawBytes)
 	}
-	if 2*ps.WireBytes > ps.RawBytes {
+	// Leaves are columnar on the device already, so packing narrows
+	// their offsets and drops the padding: about 0.7 of the image here
+	// (0.32 when a leaf was 21-byte entries, for the same wire bytes).
+	if 4*ps.WireBytes > 3*ps.RawBytes {
 		t.Fatalf("packed ships put %d bytes on the wire for %d of segments", ps.WireBytes, ps.RawBytes)
 	}
 

@@ -183,23 +183,67 @@ func TestPageStreamRoundTripsBuilderImages(t *testing.T) {
 	}
 }
 
-// TestPageStreamPacksIndexImages is the ratio pin: the tree of 16 K
-// sorted benchmark keys with log-sized offsets frames to at most 0.58 of
-// its bytes (DEFLATE alone reads 0.60–0.64 on the same images), so a
-// packer that loses a column fails here and not in a benchmark three
-// changes later.
+// TestPageStreamPacksIndexImages is the wire pin: the tree of 16 K
+// sorted benchmark keys with log-sized offsets frames to at most 12.2
+// bytes a key (12.15 when leaves were 21-byte entries on the device), so
+// a packer that loses a column fails here and not in a benchmark three
+// changes later. The device image is columnar already, so the frame is
+// about 0.83 of it: packing narrows the offsets and drops the padding
+// (DEFLATE alone, at ten times the CPU, reads about 0.80).
 func TestPageStreamPacksIndexImages(t *testing.T) {
-	images := indexImages(t, 4096, ycsbKeys(16<<10), 0, rand.New(rand.NewSource(32)))
+	const keys = 16 << 10
+	images := indexImages(t, 4096, ycsbKeys(keys), 0, rand.New(rand.NewSource(32)))
 	raw, framed, deflated := 0, 0, 0
 	for _, img := range images {
 		raw += len(img)
 		framed += len(checkRoundTrip(t, img, 4096))
 		deflated += deflatedFrameLen(t, img)
 	}
-	ratio := float64(framed) / float64(raw)
-	t.Logf("%d images, %d bytes: page stream %.3f of raw, DEFLATE alone %.3f", len(images), raw, ratio, float64(deflated)/float64(raw))
-	if ratio > 0.58 {
-		t.Fatalf("index images frame to %.3f of raw, want <= 0.58", ratio)
+	ratio, perKey := float64(framed)/float64(raw), float64(framed)/keys
+	t.Logf("%d images, %d bytes: page stream %.3f of raw (%.2f B/key), DEFLATE alone %.3f", len(images), raw, ratio, perKey, float64(deflated)/float64(raw))
+	if perKey > 12.2 || ratio > 0.85 {
+		t.Fatalf("index images frame to %.2f bytes a key, %.3f of raw; want <= 12.2 and <= 0.85", perKey, ratio)
+	}
+}
+
+// TestPageStreamDecodesTheDensestLeafInHeadroom: the densest leaf a
+// Builder writes — every prefix the same, so the rows are offsets only,
+// and offsets of one byte — packs to about a sixth of its page, inside
+// decodeHeadroom, so even an image of nothing else decodes into one
+// buffer sized up front and never takes the grow path.
+func TestPageStreamDecodesTheDensestLeafInHeadroom(t *testing.T) {
+	const nodeSize = 4096
+	dev, err := storage.NewMemDevice(testSegSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dev.Close() })
+	var raw []byte
+	b, err := btree.NewBuilder(dev, nodeSize, func(es btree.EmittedSegment) error {
+		if es.Kind == btree.SegLeaf {
+			raw = append(raw, es.Data...)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4000; i++ {
+		if err := b.Add([]byte(fmt.Sprintf("sameprefix00-%05d", i)), storage.Offset(1+i%255), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	frame := checkRoundTrip(t, raw, nodeSize)
+	h, err := Peek(frame)
+	if err != nil || h.Codec != codecPages {
+		t.Fatalf("Peek = %+v, %v; want a page stream", h, err)
+	}
+	t.Logf("%d bytes of leaves frame to %d: %.1f× the payload", len(raw), len(frame), float64(len(raw))/float64(h.PayloadLen))
+	if decodeHeadroom*int(h.PayloadLen)+HeaderSize < len(raw) {
+		t.Fatalf("%d bytes of leaves from a %d-byte payload: past decodeHeadroom (%d×), so the decode grows", len(raw), h.PayloadLen, decodeHeadroom)
 	}
 }
 
