@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -224,5 +225,23 @@ func TestServeAdmissionShedsMutations(t *testing.T) {
 	}
 	if n := ctrl.Snapshot().Shed["t0"]; n == 0 {
 		t.Fatal("shed counter still zero")
+	}
+}
+
+// TestFlagCountOnlyGoesDown pins the server's flags: each is a knob an
+// operator must read about and a test or experiment must drive, so the
+// count may only fall. A PR that deletes a flag lowers the bound here.
+func TestFlagCountOnlyGoesDown(t *testing.T) {
+	const max = 17
+	var names []string
+	flag.CommandLine.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") { // the test binary's own
+			names = append(names, f.Name)
+		}
+	})
+	if len(names) > max {
+		t.Errorf("tebis-server has %d flags, more than %d: %v", len(names), max, names)
+	} else if len(names) < max {
+		t.Logf("tebis-server has %d flags: lower the bound from %d", len(names), max)
 	}
 }

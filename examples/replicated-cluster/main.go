@@ -33,7 +33,7 @@ func run(mode replica.Mode) cluster.Totals {
 		},
 		// This example demonstrates the paper's raw-shipping trade-off;
 		// the default ship codec (DESIGN.md "Replication") would shrink the
-		// network column and add delta-base reads to the device column.
+		// network column.
 		ShipUncompressed: true,
 	})
 	if err != nil {

@@ -369,7 +369,7 @@ func (fc *figCluster) phase(wl ycsb.Workload) (FigureRun, error) {
 // Send-Index cluster with the registry sampler on — plus the Fig. 10
 // net-amplification comparison: the same Load A repeated on a second
 // cluster with the ship codec off, so the report quantifies what
-// compression and delta shipping save. Unlike runFig6/7/8 — which
+// compression saves. Unlike runFig6/7/8 — which
 // report one scalar per configuration — this harness samples the live
 // registry throughout each phase so throughput, amplification, and
 // network traffic are plotted over time, and it runs with request

@@ -78,7 +78,7 @@ type Config struct {
 	TraceSampleRate float64
 	// ShipUncompressed disables the Send-Index ship codec, shipping raw
 	// segment images as the paper's Tebis prototype does. The zero value
-	// turns compression and delta shipping ON — the wire frames decode
+	// turns compression ON — the wire frames decode
 	// back to identical bytes before the offset rewrite, so byte
 	// convergence is unaffected (DESIGN.md "Replication"). Benchmarks set
 	// this to measure the uncompressed baseline.
@@ -205,7 +205,6 @@ func New(cfg Config) (*Cluster, error) {
 			Stages:        cfg.Stages,
 			Admission:     cfg.Admission,
 			ShipCodec:     shipCodec,
-			ShipDelta:     !cfg.ShipUncompressed,
 			GC:            cfg.GC,
 			Events:        cfg.Events,
 			DisableLag:    cfg.DisableLag,

@@ -8,7 +8,7 @@ import (
 
 // TestShipCompressionConvergence is the ship-codec acceptance test at
 // the cluster level (DESIGN.md "Replication"): with the default
-// configuration — compression and delta shipping ON — a replicated
+// configuration — compression ON — a replicated
 // Send-Index cluster must (1) actually move fewer bytes on the wire than
 // the raw segment images it ships, and (2) still converge byte-for-byte,
 // which a full scrub-and-repair pass proves by finding nothing to repair.
@@ -23,8 +23,7 @@ func TestShipCompressionConvergence(t *testing.T) {
 	defer cl.Close()
 
 	// Two rounds of overlapping writes: the second round rewrites every
-	// third key so higher-level compactions replace existing segments,
-	// giving the delta encoder prior images to diff against.
+	// third key so higher-level compactions replace existing segments.
 	const n = 6000
 	for i := 0; i < n; i++ {
 		if err := cl.Put(scrubKey(i), scrubVal(i)); err != nil {
@@ -43,17 +42,15 @@ func TestShipCompressionConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var raw, wire, full, delta uint64
+	var raw, wire, full uint64
 	for name, node := range c.Nodes {
 		s := node.Server.ShipStats().Snapshot()
-		t.Logf("%s: raw=%d wire=%d full=%d delta=%d fallbacks=%d",
-			name, s.RawBytes, s.WireBytes, s.FullSegments, s.DeltaSegments, s.Fallbacks)
+		t.Logf("%s: raw=%d wire=%d segments=%d", name, s.RawBytes, s.WireBytes, s.FullSegments)
 		raw += s.RawBytes
 		wire += s.WireBytes
 		full += s.FullSegments
-		delta += s.DeltaSegments
 	}
-	if full+delta == 0 {
+	if full == 0 {
 		t.Fatal("no index segments shipped; load too small to drive compactions")
 	}
 	if raw == 0 || wire >= raw {

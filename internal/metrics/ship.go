@@ -16,8 +16,6 @@ type ShipStats struct {
 	rawBytes  atomic.Uint64
 	wireBytes atomic.Uint64
 	full      atomic.Uint64
-	delta     atomic.Uint64
-	fallbacks atomic.Uint64
 }
 
 // ShipSnapshot is a point-in-time copy of ShipStats.
@@ -28,38 +26,23 @@ type ShipSnapshot struct {
 	// WireBytes counts bytes actually staged over the wire after the
 	// codec (frame headers included).
 	WireBytes uint64
-	// FullSegments counts transfers shipped as full images.
+	// FullSegments counts segment transfers to backups.
 	FullSegments uint64
-	// DeltaSegments counts transfers shipped as deltas against a prior
-	// level image.
+	// DeltaSegments is always 0; kept only because benchmark/ reads it (ROADMAP item 4).
 	DeltaSegments uint64
-	// Fallbacks counts delta transfers a backup rejected (missing or
-	// mismatched base) that were re-shipped as full images.
+	// Fallbacks is always 0; kept only because benchmark/ reads it (ROADMAP item 4).
 	Fallbacks uint64
 }
 
 // RecordShip counts one segment transfer to one backup: rawLen image
-// bytes sent as wireLen wire bytes, as a delta when delta is set.
-func (s *ShipStats) RecordShip(rawLen, wireLen int, delta bool) {
+// bytes sent as wireLen wire bytes.
+func (s *ShipStats) RecordShip(rawLen, wireLen int) {
 	if s == nil {
 		return
 	}
 	s.rawBytes.Add(uint64(rawLen))
 	s.wireBytes.Add(uint64(wireLen))
-	if delta {
-		s.delta.Add(1)
-	} else {
-		s.full.Add(1)
-	}
-}
-
-// RecordFallback counts one rejected delta transfer (the full re-ship
-// is recorded separately by RecordShip).
-func (s *ShipStats) RecordFallback() {
-	if s == nil {
-		return
-	}
-	s.fallbacks.Add(1)
+	s.full.Add(1)
 }
 
 // Snapshot copies the counters.
@@ -68,11 +51,9 @@ func (s *ShipStats) Snapshot() ShipSnapshot {
 		return ShipSnapshot{}
 	}
 	return ShipSnapshot{
-		RawBytes:      s.rawBytes.Load(),
-		WireBytes:     s.wireBytes.Load(),
-		FullSegments:  s.full.Load(),
-		DeltaSegments: s.delta.Load(),
-		Fallbacks:     s.fallbacks.Load(),
+		RawBytes:     s.rawBytes.Load(),
+		WireBytes:    s.wireBytes.Load(),
+		FullSegments: s.full.Load(),
 	}
 }
 
@@ -84,8 +65,6 @@ func (s *ShipStats) Reset() {
 	s.rawBytes.Store(0)
 	s.wireBytes.Store(0)
 	s.full.Store(0)
-	s.delta.Store(0)
-	s.fallbacks.Store(0)
 }
 
 // Collect implements Source. The ratio gauge is computed from the byte
@@ -105,11 +84,7 @@ func (s *ShipStats) Collect() []Family {
 		Counter("tebis_ship_wire_bytes_total",
 			"Index-segment bytes actually staged over the wire, after the codec.", Value(float64(sn.WireBytes))),
 		Counter("tebis_ship_segments_total",
-			"Index-segment transfers to backups, by transfer mode.",
-			Labeled("mode", "full", float64(sn.FullSegments)),
-			Labeled("mode", "delta", float64(sn.DeltaSegments))),
-		Counter("tebis_ship_delta_fallbacks_total",
-			"Delta transfers a backup rejected and the primary re-shipped in full.", Value(float64(sn.Fallbacks))),
+			"Index-segment transfers to backups.", Value(float64(sn.FullSegments))),
 		Gauge("tebis_ship_compression_ratio",
 			"Raw bytes divided by wire bytes for shipped index segments (NaN until bytes ship).", Value(ratio)),
 	}

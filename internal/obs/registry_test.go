@@ -139,7 +139,7 @@ func TestScrapeIsOneSnapshot(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					ship.RecordShip(1000+n%977, 100+n%89, n%2 == 0)
+					ship.RecordShip(1000+n%977, 100+n%89)
 					r.Register(Labels{"node": strconv.Itoa(i)}, own)
 				}
 			}

@@ -593,11 +593,10 @@ func (b *Backup) handleIndexSegment(h wire.Header, req wire.IndexSegment) ([]byt
 		return nil, err
 	}
 	if req.Codec != 0 {
-		raw, err := b.decodeShippedLocked(req, data)
+		raw, err := shipcodec.Decode(data, nil, 0)
 		if err != nil {
-			// Request-scoped failure (corrupt frame, missing or
-			// mismatched delta base): a FlagError ack keeps the loop
-			// alive and tells the primary to re-ship the full frame.
+			// Request-scoped failure (a corrupt frame): a FlagError ack
+			// keeps the loop alive; the primary evicts this backup.
 			return ackError(h, wire.OpIndexSegmentAck, err), nil
 		}
 		data = raw
@@ -629,34 +628,6 @@ func (b *Backup) handleIndexSegment(h wire.Header, req wire.IndexSegment) ([]byt
 	lvl := int(req.DstLevel)
 	ship.pending[lvl] = append(ship.pending[lvl], local)
 	return ackMessage(h, wire.OpIndexSegmentAck), nil
-}
-
-// decodeShippedLocked inverts the ship codec on one staged frame
-// (DESIGN.md "Replication"). For delta frames it reconstructs the base: the
-// destination level's retained translation map names the base segment
-// in primary space, its stored (local-space) bytes are read back and
-// run through the inverse offset rewrite — the same inversion the fetch
-// path uses — recovering the exact primary-space image the encoder
-// diffed against. The codec's raw CRC then proves the reconstruction
-// matched. Caller holds b.mu.
-func (b *Backup) decodeShippedLocked(req wire.IndexSegment, frame []byte) ([]byte, error) {
-	var base []byte
-	if req.DeltaBase != 0 {
-		lvl := int(req.DstLevel)
-		local, ok := b.levelMaps[lvl][storage.SegmentID(req.DeltaBase)]
-		if !ok {
-			return nil, fmt.Errorf("replica: delta base segment %d not held at level %d", req.DeltaBase, lvl)
-		}
-		var err error
-		if base, err = readVerifiedPayload(b.cfg.Device, local); err != nil {
-			return nil, err
-		}
-		b.charge(metrics.CompOther, b.cfg.Cost.ReadIO(len(base)))
-		if err := b.toPrimarySpace(lvl, base); err != nil {
-			return nil, err
-		}
-	}
-	return shipcodec.Decode(frame, base, b.cfg.LSM.NodeSize)
 }
 
 // handleCompactionDone installs the shipped level: translate the root

@@ -92,11 +92,9 @@ type PrimaryConfig struct {
 	// are staged in a backup's buffer (DESIGN.md "Replication"). Zero
 	// (None) ships raw bytes — the paper's baseline.
 	ShipCodec shipcodec.Codec
-	// ShipDelta additionally delta-encodes compaction-shipped segments
-	// against the destination level's previous image when the backup
-	// still holds it. Requires a nonzero ShipCodec.
+	// ShipDelta is ignored; kept only because benchmark/ sets it (ROADMAP item 4).
 	ShipDelta bool
-	// ShipPageSize is the delta page size; it must match the backups'
+	// ShipPageSize is the page size the codec packs leaves at: the
 	// B+-tree node size. Zero selects shipcodec.DefaultPageSize.
 	ShipPageSize int
 	// Ship collects raw-vs-wire ship traffic metrics (optional).
@@ -157,14 +155,6 @@ type Primary struct {
 	// jobs holds the replication state of every in-flight compaction
 	// job, from OnCompactionStart to OnCompactionDone.
 	jobs map[uint64]*jobState
-
-	// pageSums holds, per level, the page checksums of every index
-	// segment this primary shipped into the level and still holds
-	// — what decides whether reading a segment back as a delta base can
-	// pay. A level's sums arrive with the job that built it and leave
-	// with the job that replaces or drains it; the levels a promoted
-	// primary inherited have none. Filled only under ShipDelta.
-	pageSums map[int]map[storage.SegmentID]shipcodec.PageSums
 }
 
 // jobState is the primary's view of one in-flight compaction job.
@@ -175,16 +165,6 @@ type jobState struct {
 	// mid-job never sees a job it missed the start of (Sync seeds it at
 	// the next job boundary instead).
 	targets []*backupHandle
-	// deltaBases are the destination level's segments as they were when
-	// the job started — the images delta-shipped segments are diffed
-	// against, consumed one per shipped segment. The engine frees them
-	// only after the job's ship stage completes, so they stay readable
-	// for the job's lifetime.
-	deltaBases []storage.SegmentID
-	// pageSums are the page checksums of the segments the job has
-	// shipped so far: the destination level's Primary.pageSums once the
-	// job is done.
-	pageSums map[storage.SegmentID]shipcodec.PageSums
 	// deferred buffers emitted segments when ShipAtCompactionEnd is set
 	// (ablation only).
 	deferred []btree.EmittedSegment
@@ -204,10 +184,9 @@ var _ lsm.Listener = (*Primary)(nil)
 // afterwards with SetDB (the engine takes the Primary as its Listener).
 func NewPrimary(cfg PrimaryConfig) *Primary {
 	return &Primary{
-		cfg:      cfg,
-		retry:    cfg.Retry.withDefaults(),
-		jobs:     make(map[uint64]*jobState),
-		pageSums: make(map[int]map[storage.SegmentID]shipcodec.PageSums),
+		cfg:   cfg,
+		retry: cfg.Retry.withDefaults(),
+		jobs:  make(map[uint64]*jobState),
 	}
 }
 
@@ -617,15 +596,6 @@ func (p *Primary) OnCompactionStart(job lsm.CompactionJob) {
 		return
 	}
 	st := &jobState{}
-	if p.cfg.ShipDelta && p.cfg.ShipCodec != shipcodec.None && job.DstLevel >= 1 && p.db != nil {
-		// Snapshot the destination level's current segments: the k-th
-		// segment this job ships will be diffed against the k-th old
-		// one (same builder, sorted key order, so fronts tend to align;
-		// EncodeDelta falls back to a full frame when they don't).
-		if lvls := p.db.Levels(); job.DstLevel-1 < len(lvls) {
-			st.deltaBases = append([]storage.SegmentID(nil), lvls[job.DstLevel-1].Segments...)
-		}
-	}
 	payload := wire.CompactionStart{
 		RegionID: uint16(p.cfg.RegionID),
 		JobID:    job.ID,
@@ -687,77 +657,15 @@ func (p *Primary) OnIndexSegment(job lsm.CompactionJob, seg btree.EmittedSegment
 	p.shipSegment(job, seg)
 }
 
-// shipFrame is one encoded transfer the ship path stages: the bytes to
-// write plus the codec metadata the IndexSegment message must carry.
-type shipFrame struct {
-	data      []byte
-	codec     uint8
-	deltaBase uint32
-}
-
-// encodeShip runs the ship codec over one emitted segment: the full
-// frame always, plus a delta frame against the job's next base segment
-// when delta shipping is on and a usable base exists. A nil error with
-// delta.data == nil means "ship the full frame only".
-func (p *Primary) encodeShip(job lsm.CompactionJob, seg btree.EmittedSegment) (full, delta shipFrame, err error) {
+// encodeShip frames one segment image for the wire: the one place a
+// primary runs the ship codec, for compaction ships, Sync and repair
+// pushes alike. Without a codec the image ships raw, under codec 0.
+func (p *Primary) encodeShip(data []byte) (frame []byte, codec uint8, err error) {
 	if p.cfg.ShipCodec == shipcodec.None {
-		return shipFrame{data: seg.Data}, shipFrame{}, nil
+		return data, 0, nil
 	}
-	frame, err := shipcodec.EncodePages(p.cfg.ShipCodec, seg.Data, p.cfg.ShipPageSize)
-	if err != nil {
-		return shipFrame{}, shipFrame{}, err
-	}
-	full = shipFrame{data: frame, codec: uint8(p.cfg.ShipCodec)}
-	if !p.cfg.ShipDelta {
-		return full, shipFrame{}, nil
-	}
-	// Consume the job's next delta base (one per shipped segment, in
-	// ship order), and leave this segment's page sums for the job that
-	// will one day use it as a base.
-	sums := shipcodec.SumPages(seg.Data, p.cfg.ShipPageSize)
-	p.mu.Lock()
-	var base storage.SegmentID
-	var baseSums shipcodec.PageSums
-	st := p.jobs[job.ID]
-	haveBase := st != nil && len(st.deltaBases) > 0
-	if haveBase {
-		base = st.deltaBases[0]
-		st.deltaBases = st.deltaBases[1:]
-		baseSums = p.pageSums[job.DstLevel][base]
-	}
-	if st != nil {
-		if st.pageSums == nil {
-			st.pageSums = make(map[storage.SegmentID]shipcodec.PageSums)
-		}
-		st.pageSums[seg.Seg] = sums
-	}
-	p.mu.Unlock()
-	// A base no page of which can match is not read: the delta could
-	// not win, so the frames are the ones reading it would have shipped.
-	if !haveBase || !sums.DeltaCanWin(baseSums) {
-		return full, shipFrame{}, nil
-	}
-	baseRaw, ok := p.readSegmentPayload(base)
-	if !ok {
-		return full, shipFrame{}, nil
-	}
-	dframe, ok, err := shipcodec.EncodeDelta(p.cfg.ShipCodec, seg.Data, baseRaw, p.cfg.ShipPageSize)
-	if err != nil || !ok || len(dframe) >= len(full.data) {
-		return full, shipFrame{}, nil
-	}
-	return full, shipFrame{data: dframe, codec: uint8(p.cfg.ShipCodec), deltaBase: uint32(base)}, nil
-}
-
-// readSegmentPayload reads the used (framed) payload bytes of one local
-// segment, verifying its stored CRC first — a delta diffed against a
-// corrupt base would be rejected by every backup.
-func (p *Primary) readSegmentPayload(seg storage.SegmentID) ([]byte, bool) {
-	db := p.db
-	if db == nil {
-		return nil, false
-	}
-	data, err := readVerifiedPayload(db.Device(), seg)
-	return data, err == nil
+	frame, err = shipcodec.EncodePages(p.cfg.ShipCodec, data, p.cfg.ShipPageSize)
+	return frame, uint8(p.cfg.ShipCodec), err
 }
 
 // shipSegment performs the actual transfer of one segment. It holds the
@@ -766,17 +674,14 @@ func (p *Primary) readSegmentPayload(seg storage.SegmentID) ([]byte, bool) {
 // concurrent jobs must not interleave their writes.
 //
 // The codec runs once per segment, not per backup: every backup
-// receives the same frame. A backup that rejects a delta frame (its
-// base is missing or mismatched) answers with a FlagError ack and the
-// primary re-ships that backup the full frame — a per-request fallback
-// that leaves the replica attached.
-//
-// A backup that stops responding mid-ship is evicted and the remaining
-// backups still receive the segment — the compaction job must complete
-// on the survivors rather than wedge in the scheduler's ship stage.
+// receives the same frame. A backup that stops responding mid-ship, or
+// cannot decode the frame (a FlagError ack), is evicted and the
+// remaining backups still receive the segment — the compaction job must
+// complete on the survivors rather than wedge in the scheduler's ship
+// stage.
 func (p *Primary) shipSegment(job lsm.CompactionJob, seg btree.EmittedSegment) {
 	const wrIndexShip = 2
-	full, delta, err := p.encodeShip(job, seg)
+	frame, codec, err := p.encodeShip(seg.Data)
 	if err != nil {
 		p.setErr(err)
 		return
@@ -785,32 +690,17 @@ func (p *Primary) shipSegment(job lsm.CompactionJob, seg btree.EmittedSegment) {
 		h.mu.Lock()
 		shipStart := time.Now()
 		p.cfg.Lag.BacklogAdd(uint64(p.cfg.RegionID), h.backup.cfg.ServerName)
-		frame := full
-		isDelta := delta.data != nil
-		if isDelta {
-			frame = delta
-		}
-		err := p.shipFrameLocked(h, job, seg, frame, wrIndexShip)
-		var rerr *RemoteError
-		if err != nil && isDelta && errors.As(err, &rerr) {
-			// The backup could not reconstruct the delta; re-ship in
-			// full on the same handle lock so nothing interleaves.
-			p.cfg.Ship.RecordFallback()
-			isDelta = false
-			frame = full
-			err = p.shipFrameLocked(h, job, seg, frame, wrIndexShip)
-		}
+		err := p.shipFrameLocked(h, job, seg, frame, codec, wrIndexShip)
 		p.cfg.Lag.BacklogDone(uint64(p.cfg.RegionID), h.backup.cfg.ServerName)
+		h.mu.Unlock()
 		if err != nil {
-			h.mu.Unlock()
 			p.evict(h, err)
 			continue
 		}
-		h.mu.Unlock()
-		p.cfg.Ship.RecordShip(len(seg.Data), len(frame.data), isDelta)
+		p.cfg.Ship.RecordShip(len(seg.Data), len(frame))
 		p.cfg.Trace.Record(obs.Span{
 			Cat: "replication", Name: "ship", JobID: job.ID,
-			Backup: h.backup.cfg.ServerName, Bytes: int64(len(frame.data)),
+			Backup: h.backup.cfg.ServerName, Bytes: int64(len(frame)),
 			Start: shipStart, Dur: time.Since(shipStart),
 		})
 	}
@@ -818,20 +708,19 @@ func (p *Primary) shipSegment(job lsm.CompactionJob, seg btree.EmittedSegment) {
 
 // shipFrameLocked stages one encoded frame in a backup's index buffer
 // and sends the IndexSegment control message. Caller holds h.mu.
-func (p *Primary) shipFrameLocked(h *backupHandle, job lsm.CompactionJob, seg btree.EmittedSegment, frame shipFrame, wrID uint64) error {
-	if err := p.writeWithRetry(h, h.backup.IndexBufferRKey(), 0, frame.data, wrID); err != nil {
+func (p *Primary) shipFrameLocked(h *backupHandle, job lsm.CompactionJob, seg btree.EmittedSegment, frame []byte, codec uint8, wrID uint64) error {
+	if err := p.writeWithRetry(h, h.backup.IndexBufferRKey(), 0, frame, wrID); err != nil {
 		return err
 	}
-	p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAWrite(len(frame.data)))
+	p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAWrite(len(frame)))
 	payload := wire.IndexSegment{
 		RegionID:   uint16(p.cfg.RegionID),
 		JobID:      job.ID,
 		DstLevel:   uint8(job.DstLevel),
 		Kind:       uint8(seg.Kind),
 		PrimarySeg: uint32(seg.Seg),
-		DataLen:    uint32(len(frame.data)),
-		Codec:      frame.codec,
-		DeltaBase:  frame.deltaBase,
+		DataLen:    uint32(len(frame)),
+		Codec:      codec,
 	}.Encode(nil)
 	p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAWrite(wire.SentSize(len(payload))))
 	return p.rpcLocked(h, wire.OpIndexSegment, payload)
@@ -896,17 +785,8 @@ func (p *Primary) OnCompactionDone(res lsm.CompactionResult) {
 	st := p.jobs[res.JobID]
 	p.mu.Unlock()
 	defer func() {
-		// The engine has freed the segments the job replaced (the old
-		// destination level) and drained (the source level); page sums
-		// go with their segments, and the job's own become the
-		// destination level's.
 		p.mu.Lock()
 		delete(p.jobs, res.JobID)
-		delete(p.pageSums, res.SrcLevel)
-		delete(p.pageSums, res.DstLevel)
-		if st != nil && st.pageSums != nil {
-			p.pageSums[res.DstLevel] = st.pageSums
-		}
 		p.mu.Unlock()
 	}()
 	if st == nil {

@@ -49,8 +49,8 @@ func strictMapper(m map[storage.SegmentID]storage.SegmentID) btree.SegmentMapper
 }
 
 // readVerifiedPayload reads the used (framed) payload bytes of one local
-// segment, re-verifying its stored CRC first: a copy that becomes a delta
-// base, a fetch reply or a repair image must be provably clean.
+// segment, re-verifying its stored CRC first: a copy that becomes a fetch
+// reply or a repair image must be provably clean.
 func readVerifiedPayload(dev storage.Device, seg storage.SegmentID) ([]byte, error) {
 	ver := storage.AsVerifier(dev)
 	if ver == nil {
@@ -203,7 +203,7 @@ func (b *Backup) handleRepairSegment(h wire.Header, req wire.RepairSegment) ([]b
 		// framed bytes), then the forward rewrite below re-localizes
 		// the decoded primary-space image — the inverse of the fetch
 		// path's rewrite-then-compress order.
-		raw, err := shipcodec.Decode(data, nil, b.cfg.LSM.NodeSize)
+		raw, err := shipcodec.Decode(data, nil, 0)
 		if err != nil {
 			return fail(err)
 		}
@@ -388,7 +388,7 @@ func (p *Primary) fetchFrom(h *backupHandle, ref wire.SegRef) ([]byte, bool) {
 	}
 	p.charge(metrics.CompOther, p.cfg.Cost.RDMAWrite(len(reply.Data)))
 	if reply.Codec != 0 {
-		raw, err := shipcodec.Decode(reply.Data, nil, p.cfg.ShipPageSize)
+		raw, err := shipcodec.Decode(reply.Data, nil, 0)
 		if err != nil {
 			return nil, false
 		}
@@ -413,14 +413,9 @@ func (p *Primary) repairBackup(h *backupHandle, ref wire.SegRef) bool {
 	// Compress the repair image like a regular ship; the transfer CRC
 	// covers the staged (framed) bytes, so the backup checks the wire
 	// transfer before inverting the codec (and only then rewrites).
-	var codec uint8
-	if p.cfg.ShipCodec != shipcodec.None {
-		frame, err := shipcodec.EncodePages(p.cfg.ShipCodec, data, p.cfg.ShipPageSize)
-		if err != nil {
-			return false
-		}
-		data = frame
-		codec = uint8(p.cfg.ShipCodec)
+	data, codec, err := p.encodeShip(data)
+	if err != nil {
+		return false
 	}
 	req := wire.RepairSegment{
 		RegionID: uint16(p.cfg.RegionID),

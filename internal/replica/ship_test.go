@@ -12,110 +12,10 @@ import (
 	"tebis/internal/storage"
 )
 
-// newShipRig builds a Send-Index rig with checksum verification on
-// every device (delta shipping needs it: the primary verifies bases
-// before diffing, the backup verifies them before reconstructing) and
-// the ship codec + delta encoder enabled.
-func newShipRig(t *testing.T, ship *metrics.ShipStats) (*rig, *storage.VerifyingDevice) {
-	t.Helper()
-	return newShipRigOver(t, ship, func(dev storage.Device) storage.Device { return dev })
-}
-
-// newShipRigOver is newShipRig with the primary's verifier stacked on
-// under(its raw device).
-func newShipRigOver(t *testing.T, ship *metrics.ShipStats, under func(storage.Device) storage.Device) (*rig, *storage.VerifyingDevice) {
-	t.Helper()
-	var bVer *storage.VerifyingDevice
-	r := newRigCfg(t, SendIndex, 1,
-		func(o *lsm.Options) {
-			o.Device = storage.AsVerifying(under(o.Device))
-		},
-		func(pc *PrimaryConfig) {
-			pc.ShipCodec = shipcodec.Flate
-			pc.ShipDelta = true
-			pc.ShipPageSize = lsmOpts().NodeSize
-			pc.Ship = ship
-		},
-		func(c *BackupConfig) {
-			bVer = storage.AsVerifying(c.Device)
-			c.Device = bVer
-		})
-	return r, bVer
-}
-
-// TestShipDeltaShipsAndReconverges drives the delta path end to end:
-// after a base load settles the tree, a second batch of keys sorting
-// after every existing key forces compactions whose outputs share a
-// page-aligned prefix with the replaced destination-level segments, so
-// the encoder's page diff wins. The backup must reconstruct each base
-// through the inverse offset rewrite and land byte-identical segments —
-// proven by promoting it and reading everything back.
-func TestShipDeltaShipsAndReconverges(t *testing.T) {
-	ship := &metrics.ShipStats{}
-	r, _ := newShipRig(t, ship)
-
-	const n = 2500
-	r.load(n, 40)
-
-	// Keys past the existing keyspace: merged output preserves the old
-	// entries' order and value offsets, keeping early leaves identical.
-	const extra = 1200
-	for i := 0; i < extra; i++ {
-		if err := r.db.Put([]byte(fmt.Sprintf("zz%08d", i)), []byte(fmt.Sprintf("late-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.db.WaitIdle(); err != nil {
-		t.Fatal(err)
-	}
-	r.checkHealthy()
-
-	snap := ship.Snapshot()
-	t.Logf("ship: raw=%d wire=%d full=%d delta=%d fallbacks=%d",
-		snap.RawBytes, snap.WireBytes, snap.FullSegments, snap.DeltaSegments, snap.Fallbacks)
-	if snap.FullSegments+snap.DeltaSegments == 0 {
-		t.Fatal("nothing shipped")
-	}
-	if snap.DeltaSegments == 0 {
-		t.Fatal("append-only growth shipped no delta segments; delta encoder never won")
-	}
-	if snap.Fallbacks != 0 {
-		t.Fatalf("%d delta ships were rejected by the backup", snap.Fallbacks)
-	}
-	if snap.WireBytes >= snap.RawBytes {
-		t.Fatalf("compression saved nothing: raw=%d wire=%d", snap.RawBytes, snap.WireBytes)
-	}
-
-	// Byte convergence: the promoted backup serves every key.
-	b := r.backups[0]
-	r.primary.Detach(b)
-	db2, err := b.Promote()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	for i := 0; i < n; i += 17 {
-		k := fmt.Sprintf("user%08d", i)
-		if _, found, err := db2.Get([]byte(k)); err != nil || !found {
-			t.Fatalf("promoted Get(%s) = %v, %v", k, found, err)
-		}
-	}
-	for i := 0; i < extra; i += 13 {
-		k := fmt.Sprintf("zz%08d", i)
-		v, found, err := db2.Get([]byte(k))
-		if err != nil || !found || string(v) != fmt.Sprintf("late-%d", i) {
-			t.Fatalf("promoted Get(%s) = %q, %v, %v", k, v, found, err)
-		}
-	}
-}
-
 // bulkReads counts the bytes a device serves in reads larger than a
-// B+-tree node. On a primary those are delta bases read back whole: a
-// merge reads its levels a node at a time, and keys and records are
-// smaller still.
+// B+-tree node. A merge reads its levels a node at a time, and keys and
+// records are smaller still, so on a primary these would be segments
+// read back whole.
 type bulkReads struct {
 	storage.Device
 	bytes atomic.Int64
@@ -128,128 +28,91 @@ func (d *bulkReads) ReadAt(off storage.Offset, p []byte) error {
 	return d.Device.ReadAt(off, p)
 }
 
-// TestShipDeltaReadsNoBaseThatCannotWin: a base is read back only when
-// one of its pages can be left out of the delta. Batches that each sort
-// before every existing key shift all older entries by a fraction of a
-// leaf, so no page of a rebuilt level equals the page it replaces: the
-// primary reads not one base byte and ships full frames, as it would
-// have after reading them. Keys appended past the keyspace then leave
-// the early pages of each level as they were, and the same primary
-// reads those bases and wins with them.
-func TestShipDeltaReadsNoBaseThatCannotWin(t *testing.T) {
+// TestShipPathReadsNothingAndReconverges: every compaction ship frames
+// the segment its build emitted and reads nothing back. Batches that
+// each sort before every existing key rebuild every page of a level
+// (descending); keys appended past the keyspace then leave each level's
+// early pages as they were, the case a page delta was built for — and
+// still the primary reads not one segment back (appended). The codec
+// shrinks what crosses the wire, and the backup, promoted, answers every
+// key with its value (promoted). The phases run in order on one rig.
+func TestShipPathReadsNothingAndReconverges(t *testing.T) {
 	ship := &metrics.ShipStats{}
 	var bulk *bulkReads
-	r, _ := newShipRigOver(t, ship, func(dev storage.Device) storage.Device {
-		bulk = &bulkReads{Device: dev}
-		return bulk
-	})
-	drain := func() {
+	r := newRigCfg(t, SendIndex, 1,
+		func(o *lsm.Options) {
+			bulk = &bulkReads{Device: o.Device}
+			o.Device = storage.AsVerifying(bulk)
+		},
+		func(pc *PrimaryConfig) {
+			pc.ShipCodec = shipcodec.Flate
+			pc.ShipPageSize = lsmOpts().NodeSize
+			pc.Ship = ship
+		},
+		func(c *BackupConfig) { c.Device = storage.AsVerifying(c.Device) })
+	drain := func(t *testing.T) {
 		t.Helper()
 		if err := r.db.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		r.checkHealthy()
+		snap := ship.Snapshot()
+		t.Logf("%d segments shipped, raw=%d wire=%d, %d bytes read in bulk", snap.FullSegments, snap.RawBytes, snap.WireBytes, bulk.bytes.Load())
+		if got := bulk.bytes.Load(); got != 0 {
+			t.Fatalf("the primary read %d bytes in reads larger than a node", got)
+		}
+	}
+	phase := func(name string, fn func(t *testing.T)) {
+		if !t.Run(name, fn) {
+			t.FailNow()
+		}
 	}
 
-	const n = 2500
+	const n, extra = 2500, 1200
 	val := bytes.Repeat([]byte("v"), 40)
-	for i := n; i > 0; i-- {
-		if err := r.db.Put([]byte(fmt.Sprintf("user%08d", i)), val); err != nil {
+	phase("descending", func(t *testing.T) {
+		for i := n; i > 0; i-- {
+			if err := r.db.Put([]byte(fmt.Sprintf("user%08d", i)), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drain(t)
+		if snap := ship.Snapshot(); snap.FullSegments < 10 {
+			t.Fatalf("shipped %d segments: want many", snap.FullSegments)
+		}
+	})
+	phase("appended", func(t *testing.T) {
+		for i := 0; i < extra; i++ {
+			if err := r.db.Put([]byte(fmt.Sprintf("zz%08d", i)), []byte(fmt.Sprintf("late-%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drain(t)
+		if snap := ship.Snapshot(); snap.FullSegments < 10 || snap.WireBytes >= snap.RawBytes {
+			t.Fatalf("shipped %d segments, raw=%d wire=%d: want many, and fewer bytes on the wire", snap.FullSegments, snap.RawBytes, snap.WireBytes)
+		}
+	})
+	phase("promoted", func(t *testing.T) {
+		b := r.backups[0]
+		r.primary.Detach(b)
+		db2, err := b.Promote()
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	drain()
-	snap := ship.Snapshot()
-	t.Logf("descending batches: full=%d delta=%d, %d base bytes read", snap.FullSegments, snap.DeltaSegments, bulk.bytes.Load())
-	if snap.FullSegments < 10 || snap.DeltaSegments != 0 {
-		t.Fatalf("shipped %d full and %d delta segments, want every one of many in full", snap.FullSegments, snap.DeltaSegments)
-	}
-	if got := bulk.bytes.Load(); got != 0 {
-		t.Fatalf("read %d bytes of delta bases no page of which could match", got)
-	}
-
-	for i := 0; i < 1200; i++ {
-		if err := r.db.Put([]byte(fmt.Sprintf("zz%08d", i)), val); err != nil {
-			t.Fatal(err)
+		defer db2.Close()
+		for i := 1; i <= n; i += 17 {
+			k := fmt.Sprintf("user%08d", i)
+			if v, found, err := db2.Get([]byte(k)); err != nil || !found || !bytes.Equal(v, val) {
+				t.Fatalf("promoted Get(%s) = %q, %v, %v", k, v, found, err)
+			}
 		}
-	}
-	drain()
-	snap = ship.Snapshot()
-	t.Logf("appended keys: full=%d delta=%d, %d base bytes read", snap.FullSegments, snap.DeltaSegments, bulk.bytes.Load())
-	if snap.DeltaSegments == 0 || bulk.bytes.Load() == 0 {
-		t.Fatalf("%d delta segments from %d base bytes read: the guard skips bases that win", snap.DeltaSegments, bulk.bytes.Load())
-	}
-	if snap.Fallbacks != 0 {
-		t.Fatalf("%d delta ships were rejected by the backup", snap.Fallbacks)
-	}
-}
-
-// TestShipDeltaBaseMismatchFallsBack corrupts the backup's stored copy
-// of every installed index segment, then drives more compactions. Each
-// delta the primary ships now references a base the backup cannot
-// verify, so the backup must answer with a request-scoped error — not
-// die — and the primary must fall back to re-shipping the full frame
-// on the same connection: no retries-to-eviction, no degraded window.
-func TestShipDeltaBaseMismatchFallsBack(t *testing.T) {
-	ship := &metrics.ShipStats{}
-	r, bVer := newShipRig(t, ship)
-
-	const n = 2500
-	r.load(n, 40)
-
-	// Flip a bit in every index segment the backup has installed, below
-	// the verifier.
-	b := r.backups[0]
-	b.mu.Lock()
-	var locals []storage.SegmentID
-	for _, st := range b.levels {
-		locals = append(locals, st.Segments...)
-	}
-	b.mu.Unlock()
-	if len(locals) == 0 {
-		t.Fatal("backup installed no index segments")
-	}
-	geo := r.devB[0].Geometry()
-	for _, seg := range locals {
-		var byt [1]byte
-		off := geo.Pack(seg, 64)
-		if err := r.devB[0].ReadAt(off, byt[:]); err != nil {
-			t.Fatal(err)
+		for i := 0; i < extra; i += 13 {
+			k := fmt.Sprintf("zz%08d", i)
+			if v, found, err := db2.Get([]byte(k)); err != nil || !found || string(v) != fmt.Sprintf("late-%d", i) {
+				t.Fatalf("promoted Get(%s) = %q, %v, %v", k, v, found, err)
+			}
 		}
-		byt[0] ^= 0x40
-		if err := r.devB[0].WriteAt(off, byt[:]); err != nil {
-			t.Fatal(err)
-		}
-		bVer.Invalidate(seg)
-	}
-
-	const extra = 1200
-	for i := 0; i < extra; i++ {
-		if err := r.db.Put([]byte(fmt.Sprintf("zz%08d", i)), []byte(fmt.Sprintf("late-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.db.WaitIdle(); err != nil {
-		t.Fatal(err)
-	}
-
-	snap := ship.Snapshot()
-	t.Logf("ship: full=%d delta=%d fallbacks=%d", snap.FullSegments, snap.DeltaSegments, snap.Fallbacks)
-	if snap.Fallbacks == 0 {
-		t.Fatal("corrupted bases produced no delta fallbacks")
-	}
-	if err := r.primary.Err(); err != nil {
-		t.Fatalf("fallback poisoned the primary: %v", err)
-	}
-	if evs := r.primary.Evictions(); len(evs) != 0 {
-		t.Fatalf("fallback evicted the backup: %+v", evs)
-	}
-	if r.primary.Degraded() {
-		t.Fatal("primary degraded after delta fallback")
-	}
+	})
 }
 
 // TestPackedShipsLandTheBytesRawShipsDo: the ship codec is wire-only.

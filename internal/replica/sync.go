@@ -5,7 +5,6 @@ import (
 
 	"tebis/internal/metrics"
 	"tebis/internal/obs"
-	"tebis/internal/shipcodec"
 	"tebis/internal/storage"
 	"tebis/internal/wire"
 )
@@ -184,31 +183,23 @@ const syncJobBase = uint64(1) << 63
 
 // shipSegmentImage sends one full level segment image through the
 // Send-Index path (the backup's rewrite stops at the first free node
-// slot, so full images of partially used segments are safe). With a
-// ship codec configured the image crosses the wire as a compressed full
-// frame — never a delta: a Sync target is empty, so there is no prior
-// level image to diff against.
+// slot, so full images of partially used segments are safe), framed by
+// the ship codec like a compaction ship.
 func (p *Primary) shipSegmentImage(h *backupHandle, jobID uint64, lvl int, seg storage.SegmentID, geo storage.Geometry) (int64, error) {
-	data := make([]byte, geo.SegmentSize())
-	if err := p.DB().Log().ReadSegmentImage(seg, data); err != nil {
+	image := make([]byte, geo.SegmentSize())
+	if err := p.DB().Log().ReadSegmentImage(seg, image); err != nil {
 		return 0, err
 	}
-	raw := len(data)
-	var codec uint8
-	if p.cfg.ShipCodec != shipcodec.None {
-		frame, err := shipcodec.EncodePages(p.cfg.ShipCodec, data, p.cfg.ShipPageSize)
-		if err != nil {
-			return 0, err
-		}
-		data = frame
-		codec = uint8(p.cfg.ShipCodec)
+	data, codec, err := p.encodeShip(image)
+	if err != nil {
+		return 0, err
 	}
 	if err := p.writeWithRetry(h, h.backup.IndexBufferRKey(), 0, data, 0); err != nil {
 		return 0, err
 	}
 	p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAWrite(len(data)))
 	p.cfg.Failures.AddResyncBytes(len(data))
-	p.cfg.Ship.RecordShip(raw, len(data), false)
+	p.cfg.Ship.RecordShip(len(image), len(data))
 	payload := wire.IndexSegment{
 		RegionID:   uint16(p.cfg.RegionID),
 		JobID:      jobID,

@@ -68,9 +68,6 @@ type Config struct {
 	// ShipCodec compresses shipped index segments on the wire
 	// (DESIGN.md "Replication"); zero ships raw bytes.
 	ShipCodec shipcodec.Codec
-	// ShipDelta delta-encodes compaction ships against the destination
-	// level's previous image (requires a nonzero ShipCodec).
-	ShipDelta bool
 	// Ship collects raw-vs-wire ship traffic metrics (created on demand
 	// when nil).
 	Ship *metrics.ShipStats
@@ -401,7 +398,6 @@ func (s *Server) primaryConfig(id region.ID, mode replica.Mode) replica.PrimaryC
 		Cycles:       s.cfg.Cycles,
 		Cost:         s.cfg.Cost,
 		ShipCodec:    s.cfg.ShipCodec,
-		ShipDelta:    s.cfg.ShipDelta,
 		ShipPageSize: s.cfg.LSM.NodeSize,
 		Ship:         s.cfg.Ship,
 		Retry:        s.cfg.Retry,

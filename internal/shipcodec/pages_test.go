@@ -97,9 +97,9 @@ func logImage(t testing.TB) []byte {
 	}
 }
 
-// isTyped reports whether err is one of the codec's three decode errors.
+// isTyped reports whether err is one of the codec's two decode errors.
 func isTyped(err error) bool {
-	return errors.Is(err, ErrCorrupt) || errors.Is(err, ErrUnknownCodec) || errors.Is(err, ErrNeedBase)
+	return errors.Is(err, ErrCorrupt) || errors.Is(err, ErrUnknownCodec)
 }
 
 // deflatedFrameLen is the size of the frame the codec built before
@@ -287,13 +287,29 @@ func TestPageStreamRejectsMalformedStreams(t *testing.T) {
 		"one page too few":      func(f []byte) []byte { f[HeaderSize+int(residueOff)-1]--; return f },
 		"raw length a page up":  func(f []byte) []byte { binary.LittleEndian.PutUint32(f[4:], uint32(len(raw)+512)); return f },
 		"raw length down":       func(f []byte) []byte { binary.LittleEndian.PutUint32(f[4:], uint32(len(raw)-1)); return f },
-		"delta flag":            func(f []byte) []byte { f[3] |= FlagDelta; return f },
-		"flate without delta":   func(f []byte) []byte { f[2] = codecFlate; return f },
 		"header only":           func(f []byte) []byte { binary.LittleEndian.PutUint32(f[8:], 0); return f[:HeaderSize] },
 	} {
 		mut := mangle(append([]byte(nil), frame...))
-		if got, err := Decode(mut, raw, 512); err == nil || !isTyped(err) {
+		if got, err := Decode(mut, nil, 0); err == nil || !isTyped(err) {
 			t.Errorf("%s: Decode = %d bytes, %v; want a typed error", name, len(got), err)
+		}
+	}
+	// An older primary's page-delta frame set the flags byte and deflated
+	// its patch stream under codec byte 1: the header alone refuses it.
+	for name, tc := range map[string]struct {
+		at   int
+		want error
+	}{
+		"flags byte set": {3, ErrCorrupt},
+		"codec byte 1":   {2, ErrUnknownCodec},
+	} {
+		mut := append([]byte(nil), frame...)
+		mut[tc.at] = 1
+		if _, err := Peek(mut); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Peek = %v, want %v", name, err, tc.want)
+		}
+		if got, err := Decode(mut, nil, 0); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Decode = %d bytes, %v; want %v", name, len(got), err, tc.want)
 		}
 	}
 }

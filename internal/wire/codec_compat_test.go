@@ -6,7 +6,7 @@ import (
 )
 
 // oldIndexSegmentEncode reproduces the pre-codec IndexSegment payload:
-// it stops after DataLen (no Codec/DeltaBase trailer).
+// it stops after DataLen (no Codec trailer).
 func oldIndexSegmentEncode(r IndexSegment) []byte {
 	var dst []byte
 	dst = appendU32(dst, uint32(r.RegionID))
@@ -21,7 +21,8 @@ func oldIndexSegmentEncode(r IndexSegment) []byte {
 // fields ride at the END of each payload, so old-format payloads decode
 // with Codec 0 — raw, uncompressed bytes, the legacy behavior — and
 // new-format payloads differ from old ones only in trailing bytes an
-// old decoder never read.
+// old decoder never read. The 27-byte payload of the page-delta era (a
+// delta base behind the codec byte) decodes too, its base ignored.
 func TestShipCodecFrameCompat(t *testing.T) {
 	seg := IndexSegment{
 		RegionID:   3,
@@ -33,7 +34,7 @@ func TestShipCodecFrameCompat(t *testing.T) {
 	}
 
 	// Backward: an old (pre-codec) payload decodes with Codec 0 and
-	// DeltaBase 0 and every other field intact.
+	// every other field intact.
 	old := oldIndexSegmentEncode(seg)
 	got, err := DecodeIndexSegment(old)
 	if err != nil {
@@ -42,15 +43,11 @@ func TestShipCodecFrameCompat(t *testing.T) {
 	if got != seg {
 		t.Fatalf("old payload decode = %+v, want %+v", got, seg)
 	}
-	if got.Codec != 0 || got.DeltaBase != 0 {
-		t.Fatalf("old payload decoded codec fields %d/%d, want 0/0", got.Codec, got.DeltaBase)
-	}
 
 	// Forward: a new payload is the old payload plus trailing bytes an
 	// old decoder never reads.
 	coded := seg
 	coded.Codec = 1
-	coded.DeltaBase = 9
 	enc := coded.Encode(nil)
 	if !bytes.Equal(enc[:len(old)], old) {
 		t.Fatalf("new payload prefix differs from old encoding")
@@ -61,6 +58,19 @@ func TestShipCodecFrameCompat(t *testing.T) {
 	}
 	if got != coded {
 		t.Fatalf("new payload decode = %+v, want %+v", got, coded)
+	}
+
+	// The page-delta era's payload: the codec byte, then a u32 base.
+	deltaEra := appendU32(append(old, 1), 9)
+	if len(deltaEra) != 27 {
+		t.Fatalf("delta-era payload is %d bytes, want 27", len(deltaEra))
+	}
+	got, err = DecodeIndexSegment(deltaEra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != coded {
+		t.Fatalf("delta-era payload decode = %+v, want %+v", got, coded)
 	}
 }
 

@@ -64,10 +64,10 @@ func FuzzDecodeMessage(f *testing.F) {
 	// Append-at-payload-end fields, present and — as older peers wrote
 	// them — absent.
 	ref := SegRef{Kind: 2, Level: 1, PrimarySeg: 5}
-	seg := IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, Kind: 1, PrimarySeg: 12, DataLen: 65536, Codec: 1, DeltaBase: 9}
+	seg := IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, Kind: 1, PrimarySeg: 12, DataLen: 65536, Codec: 1}
 	f.Add(msg(Header{Opcode: OpIndexSegment}, seg.Encode(nil)))
-	f.Add(msg(Header{Opcode: OpIndexSegment}, seg.Encode(nil)[:seg.Size()-5]))
-	f.Add(msg(Header{Opcode: OpIndexSegment}, seg.Encode(nil)[:seg.Size()-4])) // codec byte, no delta base
+	f.Add(msg(Header{Opcode: OpIndexSegment}, seg.Encode(nil)[:seg.Size()-1]))
+	f.Add(msg(Header{Opcode: OpIndexSegment}, append(seg.Encode(nil), 9, 0, 0, 0))) // an older primary's delta base behind the codec byte
 	fetch := FetchSegment{RegionID: 4, Ref: ref, Codec: 1}
 	f.Add(msg(Header{Opcode: OpFetchSegment}, fetch.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpFetchSegment}, fetch.Encode(nil)[:fetch.Size()-1]))
@@ -157,10 +157,11 @@ func FuzzDecodeMessage(f *testing.F) {
 		// unless it names no opcode or, flagged inline, claims more
 		// payload than a header holds.
 		h, herr := DecodeHeader(in)
-		wellFormed := HeaderArrived(in) && Op(in[4]) != OpInvalid &&
+		headerArrived := len(in) >= HeaderSize && binary.LittleEndian.Uint32(in[HeaderSize-4:]) == Magic
+		wellFormed := headerArrived && Op(in[4]) != OpInvalid &&
 			(in[5]&FlagInline == 0 || binary.LittleEndian.Uint32(in[0:4]) <= InlineMax)
 		if (herr == nil) != wellFormed {
-			t.Fatalf("DecodeHeader err %v, header arrived %v and well-formed %v", herr, HeaderArrived(in), wellFormed)
+			t.Fatalf("DecodeHeader err %v, header arrived %v and well-formed %v", herr, headerArrived, wellFormed)
 		}
 		mh, payload, merr := DecodeMessage(in)
 		switch {

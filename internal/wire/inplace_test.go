@@ -25,7 +25,7 @@ func everyPayload() map[string]sizedPayload {
 		"StatusReply":       StatusReply{Status: 1},
 		"FlushTail":         FlushTail{RegionID: 3, PrimarySeg: 12},
 		"CompactionStart":   CompactionStart{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2},
-		"IndexSegment":      IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, Kind: 1, PrimarySeg: 12, DataLen: 65536, Codec: 1, DeltaBase: 9},
+		"IndexSegment":      IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, Kind: 1, PrimarySeg: 12, DataLen: 65536, Codec: 1},
 		"GCRelease":         GCRelease{RegionID: 7, Segs: []uint32{3, 1 << 20, 9}},
 		"CompactionDone":    CompactionDone{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2, Root: 1 << 33, NumKeys: 5, Watermark: 99},
 		"ScrubReq":          ScrubReq{RegionID: 7},
@@ -99,8 +99,9 @@ func TestMsgBufBuildsTheSameBytesInPlace(t *testing.T) {
 	}
 	// Header-only and zero-value buffers work too.
 	var fresh MsgBuf
-	if got := fresh.Finish(Header{Opcode: OpNoop, RequestID: 5}, nil); len(got) != HeaderSize || !HeaderArrived(got) {
-		t.Fatalf("header-only message = %d bytes", len(got))
+	got := fresh.Finish(Header{Opcode: OpNoop, RequestID: 5}, nil)
+	if h, err := DecodeHeader(got); len(got) != HeaderSize || err != nil || h.RequestID != 5 {
+		t.Fatalf("header-only message = %d bytes, header %+v, %v", len(got), h, err)
 	}
 }
 

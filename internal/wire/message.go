@@ -327,12 +327,6 @@ func MagicArrived(word []byte) bool {
 	return len(word) >= 4 && binary.LittleEndian.Uint32(word) == Magic
 }
 
-// HeaderArrived reports whether a header rendezvous magic is present at
-// buf (the spinning thread's first poll point).
-func HeaderArrived(buf []byte) bool {
-	return len(buf) >= HeaderSize && MagicArrived(buf[HeaderSize-4:HeaderSize])
-}
-
 // PayloadArrived reports whether the end-of-payload rendezvous magic for
 // an out-of-line message with the given payload size is present (the
 // spinning thread's second poll point). Messages without payload, and

@@ -396,13 +396,12 @@ func DecodeCompactionStart(p []byte) (CompactionStart, error) {
 // segment (its data travels by one-sided RDMA write into the backup's
 // staging buffer). JobID matches the owning CompactionStart.
 //
-// Codec and DeltaBase ride at the end of the payload so pre-codec
-// frames (which stop after DataLen) still decode: missing trailing
-// fields read as zero, i.e. an uncompressed full image — the same
-// rolling-upgrade convention as the header's TraceID and Epoch fields.
-// A nonzero Codec means the staged bytes are a shipcodec frame; a
-// nonzero DeltaBase names the primary-space segment the frame was
-// diffed against (delta frames only — segment IDs start at 1).
+// Codec rides at the end of the payload so pre-codec frames (which stop
+// after DataLen) still decode: a missing Codec reads as zero, i.e. an
+// uncompressed image — the same rolling-upgrade convention as the
+// header's TraceID and Epoch fields. A nonzero Codec means the staged
+// bytes are a shipcodec frame. Bytes past Codec (an older primary's
+// page-delta base) are ignored.
 type IndexSegment struct {
 	RegionID   uint16
 	JobID      uint64
@@ -410,12 +409,11 @@ type IndexSegment struct {
 	Kind       uint8 // btree.SegKind
 	PrimarySeg uint32
 	DataLen    uint32
-	Codec      uint8  // shipcodec.Codec; 0 = raw bytes, no frame
-	DeltaBase  uint32 // primary seg the delta was diffed against; 0 = full
+	Codec      uint8 // shipcodec.Codec; 0 = raw bytes, no frame
 }
 
 // Size returns the encoded payload length.
-func (r IndexSegment) Size() int { return 4 + 8 + 2 + 4 + 4 + 1 + 4 }
+func (r IndexSegment) Size() int { return 4 + 8 + 2 + 4 + 4 + 1 }
 
 // Encode appends the payload to dst.
 func (r IndexSegment) Encode(dst []byte) []byte {
@@ -424,8 +422,7 @@ func (r IndexSegment) Encode(dst []byte) []byte {
 	dst = append(dst, r.DstLevel, r.Kind)
 	dst = appendU32(dst, r.PrimarySeg)
 	dst = appendU32(dst, r.DataLen)
-	dst = append(dst, r.Codec)
-	return appendU32(dst, r.DeltaBase)
+	return append(dst, r.Codec)
 }
 
 // DecodeIndexSegment parses an IndexSegment payload.
@@ -449,13 +446,9 @@ func DecodeIndexSegment(p []byte) (IndexSegment, error) {
 	if r.DataLen, rest, err = readU32(rest); err != nil {
 		return IndexSegment{}, err
 	}
-	// Optional codec fields: absent on pre-codec frames.
+	// Optional codec byte: absent on pre-codec frames.
 	if len(rest) >= 1 {
 		r.Codec = rest[0]
-		rest = rest[1:]
-		if len(rest) >= 4 {
-			r.DeltaBase, _, _ = readU32(rest)
-		}
 	}
 	return r, nil
 }

@@ -59,9 +59,6 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if err := EncodeHeader(buf, h); err != nil {
 		t.Fatal(err)
 	}
-	if !HeaderArrived(buf) {
-		t.Fatal("HeaderArrived = false after encode")
-	}
 	got, err := DecodeHeader(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -75,9 +72,6 @@ func TestDecodeHeaderRejectsBadMagic(t *testing.T) {
 	buf := make([]byte, HeaderSize)
 	if _, err := DecodeHeader(buf); err != ErrBadMagic {
 		t.Fatalf("err = %v", err)
-	}
-	if HeaderArrived(buf) {
-		t.Fatal("HeaderArrived on zero buffer")
 	}
 }
 
@@ -277,7 +271,6 @@ func TestDecodeRobustnessRandomBytes(t *testing.T) {
 		}
 		_, _, _ = DecodeMessage(buf)
 		_, _ = DecodeHeader(buf)
-		_ = HeaderArrived(buf)
 		_ = PayloadArrived(buf, rnd.Intn(4096))
 		_, _ = DecodePutReq(buf)
 		_, _ = DecodeGetReq(buf)
