@@ -24,11 +24,12 @@ check:
 	sh scripts/check.sh
 
 # stress re-runs the failure-prone suites — replication retry/eviction,
-# the client ring/freeList property tests, and the master's hand-over
-# and interrupted-reconfiguration suites — repeatedly under the race
-# detector, to shake out interleavings a single run can miss.
+# the client ring/freeList property tests, the master's hand-over and
+# interrupted-reconfiguration suites, and the lock-free segment reads of
+# the device and the value log — repeatedly under the race detector, to
+# shake out interleavings a single run can miss.
 stress:
-	$(GO) test -race -count=5 ./internal/replica ./internal/client ./internal/master
+	$(GO) test -race -count=5 ./internal/replica ./internal/client ./internal/master ./internal/storage ./internal/vlog
 
 # fuzz-smoke mutates each native fuzz target's seed corpus for five
 # seconds (`go test -fuzz` takes one target per run, so each gets a
@@ -43,6 +44,8 @@ fuzz-smoke:
 	$(GO) test ./internal/vlog -run '^$$' -fuzz '^FuzzRecord$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/vlog -run '^$$' -fuzz '^FuzzWalk$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/memtable -run '^$$' -fuzz '^FuzzOrder$$' -fuzztime 5s -fuzzminimizetime 0
+	$(GO) test ./internal/integrity -run '^$$' -fuzz '^FuzzDecodeTrailer$$' -fuzztime 5s -fuzzminimizetime 0
+	$(GO) test ./internal/region -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s -fuzzminimizetime 0
 
 fmt:
 	gofmt -w .

@@ -19,9 +19,9 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"tebis/internal/metrics"
 )
@@ -207,11 +207,11 @@ type MemDevice struct {
 	maxN  int
 	nodes *NodeCache
 
-	mu       sync.Mutex
-	segments map[SegmentID][]byte
+	mu       sync.Mutex         // serializes Alloc, Free and Close
+	segments SegmentTable[byte] // a segment's entry is its buffer's first byte
 	free     []SegmentID
 	next     SegmentID
-	closed   bool
+	closed   atomic.Bool
 
 	ctr counters
 }
@@ -224,11 +224,10 @@ func NewMemDevice(segmentSize int64, maxSegments int) (*MemDevice, error) {
 		return nil, err
 	}
 	return &MemDevice{
-		geo:      geo,
-		maxN:     maxSegments,
-		nodes:    newNodeCache(geo),
-		segments: make(map[SegmentID][]byte),
-		next:     1, // segment 0 is NilSegment
+		geo:   geo,
+		maxN:  maxSegments,
+		nodes: newNodeCache(geo),
+		next:  1, // segment 0 is NilSegment
 	}, nil
 }
 
@@ -243,7 +242,7 @@ func (d *MemDevice) NodeCache() *NodeCache { return d.nodes }
 func (d *MemDevice) Alloc() (SegmentID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return NilSegment, ErrClosed
 	}
 	var id SegmentID
@@ -257,7 +256,9 @@ func (d *MemDevice) Alloc() (SegmentID, error) {
 		id = d.next
 		d.next++
 	}
-	d.segments[id] = make([]byte, d.geo.segSize)
+	// Its first byte keeps the buffer alive and finds it again, so
+	// publishing the segment allocates nothing but the buffer.
+	d.segments.Store(id, &make([]byte, d.geo.segSize)[0])
 	d.nodes.retire(id)
 	return id, nil
 }
@@ -266,16 +267,16 @@ func (d *MemDevice) Alloc() (SegmentID, error) {
 func (d *MemDevice) Free(id SegmentID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return ErrClosed
 	}
-	if _, ok := d.segments[id]; !ok {
+	if d.segments.Load(id) == nil {
 		if id != NilSegment && id < d.next {
 			return fmt.Errorf("%w: %w: %d", ErrBadSegment, ErrDoubleFree, id)
 		}
 		return fmt.Errorf("%w: %d", ErrBadSegment, id)
 	}
-	delete(d.segments, id)
+	d.segments.Store(id, nil)
 	d.free = append(d.free, id)
 	d.nodes.retire(id)
 	d.nodes.unlink(id)
@@ -285,31 +286,30 @@ func (d *MemDevice) Free(id SegmentID) error {
 // Segments implements SegmentLister.
 func (d *MemDevice) Segments() []SegmentID {
 	d.mu.Lock()
-	ids := make([]SegmentID, 0, len(d.segments))
-	for id := range d.segments {
-		ids = append(ids, id)
-	}
-	d.mu.Unlock()
-	slices.Sort(ids)
-	return ids
+	defer d.mu.Unlock()
+	return d.segments.IDs()
 }
 
+// has reports whether seg is allocated.
+func (d *MemDevice) has(seg SegmentID) bool { return d.segments.Load(seg) != nil }
+
+// segment finds the buffer of off's segment without a lock. Close marks
+// the device closed before it empties the table, so a read that finds no
+// entry because of a Close reports ErrClosed.
 func (d *MemDevice) segment(off Offset, n int) ([]byte, int64, error) {
 	seg := d.geo.Segment(off)
 	within := d.geo.Within(off)
 	if within+int64(n) > d.geo.segSize {
 		return nil, 0, fmt.Errorf("%w: seg %d off %d len %d", ErrSegmentOverflow, seg, within, n)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
+	buf := d.segments.Load(seg)
+	if d.closed.Load() {
 		return nil, 0, ErrClosed
 	}
-	buf, ok := d.segments[seg]
-	if !ok {
+	if buf == nil {
 		return nil, 0, fmt.Errorf("%w: %d", ErrBadSegment, seg)
 	}
-	return buf, within, nil
+	return unsafe.Slice(buf, d.geo.segSize), within, nil
 }
 
 // WriteAt implements Device.
@@ -338,7 +338,7 @@ func (d *MemDevice) ReadAt(off Offset, p []byte) error {
 // Stats implements Device.
 func (d *MemDevice) Stats() Stats {
 	d.mu.Lock()
-	live := uint64(len(d.segments))
+	live := uint64(d.segments.Len())
 	d.mu.Unlock()
 	return Stats{
 		BytesRead:    d.ctr.bytesRead.Load(),
@@ -356,8 +356,8 @@ func (d *MemDevice) ResetStats() { d.ctr.reset() }
 func (d *MemDevice) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.closed = true
-	d.segments = nil
+	d.closed.Store(true)
+	d.segments.Reset()
 	d.free = nil
 	return nil
 }

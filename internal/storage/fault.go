@@ -206,6 +206,9 @@ func (d *FaultDevice) Alloc() (SegmentID, error) { return d.inner.Alloc() }
 // Free implements Device.
 func (d *FaultDevice) Free(seg SegmentID) error { return d.inner.Free(seg) }
 
+// has forwards the wrapped device's allocation check (see mayHold).
+func (d *FaultDevice) has(seg SegmentID) bool { return mayHold(d.inner, seg) }
+
 // Segments implements SegmentLister when the wrapped device does.
 func (d *FaultDevice) Segments() []SegmentID {
 	if sl, ok := d.inner.(SegmentLister); ok {

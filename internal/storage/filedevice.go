@@ -3,8 +3,8 @@ package storage
 import (
 	"fmt"
 	"os"
-	"slices"
 	"sync"
+	"sync/atomic"
 
 	"tebis/internal/integrity"
 )
@@ -16,12 +16,12 @@ type FileDevice struct {
 	geo  Geometry
 	maxN int
 
-	mu     sync.Mutex
+	mu     sync.Mutex // serializes Alloc, Free and Close
 	f      *os.File
-	alloc  map[SegmentID]bool
+	alloc  SegmentTable[struct{}]
 	free   []SegmentID
 	next   SegmentID
-	closed bool
+	closed atomic.Bool
 
 	ctr counters
 }
@@ -38,11 +38,10 @@ func NewFileDevice(path string, segmentSize int64, maxSegments int) (*FileDevice
 		return nil, fmt.Errorf("storage: open device file: %w", err)
 	}
 	return &FileDevice{
-		geo:   geo,
-		maxN:  maxSegments,
-		f:     f,
-		alloc: make(map[SegmentID]bool),
-		next:  1,
+		geo:  geo,
+		maxN: maxSegments,
+		f:    f,
+		next: 1,
 	}, nil
 }
 
@@ -67,11 +66,10 @@ func OpenFileDevice(path string, segmentSize int64, maxSegments int) (*FileDevic
 		return nil, fmt.Errorf("storage: stat device file: %w", err)
 	}
 	d := &FileDevice{
-		geo:   geo,
-		maxN:  maxSegments,
-		f:     f,
-		alloc: make(map[SegmentID]bool),
-		next:  1,
+		geo:  geo,
+		maxN: maxSegments,
+		f:    f,
+		next: 1,
 	}
 	nSegs := st.Size() / segmentSize
 	tr := make([]byte, integrity.TrailerSize)
@@ -84,7 +82,7 @@ func OpenFileDevice(path string, segmentSize int64, maxSegments int) (*FileDevic
 		// The bound check is the verifier's job; here any magic counts
 		// as "was sealed".
 		if _, err := integrity.DecodeTrailer(tr, 0); err == nil {
-			d.alloc[id] = true
+			d.alloc.Store(id, allocated)
 		} else {
 			d.free = append(d.free, id)
 		}
@@ -102,7 +100,7 @@ func (d *FileDevice) Geometry() Geometry { return d.geo }
 func (d *FileDevice) Alloc() (SegmentID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return NilSegment, ErrClosed
 	}
 	var id SegmentID
@@ -124,7 +122,7 @@ func (d *FileDevice) Alloc() (SegmentID, error) {
 			return NilSegment, fmt.Errorf("storage: grow device file: %w", err)
 		}
 	}
-	d.alloc[id] = true
+	d.alloc.Store(id, allocated)
 	return id, nil
 }
 
@@ -132,16 +130,16 @@ func (d *FileDevice) Alloc() (SegmentID, error) {
 func (d *FileDevice) Free(id SegmentID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return ErrClosed
 	}
-	if !d.alloc[id] {
+	if !d.has(id) {
 		if id != NilSegment && id < d.next {
 			return fmt.Errorf("%w: %w: %d", ErrBadSegment, ErrDoubleFree, id)
 		}
 		return fmt.Errorf("%w: %d", ErrBadSegment, id)
 	}
-	delete(d.alloc, id)
+	d.alloc.Store(id, nil)
 	d.free = append(d.free, id)
 	return nil
 }
@@ -149,27 +147,28 @@ func (d *FileDevice) Free(id SegmentID) error {
 // Segments implements SegmentLister.
 func (d *FileDevice) Segments() []SegmentID {
 	d.mu.Lock()
-	ids := make([]SegmentID, 0, len(d.alloc))
-	for id := range d.alloc {
-		ids = append(ids, id)
-	}
-	d.mu.Unlock()
-	slices.Sort(ids)
-	return ids
+	defer d.mu.Unlock()
+	return d.alloc.IDs()
 }
 
+// allocated is the entry of every allocated segment.
+var allocated = new(struct{})
+
+// has reports whether seg is allocated.
+func (d *FileDevice) has(seg SegmentID) bool { return d.alloc.Load(seg) != nil }
+
+// check maps off to a file position without a lock, as MemDevice.segment
+// finds a buffer.
 func (d *FileDevice) check(off Offset, n int) (int64, error) {
 	seg := d.geo.Segment(off)
 	within := d.geo.Within(off)
 	if within+int64(n) > d.geo.segSize {
 		return 0, fmt.Errorf("%w: seg %d off %d len %d", ErrSegmentOverflow, seg, within, n)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return 0, ErrClosed
 	}
-	if !d.alloc[seg] {
+	if !d.has(seg) {
 		return 0, fmt.Errorf("%w: %d", ErrBadSegment, seg)
 	}
 	return int64(seg)*d.geo.segSize + within, nil
@@ -182,6 +181,9 @@ func (d *FileDevice) WriteAt(off Offset, p []byte) error {
 		return err
 	}
 	if _, err := d.f.WriteAt(p, pos); err != nil {
+		if d.closed.Load() { // lost a race with Close
+			return ErrClosed
+		}
 		return fmt.Errorf("storage: file write: %w", err)
 	}
 	d.ctr.write(len(p))
@@ -195,6 +197,9 @@ func (d *FileDevice) ReadAt(off Offset, p []byte) error {
 		return err
 	}
 	if _, err := d.f.ReadAt(p, pos); err != nil {
+		if d.closed.Load() {
+			return ErrClosed
+		}
 		return fmt.Errorf("storage: file read: %w", err)
 	}
 	d.ctr.read(len(p))
@@ -204,7 +209,7 @@ func (d *FileDevice) ReadAt(off Offset, p []byte) error {
 // Stats implements Device.
 func (d *FileDevice) Stats() Stats {
 	d.mu.Lock()
-	live := uint64(len(d.alloc))
+	live := uint64(d.alloc.Len())
 	d.mu.Unlock()
 	return Stats{
 		BytesRead:    d.ctr.bytesRead.Load(),
@@ -222,9 +227,9 @@ func (d *FileDevice) ResetStats() { d.ctr.reset() }
 func (d *FileDevice) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return nil
 	}
-	d.closed = true
+	d.closed.Store(true)
 	return d.f.Close()
 }

@@ -101,8 +101,8 @@ type VerifyingDevice struct {
 	seq   atomic.Uint32
 	nodes *NodeCache
 
-	mu    sync.RWMutex
-	state map[SegmentID]*segState
+	mu    sync.Mutex // serializes creating and dropping state entries
+	state SegmentTable[segState]
 }
 
 // AsVerifying wraps dev in a VerifyingDevice. A device that already
@@ -117,7 +117,6 @@ func AsVerifying(dev Device) *VerifyingDevice {
 		inner: dev,
 		geo:   dev.Geometry(),
 		nodes: newNodeCache(dev.Geometry()),
-		state: make(map[SegmentID]*segState),
 	}
 	if sl, ok := dev.(SegmentLister); ok {
 		var maxSeq uint32
@@ -146,18 +145,15 @@ func (d *VerifyingDevice) UsableCapacity() int64 {
 func (d *VerifyingDevice) NodeCache() *NodeCache { return d.nodes }
 
 func (d *VerifyingDevice) segState(seg SegmentID) *segState {
-	d.mu.RLock()
-	st := d.state[seg]
-	d.mu.RUnlock()
-	if st != nil {
+	if st := d.state.Load(seg); st != nil {
 		return st
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st, ok := d.state[seg]
-	if !ok {
+	st := d.state.Load(seg)
+	if st == nil {
 		st = &segState{}
-		d.state[seg] = st
+		d.state.Store(seg, st)
 	}
 	return st
 }
@@ -166,7 +162,7 @@ func (d *VerifyingDevice) segState(seg SegmentID) *segState {
 // and, by ending its incarnation, every node cached from it.
 func (d *VerifyingDevice) dropState(seg SegmentID) {
 	d.mu.Lock()
-	delete(d.state, seg)
+	d.state.Store(seg, nil)
 	d.mu.Unlock()
 	d.nodes.retire(seg)
 }
@@ -265,15 +261,28 @@ func (d *VerifyingDevice) WriteFramedAt(off Offset, p []byte, kind integrity.Kin
 }
 
 // ReadAt implements Device. The first read of a segment verifies its
-// payload CRC; later reads are served after a cheap cache check.
+// payload CRC; later reads take no lock: one load of the segment's state
+// and one of its pass bit. A segment the device does not hold gets no
+// state, so a read through a mangled pointer costs the device's error,
+// not a table grown to the pointer's ID.
 func (d *VerifyingDevice) ReadAt(off Offset, p []byte) error {
 	seg := d.geo.Segment(off)
-	if st := d.segState(seg); !st.pass.Load() {
-		if err := d.verifyFirstRead(seg, st); err != nil {
+	if st := d.state.Load(seg); st == nil || !st.pass.Load() {
+		if st == nil && !mayHold(d.inner, seg) {
+			return d.inner.ReadAt(off, p)
+		}
+		if err := d.verifyFirstRead(seg, d.segState(seg)); err != nil {
 			return err
 		}
 	}
 	return d.inner.ReadAt(off, p)
+}
+
+// mayHold reports whether dev may hold seg: false only for a device of
+// this package whose segment table has no entry for it.
+func mayHold(dev Device, seg SegmentID) bool {
+	h, ok := dev.(interface{ has(SegmentID) bool })
+	return !ok || h.has(seg)
 }
 
 // verifyFirstRead is ReadAt's path for a segment not known to be good:

@@ -28,7 +28,7 @@ func (l *Log) AdoptSegment(data []byte) (storage.SegmentID, error) {
 	}
 	l.mu.Lock()
 	l.segs = append(l.segs, seg)
-	l.space[seg] = &segSpace{total: uint64(ScanUsed(data[:l.cap]))}
+	l.space.Store(seg, &segSpace{total: uint64(ScanUsed(data[:l.cap]))})
 	l.mu.Unlock()
 	return seg, nil
 }
@@ -44,7 +44,7 @@ func (l *Log) AdoptSegmentAs(seg storage.SegmentID, data []byte) error {
 	}
 	l.mu.Lock()
 	l.segs = append(l.segs, seg)
-	l.space[seg] = &segSpace{total: uint64(ScanUsed(data[:l.cap]))}
+	l.space.Store(seg, &segSpace{total: uint64(ScanUsed(data[:l.cap]))})
 	l.mu.Unlock()
 	return nil
 }
@@ -60,12 +60,12 @@ func (l *Log) AdoptTail(tailSeg storage.SegmentID, data []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	// Release the tail segment New() allocated if it is being replaced.
-	if l.tailSeg != tailSeg && l.tailLen == 0 {
-		if err := l.dev.Free(l.tailSeg); err != nil {
+	if l.TailSegment() != tailSeg && l.tailLen == 0 {
+		if err := l.dev.Free(l.TailSegment()); err != nil {
 			return err
 		}
 	}
-	l.tailSeg = tailSeg
+	l.tailSeg.Store(uint32(tailSeg))
 	for i := range l.tailBuf {
 		l.tailBuf[i] = 0
 	}

@@ -126,10 +126,9 @@ func Open(dev storage.Device) (*Log, *RecoveryReport, error) {
 	}
 
 	l := &Log{
-		dev:   dev,
-		geo:   dev.Geometry(),
-		cap:   storage.UsableCapacity(dev),
-		space: make(map[storage.SegmentID]*segSpace),
+		dev: dev,
+		geo: dev.Geometry(),
+		cap: storage.UsableCapacity(dev),
 	}
 	buf := make([]byte, l.geo.SegmentSize())
 	for _, ls := range logSegs {
@@ -141,7 +140,7 @@ func Open(dev storage.Device) (*Log, *RecoveryReport, error) {
 		if err := dev.ReadAt(l.geo.Pack(ls.id, 0), buf); err != nil {
 			return nil, nil, fmt.Errorf("vlog: recover segment %d: %w", ls.id, err)
 		}
-		l.space[ls.id] = &segSpace{total: uint64(ScanUsed(buf[:l.cap]))}
+		l.space.Store(ls.id, &segSpace{total: uint64(ScanUsed(buf[:l.cap]))})
 	}
 	rep.LogSegments = len(l.segs)
 	if err := l.rollTail(); err != nil {

@@ -28,7 +28,7 @@ type ReplayFunc func(off storage.Offset, pair kv.Pair, tombstone bool) bool
 func (l *Log) Replay(from storage.Offset, fn ReplayFunc) error {
 	l.mu.Lock()
 	segs := append([]storage.SegmentID(nil), l.segs...)
-	tailSeg := l.tailSeg
+	tailSeg := l.TailSegment()
 	tail := append([]byte(nil), l.tailBuf[:l.tailLen]...)
 	l.mu.Unlock()
 

@@ -63,13 +63,13 @@ func (l *Log) SpaceReport() SpaceReport {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	rep := SpaceReport{
-		TailSeg:  l.tailSeg,
+		TailSeg:  l.TailSegment(),
 		TailUsed: uint64(l.tailLen),
 		TailDead: l.tailDead,
 		Trimmed:  l.trimmed,
 	}
 	for _, seg := range l.segs {
-		sp := l.space[seg]
+		sp := l.space.Load(seg)
 		if sp == nil {
 			sp = &segSpace{}
 		}
@@ -117,14 +117,14 @@ func (l *Log) AddDead(off storage.Offset, n int) {
 	seg := l.geo.Segment(off)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if seg == l.tailSeg {
+	if seg == l.TailSegment() {
 		l.tailDead += uint64(n)
 		if l.tailDead > uint64(l.tailLen) {
 			l.tailDead = uint64(l.tailLen)
 		}
 		return
 	}
-	if sp, ok := l.space[seg]; ok {
+	if sp := l.space.Load(seg); sp != nil {
 		sp.dead += uint64(n)
 		if sp.dead > sp.total {
 			sp.dead = sp.total
@@ -152,37 +152,27 @@ func (l *Log) RecordLen(off storage.Offset) (int, error) {
 //
 // The caller (DB.GCOnce) must guarantee no index entry still points into
 // the victims before calling; afterwards, reads of released offsets
-// return ErrReclaimed.
+// return ErrReclaimed. A victim's ledger entry is unpublished before the
+// device frees it, so no lock-free reader starts a read of it after.
 func (l *Log) Release(victims []storage.SegmentID) (freed int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, seg := range victims {
-		if seg == l.tailSeg {
+		if seg == l.TailSegment() {
 			return freed, fmt.Errorf("vlog: release of live tail segment %d", seg)
 		}
-		idx := slices.Index(l.segs, seg)
-		if idx < 0 {
+		sp := l.space.Load(seg)
+		if sp == nil {
 			continue
 		}
+		l.space.Store(seg, nil)
 		if err := l.dev.Free(seg); err != nil {
+			l.space.Store(seg, sp)
 			return freed, err
 		}
-		l.segs = slices.Delete(l.segs, idx, idx+1)
-		if sp, ok := l.space[seg]; ok {
-			l.trimmed += sp.total
-			delete(l.space, seg)
-		}
+		l.segs = slices.DeleteFunc(l.segs, func(s storage.SegmentID) bool { return s == seg })
+		l.trimmed += sp.total
 		freed++
 	}
 	return freed, nil
-}
-
-// liveSegmentLocked reports whether off's segment is still readable:
-// the in-memory tail or a sealed live segment. Caller holds l.mu.
-func (l *Log) liveSegmentLocked(seg storage.SegmentID) bool {
-	if seg == l.tailSeg {
-		return true
-	}
-	_, ok := l.space[seg]
-	return ok
 }

@@ -233,7 +233,7 @@ func TestGetFreedOffsetReturnsErrReclaimed(t *testing.T) {
 // crash-retried GC release pass is harmless.
 func TestReleaseTailRefusedAndIdempotent(t *testing.T) {
 	l, _, _, _ := appendWorkload(t, 512, 7, 60)
-	if _, err := l.Release([]storage.SegmentID{l.tailSeg}); err == nil {
+	if _, err := l.Release([]storage.SegmentID{l.TailSegment()}); err == nil {
 		t.Fatal("Release of the live tail segment succeeded")
 	}
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"tebis/internal/integrity"
 	"tebis/internal/kv"
@@ -76,15 +77,17 @@ type Log struct {
 
 	mu      sync.Mutex
 	segs    []storage.SegmentID // sealed live segments, oldest first
-	tailSeg storage.SegmentID
+	tailSeg atomic.Uint32       // the tail's SegmentID; stored under mu
 	tailBuf []byte
 	tailLen int64
 	bytes   uint64 // total user bytes appended
 
 	// Space ledger (space.go): per sealed live segment, how many payload
-	// bytes it holds and how many are known dead. tailDead accumulates
-	// dead bytes of the unsealed tail; trimmed counts bytes reclaimed.
-	space    map[storage.SegmentID]*segSpace
+	// bytes it holds and how many are known dead — an entry is also what
+	// makes the segment readable (readAt). tailDead accumulates dead
+	// bytes of the unsealed tail; trimmed counts bytes reclaimed. Entries
+	// are published and their fields changed under mu.
+	space    storage.SegmentTable[segSpace]
 	tailDead uint64
 	trimmed  uint64
 }
@@ -94,10 +97,9 @@ type Log struct {
 // time (Send-Index may ship leaves pointing at the unflushed tail).
 func New(dev storage.Device) (*Log, error) {
 	l := &Log{
-		dev:   dev,
-		geo:   dev.Geometry(),
-		cap:   storage.UsableCapacity(dev),
-		space: make(map[storage.SegmentID]*segSpace),
+		dev: dev,
+		geo: dev.Geometry(),
+		cap: storage.UsableCapacity(dev),
 	}
 	if err := l.rollTail(); err != nil {
 		return nil, err
@@ -111,7 +113,7 @@ func (l *Log) rollTail() error {
 	if err != nil {
 		return err
 	}
-	l.tailSeg = seg
+	l.tailSeg.Store(uint32(seg))
 	if l.tailBuf == nil {
 		l.tailBuf = make([]byte, l.geo.SegmentSize())
 	} else {
@@ -165,20 +167,24 @@ func (l *Log) Append(key, value []byte, tombstone bool) (AppendResult, error) {
 	l.tailLen += need
 	l.bytes += uint64(len(key) + len(value))
 
-	res.Off = l.geo.Pack(l.tailSeg, pos)
+	res.Off = l.geo.Pack(l.TailSegment(), pos)
 	res.TailPos = pos
 	res.Rec = buf
 	return res, nil
 }
 
 // sealLocked flushes the current tail to the device and starts a new one.
+// The segment's ledger entry is published after its bytes are on the
+// device and before the tail moves on, which is the order readAt's
+// lock-free path relies on.
 func (l *Log) sealLocked() (*Sealed, error) {
-	if err := storage.WriteFramed(l.dev, l.geo.Pack(l.tailSeg, 0), l.tailBuf, integrity.KindLog); err != nil {
+	seg := l.TailSegment()
+	if err := storage.WriteFramed(l.dev, l.geo.Pack(seg, 0), l.tailBuf, integrity.KindLog); err != nil {
 		return nil, err
 	}
-	sealed := &Sealed{Seg: l.tailSeg, Len: len(l.tailBuf)}
-	l.segs = append(l.segs, l.tailSeg)
-	l.space[l.tailSeg] = &segSpace{total: uint64(l.tailLen), dead: l.tailDead}
+	sealed := &Sealed{Seg: seg, Len: len(l.tailBuf)}
+	l.segs = append(l.segs, seg)
+	l.space.Store(seg, &segSpace{total: uint64(l.tailLen), dead: l.tailDead})
 	l.tailDead = 0
 	if err := l.rollTail(); err != nil {
 		return nil, err
@@ -199,28 +205,30 @@ func (l *Log) Seal() (*Sealed, error) {
 
 // readAt reads n bytes at off, serving from the in-memory tail when the
 // offset points into the unflushed tail segment (the mmap-cache analogue
-// for the hot tail).
+// for the hot tail). Only a tail read takes mu. A seal publishes the
+// segment's ledger entry before it moves the tail on, so a reader that
+// sees another tail finds the entry of the segment it sealed.
 func (l *Log) readAt(off storage.Offset, p []byte) error {
 	seg := l.geo.Segment(off)
-	l.mu.Lock()
-	if seg == l.tailSeg {
-		within := l.geo.Within(off)
-		if within+int64(len(p)) > l.tailLen {
-			l.mu.Unlock()
-			return fmt.Errorf("%w: tail read past %d", ErrBadOffset, l.tailLen)
+	if seg == l.TailSegment() {
+		l.mu.Lock()
+		if seg == l.TailSegment() {
+			defer l.mu.Unlock()
+			within := l.geo.Within(off)
+			if within+int64(len(p)) > l.tailLen {
+				return fmt.Errorf("%w: tail read past %d", ErrBadOffset, l.tailLen)
+			}
+			copy(p, l.tailBuf[within:])
+			return nil
 		}
-		copy(p, l.tailBuf[within:])
-		l.mu.Unlock()
-		return nil
+		l.mu.Unlock() // sealed since
 	}
 	// Membership check before touching the device: a GC-released
 	// segment may have been re-allocated for unrelated data,
 	// so a raw device read could succeed and return recycled bytes.
-	if !l.liveSegmentLocked(seg) {
-		l.mu.Unlock()
+	if l.space.Load(seg) == nil {
 		return fmt.Errorf("%w: segment %d at offset %#x", ErrReclaimed, seg, off)
 	}
-	l.mu.Unlock()
 	return l.dev.ReadAt(off, p)
 }
 
@@ -388,7 +396,7 @@ func (l *Log) ReadSegmentImage(seg storage.SegmentID, p []byte) error {
 		return fmt.Errorf("vlog: segment image buffer of %d bytes, want %d", len(p), l.geo.SegmentSize())
 	}
 	l.mu.Lock()
-	if seg == l.tailSeg {
+	if seg == l.TailSegment() {
 		copy(p, l.tailBuf)
 		l.mu.Unlock()
 		return nil
@@ -404,22 +412,18 @@ func (l *Log) ReadSegmentImage(seg storage.SegmentID, p []byte) error {
 func (l *Log) Position() storage.Offset {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.geo.Pack(l.tailSeg, l.tailLen)
+	return l.geo.Pack(l.TailSegment(), l.tailLen)
 }
 
 // TailSegment returns the current tail segment ID.
-func (l *Log) TailSegment() storage.SegmentID {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.tailSeg
-}
+func (l *Log) TailSegment() storage.SegmentID { return storage.SegmentID(l.tailSeg.Load()) }
 
 // TailSnapshot returns the tail segment ID, a copy of its current
 // contents, and its fill level. Used for backup state transfer.
 func (l *Log) TailSnapshot() (storage.SegmentID, []byte, int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.tailSeg, append([]byte(nil), l.tailBuf[:l.tailLen]...), l.tailLen
+	return l.TailSegment(), append([]byte(nil), l.tailBuf[:l.tailLen]...), l.tailLen
 }
 
 // Segments returns the sealed live segments in append order (oldest
