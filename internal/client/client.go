@@ -348,13 +348,14 @@ func (sc *serverConn) noopRoundTrip(off, payloadLen int) error {
 	payload := sb.Reserve(payloadLen)[:payloadLen]
 	clear(payload)
 	msg := sb.Finish(hdr, payload)
+	poll := sc.replyBuf.Poller()
 	if err := sc.reqQP.Write(sc.reqRKey, off, msg, hdr.RequestID); err != nil {
 		return err
 	}
 	if _, err := sc.reqQP.WaitCompletion(); err != nil {
 		return err
 	}
-	_, _, err := sc.awaitReply(replyOff, replySize, hdr.RequestID, false)
+	_, _, err := sc.awaitReply(&poll, replyOff, replySize, hdr.RequestID, false)
 	return err
 }
 
@@ -410,19 +411,22 @@ func (sc *serverConn) call(op wire.Op, regionID region.ID, epoch uint32, sb *sen
 		sc.c.cfg.Stages.Record(metrics.StageClientQueue, sc.c.tenantLabel,
 			traceID, time.Since(queueStart))
 	}
+	poll := sc.replyBuf.Poller()
 	if err := sc.reqQP.Write(sc.reqRKey, e.off, msg, hdr.RequestID); err != nil {
 		return wire.Header{}, nil, err
 	}
 	if _, err := sc.reqQP.WaitCompletion(); err != nil {
 		return wire.Header{}, nil, err
 	}
-	return sc.awaitReply(replyOff, replySize, hdr.RequestID, keep)
+	return sc.awaitReply(&poll, replyOff, replySize, hdr.RequestID, keep)
 }
 
 // awaitReply polls the reply slot [off, off+slot) until the complete
-// reply to reqID lands and takes it (takeReply). A long silence (the
-// server died mid-request) surfaces as errReplyTimeout.
-func (sc *serverConn) awaitReply(off, slot int, reqID uint64, keep bool) (wire.Header, []byte, error) {
+// reply to reqID lands and takes it (takeReply). poll was taken before
+// the request went out, when the slot could hold nothing for it, so a
+// look waits — with no lock — for the server to write into the buffer. A
+// long silence (the server died mid-request) surfaces as errReplyTimeout.
+func (sc *serverConn) awaitReply(poll *rdma.Poller, off, slot int, reqID uint64, keep bool) (wire.Header, []byte, error) {
 	spins := 0
 	var deadline time.Time // from the first look at the clock, which most replies land before
 	for {
@@ -433,7 +437,7 @@ func (sc *serverConn) awaitReply(off, slot int, reqID uint64, keep bool) (wire.H
 				return wire.Header{}, nil, errReplyTimeout
 			}
 		}
-		if h, body, done, err := sc.takeReply(off, slot, reqID, keep); done || err != nil {
+		if h, body, done, err := sc.takeReply(poll, off, slot, reqID, keep); done || err != nil {
 			return h, body, err
 		}
 		spins++
@@ -445,18 +449,18 @@ func (sc *serverConn) awaitReply(off, slot int, reqID uint64, keep bool) (wire.H
 	}
 }
 
-// takeReply looks at the reply slot once, reading the reply where it
-// landed: the header's rendezvous word and, only once it is there, the
-// header into a stack buffer; of an out-of-line reply then the trailer
-// word; then — when the caller keeps the payload, or the reply is an
+// takeReply looks at the reply slot once, through poll, reading the
+// reply where it landed: the header's rendezvous word and, only once it
+// is there, the header into a stack buffer; of an out-of-line reply then
+// the trailer word; then — when the caller keeps the payload, or the reply is an
 // error whose text it will need — the payload, copied exactly once (an
 // inline one out of the header copy) into a slice the caller owns from
 // then on. A reply taken is cleared out of the slot before the slot is
 // handed back, so a stale magic never re-triggers. done is false while
 // the reply to reqID is not complete.
-func (sc *serverConn) takeReply(off, slot int, reqID uint64, keep bool) (h wire.Header, body []byte, done bool, err error) {
+func (sc *serverConn) takeReply(poll *rdma.Poller, off, slot int, reqID uint64, keep bool) (h wire.Header, body []byte, done bool, err error) {
 	var hdr [wire.HeaderSize]byte
-	if ok, err := sc.replyBuf.ReadIfWord(off, hdr[:], wire.Magic); !ok {
+	if ok, err := poll.ReadIfWord(off, hdr[:], wire.Magic); !ok {
 		return wire.Header{}, nil, false, err
 	}
 	if h, err = wire.DecodeHeader(hdr[:]); err != nil || h.RequestID != reqID {

@@ -13,11 +13,14 @@ type lagKey struct {
 	backup string
 }
 
-// lagRec is the per-stream progress state: how much the primary has
-// shipped versus how much the backup has acknowledged, the segment-ship
-// pipeline depth, the last acknowledgement time, and the ack round-trip
-// histogram.
-type lagRec struct {
+// LagStream is one (region, backup) stream's progress: how much the
+// primary has shipped versus how much the backup has acknowledged, the
+// segment-ship pipeline depth, the last ship and ack times, and the ack
+// round-trip histogram. Whoever ships to the backup holds its stream, so
+// recording looks nothing up. All methods are nil-safe: a nil LagSet
+// hands out nil streams.
+type LagStream struct {
+	mu           sync.Mutex
 	shippedOps   uint64
 	shippedBytes uint64
 	ackedOps     uint64
@@ -32,79 +35,83 @@ type lagRec struct {
 // shipped sequence lag in ops and bytes, ship-pipeline backlog depth,
 // last-ack age (staleness), and per-backup ack-RTT histograms. All
 // methods are nil-safe, like StageSet, so lag wiring costs unwired
-// paths only a nil check. Streams appear on first RecordShip and
-// disappear on Evict, so gauges for a dead backup stop rendering.
+// paths only a nil check. Streams appear on Stream and disappear on
+// Evict, so gauges for a dead backup stop rendering.
 type LagSet struct {
 	mu   sync.Mutex
-	recs map[lagKey]*lagRec
+	recs map[lagKey]*LagStream
 }
 
 // NewLagSet returns an empty lag aggregator.
 func NewLagSet() *LagSet {
-	return &LagSet{recs: make(map[lagKey]*lagRec)}
+	return &LagSet{recs: make(map[lagKey]*LagStream)}
 }
 
-func (s *LagSet) rec(k lagKey) *lagRec {
+// Stream returns the (region, backup) stream, created on first use.
+func (s *LagSet) Stream(region uint64, backup string) *LagStream {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	k := lagKey{region, backup}
 	r := s.recs[k]
 	if r == nil {
-		r = &lagRec{rtt: NewHistogram()}
+		r = &LagStream{rtt: NewHistogram()}
 		s.recs[k] = r
 	}
 	return r
 }
 
 // RecordShip accounts one replicated unit (a value-log record) handed
-// to the wire for one backup. Until the matching RecordAck arrives the
-// unit counts as lag.
-func (s *LagSet) RecordShip(region uint64, backup string, bytes int) {
-	if s == nil {
+// to the wire at the given time. Until the matching RecordAck arrives
+// the unit counts as lag.
+func (r *LagStream) RecordShip(bytes int, at time.Time) {
+	if r == nil {
 		return
 	}
-	s.mu.Lock()
-	r := s.rec(lagKey{region, backup})
+	r.mu.Lock()
 	r.shippedOps++
 	r.shippedBytes += uint64(bytes)
-	r.lastShip = time.Now()
-	s.mu.Unlock()
+	r.lastShip = at
+	r.mu.Unlock()
 }
 
-// RecordAck accounts one acknowledged unit and its round trip.
-func (s *LagSet) RecordAck(region uint64, backup string, bytes int, rtt time.Duration) {
-	if s == nil {
+// RecordAck accounts one unit acknowledged at the given time, with its
+// round trip.
+func (r *LagStream) RecordAck(bytes int, at time.Time, rtt time.Duration) {
+	if r == nil {
 		return
 	}
-	s.mu.Lock()
-	r := s.rec(lagKey{region, backup})
+	r.mu.Lock()
 	r.ackedOps++
 	r.ackedBytes += uint64(bytes)
-	r.lastAck = time.Now()
-	hist := r.rtt
-	s.mu.Unlock()
-	hist.Record(rtt)
+	r.lastAck = at
+	r.mu.Unlock()
+	r.rtt.Record(rtt)
 }
 
-// BacklogAdd marks one index-segment ship entering the pipeline for a
-// backup.
-func (s *LagSet) BacklogAdd(region uint64, backup string) {
-	if s == nil {
+// BacklogAdd marks one index-segment ship entering the pipeline.
+func (r *LagStream) BacklogAdd() {
+	if r == nil {
 		return
 	}
-	s.mu.Lock()
-	s.rec(lagKey{region, backup}).backlog++
-	s.mu.Unlock()
+	r.mu.Lock()
+	r.backlog++
+	r.mu.Unlock()
 }
 
 // BacklogDone marks one index-segment ship leaving the pipeline
 // (acknowledged or abandoned with its backup).
-func (s *LagSet) BacklogDone(region uint64, backup string) {
-	if s == nil {
+func (r *LagStream) BacklogDone() {
+	if r == nil {
 		return
 	}
-	s.mu.Lock()
-	if r := s.recs[lagKey{region, backup}]; r != nil && r.backlog > 0 {
+	r.mu.Lock()
+	if r.backlog > 0 {
 		r.backlog--
 	}
-	s.mu.Unlock()
+	r.mu.Unlock()
 }
 
 // Evict drops a backup's stream: an evicted replica's lag is no longer
@@ -119,8 +126,8 @@ func (s *LagSet) Evict(region uint64, backup string) {
 	s.mu.Unlock()
 }
 
-// lag is the shipped-but-unacknowledged window of one stream under s.mu.
-func (r *lagRec) lag() (ops, bytes uint64) {
+// lag is the shipped-but-unacknowledged window of one stream under r.mu.
+func (r *LagStream) lag() (ops, bytes uint64) {
 	if r.shippedOps > r.ackedOps {
 		ops = r.shippedOps - r.ackedOps
 	}
@@ -130,11 +137,11 @@ func (r *lagRec) lag() (ops, bytes uint64) {
 	return ops, bytes
 }
 
-// staleness computes the last-ack age of one stream under s.mu: zero
+// staleness computes the last-ack age of one stream under r.mu: zero
 // while the backup is caught up (every shipped unit acked), otherwise
 // the time since its last ack — or since the first un-acked ship when
 // the backup has never acked at all.
-func (r *lagRec) staleness(now time.Time) time.Duration {
+func (r *LagStream) staleness(now time.Time) time.Duration {
 	if r.ackedOps >= r.shippedOps {
 		return 0
 	}
@@ -171,21 +178,18 @@ func (s *LagSet) Snapshot() []LagSnapshot {
 	now := time.Now()
 	s.mu.Lock()
 	out := make([]LagSnapshot, 0, len(s.recs))
-	hists := make([]*Histogram, 0, len(s.recs))
+	recs := make([]*LagStream, 0, len(s.recs))
 	for k, r := range s.recs {
-		snap := LagSnapshot{
-			Region:    k.region,
-			Backup:    k.backup,
-			Backlog:   r.backlog,
-			Staleness: r.staleness(now),
-		}
-		snap.LagOps, snap.LagBytes = r.lag()
-		out = append(out, snap)
-		hists = append(hists, r.rtt)
+		out = append(out, LagSnapshot{Region: k.region, Backup: k.backup})
+		recs = append(recs, r)
 	}
 	s.mu.Unlock()
-	for i, h := range hists {
-		out[i].AckCount, out[i].AckPercentiles = h.Summarize()
+	for i, r := range recs {
+		r.mu.Lock()
+		out[i].Backlog, out[i].Staleness = r.backlog, r.staleness(now)
+		out[i].LagOps, out[i].LagBytes = r.lag()
+		r.mu.Unlock()
+		out[i].AckCount, out[i].AckPercentiles = r.rtt.Summarize()
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Region != out[b].Region {
@@ -235,40 +239,34 @@ func (s *LagSet) Collect() []Family {
 // Lag answers a single stream's current lag — the bench harness' fast
 // path for gate checks. Zeroes when the stream is unknown.
 func (s *LagSet) Lag(region uint64, backup string) (ops, bytes uint64) {
-	if s == nil {
-		return 0, 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.recs[lagKey{region, backup}]
+	r := s.lookup(region, backup)
 	if r == nil {
 		return 0, 0
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.lag()
 }
 
 // Staleness answers a single stream's last-ack age; zero when caught
 // up or unknown.
 func (s *LagSet) Staleness(region uint64, backup string) time.Duration {
-	if s == nil {
-		return 0
-	}
-	now := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.recs[lagKey{region, backup}]
+	r := s.lookup(region, backup)
 	if r == nil {
 		return 0
 	}
+	now := time.Now()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.staleness(now)
 }
 
-// Reset clears all streams.
-func (s *LagSet) Reset() {
+// lookup returns a known stream without creating one.
+func (s *LagSet) lookup(region uint64, backup string) *LagStream {
 	if s == nil {
-		return
+		return nil
 	}
 	s.mu.Lock()
-	s.recs = make(map[lagKey]*lagRec)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	return s.recs[lagKey{region, backup}]
 }

@@ -31,8 +31,25 @@ func NewHistogram() *Histogram {
 	return &Histogram{buckets: make([]uint64, histSize), min: math.MaxInt64}
 }
 
-// bucketFor maps a duration to a bucket index.
+// bucketFor maps a duration to a bucket index: the last bucket whose
+// lower bound d reaches, found by binary search in bucketBounds — the
+// index logBucket computes, without a logarithm per sample.
 func bucketFor(d time.Duration) int {
+	i, j := 1, histSize
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if bucketBounds[h] <= d {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i - 1
+}
+
+// logBucket is the bucket index by its definition: floor(log_1.05(d /
+// 100 ns)), clamped to the histogram. bucketBounds is built from it.
+func logBucket(d time.Duration) int {
 	if d <= histBase {
 		return 0
 	}
@@ -42,6 +59,23 @@ func bucketFor(d time.Duration) int {
 	}
 	return i
 }
+
+// bucketBounds[i] is the shortest duration logBucket puts in bucket i or
+// above (bucketBounds[0] is unused): the nearest integer to the bucket's
+// nominal lower bound, moved until it is exact.
+var bucketBounds = func() (b [histSize]time.Duration) {
+	for i := 1; i < histSize; i++ {
+		d := time.Duration(math.Round(float64(histBase) * math.Pow(histGrowth, float64(i))))
+		for logBucket(d-1) >= i {
+			d--
+		}
+		for logBucket(d) < i {
+			d++
+		}
+		b[i] = d
+	}
+	return b
+}()
 
 // bucketValue returns the representative duration of bucket i.
 func bucketValue(i int) time.Duration {

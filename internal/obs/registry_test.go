@@ -254,13 +254,14 @@ func TestExpositionGolden(t *testing.T) {
 	// the staleness gauge deterministically zero; the backlog and ack
 	// quantiles still exercise their families.
 	lag := metrics.NewLagSet()
+	stream := lag.Stream(7, "s1")
 	for i := 0; i < 3; i++ {
-		lag.RecordShip(7, "s1", 256)
-		lag.RecordAck(7, "s1", 256, time.Duration(i+1)*time.Millisecond)
+		stream.RecordShip(256, time.Now())
+		stream.RecordAck(256, time.Now(), time.Duration(i+1)*time.Millisecond)
 	}
-	lag.BacklogAdd(7, "s1")
-	lag.BacklogAdd(7, "s1")
-	lag.BacklogDone(7, "s1")
+	stream.BacklogAdd()
+	stream.BacklogAdd()
+	stream.BacklogDone()
 	r.Register(node, lag)
 
 	ev := NewEventLog(8)

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,8 +42,12 @@ var (
 type Endpoint struct {
 	name string
 
+	// regions is the rkey table: the registered region of every rkey, nil
+	// once deregistered. Register and Deregister rebuild it under mu and
+	// never edit a published table, so a Write finds its target with one
+	// atomic load and no lock.
 	mu      sync.Mutex
-	regions map[uint32]*MemoryRegion
+	regions atomic.Pointer[[]*MemoryRegion]
 	nextKey uint32
 	closed  bool
 
@@ -58,11 +63,9 @@ type Endpoint struct {
 
 // NewEndpoint creates a NIC for a node.
 func NewEndpoint(name string) *Endpoint {
-	return &Endpoint{
-		name:    name,
-		regions: make(map[uint32]*MemoryRegion),
-		nextKey: 1,
-	}
+	ep := &Endpoint{name: name, nextKey: 1}
+	ep.regions.Store(new([]*MemoryRegion))
+	return ep
 }
 
 // Name returns the endpoint's node name.
@@ -84,8 +87,14 @@ func (ep *Endpoint) ResetCounters() {
 type MemoryRegion struct {
 	ep   *Endpoint
 	rkey uint32
-	mu   sync.RWMutex
-	buf  []byte
+	// mu orders remote writes with the owner's reads and clears. A plain
+	// mutex, not a read-write one: a Poller's empty look takes no lock,
+	// so what locks are left are mostly writes.
+	mu  sync.Mutex
+	buf []byte
+	// gen counts the remote writes that have landed; a Poller that found
+	// nothing looks again, under mu, only once it has moved.
+	gen atomic.Uint64
 }
 
 // Register pins size bytes of memory and returns the region.
@@ -97,15 +106,30 @@ func (ep *Endpoint) Register(size int) (*MemoryRegion, error) {
 	}
 	mr := &MemoryRegion{ep: ep, rkey: ep.nextKey, buf: make([]byte, size)}
 	ep.nextKey++
-	ep.regions[mr.rkey] = mr
+	table := make([]*MemoryRegion, mr.rkey+1)
+	copy(table, *ep.regions.Load())
+	table[mr.rkey] = mr
+	ep.regions.Store(&table)
 	return mr, nil
 }
 
 // Deregister unpins the region; subsequent remote writes fail.
 func (ep *Endpoint) Deregister(mr *MemoryRegion) {
 	ep.mu.Lock()
-	delete(ep.regions, mr.rkey)
-	ep.mu.Unlock()
+	defer ep.mu.Unlock()
+	if old := *ep.regions.Load(); int(mr.rkey) < len(old) && old[mr.rkey] == mr {
+		table := slices.Clone(old)
+		table[mr.rkey] = nil
+		ep.regions.Store(&table)
+	}
+}
+
+// region returns the region registered under rkey, or nil.
+func (ep *Endpoint) region(rkey uint32) *MemoryRegion {
+	if table := *ep.regions.Load(); int(rkey) < len(table) {
+		return table[rkey]
+	}
+	return nil
 }
 
 // RKey returns the region's remote access key.
@@ -114,16 +138,11 @@ func (mr *MemoryRegion) RKey() uint32 { return mr.rkey }
 // Size returns the region length.
 func (mr *MemoryRegion) Size() int { return len(mr.buf) }
 
-// Bytes gives the local owner direct access to the region's memory (the
-// spinning thread polls this; the client reads replies from it). The
-// returned slice aliases the live buffer.
-func (mr *MemoryRegion) Bytes() []byte { return mr.buf }
-
 // ReadAt copies from the region under the region lock, for
 // race-free polling of bytes a remote writer may touch.
 func (mr *MemoryRegion) ReadAt(off int, p []byte) error {
-	mr.mu.RLock()
-	defer mr.mu.RUnlock()
+	mr.mu.Lock()
+	defer mr.mu.Unlock()
 	if off < 0 || off+len(p) > len(mr.buf) {
 		return fmt.Errorf("%w: read [%d,%d) of %d", ErrBounds, off, off+len(p), len(mr.buf))
 	}
@@ -138,8 +157,8 @@ func (mr *MemoryRegion) ReadAt(off int, p []byte) error {
 // match. A poll that finds nothing copies nothing, and one that finds a
 // message has it without a second look.
 func (mr *MemoryRegion) ReadIfWord(off int, p []byte, want uint32) (bool, error) {
-	mr.mu.RLock()
-	defer mr.mu.RUnlock()
+	mr.mu.Lock()
+	defer mr.mu.Unlock()
 	end := off + len(p)
 	if off < 0 || len(p) < 4 || end > len(mr.buf) {
 		return false, fmt.Errorf("%w: read [%d,%d) of %d", ErrBounds, off, end, len(mr.buf))
@@ -149,6 +168,39 @@ func (mr *MemoryRegion) ReadIfWord(off int, p []byte, want uint32) (bool, error)
 	}
 	copy(p, mr.buf[off:end])
 	return true, nil
+}
+
+// Poller is one reader's poll of a region: a look that found nothing is
+// not repeated — and takes no lock — until a remote write has landed in
+// the region since. Only a Write puts a message into a region, so the
+// skipped look would have found nothing too. A Poller is one goroutine's.
+type Poller struct {
+	mr *MemoryRegion
+	// empty is one more than the write generation the last look that
+	// found nothing started at; 0 once a look found something.
+	empty uint64
+}
+
+// Poller returns a poll of the region that takes it to hold nothing the
+// caller waits for as of now — the caller knows: a request buffer no
+// client has written yet, a reply slot whose request has not been sent —
+// so its first look waits for a write.
+func (mr *MemoryRegion) Poller() Poller { return Poller{mr: mr, empty: mr.gen.Load() + 1} }
+
+// ReadIfWord is MemoryRegion.ReadIfWord, skipped while the region holds
+// nothing new since the last look that found nothing.
+func (p *Poller) ReadIfWord(off int, buf []byte, want uint32) (bool, error) {
+	gen := p.mr.gen.Load()
+	if p.empty == gen+1 {
+		return false, nil
+	}
+	ok, err := p.mr.ReadIfWord(off, buf, want)
+	if !ok && err == nil {
+		p.empty = gen + 1
+	} else {
+		p.empty = 0
+	}
+	return ok, err
 }
 
 // Clear zeroes [off, off+n) under the region lock: how the owner retires
@@ -227,10 +279,8 @@ func (qp *QP) Write(rkey uint32, off int, data []byte, wrID uint64) error {
 	case FaultDelay:
 		time.Sleep(f.Delay)
 	}
-	qp.remote.mu.Lock()
-	mr, ok := qp.remote.regions[rkey]
-	qp.remote.mu.Unlock()
-	if !ok {
+	mr := qp.remote.region(rkey)
+	if mr == nil {
 		return fmt.Errorf("%w: %d at %s", ErrBadRKey, rkey, qp.remote.name)
 	}
 	mr.mu.Lock()
@@ -240,6 +290,7 @@ func (qp *QP) Write(rkey uint32, off int, data []byte, wrID uint64) error {
 	}
 	copy(mr.buf[off:], data)
 	mr.mu.Unlock()
+	mr.gen.Add(1)
 
 	qp.local.tx.Add(uint64(len(data)))
 	qp.remote.rx.Add(uint64(len(data)))
@@ -257,8 +308,15 @@ func (qp *QP) Write(rkey uint32, off int, data []byte, wrID uint64) error {
 	}
 }
 
-// WaitCompletion blocks for the next completion (or QP teardown).
+// WaitCompletion blocks for the next completion (or QP teardown). Write
+// queues its completion before it returns, so the common call takes one
+// that is already there with a single receive.
 func (qp *QP) WaitCompletion() (Completion, error) {
+	select {
+	case c := <-qp.cq:
+		return c, nil
+	default:
+	}
 	select {
 	case c := <-qp.cq:
 		return c, nil

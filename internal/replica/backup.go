@@ -99,12 +99,10 @@ type Backup struct {
 	logBuf *rdma.MemoryRegion // value-log tail replica (§3.2)
 	idxBuf *rdma.MemoryRegion // index segment staging (§3.3)
 
-	// Control channel (two-sided).
-	reqRecv *rdma.QP // primary's commands arrive here
-	ackSend *rdma.QP // acks go back on this
-	ackPeer *rdma.QP // the primary's ack receive QP
-
-	mu      sync.Mutex
+	mu sync.Mutex
+	// conn is the link of the primary attached last (nil before Attach),
+	// the one Crash severs.
+	conn    *link
 	log     *vlog.Log
 	logMap  *SegMap
 	flushed map[storage.SegmentID]bool // primary log segments flushed here
@@ -121,17 +119,8 @@ type Backup struct {
 	// watermarkPrimary is the last compaction watermark in primary
 	// device space.
 	watermarkPrimary storage.Offset
-	loopDone         chan struct{}
 	loopErr          error
 	promoted         bool
-
-	// lastReq/lastAck deduplicate retried control RPCs: the primary
-	// serializes RPCs per backup and retries reuse the RequestID, so a
-	// one-entry cache gives at-most-once handler execution (a retry
-	// whose original was handled but whose ack was lost replays the
-	// cached ack instead of re-running the handler).
-	lastReq uint64
-	lastAck []byte
 
 	// flushImg is handleFlushTail's segment-sized scratch, reused from
 	// flush to flush (guarded by mu).
@@ -271,13 +260,25 @@ func (b *Backup) charge(c metrics.Component, n uint64) {
 	}
 }
 
-// serve is the backup's control loop: it receives primary commands and
-// acknowledges them. The loop exits when the control QP closes.
-func (b *Backup) serve() {
-	defer close(b.loopDone)
+// serve is the backup's control loop on one link: it receives the
+// primary's commands and acknowledges them. The loop exits when the
+// link's control QP closes.
+//
+// lastReq/lastAck deduplicate retried control RPCs: the primary
+// serializes RPCs per backup and retries reuse the RequestID, so a
+// one-entry cache per link gives at-most-once handler execution (a retry
+// whose original was handled but whose ack was lost replays the cached
+// ack instead of re-running the handler). Request IDs are the primary's,
+// so the cache is the link's: another primary's IDs do not match it.
+func (b *Backup) serve(l *link) {
+	defer close(l.loopDone)
+	var (
+		lastReq uint64
+		lastAck []byte
+	)
 	for {
-		b.reqRecv.PostRecv(64 << 10)
-		msg, err := b.reqRecv.Recv()
+		l.reqRecv.PostRecv(64 << 10)
+		msg, err := l.reqRecv.Recv()
 		if err != nil {
 			return
 		}
@@ -291,40 +292,22 @@ func (b *Backup) serve() {
 		}
 		// At-most-once: a retried request (same RequestID) whose
 		// original already executed replays the cached ack.
-		ack := b.cachedAck(h.RequestID)
-		if ack == nil {
+		ack := lastAck
+		if h.RequestID == 0 || h.RequestID != lastReq {
 			ack, err = b.handle(h, payload)
 			if err != nil {
 				b.fail(err)
 				return
 			}
-			b.cacheAck(h.RequestID, ack)
+			lastReq, lastAck = h.RequestID, ack
 		}
-		if err := b.ackSend.Send(b.ackPeer, ack); err != nil {
+		if err := l.ackSend.Send(l.ackRecv, ack); err != nil {
 			if !errors.Is(err, rdma.ErrDisconnected) {
 				b.fail(err)
 			}
 			return
 		}
 	}
-}
-
-// cachedAck returns the cached ack when reqID matches the last handled
-// request (a primary retry), nil otherwise.
-func (b *Backup) cachedAck(reqID uint64) []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if reqID != 0 && reqID == b.lastReq {
-		return b.lastAck
-	}
-	return nil
-}
-
-func (b *Backup) cacheAck(reqID uint64, ack []byte) {
-	b.mu.Lock()
-	b.lastReq = reqID
-	b.lastAck = ack
-	b.mu.Unlock()
 }
 
 func (b *Backup) fail(err error) {
@@ -363,16 +346,15 @@ func (b *Backup) Err() error {
 func (b *Backup) Crash() {
 	b.cfg.Endpoint.Deregister(b.logBuf)
 	b.cfg.Endpoint.Deregister(b.idxBuf)
-	if b.reqRecv != nil {
-		b.reqRecv.Close()
-	}
-	if b.ackSend != nil {
-		b.ackSend.Close()
-	}
-	// Waiting on the control loop first guarantees no handler is still
-	// queueing index work when the queue closes.
-	if b.loopDone != nil {
-		<-b.loopDone
+	b.mu.Lock()
+	l := b.conn
+	b.mu.Unlock()
+	if l != nil {
+		// Waiting on the control loop first guarantees no handler is
+		// still queueing index work when the queue closes.
+		l.reqRecv.Close()
+		l.ackSend.Close()
+		<-l.loopDone
 	}
 	b.mu.Lock()
 	q := b.idxQueue

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -394,5 +395,67 @@ func TestCrashLeavesNoGoroutines(t *testing.T) {
 			t.Fatalf("goroutines: %d before rig, %d after Crash — backup goroutine leaked",
 				before, runtime.NumGoroutine())
 		})
+	}
+}
+
+// TestReattachToASecondPrimary: a backup attached to a second primary
+// while the first keeps sending it control RPCs serves both, each on a
+// link of its own, and detaching the first closes the first's link only —
+// the second primary's RPCs still succeed. Run it under -race: Attach
+// used to rewire the backup's one set of queue pairs under the first
+// primary's RPCs, and the first's detach closed the second's.
+func TestReattachToASecondPrimary(t *testing.T) {
+	r := newRigCfg(t, SendIndex, 1, nil, func(c *PrimaryConfig) { c.Retry = fastRetry() }, nil)
+	b := r.backups[0]
+	release := wire.GCRelease{RegionID: 1}.Encode(nil) // names no segment: a no-op to handle
+	first := r.primary.handles()[0]
+	var sent atomic.Int64
+	firstErr := make(chan error, 1)
+	go func() {
+		for {
+			if err := r.primary.rpc(first, wire.OpGCRelease, release); err != nil {
+				firstErr <- err
+				return
+			}
+			sent.Add(1)
+		}
+	}()
+	for sent.Load() < 10 {
+		runtime.Gosched()
+	}
+
+	p2 := NewPrimary(PrimaryConfig{
+		RegionID: 1, ServerName: "primary2", Mode: SendIndex,
+		Endpoint: rdma.NewEndpoint("primary2"), Cost: metrics.DefaultCostModel(), Retry: fastRetry(),
+	})
+	Attach(p2, b)
+	t.Cleanup(p2.DetachAll)
+	second := p2.handles()[0]
+	rpcs := func(when string) {
+		t.Helper()
+		for i := 0; i < 100; i++ {
+			if err := p2.rpc(second, wire.OpGCRelease, release); err != nil {
+				t.Fatalf("second primary's RPC %d %s: %v", i, when, err)
+			}
+		}
+	}
+	rpcs("beside the first's")
+	before := sent.Load()
+	for sent.Load() < before+10 {
+		select {
+		case err := <-firstErr:
+			t.Fatalf("first primary's RPC after the re-attach: %v", err)
+		default:
+			runtime.Gosched()
+		}
+	}
+
+	r.primary.Detach(b)
+	if err := <-firstErr; !errors.Is(err, rdma.ErrDisconnected) {
+		t.Fatalf("first primary's RPC after its detach = %v, want ErrDisconnected", err)
+	}
+	rpcs("after the first's detach")
+	if err := b.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -121,13 +121,39 @@ type PrimaryConfig struct {
 // backupHandle is the primary's view of one attached backup.
 type backupHandle struct {
 	backup *Backup // the in-process peer (gives QP targets and rkeys)
+	*link          // this primary's connection to it, owned here
+	// lag is the backup's stream in the primary's lag set, held so a
+	// record looks nothing up (nil without one).
+	lag *metrics.LagStream
 
+	mu  sync.Mutex  // one control RPC in flight per backup
+	msg wire.MsgBuf // the RPC in flight is built here (guarded by mu)
+}
+
+// link is one primary-to-backup connection: the queue pairs of both ends
+// and the backup control loop serving it. Attach builds it whole and
+// never edits it, so a backup re-attached to a new primary gets a link of
+// its own, and closing the old one touches nothing of the new.
+type link struct {
 	dataQP  *rdma.QP // one-sided writes into the backup's buffers
 	reqSend *rdma.QP // control commands out
 	ackRecv *rdma.QP // acks back
 
-	mu  sync.Mutex  // one control RPC in flight per backup
-	msg wire.MsgBuf // the RPC in flight is built here (guarded by mu)
+	reqRecv *rdma.QP // the backup's end of reqSend
+	ackSend *rdma.QP // the backup's end of ackRecv
+	// loopDone closes when the backup's control loop on this link exits.
+	loopDone chan struct{}
+}
+
+// close tears the link down at both ends and waits for the backup's
+// control loop on it to exit.
+func (l *link) close() {
+	l.dataQP.Close()
+	l.reqSend.Close()
+	l.ackRecv.Close()
+	l.reqRecv.Close()
+	l.ackSend.Close()
+	<-l.loopDone
 }
 
 // Primary is the primary-side replica of one region. It implements
@@ -226,21 +252,25 @@ func (p *Primary) charge(c metrics.Component, n uint64) {
 // Attach wires a backup to this primary: data QP for one-sided writes
 // and a control channel, then starts the backup's control loop.
 func Attach(p *Primary, b *Backup) {
-	h := &backupHandle{backup: b}
-	h.dataQP = rdma.Connect(p.cfg.Endpoint, b.cfg.Endpoint, 1024)
-	h.reqSend = rdma.Connect(p.cfg.Endpoint, b.cfg.Endpoint, 16)
-	h.ackRecv = rdma.Connect(p.cfg.Endpoint, b.cfg.Endpoint, 16)
+	l := &link{
+		dataQP:   rdma.Connect(p.cfg.Endpoint, b.cfg.Endpoint, 1024),
+		reqSend:  rdma.Connect(p.cfg.Endpoint, b.cfg.Endpoint, 16),
+		ackRecv:  rdma.Connect(p.cfg.Endpoint, b.cfg.Endpoint, 16),
+		reqRecv:  rdma.Connect(b.cfg.Endpoint, p.cfg.Endpoint, 16),
+		ackSend:  rdma.Connect(b.cfg.Endpoint, p.cfg.Endpoint, 16),
+		loopDone: make(chan struct{}),
+	}
+	h := &backupHandle{backup: b, link: l, lag: p.cfg.Lag.Stream(uint64(p.cfg.RegionID), b.cfg.ServerName)}
 
-	b.reqRecv = rdma.Connect(b.cfg.Endpoint, p.cfg.Endpoint, 16)
-	b.ackSend = rdma.Connect(b.cfg.Endpoint, p.cfg.Endpoint, 16)
-	b.ackPeer = h.ackRecv
-	b.loopDone = make(chan struct{})
+	b.mu.Lock()
+	b.conn = l
+	b.mu.Unlock()
 
 	p.mu.Lock()
 	p.backups = append(slices.Clone(p.backups), h)
 	p.mu.Unlock()
 
-	go b.serve()
+	go b.serve(l)
 }
 
 // Detach severs the connection to a backup (failure injection and
@@ -250,7 +280,7 @@ func (p *Primary) Detach(b *Backup) {
 	defer p.mu.Unlock()
 	for i, h := range p.backups {
 		if h.backup == b {
-			h.closeQPs()
+			h.close()
 			p.backups = slices.Delete(slices.Clone(p.backups), i, i+1)
 			return
 		}
@@ -262,18 +292,9 @@ func (p *Primary) DetachAll() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, h := range p.backups {
-		h.closeQPs()
+		h.close()
 	}
 	p.backups = nil
-}
-
-func (h *backupHandle) closeQPs() {
-	h.dataQP.Close()
-	h.reqSend.Close()
-	h.ackRecv.Close()
-	h.backup.reqRecv.Close()
-	h.backup.ackSend.Close()
-	<-h.backup.loopDone
 }
 
 // handles returns the attached backups: the current copy-on-write list,
@@ -357,7 +378,7 @@ func (p *Primary) rpcReplyLocked(h *backupHandle, op wire.Op, payload []byte, re
 			time.Sleep(pol.backoff(attempt))
 		}
 		h.ackRecv.PostRecv(recvSize)
-		if err := h.reqSend.SendTimeout(h.backup.reqRecv, msg, pol.AckTimeout); err != nil {
+		if err := h.reqSend.SendTimeout(h.reqRecv, msg, pol.AckTimeout); err != nil {
 			if errors.Is(err, rdma.ErrDisconnected) {
 				return nil, err // the QP is gone; retrying cannot help
 			}
@@ -497,7 +518,7 @@ func (p *Primary) evict(h *backupHandle, cause error) {
 			"cause":  fmt.Sprint(cause),
 		},
 	})
-	h.closeQPs()
+	h.close()
 }
 
 // repaired closes one degraded window after a successful Sync restored
@@ -563,16 +584,16 @@ func (p *Primary) OnAppend(res vlog.AppendResult, rt *obs.ReqTrace) {
 				continue
 			}
 		}
-		backupName := h.backup.cfg.ServerName
 		shipStart := time.Now()
-		p.cfg.Lag.RecordShip(uint64(p.cfg.RegionID), backupName, len(res.Rec))
+		h.lag.RecordShip(len(res.Rec), shipStart)
 		if err := p.writeWithRetryTraced(h, h.backup.LogBufferRKey(), int(res.TailPos), res.Rec, wrLogAppend, rt); err != nil {
 			p.evict(h, err)
 			continue
 		}
-		p.cfg.Lag.RecordAck(uint64(p.cfg.RegionID), backupName, len(res.Rec), time.Since(shipStart))
+		ackAt := time.Now()
+		shipDur := ackAt.Sub(shipStart)
+		h.lag.RecordAck(len(res.Rec), ackAt, shipDur)
 		if rt != nil {
-			shipDur := time.Since(shipStart)
 			rt.Record(obs.Span{
 				Node:   p.cfg.ServerName,
 				Cat:    "request",
@@ -689,9 +710,9 @@ func (p *Primary) shipSegment(job lsm.CompactionJob, seg btree.EmittedSegment) {
 	for _, h := range p.jobTargets(job.ID) {
 		h.mu.Lock()
 		shipStart := time.Now()
-		p.cfg.Lag.BacklogAdd(uint64(p.cfg.RegionID), h.backup.cfg.ServerName)
+		h.lag.BacklogAdd()
 		err := p.shipFrameLocked(h, job, seg, frame, codec, wrIndexShip)
-		p.cfg.Lag.BacklogDone(uint64(p.cfg.RegionID), h.backup.cfg.ServerName)
+		h.lag.BacklogDone()
 		h.mu.Unlock()
 		if err != nil {
 			p.evict(h, err)

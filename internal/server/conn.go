@@ -22,7 +22,10 @@ type clientConn struct {
 	replyQP  *rdma.QP           // server → client one-sided writes
 	replyKey uint32             // rkey of the client's reply buffer
 	pos      int                // current rendezvous offset in reqBuf
-	closed   atomic.Bool
+	// poll is the spinning thread's poll of reqBuf: a sweep that finds
+	// nothing new takes no lock.
+	poll   rdma.Poller
+	closed atomic.Bool
 
 	// hotness implements the hot/cold client distinction the paper
 	// sketches for scaling to many clients (§3.4.1): connections that
@@ -66,6 +69,7 @@ func (s *Server) Connect(clientEP *rdma.Endpoint, replyRKey uint32) (ConnInfo, e
 	conn := &clientConn{
 		id:       len(s.conns),
 		reqBuf:   reqBuf,
+		poll:     reqBuf.Poller(),
 		replyQP:  rdma.Connect(s.cfg.Endpoint, clientEP, 1024),
 		replyKey: replyRKey,
 	}
@@ -149,14 +153,16 @@ func (s *Server) recycle(t task) {
 // spin is one spinning thread: it polls the rendezvous points of its
 // share of client connections, detects complete messages, zeroes the
 // consumed header slots, and dispatches tasks to workers (§3.4.2,
-// Figure 5).
+// Figure 5) — or, while the server is idle, answers them itself.
 func (s *Server) spin(idx int) {
 	defer s.wg.Done()
 	next := 0 // current worker for task placement
 	idleSpins := 0
 	sweep := 0
 	hdr := make([]byte, wire.HeaderSize)
-	var shedBuf wire.MsgBuf // replies this thread writes itself (sheds)
+	// sp is this thread's own worker, for the tasks it answers itself
+	// (dispatch says which) and for its sheds.
+	sp := &worker{s: s, spinner: true}
 	for {
 		select {
 		case <-s.stop:
@@ -196,22 +202,21 @@ func (s *Server) spin(idx int) {
 			}
 			conn.hotness = hotBoost
 			progress = true
-			s.charge(metrics.CompOther, s.cfg.Cost.PollPerMessage)
-			next = s.dispatch(t, next, &shedBuf)
 			// Drain the connection while it stays hot: back-to-back
 			// messages from a pipelining client are picked up in one
-			// sweep.
+			// sweep. Each is dispatched after the look behind it, so this
+			// thread answers a message itself only when none waits behind.
 			for {
-				t, ok, err := s.detect(conn, hdr)
+				s.charge(metrics.CompOther, s.cfg.Cost.PollPerMessage)
+				behind, more, err := s.detect(conn, hdr)
+				next = s.dispatch(t, next, sp, !more)
 				if err != nil {
 					s.dropConn(conn)
+				}
+				if !more {
 					break
 				}
-				if !ok {
-					break
-				}
-				s.charge(metrics.CompOther, s.cfg.Cost.PollPerMessage)
-				next = s.dispatch(t, next, &shedBuf)
+				t = behind
 			}
 		}
 		if progress {
@@ -238,7 +243,7 @@ func (s *Server) spin(idx int) {
 // one out of hdr, which the next poll overwrites), the consumed area is
 // cleared, and the rendezvous position advances.
 func (s *Server) detect(conn *clientConn, hdr []byte) (task, bool, error) {
-	if ok, err := conn.reqBuf.ReadIfWord(conn.pos, hdr, wire.Magic); !ok {
+	if ok, err := conn.poll.ReadIfWord(conn.pos, hdr, wire.Magic); !ok {
 		return task{}, false, err
 	}
 	h, err := wire.DecodeHeader(hdr)
@@ -290,14 +295,21 @@ func (s *Server) detect(conn *clientConn, hdr []byte) (task, bool, error) {
 	return t, true, nil
 }
 
-// dispatch places a task on a worker queue: stay on the current worker
-// while its queue is shallow, else move to the next (§3.4.2). With
-// admission control enabled, the wake-up threshold is the controller's
-// adaptive value (never above the configured one), and overloaded
-// states act at the door: a shed task is refused before any worker
-// slot or engine work is spent on it, a delayed one paces the spinning
-// thread itself (DESIGN.md "Data path").
-func (s *Server) dispatch(t task, next int, shedBuf *wire.MsgBuf) int {
+// dispatch answers a task on the spinning thread's own worker sp while the
+// server is idle — no message waits behind it on its connection (alone)
+// and no worker queue holds a task — since a hand-off would only add a
+// park and a wake (KV-Tandem's fast-path bypass). Otherwise it places the
+// task on a worker queue: stay on the current worker while its queue is
+// shallow, else move to the next (§3.4.2). So a burst that piles up in a
+// connection goes to the workers, and its queue wait reaches the
+// admission controller, as before. An op on a frozen region is never
+// waited for on the spinning thread; it goes to a queue, where a worker
+// parks on it. With admission control enabled, the wake-up threshold is
+// the controller's adaptive value (never above the configured one), and
+// overloaded states act at the door: a shed task is refused before any
+// worker slot or engine work is spent on it, a delayed one paces the
+// spinning thread itself (DESIGN.md "Data path").
+func (s *Server) dispatch(t task, next int, sp *worker, alone bool) int {
 	if t.hdr.Opcode == wire.OpPut || t.hdr.Opcode == wire.OpDelete {
 		// Only mutations face the admission door: writes are the
 		// expensive replicated path and retry-safe under FlagOverload
@@ -306,11 +318,14 @@ func (s *Server) dispatch(t task, next int, shedBuf *wire.MsgBuf) int {
 		// make an acknowledged write look lost.
 		switch d := s.ctrl.Admit(tenantLabel(t.hdr.Tenant), t.hdr.Priority); d.Action {
 		case admission.Shed:
-			s.shed(t, shedBuf)
+			s.shed(t, &sp.msg)
 			return next
 		case admission.Delay:
 			time.Sleep(d.Delay)
 		}
+	}
+	if alone && s.queuesEmpty() && sp.process(t) {
+		return next
 	}
 	threshold := s.cfg.TaskThreshold
 	if adaptive := s.ctrl.Threshold(); adaptive > 0 && adaptive < threshold {
@@ -326,6 +341,16 @@ func (s *Server) dispatch(t task, next int, shedBuf *wire.MsgBuf) int {
 	// All queues over threshold: block on the next one (backpressure).
 	s.workers[next%len(s.workers)].queue <- t
 	return next % len(s.workers)
+}
+
+// queuesEmpty reports whether no task waits in any worker queue.
+func (s *Server) queuesEmpty() bool {
+	for _, w := range s.workers {
+		if len(w.queue) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // tenantLabels holds every wire tenant ID rendered as the label shared

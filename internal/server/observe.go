@@ -25,8 +25,8 @@ func (s *Server) Observe(reg *obs.Registry) {
 	} {
 		reg.Register(labels, src)
 	}
-	for _, op := range opKinds {
-		reg.Register(obs.Labels{"node": s.cfg.Name, "op": op}, s.opLat[op])
+	for _, k := range opKinds {
+		reg.Register(obs.Labels{"node": s.cfg.Name, "op": k.name}, s.opLat[k.op])
 	}
 	reg.Register(nil, s.cfg.Stages)
 	reg.Register(nil, s.cfg.Events)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,14 +15,16 @@ import (
 // buffer the server writes into and a queue pair into the server's
 // request buffer.
 type rawClient struct {
-	t        *testing.T
+	t        testing.TB
 	conn     *clientConn
 	info     ConnInfo
 	qp       *rdma.QP
 	replyBuf *rdma.MemoryRegion
+	mb       wire.MsgBuf
+	pos      int // where send writes the next request
 }
 
-func newRawClient(t *testing.T, s *Server) *rawClient {
+func newRawClient(t testing.TB, s *Server) *rawClient {
 	t.Helper()
 	ep := rdma.NewEndpoint("raw")
 	replyBuf, err := ep.Register(4096)
@@ -38,34 +41,60 @@ func newRawClient(t *testing.T, s *Server) *rawClient {
 	return &rawClient{t: t, conn: conn, info: info, qp: rdma.Connect(ep, s.cfg.Endpoint, 16), replyBuf: replyBuf}
 }
 
-// await polls the reply slot at offset 0 until a message lands there,
-// takes it, and returns it with how many bytes the server wrote.
-func (c *rawClient) await() (wire.Header, []byte) {
+// send writes one request with the given payload at the client's next
+// request-buffer position, wrapping as the server does, and takes the
+// write's completion.
+func (c *rawClient) send(h wire.Header, payload []byte) {
+	c.t.Helper()
+	msg := c.mb.Finish(h, payload)
+	if c.pos+len(msg) > c.info.BufSize {
+		c.t.Fatalf("request at %d overruns the %d-byte buffer", c.pos, c.info.BufSize)
+	}
+	if err := c.qp.Write(c.info.ReqRKey, c.pos, msg, 0); err != nil {
+		c.t.Fatal(err)
+	}
+	if _, err := c.qp.WaitCompletion(); err != nil {
+		c.t.Fatal(err)
+	}
+	if c.pos += len(msg); c.pos+wire.HeaderSize > c.info.BufSize {
+		c.pos = 0
+	}
+}
+
+// await polls the reply slot at off until a message lands there, takes
+// it, and returns it with how many bytes the server wrote.
+func (c *rawClient) await(off int) (wire.Header, []byte) {
 	c.t.Helper()
 	hdr := make([]byte, wire.HeaderSize)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
-		if ok, err := c.replyBuf.ReadIfWord(0, hdr, wire.Magic); err != nil {
+	deadline := time.Now().Add(5 * time.Second)
+	for tries := 0; ; tries++ {
+		if ok, err := c.replyBuf.ReadIfWord(off, hdr, wire.Magic); err != nil {
 			c.t.Fatal(err)
 		} else if ok {
 			break
 		}
+		if tries < 1000 {
+			runtime.Gosched()
+			continue
+		}
 		if time.Now().After(deadline) {
 			c.t.Fatal("no reply")
 		}
+		time.Sleep(50 * time.Microsecond)
 	}
 	h, err := wire.DecodeHeader(hdr)
 	if err != nil {
 		c.t.Fatal(err)
 	}
 	msg := make([]byte, h.WireSize())
-	if err := c.replyBuf.ReadAt(0, msg); err != nil {
+	if err := c.replyBuf.ReadAt(off, msg); err != nil {
 		c.t.Fatal(err)
 	}
 	_, payload, err := wire.DecodeMessage(msg)
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	if err := c.replyBuf.Clear(0, len(msg)); err != nil {
+	if err := c.replyBuf.Clear(off, len(msg)); err != nil {
 		c.t.Fatal(err)
 	}
 	return h, payload
@@ -104,7 +133,7 @@ func TestReplyThatOutgrowsItsSlot(t *testing.T) {
 	} {
 		tk := task{conn: c.conn, hdr: wire.Header{Opcode: wire.OpGet, RegionID: 1, RequestID: 7, ReplySize: uint32(tc.slot)}}
 		w.reply(tk, wire.OpGetReply, tc.flags, tc.payload)
-		h, got := c.await()
+		h, got := c.await(0)
 		if h.Opcode != wire.OpGetReply || h.RequestID != 7 || h.Flags != tc.wantFlags || !bytes.Equal(got, tc.want) {
 			t.Errorf("%s: flags %#x and %d payload bytes %q, want %#x and %d", tc.name, h.Flags, len(got), got, tc.wantFlags, len(tc.want))
 		}
@@ -139,7 +168,7 @@ func TestRequestNamingNoReplySlotDropsTheConnection(t *testing.T) {
 		}
 	}
 	send(0, wire.HeaderSize)
-	if h, payload := c.await(); h.Flags&wire.FlagError != 0 || !h.Inline() {
+	if h, payload := c.await(0); h.Flags&wire.FlagError != 0 || !h.Inline() {
 		t.Fatalf("get into a header-sized slot: flags %#x, %q", h.Flags, payload)
 	} else if rep, err := wire.DecodeGetReply(payload); err != nil || rep.Found {
 		t.Fatalf("get of a missing key = %+v, %v", rep, err)

@@ -20,6 +20,7 @@ import (
 	"tebis/internal/replica"
 	"tebis/internal/shipcodec"
 	"tebis/internal/storage"
+	"tebis/internal/wire"
 )
 
 // Defaults matching the paper's configuration (§4).
@@ -202,9 +203,10 @@ type Server struct {
 	// set; nil means fixed-knob dispatch (nil-safe everywhere).
 	ctrl *admission.Controller
 
-	// Per-op service latency (Figure 8) and the user bytes ingested —
-	// the denominator of the amplification gauges.
-	opLat   map[string]*metrics.Histogram
+	// Per-op service latency (Figure 8), by request opcode (nil for one
+	// not tracked), and the user bytes ingested — the denominator of the
+	// amplification gauges.
+	opLat   [256]*metrics.Histogram
 	dataset atomic.Uint64
 
 	mu      sync.Mutex
@@ -223,8 +225,12 @@ type Server struct {
 	stop    chan struct{}
 }
 
-// opKinds are the request kinds the server tracks latency for.
-var opKinds = []string{"PUT", "DEL", "GET", "SCAN"}
+// opKinds are the request kinds the server tracks latency for, each with
+// the opcode its histogram is kept under; a get-rest counts as a get.
+var opKinds = []struct {
+	name string
+	op   wire.Op
+}{{"PUT", wire.OpPut}, {"DEL", wire.OpDelete}, {"GET", wire.OpGet}, {"SCAN", wire.OpScan}}
 
 // Errors reported by the server.
 var (
@@ -256,13 +262,13 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		trace:   cfg.Trace.Node(cfg.Name),
-		opLat:   make(map[string]*metrics.Histogram, len(opKinds)),
 		regions: make(map[region.ID]*hostedRegion),
 		stop:    make(chan struct{}),
 	}
-	for _, op := range opKinds {
-		s.opLat[op] = metrics.NewHistogram()
+	for _, k := range opKinds {
+		s.opLat[k.op] = metrics.NewHistogram()
 	}
+	s.opLat[wire.OpGetRest] = s.opLat[wire.OpGet]
 	s.openConns.Store(new([]*clientConn))
 	if cfg.Admission != nil {
 		ac := *cfg.Admission

@@ -13,7 +13,7 @@ import (
 	"tebis/internal/storage"
 )
 
-func newTestServer(t *testing.T, name string) (*Server, *storage.MemDevice) {
+func newTestServer(t testing.TB, name string) (*Server, *storage.MemDevice) {
 	t.Helper()
 	dev, err := storage.NewMemDevice(16<<10, 0)
 	if err != nil {

@@ -16,7 +16,14 @@ import (
 type worker struct {
 	s     *Server
 	id    int
-	queue chan task
+	queue chan task // nil for a spinning thread's own worker
+	// spinner marks a spinning thread's own worker: it answers tasks on
+	// the thread that detected them and must never park it, so an op on a
+	// frozen region sets deferred instead and is left to a queue worker.
+	spinner, deferred bool
+	// served counts the tasks this worker took from its queue; only its
+	// goroutine writes it.
+	served int
 
 	// Per-worker scratch, reused from op to op: the reply payload is
 	// built straight in msg, behind its header slot — the engine appends
@@ -37,11 +44,14 @@ func (w *worker) run() {
 	defer w.s.wg.Done()
 	for t := range w.queue {
 		w.process(t)
+		w.served++
 	}
 }
 
-// process executes one request and replies.
-func (w *worker) process(t task) {
+// process executes one request and replies. It reports false, with
+// nothing answered and t left as it was, only on a spinning thread's
+// worker for an op that would park on a frozen region.
+func (w *worker) process(t task) bool {
 	var (
 		op      wire.Op
 		flags   uint8
@@ -97,21 +107,34 @@ func (w *worker) process(t task) {
 	default:
 		op, flags, payload = wire.OpNoopReply, wire.FlagError, badOpcodeText
 	}
+	if w.deferred {
+		w.deferred, w.stats = false, nil
+		return false
+	}
 	w.reply(t, op, flags, payload)
-	if kind := opKind(t.hdr.Opcode); kind != "" {
+	if lat := w.s.opLat[t.hdr.Opcode]; lat != nil {
 		elapsed := time.Since(start)
-		w.s.opLat[kind].Record(elapsed)
+		lat.Record(elapsed)
 		w.stats.record(t.hdr.Opcode, len(t.payload()), elapsed)
 	}
 	w.stats = nil
 	w.s.recycle(t)
+	return true
 }
 
 // acquire resolves the region t addresses (Server.acquire) and notes its
 // stats sink for process, so an op takes s.mu once, not once to resolve
-// and once more to account.
-func (w *worker) acquire(t task, write bool) (regionRef, error) {
-	ref, err := w.s.acquire(region.ID(t.hdr.RegionID), t.hdr.Epoch, write)
+// and once more to account. A spinning thread's worker does not wait out
+// a freeze window: it marks the op deferred.
+func (w *worker) acquire(t task, write bool) (ref regionRef, err error) {
+	id := region.ID(t.hdr.RegionID)
+	if w.spinner {
+		var wait chan struct{}
+		ref, wait, err = w.s.tryAcquire(id, t.hdr.Epoch, write)
+		w.deferred = wait != nil
+	} else {
+		ref, err = w.s.acquire(id, t.hdr.Epoch, write)
+	}
 	w.stats = ref.stats
 	return ref, err
 }
@@ -119,22 +142,6 @@ func (w *worker) acquire(t task, write bool) (regionRef, error) {
 // statusOK encodes the OK status payload into the worker's scratch.
 func (w *worker) statusOK() []byte {
 	return wire.StatusReply{}.Encode(w.msg.Reserve(wire.StatusReply{}.Size()))
-}
-
-// opKind maps request opcodes to the latency-histogram kinds; "" for
-// opcodes not tracked (noop, bad opcodes).
-func opKind(op wire.Op) string {
-	switch op {
-	case wire.OpPut:
-		return "PUT"
-	case wire.OpDelete:
-		return "DEL"
-	case wire.OpGet, wire.OpGetRest:
-		return "GET"
-	case wire.OpScan:
-		return "SCAN"
-	}
-	return ""
 }
 
 // errReply classifies engine errors for the client.
