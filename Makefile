@@ -23,14 +23,16 @@ race:
 check:
 	sh scripts/check.sh
 
-# stress re-runs the failure-prone suites — replication retry/eviction,
-# the client ring/freeList property tests, the master's hand-over and
-# interrupted-reconfiguration suites, the lock-free segment reads of the
-# device and the value log, and the request path's lock-free polls, rkey
-# table and spinner fast path — repeatedly under the race detector, to
-# shake out interleavings a single run can miss.
+# stress re-runs the failure-prone suites — replication retry/eviction
+# and the segment map's lock-free hits, the compaction pipeline's batched
+# hand-off and its abort paths, the client ring/freeList property tests,
+# the master's hand-over and interrupted-reconfiguration suites, the
+# lock-free segment reads of the device and the value log, and the
+# request path's lock-free polls, rkey table and spinner fast path —
+# repeatedly under the race detector, to shake out interleavings a single
+# run can miss.
 stress:
-	$(GO) test -race -count=5 ./internal/replica ./internal/client ./internal/master ./internal/storage ./internal/vlog ./internal/rdma ./internal/server
+	$(GO) test -race -count=5 ./internal/lsm ./internal/replica ./internal/client ./internal/master ./internal/storage ./internal/vlog ./internal/rdma ./internal/server
 
 # fuzz-smoke mutates each native fuzz target's seed corpus for five
 # seconds (`go test -fuzz` takes one target per run, so each gets a

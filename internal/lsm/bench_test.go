@@ -2,7 +2,9 @@ package lsm
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"tebis/internal/storage"
 )
@@ -111,4 +113,60 @@ func BenchmarkCompaction(b *testing.B) {
 		b.StopTimer()
 		db.Close()
 	}
+}
+
+// BenchmarkCompactionPipeline isolates one L0 → L1 job in the merge →
+// build → ship pipeline: 64 K entries in L0 over 64 K in L1, interleaved,
+// so the job merges 128 K. Keys are twelve bytes, one leaf prefix each,
+// so no comparison reads a key. It reports the job's time and heap
+// allocations per merged entry.
+func BenchmarkCompactionPipeline(b *testing.B) {
+	const half = 64 << 10
+	put := func(db *DB, from int) {
+		for j := from; j < 2*half; j += 2 {
+			if err := db.Put([]byte(fmt.Sprintf("k%011d", j)), []byte("compaction-bench")); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var (
+		elapsed time.Duration
+		mallocs uint64
+		ms      runtime.MemStats
+	)
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		dev, err := storage.NewMemDevice(256<<10, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		db, err := New(Options{Device: dev, NodeSize: 4096, GrowthFactor: 4, L0MaxKeys: 1 << 20, MaxLevels: 4, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		put(db, 0) // L1: the even keys
+		if err := db.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		put(db, 1) // L0: the odd keys
+		ref, src, dst := l0Job(b, db)
+
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		start := time.Now()
+		b.StartTimer()
+		if _, err := db.pipeline(ref, src, dst); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		elapsed += time.Since(start)
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - before
+
+		db.Close()
+		dev.Close()
+	}
+	entries := float64(b.N) * 2 * half
+	b.ReportMetric(float64(elapsed.Nanoseconds())/entries, "ns/entry")
+	b.ReportMetric(float64(mallocs)/entries, "allocs/entry")
 }

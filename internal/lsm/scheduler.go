@@ -233,16 +233,26 @@ func (db *DB) freeBuilt(built btree.Built) {
 // the sibling's (root-cause) error is reported instead.
 var errPipelineAborted = errors.New("lsm: compaction pipeline aborted")
 
+// mergeBatch is how many merged entries the merge stage hands the build
+// stage at once: the stages synchronise once a batch, not once an entry.
+const mergeBatch = 256
+
 // pipeline runs one job's three stages concurrently, connected by
 // channels (§3.3's Send-Index streaming): the merge stage feeds sorted
-// entries to the build stage, which emits sealed index segments to the
-// ship stage, which hands them to the listener while merge and build
-// are still running. The small segs buffer applies back-pressure so a
-// slow shipper throttles the build instead of queueing unbounded data.
+// entries to the build stage in batches, and the build stage emits
+// sealed index segments to the ship stage, which hands them to the
+// listener while merge and build are still running. Two batch buffers
+// circulate — the merge stage fills one while the build stage drains the
+// other and hands it back through spare — and the small segs buffer
+// applies back-pressure so a slow shipper throttles the build instead of
+// queueing unbounded data.
 func (db *DB) pipeline(ref CompactionJob, src, dst cursor) (btree.Built, error) {
 	dropTombstones := ref.DstLevel == len(db.levels)-1
 
-	entries := make(chan mergedEntry, 256)
+	bufs := make([]mergedEntry, 2*mergeBatch) // the two batch buffers
+	entries := make(chan []mergedEntry, 1)
+	spare := make(chan []mergedEntry, 2) // never full: two buffers exist
+	spare <- bufs[mergeBatch:mergeBatch]
 	segs := make(chan btree.EmittedSegment, 2)
 	abort := make(chan struct{})
 	var abortOnce sync.Once
@@ -261,14 +271,31 @@ func (db *DB) pipeline(ref CompactionJob, src, dst cursor) (btree.Built, error) 
 	go func() {
 		defer wg.Done()
 		start := time.Now()
-		mergeErr = db.mergeStream(src, dst, func(e mergedEntry) error {
+		batch := bufs[:0:mergeBatch]
+		// send hands batch to the build stage and takes the spare buffer.
+		send := func() error {
 			select {
-			case entries <- e:
+			case entries <- batch:
+			case <-abort:
+				return errPipelineAborted
+			}
+			select {
+			case batch = <-spare:
 				return nil
 			case <-abort:
 				return errPipelineAborted
 			}
+		}
+		mergeErr = db.mergeStream(src, dst, func(e mergedEntry) error {
+			batch = append(batch, e)
+			if len(batch) == mergeBatch {
+				return send()
+			}
+			return nil
 		})
+		if mergeErr == nil && len(batch) > 0 {
+			mergeErr = send()
+		}
 		close(entries) // happens-after the mergeErr store
 		db.stats.RecordMerge(time.Since(start))
 		db.trace.Record(obs.Span{
@@ -315,21 +342,24 @@ func (db *DB) pipeline(ref CompactionJob, src, dst cursor) (btree.Built, error) 
 			return db.readKey(off, metrics.CompCompaction)
 		}
 		deadHdr := make([]byte, vlog.HeaderSize) // recordDead's scratch for this stage
-		for e := range entries {
-			if e.Tombstone && dropTombstones {
-				// The tombstone reached the last level: its log record
-				// will never be consulted again, so its bytes are dead.
-				db.recordDead(e.ValueOff, deadHdr)
-				continue
+		for batch := range entries {
+			for _, e := range batch {
+				if e.Tombstone && dropTombstones {
+					// The tombstone reached the last level: its log record
+					// will never be consulted again, so its bytes are dead.
+					db.recordDead(e.ValueOff, deadHdr)
+					continue
+				}
+				if err := b.AddEntry(e.LeafEntry, e.key, fullKey); err != nil {
+					buildErr = err
+					// The merge stage's sends and takes select on abort,
+					// so it never waits for a buffer this stage keeps.
+					cancel()
+					return
+				}
 			}
-			if err := b.AddEntry(e.LeafEntry, e.key, fullKey); err != nil {
-				buildErr = err
-				cancel()
-				// Keep draining entries so the merge stage can finish
-				// or notice the abort; its sends select on abort too,
-				// so just return.
-				return
-			}
+			clear(batch) // pin no keys while the buffer waits
+			spare <- batch[:0]
 		}
 		// entries is closed: the merge goroutine has already stored
 		// mergeErr (channel close is the synchronization point).

@@ -28,12 +28,23 @@ import (
 // so forward references — a parent index segment shipped before a child,
 // or a leaf pointing into the primary's still-unflushed log tail —
 // translate correctly (§3.3).
+//
+// Entries live in a storage.SegmentTable indexed by primary segment, so
+// resolving a mapped segment — once for every pointer a shipped segment's
+// rewrite translates — is one atomic load and takes no lock. A miss and
+// every mutation take mu, and a published entry is never edited: a change
+// publishes a new one.
 type SegMap struct {
 	dev storage.Device
 
-	mu sync.Mutex
-	m  map[storage.SegmentID]segEntry
+	mu   sync.Mutex
+	tab  storage.SegmentTable[segEntry]
+	slab []segEntry // where publish cuts new entries from
 }
+
+// segSlab is how many entries publish allocates at once: a mapping, and
+// each MarkFlushed of it, costs a fraction of an allocation, not one.
+const segSlab = 32
 
 // segEntry is one mapping: the local segment plus whether its data has
 // been persisted locally (lazily allocated entries start unflushed).
@@ -44,22 +55,36 @@ type segEntry struct {
 
 // NewSegMap creates an empty map allocating from dev.
 func NewSegMap(dev storage.Device) *SegMap {
-	return &SegMap{dev: dev, m: make(map[storage.SegmentID]segEntry)}
+	return &SegMap{dev: dev}
+}
+
+// publish maps primary to a new entry. Caller holds mu.
+func (s *SegMap) publish(primary, local storage.SegmentID, flushed bool) {
+	if len(s.slab) == 0 {
+		s.slab = make([]segEntry, segSlab)
+	}
+	e := &s.slab[0]
+	s.slab = s.slab[1:]
+	*e = segEntry{local: local, flushed: flushed}
+	s.tab.Store(primary, e)
 }
 
 // Resolve returns the local segment for primary, allocating one on first
 // reference (unflushed until MarkFlushed).
 func (s *SegMap) Resolve(primary storage.SegmentID) (storage.SegmentID, error) {
+	if e := s.tab.Load(primary); e != nil {
+		return e.local, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.m[primary]; ok {
+	if e := s.tab.Load(primary); e != nil {
 		return e.local, nil
 	}
 	local, err := s.dev.Alloc()
 	if err != nil {
 		return storage.NilSegment, err
 	}
-	s.m[primary] = segEntry{local: local}
+	s.publish(primary, local, false)
 	return local, nil
 }
 
@@ -67,9 +92,8 @@ func (s *SegMap) Resolve(primary storage.SegmentID) (storage.SegmentID, error) {
 // persisted data (§3.2 step 2d).
 func (s *SegMap) MarkFlushed(primary storage.SegmentID) {
 	s.mu.Lock()
-	if e, ok := s.m[primary]; ok {
-		e.flushed = true
-		s.m[primary] = e
+	if e := s.tab.Load(primary); e != nil && !e.flushed {
+		s.publish(primary, e.local, true)
 	}
 	s.mu.Unlock()
 }
@@ -78,7 +102,7 @@ func (s *SegMap) MarkFlushed(primary storage.SegmentID) {
 // primary re-keys its own segments under the new primary's numbering).
 func (s *SegMap) Put(primary, local storage.SegmentID, flushed bool) {
 	s.mu.Lock()
-	s.m[primary] = segEntry{local: local, flushed: flushed}
+	s.publish(primary, local, flushed)
 	s.mu.Unlock()
 }
 
@@ -88,16 +112,23 @@ func (s *SegMap) Put(primary, local storage.SegmentID, flushed bool) {
 // resolves to a fresh local segment.
 func (s *SegMap) Delete(primary storage.SegmentID) {
 	s.mu.Lock()
-	delete(s.m, primary)
+	s.tab.Store(primary, nil)
 	s.mu.Unlock()
 }
 
 // Lookup returns the local segment for primary without allocating.
 func (s *SegMap) Lookup(primary storage.SegmentID) (storage.SegmentID, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[primary]
-	return e.local, ok
+	e := s.tab.Load(primary)
+	if e == nil {
+		// A miss re-checks under mu: Retarget republishes every entry.
+		s.mu.Lock()
+		e = s.tab.Load(primary)
+		s.mu.Unlock()
+	}
+	if e == nil {
+		return storage.NilSegment, false
+	}
+	return e.local, true
 }
 
 // UnflushedLocal returns the single local segment whose data was never
@@ -107,7 +138,8 @@ func (s *SegMap) UnflushedLocal() (storage.SegmentID, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	found := storage.NilSegment
-	for _, e := range s.m {
+	for _, id := range s.tab.IDs() {
+		e := s.tab.Load(id)
 		if e.flushed {
 			continue
 		}
@@ -124,7 +156,7 @@ func (s *SegMap) UnflushedLocal() (storage.SegmentID, bool, error) {
 func (s *SegMap) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.m)
+	return s.tab.Len()
 }
 
 // Snapshot copies the mapping (the new primary sends this to the
@@ -132,9 +164,10 @@ func (s *SegMap) Len() int {
 func (s *SegMap) Snapshot() map[storage.SegmentID]storage.SegmentID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[storage.SegmentID]storage.SegmentID, len(s.m))
-	for k, e := range s.m {
-		out[k] = e.local
+	ids := s.tab.IDs()
+	out := make(map[storage.SegmentID]storage.SegmentID, len(ids))
+	for _, id := range ids {
+		out[id] = s.tab.Load(id).local
 	}
 	return out
 }
@@ -148,8 +181,9 @@ func (s *SegMap) Snapshot() map[storage.SegmentID]storage.SegmentID {
 func (s *SegMap) Retarget(newPrimary map[storage.SegmentID]storage.SegmentID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[storage.SegmentID]segEntry, len(s.m))
-	for oldSeg, e := range s.m {
+	ids := s.tab.IDs()
+	out := make(map[storage.SegmentID]*segEntry, len(ids))
+	for _, oldSeg := range ids {
 		newSeg, ok := newPrimary[oldSeg]
 		if !ok {
 			continue
@@ -157,9 +191,12 @@ func (s *SegMap) Retarget(newPrimary map[storage.SegmentID]storage.SegmentID) er
 		if _, dup := out[newSeg]; dup {
 			return fmt.Errorf("replica: retarget maps %d twice", newSeg)
 		}
-		out[newSeg] = e
+		out[newSeg] = s.tab.Load(oldSeg)
 	}
-	s.m = out
+	s.tab.Reset()
+	for newSeg, e := range out {
+		s.tab.Store(newSeg, e)
+	}
 	return nil
 }
 
@@ -168,12 +205,14 @@ func (s *SegMap) Retarget(newPrimary map[storage.SegmentID]storage.SegmentID) er
 func (s *SegMap) FreeAll() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range s.m {
+	for _, id := range s.tab.IDs() {
+		e := s.tab.Load(id)
+		s.tab.Store(id, nil) // unpublished before its segment goes away
 		if err := s.dev.Free(e.local); err != nil {
 			return err
 		}
 	}
-	s.m = make(map[storage.SegmentID]segEntry)
+	s.tab.Reset()
 	return nil
 }
 
@@ -181,6 +220,6 @@ func (s *SegMap) FreeAll() error {
 // segments moved to an installed level).
 func (s *SegMap) Clear() {
 	s.mu.Lock()
-	s.m = make(map[storage.SegmentID]segEntry)
+	s.tab.Reset()
 	s.mu.Unlock()
 }
