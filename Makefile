@@ -18,7 +18,8 @@ race:
 	$(GO) test -race ./...
 
 # check is the tier-1 gate: formatting, vet, build, the full test suite
-# under the race detector, the fuzz smoke, the observability smoke and
+# under the race detector (and the request path's suites again on one P),
+# the fuzz smoke, the observability smoke and
 # the experiment gates. CI and pre-merge runs use this target.
 check:
 	sh scripts/check.sh
@@ -28,7 +29,8 @@ check:
 # hand-off and its abort paths, the client ring/freeList property tests,
 # the master's hand-over and interrupted-reconfiguration suites, the
 # lock-free segment reads of the device and the value log, and the
-# request path's lock-free polls, rkey table and spinner fast path —
+# request path's lock-free polls, rkey table, spinner fast path,
+# one-spinner-per-P rule and unsignaled request and reply writes —
 # repeatedly under the race detector, to shake out interleavings a single
 # run can miss.
 stress:

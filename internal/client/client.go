@@ -276,8 +276,8 @@ func (c *Client) refreshMap(staleVersion uint64) error {
 // sendBuf is one call's request: the payload is encoded once, behind the
 // header slot of a reusable message buffer, and every attempt finishes
 // the message in place around it (a retry changes the header only).
-// QP.Write is the DMA — it copies the bytes into the server's registered
-// memory — so the buffer is free again when Write returns. A Client is
+// QP.WriteUnsignaled is the DMA — it copies the bytes into the server's
+// registered memory — so the buffer is free again when it returns. A Client is
 // shared by goroutines and by Async, so buffers are recycled per call
 // (sync.Pool), not kept per connection.
 type sendBuf struct {
@@ -349,10 +349,7 @@ func (sc *serverConn) noopRoundTrip(off, payloadLen int) error {
 	clear(payload)
 	msg := sb.Finish(hdr, payload)
 	poll := sc.replyBuf.Poller()
-	if err := sc.reqQP.Write(sc.reqRKey, off, msg, hdr.RequestID); err != nil {
-		return err
-	}
-	if _, err := sc.reqQP.WaitCompletion(); err != nil {
+	if err := sc.reqQP.WriteUnsignaled(sc.reqRKey, off, msg); err != nil {
 		return err
 	}
 	_, _, err := sc.awaitReply(&poll, replyOff, replySize, hdr.RequestID, false)
@@ -412,40 +409,44 @@ func (sc *serverConn) call(op wire.Op, regionID region.ID, epoch uint32, sb *sen
 			traceID, time.Since(queueStart))
 	}
 	poll := sc.replyBuf.Poller()
-	if err := sc.reqQP.Write(sc.reqRKey, e.off, msg, hdr.RequestID); err != nil {
-		return wire.Header{}, nil, err
-	}
-	if _, err := sc.reqQP.WaitCompletion(); err != nil {
+	// Unsignaled: the reply is what says the request landed, so no
+	// completion is queued for it — and a request lost on the wire is
+	// caught by the reply deadline, not waited for forever.
+	if err := sc.reqQP.WriteUnsignaled(sc.reqRKey, e.off, msg); err != nil {
 		return wire.Header{}, nil, err
 	}
 	return sc.awaitReply(&poll, replyOff, replySize, hdr.RequestID, keep)
 }
 
+// replyTimeout is how long awaitReply waits, from its first sleep, before
+// it gives up on a reply; only tests change it.
+var replyTimeout = 30 * time.Second
+
 // awaitReply polls the reply slot [off, off+slot) until the complete
 // reply to reqID lands and takes it (takeReply). poll was taken before
 // the request went out, when the slot could hold nothing for it, so a
-// look waits — with no lock — for the server to write into the buffer. A
-// long silence (the server died mid-request) surfaces as errReplyTimeout.
+// look waits — with no lock — for the server to write into the buffer.
+// It yields 256 times, then sleeps between looks. A long silence (the
+// server died mid-request, or the request or its reply was lost on the
+// wire) surfaces as errReplyTimeout, replyTimeout after the first sleep:
+// most replies land during the yields, which read no clock, and a sleep
+// costs far more than the clock read beside it.
 func (sc *serverConn) awaitReply(poll *rdma.Poller, off, slot int, reqID uint64, keep bool) (wire.Header, []byte, error) {
-	spins := 0
-	var deadline time.Time // from the first look at the clock, which most replies land before
-	for {
-		if spins%4096 == 4095 {
-			if now := time.Now(); deadline.IsZero() {
-				deadline = now.Add(30 * time.Second)
-			} else if now.After(deadline) {
-				return wire.Header{}, nil, errReplyTimeout
-			}
-		}
+	var deadline time.Time
+	for spins := 0; ; spins++ {
 		if h, body, done, err := sc.takeReply(poll, off, slot, reqID, keep); done || err != nil {
 			return h, body, err
 		}
-		spins++
 		if spins < 256 {
 			runtime.Gosched()
-		} else {
-			time.Sleep(10 * time.Microsecond)
+			continue
 		}
+		if now := time.Now(); deadline.IsZero() {
+			deadline = now.Add(replyTimeout)
+		} else if now.After(deadline) {
+			return wire.Header{}, nil, errReplyTimeout
+		}
+		time.Sleep(10 * time.Microsecond)
 	}
 }
 
@@ -597,8 +598,8 @@ func isTransportErr(err error) bool {
 	return errors.Is(err, rdma.ErrBadRKey) || errors.Is(err, rdma.ErrDisconnected) || errors.Is(err, errReplyTimeout)
 }
 
-// errReplyTimeout marks a reply that never arrived (server died with the
-// request in flight).
+// errReplyTimeout marks a reply that never arrived (the server died with
+// the request in flight, or the request or the reply was lost).
 var errReplyTimeout = errors.New("client: reply timed out")
 
 // mutate sends one put or delete; a nil value with OpDelete tombstones

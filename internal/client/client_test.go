@@ -2,9 +2,11 @@ package client
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"tebis/internal/lsm"
 	"tebis/internal/metrics"
@@ -294,6 +296,38 @@ func TestClientWrongRegionRefresh(t *testing.T) {
 	}
 	if !refreshed {
 		t.Fatal("refresh never invoked")
+	}
+}
+
+// TestADroppedRequestTimesOut: a request lost on the wire posts no
+// completion, and the client waits for none; the reply deadline, counted
+// from the wait's first sleep and checked at every sleep after it, ends
+// the call with errReplyTimeout within 10 % of the bound.
+func TestADroppedRequestTimesOut(t *testing.T) {
+	defer func(d time.Duration) { replyTimeout = d }(replyTimeout)
+	replyTimeout = 200 * time.Millisecond
+	_, cl := newServerAndClient(t)
+	cl.ep.InjectFault(func(op rdma.FaultOp, from, _ string, _ int, _ []byte) rdma.Fault {
+		if op == rdma.FaultWrite && from == cl.ep.Name() {
+			return rdma.Fault{Action: rdma.FaultDrop}
+		}
+		return rdma.Fault{}
+	})
+	rt, err := cl.route([]byte("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := cl.sendBuf()
+	req := wire.GetReq{Key: []byte("k")}
+	sb.payload = req.Encode(sb.Reserve(req.Size()))
+	start := time.Now()
+	_, _, err = rt.conn.call(wire.OpGet, rt.id, rt.epoch, sb, 1024, 0, true)
+	took := time.Since(start)
+	if !errors.Is(err, errReplyTimeout) {
+		t.Fatalf("a dropped request's call = %v, want errReplyTimeout", err)
+	}
+	if took < replyTimeout || took > replyTimeout*11/10 {
+		t.Fatalf("the call gave up after %v, want %v to %v", took, replyTimeout, replyTimeout*11/10)
 	}
 }
 

@@ -47,7 +47,9 @@ type Config struct {
 	// server records into it and exposes its totals under its own node
 	// label; leave it nil and each server counts its own compactions.
 	LSM lsm.Options
-	// Workers and SpinThreads size each server (paper: 8 and 2).
+	// Workers and SpinThreads size each server (paper: 8 and 2). A zero
+	// SpinThreads gives each server 2, or GOMAXPROCS if that is fewer
+	// (server.DefaultSpinThreads).
 	Workers     int
 	SpinThreads int
 	// TaskThreshold is each server's per-worker wake-up threshold

@@ -11,7 +11,8 @@ type FaultOp int
 
 // Operation classes observable by fault hooks.
 const (
-	// FaultWrite is a one-sided QP.Write (log records, index segments).
+	// FaultWrite is a one-sided QP.Write or QP.WriteUnsignaled (log
+	// records, index segments, requests, replies).
 	FaultWrite FaultOp = iota
 	// FaultSend is a two-sided QP.Send (control RPCs and their acks).
 	FaultSend

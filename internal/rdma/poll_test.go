@@ -203,14 +203,35 @@ func TestPollersRaceWritersAndRegistration(t *testing.T) {
 	wg.Wait()
 }
 
+// BenchmarkWriteWait is a signaled write and the wait for its completion:
+// a replicated log append, an index ship.
 func BenchmarkWriteWait(b *testing.B) {
+	benchmarkWrite(b, func(qp *QP, rkey uint32, data []byte) error {
+		if err := qp.Write(rkey, 0, data, 1); err != nil {
+			return err
+		}
+		_, err := qp.WaitCompletion()
+		return err
+	})
+}
+
+// BenchmarkWriteUnsignaled is an unsignaled write: a request, a reply.
+func BenchmarkWriteUnsignaled(b *testing.B) {
+	benchmarkWrite(b, func(qp *QP, rkey uint32, data []byte) error {
+		return qp.WriteUnsignaled(rkey, 0, data)
+	})
+}
+
+// benchmarkWrite times write at 8 B and 1 KB into a region of an
+// endpoint with a few other regions registered, as a server has.
+func benchmarkWrite(b *testing.B, write func(qp *QP, rkey uint32, data []byte) error) {
 	for _, size := range []struct {
 		name string
 		n    int
 	}{{"8B", 8}, {"1KB", 1 << 10}} {
 		b.Run(size.name, func(b *testing.B) {
 			src, dst := NewEndpoint("src"), NewEndpoint("dst")
-			for i := 0; i < 8; i++ { // a table of a few regions, as a server has
+			for i := 0; i < 8; i++ {
 				_, _ = dst.Register(64)
 			}
 			mr, _ := dst.Register(4 << 10)
@@ -219,10 +240,7 @@ func BenchmarkWriteWait(b *testing.B) {
 			b.SetBytes(int64(size.n))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := qp.Write(mr.RKey(), 0, data, 1); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := qp.WaitCompletion(); err != nil {
+				if err := write(qp, mr.RKey(), data); err != nil {
 					b.Fatal(err)
 				}
 			}

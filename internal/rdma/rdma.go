@@ -11,6 +11,17 @@
 //  2. All traffic is byte-counted per endpoint, giving the network
 //     amplification metric.
 //
+// A one-sided write is signaled or not, as verbs' selective signaling
+// lets a poster choose. QP.Write queues a work completion once the bytes
+// are in remote memory; it is for writes whose completion is the ack the
+// initiator waits for — a replicated log append, an index ship, a state
+// transfer. QP.WriteUnsignaled queues none; it is for writes whose
+// delivery shows some other way — a request is answered by a reply, and
+// nothing waits on a reply having landed — so the request path takes no
+// completion nobody reads. A write a fault drops is never completed, so
+// only a bounded wait (WaitCompletionTimeout) or the initiator's own
+// deadline notices it.
+//
 // Two-sided Send/Recv is also provided for control messages, costing
 // CPU on both sides like real verbs send/receive.
 package rdma
@@ -264,37 +275,12 @@ func (qp *QP) Remote() *Endpoint { return qp.remote }
 // Write performs a one-sided RDMA WRITE of data into the remote region
 // identified by rkey at offset off. The remote CPU is not involved; a
 // completion is delivered to the local CQ when the data is in remote
-// memory (reliable connection semantics, §3.2).
+// memory (reliable connection semantics, §3.2). It is WriteUnsignaled
+// plus that completion.
 func (qp *QP) Write(rkey uint32, off int, data []byte, wrID uint64) error {
-	select {
-	case <-qp.done:
-		return ErrDisconnected
-	default:
+	if landed, err := qp.write(rkey, off, data); !landed {
+		return err
 	}
-	switch f := evalFault(FaultWrite, qp.local, qp.remote, data); f.Action {
-	case FaultDrop:
-		return nil // vanished on the wire: no data, no completion
-	case FaultError:
-		return f.error()
-	case FaultDelay:
-		time.Sleep(f.Delay)
-	}
-	mr := qp.remote.region(rkey)
-	if mr == nil {
-		return fmt.Errorf("%w: %d at %s", ErrBadRKey, rkey, qp.remote.name)
-	}
-	mr.mu.Lock()
-	if off < 0 || off+len(data) > len(mr.buf) {
-		mr.mu.Unlock()
-		return fmt.Errorf("%w: write [%d,%d) of %d", ErrBounds, off, off+len(data), len(mr.buf))
-	}
-	copy(mr.buf[off:], data)
-	mr.mu.Unlock()
-	mr.gen.Add(1)
-
-	qp.local.tx.Add(uint64(len(data)))
-	qp.remote.rx.Add(uint64(len(data)))
-
 	select {
 	case qp.cq <- Completion{WRID: wrID, Bytes: len(data)}:
 		return nil
@@ -306,6 +292,50 @@ func (qp *QP) Write(rkey uint32, off int, data []byte, wrID uint64) error {
 	default:
 		return ErrCQOverflow
 	}
+}
+
+// WriteUnsignaled is Write without the completion (selective signaling):
+// the same checks, fault verdict, copy, write generation and byte counts,
+// but nothing is queued on the CQ — for a write whose delivery the
+// initiator learns some other way, as a client learns from the reply
+// that its request landed.
+func (qp *QP) WriteUnsignaled(rkey uint32, off int, data []byte) error {
+	_, err := qp.write(rkey, off, data)
+	return err
+}
+
+// write is the one implementation of a one-sided WRITE; landed reports
+// whether data reached remote memory, so Write completes only what did.
+func (qp *QP) write(rkey uint32, off int, data []byte) (landed bool, err error) {
+	select {
+	case <-qp.done:
+		return false, ErrDisconnected
+	default:
+	}
+	switch f := evalFault(FaultWrite, qp.local, qp.remote, data); f.Action {
+	case FaultDrop:
+		return false, nil // vanished on the wire: no data, no completion
+	case FaultError:
+		return false, f.error()
+	case FaultDelay:
+		time.Sleep(f.Delay)
+	}
+	mr := qp.remote.region(rkey)
+	if mr == nil {
+		return false, fmt.Errorf("%w: %d at %s", ErrBadRKey, rkey, qp.remote.name)
+	}
+	mr.mu.Lock()
+	if off < 0 || off+len(data) > len(mr.buf) {
+		mr.mu.Unlock()
+		return false, fmt.Errorf("%w: write [%d,%d) of %d", ErrBounds, off, off+len(data), len(mr.buf))
+	}
+	copy(mr.buf[off:], data)
+	mr.mu.Unlock()
+	mr.gen.Add(1)
+
+	qp.local.tx.Add(uint64(len(data)))
+	qp.remote.rx.Add(uint64(len(data)))
+	return true, nil
 }
 
 // WaitCompletion blocks for the next completion (or QP teardown). Write

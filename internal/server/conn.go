@@ -163,6 +163,7 @@ func (s *Server) spin(idx int) {
 	// sp is this thread's own worker, for the tasks it answers itself
 	// (dispatch says which) and for its sheds.
 	sp := &worker{s: s, spinner: true}
+	emptySweeps := &s.spinStats[idx].emptySweeps
 	for {
 		select {
 		case <-s.stop:
@@ -226,6 +227,7 @@ func (s *Server) spin(idx int) {
 		// Nothing arrived: spin a little, then yield/sleep briefly.
 		// (The paper's spinning thread burns a core; we must share the
 		// host with the workload generator.)
+		emptySweeps.Add(1)
 		idleSpins++
 		if idleSpins < 64 {
 			runtime.Gosched()
@@ -396,9 +398,11 @@ var (
 )
 
 // sendReply finishes the reply to t in mb, around payload, and
-// RDMA-writes it into the client's reply slot, draining the completion.
-// The caller has made the reply fit the slot; an inline one (a shed, a
-// status) fits every slot detect lets in.
+// RDMA-writes it into the client's reply slot. The write is unsignaled:
+// nothing waits on a reply having landed, and a reply lost on the wire is
+// the client's to time out, not a completion this thread would wait for
+// forever. The caller has made the reply fit the slot; an inline one (a
+// shed, a status) fits every slot detect lets in.
 func (s *Server) sendReply(mb *wire.MsgBuf, t task, op wire.Op, flags uint8, payload []byte) {
 	msg := mb.Finish(wire.Header{
 		Opcode:    op,
@@ -406,11 +410,7 @@ func (s *Server) sendReply(mb *wire.MsgBuf, t task, op wire.Op, flags uint8, pay
 		RegionID:  t.hdr.RegionID,
 		RequestID: t.hdr.RequestID,
 	}, payload)
-	err := t.conn.replyQP.Write(t.conn.replyKey, int(t.hdr.ReplyOffset), msg, 0)
-	if err == nil {
-		_, err = t.conn.replyQP.WaitCompletion()
-	}
-	if err != nil {
+	if err := t.conn.replyQP.WriteUnsignaled(t.conn.replyKey, int(t.hdr.ReplyOffset), msg); err != nil {
 		s.dropConn(t.conn)
 	}
 }

@@ -98,10 +98,7 @@ func TestMessageWithAnotherBehindItGoesToAWorker(t *testing.T) {
 		req := wire.GetReq{Key: []byte("k")}
 		msg := c.mb.Finish(wire.Header{Opcode: wire.OpGet, RegionID: 1, RequestID: uint64(slot + 1),
 			ReplyOffset: uint32(replyOff), ReplySize: 512}, req.Encode(c.mb.Reserve(req.Size())))
-		if err := c.qp.Write(c.info.ReqRKey, slot*wire.HeaderSize, msg, 0); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.qp.WaitCompletion(); err != nil {
+		if err := c.qp.WriteUnsignaled(c.info.ReqRKey, slot*wire.HeaderSize, msg); err != nil {
 			t.Fatal(err)
 		}
 	}

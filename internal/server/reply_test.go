@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -42,18 +43,15 @@ func newRawClient(t testing.TB, s *Server) *rawClient {
 }
 
 // send writes one request with the given payload at the client's next
-// request-buffer position, wrapping as the server does, and takes the
-// write's completion.
+// request-buffer position, wrapping as the server does, unsignaled as the
+// client library writes it.
 func (c *rawClient) send(h wire.Header, payload []byte) {
 	c.t.Helper()
 	msg := c.mb.Finish(h, payload)
 	if c.pos+len(msg) > c.info.BufSize {
 		c.t.Fatalf("request at %d overruns the %d-byte buffer", c.pos, c.info.BufSize)
 	}
-	if err := c.qp.Write(c.info.ReqRKey, c.pos, msg, 0); err != nil {
-		c.t.Fatal(err)
-	}
-	if _, err := c.qp.WaitCompletion(); err != nil {
+	if err := c.qp.WriteUnsignaled(c.info.ReqRKey, c.pos, msg); err != nil {
 		c.t.Fatal(err)
 	}
 	if c.pos += len(msg); c.pos+wire.HeaderSize > c.info.BufSize {
@@ -143,6 +141,52 @@ func TestReplyThatOutgrowsItsSlot(t *testing.T) {
 	}
 }
 
+// TestADroppedReplyWedgesNoOne: a reply lost on the wire posts no
+// completion, and the spinning thread waits for none, so with one
+// spinning thread a client whose replies are all dropped does not stop
+// the server from answering the next client. The lost reply is its own
+// client's to time out.
+func TestADroppedReplyWedgesNoOne(t *testing.T) {
+	s, _ := newTestServer(t, "s0")
+	if _, err := s.OpenPrimary(wholeKeyspace("s0"), replica.NoReplication); err != nil {
+		t.Fatal(err)
+	}
+	a, b := newRawClient(t, s), newRawClient(t, s)
+	dropped := make(chan struct{})
+	var once sync.Once
+	a.qp.Local().InjectFault(func(op rdma.FaultOp, from, _ string, _ int, _ []byte) rdma.Fault {
+		if op != rdma.FaultWrite || from != "s0" {
+			return rdma.Fault{}
+		}
+		once.Do(func() { close(dropped) })
+		return rdma.Fault{Action: rdma.FaultDrop}
+	})
+	// A thread that did wait for the lost reply's completion would hold up
+	// Close; closing the queue pair wakes it.
+	t.Cleanup(a.conn.replyQP.Close)
+	a.sendGet(1, 0, []byte("a"))
+	select {
+	case <-dropped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server never answered a's get")
+	}
+	b.sendGet(1, 0, []byte("b"))
+	hdr := make([]byte, wire.HeaderSize)
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if ok, err := b.replyBuf.ReadIfWord(0, hdr, wire.Magic); err != nil {
+			t.Fatal(err)
+		} else if ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("b's get was not answered within 2 s of a's reply being dropped")
+		}
+	}
+	if h, _ := b.await(0); h.Flags&wire.FlagError != 0 {
+		t.Fatalf("b's get: flags %#x", h.Flags)
+	}
+}
+
 // TestRequestNamingNoReplySlotDropsTheConnection: a reply is at least a
 // header, so a request whose reply slot is smaller cannot be answered
 // without writing past it; the spinning thread treats it like any other
@@ -163,7 +207,7 @@ func TestRequestNamingNoReplySlotDropsTheConnection(t *testing.T) {
 		if len(msg) != wire.HeaderSize {
 			t.Fatalf("a %d-byte get request", len(msg))
 		}
-		if err := c.qp.Write(c.info.ReqRKey, off, msg, 0); err != nil {
+		if err := c.qp.WriteUnsignaled(c.info.ReqRKey, off, msg); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,7 +28,10 @@ import (
 const (
 	// DefaultWorkers is the worker-thread count per server.
 	DefaultWorkers = 8
-	// DefaultSpinThreads is the number of spinning threads per server.
+	// DefaultSpinThreads is the number of spinning threads per server, cut
+	// to the runtime's P count (GOMAXPROCS) when that is smaller: spinners
+	// beyond it cannot poll at the same time, they only time-slice the Ps
+	// and add a yield per sweep to the op path.
 	DefaultSpinThreads = 2
 	// DefaultTaskThreshold is the queue depth beyond which the spinning
 	// thread moves to the next worker (§3.4.2).
@@ -53,8 +57,9 @@ type Config struct {
 	LSM lsm.Options
 	// Workers is the worker pool size (DefaultWorkers if zero).
 	Workers int
-	// SpinThreads is the number of spinning threads (DefaultSpinThreads
-	// if zero).
+	// SpinThreads is the number of spinning threads (if zero,
+	// DefaultSpinThreads or GOMAXPROCS when the server is built, whichever
+	// is smaller).
 	SpinThreads int
 	// TaskThreshold is the per-worker queue threshold
 	// (DefaultTaskThreshold if zero).
@@ -119,7 +124,7 @@ func (c *Config) applyDefaults() {
 		c.Workers = DefaultWorkers
 	}
 	if c.SpinThreads == 0 {
-		c.SpinThreads = DefaultSpinThreads
+		c.SpinThreads = min(DefaultSpinThreads, runtime.GOMAXPROCS(0))
 	}
 	if c.TaskThreshold == 0 {
 		c.TaskThreshold = DefaultTaskThreshold
@@ -223,6 +228,25 @@ type Server struct {
 	wg      sync.WaitGroup
 	workers []*worker
 	stop    chan struct{}
+	// spinStats has one entry per spinning thread, indexed like spin's idx.
+	spinStats []spinStat
+}
+
+// spinStat is one spinning thread's count of the sweeps that found
+// nothing — each ends in a yield or a sleep — on a cache line of its
+// own, so two threads never write one line.
+type spinStat struct {
+	emptySweeps atomic.Uint64
+	_           [56]byte
+}
+
+// emptySweeps sums the sweeps that found nothing over every spinning
+// thread.
+func (s *Server) emptySweeps() (n uint64) {
+	for i := range s.spinStats {
+		n += s.spinStats[i].emptySweeps.Load()
+	}
+	return n
 }
 
 // opKinds are the request kinds the server tracks latency for, each with
@@ -260,10 +284,11 @@ func New(cfg Config) (*Server, error) {
 	// left as-is.
 	cfg.Device = storage.AsVerifying(cfg.Device)
 	s := &Server{
-		cfg:     cfg,
-		trace:   cfg.Trace.Node(cfg.Name),
-		regions: make(map[region.ID]*hostedRegion),
-		stop:    make(chan struct{}),
+		cfg:       cfg,
+		trace:     cfg.Trace.Node(cfg.Name),
+		regions:   make(map[region.ID]*hostedRegion),
+		stop:      make(chan struct{}),
+		spinStats: make([]spinStat, cfg.SpinThreads),
 	}
 	for _, k := range opKinds {
 		s.opLat[k.op] = metrics.NewHistogram()

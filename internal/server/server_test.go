@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"tebis/internal/lsm"
@@ -219,6 +220,32 @@ func TestFlushDrainsBuildIndexBackups(t *testing.T) {
 	// The backup engine must have compacted: it read its device.
 	if devB.Stats().BytesRead == 0 {
 		t.Fatal("Build-Index backup never compacted")
+	}
+}
+
+// TestDefaultSpinThreadsFollowGOMAXPROCS: a server left to pick its
+// spinning threads starts no more than the runtime has Ps, read when it
+// is built; a count set explicitly is kept.
+func TestDefaultSpinThreadsFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ procs, set, want int }{
+		{1, 0, 1}, {2, 0, 2}, {4, 0, 2}, {1, 3, 3},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		dev, err := storage.NewMemDevice(16<<10, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Name: "s0", Device: dev, Endpoint: rdma.NewEndpoint("s0"), SpinThreads: tc.set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.cfg.SpinThreads != tc.want || len(s.spinStats) != tc.want {
+			t.Errorf("GOMAXPROCS %d, SpinThreads %d: %d spinning threads (%d counted), want %d",
+				tc.procs, tc.set, s.cfg.SpinThreads, len(s.spinStats), tc.want)
+		}
+		s.Close()
+		dev.Close()
 	}
 }
 

@@ -26,6 +26,12 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+# The benchmark runs the cluster on one P, where a server starts one
+# spinning thread, not two (server.DefaultSpinThreads); this runs the
+# request path's suites in that configuration too.
+echo "== go test -race -cpu 1 (request path on one P)"
+go test -race -cpu 1 ./internal/server ./internal/client ./internal/cluster
+
 echo "== fuzz smoke"
 make fuzz-smoke
 
