@@ -48,6 +48,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/vlog -run '^$$' -fuzz '^FuzzRecord$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/vlog -run '^$$' -fuzz '^FuzzWalk$$' -fuzztime 5s -fuzzminimizetime 0
+	$(GO) test ./internal/lsm -run '^$$' -fuzz '^FuzzScanLimit$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/memtable -run '^$$' -fuzz '^FuzzOrder$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/integrity -run '^$$' -fuzz '^FuzzDecodeTrailer$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/region -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s -fuzzminimizetime 0

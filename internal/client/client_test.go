@@ -211,6 +211,24 @@ func TestClientScan(t *testing.T) {
 	}
 }
 
+// A scan of zero pairs returns none; the server once handed over the
+// first pair before it looked at the count.
+func TestClientScanOfZeroPairsReturnsNone(t *testing.T) {
+	_, cl := newServerAndClient(t)
+	for i := 0; i < 20; i++ {
+		if err := cl.Put([]byte(fmt.Sprintf("user%06d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pairs, err := cl.Scan([]byte("user000005"), 0)
+	if err != nil || len(pairs) != 0 {
+		t.Fatalf("Scan(start, 0) = %d pairs, %v", len(pairs), err)
+	}
+	if pairs, err := cl.Scan([]byte("user000005"), 1); err != nil || len(pairs) != 1 || string(pairs[0].Key) != "user000005" {
+		t.Fatalf("Scan(start, 1) = %v, %v", pairs, err)
+	}
+}
+
 func TestClientConcurrent(t *testing.T) {
 	_, cl := newServerAndClient(t)
 	var wg sync.WaitGroup

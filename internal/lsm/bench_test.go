@@ -2,10 +2,13 @@ package lsm
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
+	"tebis/internal/kv"
 	"tebis/internal/storage"
 )
 
@@ -89,6 +92,70 @@ func BenchmarkEngineScan(b *testing.B) {
 		if _, err := db.ScanN([]byte(fmt.Sprintf("user%012d", (i*977)%n)), 16); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkScan is the scan of scan_short — ScanN(start, 16) — without
+// ScanN's copies (ScanLimit with a 16-pair limit, a pair looked at and
+// dropped), over two levels of 224 K keys in random order with 256-byte
+// values: a 64 MiB value log, larger than a core's private caches (a
+// 4 MiB L2 where it was sized), so a record's first touch misses them.
+// Its starts are scattered, its index nodes cached. It reports the
+// scan's time and allocations.
+func BenchmarkScan(b *testing.B) {
+	const keys, valLen = 224 << 10, 256
+	dev, err := storage.NewMemDevice(4<<20, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := New(Options{Device: dev, NodeSize: 4096, GrowthFactor: 4, L0MaxKeys: 32 << 10, MaxLevels: 3, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		db.Close()
+		dev.Close()
+	})
+	key := func(i int) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
+	val := make([]byte, valLen)
+	for j, i := range rand.New(rand.NewSource(1)).Perm(keys) {
+		if err := db.Put(key(i), val); err != nil {
+			b.Fatal(err)
+		}
+		if j == keys*5/7-1 || j == keys-1 {
+			if err := db.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if lv := db.Levels(); len(lv) != 2 || lv[0].NumKeys == 0 || lv[1].NumKeys == 0 {
+		b.Fatalf("levels %+v, want two populated", lv)
+	}
+	if _, err := db.Log().Seal(); err != nil {
+		b.Fatal(err)
+	}
+	starts := make([][]byte, 4096)
+	for i := range starts {
+		starts[i] = key(i * 7919 % (keys - 16))
+	}
+	lim := Limit{Pairs: 16, Bytes: math.MaxInt}
+	n := 0
+	fn := func(kv.Pair) bool { n++; return true }
+	for _, start := range starts { // the index nodes on the way are cached from here on
+		if err := db.ScanLimit(start, lim, fn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := db.ScanLimit(starts[i%len(starts)], lim, fn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n != 16*(b.N+len(starts)) {
+		b.Fatalf("%d pairs in %d scans", n, b.N+len(starts))
 	}
 }
 

@@ -30,6 +30,12 @@ type reader struct {
 	cursors []cursor
 	mem     []memCursor
 	trees   []treeCursor
+
+	// A scan's batch: its winners' offsets, the winners merged through
+	// each, and the log's memory for reading their records.
+	offs  []storage.Offset
+	upto  []int
+	batch vlog.Batch
 }
 
 var readerPool = sync.Pool{New: func() any { return &reader{buf: make([]byte, 0, 256)} }}
@@ -175,15 +181,64 @@ func (db *DB) readKey(off storage.Offset, c metrics.Component) ([]byte, error) {
 	return key, nil
 }
 
+// scanBatch is the most live winners a scan merges before it reads
+// their records: about the cache misses one core keeps in flight.
+const scanBatch = 16
+
+// Limit bounds a limited scan (ScanLimit). Its zero value returns no
+// pair.
+type Limit struct {
+	// Pairs is the most pairs the scan returns.
+	Pairs int
+	// Bytes and PairOverhead are a reply's budget: the scan ends before
+	// the pair that takes the running sum of Size()+PairOverhead over
+	// Bytes — unless it is the first pair, which is always returned, so
+	// that a reply too small for it fails rather than comes back empty.
+	Bytes, PairOverhead int
+	// End, when not nil, is the first key past the range.
+	End []byte
+}
+
 // Scan visits live key-value pairs with key >= start in ascending key
 // order, calling fn for each until fn returns false or the keyspace is
 // exhausted. Tombstones hide older versions, and the newest version of
 // each key wins, merging L0, the frozen L0s, and every on-device level.
 //
-// The pair fn receives is good until fn returns: every record is read
-// into the one buffer the next record overwrites. A caller that keeps a
-// key or a value copies it (ScanN does).
+// The pair fn receives is good until fn returns: a batch of records is
+// read into one buffer, which the next batch overwrites. A caller that
+// keeps a key or a value copies it (ScanN does). A caller that knows
+// when it stops says so with ScanLimit: Scan reads the records of up to
+// 16 pairs ahead of fn.
 func (db *DB) Scan(start []byte, fn func(pair kv.Pair) bool) error {
+	return db.ScanLimit(start, Limit{Pairs: math.MaxInt, Bytes: math.MaxInt}, fn)
+}
+
+// ScanN collects up to n pairs starting at start (the YCSB scan shape),
+// each copied out of the scan's buffer into a record of its own.
+func (db *DB) ScanN(start []byte, n int) ([]kv.Pair, error) {
+	out := make([]kv.Pair, 0, n)
+	err := db.ScanLimit(start, Limit{Pairs: n, Bytes: math.MaxInt}, func(p kv.Pair) bool {
+		rec := append(append(make([]byte, 0, p.Size()), p.Key...), p.Value...)
+		out = append(out, kv.Pair{Key: rec[:len(p.Key):len(p.Key)], Value: rec[len(p.Key):]})
+		return true
+	})
+	return out, err
+}
+
+// ScanLimit is Scan within lim: it returns at most lim.Pairs pairs,
+// those that fit lim's byte budget, and none at or past lim.End.
+//
+// It merges the cursors a batch of live winners at a time, up to the
+// pairs still wanted and at most scanBatch, before it reads any record.
+// The value log then reads the batch's headers in one vectored device
+// read and, in a second, the bodies of only the records that fit: a
+// record the budget cuts costs its header, not its body. A winner whose
+// key the merge cannot place against lim.End without reading it (a
+// prefix tie) ends its batch. The cost charged is what a scan that read
+// one record at a time would charge for the winners it passed — up to
+// and including the one it stopped at, none merged ahead of it — and
+// the bytes actually read.
+func (db *DB) ScanLimit(start []byte, lim Limit, fn func(pair kv.Pair) bool) error {
 	r := db.acquireReader()
 	defer r.release()
 	db.mu.RLock()
@@ -191,10 +246,131 @@ func (db *DB) Scan(start []byte, fn func(pair kv.Pair) bool) error {
 	if db.closed {
 		return ErrClosed
 	}
+	if lim.Pairs <= 0 {
+		return nil
+	}
+	if err := r.seek(start); err != nil {
+		return err
+	}
+	var endPrefix kv.Prefix
+	if lim.End != nil {
+		endPrefix = kv.MakePrefix(lim.End)
+	}
 
-	// Cursors newest-first: active L0, frozen L0s (newest first), L1,
-	// L2, ... The cursor list points into r.mem and r.trees, so both
-	// are sized before anything takes an address in them.
+	stop := func(visited int) error { // the scan ends on its visited-th winner
+		db.charge(metrics.CompOther, uint64(visited)*db.cost.GetPerLevel/4)
+		return nil
+	}
+	merged, returned, size := 0, 0, 0
+	for {
+		// Merge the next batch: live winners' offsets, each with the
+		// count of winners merged through it.
+		r.offs, r.upto = r.offs[:0], r.upto[:0]
+		want := min(lim.Pairs-returned, scanBatch)
+		ended := false // no winner after this batch is returned
+		var mergeErr error
+		for len(r.offs) < want {
+			won, held, ok, err := r.next()
+			if err != nil {
+				mergeErr = err
+				break
+			}
+			if !ok {
+				ended = true
+				break
+			}
+			merged++
+			if won.Tombstone {
+				continue
+			}
+			tie := false
+			if lim.End != nil {
+				if held != nil {
+					ended = kv.Compare(held, lim.End) >= 0
+				} else {
+					c := won.Prefix.Compare(endPrefix)
+					ended, tie = c > 0, c == 0
+				}
+				if ended {
+					break
+				}
+			}
+			r.offs = append(r.offs, won.ValueOff)
+			r.upto = append(r.upto, merged)
+			if tie {
+				break
+			}
+		}
+
+		// Read the batch's headers, then the bodies of the records
+		// before the first that does not fit. A tombstone's body (its
+		// key) is read and skipped, and counts against nothing.
+		hdrs, readErr := db.log.ReadHeaders(&r.batch, r.offs)
+		fit, pairs := len(hdrs), returned
+		for i, h := range hdrs {
+			if h.Tombstone() {
+				continue
+			}
+			size += h.RecLen() - vlog.HeaderSize + lim.PairOverhead
+			if size > lim.Bytes && pairs > 0 {
+				fit = i
+				break
+			}
+			pairs++
+		}
+		var bodyErr error
+		r.buf, bodyErr = db.log.AppendBodies(&r.batch, r.buf[:0], hdrs[:fit])
+		var cycles uint64
+		got := 0 // bodies read
+		for i, pos := 0, 0; i < len(hdrs); i++ {
+			if n := hdrs[i].RecLen() - vlog.HeaderSize; i < fit && pos+n <= len(r.buf) {
+				pos += n
+				got++
+				cycles += db.cost.ReadIO(hdrs[i].RecLen())
+			} else {
+				cycles += db.cost.ReadIO(vlog.HeaderSize)
+			}
+		}
+		db.charge(metrics.CompOther, cycles)
+
+		// Hand the pairs over, in order.
+		pos := 0
+		for i, h := range hdrs[:got] {
+			kl, end := h.KeyLen(), pos+h.RecLen()-vlog.HeaderSize
+			rec := r.buf[pos:end:end]
+			pos = end
+			if h.Tombstone() {
+				continue
+			}
+			if lim.End != nil && kv.Compare(rec[:kl], lim.End) >= 0 {
+				return stop(r.upto[i])
+			}
+			returned++
+			if !fn(kv.Pair{Key: rec[:kl:kl], Value: rec[kl:]}) || returned == lim.Pairs {
+				return stop(r.upto[i])
+			}
+		}
+		switch {
+		case got < fit:
+			return bodyErr
+		case fit < len(hdrs):
+			return stop(r.upto[fit])
+		case readErr != nil:
+			return readErr
+		case mergeErr != nil:
+			return mergeErr
+		case ended:
+			return stop(merged)
+		}
+	}
+}
+
+// seek opens the scan's cursors, newest first — the active L0, the
+// frozen L0s newest first, then L1, L2, ... — each standing on its
+// first entry >= start. The cursor list points into r.mem and r.trees,
+// so both are sized before anything takes an address in them.
+func (r *reader) seek(start []byte) error {
+	db := r.db
 	r.mem = slices.Grow(r.mem, 1+len(db.frozen))
 	r.trees = slices.Grow(r.trees, len(db.levels))
 	addMem := func(it memtable.Iterator) {
@@ -217,82 +393,51 @@ func (db *DB) Scan(start []byte, fn func(pair kv.Pair) bool) error {
 		}
 		r.cursors = append(r.cursors, c)
 	}
-	cursors := r.cursors
-
-	visited := 0
-	for {
-		// Find the smallest key among valid cursors; the earliest
-		// cursor in the list (newest data) wins ties.
-		winner := -1
-		for i, c := range cursors {
-			if !c.valid() {
-				continue
-			}
-			if winner >= 0 {
-				if cmp, err := compareCursors(c, cursors[winner]); err != nil {
-					return err
-				} else if cmp >= 0 {
-					continue
-				}
-			}
-			winner = i
-		}
-		if winner < 0 {
-			break
-		}
-		w := cursors[winner]
-		won := w.entry()
-
-		// Step past this key everywhere: the older cursors standing on
-		// it hold shadowed versions (a cursor holds a key once), then
-		// the winner itself.
-		for _, c := range cursors[winner+1:] {
-			if !c.valid() {
-				continue
-			}
-			if cmp, err := compareCursors(c, w); err != nil {
-				return err
-			} else if cmp == 0 {
-				if err := c.next(); err != nil {
-					return err
-				}
-			}
-		}
-		if err := w.next(); err != nil {
-			return err
-		}
-
-		visited++
-		if won.Tombstone {
-			continue
-		}
-		// The one read of the winning record, over the previous one: fn
-		// gets its key and value out of r.buf.
-		var h vlog.Header
-		var err error
-		if r.buf, h, err = db.log.AppendRecord(r.buf[:0], won.ValueOff); err != nil {
-			return err
-		}
-		if h.Tombstone() {
-			continue
-		}
-		db.charge(metrics.CompOther, db.cost.ReadIO(h.RecLen()))
-		if !fn(kv.Pair{Key: r.buf[:h.KeyLen():h.KeyLen()], Value: r.buf[h.KeyLen():]}) {
-			break
-		}
-	}
-	db.charge(metrics.CompOther, uint64(visited)*db.cost.GetPerLevel/4)
 	return nil
 }
 
-// ScanN collects up to n pairs starting at start (the YCSB scan shape),
-// each copied out of the scan's buffer into a record of its own.
-func (db *DB) ScanN(start []byte, n int) ([]kv.Pair, error) {
-	out := make([]kv.Pair, 0, n)
-	err := db.Scan(start, func(p kv.Pair) bool {
-		rec := append(append(make([]byte, 0, p.Size()), p.Key...), p.Value...)
-		out = append(out, kv.Pair{Key: rec[:len(p.Key):len(p.Key)], Value: rec[len(p.Key):]})
-		return len(out) < n
-	})
-	return out, err
+// next merges one winner: the entry with the smallest key among the
+// cursors, the newest version of it (the earliest cursor in the list
+// wins ties), with its full key when the merge holds it (held, else
+// nil). Every cursor standing on that key steps past it — the older
+// ones hold shadowed versions (a cursor holds a key once). ok is false
+// when every cursor is exhausted.
+func (r *reader) next() (won btree.LeafEntry, held []byte, ok bool, err error) {
+	cursors := r.cursors
+	winner := -1
+	for i, c := range cursors {
+		if !c.valid() {
+			continue
+		}
+		if winner >= 0 {
+			if cmp, err := compareCursors(c, cursors[winner]); err != nil {
+				return won, nil, false, err
+			} else if cmp >= 0 {
+				continue
+			}
+		}
+		winner = i
+	}
+	if winner < 0 {
+		return won, nil, false, nil
+	}
+	w := cursors[winner]
+	won = w.entry()
+	for _, c := range cursors[winner+1:] {
+		if !c.valid() {
+			continue
+		}
+		if cmp, err := compareCursors(c, w); err != nil {
+			return won, nil, false, err
+		} else if cmp == 0 {
+			if err := c.next(); err != nil {
+				return won, nil, false, err
+			}
+		}
+	}
+	held = w.heldKey()
+	if err := w.next(); err != nil {
+		return won, nil, false, err
+	}
+	return won, held, true, nil
 }

@@ -3,6 +3,8 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"sync/atomic"
 	"testing"
 
 	"tebis/internal/btree"
@@ -22,14 +24,29 @@ const (
 
 func ruleKey(i int) []byte { return []byte(fmt.Sprintf("user%08d", i*7919%100003)) }
 
+// countingDevice counts the vectored reads that reach its device.
+type countingDevice struct {
+	*storage.MemDevice
+	readVs atomic.Int64
+}
+
+func (d *countingDevice) ReadV(offs []storage.Offset, bufs [][]byte) (int, error) {
+	d.readVs.Add(1)
+	return d.MemDevice.ReadV(offs, bufs)
+}
+
+// readVs returns the vectored reads db's device has made.
+func readVs(db *DB) int64 { return db.opt.Device.(*countingDevice).readVs.Load() }
+
 // twoLevelDB loads 896 keys with pairwise distinct prefixes, in an
 // order that interleaves the levels, into an engine whose deepest level
 // is L2: 640 keys end up in L2 and 256 in L1, L0 is empty, the log is
 // sealed (a tail read would not count as device traffic) and nothing
-// runs in the background.
+// runs in the background. Its device counts vectored reads (readVs).
 func twoLevelDB(t *testing.T) (*DB, *storage.MemDevice, *recordingListener) {
 	t.Helper()
 	opt, dev := testOptions(t)
+	opt.Device = &countingDevice{MemDevice: dev}
 	opt.L0MaxKeys = 128
 	opt.MaxLevels = 3
 	rec := &recordingListener{}
@@ -118,14 +135,80 @@ func TestScanReadsReturnedRecordsOnly(t *testing.T) {
 	scan() // the index nodes on the way are cached from here on
 
 	dev.ResetStats()
+	vecs := readVs(db)
 	scan()
 	st := dev.Stats()
 
 	// 16 records (a header and a body each), and one full key where the
-	// seek met start's own prefix: in the one level that holds it.
+	// seek met start's own prefix: in the one level that holds it. The
+	// headers come in one vectored read and the bodies in another.
 	const record, key = 8 + ruleKeyLen + ruleValLen, 8 + ruleKeyLen
-	if st.ReadOps > 2*(16+1) || st.BytesRead > 16*record+key {
-		t.Fatalf("ScanN(start, 16) made %d reads of %d bytes, budget %d of %d", st.ReadOps, st.BytesRead, 2*(16+1), 16*record+key)
+	if st.ReadOps != 2*(16+1) || st.BytesRead != 16*record+key {
+		t.Fatalf("ScanN(start, 16) made %d reads of %d bytes, want %d of %d", st.ReadOps, st.BytesRead, 2*(16+1), 16*record+key)
+	}
+	if n := readVs(db) - vecs; n != 2 {
+		t.Fatalf("ScanN(start, 16) made %d vectored reads, want 2: its headers, then its bodies", n)
+	}
+}
+
+// A scan its byte budget cuts short reads the headers of its batch and
+// the bodies of the pairs it returns, and nothing more: not the body of
+// the record that does not fit, nor any after it.
+func TestScanCutByBudgetReadsWhatItReturns(t *testing.T) {
+	db, dev, _ := twoLevelDB(t)
+	start := ruleKey(100)
+	want, err := db.ScanN(start, 16) // and the nodes on the way are cached
+	if err != nil || len(want) != 16 {
+		t.Fatalf("ScanN = %d pairs, %v", len(want), err)
+	}
+	const body, key = ruleKeyLen + ruleValLen, 8 + ruleKeyLen
+	for fits := 1; fits <= 16; fits += 5 {
+		// Room for fits pairs and their overhead, and for all but a byte
+		// of the next one.
+		lim := Limit{Pairs: 16, Bytes: (fits+1)*(body+8) - 1, PairOverhead: 8}
+		if fits == 16 {
+			lim.Bytes = math.MaxInt
+		}
+		dev.ResetStats()
+		var got []string
+		err := db.ScanLimit(start, lim, func(p kv.Pair) bool {
+			got = append(got, string(p.Key))
+			return true
+		})
+		if err != nil || len(got) != fits {
+			t.Fatalf("a budget for %d pairs returned %d, %v", fits, len(got), err)
+		}
+		for i, k := range got {
+			if k != string(want[i].Key) {
+				t.Fatalf("pair %d = %q, want %q", i, k, want[i].Key)
+			}
+		}
+		st := dev.Stats()
+		if wantBytes := 16*8 + fits*body + key; st.BytesRead != uint64(wantBytes) || st.ReadOps != uint64(16+fits+2) {
+			t.Fatalf("a scan cut after %d pairs made %d reads of %d bytes, want %d of %d: 16 headers, %d bodies and the seek's key",
+				fits, st.ReadOps, st.BytesRead, 16+fits+2, wantBytes, fits)
+		}
+	}
+}
+
+// A limit of zero pairs returns none and reads nothing; ScanN and a
+// zero Limit once returned the first pair before they looked at the
+// count.
+func TestScanOfZeroPairsReturnsNone(t *testing.T) {
+	db, dev, _ := twoLevelDB(t)
+	dev.ResetStats()
+	pairs, err := db.ScanN(ruleKey(100), 0)
+	if err != nil || len(pairs) != 0 {
+		t.Fatalf("ScanN(start, 0) = %d pairs, %v", len(pairs), err)
+	}
+	if err := db.ScanLimit(ruleKey(100), Limit{Bytes: math.MaxInt}, func(p kv.Pair) bool {
+		t.Fatalf("a zero-pair scan handed over %q", p.Key)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st := dev.Stats(); st.ReadOps != 0 {
+		t.Fatalf("zero-pair scans made %d reads", st.ReadOps)
 	}
 }
 
@@ -228,7 +311,8 @@ func TestGetWalksATieReadingKeysOnly(t *testing.T) {
 
 // The pair Scan hands fn is good until fn returns, and the test holds
 // the contract from both sides: a pair kept without a copy is
-// overwritten by the next one, and ScanN's pairs, copied, are not.
+// overwritten — a batch of records is read into the buffer the last
+// batch was read into — and ScanN's pairs, copied, are not.
 func TestScanPairIsGoodUntilFnReturns(t *testing.T) {
 	db, _, _ := twoLevelDB(t)
 	var kept []kv.Pair
@@ -236,14 +320,14 @@ func TestScanPairIsGoodUntilFnReturns(t *testing.T) {
 	err := db.Scan(ruleKey(100), func(p kv.Pair) bool {
 		kept = append(kept, p) // no copy: against the contract
 		want = append(want, string(p.Key))
-		return len(kept) < 4
+		return len(kept) < scanBatch+4
 	})
-	if err != nil || len(kept) != 4 {
+	if err != nil || len(kept) != scanBatch+4 {
 		t.Fatalf("Scan kept %d pairs, %v", len(kept), err)
 	}
-	for i, p := range kept[:3] {
+	for i, p := range kept[:scanBatch] {
 		if string(p.Key) == want[i] {
-			t.Fatalf("pair %d still reads %q after the scan moved on: Scan no longer reuses its buffer, and its doc comment is out of date", i, p.Key)
+			t.Fatalf("pair %d of the first batch still reads %q after the next batch: Scan no longer reuses its buffer, and its doc comment is out of date", i, p.Key)
 		}
 	}
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -371,7 +372,7 @@ func (s *Server) SplitKey(id region.ID) ([]byte, error) {
 	const maxSample = 4096
 	keys := make([][]byte, 0, maxSample)
 	stride, seen := 1, 0
-	err := db.Scan(start, func(p kv.Pair) bool {
+	err := db.ScanLimit(start, lsm.Limit{Pairs: math.MaxInt, Bytes: math.MaxInt, End: end}, func(p kv.Pair) bool {
 		if end != nil && kv.Compare(p.Key, end) >= 0 {
 			return false
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tebis/internal/kv"
+	"tebis/internal/lsm"
 	"tebis/internal/metrics"
 	"tebis/internal/obs"
 	"tebis/internal/region"
@@ -271,23 +272,25 @@ func (w *worker) doScan(t task) (wire.Op, uint8, []byte) {
 	budget := int(t.hdr.ReplySize) - wire.HeaderSize - 64
 	// Each pair goes into the reply as the scan hands it over — it is
 	// the scan's to overwrite once fn returns — and the count is filled
-	// in at the end.
+	// in at the end. The engine stops at the request's count, the reply's
+	// budget and the region's bound — split children share the parent's
+	// engine, so the iteration must not walk into a sibling's (or a
+	// migrated-away child's stale) keys — and reads no record past them;
+	// fn's checks are a backstop.
 	rep := wire.BeginScanReply(w.msg.Reserve(4 + max(budget, 0)))
 	count, size := 0, 0
-	err = ref.db.Scan(req.Start, func(p kv.Pair) bool {
-		// Split children share the parent's engine, so the iteration must
-		// stop at the addressed region's bound instead of walking into a
-		// sibling's (or a migrated-away child's stale) keys.
+	lim := lsm.Limit{Pairs: int(req.Count), Bytes: budget, PairOverhead: wire.ScanPairOverhead, End: end}
+	err = ref.db.ScanLimit(req.Start, lim, func(p kv.Pair) bool {
 		if end != nil && kv.Compare(p.Key, end) >= 0 {
 			return false
 		}
-		size += p.Size() + 8
-		if size > budget && count > 0 {
+		size += p.Size() + wire.ScanPairOverhead
+		if size > budget && count > 0 || count >= lim.Pairs {
 			return false
 		}
 		rep = wire.AppendScanPair(rep, p)
 		count++
-		return count < int(req.Count)
+		return true
 	})
 	if err != nil {
 		return wire.OpScanReply, wire.FlagError, []byte(err.Error())

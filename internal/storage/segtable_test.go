@@ -64,8 +64,9 @@ func TestSegmentTableGrowsByUse(t *testing.T) {
 // TestReadsRaceAllocFreeInvalidate: readers of sealed segments run
 // beside a goroutine that allocates, writes, frees and invalidates
 // segments — growing the table across chunk boundaries as it goes — and
-// beside reads of IDs past the table's end. Every read returns the
-// right bytes or ErrBadSegment, and once the device closes, ErrClosed.
+// beside reads of IDs past the table's end, one at a time and in a
+// vectored read. Every read returns the right bytes or ErrBadSegment,
+// and once the device closes, ErrClosed.
 // Run it under -race.
 func TestReadsRaceAllocFreeInvalidate(t *testing.T) {
 	for _, name := range []string{"mem", "file"} {
@@ -111,7 +112,7 @@ func raceReadsAgainstChurn(t *testing.T, dev *VerifyingDevice) {
 		readers.Add(1)
 		go func(r int) {
 			defer readers.Done()
-			buf := make([]byte, len(payload(0)))
+			buf, buf2 := make([]byte, len(payload(0))), make([]byte, len(payload(0)))
 			for i := r; ; i++ {
 				select {
 				case <-stop:
@@ -119,6 +120,18 @@ func raceReadsAgainstChurn(t *testing.T, dev *VerifyingDevice) {
 				default:
 				}
 				seg := sealed[i%len(sealed)]
+				past := SegmentID(1<<31 + i)
+				if i%2 == 1 { // the sealed segment and the one past the end in one ReadV
+					got, err := ReadV(dev, []Offset{geo.Pack(seg, 0), geo.Pack(past, 0)}, [][]byte{buf, buf2})
+					if errors.Is(err, ErrClosed) {
+						continue
+					}
+					if got != 1 || !errors.Is(err, ErrBadSegment) || !bytes.Equal(buf, payload(seg)) {
+						errs <- fmt.Errorf("ReadV of sealed segment %d and segment %d = %d, %q, %v", seg, past, got, buf, err)
+						return
+					}
+					continue
+				}
 				err := dev.ReadAt(geo.Pack(seg, 0), buf)
 				if errors.Is(err, ErrClosed) {
 					continue
@@ -127,7 +140,6 @@ func raceReadsAgainstChurn(t *testing.T, dev *VerifyingDevice) {
 					errs <- fmt.Errorf("read of sealed segment %d = %q, %v", seg, buf, err)
 					return
 				}
-				past := SegmentID(1<<31 + i)
 				if err := dev.ReadAt(geo.Pack(past, 0), buf); !errors.Is(err, ErrBadSegment) && !errors.Is(err, ErrClosed) {
 					errs <- fmt.Errorf("read of segment %d past the table's end = %v", past, err)
 					return

@@ -278,6 +278,29 @@ func (d *VerifyingDevice) ReadAt(off Offset, p []byte) error {
 	return d.inner.ReadAt(off, p)
 }
 
+// ReadV implements VectorReader. The ranges on segments known to be
+// good go to the wrapped device together; a range on any other takes
+// ReadAt's path — its segment verified on first read, a sticky failure
+// returned — at its place in the order, so the checks, the errors and
+// the counters are those of one ReadAt per range.
+func (d *VerifyingDevice) ReadV(offs []Offset, bufs [][]byte) (int, error) {
+	done := 0 // ranges read
+	for i, off := range offs {
+		if st := d.state.Load(d.geo.Segment(off)); st != nil && st.pass.Load() {
+			continue
+		}
+		if n, err := ReadV(d.inner, offs[done:i], bufs[done:i]); err != nil {
+			return done + n, err
+		}
+		if err := d.ReadAt(off, bufs[i]); err != nil {
+			return i, err
+		}
+		done = i + 1
+	}
+	n, err := ReadV(d.inner, offs[done:], bufs[done:])
+	return done + n, err
+}
+
 // mayHold reports whether dev may hold seg: false only for a device of
 // this package whose segment table has no entry for it.
 func mayHold(dev Device, seg SegmentID) bool {

@@ -2,6 +2,7 @@ package vlog
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"tebis/internal/kv"
@@ -58,7 +59,9 @@ func fuzzSeedImage(f *testing.F) (image []byte, starts []int64) {
 // one header decoder — Get, GetKey, RecordLen and the append readers
 // behind them accept or refuse the same offsets and agree on the
 // lengths. The append readers write nothing before len(dst), and a
-// range of a value is that slice of what Get returns.
+// range of a value is that slice of what Get returns. The batch reader,
+// given the offset between two records of the tail, reads what
+// AppendRecord reads there or fails as it fails.
 //
 // The corpus is the seed image probed at every record start and one
 // byte off it.
@@ -83,6 +86,7 @@ func FuzzRecord(f *testing.F) {
 		}
 		pos := int(within) % segSize
 		off := l.Geometry().Pack(seg, int64(pos))
+		batchAgrees(t, l, off)
 
 		n, lenErr := l.RecordLen(off)
 		key, keyErr := l.GetKey(off)
@@ -144,6 +148,39 @@ func FuzzRecord(f *testing.F) {
 			t.Fatalf("at %d: ReadHeader without scratch = %+v, %v", pos, h, err)
 		}
 	})
+}
+
+// batchAgrees holds the batch reader to AppendRecord at off: with a
+// record of the tail on either side, ReadHeaders and AppendBodies give
+// the tail record, off's record and the tail record again, or the
+// first tail record's header and AppendRecord's error.
+func batchAgrees(t *testing.T, l *Log, off storage.Offset) {
+	t.Helper()
+	tail, err := l.Append([]byte("tailkey"), []byte("tail value"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tailRec, tailHdr, err := l.AppendRecord(nil, tail.Off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, h, recErr := l.AppendRecord(nil, off)
+	var b Batch
+	hdrs, err := l.ReadHeaders(&b, []storage.Offset{tail.Off, off, tail.Off})
+	if recErr != nil {
+		if len(hdrs) != 1 || hdrs[0] != tailHdr || fmt.Sprint(err) != fmt.Sprint(recErr) {
+			t.Fatalf("at %#x: ReadHeaders = %d headers, %v; AppendRecord refused it: %v", off, len(hdrs), err, recErr)
+		}
+		return
+	}
+	if err != nil || len(hdrs) != 3 || hdrs[0] != tailHdr || hdrs[1] != h || hdrs[2] != tailHdr {
+		t.Fatalf("at %#x: ReadHeaders = %+v, %v; ReadHeader %+v", off, hdrs, err, h)
+	}
+	got, err := l.AppendBodies(&b, []byte("held"), hdrs)
+	want := append(append(append([]byte("held"), tailRec...), rec...), tailRec...)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("at %#x: AppendBodies = %q, %v, want %q", off, got, err, want)
+	}
 }
 
 // FuzzWalk: the image walkers decode whatever a segment holds — a

@@ -295,7 +295,13 @@ func (l *Log) ReadHeader(off storage.Offset, scratch []byte) (Header, error) {
 	if err := l.readAt(off, scratch[:recHdrSize]); err != nil {
 		return Header{}, err
 	}
-	h, ok, err := decodeHeader(scratch, l.geo.SegmentSize()-l.geo.Within(off))
+	return l.checkHeader(scratch, off)
+}
+
+// checkHeader decodes the header bytes read at off and checks them as
+// a record's: the checks every record reader makes.
+func (l *Log) checkHeader(hdr []byte, off storage.Offset) (Header, error) {
+	h, ok, err := decodeHeader(hdr, l.geo.SegmentSize()-l.geo.Within(off))
 	if err != nil {
 		return Header{}, fmt.Errorf("%w at %#x", err, off)
 	}

@@ -262,6 +262,10 @@ func (r ScanReply) Encode(dst []byte) []byte {
 // FinishScanReply fills the count in.
 func BeginScanReply(dst []byte) []byte { return appendU32(dst, 0) }
 
+// ScanPairOverhead is what a pair costs in a ScanReply beyond its key
+// and value: their two 4-byte lengths.
+const ScanPairOverhead = 8
+
 // AppendScanPair appends one pair to a ScanReply under construction. It
 // copies the pair, which the scan may then overwrite.
 func AppendScanPair(dst []byte, p kv.Pair) []byte {
