@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test ./internal/btree -run '^$$' -fuzz '^FuzzIndexNode$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/btree -run '^$$' -fuzz '^FuzzPackLeaf$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/btree -run '^$$' -fuzz '^FuzzRewriteSegment$$' -fuzztime 5s -fuzzminimizetime 0
+	$(GO) test ./internal/btree -run '^$$' -fuzz '^FuzzLevelFilter$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/shipcodec -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/vlog -run '^$$' -fuzz '^FuzzRecord$$' -fuzztime 5s -fuzzminimizetime 0

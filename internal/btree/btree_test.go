@@ -63,6 +63,7 @@ func buildTree(t testing.TB, dev storage.Device, nodeSize int, keys [][]byte, em
 	if err != nil {
 		t.Fatal(err)
 	}
+	b.SetFilterCollector(new(FilterCollector))
 	for _, k := range keys {
 		if err := b.Add(k, fl.add(k), false); err != nil {
 			t.Fatalf("Add(%q): %v", k, err)

@@ -59,6 +59,9 @@ type Built struct {
 	Segments []storage.SegmentID
 	// NumKeys is the number of leaf entries.
 	NumKeys int
+	// Filter is the level filter over the leaf entries' prefixes: nil
+	// for an empty tree, or when the builder was given no collector.
+	Filter *Filter
 }
 
 // Builder constructs a B+ tree bottom-up from a sorted key stream.
@@ -74,6 +77,7 @@ type Builder struct {
 
 	levels []*levelBuilder // levels[0] = leaves
 	built  Built
+	filter *FilterCollector // every entry's prefix, for built.Filter; nil builds none
 
 	// The previous entry, for the order guard. lastKey is its full key
 	// in a buffer the builder owns, empty while nobody has needed it.
@@ -123,6 +127,15 @@ func NewBuilder(dev storage.Device, nodeSize int, emit EmitFunc) (*Builder, erro
 		return nil, fmt.Errorf("btree: node size %d leaves no slots in a framed segment", nodeSize)
 	}
 	return &Builder{dev: dev, geo: geo, nodeSize: nodeSize, slots: slots, emit: emit}, nil
+}
+
+// SetFilterCollector makes b build its level's filter, gathering the
+// entries' prefixes in c, which it empties first; a builder given none
+// builds no filter. Call it before the first Add; c is the caller's
+// again once Finish returns.
+func (b *Builder) SetFilterCollector(c *FilterCollector) {
+	c.Reset()
+	b.filter = c
 }
 
 func (b *Builder) newLevel(kind byte) *levelBuilder {
@@ -232,6 +245,9 @@ func (b *Builder) AddEntry(e LeafEntry, key []byte, fullKey FullKeyReader) error
 	b.lastKey = append(b.lastKey[:0], key...)
 	leaf.diffHi, leaf.diffLo = diffHi, diffLo
 	leaf.entries = append(leaf.entries, e)
+	if b.filter != nil {
+		b.filter.Add(&e.Prefix)
+	}
 	b.built.NumKeys++
 	return nil
 }
@@ -448,6 +464,10 @@ func (b *Builder) dropSegment(seg storage.SegmentID) {
 func (b *Builder) Finish() (Built, error) {
 	if b.built.NumKeys == 0 {
 		return b.built, nil
+	}
+	var err error
+	if b.built.Filter, err = b.filter.Build(b.built.NumKeys); err != nil {
+		return Built{}, err
 	}
 	// Seal bottom-up. Sealing level i may append a pivot to level i+1,
 	// so iterate by index (len may grow).

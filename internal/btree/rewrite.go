@@ -29,6 +29,15 @@ type SegmentMapper func(storage.SegmentID) (storage.SegmentID, error)
 //
 // data must be a whole number of node blocks (as emitted by Builder).
 func RewriteSegment(data []byte, nodeSize int, geo storage.Geometry, mapIndex, mapLog SegmentMapper) (pointers int, err error) {
+	return RewriteLevelSegment(data, nodeSize, geo, mapIndex, mapLog, nil)
+}
+
+// RewriteLevelSegment is RewriteSegment for a segment of a level being
+// received: it also adds every leaf entry's prefix to filter, the pass
+// that rebases the entries' offsets being the one that already reads
+// them, so a level's segments build its filter with nothing shipped
+// for it. A nil filter collects nothing.
+func RewriteLevelSegment(data []byte, nodeSize int, geo storage.Geometry, mapIndex, mapLog SegmentMapper, filter *FilterCollector) (pointers int, err error) {
 	if nodeSize < minNodeSize {
 		return 0, fmt.Errorf("%w: node size %d", ErrCorruptNode, nodeSize)
 	}
@@ -44,7 +53,7 @@ func RewriteSegment(data []byte, nodeSize int, geo storage.Geometry, mapIndex, m
 			// shipping during backup state transfer hits this).
 			return pointers, nil
 		case kindLeaf:
-			n, err := rewriteLeaf(block, geo, mapLog)
+			n, err := rewriteLeaf(block, geo, mapLog, filter)
 			if err != nil {
 				return pointers, err
 			}
@@ -62,10 +71,13 @@ func RewriteSegment(data []byte, nodeSize int, geo storage.Geometry, mapIndex, m
 	return pointers, nil
 }
 
-func rewriteLeaf(block []byte, geo storage.Geometry, mapLog SegmentMapper) (int, error) {
+func rewriteLeaf(block []byte, geo storage.Geometry, mapLog SegmentMapper, filter *FilterCollector) (int, error) {
 	l, err := leafOf(block)
 	if err != nil {
 		return 0, err
+	}
+	if filter != nil {
+		filter.addLeaf(&l)
 	}
 	for i := 0; i < l.count; i++ {
 		field := l.field(i)

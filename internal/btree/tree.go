@@ -12,7 +12,7 @@ import (
 // long the key must stay good is the consumer's to say: Tree.Get and
 // the seeks compare a candidate and drop it, so a reader may hand them
 // the same buffer every call; Builder.AddEntry holds one key across its
-// next read and needs a slice of its own each time.
+// next read, so a reader that fills two buffers by turns serves it.
 type FullKeyReader func(storage.Offset) ([]byte, error)
 
 // Tree provides read access to a built B+ tree.
@@ -118,32 +118,42 @@ func (t *Tree) findLeaf(key []byte) (*leaf, error) {
 // key it returns is compared and dropped before the next call, and the
 // last call made, if the key is found, was for valueOff.
 func (t *Tree) Get(key []byte, fullKey FullKeyReader) (valueOff storage.Offset, tombstone, found bool, err error) {
+	valueOff, tombstone, found, _, err = t.Lookup(key, fullKey)
+	return valueOff, tombstone, found, err
+}
+
+// Lookup is Get that also reports whether the leaf the key routes to
+// holds an entry with the key's prefix at all: tied is false when the
+// leaf search ended without a tie, which is what a level filter that let
+// the lookup through was wrong about.
+func (t *Tree) Lookup(key []byte, fullKey FullKeyReader) (valueOff storage.Offset, tombstone, found, tied bool, err error) {
 	if t.root == storage.NilOffset {
-		return storage.NilOffset, false, false, nil
+		return storage.NilOffset, false, false, false, nil
 	}
 	l, err := t.findLeaf(key)
 	if err != nil {
-		return storage.NilOffset, false, false, err
+		return storage.NilOffset, false, false, false, err
 	}
 	prefix := kv.MakePrefix(key)
 
 	// Scan the run of equal prefixes, resolving ties via the log.
 	i, tie := l.seek(&prefix)
 	for ; tie && i < l.count && l.carries(i, &prefix); i++ {
+		tied = true
 		e := l.entry(i)
 		full, err := fullKey(e.ValueOff)
 		if err != nil {
-			return storage.NilOffset, false, false, err
+			return storage.NilOffset, false, false, tied, err
 		}
 		switch kv.Compare(full, key) {
 		case 0:
-			return e.ValueOff, e.Tombstone, true, nil
+			return e.ValueOff, e.Tombstone, true, tied, nil
 		case 1:
 			// Entries are sorted by full key: passed the target.
-			return storage.NilOffset, false, false, nil
+			return storage.NilOffset, false, false, tied, nil
 		}
 	}
-	return storage.NilOffset, false, false, nil
+	return storage.NilOffset, false, false, tied, nil
 }
 
 // Iterator walks a tree's leaf entries in ascending key order, keeping a

@@ -75,6 +75,45 @@ func BenchmarkEngineGet(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineGetHashed measures point lookups of ycsb-shaped keys
+// (an 8-byte hash first, so every key has a prefix of its own) over two
+// device levels: 40 K keys in the deeper one and 12 K in L1, read in a
+// scattered order. A get of an L2 key walks L1 too unless L1's filter
+// rules its prefix out.
+func BenchmarkEngineGetHashed(b *testing.B) {
+	db := benchDB(b, 4096)
+	const n, deep = 52000, 40000
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = hashedKey(i)
+		if err := db.Put(keys[i], []byte("benchmark-value")); err != nil {
+			b.Fatal(err)
+		}
+		if i == deep-1 {
+			if err := db.CompactAll(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := db.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if lv := db.Levels(); lv[0].NumKeys != n-deep {
+		b.Fatalf("L1 holds %d keys, want %d", lv[0].NumKeys, n-deep)
+	}
+	var value []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var found bool
+		var err error
+		value, found, err = db.GetAppend(value[:0], keys[i*7919%n])
+		if err != nil || !found {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineScan measures 16-entry range scans.
 func BenchmarkEngineScan(b *testing.B) {
 	db := benchDB(b, 4096)

@@ -77,6 +77,7 @@ func (db *DB) CompactAll() error {
 			id:       db.nextJobID,
 			srcLevel: i,
 			dstLevel: i + 1,
+			filter:   db.filterLocked(i + 1),
 		}
 		db.nextJobID++
 		db.inflight[job.id] = job
@@ -156,12 +157,15 @@ func (db *DB) levelCursor(i int) (cursor, *level, error) {
 
 // mergedEntry is one index entry leaving a merge, as a leaf stores it.
 // key is the full key when the merge had it in memory (a memtable
-// entry, or a tree entry a prefix tie made it read) and nil otherwise;
-// it aliases memory nobody rewrites, so it crosses to the build stage
-// without a copy.
+// entry, or a tree entry a prefix tie made it read) and nil otherwise.
+// A memtable's key is in the table's arena, which nobody rewrites, and
+// crosses to the build stage without a copy. A tree entry's is lent: it
+// is the cursor's buffer, which the cursor's next tie overwrites, so an
+// entry kept past the merge's next step keeps a copy (entryBatch.add).
 type mergedEntry struct {
 	btree.LeafEntry
-	key []byte
+	key  []byte
+	lent bool
 }
 
 // mergeStream streams src and dst (src is the newer data and wins ties)
@@ -174,7 +178,9 @@ func (db *DB) mergeStream(src, dst cursor, emit func(mergedEntry) error) error {
 	// take emits the entry c stands on and advances c.
 	take := func(c cursor) error {
 		merged++
-		if err := emit(mergedEntry{LeafEntry: c.entry(), key: c.heldKey()}); err != nil {
+		key := c.heldKey()
+		_, lent := c.(*treeCursor)
+		if err := emit(mergedEntry{LeafEntry: c.entry(), key: key, lent: lent && key != nil}); err != nil {
 			return err
 		}
 		return c.next()
@@ -285,15 +291,17 @@ func (c *memCursor) entry() btree.LeafEntry {
 
 // treeCursor streams a B+-tree level from its leaves. A leaf entry is
 // all it holds; the entry's full key is in the value log and is read —
-// into a buffer of its own, charged to comp — only if somebody asks
+// into the cursor's buffer, charged to comp — only if somebody asks
 // (the random-read cost KV separation trades for lower write
-// amplification, paid on prefix ties instead of on every entry).
+// amplification, paid on prefix ties instead of on every entry). The
+// key it returns is good until it reads the next one.
 type treeCursor struct {
 	db   *DB
 	it   btree.Iterator
 	comp metrics.Component // who drives the cursor: a compaction or a scan
 	e    btree.LeafEntry   // the entry it stands on, while valid
-	full []byte            // e's full key once read
+	full []byte            // e's full key once read, in buf
+	buf  []byte            // the memory full keys are read into
 }
 
 // seek makes c a scan's cursor over tree, standing on the first entry
@@ -313,7 +321,8 @@ func (c *treeCursor) load() {
 	}
 }
 
-// reset empties c, keeping its iterator's memory for the next scan.
+// reset empties c, keeping its iterator's and its key's memory for the
+// next scan.
 func (c *treeCursor) reset() {
 	c.it.Reset()
 	c.db, c.e, c.full = nil, btree.LeafEntry{}, nil
@@ -325,7 +334,8 @@ func (c *treeCursor) heldKey() []byte        { return c.full }
 
 func (c *treeCursor) key() ([]byte, error) {
 	if c.full == nil {
-		key, err := c.db.readKey(c.e.ValueOff, c.comp)
+		key, err := c.db.appendKey(c.buf, c.e.ValueOff, c.comp)
+		c.buf = key[:0]
 		if err != nil {
 			return nil, err
 		}

@@ -21,7 +21,8 @@ var (
 	ErrClosed = errors.New("lsm: database closed")
 )
 
-// level is one on-device level (L1..).
+// level is one on-device level (L1..). built.Filter, when not nil, is
+// the prefix filter a lookup tests before it walks tree.
 type level struct {
 	tree  *btree.Tree
 	built btree.Built
@@ -55,10 +56,11 @@ type DB struct {
 	geo storage.Geometry
 	log *vlog.Log
 
-	cycles *metrics.Cycles
-	cost   metrics.CostModel
-	stats  *metrics.CompactionStats
-	trace  *obs.Tracer
+	cycles  *metrics.Cycles
+	cost    metrics.CostModel
+	stats   *metrics.CompactionStats
+	trace   *obs.Tracer
+	lookups *metrics.LookupStats // gets', apart from the fields every get reads
 
 	listener atomic.Value // holds listenerBox
 
@@ -79,6 +81,9 @@ type DB struct {
 	inflight  map[uint64]*compactionJob
 	nextJobID uint64
 	exclusive bool // CompactAll holds the whole level range
+	// filterBufs are the collectors a job's builder gathers the level's
+	// filter in.
+	filterBufs btree.FilterCollectors
 }
 
 // New creates an empty DB.
@@ -121,6 +126,7 @@ func newWithLog(opt Options, log *vlog.Log, states []LevelState) (*DB, error) {
 		cost:     opt.Cost,
 		stats:    opt.CompactionStats,
 		trace:    opt.Trace,
+		lookups:  new(metrics.LookupStats),
 		levels:   make([]*level, opt.MaxLevels),
 		inflight: make(map[uint64]*compactionJob),
 	}
@@ -146,6 +152,7 @@ func newWithLog(opt Options, log *vlog.Log, states []LevelState) (*DB, error) {
 				Root:     st.Root,
 				Segments: append([]storage.SegmentID(nil), st.Segments...),
 				NumKeys:  st.NumKeys,
+				Filter:   st.Filter,
 			},
 		}
 	}
@@ -177,6 +184,10 @@ func (db *DB) Log() *vlog.Log { return db.log }
 // CompactionStats returns a snapshot of the engine's compaction pipeline
 // and writer-stall accounting.
 func (db *DB) CompactionStats() metrics.CompactionSnapshot { return db.stats.Snapshot() }
+
+// LookupStats returns what the engine's gets that reached its
+// on-device levels have done there so far.
+func (db *DB) LookupStats() metrics.LookupSnapshot { return db.lookups.Snapshot() }
 
 // Watermark returns the current compaction watermark: the log offset
 // below which all data is in on-device levels.
@@ -378,6 +389,7 @@ func (db *DB) Levels() []LevelState {
 				Root:     lv.built.Root,
 				Segments: append([]storage.SegmentID(nil), lv.built.Segments...),
 				NumKeys:  lv.built.NumKeys,
+				Filter:   lv.built.Filter,
 			}
 		}
 		out = append(out, st)

@@ -323,7 +323,7 @@ func (db *DB) relocateVictim(seg storage.SegmentID, res *GCResult) error {
 func (db *DB) entryAtLocked(key []byte) (memtable.Entry, bool) {
 	r := db.acquireReader()
 	defer r.release()
-	off, tomb, found, _, err := db.locateLocked(key, r.fullKey)
+	off, tomb, found, _, err := db.locateLocked(key, r.fullKey, nil)
 	if err != nil || !found {
 		return memtable.Entry{}, false
 	}

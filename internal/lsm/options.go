@@ -43,6 +43,9 @@ type CompactionJob struct {
 	SrcLevel int
 	// DstLevel is the level receiving the merge (SrcLevel+1).
 	DstLevel int
+	// Filter says the job builds the prefix filter of the level it
+	// installs; a job into the deepest level holding keys builds none.
+	Filter bool
 }
 
 // CompactionResult describes a finished compaction, as delivered to the
@@ -198,4 +201,8 @@ type LevelState struct {
 	Segments []storage.SegmentID
 	// NumKeys counts the level's leaf entries.
 	NumKeys int
+	// Filter is the level's prefix filter, which a lookup tests before
+	// it walks the tree. It is never written once built, so states
+	// share it. Nil walks the level on every lookup.
+	Filter *btree.Filter
 }

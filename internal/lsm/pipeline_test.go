@@ -106,7 +106,7 @@ func l0Job(t testing.TB, db *DB) (CompactionJob, cursor, cursor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return CompactionJob{ID: 1 << 20, SrcLevel: 0, DstLevel: 1}, &memCursor{it: mt.Iter()}, dst
+	return CompactionJob{ID: 1 << 20, SrcLevel: 0, DstLevel: 1, Filter: true}, &memCursor{it: mt.Iter()}, dst
 }
 
 // referenceRun is what the pipeline computes, on one goroutine:
@@ -131,9 +131,10 @@ func runReference(db *DB, ref CompactionJob, src, dst cursor) (referenceRun, err
 	if err != nil {
 		return r, err
 	}
-	fullKey := func(off storage.Offset) ([]byte, error) {
-		return db.readKey(off, metrics.CompCompaction)
+	if ref.Filter {
+		b.SetFilterCollector(new(btree.FilterCollector))
 	}
+	keys := &keyReader{db: db}
 	dropTombstones := ref.DstLevel == len(db.levels)-1
 	deadHdr := make([]byte, vlog.HeaderSize)
 	err = db.mergeStream(src, dst, func(e mergedEntry) error {
@@ -142,12 +143,14 @@ func runReference(db *DB, ref CompactionJob, src, dst cursor) (referenceRun, err
 			db.recordDead(e.ValueOff, deadHdr)
 			return nil
 		}
-		return b.AddEntry(e.LeafEntry, e.key, fullKey)
+		return b.AddEntry(e.LeafEntry, e.key, keys.read)
 	})
 	if err != nil {
 		return r, err
 	}
-	r.built, err = b.Finish()
+	if r.built, err = b.Finish(); err == nil && ref.Filter {
+		db.charge(metrics.CompCompaction, uint64(r.built.NumKeys)*db.cost.FilterPerKey)
+	}
 	return r, err
 }
 
@@ -308,4 +311,72 @@ func TestPipelineMergeErrorMidBatch(t *testing.T) {
 		t.Fatalf("pipeline = %v, want a corrupt-node error", err)
 	}
 	waitGoroutines(t, before)
+}
+
+// TestMergeOfTiedKeysAllocatesNothingPerEntry: a compaction whose keys
+// all tie on their leaf prefixes reads both full keys of every
+// comparison, and the builder the key of every entry the merge did not
+// read (past the end of the other source, every entry ties with the one
+// before it). Those reads land in buffers the cursors and the build
+// stage own, and a key that rides a batch to the build stage is copied
+// into the batch's arena, so a job allocates per job, per leaf and per
+// segment, never per entry: under 0.01 allocations per merged entry,
+// where a slice per key read costs one or more.
+func TestMergeOfTiedKeysAllocatesNothingPerEntry(t *testing.T) {
+	opt, _ := testOptions(t)
+	opt.NodeSize = 4096 // a leaf of tied keys holds 679 entries
+	opt.L0MaxKeys = 1 << 20
+	opt.MaxLevels = 3
+	db, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	// L2 holds the even keys below n; L1 the odd ones, interleaved with
+	// them, and then n/2 keys past them.
+	const n = 20000
+	put := func(from, to, step int) {
+		for i := from; i < to; i += step {
+			if err := db.Put(sharedKey(i), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(0, n, 2)
+	if err := db.CompactAll(); err != nil { // into L2
+		t.Fatal(err)
+	}
+	put(1, n, 2)
+	put(n, n+n/2, 1)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const merged = n + n/2
+	if lv := db.Levels(); lv[0].NumKeys+lv[1].NumKeys != merged || lv[1].NumKeys != n/2 {
+		t.Fatalf("levels hold %d and %d keys, want %d and %d", lv[0].NumKeys, lv[1].NumKeys, merged-n/2, n/2)
+	}
+	ref := CompactionJob{ID: 1 << 20, SrcLevel: 1, DstLevel: 2}
+	job := func() {
+		src, _, err := db.levelCursor(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, _, err := db.levelCursor(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := db.pipeline(ref, src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if built.NumKeys != merged {
+			t.Fatalf("the merge built %d keys, want %d", built.NumKeys, merged)
+		}
+		db.freeBuilt(built)
+	}
+	perEntry := testing.AllocsPerRun(3, job) / merged
+	t.Logf("%.4f allocations per merged entry", perEntry)
+	if perEntry >= 0.01 {
+		t.Fatalf("a merge of tied keys allocates %.3f times per entry, want < 0.01", perEntry)
+	}
 }

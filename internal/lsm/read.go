@@ -89,31 +89,47 @@ func (r *reader) header(off storage.Offset) (vlog.Header, error) {
 
 // locateLocked finds the newest index entry for key: the active L0, the
 // frozen tables newest first, then the levels, whose prefix ties
-// fullKey resolves. visited counts the tables looked in. Caller holds
-// db.mu (read or write).
-func (db *DB) locateLocked(key []byte, fullKey btree.FullKeyReader) (off storage.Offset, tomb, found bool, visited int, err error) {
-	visited = 1
+// fullKey resolves. A level whose filter rules the key's prefix out is
+// skipped, not walked. cost is the lookup's charge: a table looked in
+// or a tree walked costs GetPerLevel, a filter probe FilterPerKey. A
+// lookup that reaches the levels is counted in stats, which may be nil.
+// Caller holds db.mu (read or write).
+func (db *DB) locateLocked(key []byte, fullKey btree.FullKeyReader, stats *metrics.LookupStats) (off storage.Offset, tomb, found bool, cost uint64, err error) {
+	tables := 1
 	if e, ok := db.l0.Get(key); ok {
-		return e.Off, e.Tombstone, true, visited, nil
+		return e.Off, e.Tombstone, true, db.cost.GetPerLevel, nil
 	}
 	for i := len(db.frozen) - 1; i >= 0; i-- {
-		visited++
+		tables++
 		if e, ok := db.frozen[i].mt.Get(key); ok {
-			return e.Off, e.Tombstone, true, visited, nil
+			return e.Off, e.Tombstone, true, uint64(tables) * db.cost.GetPerLevel, nil
 		}
 	}
-	for i := 1; i < len(db.levels); i++ {
+	prefix := kv.MakePrefix(key)
+	probes, walked, skipped, missed := 0, 0, 0, 0
+	for i := 1; i < len(db.levels) && !found && err == nil; i++ {
 		lv := db.levels[i]
 		if lv == nil {
 			continue
 		}
-		visited++
-		off, tomb, found, err = lv.tree.Get(key, fullKey)
-		if err != nil || found {
-			return off, tomb, found, visited, err
+		filter := lv.built.Filter
+		if filter != nil {
+			probes++
+			if !filter.MayContain(&prefix) {
+				skipped++
+				continue
+			}
+		}
+		walked++
+		var tied bool
+		off, tomb, found, tied, err = lv.tree.Lookup(key, fullKey)
+		if filter != nil && !tied {
+			missed++
 		}
 	}
-	return storage.NilOffset, false, false, visited, nil
+	stats.Record(walked, skipped, missed)
+	cost = uint64(tables+walked)*db.cost.GetPerLevel + uint64(probes)*db.cost.FilterPerKey
+	return off, tomb, found, cost, err
 }
 
 // Get returns the value for key in a slice of its own. found is false
@@ -146,11 +162,11 @@ func (db *DB) GetRange(dst, key []byte, from, n int) (out []byte, total int, fou
 	if db.closed {
 		return dst, 0, false, ErrClosed
 	}
-	off, tomb, found, visited, err := db.locateLocked(key, r.fullKey)
+	off, tomb, found, cost, err := db.locateLocked(key, r.fullKey, db.lookups)
 	if err != nil {
 		return dst, 0, false, err
 	}
-	db.charge(metrics.CompOther, uint64(visited)*db.cost.GetPerLevel)
+	db.charge(metrics.CompOther, cost)
 	if !found || tomb {
 		return dst, 0, false, nil
 	}
@@ -169,13 +185,17 @@ func (db *DB) GetRange(dst, key []byte, from, n int) (out []byte, total int, fou
 	return out, h.ValLen(), true, nil
 }
 
-// readKey resolves a full key from the log into a slice of its own,
-// charging the read I/O to c: for the compaction merge and the index
-// builder, which keep a key past their next read.
-func (db *DB) readKey(off storage.Offset, c metrics.Component) ([]byte, error) {
-	key, err := db.log.GetKey(off)
+// appendKey reads the full key of the record at off into dst's memory,
+// over whatever dst held, charging the read I/O to c: for the cursors
+// and the build stage of a compaction, which read ties into buffers of
+// their own. Eight bytes of spare capacity take the header.
+func (db *DB) appendKey(dst []byte, off storage.Offset, c metrics.Component) ([]byte, error) {
+	if cap(dst) < 64 {
+		dst = make([]byte, 0, 64)
+	}
+	key, _, err := db.log.AppendKey(dst[:0], off)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	db.charge(c, db.cost.ReadIO(vlog.HeaderSize+len(key)))
 	return key, nil

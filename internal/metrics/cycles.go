@@ -195,6 +195,10 @@ type CostModel struct {
 	PollPerMessage uint64
 	// GetPerLevel is the index walk cost per level visited by a read.
 	GetPerLevel uint64
+	// FilterPerKey is the cost of one level-filter operation: a get's
+	// probe before it walks a level, or one leaf entry's prefix hashed
+	// into a level's filter by the builder or the Send-Index rewrite.
+	FilterPerKey uint64
 }
 
 // DefaultCostModel returns the calibrated default model.
@@ -215,6 +219,16 @@ func DefaultCostModel() CostModel {
 		// breakdown has comparable proportions.
 		PollPerMessage: 12_000,
 		GetPerLevel:    1800,
+		// Calibrated like RewritePerPointer, at its ratio (a rebased
+		// pointer ≈ 6.6 ns for 35 cycles), against the rewrite rung of
+		// the same run, because one host's ns move by half between
+		// runs: go test ./internal/btree -bench 'Filter|RewriteLevel'
+		// -cpu 1 prices a builder add (hash and collect, then its share
+		// of setting bits) at ≈ 33 cycles, a rewrite add, whose prefix
+		// is put together from the leaf's columns, at ≈ 47 and a get's
+		// probe at ≈ 39 (12.8, 18.7 and 15.5 ns on a host where a
+		// pointer cost 13.8 ns; medians of 7 rounds). Their mean is 40.
+		FilterPerKey: 40,
 	}
 }
 

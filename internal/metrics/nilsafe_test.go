@@ -54,6 +54,14 @@ func TestCompactionStatsNilSafe(t *testing.T) {
 	}
 }
 
+func TestLookupStatsNilSafe(t *testing.T) {
+	var s *LookupStats
+	s.Record(2, 1, 1)
+	if s.Snapshot() != (LookupSnapshot{}) {
+		t.Fatal("nil LookupStats reported lookups")
+	}
+}
+
 // exactPercentile computes the true percentile from a sorted sample set
 // using the same ceil-rank convention the histogram implements.
 func exactPercentile(sorted []time.Duration, p float64) time.Duration {

@@ -115,7 +115,10 @@ type Backup struct {
 	// local segment (OpFetchSegment), forward to re-localize a pushed
 	// repair image (OpRepairSegment).
 	levelMaps map[int]map[storage.SegmentID]storage.SegmentID
-	db        *lsm.DB // own engine (Build-Index)
+	// filterBufs are the collectors ship jobs gather their level's
+	// filter in.
+	filterBufs btree.FilterCollectors
+	db         *lsm.DB // own engine (Build-Index)
 	// watermarkPrimary is the last compaction watermark in primary
 	// device space.
 	watermarkPrimary storage.Offset
@@ -143,12 +146,24 @@ type idxWork struct {
 }
 
 // shipJob is the backup's staging state for one in-flight compaction:
-// the primary→local index segment map and the rewritten segments per
-// destination level. The primary may run several jobs concurrently, so
-// the backup keys this state by job ID.
+// the primary→local index segment map, the rewritten segments per
+// destination level, and, when the primary builds the level's filter,
+// the prefixes of every leaf entry rewritten so far, which become the
+// installed level's filter (nil when it builds none). The primary may
+// run several jobs concurrently, so the backup keys this state by job
+// ID.
 type shipJob struct {
 	idxMap  *SegMap
 	pending map[int][]storage.SegmentID
+	filter  *btree.FilterCollector
+}
+
+// release hands back the job's collector, if it took one.
+func (s *shipJob) release(bufs *btree.FilterCollectors) {
+	if s.filter != nil {
+		bufs.Give(s.filter)
+		s.filter = nil
+	}
 }
 
 // NewBackup creates the backup-side state for a region replica.
@@ -549,11 +564,16 @@ func (b *Backup) handleCompactionStart(h wire.Header, req wire.CompactionStart) 
 		if err := old.idxMap.FreeAll(); err != nil {
 			b.failLocked(fmt.Errorf("replica: freeing stale ship job %d: %w", req.JobID, err))
 		}
+		old.release(&b.filterBufs)
 	}
-	b.ships[req.JobID] = &shipJob{
+	ship := &shipJob{
 		idxMap:  NewSegMap(b.cfg.Device),
 		pending: make(map[int][]storage.SegmentID),
 	}
+	if req.Filter {
+		ship.filter = b.filterBufs.Take()
+	}
+	b.ships[req.JobID] = ship
 	return ackMessage(h, wire.OpIndexSegmentAck), nil
 }
 
@@ -584,15 +604,18 @@ func (b *Backup) handleIndexSegment(h wire.Header, req wire.IndexSegment) ([]byt
 		data = raw
 	}
 	rewriteStart := time.Now()
-	pointers, err := btree.RewriteSegment(
+	entries := ship.filter.Len()
+	pointers, err := btree.RewriteLevelSegment(
 		data, b.cfg.LSM.NodeSize, b.geo,
 		ship.idxMap.Resolve, // child pointers → index map
 		b.logMap.Resolve,    // value offsets → log map (lazy for tail refs)
+		ship.filter,         // leaf prefixes → the level's filter
 	)
 	if err != nil {
 		return nil, err
 	}
-	b.charge(metrics.CompRewriteIndex, uint64(pointers)*b.cfg.Cost.RewritePerPointer)
+	b.charge(metrics.CompRewriteIndex, uint64(pointers)*b.cfg.Cost.RewritePerPointer+
+		uint64(ship.filter.Len()-entries)*b.cfg.Cost.FilterPerKey)
 
 	local, err := ship.idxMap.Resolve(storage.SegmentID(req.PrimarySeg))
 	if err != nil {
@@ -613,8 +636,10 @@ func (b *Backup) handleIndexSegment(h wire.Header, req wire.IndexSegment) ([]byt
 }
 
 // handleCompactionDone installs the shipped level: translate the root
-// through the index map, adopt the pending segments, release the levels
-// the compaction replaced.
+// through the index map, adopt the pending segments with the filter the
+// rewrite built from their leaves, release the levels the compaction
+// replaced. A filter that did not see the level's every entry fails the
+// install rather than let a lookup skip a level holding its key.
 func (b *Backup) handleCompactionDone(h wire.Header, req wire.CompactionDone) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -632,10 +657,15 @@ func (b *Backup) handleCompactionDone(h wire.Header, req wire.CompactionDone) ([
 		if !ok {
 			return nil, fmt.Errorf("replica: root segment %d never shipped", b.geo.Segment(rootOff))
 		}
+		filter, err := ship.filter.Build(int(req.NumKeys))
+		if err != nil {
+			return nil, fmt.Errorf("replica: level %d of job %d: %w", dst, req.JobID, err)
+		}
 		newState = lsm.LevelState{
 			Root:     b.geo.Rebase(rootOff, localSeg),
 			Segments: ship.pending[dst],
 			NumKeys:  int(req.NumKeys),
+			Filter:   filter,
 		}
 	}
 
@@ -665,6 +695,7 @@ func (b *Backup) handleCompactionDone(h wire.Header, req wire.CompactionDone) ([
 	if ship != nil {
 		ship.idxMap.Clear() // segment ownership moved to the level
 		delete(b.ships, req.JobID)
+		ship.release(&b.filterBufs)
 	}
 	return ackMessage(h, wire.OpCompactionDoneAck), nil
 }

@@ -22,7 +22,9 @@ import (
 // one full Scan on the promoted engine are checked against a reference
 // map. Every index segment the primary's compactions ship, and every
 // pointer the backup rewrites through its index and log maps, lies under
-// what the promoted engine reads.
+// what the promoted engine reads. Before the promotion, every level
+// filter the backup built from the leaves it rewrote must be the
+// primary's, bit for bit: the promoted engine serves with them.
 //
 // The shapes are those of the engine's own model test (lsm
 // TestModelEquivalence): keys that tie on their leaf prefixes through
@@ -38,17 +40,18 @@ func TestPairModelEquivalence(t *testing.T) {
 		t.Cleanup(func() { mem.Close() })
 		return mem
 	}
+	filtered := 0 // levels whose equal filters were not nil
 	t.Run("mem", func(t *testing.T) {
-		testPairModel(t, modelPlainKey, memDev, lsmOpts())
+		filtered += testPairModel(t, modelPlainKey, memDev, lsmOpts())
 	})
 	t.Run("prefixTies", func(t *testing.T) {
 		opt := lsmOpts()
 		opt.L0MaxKeys = 24
 		opt.GrowthFactor = 2
-		testPairModel(t, modelTieKey, memDev, opt)
+		filtered += testPairModel(t, modelTieKey, memDev, opt)
 	})
 	t.Run("tinyNodeCache", func(t *testing.T) {
-		testPairModel(t, modelPlainKey, func(t *testing.T) storage.Device {
+		filtered += testPairModel(t, modelPlainKey, func(t *testing.T) storage.Device {
 			mem, err := storage.NewMemDevice(16<<10, 32)
 			if err != nil {
 				t.Fatal(err)
@@ -59,6 +62,9 @@ func TestPairModelEquivalence(t *testing.T) {
 			return dev
 		}, lsmOpts())
 	})
+	if filtered == 0 {
+		t.Fatal("no run left a filtered level to compare")
+	}
 }
 
 // modelPlainKey and modelTieKey are the engine model test's key
@@ -105,12 +111,15 @@ func modelPair(t *testing.T, newDev func(*testing.T) storage.Device, opt lsm.Opt
 	return p, db, b
 }
 
-func testPairModel(t *testing.T, keyOf func(int) string, newDev func(*testing.T) storage.Device, opt lsm.Options) {
+// testPairModel runs the model and returns how many filtered levels it
+// compared.
+func testPairModel(t *testing.T, keyOf func(int) string, newDev func(*testing.T) storage.Device, opt lsm.Options) int {
 	type op struct {
 		Kind  uint8 // 0..5: put, put, put, delete, delete, flush
 		Key   uint16
 		Value uint8
 	}
+	filtered := 0
 	f := func(ops []op, seed int64) bool {
 		opt := opt
 		opt.Seed = seed
@@ -150,6 +159,21 @@ func testPairModel(t *testing.T, keyOf func(int) string, newDev func(*testing.T)
 		if err := b.Err(); err != nil {
 			t.Logf("backup: %v", err)
 			return false
+		}
+		// The backup built each level's filter from the leaves it
+		// rewrote, for the levels the primary's builder built one for:
+		// bit for bit the primary's filter.
+		primaryLevels := db.Levels()
+		for i, st := range b.LevelStates(len(primaryLevels) + 1) {
+			pst := primaryLevels[i]
+			if st.NumKeys != pst.NumKeys || !st.Filter.Equal(pst.Filter) || (st.Filter != nil && st.NumKeys == 0) {
+				t.Logf("L%d: backup holds %d keys, filter %v; primary %d keys; filters equal: %v",
+					i+1, st.NumKeys, st.Filter != nil, pst.NumKeys, st.Filter.Equal(pst.Filter))
+				return false
+			}
+			if st.Filter != nil {
+				filtered++
+			}
 		}
 
 		p.Detach(b)
@@ -201,4 +225,5 @@ func testPairModel(t *testing.T, keyOf func(int) string, newDev func(*testing.T)
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+	return filtered
 }

@@ -622,6 +622,7 @@ func (p *Primary) OnCompactionStart(job lsm.CompactionJob) {
 		JobID:    job.ID,
 		SrcLevel: uint8(job.SrcLevel),
 		DstLevel: uint8(job.DstLevel),
+		Filter:   job.Filter,
 	}.Encode(nil)
 	for _, h := range p.handles() {
 		p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAPost)

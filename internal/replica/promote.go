@@ -37,6 +37,7 @@ func (b *Backup) Promote() (*lsm.DB, error) {
 		if err := ship.idxMap.FreeAll(); err != nil {
 			return nil, err
 		}
+		ship.release(&b.filterBufs)
 		delete(b.ships, id)
 	}
 

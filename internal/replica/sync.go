@@ -135,6 +135,7 @@ func (p *Primary) transfer(b *Backup) (int64, error) {
 				JobID:    jobID,
 				SrcLevel: 0,
 				DstLevel: uint8(lvl),
+				Filter:   st.Filter != nil,
 			}.Encode(nil)
 			if err := p.rpc(h, wire.OpCompactionStart, start); err != nil {
 				return shipped, err

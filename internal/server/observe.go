@@ -37,7 +37,8 @@ func (s *Server) Observe(reg *obs.Registry) {
 // owns, all from one pass over the hosted-region table and one read of
 // each byte counter: device and network bytes with the amplification
 // ratios derived from them (Figure 7), live engine gauges (memtable
-// size, value-log position and space, compaction queue depth), and the
+// size, value-log position and space, compaction queue depth), the
+// engines' point-lookup level counts, and the
 // per-region families, whose children appear when the master splits a
 // region or migrates one here.
 func (s *Server) Collect() []metrics.Family {
@@ -94,7 +95,9 @@ func (s *Server) Collect() []metrics.Family {
 	var vlogPos float64
 	var queued int
 	var space vlog.SpaceReport
+	var lookups metrics.LookupSnapshot
 	for _, db := range dbs {
+		lookups.Add(db.LookupStats())
 		memtable += db.MemtableBytes()
 		vlogPos += float64(db.Log().Position())
 		frozen, inflight := db.QueueDepth()
@@ -123,5 +126,6 @@ func (s *Server) Collect() []metrics.Family {
 	}
 	fams = append(fams, dev.Families()...)
 	fams = append(fams, space.Families()...)
+	fams = append(fams, lookups.Families()...)
 	return append(fams, metrics.AmplificationFamilies(dev.BytesRead+dev.BytesWritten, tx+rx, s.dataset.Load())...)
 }

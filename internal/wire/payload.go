@@ -362,8 +362,15 @@ type CompactionStart struct {
 	RegionID uint16
 	JobID    uint64
 	SrcLevel uint8
-	DstLevel uint8
+	DstLevel uint8 // below startFilterBit
+	// Filter tells the backup to build the level's prefix filter while
+	// it rewrites the job's segments, as the primary's builder does. It
+	// rides in DstLevel's top bit, so the payload is no longer for it.
+	Filter bool
 }
+
+// startFilterBit is CompactionStart.Filter in the DstLevel byte.
+const startFilterBit = 0x80
 
 // Size returns the encoded payload length.
 func (r CompactionStart) Size() int { return 4 + 8 + 2 }
@@ -372,7 +379,11 @@ func (r CompactionStart) Size() int { return 4 + 8 + 2 }
 func (r CompactionStart) Encode(dst []byte) []byte {
 	dst = appendU32(grow(dst, r.Size()), uint32(r.RegionID))
 	dst = appendU64(dst, r.JobID)
-	return append(dst, r.SrcLevel, r.DstLevel)
+	dstLevel := r.DstLevel
+	if r.Filter {
+		dstLevel |= startFilterBit
+	}
+	return append(dst, r.SrcLevel, dstLevel)
 }
 
 // DecodeCompactionStart parses a CompactionStart payload.
@@ -392,7 +403,8 @@ func DecodeCompactionStart(p []byte) (CompactionStart, error) {
 		RegionID: uint16(rid),
 		JobID:    job,
 		SrcLevel: rest[0],
-		DstLevel: rest[1],
+		DstLevel: rest[1] &^ startFilterBit,
+		Filter:   rest[1]&startFilterBit != 0,
 	}, nil
 }
 

@@ -206,11 +206,13 @@ func TestControlPayloadsRoundTrip(t *testing.T) {
 	if err != nil || ft.RegionID != 5 || ft.PrimarySeg != 77 {
 		t.Fatalf("flush = %+v %v", ft, err)
 	}
-	cs, err := DecodeCompactionStart(CompactionStart{
-		RegionID: 9, JobID: 1<<62 + 5, SrcLevel: 1, DstLevel: 2,
-	}.Encode(nil))
-	if err != nil || cs.RegionID != 9 || cs.JobID != 1<<62+5 || cs.SrcLevel != 1 || cs.DstLevel != 2 {
-		t.Fatalf("compaction start = %+v %v", cs, err)
+	for _, filter := range []bool{false, true} {
+		cs, err := DecodeCompactionStart(CompactionStart{
+			RegionID: 9, JobID: 1<<62 + 5, SrcLevel: 1, DstLevel: 2, Filter: filter,
+		}.Encode(nil))
+		if err != nil || cs.RegionID != 9 || cs.JobID != 1<<62+5 || cs.SrcLevel != 1 || cs.DstLevel != 2 || cs.Filter != filter {
+			t.Fatalf("compaction start = %+v %v", cs, err)
+		}
 	}
 	is, err := DecodeIndexSegment(IndexSegment{
 		RegionID: 9, JobID: 41, DstLevel: 2, Kind: 1, PrimarySeg: 33, DataLen: 4096,
