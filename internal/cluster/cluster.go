@@ -358,20 +358,6 @@ func mapReferences(rmap *region.Map, name string) bool {
 	return false
 }
 
-// SplitRegion splits a region online at splitKey (nil asks the serving
-// host for its sampled median). The split is logical — both children
-// keep serving from the shared engine — and clients converge through
-// wrong-epoch retries. Returns the right child's ID.
-func (c *Cluster) SplitRegion(id region.ID, splitKey []byte) (region.ID, error) {
-	return c.leader.SplitRegion(id, splitKey)
-}
-
-// MergeRegion folds a split's right child back into its left sibling
-// while they still share an engine.
-func (c *Cluster) MergeRegion(leftID, rightID region.ID) error {
-	return c.leader.MergeRegion(leftID, rightID)
-}
-
 // MigrateRegion live-migrates a region to another server: the
 // destination is seeded with the source's built index segments and log
 // tail over the replica ship path, writes drain through a short freeze
@@ -381,13 +367,6 @@ func (c *Cluster) MergeRegion(leftID, rightID region.ID) error {
 // balancing.
 func (c *Cluster) MigrateRegion(id region.ID, to string) (int64, error) {
 	return c.leader.MigrateRegion(id, to)
-}
-
-// Rebalance runs one load-driven rebalancing round on the acting
-// master: split the hottest region at its median and migrate the new
-// child to the coldest live server.
-func (c *Cluster) Rebalance() (master.RebalanceReport, error) {
-	return c.leader.Rebalance()
 }
 
 // FailMaster kills the acting master. A standby candidate wins the

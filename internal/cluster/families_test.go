@@ -85,7 +85,11 @@ func labelKeys(t *testing.T, line string) []string {
 // links to. Run with -update-golden after adding a family.
 func TestFamiliesGolden(t *testing.T) {
 	c, reg := observedCluster(t)
-	if _, err := c.SplitRegion(0, []byte("k000700")); err != nil {
+	r0, err := c.Leader().Map().ByID(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.MigrateRegion(0, r0.Backups[0]); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

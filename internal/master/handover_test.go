@@ -111,13 +111,5 @@ func TestHandOverRefusals(t *testing.T) {
 	if _, err := h.m.MigrateRegion(region.ID(99), r0.Backups[0]); err == nil {
 		t.Fatal("hand-over of unknown region accepted")
 	}
-	// An engine owner with alias children cannot hand its primary role
-	// over, not even to a backup that already holds the whole engine.
-	if _, err := h.m.SplitRegion(0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.m.MigrateRegion(0, r0.Backups[0]); err == nil {
-		t.Fatal("hand-over of an engine owner with alias children accepted")
-	}
 	h.assertConverged(h.m)
 }

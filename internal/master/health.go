@@ -114,10 +114,7 @@ func (m *Master) ClusterHealth() ClusterHealthReport {
 			}
 			rh.Backups = append(rh.Backups, bh)
 		}
-		// Split children mirror their engine owner's replica set and
-		// carry no replica state of their own; judge only root regions
-		// against the replication factor.
-		if !r.HasParent && liveBackups < rep.ReplicationFactor {
+		if liveBackups < rep.ReplicationFactor {
 			rh.ReplicaDeficit = rep.ReplicationFactor - liveBackups
 			rep.Healthy = false
 		}

@@ -42,17 +42,11 @@ type Host interface {
 	Primary(id region.ID) (*replica.Primary, bool)
 	DropRegion(id region.ID) error
 
-	// Reconfiguration surface: freeze windows, logical splits and merges
-	// of hosted regions, and the load/split-point signals the rebalancer
-	// reads.
+	// Reconfiguration surface: the freeze window a migration brackets
+	// its hand-off in.
 	Freeze(id region.ID) error
 	Unfreeze(r region.Region, l region.Lease) error
 	Frozen(id region.ID) bool
-	SplitHosted(left, right region.Region) error
-	MergeHosted(merged region.Region, rightID region.ID) error
-	AliasChildren(owner region.ID) []region.ID
-	RegionLoads() map[region.ID]region.Load
-	SplitKey(id region.ID) ([]byte, error)
 
 	// Health surface: Ready mirrors the node's /readyz check (nil when
 	// the node would serve), Lag exposes the per-backup replication-lag
@@ -90,10 +84,7 @@ type Master struct {
 	rmap          *region.Map
 	replicas      int
 	reconfiguring bool
-	lastLoads     map[region.ID]uint64
 	shipBytes     map[region.ID]int64
-	splits        uint64
-	merges        uint64
 	migrations    uint64
 	reconfAborts  uint64
 
@@ -130,7 +121,6 @@ func New(cfg Config) (*Master, error) {
 		events:    cfg.Events,
 		hosts:     map[string]Host{},
 		live:      map[string]bool{},
-		lastLoads: map[region.ID]uint64{},
 		shipBytes: map[region.ID]int64{},
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -333,13 +323,6 @@ func (m *Master) HandleServerFailure(name string) error {
 	m.mu.Unlock()
 
 	for _, r := range rmap.Regions {
-		if r.HasParent {
-			// Split children have no replica state of their own: they serve
-			// from the parent's engine and mirror its backup list. The
-			// engine owner's failover below carries them; their alias
-			// entries are recreated on the new primary afterwards.
-			continue
-		}
 		if r.Primary == name {
 			if err := m.failPrimary(r); err != nil {
 				return err
@@ -352,62 +335,7 @@ func (m *Master) HandleServerFailure(name string) error {
 			}
 		}
 	}
-	if err := m.reparentAliases(); err != nil {
-		return err
-	}
 	return m.publishMap()
-}
-
-// reparentAliases realigns every split child with its engine owner's
-// placement: after a failover moved the owner's primary, the child's
-// alias entry is recreated on the new primary (the failed host took the
-// old entries down with it) and its map row re-points there.
-func (m *Master) reparentAliases() error {
-	m.mu.Lock()
-	snap := m.rmap.Clone()
-	m.mu.Unlock()
-	for _, r := range snap.Regions {
-		if !r.HasParent {
-			continue
-		}
-		root, err := rootOwner(snap, r)
-		if err != nil {
-			return err
-		}
-		if r.Primary == root.Primary {
-			continue
-		}
-		host, err := m.host(root.Primary)
-		if err != nil {
-			return err
-		}
-		if err := host.SplitHosted(root, r); err != nil {
-			return err
-		}
-		nr := r.Clone()
-		nr.Primary = root.Primary
-		nr.Backups = append([]string(nil), root.Backups...)
-		m.mu.Lock()
-		err = m.rmap.SetRegion(nr)
-		m.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// rootOwner follows a split child's parent chain to the region that
-// actually owns the shared engine.
-func rootOwner(rm *region.Map, r region.Region) (region.Region, error) {
-	for r.HasParent {
-		p, err := rm.ByID(r.Parent)
-		if err != nil {
-			return region.Region{}, err
-		}
-		r = p
-	}
-	return r, nil
 }
 
 // liveBackups lists r's backups on live servers, skipping except.
@@ -424,11 +352,10 @@ func (m *Master) liveBackups(r region.Region, except string) []string {
 }
 
 // handOver is the one promote-and-rewire sequence behind every change of
-// a region's primary — failure promotion, whole-region migration, and a
-// split child's separation (§3.1, §3.5): the backup of region id on
-// server to becomes the primary, the followers re-key their log maps
-// through its pre-promotion log map and attach to it, and demoted (the
-// old primary's host; nil when it failed or keeps its own engine) joins
+// a region's primary — failure promotion and migration (§3.1, §3.5): the
+// backup of region id on server to becomes the primary, the followers
+// re-key their log maps through its pre-promotion log map and attach to
+// it, and demoted (the old primary's host; nil when it failed) joins
 // them as one more backup. The caller has detached the old primary from
 // its backups and, for a planned hand-over, frozen the region, drained
 // compactions and sealed the log tail.
@@ -494,9 +421,9 @@ func (m *Master) failPrimary(r region.Region) error {
 		return err
 	}
 
-	// The promoted backup's hosted descriptor predates any splits of the
-	// region (backups don't track epoch bumps); install the current one
-	// with a serving lease.
+	// The promoted backup's hosted descriptor may predate a migration of
+	// the region (backups don't track epoch bumps); install the current
+	// one with a serving lease.
 	if err := host.Unfreeze(updated, region.Lease{
 		Region: r.ID, Epoch: updated.Epoch, Holder: promoteTo,
 	}); err != nil {

@@ -13,7 +13,7 @@ func (m *Master) Observe(reg *obs.Registry) {
 }
 
 // Collect implements metrics.Source with the reconfiguration families:
-// lifetime split/merge/migration/abort counters and the per-region bytes
+// lifetime migration and abort counters and the per-region bytes
 // shipped to seed migration destinations over the index-ship path (the
 // figure-of-merit showing migrations reuse built indexes instead of
 // re-compacting).
@@ -26,10 +26,6 @@ func (m *Master) Collect() []metrics.Family {
 		shipped.Add(fmt.Sprintf(`region="%d"`, id), float64(n))
 	}
 	return []metrics.Family{
-		metrics.Counter("tebis_region_splits_total",
-			"Completed online region splits.", metrics.Value(float64(m.splits))),
-		metrics.Counter("tebis_region_merges_total",
-			"Completed online region merges.", metrics.Value(float64(m.merges))),
 		metrics.Counter("tebis_region_migrations_total",
 			"Completed live region migrations.", metrics.Value(float64(m.migrations))),
 		metrics.Counter("tebis_region_reconfig_aborts_total",

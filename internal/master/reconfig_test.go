@@ -30,162 +30,6 @@ func (h *harness) seed(id region.ID, n int) {
 	}
 }
 
-func TestSplitRegionOnline(t *testing.T) {
-	h := newHarness(t, 2, replica.SendIndex)
-	h.bootstrap(1, 1)
-	h.seed(0, 500)
-	before, _ := h.m.Map().ByID(0)
-
-	newID, err := h.m.SplitRegion(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := h.m.Map()
-	if err := after.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(after.Regions) != 2 {
-		t.Fatalf("regions after split = %d", len(after.Regions))
-	}
-	left, _ := after.ByID(0)
-	right, _ := after.ByID(newID)
-	if !right.HasParent || right.Parent != 0 {
-		t.Fatalf("right child parent = %v/%v", right.HasParent, right.Parent)
-	}
-	if left.Epoch <= before.Epoch || right.Epoch <= before.Epoch {
-		t.Fatalf("epochs did not advance: %d/%d from %d", left.Epoch, right.Epoch, before.Epoch)
-	}
-	// Both children serve from the same engine on the same host: the
-	// right child is an alias, not a second primary.
-	srv := h.servers[left.Primary]
-	if kids := srv.AliasChildren(0); len(kids) != 1 || kids[0] != newID {
-		t.Fatalf("alias children = %v", kids)
-	}
-	if _, ok := srv.Primary(newID); ok {
-		t.Fatal("split child must not have its own primary replica")
-	}
-	if srv.Frozen(0) || srv.Frozen(newID) {
-		t.Fatal("regions left frozen after split")
-	}
-	// The published map reflects the split for clients and successors.
-	data, err := h.zk.NewSession().Get(RegionMapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub, err := region.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pub.ByID(newID); err != nil {
-		t.Fatal("published map missing split child")
-	}
-}
-
-func TestSplitThenMergeRoundTrips(t *testing.T) {
-	h := newHarness(t, 2, replica.SendIndex)
-	h.bootstrap(1, 1)
-	h.seed(0, 400)
-
-	newID, err := h.m.SplitRegion(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.m.MergeRegion(0, newID); err != nil {
-		t.Fatal(err)
-	}
-	after := h.m.Map()
-	if err := after.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(after.Regions) != 1 {
-		t.Fatalf("regions after merge = %d", len(after.Regions))
-	}
-	merged, _ := after.ByID(0)
-	srv := h.servers[merged.Primary]
-	if kids := srv.AliasChildren(0); len(kids) != 0 {
-		t.Fatalf("alias children survive merge: %v", kids)
-	}
-	if srv.Frozen(0) {
-		t.Fatal("region left frozen after merge")
-	}
-}
-
-func TestMigrateChildShipsIndexAndSeparates(t *testing.T) {
-	// 3 servers, one region on s0 (backup s1), s2 idle. Split, then move
-	// the right child to s2: its engine must be seeded over the ship path.
-	h := newHarness(t, 3, replica.SendIndex)
-	h.bootstrap(1, 1)
-	h.seed(0, 600)
-
-	newID, err := h.m.SplitRegion(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	right, _ := h.m.Map().ByID(newID)
-	shipped, err := h.m.MigrateRegion(newID, "s2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shipped <= 0 {
-		t.Fatalf("migration shipped %d bytes; the destination must be seeded over the ship path", shipped)
-	}
-
-	after := h.m.Map()
-	if err := after.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	moved, _ := after.ByID(newID)
-	if moved.Primary != "s2" {
-		t.Fatalf("migrated child primary = %s", moved.Primary)
-	}
-	if moved.HasParent {
-		t.Fatal("migrated child still linked to parent engine")
-	}
-	if moved.Epoch <= right.Epoch {
-		t.Fatalf("epoch did not advance on migration: %d -> %d", right.Epoch, moved.Epoch)
-	}
-	if len(moved.Backups) == 0 {
-		t.Fatal("migrated child's replica set was not re-seeded")
-	}
-	// The destination serves the child's keys from its own engine.
-	np, ok := h.servers["s2"].Primary(newID)
-	if !ok {
-		t.Fatal("destination does not host the migrated child")
-	}
-	var inRange int
-	for i := 0; i < 600; i++ {
-		key := []byte(fmt.Sprintf("key%06d", i))
-		if !moved.Contains(key) {
-			continue
-		}
-		inRange++
-		if _, found, err := np.DB().Get(key); err != nil || !found {
-			t.Fatalf("migrated key %s: found=%v err=%v", key, found, err)
-		}
-	}
-	if inRange == 0 {
-		t.Fatal("no keys landed in the migrated child's range")
-	}
-	// The source dropped the alias and thawed the left sibling.
-	if _, ok := h.servers["s0"].Primary(newID); ok {
-		t.Fatal("source still hosts the migrated child")
-	}
-	if kids := h.servers["s0"].AliasChildren(0); len(kids) != 0 {
-		t.Fatalf("source alias children after migration: %v", kids)
-	}
-	for _, srv := range h.servers {
-		for _, r := range after.Regions {
-			if srv.Frozen(r.ID) {
-				t.Fatalf("%s left region %d frozen", srv.Name(), r.ID)
-			}
-		}
-	}
-	// Ship-bytes accounting feeds the tebis_region_ship_bytes_total family.
-	if got := h.m.ShipBytes()[newID]; got != shipped {
-		t.Fatalf("ShipBytes[%d] = %d, want %d", newID, got, shipped)
-	}
-}
-
 func TestMigrateWholeRegion(t *testing.T) {
 	h := newHarness(t, 3, replica.SendIndex)
 	h.bootstrap(1, 1)
@@ -222,18 +66,6 @@ func TestMigrateWholeRegion(t *testing.T) {
 		if _, found, err := np.DB().Get(key); err != nil || !found {
 			t.Fatalf("key %s after migration: found=%v err=%v", key, found, err)
 		}
-	}
-}
-
-func TestMigrateOwnerWithChildrenRefused(t *testing.T) {
-	h := newHarness(t, 3, replica.SendIndex)
-	h.bootstrap(1, 1)
-	h.seed(0, 300)
-	if _, err := h.m.SplitRegion(0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.m.MigrateRegion(0, "s2"); err == nil {
-		t.Fatal("migrating an engine owner with live split children must be refused")
 	}
 }
 
@@ -283,63 +115,14 @@ func (h *harness) assertConverged(m2 *Master) {
 	}
 }
 
-func TestMasterFailoverMidSplit(t *testing.T) {
-	for _, phase := range []string{PhasePrepare, PhaseTransfer, PhaseSwitch} {
-		t.Run(phase, func(t *testing.T) {
-			h := newHarness(t, 2, replica.SendIndex)
-			h.bootstrap(1, 1)
-			h.seed(0, 400)
-
-			h.m.ReconfigHook = func(op, ph string) error {
-				if ph == phase {
-					return errors.New("master killed by test")
-				}
-				return nil
-			}
-			if _, err := h.m.SplitRegion(0, nil); !errors.Is(err, ErrReconfigInterrupted) {
-				t.Fatalf("err = %v, want interrupted", err)
-			}
-
-			m2 := h.successor()
-			h.assertConverged(m2)
-			// The successor either found the split committed (published) or
-			// rolled it back; in the latter case the operation re-runs
-			// cleanly.
-			if len(m2.Map().Regions) == 1 {
-				if phase == PhaseSwitch {
-					t.Fatal("post-publish interruption must complete, not abort")
-				}
-				if _, err := m2.SplitRegion(0, nil); err != nil {
-					t.Fatalf("re-split after abort: %v", err)
-				}
-			}
-			if got := len(m2.Map().Regions); got != 2 {
-				t.Fatalf("regions after recovery = %d", got)
-			}
-			h.assertConverged(m2)
-			// The left child still serves writes under its new lease.
-			left, _ := m2.Map().ByID(0)
-			p, ok := h.servers[left.Primary].Primary(0)
-			if !ok {
-				t.Fatal("left child lost its primary")
-			}
-			if err := p.DB().Put([]byte("key000000x"), []byte("post")); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 func TestMasterFailoverMidMigration(t *testing.T) {
 	// bootstrap(1, 1) places region 0 on s0 with backup s1; s2 is outside.
 	flavors := []struct {
-		name  string
-		split bool   // migrate region 0's split child instead of region 0
-		to    string // destination server
+		name string
+		to   string // destination server
 	}{
-		{"child", true, "s2"},
-		{"whole-to-outsider", false, "s2"},
-		{"whole-to-backup", false, "s1"},
+		{"whole-to-outsider", "s2"},
+		{"whole-to-backup", "s1"},
 	}
 	for _, fl := range flavors {
 		for _, phase := range []string{PhasePrepare, PhaseTransfer, PhaseSwitch} {
@@ -348,12 +131,6 @@ func TestMasterFailoverMidMigration(t *testing.T) {
 				h.bootstrap(1, 1)
 				h.seed(0, 500)
 				id := region.ID(0)
-				if fl.split {
-					var err error
-					if id, err = h.m.SplitRegion(0, nil); err != nil {
-						t.Fatal(err)
-					}
-				}
 
 				h.m.ReconfigHook = func(op, ph string) error {
 					if op == OpMigrate && ph == phase {
@@ -387,13 +164,10 @@ func TestMasterFailoverMidMigration(t *testing.T) {
 					t.Fatalf("primary after recovery = %s", moved.Primary)
 				}
 				h.assertConverged(m2)
-				// Exactly one serving copy: destination primary, no source alias.
+				// Exactly one serving copy: the destination's primary.
 				np, ok := h.servers[fl.to].Primary(id)
 				if !ok {
 					t.Fatal("destination not serving after recovery")
-				}
-				if kids := h.servers["s0"].AliasChildren(0); len(kids) != 0 {
-					t.Fatalf("source still aliases the migrated child: %v", kids)
 				}
 				if len(moved.Backups) == 0 {
 					t.Fatal("migrated region has no backups after recovery")
@@ -435,23 +209,5 @@ func (h *harness) assertBackupSurvivedAbort(m2 *Master) {
 		if _, found, err := np.DB().Get([]byte(k)); err != nil || !found {
 			h.t.Fatalf("Get(%s) after abort+failover = %v, %v", k, found, err)
 		}
-	}
-}
-
-func TestRebalanceSplitsAndMigratesHotRegion(t *testing.T) {
-	h := newHarness(t, 3, replica.SendIndex)
-	h.bootstrap(2, 1)
-	h.seed(0, 800)
-
-	// Fake traffic: region 0's stats only move through the serving path,
-	// so drive load by recording ops — here we lean on the seed writes
-	// having gone through the engine directly, which the stats don't see.
-	// Rebalance must therefore report "none" first (no measured traffic).
-	rep, err := h.m.Rebalance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Action != "none" {
-		t.Fatalf("rebalance with no measured traffic acted: %+v", rep)
 	}
 }

@@ -30,18 +30,12 @@ type Region struct {
 	Primary string
 	// Backups are the region servers holding backup roles.
 	Backups []string
-	// Epoch is the region's reconfiguration generation. It advances when
-	// the region's key range or serving location changes (split, merge,
-	// migration), so servers can reject requests routed with a stale map
-	// (wrong-epoch) instead of silently serving the wrong range. Epoch 0
-	// on the wire means "unchecked" (old encoders).
+	// Epoch is the region's reconfiguration generation. Key ranges are
+	// fixed at bootstrap, so it advances only when a migration moves the
+	// region's primary role, and servers reject requests routed with a
+	// stale map (wrong-epoch) instead of serving a region they no longer
+	// own. Epoch 0 on the wire means "unchecked".
 	Epoch uint32
-	// Parent links a split child to the region whose engine it still
-	// shares: a split is logical (both children serve from the parent's
-	// engine on the same servers) until a migration physically separates
-	// them. HasParent distinguishes parent ID 0 from "no parent".
-	Parent    ID
-	HasParent bool
 }
 
 // Contains reports whether key falls in the region's range.
@@ -188,109 +182,8 @@ func (m *Map) AddBackup(id ID, server string) error {
 	return fmt.Errorf("%w: %d", ErrUnknownID, id)
 }
 
-// NextID returns the smallest region ID not in use — the ID a split
-// assigns to the new right-hand child.
-func (m *Map) NextID() ID {
-	used := make(map[ID]bool, len(m.Regions))
-	for _, r := range m.Regions {
-		used[r.ID] = true
-	}
-	for i := 0; i < 1<<16; i++ {
-		if !used[ID(i)] {
-			return ID(i)
-		}
-	}
-	return 0
-}
-
-// Split divides region id at mid: the left child keeps id and
-// [Start, mid), the right child gets newID and [mid, End) with the same
-// replica group. The right child records id as its Parent: both children
-// still serve from the parent's engine until a migration separates them.
-// Both children's epochs advance past the parent's so requests routed
-// with the pre-split map are rejected as wrong-epoch. Bumps Version.
-func (m *Map) Split(id ID, mid []byte, newID ID) error {
-	if len(mid) == 0 {
-		return fmt.Errorf("%w: empty split key", ErrBadMap)
-	}
-	if _, err := m.ByID(newID); err == nil {
-		return fmt.Errorf("%w: split target ID %d in use", ErrBadMap, newID)
-	}
-	for i := range m.Regions {
-		if m.Regions[i].ID != id {
-			continue
-		}
-		r := &m.Regions[i]
-		if kv.Compare(mid, r.Start) <= 0 || (r.End != nil && kv.Compare(mid, r.End) >= 0) {
-			return fmt.Errorf("%w: split key %q outside region %d", ErrBadMap, mid, id)
-		}
-		right := Region{
-			ID:        newID,
-			Start:     append([]byte(nil), mid...),
-			End:       append([]byte(nil), r.End...),
-			Primary:   r.Primary,
-			Backups:   append([]string(nil), r.Backups...),
-			Epoch:     r.Epoch + 1,
-			Parent:    id,
-			HasParent: true,
-		}
-		r.End = append([]byte(nil), mid...)
-		r.Epoch++
-		// Insert right immediately after left to keep Regions sorted by
-		// Start (Lookup's binary search depends on it).
-		m.Regions = append(m.Regions, Region{})
-		copy(m.Regions[i+2:], m.Regions[i+1:])
-		m.Regions[i+1] = right
-		m.Version++
-		return nil
-	}
-	return fmt.Errorf("%w: %d", ErrUnknownID, id)
-}
-
-// Merge folds the right-hand split child back into its left sibling:
-// rightID must be adjacent to leftID, share its replica group, and be a
-// split child of leftID (only siblings still sharing an engine can
-// merge). The left region absorbs the right's range; its epoch advances.
-// Bumps Version.
-func (m *Map) Merge(leftID, rightID ID) error {
-	li, ri := -1, -1
-	for i := range m.Regions {
-		switch m.Regions[i].ID {
-		case leftID:
-			li = i
-		case rightID:
-			ri = i
-		}
-	}
-	if li < 0 {
-		return fmt.Errorf("%w: %d", ErrUnknownID, leftID)
-	}
-	if ri < 0 {
-		return fmt.Errorf("%w: %d", ErrUnknownID, rightID)
-	}
-	left, right := &m.Regions[li], &m.Regions[ri]
-	if ri != li+1 || !bytes.Equal(left.End, right.Start) {
-		return fmt.Errorf("%w: regions %d and %d not adjacent", ErrBadMap, leftID, rightID)
-	}
-	if !right.HasParent || right.Parent != leftID {
-		return fmt.Errorf("%w: region %d is not a split child of %d", ErrBadMap, rightID, leftID)
-	}
-	if left.Primary != right.Primary {
-		return fmt.Errorf("%w: regions %d and %d have different primaries", ErrBadMap, leftID, rightID)
-	}
-	left.End = right.End
-	if e := right.Epoch; e > left.Epoch {
-		left.Epoch = e
-	}
-	left.Epoch++
-	m.Regions = append(m.Regions[:ri], m.Regions[ri+1:]...)
-	m.Version++
-	return nil
-}
-
-// SetRegion replaces the stored region with the same ID (reconfiguration
-// paths update placement, epoch, and parent linkage in one step). Bumps
-// Version.
+// SetRegion replaces the stored region with the same ID (a migration
+// updates placement and epoch in one step). Bumps Version.
 func (m *Map) SetRegion(r Region) error {
 	for i := range m.Regions {
 		if m.Regions[i].ID == r.ID {
@@ -320,18 +213,6 @@ type Lease struct {
 func (l Lease) Valid(epoch uint32) bool {
 	return l.Holder != "" && l.Epoch == epoch
 }
-
-// Load is one hosted region's cumulative traffic counters, as reported
-// by its serving server. The master diffs successive snapshots to find
-// hot regions.
-type Load struct {
-	Reads, Writes, Scans uint64
-	// Bytes is the request payload volume the region absorbed.
-	Bytes uint64
-}
-
-// Ops is the total operation count.
-func (l Load) Ops() uint64 { return l.Reads + l.Writes + l.Scans }
 
 // Partition tiles the 2-byte key prefix space into n regions and assigns
 // primaries and backups round-robin over servers, placing each region's
@@ -420,17 +301,13 @@ func (m *Map) Encode() []byte {
 			out = appendBytes16(out, []byte(b))
 		}
 		out = binary.LittleEndian.AppendUint32(out, r.Epoch)
-		if r.HasParent {
-			out = append(out, 1)
-			out = binary.LittleEndian.AppendUint16(out, uint16(r.Parent))
-		} else {
-			out = append(out, 0)
-		}
 	}
 	return out
 }
 
-// Decode parses an encoded map.
+// Decode parses an encoded map. Input left over after the last region
+// is malformed: a truncated or differently laid out map must not parse
+// as a shorter one.
 func Decode(p []byte) (*Map, error) {
 	if len(p) < 12 {
 		return nil, ErrBadMap
@@ -452,12 +329,21 @@ func Decode(p []byte) (*Map, error) {
 		if len(p) < 1 {
 			return nil, ErrBadMap
 		}
-		bounded := p[0] == 1
+		bounded := p[0]
 		p = p[1:]
-		if bounded {
+		switch bounded {
+		case 0:
+		case 1:
+			// A bound is a non-empty key: an empty one decodes to nil,
+			// which Encode writes as unbounded.
 			if r.End, p, err = readBytes16(p); err != nil {
 				return nil, err
 			}
+			if len(r.End) == 0 {
+				return nil, fmt.Errorf("%w: region %d bounded by the empty key", ErrBadMap, r.ID)
+			}
+		default:
+			return nil, fmt.Errorf("%w: region %d bound flag %d", ErrBadMap, r.ID, bounded)
 		}
 		var prim []byte
 		if prim, p, err = readBytes16(p); err != nil {
@@ -476,20 +362,15 @@ func Decode(p []byte) (*Map, error) {
 			}
 			r.Backups = append(r.Backups, string(b))
 		}
-		if len(p) < 5 {
+		if len(p) < 4 {
 			return nil, ErrBadMap
 		}
 		r.Epoch = binary.LittleEndian.Uint32(p)
-		r.HasParent = p[4] == 1
-		p = p[5:]
-		if r.HasParent {
-			if len(p) < 2 {
-				return nil, ErrBadMap
-			}
-			r.Parent = ID(binary.LittleEndian.Uint16(p))
-			p = p[2:]
-		}
+		p = p[4:]
 		m.Regions = append(m.Regions, r)
+	}
+	if len(p) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadMap, len(p))
 	}
 	return m, nil
 }

@@ -2,11 +2,9 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
-	"tebis/internal/kv"
 	"tebis/internal/lsm"
 	"tebis/internal/metrics"
 	"tebis/internal/obs"
@@ -27,8 +25,8 @@ const (
 )
 
 // regionStats is one hosted region's cumulative traffic counters and
-// service-latency histogram — the load signal the master's rebalancer
-// diffs, and the source of the tebis_region_* metric families.
+// service-latency histogram, the source of the tebis_region_* metric
+// families.
 type regionStats struct {
 	reads, writes, scans, bytes atomic.Uint64
 	lat                         *metrics.Histogram
@@ -57,23 +55,14 @@ func (st *regionStats) record(op wire.Op, payloadBytes int, d time.Duration) {
 	st.lat.Record(d)
 }
 
-func (st *regionStats) load() region.Load {
-	return region.Load{
-		Reads:  st.reads.Load(),
-		Writes: st.writes.Load(),
-		Scans:  st.scans.Load(),
-		Bytes:  st.bytes.Load(),
-	}
-}
-
 // regionRef is an admitted op's hold on the region it addressed: the
-// engine serving it, and the inflight counts Freeze drains. A value, not
+// engine serving it, and the inflight count Freeze drains. A value, not
 // a closure: acquiring a region allocates nothing.
 type regionRef struct {
 	db *lsm.DB
 	// end is the addressed region's exclusive upper bound (nil for +inf):
-	// split children share the parent's engine, so range reads must stop
-	// there rather than run into a sibling's keys. It is the hosted
+	// the server does not range-check a put, so a scan stops here to keep
+	// its reply inside the addressed region. It is the hosted
 	// descriptor's own slice — descriptors are replaced, never edited, so
 	// it is safe to read without the lock, and must not be written.
 	end []byte
@@ -81,17 +70,12 @@ type regionRef struct {
 	// the region is hosted here, even if the op was then refused.
 	stats *regionStats
 
-	hr, eng *hostedRegion
+	hr *hostedRegion
 }
 
 // release drops the inflight hold; the caller invokes it when the op
 // completes.
-func (r regionRef) release() {
-	r.hr.inflight.Add(-1)
-	if r.eng != r.hr {
-		r.eng.inflight.Add(-1)
-	}
-}
+func (r regionRef) release() { r.hr.inflight.Add(-1) }
 
 // acquire resolves the engine serving region id for one op, enforcing
 // the epoch check (epoch 0 means unchecked) and, for writes, the lease.
@@ -118,8 +102,8 @@ func (s *Server) acquire(id region.ID, epoch uint32, write bool) (regionRef, err
 }
 
 // tryAcquire is one resolution attempt; a non-nil wait channel means the
-// region (or its engine owner) is frozen and the caller should block on
-// it and retry. On failure the ref carries nothing but stats.
+// region is frozen and the caller should block on it and retry. On
+// failure the ref carries nothing but stats.
 func (s *Server) tryAcquire(id region.ID, epoch uint32, write bool) (regionRef, chan struct{}, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -138,29 +122,14 @@ func (s *Server) tryAcquire(id region.ID, epoch uint32, write bool) (regionRef, 
 		return refused, nil, fmt.Errorf("%w: region %d is at epoch %d, request routed with %d",
 			ErrWrongEpoch, id, hr.info.Epoch, epoch)
 	}
-	eng := hr
-	if hr.isAlias {
-		eng = s.regions[hr.owner]
-		if eng == nil {
-			return refused, nil, ErrUnknownRegion
-		}
-		if eng.frozen {
-			return refused, eng.freezeCh, fmt.Errorf("server: region %d frozen for reconfiguration", hr.owner)
-		}
-	}
-	if eng.db == nil {
+	if hr.db == nil {
 		return refused, nil, ErrNotPrimary
 	}
 	if write && !hr.lease.Valid(hr.info.Epoch) {
 		return refused, nil, fmt.Errorf("%w: region %d at epoch %d", ErrNoLease, id, hr.info.Epoch)
 	}
 	hr.inflight.Add(1)
-	if eng != hr {
-		// Hold the owner too: freezing the owner must drain alias ops that
-		// run on its engine.
-		eng.inflight.Add(1)
-	}
-	return regionRef{db: eng.db, end: hr.info.End, stats: hr.stats, hr: hr, eng: eng}, nil, nil
+	return regionRef{db: hr.db, end: hr.info.End, stats: hr.stats, hr: hr}, nil, nil
 }
 
 // Freeze begins a reconfiguration freeze window on one hosted region:
@@ -232,172 +201,4 @@ func (s *Server) Frozen(id region.ID) bool {
 	defer s.mu.Unlock()
 	hr, ok := s.regions[id]
 	return ok && hr.frozen
-}
-
-// SplitHosted installs the post-split state of a region this server
-// serves: the left child keeps the engine, and the right child becomes
-// an alias entry resolving to the same engine until a migration
-// separates it. The master also calls this after a failover to recreate
-// alias entries on a freshly promoted primary. Alias children can be
-// split again; the new entry aliases the root engine owner.
-func (s *Server) SplitHosted(left, right region.Region) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	hr, ok := s.regions[left.ID]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownRegion, left.ID)
-	}
-	owner := left.ID
-	if hr.isAlias {
-		owner = hr.owner
-	}
-	if ex, ok := s.regions[right.ID]; ok {
-		if !ex.isAlias || ex.owner != owner {
-			return fmt.Errorf("%w: %d", ErrRegionExists, right.ID)
-		}
-		// Idempotent re-ensure (a successor master replays the split it
-		// found in flight): refresh both descriptors and leases.
-		hr.info = left.Clone()
-		if hr.lease.Holder != "" {
-			hr.lease = region.Lease{Region: left.ID, Epoch: left.Epoch, Holder: s.cfg.Name}
-		}
-		ex.info = right.Clone()
-		if ex.lease.Holder != "" {
-			ex.lease = region.Lease{Region: right.ID, Epoch: right.Epoch, Holder: s.cfg.Name}
-		}
-		return nil
-	}
-	hr.info = left.Clone()
-	if hr.lease.Holder != "" {
-		hr.lease = region.Lease{Region: left.ID, Epoch: left.Epoch, Holder: s.cfg.Name}
-	}
-	s.regions[right.ID] = &hostedRegion{
-		info:    right.Clone(),
-		mode:    hr.mode,
-		isAlias: true,
-		owner:   owner,
-		lease:   region.Lease{Region: right.ID, Epoch: right.Epoch, Holder: s.cfg.Name},
-		stats:   newRegionStats(),
-	}
-	return nil
-}
-
-// MergeHosted collapses a hosted split pair back into one region after a
-// map-level Merge: the right child's alias entry is removed and the
-// surviving region takes the merged bounds and epoch.
-func (s *Server) MergeHosted(merged region.Region, rightID region.ID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	left, ok := s.regions[merged.ID]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownRegion, merged.ID)
-	}
-	right, ok := s.regions[rightID]
-	if !ok || !right.isAlias {
-		return fmt.Errorf("%w: %d is not a hosted alias", ErrUnknownRegion, rightID)
-	}
-	if right.frozen {
-		right.frozen = false
-		close(right.freezeCh)
-		right.freezeCh = nil
-	}
-	delete(s.regions, rightID)
-	left.info = merged.Clone()
-	if left.lease.Holder != "" {
-		left.lease = region.Lease{Region: merged.ID, Epoch: merged.Epoch, Holder: s.cfg.Name}
-	}
-	return nil
-}
-
-// AliasChildren lists the hosted alias entries resolving to owner's
-// engine — the split children that must move (or merge back) before the
-// owner itself can migrate.
-func (s *Server) AliasChildren(owner region.ID) []region.ID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []region.ID
-	for id, hr := range s.regions {
-		if hr.isAlias && hr.owner == owner {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// RegionLoads snapshots the cumulative traffic counters of every region
-// this server is serving (primaries and alias children; backups take no
-// client ops). The master diffs successive snapshots to find hot
-// regions.
-func (s *Server) RegionLoads() map[region.ID]region.Load {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[region.ID]region.Load, len(s.regions))
-	for id, hr := range s.regions {
-		if hr.db == nil && !hr.isAlias {
-			continue
-		}
-		out[id] = hr.stats.load()
-	}
-	return out
-}
-
-// SplitKey proposes a median split key for a hosted region by sampling
-// keys from its serving engine within the region's bounds. The sample is
-// decimated on the fly so memory stays bounded on arbitrarily large
-// regions.
-func (s *Server) SplitKey(id region.ID) ([]byte, error) {
-	s.mu.Lock()
-	hr, ok := s.regions[id]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d", ErrUnknownRegion, id)
-	}
-	eng := hr
-	if hr.isAlias {
-		eng = s.regions[hr.owner]
-	}
-	var db *lsm.DB
-	if eng != nil {
-		db = eng.db
-	}
-	start, end := hr.info.Start, hr.info.End
-	s.mu.Unlock()
-	if db == nil {
-		return nil, fmt.Errorf("%w: %d", ErrNotPrimary, id)
-	}
-
-	const maxSample = 4096
-	keys := make([][]byte, 0, maxSample)
-	stride, seen := 1, 0
-	err := db.ScanLimit(start, lsm.Limit{Pairs: math.MaxInt, Bytes: math.MaxInt, End: end}, func(p kv.Pair) bool {
-		if end != nil && kv.Compare(p.Key, end) >= 0 {
-			return false
-		}
-		if seen%stride == 0 {
-			keys = append(keys, append([]byte(nil), p.Key...))
-			if len(keys) == maxSample {
-				// Keep every other sample and double the stride.
-				half := keys[:0]
-				for i := 0; i < maxSample; i += 2 {
-					half = append(half, keys[i])
-				}
-				keys = half
-				stride *= 2
-			}
-		}
-		seen++
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(keys) < 2 {
-		return nil, fmt.Errorf("server: region %d has too few keys to split", id)
-	}
-	// keys are ascending and distinct, and index len/2 >= 1, so the
-	// median is strictly inside (Start, End) as Map.Split requires.
-	return keys[len(keys)/2], nil
 }

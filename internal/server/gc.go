@@ -123,7 +123,7 @@ func (s *Server) primaryDBs() []*lsm.DB {
 	defer s.mu.Unlock()
 	dbs := make([]*lsm.DB, 0, len(s.regions))
 	for _, hr := range s.regions {
-		if hr.db != nil && !hr.isAlias {
+		if hr.db != nil {
 			dbs = append(dbs, hr.db)
 		}
 	}

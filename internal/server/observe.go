@@ -38,9 +38,8 @@ func (s *Server) Observe(reg *obs.Registry) {
 // each byte counter: device and network bytes with the amplification
 // ratios derived from them (Figure 7), live engine gauges (memtable
 // size, value-log position and space, compaction queue depth), the
-// engines' point-lookup level counts, and the
-// per-region families, whose children appear when the master splits a
-// region or migrates one here.
+// engines' point-lookup level counts, and the per-region families: an
+// epoch for every region hosted here, traffic for the ones it serves.
 func (s *Server) Collect() []metrics.Family {
 	type hosted struct {
 		id    region.ID
@@ -52,7 +51,7 @@ func (s *Server) Collect() []metrics.Family {
 	var dbs []*lsm.DB // hosted primaries plus Build-Index backup engines
 	for id, hr := range s.regions {
 		h := hosted{id: id, epoch: hr.info.Epoch}
-		if hr.db != nil || hr.isAlias {
+		if hr.db != nil {
 			h.stats = hr.stats
 		}
 		regions = append(regions, h)
@@ -70,7 +69,7 @@ func (s *Server) Collect() []metrics.Family {
 	bytes := metrics.Counter("tebis_region_bytes_total",
 		"Request payload bytes absorbed per hosted region.")
 	epoch := metrics.Gauge("tebis_region_epoch",
-		"Current epoch of every hosted region; a jump marks a split, merge, or migration.")
+		"Current epoch of every hosted region; a jump marks a migration or a failover.")
 	latency := metrics.Gauge("tebis_region_op_latency_seconds",
 		"Per-region service latency quantiles over the region's lifetime.")
 	for _, h := range regions {
@@ -78,11 +77,10 @@ func (s *Server) Collect() []metrics.Family {
 		if h.stats == nil {
 			continue
 		}
-		l := h.stats.load()
-		ops.Add(fmt.Sprintf(`kind="read",region="%d"`, h.id), float64(l.Reads))
-		ops.Add(fmt.Sprintf(`kind="scan",region="%d"`, h.id), float64(l.Scans))
-		ops.Add(fmt.Sprintf(`kind="write",region="%d"`, h.id), float64(l.Writes))
-		bytes.Add(fmt.Sprintf(`region="%d"`, h.id), float64(l.Bytes))
+		ops.Add(fmt.Sprintf(`kind="read",region="%d"`, h.id), float64(h.stats.reads.Load()))
+		ops.Add(fmt.Sprintf(`kind="scan",region="%d"`, h.id), float64(h.stats.scans.Load()))
+		ops.Add(fmt.Sprintf(`kind="write",region="%d"`, h.id), float64(h.stats.writes.Load()))
+		bytes.Add(fmt.Sprintf(`region="%d"`, h.id), float64(h.stats.bytes.Load()))
 		_, ps := h.stats.lat.Summarize()
 		for i, q := range metrics.Quantiles {
 			latency.Add(fmt.Sprintf(`quantile="%s",region="%d"`, q.Label, h.id), ps[i].Seconds())

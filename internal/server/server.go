@@ -179,12 +179,6 @@ type hostedRegion struct {
 	db      *lsm.DB          // the engine (primary role only)
 	backup  *replica.Backup  // non-nil when this server is a backup
 
-	// isAlias marks a split child that still shares its parent's engine:
-	// the entry resolves ops to the owner's engine until a migration
-	// separates the child onto its own server (DESIGN.md "Control plane").
-	isAlias bool
-	owner   region.ID // engine-owning region when isAlias
-
 	// lease authorizes serving writes at info.Epoch; Freeze revokes it,
 	// the master re-grants it with the post-reconfiguration epoch.
 	lease region.Lease
@@ -263,8 +257,8 @@ var (
 	ErrNotPrimary    = errors.New("server: not primary for region")
 	ErrRegionExists  = errors.New("server: region already hosted")
 	// ErrWrongEpoch rejects an op routed with a stale region map: the
-	// region is hosted here but was split, merged, or migrated since the
-	// client fetched its map. Replies carry FlagWrongEpoch.
+	// region is hosted here but was migrated since the client fetched its
+	// map. Replies carry FlagWrongEpoch.
 	ErrWrongEpoch = errors.New("server: region epoch mismatch")
 	// ErrNoLease rejects a write on a region whose lease was revoked or
 	// outdated by a reconfiguration; clients recover like wrong-epoch.
@@ -609,7 +603,7 @@ func (s *Server) DropRegion(id region.ID) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownRegion, id)
 	}
-	if hr.db != nil && !hr.isAlias {
+	if hr.db != nil {
 		return hr.db.Close()
 	}
 	return nil

@@ -273,10 +273,10 @@ func (w *worker) doScan(t task) (wire.Op, uint8, []byte) {
 	// Each pair goes into the reply as the scan hands it over — it is
 	// the scan's to overwrite once fn returns — and the count is filled
 	// in at the end. The engine stops at the request's count, the reply's
-	// budget and the region's bound — split children share the parent's
-	// engine, so the iteration must not walk into a sibling's (or a
-	// migrated-away child's stale) keys — and reads no record past them;
-	// fn's checks are a backstop.
+	// budget and the region's bound — a put is not range-checked, so the
+	// engine may hold keys outside the region, and the reply must not
+	// carry them — and reads no record past them; fn's checks are a
+	// backstop.
 	rep := wire.BeginScanReply(w.msg.Reserve(4 + max(budget, 0)))
 	count, size := 0, 0
 	lim := lsm.Limit{Pairs: int(req.Count), Bytes: budget, PairOverhead: wire.ScanPairOverhead, End: end}

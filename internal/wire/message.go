@@ -128,10 +128,9 @@ const (
 	// FlagWrongRegion tells the client its region map is stale (§3.1).
 	FlagWrongRegion = 1 << 2
 	// FlagWrongEpoch refines FlagWrongRegion: the server still hosts the
-	// region but at a newer epoch (it was split, merged, or migrated), so
-	// the client must refresh its map before retrying. Servers set it
-	// together with FlagWrongRegion so old clients fall back to the same
-	// refresh path.
+	// region but at a newer epoch (it was migrated), so the client must
+	// refresh its map before retrying. Servers set it together with
+	// FlagWrongRegion so old clients fall back to the same refresh path.
 	FlagWrongEpoch = 1 << 3
 	// FlagOverload marks a reply shed by admission control (DESIGN.md
 	// "Data path"): the server refused the request under overload, nothing
@@ -171,8 +170,8 @@ type Header struct {
 	TraceID uint64
 	// Epoch is the region epoch the client routed with. Servers compare
 	// it against the hosted region's epoch and reject mismatches with
-	// FlagWrongEpoch, so a request routed with a pre-split or
-	// pre-migration map can never read or write the wrong range. Like
+	// FlagWrongEpoch, so a request routed with a pre-migration map can
+	// never read or write a region its server no longer owns. Like
 	// TraceID it lives in previously reserved-as-zero bytes; epoch 0
 	// means "unchecked" (old encoders), preserving compatibility.
 	Epoch uint32

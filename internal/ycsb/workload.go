@@ -54,8 +54,8 @@ const (
 	// RunASkew is Run A (50% reads, 50% updates) with UNscrambled Zipfian
 	// ranks over ordered keys: hot ranks map to adjacent keys at the
 	// bottom of the keyspace, so one region absorbs nearly all traffic.
-	// It exists to trigger hot-region detection — the skewed workload the
-	// master's split/migrate rebalancing is tested against.
+	// It concentrates load on one region, the case a migration moves
+	// whole (ranges are fixed at bootstrap).
 	RunASkew
 )
 
@@ -175,7 +175,7 @@ func Key(i uint64) []byte {
 // number first, so record order IS key order. Under a prefix-partitioned
 // region map every ordered key lands in the first region, which is
 // exactly what RunASkew wants: a workload whose heat concentrates on one
-// region until the master splits it.
+// region.
 func OrderedKey(i uint64) []byte {
 	k := make([]byte, KeySize)
 	binary.BigEndian.PutUint64(k[0:8], i)
