@@ -25,8 +25,9 @@ check:
 	sh scripts/check.sh
 
 # stress re-runs the failure-prone suites — replication retry/eviction
-# and the segment map's lock-free hits, the compaction pipeline's batched
-# hand-off and its abort paths, the client ring/freeList property tests,
+# and the segment map's lock-free hits, the one compactor's job order and
+# writer stalls, the compaction pipeline's batched hand-off and its abort
+# paths, the client ring/freeList property tests,
 # the master's hand-over and interrupted-reconfiguration suites, the
 # lock-free segment reads of the device and the value log, and the
 # request path's lock-free polls, rkey table, spinner fast path,

@@ -22,10 +22,7 @@ import (
 	"tebis/internal/bench"
 	"tebis/internal/btree"
 	"tebis/internal/kv"
-	"tebis/internal/lsm"
 	"tebis/internal/metrics"
-	"tebis/internal/rdma"
-	"tebis/internal/replica"
 	"tebis/internal/storage"
 	"tebis/internal/ycsb"
 )
@@ -284,59 +281,6 @@ func BenchmarkAblationRewriteVsRebuild(b *testing.B) {
 			dev.Close()
 		}
 	})
-}
-
-// BenchmarkAblationShipIncrementalVsAtEnd compares streaming index
-// segments as they seal (the paper's design) against shipping the whole
-// index after the compaction finishes (DESIGN.md "Data path").
-func BenchmarkAblationShipIncrementalVsAtEnd(b *testing.B) {
-	run := func(b *testing.B, deferred bool) {
-		for i := 0; i < b.N; i++ {
-			devP, _ := storage.NewMemDevice(16<<10, 0)
-			devB, _ := storage.NewMemDevice(16<<10, 0)
-			p := replica.NewPrimary(replica.PrimaryConfig{
-				RegionID: 1, ServerName: "p", Mode: replica.SendIndex,
-				Endpoint: rdma.NewEndpoint("p"), Cost: metrics.DefaultCostModel(),
-				ShipAtCompactionEnd: deferred,
-			})
-			opts := lsm.Options{
-				Device: devP, NodeSize: 512, GrowthFactor: 4,
-				L0MaxKeys: 256, MaxLevels: 5, Listener: p, Seed: 1,
-			}
-			db, err := lsm.New(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p.SetDB(db)
-			bk, err := replica.NewBackup(replica.BackupConfig{
-				RegionID: 1, ServerName: "b", Mode: replica.SendIndex,
-				Device: devB, Endpoint: rdma.NewEndpoint("b"),
-				Cost: metrics.DefaultCostModel(),
-				LSM:  lsm.Options{NodeSize: 512, GrowthFactor: 4, L0MaxKeys: 256, MaxLevels: 5},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			replica.Attach(p, bk)
-			for j := 0; j < 4000; j++ {
-				if err := db.Put([]byte(fmt.Sprintf("user%08d", j)), []byte("0123456789012345678901234567890")); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := db.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			if err := p.Err(); err != nil {
-				b.Fatal(err)
-			}
-			_ = db.Close()
-			p.DetachAll()
-			devP.Close()
-			devB.Close()
-		}
-	}
-	b.Run("incremental", func(b *testing.B) { run(b, false) })
-	b.Run("at-end", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkGrowthFactorAblation sweeps the LSM growth factor f: the

@@ -72,7 +72,6 @@ func deployment(ev *obs.EventLog) cluster.Config {
 		LSM:              lsm.Options{L0MaxKeys: *l0},
 		Workers:          *workers,
 		TaskThreshold:    *taskThresh,
-		Admission:        &admission.Config{Disabled: !*admissionOn},
 		TraceSampleRate:  *traceSample,
 		ShipUncompressed: *shipRaw,
 		GC: server.GCConfig{Enabled: *gcOn, MinDeadRatio: *gcRatio,
@@ -84,6 +83,9 @@ func deployment(ev *obs.EventLog) cluster.Config {
 			}
 			return storage.NewMemDevice(*segSize, 0)
 		},
+	}
+	if *admissionOn {
+		cfg.Admission = &admission.Config{}
 	}
 	if *withReplica {
 		cfg.Servers, cfg.Replicas, cfg.Mode = 2, 1, replica.SendIndex

@@ -16,7 +16,8 @@
 //	  └───── wait < low: relax threshold ◄───────┴───────────┘
 //
 // A Controller is nil-safe and cheap when idle: Admit is one atomic
-// load on the fast path.
+// load on the fast path. A nil Controller is admission turned off: it
+// admits every task, proposes no threshold and exports no families.
 package admission
 
 import (
@@ -87,9 +88,6 @@ type Config struct {
 	// DelayStep is the pacing delay applied per task in StateDelay
 	// (default 200µs).
 	DelayStep time.Duration
-	// Disabled pins the threshold at MaxThreshold and admits
-	// everything — the fixed-knob baseline the bench compares against.
-	Disabled bool
 	// Events, when non-nil, journals every walk of the escalation
 	// ladder (normal ⇄ delay ⇄ shed) with the wait EWMA that drove it.
 	Events *obs.EventLog
@@ -187,7 +185,7 @@ func (c *Controller) State() State {
 // Observe feeds one sampled worker-queue wait into the feedback loop.
 // Decisions fire at most once per Window observations.
 func (c *Controller) Observe(wait time.Duration) {
-	if c == nil || c.cfg.Disabled {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()
@@ -259,7 +257,7 @@ func (c *Controller) recordTransition(from, to State) {
 // ever delayed or shed; higher priorities always pass. tenant labels
 // the per-tenant counters.
 func (c *Controller) Admit(tenant string, priority uint8) Decision {
-	if c == nil || c.cfg.Disabled || priority > 0 {
+	if c == nil || priority > 0 {
 		return Decision{Action: Admit}
 	}
 	switch State(c.state.Load()) {
@@ -339,19 +337,18 @@ func (c *Controller) Collect() []metrics.Family {
 	}
 }
 
-// Enabled reports whether the controller is live (non-nil and not
-// running in fixed-knob mode).
+// Enabled reports whether the controller is live (non-nil).
 func (c *Controller) Enabled() bool {
-	return c != nil && !c.cfg.Disabled
+	return c != nil
 }
 
 // GCAllowed reports whether background value-log GC may run right now
 // (DESIGN.md "Value-log GC"). GC is the lowest-priority work in the system,
 // so any sign of load pressure pauses it: an escalated state (delay/shed)
 // or a tightened wake-up threshold both mean foreground latency already
-// suffers and GC must yield. Nil or disabled controllers never pace.
+// suffers and GC must yield. A nil controller never paces.
 func (c *Controller) GCAllowed() bool {
-	if c == nil || c.cfg.Disabled {
+	if c == nil {
 		return true
 	}
 	if State(c.state.Load()) != StateNormal {

@@ -85,17 +85,23 @@ func TestRelaxRecovers(t *testing.T) {
 	}
 }
 
+// TestDisabledIsFixedKnob: admission off is a nil controller. Under
+// sustained overload it proposes no threshold (0, so the server's
+// TaskThreshold stands), admits every task, lets GC run and exports no
+// families.
 func TestDisabledIsFixedKnob(t *testing.T) {
-	c := New(Config{MaxThreshold: 64, Disabled: true})
+	var c *Controller
 	feed(c, time.Second, 10)
-	if got := c.Threshold(); got != 64 {
-		t.Fatalf("disabled controller moved threshold to %d", got)
+	if got := c.Threshold(); got != 0 {
+		t.Fatalf("nil controller proposes threshold %d, want 0 (the server's own)", got)
 	}
-	if d := c.Admit("t0", 0); d.Action != Admit {
-		t.Fatalf("disabled controller Admit = %v", d.Action)
+	for _, prio := range []uint8{0, 1} {
+		if d := c.Admit("t0", prio); d.Action != Admit {
+			t.Fatalf("nil controller Admit(priority %d) = %v", prio, d.Action)
+		}
 	}
-	if c.Enabled() {
-		t.Fatal("Disabled controller reports Enabled")
+	if c.Enabled() || !c.GCAllowed() || c.Collect() != nil {
+		t.Fatalf("nil controller: Enabled %v, GCAllowed %v, %d families", c.Enabled(), c.GCAllowed(), len(c.Collect()))
 	}
 }
 

@@ -129,7 +129,7 @@ func TestRunExperimentTable2(t *testing.T) {
 
 // reportExperiments are the experiments with machine-readable output.
 var reportExperiments = []Experiment{
-	ExpCompaction, ExpObservability, ExpIntegrity, ExpFigures, ExpTail, ExpGC, ExpLag,
+	ExpObservability, ExpIntegrity, ExpFigures, ExpTail, ExpGC, ExpLag,
 }
 
 // detailAs decodes a decoded report's Detail into its typed form.
@@ -158,24 +158,6 @@ func positive(t *testing.T, rep Report, keys ...string) {
 // reportChecks holds, per experiment, the behaviour its report must
 // show beyond the schema checks TestReports applies to all of them.
 var reportChecks = map[Experiment]func(t *testing.T, rep Report, raw []byte){
-	ExpCompaction: func(t *testing.T, rep Report, _ []byte) {
-		for _, mode := range []string{"serial.", "pipelined."} {
-			positive(t, rep, mode+"jobs", mode+"segments_shipped", mode+"kops_per_sec")
-		}
-		m := rep.Metrics
-		if m["serial.compaction_workers"] != 1 || m["serial.l0_buffers"] != 1 {
-			t.Errorf("serial knobs: %v workers, %v buffers", m["serial.compaction_workers"], m["serial.l0_buffers"])
-		}
-		if m["pipelined.compaction_workers"] <= 1 || m["pipelined.l0_buffers"] <= 1 {
-			t.Errorf("pipelined knobs: %v workers, %v buffers", m["pipelined.compaction_workers"], m["pipelined.l0_buffers"])
-		}
-		// The pipelined engine must actually overlap ship with build, and
-		// a second frozen L0 must not make the paced writer stall more.
-		positive(t, rep, "pipelined.overlap_fraction")
-		if m["pipelined.writer_stalls"] > m["serial.writer_stalls"] {
-			t.Errorf("pipelined writer stalled %v times, serial %v", m["pipelined.writer_stalls"], m["serial.writer_stalls"])
-		}
-	},
 	ExpObservability: func(t *testing.T, rep Report, _ []byte) {
 		for _, mode := range []string{"off.", "on."} {
 			positive(t, rep, mode+"ns_per_op", mode+"kops_per_sec", mode+"paced_kops_per_sec", mode+"jobs")
@@ -263,18 +245,6 @@ var reportChecks = map[Experiment]func(t *testing.T, rep Report, raw []byte){
 	},
 }
 
-// reportScale is the scale TestReports runs exp at: tinyScale, except
-// that the compaction experiment gets enough records for a level to
-// outgrow one leaf segment (about 8 K sequential keys in 64 KB of
-// 512-byte columnar leaves), so a segment can ship before its build ends.
-func reportScale(exp Experiment) Scale {
-	sc := tinyScale
-	if exp == ExpCompaction {
-		sc.Records = 16000
-	}
-	return sc
-}
-
 // TestReports runs every report-writing experiment once at tinyScale —
 // without the retry policy, since wall-clock bounds are not asserted at
 // a scale this small — and checks the one schema: the report decodes
@@ -286,7 +256,7 @@ func TestReports(t *testing.T) {
 			e := experiments[exp]
 			dir := t.TempDir()
 			var out bytes.Buffer
-			if _, err := e.runOnce(exp, reportScale(exp), &out, dir); err != nil {
+			if _, err := e.runOnce(exp, tinyScale, &out, dir); err != nil {
 				t.Fatal(err)
 			}
 			raw, err := os.ReadFile(filepath.Join(dir, "BENCH_"+string(exp)+".json"))
@@ -299,7 +269,7 @@ func TestReports(t *testing.T) {
 			if err := dec.Decode(&rep); err != nil {
 				t.Fatalf("report does not decode into Report: %v\n%s", err, raw)
 			}
-			if rep.Experiment != exp || rep.Scale != reportScale(exp) {
+			if rep.Experiment != exp || rep.Scale != tinyScale {
 				t.Fatalf("report is for %q at %+v", rep.Experiment, rep.Scale)
 			}
 			for k, v := range rep.Metrics {

@@ -44,9 +44,6 @@ const (
 	ExpFig10b Experiment = "fig10b"
 	ExpSec55  Experiment = "sec55"
 	ExpTable2 Experiment = "table2"
-	// ExpCompaction is not a paper artifact: it ablates the staged
-	// compaction scheduler (serial vs pipelined) on a bare engine.
-	ExpCompaction Experiment = "compaction"
 	// ExpObservability is not a paper artifact: it measures the hot-path
 	// cost of the obs layer (registry + tracer + scraping) on the
 	// compaction path.
@@ -82,7 +79,7 @@ const (
 // AllExperiments lists every reproducible artifact in paper order.
 var AllExperiments = []Experiment{
 	ExpTable2, ExpFig6, ExpFig7a, ExpFig7b, ExpFig8, ExpTable3,
-	ExpFig9a, ExpFig9b, ExpFig10a, ExpFig10b, ExpSec55, ExpCompaction,
+	ExpFig9a, ExpFig9b, ExpFig10a, ExpFig10b, ExpSec55,
 	ExpObservability, ExpIntegrity, ExpFigures, ExpTail, ExpGC, ExpLag,
 }
 
@@ -94,7 +91,7 @@ var threeWaySetups = []Setup{BuildIndexRL, BuildIndex, SendIndex, NoReplication}
 
 // experiments is every runnable artifact with the gates it must hold
 // and the series files it writes. Gates are declared beside the
-// experiment that measures them (compaction.go … lag.go).
+// experiment that measures them (observability.go … lag.go).
 var experiments = map[Experiment]experiment{
 	ExpTable2: {run: rows(runTable2)},
 	ExpFig6:   {run: rows(runFig6)},
@@ -108,7 +105,6 @@ var experiments = map[Experiment]experiment{
 	ExpFig10b: {run: rows(func(sc Scale, w io.Writer) error { return runFig10(sc, w, ycsb.RunA) })},
 	ExpSec55:  {run: rows(runSec55)},
 
-	ExpCompaction:    {run: runCompaction},
 	ExpObservability: {run: runObservability, gates: observabilityGates},
 	ExpIntegrity:     {run: runIntegrity, gates: integrityGates},
 	ExpFigures:       {run: runFigures, gates: figuresGates, csvs: figuresCSVs},

@@ -57,7 +57,7 @@ func gcKeys(sc Scale) uint64 { return max(sc.Records/gcRounds, 200) }
 // its space numbers.
 func runGCMode(sc Scale, gcOn bool, opsPerSec float64) (trial, []GCSpaceSample, error) {
 	keys := gcKeys(sc)
-	e, err := openEngine(sc, 2, 2, true, nil)
+	e, err := openEngine(sc, true, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -17,7 +17,7 @@ var integrityGates = []Gate{
 // storage.AsVerifying, so every log seal and index build pays the CRC32C
 // trailer and every cold read pays a whole-segment verification.
 func runIntegrityMode(sc Scale, framed bool, opsPerSec float64) (trial, error) {
-	e, err := openEngine(sc, 2, 2, framed, nil)
+	e, err := openEngine(sc, framed, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -94,7 +94,7 @@ type engine struct {
 // harness's standard geometry. framed wraps the device in
 // storage.AsVerifying; tune, when non-nil, adjusts the options before
 // the engine opens.
-func openEngine(sc Scale, workers, buffers int, framed bool, tune func(*lsm.Options)) (*engine, error) {
+func openEngine(sc Scale, framed bool, tune func(*lsm.Options)) (*engine, error) {
 	mem, err := storage.NewMemDevice(64<<10, 0)
 	if err != nil {
 		return nil, err
@@ -104,14 +104,12 @@ func openEngine(sc Scale, workers, buffers int, framed bool, tune func(*lsm.Opti
 		dev = storage.AsVerifying(mem)
 	}
 	opt := lsm.Options{
-		Device:            dev,
-		NodeSize:          512,
-		GrowthFactor:      4,
-		L0MaxKeys:         sc.L0MaxKeys,
-		MaxLevels:         7,
-		Seed:              1,
-		CompactionWorkers: workers,
-		L0Buffers:         buffers,
+		Device:       dev,
+		NodeSize:     512,
+		GrowthFactor: 4,
+		L0MaxKeys:    sc.L0MaxKeys,
+		MaxLevels:    7,
+		Seed:         1,
 	}
 	if tune != nil {
 		tune(&opt)

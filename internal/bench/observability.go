@@ -29,7 +29,7 @@ var observabilityGates = []Gate{
 // path, not just registry scraping.
 func runObservabilityMode(sc Scale, instrumented bool, opsPerSec float64) (trial, error) {
 	if !instrumented {
-		e, err := openEngine(sc, 2, 2, false, nil)
+		e, err := openEngine(sc, false, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -40,7 +40,7 @@ func runObservabilityMode(sc Scale, instrumented bool, opsPerSec float64) (trial
 	stats := &metrics.CompactionStats{}
 	tracer := obs.NewTracer(0)
 	nodeTr := tracer.Node("bench")
-	e, err := openEngine(sc, 2, 2, false, func(opt *lsm.Options) {
+	e, err := openEngine(sc, false, func(opt *lsm.Options) {
 		opt.CompactionStats = stats
 		opt.Trace = nodeTr
 	})

@@ -116,9 +116,9 @@ type tailCluster struct {
 }
 
 // newTailCluster builds a 3-server replicated Send-Index cluster.
-// adaptive selects the signal-driven admission controller; fixed keeps
-// the controller registered (so the metric families exist) but pinned
-// at the configured wake-up threshold. obsOn toggles the whole
+// adaptive selects the signal-driven admission controller; fixed runs
+// with admission off (no controller), at the configured wake-up
+// threshold. obsOn toggles the whole
 // observability stack, for the overhead comparison.
 func newTailCluster(sc Scale, adaptive, obsOn bool) (*tailCluster, error) {
 	tc := &tailCluster{}
@@ -143,12 +143,9 @@ func newTailCluster(sc Scale, adaptive, obsOn bool) (*tailCluster, error) {
 		cfg.Trace = tc.tracer
 		cfg.TraceSampleRate = tailSampleRate
 	}
-	ac := admission.Config{
-		HighWater: 200 * time.Microsecond,
-		Window:    8,
-		Disabled:  !adaptive,
+	if adaptive {
+		cfg.Admission = &admission.Config{HighWater: 200 * time.Microsecond, Window: 8}
 	}
-	cfg.Admission = &ac
 	var err error
 	if tc.c, err = cluster.New(cfg); err != nil {
 		return nil, err

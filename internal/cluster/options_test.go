@@ -24,10 +24,10 @@ func TestOptionCountsOnlyGoDown(t *testing.T) {
 	}{
 		{reflect.TypeFor[master.Host](), 13},
 		{reflect.TypeFor[Config](), 21},
-		{reflect.TypeFor[server.Config](), 23},
-		{reflect.TypeFor[replica.PrimaryConfig](), 17},
+		{reflect.TypeFor[server.Config](), 22},
+		{reflect.TypeFor[replica.PrimaryConfig](), 16},
 		{reflect.TypeFor[replica.BackupConfig](), 10},
-		{reflect.TypeFor[lsm.Options](), 13},
+		{reflect.TypeFor[lsm.Options](), 11},
 	} {
 		n, what := 0, "fields"
 		if c.typ.Kind() == reflect.Interface {

@@ -18,7 +18,7 @@ import (
 func (db *DB) holdJobs() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for (len(db.inflight) > 0 || len(db.frozen) > 0 || db.exclusive) && db.bgErr == nil {
+	for !db.idleLocked() && db.bgErr == nil {
 		db.cond.Wait()
 	}
 	if db.bgErr != nil {
@@ -80,13 +80,13 @@ func (db *DB) CompactAll() error {
 			filter:   db.filterLocked(i + 1),
 		}
 		db.nextJobID++
-		db.inflight[job.id] = job
+		db.job = job
 		db.mu.Unlock()
 
 		err := db.executeJob(job)
 
 		db.mu.Lock()
-		delete(db.inflight, job.id)
+		db.job = nil
 		db.cond.Broadcast()
 		db.mu.Unlock()
 		if err != nil {
@@ -97,9 +97,8 @@ func (db *DB) CompactAll() error {
 }
 
 // fail records a background error and wakes every waiter: stalled
-// writers in freezeLocked, WaitIdle callers, and install-waiting jobs
-// all re-check bgErr after the broadcast, so no exit path can strand
-// them.
+// writers in freezeLocked and WaitIdle and holdJobs callers all
+// re-check bgErr after the broadcast, so no exit path can strand them.
 func (db *DB) fail(err error) {
 	db.mu.Lock()
 	if db.bgErr == nil {

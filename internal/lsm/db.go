@@ -35,7 +35,7 @@ func (lv *level) numKeys() int {
 	return lv.built.NumKeys
 }
 
-// frozenL0 is one immutable L0 awaiting (or undergoing) compaction.
+// frozenL0 is the immutable L0 awaiting (or undergoing) compaction.
 type frozenL0 struct {
 	mt   *memtable.Table
 	mark storage.Offset // log position when the table was cut
@@ -44,12 +44,11 @@ type frozenL0 struct {
 // DB is a Kreon-style LSM engine over a value log.
 //
 // Concurrency: Put/Delete/Get/Scan may be called from any goroutine.
-// Background compactions run as scheduler-planned jobs on a bounded
-// worker pool (Options.CompactionWorkers). Frozen L0 tables queue up to
-// Options.L0Buffers deep; writers stall when the queue is full while
-// compaction lags — the stall the paper's tail-latency experiment
-// observes (§5.1). With the default knobs (one worker, one buffer) the
-// engine behaves exactly like the paper's single background compactor.
+// One background compactor runs one job at a time, as the paper's
+// engine does. A full L0 is frozen and a new one cut; the frozen table
+// is the compactor's first job. A writer that fills L0 again while a
+// table is still frozen stalls until that table is installed as L1 —
+// the stall the paper's tail-latency experiment observes (§5.1).
 type DB struct {
 	opt Options
 	dev storage.Device
@@ -70,15 +69,15 @@ type DB struct {
 	mu        sync.RWMutex
 	cond      *sync.Cond // signaled when compaction/scheduler state changes
 	l0        *memtable.Table
-	frozen    []*frozenL0 // oldest first; len bounded by opt.L0Buffers
-	levels    []*level    // levels[0] unused; levels[i] = Li
+	frozen    *frozenL0 // nil while no table awaits compaction
+	levels    []*level  // levels[0] unused; levels[i] = Li
 	watermark storage.Offset
 	closed    bool
 	bgErr     error
 	deadHdr   [vlog.HeaderSize]byte // recordDead's header scratch for callers holding mu for writing
 
 	// Compaction scheduler state (guarded by mu).
-	inflight  map[uint64]*compactionJob
+	job       *compactionJob // the job in flight, nil if none
 	nextJobID uint64
 	exclusive bool // CompactAll holds the whole level range
 	// filterBufs are the collectors a job's builder gathers the level's
@@ -118,17 +117,16 @@ func NewFromState(opt Options, log *vlog.Log, levels []LevelState, watermark sto
 
 func newWithLog(opt Options, log *vlog.Log, states []LevelState) (*DB, error) {
 	db := &DB{
-		opt:      opt,
-		dev:      opt.Device,
-		geo:      opt.Device.Geometry(),
-		log:      log,
-		cycles:   opt.Cycles,
-		cost:     opt.Cost,
-		stats:    opt.CompactionStats,
-		trace:    opt.Trace,
-		lookups:  new(metrics.LookupStats),
-		levels:   make([]*level, opt.MaxLevels),
-		inflight: make(map[uint64]*compactionJob),
+		opt:     opt,
+		dev:     opt.Device,
+		geo:     opt.Device.Geometry(),
+		log:     log,
+		cycles:  opt.Cycles,
+		cost:    opt.Cost,
+		stats:   opt.CompactionStats,
+		trace:   opt.Trace,
+		lookups: new(metrics.LookupStats),
+		levels:  make([]*level, opt.MaxLevels),
 	}
 	if db.stats == nil {
 		db.stats = &metrics.CompactionStats{}
@@ -322,15 +320,15 @@ func (db *DB) PutIndexed(key []byte, off storage.Offset, tombstone bool, recLen 
 	return nil
 }
 
-// freezeLocked cuts the active L0 and queues it for compaction. Callers
-// hold db.mu. When the frozen queue is already opt.L0Buffers deep the
-// caller stalls until a compaction drains a table — the L0 write stall
-// the paper's tail-latency experiment observes (§5.1).
+// freezeLocked cuts the active L0 and hands it to the compactor. Callers
+// hold db.mu. While an earlier table is still frozen the caller stalls
+// until its compaction installs it — the L0 write stall the paper's
+// tail-latency experiment observes (§5.1).
 func (db *DB) freezeLocked() error {
-	if len(db.frozen) >= db.opt.L0Buffers {
+	if db.frozen != nil {
 		db.stats.StallBegin()
 		start := time.Now()
-		for len(db.frozen) >= db.opt.L0Buffers && !db.closed && db.bgErr == nil {
+		for db.frozen != nil && !db.closed && db.bgErr == nil {
 			db.cond.Wait()
 		}
 		db.stats.StallEnd(time.Since(start))
@@ -341,7 +339,7 @@ func (db *DB) freezeLocked() error {
 	if db.bgErr != nil {
 		return db.bgErr
 	}
-	db.frozen = append(db.frozen, &frozenL0{mt: db.l0, mark: db.log.Position()})
+	db.frozen = &frozenL0{mt: db.l0, mark: db.log.Position()}
 	db.l0 = memtable.New(0)
 	db.maybeScheduleLocked()
 	return nil
@@ -366,11 +364,17 @@ func (db *DB) Flush() error {
 	return db.WaitIdle()
 }
 
+// idleLocked reports whether no compaction job is running or pending
+// and no hold is in force. Caller holds db.mu.
+func (db *DB) idleLocked() bool {
+	return db.job == nil && db.frozen == nil && !db.exclusive
+}
+
 // WaitIdle blocks until no compaction job is running or pending.
 func (db *DB) WaitIdle() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for (len(db.inflight) > 0 || len(db.frozen) > 0 || db.exclusive) && db.bgErr == nil {
+	for !db.idleLocked() && db.bgErr == nil {
 		db.cond.Wait()
 	}
 	return db.bgErr
@@ -412,12 +416,18 @@ func (db *DB) MemtableBytes() int64 {
 	return db.l0.Bytes()
 }
 
-// QueueDepth reports the compaction backlog: frozen L0 tables waiting
-// to drain plus jobs currently in flight.
+// QueueDepth reports the compaction backlog: the frozen L0 table
+// waiting to drain (0 or 1) and the job in flight (0 or 1).
 func (db *DB) QueueDepth() (frozen, inflight int) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.frozen), len(db.inflight)
+	if db.frozen != nil {
+		frozen = 1
+	}
+	if db.job != nil {
+		inflight = 1
+	}
+	return frozen, inflight
 }
 
 // ReplayLog re-inserts all log records from a watermark into L0 without

@@ -172,8 +172,8 @@ func TestGetWalksOnlyTheLevelThatHoldsTheKey(t *testing.T) {
 }
 
 // TestDeepestLevelBuildsNoFilter: a job builds its level's filter
-// while a deeper level holds keys, or a job in flight will install
-// one there, and not into the deepest level holding keys.
+// while a deeper level holds keys, and not into the deepest level
+// holding keys.
 func TestDeepestLevelBuildsNoFilter(t *testing.T) {
 	opt, _ := testOptions(t)
 	opt.MaxLevels = 4
@@ -196,9 +196,6 @@ func TestDeepestLevelBuildsNoFilter(t *testing.T) {
 	db.levels[3] = &level{built: btree.Built{NumKeys: 1}}
 	want("keys in L3", true, true, false)
 	db.levels[3] = nil
-	db.inflight[1<<20] = &compactionJob{id: 1 << 20, srcLevel: 1, dstLevel: 2}
-	want("a job into L2 in flight", true, false, false)
-	delete(db.inflight, 1<<20)
 }
 
 // TestTombstoneInL1ShadowsL2WithFilters: a tombstone is a leaf entry

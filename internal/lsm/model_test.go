@@ -321,7 +321,6 @@ func TestPrefixTiesAcrossEveryLevel(t *testing.T) {
 	opt, _ := testOptions(t)
 	opt.L0MaxKeys = 24
 	opt.GrowthFactor = 2
-	opt.L0Buffers = 3
 	opt.Cycles = &metrics.Cycles{}
 	db, err := New(opt)
 	if err != nil {
@@ -404,39 +403,35 @@ func TestPrefixTiesAcrossEveryLevel(t *testing.T) {
 		t.Fatalf("%d populated levels, want at least 2", populated)
 	}
 
-	// With the scheduler held, one more table freezes and stays frozen,
-	// and the writes after it stay in the active L0.
-	if err := db.holdJobs(); err != nil {
+	// At a job boundary one more table freezes and stays frozen — no
+	// job may drain it — and the writes after it stay in the active L0.
+	// They fill less than two tables, so none stalls behind the frozen
+	// one.
+	err = db.AtJobBoundary(func() error {
+		for i := 3; i < 512; i += 13 {
+			write(i, 3)
+		}
+		if frozen, _ := db.QueueDepth(); frozen == 0 || db.L0Len() == 0 {
+			t.Fatalf("%d frozen tables and %d keys in L0, want both non-empty", frozen, db.L0Len())
+		}
+
+		// A scan is foreground work: the keys its ties read are charged
+		// to it, not to the compactor that shares its cursor.
+		before := opt.Cycles.Snapshot()
+		check("L0 + frozen + levels")
+		after := opt.Cycles.Snapshot()
+		if after[metrics.CompCompaction] != before[metrics.CompCompaction] {
+			t.Fatalf("scans over a quiescent engine charged %d cycles to compaction",
+				after[metrics.CompCompaction]-before[metrics.CompCompaction])
+		}
+		if after[metrics.CompOther] == before[metrics.CompOther] {
+			t.Fatal("the scans charged nothing to their own component")
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	held := true
-	defer func() {
-		if held {
-			db.releaseJobs()
-		}
-	}()
-	for i := 3; i < 512; i += 13 {
-		write(i, 3)
-	}
-	if frozen, _ := db.QueueDepth(); frozen == 0 || db.L0Len() == 0 {
-		t.Fatalf("%d frozen tables and %d keys in L0, want both non-empty", frozen, db.L0Len())
-	}
-
-	// A scan is foreground work: the keys its ties read are charged to
-	// it, not to the compactor that shares its cursor.
-	before := opt.Cycles.Snapshot()
-	check("L0 + frozen + levels")
-	after := opt.Cycles.Snapshot()
-	if after[metrics.CompCompaction] != before[metrics.CompCompaction] {
-		t.Fatalf("scans over a quiescent engine charged %d cycles to compaction",
-			after[metrics.CompCompaction]-before[metrics.CompCompaction])
-	}
-	if after[metrics.CompOther] == before[metrics.CompOther] {
-		t.Fatal("the scans charged nothing to their own component")
-	}
-
-	db.releaseJobs()
-	held = false
 	if err := db.CompactAll(); err != nil {
 		t.Fatal(err)
 	}

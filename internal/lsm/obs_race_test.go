@@ -21,11 +21,11 @@ func (g memtableGauge) Collect() []metrics.Family {
 }
 
 // TestConcurrentScrapeAndSample exercises the full observability read
-// path under -race while the compaction scheduler is live: one
+// path under -race while the compactor is live: one
 // goroutine scrapes /metrics-style expositions, one ticks the
 // time-series sampler, one drains the Chrome trace export, and the
 // main goroutine drives enough puts through a traced engine to keep
-// compaction workers busy the whole time.
+// the compactor busy the whole time.
 func TestConcurrentScrapeAndSample(t *testing.T) {
 	dev, err := storage.NewMemDevice(16<<10, 0)
 	if err != nil {
@@ -36,16 +36,14 @@ func TestConcurrentScrapeAndSample(t *testing.T) {
 	stats := &metrics.CompactionStats{}
 	tracer := obs.NewTracer(256)
 	db, err := New(Options{
-		Device:            dev,
-		NodeSize:          256,
-		GrowthFactor:      4,
-		L0MaxKeys:         64,
-		MaxLevels:         5,
-		Seed:              1,
-		CompactionWorkers: 2,
-		L0Buffers:         2,
-		CompactionStats:   stats,
-		Trace:             tracer.Node("race"),
+		Device:          dev,
+		NodeSize:        256,
+		GrowthFactor:    4,
+		L0MaxKeys:       64,
+		MaxLevels:       5,
+		Seed:            1,
+		CompactionStats: stats,
+		Trace:           tracer.Node("race"),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,10 +4,12 @@
 // (§2, "Kreon").
 //
 // Compactions merge level Li into Li+1, building the new L'i+1 index
-// bottom-up and left-to-right. The engine reports every step of a
-// compaction to an optional Listener — log appends, emitted index
-// segments, and compaction completion — which is exactly the interface
-// the Send-Index replication protocol hangs off (§3.3).
+// bottom-up and left-to-right. One background compactor runs them one
+// at a time, as the paper's engine does, and one frozen L0 waits for it
+// at most. The engine reports every step of a compaction to an optional
+// Listener — log appends, emitted index segments, and compaction
+// completion — which is exactly the interface the Send-Index
+// replication protocol hangs off (§3.3).
 package lsm
 
 import (
@@ -32,10 +34,10 @@ const (
 )
 
 // CompactionJob identifies one scheduled compaction. IDs are unique per
-// DB and strictly increasing in planning order; with CompactionWorkers
-// greater than one, several jobs can be in flight at once, and listeners
-// use the ID to demultiplex interleaved event streams (the backup keys
-// its per-compaction index maps by it).
+// DB and strictly increasing in planning order. One job is in flight at
+// a time; the ID still travels with every event, because a backup keys
+// its per-compaction index maps by it and must tell a retried job's
+// segments from the last attempt's.
 type CompactionJob struct {
 	// ID is the engine-unique job identifier.
 	ID uint64
@@ -69,15 +71,15 @@ type CompactionResult struct {
 // is invoked synchronously from the Put path (in log-append order). The
 // compaction callbacks are invoked from compaction job goroutines: within
 // one job, OnCompactionStart precedes every OnIndexSegment (emitted in
-// build order) which all precede OnCompactionDone; with
-// CompactionWorkers greater than one, events of different jobs
-// interleave, distinguished by CompactionJob.ID. Jobs touching
-// overlapping levels never run concurrently, and OnCompactionDone calls
-// fire in level-install order. A nil listener disables all callbacks.
+// build order) which all precede OnCompactionDone, and a job's
+// OnCompactionDone fires before the next job's OnCompactionStart — the
+// events of two jobs never interleave. A nil listener disables all
+// callbacks.
 //
 // Error contract: callbacks have no error return and must not block
 // indefinitely — the ship stage of a compaction waits inside them, so a
-// wedged callback wedges the job (and, through level locks, the engine).
+// wedged callback wedges the job, the one compactor and, once L0 fills
+// again, the writers.
 // Replication failures are the listener's problem to absorb: the
 // replica.Primary implementation bounds every backup interaction with a
 // timeout/retry policy and evicts unresponsive backups, letting the
@@ -138,18 +140,6 @@ type Options struct {
 	Cycles *metrics.Cycles
 	// Cost is the cycle cost model (DefaultCostModel if zero).
 	Cost metrics.CostModel
-	// CompactionWorkers bounds how many compaction jobs execute
-	// concurrently. The default (1) reproduces the paper's single
-	// background compactor: one job per level pair at a time. Higher
-	// values let an L0 flush overlap with deeper-level compactions; the
-	// scheduler never runs two jobs over conflicting levels.
-	CompactionWorkers int
-	// L0Buffers is how many frozen L0 tables may queue for compaction
-	// before writers stall. The default (1) is the paper's
-	// single-frozen-L0 behavior, whose fill-up causes the §5.1 write
-	// stalls; 2 double-buffers L0 so a new memtable is cut while the
-	// previous one compacts.
-	L0Buffers int
 	// CompactionStats receives per-stage pipeline timings and
 	// writer-stall accounting; if nil the DB allocates a private sink
 	// (readable via DB.CompactionStats).
@@ -174,12 +164,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.Cost == (metrics.CostModel{}) {
 		o.Cost = metrics.DefaultCostModel()
-	}
-	if o.CompactionWorkers <= 0 {
-		o.CompactionWorkers = 1
-	}
-	if o.L0Buffers <= 0 {
-		o.L0Buffers = 1
 	}
 }
 

@@ -372,7 +372,9 @@ func TestMergeOfTiedKeysAllocatesNothingPerEntry(t *testing.T) {
 		if built.NumKeys != merged {
 			t.Fatalf("the merge built %d keys, want %d", built.NumKeys, merged)
 		}
-		db.freeBuilt(built)
+		if err := db.freeLevel(&level{built: built}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	perEntry := testing.AllocsPerRun(3, job) / merged
 	t.Logf("%.4f allocations per merged entry", perEntry)

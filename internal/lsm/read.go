@@ -88,7 +88,7 @@ func (r *reader) header(off storage.Offset) (vlog.Header, error) {
 }
 
 // locateLocked finds the newest index entry for key: the active L0, the
-// frozen tables newest first, then the levels, whose prefix ties
+// frozen table, then the levels, whose prefix ties
 // fullKey resolves. A level whose filter rules the key's prefix out is
 // skipped, not walked. cost is the lookup's charge: a table looked in
 // or a tree walked costs GetPerLevel, a filter probe FilterPerKey. A
@@ -99,9 +99,9 @@ func (db *DB) locateLocked(key []byte, fullKey btree.FullKeyReader, stats *metri
 	if e, ok := db.l0.Get(key); ok {
 		return e.Off, e.Tombstone, true, db.cost.GetPerLevel, nil
 	}
-	for i := len(db.frozen) - 1; i >= 0; i-- {
+	if db.frozen != nil {
 		tables++
-		if e, ok := db.frozen[i].mt.Get(key); ok {
+		if e, ok := db.frozen.mt.Get(key); ok {
 			return e.Off, e.Tombstone, true, uint64(tables) * db.cost.GetPerLevel, nil
 		}
 	}
@@ -222,7 +222,7 @@ type Limit struct {
 // Scan visits live key-value pairs with key >= start in ascending key
 // order, calling fn for each until fn returns false or the keyspace is
 // exhausted. Tombstones hide older versions, and the newest version of
-// each key wins, merging L0, the frozen L0s, and every on-device level.
+// each key wins, merging L0, the frozen L0, and every on-device level.
 //
 // The pair fn receives is good until fn returns: a batch of records is
 // read into one buffer, which the next batch overwrites. A caller that
@@ -386,20 +386,20 @@ func (db *DB) ScanLimit(start []byte, lim Limit, fn func(pair kv.Pair) bool) err
 }
 
 // seek opens the scan's cursors, newest first — the active L0, the
-// frozen L0s newest first, then L1, L2, ... — each standing on its
+// frozen L0, then L1, L2, ... — each standing on its
 // first entry >= start. The cursor list points into r.mem and r.trees,
 // so both are sized before anything takes an address in them.
 func (r *reader) seek(start []byte) error {
 	db := r.db
-	r.mem = slices.Grow(r.mem, 1+len(db.frozen))
+	r.mem = slices.Grow(r.mem, 2)
 	r.trees = slices.Grow(r.trees, len(db.levels))
 	addMem := func(it memtable.Iterator) {
 		r.mem = append(r.mem, memCursor{it: it})
 		r.cursors = append(r.cursors, &r.mem[len(r.mem)-1])
 	}
 	addMem(db.l0.SeekGE(start))
-	for i := len(db.frozen) - 1; i >= 0; i-- {
-		addMem(db.frozen[i].mt.SeekGE(start))
+	if db.frozen != nil {
+		addMem(db.frozen.mt.SeekGE(start))
 	}
 	for i := 1; i < len(db.levels); i++ {
 		lv := db.levels[i]

@@ -26,7 +26,7 @@ func scanFuzzDB(tb testing.TB, seed int64) *DB {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	db, err := New(Options{Device: dev, NodeSize: 512, GrowthFactor: 2, L0MaxKeys: 24, L0Buffers: 3, MaxLevels: 6, Seed: 1})
+	db, err := New(Options{Device: dev, NodeSize: 512, GrowthFactor: 2, L0MaxKeys: 24, MaxLevels: 6, Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -54,6 +54,9 @@ func scanFuzzDB(tb testing.TB, seed int64) *DB {
 	if err := db.Flush(); err != nil {
 		tb.Fatal(err)
 	}
+	// Held at a job boundary until the fuzz ends, the engine freezes
+	// one table that no job drains. The writes inside fill less than
+	// two tables, so none stalls behind it.
 	if err := db.holdJobs(); err != nil {
 		tb.Fatal(err)
 	}

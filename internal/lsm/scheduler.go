@@ -14,136 +14,87 @@ import (
 )
 
 // compactionJob is one planned unit of compaction work: merge srcLevel
-// into dstLevel (for L0 jobs, merge one frozen memtable into L1). Jobs
-// are planned under db.mu by planJobLocked and executed by their own
-// goroutine; the scheduler never plans two jobs over conflicting levels.
+// into dstLevel (for an L0 job, merge the frozen memtable into L1). The
+// engine has one compactor, as the paper's has: a job is planned under
+// db.mu only while none is in flight, and runs on a goroutine of its own.
 type compactionJob struct {
 	id       uint64
 	srcLevel int
 	dstLevel int
 
-	// frozen is the L0 table an L0 job drains (nil for level jobs). It
-	// is always db.frozen[0] at planning time; the install step pops it.
+	// frozen is the L0 table an L0 job drains (nil for level jobs): the
+	// engine's one frozen table, which the install step releases.
 	frozen *frozenL0
-
-	// emptyDst makes an L0 job merge its frozen table alone, without
-	// reading L1 — chosen when an L1×L2 job is in flight (L1 is being
-	// drained, so the L0 job must not read it). The job's install then
-	// waits until that L1×L2 job has emptied L1.
-	emptyDst bool
 
 	// filter makes the job build its level's prefix filter
 	// (filterLocked).
 	filter bool
 }
 
-// maybeScheduleLocked plans and launches compaction jobs until either
-// the worker pool is full or nothing conflict-free is runnable. Caller
-// holds db.mu. It is invoked wherever work may have appeared (a freeze,
-// a finished job) or capacity may have freed up.
+// maybeScheduleLocked plans and launches the next compaction job when
+// none is in flight. Caller holds db.mu. It is invoked wherever work
+// may have appeared (a freeze, a finished job, the end of a hold).
 func (db *DB) maybeScheduleLocked() {
-	if db.closed || db.bgErr != nil || db.exclusive {
+	if db.closed || db.bgErr != nil || db.exclusive || db.job != nil {
 		return
 	}
-	for len(db.inflight) < db.opt.CompactionWorkers {
-		job := db.planJobLocked()
-		if job == nil {
-			return
-		}
-		db.inflight[job.id] = job
+	if job := db.planJobLocked(); job != nil {
+		db.job = job
 		go db.runJob(job)
 	}
 }
 
-// planJobLocked picks the next conflict-free compaction job, or nil.
-// Caller holds db.mu. L0 drains take priority (they unblock writers);
-// then the shallowest over-capacity level is cascaded. A level is busy
-// while any in-flight job reads or writes it.
+// planJobLocked picks the next compaction job, or nil: the frozen L0
+// first (draining it unblocks writers), else the shallowest level over
+// capacity, cascaded into the next. Caller holds db.mu.
 func (db *DB) planJobLocked() *compactionJob {
-	if len(db.frozen) > 0 && !db.levelBusyLocked(0) {
-		job := &compactionJob{
-			id:       db.nextJobID,
-			srcLevel: 0,
-			dstLevel: 1,
-			frozen:   db.frozen[0],
+	src := 0
+	if db.frozen == nil {
+		last := len(db.levels) - 1
+		for src = 1; src < last && db.levels[src].numKeys() <= db.capacity(src); src++ {
 		}
-		// If an L1×L2 job is draining L1, the L0 job may still run —
-		// the paper's key overlap — but it must build from the frozen
-		// table alone and install only after L1 empties.
-		for _, other := range db.inflight {
-			if other.srcLevel == 1 {
-				job.emptyDst = true
-				break
-			}
-		}
-		if !job.emptyDst && db.levelBusyLocked(1) {
-			// L1 is the *destination* of some other job (can't happen
-			// today — only L0 jobs write L1 and they conflict on L0 —
-			// but guard against future planners).
+		if src == last {
 			return nil
 		}
-		job.filter = db.filterLocked(job.dstLevel)
-		db.nextJobID++
-		return job
 	}
-	for i := 1; i < len(db.levels)-1; i++ {
-		if db.levels[i].numKeys() <= db.capacity(i) {
-			continue
-		}
-		if db.levelBusyLocked(i) || db.levelBusyLocked(i+1) {
-			continue
-		}
-		job := &compactionJob{id: db.nextJobID, srcLevel: i, dstLevel: i + 1, filter: db.filterLocked(i + 1)}
-		db.nextJobID++
-		return job
+	job := &compactionJob{
+		id:       db.nextJobID,
+		srcLevel: src,
+		dstLevel: src + 1,
+		frozen:   db.frozen,
+		filter:   db.filterLocked(src + 1),
 	}
-	return nil
+	db.nextJobID++
+	return job
 }
 
 // filterLocked reports whether a job into level dst builds the level's
-// prefix filter: it does while a level deeper than dst holds keys, or
-// will once a job in flight installs it. A level built as the deepest
-// that holds keys gets none: a get of a key the engine holds that
-// reaches that level finds the key there, filter or not, so its filter
-// could turn away only gets of keys the engine does not hold — and its
-// entries are about half of every entry the compactions build (48 % on
-// the benchmark's YCSB load). Caller holds db.mu.
+// prefix filter: it does while a level deeper than dst holds keys. A
+// level built as the deepest that holds keys gets none: a get of a key
+// the engine holds that reaches that level finds the key there, filter
+// or not, so its filter could turn away only gets of keys the engine
+// does not hold — and its entries are about half of every entry the
+// compactions build (48 % on the benchmark's YCSB load). No other job
+// is in flight when one is planned, so the levels are all there is to
+// look at. Caller holds db.mu.
 func (db *DB) filterLocked(dst int) bool {
 	for i := dst + 1; i < len(db.levels); i++ {
 		if db.levels[i].numKeys() > 0 {
 			return true
 		}
 	}
-	for _, job := range db.inflight {
-		if job.dstLevel > dst {
-			return true
-		}
-	}
 	return false
 }
 
-// levelBusyLocked reports whether any in-flight job reads or writes
-// level i. An L0 job with emptyDst set still occupies its dstLevel: its
-// install will write L1, so L1 may not be merged downward meanwhile by
-// a *new* job (the pre-existing L1×L2 job is ordered via install-wait).
-func (db *DB) levelBusyLocked(i int) bool {
-	for _, job := range db.inflight {
-		if job.srcLevel == i || job.dstLevel == i {
-			return true
-		}
-	}
-	return false
-}
-
-// runJob executes one scheduled job on its own goroutine and then
-// retires it, waking waiters and re-planning. Every exit path — success
-// or failure — removes the job from the in-flight set and broadcasts,
-// so writers stalled in freezeLocked and WaitIdle callers can never
-// miss the wakeup.
+// runJob executes the scheduled job on its own goroutine and then
+// retires it, waking waiters and planning the next. Every exit path —
+// success or failure — clears the in-flight job and broadcasts, so
+// writers stalled in freezeLocked and WaitIdle callers can never miss
+// the wakeup.
 func (db *DB) runJob(job *compactionJob) {
 	err := db.executeJob(job)
 	db.mu.Lock()
-	delete(db.inflight, job.id)
+	db.job = nil
 	db.cond.Broadcast()
 	if err == nil {
 		db.maybeScheduleLocked()
@@ -162,18 +113,17 @@ func (db *DB) executeJob(job *compactionJob) error {
 		l.OnCompactionStart(ref)
 	}
 
-	var src, dst cursor = &emptyCursor{}, &emptyCursor{}
-	var oldSrc, oldDst *level
+	var src cursor
+	var oldSrc *level
 	var err error
-	if job.srcLevel == 0 {
+	if job.frozen != nil {
 		src = &memCursor{it: job.frozen.mt.Iter()}
 	} else if src, oldSrc, err = db.levelCursor(job.srcLevel); err != nil {
 		return err
 	}
-	if !job.emptyDst {
-		if dst, oldDst, err = db.levelCursor(job.dstLevel); err != nil {
-			return err
-		}
+	dst, oldDst, err := db.levelCursor(job.dstLevel)
+	if err != nil {
+		return err
 	}
 
 	built, err := db.pipeline(ref, src, dst)
@@ -182,40 +132,14 @@ func (db *DB) executeJob(job *compactionJob) error {
 	}
 
 	db.mu.Lock()
-	var watermark storage.Offset
-	if job.srcLevel == 0 {
-		if job.emptyDst {
-			// An L1×L2 job was draining L1 when this job was planned.
-			// Installing the freshly built table as the new L1 is only
-			// correct once that job has emptied L1; wait for it. Only
-			// L0 jobs ever wait here and L1×L2 jobs never do, so this
-			// cannot deadlock.
-			for db.bgErr == nil && !db.closed && db.otherJobDrainsLocked(job) {
-				db.cond.Wait()
-			}
-			if db.bgErr != nil || db.closed {
-				err := db.bgErr
-				db.mu.Unlock()
-				if err == nil {
-					err = ErrClosed
-				}
-				// The built tree will never be installed; release it.
-				db.freeBuilt(built)
-				return err
-			}
-			oldDst = db.levels[job.dstLevel] // normally nil after the drain
-		}
-		db.installLevel(job.dstLevel, built)
-		if len(db.frozen) > 0 && db.frozen[0] == job.frozen {
-			db.frozen = db.frozen[1:]
-		}
+	db.installLevel(job.dstLevel, built)
+	if job.frozen != nil {
+		db.frozen = nil
 		db.watermark = job.frozen.mark
-		watermark = job.frozen.mark
 	} else {
-		db.installLevel(job.dstLevel, built)
 		db.levels[job.srcLevel] = nil
-		watermark = db.watermark
 	}
+	watermark := db.watermark
 	db.cond.Broadcast()
 	db.mu.Unlock()
 
@@ -234,26 +158,6 @@ func (db *DB) executeJob(job *compactionJob) error {
 	})
 	db.stats.RecordJob()
 	return nil
-}
-
-// otherJobDrainsLocked reports whether a different in-flight job is
-// still merging this job's destination level downward. Caller holds
-// db.mu.
-func (db *DB) otherJobDrainsLocked(job *compactionJob) bool {
-	for _, other := range db.inflight {
-		if other != job && other.srcLevel == job.dstLevel {
-			return true
-		}
-	}
-	return false
-}
-
-// freeBuilt releases the segments of a tree that will never be
-// installed (abandoned by a job that lost its install-wait).
-func (db *DB) freeBuilt(built btree.Built) {
-	for _, seg := range built.Segments {
-		_ = db.dev.Free(seg)
-	}
 }
 
 // errPipelineAborted marks a stage killed by a sibling stage's error;

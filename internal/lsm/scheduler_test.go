@@ -52,7 +52,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestDeviceFailureUnblocksStalledWriter is the dropped-wakeup
-// regression test: a writer stalled on a full frozen-L0 queue must
+// regression test: a writer stalled behind the frozen L0 must
 // observe a compaction failure and return its error instead of hanging
 // forever. The device blocks the in-flight compaction's index write
 // until the writer is provably stalled, then fails it.
@@ -71,14 +71,12 @@ func TestDeviceFailureUnblocksStalledWriter(t *testing.T) {
 	dev.armed.Store(true)
 
 	db, err := New(Options{
-		Device:            dev,
-		NodeSize:          512,
-		GrowthFactor:      4,
-		L0MaxKeys:         128,
-		MaxLevels:         6,
-		Seed:              1,
-		CompactionWorkers: 1,
-		L0Buffers:         1,
+		Device:       dev,
+		NodeSize:     512,
+		GrowthFactor: 4,
+		L0MaxKeys:    128,
+		MaxLevels:    6,
+		Seed:         1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +85,7 @@ func TestDeviceFailureUnblocksStalledWriter(t *testing.T) {
 
 	// The writer freezes once (starting the doomed compaction, which
 	// blocks on the gate inside its index write), then fills L0 again
-	// and stalls on the full frozen queue.
+	// and stalls behind the frozen table.
 	writerErr := make(chan error, 1)
 	go func() {
 		for i := 0; i < 1000; i++ {
@@ -99,7 +97,7 @@ func TestDeviceFailureUnblocksStalledWriter(t *testing.T) {
 		writerErr <- nil
 	}()
 
-	waitFor(t, "writer to stall on the frozen-L0 queue", func() bool {
+	waitFor(t, "writer to stall behind the frozen L0", func() bool {
 		return db.CompactionStats().WriterStalls >= 1
 	})
 
@@ -145,18 +143,12 @@ func (g *gateListener) OnCompactionDone(CompactionResult)                  {}
 func (g *gateListener) OnSeal(*vlog.Sealed)                                {}
 func (g *gateListener) OnRelease([]storage.SegmentID)                      {}
 
-// runStallWorkload drives the same write pattern against an engine with
-// the given scheduler knobs while an L1→L2 compaction is pinned in
-// flight, and returns the stall accounting. With one worker and one L0
-// buffer the writer is guaranteed to stall (nothing can drain L0 while
-// the worker is pinned); with two workers and a deep frozen queue it is
-// guaranteed not to (L0 jobs overlap the pinned compaction and the
-// queue absorbs every freeze).
-func runStallWorkload(t *testing.T, workers, buffers int, expectStall bool) (s struct {
-	stalls    uint64
-	stallTime time.Duration
-}) {
-	t.Helper()
+// TestPinnedJobStallsWriter is the writer-stall regression test: while
+// an L1→L2 compaction is pinned in flight, nothing can drain L0, so a
+// writer that fills it twice stalls behind the frozen table, and the
+// stall is counted with its time. Once the job is released the writes
+// land and nothing is lost.
+func TestPinnedJobStallsWriter(t *testing.T) {
 	dev, err := storage.NewMemDevice(16<<10, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -164,15 +156,13 @@ func runStallWorkload(t *testing.T, workers, buffers int, expectStall bool) (s s
 	t.Cleanup(func() { dev.Close() })
 	gate := &gateListener{gate: make(chan struct{})}
 	db, err := New(Options{
-		Device:            dev,
-		NodeSize:          512,
-		GrowthFactor:      4,
-		L0MaxKeys:         128,
-		MaxLevels:         6,
-		Seed:              1,
-		Listener:          gate,
-		CompactionWorkers: workers,
-		L0Buffers:         buffers,
+		Device:       dev,
+		NodeSize:     512,
+		GrowthFactor: 4,
+		L0MaxKeys:    128,
+		MaxLevels:    6,
+		Seed:         1,
+		Listener:     gate,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +183,7 @@ func runStallWorkload(t *testing.T, workers, buffers int, expectStall bool) (s s
 	})
 
 	// Phase 2: write two more L0 tables' worth while the compaction is
-	// pinned.
+	// pinned: the first freezes, the second stalls behind it.
 	writerDone := make(chan error, 1)
 	go func() {
 		for i := 0; i < 256; i++ {
@@ -204,25 +194,10 @@ func runStallWorkload(t *testing.T, workers, buffers int, expectStall bool) (s s
 		}
 		writerDone <- nil
 	}()
-
-	if expectStall {
-		waitFor(t, "the writer to stall", func() bool {
-			return db.CompactionStats().WriterStalls >= 1
-		})
-		close(gate.gate)
-	} else {
-		select {
-		case err := <-writerDone:
-			if err != nil {
-				t.Fatal(err)
-			}
-			writerDone <- nil // re-arm for the drain below
-		case <-time.After(10 * time.Second):
-			t.Fatalf("writer blocked with %d workers / %d buffers; stalls=%d",
-				workers, buffers, db.CompactionStats().WriterStalls)
-		}
-		close(gate.gate)
-	}
+	waitFor(t, "the writer to stall", func() bool {
+		return db.CompactionStats().WriterStalls >= 1
+	})
+	close(gate.gate)
 	if err := <-writerDone; err != nil {
 		t.Fatal(err)
 	}
@@ -230,38 +205,13 @@ func runStallWorkload(t *testing.T, workers, buffers int, expectStall bool) (s s
 		t.Fatal(err)
 	}
 
-	// The knobs must not change what is stored.
 	for _, k := range []string{"a00000000", "a00000639", "b00000000", "b00000255"} {
 		if _, found, err := db.Get([]byte(k)); err != nil || !found {
 			t.Fatalf("Get(%s) = %v, %v after drain", k, found, err)
 		}
 	}
-
-	snap := db.CompactionStats()
-	s.stalls = snap.WriterStalls
-	s.stallTime = snap.WriterStallTime
-	return s
-}
-
-// TestDoubleBufferedL0AvoidsWriterStall is the writer-stall regression
-// test: under an identical workload with a pinned long compaction, the
-// serial configuration must stall the writer and the pipelined,
-// double-buffered one must not.
-func TestDoubleBufferedL0AvoidsWriterStall(t *testing.T) {
-	serial := runStallWorkload(t, 1, 1, true)
-	pipelined := runStallWorkload(t, 2, 8, false)
-
-	if serial.stalls == 0 {
-		t.Fatal("serial configuration recorded no writer stalls")
-	}
-	if serial.stallTime <= 0 {
-		t.Fatalf("serial configuration recorded no stall time (stalls=%d)", serial.stalls)
-	}
-	if pipelined.stalls != 0 {
-		t.Fatalf("pipelined configuration stalled %d times, want 0", pipelined.stalls)
-	}
-	if pipelined.stallTime >= serial.stallTime {
-		t.Fatalf("pipelined stall time %v >= serial %v", pipelined.stallTime, serial.stallTime)
+	if snap := db.CompactionStats(); snap.WriterStallTime <= 0 {
+		t.Fatalf("no stall time recorded (stalls=%d)", snap.WriterStalls)
 	}
 }
 
@@ -313,27 +263,29 @@ func TestSegmentsShipToListenerBeforeBuildCompletes(t *testing.T) {
 	}
 }
 
-// jobRecorder checks the per-job event protocol under concurrent
-// compactions: every job's segments arrive between its start and its
-// done, and job IDs are never reused.
+// jobRecorder checks the per-job event protocol of the one compactor:
+// a job's segments arrive between its start and its done, job IDs rise
+// and are never reused, and a job's done comes before the next job's
+// start — the events of two jobs never interleave.
 type jobRecorder struct {
-	mu      sync.Mutex
-	started map[uint64]CompactionJob
-	segs    map[uint64]int
-	done    map[uint64]bool
-	errs    []string
-}
-
-func newJobRecorder() *jobRecorder {
-	return &jobRecorder{
-		started: make(map[uint64]CompactionJob),
-		segs:    make(map[uint64]int),
-		done:    make(map[uint64]bool),
-	}
+	mu     sync.Mutex
+	open   *CompactionJob // started, not yet done
+	last   uint64         // ID of the last job started
+	starts int
+	dones  int
+	segs   int
+	errs   []string
 }
 
 func (r *jobRecorder) errf(format string, args ...any) {
 	r.errs = append(r.errs, fmt.Sprintf(format, args...))
+}
+
+// idle reports whether no job has started without finishing.
+func (r *jobRecorder) idle() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.open == nil
 }
 
 func (r *jobRecorder) OnAppend(vlog.AppendResult, *obs.ReqTrace) {}
@@ -341,63 +293,62 @@ func (r *jobRecorder) OnAppend(vlog.AppendResult, *obs.ReqTrace) {}
 func (r *jobRecorder) OnCompactionStart(job CompactionJob) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.started[job.ID]; ok {
-		r.errf("job %d started twice", job.ID)
+	if r.open != nil {
+		r.errf("job %d started while job %d was in flight", job.ID, r.open.ID)
 	}
-	r.started[job.ID] = job
+	if r.starts > 0 && job.ID <= r.last {
+		r.errf("job %d started after job %d", job.ID, r.last)
+	}
+	r.open, r.last = &job, job.ID
+	r.starts++
 }
 
 func (r *jobRecorder) OnIndexSegment(job CompactionJob, seg btree.EmittedSegment) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.started[job.ID]; !ok {
-		r.errf("segment for job %d before its start", job.ID)
+	if r.open == nil || r.open.ID != job.ID {
+		r.errf("segment for job %d outside its start and done", job.ID)
 	}
-	if r.done[job.ID] {
-		r.errf("segment for job %d after its done", job.ID)
-	}
-	r.segs[job.ID]++
+	r.segs++
 }
 
 func (r *jobRecorder) OnCompactionDone(res CompactionResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	start, ok := r.started[res.JobID]
-	if !ok {
-		r.errf("done for job %d without start", res.JobID)
-	} else if start.SrcLevel != res.SrcLevel || start.DstLevel != res.DstLevel {
+	switch {
+	case r.open == nil || r.open.ID != res.JobID:
+		r.errf("done for job %d, which is not the job in flight", res.JobID)
+	case r.open.SrcLevel != res.SrcLevel || r.open.DstLevel != res.DstLevel:
 		r.errf("job %d levels changed: start %d→%d, done %d→%d",
-			res.JobID, start.SrcLevel, start.DstLevel, res.SrcLevel, res.DstLevel)
+			res.JobID, r.open.SrcLevel, r.open.DstLevel, res.SrcLevel, res.DstLevel)
 	}
-	if r.done[res.JobID] {
-		r.errf("job %d done twice", res.JobID)
-	}
-	r.done[res.JobID] = true
+	r.open = nil
+	r.dones++
 }
 
 func (r *jobRecorder) OnSeal(*vlog.Sealed)           {}
 func (r *jobRecorder) OnRelease([]storage.SegmentID) {}
 
-// TestConcurrentWorkersPreserveData runs the scheduler with two workers
-// and a deep frozen queue under a heavy overwrite workload and verifies
-// both the stored data and the per-job event protocol.
-func TestConcurrentWorkersPreserveData(t *testing.T) {
+// TestOneCompactorPreservesDataAndJobOrder runs the default engine
+// under a heavy overwrite workload through its three ways to compact —
+// background jobs, behind which the writer stalls, one CompactAll, and
+// writes at one AtJobBoundary — and verifies the stored data and that
+// no job's events interleave with another's.
+func TestOneCompactorPreservesDataAndJobOrder(t *testing.T) {
 	dev, err := storage.NewMemDevice(16<<10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { dev.Close() })
-	rec := newJobRecorder()
+	rec := &jobRecorder{}
 	db, err := New(Options{
-		Device:            dev,
-		NodeSize:          512,
-		GrowthFactor:      4,
-		L0MaxKeys:         128,
-		MaxLevels:         6,
-		Seed:              1,
-		Listener:          rec,
-		CompactionWorkers: 2,
-		L0Buffers:         2,
+		Device:       dev,
+		NodeSize:     512,
+		GrowthFactor: 4,
+		L0MaxKeys:    128,
+		MaxLevels:    6,
+		Seed:         1,
+		Listener:     rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +357,8 @@ func TestConcurrentWorkersPreserveData(t *testing.T) {
 
 	rnd := rand.New(rand.NewSource(42))
 	ref := make(map[string]string, 2500)
-	for i := 0; i < 8000; i++ {
+	put := func(i int) {
+		t.Helper()
 		k := fmt.Sprintf("key%05d", rnd.Intn(2500))
 		v := fmt.Sprintf("val%d", i)
 		if err := db.Put([]byte(k), []byte(v)); err != nil {
@@ -414,22 +366,59 @@ func TestConcurrentWorkersPreserveData(t *testing.T) {
 		}
 		ref[k] = v
 	}
+	for i := 0; i < 8000; i++ {
+		put(i)
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 8000; i < 12000; i++ {
+		put(i)
+	}
+	// At a job boundary no job is in flight or pending, and one more
+	// table may freeze without a job draining it.
+	err = db.AtJobBoundary(func() error {
+		if frozen, inflight := db.QueueDepth(); frozen != 0 || inflight != 0 || !rec.idle() {
+			t.Fatalf("at a job boundary: %d frozen, %d in flight, listener idle %v", frozen, inflight, rec.idle())
+		}
+		// Fill L0 once, and a few keys past it: a second freeze would
+		// stall the writer behind a table no job may drain.
+		i := 12000
+		for frozen := 0; frozen == 0; frozen, _ = db.QueueDepth() {
+			put(i)
+			i++
+		}
+		for end := i + 10; i < end; i++ {
+			put(i)
+		}
+		if frozen, inflight := db.QueueDepth(); frozen != 1 || inflight != 0 {
+			t.Fatalf("held: %d frozen, %d in flight; want 1, 0", frozen, inflight)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	rec.mu.Lock()
 	errs := append([]string(nil), rec.errs...)
-	nStarted, nDone := len(rec.started), len(rec.done)
+	starts, dones, segs := rec.starts, rec.dones, rec.segs
 	rec.mu.Unlock()
 	for _, e := range errs {
 		t.Error(e)
 	}
-	if nStarted == 0 || nStarted != nDone {
-		t.Fatalf("started=%d done=%d", nStarted, nDone)
+	if starts == 0 || starts != dones || segs == 0 {
+		t.Fatalf("starts=%d dones=%d segments=%d", starts, dones, segs)
 	}
-	if got := db.CompactionStats().Jobs; got != uint64(nDone) {
-		t.Fatalf("stats counted %d jobs, listener saw %d dones", got, nDone)
+	snap := db.CompactionStats()
+	if snap.Jobs != uint64(dones) {
+		t.Fatalf("stats counted %d jobs, listener saw %d dones", snap.Jobs, dones)
+	}
+	if snap.WriterStalls == 0 {
+		t.Fatal("the writer never stalled behind the compactor")
 	}
 
 	for k, v := range ref {

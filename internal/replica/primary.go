@@ -83,11 +83,6 @@ type PrimaryConfig struct {
 	Cycles *metrics.Cycles
 	// Cost is the cycle cost model.
 	Cost metrics.CostModel
-	// ShipAtCompactionEnd defers index-segment shipping until the
-	// compaction completes instead of streaming segments as they seal.
-	// The default (false) is the paper's incremental design; the
-	// deferred variant exists for the DESIGN.md "Data path" ablation.
-	ShipAtCompactionEnd bool
 	// ShipCodec compresses index-segment images on the wire before they
 	// are staged in a backup's buffer (DESIGN.md "Replication"). Zero
 	// (None) ships raw bytes — the paper's baseline.
@@ -191,9 +186,6 @@ type jobState struct {
 	// mid-job never sees a job it missed the start of (Sync seeds it at
 	// the next job boundary instead).
 	targets []*backupHandle
-	// deferred buffers emitted segments when ShipAtCompactionEnd is set
-	// (ablation only).
-	deferred []btree.EmittedSegment
 }
 
 // Eviction records one backup the primary declared dead.
@@ -664,18 +656,6 @@ func (p *Primary) OnIndexSegment(job lsm.CompactionJob, seg btree.EmittedSegment
 	if p.cfg.Mode != SendIndex {
 		return
 	}
-	if p.cfg.ShipAtCompactionEnd {
-		p.mu.Lock()
-		if st := p.jobs[job.ID]; st != nil {
-			st.deferred = append(st.deferred, btree.EmittedSegment{
-				Seg:  seg.Seg,
-				Kind: seg.Kind,
-				Data: append([]byte(nil), seg.Data...),
-			})
-		}
-		p.mu.Unlock()
-		return
-	}
 	p.shipSegment(job, seg)
 }
 
@@ -813,12 +793,6 @@ func (p *Primary) OnCompactionDone(res lsm.CompactionResult) {
 	}()
 	if st == nil {
 		return // the job started before this primary was listening
-	}
-	if p.cfg.ShipAtCompactionEnd {
-		job := lsm.CompactionJob{ID: res.JobID, SrcLevel: res.SrcLevel, DstLevel: res.DstLevel}
-		for _, seg := range st.deferred {
-			p.shipSegment(job, seg)
-		}
 	}
 	payload := wire.CompactionDone{
 		RegionID:  uint16(p.cfg.RegionID),

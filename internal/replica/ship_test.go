@@ -125,11 +125,10 @@ func TestPackedShipsLandTheBytesRawShipsDo(t *testing.T) {
 	const n = 4000
 	key := func(i int) []byte { return []byte(fmt.Sprintf("user%08d", i*7919%n)) }
 	load := func(codec shipcodec.Codec, ship *metrics.ShipStats) *rig {
-		r := newRigCfg(t, SendIndex, 1,
-			// One compaction at a time, and none pending while the next
-			// batch is written: both rigs run the same jobs in the same
-			// order, so their backups allocate the same segments.
-			func(o *lsm.Options) { o.CompactionWorkers = 1 },
+		// The engine runs one compaction at a time, and none is pending
+		// while the next batch is written: both rigs run the same jobs
+		// in the same order, so their backups allocate the same segments.
+		r := newRigCfg(t, SendIndex, 1, nil,
 			func(pc *PrimaryConfig) {
 				pc.ShipCodec = codec
 				pc.ShipPageSize = lsmOpts().NodeSize

@@ -62,12 +62,10 @@ type Config struct {
 	// is smaller).
 	SpinThreads int
 	// TaskThreshold is the per-worker queue threshold
-	// (DefaultTaskThreshold if zero).
+	// (DefaultTaskThreshold if zero). Each worker's queue holds
+	// 4*TaskThreshold tasks, so the spinning threads can overshoot the
+	// threshold while tasks drain.
 	TaskThreshold int
-	// WorkerQueueDepth is the capacity of each worker's task queue
-	// (4*TaskThreshold if zero, so the spinning threads can overshoot
-	// the threshold while tasks drain).
-	WorkerQueueDepth int
 	// BufferSize is the per-client RDMA buffer size (DefaultBufferSize
 	// if zero).
 	BufferSize int
@@ -128,9 +126,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.TaskThreshold == 0 {
 		c.TaskThreshold = DefaultTaskThreshold
-	}
-	if c.WorkerQueueDepth == 0 {
-		c.WorkerQueueDepth = 4 * c.TaskThreshold
 	}
 	if c.BufferSize == 0 {
 		c.BufferSize = DefaultBufferSize

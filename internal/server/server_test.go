@@ -249,14 +249,14 @@ func TestDefaultSpinThreadsFollowGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestWorkerQueueDepthConfig: a worker's queue holds 4*TaskThreshold
+// tasks, at the default threshold and at one set explicitly.
 func TestWorkerQueueDepthConfig(t *testing.T) {
-	// Default: 4 * TaskThreshold.
 	s, _ := newTestServer(t, "s0")
 	if want := 4 * DefaultTaskThreshold; cap(s.workers[0].queue) != want {
 		t.Fatalf("default queue depth = %d, want %d", cap(s.workers[0].queue), want)
 	}
 
-	// Explicit override.
 	dev, err := storage.NewMemDevice(16<<10, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -271,10 +271,9 @@ func TestWorkerQueueDepthConfig(t *testing.T) {
 			L0MaxKeys:    256,
 			MaxLevels:    5,
 		},
-		Workers:          1,
-		SpinThreads:      1,
-		TaskThreshold:    16,
-		WorkerQueueDepth: 7,
+		Workers:       1,
+		SpinThreads:   1,
+		TaskThreshold: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +282,7 @@ func TestWorkerQueueDepthConfig(t *testing.T) {
 		s2.Close()
 		dev.Close()
 	})
-	if cap(s2.workers[0].queue) != 7 {
-		t.Fatalf("explicit queue depth = %d, want 7", cap(s2.workers[0].queue))
+	if cap(s2.workers[0].queue) != 64 {
+		t.Fatalf("queue depth at TaskThreshold 16 = %d, want 64", cap(s2.workers[0].queue))
 	}
 }

@@ -38,7 +38,7 @@ type worker struct {
 }
 
 func newWorker(s *Server, id int) *worker {
-	return &worker{s: s, id: id, queue: make(chan task, s.cfg.WorkerQueueDepth)}
+	return &worker{s: s, id: id, queue: make(chan task, 4*s.cfg.TaskThreshold)}
 }
 
 func (w *worker) run() {
