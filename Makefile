@@ -26,8 +26,8 @@ check:
 
 # stress re-runs the failure-prone suites — replication retry/eviction
 # and the segment map's lock-free hits, the one compactor's job order and
-# writer stalls, the compaction pipeline's batched hand-off and its abort
-# paths, the client ring/freeList property tests,
+# writer stalls, a job's segments shipping while it builds and its
+# failures mid-job, the client ring/freeList property tests,
 # the master's hand-over and interrupted-reconfiguration suites, the
 # lock-free segment reads of the device and the value log, and the
 # request path's lock-free polls, rkey table, spinner fast path,

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"time"
 
 	"tebis/internal/integrity"
 	"tebis/internal/kv"
@@ -84,6 +85,8 @@ type Builder struct {
 	last    LeafEntry
 	lastKey []byte
 	started bool
+
+	sealTime time.Duration
 }
 
 // levelBuilder accumulates one tree level left to right.
@@ -364,6 +367,16 @@ func (b *Builder) addToIndex(level int, firstKey []byte, child storage.Offset) e
 	return nil
 }
 
+// SealTime is the time b has spent sealing nodes so far: placing each
+// sealed node in its segment, and writing and emitting each segment. It
+// is read off one clock pair per node and one per segment, never per
+// entry, so whatever else a pass feeding b does — its merge, and the
+// staging of entries into leaves — is the caller's time minus this.
+func (b *Builder) SealTime() time.Duration { return b.sealTime }
+
+// clock adds the time since start to the seal time.
+func (b *Builder) clock(start time.Time) { b.sealTime += time.Since(start) }
+
 // sealNode finalizes the current node of the given level, places it in
 // the level's segment (emitting the segment if it fills), and propagates
 // the node's first key + offset to the parent level.
@@ -407,6 +420,7 @@ func (lb *levelBuilder) hasNode() bool {
 // placeNode writes lb's current node into the next free slot of the
 // level's segment and returns the node's device offset.
 func (b *Builder) placeNode(lb *levelBuilder) (storage.Offset, error) {
+	defer b.clock(time.Now())
 	off, err := b.nodeOffset(lb)
 	if err != nil {
 		return storage.NilOffset, err
@@ -425,6 +439,7 @@ func (b *Builder) placeNode(lb *levelBuilder) (storage.Offset, error) {
 // flushSegment writes the used portion of lb's segment to the device and
 // emits it. full marks a sealed-full segment.
 func (b *Builder) flushSegment(lb *levelBuilder, full bool) error {
+	defer b.clock(time.Now())
 	used := lb.nodeIdx * b.nodeSize
 	if used == 0 {
 		// Unused segment: release it.

@@ -221,9 +221,9 @@ func BenchmarkCompaction(b *testing.B) {
 	}
 }
 
-// BenchmarkCompactionPipeline isolates one L0 → L1 job in the merge →
-// build → ship pipeline: 64 K entries in L0 over 64 K in L1, interleaved,
-// so the job merges 128 K. Keys are twelve bytes, one leaf prefix each,
+// BenchmarkCompactionPipeline isolates one L0 → L1 job — its merge and
+// build, with its segments shipping beside them: 64 K entries in L0 over
+// 64 K in L1, interleaved, so the job merges 128 K. Keys are twelve bytes, one leaf prefix each,
 // so no comparison reads a key. It reports the job's time and heap
 // allocations per merged entry.
 func BenchmarkCompactionPipeline(b *testing.B) {

@@ -157,29 +157,26 @@ func (db *DB) levelCursor(i int) (cursor, *level, error) {
 // mergedEntry is one index entry leaving a merge, as a leaf stores it.
 // key is the full key when the merge had it in memory (a memtable
 // entry, or a tree entry a prefix tie made it read) and nil otherwise.
-// A memtable's key is in the table's arena, which nobody rewrites, and
-// crosses to the build stage without a copy. A tree entry's is lent: it
-// is the cursor's buffer, which the cursor's next tie overwrites, so an
-// entry kept past the merge's next step keeps a copy (entryBatch.add).
+// A memtable's key is in the table's arena, which nobody rewrites; a
+// tree entry's is lent: it is the cursor's buffer, which the cursor's
+// next tie overwrites, so it is good until emit returns (the builder
+// copies the keys it keeps).
 type mergedEntry struct {
 	btree.LeafEntry
-	key  []byte
-	lent bool
+	key []byte
 }
 
 // mergeStream streams src and dst (src is the newer data and wins ties)
 // through emit in key order, charging compaction CPU along the way. It
-// is the merge stage of the compaction pipeline; emit hands each entry
-// to the index-build stage.
+// is the merge half of a compaction job; emit hands each entry to the
+// job's builder.
 func (db *DB) mergeStream(src, dst cursor, emit func(mergedEntry) error) error {
 	merged := 0
 	deadHdr := make([]byte, vlog.HeaderSize) // recordDead's scratch for this merge
 	// take emits the entry c stands on and advances c.
 	take := func(c cursor) error {
 		merged++
-		key := c.heldKey()
-		_, lent := c.(*treeCursor)
-		if err := emit(mergedEntry{LeafEntry: c.entry(), key: key, lent: lent && key != nil}); err != nil {
+		if err := emit(mergedEntry{LeafEntry: c.entry(), key: c.heldKey()}); err != nil {
 			return err
 		}
 		return c.next()

@@ -179,7 +179,7 @@ func (db *DB) getListener() Listener {
 // Log exposes the value log (replication and promotion need it).
 func (db *DB) Log() *vlog.Log { return db.log }
 
-// CompactionStats returns a snapshot of the engine's compaction pipeline
+// CompactionStats returns a snapshot of the engine's compaction timings
 // and writer-stall accounting.
 func (db *DB) CompactionStats() metrics.CompactionSnapshot { return db.stats.Snapshot() }
 

@@ -6,7 +6,9 @@
 // Compactions merge level Li into Li+1, building the new L'i+1 index
 // bottom-up and left-to-right. One background compactor runs them one
 // at a time, as the paper's engine does, and one frozen L0 waits for it
-// at most. The engine reports every step of a compaction to an optional
+// at most. A job merges and builds on one goroutine and ships each
+// sealed index segment from a second, while the build goes on. The
+// engine reports every step of a compaction to an optional
 // Listener — log appends, emitted index segments, and compaction
 // completion — which is exactly the interface the Send-Index
 // replication protocol hangs off (§3.3).
@@ -35,8 +37,8 @@ const (
 
 // CompactionJob identifies one scheduled compaction. IDs are unique per
 // DB and strictly increasing in planning order. One job is in flight at
-// a time; the ID still travels with every event, because a backup keys
-// its per-compaction index maps by it and must tell a retried job's
+// a time; the ID still travels with every event, because a backup
+// checks it against the job it has staged and must tell a retried job's
 // segments from the last attempt's.
 type CompactionJob struct {
 	// ID is the engine-unique job identifier.
@@ -77,7 +79,7 @@ type CompactionResult struct {
 // callbacks.
 //
 // Error contract: callbacks have no error return and must not block
-// indefinitely — the ship stage of a compaction waits inside them, so a
+// indefinitely — the ship goroutine of a compaction waits inside them, so a
 // wedged callback wedges the job, the one compactor and, once L0 fills
 // again, the writers.
 // Replication failures are the listener's problem to absorb: the
@@ -97,8 +99,8 @@ type Listener interface {
 	OnCompactionStart(job CompactionJob)
 	// OnIndexSegment fires for every sealed index/leaf segment of the
 	// new L'dst, in build order — the Send-Index shipping hook. It is
-	// called from the job's shipping stage, concurrently with the
-	// ongoing merge and build stages of the same job.
+	// called from the job's ship goroutine, concurrently with the
+	// ongoing merge and build of the same job.
 	OnIndexSegment(job CompactionJob, seg btree.EmittedSegment)
 	// OnCompactionDone fires after the new level is installed, carrying
 	// the new root (primary device space) for backup root translation.
@@ -132,7 +134,7 @@ type Options struct {
 	// MaxLevels bounds on-device levels (DefaultMaxLevels if zero).
 	MaxLevels int
 	// Seed is inert: it fixed the shape of the skiplist L0 once was, and
-	// stays while benchmark/ sets it (ROADMAP item 10).
+	// stays while benchmark/ sets it (ROADMAP item 18).
 	Seed int64
 	// Listener receives replication hooks; may be nil.
 	Listener Listener
@@ -140,7 +142,7 @@ type Options struct {
 	Cycles *metrics.Cycles
 	// Cost is the cycle cost model (DefaultCostModel if zero).
 	Cost metrics.CostModel
-	// CompactionStats receives per-stage pipeline timings and
+	// CompactionStats receives merge, build and ship timings and
 	// writer-stall accounting; if nil the DB allocates a private sink
 	// (readable via DB.CompactionStats).
 	CompactionStats *metrics.CompactionStats

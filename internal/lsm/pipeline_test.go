@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -109,8 +110,8 @@ func l0Job(t testing.TB, db *DB) (CompactionJob, cursor, cursor) {
 	return CompactionJob{ID: 1 << 20, SrcLevel: 0, DstLevel: 1, Filter: true}, &memCursor{it: mt.Iter()}, dst
 }
 
-// referenceRun is what the pipeline computes, on one goroutine:
-// mergeStream straight into a btree.Builder, with the build stage's
+// referenceRun is what the pipeline computes, without a ship goroutine:
+// mergeStream straight into a btree.Builder, with the pipeline's
 // tombstone rule and charges. at[i] is how many entries the merge had
 // emitted when the i-th segment was emitted.
 type referenceRun struct {
@@ -154,14 +155,15 @@ func runReference(db *DB, ref CompactionJob, src, dst cursor) (referenceRun, err
 	return r, err
 }
 
-// TestPipelineMatchesSingleGoroutineReference: the pipeline's batched
-// merge → build hand-off changes where work runs, not what it produces.
-// At job sizes around and across the batch boundary, one engine runs the
-// job through the pipeline and its twin through the reference, and the
-// two must emit the same segments, byte for byte, build the same tree,
-// charge the same compaction cycles and leave the same dead-bytes ledger.
+// TestPipelineMatchesSingleGoroutineReference: shipping segments from a
+// goroutine of their own, while the build goes on, changes where work
+// runs, not what it produces. At job sizes from empty to a few segments,
+// one engine runs the job through the pipeline and its twin through the
+// reference, and the two must emit the same segments, byte for byte,
+// build the same tree, charge the same compaction cycles and leave the
+// same dead-bytes ledger.
 func TestPipelineMatchesSingleGoroutineReference(t *testing.T) {
-	for _, n := range []int{0, 1, mergeBatch - 1, mergeBatch, mergeBatch + 1, 3*mergeBatch + 1} {
+	for _, n := range []int{0, 1, 255, 256, 257, 769} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			db, _ := pipelineDB(t, n)
 			twin, _ := pipelineDB(t, n)
@@ -221,24 +223,17 @@ func waitGoroutines(t *testing.T, before int) {
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before the job, %d after it — a pipeline stage leaked", before, runtime.NumGoroutine())
+			t.Fatalf("goroutines: %d before the job, %d after it — the job's ship goroutine leaked", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// midBatch reports whether the merge stage had emitted merged entries
-// when something happened that puts the build stage inside a batch: not
-// on the batch's first entry and not on its last.
-func midBatch(merged int) bool {
-	pos := (merged - 1) % mergeBatch
-	return merged > 0 && pos != 0 && pos != mergeBatch-1
-}
-
-// TestPipelineBuildErrorMidBatch: a segment write that fails while the
-// build stage is inside a batch is the job's error, and no stage outlives
-// the job. Which write that is comes from the twin's reference run.
-func TestPipelineBuildErrorMidBatch(t *testing.T) {
+// TestPipelineBuildErrorMidJob: a segment write that fails in the middle
+// of a job, with entries merged before it and after it, is the job's
+// error, and the ship goroutine does not outlive the job. Which write
+// that is comes from the twin's reference run.
+func TestPipelineBuildErrorMidJob(t *testing.T) {
 	const n = 3000
 	twin, _ := pipelineDB(t, n)
 	ref, tsrc, tdst := l0Job(t, twin)
@@ -246,21 +241,15 @@ func TestPipelineBuildErrorMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failAt := 0
-	for i, at := range want.at {
-		if midBatch(at) {
-			failAt = i + 1
-			break
-		}
-	}
-	if failAt == 0 {
-		t.Fatalf("no segment was emitted inside a batch (%v); the test lost its premise", want.at)
+	mid := slices.IndexFunc(want.at, func(at int) bool { return at > 0 && at < n })
+	if mid < 0 {
+		t.Fatalf("no segment was emitted mid-job (%v); the test lost its premise", want.at)
 	}
 
 	db, dev := pipelineDB(t, n)
 	ref, src, dst := l0Job(t, db)
 	before := runtime.NumGoroutine()
-	dev.failAt = int64(failAt)
+	dev.failAt = int64(mid + 1)
 	_, err = db.pipeline(ref, src, dst)
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("pipeline = %v, want the injected write failure", err)
@@ -268,43 +257,33 @@ func TestPipelineBuildErrorMidBatch(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestPipelineMergeErrorMidBatch: a corrupt source leaf that the merge
-// reaches inside a batch fails the job with the merge's error, not with
-// the abort the other stages see, and no stage outlives the job.
-func TestPipelineMergeErrorMidBatch(t *testing.T) {
-	const n = 3000
+// TestPipelineMergeErrorMidJob: a corrupt source leaf that the merge
+// reaches in the middle of a job fails the job with the merge's own
+// error, verbatim, and the ship goroutine does not outlive the job.
+func TestPipelineMergeErrorMidJob(t *testing.T) {
+	const n, leaf = 3000, 4
 	// corrupt overwrites the kind byte of L1's leaf-th leaf.
-	corrupt := func(db *DB, leaf int) {
+	corrupt := func(db *DB) {
 		t.Helper()
 		seg := db.Levels()[0].Segments[0] // the first leaf segment
 		if err := db.dev.WriteAt(db.geo.Pack(seg, int64(leaf*db.opt.NodeSize)), []byte{0xEE}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	leaf := 0
-	var want error
-	for l := 1; l < 16 && leaf == 0; l++ {
-		twin, _ := pipelineDB(t, n)
-		corrupt(twin, l)
-		ref, tsrc, tdst := l0Job(t, twin)
-		run, err := runReference(twin, ref, tsrc, tdst)
-		if err == nil {
-			t.Fatalf("the reference merged past corrupt leaf %d", l)
-		}
-		if midBatch(run.merged + 1) {
-			leaf, want = l, err
-		}
-	}
-	if leaf == 0 {
-		t.Fatal("no corrupt leaf is reached inside a batch; the test lost its premise")
+	twin, _ := pipelineDB(t, n)
+	corrupt(twin)
+	ref, tsrc, tdst := l0Job(t, twin)
+	run, want := runReference(twin, ref, tsrc, tdst)
+	if want == nil || run.merged == 0 {
+		t.Fatalf("the reference merged %d entries and returned %v; the test lost its premise", run.merged, want)
 	}
 
 	db, _ := pipelineDB(t, n)
-	corrupt(db, leaf)
+	corrupt(db)
 	ref, src, dst := l0Job(t, db)
 	before := runtime.NumGoroutine()
 	_, err := db.pipeline(ref, src, dst)
-	if err == nil || errors.Is(err, errPipelineAborted) || err.Error() != want.Error() {
+	if err == nil || err.Error() != want.Error() {
 		t.Fatalf("pipeline = %v, want the merge's %v", err, want)
 	}
 	if !errors.Is(err, btree.ErrCorruptNode) {
@@ -317,11 +296,11 @@ func TestPipelineMergeErrorMidBatch(t *testing.T) {
 // all tie on their leaf prefixes reads both full keys of every
 // comparison, and the builder the key of every entry the merge did not
 // read (past the end of the other source, every entry ties with the one
-// before it). Those reads land in buffers the cursors and the build
-// stage own, and a key that rides a batch to the build stage is copied
-// into the batch's arena, so a job allocates per job, per leaf and per
-// segment, never per entry: under 0.01 allocations per merged entry,
-// where a slice per key read costs one or more.
+// before it). Those reads land in buffers the cursors and the job's key
+// reader own, and the builder copies the keys it keeps into buffers of
+// its own, so a job allocates per job, per leaf and per segment, never
+// per entry: under 0.01 allocations per merged entry, where a slice per
+// key read costs one or more. And the tree the job builds finds its keys.
 func TestMergeOfTiedKeysAllocatesNothingPerEntry(t *testing.T) {
 	opt, _ := testOptions(t)
 	opt.NodeSize = 4096 // a leaf of tied keys holds 679 entries
@@ -356,7 +335,7 @@ func TestMergeOfTiedKeysAllocatesNothingPerEntry(t *testing.T) {
 		t.Fatalf("levels hold %d and %d keys, want %d and %d", lv[0].NumKeys, lv[1].NumKeys, merged-n/2, n/2)
 	}
 	ref := CompactionJob{ID: 1 << 20, SrcLevel: 1, DstLevel: 2}
-	job := func() {
+	build := func() btree.Built {
 		src, _, err := db.levelCursor(1)
 		if err != nil {
 			t.Fatal(err)
@@ -372,7 +351,10 @@ func TestMergeOfTiedKeysAllocatesNothingPerEntry(t *testing.T) {
 		if built.NumKeys != merged {
 			t.Fatalf("the merge built %d keys, want %d", built.NumKeys, merged)
 		}
-		if err := db.freeLevel(&level{built: built}); err != nil {
+		return built
+	}
+	job := func() {
+		if err := db.freeLevel(&level{built: build()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -380,5 +362,15 @@ func TestMergeOfTiedKeysAllocatesNothingPerEntry(t *testing.T) {
 	t.Logf("%.4f allocations per merged entry", perEntry)
 	if perEntry >= 0.01 {
 		t.Fatalf("a merge of tied keys allocates %.3f times per entry, want < 0.01", perEntry)
+	}
+
+	// The tree finds its keys: its pivots are copies the builder made,
+	// not the merge's buffers, which later ties read over.
+	tree := btree.NewTree(db.dev, db.opt.NodeSize, build().Root)
+	keys := &keyReader{db: db}
+	for i := 0; i < merged; i += 7 {
+		if _, _, found, err := tree.Get(sharedKey(i), keys.read); err != nil || !found {
+			t.Fatalf("the built tree's Get(%s) = %v, %v", sharedKey(i), found, err)
+		}
 	}
 }

@@ -187,7 +187,7 @@ func (db *DB) GetRange(dst, key []byte, from, n int) (out []byte, total int, fou
 
 // appendKey reads the full key of the record at off into dst's memory,
 // over whatever dst held, charging the read I/O to c: for the cursors
-// and the build stage of a compaction, which read ties into buffers of
+// and the key reader of a compaction, which read ties into buffers of
 // their own. Eight bytes of spare capacity take the header.
 func (db *DB) appendKey(dst []byte, off storage.Offset, c metrics.Component) ([]byte, error) {
 	if cap(dst) < 64 {

@@ -1,8 +1,6 @@
 package lsm
 
 import (
-	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -105,8 +103,9 @@ func (db *DB) runJob(job *compactionJob) {
 	}
 }
 
-// executeJob runs one compaction job: announce, pipeline (merge →
-// build → ship), install, free replaced segments, notify.
+// executeJob runs one compaction job: announce, pipeline (merge and
+// build, with ship streaming beside them), install, free replaced
+// segments, notify.
 func (db *DB) executeJob(job *compactionJob) error {
 	ref := CompactionJob{ID: job.id, SrcLevel: job.srcLevel, DstLevel: job.dstLevel, Filter: job.filter}
 	if l := db.getListener(); l != nil {
@@ -160,41 +159,7 @@ func (db *DB) executeJob(job *compactionJob) error {
 	return nil
 }
 
-// errPipelineAborted marks a stage killed by a sibling stage's error;
-// the sibling's (root-cause) error is reported instead.
-var errPipelineAborted = errors.New("lsm: compaction pipeline aborted")
-
-// mergeBatch is how many merged entries the merge stage hands the build
-// stage at once: the stages synchronise once a batch, not once an entry.
-const mergeBatch = 256
-
-// entryBatch is one hand-off from the merge stage to the build stage:
-// the entries, and the arena the keys the merge lent them were copied
-// into. Keys in the arena are never written again before the batch
-// comes back empty, though the arena may grow past them.
-type entryBatch struct {
-	entries []mergedEntry
-	keys    []byte
-}
-
-// add appends e, copying a lent key into the batch's arena.
-func (b *entryBatch) add(e mergedEntry) {
-	if e.lent {
-		start := len(b.keys)
-		b.keys = append(b.keys, e.key...)
-		e.key, e.lent = b.keys[start:len(b.keys):len(b.keys)], false
-	}
-	b.entries = append(b.entries, e)
-}
-
-// empty readies b for the next batch, keeping its memory and pinning
-// no key.
-func (b *entryBatch) empty() {
-	clear(b.entries)
-	b.entries, b.keys = b.entries[:0], b.keys[:0]
-}
-
-// keyReader is the build stage's btree.FullKeyReader. Builder.AddEntry
+// keyReader is the builder's btree.FullKeyReader. Builder.AddEntry
 // keeps one key across its next read, so two buffers read into by turns
 // are enough for every key a job's build reads.
 type keyReader struct {
@@ -210,156 +175,36 @@ func (kr *keyReader) read(off storage.Offset) ([]byte, error) {
 	return key, err
 }
 
-// pipeline runs one job's three stages concurrently, connected by
-// channels (§3.3's Send-Index streaming): the merge stage feeds sorted
-// entries to the build stage in batches, and the build stage emits
-// sealed index segments to the ship stage, which hands them to the
-// listener while merge and build are still running. Two batches
-// circulate — the merge stage fills one while the build stage drains the
-// other and hands it back through spare — and the small segs buffer
-// applies back-pressure so a slow shipper throttles the build instead of
-// queueing unbounded data.
+// pipeline runs one job as §3.3's compaction thread does: the merge
+// hands each entry straight to the bottom-up builder on the calling
+// goroutine, and one shipping goroutine hands each sealed segment to the
+// listener while the build goes on (Send-Index streaming). The builder
+// copies every key it keeps, so a key the merge lends it — a cursor's
+// buffer — needs no copy of its own. The segs buffer holds two segments,
+// so a slow shipper throttles the build instead of queueing unbounded
+// data. Merge and build stay separately accounted: the build's time is
+// the builder's node sealing (Builder.SealTime), the merge's the rest of
+// the pass.
 func (db *DB) pipeline(ref CompactionJob, src, dst cursor) (btree.Built, error) {
-	dropTombstones := ref.DstLevel == len(db.levels)-1
-
-	var batches [2]entryBatch
-	for i := range batches {
-		batches[i].entries = make([]mergedEntry, 0, mergeBatch)
-	}
-	entries := make(chan *entryBatch, 1)
-	spare := make(chan *entryBatch, 2) // never full: two batches exist
-	spare <- &batches[1]
 	segs := make(chan btree.EmittedSegment, 2)
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	cancel := func() { abortOnce.Do(func() { close(abort) }) }
+	b, err := btree.NewBuilder(db.dev, db.opt.NodeSize, func(es btree.EmittedSegment) error {
+		db.charge(metrics.CompCompaction, db.cost.WriteIO(len(es.Data)))
+		segs <- es
+		return nil
+	})
+	if err != nil {
+		return btree.Built{}, err
+	}
+	if ref.Filter {
+		filter := db.filterBufs.Take()
+		defer db.filterBufs.Give(filter)
+		b.SetFilterCollector(filter)
+	}
 
-	var (
-		wg        sync.WaitGroup
-		mergeErr  error
-		buildErr  error
-		built     btree.Built
-		buildDone atomic.Bool
-	)
-
-	// Stage 1: merge iteration.
-	wg.Add(1)
+	var buildDone atomic.Bool
+	shipped := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		start := time.Now()
-		batch := &batches[0]
-		// send hands batch to the build stage and takes the spare one.
-		send := func() error {
-			select {
-			case entries <- batch:
-			case <-abort:
-				return errPipelineAborted
-			}
-			select {
-			case batch = <-spare:
-				return nil
-			case <-abort:
-				return errPipelineAborted
-			}
-		}
-		mergeErr = db.mergeStream(src, dst, func(e mergedEntry) error {
-			batch.add(e)
-			if len(batch.entries) == mergeBatch {
-				return send()
-			}
-			return nil
-		})
-		if mergeErr == nil && len(batch.entries) > 0 {
-			mergeErr = send()
-		}
-		close(entries) // happens-after the mergeErr store
-		db.stats.RecordMerge(time.Since(start))
-		db.trace.Record(obs.Span{
-			Cat: "compaction", Name: "merge", JobID: ref.ID,
-			Start: start, Dur: time.Since(start),
-		})
-		if mergeErr != nil {
-			cancel()
-		}
-	}()
-
-	// Stage 2: segment-serialized B+-tree build.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(segs)
-		defer buildDone.Store(true)
-		start := time.Now()
-		defer func() {
-			db.stats.RecordBuild(time.Since(start))
-			db.trace.Record(obs.Span{
-				Cat: "compaction", Name: "build", JobID: ref.ID,
-				Start: start, Dur: time.Since(start),
-			})
-		}()
-		emit := func(es btree.EmittedSegment) error {
-			db.charge(metrics.CompCompaction, db.cost.WriteIO(len(es.Data)))
-			select {
-			case segs <- es:
-				return nil
-			case <-abort:
-				return errPipelineAborted
-			}
-		}
-		b, err := btree.NewBuilder(db.dev, db.opt.NodeSize, emit)
-		if err != nil {
-			buildErr = err
-			cancel()
-			return
-		}
-		if ref.Filter {
-			filter := db.filterBufs.Take()
-			defer db.filterBufs.Give(filter)
-			b.SetFilterCollector(filter)
-		}
-		// The builder reads a key the merge did not: each leaf's pivot
-		// and any prefix tie inside one source.
-		keys := &keyReader{db: db}
-		deadHdr := make([]byte, vlog.HeaderSize) // recordDead's scratch for this stage
-		for batch := range entries {
-			for _, e := range batch.entries {
-				if e.Tombstone && dropTombstones {
-					// The tombstone reached the last level: its log record
-					// will never be consulted again, so its bytes are dead.
-					db.recordDead(e.ValueOff, deadHdr)
-					continue
-				}
-				if err := b.AddEntry(e.LeafEntry, e.key, keys.read); err != nil {
-					buildErr = err
-					// The merge stage's sends and takes select on abort,
-					// so it never waits for a buffer this stage keeps.
-					cancel()
-					return
-				}
-			}
-			batch.empty()
-			spare <- batch
-		}
-		// entries is closed: the merge goroutine has already stored
-		// mergeErr (channel close is the synchronization point).
-		if mergeErr != nil {
-			return
-		}
-		built, buildErr = b.Finish()
-		if buildErr != nil {
-			cancel()
-			return
-		}
-		if ref.Filter {
-			// Every entry the builder took was hashed into the filter.
-			db.charge(metrics.CompCompaction, uint64(built.NumKeys)*db.cost.FilterPerKey)
-		}
-	}()
-
-	// Stage 3: Send-Index shipping.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+		defer close(shipped)
 		l := db.getListener()
 		for es := range segs {
 			early := !buildDone.Load()
@@ -376,17 +221,42 @@ func (db *DB) pipeline(ref CompactionJob, src, dst cursor) (btree.Built, error) 
 		}
 	}()
 
-	wg.Wait()
-
-	for _, err := range []error{mergeErr, buildErr} {
-		if err != nil && !errors.Is(err, errPipelineAborted) {
-			return btree.Built{}, err
+	start := time.Now()
+	dropTombstones := ref.DstLevel == len(db.levels)-1
+	// The builder reads a key the merge did not: each leaf's pivot and
+	// any prefix tie inside one source.
+	keys := &keyReader{db: db}
+	deadHdr := make([]byte, vlog.HeaderSize) // recordDead's scratch for the dropped tombstones
+	err = db.mergeStream(src, dst, func(e mergedEntry) error {
+		if e.Tombstone && dropTombstones {
+			// The tombstone reached the last level: its log record will
+			// never be consulted again, so its bytes are dead.
+			db.recordDead(e.ValueOff, deadHdr)
+			return nil
 		}
+		return b.AddEntry(e.LeafEntry, e.key, keys.read)
+	})
+	var built btree.Built
+	if err == nil {
+		built, err = b.Finish()
 	}
-	for _, err := range []error{mergeErr, buildErr} {
-		if err != nil {
-			return btree.Built{}, err
-		}
+	if err == nil && ref.Filter {
+		// Every entry the builder took was hashed into the filter.
+		db.charge(metrics.CompCompaction, uint64(built.NumKeys)*db.cost.FilterPerKey)
+	}
+	buildDone.Store(true)
+	close(segs)
+
+	// The two interleave on one goroutine, so their spans lay the split
+	// end to end: the merge's share of the pass, then the build's.
+	pass, seal := time.Since(start), b.SealTime()
+	db.stats.RecordMerge(pass - seal)
+	db.stats.RecordBuild(seal)
+	db.trace.Record(obs.Span{Cat: "compaction", Name: "merge", JobID: ref.ID, Start: start, Dur: pass - seal})
+	db.trace.Record(obs.Span{Cat: "compaction", Name: "build", JobID: ref.ID, Start: start.Add(pass - seal), Dur: seal})
+	<-shipped
+	if err != nil {
+		return btree.Built{}, err
 	}
 	return built, nil
 }

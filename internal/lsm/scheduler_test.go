@@ -216,11 +216,11 @@ func TestPinnedJobStallsWriter(t *testing.T) {
 }
 
 // TestSegmentsShipToListenerBeforeBuildCompletes asserts the Send-Index
-// streaming property the pipeline exists for: with merges big enough to
-// seal several index segments, at least one segment must reach the
-// shipping stage while its build stage is still running. The segs
-// channel holds two segments, so any job emitting four or more makes
-// this deterministic.
+// streaming property the ship goroutine exists for: with merges big
+// enough to seal several index segments, at least one segment must reach
+// the ship goroutine while its build is still running. The segs channel
+// holds two segments, so any job emitting four or more makes this
+// deterministic.
 func TestSegmentsShipToListenerBeforeBuildCompletes(t *testing.T) {
 	opt, _ := testOptions(t)
 	rec := &recordingListener{}

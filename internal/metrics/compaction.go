@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// CompactionStats accumulates wall-clock accounting for the staged
-// compaction pipeline: per-stage durations (merge, index build, segment
-// shipping), how many shipped segments left before their build finished
-// (the Send-Index overlap the paper's streaming design targets), and the
-// writer stalls caused by a full frozen-L0 queue (§5.1). All methods are
+// CompactionStats accumulates wall-clock accounting for compaction jobs:
+// their merge, index-build and segment-shipping time, how many shipped
+// segments left before their build finished (the Send-Index overlap the
+// paper's streaming design targets), and the writer stalls caused by a
+// full frozen L0 (§5.1). All methods are
 // safe for concurrent use; a nil *CompactionStats discards everything.
 type CompactionStats struct {
 	jobs       atomic.Uint64
@@ -32,7 +32,8 @@ func (s *CompactionStats) RecordJob() {
 	s.jobs.Add(1)
 }
 
-// RecordMerge adds wall time spent in a job's merge stage.
+// RecordMerge adds a job's merge time: its merge-and-build pass less the
+// build's node sealing.
 func (s *CompactionStats) RecordMerge(d time.Duration) {
 	if s == nil {
 		return
@@ -40,7 +41,8 @@ func (s *CompactionStats) RecordMerge(d time.Duration) {
 	s.mergeNanos.Add(int64(d))
 }
 
-// RecordBuild adds wall time spent in a job's index-build stage.
+// RecordBuild adds a job's build time: the time its builder spent
+// sealing nodes (btree.Builder.SealTime).
 func (s *CompactionStats) RecordBuild(d time.Duration) {
 	if s == nil {
 		return
@@ -48,9 +50,9 @@ func (s *CompactionStats) RecordBuild(d time.Duration) {
 	s.buildNanos.Add(int64(d))
 }
 
-// RecordShip adds the time one segment spent in the shipping stage.
-// early reports whether the segment was handed to the shipping stage
-// before its job's build stage finished — the build/ship overlap.
+// RecordShip adds the time one segment spent being shipped. early
+// reports whether the segment reached the ship goroutine before its
+// job's build finished — the build/ship overlap.
 func (s *CompactionStats) RecordShip(d time.Duration, early bool) {
 	if s == nil {
 		return
@@ -96,8 +98,8 @@ func (s *CompactionStats) Snapshot() CompactionSnapshot {
 	}
 }
 
-// Collect implements Source: stage durations (Figure 9's merge/build/ship
-// pipeline), the early-ship split, and writer stalls (the paper's L0
+// Collect implements Source: merge, build (node sealing) and ship time
+// (Figure 9's stages), the early-ship split, and writer stalls (the paper's L0
 // backpressure signal).
 func (s *CompactionStats) Collect() []Family {
 	if s == nil {
@@ -127,18 +129,22 @@ func (s *CompactionStats) Collect() []Family {
 type CompactionSnapshot struct {
 	// Jobs counts completed compaction jobs.
 	Jobs uint64
-	// MergeTime, BuildTime and ShipTime are cumulative wall time per
-	// pipeline stage (stages of one job overlap, so they can sum to more
-	// than the job's wall time).
+	// MergeTime and BuildTime split a job's merge-and-build pass, which
+	// runs on one goroutine: BuildTime is the builder's node sealing —
+	// placing sealed nodes, writing and emitting their segments — and
+	// MergeTime the rest. ShipTime is the time segments spent in the
+	// listener, on a goroutine of its own that overlaps the pass, so the
+	// three can sum to more than the jobs' wall time.
 	MergeTime time.Duration
 	BuildTime time.Duration
 	ShipTime  time.Duration
 	// SegmentsShipped counts index segments handed to the listener.
 	SegmentsShipped uint64
 	// SegmentsShippedEarly counts segments handed to the listener before
-	// their job's build stage completed.
+	// their job's build completed.
 	SegmentsShippedEarly uint64
-	// WriterStalls counts writers that blocked on a full frozen-L0 queue.
+	// WriterStalls counts writers that blocked on a full L0 while the
+	// frozen one was still compacting.
 	WriterStalls uint64
 	// WriterStallTime is the total time writers spent blocked.
 	WriterStallTime time.Duration

@@ -28,9 +28,9 @@ type ShipSnapshot struct {
 	WireBytes uint64
 	// FullSegments counts segment transfers to backups.
 	FullSegments uint64
-	// DeltaSegments is always 0; kept only because benchmark/ reads it (ROADMAP item 4).
+	// DeltaSegments is always 0; kept only because benchmark/ reads it (ROADMAP item 18).
 	DeltaSegments uint64
-	// Fallbacks is always 0; kept only because benchmark/ reads it (ROADMAP item 4).
+	// Fallbacks is always 0; kept only because benchmark/ reads it (ROADMAP item 18).
 	Fallbacks uint64
 }
 

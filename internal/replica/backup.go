@@ -106,7 +106,7 @@ type Backup struct {
 	log     *vlog.Log
 	logMap  *SegMap
 	flushed map[storage.SegmentID]bool // primary log segments flushed here
-	ships   map[uint64]*shipJob        // per-compaction staging, keyed by job ID
+	ship    *shipJob                   // the staged compaction, nil between jobs
 	levels  map[int]lsm.LevelState     // installed levels (Send-Index)
 	// levelMaps retains each installed level's <primary seg, local seg>
 	// index translation after the ship job's map is cleared. Scrub needs
@@ -145,14 +145,14 @@ type idxWork struct {
 	data  []byte
 }
 
-// shipJob is the backup's staging state for one in-flight compaction:
-// the primary→local index segment map, the rewritten segments per
-// destination level, and, when the primary builds the level's filter,
-// the prefixes of every leaf entry rewritten so far, which become the
-// installed level's filter (nil when it builds none). The primary may
-// run several jobs concurrently, so the backup keys this state by job
-// ID.
+// shipJob is the backup's staging state for the primary's one in-flight
+// compaction: its job ID, the primary→local index segment map, the
+// rewritten segments per destination level, and, when the primary
+// builds the level's filter, the prefixes of every leaf entry rewritten
+// so far, which become the installed level's filter (nil when it builds
+// none).
 type shipJob struct {
+	id      uint64
 	idxMap  *SegMap
 	pending map[int][]storage.SegmentID
 	filter  *btree.FilterCollector
@@ -164,6 +164,18 @@ func (s *shipJob) release(bufs *btree.FilterCollectors) {
 		bufs.Give(s.filter)
 		s.filter = nil
 	}
+}
+
+// discardShipLocked frees the staged job's partial segments, if a job is
+// staged: it never became a level. Caller holds b.mu.
+func (b *Backup) discardShipLocked() error {
+	ship := b.ship
+	if ship == nil {
+		return nil
+	}
+	b.ship = nil
+	ship.release(&b.filterBufs)
+	return ship.idxMap.FreeAll()
 }
 
 // NewBackup creates the backup-side state for a region replica.
@@ -192,7 +204,6 @@ func NewBackup(cfg BackupConfig) (*Backup, error) {
 		logBuf:    logBuf,
 		idxBuf:    idxBuf,
 		logMap:    NewSegMap(cfg.Device),
-		ships:     make(map[uint64]*shipJob),
 		levels:    make(map[int]lsm.LevelState),
 		levelMaps: make(map[int]map[storage.SegmentID]storage.SegmentID),
 	}
@@ -555,25 +566,23 @@ func (b *Backup) indexFlushedSegment(local storage.SegmentID, data []byte) error
 func (b *Backup) handleCompactionStart(h wire.Header, req wire.CompactionStart) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if old, ok := b.ships[req.JobID]; ok {
-		// The same job never completed (primary retry); discard its
-		// partial segments. A failed free leaks segments rather than
-		// corrupting anything, so record it where Backup.Err() surfaces
-		// it instead of silently swallowing it — or killing the control
-		// loop over a bookkeeping leak.
-		if err := old.idxMap.FreeAll(); err != nil {
-			b.failLocked(fmt.Errorf("replica: freeing stale ship job %d: %w", req.JobID, err))
-		}
-		old.release(&b.filterBufs)
+	// A job still staged never completed (a primary retry, or a job
+	// that failed): discard its partial segments. A failed free leaks
+	// segments rather than corrupting anything, so record it where
+	// Backup.Err() surfaces it instead of silently swallowing it — or
+	// killing the control loop over a bookkeeping leak.
+	if err := b.discardShipLocked(); err != nil {
+		b.failLocked(fmt.Errorf("replica: freeing a stale ship job before job %d: %w", req.JobID, err))
 	}
 	ship := &shipJob{
+		id:      req.JobID,
 		idxMap:  NewSegMap(b.cfg.Device),
 		pending: make(map[int][]storage.SegmentID),
 	}
 	if req.Filter {
 		ship.filter = b.filterBufs.Take()
 	}
-	b.ships[req.JobID] = ship
+	b.ship = ship
 	return ackMessage(h, wire.OpIndexSegmentAck), nil
 }
 
@@ -583,8 +592,8 @@ func (b *Backup) handleCompactionStart(h wire.Header, req wire.CompactionStart) 
 func (b *Backup) handleIndexSegment(h wire.Header, req wire.IndexSegment) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	ship, ok := b.ships[req.JobID]
-	if !ok {
+	ship := b.ship
+	if ship == nil || ship.id != req.JobID {
 		return nil, fmt.Errorf("replica: index segment for unknown job %d", req.JobID)
 	}
 	if int64(req.DataLen) > b.geo.SegmentSize()+int64(shipcodec.MaxOverhead) {
@@ -645,7 +654,10 @@ func (b *Backup) handleCompactionDone(h wire.Header, req wire.CompactionDone) ([
 	defer b.mu.Unlock()
 	dst := int(req.DstLevel)
 	src := int(req.SrcLevel)
-	ship := b.ships[req.JobID]
+	ship := b.ship
+	if ship != nil && ship.id != req.JobID {
+		ship = nil
+	}
 
 	var newState lsm.LevelState
 	if req.NumKeys > 0 {
@@ -694,7 +706,7 @@ func (b *Backup) handleCompactionDone(h wire.Header, req wire.CompactionDone) ([
 	b.watermarkPrimary = storage.Offset(req.Watermark)
 	if ship != nil {
 		ship.idxMap.Clear() // segment ownership moved to the level
-		delete(b.ships, req.JobID)
+		b.ship = nil
 		ship.release(&b.filterBufs)
 	}
 	return ackMessage(h, wire.OpCompactionDoneAck), nil

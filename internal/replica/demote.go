@@ -79,7 +79,6 @@ func NewBackupFromPrimary(p *Primary, cfg BackupConfig, oldToNew map[storage.Seg
 		idxBuf: idxBuf,
 		log:    db.Log(),
 		logMap: NewSegMap(cfg.Device),
-		ships:  make(map[uint64]*shipJob),
 		levels: make(map[int]lsm.LevelState),
 		// Inherited levels are already in local space — there is no
 		// primary-space naming for them, so they start untranslatable

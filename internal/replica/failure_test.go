@@ -58,8 +58,8 @@ func TestBackupFailureMidCompactionEvictsAndCompletes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The compaction pipeline must drain — a dead backup must not wedge
-	// the ship stage (lsm.Listener contract).
+	// The compactor must drain — a dead backup must not wedge a job's
+	// ship goroutine (lsm.Listener contract).
 	if err := r.db.WaitIdle(); err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ type PrimaryConfig struct {
 	// are staged in a backup's buffer (DESIGN.md "Replication"). Zero
 	// (None) ships raw bytes — the paper's baseline.
 	ShipCodec shipcodec.Codec
-	// ShipDelta is ignored; kept only because benchmark/ sets it (ROADMAP item 4).
+	// ShipDelta is ignored; kept only because benchmark/ sets it (ROADMAP item 18).
 	ShipDelta bool
 	// ShipPageSize is the page size the codec packs leaves at: the
 	// B+-tree node size. Zero selects shipcodec.DefaultPageSize.
@@ -173,13 +173,15 @@ type Primary struct {
 	evictions []Eviction
 	deficit   int
 
-	// jobs holds the replication state of every in-flight compaction
-	// job, from OnCompactionStart to OnCompactionDone.
-	jobs map[uint64]*jobState
+	// job is the replication state of the engine's one in-flight
+	// compaction job, from OnCompactionStart to OnCompactionDone (nil
+	// between jobs).
+	job *jobState
 }
 
-// jobState is the primary's view of one in-flight compaction job.
+// jobState is the primary's view of the in-flight compaction job.
 type jobState struct {
+	id uint64
 	// targets are the backups that acknowledged the job's
 	// CompactionStart and so hold staging state for it. The job's
 	// segments and its done message go to them only: a backup attached
@@ -204,7 +206,6 @@ func NewPrimary(cfg PrimaryConfig) *Primary {
 	return &Primary{
 		cfg:   cfg,
 		retry: cfg.Retry.withDefaults(),
-		jobs:  make(map[uint64]*jobState),
 	}
 }
 
@@ -317,8 +318,8 @@ func (p *Primary) rpc(h *backupHandle, op wire.Op, payload []byte) error {
 }
 
 // rpcLocked is rpc for callers that already hold h.mu (segment shipping
-// holds it across the data write and the control message so concurrent
-// jobs cannot interleave on the backup's single staging buffer).
+// holds it across the data write and the control message so a repair
+// push cannot interleave on the backup's single staging buffer).
 func (p *Primary) rpcLocked(h *backupHandle, op wire.Op, payload []byte) error {
 	_, err := p.rpcReplyLocked(h, op, payload, ackRecvSize)
 	return err
@@ -608,7 +609,7 @@ func (p *Primary) OnCompactionStart(job lsm.CompactionJob) {
 	if p.cfg.Mode != SendIndex {
 		return
 	}
-	st := &jobState{}
+	st := &jobState{id: job.ID}
 	payload := wire.CompactionStart{
 		RegionID: uint16(p.cfg.RegionID),
 		JobID:    job.ID,
@@ -625,7 +626,7 @@ func (p *Primary) OnCompactionStart(job lsm.CompactionJob) {
 		st.targets = append(st.targets, h)
 	}
 	p.mu.Lock()
-	p.jobs[job.ID] = st
+	p.job = st
 	p.mu.Unlock()
 }
 
@@ -634,8 +635,8 @@ func (p *Primary) OnCompactionStart(job lsm.CompactionJob) {
 func (p *Primary) jobTargets(jobID uint64) []*backupHandle {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := p.jobs[jobID]
-	if st == nil {
+	st := p.job
+	if st == nil || st.id != jobID {
 		return nil
 	}
 	var out []*backupHandle
@@ -650,7 +651,7 @@ func (p *Primary) jobTargets(jobID uint64) []*backupHandle {
 // OnIndexSegment ships one sealed index segment: a one-sided write of
 // the segment image into the backup's staging buffer followed by a
 // control message with the translation metadata (§3.3). It is invoked
-// from the job's shipping stage while the build is still producing
+// from the job's ship goroutine while the build is still producing
 // later segments — the Send-Index streaming overlap.
 func (p *Primary) OnIndexSegment(job lsm.CompactionJob, seg btree.EmittedSegment) {
 	if p.cfg.Mode != SendIndex {
@@ -672,15 +673,15 @@ func (p *Primary) encodeShip(data []byte) (frame []byte, codec uint8, err error)
 
 // shipSegment performs the actual transfer of one segment. It holds the
 // backup handle's control lock across the staging-buffer write and the
-// metadata message: the backup stages one segment at a time, so two
-// concurrent jobs must not interleave their writes.
+// metadata message: the backup stages one segment at a time, so a
+// repair push must not interleave its writes with the job's.
 //
 // The codec runs once per segment, not per backup: every backup
 // receives the same frame. A backup that stops responding mid-ship, or
 // cannot decode the frame (a FlagError ack), is evicted and the
 // remaining backups still receive the segment — the compaction job must
-// complete on the survivors rather than wedge in the scheduler's ship
-// stage.
+// complete on the survivors rather than wedge in the job's ship
+// goroutine.
 func (p *Primary) shipSegment(job lsm.CompactionJob, seg btree.EmittedSegment) {
 	const wrIndexShip = 2
 	frame, codec, err := p.encodeShip(seg.Data)
@@ -784,16 +785,16 @@ func (p *Primary) OnCompactionDone(res lsm.CompactionResult) {
 		return
 	}
 	p.mu.Lock()
-	st := p.jobs[res.JobID]
+	st := p.job
 	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		delete(p.jobs, res.JobID)
-		p.mu.Unlock()
-	}()
-	if st == nil {
+	if st == nil || st.id != res.JobID {
 		return // the job started before this primary was listening
 	}
+	defer func() {
+		p.mu.Lock()
+		p.job = nil
+		p.mu.Unlock()
+	}()
 	payload := wire.CompactionDone{
 		RegionID:  uint16(p.cfg.RegionID),
 		JobID:     res.JobID,

@@ -31,14 +31,10 @@ func (b *Backup) Promote() (*lsm.DB, error) {
 	}
 	b.promoted = true
 
-	// Discard any partially shipped compactions: their segments never
-	// became a level.
-	for id, ship := range b.ships {
-		if err := ship.idxMap.FreeAll(); err != nil {
-			return nil, err
-		}
-		ship.release(&b.filterBufs)
-		delete(b.ships, id)
+	// Discard a partially shipped compaction: its segments never became
+	// a level.
+	if err := b.discardShipLocked(); err != nil {
+		return nil, err
 	}
 
 	// Stop the Build-Index worker and drain queued segments.

@@ -3,6 +3,7 @@ package replica
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"tebis/internal/btree"
@@ -192,11 +193,11 @@ func TestSendIndexShipsLevels(t *testing.T) {
 }
 
 // TestSendIndexShipsSegmentsBeforeBuildCompletes is the acceptance test
-// for the staged pipeline: with replication attached, index segments
-// must reach the backup while the primary's index build is still
-// running — the Send-Index streaming overlap. Shipping to the backup is
-// synchronous inside the pipeline's ship stage, so a segment recorded
-// as "early" was rewritten by the backup before the build finished.
+// for streaming ships: with replication attached, index segments must
+// reach the backup while the primary's index build is still running —
+// the Send-Index streaming overlap. Shipping to the backup is
+// synchronous inside the job's ship goroutine, so a segment recorded as
+// "early" was rewritten by the backup before the build finished.
 func TestSendIndexShipsSegmentsBeforeBuildCompletes(t *testing.T) {
 	stats := &metrics.CompactionStats{}
 	r := newRigOpts(t, SendIndex, 1, func(o *lsm.Options) { o.CompactionStats = stats })
@@ -222,6 +223,42 @@ func TestSendIndexShipsSegmentsBeforeBuildCompletes(t *testing.T) {
 		if st.NumKeys != bLevels[i].NumKeys {
 			t.Fatalf("level %d: primary %d keys, backup %d keys", i+1, st.NumKeys, bLevels[i].NumKeys)
 		}
+	}
+}
+
+// TestCompactionStartFreesAnUnfinishedJob: a job that never finished —
+// started, one segment shipped, no done — leaves nothing allocated on
+// the backup once the next job starts, whatever that job's ID.
+func TestCompactionStartFreesAnUnfinishedJob(t *testing.T) {
+	r := newRig(t, SendIndex, 1)
+	r.load(2000, 24)
+	lv := r.db.Levels()
+	i := slices.IndexFunc(lv, func(st lsm.LevelState) bool { return st.NumKeys > 0 })
+	if i < 0 {
+		t.Fatal("the load built no level")
+	}
+	// Re-ship one of the level's segments: every log segment its entries
+	// point into is mapped on the backup already.
+	seg := lv[i].Segments[0]
+	image := make([]byte, r.devP.Geometry().SegmentSize())
+	if err := r.db.Log().ReadSegmentImage(seg, image); err != nil {
+		t.Fatal(err)
+	}
+	before := r.devB[0].Stats().SegmentsLive
+
+	job1 := lsm.CompactionJob{ID: 1 << 40, SrcLevel: i + 1, DstLevel: i + 2}
+	r.primary.OnCompactionStart(job1)
+	r.primary.OnIndexSegment(job1, btree.EmittedSegment{Seg: seg, Kind: btree.SegLeaf, Data: image})
+	if live := r.devB[0].Stats().SegmentsLive; live <= before {
+		t.Fatalf("the backup holds %d segments after job 1's ship, %d before it: nothing was staged", live, before)
+	}
+	r.primary.OnCompactionStart(lsm.CompactionJob{ID: job1.ID + 1, SrcLevel: i + 1, DstLevel: i + 2})
+	if live := r.devB[0].Stats().SegmentsLive; live != before {
+		t.Fatalf("the backup holds %d segments once job 2 started, %d before job 1: job 1's staging leaked", live, before)
+	}
+	r.checkHealthy()
+	if err := r.backups[0].Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -238,7 +238,7 @@ func (f *inflater) open(stream []byte) error {
 // Decode reverses Encode: it validates the frame, decodes the payload and
 // verifies the decoded bytes against the frame's raw CRC. The frame
 // carries its own page size. The two ignored parameters are kept only
-// because benchmark/ compiles against them (ROADMAP item 4).
+// because benchmark/ compiles against them (ROADMAP item 18).
 func Decode(frame, _ []byte, _ int) ([]byte, error) {
 	h, err := Peek(frame)
 	if err != nil {

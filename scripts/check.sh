@@ -27,10 +27,12 @@ echo "== go test -race"
 go test -race ./...
 
 # The benchmark runs the cluster on one P, where a server starts one
-# spinning thread, not two (server.DefaultSpinThreads); this runs the
-# request path's suites in that configuration too.
-echo "== go test -race -cpu 1 (request path on one P)"
-go test -race -cpu 1 ./internal/server ./internal/client ./internal/cluster
+# spinning thread, not two (server.DefaultSpinThreads), and a compaction
+# job's merge-and-build goroutine and its ship goroutine share that P;
+# this runs the request path's, the compactor's and the replicas' suites
+# in that configuration too.
+echo "== go test -race -cpu 1 (request path, compaction and shipping on one P)"
+go test -race -cpu 1 ./internal/server ./internal/client ./internal/cluster ./internal/lsm ./internal/replica
 
 echo "== fuzz smoke"
 make fuzz-smoke
