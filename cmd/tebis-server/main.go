@@ -11,8 +11,8 @@
 // -admission (default on) the server sheds mutations under overload and
 // the front end answers "ERR overloaded ..."; reads are never refused.
 // -metrics serves obs.Serve's HTTP surface (/metrics, /metrics/history,
-// /debug/{vars,trace,events,pprof/,profiler}, /healthz, /readyz). The
-// line protocol is documented at the usage table below.
+// /debug/{vars,trace,events,pprof/}, /healthz, /readyz). The line
+// protocol is documented at the usage table below.
 package main
 
 import (
@@ -25,7 +25,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"tebis/internal/admission"
 	"tebis/internal/client"
@@ -47,7 +46,6 @@ var (
 	segSize     = flag.Int64("segment", 2<<20, "segment size in bytes (power of two)")
 	l0          = flag.Int("l0", lsm.DefaultL0MaxKeys, "L0 capacity in keys")
 	metricsAddr = flag.String("metrics", "", "observability HTTP listen address (empty = off)")
-	profileDir  = flag.String("profile-dir", "", "watchdog profile output directory (empty = OS temp)")
 	withReplica = flag.Bool("replica", false, "add a second server hosting a Send-Index backup")
 	shipRaw     = flag.Bool("ship-uncompressed", false, "ship raw index segments (disable the wire codec)")
 	workers     = flag.Int("workers", server.DefaultWorkers, "worker threads per server")
@@ -115,7 +113,7 @@ func main() {
 	}
 
 	if *metricsAddr != "" {
-		got, err := serveMetrics(*metricsAddr, *profileDir, c, cfg.Trace)
+		got, err := serveMetrics(*metricsAddr, c, cfg.Trace)
 		if err != nil {
 			fatal("metrics endpoint failed", "addr", *metricsAddr, "err", err)
 		}
@@ -142,28 +140,17 @@ func main() {
 	}
 }
 
-// serveMetrics serves the deployment's observability surface over HTTP
-// and starts the watchdog that captures heap+CPU profiles when writer
-// stalls spike (§5.1's backpressure) or the history sampler stops.
-func serveMetrics(addr, profileDir string, c *cluster.Cluster, tracer *obs.Tracer) (string, error) {
+// serveMetrics serves the deployment's observability surface over HTTP.
+func serveMetrics(addr string, c *cluster.Cluster, tracer *obs.Tracer) (string, error) {
 	reg := obs.NewRegistry()
 	c.Observe(reg)
 	health := obs.NewHealth()
 	for _, n := range c.Nodes {
 		n.Server.RegisterHealth(health)
 	}
-	prof, err := obs.NewProfiler(profileDir)
-	if err != nil {
-		return "", err
-	}
 	samp := obs.NewSampler(reg, 0, 0)
 	samp.Start()
-	cstats := c.Nodes[primaryNode].Server.CompactionStats()
-	prof.Watch(time.Second,
-		obs.StallCondition("writer-stall", 250*time.Millisecond,
-			func() time.Duration { return cstats.Snapshot().WriterStallTime }),
-		obs.ScrapeStallCondition(samp, 5*obs.DefaultSampleInterval))
-	return obs.Serve(addr, reg, tracer, prof, samp, c.Events(), health)
+	return obs.Serve(addr, reg, tracer, samp, c.Events(), health)
 }
 
 // serve speaks the line protocol on one connection through its own client.

@@ -232,7 +232,7 @@ func TestServeAdmissionShedsMutations(t *testing.T) {
 // operator must read about and a test or experiment must drive, so the
 // count may only fall. A PR that deletes a flag lowers the bound here.
 func TestFlagCountOnlyGoesDown(t *testing.T) {
-	const max = 17
+	const max = 16
 	var names []string
 	flag.CommandLine.VisitAll(func(f *flag.Flag) {
 		if !strings.HasPrefix(f.Name, "test.") { // the test binary's own

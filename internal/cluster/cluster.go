@@ -311,11 +311,6 @@ func (c *Cluster) Stages() *metrics.StageSet { return c.cfg.Stages }
 // every server and master candidate.
 func (c *Cluster) Events() *obs.EventLog { return c.cfg.Events }
 
-// ClusterHealth returns the acting master's aggregate health report.
-func (c *Cluster) ClusterHealth() master.ClusterHealthReport {
-	return c.leader.ClusterHealth()
-}
-
 // Crash kills a server: its threads stop, its replication connections
 // drop, and its liveness node disappears, triggering the master's
 // recovery. Crash blocks until the master has reconfigured every

@@ -22,7 +22,7 @@ func TestOptionCountsOnlyGoDown(t *testing.T) {
 		typ reflect.Type
 		max int
 	}{
-		{reflect.TypeFor[master.Host](), 13},
+		{reflect.TypeFor[master.Host](), 11},
 		{reflect.TypeFor[Config](), 21},
 		{reflect.TypeFor[server.Config](), 22},
 		{reflect.TypeFor[replica.PrimaryConfig](), 16},

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"sync"
 
-	"tebis/internal/metrics"
 	"tebis/internal/obs"
 	"tebis/internal/region"
 	"tebis/internal/replica"
@@ -47,12 +46,6 @@ type Host interface {
 	Freeze(id region.ID) error
 	Unfreeze(r region.Region, l region.Lease) error
 	Frozen(id region.ID) bool
-
-	// Health surface: Ready mirrors the node's /readyz check (nil when
-	// the node would serve), Lag exposes the per-backup replication-lag
-	// streams of the primaries the node hosts.
-	Ready() error
-	Lag() *metrics.LagSet
 }
 
 // Errors reported by the master.

@@ -402,15 +402,3 @@ func (m *Master) abortIntent(it Intent) error {
 	m.mu.Unlock()
 	return m.clearIntent()
 }
-
-// ShipBytes reports the cumulative bytes shipped to seed migration
-// destinations, per migrated region.
-func (m *Master) ShipBytes() map[region.ID]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[region.ID]int64, len(m.shipBytes))
-	for id, n := range m.shipBytes {
-		out[id] = n
-	}
-	return out
-}

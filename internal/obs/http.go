@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"expvar"
 	"io"
 	"net"
@@ -39,21 +38,6 @@ func (s *Sampler) Handler() http.Handler {
 	})
 }
 
-// Handler serves the profiler's capture log as JSON.
-func (p *Profiler) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		caps := p.Captures()
-		if caps == nil {
-			caps = []Capture{}
-		}
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"dir":      p.Dir(),
-			"captures": caps,
-		})
-	})
-}
-
 // muxIndex lists the mounted endpoints, served at exactly "/".
 const muxIndex = `tebis observability endpoints:
   /metrics            Prometheus text exposition
@@ -63,7 +47,6 @@ const muxIndex = `tebis observability endpoints:
   /debug/events       control-plane event journal (JSON; ?type=X filters)
   /debug/trace        Chrome trace-event JSON (chrome://tracing, ui.perfetto.dev)
   /debug/vars         expvar JSON
-  /debug/profiler     captured profile log (JSON)
   /debug/pprof/       interactive pprof index
 `
 
@@ -71,13 +54,13 @@ const muxIndex = `tebis observability endpoints:
 // text), /metrics/history (sampled time series), /healthz and /readyz
 // (liveness/readiness), /debug/vars (expvar JSON), /debug/trace
 // (Chrome trace-event JSON), /debug/events (the control-plane event
-// journal), /debug/profiler (capture log), and /debug/pprof/*
-// (net/http/pprof, registered explicitly rather than relying on its
-// DefaultServeMux side effects). Every argument may be nil; the
-// endpoints then serve empty documents (a nil health is always ready).
-// "/" serves a plain-text index, and any other unknown path gets an
-// explicit 404 instead of silently falling through to the index.
-func NewMux(reg *Registry, tr *Tracer, prof *Profiler, samp *Sampler, ev *EventLog, health *Health) *http.ServeMux {
+// journal), and /debug/pprof/* (net/http/pprof, registered explicitly
+// rather than relying on its DefaultServeMux side effects). Every
+// argument may be nil; the endpoints then serve empty documents (a nil
+// health is always ready). "/" serves a plain-text index, and any other
+// unknown path gets an explicit 404 instead of silently falling through
+// to the index.
+func NewMux(reg *Registry, tr *Tracer, samp *Sampler, ev *EventLog, health *Health) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/metrics/history", samp.Handler())
@@ -86,7 +69,6 @@ func NewMux(reg *Registry, tr *Tracer, prof *Profiler, samp *Sampler, ev *EventL
 	mux.Handle("/debug/events", ev.Handler())
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/debug/trace", tr.Handler())
-	mux.Handle("/debug/profiler", prof.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -108,12 +90,12 @@ func NewMux(reg *Registry, tr *Tracer, prof *Profiler, samp *Sampler, ev *EventL
 // listen address so callers can use port 0. The server runs until the
 // process exits; tebis-server's lifetime is the process lifetime, so no
 // shutdown plumbing is needed.
-func Serve(addr string, reg *Registry, tr *Tracer, prof *Profiler, samp *Sampler, ev *EventLog, health *Health) (string, error) {
+func Serve(addr string, reg *Registry, tr *Tracer, samp *Sampler, ev *EventLog, health *Health) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	srv := &http.Server{Handler: NewMux(reg, tr, prof, samp, ev, health)}
+	srv := &http.Server{Handler: NewMux(reg, tr, samp, ev, health)}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), nil
 }

@@ -38,7 +38,7 @@ func TestMuxEndpoints(t *testing.T) {
 		}
 		return nil
 	})
-	mux := NewMux(reg, tr, nil, samp, ev, health)
+	mux := NewMux(reg, tr, samp, ev, health)
 
 	code, body := get(t, mux, "/metrics")
 	if code != http.StatusOK || !strings.Contains(body, "tebis_test_total 9") {
@@ -136,7 +136,7 @@ func TestMuxEndpoints(t *testing.T) {
 // Unknown paths must 404 instead of silently serving something, and
 // "/" itself serves an index of the mounted endpoints.
 func TestMuxUnknownPath404(t *testing.T) {
-	mux := NewMux(NewRegistry(), NewTracer(8), nil, nil, nil, nil)
+	mux := NewMux(NewRegistry(), NewTracer(8), nil, nil, nil)
 	if code, _ := get(t, mux, "/nope"); code != http.StatusNotFound {
 		t.Fatalf("/nope: code=%d, want 404", code)
 	}
@@ -149,8 +149,32 @@ func TestMuxUnknownPath404(t *testing.T) {
 	}
 }
 
+// Every path the index at "/" names is mounted, so the index lists
+// nothing that 404s, and /debug/profiler, which it does not name, is
+// not served.
+func TestMuxIndexListsOnlyMountedPaths(t *testing.T) {
+	mux := NewMux(nil, nil, nil, nil, nil)
+	var paths []string
+	for _, line := range strings.Split(muxIndex, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && strings.HasPrefix(f[0], "/") {
+			paths = append(paths, f[0])
+		}
+	}
+	if len(paths) < 8 {
+		t.Fatalf("muxIndex names %d paths, want at least 8: %q", len(paths), muxIndex)
+	}
+	for _, p := range paths {
+		if code, _ := get(t, mux, p); code == http.StatusNotFound {
+			t.Errorf("%s is in the index but answers 404", p)
+		}
+	}
+	if code, _ := get(t, mux, "/debug/profiler"); code != http.StatusNotFound {
+		t.Errorf("/debug/profiler: code=%d, want 404", code)
+	}
+}
+
 func TestMuxNilComponents(t *testing.T) {
-	mux := NewMux(nil, nil, nil, nil, nil, nil)
+	mux := NewMux(nil, nil, nil, nil, nil)
 	if code, _ := get(t, mux, "/metrics"); code != http.StatusOK {
 		t.Fatalf("/metrics with nil registry: code=%d", code)
 	}
@@ -173,13 +197,6 @@ func TestMuxNilComponents(t *testing.T) {
 	if code != http.StatusOK || !strings.HasPrefix(body, "series,t_ms,v") {
 		t.Fatalf("nil sampler csv: code=%d body=%q", code, body)
 	}
-	code, body = get(t, mux, "/debug/profiler")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/profiler with nil profiler: code=%d", code)
-	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("nil profiler log is not JSON: %v", err)
-	}
 	code, body = get(t, mux, "/debug/events")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/events with nil journal: code=%d", code)
@@ -199,7 +216,7 @@ func TestMuxNilComponents(t *testing.T) {
 func TestServe(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(nil, &fixedSource{fams: []metrics.Family{metrics.Counter("tebis_served_total", "h", metrics.Value(1))}})
-	addr, err := Serve("127.0.0.1:0", reg, nil, nil, nil, nil, nil)
+	addr, err := Serve("127.0.0.1:0", reg, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package obs is the observability surface: a registry that renders
 // metric families in the Prometheus text exposition format, a bounded
 // ring tracer exporting Chrome trace-event JSON, the control-plane event
-// journal, health checks, a history sampler, a profiler watchdog, and
-// the HTTP mux that serves them.
+// journal, health checks, a history sampler, and the HTTP mux that
+// serves them.
 //
 // obs owns no metric family but its own (the trace ring's and the
 // journal's). Every other family is declared by the module that counts

@@ -77,7 +77,6 @@ type Sampler struct {
 	mu     sync.Mutex
 	series map[string]*seriesRing
 	ticks  uint64
-	last   time.Time
 
 	start   time.Time
 	stop    chan struct{}
@@ -125,7 +124,6 @@ func (s *Sampler) Start() {
 	}
 	s.started = true
 	s.start = time.Now()
-	s.last = s.start
 	s.stop = make(chan struct{})
 	s.done = make(chan struct{})
 	s.mu.Unlock()
@@ -192,7 +190,6 @@ func (s *Sampler) Tick() {
 		sr.push(Point{T: off, V: v})
 	}
 	s.ticks++
-	s.last = now
 	s.mu.Unlock()
 }
 
@@ -204,18 +201,6 @@ func (s *Sampler) Ticks() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ticks
-}
-
-// LastTick returns when the most recent sample was taken (zero before
-// the first). The profiler watchdog uses it to detect a stalled
-// sampling loop.
-func (s *Sampler) LastTick() time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last
 }
 
 // History returns every buffered series, points in time order.

@@ -269,9 +269,6 @@ func Connect(local, remote *Endpoint, cqDepth int) *QP {
 // Local returns the initiating endpoint.
 func (qp *QP) Local() *Endpoint { return qp.local }
 
-// Remote returns the target endpoint.
-func (qp *QP) Remote() *Endpoint { return qp.remote }
-
 // Write performs a one-sided RDMA WRITE of data into the remote region
 // identified by rkey at offset off. The remote CPU is not involved; a
 // completion is delivered to the local CQ when the data is in remote

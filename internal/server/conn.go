@@ -115,10 +115,6 @@ type task struct {
 	// with recycle: nothing the engine or the reply keeps may point into
 	// it.
 	body *[]byte
-	// recvAt is when the spinning thread detected the message; the
-	// worker's dispatch span starts here, so queue wait is visible in a
-	// sampled request's trace.
-	recvAt time.Time
 }
 
 // payload returns the task's payload bytes.
@@ -290,11 +286,7 @@ func (s *Server) detect(conn *clientConn, hdr []byte) (task, bool, error) {
 		// rendezvous point automatically.
 		conn.pos = 0
 	}
-	t := task{conn: conn, hdr: h, body: body}
-	if h.TraceID != 0 {
-		t.recvAt = time.Now()
-	}
-	return t, true, nil
+	return task{conn: conn, hdr: h, body: body}, true, nil
 }
 
 // dispatch answers a task on the spinning thread's own worker sp while the

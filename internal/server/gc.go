@@ -46,29 +46,6 @@ func (s *Server) gcPolicy() lsm.GCPolicy {
 	}
 }
 
-// GCNow runs one synchronous GC pass over every engine this server is
-// primary for and returns the aggregated result. Benchmarks and tests
-// call this instead of waiting on the background worker's timer.
-func (s *Server) GCNow() (lsm.GCResult, error) {
-	var total lsm.GCResult
-	for _, db := range s.primaryDBs() {
-		res, err := db.GCOnce(s.gcPolicy())
-		if err != nil {
-			return total, err
-		}
-		total.Victims = append(total.Victims, res.Victims...)
-		total.RecordsMoved += res.RecordsMoved
-		total.RecordsDropped += res.RecordsDropped
-		total.TombstonesDragged += res.TombstonesDragged
-		total.BytesMoved += res.BytesMoved
-		total.SegmentsFreed += res.SegmentsFreed
-		total.BytesReclaimed += res.BytesReclaimed
-		total.Paused = total.Paused || res.Paused
-	}
-	s.recordGCPass(total)
-	return total, nil
-}
-
 // recordGCPass journals a GC pass that had effect. Idle ticks (nothing
 // eligible) stay out of the event ring — the background worker fires
 // every 500ms and would otherwise drown real transitions.

@@ -67,17 +67,14 @@ func (w *worker) process(t task) bool {
 	// The dispatch stage is everything between the client handing the
 	// request to the wire and a worker starting on it: ring + wire
 	// transfer, spinning-thread detection, and worker-queue wait. SentAt
-	// (stamped by same-process clients) bounds the whole window;
-	// detection time alone (recvAt) is the fallback for old encoders —
-	// the attribution harness showed detection latency, not worker-queue
-	// wait, is where dispatch tails hide. Every request feeds the
-	// admission controller's queue-wait EWMA (a burst must register in
-	// milliseconds); only sampled ones pay for span and stage records.
-	waitStart := t.recvAt
+	// (stamped on every request by same-process clients) bounds the whole
+	// window — the attribution harness showed detection latency, not
+	// worker-queue wait, is where dispatch tails hide; a request without
+	// it is not timed. Every request feeds the admission controller's
+	// queue-wait EWMA (a burst must register in milliseconds); only
+	// sampled ones pay for span and stage records.
 	if t.hdr.SentAt != 0 {
-		waitStart = time.Unix(0, t.hdr.SentAt)
-	}
-	if !waitStart.IsZero() {
+		waitStart := time.Unix(0, t.hdr.SentAt)
 		wait := start.Sub(waitStart)
 		if wait < 0 {
 			wait = 0

@@ -100,9 +100,6 @@ func (d *FaultDevice) FaultStats() FaultStats {
 	return d.stats
 }
 
-// Inner returns the wrapped device.
-func (d *FaultDevice) Inner() Device { return d.inner }
-
 func (d *FaultDevice) decide(op FaultOp, off Offset, p []byte) Fault {
 	d.mu.Lock()
 	defer d.mu.Unlock()

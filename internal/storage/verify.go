@@ -130,9 +130,6 @@ func AsVerifying(dev Device) *VerifyingDevice {
 	return d
 }
 
-// Inner returns the wrapped device.
-func (d *VerifyingDevice) Inner() Device { return d.inner }
-
 // Geometry implements Device.
 func (d *VerifyingDevice) Geometry() Geometry { return d.geo }
 

@@ -182,7 +182,7 @@ type Header struct {
 	// compatible by construction like TraceID and Epoch.
 	Tenant uint8
 	// SentAt is the client's send wall-clock in Unix nanoseconds,
-	// stamped on sampled requests only (SentAt 0 = unstamped). The
+	// stamped on every request (SentAt 0 = unstamped). The
 	// worker subtracts it from its pickup time to attribute the whole
 	// pre-service wait — ring, wire, spinning-thread detection, and
 	// worker queue — to the dispatch stage, and to feed the admission

@@ -12,7 +12,9 @@
 //   - /debug/vars serves valid expvar JSON;
 //   - /metrics/history serves sampled time-series JSON with non-zero
 //     ticks, and `series,t_ms,v` rows with ?format=csv;
-//   - /debug/pprof/ serves the profile index and unknown paths 404.
+//   - /debug/pprof/ serves the profile index and unknown paths 404;
+//   - every endpoint the index at / names was fetched by one of the
+//     checks above, so nothing is served that no gate exercises.
 //
 // It exits 0 on success and 1 with a diagnostic on any failure.
 package main
@@ -147,7 +149,10 @@ func run() error {
 	if err := checkHealth(metricsAddr); err != nil {
 		return err
 	}
-	return checkMuxPaths(metricsAddr)
+	if err := checkMuxPaths(metricsAddr); err != nil {
+		return err
+	}
+	return checkIndexCovered(metricsAddr)
 }
 
 // parseAddrs reads the server's startup log lines until both listen
@@ -211,6 +216,10 @@ func drivePuts(addr string, n int) error {
 	return nil
 }
 
+// fetched holds the path (query stripped) of every GET that answered
+// 200, for checkIndexCovered.
+var fetched = map[string]bool{}
+
 func get(addr, path string) ([]byte, error) {
 	resp, err := http.Get("http://" + addr + path)
 	if err != nil {
@@ -220,6 +229,7 @@ func get(addr, path string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET %s: status %s", path, resp.Status)
 	}
+	fetched[strings.SplitN(path, "?", 2)[0]] = true
 	return io.ReadAll(resp.Body)
 }
 
@@ -412,6 +422,32 @@ func checkMuxPaths(addr string) error {
 		return fmt.Errorf("unknown path served status %s, want 404", resp.Status)
 	}
 	fmt.Println("obs-smoke: /debug/pprof/ mounted, unknown paths 404")
+	return nil
+}
+
+// checkIndexCovered fetches the endpoint index at / and fails if it
+// names a path none of the checks above fetched: an endpoint is kept
+// only while a gate exercises it.
+func checkIndexCovered(addr string) error {
+	body, err := get(addr, "/")
+	if err != nil {
+		return err
+	}
+	n := 0
+	for _, line := range strings.Split(string(body), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || !strings.HasPrefix(f[0], "/") {
+			continue
+		}
+		if !fetched[f[0]] {
+			return fmt.Errorf("the index at / names %s, which no check fetches", f[0])
+		}
+		n++
+	}
+	if n == 0 {
+		return fmt.Errorf("the index at / names no endpoint:\n%s", body)
+	}
+	fmt.Printf("obs-smoke: every endpoint the index names (%d) is checked\n", n)
 	return nil
 }
 
