@@ -27,7 +27,8 @@ check:
 # stress re-runs the failure-prone suites — replication retry/eviction
 # and the segment map's lock-free hits, the one compactor's job order and
 # writer stalls, a job's segments shipping while it builds and its
-# failures mid-job, the client ring/freeList property tests,
+# failures mid-job, the builder's fill of the node cache beside lock-free
+# lookups, the client ring/freeList property tests,
 # the master's hand-over and interrupted-reconfiguration suites, the
 # lock-free segment reads of the device and the value log, and the
 # request path's lock-free polls, rkey table, spinner fast path,
@@ -35,7 +36,7 @@ check:
 # repeatedly under the race detector, to shake out interleavings a single
 # run can miss.
 stress:
-	$(GO) test -race -count=5 ./internal/lsm ./internal/replica ./internal/client ./internal/master ./internal/storage ./internal/vlog ./internal/rdma ./internal/server
+	$(GO) test -race -count=5 ./internal/lsm ./internal/replica ./internal/btree ./internal/client ./internal/master ./internal/storage ./internal/vlog ./internal/rdma ./internal/server
 
 # fuzz-smoke mutates each native fuzz target's seed corpus for five
 # seconds (`go test -fuzz` takes one target per run, so each gets a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"tebis/internal/kv"
@@ -330,6 +331,143 @@ func TestIncrementalEmission(t *testing.T) {
 	if full == 0 {
 		t.Fatal("expected sealed-full segments during the build")
 	}
+}
+
+// cacheMisses reads the misses counter of dev's node cache.
+func cacheMisses(t *testing.T, dev storage.Device) float64 {
+	t.Helper()
+	for _, f := range storage.NodeCacheOf(dev).Collect() {
+		if f.Name == "tebis_node_cache_misses_total" {
+			return f.Samples[0].Value
+		}
+	}
+	t.Fatal("no misses counter")
+	return 0
+}
+
+// TestBuilderFillsTheNodeCache: the builder puts every segment it writes
+// into the device's node cache, so lookups and seeks in the tree it has
+// just built miss nothing and read no node from the device, on both
+// devices that keep a cache. A compaction cursor still reads every node
+// from the device, and a fill costs two allocations per segment, not
+// one per node.
+func TestBuilderFillsTheNodeCache(t *testing.T) {
+	const nodeSize = 512
+	for name, wrap := range map[string]func(*storage.MemDevice) storage.Device{
+		"mem":       func(m *storage.MemDevice) storage.Device { return m },
+		"verifying": func(m *storage.MemDevice) storage.Device { return storage.AsVerifying(m) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dev := wrap(newDev(t, 8192))
+			keys := sortedKeys(3000, "key-%05d")
+			var leafSeg EmittedSegment
+			tree, fl, built := buildTree(t, dev, nodeSize, keys, func(es EmittedSegment) error {
+				if es.Kind == SegLeaf && leafSeg.Data == nil {
+					leafSeg = es
+				}
+				return nil
+			})
+			if len(built.Segments) < 3 {
+				t.Fatalf("tree spans %d segments, want several", len(built.Segments))
+			}
+			misses, read := cacheMisses(t, dev), dev.Stats().BytesRead
+			for _, k := range keys {
+				if _, _, found, err := tree.Get(k, fl.reader()); err != nil || !found {
+					t.Fatalf("Get(%q) = %v, %v", k, found, err)
+				}
+				if it, err := seekGE(tree, k, fl.reader()); err != nil || !it.Valid() {
+					t.Fatalf("SeekGE(%q): %v", k, err)
+				}
+			}
+			if m := cacheMisses(t, dev) - misses; m != 0 {
+				t.Errorf("lookups in a tree just built missed the node cache %v times, want 0", m)
+			}
+			if r := dev.Stats().BytesRead - read; r != 0 {
+				t.Errorf("lookups in a tree just built read %d bytes of nodes, want 0", r)
+			}
+
+			read = dev.Stats().BytesRead
+			it := first(tree)
+			for ; it.Valid(); it.Next() {
+			}
+			if r := dev.Stats().BytesRead - read; r != uint64(it.NodesRead()*nodeSize) {
+				t.Errorf("a compaction cursor read %d bytes for %d nodes; want every node from the device", r, it.NodesRead())
+			}
+
+			b, err := NewBuilder(dev, nodeSize, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(20, func() { b.fill(leafSeg.Seg, leafSeg.Data) }); n != 2 {
+				t.Errorf("filling a leaf segment of %d nodes allocates %v times, want 2", len(leafSeg.Data)/nodeSize, n)
+			}
+		})
+	}
+}
+
+// TestFillBesideLookups builds and frees trees on a device whose small
+// node cache readers of another tree share: the fills, the readers'
+// demand misses and the frees race for the same ways, and every lookup
+// must still answer from its own tree (run it under -race).
+func TestFillBesideLookups(t *testing.T) {
+	const nodeSize = 512
+	dev := newDev(t, 8192)
+	dev.NodeCache().Resize(64)
+	keys := sortedKeys(2000, "key-%05d")
+	tree, fl, _ := buildTree(t, dev, nodeSize, keys, nil)
+	want := make([]storage.Offset, len(keys))
+	for i, k := range keys {
+		off, _, found, err := tree.Get(k, fl.reader())
+		if err != nil || !found {
+			t.Fatalf("Get(%q) = %v, %v", k, found, err)
+		}
+		want[i] = off
+	}
+	reader := fl.reader() // the fake log is read-only from here on
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i += 7 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := i % len(keys)
+				off, _, found, err := tree.Get(keys[k], reader)
+				if err != nil || !found || off != want[k] {
+					t.Errorf("Get(%q) beside a build = %#x, %v, %v; want %#x", keys[k], off, found, err, want[k])
+					return
+				}
+			}
+		}(g)
+	}
+	other := sortedKeys(1500, "other-%05d")
+	for round := 0; round < 20; round++ {
+		b, err := NewBuilder(dev, nodeSize, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range other {
+			if err := b.Add(k, storage.Offset(i+1), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		built, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range built.Segments {
+			if err := dev.Free(seg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestBuildPropertyRandomKeys(t *testing.T) {

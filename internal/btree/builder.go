@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -43,8 +44,11 @@ type EmittedSegment struct {
 	// Data is the used portion of the segment image (a multiple of the
 	// node size). Sealed-full segments carry the whole segment;
 	// partially filled ones (emitted at Finish) carry only used nodes.
-	// It is the builder's own segment buffer, handed over: the builder
-	// keeps no reference, so the receiver may hold on to it.
+	// It is the builder's own buffer, handed over: the builder keeps no
+	// reference, so the receiver may hold on to it. The device's node
+	// cache holds the segment's nodes decoded in place from it (the
+	// builder fills the cache with every segment it writes), so no
+	// receiver may write it.
 	Data []byte
 }
 
@@ -71,6 +75,7 @@ type Built struct {
 // in strictly ascending key order, then Finish.
 type Builder struct {
 	dev      storage.Device
+	cache    *storage.NodeCache // dev's; nil when dev keeps none
 	geo      storage.Geometry
 	nodeSize int
 	slots    int // node slots per segment (framing-aware)
@@ -129,7 +134,7 @@ func NewBuilder(dev storage.Device, nodeSize int, emit EmitFunc) (*Builder, erro
 	if slots < 1 {
 		return nil, fmt.Errorf("btree: node size %d leaves no slots in a framed segment", nodeSize)
 	}
-	return &Builder{dev: dev, geo: geo, nodeSize: nodeSize, slots: slots, emit: emit}, nil
+	return &Builder{dev: dev, cache: storage.NodeCacheOf(dev), geo: geo, nodeSize: nodeSize, slots: slots, emit: emit}, nil
 }
 
 // SetFilterCollector makes b build its level's filter, gathering the
@@ -436,8 +441,9 @@ func (b *Builder) placeNode(lb *levelBuilder) (storage.Offset, error) {
 	return off, nil
 }
 
-// flushSegment writes the used portion of lb's segment to the device and
-// emits it. full marks a sealed-full segment.
+// flushSegment writes the used portion of lb's segment to the device,
+// fills the device's node cache with its nodes and emits it. full marks
+// a sealed-full segment.
 func (b *Builder) flushSegment(lb *levelBuilder, full bool) error {
 	defer b.clock(time.Now())
 	used := lb.nodeIdx * b.nodeSize
@@ -451,17 +457,45 @@ func (b *Builder) flushSegment(lb *levelBuilder, full bool) error {
 		return nil
 	}
 	data := lb.segBuf[:used]
+	if !full {
+		// The level's last segment, often a node or two, goes on in a
+		// buffer of its own size: the node cache keeps the buffer its
+		// nodes were decoded from while one of them stays cached.
+		data = bytes.Clone(data)
+	}
 	if err := storage.WriteFramed(b.dev, b.geo.Pack(lb.seg, 0), data, integrity.KindIndex); err != nil {
 		return err
 	}
+	b.fill(lb.seg, data)
 	kind := SegLeaf
 	if lb.kind == kindIndex {
 		kind = SegIndex
 	}
 	// The builder is done with this buffer — the next segment gets a fresh
-	// one — so the image is handed over, not copied.
+	// one — so the image is handed over, not copied again.
 	lb.segBuf = nil
 	return b.emit(EmittedSegment{Seg: lb.seg, Kind: kind, Data: data})
+}
+
+// fill puts the nodes of seg, which data was just written to, into the
+// device's node cache, decoded in place from data: the next lookups of
+// the level find them in memory, as an mmap'd device keeps the pages a
+// compaction wrote. The nodes are one allocation, the cache's entries
+// another, however many nodes the segment holds.
+func (b *Builder) fill(seg storage.SegmentID, data []byte) {
+	if b.cache == nil {
+		return
+	}
+	nodes := make([]node, len(data)/b.nodeSize)
+	b.cache.Fill(seg, len(nodes), func(i int) (storage.Offset, any, int) {
+		n, at := &nodes[i], i*b.nodeSize
+		n.block = data[at : at+b.nodeSize : at+b.nodeSize]
+		off := b.geo.Pack(seg, int64(at))
+		if n.decode(off) != nil {
+			return off, nil, 0
+		}
+		return off, n, n.size()
+	})
 }
 
 // dropSegment removes seg from the built segment list.

@@ -63,6 +63,11 @@ func (t *Tree) readNode(off storage.Offset, n *node) error {
 	if err := t.dev.ReadAt(off, n.block); err != nil {
 		return err
 	}
+	return n.decode(off)
+}
+
+// decode decodes n.block, the node at off, into n.
+func (n *node) decode(off storage.Offset) error {
 	var err error
 	switch n.block[0] {
 	case kindLeaf:

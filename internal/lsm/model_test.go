@@ -21,10 +21,12 @@ import (
 //
 // The tinyNodeCache variant runs the same sequences on a verifying
 // device of 32 segments whose node cache holds four nodes, with a second
-// goroutine reading beside the compactions: freed index segments are
-// re-allocated and cached nodes evicted within every run, so a node
-// surviving its segment's incarnation shows as a model mismatch, a
-// malformed value or a corrupt-node error.
+// goroutine reading beside the compactions: each build's fills and the
+// reader's demand misses compete for those four ways, freed index
+// segments are re-allocated and cached nodes evicted within every run,
+// so a node surviving its segment's incarnation, or one filled from an
+// image other than the one its segment holds, shows as a model
+// mismatch, a malformed value or a corrupt-node error.
 func TestModelEquivalence(t *testing.T) {
 	t.Run("mem", func(t *testing.T) {
 		testModelEquivalence(t, false, plainKey, func() Options {

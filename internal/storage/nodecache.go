@@ -35,7 +35,9 @@ func NodeCacheOf(dev Device) *NodeCache {
 
 // NodeCache is a device's bounded cache of decoded B+-tree nodes, keyed
 // by device offset. The reader (internal/btree) decides what a decoded
-// node is; the device decides how long it stays valid.
+// node is; the device decides how long it stays valid. Nodes enter on a
+// lookup's miss (Put) and, for a segment just written, from the image
+// its writer wrote (Fill).
 //
 // Validity follows the segment incarnation: the owning device calls
 // retire for every Alloc, Free, write and Invalidate of a segment before
@@ -115,13 +117,18 @@ func (c *NodeCache) unlink(seg SegmentID) {
 	}
 }
 
-// Reset empties the cache by ending every incarnation at once.
+// Reset empties the cache: every way gives its node back to the
+// collector and its bytes to the gauge.
 func (c *NodeCache) Reset() {
 	if c == nil {
 		return
 	}
-	for i := range c.inc {
-		c.inc[i].Add(1)
+	for s := range c.sets {
+		for w := range c.sets[s].ways {
+			if e := c.sets[s].ways[w].Swap(nil); e != nil {
+				c.bytes.Add(-e.size)
+			}
+		}
 	}
 }
 
@@ -190,6 +197,47 @@ func (c *NodeCache) Put(off Offset, inc uint64, node any, size int) {
 		added -= old.size
 	}
 	c.bytes.Add(added)
+}
+
+// Fill caches the n nodes that the owner of seg has just written to it,
+// decoded from the image it wrote: node(i) returns the i-th node, its
+// offset and its size, or a nil node to leave that one out. They are
+// stored under seg's incarnation as it stands when Fill is called, so a
+// fill follows the write it caches and precedes the segment's next
+// write, Free or Invalidate, which end it. A filled node takes only a
+// free way or one whose node is dead, and enters unreferenced: a fill
+// never displaces a node that a lookup read, evicts nothing, and CLOCK
+// displaces it before any node hit since the hand last passed. The n
+// entries are one allocation.
+func (c *NodeCache) Fill(seg SegmentID, n int, node func(i int) (off Offset, v any, size int)) {
+	if c == nil || n == 0 {
+		return
+	}
+	inc := c.incarnation(c.geo.Pack(seg, 0)).Load()
+	entries := make([]cachedNode, n)
+	for i := range entries {
+		off, v, size := node(i)
+		if v == nil {
+			continue
+		}
+		e := &entries[i]
+		e.off, e.inc, e.node, e.size = off, inc, v, int64(size)
+		set := c.set(off)
+		for w := range set.ways {
+			way := &set.ways[w]
+			old := way.Load()
+			if old != nil && old.inc == c.incarnation(old.off).Load() {
+				continue
+			}
+			if way.CompareAndSwap(old, e) {
+				if old != nil {
+					c.bytes.Add(-old.size)
+				}
+				c.bytes.Add(e.size)
+				break
+			}
+		}
+	}
 }
 
 // Collect implements metrics.Source.

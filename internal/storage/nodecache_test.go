@@ -46,8 +46,9 @@ func fill(t *testing.T, c *NodeCache, off Offset, node any) {
 
 // TestNodeCacheFollowsIncarnation is the cache's one invariant at the
 // device boundary: every Alloc, Free, write and Invalidate of a segment
-// makes the nodes cached from it unreachable, on both devices that keep
-// a cache, and a fill that raced with one of them never becomes visible.
+// makes the nodes cached from it, by a lookup's Put or by its writer's
+// Fill, unreachable, on both devices that keep a cache, and a fill that
+// raced with one of them never becomes visible.
 func TestNodeCacheFollowsIncarnation(t *testing.T) {
 	payload := make([]byte, 1024)
 	events := []struct {
@@ -101,11 +102,19 @@ func TestNodeCacheFollowsIncarnation(t *testing.T) {
 				off, otherOff := dev.Geometry().Pack(seg, 512), dev.Geometry().Pack(other, 512)
 				fill(t, c, off, "node")
 				fill(t, c, otherOff, "other")
+				filled := dev.Geometry().Pack(seg, 1024)
+				fillSegment(c, seg, filled)
+				if got, _ := c.Get(filled); got != filled {
+					t.Fatalf("Get(%#x) after its segment's Fill = %v", filled, got)
+				}
 				retired := cacheCount(t, c, "tebis_node_cache_invalidations_total")
 
 				ev.do(t, dev, seg)
 				if got, _ := c.Get(off); got != nil {
 					t.Fatalf("Get after %s = %v, want a miss", ev.name, got)
+				}
+				if got, _ := c.Get(filled); got != nil {
+					t.Fatalf("Get of a node filled before %s = %v, want a miss", ev.name, got)
 				}
 				if got, _ := c.Get(otherOff); got != "other" {
 					t.Fatalf("%s of segment %d dropped segment %d's node", ev.name, seg, other)
@@ -212,6 +221,112 @@ func TestNodeCacheSecondChance(t *testing.T) {
 	}
 	if b := cacheCount(t, c, "tebis_node_cache_bytes"); b != nodeCacheWays*512 {
 		t.Fatalf("resident bytes = %v, want %d", b, nodeCacheWays*512)
+	}
+}
+
+// fillSegment runs a writer's Fill of the nodes at offs of seg, each
+// node its own offset.
+func fillSegment(c *NodeCache, seg SegmentID, offs ...Offset) {
+	c.Fill(seg, len(offs), func(i int) (Offset, any, int) { return offs[i], offs[i], 512 })
+}
+
+// TestNodeCacheFillTakesNoLiveWay fills a set whose ways all hold live
+// nodes: the fill displaces none of them and counts no eviction.
+func TestNodeCacheFillTakesNoLiveWay(t *testing.T) {
+	mem, _ := newVerifying(t)
+	c := mem.NodeCache()
+	c.Resize(nodeCacheWays) // one set
+	seg, err := mem.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := func(i int) Offset { return mem.Geometry().Pack(seg, int64(i)*512) }
+	for i := 0; i < nodeCacheWays; i++ {
+		fill(t, c, off(i), i)
+	}
+	fillSegment(c, seg, off(nodeCacheWays))
+	for i := 0; i < nodeCacheWays; i++ {
+		if got, _ := c.Get(off(i)); got != i {
+			t.Fatalf("node %d displaced by a fill: %v", i, got)
+		}
+	}
+	if got, _ := c.Get(off(nodeCacheWays)); got != nil {
+		t.Fatalf("a fill into a full set was cached: %v", got)
+	}
+	if n := cacheCount(t, c, "tebis_node_cache_evictions_total"); n != 0 {
+		t.Fatalf("evictions = %v, want 0", n)
+	}
+	if b := cacheCount(t, c, "tebis_node_cache_bytes"); b != nodeCacheWays*512 {
+		t.Fatalf("resident bytes = %v, want %d", b, nodeCacheWays*512)
+	}
+}
+
+// TestNodeCacheFillGoesFirst: a filled node enters unreferenced, so the
+// next demand miss in its set takes its way, behind the CLOCK hand's
+// back, before any node a lookup hit.
+func TestNodeCacheFillGoesFirst(t *testing.T) {
+	mem, _ := newVerifying(t)
+	c := mem.NodeCache()
+	c.Resize(nodeCacheWays) // one set
+	seg, err := mem.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := func(i int) Offset { return mem.Geometry().Pack(seg, int64(i)*512) }
+	// Ways 0–2 hold nodes a lookup hit (fill's own Get); the fill takes
+	// way 3, the last the hand reaches from way 0.
+	for i := 0; i < nodeCacheWays-1; i++ {
+		fill(t, c, off(i), i)
+	}
+	filled := off(nodeCacheWays - 1)
+	fillSegment(c, seg, filled)
+	if b := cacheCount(t, c, "tebis_node_cache_bytes"); b != nodeCacheWays*512 {
+		t.Fatalf("resident bytes = %v after the fill, want %d", b, nodeCacheWays*512)
+	}
+	fill(t, c, off(nodeCacheWays), nodeCacheWays)
+	if got, _ := c.Get(filled); got != nil {
+		t.Fatalf("the filled node survived the demand miss: %v", got)
+	}
+	for i := 0; i < nodeCacheWays-1; i++ {
+		if got, _ := c.Get(off(i)); got != i {
+			t.Fatalf("the demand miss displaced node %d, which a lookup hit, before the fill: %v", i, got)
+		}
+	}
+	if n := cacheCount(t, c, "tebis_node_cache_evictions_total"); n != 1 {
+		t.Fatalf("evictions = %v, want 1", n)
+	}
+}
+
+// TestNodeCacheResetEmpties: Reset leaves no node resident — none is
+// hit, the gauge reads zero — so a measured phase starts cold and the
+// heap gives the warm-up's nodes back.
+func TestNodeCacheResetEmpties(t *testing.T) {
+	for name, open := range cachingDevices {
+		dev := open(t)
+		c := NodeCacheOf(dev)
+		seg, err := dev.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs := []Offset{dev.Geometry().Pack(seg, 0), dev.Geometry().Pack(seg, 512)}
+		fill(t, c, offs[0], "put")
+		fillSegment(c, seg, offs[1])
+		c.Reset()
+		if b := cacheCount(t, c, "tebis_node_cache_bytes"); b != 0 {
+			t.Errorf("%s: %v bytes resident after Reset, want 0", name, b)
+		}
+		for _, off := range offs {
+			if got, _ := c.Get(off); got != nil {
+				t.Errorf("%s: Get(%#x) after Reset = %v, want a miss", name, off, got)
+			}
+		}
+		for s := range c.sets {
+			for w := range c.sets[s].ways {
+				if e := c.sets[s].ways[w].Load(); e != nil {
+					t.Fatalf("%s: way %d of set %d still holds the node of %#x", name, w, s, e.off)
+				}
+			}
+		}
 	}
 }
 

@@ -27,12 +27,14 @@ echo "== go test -race"
 go test -race ./...
 
 # The benchmark runs the cluster on one P, where a server starts one
-# spinning thread, not two (server.DefaultSpinThreads), and a compaction
-# job's merge-and-build goroutine and its ship goroutine share that P;
-# this runs the request path's, the compactor's and the replicas' suites
-# in that configuration too.
-echo "== go test -race -cpu 1 (request path, compaction and shipping on one P)"
-go test -race -cpu 1 ./internal/server ./internal/client ./internal/cluster ./internal/lsm ./internal/replica
+# spinning thread, not two (server.DefaultSpinThreads), a compaction
+# job's merge-and-build goroutine and its ship goroutine share that P,
+# and the builder fills the node cache on the job's goroutine beside
+# gets that read it without a lock; this runs the request path's, the
+# compactor's, the replicas', the tree's and the device's suites in that
+# configuration too.
+echo "== go test -race -cpu 1 (request path, compaction, shipping and node cache on one P)"
+go test -race -cpu 1 ./internal/server ./internal/client ./internal/cluster ./internal/lsm ./internal/replica ./internal/btree ./internal/storage
 
 echo "== fuzz smoke"
 make fuzz-smoke
