@@ -3,6 +3,7 @@ package btree
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -402,6 +403,56 @@ func TestBuilderFillsTheNodeCache(t *testing.T) {
 				t.Errorf("filling a leaf segment of %d nodes allocates %v times, want 2", len(leafSeg.Data)/nodeSize, n)
 			}
 		})
+	}
+}
+
+// TestBuilderBuffersGrowWithTheirNodes: a level's segment buffer grows
+// with the nodes it seals, so a build of one node allocates a small
+// fraction of a segment, not a segment and a copy of its node; and no emitted segment
+// — which the node cache keeps alive through its nodes — carries memory
+// past its nodes.
+func TestBuilderBuffersGrowWithTheirNodes(t *testing.T) {
+	const segSize, nodeSize = 256 << 10, 4096
+	for _, n := range []int{10, 20000} {
+		dev := newDev(t, segSize)
+		keys := sortedKeys(n, "key-%06d")
+		fl := newFakeLog(dev.Geometry())
+		offs := make([]storage.Offset, n)
+		for i, k := range keys {
+			offs[i] = fl.add(k)
+		}
+		emitted := 0
+		b, err := NewBuilder(dev, nodeSize, func(es EmittedSegment) error {
+			if cap(es.Data) != len(es.Data) {
+				t.Errorf("%d keys: a %s segment of %d bytes holds a buffer of %d", n, es.Kind, len(es.Data), cap(es.Data))
+			}
+			emitted += len(es.Data)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, k := range keys {
+			if err := b.Add(k, offs[i], false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		built, err := b.Finish()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 10 {
+			if len(built.Segments) != 1 || emitted != nodeSize {
+				t.Fatalf("%d keys built %d segments of %d bytes, want one node", n, len(built.Segments), emitted)
+			}
+			// Less the device's own copy of the segment it allocated.
+			if alloc := after.TotalAlloc - before.TotalAlloc - segSize; alloc > segSize/4 {
+				t.Errorf("a one-node build allocated %d bytes besides the device's segment, which is %d", alloc, segSize)
+			}
+		}
 	}
 }
 

@@ -165,7 +165,7 @@ func (b *Builder) ensureSegment(lb *levelBuilder) error {
 		return err
 	}
 	lb.seg = seg
-	lb.segBuf = make([]byte, b.geo.SegmentSize())
+	lb.segBuf = make([]byte, b.nodeSize)
 	lb.nodeIdx = 0
 	b.built.Segments = append(b.built.Segments, seg)
 	return nil
@@ -395,7 +395,7 @@ func (b *Builder) sealNode(level int) error {
 		return err
 	}
 	if lb.nodeIdx == b.slots {
-		if err := b.flushSegment(lb, true); err != nil {
+		if err := b.flushSegment(lb); err != nil {
 			return err
 		}
 	}
@@ -430,6 +430,14 @@ func (b *Builder) placeNode(lb *levelBuilder) (storage.Offset, error) {
 	if err != nil {
 		return storage.NilOffset, err
 	}
+	if (lb.nodeIdx+1)*b.nodeSize > len(lb.segBuf) {
+		// The buffer grows with the nodes the level seals, doubling up
+		// to the segment's slots: a level that ends in a node or two
+		// never holds a whole segment's buffer.
+		grown := make([]byte, min(2*len(lb.segBuf), b.slots*b.nodeSize))
+		copy(grown, lb.segBuf)
+		lb.segBuf = grown
+	}
 	slot := lb.segBuf[lb.nodeIdx*b.nodeSize : (lb.nodeIdx+1)*b.nodeSize]
 	if lb.kind == kindLeaf {
 		lb.encodeLeaf(slot)
@@ -442,9 +450,8 @@ func (b *Builder) placeNode(lb *levelBuilder) (storage.Offset, error) {
 }
 
 // flushSegment writes the used portion of lb's segment to the device,
-// fills the device's node cache with its nodes and emits it. full marks
-// a sealed-full segment.
-func (b *Builder) flushSegment(lb *levelBuilder, full bool) error {
+// fills the device's node cache with its nodes and emits it.
+func (b *Builder) flushSegment(lb *levelBuilder) error {
 	defer b.clock(time.Now())
 	used := lb.nodeIdx * b.nodeSize
 	if used == 0 {
@@ -457,10 +464,10 @@ func (b *Builder) flushSegment(lb *levelBuilder, full bool) error {
 		return nil
 	}
 	data := lb.segBuf[:used]
-	if !full {
-		// The level's last segment, often a node or two, goes on in a
-		// buffer of its own size: the node cache keeps the buffer its
-		// nodes were decoded from while one of them stays cached.
+	if used < len(lb.segBuf) {
+		// A partial segment whose buffer outgrew its nodes goes on in a
+		// buffer of its own size: a cached node keeps its whole buffer
+		// alive.
 		data = bytes.Clone(data)
 	}
 	if err := storage.WriteFramed(b.dev, b.geo.Pack(lb.seg, 0), data, integrity.KindIndex); err != nil {
@@ -529,7 +536,7 @@ func (b *Builder) Finish() (Built, error) {
 			if err != nil {
 				return Built{}, err
 			}
-			if err := b.flushSegment(lb, false); err != nil {
+			if err := b.flushSegment(lb); err != nil {
 				return Built{}, err
 			}
 			b.built.Root = off
@@ -539,7 +546,7 @@ func (b *Builder) Finish() (Built, error) {
 			return Built{}, err
 		}
 		if lb.segBuf != nil {
-			if err := b.flushSegment(lb, false); err != nil {
+			if err := b.flushSegment(lb); err != nil {
 				return Built{}, err
 			}
 		}

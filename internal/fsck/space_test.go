@@ -7,6 +7,7 @@ import (
 
 	"tebis/internal/lsm"
 	"tebis/internal/storage"
+	"tebis/internal/vlog"
 )
 
 // buildSpaceImage writes an image with a fully known live/dead layout:
@@ -79,11 +80,11 @@ func TestSpaceReportAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Record sizes: 8 B header + 8 B key + value.
-	const (
-		recA    = 8 + 8 + 40 // initial put
-		recB    = 8 + 8 + 80 // overwrite
-		recTomb = 8 + 8      // tombstone
+	// Record sizes: header + 8 B key + value.
+	var (
+		recA    = vlog.EncodedLen(8, 40) // initial put
+		recB    = vlog.EncodedLen(8, 80) // overwrite
+		recTomb = vlog.EncodedLen(8, 0)  // tombstone
 	)
 	wantTotal := int64(300*recA + 100*recB + 50*recTomb)
 	wantLive := int64(100*recB + 150*recA) // newest of 0..99, plus untouched 100..199 and 250..299

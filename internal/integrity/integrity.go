@@ -18,9 +18,10 @@
 // device-local).
 //
 // The magic value is chosen so that a value-log scan which walks into
-// the trailer reads it as an impossible record length and terminates:
-// decoded as a little-endian u32 key length it exceeds any segment size,
-// and it is distinct from the log's tombstone sentinel (^uint32(0)).
+// the trailer reads it as an impossible record and terminates: its first
+// byte (0xA1) marks a long record header, whose key length — the first
+// four bytes read big-endian without that bit, 0x215EB17E — exceeds any
+// framed segment.
 package integrity
 
 import (

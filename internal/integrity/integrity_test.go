@@ -42,20 +42,20 @@ func TestDecodeTrailerBadPayloadLen(t *testing.T) {
 }
 
 // TestMagicTerminatesLogScan pins the property the package comment
-// relies on: read as a record's key length, the magic exceeds any
-// segment size and differs from the tombstone sentinel.
+// relies on: read as a value-log record header, the trailer's first
+// byte marks the long form, whose key length exceeds any framed segment
+// (a frame's payload length has 24 bits).
 func TestMagicTerminatesLogScan(t *testing.T) {
 	buf := make([]byte, TrailerSize)
 	EncodeTrailer(buf, Trailer{})
-	keyLen := binary.LittleEndian.Uint32(buf[0:4])
-	if keyLen != FrameMagic {
-		t.Fatalf("trailer does not start with magic: %#x", keyLen)
+	if magic := binary.LittleEndian.Uint32(buf[0:4]); magic != FrameMagic {
+		t.Fatalf("trailer does not start with magic: %#x", magic)
 	}
-	if int64(keyLen) <= 1<<30 {
-		t.Fatalf("magic %#x too small to terminate a scan", keyLen)
+	if buf[0]&0x80 == 0 {
+		t.Fatalf("magic's first byte %#x reads as a short record header", buf[0])
 	}
-	if keyLen == ^uint32(0) {
-		t.Fatalf("magic collides with the tombstone sentinel")
+	if keyLen := binary.BigEndian.Uint32(buf[0:4]) &^ (1 << 31); keyLen < 1<<24 {
+		t.Fatalf("magic's long-header key length %#x too small to terminate a scan", keyLen)
 	}
 }
 

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -42,14 +41,19 @@ func (d *durabilityTracker) OnAppend(res vlog.AppendResult, _ *obs.ReqTrace) {
 		}
 		d.pending = d.pending[:0]
 	}
-	keyLen := binary.LittleEndian.Uint32(res.Rec[0:4])
-	valLen := binary.LittleEndian.Uint32(res.Rec[4:8])
-	key := string(res.Rec[8 : 8+keyLen])
-	var val []byte
-	if valLen != ^uint32(0) {
-		val = append([]byte(nil), res.Rec[8+keyLen:8+keyLen+valLen]...)
+	walked := 0
+	vlog.WalkImage(res.Rec, func(_ int64, key, value []byte, tomb bool, recLen int) bool {
+		op := kvOp{key: string(key)}
+		if !tomb {
+			op.val = append([]byte{}, value...)
+		}
+		d.pending = append(d.pending, op)
+		walked += recLen
+		return true
+	})
+	if walked != len(res.Rec) {
+		panic(fmt.Sprintf("appended record of %d bytes decodes to %d", len(res.Rec), walked))
 	}
-	d.pending = append(d.pending, kvOp{key: key, val: val})
 }
 
 func (d *durabilityTracker) OnCompactionStart(CompactionJob)                    {}

@@ -201,8 +201,9 @@ func (db *DB) Watermark() storage.Offset {
 // eliminated at the last level). The ledger is advisory (it only steers
 // GC victim selection), so lookup errors — e.g. the record's segment was
 // already reclaimed — are ignored rather than failing the write path.
-// The record's header is read through scratch, eight bytes the caller
-// owns: db.deadHdr under the write lock, a job's own elsewhere.
+// The record's header is read through scratch, vlog.HeaderSize bytes
+// the caller owns: db.deadHdr under the write lock, a job's own
+// elsewhere.
 func (db *DB) recordDead(off storage.Offset, scratch []byte) {
 	if off == storage.NilOffset {
 		return
@@ -269,8 +270,7 @@ func (db *DB) mutate(key, value []byte, tombstone bool, rt *obs.ReqTrace) error 
 		db.mu.Unlock()
 		return err
 	}
-	recLen := 8 + len(key) + len(value)
-	db.charge(metrics.CompInsertL0, db.cost.L0Insert(recLen))
+	db.charge(metrics.CompInsertL0, db.cost.L0Insert(len(res.Rec)))
 	if res.Sealed != nil {
 		// Persisting the sealed tail costs write-I/O CPU.
 		db.charge(metrics.CompInsertL0, db.cost.WriteIO(res.Sealed.Len))

@@ -9,6 +9,7 @@ import (
 
 	"tebis/internal/metrics"
 	"tebis/internal/storage"
+	"tebis/internal/vlog"
 )
 
 // gcTestDB builds a small-segment engine and returns it with its
@@ -505,7 +506,7 @@ func TestVlogSpaceLedgerAccounting(t *testing.T) {
 		}
 	}
 	rep = db.Log().SpaceReport()
-	wantRec := uint64(8 + len("key-0000") + 16)
+	wantRec := uint64(vlog.EncodedLen(len("key-0000"), 16))
 	if rep.Dead < 10*wantRec {
 		t.Fatalf("after 10 L0 overwrites dead = %d, want >= %d", rep.Dead, 10*wantRec)
 	}
@@ -583,7 +584,7 @@ func TestGCOnceRecordLenAndVictimOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 8 + len(key) + len(val); n != want {
+	if want := vlog.EncodedLen(len(key), len(val)); n != want {
 		t.Fatalf("RecordLen = %d, want %d", n, want)
 	}
 

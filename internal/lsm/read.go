@@ -69,7 +69,7 @@ func (r *reader) fullKey(off storage.Offset) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.db.charge(metrics.CompOther, r.db.cost.ReadIO(vlog.HeaderSize+len(r.buf)))
+	r.db.charge(metrics.CompOther, r.db.cost.ReadIO(r.hdr.HeaderLen()+len(r.buf)))
 	return r.buf, nil
 }
 
@@ -82,7 +82,7 @@ func (r *reader) header(off storage.Offset) (vlog.Header, error) {
 	}
 	h, err := r.db.log.ReadHeader(off, r.buf[:cap(r.buf)])
 	if err == nil {
-		r.db.charge(metrics.CompOther, r.db.cost.ReadIO(vlog.HeaderSize))
+		r.db.charge(metrics.CompOther, r.db.cost.ReadIO(h.HeaderLen()))
 	}
 	return h, err
 }
@@ -188,16 +188,16 @@ func (db *DB) GetRange(dst, key []byte, from, n int) (out []byte, total int, fou
 // appendKey reads the full key of the record at off into dst's memory,
 // over whatever dst held, charging the read I/O to c: for the cursors
 // and the key reader of a compaction, which read ties into buffers of
-// their own. Eight bytes of spare capacity take the header.
+// their own. The spare capacity takes the header.
 func (db *DB) appendKey(dst []byte, off storage.Offset, c metrics.Component) ([]byte, error) {
 	if cap(dst) < 64 {
 		dst = make([]byte, 0, 64)
 	}
-	key, _, err := db.log.AppendKey(dst[:0], off)
+	key, h, err := db.log.AppendKey(dst[:0], off)
 	if err != nil {
 		return dst, err
 	}
-	db.charge(c, db.cost.ReadIO(vlog.HeaderSize+len(key)))
+	db.charge(c, db.cost.ReadIO(h.HeaderLen()+len(key)))
 	return key, nil
 }
 
@@ -331,7 +331,7 @@ func (db *DB) ScanLimit(start []byte, lim Limit, fn func(pair kv.Pair) bool) err
 			if h.Tombstone() {
 				continue
 			}
-			size += h.RecLen() - vlog.HeaderSize + lim.PairOverhead
+			size += h.KeyLen() + h.ValLen() + lim.PairOverhead
 			if size > lim.Bytes && pairs > 0 {
 				fit = i
 				break
@@ -343,12 +343,12 @@ func (db *DB) ScanLimit(start []byte, lim Limit, fn func(pair kv.Pair) bool) err
 		var cycles uint64
 		got := 0 // bodies read
 		for i, pos := 0, 0; i < len(hdrs); i++ {
-			if n := hdrs[i].RecLen() - vlog.HeaderSize; i < fit && pos+n <= len(r.buf) {
+			if n := hdrs[i].KeyLen() + hdrs[i].ValLen(); i < fit && pos+n <= len(r.buf) {
 				pos += n
 				got++
 				cycles += db.cost.ReadIO(hdrs[i].RecLen())
 			} else {
-				cycles += db.cost.ReadIO(vlog.HeaderSize)
+				cycles += db.cost.ReadIO(hdrs[i].HeaderLen())
 			}
 		}
 		db.charge(metrics.CompOther, cycles)
@@ -356,7 +356,7 @@ func (db *DB) ScanLimit(start []byte, lim Limit, fn func(pair kv.Pair) bool) err
 		// Hand the pairs over, in order.
 		pos := 0
 		for i, h := range hdrs[:got] {
-			kl, end := h.KeyLen(), pos+h.RecLen()-vlog.HeaderSize
+			kl, end := h.KeyLen(), pos+h.KeyLen()+h.ValLen()
 			rec := r.buf[pos:end:end]
 			pos = end
 			if h.Tombstone() {

@@ -10,6 +10,7 @@ import (
 	"tebis/internal/btree"
 	"tebis/internal/kv"
 	"tebis/internal/storage"
+	"tebis/internal/vlog"
 )
 
 // The read rule (DESIGN.md "Data path"), held as counts on a MemDevice:
@@ -142,8 +143,9 @@ func TestScanReadsReturnedRecordsOnly(t *testing.T) {
 	// 16 records (a header and a body each), and one full key where the
 	// seek met start's own prefix: in the one level that holds it. The
 	// headers come in one vectored read and the bodies in another.
-	const record, key = 8 + ruleKeyLen + ruleValLen, 8 + ruleKeyLen
-	if st.ReadOps != 2*(16+1) || st.BytesRead != 16*record+key {
+	record := vlog.EncodedLen(ruleKeyLen, ruleValLen)
+	key := record - ruleValLen
+	if st.ReadOps != 2*(16+1) || st.BytesRead != uint64(16*record+key) {
 		t.Fatalf("ScanN(start, 16) made %d reads of %d bytes, want %d of %d", st.ReadOps, st.BytesRead, 2*(16+1), 16*record+key)
 	}
 	if n := readVs(db) - vecs; n != 2 {
@@ -161,7 +163,9 @@ func TestScanCutByBudgetReadsWhatItReturns(t *testing.T) {
 	if err != nil || len(want) != 16 {
 		t.Fatalf("ScanN = %d pairs, %v", len(want), err)
 	}
-	const body, key = ruleKeyLen + ruleValLen, 8 + ruleKeyLen
+	const body = ruleKeyLen + ruleValLen
+	key := vlog.EncodedLen(ruleKeyLen, ruleValLen) - ruleValLen
+	hdr := key - ruleKeyLen
 	for fits := 1; fits <= 16; fits += 5 {
 		// Room for fits pairs and their overhead, and for all but a byte
 		// of the next one.
@@ -184,7 +188,7 @@ func TestScanCutByBudgetReadsWhatItReturns(t *testing.T) {
 			}
 		}
 		st := dev.Stats()
-		if wantBytes := 16*8 + fits*body + key; st.BytesRead != uint64(wantBytes) || st.ReadOps != uint64(16+fits+2) {
+		if wantBytes := 16*hdr + fits*body + key; st.BytesRead != uint64(wantBytes) || st.ReadOps != uint64(16+fits+2) {
 			t.Fatalf("a scan cut after %d pairs made %d reads of %d bytes, want %d of %d: 16 headers, %d bodies and the seek's key",
 				fits, st.ReadOps, st.BytesRead, 16+fits+2, wantBytes, fits)
 		}
@@ -229,8 +233,8 @@ func TestGetReadsTheRecordOnce(t *testing.T) {
 	dev.ResetStats()
 	get()
 	st := dev.Stats()
-	if st.ReadOps != 3 || st.BytesRead != 8+ruleKeyLen+ruleValLen {
-		t.Fatalf("a level-resident get made %d reads of %d bytes, want 3 of %d", st.ReadOps, st.BytesRead, 8+ruleKeyLen+ruleValLen)
+	if record := vlog.EncodedLen(ruleKeyLen, ruleValLen); st.ReadOps != 3 || st.BytesRead != uint64(record) {
+		t.Fatalf("a level-resident get made %d reads of %d bytes, want 3 of %d", st.ReadOps, st.BytesRead, record)
 	}
 
 	// A range of the value reads that range.
@@ -239,8 +243,9 @@ func TestGetReadsTheRecordOnce(t *testing.T) {
 	if err != nil || !found || total != ruleValLen || string(part) != "heldvvvvvvv" {
 		t.Fatalf("GetRange(5, 7) = %q of %d, %v, %v", part, total, found, err)
 	}
-	if st := dev.Stats(); st.BytesRead != 8+ruleKeyLen+7 {
-		t.Fatalf("a 7-byte range of a level-resident value read %d bytes, want %d", st.BytesRead, 8+ruleKeyLen+7)
+	headerAndKey := vlog.EncodedLen(ruleKeyLen, ruleValLen) - ruleValLen
+	if st := dev.Stats(); st.BytesRead != uint64(headerAndKey+7) {
+		t.Fatalf("a 7-byte range of a level-resident value read %d bytes, want %d", st.BytesRead, headerAndKey+7)
 	}
 
 	// In L0 the memtable holds the key: the header, then the value.
@@ -255,8 +260,9 @@ func TestGetReadsTheRecordOnce(t *testing.T) {
 	if v, found, err := db.Get(key); err != nil || !found || !bytes.Equal(v, fresh) {
 		t.Fatalf("Get after overwrite = %q, %v, %v", v, found, err)
 	}
-	if st := dev.Stats(); st.ReadOps != 2 || st.BytesRead != 8+uint64(len(fresh)) {
-		t.Fatalf("an L0-resident get made %d reads of %d bytes, want 2 of %d", st.ReadOps, st.BytesRead, 8+len(fresh))
+	headerAndValue := vlog.EncodedLen(len(key), len(fresh)) - len(key)
+	if st := dev.Stats(); st.ReadOps != 2 || st.BytesRead != uint64(headerAndValue) {
+		t.Fatalf("an L0-resident get made %d reads of %d bytes, want 2 of %d", st.ReadOps, st.BytesRead, headerAndValue)
 	}
 }
 
@@ -299,7 +305,7 @@ func TestGetWalksATieReadingKeysOnly(t *testing.T) {
 		}
 		st := dev.Stats()
 		cands := (st.ReadOps - 1) / 2
-		if st.ReadOps%2 != 1 || cands < 1 || cands > run || st.BytesRead != cands*uint64(8+keyLen)+valLen {
+		if st.ReadOps%2 != 1 || cands < 1 || cands > run || st.BytesRead != cands*uint64(vlog.EncodedLen(keyLen, valLen)-valLen)+valLen {
 			t.Fatalf("Get(%q) made %d reads of %d bytes: not %d keys and one value", tied(i), st.ReadOps, st.BytesRead, cands)
 		}
 		most = max(most, cands)

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -12,6 +11,7 @@ import (
 	"tebis/internal/metrics"
 	"tebis/internal/rdma"
 	"tebis/internal/storage"
+	"tebis/internal/vlog"
 	"tebis/internal/wire"
 )
 
@@ -267,13 +267,7 @@ func TestSyncPromoteRoundTripBuildIndex(t *testing.T) { testSyncPromoteRoundTrip
 // encodeLogRecord appends one value-log record image (the on-wire/
 // on-device format WalkImage decodes).
 func encodeLogRecord(buf []byte, key, val string) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(key)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(val)))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, key...)
-	buf = append(buf, val...)
-	return buf
+	return vlog.AppendEncoded(buf, []byte(key), []byte(val), false)
 }
 
 // TestPromoteSmallLogBufferPersistsFullSegment is the satellite

@@ -8,17 +8,18 @@ import (
 )
 
 // Batch is the memory the log reads a batch of records through: their
-// headers with one vectored device read (ReadHeaders), then the bodies
-// of as many of them as the caller wants with a second (AppendBodies),
-// where a ReadHeader and an AppendRecord per record make two dependent
-// reads each. Its zero value is ready to use, and it keeps its memory
+// headers with one vectored device read (ReadHeaders; two when a header
+// is long), then the bodies of as many of them as the caller wants with
+// one more (AppendBodies), where a ReadHeader and an AppendRecord per
+// record make two dependent reads each. Its zero value is ready to use, and it keeps its memory
 // from batch to batch, so a pooled owner reads batches without
 // allocating.
 type Batch struct {
 	hdrs []Header
 	raw  []byte           // the headers' bytes, HeaderSize a record
-	offs []storage.Offset // the bodies' offsets
+	offs []storage.Offset // the bodies' offsets, or the long headers' rest
 	bufs [][]byte         // one destination per record
+	long []int            // the records whose headers are long
 
 	// The ranges in sealed segments — the device's share — and the
 	// record each belongs to.
@@ -29,19 +30,35 @@ type Batch struct {
 
 // ReadHeaders reads the headers of the records at offs and makes each
 // the checks ReadHeader makes, and returns them in order: good until
-// the next ReadHeaders through b. It stops at the first record that fails: the
-// headers before it come back with its error, what ReadHeader calls
-// that stop at the first error would return.
+// the next ReadHeaders through b. It reads the first shortHeaderSize
+// bytes of every header with one vectored device read, and the rest of
+// the long ones, if the batch holds any, with a second. It stops at the
+// first record that fails: the headers before it come back with its
+// error, what ReadHeader calls that stop at the first error would
+// return.
 func (l *Log) ReadHeaders(b *Batch, offs []storage.Offset) ([]Header, error) {
-	b.raw = slices.Grow(b.raw[:0], len(offs)*recHdrSize)[:len(offs)*recHdrSize]
+	b.raw = slices.Grow(b.raw[:0], len(offs)*HeaderSize)[:len(offs)*HeaderSize]
 	b.bufs = b.bufs[:0]
 	for i := range offs {
-		b.bufs = append(b.bufs, b.raw[i*recHdrSize:(i+1)*recHdrSize])
+		b.bufs = append(b.bufs, b.raw[i*HeaderSize:i*HeaderSize+shortHeaderSize])
 	}
 	n, err := l.readBatch(b, offs)
+	b.offs, b.bufs, b.long = b.offs[:0], b.bufs[:0], b.long[:0]
+	for i, off := range offs[:n] {
+		if hdr := b.raw[i*HeaderSize:]; isLong(hdr[0]) && l.room(off) >= HeaderSize {
+			b.offs = append(b.offs, off+shortHeaderSize)
+			b.bufs = append(b.bufs, hdr[shortHeaderSize:HeaderSize])
+			b.long = append(b.long, i)
+		}
+	}
+	if len(b.long) > 0 {
+		if k, lerr := l.readBatch(b, b.offs); lerr != nil {
+			n, err = b.long[k], lerr
+		}
+	}
 	b.hdrs = b.hdrs[:0]
 	for i, off := range offs[:n] {
-		h, herr := l.checkHeader(b.bufs[i], off)
+		h, herr := l.checkHeader(b.raw[i*HeaderSize:(i+1)*HeaderSize], off)
 		if herr != nil {
 			return b.hdrs, herr
 		}
@@ -65,7 +82,7 @@ func (l *Log) AppendBodies(b *Batch, dst []byte, hdrs []Header) ([]byte, error) 
 	pos := base
 	for _, h := range hdrs {
 		n := h.keyLen + h.valLen
-		b.offs = append(b.offs, h.off+recHdrSize)
+		b.offs = append(b.offs, h.off+storage.Offset(h.HeaderLen()))
 		b.bufs = append(b.bufs, dst[pos:pos+n:pos+n])
 		pos += n
 	}

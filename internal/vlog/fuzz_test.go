@@ -24,8 +24,9 @@ func fuzzLog(t testing.TB) *Log {
 	return l
 }
 
-// fuzzSeedImage returns a real sealed segment — puts, a tombstone and a
-// record ending flush with the segment — and where its records start.
+// fuzzSeedImage returns a real sealed segment — puts and tombstones
+// behind short and long headers, keys of 127 and 128 bytes, and a record
+// ending flush with the segment — and where its records start.
 func fuzzSeedImage(f *testing.F) (image []byte, starts []int64) {
 	const segSize = fuzzSegSize
 	l := fuzzLog(f)
@@ -39,8 +40,11 @@ func fuzzSeedImage(f *testing.F) (image []byte, starts []int64) {
 	add([]byte("k1"), bytes.Repeat([]byte("v"), 30), false)
 	add([]byte("dead"), nil, true)
 	add([]byte("sameprefix00-00001"), []byte("value"), false)
+	add(bytes.Repeat([]byte("s"), 127), []byte("short"), false)
+	add(bytes.Repeat([]byte("L"), 128), []byte("long"), false)
+	add(bytes.Repeat([]byte("T"), 128), nil, true)
 	used := int(l.Geometry().Within(l.Position()))
-	add([]byte("last"), bytes.Repeat([]byte("z"), segSize-used-recHdrSize-4), false) // ends at segSize
+	add([]byte("last"), bytes.Repeat([]byte("z"), segSize-used-EncodedLen(4, 0)-4), false) // ends at segSize
 	sealed, err := l.Seal()
 	if err != nil || sealed == nil {
 		f.Fatalf("seed seal: %v, %v", sealed, err)
@@ -72,9 +76,10 @@ func FuzzRecord(f *testing.F) {
 		f.Add(image, uint16(pos))
 		f.Add(image, uint16(pos+1))
 	}
-	f.Add(image, uint16(segSize-recHdrSize)) // a header flush with the end
-	f.Add(image, uint16(segSize-1))          // a header crossing it
-	f.Add([]byte{}, uint16(0))               // padding only
+	f.Add(image, uint16(segSize-HeaderSize))      // a long header flush with the end
+	f.Add(image, uint16(segSize-shortHeaderSize)) // a short one
+	f.Add(image, uint16(segSize-1))               // a header crossing it
+	f.Add([]byte{}, uint16(0))                    // padding only
 
 	f.Fuzz(func(t *testing.T, image []byte, within uint16) {
 		l := fuzzLog(t)
@@ -103,8 +108,8 @@ func FuzzRecord(f *testing.F) {
 			}
 			return
 		}
-		if n != recHdrSize+len(pair.Key)+len(pair.Value) || pos+n > segSize {
-			t.Fatalf("at %d: RecordLen %d, Get read a %d+%d byte record, segment of %d", pos, n, len(pair.Key), len(pair.Value), segSize)
+		if pos+n > segSize || !bytes.Equal(padded[pos:pos+n], AppendEncoded(nil, pair.Key, pair.Value, tomb)) {
+			t.Fatalf("at %d: RecordLen %d, Get read a %d+%d byte record that does not encode to the image, segment of %d", pos, n, len(pair.Key), len(pair.Value), segSize)
 		}
 		if len(key) == 0 || !bytes.Equal(key, pair.Key) {
 			t.Fatalf("at %d: GetKey %q, Get key %q", pos, key, pair.Key)
@@ -112,10 +117,7 @@ func FuzzRecord(f *testing.F) {
 		if tomb && len(pair.Value) != 0 {
 			t.Fatalf("at %d: tombstone with a %d byte value", pos, len(pair.Value))
 		}
-		body := padded[pos+recHdrSize : pos+n]
-		if !bytes.Equal(body, append(append([]byte(nil), pair.Key...), pair.Value...)) {
-			t.Fatalf("at %d: record bytes differ from the image", pos)
-		}
+		body := append(append([]byte(nil), pair.Key...), pair.Value...)
 
 		// The append readers, into a destination that already holds
 		// something: with spare capacity (the header passes through it)
@@ -193,10 +195,13 @@ func batchAgrees(t *testing.T, l *Log, off storage.Offset) {
 func FuzzWalk(f *testing.F) {
 	image, _ := fuzzSeedImage(f)
 	f.Add(image)
-	f.Add(image[:100])                                                       // a record cut short
-	f.Add([]byte{})                                                          // nothing
-	f.Add([]byte{1, 0, 0, 0})                                                // half a header
-	f.Add(append([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 'k'}, image...)) // a tombstone first
+	f.Add(image[:100])                                                   // a record cut short
+	f.Add(image[:len(image)-100])                                        // behind long headers
+	f.Add([]byte{})                                                      // nothing
+	f.Add([]byte{1, 0})                                                  // part of a short header
+	f.Add([]byte{longFlag, 0, 0, 1, 0})                                  // part of a long one
+	f.Add(append(AppendEncoded(nil, []byte("k"), nil, true), image...))  // a tombstone first
+	f.Add(AppendEncoded(nil, bytes.Repeat([]byte("k"), 200), nil, true)) // a long one
 
 	f.Fuzz(func(t *testing.T, image []byte) {
 		if len(image) > fuzzSegSize {
@@ -212,12 +217,15 @@ func FuzzWalk(f *testing.F) {
 
 		next := int64(0)
 		WalkImage(image, func(pos int64, key, value []byte, tomb bool, recLen int) bool {
-			if pos != next || len(key) == 0 || recLen != recHdrSize+len(key)+len(value) || (tomb && len(value) != 0) {
+			if pos != next || len(key) == 0 || (tomb && len(value) != 0) {
 				t.Fatalf("record at %d (expected at %d): %d+%d bytes, recLen %d, tombstone %v", pos, next, len(key), len(value), recLen, tomb)
 			}
 			next = pos + int64(recLen)
 			if next > int64(len(image)) {
 				t.Fatalf("record at %d ends at %d, past the %d byte image", pos, next, len(image))
+			}
+			if !bytes.Equal(image[pos:next], AppendEncoded(nil, key, value, tomb)) {
+				t.Fatalf("record at %d: walked %q:%q (%v), which does not encode to its %d bytes", pos, key, value, tomb, recLen)
 			}
 			pair, gotTomb, err := l.Get(l.Geometry().Pack(seg, pos))
 			if err != nil || gotTomb != tomb || !bytes.Equal(pair.Key, key) || !bytes.Equal(pair.Value, value) {
@@ -236,7 +244,7 @@ func FuzzWalk(f *testing.F) {
 		}
 		replayed := int64(0)
 		if err := l2.Replay(storage.NilOffset, func(off storage.Offset, pair kv.Pair, tomb bool) bool {
-			replayed = l2.Geometry().Within(off) + recHdrSize + int64(pair.Size())
+			replayed = l2.Geometry().Within(off) + int64(EncodedLen(len(pair.Key), len(pair.Value)))
 			return true
 		}); err != nil || replayed != next {
 			t.Fatalf("Replay walked to %d, WalkImage to %d, %v", replayed, next, err)

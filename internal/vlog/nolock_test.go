@@ -13,9 +13,14 @@ import (
 )
 
 // lockTestRecord is record i of the lock tests: a key and value that
-// name i, so a read returns the right bytes or visibly wrong ones.
+// name i, so a read returns the right bytes or visibly wrong ones. Every
+// fourth key is too long for a short header.
 func lockTestRecord(i int) (key, val []byte) {
-	return []byte(fmt.Sprintf("key-%06d", i)), []byte(fmt.Sprintf("value-%06d-%s", i, bytes.Repeat([]byte{'v'}, i%7)))
+	key = []byte(fmt.Sprintf("key-%06d", i))
+	if i%4 == 0 {
+		key = append(key, bytes.Repeat([]byte{'k'}, 120)...)
+	}
+	return key, []byte(fmt.Sprintf("value-%06d-%s", i, bytes.Repeat([]byte{'v'}, i%7)))
 }
 
 func newVerifiedLog(tb testing.TB, segSize int64) *Log {
@@ -49,6 +54,26 @@ func appendLockTestRecords(tb testing.TB, l *Log, from, seals int) []storage.Off
 		offs = append(offs, res.Off)
 	}
 	return offs
+}
+
+// checkBatch reads records i and i+1, at offs, as one batch.
+func checkBatch(l *Log, b *Batch, offs []storage.Offset, i int) error {
+	hdrs, err := l.ReadHeaders(b, offs)
+	if err != nil {
+		return err
+	}
+	got, err := l.AppendBodies(b, nil, hdrs)
+	if err != nil {
+		return err
+	}
+	for j, h := range hdrs {
+		key, val := lockTestRecord(i + j)
+		if !bytes.Equal(got[:h.KeyLen()], key) || !bytes.Equal(got[h.KeyLen():h.KeyLen()+h.ValLen()], val) {
+			return fmt.Errorf("record %d at %#x reads %q in a batch", i+j, offs[j], got)
+		}
+		got = got[h.KeyLen()+h.ValLen():]
+	}
+	return nil
 }
 
 func checkRecord(l *Log, off storage.Offset, i int) error {
@@ -114,7 +139,8 @@ func returnsWithin(d time.Duration, fn func() error) (bool, error) {
 // released read with no lock of the test's; recent records are read
 // under a read lock that Release's caller takes exclusively, as gets and
 // scans hold the engine's lock and GC releases only what no index entry
-// points into. Every read returns the right bytes, and a read past the
+// points into. Every read returns the right bytes — alone, and in a
+// batch whose long headers take a second read — and a read past the
 // table's end ErrReclaimed. Run it under -race.
 func TestReadsRaceSealAndRelease(t *testing.T) {
 	l := newVerifiedLog(t, 4096)
@@ -139,6 +165,7 @@ func TestReadsRaceSealAndRelease(t *testing.T) {
 		go func(r int) {
 			defer readers.Done()
 			rnd := rand.New(rand.NewSource(int64(r)))
+			var b Batch
 			for {
 				select {
 				case <-stop:
@@ -153,9 +180,12 @@ func TestReadsRaceSealAndRelease(t *testing.T) {
 				gc.RLock()
 				mu.Lock()
 				i = len(offs) - 1 - rnd.Intn(50)
-				off := offs[i]
+				off, pair := offs[i], [2]storage.Offset{offs[i-1], offs[i]}
 				mu.Unlock()
 				err := checkRecord(l, off, i)
+				if err == nil {
+					err = checkBatch(l, &b, pair[:], i-1)
+				}
 				gc.RUnlock()
 				if err != nil {
 					errs <- err

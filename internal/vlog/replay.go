@@ -73,19 +73,19 @@ func (l *Log) Replay(from storage.Offset, fn ReplayFunc) error {
 
 // WalkImage iterates the records of a raw (possibly partial) segment
 // image, invoking fn with each record's position, key, value, tombstone
-// flag, and encoded length. Iteration stops at the first zero key length
-// (padding), at a record the image does not hold to its end (a
-// truncated trailer), or when fn returns false. It is the one walker:
-// ScanUsed and Replay are loops over it, and it reads a header with the
-// decoder the record readers use.
+// flag, and encoded length. Iteration stops at the first zero byte where
+// a header would start (padding), at a record the image does not hold to
+// its end (a truncated trailer), or when fn returns false. It is the one
+// walker: ScanUsed and Replay are loops over it, and it reads a header
+// with the decoder the record readers use.
 func WalkImage(data []byte, fn func(pos int64, key, value []byte, tomb bool, recLen int) bool) {
 	pos := int64(0)
-	for pos+recHdrSize <= int64(len(data)) {
+	for pos < int64(len(data)) {
 		h, ok, err := decodeHeader(data[pos:], int64(len(data))-pos)
 		if !ok || err != nil {
 			return
 		}
-		rec := data[pos+recHdrSize : pos+int64(h.RecLen())]
+		rec := data[pos+int64(h.HeaderLen()) : pos+int64(h.RecLen())]
 		if !fn(pos, rec[:h.keyLen], rec[h.keyLen:], h.tomb, h.RecLen()) {
 			return
 		}
@@ -97,7 +97,7 @@ func WalkImage(data []byte, fn func(pos int64, key, value []byte, tomb bool, rec
 // partial) segment image that hold valid records. A promoted backup uses
 // it to find how much of its replicated RDMA log buffer is live tail
 // data (§3.5): records are contiguous and the rest of the buffer is
-// zeroed, so the first zero key length terminates the scan.
+// zeroed, so the first zero header byte terminates the scan.
 func ScanUsed(data []byte) int64 {
 	used := int64(0)
 	WalkImage(data, func(pos int64, _, _ []byte, _ bool, recLen int) bool {

@@ -23,15 +23,29 @@ import (
 	"tebis/internal/storage"
 )
 
-// HeaderSize is the record header: 4-byte key length + 4-byte value
-// length — what a record costs on the log, and a read of it on the
-// device, beyond its key and value.
-const HeaderSize = 8
+// A record is a header, its key and its value, and its header takes
+// one of two forms, told apart by the top bit of its first byte:
+//
+//	short, 3 bytes: the key length (1..127); the value length (0..65 534)
+//	                as a little-endian uint16, 0xFFFF for a tombstone
+//	long,  8 bytes: the key length with the top bit set, as a big-endian
+//	                uint32; the value length as a little-endian uint32,
+//	                0xFFFFFFFF for a tombstone
+//
+// Append takes the short form whenever the record fits it. A zero first
+// byte is padding: no record starts with one, so a walk of an image
+// stops at the zeroed rest of its segment.
+const (
+	// HeaderSize is the longest record header: what scratch for one
+	// must hold.
+	HeaderSize = 8
 
-const recHdrSize = HeaderSize
-
-// tombstoneLen is the value-length sentinel marking a delete record.
-const tombstoneLen = ^uint32(0)
+	shortHeaderSize = 3
+	longFlag        = 0x80      // in a header's first byte: the long form
+	shortKeyMax     = 127       // the longest key of a short header
+	shortTombstone  = 0xFFFF    // a short header's tombstone value length
+	longTombstone   = 1<<32 - 1 // a long header's
+)
 
 // Errors reported by the log.
 var (
@@ -125,9 +139,53 @@ func (l *Log) rollTail() error {
 	return nil
 }
 
-// encodedLen returns the on-log size of a record.
-func encodedLen(key, val []byte) int64 {
-	return int64(recHdrSize + len(key) + len(val))
+// headerLen returns the length of the header a record with a key of
+// keyLen bytes and a value of valLen (0 for a tombstone) is given.
+func headerLen(keyLen, valLen int) int {
+	if keyLen <= shortKeyMax && valLen < shortTombstone {
+		return shortHeaderSize
+	}
+	return HeaderSize
+}
+
+// EncodedLen returns the on-log length of a record with a key of keyLen
+// bytes and a value of valLen (0 for a tombstone): header, key, value.
+func EncodedLen(keyLen, valLen int) int { return headerLen(keyLen, valLen) + keyLen + valLen }
+
+// AppendEncoded appends to dst the record for (key, value) as Append
+// lays it in the log — for images built outside a Log. A tombstone's
+// value is dropped.
+func AppendEncoded(dst, key, value []byte, tombstone bool) []byte {
+	if tombstone {
+		value = nil
+	}
+	n, need := len(dst), EncodedLen(len(key), len(value))
+	dst = slices.Grow(dst, need)[:n+need]
+	putRecord(dst[n:], key, value, tombstone)
+	return dst
+}
+
+// putRecord encodes the record for (key, value) into buf, which is its
+// EncodedLen long: the one record encoder.
+func putRecord(buf, key, value []byte, tombstone bool) {
+	hl := headerLen(len(key), len(value))
+	if hl == shortHeaderSize {
+		buf[0] = byte(len(key))
+		v := uint16(len(value))
+		if tombstone {
+			v = shortTombstone
+		}
+		binary.LittleEndian.PutUint16(buf[1:3], v)
+	} else {
+		binary.BigEndian.PutUint32(buf[0:4], uint32(len(key))|longFlag<<24)
+		v := uint32(len(value))
+		if tombstone {
+			v = longTombstone
+		}
+		binary.LittleEndian.PutUint32(buf[4:8], v)
+	}
+	copy(buf[hl:], key)
+	copy(buf[hl+len(key):], value)
 }
 
 // Append writes a put record for (key, value) and returns its location.
@@ -136,7 +194,10 @@ func (l *Log) Append(key, value []byte, tombstone bool) (AppendResult, error) {
 	if len(key) == 0 {
 		return AppendResult{}, fmt.Errorf("vlog: empty key")
 	}
-	need := encodedLen(key, value)
+	if tombstone {
+		value = nil
+	}
+	need := int64(EncodedLen(len(key), len(value)))
 	if need > l.cap {
 		return AppendResult{}, fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, need, l.cap)
 	}
@@ -155,14 +216,7 @@ func (l *Log) Append(key, value []byte, tombstone bool) (AppendResult, error) {
 
 	pos := l.tailLen
 	buf := l.tailBuf[pos : pos+need]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(key)))
-	if tombstone {
-		binary.LittleEndian.PutUint32(buf[4:8], tombstoneLen)
-	} else {
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(len(value)))
-	}
-	copy(buf[recHdrSize:], key)
-	copy(buf[recHdrSize+len(key):], value)
+	putRecord(buf, key, value, tombstone)
 
 	l.tailLen += need
 	l.bytes += uint64(len(key) + len(value))
@@ -254,59 +308,92 @@ func (h Header) ValLen() int { return h.valLen }
 // Tombstone reports whether the record is a delete.
 func (h Header) Tombstone() bool { return h.tomb }
 
-// RecLen returns the record's encoded on-log length.
-func (h Header) RecLen() int { return recHdrSize + h.keyLen + h.valLen }
+// HeaderLen returns the length of the record's header: where its key
+// starts.
+func (h Header) HeaderLen() int { return headerLen(h.keyLen, h.valLen) }
 
-// decodeHeader decodes the eight header bytes of a record that has room
-// bytes from its first byte to the end of its segment (or image) — the
-// one header decoder, behind the record readers and the image walkers
-// alike. ok is false for a zero key length: the position holds padding,
-// not a record. A record never crosses its segment, so lengths that
-// would are corrupt log bytes (ErrCorruptRecord); checking them here is
-// also what stops a decoded frame trailer or a flipped bit from sizing
-// a giant read.
+// RecLen returns the record's encoded on-log length.
+func (h Header) RecLen() int { return EncodedLen(h.keyLen, h.valLen) }
+
+// isLong reports whether a header whose first byte is first is long:
+// whether a reader that has read its first shortHeaderSize bytes has
+// the rest of it to read.
+func isLong(first byte) bool { return first&longFlag != 0 }
+
+// decodeHeader decodes the header at the start of hdr, of a record that
+// has room bytes from its first byte to the end of its segment (or
+// image) — the one header decoder, behind the record readers and the
+// image walkers alike. hdr holds the whole header, or as much of it as
+// room does. ok is false for a zero first byte: the position holds
+// padding, not a record. A record never crosses its segment, so a
+// header or lengths that would are corrupt log bytes (ErrCorruptRecord);
+// checking them here is also what stops a decoded frame trailer or a
+// flipped bit from sizing a giant read. So is a long header the short
+// form would hold: each record has one encoding, putRecord's.
 func decodeHeader(hdr []byte, room int64) (h Header, ok bool, err error) {
-	keyLen := binary.LittleEndian.Uint32(hdr[0:4])
-	valLen := binary.LittleEndian.Uint32(hdr[4:8])
-	if keyLen == 0 {
+	if hdr[0] == 0 {
 		return Header{}, false, nil
 	}
-	tomb := valLen == tombstoneLen
-	if tomb {
-		valLen = 0
+	hl, keyLen, valLen := int64(shortHeaderSize), uint32(hdr[0]), uint32(0)
+	if isLong(hdr[0]) {
+		hl = HeaderSize
 	}
-	if recHdrSize+int64(keyLen)+int64(valLen) > room {
-		return Header{}, false, fmt.Errorf("%w: %d+%d byte record in %d bytes", ErrCorruptRecord, keyLen, valLen, room)
+	if hl > room {
+		return Header{}, false, fmt.Errorf("%w: %d byte header in %d bytes", ErrCorruptRecord, hl, room)
 	}
-	return Header{keyLen: int(keyLen), valLen: int(valLen), tomb: tomb}, true, nil
+	if hl == shortHeaderSize {
+		if valLen = uint32(binary.LittleEndian.Uint16(hdr[1:3])); valLen == shortTombstone {
+			h.tomb, valLen = true, 0
+		}
+	} else {
+		keyLen = binary.BigEndian.Uint32(hdr[0:4]) &^ (longFlag << 24)
+		if valLen = binary.LittleEndian.Uint32(hdr[4:8]); valLen == longTombstone {
+			h.tomb, valLen = true, 0
+		}
+	}
+	if keyLen == 0 || hl+int64(keyLen)+int64(valLen) > room || int64(headerLen(int(keyLen), int(valLen))) != hl {
+		return Header{}, false, fmt.Errorf("%w: %d+%d byte record behind a %d byte header in %d bytes", ErrCorruptRecord, keyLen, valLen, hl, room)
+	}
+	h.keyLen, h.valLen = int(keyLen), int(valLen)
+	return h, true, nil
 }
 
-// ReadHeader reads and checks the header of the record at off. A zero
-// key length means off points into padding, not at a record
-// (ErrBadOffset). The eight bytes pass through scratch — memory the
-// caller already has, a destination's spare capacity for one — because
-// a buffer handed to storage.Device escapes: a local array would be a
-// heap allocation per record looked at. Only a scratch shorter than a
-// header is replaced by one.
+// ReadHeader reads and checks the header of the record at off: its
+// first shortHeaderSize bytes, and the rest of a long one. A zero first
+// byte means off points into padding, not at a record (ErrBadOffset).
+// The bytes pass through scratch — memory the caller already has, a
+// destination's spare capacity for one — because a buffer handed to
+// storage.Device escapes: a local array would be a heap allocation per
+// record looked at. Only a scratch shorter than HeaderSize is replaced
+// by one.
 func (l *Log) ReadHeader(off storage.Offset, scratch []byte) (Header, error) {
-	if len(scratch) < recHdrSize {
-		scratch = make([]byte, recHdrSize)
+	if len(scratch) < HeaderSize {
+		scratch = make([]byte, HeaderSize)
 	}
-	if err := l.readAt(off, scratch[:recHdrSize]); err != nil {
+	if err := l.readAt(off, scratch[:shortHeaderSize]); err != nil {
 		return Header{}, err
+	}
+	if isLong(scratch[0]) && l.room(off) >= HeaderSize {
+		if err := l.readAt(off+shortHeaderSize, scratch[shortHeaderSize:HeaderSize]); err != nil {
+			return Header{}, err
+		}
 	}
 	return l.checkHeader(scratch, off)
 }
 
+// room returns the bytes from off to the end of its segment: the most a
+// record at off may take.
+func (l *Log) room(off storage.Offset) int64 { return l.geo.SegmentSize() - l.geo.Within(off) }
+
 // checkHeader decodes the header bytes read at off and checks them as
 // a record's: the checks every record reader makes.
 func (l *Log) checkHeader(hdr []byte, off storage.Offset) (Header, error) {
-	h, ok, err := decodeHeader(hdr, l.geo.SegmentSize()-l.geo.Within(off))
+	h, ok, err := decodeHeader(hdr, l.room(off))
 	if err != nil {
 		return Header{}, fmt.Errorf("%w at %#x", err, off)
 	}
 	if !ok {
-		return Header{}, fmt.Errorf("%w: zero key length at %#x", ErrBadOffset, off)
+		return Header{}, fmt.Errorf("%w: padding at %#x", ErrBadOffset, off)
 	}
 	h.off = off
 	return h, nil
@@ -328,8 +415,8 @@ func (l *Log) appendAt(dst []byte, off storage.Offset, n int) ([]byte, error) {
 }
 
 // appendHead reads the header of the record at off through dst's spare
-// capacity — ReadHeader finds eight bytes of its own when dst has none
-// to spare, as Get's and GetKey's nil has not — and then, over it,
+// capacity — ReadHeader finds HeaderSize bytes of its own when dst has
+// none to spare, as Get's and GetKey's nil has not — and then, over it,
 // appends the record's key, and its value for the whole record. On an
 // error dst comes back as it was.
 func (l *Log) appendHead(dst []byte, off storage.Offset, whole bool) ([]byte, Header, error) {
@@ -341,7 +428,7 @@ func (l *Log) appendHead(dst []byte, off storage.Offset, whole bool) ([]byte, He
 	if whole {
 		n += h.valLen
 	}
-	out, err := l.appendAt(dst, off+recHdrSize, n)
+	out, err := l.appendAt(dst, off+storage.Offset(h.HeaderLen()), n)
 	if err != nil {
 		return dst, Header{}, err
 	}
@@ -371,7 +458,7 @@ func (l *Log) AppendRecord(dst []byte, off storage.Offset) ([]byte, Header, erro
 func (l *Log) AppendValue(dst []byte, h Header, from, n int) ([]byte, error) {
 	from = min(max(from, 0), h.valLen)
 	n = min(max(n, 0), h.valLen-from)
-	return l.appendAt(dst, h.off+storage.Offset(recHdrSize+h.keyLen+from), n)
+	return l.appendAt(dst, h.off+storage.Offset(h.HeaderLen()+h.keyLen+from), n)
 }
 
 // Get decodes the record at off into a buffer of its own. For
