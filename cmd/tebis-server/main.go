@@ -7,7 +7,7 @@
 // internal/server's, the same code the benchmarks and tests drive.
 //
 // Every sealed segment carries a CRC32C frame trailer; cmd/tebis-fsck
-// verifies (or, with -recover, repairs) the -data image offline. With
+// verifies (or, with -recover, recovers) the -data image offline. With
 // -admission (default on) the server sheds mutations under overload and
 // the front end answers "ERR overloaded ..."; reads are never refused.
 // -metrics serves obs.Serve's HTTP surface (/metrics, /metrics/history,

@@ -210,8 +210,7 @@ const rewriteFuzzSegSize = 64 << 10
 // ErrOffsetRange. When it succeeds every pointer it counts kept its
 // in-segment bits and its tombstone bit and landed in the mapped
 // segment, and rewriting again through the inverse map restores the
-// image byte for byte — what a fetch or scrub repair rebuilt from a
-// backup's segment depends on.
+// image byte for byte: the rewrite changes no bit it does not map.
 func FuzzRewriteSegment(f *testing.F) {
 	const nodeSize = 256
 	rnd := rand.New(rand.NewSource(12))

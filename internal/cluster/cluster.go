@@ -430,31 +430,6 @@ func (c *Cluster) FlushAll() error {
 	return nil
 }
 
-// ScrubAll runs a scrub-and-repair pass on every live server: each
-// server scrubs the regions it is primary for, heals its own corrupt
-// segments from backup copies, and pushes repairs to corrupt backups
-// (DESIGN.md "Storage integrity"). The per-server reports are aggregated.
-func (c *Cluster) ScrubAll() (replica.RepairReport, error) {
-	var total replica.RepairReport
-	for name, n := range c.Nodes {
-		if !c.alive(name) {
-			continue
-		}
-		rep, err := n.Server.ScrubAndRepair()
-		if err != nil {
-			return total, fmt.Errorf("cluster: scrub on %s: %w", name, err)
-		}
-		total.LocalScanned += rep.LocalScanned
-		total.LocalFindings = append(total.LocalFindings, rep.LocalFindings...)
-		total.LocalRepaired += rep.LocalRepaired
-		total.BackupScanned += rep.BackupScanned
-		total.BackupFindings += rep.BackupFindings
-		total.BackupRepaired += rep.BackupRepaired
-		total.Unrepairable += rep.Unrepairable
-	}
-	return total, nil
-}
-
 // WaitIdle waits for all compactions on live servers.
 func (c *Cluster) WaitIdle() error {
 	for name, n := range c.Nodes {

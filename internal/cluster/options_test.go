@@ -24,7 +24,7 @@ func TestOptionCountsOnlyGoDown(t *testing.T) {
 	}{
 		{reflect.TypeFor[master.Host](), 11},
 		{reflect.TypeFor[Config](), 21},
-		{reflect.TypeFor[server.Config](), 22},
+		{reflect.TypeFor[server.Config](), 21},
 		{reflect.TypeFor[replica.PrimaryConfig](), 16},
 		{reflect.TypeFor[replica.BackupConfig](), 10},
 		{reflect.TypeFor[lsm.Options](), 11},

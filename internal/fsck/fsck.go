@@ -10,8 +10,9 @@
 // are reclaimed, surviving records are replayed into L0, and a scrub
 // pass re-verifies what remains. Recovery mutates the image; mid-log
 // corruption (a bad checksum on a non-newest log segment) aborts it
-// with a located error, since only a replica can repair that
-// (replica.Primary.ScrubAndRepair).
+// with a located error: the image has lost data, and the node's regions
+// are recovered by failing it over to their replicas (DESIGN.md
+// "Storage integrity").
 package fsck
 
 import (
@@ -105,7 +106,7 @@ func Run(opt Options) (Result, error) {
 	logf("recovered %d log segments, truncated %d torn, reclaimed %d orphans, replayed %d records",
 		info.Log.LogSegments, len(info.Log.TornSegments), len(info.Log.OrphanSegments),
 		info.RecordsReplayed)
-	rep, err := db.Scrub(nil)
+	rep, err := db.Scrub()
 	if err != nil {
 		return Result{Recovery: info}, err
 	}

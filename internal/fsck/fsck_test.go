@@ -22,8 +22,9 @@ func buildImage(t *testing.T, path string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ver := storage.AsVerifying(fdev)
 	db, err := lsm.New(lsm.Options{
-		Device:    storage.AsVerifying(fdev),
+		Device:    ver,
 		NodeSize:  512,
 		L0MaxKeys: 128,
 		Seed:      1,
@@ -44,7 +45,6 @@ func buildImage(t *testing.T, path string) int {
 		t.Fatal(err)
 	}
 	framed := 0
-	ver := storage.AsVerifier(db.Device())
 	for _, seg := range fdev.Segments() {
 		if _, err := ver.SegmentInfo(seg); err == nil {
 			framed++

@@ -81,11 +81,6 @@ var (
 // package-level var just avoids the map lookup per call.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Checksum returns the CRC-32C of p.
-func Checksum(p []byte) uint32 {
-	return crc32.Checksum(p, castagnoli)
-}
-
 // Capacity returns the usable payload bytes of a framed segment of the
 // given size.
 func Capacity(segSize int64) int64 {

@@ -10,7 +10,6 @@ import (
 
 	"tebis/internal/btree"
 	"tebis/internal/kv"
-	"tebis/internal/metrics"
 	"tebis/internal/obs"
 	"tebis/internal/storage"
 	"tebis/internal/vlog"
@@ -192,7 +191,7 @@ func TestEngineCrashPoints(t *testing.T) {
 			}
 
 			// A recovered engine must scrub clean and accept writes.
-			rep, err := db2.Scrub(nil)
+			rep, err := db2.Scrub()
 			if err != nil {
 				t.Fatalf("scrub after recovery: %v", err)
 			}
@@ -243,7 +242,7 @@ func TestScrubDetectsAllInjectedCorruptions(t *testing.T) {
 	db, fault, vdev := buildScrubDB(t)
 	defer db.Close()
 
-	clean, err := db.Scrub(nil)
+	clean, err := db.Scrub()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +283,7 @@ func TestScrubDetectsAllInjectedCorruptions(t *testing.T) {
 		vdev.Invalidate(seg)
 	}
 
-	var stats metrics.ScrubStats
-	rep, err := db.Scrub(&stats)
+	rep, err := db.Scrub()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,9 +303,12 @@ func TestScrubDetectsAllInjectedCorruptions(t *testing.T) {
 	if len(found) != len(targets) {
 		t.Fatalf("scrub flagged %d segments, injected %d", len(found), len(targets))
 	}
-	snap := stats.Snapshot()
-	if snap.Runs != 1 || snap.CorruptionsFound != uint64(len(targets)) || snap.SegmentsScanned == 0 {
-		t.Fatalf("scrub stats = %+v", snap)
+	if len(rep.Findings) != len(targets) || rep.Scanned != clean.Scanned {
+		t.Fatalf("scrub scanned %d segments with %d findings, want %d and %d",
+			rep.Scanned, len(rep.Findings), clean.Scanned, len(targets))
+	}
+	if n := vdev.Corruptions(); n != uint64(len(targets)) {
+		t.Fatalf("device counts %d corrupt segments, injected %d", n, len(targets))
 	}
 
 	// Reads through corrupt segments must fail typed, never serve bytes.
@@ -325,6 +326,10 @@ func TestScrubDetectsAllInjectedCorruptions(t *testing.T) {
 	if !gotErr {
 		t.Fatal("no Get crossed a corrupt segment; expected at least one typed failure")
 	}
+	// A sticky failure read again is the same corrupt segment.
+	if n := vdev.Corruptions(); n != uint64(len(targets)) {
+		t.Fatalf("device counts %d corrupt segments after the gets, injected %d", n, len(targets))
+	}
 }
 
 // TestScrubRequiresVerifier checks the typed error on a raw device.
@@ -338,7 +343,7 @@ func TestScrubRequiresVerifier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if _, err := db.Scrub(nil); !errors.Is(err, ErrUnverifiedDevice) {
+	if _, err := db.Scrub(); !errors.Is(err, ErrUnverifiedDevice) {
 		t.Fatalf("Scrub on raw device = %v, want ErrUnverifiedDevice", err)
 	}
 	if _, _, err := Open(Options{Device: mem}); !errors.Is(err, ErrUnverifiedDevice) {

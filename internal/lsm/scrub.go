@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"tebis/internal/metrics"
 	"tebis/internal/storage"
 	"tebis/internal/vlog"
 )
@@ -41,9 +40,9 @@ func (r ScrubReport) Corrupt() bool { return len(r.Findings) > 0 }
 // segment, re-verifying stored checksums against payloads (the fsck
 // read pass; DESIGN.md "Storage integrity"). The in-memory tail is skipped
 // — it has not been sealed, so there is nothing durable to verify. Scrub
-// reads every payload byte; it is an offline/background operation, not a
-// fast health check. stats may be nil.
-func (db *DB) Scrub(stats *metrics.ScrubStats) (ScrubReport, error) {
+// reads every payload byte; it is an offline operation (tebis-fsck), not
+// a fast health check.
+func (db *DB) Scrub() (ScrubReport, error) {
 	ver := storage.AsVerifier(db.dev)
 	if ver == nil {
 		return ScrubReport{}, ErrUnverifiedDevice
@@ -53,7 +52,6 @@ func (db *DB) Scrub(stats *metrics.ScrubStats) (ScrubReport, error) {
 		rep.Scanned++
 		if err := ver.VerifySegment(seg); err != nil {
 			rep.Findings = append(rep.Findings, ScrubFinding{Seg: seg, Level: level, Err: err})
-			stats.RecordCorruption()
 		}
 	}
 	for _, seg := range db.log.Segments() {
@@ -64,8 +62,6 @@ func (db *DB) Scrub(stats *metrics.ScrubStats) (ScrubReport, error) {
 			check(seg, li+1)
 		}
 	}
-	stats.AddScanned(rep.Scanned)
-	stats.RecordRun()
 	return rep, nil
 }
 
@@ -84,10 +80,11 @@ type RecoveryInfo struct {
 // levels are rebuilt by compaction), and every surviving record is
 // replayed into L0.
 //
-// Mid-log corruption aborts with a located error; repair it from a
-// replica (replica.Primary.ScrubAndRepair) or accept the loss before
-// retrying. The device must verify checksums (storage.AsVerifying over
-// a segment-listing device), otherwise ErrUnverifiedDevice.
+// Mid-log corruption aborts with a located error: the node's data is
+// lost, and its regions are recovered from their replicas by failing
+// the node over (DESIGN.md "Storage integrity"). The device must verify
+// checksums (storage.AsVerifying over a segment-listing device),
+// otherwise ErrUnverifiedDevice.
 func Open(opt Options) (*DB, *RecoveryInfo, error) {
 	opt.applyDefaults()
 	if opt.Device == nil {
@@ -111,7 +108,3 @@ func Open(opt Options) (*DB, *RecoveryInfo, error) {
 	}
 	return db, &RecoveryInfo{Log: *logRep, RecordsReplayed: n}, nil
 }
-
-// Device exposes the storage device the DB runs on (scrub-and-repair
-// orchestration needs it).
-func (db *DB) Device() storage.Device { return db.dev }

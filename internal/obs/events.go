@@ -15,7 +15,7 @@ import (
 
 // Event types of the control plane. Every state transition the cluster
 // makes — replication-group membership, role changes, reconfiguration
-// phases, admission walks, GC passes, scrub outcomes — records exactly
+// phases, admission walks, GC passes — records exactly
 // one typed event, so the journal is an auditable transition history
 // and tebis_events_total{type} counts each kind.
 const (
@@ -30,7 +30,6 @@ const (
 	EvReconfigPhase  = "reconfig_phase"
 	EvAdmissionState = "admission_state"
 	EvGCPass         = "gc_pass"
-	EvScrub          = "scrub"
 	EvFreeze         = "freeze"
 	EvUnfreeze       = "unfreeze"
 )

@@ -44,7 +44,7 @@ func TestEventLogRingAndCounts(t *testing.T) {
 
 func TestEventLogNilSafe(t *testing.T) {
 	var l *EventLog
-	l.Record(Event{Type: EvScrub})
+	l.Record(Event{Type: EvGCPass})
 	l.SetSink(nil)
 	if l.Events() != nil || l.Counts() != nil {
 		t.Fatal("nil EventLog must report nothing")

@@ -63,7 +63,7 @@ func TestRegistryNilSafe(t *testing.T) {
 	live := NewRegistry()
 	live.Register(nil, nil)
 	for _, src := range []metrics.Source{
-		(*metrics.CompactionStats)(nil), (*metrics.FailureStats)(nil), (*metrics.ScrubStats)(nil),
+		(*metrics.CompactionStats)(nil), (*metrics.FailureStats)(nil),
 		(*metrics.ShipStats)(nil), (*metrics.GCStats)(nil), (*metrics.Cycles)(nil),
 		(*metrics.StageSet)(nil), (*metrics.LagSet)(nil), (*metrics.Histogram)(nil),
 		(*Tracer)(nil), (*EventLog)(nil),

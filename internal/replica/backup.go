@@ -108,13 +108,6 @@ type Backup struct {
 	flushed map[storage.SegmentID]bool // primary log segments flushed here
 	ship    *shipJob                   // the staged compaction, nil between jobs
 	levels  map[int]lsm.LevelState     // installed levels (Send-Index)
-	// levelMaps retains each installed level's <primary seg, local seg>
-	// index translation after the ship job's map is cleared. Scrub needs
-	// it to name corrupt segments in primary space, and repair needs it
-	// in both directions: inverse to serve a primary-space copy of a
-	// local segment (OpFetchSegment), forward to re-localize a pushed
-	// repair image (OpRepairSegment).
-	levelMaps map[int]map[storage.SegmentID]storage.SegmentID
 	// filterBufs are the collectors ship jobs gather their level's
 	// filter in.
 	filterBufs btree.FilterCollectors
@@ -199,13 +192,12 @@ func NewBackup(cfg BackupConfig) (*Backup, error) {
 		return nil, err
 	}
 	b := &Backup{
-		cfg:       cfg,
-		geo:       geo,
-		logBuf:    logBuf,
-		idxBuf:    idxBuf,
-		logMap:    NewSegMap(cfg.Device),
-		levels:    make(map[int]lsm.LevelState),
-		levelMaps: make(map[int]map[storage.SegmentID]storage.SegmentID),
+		cfg:    cfg,
+		geo:    geo,
+		logBuf: logBuf,
+		idxBuf: idxBuf,
+		logMap: NewSegMap(cfg.Device),
+		levels: make(map[int]lsm.LevelState),
 	}
 	// The backup's value log holds adopted (replicated) segments; it
 	// never appends until promotion.
@@ -424,24 +416,6 @@ func (b *Backup) handle(h wire.Header, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		return b.handleSyncTail(h, req)
-	case wire.OpScrub:
-		req, err := wire.DecodeScrubReq(payload)
-		if err != nil {
-			return nil, err
-		}
-		return b.handleScrub(h, req)
-	case wire.OpFetchSegment:
-		req, err := wire.DecodeFetchSegment(payload)
-		if err != nil {
-			return nil, err
-		}
-		return b.handleFetchSegment(h, req)
-	case wire.OpRepairSegment:
-		req, err := wire.DecodeRepairSegment(payload)
-		if err != nil {
-			return nil, err
-		}
-		return b.handleRepairSegment(h, req)
 	case wire.OpGCRelease:
 		req, err := wire.DecodeGCRelease(payload)
 		if err != nil {
@@ -454,19 +428,13 @@ func (b *Backup) handle(h wire.Header, payload []byte) ([]byte, error) {
 }
 
 func ackMessage(h wire.Header, op wire.Op) []byte {
-	return ackWithPayload(h, op, []byte{0})
-}
-
-// ackWithPayload builds a reply message carrying an arbitrary payload
-// (scrub reports and fetched segment images ride the ack path).
-func ackWithPayload(h wire.Header, op wire.Op, payload []byte) []byte {
-	return buildAck(h, op, 0, payload)
+	return buildAck(h, op, 0, []byte{0})
 }
 
 // ackError builds a FlagError reply: the handler failed for this
 // request, but the failure belongs to the request, not the control
-// loop, so the loop keeps serving (a repair attempt on a segment the
-// backup never had must not take the whole replica down).
+// loop, so the loop keeps serving (a frame the backup cannot decode
+// must not take the whole replica down).
 func ackError(h wire.Header, op wire.Op, err error) []byte {
 	return buildAck(h, op, wire.FlagError, []byte(err.Error()))
 }
@@ -693,15 +661,10 @@ func (b *Backup) handleCompactionDone(h wire.Header, req wire.CompactionDone) ([
 				}
 			}
 			delete(b.levels, lvl)
-			delete(b.levelMaps, lvl)
 		}
 	}
 	if req.NumKeys > 0 {
 		b.levels[dst] = newState
-		// Retain the job's index translation for the installed level:
-		// scrub and repair need primary<->local segment naming long
-		// after the ship job is gone.
-		b.levelMaps[dst] = ship.idxMap.Snapshot()
 	}
 	b.watermarkPrimary = storage.Offset(req.Watermark)
 	if ship != nil {

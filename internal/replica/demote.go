@@ -80,10 +80,6 @@ func NewBackupFromPrimary(p *Primary, cfg BackupConfig, oldToNew map[storage.Seg
 		log:    db.Log(),
 		logMap: NewSegMap(cfg.Device),
 		levels: make(map[int]lsm.LevelState),
-		// Inherited levels are already in local space — there is no
-		// primary-space naming for them, so they start untranslatable
-		// (scrub skips unnamed segments). Fresh installs repopulate this.
-		levelMaps: make(map[int]map[storage.SegmentID]storage.SegmentID),
 	}
 	// Key the log map by the new primary's segment numbers: local
 	// segment oldSeg now answers for the new primary's newSeg (the

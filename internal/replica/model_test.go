@@ -227,3 +227,8 @@ func testPairModel(t *testing.T, keyOf func(int) string, newDev func(*testing.T)
 	}
 	return filtered
 }
+
+// keyOf is the model's i-th key, "user" and eight zero-padded digits.
+func keyOf(i int) string {
+	return fmt.Sprintf("user%08d", i)
+}

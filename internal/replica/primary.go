@@ -317,16 +317,7 @@ func (p *Primary) rpc(h *backupHandle, op wire.Op, payload []byte) error {
 	return p.rpcLocked(h, op, payload)
 }
 
-// rpcLocked is rpc for callers that already hold h.mu (segment shipping
-// holds it across the data write and the control message so a repair
-// push cannot interleave on the backup's single staging buffer).
-func (p *Primary) rpcLocked(h *backupHandle, op wire.Op, payload []byte) error {
-	_, err := p.rpcReplyLocked(h, op, payload, ackRecvSize)
-	return err
-}
-
-// ackRecvSize fits every fixed-size ack. Replies that carry data (scrub
-// reports, fetched segments) need a caller-sized receive instead.
+// ackRecvSize fits every ack: a status byte or a short error text.
 const ackRecvSize = 1024
 
 // RemoteError is a handler failure a backup reported in a FlagError
@@ -345,16 +336,16 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("replica: backup rejected %v: %s", e.Op, e.Msg)
 }
 
-// rpcReplyLocked performs one control round trip and returns the ack's
-// payload. recvSize bounds the reply message the primary is prepared to
-// receive (a fetched segment image needs a segment-sized receive).
+// rpcLocked is rpc for callers that already hold h.mu (segment shipping
+// holds it across the data write and the control message, so the
+// staged frame and the message naming it go out as one pair).
 //
 // Each attempt is bounded by the retry policy's ack deadline. Retries
 // resend the SAME RequestID: the backup deduplicates re-deliveries and
 // replays its cached ack, so non-idempotent handlers never run twice
 // even when only the ack was lost. Stale acks of earlier attempts are
 // discarded by RequestID matching.
-func (p *Primary) rpcReplyLocked(h *backupHandle, op wire.Op, payload []byte, recvSize int) ([]byte, error) {
+func (p *Primary) rpcLocked(h *backupHandle, op wire.Op, payload []byte) error {
 	reqID := p.reqID.Add(1)
 	// A send copies the message into the backup's posted receive, so one
 	// buffer per handle serves every RPC and all of its retries.
@@ -370,54 +361,52 @@ func (p *Primary) rpcReplyLocked(h *backupHandle, op wire.Op, payload []byte, re
 			p.cfg.Failures.RecordRetry()
 			time.Sleep(pol.backoff(attempt))
 		}
-		h.ackRecv.PostRecv(recvSize)
+		h.ackRecv.PostRecv(ackRecvSize)
 		if err := h.reqSend.SendTimeout(h.reqRecv, msg, pol.AckTimeout); err != nil {
 			if errors.Is(err, rdma.ErrDisconnected) {
-				return nil, err // the QP is gone; retrying cannot help
+				return err // the QP is gone; retrying cannot help
 			}
 			lastErr = err
 			continue
 		}
-		reply, err := p.awaitAck(h, reqID, pol.AckTimeout)
-		if err != nil {
-			var rerr *RemoteError
-			if errors.Is(err, rdma.ErrDisconnected) || errors.As(err, &rerr) {
-				return nil, err
-			}
-			lastErr = err
-			continue
+		err := p.awaitAck(h, reqID, pol.AckTimeout)
+		if err == nil {
+			return nil
 		}
-		return reply, nil
+		var rerr *RemoteError
+		if errors.Is(err, rdma.ErrDisconnected) || errors.As(err, &rerr) {
+			return err
+		}
+		lastErr = err
 	}
-	return nil, fmt.Errorf("replica: backup %s unresponsive to %v after %d attempts: %w",
+	return fmt.Errorf("replica: backup %s unresponsive to %v after %d attempts: %w",
 		h.backup.cfg.ServerName, op, pol.MaxRetries+1, lastErr)
 }
 
 // awaitAck waits for the ack matching reqID, discarding stale acks of
-// earlier attempts (a slow backup may ack after the primary retried),
-// and returns a copy of the ack's payload.
-func (p *Primary) awaitAck(h *backupHandle, reqID uint64, timeout time.Duration) ([]byte, error) {
+// earlier attempts (a slow backup may ack after the primary retried).
+func (p *Primary) awaitAck(h *backupHandle, reqID uint64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			return nil, rdma.ErrTimeout
+			return rdma.ErrTimeout
 		}
 		ack, err := h.ackRecv.RecvTimeout(remain)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ah, payload, err := wire.DecodeMessage(ack)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ah.RequestID != reqID {
 			continue
 		}
 		if ah.Flags&wire.FlagError != 0 {
-			return nil, &RemoteError{Op: ah.Opcode, Msg: string(payload)}
+			return &RemoteError{Op: ah.Opcode, Msg: string(payload)}
 		}
-		return append([]byte(nil), payload...), nil
+		return nil
 	}
 }
 
@@ -661,8 +650,8 @@ func (p *Primary) OnIndexSegment(job lsm.CompactionJob, seg btree.EmittedSegment
 }
 
 // encodeShip frames one segment image for the wire: the one place a
-// primary runs the ship codec, for compaction ships, Sync and repair
-// pushes alike. Without a codec the image ships raw, under codec 0.
+// primary runs the ship codec, for compaction ships and Sync alike.
+// Without a codec the image ships raw, under codec 0.
 func (p *Primary) encodeShip(data []byte) (frame []byte, codec uint8, err error) {
 	if p.cfg.ShipCodec == shipcodec.None {
 		return data, 0, nil
@@ -673,8 +662,8 @@ func (p *Primary) encodeShip(data []byte) (frame []byte, codec uint8, err error)
 
 // shipSegment performs the actual transfer of one segment. It holds the
 // backup handle's control lock across the staging-buffer write and the
-// metadata message: the backup stages one segment at a time, so a
-// repair push must not interleave its writes with the job's.
+// metadata message: the backup stages one segment at a time, so nothing
+// else sent on the handle may come between the frame and its message.
 //
 // The codec runs once per segment, not per backup: every backup
 // receives the same frame. A backup that stops responding mid-ship, or

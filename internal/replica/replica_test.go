@@ -435,8 +435,8 @@ func TestPromoteSendIndexBackupServesAllData(t *testing.T) {
 
 // TestPromoteReadsRewrittenNodesOfRecycledSegments: a Send-Index backup
 // frees the segments of a replaced level and rewrites later shipments
-// into the same local segments. Reading the earlier images (as a scrub,
-// a fetch or a promoted engine would) leaves their nodes in the device's
+// into the same local segments. Reading the earlier images (as a
+// verifier or a promoted engine would) leaves their nodes in the device's
 // node cache at the very offsets the new image reuses; the first gets of
 // a promoted backup must resolve through the rewritten nodes, not those.
 func TestPromoteReadsRewrittenNodesOfRecycledSegments(t *testing.T) {

@@ -81,9 +81,6 @@ type Config struct {
 	// Failures collects this node's failure metrics (created on demand
 	// when nil).
 	Failures *metrics.FailureStats
-	// Scrub collects this node's integrity scrub-and-repair metrics
-	// (created on demand when nil).
-	Scrub *metrics.ScrubStats
 	// Trace records compaction pipeline spans for every hosted region,
 	// stamped with this server's name; may be nil.
 	Trace *obs.Tracer
@@ -100,9 +97,9 @@ type Config struct {
 	// experiment uses it to price the tracker's hot-path tax.
 	DisableLag bool
 	// Events journals every control-plane transition this node makes —
-	// evictions, syncs, promotions, freezes, GC passes, scrub outcomes
-	// (created on demand when nil). May be shared cluster-wide so one
-	// journal holds the whole cluster's transition history.
+	// evictions, syncs, promotions, freezes, GC passes (created on
+	// demand when nil). May be shared cluster-wide so one journal holds
+	// the whole cluster's transition history.
 	Events *obs.EventLog
 	// Admission enables signal-driven admission control over the worker
 	// pool (DESIGN.md "Data path"): the controller watches the sampled
@@ -135,9 +132,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Failures == nil {
 		c.Failures = &metrics.FailureStats{}
-	}
-	if c.Scrub == nil {
-		c.Scrub = &metrics.ScrubStats{}
 	}
 	if c.Ship == nil {
 		c.Ship = &metrics.ShipStats{}
@@ -192,7 +186,8 @@ type hostedRegion struct {
 // Server is a Tebis region server.
 type Server struct {
 	cfg   Config
-	trace *obs.Tracer // node-stamped view of cfg.Trace
+	dev   *storage.VerifyingDevice // cfg.Device, which New wraps
+	trace *obs.Tracer              // node-stamped view of cfg.Trace
 	// ctrl closes the queue-wait feedback loop when cfg.Admission is
 	// set; nil means fixed-knob dispatch (nil-safe everywhere).
 	ctrl *admission.Controller
@@ -271,9 +266,11 @@ func New(cfg Config) (*Server, error) {
 	// segment frames with CRC-32C trailers, verified on first read
 	// (DESIGN.md "Storage integrity"). A device that already verifies is
 	// left as-is.
-	cfg.Device = storage.AsVerifying(cfg.Device)
+	dev := storage.AsVerifying(cfg.Device)
+	cfg.Device = dev
 	s := &Server{
 		cfg:       cfg,
+		dev:       dev,
 		trace:     cfg.Trace.Node(cfg.Name),
 		regions:   make(map[region.ID]*hostedRegion),
 		stop:      make(chan struct{}),
@@ -350,7 +347,9 @@ func (s *Server) Events() *obs.EventLog { return s.cfg.Events }
 // nil while healthy, an error naming the first failing condition —
 // closed, a degraded replication group (an evicted backup not yet
 // replaced), a region frozen mid-reconfiguration, or a device fault
-// (a scrub found corruption no copy could repair).
+// (a read found a corrupt segment). A faulted node stays faulted: the
+// master recovers its regions by failing it over (DESIGN.md "Storage
+// integrity").
 func (s *Server) Ready() error {
 	s.mu.Lock()
 	if s.closed {
@@ -375,8 +374,8 @@ func (s *Server) Ready() error {
 	if len(frozen) > 0 {
 		return fmt.Errorf("server: regions %v frozen for reconfiguration", frozen)
 	}
-	if n := s.cfg.Scrub.Snapshot().Unrepairable; n > 0 {
-		return fmt.Errorf("server: device faulted: %d unrepairable segments", n)
+	if n := s.dev.Corruptions(); n > 0 {
+		return fmt.Errorf("server: device faulted: %d corrupt segments", n)
 	}
 	return nil
 }
@@ -627,63 +626,8 @@ func (s *Server) primaryDB(id region.ID) (*lsm.DB, error) {
 	return ref.db, nil
 }
 
-// ScrubStats returns the node's scrub-and-repair counters.
-func (s *Server) ScrubStats() *metrics.ScrubStats { return s.cfg.Scrub }
-
 // ShipStats returns the node's ship-codec traffic counters.
 func (s *Server) ShipStats() *metrics.ShipStats { return s.cfg.Ship }
-
-// ScrubAndRepair runs one integrity pass over every region this server
-// is primary for: scrub the local engine, heal corrupt segments from
-// backup copies, then drive each backup's scrub and push repairs for
-// what they report (DESIGN.md "Storage integrity"). Regions hosted here as
-// backups are scrubbed by their own primaries. Reports are aggregated; the
-// first hard error (a scrub that cannot even run) aborts the pass.
-func (s *Server) ScrubAndRepair() (replica.RepairReport, error) {
-	s.mu.Lock()
-	prims := make([]*replica.Primary, 0, len(s.regions))
-	for _, hr := range s.regions {
-		if hr.primary != nil && hr.db != nil {
-			prims = append(prims, hr.primary)
-		}
-	}
-	s.mu.Unlock()
-	var total replica.RepairReport
-	for _, p := range prims {
-		rep, err := p.ScrubAndRepair(s.cfg.Scrub)
-		if err != nil {
-			s.cfg.Events.Record(obs.Event{
-				Type: obs.EvScrub, Level: obs.LevelError, Node: s.cfg.Name,
-				Msg:    "scrub pass aborted",
-				Fields: map[string]string{"error": err.Error()},
-			})
-			return total, err
-		}
-		total.LocalScanned += rep.LocalScanned
-		total.LocalFindings = append(total.LocalFindings, rep.LocalFindings...)
-		total.LocalRepaired += rep.LocalRepaired
-		total.BackupScanned += rep.BackupScanned
-		total.BackupFindings += rep.BackupFindings
-		total.BackupRepaired += rep.BackupRepaired
-		total.Unrepairable += rep.Unrepairable
-	}
-	level := obs.LevelInfo
-	if total.Unrepairable > 0 {
-		level = obs.LevelError
-	}
-	s.cfg.Events.Record(obs.Event{
-		Type: obs.EvScrub, Level: level, Node: s.cfg.Name,
-		Msg: "scrub-and-repair pass complete",
-		Fields: map[string]string{
-			"local_findings":  fmt.Sprint(len(total.LocalFindings)),
-			"local_repaired":  fmt.Sprint(total.LocalRepaired),
-			"backup_findings": fmt.Sprint(total.BackupFindings),
-			"backup_repaired": fmt.Sprint(total.BackupRepaired),
-			"unrepairable":    fmt.Sprint(total.Unrepairable),
-		},
-	})
-	return total, nil
-}
 
 // engines snapshots every engine this server runs — its primaries' and
 // its Build-Index backups' own — once each such backup has indexed every

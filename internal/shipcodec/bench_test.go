@@ -10,8 +10,8 @@ var benchSink []byte
 // BenchmarkShipCodec is the package's own rung of the ship path: Encode
 // and Decode over one leaf segment a Builder emitted (16 K benchmark
 // keys, 4 KB nodes — what compactions ship) and over one value-log
-// segment (what Sync and repair ship), as ns/KB of image and frame bytes
-// per image byte. benchmark/ladder.go's shipcodec.* rows time the same
+// segment (what Sync ships), as ns/KB of image and frame bytes per
+// image byte. benchmark/ladder.go's shipcodec.* rows time the same
 // calls inside a cluster run; this one needs no cluster.
 func BenchmarkShipCodec(b *testing.B) {
 	for _, img := range []struct {

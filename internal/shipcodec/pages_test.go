@@ -65,8 +65,8 @@ func indexImages(t testing.TB, nodeSize int, keys [][]byte, tombEvery int, rnd *
 }
 
 // logImage is one sealed value-log segment of records whose values are
-// cyclic letters like the benchmark's: what Sync and repair push through
-// the same Encode.
+// cyclic letters like the benchmark's: what Sync pushes through the
+// same Encode.
 func logImage(t testing.TB) []byte {
 	t.Helper()
 	dev, err := storage.NewMemDevice(testSegSize, 0)

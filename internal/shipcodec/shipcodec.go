@@ -6,9 +6,8 @@
 //
 // The codec is wire-only: the backup decodes the frame back to the raw
 // segment bytes before the offset rewrite, so the bytes that reach the
-// device are identical to an uncompressed ship and the integrity layer's
-// byte-convergence guarantees (scrub, fetch, repair — DESIGN.md "Storage
-// integrity") are untouched.
+// device are identical to an uncompressed ship and the integrity
+// layer's frames (DESIGN.md "Storage integrity") are untouched.
 //
 // A frame is self-describing:
 //
@@ -29,8 +28,8 @@
 // narrows to the bytes the page needs (about 0.83 of the image; a
 // byte-stream compressor spends 12–16 µs/KB to reach about 0.80). Every
 // other page (index nodes, a short last page, and all of a value-log
-// segment: Sync and repair push those through the same Encode) is
-// gathered in order as residue and DEFLATE-d behind the packed pages.
+// segment: Sync pushes those through the same Encode) is gathered in
+// order as residue and DEFLATE-d behind the packed pages.
 package shipcodec
 
 import (

@@ -11,7 +11,7 @@ import (
 
 // ErrChecksum reports a segment whose stored CRC does not match its
 // payload. The error is sticky: once a segment fails verification every
-// read of it fails until the segment is rewritten (repaired) or freed.
+// read of it fails until the segment is rewritten or freed.
 var ErrChecksum = errors.New("storage: segment checksum mismatch")
 
 // FramedWriter is implemented by devices that stamp an integrity frame
@@ -103,6 +103,10 @@ type VerifyingDevice struct {
 
 	mu    sync.Mutex // serializes creating and dropping state entries
 	state SegmentTable[segState]
+
+	// corrupt counts the segments marked with a sticky ErrChecksum,
+	// once per incarnation.
+	corrupt atomic.Uint64
 }
 
 // AsVerifying wraps dev in a VerifyingDevice. A device that already
@@ -251,8 +255,8 @@ func (d *VerifyingDevice) WriteFramedAt(off Offset, p []byte, kind integrity.Kin
 		// rather than framed-but-wrong.
 		err = d.inner.WriteAt(d.geo.Pack(seg, cap), tr)
 	}
-	// A successful rewrite repairs: clear any sticky failure and mark
-	// the fresh payload verified (we just computed its CRC).
+	// A successful rewrite clears any sticky failure and marks the
+	// fresh payload verified (we just computed its CRC).
 	st.set(err == nil, false, nil)
 	return err
 }
@@ -340,6 +344,9 @@ func (d *VerifyingDevice) verifyLocked(seg SegmentID, st *segState) error {
 		err = fmt.Errorf("%w: segment %d: %v", ErrChecksum, seg, err)
 	}
 	if errors.Is(err, ErrChecksum) {
+		if st.err == nil {
+			d.corrupt.Add(1)
+		}
 		st.set(st.verified, st.unframed, err)
 		d.nodes.retire(seg)
 	} else if err == nil {
@@ -387,6 +394,12 @@ func (d *VerifyingDevice) VerifySegment(seg SegmentID) error {
 	return d.verifyLocked(seg, st)
 }
 
+// Corruptions reports how many segments this device has marked with a
+// sticky ErrChecksum since it was opened, each incarnation once. It only
+// grows: a node whose device found corruption has lost data it was
+// trusted with and must be failed over (DESIGN.md "Storage integrity").
+func (d *VerifyingDevice) Corruptions() uint64 { return d.corrupt.Load() }
+
 // SegmentInfo implements Verifier.
 func (d *VerifyingDevice) SegmentInfo(seg SegmentID) (integrity.Trailer, error) {
 	return d.readTrailer(seg)
@@ -396,7 +409,7 @@ func (d *VerifyingDevice) SegmentInfo(seg SegmentID) (integrity.Trailer, error) 
 // next read to re-check the stored CRC. Verification is cached per
 // segment between writes, so corruption that lands on the medium after
 // a segment was verified is only caught at the next cold read, a
-// scrub, or after Invalidate — fault-injection tests call it to model
+// VerifySegment, or after Invalidate — fault-injection tests call it to model
 // the cache eviction any real page cache eventually performs.
 func (d *VerifyingDevice) Invalidate(seg SegmentID) { d.dropState(seg) }
 

@@ -176,37 +176,58 @@ func TestVerifyingDetectsCorruption(t *testing.T) {
 	}
 	// Flip one stored bit beneath the verifier, then drop the verified
 	// cache as a cold read would.
-	b := []byte{0}
-	off := dev.Geometry().Pack(seg, 100)
-	if err := mem.ReadAt(off, b); err != nil {
-		t.Fatal(err)
+	corrupt := func() {
+		t.Helper()
+		b := []byte{0}
+		off := dev.Geometry().Pack(seg, 100)
+		if err := mem.ReadAt(off, b); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x10
+		if err := mem.WriteAt(off, b); err != nil {
+			t.Fatal(err)
+		}
+		dev.Invalidate(seg)
 	}
-	b[0] ^= 0x10
-	if err := mem.WriteAt(off, b); err != nil {
-		t.Fatal(err)
+	corrupt()
+	if n := dev.Corruptions(); n != 0 {
+		t.Fatalf("Corruptions before any read = %d", n)
 	}
-	dev.Invalidate(seg)
 
 	got := make([]byte, 512)
 	if err := dev.ReadAt(dev.Geometry().Pack(seg, 0), got); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("read of corrupt segment: got %v want ErrChecksum", err)
 	}
-	// The failure is sticky.
+	// The failure is sticky, and counted once.
 	if err := dev.ReadAt(dev.Geometry().Pack(seg, 0), got); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("second read: got %v want sticky ErrChecksum", err)
 	}
 	if err := dev.VerifySegment(seg); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("VerifySegment: got %v want ErrChecksum", err)
 	}
-	// Rewriting the segment repairs it.
+	if n := dev.Corruptions(); n != 1 {
+		t.Fatalf("Corruptions after three failed checks of one segment = %d, want 1", n)
+	}
+	// Rewriting the segment clears the failure; the count stays.
 	if err := dev.WriteFramedAt(dev.Geometry().Pack(seg, 0), payload, integrity.KindLog); err != nil {
-		t.Fatalf("repair write: %v", err)
+		t.Fatalf("rewrite: %v", err)
 	}
 	if err := dev.ReadAt(dev.Geometry().Pack(seg, 0), got); err != nil {
-		t.Fatalf("read after repair: %v", err)
+		t.Fatalf("read after rewrite: %v", err)
 	}
 	if !bytes.Equal(got, payload) {
-		t.Fatal("payload mismatch after repair")
+		t.Fatal("payload mismatch after rewrite")
+	}
+	if n := dev.Corruptions(); n != 1 {
+		t.Fatalf("Corruptions after rewrite = %d, want 1", n)
+	}
+	// The rewritten incarnation going bad is one more.
+	corrupt()
+	if err := dev.VerifySegment(seg); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("VerifySegment of the rewrite: got %v want ErrChecksum", err)
+	}
+	if n := dev.Corruptions(); n != 2 {
+		t.Fatalf("Corruptions after the rewrite went bad = %d, want 2", n)
 	}
 }
 

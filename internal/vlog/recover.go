@@ -47,8 +47,8 @@ type RecoveryReport struct {
 // newest log segment (a seal that tore inside its own trailer), are
 // reclaimed — those seals never completed, so no acknowledged write is
 // lost. A bad checksum on any older log segment is mid-log corruption:
-// Open fails with a located error naming the segment, and the caller
-// (fsck) may repair it from a replica and retry.
+// Open fails with a located error naming the segment. The node's data is
+// lost; its regions are recovered by failing it over to their replicas.
 //
 // All other segments — index frames and opaque frames — are reclaimed,
 // since the log is the only recovery source of truth; the LSM rebuilds

@@ -73,50 +73,3 @@ func TestShipCodecFrameCompat(t *testing.T) {
 		t.Fatalf("delta-era payload decode = %+v, want %+v", got, coded)
 	}
 }
-
-func TestShipCodecRepairPayloadCompat(t *testing.T) {
-	ref := SegRef{Kind: 2, Level: 1, PrimarySeg: 5}
-
-	// FetchSegment: old payload = RegionID + SegRef.
-	oldFetch := appendSegRef(appendU32(nil, 4), ref)
-	gotFetch, err := DecodeFetchSegment(oldFetch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotFetch.Codec != 0 || gotFetch.Ref != ref {
-		t.Fatalf("old FetchSegment decode = %+v", gotFetch)
-	}
-	newFetch := FetchSegment{RegionID: 4, Ref: ref, Codec: 1}
-	if enc := newFetch.Encode(nil); !bytes.Equal(enc[:len(oldFetch)], oldFetch) {
-		t.Fatalf("FetchSegment prefix changed")
-	}
-
-	// FetchSegmentReply: old payload = found byte + data.
-	data := []byte("segment image")
-	oldReply := appendBytes([]byte{1}, data)
-	gotReply, err := DecodeFetchSegmentReply(oldReply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotReply.Codec != 0 || !gotReply.Found || !bytes.Equal(gotReply.Data, data) {
-		t.Fatalf("old FetchSegmentReply decode = %+v", gotReply)
-	}
-	newReply := FetchSegmentReply{Found: true, Data: data, Codec: 1}
-	if enc := newReply.Encode(nil); !bytes.Equal(enc[:len(oldReply)], oldReply) {
-		t.Fatalf("FetchSegmentReply prefix changed")
-	}
-
-	// RepairSegment: old payload ends at CRC.
-	oldRepair := appendU32(appendU32(appendSegRef(appendU32(nil, 4), ref), 123), 456)
-	gotRepair, err := DecodeRepairSegment(oldRepair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotRepair.Codec != 0 || gotRepair.DataLen != 123 || gotRepair.CRC != 456 {
-		t.Fatalf("old RepairSegment decode = %+v", gotRepair)
-	}
-	newRepair := RepairSegment{RegionID: 4, Ref: ref, DataLen: 123, CRC: 456, Codec: 1}
-	if enc := newRepair.Encode(nil); !bytes.Equal(enc[:len(oldRepair)], oldRepair) {
-		t.Fatalf("RepairSegment prefix changed")
-	}
-}

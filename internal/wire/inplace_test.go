@@ -14,25 +14,19 @@ type sizedPayload interface {
 }
 
 func everyPayload() map[string]sizedPayload {
-	ref := SegRef{Kind: 2, Level: 1, PrimarySeg: 5}
 	return map[string]sizedPayload{
-		"PutReq":            PutReq{Key: []byte("user000042"), Value: bytes.Repeat([]byte("v"), 700)},
-		"GetReq":            GetReq{Key: []byte("user000042")},
-		"GetRestReq":        GetRestReq{Key: []byte("user000042"), Offset: 900},
-		"ScanReq":           ScanReq{Start: []byte("user"), Count: 16},
-		"GetReply":          GetReply{Found: true, TotalSize: 300, Value: bytes.Repeat([]byte("x"), 300)},
-		"ScanReply":         ScanReply{Pairs: []kv.Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("bb")}, {Key: []byte("c"), Value: bytes.Repeat([]byte("z"), 90)}}},
-		"StatusReply":       StatusReply{Status: 1},
-		"FlushTail":         FlushTail{RegionID: 3, PrimarySeg: 12},
-		"CompactionStart":   CompactionStart{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2},
-		"IndexSegment":      IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, Kind: 1, PrimarySeg: 12, DataLen: 65536, Codec: 1},
-		"GCRelease":         GCRelease{RegionID: 7, Segs: []uint32{3, 1 << 20, 9}},
-		"CompactionDone":    CompactionDone{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2, Root: 1 << 33, NumKeys: 5, Watermark: 99},
-		"ScrubReq":          ScrubReq{RegionID: 7},
-		"ScrubReply":        ScrubReply{Scanned: 40, Corrupt: []SegRef{ref, ref}},
-		"FetchSegment":      FetchSegment{RegionID: 4, Ref: ref, Codec: 1},
-		"FetchSegmentReply": FetchSegmentReply{Found: true, Data: []byte("segment image"), Codec: 1},
-		"RepairSegment":     RepairSegment{RegionID: 4, Ref: ref, DataLen: 123, CRC: 456, Codec: 1},
+		"PutReq":          PutReq{Key: []byte("user000042"), Value: bytes.Repeat([]byte("v"), 700)},
+		"GetReq":          GetReq{Key: []byte("user000042")},
+		"GetRestReq":      GetRestReq{Key: []byte("user000042"), Offset: 900},
+		"ScanReq":         ScanReq{Start: []byte("user"), Count: 16},
+		"GetReply":        GetReply{Found: true, TotalSize: 300, Value: bytes.Repeat([]byte("x"), 300)},
+		"ScanReply":       ScanReply{Pairs: []kv.Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("bb")}, {Key: []byte("c"), Value: bytes.Repeat([]byte("z"), 90)}}},
+		"StatusReply":     StatusReply{Status: 1},
+		"FlushTail":       FlushTail{RegionID: 3, PrimarySeg: 12},
+		"CompactionStart": CompactionStart{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2},
+		"IndexSegment":    IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, Kind: 1, PrimarySeg: 12, DataLen: 65536, Codec: 1},
+		"GCRelease":       GCRelease{RegionID: 7, Segs: []uint32{3, 1 << 20, 9}},
+		"CompactionDone":  CompactionDone{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2, Root: 1 << 33, NumKeys: 5, Watermark: 99},
 	}
 }
 

@@ -79,17 +79,15 @@ const (
 	_
 	OpSyncTail
 	OpSyncTailAck
-
-	// Scrub-and-repair plane (DESIGN.md "Storage integrity"). A primary
-	// asks its backups to verify their replicated segments (OpScrub), pulls
-	// a clean copy of a corrupt segment from a peer (OpFetchSegment), and
-	// pushes a repaired image to a corrupt backup (OpRepairSegment).
-	OpScrub
-	OpScrubReply
-	OpFetchSegment
-	OpFetchSegmentReply
-	OpRepairSegment
-	OpRepairSegmentAck
+	// 25 to 30 were the scrub, segment-fetch and segment-repair commands
+	// and their replies, deleted with the repair plane: a corrupt node is
+	// failed over instead. Reserved like 21 and 22.
+	_
+	_
+	_
+	_
+	_
+	_
 
 	// Value-log GC plane (DESIGN.md "Value-log GC"). After a cost-based GC
 	// pass relocated a victim segment's live records and compacted every
@@ -108,8 +106,8 @@ func (o Op) String() string {
 		"compaction-start", "compaction-done", "compaction-done-ack",
 		"get-buffer", "get-buffer-reply", "reserved-21", "reserved-22",
 		"sync-tail", "sync-tail-ack",
-		"scrub", "scrub-reply", "fetch-segment", "fetch-segment-reply",
-		"repair-segment", "repair-segment-ack",
+		"reserved-25", "reserved-26", "reserved-27", "reserved-28",
+		"reserved-29", "reserved-30",
 		"gc-release", "gc-release-ack",
 	}
 	if int(o) < len(names) {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -250,10 +251,23 @@ func TestDecodersRejectTruncation(t *testing.T) {
 }
 
 func TestOpStrings(t *testing.T) {
-	for o := OpInvalid; o <= OpSyncTailAck; o++ {
+	for o := OpInvalid; o <= OpGCReleaseAck; o++ {
 		if o.String() == "" {
 			t.Fatalf("op %d has empty name", o)
 		}
+	}
+}
+
+// TestRetiredOpNames: a retired opcode keeps its number and is named
+// for it, and the opcodes after the gaps keep their names.
+func TestRetiredOpNames(t *testing.T) {
+	for _, o := range []Op{21, 22, 25, 26, 27, 28, 29, 30} {
+		if want := fmt.Sprintf("reserved-%d", o); o.String() != want {
+			t.Errorf("op %d is named %q, want %q", o, o.String(), want)
+		}
+	}
+	if OpSyncTailAck.String() != "sync-tail-ack" || OpGCRelease.String() != "gc-release" || OpGCReleaseAck.String() != "gc-release-ack" {
+		t.Errorf("ops named %q, %q, %q", OpSyncTailAck, OpGCRelease, OpGCReleaseAck)
 	}
 }
 
