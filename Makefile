@@ -26,9 +26,9 @@ check:
 
 # stress re-runs the failure-prone suites — replication retry/eviction
 # and the segment map's lock-free hits, the one compactor's job order and
-# writer stalls, a job's segments shipping while it builds and its
-# failures mid-job, the builder's fill of the node cache beside lock-free
-# lookups, the client ring/freeList property tests,
+# writer stalls, a job's ships from inside its build on its one
+# goroutine and its failures mid-job, the builder's fill of the node
+# cache beside lock-free lookups, the client ring/freeList property tests,
 # the master's hand-over and interrupted-reconfiguration suites, the
 # lock-free segment reads of the device and the value log, and the
 # request path's lock-free polls, rkey table, spinner fast path,

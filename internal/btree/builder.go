@@ -373,10 +373,11 @@ func (b *Builder) addToIndex(level int, firstKey []byte, child storage.Offset) e
 }
 
 // SealTime is the time b has spent sealing nodes so far: placing each
-// sealed node in its segment, and writing and emitting each segment. It
-// is read off one clock pair per node and one per segment, never per
-// entry, so whatever else a pass feeding b does — its merge, and the
-// staging of entries into leaves — is the caller's time minus this.
+// sealed node in its segment, and writing each segment and filling the
+// node cache with it — not emitting it. It is read off one clock pair
+// per node and one per segment, never per entry, so whatever else a
+// pass feeding b does — its merge, the staging of entries into leaves,
+// what emit does — is the caller's time minus this.
 func (b *Builder) SealTime() time.Duration { return b.sealTime }
 
 // clock adds the time since start to the seal time.
@@ -450,12 +451,15 @@ func (b *Builder) placeNode(lb *levelBuilder) (storage.Offset, error) {
 }
 
 // flushSegment writes the used portion of lb's segment to the device,
-// fills the device's node cache with its nodes and emits it.
+// fills the device's node cache with its nodes and emits it. The seal
+// clock stops before emit: what emit does with the segment — ship it —
+// is the caller's time, not the build's.
 func (b *Builder) flushSegment(lb *levelBuilder) error {
-	defer b.clock(time.Now())
+	start := time.Now()
 	used := lb.nodeIdx * b.nodeSize
 	if used == 0 {
 		// Unused segment: release it.
+		defer b.clock(start)
 		if err := b.dev.Free(lb.seg); err != nil {
 			return err
 		}
@@ -481,6 +485,7 @@ func (b *Builder) flushSegment(lb *levelBuilder) error {
 	// The builder is done with this buffer — the next segment gets a fresh
 	// one — so the image is handed over, not copied again.
 	lb.segBuf = nil
+	b.clock(start)
 	return b.emit(EmittedSegment{Seg: lb.seg, Kind: kind, Data: data})
 }
 

@@ -6,12 +6,12 @@
 // Compactions merge level Li into Li+1, building the new L'i+1 index
 // bottom-up and left-to-right. One background compactor runs them one
 // at a time, as the paper's engine does, and one frozen L0 waits for it
-// at most. A job merges and builds on one goroutine and ships each
-// sealed index segment from a second, while the build goes on. The
-// engine reports every step of a compaction to an optional
-// Listener — log appends, emitted index segments, and compaction
-// completion — which is exactly the interface the Send-Index
-// replication protocol hangs off (§3.3).
+// at most. A job is one goroutine: it merges, builds, and ships each
+// index segment as the build seals it, then builds on. The engine
+// reports every step of a compaction to an optional Listener — log
+// appends, emitted index segments, and compaction completion — which is
+// exactly the interface the Send-Index replication protocol hangs off
+// (§3.3).
 package lsm
 
 import (
@@ -70,18 +70,18 @@ type CompactionResult struct {
 }
 
 // Listener observes engine events the replication layer needs. OnAppend
-// is invoked synchronously from the Put path (in log-append order). The
-// compaction callbacks are invoked from compaction job goroutines: within
-// one job, OnCompactionStart precedes every OnIndexSegment (emitted in
-// build order) which all precede OnCompactionDone, and a job's
+// is invoked synchronously from the Put path (in log-append order). Every
+// compaction callback runs on the job's goroutine, in order: within one
+// job, OnCompactionStart precedes every OnIndexSegment (emitted in build
+// order) which all precede OnCompactionDone, and a job's
 // OnCompactionDone fires before the next job's OnCompactionStart — the
 // events of two jobs never interleave. A nil listener disables all
 // callbacks.
 //
 // Error contract: callbacks have no error return and must not block
-// indefinitely — the ship goroutine of a compaction waits inside them, so a
-// wedged callback wedges the job, the one compactor and, once L0 fills
-// again, the writers.
+// indefinitely — a compaction job waits inside them, so a wedged callback
+// wedges the job, the one compactor and, once L0 fills again, the
+// writers.
 // Replication failures are the listener's problem to absorb: the
 // replica.Primary implementation bounds every backup interaction with a
 // timeout/retry policy and evicts unresponsive backups, letting the
@@ -98,9 +98,10 @@ type Listener interface {
 	// OnCompactionStart fires before a compaction job begins merging.
 	OnCompactionStart(job CompactionJob)
 	// OnIndexSegment fires for every sealed index/leaf segment of the
-	// new L'dst, in build order — the Send-Index shipping hook. It is
-	// called from the job's ship goroutine, concurrently with the
-	// ongoing merge and build of the same job.
+	// new L'dst, in build order — the Send-Index shipping hook. The
+	// builder calls it as it seals each segment, so a segment ships while
+	// the job still merges and builds the ones after it; the build goes
+	// on once the call returns.
 	OnIndexSegment(job CompactionJob, seg btree.EmittedSegment)
 	// OnCompactionDone fires after the new level is installed, carrying
 	// the new root (primary device space) for backup root translation.

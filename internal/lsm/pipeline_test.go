@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -110,10 +111,10 @@ func l0Job(t testing.TB, db *DB) (CompactionJob, cursor, cursor) {
 	return CompactionJob{ID: 1 << 20, SrcLevel: 0, DstLevel: 1, Filter: true}, &memCursor{it: mt.Iter()}, dst
 }
 
-// referenceRun is what the pipeline computes, without a ship goroutine:
-// mergeStream straight into a btree.Builder, with the pipeline's
-// tombstone rule and charges. at[i] is how many entries the merge had
-// emitted when the i-th segment was emitted.
+// referenceRun is what the pipeline computes, without a listener or
+// stage accounting: mergeStream straight into a btree.Builder, with the
+// pipeline's tombstone rule and charges. at[i] is how many entries the
+// merge had emitted when the i-th segment was emitted.
 type referenceRun struct {
 	built  btree.Built
 	segs   []btree.EmittedSegment
@@ -155,13 +156,13 @@ func runReference(db *DB, ref CompactionJob, src, dst cursor) (referenceRun, err
 	return r, err
 }
 
-// TestPipelineMatchesSingleGoroutineReference: shipping segments from a
-// goroutine of their own, while the build goes on, changes where work
-// runs, not what it produces. At job sizes from empty to a few segments,
-// one engine runs the job through the pipeline and its twin through the
-// reference, and the two must emit the same segments, byte for byte,
-// build the same tree, charge the same compaction cycles and leave the
-// same dead-bytes ledger.
+// TestPipelineMatchesSingleGoroutineReference: handing each segment to
+// the listener as the builder seals it, and timing the stages apart,
+// changes what the job reports, not what it produces. At job sizes from
+// empty to a few segments, one engine runs the job through the pipeline
+// and its twin through the reference, and the two must emit the same
+// segments, byte for byte, build the same tree, charge the same
+// compaction cycles and leave the same dead-bytes ledger.
 func TestPipelineMatchesSingleGoroutineReference(t *testing.T) {
 	for _, n := range []int{0, 1, 255, 256, 257, 769} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
@@ -217,21 +218,18 @@ func TestPipelineMatchesSingleGoroutineReference(t *testing.T) {
 	}
 }
 
-// waitGoroutines fails t unless the goroutine count falls back to before.
-func waitGoroutines(t *testing.T, before int) {
+// noNewGoroutines fails t if more goroutines run than before: a job
+// starts none, so none can outlive it.
+func noNewGoroutines(t *testing.T, before int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before the job, %d after it — the job's ship goroutine leaked", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
+	if now := runtime.NumGoroutine(); now > before {
+		t.Fatalf("goroutines: %d before the job, %d once it returned", before, now)
 	}
 }
 
 // TestPipelineBuildErrorMidJob: a segment write that fails in the middle
 // of a job, with entries merged before it and after it, is the job's
-// error, and the ship goroutine does not outlive the job. Which write
+// error, and the job returns with no goroutine left behind. Which write
 // that is comes from the twin's reference run.
 func TestPipelineBuildErrorMidJob(t *testing.T) {
 	const n = 3000
@@ -254,12 +252,12 @@ func TestPipelineBuildErrorMidJob(t *testing.T) {
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("pipeline = %v, want the injected write failure", err)
 	}
-	waitGoroutines(t, before)
+	noNewGoroutines(t, before)
 }
 
 // TestPipelineMergeErrorMidJob: a corrupt source leaf that the merge
 // reaches in the middle of a job fails the job with the merge's own
-// error, verbatim, and the ship goroutine does not outlive the job.
+// error, verbatim, and the job returns with no goroutine left behind.
 func TestPipelineMergeErrorMidJob(t *testing.T) {
 	const n, leaf = 3000, 4
 	// corrupt overwrites the kind byte of L1's leaf-th leaf.
@@ -289,7 +287,90 @@ func TestPipelineMergeErrorMidJob(t *testing.T) {
 	if !errors.Is(err, btree.ErrCorruptNode) {
 		t.Fatalf("pipeline = %v, want a corrupt-node error", err)
 	}
-	waitGoroutines(t, before)
+	noNewGoroutines(t, before)
+}
+
+// segmentHook is a listener that runs fn on the job's goroutine for
+// every index segment it is handed, after recording it.
+type segmentHook struct {
+	recordingListener
+	fn func()
+}
+
+func (h *segmentHook) OnIndexSegment(job CompactionJob, seg btree.EmittedSegment) {
+	h.recordingListener.OnIndexSegment(job, seg)
+	h.fn()
+}
+
+// TestPipelineBuildWaitsForTheShip: a job is one goroutine, so while the
+// listener holds a segment the build waits for it — the job writes no
+// further segment until the listener returns.
+func TestPipelineBuildWaitsForTheShip(t *testing.T) {
+	db, dev := pipelineDB(t, 3000)
+	ref, src, dst := l0Job(t, db)
+	dev.failAt = math.MaxInt64 // armed past every write: it counts them
+	blocked, release := make(chan int64), make(chan struct{})
+	first := true
+	db.SetListener(&segmentHook{fn: func() {
+		if first {
+			first = false
+			blocked <- dev.writes.Load()
+			<-release
+		}
+	}})
+	done := make(chan error, 1)
+	go func() {
+		_, err := db.pipeline(ref, src, dst)
+		done <- err
+	}()
+	at := <-blocked
+	time.Sleep(50 * time.Millisecond) // room for a build that does not wait
+	now := dev.writes.Load()
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if at != 1 || now != at {
+		t.Fatalf("the job had written %d segments when it shipped its first, and %d while the listener held it; want 1 and 1", at, now)
+	}
+}
+
+// TestPipelineStagesSumToThePass: the stages of a job are timed apart on
+// its one goroutine — the ship around each listener call, the build as
+// the builder's node sealing, which stops before the ship, and the merge
+// as the rest — so a slow listener is the ship's time, not the build's,
+// and the three add up to no more than the job took.
+func TestPipelineStagesSumToThePass(t *testing.T) {
+	const perSegment = 5 * time.Millisecond
+	db, _ := pipelineDB(t, 20000)
+	hook := &segmentHook{fn: func() { time.Sleep(perSegment) }}
+	db.SetListener(hook)
+	ref, src, dst := l0Job(t, db)
+	before := db.CompactionStats()
+	start := time.Now()
+	if _, err := db.pipeline(ref, src, dst); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	after := db.CompactionStats()
+
+	k := len(hook.segments)
+	if k < 8 {
+		t.Fatalf("the job shipped %d segments; the test needs 8 or more", k)
+	}
+	merge := after.MergeTime - before.MergeTime
+	build := after.BuildTime - before.BuildTime
+	ship := after.ShipTime - before.ShipTime
+	t.Logf("%d segments: merge %v, build %v, ship %v, wall %v", k, merge, build, ship, wall)
+	if ship < time.Duration(k)*perSegment {
+		t.Errorf("ship time %v, want at least %d × %v", ship, k, perSegment)
+	}
+	if build >= ship/2 {
+		t.Errorf("build time %v, want under half the ship's %v: the build took in the listener's time", build, ship)
+	}
+	if merge+build+ship > wall {
+		t.Errorf("merge %v + build %v + ship %v = %v, more than the job's %v", merge, build, ship, merge+build+ship, wall)
+	}
 }
 
 // TestMergeOfTiedKeysAllocatesNothingPerEntry: a compaction whose keys

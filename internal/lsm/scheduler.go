@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"sync/atomic"
 	"time"
 
 	"tebis/internal/btree"
@@ -103,9 +102,9 @@ func (db *DB) runJob(job *compactionJob) {
 	}
 }
 
-// executeJob runs one compaction job: announce, pipeline (merge and
-// build, with ship streaming beside them), install, free replaced
-// segments, notify.
+// executeJob runs one compaction job: announce, pipeline (merge, build
+// and ship each segment as it seals), install, free replaced segments,
+// notify.
 func (db *DB) executeJob(job *compactionJob) error {
 	ref := CompactionJob{ID: job.id, SrcLevel: job.srcLevel, DstLevel: job.dstLevel, Filter: job.filter}
 	if l := db.getListener(); l != nil {
@@ -175,21 +174,29 @@ func (kr *keyReader) read(off storage.Offset) ([]byte, error) {
 	return key, err
 }
 
-// pipeline runs one job as §3.3's compaction thread does: the merge
-// hands each entry straight to the bottom-up builder on the calling
-// goroutine, and one shipping goroutine hands each sealed segment to the
-// listener while the build goes on (Send-Index streaming). The builder
+// pipeline runs one job as §3.3's compaction thread does, on the calling
+// goroutine: the merge hands each entry straight to the bottom-up
+// builder, and the builder's emit hands each sealed segment to the
+// listener before the build goes on (Send-Index streaming). The builder
 // copies every key it keeps, so a key the merge lends it — a cursor's
-// buffer — needs no copy of its own. The segs buffer holds two segments,
-// so a slow shipper throttles the build instead of queueing unbounded
-// data. Merge and build stay separately accounted: the build's time is
-// the builder's node sealing (Builder.SealTime), the merge's the rest of
-// the pass.
+// buffer — needs no copy of its own. The stages are accounted apart and
+// sum to the pass: the ship is one clock pair around each listener call,
+// the build the builder's node sealing (Builder.SealTime, which stops
+// before emit), and the merge the rest.
 func (db *DB) pipeline(ref CompactionJob, src, dst cursor) (btree.Built, error) {
-	segs := make(chan btree.EmittedSegment, 2)
+	l := db.getListener()
+	var ship time.Duration
+	finishing := false // a segment emitted before Finish ships early
 	b, err := btree.NewBuilder(db.dev, db.opt.NodeSize, func(es btree.EmittedSegment) error {
 		db.charge(metrics.CompCompaction, db.cost.WriteIO(len(es.Data)))
-		segs <- es
+		start := time.Now()
+		if l != nil {
+			l.OnIndexSegment(ref, es)
+		}
+		d := time.Since(start)
+		ship += d
+		db.stats.RecordShip(d, !finishing)
+		db.trace.Record(obs.Span{Cat: "compaction", Name: "ship", JobID: ref.ID, Bytes: int64(len(es.Data)), Start: start, Dur: d})
 		return nil
 	})
 	if err != nil {
@@ -200,26 +207,6 @@ func (db *DB) pipeline(ref CompactionJob, src, dst cursor) (btree.Built, error) 
 		defer db.filterBufs.Give(filter)
 		b.SetFilterCollector(filter)
 	}
-
-	var buildDone atomic.Bool
-	shipped := make(chan struct{})
-	go func() {
-		defer close(shipped)
-		l := db.getListener()
-		for es := range segs {
-			early := !buildDone.Load()
-			start := time.Now()
-			if l != nil {
-				l.OnIndexSegment(ref, es)
-			}
-			db.stats.RecordShip(time.Since(start), early)
-			db.trace.Record(obs.Span{
-				Cat: "compaction", Name: "ship", JobID: ref.ID,
-				Bytes: int64(len(es.Data)),
-				Start: start, Dur: time.Since(start),
-			})
-		}
-	}()
 
 	start := time.Now()
 	dropTombstones := ref.DstLevel == len(db.levels)-1
@@ -238,23 +225,23 @@ func (db *DB) pipeline(ref CompactionJob, src, dst cursor) (btree.Built, error) 
 	})
 	var built btree.Built
 	if err == nil {
+		finishing = true
 		built, err = b.Finish()
 	}
 	if err == nil && ref.Filter {
 		// Every entry the builder took was hashed into the filter.
 		db.charge(metrics.CompCompaction, uint64(built.NumKeys)*db.cost.FilterPerKey)
 	}
-	buildDone.Store(true)
-	close(segs)
 
-	// The two interleave on one goroutine, so their spans lay the split
-	// end to end: the merge's share of the pass, then the build's.
+	// The stages interleave on one goroutine. The ship spans sit where
+	// they ran; the merge's and the build's lay their shares of the rest
+	// of the pass end to end.
 	pass, seal := time.Since(start), b.SealTime()
-	db.stats.RecordMerge(pass - seal)
+	merge := pass - seal - ship
+	db.stats.RecordMerge(merge)
 	db.stats.RecordBuild(seal)
-	db.trace.Record(obs.Span{Cat: "compaction", Name: "merge", JobID: ref.ID, Start: start, Dur: pass - seal})
-	db.trace.Record(obs.Span{Cat: "compaction", Name: "build", JobID: ref.ID, Start: start.Add(pass - seal), Dur: seal})
-	<-shipped
+	db.trace.Record(obs.Span{Cat: "compaction", Name: "merge", JobID: ref.ID, Start: start, Dur: merge})
+	db.trace.Record(obs.Span{Cat: "compaction", Name: "build", JobID: ref.ID, Start: start.Add(merge), Dur: seal})
 	if err != nil {
 		return btree.Built{}, err
 	}

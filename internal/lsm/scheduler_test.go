@@ -216,11 +216,10 @@ func TestPinnedJobStallsWriter(t *testing.T) {
 }
 
 // TestSegmentsShipToListenerBeforeBuildCompletes asserts the Send-Index
-// streaming property the ship goroutine exists for: with merges big
-// enough to seal several index segments, at least one segment must reach
-// the ship goroutine while its build is still running. The segs channel
-// holds two segments, so any job emitting four or more makes this
-// deterministic.
+// streaming property: with merges big enough to seal several index
+// segments, at least one segment must reach the listener while its
+// build is still adding entries — emitted by AddEntry, before Finish.
+// Any job that fills a segment before its last entry ships one so.
 func TestSegmentsShipToListenerBeforeBuildCompletes(t *testing.T) {
 	opt, _ := testOptions(t)
 	rec := &recordingListener{}
@@ -252,6 +251,11 @@ func TestSegmentsShipToListenerBeforeBuildCompletes(t *testing.T) {
 	}
 	if snap.OverlapFraction() <= 0 {
 		t.Fatalf("overlap fraction = %v, want > 0", snap.OverlapFraction())
+	}
+	// Finish emits at least each job's root segment, and those are not
+	// early.
+	if late := snap.SegmentsShipped - snap.SegmentsShippedEarly; late < snap.Jobs {
+		t.Fatalf("%d of %d segments shipped after Finish over %d jobs, want one a job at least", late, snap.SegmentsShipped, snap.Jobs)
 	}
 	if snap.MergeTime <= 0 || snap.BuildTime <= 0 {
 		t.Fatalf("missing stage timings: %+v", snap)

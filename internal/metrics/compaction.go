@@ -7,9 +7,9 @@ import (
 
 // CompactionStats accumulates wall-clock accounting for compaction jobs:
 // their merge, index-build and segment-shipping time, how many shipped
-// segments left before their build finished (the Send-Index overlap the
-// paper's streaming design targets), and the writer stalls caused by a
-// full frozen L0 (§5.1). All methods are
+// segments left while their build was still adding entries (the
+// Send-Index streaming the paper's design targets), and the writer
+// stalls caused by a full frozen L0 (§5.1). All methods are
 // safe for concurrent use; a nil *CompactionStats discards everything.
 type CompactionStats struct {
 	jobs       atomic.Uint64
@@ -32,8 +32,8 @@ func (s *CompactionStats) RecordJob() {
 	s.jobs.Add(1)
 }
 
-// RecordMerge adds a job's merge time: its merge-and-build pass less the
-// build's node sealing.
+// RecordMerge adds a job's merge time: its pass less the build's node
+// sealing and the ship.
 func (s *CompactionStats) RecordMerge(d time.Duration) {
 	if s == nil {
 		return
@@ -50,9 +50,9 @@ func (s *CompactionStats) RecordBuild(d time.Duration) {
 	s.buildNanos.Add(int64(d))
 }
 
-// RecordShip adds the time one segment spent being shipped. early
-// reports whether the segment reached the ship goroutine before its
-// job's build finished — the build/ship overlap.
+// RecordShip adds the time one segment spent in the listener. early
+// reports whether the builder emitted the segment before its job called
+// Finish — a ship in the middle of the build.
 func (s *CompactionStats) RecordShip(d time.Duration, early bool) {
 	if s == nil {
 		return
@@ -129,19 +129,18 @@ func (s *CompactionStats) Collect() []Family {
 type CompactionSnapshot struct {
 	// Jobs counts completed compaction jobs.
 	Jobs uint64
-	// MergeTime and BuildTime split a job's merge-and-build pass, which
-	// runs on one goroutine: BuildTime is the builder's node sealing —
-	// placing sealed nodes, writing and emitting their segments — and
-	// MergeTime the rest. ShipTime is the time segments spent in the
-	// listener, on a goroutine of its own that overlaps the pass, so the
-	// three can sum to more than the jobs' wall time.
+	// MergeTime, BuildTime and ShipTime split a job's pass, which runs
+	// on one goroutine, and sum to it: ShipTime is the time segments
+	// spent in the listener, BuildTime the builder's node sealing —
+	// placing sealed nodes and writing their segments — and MergeTime
+	// the rest.
 	MergeTime time.Duration
 	BuildTime time.Duration
 	ShipTime  time.Duration
 	// SegmentsShipped counts index segments handed to the listener.
 	SegmentsShipped uint64
-	// SegmentsShippedEarly counts segments handed to the listener before
-	// their job's build completed.
+	// SegmentsShippedEarly counts segments the builder emitted, and the
+	// listener took, before their job called Finish.
 	SegmentsShippedEarly uint64
 	// WriterStalls counts writers that blocked on a full L0 while the
 	// frozen one was still compacting.
@@ -150,8 +149,8 @@ type CompactionSnapshot struct {
 	WriterStallTime time.Duration
 }
 
-// OverlapFraction is the fraction of shipped segments that left before
-// their build completed (1.0 = fully streamed, 0 = ship-after-build).
+// OverlapFraction is the fraction of shipped segments emitted before
+// their build's Finish (1.0 = fully streamed, 0 = ship-after-build).
 func (s CompactionSnapshot) OverlapFraction() float64 {
 	if s.SegmentsShipped == 0 {
 		return 0

@@ -99,6 +99,10 @@ type Backup struct {
 	logBuf *rdma.MemoryRegion // value-log tail replica (§3.2)
 	idxBuf *rdma.MemoryRegion // index segment staging (§3.3)
 
+	// db is the own engine (Build-Index, or once promoted). Writers hold
+	// mu; DB reads it without, as a metrics sampler does.
+	db atomic.Pointer[lsm.DB]
+
 	mu sync.Mutex
 	// conn is the link of the primary attached last (nil before Attach),
 	// the one Crash severs.
@@ -111,7 +115,6 @@ type Backup struct {
 	// filterBufs are the collectors ship jobs gather their level's
 	// filter in.
 	filterBufs btree.FilterCollectors
-	db         *lsm.DB // own engine (Build-Index)
 	// watermarkPrimary is the last compaction watermark in primary
 	// device space.
 	watermarkPrimary storage.Offset
@@ -215,7 +218,7 @@ func NewBackup(cfg BackupConfig) (*Backup, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.db = db
+		b.db.Store(db)
 		b.idxQueue = make(chan idxWork, 4)
 		b.idxDone = make(chan struct{})
 		go b.indexWorker(b.idxQueue)
@@ -485,7 +488,7 @@ func (b *Backup) handleFlushTail(h wire.Header, req wire.FlushTail) ([]byte, err
 	b.logMap.MarkFlushed(storage.SegmentID(req.PrimarySeg))
 	b.charge(metrics.CompLogReplication, b.cfg.Cost.WriteIO(len(data)))
 
-	if b.cfg.Mode == BuildIndex && b.db != nil {
+	if b.cfg.Mode == BuildIndex && b.db.Load() != nil {
 		// Build-Index: hand the flushed records to the indexing worker —
 		// a copy of its own, the worker reads it after the scratch has
 		// taken the next tail, and of the usable capacity only: above it
@@ -526,7 +529,7 @@ func (b *Backup) handleSyncTail(h wire.Header, req wire.FlushTail) ([]byte, erro
 func (b *Backup) indexFlushedSegment(local storage.SegmentID, data []byte) error {
 	used := vlog.ScanUsed(data)
 	return replaySegmentRecords(b.geo, local, data[:used], func(off storage.Offset, key []byte, tomb bool, recLen int) error {
-		return b.db.PutIndexed(key, off, tomb, recLen)
+		return b.db.Load().PutIndexed(key, off, tomb, recLen)
 	})
 }
 
@@ -695,7 +698,7 @@ func (b *Backup) handleGCRelease(h wire.Header, req wire.GCRelease) ([]byte, err
 		if !ok {
 			continue
 		}
-		if b.db == nil {
+		if b.db.Load() == nil {
 			if _, err := b.log.Release([]storage.SegmentID{local}); err != nil {
 				return nil, err
 			}
@@ -724,8 +727,9 @@ func (b *Backup) LevelStates(maxLevels int) []lsm.LevelState {
 	return out
 }
 
-// DB returns the backup's own engine (Build-Index mode; nil otherwise).
-func (b *Backup) DB() *lsm.DB { return b.db }
+// DB returns the backup's own engine (Build-Index mode, or once
+// promoted; nil otherwise). It takes no lock.
+func (b *Backup) DB() *lsm.DB { return b.db.Load() }
 
 // replaySegmentRecords walks the records of one segment image.
 func replaySegmentRecords(geo storage.Geometry, seg storage.SegmentID, data []byte, fn func(off storage.Offset, key []byte, tomb bool, recLen int) error) error {

@@ -100,7 +100,7 @@ func NewBackupFromPrimary(p *Primary, cfg BackupConfig, oldToNew map[storage.Seg
 		// The old engine (with its L0) becomes the backup's own engine;
 		// it no longer replicates anywhere.
 		db.SetListener(nil)
-		b.db = db
+		b.db.Store(db)
 		b.idxQueue = make(chan idxWork, 4)
 		b.idxDone = make(chan struct{})
 		go b.indexWorker(b.idxQueue)

@@ -58,8 +58,8 @@ func TestBackupFailureMidCompactionEvictsAndCompletes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The compactor must drain — a dead backup must not wedge a job's
-	// ship goroutine (lsm.Listener contract).
+	// The compactor must drain — a dead backup must not wedge a job
+	// inside its ship (lsm.Listener contract).
 	if err := r.db.WaitIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -376,9 +376,9 @@ func TestCrashLeavesNoGoroutines(t *testing.T) {
 				b.Crash()
 				b.Crash() // idempotent: a second crash must not panic or hang
 			}
-			// Compaction-pipeline goroutines are per-job and already
-			// drained by WaitIdle; only leaked backup goroutines can keep
-			// the count above the baseline.
+			// A compaction job is one goroutine, already retired by
+			// WaitIdle; only leaked backup goroutines can keep the count
+			// above the baseline.
 			deadline := time.Now().Add(5 * time.Second)
 			for time.Now().Before(deadline) {
 				if runtime.NumGoroutine() <= before {

@@ -639,9 +639,9 @@ func (p *Primary) jobTargets(jobID uint64) []*backupHandle {
 
 // OnIndexSegment ships one sealed index segment: a one-sided write of
 // the segment image into the backup's staging buffer followed by a
-// control message with the translation metadata (§3.3). It is invoked
-// from the job's ship goroutine while the build is still producing
-// later segments — the Send-Index streaming overlap.
+// control message with the translation metadata (§3.3). The job's
+// builder invokes it as it seals the segment, before it builds the
+// later ones — the Send-Index streaming.
 func (p *Primary) OnIndexSegment(job lsm.CompactionJob, seg btree.EmittedSegment) {
 	if p.cfg.Mode != SendIndex {
 		return
@@ -669,8 +669,7 @@ func (p *Primary) encodeShip(data []byte) (frame []byte, codec uint8, err error)
 // receives the same frame. A backup that stops responding mid-ship, or
 // cannot decode the frame (a FlagError ack), is evicted and the
 // remaining backups still receive the segment — the compaction job must
-// complete on the survivors rather than wedge in the job's ship
-// goroutine.
+// complete on the survivors rather than wedge inside the ship.
 func (p *Primary) shipSegment(job lsm.CompactionJob, seg btree.EmittedSegment) {
 	const wrIndexShip = 2
 	frame, codec, err := p.encodeShip(seg.Data)

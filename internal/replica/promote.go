@@ -89,10 +89,11 @@ func (b *Backup) Promote() (*lsm.DB, error) {
 	case BuildIndex:
 		// The backup's engine already indexes everything flushed;
 		// replay just the adopted tail.
-		if _, err := b.db.ReplayLog(b.geo.Pack(tailSeg, 0)); err != nil {
+		db := b.db.Load()
+		if _, err := db.ReplayLog(b.geo.Pack(tailSeg, 0)); err != nil {
 			return nil, err
 		}
-		return b.db, nil
+		return db, nil
 
 	case SendIndex:
 		opt := b.cfg.LSM
@@ -128,7 +129,7 @@ func (b *Backup) Promote() (*lsm.DB, error) {
 				return nil, err
 			}
 		}
-		b.db = db
+		b.db.Store(db)
 		return db, nil
 
 	default:

@@ -195,14 +195,14 @@ func TestSendIndexShipsLevels(t *testing.T) {
 // TestSendIndexShipsSegmentsBeforeBuildCompletes is the acceptance test
 // for streaming ships: with replication attached, index segments must
 // reach the backup while the primary's index build is still running —
-// the Send-Index streaming overlap. Shipping to the backup is
-// synchronous inside the job's ship goroutine, so a segment recorded as
-// "early" was rewritten by the backup before the build finished.
+// the Send-Index streaming. Shipping to the backup is synchronous inside
+// the job's builder, so a segment recorded as "early" was rewritten by
+// the backup before the build finished.
 func TestSendIndexShipsSegmentsBeforeBuildCompletes(t *testing.T) {
 	stats := &metrics.CompactionStats{}
 	r := newRigOpts(t, SendIndex, 1, func(o *lsm.Options) { o.CompactionStats = stats })
-	// Enough data to force a >4096-key merge, which seals well over the
-	// pipeline's two-segment ship buffer.
+	// Enough data to force a >4096-key merge, which seals segments well
+	// before its last entry.
 	r.load(6000, 40)
 
 	snap := stats.Snapshot()
@@ -576,6 +576,51 @@ func TestPromotedBackupAcceptsNewWrites(t *testing.T) {
 	// Old data still present.
 	if _, found, _ := db2.Get([]byte("user00000042")); !found {
 		t.Fatal("pre-failover key lost")
+	}
+}
+
+// TestDBReadDuringPromote: a reader calling DB in a loop — as the
+// server's metrics sampler does — while Promote installs a Send-Index
+// backup's new engine sees nil, then that engine, and nothing else. Run
+// it under -race: DB takes no lock, and Promote writes the engine while
+// the reader runs.
+func TestDBReadDuringPromote(t *testing.T) {
+	r := newRig(t, SendIndex, 1)
+	r.load(500, 20)
+	b := r.backups[0]
+	r.primary.Detach(b)
+
+	reading, stop := make(chan struct{}), make(chan struct{})
+	seen := make(chan []*lsm.DB)
+	go func() {
+		var dbs []*lsm.DB
+		for first := true; ; first = false {
+			if db := b.DB(); len(dbs) == 0 || dbs[len(dbs)-1] != db {
+				dbs = append(dbs, db)
+			}
+			if first {
+				close(reading)
+			}
+			select {
+			case <-stop:
+				seen <- dbs
+				return
+			default:
+			}
+		}
+	}()
+	<-reading
+	db, err := b.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	close(stop)
+	if dbs := <-seen; dbs[0] != nil || len(dbs) > 2 || len(dbs) == 2 && dbs[1] != db {
+		t.Fatalf("DB returned %v during Promote, want nil and then %p", dbs, db)
+	}
+	if b.DB() != db {
+		t.Fatalf("DB() = %p after Promote, want the promoted engine %p", b.DB(), db)
 	}
 }
 

@@ -28,8 +28,8 @@ go test -race ./...
 
 # The benchmark runs the cluster on one P, where a server starts one
 # spinning thread, not two (server.DefaultSpinThreads), a compaction
-# job's merge-and-build goroutine and its ship goroutine share that P,
-# and the builder fills the node cache on the job's goroutine beside
+# job merges, builds and ships on one goroutine beside the request path
+# on that P, the builder fills the node cache on that goroutine beside
 # gets that read it without a lock, and the value log's lock-free
 # sealed reads (a long header's second read among them) race with its
 # seals; this runs the request path's, the compactor's, the replicas',
