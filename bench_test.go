@@ -255,7 +255,7 @@ func BenchmarkAblationRewriteVsRebuild(b *testing.B) {
 	defer srcDev.Close()
 	var segs []btree.EmittedSegment
 	build(srcDev, func(es btree.EmittedSegment) error {
-		segs = append(segs, btree.EmittedSegment{Seg: es.Seg, Kind: es.Kind, Data: append([]byte(nil), es.Data...)})
+		segs = append(segs, btree.EmittedSegment{Seg: es.Seg, Data: append([]byte(nil), es.Data...)})
 		return nil
 	})
 

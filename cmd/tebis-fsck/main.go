@@ -11,7 +11,9 @@
 // torn tail segments are truncated, orphaned index segments reclaimed,
 // and the surviving log replayed — then the recovered image is
 // scrubbed. -recover mutates the image; take a copy first if the image
-// is evidence.
+// is evidence. -space prints a read-only space report instead: each
+// value-log segment's live and dead bytes, and the index segments'
+// count, node bytes and slack.
 //
 // Exit status: 0 clean, 1 corruption found, 2 the check could not run
 // (unreadable image, mid-log corruption during -recover).
@@ -30,7 +32,7 @@ func main() {
 	var (
 		segSize = flag.Int64("segment", 2<<20, "segment size the image was written with")
 		recover = flag.Bool("recover", false, "run crash recovery (truncates torn tail; mutates the image)")
-		space   = flag.Bool("space", false, "print a read-only value-log space report (per-segment live/dead bytes) and exit")
+		space   = flag.Bool("space", false, "print a read-only space report (per-segment value-log live/dead bytes, index slack) and exit")
 		quiet   = flag.Bool("q", false, "suppress per-segment progress")
 	)
 	flag.Parse()
@@ -51,6 +53,8 @@ func main() {
 		}
 		fmt.Printf("log head %#x tail %#x: %d live keys, %d B live, %d B dead across %d segments\n",
 			uint64(rep.Head), uint64(rep.Tail), rep.Keys, rep.Live, rep.Dead, len(rep.Segments))
+		fmt.Printf("index: %d segments, %d B of nodes, %d B slack\n",
+			rep.Index.Segments, rep.Index.Payload, rep.Index.Slack)
 		return
 	}
 

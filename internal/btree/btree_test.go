@@ -309,18 +309,26 @@ func TestIncrementalEmission(t *testing.T) {
 	if len(emitted) != len(built.Segments) {
 		t.Fatalf("emitted %d segments, built reports %d", len(emitted), len(built.Segments))
 	}
-	// Every emitted segment's data must be node-aligned and non-empty.
-	kinds := map[SegKind]int{}
+	// Every emitted segment's data must be node-aligned and non-empty,
+	// and the level's segments together hold its leaves and its index
+	// nodes.
+	leaves, index := 0, 0
 	for _, es := range emitted {
 		if len(es.Data) == 0 || len(es.Data)%512 != 0 {
 			t.Fatalf("segment %d data len %d", es.Seg, len(es.Data))
 		}
-		kinds[es.Kind]++
+		for off := 0; off < len(es.Data); off += 512 {
+			if IsLeaf(es.Data[off:]) {
+				leaves++
+			} else {
+				index++
+			}
+		}
 	}
-	if kinds[SegLeaf] == 0 || kinds[SegIndex] == 0 {
-		t.Fatalf("kinds = %v, want both leaf and index segments", kinds)
+	if leaves == 0 || index == 0 {
+		t.Fatalf("%d leaves and %d index nodes emitted, want both", leaves, index)
 	}
-	// Emission must be mostly incremental: at least one leaf segment
+	// Emission must be mostly incremental: at least one segment
 	// must be emitted before the build finishes adding (we can't observe
 	// that directly here, but the count of full segments must dominate).
 	full := 0
@@ -361,10 +369,10 @@ func TestBuilderFillsTheNodeCache(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dev := wrap(newDev(t, 8192))
 			keys := sortedKeys(3000, "key-%05d")
-			var leafSeg EmittedSegment
+			var firstSeg EmittedSegment
 			tree, fl, built := buildTree(t, dev, nodeSize, keys, func(es EmittedSegment) error {
-				if es.Kind == SegLeaf && leafSeg.Data == nil {
-					leafSeg = es
+				if firstSeg.Data == nil {
+					firstSeg = es
 				}
 				return nil
 			})
@@ -399,10 +407,66 @@ func TestBuilderFillsTheNodeCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := testing.AllocsPerRun(20, func() { b.fill(leafSeg.Seg, leafSeg.Data) }); n != 2 {
-				t.Errorf("filling a leaf segment of %d nodes allocates %v times, want 2", len(leafSeg.Data)/nodeSize, n)
+			if n := testing.AllocsPerRun(20, func() { b.fill(firstSeg.Seg, firstSeg.Data) }); n != 2 {
+				t.Errorf("filling a segment of %d nodes allocates %v times, want 2", len(firstSeg.Data)/nodeSize, n)
 			}
 		})
+	}
+}
+
+// heights counts the tree's heights along its leftmost path.
+func heights(t *testing.T, tree *Tree) int {
+	t.Helper()
+	off := tree.Root()
+	for h := 1; ; h++ {
+		var n node
+		if err := tree.readNode(off, &n); err != nil {
+			t.Fatal(err)
+		}
+		if n.isLeaf() {
+			return h
+		}
+		off = n.index.children[0]
+	}
+}
+
+// TestLevelWastesAtMostOneSegment: a level is one chain of segments —
+// every height places its nodes in the level's current segment — so it
+// spans as few segments as its nodes fill, and only the last one it
+// emits is partly filled, however many heights the tree has. With a
+// segment per height, each height's last segment was partial.
+func TestLevelWastesAtMostOneSegment(t *testing.T) {
+	const nodeSize = 512
+	// A framed device: its trailer costs a slot, so a segment holds 15.
+	dev := storage.AsVerifying(newDev(t, 8192))
+	slots := int(storage.UsableCapacity(dev) / nodeSize)
+	for _, c := range []struct{ keys, heights int }{{20, 1}, {600, 2}, {5000, 3}} {
+		var emitted []EmittedSegment
+		tree, fl, built := buildTree(t, dev, nodeSize, sortedKeys(c.keys, "key-%06d"), func(es EmittedSegment) error {
+			emitted = append(emitted, es)
+			return nil
+		})
+		if h := heights(t, tree); h != c.heights {
+			t.Fatalf("%d keys built %d heights, want %d", c.keys, h, c.heights)
+		}
+		nodes := 0
+		for i, es := range emitted {
+			n := len(es.Data) / nodeSize
+			nodes += n
+			if n < slots && i < len(emitted)-1 {
+				t.Errorf("%d keys: segment %d of %d holds %d of %d nodes; only the last may be partial",
+					c.keys, i, len(emitted), n, slots)
+			}
+		}
+		if want := (nodes + slots - 1) / slots; len(built.Segments) != want || len(emitted) != want {
+			t.Errorf("%d keys: %d nodes in %d segments (%d emitted), want %d of %d slots",
+				c.keys, nodes, len(built.Segments), len(emitted), want, slots)
+		}
+		for _, k := range sortedKeys(c.keys, "key-%06d") {
+			if _, _, found, err := tree.Get(k, fl.reader()); err != nil || !found {
+				t.Fatalf("%d keys: Get(%q) = %v, %v", c.keys, k, found, err)
+			}
+		}
 	}
 }
 
@@ -410,10 +474,13 @@ func TestBuilderFillsTheNodeCache(t *testing.T) {
 // with the nodes it seals, so a build of one node allocates a small
 // fraction of a segment, not a segment and a copy of its node; and no emitted segment
 // — which the node cache keeps alive through its nodes — carries memory
-// past its nodes.
+// past its nodes. The key counts end the level in a partial segment of
+// 1, 11, 24, 47 and 9 nodes: a copy rounded up to whole 8 KiB pages, as
+// bytes.Clone's is past 32 KiB, holds 4 KiB past an odd count of 4 KiB
+// nodes.
 func TestBuilderBuffersGrowWithTheirNodes(t *testing.T) {
 	const segSize, nodeSize = 256 << 10, 4096
-	for _, n := range []int{10, 20000} {
+	for _, n := range []int{10, 4000, 10000, 20000, 31000} {
 		dev := newDev(t, segSize)
 		keys := sortedKeys(n, "key-%06d")
 		fl := newFakeLog(dev.Geometry())
@@ -424,7 +491,7 @@ func TestBuilderBuffersGrowWithTheirNodes(t *testing.T) {
 		emitted := 0
 		b, err := NewBuilder(dev, nodeSize, func(es EmittedSegment) error {
 			if cap(es.Data) != len(es.Data) {
-				t.Errorf("%d keys: a %s segment of %d bytes holds a buffer of %d", n, es.Kind, len(es.Data), cap(es.Data))
+				t.Errorf("%d keys: a segment of %d bytes holds a buffer of %d", n, len(es.Data), cap(es.Data))
 			}
 			emitted += len(es.Data)
 			return nil

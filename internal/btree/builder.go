@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -12,35 +11,12 @@ import (
 	"tebis/internal/storage"
 )
 
-// SegKind distinguishes leaf segments from index segments in emitted
-// segment metadata (Figure 3 separates the two on the device).
-type SegKind uint8
-
-// Segment kinds.
-const (
-	SegLeaf SegKind = iota + 1
-	SegIndex
-)
-
-// String implements fmt.Stringer.
-func (k SegKind) String() string {
-	switch k {
-	case SegLeaf:
-		return "leaf"
-	case SegIndex:
-		return "index"
-	}
-	return "unknown"
-}
-
 // EmittedSegment is one sealed tree segment, already written to the
 // local device. The primary's Send-Index path ships Data to backups the
 // moment this is emitted.
 type EmittedSegment struct {
 	// Seg is the local device segment ID.
 	Seg storage.SegmentID
-	// Kind says whether the segment holds leaves or index nodes.
-	Kind SegKind
 	// Data is the used portion of the segment image (a multiple of the
 	// node size). Sealed-full segments carry the whole segment;
 	// partially filled ones (emitted at Finish) carry only used nodes.
@@ -71,6 +47,17 @@ type Built struct {
 
 // Builder constructs a B+ tree bottom-up from a sorted key stream.
 //
+// A level is one chain of segments: every height of the tree places its
+// nodes, in the order they seal, in the level's one current segment, so
+// the level leaves at most its last segment partly filled. Figure 3 of
+// the paper draws leaf segments and index segments apart; here they are
+// not, because a backup stores every shipped segment whole: with a
+// segment per height, the root and the one or two nodes under it each
+// held a segment of their own on every replica. Nothing reads a
+// segment's kind — the rewrite, the ship codec and the node cache go by
+// each node's header — and a child is always placed before its parent,
+// so a segment never points into one shipped after it.
+//
 // Usage: create with NewBuilder, call Add (or AddEntry) for every entry
 // in strictly ascending key order, then Finish.
 type Builder struct {
@@ -85,6 +72,11 @@ type Builder struct {
 	built  Built
 	filter *FilterCollector // every entry's prefix, for built.Filter; nil builds none
 
+	// The level's current segment, which every height fills.
+	seg     storage.SegmentID
+	segBuf  []byte
+	nodeIdx int // next free node slot in segBuf
+
 	// The previous entry, for the order guard. lastKey is its full key
 	// in a buffer the builder owns, empty while nobody has needed it.
 	last    LeafEntry
@@ -94,14 +86,10 @@ type Builder struct {
 	sealTime time.Duration
 }
 
-// levelBuilder accumulates one tree level left to right.
+// levelBuilder accumulates one height of the tree left to right.
 type levelBuilder struct {
-	kind byte // kindLeaf or kindIndex
-
-	// Current segment being filled.
-	seg     storage.SegmentID
-	segBuf  []byte
-	nodeIdx int // next free node slot in segBuf
+	kind   byte // kindLeaf or kindIndex
+	placed int  // nodes of this height placed so far
 
 	// Current node under construction. A leaf stages its entries: its
 	// columns are known only once its last entry is. diffHi and diffLo
@@ -156,28 +144,19 @@ func (b *Builder) newLevel(kind byte) *levelBuilder {
 }
 
 // ensureSegment allocates the level's current segment if needed.
-func (b *Builder) ensureSegment(lb *levelBuilder) error {
-	if lb.segBuf != nil {
+func (b *Builder) ensureSegment() error {
+	if b.segBuf != nil {
 		return nil
 	}
 	seg, err := b.dev.Alloc()
 	if err != nil {
 		return err
 	}
-	lb.seg = seg
-	lb.segBuf = make([]byte, b.nodeSize)
-	lb.nodeIdx = 0
+	b.seg = seg
+	b.segBuf = make([]byte, b.nodeSize)
+	b.nodeIdx = 0
 	b.built.Segments = append(b.built.Segments, seg)
 	return nil
-}
-
-// nodeOffset returns the device offset of the next node slot of lb,
-// allocating a segment when needed.
-func (b *Builder) nodeOffset(lb *levelBuilder) (storage.Offset, error) {
-	if err := b.ensureSegment(lb); err != nil {
-		return storage.NilOffset, err
-	}
-	return b.geo.Pack(lb.seg, int64(lb.nodeIdx*b.nodeSize)), nil
 }
 
 // Add appends one leaf entry. Keys must arrive in strictly ascending
@@ -383,7 +362,7 @@ func (b *Builder) SealTime() time.Duration { return b.sealTime }
 // clock adds the time since start to the seal time.
 func (b *Builder) clock(start time.Time) { b.sealTime += time.Since(start) }
 
-// sealNode finalizes the current node of the given level, places it in
+// sealNode finalizes the current node of the given height, places it in
 // the level's segment (emitting the segment if it fills), and propagates
 // the node's first key + offset to the parent level.
 func (b *Builder) sealNode(level int) error {
@@ -395,8 +374,8 @@ func (b *Builder) sealNode(level int) error {
 	if err != nil {
 		return err
 	}
-	if lb.nodeIdx == b.slots {
-		if err := b.flushSegment(lb); err != nil {
+	if b.nodeIdx == b.slots {
+		if err := b.flushSegment(); err != nil {
 			return err
 		}
 	}
@@ -427,66 +406,57 @@ func (lb *levelBuilder) hasNode() bool {
 // level's segment and returns the node's device offset.
 func (b *Builder) placeNode(lb *levelBuilder) (storage.Offset, error) {
 	defer b.clock(time.Now())
-	off, err := b.nodeOffset(lb)
-	if err != nil {
+	if err := b.ensureSegment(); err != nil {
 		return storage.NilOffset, err
 	}
-	if (lb.nodeIdx+1)*b.nodeSize > len(lb.segBuf) {
+	if (b.nodeIdx+1)*b.nodeSize > len(b.segBuf) {
 		// The buffer grows with the nodes the level seals, doubling up
 		// to the segment's slots: a level that ends in a node or two
-		// never holds a whole segment's buffer.
-		grown := make([]byte, min(2*len(lb.segBuf), b.slots*b.nodeSize))
-		copy(grown, lb.segBuf)
-		lb.segBuf = grown
+		// past its last full segment never holds a whole segment's
+		// buffer for them.
+		grown := make([]byte, min(2*len(b.segBuf), b.slots*b.nodeSize))
+		copy(grown, b.segBuf)
+		b.segBuf = grown
 	}
-	slot := lb.segBuf[lb.nodeIdx*b.nodeSize : (lb.nodeIdx+1)*b.nodeSize]
+	at := b.nodeIdx * b.nodeSize
+	slot := b.segBuf[at : at+b.nodeSize]
 	if lb.kind == kindLeaf {
 		lb.encodeLeaf(slot)
 	} else {
 		setNodeHeader(lb.nodeBuf, kindIndex, lb.count)
 		copy(slot, lb.nodeBuf)
 	}
-	lb.nodeIdx++
-	return off, nil
+	b.nodeIdx++
+	lb.placed++
+	return b.geo.Pack(b.seg, int64(at)), nil
 }
 
-// flushSegment writes the used portion of lb's segment to the device,
-// fills the device's node cache with its nodes and emits it. The seal
-// clock stops before emit: what emit does with the segment — ship it —
-// is the caller's time, not the build's.
-func (b *Builder) flushSegment(lb *levelBuilder) error {
+// flushSegment writes the used portion of the level's segment, which
+// holds at least one node, to the device, fills the device's node cache
+// with its nodes and emits it. The seal clock stops before emit: what
+// emit does with the segment — ship it — is the caller's time, not the
+// build's.
+func (b *Builder) flushSegment() error {
 	start := time.Now()
-	used := lb.nodeIdx * b.nodeSize
-	if used == 0 {
-		// Unused segment: release it.
-		defer b.clock(start)
-		if err := b.dev.Free(lb.seg); err != nil {
-			return err
-		}
-		b.dropSegment(lb.seg)
-		lb.segBuf = nil
-		return nil
-	}
-	data := lb.segBuf[:used]
-	if used < len(lb.segBuf) {
+	used := b.nodeIdx * b.nodeSize
+	data := b.segBuf[:used]
+	if used < len(b.segBuf) {
 		// A partial segment whose buffer outgrew its nodes goes on in a
 		// buffer of its own size: a cached node keeps its whole buffer
-		// alive.
-		data = bytes.Clone(data)
+		// alive. (bytes.Clone would round the copy up to its allocator
+		// size class.)
+		data = make([]byte, used)
+		copy(data, b.segBuf)
 	}
-	if err := storage.WriteFramed(b.dev, b.geo.Pack(lb.seg, 0), data, integrity.KindIndex); err != nil {
+	if err := storage.WriteFramed(b.dev, b.geo.Pack(b.seg, 0), data, integrity.KindIndex); err != nil {
 		return err
 	}
-	b.fill(lb.seg, data)
-	kind := SegLeaf
-	if lb.kind == kindIndex {
-		kind = SegIndex
-	}
+	b.fill(b.seg, data)
 	// The builder is done with this buffer — the next segment gets a fresh
 	// one — so the image is handed over, not copied again.
-	lb.segBuf = nil
+	b.segBuf = nil
 	b.clock(start)
-	return b.emit(EmittedSegment{Seg: lb.seg, Kind: kind, Data: data})
+	return b.emit(EmittedSegment{Seg: b.seg, Data: data})
 }
 
 // fill puts the nodes of seg, which data was just written to, into the
@@ -510,18 +480,9 @@ func (b *Builder) fill(seg storage.SegmentID, data []byte) {
 	})
 }
 
-// dropSegment removes seg from the built segment list.
-func (b *Builder) dropSegment(seg storage.SegmentID) {
-	for i, s := range b.built.Segments {
-		if s == seg {
-			b.built.Segments = append(b.built.Segments[:i], b.built.Segments[i+1:]...)
-			return
-		}
-	}
-}
-
-// Finish seals all partial nodes and segments bottom-up and returns the
-// built tree. An empty build yields Root == NilOffset.
+// Finish seals all partial nodes bottom-up, writes the level's last
+// segment and returns the built tree. An empty build yields Root ==
+// NilOffset.
 func (b *Builder) Finish() (Built, error) {
 	if b.built.NumKeys == 0 {
 		return b.built, nil
@@ -530,39 +491,26 @@ func (b *Builder) Finish() (Built, error) {
 	if b.built.Filter, err = b.filter.Build(b.built.NumKeys); err != nil {
 		return Built{}, err
 	}
-	// Seal bottom-up. Sealing level i may append a pivot to level i+1,
+	// Seal bottom-up. Sealing height i may append a pivot to height i+1,
 	// so iterate by index (len may grow).
 	for level := 0; level < len(b.levels); level++ {
 		lb := b.levels[level]
-		top := level == len(b.levels)-1
-		if top && b.rootReady(lb) {
-			// The whole level is a single node: it becomes the root.
-			off, err := b.placeNode(lb)
-			if err != nil {
+		if level == len(b.levels)-1 && lb.placed == 0 {
+			// The whole height is a single node: it becomes the root,
+			// and the segment it lands in is the level's last.
+			if b.built.Root, err = b.placeNode(lb); err != nil {
 				return Built{}, err
 			}
-			if err := b.flushSegment(lb); err != nil {
+			if err := b.flushSegment(); err != nil {
 				return Built{}, err
 			}
-			b.built.Root = off
 			return b.built, nil
 		}
 		if err := b.sealNode(level); err != nil {
 			return Built{}, err
 		}
-		if lb.segBuf != nil {
-			if err := b.flushSegment(lb); err != nil {
-				return Built{}, err
-			}
-		}
 	}
 	return Built{}, fmt.Errorf("btree: build did not converge to a root")
-}
-
-// rootReady reports whether lb's current node is the only node of its
-// level, i.e. nothing of this level was sealed before.
-func (b *Builder) rootReady(lb *levelBuilder) bool {
-	return lb.segBuf == nil && lb.nodeIdx == 0 && lb.hasNode()
 }
 
 func putU16(b []byte, v uint16) {

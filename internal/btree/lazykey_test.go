@@ -96,7 +96,7 @@ func TestBuilderLazyKeysDifferential(t *testing.T) {
 		t.Fatalf("emitted %d segments with keys, %d without", len(eager), len(lazy))
 	}
 	for i := range eager {
-		if eager[i].Seg != lazy[i].Seg || eager[i].Kind != lazy[i].Kind || !bytes.Equal(eager[i].Data, lazy[i].Data) {
+		if eager[i].Seg != lazy[i].Seg || !bytes.Equal(eager[i].Data, lazy[i].Data) {
 			t.Fatalf("segment %d differs between the two builds", i)
 		}
 	}
@@ -124,11 +124,9 @@ func TestBuilderLazyKeysReadsOnePivotPerLeaf(t *testing.T) {
 	_, _, emitted, _, reads := buildEmitted(t, keys, false)
 	leaves := 0
 	for _, es := range emitted {
-		if es.Kind == SegLeaf {
-			for off := 0; off < len(es.Data); off += 256 {
-				if es.Data[off] == kindLeaf {
-					leaves++
-				}
+		for off := 0; off < len(es.Data); off += 256 {
+			if IsLeaf(es.Data[off:]) {
+				leaves++
 			}
 		}
 	}

@@ -10,7 +10,7 @@
 // segment — the property the Send-Index rewrite relies on.
 //
 // The Builder constructs a tree bottom-up and left-to-right from a
-// sorted stream, emitting each index/leaf segment the moment it seals.
+// sorted stream, emitting each of the level's segments the moment it seals.
 // That incremental emission is exactly the hook the primary uses to ship
 // the index to backups while the compaction is still running (§3.3).
 package btree
@@ -33,6 +33,11 @@ const (
 	kindIndex = 2
 	kindLeaf  = 3
 )
+
+// IsLeaf reports whether node, one node of a segment image, is a leaf:
+// a level's segments hold its leaves and index nodes alike, so only a
+// node's header tells them apart.
+func IsLeaf(node []byte) bool { return len(node) > 0 && node[0] == kindLeaf }
 
 // nodeHdrSize is the fixed node header: kind (1) + entry count (2) +
 // reserved (5) for an index node; kind + count + head (1) + tail (1) +

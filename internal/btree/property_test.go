@@ -140,7 +140,7 @@ func TestRewritePreservesStructureProperty(t *testing.T) {
 		var emitted []EmittedSegment
 		b, _ := NewBuilder(dev, nodeSize, func(es EmittedSegment) error {
 			emitted = append(emitted, EmittedSegment{
-				Seg: es.Seg, Kind: es.Kind, Data: append([]byte(nil), es.Data...),
+				Seg: es.Seg, Data: append([]byte(nil), es.Data...),
 			})
 			return nil
 		})

@@ -8,13 +8,14 @@ import (
 )
 
 // SegmentMapper translates a primary segment number to the local
-// (backup) segment number. Implementations allocate lazily so forward
-// references — a parent segment shipped before the child segment it
-// points into — resolve correctly (§3.3).
+// (backup) segment number. Implementations allocate lazily, so a pointer
+// into a segment not mapped yet resolves — the segment being rewritten
+// itself, whose nodes point at one another (§3.3).
 type SegmentMapper func(storage.SegmentID) (storage.SegmentID, error)
 
 // RewriteSegment rewrites, in place, every device offset inside a raw
-// index/leaf segment image received from a primary:
+// segment image of a level — leaves and index nodes alike — received
+// from a primary:
 //
 //   - child pointers in index nodes (leftmost + one per pivot) are
 //     rebased through mapIndex (the index segment map), and

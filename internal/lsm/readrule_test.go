@@ -101,8 +101,10 @@ func TestMergeReadsOneKeyPerLeaf(t *testing.T) {
 
 	leaves := 0
 	for _, es := range rec.segments[shipped:] {
-		if es.Kind == btree.SegLeaf {
-			leaves += len(es.Data) / db.opt.NodeSize
+		for off := 0; off < len(es.Data); off += db.opt.NodeSize {
+			if btree.IsLeaf(es.Data[off:]) {
+				leaves++
+			}
 		}
 	}
 	if got := db.Levels()[1].NumKeys; got != 896 || leaves == 0 {

@@ -93,9 +93,9 @@ func TestFaultMatchesNthSend(t *testing.T) {
 		}
 		return Fault{}
 	})
-	ba.PostRecv(64)
-	ba.PostRecv(64)
-	ba.PostRecv(64)
+	ba.PostRecv(make([]byte, 64))
+	ba.PostRecv(make([]byte, 64))
+	ba.PostRecv(make([]byte, 64))
 	for i, want := range []string{"first", "second", "third"} {
 		if err := ab.Send(ba, []byte(want)); err != nil {
 			t.Fatalf("send %d: %v", i, err)
@@ -133,7 +133,7 @@ func TestSendTimeoutWithoutPostedBuffer(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- ab.SendTimeout(ba, []byte("hello"), time.Second) }()
 	time.Sleep(2 * time.Millisecond)
-	ba.PostRecv(64)
+	ba.PostRecv(make([]byte, 64))
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestRecvTimeoutThenDelivery(t *testing.T) {
 	if _, err := ba.RecvTimeout(10 * time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("recv on empty inbox = %v, want ErrTimeout", err)
 	}
-	ba.PostRecv(64)
+	ba.PostRecv(make([]byte, 64))
 	if err := ab.Send(ba, []byte("late")); err != nil {
 		t.Fatal(err)
 	}

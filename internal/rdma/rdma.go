@@ -387,10 +387,15 @@ func (qp *QP) WaitCompletionTimeout(d time.Duration) (Completion, error) {
 	}
 }
 
-// PostRecv posts a receive buffer for two-sided traffic.
-func (qp *QP) PostRecv(size int) {
+// PostRecv posts buf as a receive buffer for two-sided traffic, as a
+// verbs consumer posts a registered buffer: the next message sent to qp
+// that finds it first in the queue lands in it, and Recv returns that
+// message in place, a prefix of buf. The caller may post buf again once
+// it is done reading the message; a message longer than buf fails its
+// Send.
+func (qp *QP) PostRecv(buf []byte) {
 	qp.recvMu.Lock()
-	qp.recvQ = append(qp.recvQ, make([]byte, size))
+	qp.recvQ = append(qp.recvQ, buf)
 	qp.recvCond.Broadcast()
 	qp.recvMu.Unlock()
 }

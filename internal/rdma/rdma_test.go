@@ -65,7 +65,7 @@ func TestSendRecvTwoSided(t *testing.T) {
 	a, b := NewEndpoint("a"), NewEndpoint("b")
 	qab := Connect(a, b, 4)
 	qba := Connect(b, a, 4)
-	qba.PostRecv(128)
+	qba.PostRecv(make([]byte, 128))
 	if err := qab.Send(qba, []byte("control message")); err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +88,14 @@ func TestSendWaitsForPostedRecv(t *testing.T) {
 		t.Fatalf("Send returned %v before a recv was posted", err)
 	default:
 	}
-	qba.PostRecv(16)
+	qba.PostRecv(make([]byte, 16))
 	if err := <-done; err != nil {
 		t.Fatalf("Send after post: %v", err)
 	}
 	if msg, err := qba.Recv(); err != nil || string(msg) != "x" {
 		t.Fatalf("Recv = %q, %v", msg, err)
 	}
-	qba.PostRecv(2)
+	qba.PostRecv(make([]byte, 2))
 	if err := qab.Send(qba, []byte("too large")); !errors.Is(err, ErrSendTooLarge) {
 		t.Fatalf("err = %v", err)
 	}

@@ -291,14 +291,20 @@ func (b *Backup) charge(c metrics.Component, n uint64) {
 // whose original was handled but whose ack was lost replays the cached
 // ack instead of re-running the handler). Request IDs are the primary's,
 // so the cache is the link's: another primary's IDs do not match it.
+//
+// One receive buffer serves the link: it is posted again only once its
+// message is handled and acknowledged, the decoders copy out every field
+// a handler keeps, and acks are built in buffers of their own, so by
+// then nothing points into it.
 func (b *Backup) serve(l *link) {
 	defer close(l.loopDone)
 	var (
 		lastReq uint64
 		lastAck []byte
 	)
+	recvBuf := make([]byte, 64<<10)
 	for {
-		l.reqRecv.PostRecv(64 << 10)
+		l.reqRecv.PostRecv(recvBuf)
 		msg, err := l.reqRecv.Recv()
 		if err != nil {
 			return

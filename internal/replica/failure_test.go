@@ -453,3 +453,65 @@ func TestReattachToASecondPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestControlBuffersAreReused: a backup receives every control message
+// of its link into one buffer, and the primary every ack into one buffer
+// of its handle. A handled request's effects, and the ack cached for its
+// retry, survive the next message landing in that buffer: a retry that
+// reuses a request ID with other bytes gets the first ack back and
+// changes nothing.
+func TestControlBuffersAreReused(t *testing.T) {
+	r := newRig(t, SendIndex, 1)
+	p, b := r.primary, r.backups[0]
+	h := p.handles()[0]
+	flush := func(seg uint32) []byte {
+		return wire.FlushTail{RegionID: uint16(p.cfg.RegionID), PrimarySeg: seg}.Encode(nil)
+	}
+	// Two flushes: the second lands over the first.
+	locals := map[storage.SegmentID]storage.SegmentID{}
+	for _, seg := range []storage.SegmentID{1001, 1002} {
+		if err := p.rpc(h, wire.OpFlushTail, flush(uint32(seg))); err != nil {
+			t.Fatal(err)
+		}
+		local, ok := b.LogMap().Lookup(seg)
+		if !ok {
+			t.Fatalf("flush of primary segment %d mapped nothing", seg)
+		}
+		locals[seg] = local
+	}
+
+	// A retry of the last request, its payload naming another segment.
+	var mb wire.MsgBuf
+	retry := mb.Finish(wire.Header{
+		Opcode:    wire.OpFlushTail,
+		RegionID:  uint16(p.cfg.RegionID),
+		RequestID: p.reqID.Load(),
+	}, flush(1003))
+	h.mu.Lock()
+	h.ackRecv.PostRecv(h.ackBuf())
+	err := h.reqSend.SendTimeout(h.reqRecv, retry, time.Second)
+	var ah wire.Header
+	if err == nil {
+		ah, _, err = h.nextAck(time.Second)
+	}
+	bufs := len(h.ackBufs)
+	h.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ah.RequestID != p.reqID.Load() || ah.Opcode != wire.OpFlushTailAck || ah.Flags&wire.FlagError != 0 {
+		t.Fatalf("the retry was answered with %+v, want the cached ack of request %d", ah, p.reqID.Load())
+	}
+	if _, ok := b.LogMap().Lookup(1003); ok {
+		t.Fatal("the retry ran its handler again")
+	}
+	for seg, local := range locals {
+		if got, ok := b.LogMap().Lookup(seg); !ok || got != local {
+			t.Fatalf("primary segment %d maps to %d (%v), was %d", seg, got, ok, local)
+		}
+	}
+	if bufs != 1 {
+		t.Fatalf("the handle holds %d ack buffers after three acks, want 1", bufs)
+	}
+	r.checkHealthy()
+}

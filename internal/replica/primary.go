@@ -123,6 +123,38 @@ type backupHandle struct {
 
 	mu  sync.Mutex  // one control RPC in flight per backup
 	msg wire.MsgBuf // the RPC in flight is built here (guarded by mu)
+	// ackBufs are receive buffers for acks that are neither posted nor
+	// being read (guarded by mu). An ack that arrives is read and its
+	// buffer put back, so one buffer serves every RPC; only an ack that
+	// never arrives keeps its buffer posted, and the retry takes another.
+	ackBufs [][]byte
+}
+
+// ackBuf returns a receive buffer for the next ack. Caller holds h.mu.
+func (h *backupHandle) ackBuf() []byte {
+	if n := len(h.ackBufs); n > 0 {
+		buf := h.ackBufs[n-1]
+		h.ackBufs = h.ackBufs[:n-1]
+		return buf
+	}
+	return make([]byte, ackRecvSize)
+}
+
+// nextAck receives the next ack within timeout and returns its header
+// and, for a FlagError ack, its error text, copied out: the ack's buffer
+// goes back to h for the next post. Caller holds h.mu.
+func (h *backupHandle) nextAck(timeout time.Duration) (wire.Header, string, error) {
+	ack, err := h.ackRecv.RecvTimeout(timeout)
+	if err != nil {
+		return wire.Header{}, "", err
+	}
+	ah, payload, err := wire.DecodeMessage(ack)
+	var text string
+	if err == nil && ah.Flags&wire.FlagError != 0 {
+		text = string(payload)
+	}
+	h.ackBufs = append(h.ackBufs, ack[:cap(ack)])
+	return ah, text, err
 }
 
 // link is one primary-to-backup connection: the queue pairs of both ends
@@ -361,7 +393,7 @@ func (p *Primary) rpcLocked(h *backupHandle, op wire.Op, payload []byte) error {
 			p.cfg.Failures.RecordRetry()
 			time.Sleep(pol.backoff(attempt))
 		}
-		h.ackRecv.PostRecv(ackRecvSize)
+		h.ackRecv.PostRecv(h.ackBuf())
 		if err := h.reqSend.SendTimeout(h.reqRecv, msg, pol.AckTimeout); err != nil {
 			if errors.Is(err, rdma.ErrDisconnected) {
 				return err // the QP is gone; retrying cannot help
@@ -392,11 +424,7 @@ func (p *Primary) awaitAck(h *backupHandle, reqID uint64, timeout time.Duration)
 		if remain <= 0 {
 			return rdma.ErrTimeout
 		}
-		ack, err := h.ackRecv.RecvTimeout(remain)
-		if err != nil {
-			return err
-		}
-		ah, payload, err := wire.DecodeMessage(ack)
+		ah, text, err := h.nextAck(remain)
 		if err != nil {
 			return err
 		}
@@ -404,7 +432,7 @@ func (p *Primary) awaitAck(h *backupHandle, reqID uint64, timeout time.Duration)
 			continue
 		}
 		if ah.Flags&wire.FlagError != 0 {
-			return &RemoteError{Op: ah.Opcode, Msg: string(payload)}
+			return &RemoteError{Op: ah.Opcode, Msg: text}
 		}
 		return nil
 	}
@@ -708,7 +736,6 @@ func (p *Primary) shipFrameLocked(h *backupHandle, job lsm.CompactionJob, seg bt
 		RegionID:   uint16(p.cfg.RegionID),
 		JobID:      job.ID,
 		DstLevel:   uint8(job.DstLevel),
-		Kind:       uint8(seg.Kind),
 		PrimarySeg: uint32(seg.Seg),
 		DataLen:    uint32(len(frame)),
 		Codec:      codec,

@@ -192,6 +192,89 @@ func TestSendIndexShipsLevels(t *testing.T) {
 	}
 }
 
+// TestShippedLevelIsOneSegmentChain: a level with index heights is one
+// chain of segments — only its last one partly filled — and a Send-Index
+// backup installs it in as many segments as the primary's. Every key the
+// primary's tree resolves, the backup's rewritten tree resolves to the
+// same record: the primary's value offset, moved into the backup's copy
+// of its log segment.
+func TestShippedLevelIsOneSegmentChain(t *testing.T) {
+	const n = 6000
+	r := newRig(t, SendIndex, 1)
+	r.load(n, 40)
+	b := r.backups[0]
+	nodeSize := lsmOpts().NodeSize
+	geo := r.devP.Geometry()
+	slots := int(storage.UsableCapacity(r.devP)) / nodeSize
+
+	// The backup's log segments hold the primary's records at the same
+	// place, so a backup offset reads its key from the primary's log.
+	logMap := b.LogMap().Snapshot()
+	primaryOf := make(map[storage.SegmentID]storage.SegmentID, len(logMap))
+	for p, l := range logMap {
+		primaryOf[l] = p
+	}
+	primaryKey := func(off storage.Offset) ([]byte, error) { return r.db.Log().GetKey(off) }
+	backupKey := func(off storage.Offset) ([]byte, error) {
+		p, ok := primaryOf[geo.Segment(off)]
+		if !ok {
+			return nil, fmt.Errorf("backup offset %#x is in no mapped log segment", off)
+		}
+		return r.db.Log().GetKey(geo.Pack(p, geo.Within(off)))
+	}
+
+	found, multiHeight := 0, false
+	bLevels := b.LevelStates(lsmOpts().MaxLevels)
+	for i, pl := range r.db.Levels() {
+		if pl.NumKeys == 0 {
+			continue
+		}
+		root := make([]byte, nodeSize)
+		if err := r.devP.ReadAt(pl.Root, root); err != nil {
+			t.Fatal(err)
+		}
+		multiHeight = multiHeight || !btree.IsLeaf(root)
+		pTree := btree.NewTree(r.devP, nodeSize, pl.Root)
+		var it btree.Iterator
+		for it.First(pTree); it.Valid(); it.Next() {
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		want := (it.NodesRead() + slots - 1) / slots
+		if len(pl.Segments) != want || len(bLevels[i].Segments) != want {
+			t.Fatalf("level %d: %d nodes in %d segments on the primary, %d on the backup; want %d of %d slots",
+				i+1, it.NodesRead(), len(pl.Segments), len(bLevels[i].Segments), want, slots)
+		}
+
+		bTree := btree.NewTree(r.devB[0], nodeSize, bLevels[i].Root)
+		for k := 0; k < n; k++ {
+			key := []byte(fmt.Sprintf("user%08d", k))
+			pOff, _, pFound, err := pTree.Get(key, primaryKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bOff, _, bFound, err := bTree.Get(key, backupKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bFound != pFound {
+				t.Fatalf("level %d: %s found %v on the primary, %v on the backup", i+1, key, pFound, bFound)
+			}
+			if !pFound {
+				continue
+			}
+			found++
+			if local, ok := logMap[geo.Segment(pOff)]; !ok || bOff != geo.Pack(local, geo.Within(pOff)) {
+				t.Fatalf("level %d: %s at %#x on the primary, %#x on the backup", i+1, key, pOff, bOff)
+			}
+		}
+	}
+	if !multiHeight || found != n {
+		t.Fatalf("the levels resolve %d of %d keys, with index heights: %v", found, n, multiHeight)
+	}
+}
+
 // TestSendIndexShipsSegmentsBeforeBuildCompletes is the acceptance test
 // for streaming ships: with replication attached, index segments must
 // reach the backup while the primary's index build is still running —
@@ -248,7 +331,7 @@ func TestCompactionStartFreesAnUnfinishedJob(t *testing.T) {
 
 	job1 := lsm.CompactionJob{ID: 1 << 40, SrcLevel: i + 1, DstLevel: i + 2}
 	r.primary.OnCompactionStart(job1)
-	r.primary.OnIndexSegment(job1, btree.EmittedSegment{Seg: seg, Kind: btree.SegLeaf, Data: image})
+	r.primary.OnIndexSegment(job1, btree.EmittedSegment{Seg: seg, Data: image})
 	if live := r.devB[0].Stats().SegmentsLive; live <= before {
 		t.Fatalf("the backup holds %d segments after job 1's ship, %d before it: nothing was staged", live, before)
 	}

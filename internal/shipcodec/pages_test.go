@@ -31,8 +31,8 @@ func ycsbKeys(n int) [][]byte {
 }
 
 // indexImages builds a tree over the sorted keys with a real Builder and
-// returns every segment image it emits, leaf segments and index segments
-// alike. Offsets are where the records would sit in a value log written
+// returns every segment image it emits, each holding leaves, index
+// nodes or both. Offsets are where the records would sit in a value log written
 // in arrival order (rnd's), so they are log-sized and unsorted; every
 // tombEvery-th entry is a tombstone (0 for none).
 func indexImages(t testing.TB, nodeSize int, keys [][]byte, tombEvery int, rnd *rand.Rand) (images [][]byte) {
@@ -220,8 +220,10 @@ func TestPageStreamDecodesTheDensestLeafInHeadroom(t *testing.T) {
 	t.Cleanup(func() { dev.Close() })
 	var raw []byte
 	b, err := btree.NewBuilder(dev, nodeSize, func(es btree.EmittedSegment) error {
-		if es.Kind == btree.SegLeaf {
-			raw = append(raw, es.Data...)
+		for off := 0; off < len(es.Data); off += nodeSize {
+			if page := es.Data[off : off+nodeSize]; btree.IsLeaf(page) {
+				raw = append(raw, page...)
+			}
 		}
 		return nil
 	})

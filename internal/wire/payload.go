@@ -422,7 +422,7 @@ type IndexSegment struct {
 	RegionID   uint16
 	JobID      uint64
 	DstLevel   uint8
-	Kind       uint8 // btree.SegKind
+	Kind       uint8 // reserved, sent as 0: a segment holds leaves and index nodes alike
 	PrimarySeg uint32
 	DataLen    uint32
 	Codec      uint8 // shipcodec.Codec; 0 = raw bytes, no frame
