@@ -198,6 +198,15 @@ func TestRewriteRefusesOffsetsPastTheField(t *testing.T) {
 	}
 }
 
+// nodeKinds is the kind byte of each node block in seg.
+func nodeKinds(seg []byte, nodeSize int) []byte {
+	kinds := make([]byte, 0, len(seg)/nodeSize)
+	for base := 0; base < len(seg); base += nodeSize {
+		kinds = append(kinds, seg[base])
+	}
+	return kinds
+}
+
 // rewriteFuzzSegSize is the segment size FuzzRewriteSegment rewrites
 // under: large enough that a segment number of 2³¹ puts an offset past a
 // leaf's 47 bits.
@@ -214,11 +223,12 @@ const rewriteFuzzSegSize = 64 << 10
 func FuzzRewriteSegment(f *testing.F) {
 	const nodeSize = 256
 	rnd := rand.New(rand.NewSource(12))
-	for _, img := range [][][]byte{
+	images := [][][]byte{
 		builtSegments(f, nodeSize, sortedKeys(400, "key-%04d"), 3),          // tombstones
 		builtSegments(f, nodeSize, sortedKeys(300, "sameprefix00-%05d"), 0), // empty middle column
 		builtSegments(f, nodeSize, randomKeySet(rnd, 500), 0),               // nothing shared
-	} {
+	}
+	for _, img := range images {
 		for _, seg := range img {
 			f.Add(seg, uint16(nodeSize), uint32(0x15))
 		}
@@ -230,6 +240,20 @@ func FuzzRewriteSegment(f *testing.F) {
 		clear(hole[nodeSize : 2*nodeSize]) // a kind-0 block in the middle
 		f.Add(hole, uint16(nodeSize), uint32(7))
 		f.Add(full, uint16(0), uint32(0))
+	}
+	// A level's segments end to end: leaves and index nodes of every
+	// height in the order they sealed, with no free slot between them.
+	for _, img := range images {
+		f.Add(bytes.Join(img, nil), uint16(nodeSize), uint32(0x15))
+	}
+	// An index node whose kind byte claims a leaf, between real leaves.
+	for _, seg := range images[0] {
+		if base := bytes.IndexByte(nodeKinds(seg, nodeSize), kindIndex); base > 0 {
+			liar := append([]byte(nil), seg...)
+			liar[base*nodeSize] = kindLeaf
+			f.Add(liar, uint16(nodeSize), uint32(0x15))
+			break
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, nodeSize uint16, key uint32) {
