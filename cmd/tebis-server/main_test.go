@@ -160,8 +160,12 @@ func TestReplicaNodesCountTheirOwnCompactions(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	c.Observe(reg)
-	jobs := reg.ReadSeries()
-	primary, backup := jobs[`tebis_compaction_jobs_total{node="s0"}`], jobs[`tebis_compaction_jobs_total{node="s1"}`]
+	series := reg.ReadSeries()
+	jobs := func(node string) float64 {
+		return series[`tebis_compaction_jobs_total{kind="merge",node="`+node+`"}`] +
+			series[`tebis_compaction_jobs_total{kind="move",node="`+node+`"}`]
+	}
+	primary, backup := jobs("s0"), jobs("s1")
 	if primary == 0 || backup != 0 {
 		t.Fatalf("compaction jobs: primary s0 = %v (want > 0), Send-Index backup s1 = %v (want 0)", primary, backup)
 	}

@@ -169,10 +169,11 @@ func (e *engine) load(n uint64, opsPerSec float64, put func(i uint64, key, val [
 	return t, nil
 }
 
-// scrapeLoop renders reg's exposition every 10ms — a Prometheus server
-// with a very aggressive interval — so exposition-time snapshot costs
-// are charged to the run. The returned stop waits for the loop to exit
-// and reports how many scrapes it made.
+// scrapeLoop renders reg's exposition as it starts and then every 10ms —
+// a Prometheus server with a very aggressive interval — so
+// exposition-time snapshot costs are charged to the run, and a run
+// shorter than one interval is scraped too. The returned stop waits for
+// the loop to exit and reports how many scrapes it made.
 func scrapeLoop(reg *obs.Registry) (stop func() uint64) {
 	quit := make(chan struct{})
 	done := make(chan uint64)
@@ -181,13 +182,13 @@ func scrapeLoop(reg *obs.Registry) (stop func() uint64) {
 		tick := time.NewTicker(10 * time.Millisecond)
 		defer tick.Stop()
 		for {
+			_ = reg.WritePrometheus(io.Discard) // io.Discard cannot fail
+			scrapes++
 			select {
 			case <-quit:
 				done <- scrapes
 				return
 			case <-tick.C:
-				_ = reg.WritePrometheus(io.Discard) // io.Discard cannot fail
-				scrapes++
 			}
 		}
 	}()

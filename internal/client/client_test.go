@@ -372,6 +372,11 @@ func TestAsyncPipelining(t *testing.T) {
 			}
 		})
 	}
+	// The window does not order two ops on one key: the delete of
+	// async000000 is issued only once its get has been answered.
+	if err := a2.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	a2.Delete([]byte("async000000"))
 	if err := a2.Wait(); err != nil {
 		t.Fatal(err)

@@ -52,9 +52,12 @@ func (db *DB) AtJobBoundary(fn func() error) error {
 }
 
 // CompactAll forces every populated level down into the next one until
-// only the deepest populated level holds data. Garbage collection uses
-// it to eliminate every stale index entry pointing into victim segments
-// before they are released.
+// only the last level holds data. Garbage collection uses it to
+// eliminate every stale index entry pointing into victim segments
+// before they are released. A level cascading into an empty one moves
+// (newJobLocked), so the cascade merges only where two populated levels
+// meet and into the last level, and two versions of a key still meet
+// in some merge.
 //
 // CompactAll flushes L0, then holds the scheduler and runs the cascade
 // itself, so no background job races its full-cascade merges.
@@ -73,13 +76,7 @@ func (db *DB) CompactAll() error {
 			db.mu.Unlock()
 			continue
 		}
-		job := &compactionJob{
-			id:       db.nextJobID,
-			srcLevel: i,
-			dstLevel: i + 1,
-			filter:   db.filterLocked(i + 1),
-		}
-		db.nextJobID++
+		job := db.newJobLocked(i)
 		db.job = job
 		db.mu.Unlock()
 

@@ -50,6 +50,10 @@ type CompactionJob struct {
 	// Filter says the job builds the prefix filter of the level it
 	// installs; a job into the deepest level holding keys builds none.
 	Filter bool
+	// Move says the job moves level SrcLevel into the empty DstLevel
+	// whole: it builds and emits nothing, and its result is the source
+	// level (CompactionResult.Moved).
+	Move bool
 }
 
 // CompactionResult describes a finished compaction, as delivered to the
@@ -67,6 +71,10 @@ type CompactionResult struct {
 	// by on-device levels after this compaction (only advances for
 	// L0→L1 merges). A promoted backup replays the log from here (§3.5).
 	Watermark storage.Offset
+	// Moved says the job moved level SrcLevel to DstLevel whole: Built
+	// is the source level as it was, and no segment was built or
+	// emitted for it.
+	Moved bool
 }
 
 // Listener observes engine events the replication layer needs. OnAppend
@@ -75,8 +83,9 @@ type CompactionResult struct {
 // job, OnCompactionStart precedes every OnIndexSegment (emitted in build
 // order) which all precede OnCompactionDone, and a job's
 // OnCompactionDone fires before the next job's OnCompactionStart — the
-// events of two jobs never interleave. A nil listener disables all
-// callbacks.
+// events of two jobs never interleave. A move (CompactionJob.Move)
+// emits no segment between its start and its done. A nil listener
+// disables all callbacks.
 //
 // Error contract: callbacks have no error return and must not block
 // indefinitely — a compaction job waits inside them, so a wedged callback
@@ -104,7 +113,8 @@ type Listener interface {
 	// the ones after it; the build goes on once the call returns.
 	OnIndexSegment(job CompactionJob, seg btree.EmittedSegment)
 	// OnCompactionDone fires after the new level is installed, carrying
-	// the new root (primary device space) for backup root translation.
+	// the new root (primary device space) for backup root translation,
+	// or, for a move, the level that changed place.
 	OnCompactionDone(res CompactionResult)
 	// OnSeal fires, under the engine lock, after GC force-sealed a
 	// partial log tail — the commit point of a relocation pass. The

@@ -26,6 +26,10 @@ type compactionJob struct {
 	// filter makes the job build its level's prefix filter
 	// (filterLocked).
 	filter bool
+
+	// move makes the job install the source level at dstLevel as it is,
+	// instead of merging it into an empty destination (newJobLocked).
+	move bool
 }
 
 // maybeScheduleLocked plans and launches the next compaction job when
@@ -45,23 +49,46 @@ func (db *DB) maybeScheduleLocked() {
 // first (draining it unblocks writers), else the shallowest level over
 // capacity, cascaded into the next. Caller holds db.mu.
 func (db *DB) planJobLocked() *compactionJob {
-	src := 0
-	if db.frozen == nil {
-		last := len(db.levels) - 1
-		for src = 1; src < last && db.levels[src].numKeys() <= db.capacity(src); src++ {
-		}
-		if src == last {
-			return nil
-		}
+	if db.frozen != nil {
+		return db.newJobLocked(0)
 	}
+	last := len(db.levels) - 1
+	src := 1
+	for ; src < last && db.levels[src].numKeys() <= db.capacity(src); src++ {
+	}
+	if src == last {
+		return nil
+	}
+	return db.newJobLocked(src)
+}
+
+// newJobLocked plans the job of level src into src+1 (of the frozen L0
+// into L1 for src 0). A job whose source is a device level and whose
+// destination is empty is a move: the merge would rebuild the source
+// entry for entry, so the job installs the source level — tree, segment
+// chain and filter — at the destination instead, and nothing is read,
+// built, written or shipped (the "trivial move" of LevelDB). Two jobs
+// stay merges: one into the last level, whose merge drops tombstones,
+// and one whose destination needs a filter the source lacks — which
+// filterLocked's rule never makes, since every level deeper than the
+// destination got its keys through the source, before the source was
+// built. Caller holds db.mu.
+func (db *DB) newJobLocked(src int) *compactionJob {
+	dst := src + 1
 	job := &compactionJob{
 		id:       db.nextJobID,
 		srcLevel: src,
-		dstLevel: src + 1,
-		frozen:   db.frozen,
-		filter:   db.filterLocked(src + 1),
+		dstLevel: dst,
+		filter:   db.filterLocked(dst),
 	}
 	db.nextJobID++
+	if src == 0 {
+		job.frozen = db.frozen
+		return job
+	}
+	lv := db.levels[src]
+	job.move = db.levels[dst] == nil && dst < len(db.levels)-1 &&
+		(lv.built.Filter != nil || !job.filter)
 	return job
 }
 
@@ -104,11 +131,16 @@ func (db *DB) runJob(job *compactionJob) {
 
 // executeJob runs one compaction job: announce, pipeline (merge, build
 // and ship each segment as it seals), install, free replaced segments,
-// notify.
+// notify. A move job installs its source level at the destination and
+// notifies, and does nothing else.
 func (db *DB) executeJob(job *compactionJob) error {
-	ref := CompactionJob{ID: job.id, SrcLevel: job.srcLevel, DstLevel: job.dstLevel, Filter: job.filter}
+	ref := CompactionJob{ID: job.id, SrcLevel: job.srcLevel, DstLevel: job.dstLevel, Filter: job.filter, Move: job.move}
 	if l := db.getListener(); l != nil {
 		l.OnCompactionStart(ref)
+	}
+	if job.move {
+		db.moveLevel(job)
+		return nil
 	}
 
 	var src cursor
@@ -154,8 +186,30 @@ func (db *DB) executeJob(job *compactionJob) error {
 		Built:     built,
 		Watermark: watermark,
 	})
-	db.stats.RecordJob()
+	db.stats.RecordJob(false)
 	return nil
+}
+
+// moveLevel runs a move job: the source level becomes the destination,
+// the same tree over the same segments with the same filter. No data
+// changes level relative to any other, so the watermark stays, and the
+// listener hears the job's start and its done, with nothing between.
+func (db *DB) moveLevel(job *compactionJob) {
+	db.mu.Lock()
+	lv := db.levels[job.srcLevel]
+	db.levels[job.dstLevel], db.levels[job.srcLevel] = lv, nil
+	watermark := db.watermark
+	db.cond.Broadcast()
+	db.mu.Unlock()
+	db.notifyDone(CompactionResult{
+		JobID:     job.id,
+		SrcLevel:  job.srcLevel,
+		DstLevel:  job.dstLevel,
+		Built:     lv.built,
+		Watermark: watermark,
+		Moved:     true,
+	})
+	db.stats.RecordJob(true)
 }
 
 // keyReader is the builder's btree.FullKeyReader. Builder.AddEntry

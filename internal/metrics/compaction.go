@@ -13,6 +13,7 @@ import (
 // safe for concurrent use; a nil *CompactionStats discards everything.
 type CompactionStats struct {
 	jobs       atomic.Uint64
+	moves      atomic.Uint64
 	mergeNanos atomic.Int64
 	buildNanos atomic.Int64
 	shipNanos  atomic.Int64
@@ -24,12 +25,16 @@ type CompactionStats struct {
 	stallNanos atomic.Int64
 }
 
-// RecordJob counts one completed compaction job.
-func (s *CompactionStats) RecordJob() {
+// RecordJob counts one completed compaction job; move says it moved
+// its source level instead of merging it.
+func (s *CompactionStats) RecordJob(move bool) {
 	if s == nil {
 		return
 	}
 	s.jobs.Add(1)
+	if move {
+		s.moves.Add(1)
+	}
 }
 
 // RecordMerge adds a job's merge time: its pass less the build's node
@@ -88,6 +93,7 @@ func (s *CompactionStats) Snapshot() CompactionSnapshot {
 	}
 	return CompactionSnapshot{
 		Jobs:                 s.jobs.Load(),
+		Moves:                s.moves.Load(),
 		MergeTime:            time.Duration(s.mergeNanos.Load()),
 		BuildTime:            time.Duration(s.buildNanos.Load()),
 		ShipTime:             time.Duration(s.shipNanos.Load()),
@@ -108,7 +114,9 @@ func (s *CompactionStats) Collect() []Family {
 	sn := s.Snapshot()
 	return []Family{
 		Counter("tebis_compaction_jobs_total",
-			"Compaction jobs completed by the scheduler.", Value(float64(sn.Jobs))),
+			"Compaction jobs completed by the scheduler.",
+			Labeled("kind", "merge", float64(sn.Jobs-sn.Moves)),
+			Labeled("kind", "move", float64(sn.Moves))),
 		Counter("tebis_compaction_stage_seconds_total",
 			"Cumulative time spent in each Send-Index pipeline stage.",
 			Labeled("stage", "merge", sn.MergeTime.Seconds()),
@@ -127,8 +135,11 @@ func (s *CompactionStats) Collect() []Family {
 
 // CompactionSnapshot is a point-in-time copy of CompactionStats.
 type CompactionSnapshot struct {
-	// Jobs counts completed compaction jobs.
+	// Jobs counts completed compaction jobs, moves included.
 	Jobs uint64
+	// Moves counts the jobs that moved their source level into an empty
+	// destination instead of merging (lsm's trivial move).
+	Moves uint64
 	// MergeTime, BuildTime and ShipTime split a job's pass, which runs
 	// on one goroutine, and sum to it: ShipTime is the time segments
 	// spent in the listener, BuildTime the builder's node sealing —

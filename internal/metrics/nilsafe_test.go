@@ -43,7 +43,7 @@ func TestCyclesNilSafe(t *testing.T) {
 
 func TestCompactionStatsNilSafe(t *testing.T) {
 	var s *CompactionStats
-	s.RecordJob()
+	s.RecordJob(true)
 	s.RecordMerge(time.Millisecond)
 	s.RecordBuild(time.Millisecond)
 	s.RecordShip(time.Millisecond, true)

@@ -187,7 +187,8 @@ func TestExpositionGolden(t *testing.T) {
 	r.Register(Labels{"node": "s0", "op": "GET"}, h)
 
 	cs := &metrics.CompactionStats{}
-	cs.RecordJob()
+	cs.RecordJob(false)
+	cs.RecordJob(true)
 	cs.RecordMerge(100 * time.Millisecond)
 	cs.RecordBuild(200 * time.Millisecond)
 	cs.RecordShip(50*time.Millisecond, true)

@@ -124,21 +124,6 @@ type Backup struct {
 	// flushImg is handleFlushTail's segment-sized scratch, reused from
 	// flush to flush (guarded by mu).
 	flushImg []byte
-
-	// Build-Index: flushed segments are indexed by a background worker
-	// so the flush ack does not wait on L0 inserts (backup compactions
-	// run on the backup's own threads, as in the paper's baseline).
-	idxQueue chan idxWork
-	idxDone  chan struct{}
-	// idxPending counts flushed segments queued for the worker or being
-	// indexed by it (WaitIndexed).
-	idxPending atomic.Int64
-}
-
-// idxWork is one flushed log segment awaiting Build-Index indexing.
-type idxWork struct {
-	local storage.SegmentID
-	data  []byte
 }
 
 // shipJob is the backup's staging state for the primary's one in-flight
@@ -219,45 +204,8 @@ func NewBackup(cfg BackupConfig) (*Backup, error) {
 			return nil, err
 		}
 		b.db.Store(db)
-		b.idxQueue = make(chan idxWork, 4)
-		b.idxDone = make(chan struct{})
-		go b.indexWorker(b.idxQueue)
 	}
 	return b, nil
-}
-
-// indexWorker drains flushed segments into the backup's own LSM
-// (Build-Index mode only). After a failure it records the error and
-// keeps draining (without indexing) instead of exiting: handleFlushTail
-// blocks sending into the queue, so an exited worker would wedge the
-// control loop on the next flush. The queue is a parameter, not a
-// field read: Crash and Promote nil the field under b.mu, which this
-// goroutine does not hold.
-func (b *Backup) indexWorker(queue chan idxWork) {
-	defer close(b.idxDone)
-	failed := false
-	for w := range queue {
-		if !failed {
-			if err := b.indexFlushedSegment(w.local, w.data); err != nil {
-				b.fail(err)
-				failed = true
-			}
-		}
-		b.idxPending.Add(-1)
-	}
-}
-
-// WaitIndexed blocks until every log segment flushed to a Build-Index
-// backup so far has been inserted into its engine. The flush ack does
-// not wait for that (the worker runs beside the control loop), so a
-// caller about to drain or flush the engine — to read counters that
-// must include all of the backup's indexing work — waits here first;
-// otherwise a segment still in the queue is indexed after the drain and
-// its compactions are neither awaited nor counted.
-func (b *Backup) WaitIndexed() {
-	for b.idxPending.Load() > 0 {
-		time.Sleep(20 * time.Microsecond)
-	}
 }
 
 // LogBufferRKey returns the rkey the primary writes log records to.
@@ -366,10 +314,9 @@ func (b *Backup) Err() error {
 // dead node's memory.
 //
 // The "machine" dies, but this process lives on: Crash also reaps the
-// backup's goroutines — it waits for the control loop to exit on the
-// closed QPs, then shuts down the Build-Index worker — so repeated
-// crash/failover tests do not accumulate leaked workers (or wedge a
-// later flush on a queue nobody drains).
+// backup's goroutine — it waits for the control loop to exit on the
+// closed QPs — so repeated crash/failover tests do not accumulate
+// leaked loops.
 func (b *Backup) Crash() {
 	b.cfg.Endpoint.Deregister(b.logBuf)
 	b.cfg.Endpoint.Deregister(b.idxBuf)
@@ -377,19 +324,9 @@ func (b *Backup) Crash() {
 	l := b.conn
 	b.mu.Unlock()
 	if l != nil {
-		// Waiting on the control loop first guarantees no handler is
-		// still queueing index work when the queue closes.
 		l.reqRecv.Close()
 		l.ackSend.Close()
 		<-l.loopDone
-	}
-	b.mu.Lock()
-	q := b.idxQueue
-	b.idxQueue = nil
-	b.mu.Unlock()
-	if q != nil {
-		close(q)
-		<-b.idxDone
 	}
 }
 
@@ -464,7 +401,10 @@ func buildAck(h wire.Header, op wire.Op, flags uint8, payload []byte) []byte {
 
 // handleFlushTail persists the replicated log buffer as a local segment
 // (§3.2 steps 2c-2d) and, in Build-Index mode, inserts the flushed
-// records into the backup's own L0.
+// records into the backup's own L0 before it acks: once a flush is
+// acked its records are in the engine, so draining the engine drains
+// every flush acked so far (the backup's compactions still run on the
+// engine's own goroutine, as in the paper's baseline).
 func (b *Backup) handleFlushTail(h wire.Header, req wire.FlushTail) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -494,19 +434,17 @@ func (b *Backup) handleFlushTail(h wire.Header, req wire.FlushTail) ([]byte, err
 	b.logMap.MarkFlushed(storage.SegmentID(req.PrimarySeg))
 	b.charge(metrics.CompLogReplication, b.cfg.Cost.WriteIO(len(data)))
 
-	if b.cfg.Mode == BuildIndex && b.db.Load() != nil {
-		// Build-Index: hand the flushed records to the indexing worker —
-		// a copy of its own, the worker reads it after the scratch has
-		// taken the next tail, and of the usable capacity only: above it
-		// is the frame's trailer, not a record. Capture the channel under
-		// b.mu — Crash and Promote nil the field — then send unlocked so
-		// the worker can take the lock.
-		q := b.idxQueue
-		work := idxWork{local: local, data: append([]byte(nil), data[:storage.UsableCapacity(b.cfg.Device)]...)}
-		b.mu.Unlock()
-		b.idxPending.Add(1)
-		q <- work
-		b.mu.Lock()
+	if db := b.db.Load(); db != nil && b.cfg.Mode == BuildIndex {
+		// Of the usable capacity only: above it is the frame's trailer,
+		// not a record. The table copies the keys it inserts.
+		recs := data[:storage.UsableCapacity(b.cfg.Device)]
+		vlog.WalkImage(recs[:vlog.ScanUsed(recs)], func(pos int64, key, _ []byte, tomb bool, recLen int) bool {
+			err = db.PutIndexed(key, b.geo.Pack(local, pos), tomb, recLen)
+			return err == nil
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	// Clear the buffer for the next tail (the primary restarts at 0).
@@ -528,15 +466,6 @@ func (b *Backup) handleSyncTail(h wire.Header, req wire.FlushTail) ([]byte, erro
 		return nil, err
 	}
 	return ackMessage(h, wire.OpSyncTailAck), nil
-}
-
-// indexFlushedSegment walks the records of a freshly flushed log segment
-// and inserts them into the backup's own LSM (Build-Index).
-func (b *Backup) indexFlushedSegment(local storage.SegmentID, data []byte) error {
-	used := vlog.ScanUsed(data)
-	return replaySegmentRecords(b.geo, local, data[:used], func(off storage.Offset, key []byte, tomb bool, recLen int) error {
-		return b.db.Load().PutIndexed(key, off, tomb, recLen)
-	})
 }
 
 // handleCompactionStart opens staging state for one compaction job.
@@ -626,11 +555,33 @@ func (b *Backup) handleIndexSegment(h wire.Header, req wire.IndexSegment) ([]byt
 // rewrite built from their leaves, release the levels the compaction
 // replaced. A filter that did not see the level's every entry fails the
 // install rather than let a lookup skip a level holding its key.
+//
+// A move shipped nothing and opened no staging state: the backup's level
+// at SrcLevel is the moved level, and it becomes DstLevel as it is —
+// root, segments and filter. A backup attached but not yet seeded by
+// Sync holds no level there and keeps none; Sync seeds the moved level.
 func (b *Backup) handleCompactionDone(h wire.Header, req wire.CompactionDone) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	dst := int(req.DstLevel)
 	src := int(req.SrcLevel)
+	if req.Moved {
+		lv, held := b.levels[src]
+		if held && lv.NumKeys != int(req.NumKeys) {
+			return nil, fmt.Errorf("replica: job %d moves %d keys of level %d, which holds %d here", req.JobID, req.NumKeys, src, lv.NumKeys)
+		}
+		// The primary's destination was empty: a level held there is
+		// not the primary's.
+		if err := b.dropLevelLocked(dst); err != nil {
+			return nil, err
+		}
+		if held {
+			delete(b.levels, src)
+			b.levels[dst] = lv
+		}
+		b.watermarkPrimary = storage.Offset(req.Watermark)
+		return ackMessage(h, wire.OpCompactionDoneAck), nil
+	}
 	ship := b.ship
 	if ship != nil && ship.id != req.JobID {
 		ship = nil
@@ -658,18 +609,11 @@ func (b *Backup) handleCompactionDone(h wire.Header, req wire.CompactionDone) ([
 		}
 	}
 
-	// Free the levels this compaction replaced.
+	// Free the levels this compaction replaced (backups have no L0, the
+	// Send-Index memory saving).
 	for _, lvl := range []int{src, dst} {
-		if lvl == 0 {
-			continue // backups have no L0 (the Send-Index memory saving)
-		}
-		if old, ok := b.levels[lvl]; ok {
-			for _, seg := range old.Segments {
-				if err := b.cfg.Device.Free(seg); err != nil {
-					return nil, err
-				}
-			}
-			delete(b.levels, lvl)
+		if err := b.dropLevelLocked(lvl); err != nil {
+			return nil, err
 		}
 	}
 	if req.NumKeys > 0 {
@@ -682,6 +626,22 @@ func (b *Backup) handleCompactionDone(h wire.Header, req wire.CompactionDone) ([
 		ship.release(&b.filterBufs)
 	}
 	return ackMessage(h, wire.OpCompactionDoneAck), nil
+}
+
+// dropLevelLocked frees the installed level lvl's segments, if it holds
+// one, and forgets it. Caller holds b.mu.
+func (b *Backup) dropLevelLocked(lvl int) error {
+	old, ok := b.levels[lvl]
+	if !ok {
+		return nil
+	}
+	for _, seg := range old.Segments {
+		if err := b.cfg.Device.Free(seg); err != nil {
+			return err
+		}
+	}
+	delete(b.levels, lvl)
+	return nil
 }
 
 // handleGCRelease performs the backup side of GC (§4: the primary moves
@@ -736,16 +696,3 @@ func (b *Backup) LevelStates(maxLevels int) []lsm.LevelState {
 // DB returns the backup's own engine (Build-Index mode, or once
 // promoted; nil otherwise). It takes no lock.
 func (b *Backup) DB() *lsm.DB { return b.db.Load() }
-
-// replaySegmentRecords walks the records of one segment image.
-func replaySegmentRecords(geo storage.Geometry, seg storage.SegmentID, data []byte, fn func(off storage.Offset, key []byte, tomb bool, recLen int) error) error {
-	var ferr error
-	vlog.WalkImage(data, func(pos int64, key, value []byte, tomb bool, recLen int) bool {
-		if err := fn(geo.Pack(seg, pos), key, tomb, recLen); err != nil {
-			ferr = err
-			return false
-		}
-		return true
-	})
-	return ferr
-}

@@ -101,9 +101,6 @@ func NewBackupFromPrimary(p *Primary, cfg BackupConfig, oldToNew map[storage.Seg
 		// it no longer replicates anywhere.
 		db.SetListener(nil)
 		b.db.Store(db)
-		b.idxQueue = make(chan idxWork, 4)
-		b.idxDone = make(chan struct{})
-		go b.indexWorker(b.idxQueue)
 	default:
 		return nil, fmt.Errorf("replica: cannot demote to mode %v", cfg.Mode)
 	}

@@ -359,10 +359,9 @@ func TestRetryPolicyDefaults(t *testing.T) {
 }
 
 // TestCrashLeavesNoGoroutines asserts that Crash tears down every
-// goroutine the backup owns: the control loop and, in Build-Index mode,
-// the index worker draining idxQueue. A leaked worker would pin the
-// backup's engine (and its memory) for the life of the process — the
-// exact bug where Crash closed the QPs but never closed idxQueue.
+// goroutine the backup owns: its control loop, which in Build-Index mode
+// also indexes each flushed segment. A leaked loop would pin the
+// backup's engine (and its memory) for the life of the process.
 func TestCrashLeavesNoGoroutines(t *testing.T) {
 	for _, mode := range []Mode{SendIndex, BuildIndex} {
 		t.Run(mode.String(), func(t *testing.T) {

@@ -22,9 +22,12 @@ import (
 // one full Scan on the promoted engine are checked against a reference
 // map. Every index segment the primary's compactions ship, and every
 // pointer the backup rewrites through its index and log maps, lies under
-// what the promoted engine reads. Before the promotion, every level
-// filter the backup built from the leaves it rewrote must be the
-// primary's, bit for bit: the promoted engine serves with them.
+// what the promoted engine reads. Before the promotion, every level the
+// backup holds must be the primary's level of the same number — its key
+// count, and the filter the backup built from the leaves it rewrote, bit
+// for bit: the promoted engine serves with them. A level the primary
+// moved into an empty one is relabelled on the backup, so the runs must
+// move levels too; a Build-Index backup moves its own.
 //
 // The shapes are those of the engine's own model test (lsm
 // TestModelEquivalence): keys that tie on their leaf prefixes through
@@ -40,18 +43,19 @@ func TestPairModelEquivalence(t *testing.T) {
 		t.Cleanup(func() { mem.Close() })
 		return mem
 	}
-	filtered := 0 // levels whose equal filters were not nil
+	smallLevels := lsmOpts()
+	smallLevels.L0MaxKeys = 24
+	smallLevels.GrowthFactor = 2
+	var filtered, moved int // levels whose equal filters were not nil; moves
+	add := func(f, m int) { filtered, moved = filtered+f, moved+m }
 	t.Run("mem", func(t *testing.T) {
-		filtered += testPairModel(t, modelPlainKey, memDev, lsmOpts())
+		add(testPairModel(t, SendIndex, modelPlainKey, memDev, lsmOpts()))
 	})
 	t.Run("prefixTies", func(t *testing.T) {
-		opt := lsmOpts()
-		opt.L0MaxKeys = 24
-		opt.GrowthFactor = 2
-		filtered += testPairModel(t, modelTieKey, memDev, opt)
+		add(testPairModel(t, SendIndex, modelTieKey, memDev, smallLevels))
 	})
 	t.Run("tinyNodeCache", func(t *testing.T) {
-		filtered += testPairModel(t, modelPlainKey, func(t *testing.T) storage.Device {
+		add(testPairModel(t, SendIndex, modelPlainKey, func(t *testing.T) storage.Device {
 			mem, err := storage.NewMemDevice(16<<10, 32)
 			if err != nil {
 				t.Fatal(err)
@@ -60,11 +64,19 @@ func TestPairModelEquivalence(t *testing.T) {
 			dev := storage.AsVerifying(mem)
 			dev.NodeCache().Resize(4)
 			return dev
-		}, lsmOpts())
+		}, lsmOpts()))
 	})
 	if filtered == 0 {
 		t.Fatal("no run left a filtered level to compare")
 	}
+	if moved == 0 {
+		t.Fatal("no primary moved a level")
+	}
+	t.Run("buildIndex", func(t *testing.T) {
+		if _, moved := testPairModel(t, BuildIndex, modelPlainKey, memDev, smallLevels); moved == 0 {
+			t.Fatal("no Build-Index backup moved a level")
+		}
+	})
 }
 
 // modelPlainKey and modelTieKey are the engine model test's key
@@ -81,13 +93,13 @@ func modelTieKey(i int) string {
 	return fmt.Sprintf("sameprefix%02d-%03d", i%3, i)
 }
 
-// modelPair wires a primary engine to one Send-Index backup, each on a
+// modelPair wires a primary engine to one backup in mode, each on a
 // device newDev makes, both with opt.
-func modelPair(t *testing.T, newDev func(*testing.T) storage.Device, opt lsm.Options) (*Primary, *lsm.DB, *Backup) {
+func modelPair(t *testing.T, mode Mode, newDev func(*testing.T) storage.Device, opt lsm.Options) (*Primary, *lsm.DB, *Backup) {
 	t.Helper()
 	cost := metrics.DefaultCostModel()
 	p := NewPrimary(PrimaryConfig{
-		RegionID: 1, ServerName: "primary", Mode: SendIndex,
+		RegionID: 1, ServerName: "primary", Mode: mode,
 		Endpoint: rdma.NewEndpoint("primary"), Cycles: &metrics.Cycles{}, Cost: cost,
 	})
 	popt := opt
@@ -99,7 +111,7 @@ func modelPair(t *testing.T, newDev func(*testing.T) storage.Device, opt lsm.Opt
 	}
 	p.SetDB(db)
 	b, err := NewBackup(BackupConfig{
-		RegionID: 1, ServerName: "backup", Mode: SendIndex,
+		RegionID: 1, ServerName: "backup", Mode: mode,
 		Device: newDev(t), Endpoint: rdma.NewEndpoint("backup"),
 		Cycles: &metrics.Cycles{}, Cost: cost, LSM: opt,
 	})
@@ -111,19 +123,20 @@ func modelPair(t *testing.T, newDev func(*testing.T) storage.Device, opt lsm.Opt
 	return p, db, b
 }
 
-// testPairModel runs the model and returns how many filtered levels it
-// compared.
-func testPairModel(t *testing.T, keyOf func(int) string, newDev func(*testing.T) storage.Device, opt lsm.Options) int {
+// testPairModel runs the model with a backup in mode and returns how
+// many filtered levels it compared and how many levels were moved: by
+// the primary under Send-Index, by the backup's own engine under
+// Build-Index.
+func testPairModel(t *testing.T, mode Mode, keyOf func(int) string, newDev func(*testing.T) storage.Device, opt lsm.Options) (filtered, moved int) {
 	type op struct {
 		Kind  uint8 // 0..5: put, put, put, delete, delete, flush
 		Key   uint16
 		Value uint8
 	}
-	filtered := 0
 	f := func(ops []op, seed int64) bool {
 		opt := opt
 		opt.Seed = seed
-		p, db, b := modelPair(t, newDev, opt)
+		p, db, b := modelPair(t, mode, newDev, opt)
 		defer db.Close()
 		ref := map[string]string{}
 		for _, o := range ops {
@@ -160,19 +173,31 @@ func testPairModel(t *testing.T, keyOf func(int) string, newDev func(*testing.T)
 			t.Logf("backup: %v", err)
 			return false
 		}
-		// The backup built each level's filter from the leaves it
-		// rewrote, for the levels the primary's builder built one for:
-		// bit for bit the primary's filter.
-		primaryLevels := db.Levels()
-		for i, st := range b.LevelStates(len(primaryLevels) + 1) {
-			pst := primaryLevels[i]
-			if st.NumKeys != pst.NumKeys || !st.Filter.Equal(pst.Filter) || (st.Filter != nil && st.NumKeys == 0) {
-				t.Logf("L%d: backup holds %d keys, filter %v; primary %d keys; filters equal: %v",
-					i+1, st.NumKeys, st.Filter != nil, pst.NumKeys, st.Filter.Equal(pst.Filter))
+		if mode == BuildIndex {
+			if err := b.DB().WaitIdle(); err != nil {
+				t.Logf("backup WaitIdle: %v", err)
 				return false
 			}
-			if st.Filter != nil {
-				filtered++
+			moved += int(b.DB().CompactionStats().Moves)
+		} else {
+			moved += int(db.CompactionStats().Moves)
+		}
+		// The backup built each level's filter from the leaves it
+		// rewrote, for the levels the primary's builder built one for:
+		// bit for bit the primary's filter. A Build-Index backup holds
+		// no shipped level.
+		if mode == SendIndex {
+			primaryLevels := db.Levels()
+			for i, st := range b.LevelStates(len(primaryLevels) + 1) {
+				pst := primaryLevels[i]
+				if st.NumKeys != pst.NumKeys || !st.Filter.Equal(pst.Filter) || (st.Filter != nil && st.NumKeys == 0) {
+					t.Logf("L%d: backup holds %d keys, filter %v; primary %d keys; filters equal: %v",
+						i+1, st.NumKeys, st.Filter != nil, pst.NumKeys, st.Filter.Equal(pst.Filter))
+					return false
+				}
+				if st.Filter != nil {
+					filtered++
+				}
 			}
 		}
 
@@ -225,7 +250,7 @@ func testPairModel(t *testing.T, keyOf func(int) string, newDev func(*testing.T)
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
-	return filtered
+	return filtered, moved
 }
 
 // keyOf is the model's i-th key, "user" and eight zero-padded digits.

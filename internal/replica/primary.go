@@ -622,8 +622,11 @@ func (p *Primary) OnAppend(res vlog.AppendResult, rt *obs.ReqTrace) {
 // OnCompactionStart announces a compaction job to Send-Index backups so
 // they open job-keyed staging state (index map + pending segments), and
 // records which of them did: those are the job's ship targets.
+//
+// A move ships nothing, so it is announced to no backup: its done alone
+// tells every backup to relabel the level (OnCompactionDone).
 func (p *Primary) OnCompactionStart(job lsm.CompactionJob) {
-	if p.cfg.Mode != SendIndex {
+	if p.cfg.Mode != SendIndex || job.Move {
 		return
 	}
 	st := &jobState{id: job.ID}
@@ -795,21 +798,29 @@ func (p *Primary) OnRelease(segs []storage.SegmentID) {
 
 // OnCompactionDone hands backups the new root so they can install the
 // shipped level (§3.3, "the primary sends the offset of the root node").
+// A move shipped nothing and was announced to no backup: every attached
+// backup holds the moved level already, or — attached but not yet
+// seeded by Sync — holds none and is seeded with it, and relabels it
+// (Backup.handleCompactionDone).
 func (p *Primary) OnCompactionDone(res lsm.CompactionResult) {
 	if p.cfg.Mode != SendIndex {
 		return
 	}
-	p.mu.Lock()
-	st := p.job
-	p.mu.Unlock()
-	if st == nil || st.id != res.JobID {
-		return // the job started before this primary was listening
-	}
-	defer func() {
+	targets := p.handles()
+	if !res.Moved {
 		p.mu.Lock()
-		p.job = nil
+		st := p.job
 		p.mu.Unlock()
-	}()
+		if st == nil || st.id != res.JobID {
+			return // the job started before this primary was listening
+		}
+		defer func() {
+			p.mu.Lock()
+			p.job = nil
+			p.mu.Unlock()
+		}()
+		targets = p.jobTargets(res.JobID)
+	}
 	payload := wire.CompactionDone{
 		RegionID:  uint16(p.cfg.RegionID),
 		JobID:     res.JobID,
@@ -818,8 +829,9 @@ func (p *Primary) OnCompactionDone(res lsm.CompactionResult) {
 		Root:      uint64(res.Built.Root),
 		NumKeys:   uint32(res.Built.NumKeys),
 		Watermark: uint64(res.Watermark),
+		Moved:     res.Moved,
 	}.Encode(nil)
-	for _, h := range p.jobTargets(res.JobID) {
+	for _, h := range targets {
 		p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAWrite(wire.SentSize(len(payload))))
 		if err := p.rpc(h, wire.OpCompactionDone, payload); err != nil {
 			p.evict(h, err)

@@ -37,18 +37,6 @@ func (b *Backup) Promote() (*lsm.DB, error) {
 		return nil, err
 	}
 
-	// Stop the Build-Index worker and drain queued segments.
-	if b.idxQueue != nil {
-		close(b.idxQueue)
-		b.mu.Unlock()
-		<-b.idxDone
-		b.mu.Lock()
-		b.idxQueue = nil
-		if b.loopErr != nil {
-			return nil, b.loopErr
-		}
-	}
-
 	// Adopt the replicated tail: the log buffer holds exactly the
 	// records appended since the last flush, zero-padded.
 	buf := make([]byte, b.logBuf.Size())

@@ -413,7 +413,6 @@ func (r *rig) loadDrained(n, valSize int) {
 		}
 		for _, b := range r.backups {
 			if db := b.DB(); db != nil {
-				b.WaitIndexed()
 				if err := db.WaitIdle(); err != nil {
 					r.t.Fatal(err)
 				}
@@ -825,5 +824,40 @@ func TestSegMapFreeAll(t *testing.T) {
 func TestModeStrings(t *testing.T) {
 	if NoReplication.String() != "No-Replication" || SendIndex.String() != "Send-Index" || BuildIndex.String() != "Build-Index" {
 		t.Fatal("mode names wrong")
+	}
+}
+
+// TestBackupLogAllocatesNoTail: a backup's value log only adopts
+// segments until promotion, so a fresh backup holds no device segment —
+// no tail it would never write — and a Build-Index backup holds none
+// until its first flush. Under Send-Index a shipped L1 that points into
+// the primary's unflushed tail maps that tail to a local segment, and
+// promotion adopts the tail into exactly that segment.
+func TestBackupLogAllocatesNoTail(t *testing.T) {
+	for _, mode := range []Mode{SendIndex, BuildIndex} {
+		t.Run(mode.String(), func(t *testing.T) {
+			r := newRig(t, mode, 1)
+			if live := r.devB[0].Stats().SegmentsLive; live != 0 {
+				t.Fatalf("a fresh backup holds %d device segments, want 0", live)
+			}
+			// 300 records fit in one 16 KiB log segment: the L0 job of the
+			// first 256 ships leaves pointing into the unflushed tail.
+			r.putKeys(300)
+			if mode == BuildIndex {
+				if live := r.devB[0].Stats().SegmentsLive; live != 0 {
+					t.Fatalf("a Build-Index backup holds %d device segments before its first flush, want 0", live)
+				}
+				return
+			}
+			b := r.backups[0]
+			local, mapped, err := b.LogMap().UnflushedLocal()
+			if err != nil || !mapped {
+				t.Fatalf("the primary's tail is not mapped on the backup: %v, %v", mapped, err)
+			}
+			r.promoteAndCheck(300)
+			if tail := b.DB().Log().TailSegment(); tail != local {
+				t.Fatalf("promotion adopted the tail into segment %d, the log map names %d", tail, local)
+			}
+		})
 	}
 }

@@ -630,26 +630,20 @@ func (s *Server) primaryDB(id region.ID) (*lsm.DB, error) {
 func (s *Server) ShipStats() *metrics.ShipStats { return s.cfg.Ship }
 
 // engines snapshots every engine this server runs — its primaries' and
-// its Build-Index backups' own — once each such backup has indexed every
-// log segment flushed to it so far (the flush ack does not wait for the
-// indexing, so without this a drain can return with a segment's worth of
-// L0 inserts, and the compactions they trigger, still to come).
+// its Build-Index backups' own. A backup indexes each flushed log
+// segment before it acks the flush, so a backup engine holds every
+// flush acked so far.
 func (s *Server) engines() []*lsm.DB {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	dbs := make([]*lsm.DB, 0, len(s.regions))
-	var backups []*replica.Backup
 	for _, hr := range s.regions {
 		if hr.db != nil {
 			dbs = append(dbs, hr.db)
 		}
 		if hr.backup != nil && hr.backup.DB() != nil {
-			backups = append(backups, hr.backup)
 			dbs = append(dbs, hr.backup.DB())
 		}
-	}
-	s.mu.Unlock()
-	for _, b := range backups {
-		b.WaitIndexed()
 	}
 	return dbs
 }

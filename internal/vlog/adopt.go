@@ -57,17 +57,16 @@ func (l *Log) AdoptTail(tailSeg storage.SegmentID, data []byte) error {
 	if int64(len(data)) > l.geo.SegmentSize() {
 		return fmt.Errorf("vlog: adopt tail of %d bytes exceeds segment size", len(data))
 	}
+	if tailSeg == storage.NilSegment {
+		return fmt.Errorf("vlog: adopt tail into the nil segment")
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Release the tail segment New() allocated if it is being replaced.
-	if l.TailSegment() != tailSeg && l.tailLen == 0 {
-		if err := l.dev.Free(l.TailSegment()); err != nil {
-			return err
-		}
-	}
 	l.tailSeg.Store(uint32(tailSeg))
-	for i := range l.tailBuf {
-		l.tailBuf[i] = 0
+	if l.tailBuf == nil {
+		l.tailBuf = make([]byte, l.geo.SegmentSize())
+	} else {
+		clear(l.tailBuf)
 	}
 	copy(l.tailBuf, data)
 	l.tailLen = int64(len(data))

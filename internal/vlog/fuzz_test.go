@@ -239,7 +239,11 @@ func FuzzWalk(f *testing.F) {
 
 		// Replay from any record start is the same walk, by offset.
 		l2 := fuzzLog(t)
-		if err := l2.AdoptTail(l2.TailSegment(), image); err != nil {
+		tail, err := l2.dev.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l2.AdoptTail(tail, image); err != nil {
 			t.Fatal(err)
 		}
 		replayed := int64(0)

@@ -106,22 +106,20 @@ type Log struct {
 	trimmed  uint64
 }
 
-// New creates an empty value log on dev. The first tail segment is
-// allocated eagerly so every record has a valid device offset at append
-// time (Send-Index may ship leaves pointing at the unflushed tail).
+// New creates an empty value log on dev. It allocates nothing: the
+// first Append allocates the first tail segment, so a log that only
+// adopts segments — a backup's, until promotion — holds no tail it
+// never writes. Every record still has its device offset at append time
+// (Send-Index may ship leaves pointing at the unflushed tail).
 func New(dev storage.Device) (*Log, error) {
-	l := &Log{
+	return &Log{
 		dev: dev,
 		geo: dev.Geometry(),
 		cap: storage.UsableCapacity(dev),
-	}
-	if err := l.rollTail(); err != nil {
-		return nil, err
-	}
-	return l, nil
+	}, nil
 }
 
-// rollTail allocates a fresh tail segment. Caller holds l.mu (or is New).
+// rollTail allocates a fresh tail segment. Caller holds l.mu.
 func (l *Log) rollTail() error {
 	seg, err := l.dev.Alloc()
 	if err != nil {
@@ -206,6 +204,11 @@ func (l *Log) Append(key, value []byte, tombstone bool) (AppendResult, error) {
 	defer l.mu.Unlock()
 
 	var res AppendResult
+	if l.TailSegment() == storage.NilSegment {
+		if err := l.rollTail(); err != nil {
+			return AppendResult{}, err
+		}
+	}
 	if l.tailLen+need > l.cap {
 		sealed, err := l.sealLocked()
 		if err != nil {

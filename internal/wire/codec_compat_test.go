@@ -73,3 +73,33 @@ func TestShipCodecFrameCompat(t *testing.T) {
 		t.Fatalf("delta-era payload decode = %+v, want %+v", got, coded)
 	}
 }
+
+// TestMovedRidesInTheLevelByte: CompactionDone.Moved takes DstLevel's top
+// bit, as CompactionStart.Filter does, so a done that moved nothing is
+// the payload an older primary sent, byte for byte, and a move's is no
+// longer than a merge's.
+func TestMovedRidesInTheLevelByte(t *testing.T) {
+	merged := CompactionDone{RegionID: 3, JobID: 77, SrcLevel: 2, DstLevel: 3, Root: 1 << 33, NumKeys: 5, Watermark: 99}
+	var old []byte
+	old = appendU32(old, uint32(merged.RegionID))
+	old = appendU64(old, merged.JobID)
+	old = append(old, merged.SrcLevel, merged.DstLevel)
+	old = appendU64(old, merged.Root)
+	old = appendU32(old, merged.NumKeys)
+	old = appendU64(old, merged.Watermark)
+	if enc := merged.Encode(nil); !bytes.Equal(enc, old) {
+		t.Fatalf("a merge's done encodes to %x, an older primary's to %x", enc, old)
+	}
+	moved := merged
+	moved.Moved = true
+	enc := moved.Encode(nil)
+	if len(enc) != len(old) || len(enc) != moved.Size() {
+		t.Fatalf("a move's done is %d bytes, a merge's %d", len(enc), len(old))
+	}
+	if got, err := DecodeCompactionDone(enc); err != nil || got != moved {
+		t.Fatalf("move done decodes to %+v %v, want %+v", got, err, moved)
+	}
+	if got, err := DecodeCompactionDone(old); err != nil || got != merged {
+		t.Fatalf("older done decodes to %+v %v, want %+v", got, err, merged)
+	}
+}

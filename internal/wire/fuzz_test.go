@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 	"unsafe"
@@ -20,8 +21,9 @@ import (
 // ship-codec fields ride at the end (with and without them) — and the
 // inline shape at its edges: one payload byte, exactly InlineMax, a
 // header flagged inline that claims a byte more, and an inline message
-// with a longer one's stale trailer behind it — and the resync's
-// sync-tail message with its ack.
+// with a longer one's stale trailer behind it — the resync's sync-tail
+// message with its ack, and a move's CompactionDone, its flag in the
+// level byte.
 func FuzzDecodeMessage(f *testing.F) {
 	msg := func(h Header, payload []byte) []byte {
 		buf := make([]byte, MessageSize(len(payload)))
@@ -62,6 +64,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(msg(Header{Opcode: OpFlushTail}, FlushTail{RegionID: 3, PrimarySeg: 12}.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpCompactionStart}, CompactionStart{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2}.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpCompactionDone}, CompactionDone{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2, Root: 1 << 33, NumKeys: 5, Watermark: 99}.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpCompactionDone}, CompactionDone{RegionID: 3, JobID: 78, SrcLevel: 2, DstLevel: 3, Root: 1 << 33, NumKeys: 5, Watermark: 99, Moved: true}.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpGCRelease}, GCRelease{RegionID: 7, Segs: []uint32{3, 1 << 20, 9}}.Encode(nil)))
 	// Append-at-payload-end fields, present and — as older peers wrote
 	// them — absent.
@@ -134,9 +137,16 @@ func FuzzDecodeMessage(f *testing.F) {
 			}
 			_, _ = DecodeStatusReply(p)
 			_, _ = DecodeFlushTail(p)
-			_, _ = DecodeCompactionStart(p)
+			// The compaction messages' flags ride in a level byte: past
+			// the region ID (a u32 on the wire, 16 bits in the struct)
+			// one that decodes re-encodes to the bytes it was read from.
+			if r, err := DecodeCompactionStart(p); err == nil && !bytes.Equal(r.Encode(nil)[4:], p[4:r.Size()]) {
+				t.Fatalf("CompactionStart %+v re-encodes to %x, read from %x", r, r.Encode(nil), p[:r.Size()])
+			}
 			_, _ = DecodeIndexSegment(p)
-			_, _ = DecodeCompactionDone(p)
+			if r, err := DecodeCompactionDone(p); err == nil && !bytes.Equal(r.Encode(nil)[4:], p[4:r.Size()]) {
+				t.Fatalf("CompactionDone %+v re-encodes to %x, read from %x", r, r.Encode(nil), p[:r.Size()])
+			}
 		}
 
 		// A header is there once its rendezvous word is, and decodes

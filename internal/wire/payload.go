@@ -362,15 +362,17 @@ type CompactionStart struct {
 	RegionID uint16
 	JobID    uint64
 	SrcLevel uint8
-	DstLevel uint8 // below startFilterBit
+	DstLevel uint8 // below levelFlagBit
 	// Filter tells the backup to build the level's prefix filter while
 	// it rewrites the job's segments, as the primary's builder does. It
 	// rides in DstLevel's top bit, so the payload is no longer for it.
 	Filter bool
 }
 
-// startFilterBit is CompactionStart.Filter in the DstLevel byte.
-const startFilterBit = 0x80
+// levelFlagBit is the top bit of a DstLevel byte, which carries its
+// message's one flag: CompactionStart.Filter, CompactionDone.Moved. A
+// level number never reaches it.
+const levelFlagBit = 0x80
 
 // Size returns the encoded payload length.
 func (r CompactionStart) Size() int { return 4 + 8 + 2 }
@@ -381,7 +383,7 @@ func (r CompactionStart) Encode(dst []byte) []byte {
 	dst = appendU64(dst, r.JobID)
 	dstLevel := r.DstLevel
 	if r.Filter {
-		dstLevel |= startFilterBit
+		dstLevel |= levelFlagBit
 	}
 	return append(dst, r.SrcLevel, dstLevel)
 }
@@ -403,8 +405,8 @@ func DecodeCompactionStart(p []byte) (CompactionStart, error) {
 		RegionID: uint16(rid),
 		JobID:    job,
 		SrcLevel: rest[0],
-		DstLevel: rest[1] &^ startFilterBit,
-		Filter:   rest[1]&startFilterBit != 0,
+		DstLevel: rest[1] &^ levelFlagBit,
+		Filter:   rest[1]&levelFlagBit != 0,
 	}, nil
 }
 
@@ -517,15 +519,20 @@ func DecodeGCRelease(p []byte) (GCRelease, error) {
 
 // CompactionDone is the primary → backup end-of-compaction message: the
 // backup translates Root through the JobID's index map, installs the
-// new level, and discards replaced levels (§3.3).
+// new level, and discards replaced levels (§3.3) — or, for a move,
+// relabels its level SrcLevel as DstLevel.
 type CompactionDone struct {
 	RegionID  uint16
 	JobID     uint64
 	SrcLevel  uint8
-	DstLevel  uint8
+	DstLevel  uint8  // below levelFlagBit
 	Root      uint64 // primary device offset of the new root
 	NumKeys   uint32
 	Watermark uint64 // primary log offset covered by levels
+	// Moved says the job moved level SrcLevel to DstLevel whole: no
+	// segment was shipped for it. It rides in DstLevel's top bit, so
+	// the payload is no longer for it.
+	Moved bool
 }
 
 // Size returns the encoded payload length.
@@ -535,7 +542,11 @@ func (r CompactionDone) Size() int { return 4 + 8 + 2 + 8 + 4 + 8 }
 func (r CompactionDone) Encode(dst []byte) []byte {
 	dst = appendU32(grow(dst, r.Size()), uint32(r.RegionID))
 	dst = appendU64(dst, r.JobID)
-	dst = append(dst, r.SrcLevel, r.DstLevel)
+	dstLevel := r.DstLevel
+	if r.Moved {
+		dstLevel |= levelFlagBit
+	}
+	dst = append(dst, r.SrcLevel, dstLevel)
 	dst = appendU64(dst, r.Root)
 	dst = appendU32(dst, r.NumKeys)
 	return appendU64(dst, r.Watermark)
@@ -554,7 +565,13 @@ func DecodeCompactionDone(p []byte) (CompactionDone, error) {
 	if len(rest) < 2 {
 		return CompactionDone{}, ErrShortBuffer
 	}
-	r := CompactionDone{RegionID: uint16(rid), JobID: job, SrcLevel: rest[0], DstLevel: rest[1]}
+	r := CompactionDone{
+		RegionID: uint16(rid),
+		JobID:    job,
+		SrcLevel: rest[0],
+		DstLevel: rest[1] &^ levelFlagBit,
+		Moved:    rest[1]&levelFlagBit != 0,
+	}
 	rest = rest[2:]
 	if r.Root, rest, err = readU64(rest); err != nil {
 		return CompactionDone{}, err

@@ -221,11 +221,14 @@ func TestControlPayloadsRoundTrip(t *testing.T) {
 	if err != nil || is.JobID != 41 || is.DstLevel != 2 || is.PrimarySeg != 33 || is.DataLen != 4096 {
 		t.Fatalf("index segment = %+v %v", is, err)
 	}
-	cd, err := DecodeCompactionDone(CompactionDone{
-		RegionID: 9, JobID: 41, SrcLevel: 1, DstLevel: 2, Root: 1 << 40, NumKeys: 12345, Watermark: 1 << 33,
-	}.Encode(nil))
-	if err != nil || cd.JobID != 41 || cd.Root != 1<<40 || cd.NumKeys != 12345 || cd.Watermark != 1<<33 {
-		t.Fatalf("done = %+v %v", cd, err)
+	for _, moved := range []bool{false, true} {
+		want := CompactionDone{
+			RegionID: 9, JobID: 41, SrcLevel: 1, DstLevel: 2, Root: 1 << 40, NumKeys: 12345, Watermark: 1 << 33, Moved: moved,
+		}
+		cd, err := DecodeCompactionDone(want.Encode(nil))
+		if err != nil || cd != want {
+			t.Fatalf("done = %+v %v, want %+v", cd, err, want)
+		}
 	}
 }
 
