@@ -10,14 +10,19 @@ import "sync"
 
 // Async issues operations without waiting for replies; Wait collects
 // the first error. Outstanding requests are bounded by `window`
-// (and, beneath that, by RDMA buffer space).
+// (and, beneath that, by RDMA buffer space). Ops on one key keep the
+// order they were issued in: an op is sent only once the op issued
+// before it on the same key has been answered. Ops on different keys are
+// not ordered.
 type Async struct {
-	c      *Client
-	sem    chan struct{}
-	wg     sync.WaitGroup
-	mu     sync.Mutex
-	first  error
-	closed bool
+	c     *Client
+	sem   chan struct{}
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	first error
+	// last holds, per key, the done channel of the latest op issued on it
+	// that has not finished (guarded by mu).
+	last map[string]chan struct{}
 }
 
 // Async creates an asynchronous issue handle with the given window of
@@ -26,7 +31,7 @@ func (c *Client) Async(window int) *Async {
 	if window <= 0 {
 		window = 32
 	}
-	return &Async{c: c, sem: make(chan struct{}, window)}
+	return &Async{c: c, sem: make(chan struct{}, window), last: map[string]chan struct{}{}}
 }
 
 func (a *Async) record(err error) {
@@ -40,15 +45,31 @@ func (a *Async) record(err error) {
 	a.mu.Unlock()
 }
 
-// launch runs fn under the window.
-func (a *Async) launch(fn func() error) {
+// launch runs fn, an op on key, under the window, once the op issued on
+// key before it has finished. That op already holds its window slot, and
+// waits only for ops issued before it, so the wait always ends.
+func (a *Async) launch(key []byte, fn func() error) {
 	a.sem <- struct{}{}
+	k, done := string(key), make(chan struct{})
+	a.mu.Lock()
+	prev := a.last[k]
+	a.last[k] = done
+	a.mu.Unlock()
 	a.wg.Add(1)
 	go func() {
 		defer func() {
+			a.mu.Lock()
+			if a.last[k] == done {
+				delete(a.last, k)
+			}
+			a.mu.Unlock()
+			close(done)
 			<-a.sem
 			a.wg.Done()
 		}()
+		if prev != nil {
+			<-prev
+		}
 		a.record(fn())
 	}()
 }
@@ -58,20 +79,20 @@ func (a *Async) launch(fn func() error) {
 func (a *Async) Put(key, value []byte) {
 	k := append([]byte(nil), key...)
 	v := append([]byte(nil), value...)
-	a.launch(func() error { return a.c.Put(k, v) })
+	a.launch(k, func() error { return a.c.Put(k, v) })
 }
 
 // Delete issues an asynchronous delete.
 func (a *Async) Delete(key []byte) {
 	k := append([]byte(nil), key...)
-	a.launch(func() error { return a.c.Delete(k) })
+	a.launch(k, func() error { return a.c.Delete(k) })
 }
 
 // Get issues an asynchronous get; fn receives the result when the reply
 // arrives (fn runs on the request's goroutine).
 func (a *Async) Get(key []byte, fn func(value []byte, found bool)) {
 	k := append([]byte(nil), key...)
-	a.launch(func() error {
+	a.launch(k, func() error {
 		v, found, err := a.c.Get(k)
 		if err != nil {
 			return err

@@ -301,31 +301,15 @@ func (sc *serverConn) sendNoop(e *extent) error {
 		// residual always is too.
 		return fmt.Errorf("client: residual %d not a header multiple", residual)
 	}
-	// Fill the residual exactly. A message is one header slot (no payload,
-	// or an inline one) or, by the minimum-payload rule, at least 3, so a
-	// residual of exactly 2 slots takes two header-only NOOPs.
-	var sizes []int
-	switch {
-	case residual == wire.HeaderSize:
-		sizes = []int{wire.HeaderSize}
-	case residual == 2*wire.HeaderSize:
-		sizes = []int{wire.HeaderSize, wire.HeaderSize}
-	default:
-		sizes = []int{residual}
+	// Fill the residual exactly with one NOOP: a header-only one for a
+	// single slot, else one whose payload pads back to the residual (it
+	// is over InlineMax, so it follows the header).
+	payloadLen := 0
+	if residual > wire.HeaderSize {
+		payloadLen = residual - wire.HeaderSize - 4
 	}
-	off := e.off
-	for _, sz := range sizes {
-		payloadLen := 0
-		if sz > wire.HeaderSize {
-			payloadLen = sz - wire.HeaderSize - 4 // pads back to exactly sz
-			if wire.MessageSize(payloadLen) != sz {
-				return fmt.Errorf("client: cannot size noop chunk %d", sz)
-			}
-		}
-		if err := sc.noopRoundTrip(off, payloadLen); err != nil {
-			return err
-		}
-		off += sz
+	if err := sc.noopRoundTrip(e.off, payloadLen); err != nil {
+		return err
 	}
 	sc.reqRing.free(e)
 	return nil
@@ -334,7 +318,7 @@ func (sc *serverConn) sendNoop(e *extent) error {
 // noopRoundTrip writes one NOOP with payloadLen zero payload bytes at
 // ring offset off and waits for its reply.
 func (sc *serverConn) noopRoundTrip(off, payloadLen int) error {
-	replySize := wire.MessageSize(1)
+	replySize := wire.ReplyMessageSize(wire.StatusReply{}.Size())
 	replyOff := sc.replyFL.alloc(replySize)
 	defer sc.replyFL.free(replyOff, replySize)
 	hdr := wire.Header{
@@ -451,41 +435,41 @@ func (sc *serverConn) awaitReply(poll *rdma.Poller, off, slot int, reqID uint64,
 }
 
 // takeReply looks at the reply slot once, through poll, reading the
-// reply where it landed: the header's rendezvous word and, only once it
-// is there, the header into a stack buffer; of an out-of-line reply then
-// the trailer word; then — when the caller keeps the payload, or the reply is an
+// reply where it landed: the line's rendezvous word and, only once it is
+// there, the 64-byte line into a stack buffer; of an out-of-line reply
+// then the trailer word; then — when the caller keeps the payload, or the reply is an
 // error whose text it will need — the payload, copied exactly once (an
-// inline one out of the header copy) into a slice the caller owns from
+// inline one out of the line's copy) into a slice the caller owns from
 // then on. A reply taken is cleared out of the slot before the slot is
 // handed back, so a stale magic never re-triggers. done is false while
 // the reply to reqID is not complete.
 func (sc *serverConn) takeReply(poll *rdma.Poller, off, slot int, reqID uint64, keep bool) (h wire.Header, body []byte, done bool, err error) {
-	var hdr [wire.HeaderSize]byte
-	if ok, err := poll.ReadIfWord(off, hdr[:], wire.Magic); !ok {
+	var line [wire.ReplyLine]byte
+	if ok, err := poll.ReadIfWord(off, line[:], wire.ReplyMagic); !ok {
 		return wire.Header{}, nil, false, err
 	}
-	if h, err = wire.DecodeHeader(hdr[:]); err != nil || h.RequestID != reqID {
+	if h, err = wire.DecodeReplyHeader(line[:]); err != nil || h.RequestID != reqID {
 		return wire.Header{}, nil, false, nil
 	}
-	total := h.WireSize()
+	total := h.ReplyWireSize()
 	if total > slot {
 		return wire.Header{}, nil, false, fmt.Errorf("%w: reply of %d bytes overruns its %d-byte slot", ErrServer, total, slot)
 	}
-	if total > wire.HeaderSize {
+	if total > wire.ReplyLine {
 		var trailer [4]byte
 		if err := sc.replyBuf.ReadAt(off+total-len(trailer), trailer[:]); err != nil {
 			return wire.Header{}, nil, false, err
 		}
-		if !wire.MagicArrived(trailer[:]) {
+		if !wire.ReplyArrived(trailer[:]) {
 			return wire.Header{}, nil, false, nil
 		}
 	}
 	if keep || h.Flags&wire.FlagError != 0 {
 		if h.Inline() {
-			body = append([]byte(nil), wire.InlinePayload(hdr[:], h)...)
+			body = append([]byte(nil), wire.ReplyInlinePayload(line[:], h)...)
 		} else {
 			body = make([]byte, h.PayloadSize)
-			if err := sc.replyBuf.ReadAt(off+wire.HeaderSize, body); err != nil {
+			if err := sc.replyBuf.ReadAt(off+wire.ReplyLine, body); err != nil {
 				return wire.Header{}, nil, false, err
 			}
 		}
@@ -609,10 +593,10 @@ func (c *Client) mutate(op wire.Op, key, value []byte) error {
 	sb := c.sendBuf()
 	defer c.sendBufs.Put(sb)
 	sb.payload = req.Encode(sb.Reserve(req.Size()))
-	// Put replies are fixed size: allocate exactly (§3.4.1). The status
-	// byte says nothing the header's flags do not, so it is not copied
-	// out.
-	_, _, err := c.do(key, op, sb, wire.MessageSize(1), false)
+	// Put replies are fixed size: allocate exactly (§3.4.1), one line
+	// with the status byte inside it. The status byte says nothing the
+	// header's flags do not, so it is not copied out.
+	_, _, err := c.do(key, op, sb, wire.ReplyMessageSize(wire.StatusReply{}.Size()), false)
 	return err
 }
 
@@ -647,8 +631,12 @@ func (c *Client) Get(key []byte) ([]byte, bool, error) {
 	// inside it is returned as it is.
 	val := rep.Value
 	if h.Flags&wire.FlagPartial != 0 {
-		// Grow the slot estimate for subsequent requests.
-		want := wire.MessageSize(int(rep.TotalSize) + 64)
+		// Grow the slot estimate for subsequent requests: room for the
+		// whole value and 192 bytes more, the reply's prefix among them —
+		// no less room past the value than a slot had when a reply took a
+		// 128-byte header, so a later, slightly longer value goes partial
+		// no more often.
+		want := wire.ReplyMessageSize(int(rep.TotalSize) + 192)
 		for {
 			cur := c.replySlot.Load()
 			if int64(want) <= cur || c.replySlot.CompareAndSwap(cur, int64(want)) {

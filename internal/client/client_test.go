@@ -145,9 +145,9 @@ func TestClientManyOpsWrapsRing(t *testing.T) {
 // header slot of the ring, so the ring's head — and the server's
 // rendezvous position with it — reaches every slot, and a request of
 // several slots finds 1, 2 or 3 of them left before the end. The
-// residual is still filled exactly: one or two header-only NOOPs, or
-// from 3 slots up one NOOP with a payload. Counted as the bytes each
-// put brings into the server's NIC, on a ring of 11 slots the test
+// residual is still filled exactly, by one NOOP: a header-only one for
+// one slot, from 2 slots up one with a payload. Counted as the bytes
+// each put brings into the server's NIC, on a ring of 11 slots the test
 // walks a slot at a time.
 func TestClientRingWrapsWithHeaderSizedExtents(t *testing.T) {
 	const slots = 11
@@ -169,8 +169,8 @@ func TestClientRingWrapsWithHeaderSizedExtents(t *testing.T) {
 	n := 0
 	for round := 0; round < 20; round++ {
 		for _, tc := range []struct{ residual, valueLen, size int }{
-			{2, 100, 3}, // two header-only NOOPs
-			{1, 100, 3}, // one
+			{2, 200, 3}, // one NOOP of 2 slots, with a payload
+			{1, 200, 3}, // one header-only NOOP
 			{3, 300, 4}, // one NOOP of 3 slots, with a payload
 		} {
 			for ; head != slots-tc.residual; head = (head + 1) % slots {
@@ -372,11 +372,8 @@ func TestAsyncPipelining(t *testing.T) {
 			}
 		})
 	}
-	// The window does not order two ops on one key: the delete of
-	// async000000 is issued only once its get has been answered.
-	if err := a2.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	// Issued behind the get of its key, so sent only once that get has
+	// been answered.
 	a2.Delete([]byte("async000000"))
 	if err := a2.Wait(); err != nil {
 		t.Fatal(err)
@@ -386,6 +383,35 @@ func TestAsyncPipelining(t *testing.T) {
 	}
 	if _, found, _ := cl.Get([]byte("async000000")); found {
 		t.Fatal("async delete did not apply")
+	}
+}
+
+// TestAsyncKeepsPerKeyOrder: five ops on one key issued back to back in
+// one window — two puts, a get, a delete, a get — take effect in the
+// order they were issued: the first get sees the second put, the second
+// get sees the delete. A window that raced them would, over 200 runs,
+// answer some get out of turn.
+func TestAsyncKeepsPerKeyOrder(t *testing.T) {
+	_, cl := newServerAndClient(t)
+	for run := 0; run < 200; run++ {
+		key := []byte(fmt.Sprintf("order%03d", run))
+		var (
+			afterPuts, afterDelete []byte
+			foundPut, foundDelete  bool
+		)
+		a := cl.Async(8)
+		a.Put(key, []byte("v1"))
+		a.Put(key, []byte("v2"))
+		a.Get(key, func(v []byte, found bool) { afterPuts, foundPut = v, found })
+		a.Delete(key)
+		a.Get(key, func(v []byte, found bool) { afterDelete, foundDelete = v, found })
+		if err := a.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if !foundPut || string(afterPuts) != "v2" || foundDelete {
+			t.Fatalf("run %d: the get after the puts saw %q (found %v), the get after the delete %q (found %v)",
+				run, afterPuts, foundPut, afterDelete, foundDelete)
+		}
 	}
 }
 

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tebis/internal/client"
 	"tebis/internal/kv"
 	"tebis/internal/lsm"
+	"tebis/internal/rdma"
 	"tebis/internal/replica"
+	"tebis/internal/wire"
 )
 
 // steadyCluster returns a client of a Send-Index cluster with the given
@@ -140,11 +143,14 @@ func TestRequestPathAllocCeilings(t *testing.T) {
 
 // TestRequestPathWireBytes counts what one round trip puts on the
 // server's NIC, with no backup so that nothing else crosses it. A
-// payload of at most wire.InlineMax bytes rides in its message's header
-// (DESIGN.md "Data path"), so a small put, a small get, and the status
-// that answers any put are 128 bytes each; a larger payload follows its
-// header, padded to at least 256. Byte counters, exact: a message that
-// stops going inline turns one of these red.
+// request payload of at most wire.InlineMax bytes rides in its 128-byte
+// header (DESIGN.md "Data path"), so a small put and a small get are 128
+// bytes each; a larger one follows its header, padded to 128-byte slots.
+// A reply is a 64-byte line, a payload of at most wire.ReplyInlineMax
+// bytes inside it — the status that answers any put, a small get's value
+// — and a larger one behind it, padded to 64-byte lines. Byte counters,
+// exact: a message that stops going inline, or a reply sent in the
+// request's shape, turns one of these red.
 func TestRequestPathWireBytes(t *testing.T) {
 	c, cl := steadyCluster(t, 0)
 	net := func(op func()) uint64 {
@@ -169,17 +175,18 @@ func TestRequestPathWireBytes(t *testing.T) {
 	}
 	// The benchmark's S pair: 33 bytes of key and value.
 	sKey, sVal := []byte("user000032"), bytes.Repeat([]byte("s"), 23)
-	mKey, mVal := []byte("user000064"), bytes.Repeat([]byte("m"), 100)
+	// And its M pair: 123 bytes.
+	mKey, mVal := []byte("user000064"), bytes.Repeat([]byte("m"), 113)
 	for _, tc := range []struct {
 		name string
 		op   func()
 		want uint64
 	}{
-		{"S put", put(sKey, sVal), 128 + 128},
-		{"S get", get(sKey, sVal), 128 + 128},
-		{"M put", put(mKey, mVal), 384 + 128},
-		{"M get", get(mKey, mVal), 128 + 384},
-		{"S put again", put(sKey, sVal), 128 + 128},
+		{"S put", put(sKey, sVal), 128 + 64},
+		{"S get", get(sKey, sVal), 128 + 64},
+		{"M put", put(mKey, mVal), 384 + 64},
+		{"M get", get(mKey, mVal), 128 + 192},
+		{"S put again", put(sKey, sVal), 128 + 64},
 	} {
 		if got := net(tc.op); got != tc.want {
 			t.Errorf("%s: %d bytes through the server's NIC, want %d", tc.name, got, tc.want)
@@ -220,6 +227,48 @@ func TestGetRestReadsTheRangeOnly(t *testing.T) {
 	// Two round trips, a record header each, and every value byte once.
 	if read := c.Totals().DeviceReadBytes - before; read < uint64(len(value)) || read > uint64(len(value))+2*8 {
 		t.Fatalf("a %d byte value fetched through a 1 KB slot read %d bytes from the device", len(value), read)
+	}
+}
+
+// TestGrownSlotHoldsALongerValue: a get that went partial grows the
+// client's slot estimate to the value and 192 bytes more — as much room
+// past the value as a slot had when a reply took a 128-byte header — so
+// a later get of a value up to 183 bytes longer (192 less the reply's
+// prefix) is whole, in one round trip. Get-rests counted on the server's
+// NIC.
+func TestGrownSlotHoldsALongerValue(t *testing.T) {
+	c, cl := steadyCluster(t, 0)
+	var rests atomic.Int64
+	for _, n := range c.Nodes {
+		n.Server.Endpoint().InjectFault(func(_ rdma.FaultOp, _, _ string, _ int, p []byte) rdma.Fault {
+			if h, err := wire.DecodeHeader(p); err == nil && h.Opcode == wire.OpGetRest {
+				rests.Add(1)
+			}
+			return rdma.Fault{}
+		})
+	}
+	for _, size := range []int{1000, 1500, 5000} {
+		short, long := []byte(fmt.Sprintf("short%d", size)), []byte(fmt.Sprintf("long%d", size))
+		if err := cl.Put(short, bytes.Repeat([]byte("s"), size)); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Put(long, bytes.Repeat([]byte("l"), size+192-wire.GetReplyPrefix)); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := c.NewClient() // its slot estimate is the 1 KB default
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, key := range [][]byte{short, long} {
+			before := rests.Load()
+			if _, found, err := fresh.Get(key); err != nil || !found {
+				t.Fatalf("Get %s: %v, %v", key, found, err)
+			}
+			if got, want := rests.Load()-before, int64(1-i); got != want {
+				t.Errorf("Get %s after a %d-byte value grew the slot: %d get-rests, want %d", key, size, got, want)
+			}
+		}
+		fresh.Close()
 	}
 }
 

@@ -385,18 +385,19 @@ func ackError(h wire.Header, op wire.Op, err error) []byte {
 	return buildAck(h, op, wire.FlagError, []byte(err.Error()))
 }
 
-// buildAck finishes the reply to h the way every sender does, so a
-// status byte or a short error text goes back as a header alone. An ack
-// outlives its request — it is cached for the primary's retry — so each
-// is built in a buffer of its own.
+// buildAck finishes the reply to h the way a server answers a client, in
+// the reply form, so a status byte or a short error text goes back as one
+// 64-byte line. An error text is cut to what the primary's ack buffer
+// holds (ackRecvSize). An ack outlives its request — it is cached for the
+// primary's retry — so each is built in a buffer of its own.
 func buildAck(h wire.Header, op wire.Op, flags uint8, payload []byte) []byte {
-	var mb wire.MsgBuf
-	return mb.Finish(wire.Header{
+	var rb wire.ReplyBuf
+	return rb.Finish(wire.Header{
 		Opcode:    op,
 		Flags:     flags,
 		RegionID:  h.RegionID,
 		RequestID: h.RequestID,
-	}, payload)
+	}, payload[:min(len(payload), wire.MaxPayload(ackRecvSize))])
 }
 
 // handleFlushTail persists the replicated log buffer as a local segment

@@ -148,7 +148,7 @@ func (h *backupHandle) nextAck(timeout time.Duration) (wire.Header, string, erro
 	if err != nil {
 		return wire.Header{}, "", err
 	}
-	ah, payload, err := wire.DecodeMessage(ack)
+	ah, payload, err := wire.DecodeReply(ack)
 	var text string
 	if err == nil && ah.Flags&wire.FlagError != 0 {
 		text = string(payload)
@@ -349,7 +349,8 @@ func (p *Primary) rpc(h *backupHandle, op wire.Op, payload []byte) error {
 	return p.rpcLocked(h, op, payload)
 }
 
-// ackRecvSize fits every ack: a status byte or a short error text.
+// ackRecvSize fits every ack: a reply whose status byte rides in its one
+// line, or an error text, which buildAck cuts to what this size holds.
 const ackRecvSize = 1024
 
 // RemoteError is a handler failure a backup reported in a FlagError

@@ -248,8 +248,8 @@ func (s *Server) detect(conn *clientConn, hdr []byte) (task, bool, error) {
 	if err != nil {
 		return task{}, false, err
 	}
-	if h.ReplySize < wire.HeaderSize {
-		return task{}, false, fmt.Errorf("server: request names a %d-byte reply slot, smaller than a header", h.ReplySize)
+	if h.ReplySize < wire.ReplyLine {
+		return task{}, false, fmt.Errorf("server: request names a %d-byte reply slot, smaller than a reply's line", h.ReplySize)
 	}
 	total := h.WireSize()
 	if conn.pos+total > conn.reqBuf.Size() {
@@ -377,7 +377,7 @@ func replyOp(op wire.Op) wire.Op {
 // shed refuses one task under admission-control overload: the client
 // gets FlagError|FlagOverload — nothing was applied — and backs off
 // before retrying, so an acked write is still always an applied write.
-func (s *Server) shed(t task, mb *wire.MsgBuf) {
+func (s *Server) shed(t task, mb *wire.ReplyBuf) {
 	s.sendReply(mb, t, replyOp(t.hdr.Opcode), wire.FlagError|wire.FlagOverload, shedText)
 	s.recycle(t)
 }
@@ -390,12 +390,14 @@ var (
 )
 
 // sendReply finishes the reply to t in mb, around payload, and
-// RDMA-writes it into the client's reply slot. The write is unsignaled:
+// RDMA-writes it into the client's reply slot: a 64-byte line carrying
+// the header fields a reply is read by, with a payload of up to
+// wire.ReplyInlineMax bytes inside it. The write is unsignaled:
 // nothing waits on a reply having landed, and a reply lost on the wire is
 // the client's to time out, not a completion this thread would wait for
 // forever. The caller has made the reply fit the slot; an inline one (a
 // shed, a status) fits every slot detect lets in.
-func (s *Server) sendReply(mb *wire.MsgBuf, t task, op wire.Op, flags uint8, payload []byte) {
+func (s *Server) sendReply(mb *wire.ReplyBuf, t task, op wire.Op, flags uint8, payload []byte) {
 	msg := mb.Finish(wire.Header{
 		Opcode:    op,
 		Flags:     flags,

@@ -160,7 +160,7 @@ func TestQueuedAndFrozenOpsGoToWorkers(t *testing.T) {
 	}
 	b.sendGet(2, 512, []byte("y")) // must queue behind it, not overtake it
 	time.Sleep(20 * time.Millisecond)
-	if ok, _ := b.replyBuf.ReadIfWord(512, make([]byte, wire.HeaderSize), wire.Magic); ok {
+	if ok, _ := b.replyBuf.ReadIfWord(512, make([]byte, wire.ReplyLine), wire.ReplyMagic); ok {
 		t.Fatal("a task overtook one waiting in a worker queue")
 	}
 	if err := s.Unfreeze(frozen, region.Lease{Region: 1, Holder: "s0"}); err != nil {

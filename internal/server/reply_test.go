@@ -59,14 +59,14 @@ func (c *rawClient) send(h wire.Header, payload []byte) {
 	}
 }
 
-// await polls the reply slot at off until a message lands there, takes
-// it, and returns it with how many bytes the server wrote.
+// await polls the reply slot at off until a reply lands there, takes
+// it, and returns its header and payload.
 func (c *rawClient) await(off int) (wire.Header, []byte) {
 	c.t.Helper()
-	hdr := make([]byte, wire.HeaderSize)
+	line := make([]byte, wire.ReplyLine)
 	deadline := time.Now().Add(5 * time.Second)
 	for tries := 0; ; tries++ {
-		if ok, err := c.replyBuf.ReadIfWord(off, hdr, wire.Magic); err != nil {
+		if ok, err := c.replyBuf.ReadIfWord(off, line, wire.ReplyMagic); err != nil {
 			c.t.Fatal(err)
 		} else if ok {
 			break
@@ -80,15 +80,15 @@ func (c *rawClient) await(off int) (wire.Header, []byte) {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-	h, err := wire.DecodeHeader(hdr)
+	h, err := wire.DecodeReplyHeader(line)
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	msg := make([]byte, h.WireSize())
+	msg := make([]byte, h.ReplyWireSize())
 	if err := c.replyBuf.ReadAt(off, msg); err != nil {
 		c.t.Fatal(err)
 	}
-	_, payload, err := wire.DecodeMessage(msg)
+	_, payload, err := wire.DecodeReply(msg)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -101,8 +101,8 @@ func (c *rawClient) await(off int) (wire.Header, []byte) {
 // TestReplyThatOutgrowsItsSlot: an error reply too long for the client's
 // slot keeps its routing flags — a client told only "error" would not
 // refresh its map or back off — and as much of its text as the slot
-// holds; any slot of at least a header holds some, inline. A result
-// that outgrows the slot still becomes the overflow error.
+// holds; any slot of at least a reply's line holds some, inline. A
+// result that outgrows the slot still becomes the overflow error.
 func TestReplyThatOutgrowsItsSlot(t *testing.T) {
 	s, _ := newTestServer(t, "s0")
 	c := newRawClient(t, s)
@@ -116,13 +116,13 @@ func TestReplyThatOutgrowsItsSlot(t *testing.T) {
 		wantFlags uint8
 		want      []byte
 	}{
-		{"wrong epoch into a header-sized slot", wire.HeaderSize,
+		{"wrong epoch into a put's slot", wire.ReplyMessageSize(wire.StatusReply{}.Size()),
 			wire.FlagError | wire.FlagWrongRegion | wire.FlagWrongEpoch, text,
-			wire.FlagError | wire.FlagWrongRegion | wire.FlagWrongEpoch | wire.FlagInline, text[:wire.InlineMax]},
-		{"overload into a put's slot", wire.MessageSize(1),
+			wire.FlagError | wire.FlagWrongRegion | wire.FlagWrongEpoch | wire.FlagInline, text[:wire.ReplyInlineMax]},
+		{"overload into a two-line slot", 2 * wire.ReplyLine,
 			wire.FlagError | wire.FlagOverload, text,
-			wire.FlagError | wire.FlagOverload, text[:wire.MaxPayload(wire.MessageSize(1))]},
-		{"a result into a header-sized slot", wire.HeaderSize,
+			wire.FlagError | wire.FlagOverload, text[:wire.MaxPayload(2*wire.ReplyLine)]},
+		{"a result into a line-sized slot", wire.ReplyLine,
 			0, bytes.Repeat([]byte("v"), 500),
 			wire.FlagError | wire.FlagInline, replyOverflowText},
 		{"an error that fits", 1024,
@@ -135,8 +135,8 @@ func TestReplyThatOutgrowsItsSlot(t *testing.T) {
 		if h.Opcode != wire.OpGetReply || h.RequestID != 7 || h.Flags != tc.wantFlags || !bytes.Equal(got, tc.want) {
 			t.Errorf("%s: flags %#x and %d payload bytes %q, want %#x and %d", tc.name, h.Flags, len(got), got, tc.wantFlags, len(tc.want))
 		}
-		if h.WireSize() > tc.slot {
-			t.Errorf("%s: a %d-byte reply into a %d-byte slot", tc.name, h.WireSize(), tc.slot)
+		if h.ReplyWireSize() > tc.slot {
+			t.Errorf("%s: a %d-byte reply into a %d-byte slot", tc.name, h.ReplyWireSize(), tc.slot)
 		}
 	}
 }
@@ -171,9 +171,9 @@ func TestADroppedReplyWedgesNoOne(t *testing.T) {
 		t.Fatal("the server never answered a's get")
 	}
 	b.sendGet(1, 0, []byte("b"))
-	hdr := make([]byte, wire.HeaderSize)
+	line := make([]byte, wire.ReplyLine)
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		if ok, err := b.replyBuf.ReadIfWord(0, hdr, wire.Magic); err != nil {
+		if ok, err := b.replyBuf.ReadIfWord(0, line, wire.ReplyMagic); err != nil {
 			t.Fatal(err)
 		} else if ok {
 			break
@@ -188,10 +188,10 @@ func TestADroppedReplyWedgesNoOne(t *testing.T) {
 }
 
 // TestRequestNamingNoReplySlotDropsTheConnection: a reply is at least a
-// header, so a request whose reply slot is smaller cannot be answered
-// without writing past it; the spinning thread treats it like any other
-// malformed message and closes the connection. A header-sized slot is
-// enough and is served.
+// 64-byte line, so a request whose reply slot is smaller cannot be
+// answered without writing past it; the spinning thread treats it like
+// any other malformed message and closes the connection. A line-sized
+// slot is enough and is served.
 func TestRequestNamingNoReplySlotDropsTheConnection(t *testing.T) {
 	s, _ := newTestServer(t, "s0")
 	if _, err := s.OpenPrimary(wholeKeyspace("s0"), replica.NoReplication); err != nil {
@@ -211,13 +211,13 @@ func TestRequestNamingNoReplySlotDropsTheConnection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	send(0, wire.HeaderSize)
+	send(0, wire.ReplyLine)
 	if h, payload := c.await(0); h.Flags&wire.FlagError != 0 || !h.Inline() {
-		t.Fatalf("get into a header-sized slot: flags %#x, %q", h.Flags, payload)
+		t.Fatalf("get into a line-sized slot: flags %#x, %q", h.Flags, payload)
 	} else if rep, err := wire.DecodeGetReply(payload); err != nil || rep.Found {
 		t.Fatalf("get of a missing key = %+v, %v", rep, err)
 	}
-	send(wire.HeaderSize, wire.HeaderSize-1)
+	send(wire.HeaderSize, wire.ReplyLine-1)
 	for deadline := time.Now().Add(5 * time.Second); !c.conn.closed.Load(); time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the connection stayed open")

@@ -27,11 +27,11 @@ type worker struct {
 	served int
 
 	// Per-worker scratch, reused from op to op: the reply payload is
-	// built straight in msg, behind its header slot — the engine appends
+	// built straight in msg, behind its line — the engine appends
 	// a get's value and a scan's pairs there as it reads them from the
 	// log — and the message finished around it. Nothing here outlives
 	// the op's reply write.
-	msg wire.MsgBuf
+	msg wire.ReplyBuf
 	// stats is the addressed region's sink, set by acquire for the op in
 	// progress (nil when the op never resolved a hosted region).
 	stats *regionStats
@@ -198,17 +198,17 @@ func (w *worker) doPut(t task, del bool, rt *obs.ReqTrace) (wire.Op, uint8, []by
 }
 
 // getReplyBudget returns how many value bytes fit in the client's reply
-// slot for a get.
+// slot for a get: the largest reply payload the slot holds, less the
+// GetReply prefix.
 func getReplyBudget(h wire.Header) int {
-	// Reply slot holds header + encoded GetReply (prefix + value),
-	// padded. Leave the padding headroom out.
-	overhead := wire.HeaderSize + wire.GetReplyPrefix + 4 // + trailer magic
-	budget := int(h.ReplySize) - overhead
-	if budget < 0 {
-		budget = 0
-	}
-	return budget
+	return max(wire.MaxPayload(int(h.ReplySize))-wire.GetReplyPrefix, 0)
 }
+
+// scanReserve is what a scan's byte budget leaves of its reply slot: the
+// reply's line, its pair count, its padding and its trailer fit in it
+// with room to spare. A 4 KB slot's budget is 3904 bytes of pairs, so the
+// pairs a scan returns do not depend on the reply's shape.
+const scanReserve = 192
 
 func (w *worker) doGet(t task) (wire.Op, uint8, []byte) {
 	req, err := wire.DecodeGetReq(t.payload())
@@ -266,7 +266,7 @@ func (w *worker) doScan(t task) (wire.Op, uint8, []byte) {
 	}
 	defer ref.release()
 	end := ref.end
-	budget := int(t.hdr.ReplySize) - wire.HeaderSize - 64
+	budget := int(t.hdr.ReplySize) - scanReserve
 	// Each pair goes into the reply as the scan hands it over — it is
 	// the scan's to overwrite once fn returns — and the count is filled
 	// in at the end. The engine stops at the request's count, the reply's
@@ -299,9 +299,9 @@ func (w *worker) doScan(t task) (wire.Op, uint8, []byte) {
 // reply RDMA-writes the response into the client's reply slot. A result
 // that outgrew the slot becomes an error; an error keeps its flags — the
 // client acts on them (refresh the map, back off) — and as much of its
-// text as the slot holds, which is at least what rides in a header.
+// text as the slot holds, which is at least what rides in a reply's line.
 func (w *worker) reply(t task, op wire.Op, flags uint8, payload []byte) {
-	if slot := int(t.hdr.ReplySize); wire.SentSize(len(payload)) > slot {
+	if slot := int(t.hdr.ReplySize); wire.ReplyMessageSize(len(payload)) > slot {
 		if flags&wire.FlagError == 0 {
 			flags, payload = wire.FlagError, replyOverflowText
 		}

@@ -6,12 +6,13 @@ import (
 )
 
 // oldIndexSegmentEncode reproduces the pre-codec IndexSegment payload:
-// it stops after DataLen (no Codec trailer).
-func oldIndexSegmentEncode(r IndexSegment) []byte {
+// it stops after DataLen (no Codec trailer). kind is the byte behind the
+// level, which older primaries filled in and decoders now skip.
+func oldIndexSegmentEncode(r IndexSegment, kind byte) []byte {
 	var dst []byte
 	dst = appendU32(dst, uint32(r.RegionID))
 	dst = appendU64(dst, r.JobID)
-	dst = append(dst, r.DstLevel, r.Kind)
+	dst = append(dst, r.DstLevel, kind)
 	dst = appendU32(dst, r.PrimarySeg)
 	return appendU32(dst, r.DataLen)
 }
@@ -22,26 +23,29 @@ func oldIndexSegmentEncode(r IndexSegment) []byte {
 // with Codec 0 — raw, uncompressed bytes, the legacy behavior — and
 // new-format payloads differ from old ones only in trailing bytes an
 // old decoder never read. The 27-byte payload of the page-delta era (a
-// delta base behind the codec byte) decodes too, its base ignored.
+// delta base behind the codec byte) decodes too, its base ignored. The
+// reserved byte behind the level is written as 0 and skipped on decode,
+// so a payload whose older primary set it decodes the same.
 func TestShipCodecFrameCompat(t *testing.T) {
 	seg := IndexSegment{
 		RegionID:   3,
 		JobID:      77,
 		DstLevel:   2,
-		Kind:       1,
 		PrimarySeg: 12,
 		DataLen:    65536,
 	}
 
 	// Backward: an old (pre-codec) payload decodes with Codec 0 and
-	// every other field intact.
-	old := oldIndexSegmentEncode(seg)
-	got, err := DecodeIndexSegment(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != seg {
-		t.Fatalf("old payload decode = %+v, want %+v", got, seg)
+	// every other field intact, whatever its reserved byte holds.
+	old := oldIndexSegmentEncode(seg, 0)
+	for _, kind := range []byte{0, 1} {
+		got, err := DecodeIndexSegment(oldIndexSegmentEncode(seg, kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != seg {
+			t.Fatalf("old payload with reserved byte %d decodes to %+v, want %+v", kind, got, seg)
+		}
 	}
 
 	// Forward: a new payload is the old payload plus trailing bytes an
@@ -52,7 +56,7 @@ func TestShipCodecFrameCompat(t *testing.T) {
 	if !bytes.Equal(enc[:len(old)], old) {
 		t.Fatalf("new payload prefix differs from old encoding")
 	}
-	got, err = DecodeIndexSegment(enc)
+	got, err := DecodeIndexSegment(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +65,7 @@ func TestShipCodecFrameCompat(t *testing.T) {
 	}
 
 	// The page-delta era's payload: the codec byte, then a u32 base.
-	deltaEra := appendU32(append(old, 1), 9)
+	deltaEra := appendU32(append(oldIndexSegmentEncode(seg, 1), 1), 9)
 	if len(deltaEra) != 27 {
 		t.Fatalf("delta-era payload is %d bytes, want 27", len(deltaEra))
 	}

@@ -12,18 +12,22 @@ import (
 // FuzzDecodeMessage: the spinning thread, the client and the backups
 // decode registered memory a peer wrote, in place — the payload slices
 // they get back point into that memory and live as long as the request.
-// So on arbitrary bytes no decoder may panic, and none may return a
-// slice that runs past the end of its input (a length it trusted).
+// So on arbitrary bytes no decoder of either form may panic, and none may
+// return a slice that runs past the end of its input (a length it
+// trusted). Every input is decoded as a request and as a reply.
 //
 // The corpus starts from the golden and compat fixtures: frames as the
 // pre-TraceID, pre-SentAt and pre-tenant encoders wrote them, the
 // reserved opcodes 21, 22 and 25 to 30, and the payloads whose
 // ship-codec fields ride at the end (with and without them) — and the
-// inline shape at its edges: one payload byte, exactly InlineMax, a
-// header flagged inline that claims a byte more, and an inline message
-// with a longer one's stale trailer behind it — the resync's sync-tail
-// message with its ack, and a move's CompactionDone, its flag in the
-// level byte.
+// inline shape of a request at its edges: one payload byte, exactly
+// InlineMax, a header flagged inline that claims a byte more, and an
+// inline message with a longer one's stale trailer behind it — the
+// resync's sync-tail message, and a move's CompactionDone, its flag in
+// the level byte. Replies and acks are in the reply form, at its edges
+// too: no payload, one byte, exactly ReplyInlineMax and a byte more, a
+// line flagged inline that claims ReplyInlineMax+1, and an inline reply
+// over a longer one's stale trailer.
 func FuzzDecodeMessage(f *testing.F) {
 	msg := func(h Header, payload []byte) []byte {
 		buf := make([]byte, MessageSize(len(payload)))
@@ -31,6 +35,10 @@ func FuzzDecodeMessage(f *testing.F) {
 			f.Fatal(err)
 		}
 		return buf
+	}
+	reply := func(h Header, payload []byte) []byte {
+		var rb ReplyBuf
+		return append([]byte(nil), rb.Finish(h, payload)...)
 	}
 	full := Header{Opcode: OpPut, Flags: FlagPartial, RegionID: 11, RequestID: 0xfeedface,
 		ReplyOffset: 2048, ReplySize: 1024, TraceID: 0xabcdef, Epoch: 9, Tenant: 3, Priority: 1, SentAt: 1 << 40}
@@ -51,16 +59,16 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(msg(Header{Opcode: OpGet}, GetReq{Key: []byte("k")}.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpGetRest}, GetRestReq{Key: []byte("k"), Offset: 900}.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpScan}, ScanReq{Start: []byte("k"), Count: 16}.Encode(nil)))
-	f.Add(msg(Header{Opcode: OpGetReply, Flags: FlagPartial}, GetReply{Found: true, TotalSize: 4096, Value: []byte("chunk")}.Encode(nil)))
-	f.Add(msg(Header{Opcode: OpScanReply}, ScanReply{Pairs: []kv.Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b")}}}.Encode(nil)))
+	f.Add(reply(Header{Opcode: OpGetReply, Flags: FlagPartial}, GetReply{Found: true, TotalSize: 4096, Value: []byte("chunk")}.Encode(nil)))
+	f.Add(reply(Header{Opcode: OpScanReply}, ScanReply{Pairs: []kv.Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b")}}}.Encode(nil)))
 	gets, scans := replyCases() // every shape a worker builds in place
 	for _, r := range gets {
-		f.Add(msg(Header{Opcode: OpGetReply}, r.Encode(nil)))
+		f.Add(reply(Header{Opcode: OpGetReply}, r.Encode(nil)))
 	}
 	for _, r := range scans {
-		f.Add(msg(Header{Opcode: OpScanReply}, r.Encode(nil)))
+		f.Add(reply(Header{Opcode: OpScanReply}, r.Encode(nil)))
 	}
-	f.Add(msg(Header{Opcode: OpPutReply, Flags: FlagError | FlagWrongRegion | FlagWrongEpoch}, []byte("server: region epoch mismatch")))
+	f.Add(reply(Header{Opcode: OpPutReply, Flags: FlagError | FlagWrongRegion | FlagWrongEpoch}, []byte("server: region epoch mismatch")))
 	f.Add(msg(Header{Opcode: OpFlushTail}, FlushTail{RegionID: 3, PrimarySeg: 12}.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpCompactionStart}, CompactionStart{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2}.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpCompactionDone}, CompactionDone{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2, Root: 1 << 33, NumKeys: 5, Watermark: 99}.Encode(nil)))
@@ -68,7 +76,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(msg(Header{Opcode: OpGCRelease}, GCRelease{RegionID: 7, Segs: []uint32{3, 1 << 20, 9}}.Encode(nil)))
 	// Append-at-payload-end fields, present and — as older peers wrote
 	// them — absent.
-	seg := IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, Kind: 1, PrimarySeg: 12, DataLen: 65536, Codec: 1}
+	seg := IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, PrimarySeg: 12, DataLen: 65536, Codec: 1}
 	f.Add(msg(Header{Opcode: OpIndexSegment}, seg.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpIndexSegment}, seg.Encode(nil)[:seg.Size()-1]))
 	f.Add(msg(Header{Opcode: OpIndexSegment}, append(seg.Encode(nil), 9, 0, 0, 0))) // an older primary's delta base behind the codec byte
@@ -82,15 +90,24 @@ func FuzzDecodeMessage(f *testing.F) {
 		return mb.Finish(h, payload)
 	}
 	f.Add(inline(full, put))
-	f.Add(inline(Header{Opcode: OpPutReply, RequestID: 4}, StatusReply{}.Encode(nil))) // one byte
-	f.Add(inline(Header{Opcode: OpGetReply}, make([]byte, InlineMax)))
-	over := inline(Header{Opcode: OpGetReply}, make([]byte, InlineMax))
+	f.Add(reply(Header{Opcode: OpPutReply, RequestID: 4}, StatusReply{}.Encode(nil))) // one byte
+	f.Add(inline(Header{Opcode: OpPut}, make([]byte, InlineMax)))
+	over := inline(Header{Opcode: OpPut}, make([]byte, InlineMax))
 	over[0]++ // flagged inline, claims InlineMax+1
 	f.Add(over)
 	f.Add(append(inline(full, put), msg(full, make([]byte, 200))[HeaderSize:]...)) // a stale trailer behind it
 	// The resync's tail message and a backup's inline error ack to it.
 	f.Add(msg(Header{Opcode: OpSyncTail, RegionID: 3}, FlushTail{RegionID: 3, PrimarySeg: 12}.Encode(nil)))
-	f.Add(inline(Header{Opcode: OpSyncTailAck, Flags: FlagError, RegionID: 3}, []byte("tail segment 12 is not mapped")))
+	f.Add(reply(Header{Opcode: OpSyncTailAck, Flags: FlagError, RegionID: 3}, []byte("tail segment 12 is not mapped")))
+	// The reply form's edges.
+	f.Add(reply(Header{Opcode: OpNoopReply, RequestID: 5}, nil))
+	f.Add(reply(Header{Opcode: OpGetReply}, make([]byte, ReplyInlineMax)))
+	f.Add(reply(Header{Opcode: OpGetReply}, make([]byte, ReplyInlineMax+1)))
+	overLine := reply(Header{Opcode: OpGetReply}, make([]byte, ReplyInlineMax))
+	overLine[0]++ // flagged inline, claims ReplyInlineMax+1
+	f.Add(overLine)
+	f.Add(append(reply(Header{Opcode: OpFlushTailAck, RequestID: 6}, StatusReply{}.Encode(nil)),
+		reply(Header{Opcode: OpGetReply}, make([]byte, 200))[ReplyLine:]...)) // a stale trailer behind it
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The input sits in front of spare capacity, as a message sits in
@@ -149,49 +166,67 @@ func FuzzDecodeMessage(f *testing.F) {
 			}
 		}
 
-		// A header is there once its rendezvous word is, and decodes
-		// unless it names no opcode or, flagged inline, claims more
-		// payload than a header holds.
-		h, herr := DecodeHeader(in)
-		headerArrived := len(in) >= HeaderSize && binary.LittleEndian.Uint32(in[HeaderSize-4:]) == Magic
-		wellFormed := headerArrived && Op(in[4]) != OpInvalid &&
-			(in[5]&FlagInline == 0 || binary.LittleEndian.Uint32(in[0:4]) <= InlineMax)
-		if (herr == nil) != wellFormed {
-			t.Fatalf("DecodeHeader err %v, header arrived %v and well-formed %v", herr, headerArrived, wellFormed)
-		}
-		mh, payload, merr := DecodeMessage(in)
-		switch {
-		case herr != nil:
+		// Each form's header is there once its rendezvous word is, and
+		// decodes unless it names no opcode or, flagged inline, claims
+		// more payload than its header holds.
+		check := func(fm shape, h Header, herr error, mh Header, payload []byte, merr error) {
+			t.Helper()
+			headerArrived := len(in) >= fm.unit && binary.LittleEndian.Uint32(in[fm.unit-4:]) == fm.magic
+			wellFormed := headerArrived && Op(in[4]) != OpInvalid &&
+				(in[5]&FlagInline == 0 || binary.LittleEndian.Uint32(in[0:4]) <= uint32(fm.unit-4-fm.fields))
+			if (herr == nil) != wellFormed {
+				t.Fatalf("%s: header err %v, header arrived %v and well-formed %v", fm.name, herr, headerArrived, wellFormed)
+			}
+			switch {
+			case herr != nil:
+				if merr == nil {
+					t.Fatalf("%s: decoded a message whose header is %v", fm.name, herr)
+				}
+			case h.Inline():
+				// The header's word is the whole arrival test: the message
+				// decodes whatever follows, out of the header alone.
+				if merr != nil || fm.wireSize(h) != fm.unit {
+					t.Fatalf("%s: inline message: decode %v, wire size %d", fm.name, merr, fm.wireSize(h))
+				}
+				if len(payload) > 0 && &payload[0] != &in[fm.fields] {
+					t.Fatalf("%s: inline message: %d payload bytes, not in the header's reserved bytes", fm.name, len(payload))
+				}
+			default:
+				// Out of line, the second rendezvous at the size the
+				// header claims decides.
+				end := fm.wireSize(h)
+				arrived := h.PayloadSize == 0 || len(in) >= end && binary.LittleEndian.Uint32(in[end-4:]) == fm.magic
+				if (merr == nil) != arrived {
+					t.Fatalf("%s: decode err %v, trailer arrived %v", fm.name, merr, arrived)
+				}
+			}
 			if merr == nil {
-				t.Fatalf("DecodeMessage took a message whose header is %v", herr)
-			}
-		case h.Inline():
-			// The header's word is the whole arrival test: the message
-			// decodes whatever follows, out of the header alone.
-			if merr != nil || h.WireSize() != HeaderSize {
-				t.Fatalf("inline message: DecodeMessage %v, WireSize %d", merr, h.WireSize())
-			}
-			if len(payload) > 0 && (len(payload) > InlineMax || &payload[0] != &in[headerFields]) {
-				t.Fatalf("inline message: %d payload bytes, not in the header's reserved bytes", len(payload))
-			}
-		default:
-			// Out of line, the poller's second rendezvous at the size the
-			// header claims decides.
-			arrived := PayloadArrived(in, int(h.PayloadSize))
-			if arrived && len(in) < MessageSize(int(h.PayloadSize)) {
-				t.Fatalf("PayloadArrived for %d payload bytes in a %d-byte input", h.PayloadSize, len(in))
-			}
-			if (merr == nil) != arrived {
-				t.Fatalf("DecodeMessage err %v, PayloadArrived %v", merr, arrived)
+				if mh != h || len(payload) != int(h.PayloadSize) {
+					t.Fatalf("%s: decoded header %+v / %d payload bytes, header alone %+v", fm.name, mh, len(payload), h)
+				}
+				inside(fm.name+" payload", payload)
+				payloads(payload)
 			}
 		}
-		if merr == nil {
-			if mh != h || len(payload) != int(h.PayloadSize) {
-				t.Fatalf("DecodeMessage header %+v / %d payload bytes, DecodeHeader %+v", mh, len(payload), h)
-			}
-			inside("message payload", payload)
-			payloads(payload)
+		h, herr := DecodeHeader(in)
+		mh, payload, merr := DecodeMessage(in)
+		check(shape{"request", HeaderSize, headerFields, Magic, Header.WireSize}, h, herr, mh, payload, merr)
+		if herr == nil && !h.Inline() && PayloadArrived(in, int(h.PayloadSize)) != (merr == nil) {
+			t.Fatalf("PayloadArrived for %d payload bytes in a %d-byte input, DecodeMessage %v", h.PayloadSize, len(in), merr)
 		}
+		h, herr = DecodeReplyHeader(in)
+		mh, payload, merr = DecodeReply(in)
+		check(shape{"reply", ReplyLine, replyFields, ReplyMagic, Header.ReplyWireSize}, h, herr, mh, payload, merr)
 		payloads(in)
 	})
+}
+
+// shape is what FuzzDecodeMessage knows of a form from the format: its
+// header size, field bytes and word, and the size a header says its
+// message is.
+type shape struct {
+	name         string
+	unit, fields int
+	magic        uint32
+	wireSize     func(Header) int
 }

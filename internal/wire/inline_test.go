@@ -91,23 +91,24 @@ func TestMessageShapesByPayloadLength(t *testing.T) {
 	}
 }
 
-// TestMaxPayloadIsTheLargestThatFits: for every slot size from one
-// header up, a payload of MaxPayload bytes is sent in a message the slot
+// TestMaxPayloadIsTheLargestThatFits: for every reply slot size from one
+// line up, a payload of MaxPayload bytes is sent in a reply the slot
 // holds and one byte more is not.
 func TestMaxPayloadIsTheLargestThatFits(t *testing.T) {
-	for size := HeaderSize; size <= 16*HeaderSize; size++ {
+	for size := ReplyLine; size <= 16*ReplyLine; size++ {
 		n := MaxPayload(size)
-		if SentSize(n) > size || SentSize(n+1) <= size {
-			t.Fatalf("MaxPayload(%d) = %d: messages of %d and %d bytes", size, n, SentSize(n), SentSize(n+1))
+		if ReplyMessageSize(n) > size || ReplyMessageSize(n+1) <= size {
+			t.Fatalf("MaxPayload(%d) = %d: replies of %d and %d bytes", size, n, ReplyMessageSize(n), ReplyMessageSize(n+1))
 		}
 	}
 }
 
 // TestInlineHeaderClaimingTooMuchIsMalformed: an inline header whose
-// PayloadSize exceeds what a header holds is ErrBadHeader — for
-// DecodeHeader and DecodeMessage alike — and a well-formed inline
-// message decodes out of exactly HeaderSize bytes: nothing behind the
-// header is wanted, so nothing behind it is read.
+// PayloadSize exceeds what its header holds is ErrBadHeader — for the
+// header and the message decoder of either form — and a well-formed
+// inline message decodes out of exactly its header's bytes: nothing
+// behind the header is wanted, so nothing behind it is read, not even
+// the trailer an older and longer message of its form left there.
 func TestInlineHeaderClaimingTooMuchIsMalformed(t *testing.T) {
 	for _, n := range []uint32{InlineMax + 1, HeaderSize, 1 << 31} {
 		buf := make([]byte, HeaderSize, MessageSize(HeaderSize))
@@ -121,31 +122,55 @@ func TestInlineHeaderClaimingTooMuchIsMalformed(t *testing.T) {
 			t.Fatalf("DecodeMessage of an inline header with %d payload bytes: %v", n, err)
 		}
 	}
+	for _, n := range []uint32{ReplyInlineMax + 1, ReplyLine, 1 << 31} {
+		line := replyReference(Header{Opcode: OpGetReply}, nil)
+		line[0], line[1], line[2], line[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
+		line[5] |= FlagInline
+		if _, err := DecodeReplyHeader(line); !errors.Is(err, ErrBadHeader) {
+			t.Fatalf("DecodeReplyHeader of an inline line with %d payload bytes: %v", n, err)
+		}
+		if _, _, err := DecodeReply(line); !errors.Is(err, ErrBadHeader) {
+			t.Fatalf("DecodeReply of an inline line with %d payload bytes: %v", n, err)
+		}
+	}
+
 	var mb MsgBuf
 	text := bytes.Repeat([]byte("x"), InlineMax)
-	msg := mb.Finish(Header{Opcode: OpGetReply}, text)
+	msg := mb.Finish(Header{Opcode: OpPut}, text)
 	exact := append(make([]byte, 0, HeaderSize), msg...)
 	if _, p, err := DecodeMessage(exact); err != nil || !bytes.Equal(p, text) {
-		t.Fatalf("an inline message alone in its buffer: %d bytes, %v", len(p), err)
+		t.Fatalf("an inline request alone in its buffer: %d bytes, %v", len(p), err)
 	}
-	// Behind it, an older and longer message's trailer: no part of it.
 	stale := make([]byte, MessageSize(200))
 	if _, err := EncodeMessage(stale, Header{Opcode: OpPut}, bytes.Repeat([]byte("y"), 200)); err != nil {
 		t.Fatal(err)
 	}
 	copy(stale, msg)
 	if _, p, err := DecodeMessage(stale); err != nil || !bytes.Equal(p, text) {
-		t.Fatalf("an inline message over a stale longer one: %d bytes, %v", len(p), err)
+		t.Fatalf("an inline request over a stale longer one: %d bytes, %v", len(p), err)
+	}
+
+	var rb ReplyBuf
+	text = text[:ReplyInlineMax]
+	reply := rb.Finish(Header{Opcode: OpGetReply}, text)
+	exact = append(make([]byte, 0, ReplyLine), reply...)
+	if _, p, err := DecodeReply(exact); err != nil || !bytes.Equal(p, text) {
+		t.Fatalf("an inline reply alone in its buffer: %d bytes, %v", len(p), err)
+	}
+	stale = replyReference(Header{Opcode: OpGetReply}, bytes.Repeat([]byte("y"), 200))
+	copy(stale, reply)
+	if _, p, err := DecodeReply(stale); err != nil || !bytes.Equal(p, text) {
+		t.Fatalf("an inline reply over a stale longer one: %d bytes, %v", len(p), err)
 	}
 }
 
-// TestInlineFrameCompat pins the compatibility argument for the inline
-// shape (mirroring TestTraceIDFrameCompat). Backward: a frame as every
-// encoder before it wrote a small payload — out of line, reserved bytes
-// zero, FlagInline clear — decodes as it always did. Forward: the inline
-// frame differs from that frame's header only in the flag bit and in
-// bytes that were reserved-as-zero, and a decoder that knows the flag
-// finds the same payload in both.
+// TestInlineFrameCompat pins the argument for the inline shape of a
+// request (mirroring TestTraceIDFrameCompat): a small payload sent out of
+// line — reserved bytes zero, FlagInline clear, one header slot and one
+// payload slot since payloads have no minimum size — decodes, and the
+// inline frame differs from that frame's header only in the flag bit and
+// in bytes that are reserved-as-zero there, so a decoder finds the same
+// payload in both.
 func TestInlineFrameCompat(t *testing.T) {
 	h := Header{Opcode: OpPut, RegionID: 11, RequestID: 0xfeedface, ReplyOffset: 2048, ReplySize: 384, Epoch: 9}
 	put := PutReq{Key: []byte("user000042"), Value: []byte("value-bytes")}.Encode(nil)
@@ -154,7 +179,7 @@ func TestInlineFrameCompat(t *testing.T) {
 	if _, err := EncodeMessage(old, h, put); err != nil {
 		t.Fatal(err)
 	}
-	if len(old) != HeaderSize+MinPayload || old[5]&FlagInline != 0 || !bytes.Equal(old[headerFields:HeaderSize-4], make([]byte, InlineMax)) {
+	if len(old) != 2*HeaderSize || old[5]&FlagInline != 0 || !bytes.Equal(old[headerFields:HeaderSize-4], make([]byte, InlineMax)) {
 		t.Fatalf("the out-of-line frame changed: %d bytes, flags %#x", len(old), old[5])
 	}
 	oh, op, err := DecodeMessage(old)

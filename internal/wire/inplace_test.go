@@ -24,7 +24,7 @@ func everyPayload() map[string]sizedPayload {
 		"StatusReply":     StatusReply{Status: 1},
 		"FlushTail":       FlushTail{RegionID: 3, PrimarySeg: 12},
 		"CompactionStart": CompactionStart{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2},
-		"IndexSegment":    IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, Kind: 1, PrimarySeg: 12, DataLen: 65536, Codec: 1},
+		"IndexSegment":    IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, PrimarySeg: 12, DataLen: 65536, Codec: 1},
 		"GCRelease":       GCRelease{RegionID: 7, Segs: []uint32{3, 1 << 20, 9}},
 		"CompactionDone":  CompactionDone{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2, Root: 1 << 33, NumKeys: 5, Watermark: 99},
 	}
@@ -123,11 +123,11 @@ func replyCases() (gets map[string]GetReply, scans map[string]ScanReply) {
 // behind a blank count, are — once finished — the bytes the format
 // says, written out here field by field, and the bytes Encode gives;
 // they decode to what went in; and over a buffer an earlier, longer
-// reply left dirty, building them allocates nothing.
+// reply left dirty, building them in a ReplyBuf allocates nothing.
 func TestRepliesBuiltInPlace(t *testing.T) {
 	le32 := func(dst []byte, v int) []byte { return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
-	var mb MsgBuf
-	mb.Finish(Header{Opcode: OpPut}, bytes.Repeat([]byte{0xAB}, 4000))
+	var mb ReplyBuf
+	mb.Finish(Header{Opcode: OpGetReply}, bytes.Repeat([]byte{0xAB}, 4000))
 	gets, scans := replyCases()
 
 	for name, r := range gets {
@@ -147,7 +147,7 @@ func TestRepliesBuiltInPlace(t *testing.T) {
 		if !bytes.Equal(got, want) || !bytes.Equal(r.Encode(nil), want) {
 			t.Fatalf("get %s: built in place %x, Encode %x, the format %x", name, got, r.Encode(nil), want)
 		}
-		if msg := mb.Finish(Header{Opcode: OpGetReply}, got); len(msg) > HeaderSize && &got[0] != &msg[HeaderSize] {
+		if msg := mb.Finish(Header{Opcode: OpGetReply}, got); len(msg) > ReplyLine && &got[0] != &msg[ReplyLine] {
 			t.Fatalf("get %s: the reply was not built in the message", name)
 		}
 		back, err := DecodeGetReply(got)

@@ -1,18 +1,26 @@
 // Package wire defines the Tebis RDMA message format (§3.4).
 //
-// Every message is a 128-byte header plus a variable-size payload padded
-// to a multiple of the header size. The last four bytes of the header
-// hold a rendezvous magic number the server's spinning thread polls for;
-// a second rendezvous magic sits in the final four bytes of the padded
-// payload so the detector knows the whole message has arrived. Because
-// message sizes are multiples of the header size, the spinning thread
-// only ever needs to zero the possible header locations after consuming
-// a message.
+// A message comes in one of two forms, laid out the same way. A fixed-size
+// header starts with its fields and ends with a four-byte rendezvous word
+// the receiver polls for; a payload follows it, padded to a multiple of
+// the header's size, with the word again in its last four bytes so the
+// receiver knows the whole message has arrived. A payload that fits the
+// header's bytes between its fields and its word rides there instead
+// (FlagInline): the message is the header alone, and the header's word is
+// the whole arrival test. Decoders take both shapes; a MsgBuf or ReplyBuf
+// picks the one to send.
 //
-// A payload of at most InlineMax bytes does not follow the header: it
-// rides in the header's reserved bytes (FlagInline), the message is the
-// header alone, and the header's rendezvous word is the whole arrival
-// test. Decoders take both shapes; MsgBuf.Finish picks the one to send.
+// The request form is what a client writes into a server's ring and a
+// primary sends a backup: a 128-byte header (HeaderSize) whose fields take
+// bytes [0, 48), with Magic as its word. Because its sizes are multiples
+// of the header size, the spinning thread only ever needs to zero the
+// possible header locations after consuming a message.
+//
+// The reply form is what a server writes into a client's reply slot and a
+// backup sends back as an ack: a 64-byte line (ReplyLine) holding the
+// request header's first 16 bytes — payload size, opcode, flags, region
+// and request ID, all a reply is read by — with ReplyMagic as its word,
+// so a frame of one form never passes for the other.
 package wire
 
 import (
@@ -23,22 +31,164 @@ import (
 
 // Protocol constants.
 const (
-	// HeaderSize is the fixed message header size.
+	// HeaderSize is the request form's header size.
 	HeaderSize = 128
-	// Magic is the rendezvous magic number ("TEBI").
+	// Magic is the request form's rendezvous word ("TEBI").
 	Magic = 0x54454249
-	// MinPayload pads every payload to at least this size: for small
-	// messages the NIC packet rate is the bottleneck, so the paper's
-	// protocol uses a 256 B minimum payload (§4).
-	MinPayload = 256
-
-	// headerFields is how many leading header bytes the fields of Header
-	// occupy; the bytes from there to the rendezvous word are reserved.
-	headerFields = 48
-	// InlineMax is the largest payload that rides inside the header, in
-	// the reserved bytes between the last field and the rendezvous word.
+	// InlineMax is the largest payload that rides inside a request
+	// header, in the reserved bytes between its last field and its word.
 	InlineMax = HeaderSize - 4 - headerFields
+
+	// ReplyLine is the reply form's header size: one 64-byte line.
+	ReplyLine = 64
+	// ReplyMagic is the reply form's rendezvous word ("TEBR").
+	ReplyMagic = 0x54454252
+	// ReplyInlineMax is the largest payload that rides inside a reply's
+	// line, between its fields and its word.
+	ReplyInlineMax = ReplyLine - 4 - replyFields
+
+	// headerFields is how many leading request-header bytes the fields of
+	// Header occupy; the bytes from there to the word are reserved.
+	headerFields = 48
+	// replyFields is how many leading bytes of a reply's line its fields
+	// occupy: the request header's first 16, cut short there.
+	replyFields = 16
 )
+
+// form is one of the two message forms: the header's size, which is also
+// the unit a payload is padded to, how many of its leading bytes carry
+// fields, and its rendezvous word.
+type form struct {
+	unit, fields int
+	magic        uint32
+}
+
+var (
+	requestForm = form{unit: HeaderSize, fields: headerFields, magic: Magic}
+	replyForm   = form{unit: ReplyLine, fields: replyFields, magic: ReplyMagic}
+)
+
+// inlineMax is the largest payload that rides inside the header.
+func (f form) inlineMax() int { return f.unit - 4 - f.fields }
+
+// padded returns the on-wire size of a payload that follows the header:
+// the payload and its trailer word, padded to a multiple of the unit.
+func (f form) padded(payloadLen int) int {
+	if payloadLen == 0 {
+		return 0
+	}
+	return (payloadLen + 4 + f.unit - 1) / f.unit * f.unit
+}
+
+// outOfLine returns the size of a message whose payload follows the
+// header.
+func (f form) outOfLine(payloadLen int) int { return f.unit + f.padded(payloadLen) }
+
+// sent returns the size of the message a buffer emits for a payload of
+// the given length: the header alone up to inlineMax, outOfLine beyond.
+func (f form) sent(payloadLen int) int {
+	if payloadLen <= f.inlineMax() {
+		return f.unit
+	}
+	return f.outOfLine(payloadLen)
+}
+
+// maxPayload returns the largest payload sent in a message of at most
+// size bytes (size >= f.unit).
+func (f form) maxPayload(size int) int {
+	if size < 2*f.unit {
+		return f.inlineMax()
+	}
+	return size/f.unit*f.unit - f.unit - 4
+}
+
+// wireSize returns the size of the message h heads, in the shape it
+// arrived in.
+func (f form) wireSize(h Header) int {
+	if h.Inline() {
+		return f.unit
+	}
+	return f.outOfLine(int(h.PayloadSize))
+}
+
+// arrived reports whether word holds the form's rendezvous magic.
+func (f form) arrived(word []byte) bool {
+	return len(word) >= 4 && binary.LittleEndian.Uint32(word) == f.magic
+}
+
+// encodeHeader writes h into buf[0:f.unit]: the fields the form carries,
+// zeros up to the word, and the word.
+func (f form) encodeHeader(buf []byte, h Header) {
+	clear(buf[:f.unit])
+	binary.LittleEndian.PutUint32(buf[0:4], h.PayloadSize)
+	buf[4] = byte(h.Opcode)
+	buf[5] = h.Flags
+	binary.LittleEndian.PutUint16(buf[6:8], h.RegionID)
+	binary.LittleEndian.PutUint64(buf[8:16], h.RequestID)
+	if f.fields == headerFields {
+		binary.LittleEndian.PutUint32(buf[16:20], h.ReplyOffset)
+		binary.LittleEndian.PutUint32(buf[20:24], h.ReplySize)
+		binary.LittleEndian.PutUint64(buf[24:32], h.TraceID)
+		binary.LittleEndian.PutUint32(buf[32:36], h.Epoch)
+		buf[36] = h.Tenant
+		buf[37] = h.Priority
+		binary.LittleEndian.PutUint64(buf[40:48], uint64(h.SentAt))
+	}
+	binary.LittleEndian.PutUint32(buf[f.unit-4:f.unit], f.magic)
+}
+
+// decodeHeader parses buf[0:f.unit]; it fails unless the form's word is
+// there, and on a header that names no opcode or, flagged inline, claims
+// more payload than the header holds.
+func (f form) decodeHeader(buf []byte) (Header, error) {
+	if len(buf) < f.unit {
+		return Header{}, ErrShortBuffer
+	}
+	if !f.arrived(buf[f.unit-4 : f.unit]) {
+		return Header{}, ErrBadMagic
+	}
+	h := Header{
+		PayloadSize: binary.LittleEndian.Uint32(buf[0:4]),
+		Opcode:      Op(buf[4]),
+		Flags:       buf[5],
+		RegionID:    binary.LittleEndian.Uint16(buf[6:8]),
+		RequestID:   binary.LittleEndian.Uint64(buf[8:16]),
+	}
+	if f.fields == headerFields {
+		h.ReplyOffset = binary.LittleEndian.Uint32(buf[16:20])
+		h.ReplySize = binary.LittleEndian.Uint32(buf[20:24])
+		h.TraceID = binary.LittleEndian.Uint64(buf[24:32])
+		h.Epoch = binary.LittleEndian.Uint32(buf[32:36])
+		h.Tenant = buf[36]
+		h.Priority = buf[37]
+		h.SentAt = int64(binary.LittleEndian.Uint64(buf[40:48]))
+	}
+	if h.Opcode == OpInvalid || (h.Inline() && h.PayloadSize > uint32(f.inlineMax())) {
+		return Header{}, ErrBadHeader
+	}
+	return h, nil
+}
+
+// decode parses a complete message of either shape at buf, returning the
+// header and the unpadded payload (aliasing buf). Of an inline message it
+// reads the header and nothing behind it.
+func (f form) decode(buf []byte) (Header, []byte, error) {
+	h, err := f.decodeHeader(buf)
+	if err != nil {
+		return Header{}, nil, err
+	}
+	if h.Inline() {
+		return h, buf[f.fields : f.fields+int(h.PayloadSize)], nil
+	}
+	end := f.outOfLine(int(h.PayloadSize))
+	if len(buf) < end {
+		return Header{}, nil, ErrShortBuffer
+	}
+	if end > f.unit && !f.arrived(buf[end-4:end]) {
+		return Header{}, nil, ErrBadMagic
+	}
+	return h, buf[f.unit : f.unit+int(h.PayloadSize)], nil
+}
 
 // Op identifies a message type.
 type Op uint8
@@ -135,14 +285,16 @@ const (
 	// was applied, and the client should back off before retrying.
 	FlagOverload = 1 << 4
 	// FlagInline marks a message whose payload sits in the header's
-	// reserved bytes [headerFields, headerFields+PayloadSize) and that
-	// ends with the header: no padded payload or trailer word follows.
+	// bytes behind its fields — [48, 48+PayloadSize) of a request,
+	// [16, 16+PayloadSize) of a reply — and that ends with the header: no
+	// padded payload or trailer word follows.
 	// It describes the message's shape, so the encoders set and clear it
 	// themselves whatever the caller's Header says.
 	FlagInline = 1 << 5
 )
 
-// Header is the decoded fixed-size message header.
+// Header is a decoded message header. A reply carries the fields up to
+// RequestID; the rest are request fields, zero in a decoded reply.
 type Header struct {
 	// PayloadSize is the unpadded payload length in bytes.
 	PayloadSize uint32
@@ -202,130 +354,88 @@ var (
 	ErrBadHeader   = errors.New("wire: malformed header")
 )
 
-// PaddedPayloadSize returns the on-wire payload size: padded to a
-// multiple of HeaderSize with room for the 4-byte end-of-payload
-// rendezvous, and at least MinPayload for non-empty payloads.
-func PaddedPayloadSize(payloadLen int) int {
-	if payloadLen == 0 {
-		return 0
-	}
-	n := payloadLen + 4 // trailer magic
-	if n < MinPayload {
-		n = MinPayload
-	}
-	return (n + HeaderSize - 1) / HeaderSize * HeaderSize
-}
+// PaddedPayloadSize returns the on-wire size of a request payload that
+// follows its header: padded to a multiple of HeaderSize with room for
+// the 4-byte end-of-payload rendezvous.
+func PaddedPayloadSize(payloadLen int) int { return requestForm.padded(payloadLen) }
 
-// MessageSize returns the total size of a message whose payload of the
+// MessageSize returns the total size of a request whose payload of the
 // given length follows the header — the out-of-line shape, which is what
-// every payload over InlineMax is sent in and what a reply slot or a
-// buffer that must hold either shape is sized by.
-func MessageSize(payloadLen int) int {
-	return HeaderSize + PaddedPayloadSize(payloadLen)
-}
+// every payload over InlineMax is sent in.
+func MessageSize(payloadLen int) int { return requestForm.outOfLine(payloadLen) }
 
-// SentSize returns the size of the message MsgBuf.Finish emits for a
+// SentSize returns the size of the request MsgBuf.Finish emits for a
 // payload of the given length: the header alone up to InlineMax,
 // MessageSize beyond.
-func SentSize(payloadLen int) int {
-	if payloadLen <= InlineMax {
-		return HeaderSize
-	}
-	return MessageSize(payloadLen)
-}
+func SentSize(payloadLen int) int { return requestForm.sent(payloadLen) }
 
-// MaxPayload returns the largest payload Finish can send in a message of
-// at most size bytes (size >= HeaderSize) — what an error text is cut to
-// when the slot it must land in is small.
-func MaxPayload(size int) int {
-	if size < HeaderSize+MinPayload {
-		return InlineMax
-	}
-	return size/HeaderSize*HeaderSize - HeaderSize - 4
-}
+// ReplyMessageSize returns the size of the reply ReplyBuf.Finish emits
+// for a payload of the given length: the line alone up to ReplyInlineMax,
+// beyond it the line and the payload with its trailer word, padded to a
+// multiple of ReplyLine. A reply slot sized by it holds that reply.
+func ReplyMessageSize(payloadLen int) int { return replyForm.sent(payloadLen) }
+
+// MaxPayload returns the largest payload a reply of at most size bytes
+// carries (size >= ReplyLine) — what fits a client's reply slot, and what
+// an error text is cut to when the slot it must land in is small.
+func MaxPayload(size int) int { return replyForm.maxPayload(size) }
 
 // Inline reports whether the message h heads carries its payload inside
 // the header.
 func (h Header) Inline() bool { return h.Flags&FlagInline != 0 }
 
-// WireSize returns the size of the message h heads, in the shape it
+// WireSize returns the size of the request h heads, in the shape it
 // arrived in.
-func (h Header) WireSize() int {
-	if h.Inline() {
-		return HeaderSize
-	}
-	return MessageSize(int(h.PayloadSize))
-}
+func (h Header) WireSize() int { return requestForm.wireSize(h) }
 
-// InlinePayload returns the payload of the inline message whose header
+// ReplyWireSize returns the size of the reply h heads, in the shape it
+// arrived in.
+func (h Header) ReplyWireSize() int { return replyForm.wireSize(h) }
+
+// InlinePayload returns the payload of the inline request whose header
 // bytes are hdr and decoded to h. It aliases hdr.
 func InlinePayload(hdr []byte, h Header) []byte {
 	return hdr[headerFields : headerFields+int(h.PayloadSize)]
 }
 
-// EncodeHeader writes h into buf[0:HeaderSize], including the rendezvous
-// magic in the final four bytes.
+// ReplyInlinePayload returns the payload of the inline reply whose line
+// is line and decoded to h. It aliases line.
+func ReplyInlinePayload(line []byte, h Header) []byte {
+	return line[replyFields : replyFields+int(h.PayloadSize)]
+}
+
+// EncodeHeader writes h into buf[0:HeaderSize] as a request header,
+// including the rendezvous magic in the final four bytes.
 func EncodeHeader(buf []byte, h Header) error {
 	if len(buf) < HeaderSize {
 		return ErrShortBuffer
 	}
-	clear(buf[:HeaderSize])
-	binary.LittleEndian.PutUint32(buf[0:4], h.PayloadSize)
-	buf[4] = byte(h.Opcode)
-	buf[5] = h.Flags
-	binary.LittleEndian.PutUint16(buf[6:8], h.RegionID)
-	binary.LittleEndian.PutUint64(buf[8:16], h.RequestID)
-	binary.LittleEndian.PutUint32(buf[16:20], h.ReplyOffset)
-	binary.LittleEndian.PutUint32(buf[20:24], h.ReplySize)
-	binary.LittleEndian.PutUint64(buf[24:32], h.TraceID)
-	binary.LittleEndian.PutUint32(buf[32:36], h.Epoch)
-	buf[36] = h.Tenant
-	buf[37] = h.Priority
-	binary.LittleEndian.PutUint64(buf[40:48], uint64(h.SentAt))
-	binary.LittleEndian.PutUint32(buf[HeaderSize-4:HeaderSize], Magic)
+	requestForm.encodeHeader(buf, h)
 	return nil
 }
 
-// DecodeHeader parses buf[0:HeaderSize]; it fails unless the rendezvous
-// magic is present, and on an inline header that claims more payload
-// than a header holds.
-func DecodeHeader(buf []byte) (Header, error) {
-	if len(buf) < HeaderSize {
-		return Header{}, ErrShortBuffer
-	}
-	if !MagicArrived(buf[HeaderSize-4 : HeaderSize]) {
-		return Header{}, ErrBadMagic
-	}
-	h := Header{
-		PayloadSize: binary.LittleEndian.Uint32(buf[0:4]),
-		Opcode:      Op(buf[4]),
-		Flags:       buf[5],
-		RegionID:    binary.LittleEndian.Uint16(buf[6:8]),
-		RequestID:   binary.LittleEndian.Uint64(buf[8:16]),
-		ReplyOffset: binary.LittleEndian.Uint32(buf[16:20]),
-		ReplySize:   binary.LittleEndian.Uint32(buf[20:24]),
-		TraceID:     binary.LittleEndian.Uint64(buf[24:32]),
-		Epoch:       binary.LittleEndian.Uint32(buf[32:36]),
-		Tenant:      buf[36],
-		Priority:    buf[37],
-		SentAt:      int64(binary.LittleEndian.Uint64(buf[40:48])),
-	}
-	if h.Opcode == OpInvalid || (h.Inline() && h.PayloadSize > InlineMax) {
-		return Header{}, ErrBadHeader
-	}
-	return h, nil
-}
+// DecodeHeader parses a request header at buf[0:HeaderSize]; it fails
+// unless Magic is present, and on an inline header that claims more
+// payload than a header holds.
+func DecodeHeader(buf []byte) (Header, error) { return requestForm.decodeHeader(buf) }
 
-// MagicArrived reports whether word — the last four bytes of a header
-// slot or of a padded payload — holds the rendezvous magic. A poller
-// that reads a message where it landed checks the two words alone
-// instead of copying the message out first.
-func MagicArrived(word []byte) bool {
-	return len(word) >= 4 && binary.LittleEndian.Uint32(word) == Magic
-}
+// DecodeReplyHeader parses a reply's line at buf[0:ReplyLine]; it fails
+// unless ReplyMagic is present, and on an inline line that claims more
+// payload than a line holds. The request-only fields decode as zero.
+func DecodeReplyHeader(buf []byte) (Header, error) { return replyForm.decodeHeader(buf) }
+
+// MagicArrived reports whether word — the last four bytes of a request
+// header slot or of a padded payload — holds Magic. A poller that reads
+// a message where it landed checks the two words alone instead of
+// copying the message out first.
+func MagicArrived(word []byte) bool { return requestForm.arrived(word) }
+
+// ReplyArrived is MagicArrived for a reply: whether word — the last four
+// bytes of a reply's line or of its padded payload — holds ReplyMagic.
+func ReplyArrived(word []byte) bool { return replyForm.arrived(word) }
 
 // PayloadArrived reports whether the end-of-payload rendezvous magic for
-// an out-of-line message with the given payload size is present (the
+// an out-of-line request with the given payload size is present (the
 // spinning thread's second poll point). Messages without payload, and
 // inline ones, are complete once the header is.
 func PayloadArrived(buf []byte, payloadSize int) bool {
@@ -337,7 +447,7 @@ func PayloadArrived(buf []byte, payloadSize int) bool {
 	return len(buf) >= end && MagicArrived(buf[end-4:end])
 }
 
-// EncodeMessage writes a complete out-of-line message (header + payload +
+// EncodeMessage writes a complete out-of-line request (header + payload +
 // padding + trailer magic) into buf and returns the total size. No
 // product code sends through it — every sender builds in a MsgBuf, which
 // also knows the inline shape; it is the reference the tests hold Finish
@@ -348,25 +458,71 @@ func EncodeMessage(buf []byte, h Header, payload []byte) (int, error) {
 		return 0, fmt.Errorf("%w: need %d, have %d", ErrShortBuffer, total, len(buf))
 	}
 	copy(buf[HeaderSize:], payload)
-	finishMessage(buf[:total], h, len(payload))
+	requestForm.finishOutOfLine(buf[:total], h, len(payload))
 	return total, nil
 }
 
-// finishMessage completes msg — exactly MessageSize(payloadLen) bytes
-// whose payload already sits behind the header slot — by writing the
-// header, zeroing the padding up to the trailer, and writing the trailer
-// magic. Only the bytes around the payload are touched.
-func finishMessage(msg []byte, h Header, payloadLen int) {
+// finishOutOfLine completes msg — exactly f.outOfLine(payloadLen) bytes
+// whose payload already sits behind the header — by writing the header,
+// zeroing the padding up to the trailer, and writing the trailer word.
+// Only the bytes around the payload are touched.
+func (f form) finishOutOfLine(msg []byte, h Header, payloadLen int) {
 	h.PayloadSize = uint32(payloadLen)
 	h.Flags &^= FlagInline
-	_ = EncodeHeader(msg, h) // msg holds at least a header
-	if len(msg) > HeaderSize {
-		clear(msg[HeaderSize+payloadLen : len(msg)-4])
-		binary.LittleEndian.PutUint32(msg[len(msg)-4:], Magic)
+	f.encodeHeader(msg, h)
+	if len(msg) > f.unit {
+		clear(msg[f.unit+payloadLen : len(msg)-4])
+		binary.LittleEndian.PutUint32(msg[len(msg)-4:], f.magic)
 	}
 }
 
-// MsgBuf is a reusable buffer a sender builds its messages in, so that a
+// frameBuf is the buffer behind a MsgBuf or a ReplyBuf; each method takes
+// the form the message is built in.
+type frameBuf struct {
+	b []byte
+}
+
+// room returns the buffer sized to total bytes, replacing it (contents
+// and all) when it is too small.
+func (m *frameBuf) room(total int) []byte {
+	if cap(m.b) < total {
+		m.b = make([]byte, total)
+	}
+	return m.b[:total]
+}
+
+// reserve returns the empty position behind the header, with capacity
+// for payloadLen payload bytes and the padding and trailer that follow.
+func (m *frameBuf) reserve(f form, payloadLen int) []byte {
+	msg := m.room(f.outOfLine(payloadLen))
+	return msg[f.unit:f.unit]
+}
+
+// finish builds the message around payload and returns it. A payload
+// over the form's inline limit built on reserve's slice is already in
+// place and is not copied; any other (an error text, a payload that
+// outgrew its reservation) is copied in behind the header first. A
+// payload that fits the header's reserved bytes is copied there instead —
+// where it was built stays as it is, for a retry — and the header is the
+// message.
+func (m *frameBuf) finish(f form, h Header, payload []byte) []byte {
+	if n := len(payload); n > 0 && n <= f.inlineMax() {
+		msg := m.room(f.unit)
+		h.PayloadSize = uint32(n)
+		h.Flags |= FlagInline
+		f.encodeHeader(msg, h)
+		copy(msg[f.fields:], payload)
+		return msg
+	}
+	msg := m.room(f.outOfLine(len(payload)))
+	if len(payload) > 0 && &payload[0] != &msg[f.unit] {
+		copy(msg[f.unit:], payload)
+	}
+	f.finishOutOfLine(msg, h, len(payload))
+	return msg
+}
+
+// MsgBuf is a reusable buffer a sender builds its requests in, so that a
 // message is encoded once, in memory that already exists:
 //
 //	payload := req.Encode(mb.Reserve(req.Size())) // behind the header slot
@@ -380,66 +536,46 @@ func finishMessage(msg []byte, h Header, payloadLen int) {
 // slot and msg is that slot alone (SentSize says which, beforehand). The
 // zero value is ready to use; a MsgBuf serves one goroutine at a time.
 type MsgBuf struct {
-	b []byte
-}
-
-// room returns the buffer sized to total bytes, replacing it (contents
-// and all) when it is too small.
-func (m *MsgBuf) room(total int) []byte {
-	if cap(m.b) < total {
-		m.b = make([]byte, total)
-	}
-	return m.b[:total]
+	frameBuf
 }
 
 // Reserve returns the empty position behind the header slot, with
 // capacity for payloadLen payload bytes and the padding and trailer that
 // follow them. Append the payload to it and hand the result to Finish.
-func (m *MsgBuf) Reserve(payloadLen int) []byte {
-	msg := m.room(MessageSize(payloadLen))
-	return msg[HeaderSize:HeaderSize]
-}
+func (m *MsgBuf) Reserve(payloadLen int) []byte { return m.reserve(requestForm, payloadLen) }
 
-// Finish builds the message around payload and returns it. A payload
-// over InlineMax built on Reserve's slice is already in place and is not
-// copied; any other (an error text, a payload that outgrew its
-// reservation) is copied in behind the header slot first. A payload that
-// fits the header's reserved bytes is copied there instead — where it
-// was built stays as it is, for a retry — and the header is the message.
+// Finish builds the request around payload and returns it: in place
+// behind the header when the payload was built on Reserve's slice, inside
+// the header when it is at most InlineMax bytes.
 func (m *MsgBuf) Finish(h Header, payload []byte) []byte {
-	if n := len(payload); n > 0 && n <= InlineMax {
-		msg := m.room(HeaderSize)
-		h.PayloadSize = uint32(n)
-		h.Flags |= FlagInline
-		_ = EncodeHeader(msg, h) // msg is exactly a header
-		copy(msg[headerFields:], payload)
-		return msg
-	}
-	msg := m.room(MessageSize(len(payload)))
-	if len(payload) > 0 && &payload[0] != &msg[HeaderSize] {
-		copy(msg[HeaderSize:], payload)
-	}
-	finishMessage(msg, h, len(payload))
-	return msg
+	return m.finish(requestForm, h, payload)
 }
 
-// DecodeMessage parses a complete message of either shape at buf,
+// ReplyBuf is MsgBuf for replies: the same Reserve-then-Finish building,
+// in the reply form — a 64-byte line, a payload of at most ReplyInlineMax
+// bytes inside it, a longer one behind it (ReplyMessageSize says how
+// long the reply is). The request-only fields of the Header handed to
+// Finish are not sent.
+type ReplyBuf struct {
+	frameBuf
+}
+
+// Reserve returns the empty position behind the reply's line, with
+// capacity for payloadLen payload bytes and what follows them.
+func (m *ReplyBuf) Reserve(payloadLen int) []byte { return m.reserve(replyForm, payloadLen) }
+
+// Finish builds the reply around payload and returns it.
+func (m *ReplyBuf) Finish(h Header, payload []byte) []byte {
+	return m.finish(replyForm, h, payload)
+}
+
+// DecodeMessage parses a complete request of either shape at buf,
 // returning the header and the unpadded payload (aliasing buf). Of an
 // inline message it reads the header and nothing behind it.
-func DecodeMessage(buf []byte) (Header, []byte, error) {
-	h, err := DecodeHeader(buf)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	if h.Inline() {
-		return h, InlinePayload(buf, h), nil
-	}
-	padded := PaddedPayloadSize(int(h.PayloadSize))
-	if len(buf) < HeaderSize+padded {
-		return Header{}, nil, ErrShortBuffer
-	}
-	if !PayloadArrived(buf, int(h.PayloadSize)) {
-		return Header{}, nil, ErrBadMagic
-	}
-	return h, buf[HeaderSize : HeaderSize+int(h.PayloadSize)], nil
-}
+func DecodeMessage(buf []byte) (Header, []byte, error) { return requestForm.decode(buf) }
+
+// DecodeReply parses a complete reply of either shape at buf, returning
+// the header and the unpadded payload (aliasing buf). A request, whose
+// word is not a reply's, fails with ErrBadMagic, as a reply does in
+// DecodeMessage.
+func DecodeReply(buf []byte) (Header, []byte, error) { return replyForm.decode(buf) }

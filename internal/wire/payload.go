@@ -424,7 +424,6 @@ type IndexSegment struct {
 	RegionID   uint16
 	JobID      uint64
 	DstLevel   uint8
-	Kind       uint8 // reserved, sent as 0: a segment holds leaves and index nodes alike
 	PrimarySeg uint32
 	DataLen    uint32
 	Codec      uint8 // shipcodec.Codec; 0 = raw bytes, no frame
@@ -437,7 +436,9 @@ func (r IndexSegment) Size() int { return 4 + 8 + 2 + 4 + 4 + 1 }
 func (r IndexSegment) Encode(dst []byte) []byte {
 	dst = appendU32(grow(dst, r.Size()), uint32(r.RegionID))
 	dst = appendU64(dst, r.JobID)
-	dst = append(dst, r.DstLevel, r.Kind)
+	// The byte behind the level is reserved: sent as 0, skipped on
+	// decode (a segment holds leaves and index nodes alike).
+	dst = append(dst, r.DstLevel, 0)
 	dst = appendU32(dst, r.PrimarySeg)
 	dst = appendU32(dst, r.DataLen)
 	return append(dst, r.Codec)
@@ -456,7 +457,7 @@ func DecodeIndexSegment(p []byte) (IndexSegment, error) {
 	if len(rest) < 2 {
 		return IndexSegment{}, ErrShortBuffer
 	}
-	r := IndexSegment{RegionID: uint16(rid), JobID: job, DstLevel: rest[0], Kind: rest[1]}
+	r := IndexSegment{RegionID: uint16(rid), JobID: job, DstLevel: rest[0]}
 	rest = rest[2:]
 	if r.PrimarySeg, rest, err = readU32(rest); err != nil {
 		return IndexSegment{}, err

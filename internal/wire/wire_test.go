@@ -15,8 +15,10 @@ import (
 func TestPaddedPayloadSize(t *testing.T) {
 	cases := []struct{ in, want int }{
 		{0, 0},
-		{1, 256},     // minimum payload
-		{200, 256},   // min payload still
+		{1, 128},     // one slot: no minimum payload
+		{124, 128},   // 124+4 = 128 exactly
+		{125, 256},   // spills into a second slot
+		{200, 256},   // two slots
 		{252, 256},   // fits with trailer
 		{253, 384},   // 253+4 > 256 → next multiple of 128
 		{256, 384},   // needs trailer room
@@ -38,8 +40,9 @@ func TestPaddedPayloadInvariants(t *testing.T) {
 		if n == 0 {
 			return p == 0
 		}
-		// Multiple of header size, fits payload + trailer, ≥ min.
-		return p%HeaderSize == 0 && p >= int(n)+4 && p >= MinPayload
+		// The smallest multiple of the header size that fits payload +
+		// trailer.
+		return p%HeaderSize == 0 && p >= int(n)+4 && p < int(n)+4+HeaderSize
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -216,7 +219,7 @@ func TestControlPayloadsRoundTrip(t *testing.T) {
 		}
 	}
 	is, err := DecodeIndexSegment(IndexSegment{
-		RegionID: 9, JobID: 41, DstLevel: 2, Kind: 1, PrimarySeg: 33, DataLen: 4096,
+		RegionID: 9, JobID: 41, DstLevel: 2, PrimarySeg: 33, DataLen: 4096,
 	}.Encode(nil))
 	if err != nil || is.JobID != 41 || is.DstLevel != 2 || is.PrimarySeg != 33 || is.DataLen != 4096 {
 		t.Fatalf("index segment = %+v %v", is, err)
