@@ -225,6 +225,18 @@ var reportChecks = map[Experiment]func(t *testing.T, rep Report, raw []byte){
 		if !bytes.Contains(raw, []byte(`"trace_id": `)) {
 			t.Error("report carries no exemplar trace_id")
 		}
+		// A dispatch exemplar's trace ID is the one the server read off the
+		// request — ahead of its payload, not in its header — so in every
+		// scenario one resolves to the request's spans.
+		for _, sc := range d["scenarios"] {
+			resolved := false
+			for _, ex := range sc.Exemplars {
+				resolved = resolved || ex.Stage == "dispatch" && ex.Resolved
+			}
+			if !resolved {
+				t.Errorf("scenario %s: no dispatch exemplar resolves, of %d exemplars", sc.Name, len(sc.Exemplars))
+			}
+		}
 		positive(t, rep, "pre_burst_p99_us", "adaptive_burst_p99_us", "fixed_burst_p99_us")
 	},
 	ExpGC: func(t *testing.T, rep Report, _ []byte) {

@@ -88,12 +88,11 @@ type Client struct {
 	cfg Config
 	ep  *rdma.Endpoint
 
-	mu        sync.Mutex
-	rmap      *region.Map
-	conns     map[string]*serverConn
+	// routes is what an op is routed by, read with one atomic load: route
+	// takes no lock. refreshMap and Close swap in a new value.
+	routes    atomic.Pointer[routes]
 	replySlot atomic.Int64
 	reqID     atomic.Uint64
-	closed    bool
 
 	// refreshMu single-flights region-map refreshes: concurrent stale
 	// ops coalesce onto one master fetch instead of a thundering herd.
@@ -116,6 +115,16 @@ type Client struct {
 	traceBase   uint64
 }
 
+// routes is one routing view of a Client: its cached region map, the
+// connections to the servers the map's primaries are on, and whether the
+// client is closed. A value is never modified once published; a refresh
+// or a Close publishes a new one.
+type routes struct {
+	rmap   *region.Map
+	conns  map[string]*serverConn
+	closed bool
+}
+
 // serverConn is one client↔server connection pair of buffers.
 type serverConn struct {
 	c        *Client
@@ -136,10 +145,8 @@ func New(cfg Config) (*Client, error) {
 		cfg.ReplySlot = 1024
 	}
 	c := &Client{
-		cfg:   cfg,
-		ep:    rdma.NewEndpoint(cfg.Name),
-		rmap:  cfg.Map.Clone(),
-		conns: map[string]*serverConn{},
+		cfg: cfg,
+		ep:  rdma.NewEndpoint(cfg.Name),
 	}
 	c.replySlot.Store(int64(cfg.ReplySlot))
 	c.tenantLabel = fmt.Sprintf("t%d", cfg.Tenant)
@@ -162,13 +169,15 @@ func New(cfg Config) (*Client, error) {
 			c.traceBase = h.Sum64()
 		}
 	}
+	conns := map[string]*serverConn{}
 	for name, h := range cfg.Servers {
 		conn, err := c.dial(name, h)
 		if err != nil {
 			return nil, err
 		}
-		c.conns[name] = conn
+		conns[name] = conn
 	}
+	c.routes.Store(&routes{rmap: cfg.Map.Clone(), conns: conns})
 	return c, nil
 }
 
@@ -193,11 +202,7 @@ func (c *Client) dial(name string, h ServerHandle) (*serverConn, error) {
 }
 
 // Map returns the client's cached region map.
-func (c *Client) Map() *region.Map {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rmap
-}
+func (c *Client) Map() *region.Map { return c.routes.Load().rmap }
 
 // routeInfo is one routing decision: the region (with the epoch the op
 // must carry) and the map version it came from, so a failed attempt can
@@ -209,22 +214,22 @@ type routeInfo struct {
 	version uint64
 }
 
-// route resolves the connection for the primary of key's region.
+// route resolves the connection for the primary of key's region, from
+// the routing view published last — no lock.
 func (c *Client) route(key []byte) (routeInfo, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
+	rt := c.routes.Load()
+	if rt.closed {
 		return routeInfo{}, ErrClosed
 	}
-	r, err := c.rmap.Lookup(key)
+	r, err := rt.rmap.Lookup(key)
 	if err != nil {
 		return routeInfo{}, err
 	}
-	conn, ok := c.conns[r.Primary]
+	conn, ok := rt.conns[r.Primary]
 	if !ok {
 		return routeInfo{}, fmt.Errorf("%w: %s", ErrNoServer, r.Primary)
 	}
-	return routeInfo{conn: conn, id: r.ID, epoch: r.Epoch, version: c.rmap.Version}, nil
+	return routeInfo{conn: conn, id: r.ID, epoch: r.Epoch, version: rt.rmap.Version}, nil
 }
 
 // StaleRetries returns how many ops were retried after a wrong-region
@@ -251,10 +256,7 @@ func (c *Client) refreshMap(staleVersion uint64) error {
 	}
 	c.refreshMu.Lock()
 	defer c.refreshMu.Unlock()
-	c.mu.Lock()
-	cur := c.rmap.Version
-	c.mu.Unlock()
-	if cur > staleVersion {
+	if c.routes.Load().rmap.Version > staleVersion {
 		// A concurrent op already refreshed past the map we found stale.
 		return nil
 	}
@@ -262,15 +264,20 @@ func (c *Client) refreshMap(staleVersion uint64) error {
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	// >= not >: a refresh source may legitimately hand back a same-version
-	// map with different contents (static topologies rebuild their map);
-	// only a strictly older map is rejected.
-	if m.Version >= c.rmap.Version {
-		c.rmap = m.Clone()
+	fresh := m.Clone()
+	for {
+		old := c.routes.Load()
+		// >= not >: a refresh source may legitimately hand back a
+		// same-version map with different contents (static topologies
+		// rebuild their map); only a strictly older map is rejected. A
+		// closed client stays closed.
+		if old.closed || fresh.Version < old.rmap.Version {
+			return nil
+		}
+		if c.routes.CompareAndSwap(old, &routes{rmap: fresh, conns: old.conns}) {
+			return nil
+		}
 	}
-	c.mu.Unlock()
-	return nil
 }
 
 // sendBuf is one call's request: the payload is encoded once, behind the
@@ -297,13 +304,13 @@ func (c *Client) sendBuf() *sendBuf {
 func (sc *serverConn) sendNoop(e *extent) error {
 	residual := e.size
 	if residual < wire.HeaderSize || residual%wire.HeaderSize != 0 {
-		// Impossible: every message is a header multiple, so the
-		// residual always is too.
+		// Impossible: every message is a multiple of the 64-byte header
+		// line, so the residual always is too.
 		return fmt.Errorf("client: residual %d not a header multiple", residual)
 	}
 	// Fill the residual exactly with one NOOP: a header-only one for a
-	// single slot, else one whose payload pads back to the residual (it
-	// is over InlineMax, so it follows the header).
+	// single line, else one whose payload pads back to the residual (60
+	// bytes or more, over InlineMax, so it follows the header).
 	payloadLen := 0
 	if residual > wire.HeaderSize {
 		payloadLen = residual - wire.HeaderSize - 4
@@ -342,11 +349,15 @@ func (sc *serverConn) noopRoundTrip(off, payloadLen int) error {
 
 // call performs one synchronous request-reply round trip with the
 // request sb holds. traceID is the sampled request's trace context (0 =
-// unsampled), carried in the header so every server-side hop records
-// spans under it. keep asks for the reply's payload; an error reply's
-// text is returned either way.
+// unsampled), carried ahead of the payload (wire.FlagTraced) so every
+// server-side hop records spans under it. keep asks for the reply's
+// payload; an error reply's text is returned either way.
 func (sc *serverConn) call(op wire.Op, regionID region.ID, epoch uint32, sb *sendBuf, replySize int, traceID uint64, keep bool) (wire.Header, []byte, error) {
-	total := wire.SentSize(len(sb.payload))
+	wireLen := len(sb.payload)
+	if traceID != 0 {
+		wireLen += wire.TracePrefix
+	}
+	total := wire.SentSize(wireLen)
 	// The client_queue stage: everything a sampled op waits on before
 	// its bytes hit the wire — reply-slot allocation, ring space, and
 	// any wrap-filling NOOP round trips.
@@ -385,7 +396,9 @@ func (sc *serverConn) call(op wire.Op, regionID region.ID, epoch uint32, sb *sen
 	// carries it, not just sampled ones, because SentAt is also the
 	// admission controller's queue-wait signal — a flash burst has to
 	// move the controller's EWMA within a few milliseconds, far faster
-	// than the trace sampler surfaces observations.
+	// than the trace sampler surfaces observations. The header carries
+	// its low 32 bits; a stamp whose low bits are all zero (one in 2^32)
+	// reads as unstamped and goes untimed.
 	hdr.SentAt = time.Now().UnixNano()
 	msg := sb.Finish(hdr, sb.payload)
 	if !queueStart.IsZero() {
@@ -690,15 +703,19 @@ func (c *Client) Scan(start []byte, count int) ([]kv.Pair, error) {
 	return rep.Pairs, nil
 }
 
-// Close tears down the client's connections.
+// Close tears down the client's connections. Ops routed from then on
+// fail with ErrClosed; one routed before fails on its closed connection.
 func (c *Client) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	c.closed = true
-	for _, conn := range c.conns {
-		conn.reqQP.Close()
+	for {
+		old := c.routes.Load()
+		if old.closed {
+			return
+		}
+		if c.routes.CompareAndSwap(old, &routes{rmap: old.rmap, conns: old.conns, closed: true}) {
+			for _, conn := range old.conns {
+				conn.reqQP.Close()
+			}
+			return
+		}
 	}
 }

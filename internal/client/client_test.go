@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -141,14 +142,15 @@ func TestClientManyOpsWrapsRing(t *testing.T) {
 	}
 }
 
-// TestClientRingWrapsWithHeaderSizedExtents: a small request takes one
-// header slot of the ring, so the ring's head — and the server's
-// rendezvous position with it — reaches every slot, and a request of
-// several slots finds 1, 2 or 3 of them left before the end. The
-// residual is still filled exactly, by one NOOP: a header-only one for
-// one slot, from 2 slots up one with a payload. Counted as the bytes
-// each put brings into the server's NIC, on a ring of 11 slots the test
-// walks a slot at a time.
+// TestClientRingWrapsWithHeaderSizedExtents: a small request — a put of
+// a 10-byte key and value, 28 payload bytes — takes one 64-byte header
+// slot of the ring, so the ring's head — and the server's rendezvous
+// position with it — reaches every slot, and a request of several slots
+// finds 1, 2 or 3 of them left before the end. The residual is still
+// filled exactly, by one NOOP: a header-only one for one slot, from 2
+// slots up one with a payload (60 bytes and more, over InlineMax).
+// Counted as the bytes each put brings into the server's NIC, on a ring
+// of 11 slots the test walks a slot at a time.
 func TestClientRingWrapsWithHeaderSizedExtents(t *testing.T) {
 	const slots = 11
 	srv, cl := newServerAndClientRing(t, slots*wire.HeaderSize)
@@ -169,12 +171,12 @@ func TestClientRingWrapsWithHeaderSizedExtents(t *testing.T) {
 	n := 0
 	for round := 0; round < 20; round++ {
 		for _, tc := range []struct{ residual, valueLen, size int }{
-			{2, 200, 3}, // one NOOP of 2 slots, with a payload
-			{1, 200, 3}, // one header-only NOOP
-			{3, 300, 4}, // one NOOP of 3 slots, with a payload
+			{2, 100, 3}, // one NOOP of 2 slots, with a payload
+			{1, 100, 3}, // one header-only NOOP
+			{3, 150, 4}, // one NOOP of 3 slots, with a payload
 		} {
 			for ; head != slots-tc.residual; head = (head + 1) % slots {
-				put(n, 23, 1)
+				put(n, 10, 1)
 				n++
 			}
 			put(n, tc.valueLen, tc.residual+tc.size)
@@ -431,5 +433,89 @@ func TestAsyncBufferReuseSafe(t *testing.T) {
 	v, found, err := cl.Get([]byte("reuse000137"))
 	if err != nil || !found || string(v) != "v000137" {
 		t.Fatalf("Get = %q, %v, %v", v, found, err)
+	}
+}
+
+// TestRouteRacesRefreshAndClose: route reads the client's routing view
+// with one atomic load while refreshMap publishes newer maps and Close
+// closes the client (run it with -race). Every route finds the server's
+// connection under a map no older than the last it saw, until the client
+// is closed; from the route that sees the close on, every route fails
+// with ErrClosed, and a refresh that lands after Close does not reopen
+// the client.
+func TestRouteRacesRefreshAndClose(t *testing.T) {
+	_, cl := newServerAndClient(t)
+	base := cl.Map()
+	var version atomic.Uint64
+	version.Store(base.Version)
+	cl.cfg.Refresh = func() (*region.Map, error) {
+		m := base.Clone()
+		m.Version = version.Add(1)
+		return m, nil
+	}
+	key := []byte("user000042")
+	// A client that a refresh reopens would keep every loop below going:
+	// they give up at the deadline instead.
+	deadline := time.Now().Add(5 * time.Second)
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var seen uint64
+			for time.Now().Before(deadline) {
+				rt, err := cl.route(key)
+				if errors.Is(err, ErrClosed) {
+					for i := 0; i < 100; i++ {
+						if _, err := cl.route(key); !errors.Is(err, ErrClosed) {
+							errs <- fmt.Errorf("a route after one saw the close: %v", err)
+							return
+						}
+					}
+					return
+				}
+				if err != nil || rt.conn == nil || rt.version < seen {
+					errs <- fmt.Errorf("route = %+v, %v after map version %d", rt, err, seen)
+					return
+				}
+				seen = rt.version
+			}
+			errs <- fmt.Errorf("no route saw the close by the deadline")
+		}()
+	}
+	// The refresher runs until it has refreshed past the close.
+	refreshed := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i, after := 0, 0; after < 10 && time.Now().Before(deadline); i++ {
+			if i == 100 {
+				close(refreshed)
+			}
+			if _, err := cl.route(key); errors.Is(err, ErrClosed) {
+				after++
+			}
+			if err := cl.refreshMap(cl.Map().Version); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	<-refreshed
+	cl.Close()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err := cl.refreshMap(cl.Map().Version); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.route(key); !errors.Is(err, ErrClosed) {
+		t.Fatalf("route after Close and later refreshes: %v", err)
+	}
+	if v := cl.Map().Version; v <= base.Version {
+		t.Fatalf("map version %d after refreshes from %d", v, base.Version)
 	}
 }

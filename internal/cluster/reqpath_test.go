@@ -143,14 +143,15 @@ func TestRequestPathAllocCeilings(t *testing.T) {
 
 // TestRequestPathWireBytes counts what one round trip puts on the
 // server's NIC, with no backup so that nothing else crosses it. A
-// request payload of at most wire.InlineMax bytes rides in its 128-byte
-// header (DESIGN.md "Data path"), so a small put and a small get are 128
-// bytes each; a larger one follows its header, padded to 128-byte slots.
-// A reply is a 64-byte line, a payload of at most wire.ReplyInlineMax
-// bytes inside it — the status that answers any put, a small get's value
-// — and a larger one behind it, padded to 64-byte lines. Byte counters,
-// exact: a message that stops going inline, or a reply sent in the
-// request's shape, turns one of these red.
+// request is a 64-byte line too (DESIGN.md "Data path"): a payload of at
+// most wire.InlineMax (28) bytes rides inside it — a get of any key up to
+// 24 bytes — and a larger one follows it, padded to 64-byte lines, so the
+// S put's 41 bytes take two lines and the M put's 131 four. A reply is a
+// 64-byte line, a payload of at most wire.ReplyInlineMax bytes inside it
+// — the status that answers any put, a small get's value — and a larger
+// one behind it, padded to 64-byte lines. Byte counters, exact: a message
+// that stops going inline, a request that grows a header field, or one
+// message sent in the other's shape turns one of these red.
 func TestRequestPathWireBytes(t *testing.T) {
 	c, cl := steadyCluster(t, 0)
 	net := func(op func()) uint64 {
@@ -183,9 +184,9 @@ func TestRequestPathWireBytes(t *testing.T) {
 		want uint64
 	}{
 		{"S put", put(sKey, sVal), 128 + 64},
-		{"S get", get(sKey, sVal), 128 + 64},
-		{"M put", put(mKey, mVal), 384 + 64},
-		{"M get", get(mKey, mVal), 128 + 192},
+		{"S get", get(sKey, sVal), 64 + 64},
+		{"M put", put(mKey, mVal), 256 + 64},
+		{"M get", get(mKey, mVal), 64 + 192},
 		{"S put again", put(sKey, sVal), 128 + 64},
 	} {
 		if got := net(tc.op); got != tc.want {

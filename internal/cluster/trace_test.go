@@ -6,8 +6,10 @@ import (
 	"strconv"
 	"testing"
 
+	"tebis/internal/metrics"
 	"tebis/internal/obs"
 	"tebis/internal/replica"
+	"tebis/internal/wire"
 )
 
 // TestRequestTraceFanOut is the request-tracing acceptance test: one
@@ -117,6 +119,94 @@ func TestRequestTraceFanOut(t *testing.T) {
 		if rows[name] == 0 {
 			t.Errorf("Chrome export missing %q span for request %#x", name, req)
 		}
+	}
+}
+
+// TestTraceIDRidesAheadOfThePayload: a request carries no trace ID in
+// its header; a sampled one carries it ahead of its payload
+// (wire.FlagTraced), inline or behind the header. Each sampled op — an S
+// get, whose key and prefix ride inside the header line, a get of a
+// 24-byte key, whose prefix pushes it out of line, and an M put — arrives
+// with the client's trace ID: the server's dispatch span is recorded
+// under the ID of the client's span, the dispatch stage retains it as an
+// exemplar, and the op's payload reaches the engine whole.
+func TestTraceIDRidesAheadOfThePayload(t *testing.T) {
+	cfg := testConfig(replica.SendIndex, 0)
+	cfg.Trace = obs.NewTracer(0)
+	cfg.TraceSampleRate = 1 // sample every op
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	sKey, mKey, longKey := []byte("user000032"), []byte("user000064"), []byte("user6284781860667377211x")
+	mVal := bytes.Repeat([]byte("m"), 113)
+	for _, k := range [][]byte{sKey, longKey} {
+		if err := cl.Put(k, bytes.Repeat([]byte("s"), 23)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(wire.GetReq{Key: sKey}.Encode(nil)) + wire.TracePrefix; n > wire.InlineMax {
+		t.Fatalf("a traced S get is %d bytes, not inline", n)
+	}
+	if n := len(wire.GetReq{Key: longKey}.Encode(nil)); n != wire.InlineMax {
+		t.Fatalf("a get of a 24-byte key is %d bytes, want InlineMax", n)
+	}
+	for _, tc := range []struct {
+		name, span string
+		op         func() error
+	}{
+		{"S get", "get", func() error {
+			v, found, err := cl.Get(sKey)
+			if err == nil && (!found || len(v) != 23) {
+				t.Errorf("S get: %d bytes, found %v", len(v), found)
+			}
+			return err
+		}},
+		{"get of a 24-byte key", "get", func() error {
+			v, found, err := cl.Get(longKey)
+			if err == nil && (!found || len(v) != 23) {
+				t.Errorf("24-byte-key get: %d bytes, found %v", len(v), found)
+			}
+			return err
+		}},
+		{"M put", "put", func() error { return cl.Put(mKey, mVal) }},
+	} {
+		before := len(cfg.Trace.Snapshot())
+		if err := tc.op(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var client uint64
+		dispatch := map[uint64]bool{}
+		for _, s := range cfg.Trace.Snapshot()[before:] {
+			switch {
+			case s.Cat == "request" && s.Name == tc.span:
+				client = s.Req
+			case s.Cat == "request" && s.Name == "dispatch":
+				dispatch[s.Req] = true
+			}
+		}
+		if client == 0 || !dispatch[client] || len(dispatch) != 1 {
+			t.Fatalf("%s: client span under trace ID %#x, dispatch spans under %v", tc.name, client, dispatch)
+		}
+		exemplar := false
+		for _, snap := range c.Stages().Snapshot() {
+			for _, ex := range snap.Exemplars {
+				exemplar = exemplar || snap.Stage == metrics.StageDispatch && ex.TraceID == client
+			}
+		}
+		if !exemplar {
+			t.Fatalf("%s: the dispatch stage retains no exemplar of trace ID %#x", tc.name, client)
+		}
+	}
+	if v, found, err := cl.Get(mKey); err != nil || !found || !bytes.Equal(v, mVal) {
+		t.Fatalf("the traced M put stored %d bytes, %v, %v", len(v), found, err)
 	}
 }
 

@@ -235,11 +235,12 @@ func (s *Server) spin(idx int) {
 
 // detect checks one connection's rendezvous point for a complete
 // message, reading it where it landed: the header's rendezvous word, and
-// with it — only once it is there — the header into the thread's hdr,
-// then, of an out-of-line message, the trailer word. On success the
+// with it — only once it is there — the 64-byte header into the thread's
+// hdr, then, of an out-of-line message, the trailer word. On success the
 // payload is copied out for the worker into a recycled body (an inline
-// one out of hdr, which the next poll overwrites), the consumed area is
-// cleared, and the rendezvous position advances.
+// one out of hdr, which the next poll overwrites) — a traced request's
+// trace ID, ahead of it, into the task's header instead — the consumed
+// area is cleared, and the rendezvous position advances.
 func (s *Server) detect(conn *clientConn, hdr []byte) (task, bool, error) {
 	if ok, err := conn.poll.ReadIfWord(conn.pos, hdr, wire.Magic); !ok {
 		return task{}, false, err
@@ -260,7 +261,7 @@ func (s *Server) detect(conn *clientConn, hdr []byte) (task, bool, error) {
 	case h.Inline():
 		body = s.takeBody(int(h.PayloadSize))
 		copy(*body, wire.InlinePayload(hdr, h))
-	case h.PayloadSize > 0:
+	case total > wire.HeaderSize:
 		// Second rendezvous: whole payload must have landed.
 		var trailer [4]byte
 		if err := conn.reqBuf.ReadAt(conn.pos+total-len(trailer), trailer[:]); err != nil {
@@ -269,8 +270,15 @@ func (s *Server) detect(conn *clientConn, hdr []byte) (task, bool, error) {
 		if !wire.MagicArrived(trailer[:]) {
 			return task{}, false, nil
 		}
+		if h.Traced() {
+			var id [wire.TracePrefix]byte
+			if err := conn.reqBuf.ReadAt(conn.pos+wire.HeaderSize, id[:]); err != nil {
+				return task{}, false, err
+			}
+			h.TraceID = wire.TraceIDAt(id[:])
+		}
 		body = s.takeBody(int(h.PayloadSize))
-		if err := conn.reqBuf.ReadAt(conn.pos+wire.HeaderSize, *body); err != nil {
+		if err := conn.reqBuf.ReadAt(conn.pos+h.PayloadOffset(), *body); err != nil {
 			return task{}, false, err
 		}
 	}

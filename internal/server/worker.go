@@ -74,11 +74,8 @@ func (w *worker) process(t task) bool {
 	// queue-wait EWMA (a burst must register in milliseconds); only
 	// sampled ones pay for span and stage records.
 	if t.hdr.SentAt != 0 {
-		waitStart := time.Unix(0, t.hdr.SentAt)
-		wait := start.Sub(waitStart)
-		if wait < 0 {
-			wait = 0
-		}
+		wait := dispatchWait(t.hdr, start)
+		waitStart := start.Add(-wait)
 		w.s.ctrl.Observe(wait)
 		if rt != nil {
 			tenant := tenantLabel(t.hdr.Tenant)
@@ -118,6 +115,14 @@ func (w *worker) process(t task) bool {
 	w.stats = nil
 	w.s.recycle(t)
 	return true
+}
+
+// dispatchWait is the dispatch stage of the request h heads, picked up at
+// start: the time since its client stamped SentAt, of which the header
+// carries the low 32 bits — so it is taken modulo 2^32 ns, exact for any
+// wait under 4.29 s.
+func dispatchWait(h wire.Header, start time.Time) time.Duration {
+	return time.Duration(uint32(start.UnixNano()) - uint32(h.SentAt))
 }
 
 // acquire resolves the region t addresses (Server.acquire) and notes its

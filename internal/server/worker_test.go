@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"tebis/internal/kv"
 	"tebis/internal/replica"
@@ -132,5 +133,34 @@ func TestRepliesBuiltInPlaceAreTheSameBytes(t *testing.T) {
 			t.Errorf("scan %q × %d into a %d byte slot: flags %#x and %d payload bytes, want %d (%d pairs)",
 				tc.start, tc.count, tc.replySize, flags, len(got), len(want), len(pairs))
 		}
+	}
+}
+
+// TestDispatchWaitAcrossTheClockWrap: a request header carries the low 32
+// bits of the client's SentAt, so the worker takes the dispatch wait
+// modulo 2^32 ns. Sent and picked up on either side of a wrap of those
+// bits — the pickup's low bits smaller than the stamp's — a wait is still
+// what passed, from a microsecond to 4.2 s, as it is away from the wrap.
+func TestDispatchWaitAcrossTheClockWrap(t *testing.T) {
+	const wrap = int64(1) << 32
+	var mb wire.MsgBuf
+	wrapped := 0
+	for _, now := range []int64{1_760_000_000_000_000_000/wrap*wrap + 500, 77*wrap + 1_000_000, 77*wrap + wrap/2} {
+		for _, wait := range []time.Duration{time.Microsecond, 5 * time.Millisecond, time.Second, 4200 * time.Millisecond} {
+			sent := now - int64(wait)
+			h, err := wire.DecodeHeader(mb.Finish(wire.Header{Opcode: wire.OpGet, RequestID: 1, ReplySize: wire.ReplyLine, SentAt: sent}, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if uint32(now) < uint32(sent) {
+				wrapped++
+			}
+			if got := dispatchWait(h, time.Unix(0, now)); got != wait {
+				t.Fatalf("sent at %d, picked up at %d: a wait of %v, want %v", sent, now, got, wait)
+			}
+		}
+	}
+	if wrapped < 4 {
+		t.Fatalf("only %d of the cases straddle a wrap of the low 32 bits", wrapped)
 	}
 }

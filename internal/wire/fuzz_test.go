@@ -16,18 +16,22 @@ import (
 // return a slice that runs past the end of its input (a length it
 // trusted). Every input is decoded as a request and as a reply.
 //
-// The corpus starts from the golden and compat fixtures: frames as the
-// pre-TraceID, pre-SentAt and pre-tenant encoders wrote them, the
-// reserved opcodes 21, 22 and 25 to 30, and the payloads whose
-// ship-codec fields ride at the end (with and without them) — and the
-// inline shape of a request at its edges: one payload byte, exactly
-// InlineMax, a header flagged inline that claims a byte more, and an
-// inline message with a longer one's stale trailer behind it — the
-// resync's sync-tail message, and a move's CompactionDone, its flag in
-// the level byte. Replies and acks are in the reply form, at its edges
-// too: no payload, one byte, exactly ReplyInlineMax and a byte more, a
-// line flagged inline that claims ReplyInlineMax+1, and an inline reply
-// over a longer one's stale trailer.
+// The corpus starts from the golden and compat fixtures: headers with
+// their request fields left zero, the reserved opcodes 21, 22 and 25 to
+// 30, and the payloads whose ship-codec fields ride at the end (with and
+// without them) — and the inline shape of a request at its edges: one
+// payload byte, exactly InlineMax, a header flagged inline that claims a
+// byte more, and an inline message with a longer one's stale trailer
+// behind it — the resync's sync-tail message, and a move's
+// CompactionDone, its flag in the level byte. Replies and acks are in the
+// reply form, at its edges too: no payload, one byte, exactly
+// ReplyInlineMax and a byte more, a line flagged inline that claims
+// ReplyInlineMax+1, and an inline reply over a longer one's stale
+// trailer. Then the 64-byte request line's own edges: a get of a 24-byte
+// key (28 bytes, inline) and of a 25-byte one (29, out of line), traced
+// requests of both shapes with their trace prefix, a traced inline line
+// that claims a byte more than its prefix leaves, and requests in the
+// 128-byte header format that came before the line.
 func FuzzDecodeMessage(f *testing.F) {
 	msg := func(h Header, payload []byte) []byte {
 		buf := make([]byte, MessageSize(len(payload)))
@@ -41,11 +45,12 @@ func FuzzDecodeMessage(f *testing.F) {
 		return append([]byte(nil), rb.Finish(h, payload)...)
 	}
 	full := Header{Opcode: OpPut, Flags: FlagPartial, RegionID: 11, RequestID: 0xfeedface,
-		ReplyOffset: 2048, ReplySize: 1024, TraceID: 0xabcdef, Epoch: 9, Tenant: 3, Priority: 1, SentAt: 1 << 40}
+		ReplyOffset: 2048, ReplySize: 1024, TraceID: 0xabcdef, Epoch: 9, Tenant: 3, Priority: 1, SentAt: 1<<40 | 777}
 	put := PutReq{Key: []byte("user000042"), Value: []byte("value-bytes")}.Encode(nil)
 	f.Add(msg(full, put))
-	// What older encoders wrote: the later header fields left zero.
-	for _, zero := range [][2]int{{24, 32}, {40, 48}, {36, 38}, {24, 48}} {
+	// Request fields left zero: the epoch, SentAt, tenant and priority,
+	// and all of them from the reply offset on.
+	for _, zero := range [][2]int{{24, 28}, {28, 32}, {22, 24}, {16, 32}} {
 		old := msg(full, put)
 		clear(old[zero[0]:zero[1]])
 		f.Add(old)
@@ -108,6 +113,17 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(overLine)
 	f.Add(append(reply(Header{Opcode: OpFlushTailAck, RequestID: 6}, StatusReply{}.Encode(nil)),
 		reply(Header{Opcode: OpGetReply}, make([]byte, 200))[ReplyLine:]...)) // a stale trailer behind it
+	// The request line's edges.
+	key24 := []byte("user6284781860667377211x")
+	f.Add(inline(Header{Opcode: OpGet, RequestID: 8, ReplySize: 1024}, GetReq{Key: key24}.Encode(nil)))              // 28 bytes, inline
+	f.Add(inline(Header{Opcode: OpGet, RequestID: 9, ReplySize: 1024}, GetReq{Key: append(key24, 'y')}.Encode(nil))) // 29, out of line
+	f.Add(inline(full, GetReq{Key: []byte("user000042")}.Encode(nil)))                                               // traced, inline
+	f.Add(inline(full, put))                                                                                         // traced, out of line
+	overTraced := inline(full, make([]byte, InlineMax-TracePrefix))
+	overTraced[0]++ // flagged inline and traced, claims a byte more than the prefix leaves
+	f.Add(overTraced)
+	f.Add(oldRequestFrame(full, GetReq{Key: key24}.Encode(nil), true)) // the 128-byte format
+	f.Add(oldRequestFrame(full, PutReq{Key: []byte("user000064"), Value: bytes.Repeat([]byte("m"), 113)}.Encode(nil), false))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The input sits in front of spare capacity, as a message sits in
@@ -172,8 +188,12 @@ func FuzzDecodeMessage(f *testing.F) {
 		check := func(fm shape, h Header, herr error, mh Header, payload []byte, merr error) {
 			t.Helper()
 			headerArrived := len(in) >= fm.unit && binary.LittleEndian.Uint32(in[fm.unit-4:]) == fm.magic
+			pre := 0
+			if fm.traces && len(in) > 5 && in[5]&FlagTraced != 0 {
+				pre = TracePrefix
+			}
 			wellFormed := headerArrived && Op(in[4]) != OpInvalid &&
-				(in[5]&FlagInline == 0 || binary.LittleEndian.Uint32(in[0:4]) <= uint32(fm.unit-4-fm.fields))
+				(in[5]&FlagInline == 0 || uint64(binary.LittleEndian.Uint32(in[0:4]))+uint64(pre) <= uint64(fm.unit-4-fm.fields))
 			if (herr == nil) != wellFormed {
 				t.Fatalf("%s: header err %v, header arrived %v and well-formed %v", fm.name, herr, headerArrived, wellFormed)
 			}
@@ -188,16 +208,27 @@ func FuzzDecodeMessage(f *testing.F) {
 				if merr != nil || fm.wireSize(h) != fm.unit {
 					t.Fatalf("%s: inline message: decode %v, wire size %d", fm.name, merr, fm.wireSize(h))
 				}
-				if len(payload) > 0 && &payload[0] != &in[fm.fields] {
-					t.Fatalf("%s: inline message: %d payload bytes, not in the header's reserved bytes", fm.name, len(payload))
+				if len(payload) > 0 && &payload[0] != &in[fm.fields+pre] {
+					t.Fatalf("%s: inline message: %d payload bytes, not in the header's reserved bytes behind its prefix", fm.name, len(payload))
+				}
+				if pre > 0 && h.TraceID != binary.LittleEndian.Uint64(in[fm.fields:]) {
+					t.Fatalf("%s: inline message: trace ID %#x, not its prefix's", fm.name, h.TraceID)
 				}
 			default:
 				// Out of line, the second rendezvous at the size the
 				// header claims decides.
 				end := fm.wireSize(h)
-				arrived := h.PayloadSize == 0 || len(in) >= end && binary.LittleEndian.Uint32(in[end-4:]) == fm.magic
+				arrived := end == fm.unit || len(in) >= end && binary.LittleEndian.Uint32(in[end-4:]) == fm.magic
 				if (merr == nil) != arrived {
 					t.Fatalf("%s: decode err %v, trailer arrived %v", fm.name, merr, arrived)
+				}
+				if merr == nil && pre > 0 {
+					// The trace ID is the payload's prefix, behind the header,
+					// where the header alone does not reach.
+					if h.TraceID != 0 || mh.TraceID != binary.LittleEndian.Uint64(in[fm.unit:]) {
+						t.Fatalf("%s: trace ID %#x, header alone %#x, prefix %x", fm.name, mh.TraceID, h.TraceID, in[fm.unit:fm.unit+pre])
+					}
+					mh.TraceID = 0
 				}
 			}
 			if merr == nil {
@@ -210,23 +241,24 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		h, herr := DecodeHeader(in)
 		mh, payload, merr := DecodeMessage(in)
-		check(shape{"request", HeaderSize, headerFields, Magic, Header.WireSize}, h, herr, mh, payload, merr)
-		if herr == nil && !h.Inline() && PayloadArrived(in, int(h.PayloadSize)) != (merr == nil) {
+		check(shape{"request", HeaderSize, headerFields, Magic, true, Header.WireSize}, h, herr, mh, payload, merr)
+		if herr == nil && !h.Inline() && PayloadArrived(in, h.PayloadOffset()-HeaderSize+int(h.PayloadSize)) != (merr == nil) {
 			t.Fatalf("PayloadArrived for %d payload bytes in a %d-byte input, DecodeMessage %v", h.PayloadSize, len(in), merr)
 		}
 		h, herr = DecodeReplyHeader(in)
 		mh, payload, merr = DecodeReply(in)
-		check(shape{"reply", ReplyLine, replyFields, ReplyMagic, Header.ReplyWireSize}, h, herr, mh, payload, merr)
+		check(shape{"reply", ReplyLine, replyFields, ReplyMagic, false, Header.ReplyWireSize}, h, herr, mh, payload, merr)
 		payloads(in)
 	})
 }
 
 // shape is what FuzzDecodeMessage knows of a form from the format: its
-// header size, field bytes and word, and the size a header says its
-// message is.
+// header size, field bytes and word, whether its messages carry a trace
+// prefix, and the size a header says its message is.
 type shape struct {
 	name         string
 	unit, fields int
 	magic        uint32
+	traces       bool
 	wireSize     func(Header) int
 }

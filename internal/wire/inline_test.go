@@ -2,91 +2,171 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
 )
 
-// reference is the message MsgBuf.Finish must produce, built the long
-// way: EncodeMessage for a payload that follows the header and, for one
-// that rides inside it, the header with FlagInline, the payload in the
-// reserved bytes, and nothing behind.
-func reference(t testing.TB, h Header, payload []byte) []byte {
-	t.Helper()
-	n := len(payload)
-	if n == 0 || n > InlineMax {
-		want := make([]byte, MessageSize(n))
-		if _, err := EncodeMessage(want, h, payload); err != nil {
-			t.Fatal(err)
-		}
-		return want
+// reference is the request MsgBuf.Finish must produce, written out byte
+// by byte from the format: a 64-byte header with the payload size,
+// opcode, flags, region and request ID in [0, 16) — a reply's line's
+// first 16 bytes — the reply offset in [16, 20), the reply slot in
+// 64-byte lines in [20, 22), tenant and priority in [22] and [23], the
+// epoch in [24, 28), the low 32 bits of SentAt in [28, 32), and Magic in
+// [60, 64). A request with a trace ID is flagged FlagTraced and carries
+// the ID in the 8 bytes ahead of its payload. A payload that fits [32,
+// 60) with its prefix rides there under FlagInline; a longer one follows
+// the header, padded to 64-byte lines whose last four hold Magic again.
+func reference(h Header, payload []byte) []byte {
+	n, pre := len(payload), 0
+	flags := h.Flags &^ (FlagInline | FlagTraced)
+	if h.TraceID != 0 {
+		pre, flags = 8, flags|FlagTraced
 	}
-	h.PayloadSize, h.Flags = uint32(n), h.Flags|FlagInline
-	want := make([]byte, HeaderSize)
-	if err := EncodeHeader(want, h); err != nil {
-		t.Fatal(err)
+	size, at := 64, 64
+	switch w := n + pre; {
+	case w > 0 && w <= 28:
+		flags |= FlagInline
+		at = 32
+	case w > 0:
+		size += (w + 4 + 63) / 64 * 64
 	}
-	copy(want[headerFields:], payload)
-	return want
+	msg := make([]byte, size)
+	binary.LittleEndian.PutUint32(msg[0:4], uint32(n))
+	msg[4] = byte(h.Opcode)
+	msg[5] = flags
+	binary.LittleEndian.PutUint16(msg[6:8], h.RegionID)
+	binary.LittleEndian.PutUint64(msg[8:16], h.RequestID)
+	binary.LittleEndian.PutUint32(msg[16:20], h.ReplyOffset)
+	binary.LittleEndian.PutUint16(msg[20:22], uint16(h.ReplySize/64))
+	msg[22], msg[23] = h.Tenant, h.Priority
+	binary.LittleEndian.PutUint32(msg[24:28], h.Epoch)
+	binary.LittleEndian.PutUint32(msg[28:32], uint32(h.SentAt))
+	binary.LittleEndian.PutUint32(msg[60:64], Magic)
+	if pre > 0 {
+		binary.LittleEndian.PutUint64(msg[at:], h.TraceID)
+	}
+	copy(msg[at+pre:], payload)
+	if size > 64 {
+		binary.LittleEndian.PutUint32(msg[size-4:], Magic)
+	}
+	return msg
 }
 
-// TestMessageShapesByPayloadLength walks every payload length from
-// nothing to three headers' worth. Finish emits exactly SentSize bytes,
-// which is the header alone up to InlineMax and MessageSize beyond; it
-// flags a message inline iff its payload rides in the header; both
-// shapes of every length — what Finish sent and what EncodeMessage, the
-// out-of-line encoder, wrote — decode to the header and payload that
-// went in; and finishing an inline payload in a warm buffer allocates
-// nothing and leaves the payload where it was built, for a retry.
-func TestMessageShapesByPayloadLength(t *testing.T) {
-	if InlineMax != 76 {
-		t.Fatalf("InlineMax = %d: the header layout leaves 76 reserved bytes", InlineMax)
+// TestRequestShapesByPayloadLength walks every request payload length
+// from nothing to 384 bytes, untraced and traced. The header's fields fill
+// 32 bytes, so InlineMax is 28 — a get for a 24-byte key — and a field
+// byte added would take a line's worth from such a get. Finish emits
+// exactly SentSize bytes of the payload and its trace prefix — the header
+// alone up to InlineMax, MessageSize beyond — and they are the format's
+// bytes, field by field; it flags a request inline iff its payload rides
+// in the header and traced iff it has a trace ID; an untraced payload
+// behind the header is built in place, and every payload is left where
+// it was built, for a retry. Both shapes of every length — what Finish
+// sent and what EncodeMessage, the out-of-line encoder, wrote — decode to
+// the header, trace ID and payload that went in, the header alone to the
+// same fields; and in a warm buffer building and decoding a request
+// allocate nothing.
+func TestRequestShapesByPayloadLength(t *testing.T) {
+	if InlineMax != 28 || headerFields != 32 || HeaderSize != 64 {
+		t.Fatalf("InlineMax = %d with %d field bytes in a %d-byte header: a 64-byte line less 32 field bytes and a 4-byte word leaves 28",
+			InlineMax, headerFields, HeaderSize)
 	}
-	rng := rand.New(rand.NewSource(23))
-	hdr := Header{Opcode: OpPut, Flags: FlagPartial | FlagInline, RegionID: 3, RequestID: 99,
-		ReplyOffset: 4096, ReplySize: 384, TraceID: 7, Epoch: 2, Tenant: 1, Priority: 1, SentAt: 12345}
+	rng := rand.New(rand.NewSource(53))
 	var mb MsgBuf
-	mb.Finish(Header{Opcode: OpPut}, bytes.Repeat([]byte{0xAB}, 4*HeaderSize)) // dirty
-	for n := 0; n <= 3*HeaderSize; n++ {
-		want := make([]byte, n)
-		rng.Read(want)
-		inline := n > 0 && n <= InlineMax
-		if got := SentSize(n) == HeaderSize; got != (n <= InlineMax) {
-			t.Fatalf("SentSize(%d) = %d", n, SentSize(n))
+	mb.Finish(Header{Opcode: OpPut}, bytes.Repeat([]byte{0xAB}, 8*HeaderSize)) // dirty
+	mb.Finish(Header{Opcode: OpPut, TraceID: 1}, bytes.Repeat([]byte{0xAB}, 8*HeaderSize))
+	for _, traceID := range []uint64{0, 0x1122334455667788} {
+		hdr := Header{Opcode: OpPut, Flags: FlagPartial | FlagInline | FlagTraced, RegionID: 3, RequestID: 99,
+			ReplyOffset: 4096, ReplySize: 384, TraceID: traceID, Epoch: 2, Tenant: 1, Priority: 1, SentAt: 12345}
+		pre := 0
+		if traceID != 0 {
+			pre = TracePrefix
 		}
-		payload := append(mb.Reserve(n), want...)
-		msg := mb.Finish(hdr, payload)
-		if len(msg) != SentSize(n) || !bytes.Equal(msg, reference(t, hdr, want)) {
-			t.Fatalf("%d payload bytes: Finish emitted %d bytes, SentSize %d, or not the reference's", n, len(msg), SentSize(n))
+		for n := 0; n <= 384; n++ {
+			want := make([]byte, n)
+			rng.Read(want)
+			inline := n+pre > 0 && n+pre <= InlineMax
+			ref := reference(hdr, want)
+			if SentSize(n+pre) != len(ref) {
+				t.Fatalf("%d payload bytes, trace %#x: SentSize(%d) = %d, the format's %d", n, traceID, n+pre, SentSize(n+pre), len(ref))
+			}
+			payload := append(mb.Reserve(n), want...)
+			msg := mb.Finish(hdr, payload)
+			if !bytes.Equal(msg, ref) {
+				t.Fatalf("%d payload bytes, trace %#x: Finish emitted %d bytes, not the format's %d\n got %x\nwant %x", n, traceID, len(msg), len(ref), msg, ref)
+			}
+			if !bytes.Equal(payload, want) {
+				t.Fatalf("%d payload bytes, trace %#x: Finish changed the payload it was handed", n, traceID)
+			}
+			if !inline && n > 0 && pre == 0 && &payload[0] != &msg[HeaderSize] {
+				t.Fatalf("%d payload bytes: the payload was not built in place", n)
+			}
+			old := make([]byte, MessageSize(n+pre))
+			if _, err := EncodeMessage(old, hdr, want); err != nil {
+				t.Fatal(err)
+			}
+			for shape, m := range map[string][]byte{"sent": msg, "out-of-line": old} {
+				h, p, err := DecodeMessage(m)
+				if err != nil || !bytes.Equal(p, want) {
+					t.Fatalf("%d payload bytes, trace %#x, %s: decoded %d bytes, %v", n, traceID, shape, len(p), err)
+				}
+				isInline := inline && shape == "sent"
+				if h.Inline() != isInline || h.Traced() != (traceID != 0) {
+					t.Fatalf("%d payload bytes, trace %#x, %s: flags %#x", n, traceID, shape, h.Flags)
+				}
+				if h.WireSize() != len(m) {
+					t.Fatalf("%d payload bytes, trace %#x, %s: WireSize %d of a %d-byte message", n, traceID, shape, h.WireSize(), len(m))
+				}
+				back := hdr
+				back.PayloadSize, back.Flags = uint32(n), h.Flags
+				if h != back || h.Flags&^(FlagInline|FlagTraced) != FlagPartial {
+					t.Fatalf("%d payload bytes, trace %#x, %s: header %+v, sent %+v", n, traceID, shape, h, hdr)
+				}
+				// The header alone: the trace ID of an out-of-line request is
+				// behind it, at PayloadOffset less the prefix.
+				hh, err := DecodeHeader(m)
+				if !isInline && traceID != 0 {
+					back.TraceID = 0
+					if off := hh.PayloadOffset(); off != HeaderSize+TracePrefix || TraceIDAt(m[HeaderSize:off]) != traceID {
+						t.Fatalf("%d payload bytes, %s: payload at %d, trace ID %#x", n, shape, off, TraceIDAt(m[HeaderSize:]))
+					}
+				}
+				if err != nil || hh != back {
+					t.Fatalf("%d payload bytes, trace %#x, %s: the header alone decodes to %+v, %v", n, traceID, shape, hh, err)
+				}
+				if isInline && !bytes.Equal(InlinePayload(m, hh), want) {
+					t.Fatalf("%d payload bytes, trace %#x: InlinePayload %x", n, traceID, InlinePayload(m, hh))
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				msg := mb.Finish(hdr, append(mb.Reserve(n), want...))
+				if _, _, err := DecodeMessage(msg); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Fatalf("%d payload bytes, trace %#x: building and decoding a request allocates %v times", n, traceID, allocs)
+			}
 		}
-		if !bytes.Equal(payload, want) {
-			t.Fatalf("%d payload bytes: Finish changed the payload it was handed", n)
-		}
-		old := make([]byte, MessageSize(n))
-		if _, err := EncodeMessage(old, hdr, want); err != nil {
+	}
+}
+
+// TestRequestHeaderFieldWidths: a request header carries ReplySize in
+// whole 64-byte lines — rounded down, so the server never writes past a
+// slot, and capped at 0xFFFF lines — and SentAt's low 32 bits.
+func TestRequestHeaderFieldWidths(t *testing.T) {
+	for _, tc := range []struct{ size, want uint32 }{
+		{0, 0}, {63, 0}, {64, 64}, {127, 64}, {1024, 1024}, {256 << 10, 256 << 10},
+		{0xFFFF * 64, 0xFFFF * 64}, {4 << 20, 0xFFFF * 64}, {1 << 31, 0xFFFF * 64},
+	} {
+		buf := make([]byte, HeaderSize)
+		if err := EncodeHeader(buf, Header{Opcode: OpGet, ReplySize: tc.size, SentAt: 7<<32 | 12345}); err != nil {
 			t.Fatal(err)
 		}
-		for shape, m := range map[string][]byte{"sent": msg, "out-of-line": old} {
-			h, p, err := DecodeMessage(m)
-			if err != nil || !bytes.Equal(p, want) {
-				t.Fatalf("%d payload bytes, %s: decoded %d bytes, %v", n, shape, len(p), err)
-			}
-			if h.Inline() != (inline && shape == "sent") {
-				t.Fatalf("%d payload bytes, %s: FlagInline = %v", n, shape, h.Inline())
-			}
-			if h.WireSize() != len(m) {
-				t.Fatalf("%d payload bytes, %s: WireSize %d of a %d-byte message", n, shape, h.WireSize(), len(m))
-			}
-			back := hdr
-			back.PayloadSize, back.Flags = uint32(n), h.Flags
-			if h != back || h.Flags&^FlagInline != FlagPartial {
-				t.Fatalf("%d payload bytes, %s: header %+v, sent %+v", n, shape, h, hdr)
-			}
-		}
-		if inline {
-			if allocs := testing.AllocsPerRun(20, func() { mb.Finish(hdr, append(mb.Reserve(n), want...)) }); allocs != 0 {
-				t.Fatalf("%d payload bytes: finishing an inline message allocates %v times", n, allocs)
-			}
+		h, err := DecodeHeader(buf)
+		if err != nil || h.ReplySize != tc.want || h.SentAt != 12345 {
+			t.Fatalf("ReplySize %d decodes to %d, SentAt to %d (%v); want %d and 12345", tc.size, h.ReplySize, h.SentAt, err, tc.want)
 		}
 	}
 }
@@ -104,8 +184,9 @@ func TestMaxPayloadIsTheLargestThatFits(t *testing.T) {
 }
 
 // TestInlineHeaderClaimingTooMuchIsMalformed: an inline header whose
-// PayloadSize exceeds what its header holds is ErrBadHeader — for the
-// header and the message decoder of either form — and a well-formed
+// PayloadSize exceeds what its header holds — with a traced request's
+// prefix — is ErrBadHeader, for the header and the message decoder of
+// either form, and a well-formed
 // inline message decodes out of exactly its header's bytes: nothing
 // behind the header is wanted, so nothing behind it is read, not even
 // the trailer an older and longer message of its form left there.
@@ -122,6 +203,15 @@ func TestInlineHeaderClaimingTooMuchIsMalformed(t *testing.T) {
 			t.Fatalf("DecodeMessage of an inline header with %d payload bytes: %v", n, err)
 		}
 	}
+	for _, n := range []uint32{InlineMax - TracePrefix + 1, InlineMax} {
+		buf := make([]byte, HeaderSize)
+		if err := EncodeHeader(buf, Header{Opcode: OpGet, Flags: FlagInline | FlagTraced, PayloadSize: n}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := DecodeMessage(buf); !errors.Is(err, ErrBadHeader) {
+			t.Fatalf("DecodeMessage of a traced inline header with %d payload bytes: %v", n, err)
+		}
+	}
 	for _, n := range []uint32{ReplyInlineMax + 1, ReplyLine, 1 << 31} {
 		line := replyReference(Header{Opcode: OpGetReply}, nil)
 		line[0], line[1], line[2], line[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
@@ -135,10 +225,10 @@ func TestInlineHeaderClaimingTooMuchIsMalformed(t *testing.T) {
 	}
 
 	var mb MsgBuf
-	text := bytes.Repeat([]byte("x"), InlineMax)
-	msg := mb.Finish(Header{Opcode: OpPut}, text)
+	text := bytes.Repeat([]byte("x"), ReplyInlineMax)
+	msg := mb.Finish(Header{Opcode: OpPut}, text[:InlineMax])
 	exact := append(make([]byte, 0, HeaderSize), msg...)
-	if _, p, err := DecodeMessage(exact); err != nil || !bytes.Equal(p, text) {
+	if _, p, err := DecodeMessage(exact); err != nil || !bytes.Equal(p, text[:InlineMax]) {
 		t.Fatalf("an inline request alone in its buffer: %d bytes, %v", len(p), err)
 	}
 	stale := make([]byte, MessageSize(200))
@@ -146,12 +236,11 @@ func TestInlineHeaderClaimingTooMuchIsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(stale, msg)
-	if _, p, err := DecodeMessage(stale); err != nil || !bytes.Equal(p, text) {
+	if _, p, err := DecodeMessage(stale); err != nil || !bytes.Equal(p, text[:InlineMax]) {
 		t.Fatalf("an inline request over a stale longer one: %d bytes, %v", len(p), err)
 	}
 
 	var rb ReplyBuf
-	text = text[:ReplyInlineMax]
 	reply := rb.Finish(Header{Opcode: OpGetReply}, text)
 	exact = append(make([]byte, 0, ReplyLine), reply...)
 	if _, p, err := DecodeReply(exact); err != nil || !bytes.Equal(p, text) {
@@ -165,15 +254,16 @@ func TestInlineHeaderClaimingTooMuchIsMalformed(t *testing.T) {
 }
 
 // TestInlineFrameCompat pins the argument for the inline shape of a
-// request (mirroring TestTraceIDFrameCompat): a small payload sent out of
-// line — reserved bytes zero, FlagInline clear, one header slot and one
-// payload slot since payloads have no minimum size — decodes, and the
-// inline frame differs from that frame's header only in the flag bit and
-// in bytes that are reserved-as-zero there, so a decoder finds the same
-// payload in both.
+// request: a small payload sent out of line — reserved bytes zero,
+// FlagInline clear, one header line and one payload line since payloads
+// have no minimum size — decodes, and the inline frame differs from that
+// frame's header only in the flag bit and in bytes that are
+// reserved-as-zero there, so a decoder finds the same payload in both.
+// (The premise is the 64-byte header's now: an S put of 20 bytes, not
+// one of 29, is what fits.)
 func TestInlineFrameCompat(t *testing.T) {
 	h := Header{Opcode: OpPut, RegionID: 11, RequestID: 0xfeedface, ReplyOffset: 2048, ReplySize: 384, Epoch: 9}
-	put := PutReq{Key: []byte("user000042"), Value: []byte("value-bytes")}.Encode(nil)
+	put := PutReq{Key: []byte("user000042"), Value: []byte("v1")}.Encode(nil)
 
 	old := make([]byte, MessageSize(len(put)))
 	if _, err := EncodeMessage(old, h, put); err != nil {

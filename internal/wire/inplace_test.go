@@ -54,40 +54,46 @@ func TestEncodeAllocatesOnceFromSize(t *testing.T) {
 
 // TestMsgBufBuildsTheSameBytesInPlace: a message finished in place around
 // a payload encoded behind the header slot is byte-identical to the
-// reference — EncodeMessage of the same payload, or for a payload that
-// fits inside the header, the header with the payload in its reserved
-// bytes — whatever an earlier, longer message left in the buffer, and is
-// built without allocating; finishing again under another header changes
-// the header alone; a payload that is not in the buffer is copied in.
+// format's reference — the payload behind the header, or for a payload
+// that fits inside the header, in its reserved bytes — whatever an
+// earlier, longer message left in the buffer, and is built without
+// allocating; finishing again under another header changes the header
+// alone; a traced request's payload, which moves behind its trace ID, is
+// copied there and left where it was built, so a retry finds it again; a
+// payload that is not in the buffer is copied in.
 func TestMsgBufBuildsTheSameBytesInPlace(t *testing.T) {
 	var mb MsgBuf
 	dirty := bytes.Repeat([]byte{0xAB}, 4000)
 	mb.Finish(Header{Opcode: OpPut}, dirty) // leaves 0xAB where padding will be
+	mb.Finish(Header{Opcode: OpPut, TraceID: 1}, dirty)
 
-	hdr := Header{Opcode: OpGetReply, Flags: FlagPartial, RegionID: 3, RequestID: 99, TraceID: 7, Epoch: 2, Tenant: 1, SentAt: 12345}
-	for name, p := range everyPayload() {
-		payload := p.Encode(mb.Reserve(p.Size()))
-		got := mb.Finish(hdr, payload)
-		if !bytes.Equal(got, reference(t, hdr, p.Encode(nil))) {
-			t.Fatalf("%s: in-place message differs from the reference", name)
-		}
-		if len(got) > HeaderSize && &payload[0] != &got[HeaderSize] {
-			t.Fatalf("%s: payload was not encoded in place", name)
-		}
-		// A retry: same payload, new header.
-		retry := hdr
-		retry.RequestID, retry.ReplyOffset = 100, 4096
-		if got := mb.Finish(retry, payload); !bytes.Equal(got, reference(t, retry, p.Encode(nil))) {
-			t.Fatalf("%s: re-finished message differs from the reference", name)
-		}
-		if allocs := testing.AllocsPerRun(20, func() { mb.Finish(hdr, p.Encode(mb.Reserve(p.Size()))) }); allocs != 0 {
-			t.Errorf("%s: building a message in a warm MsgBuf allocates %v times", name, allocs)
+	for _, traceID := range []uint64{0, 7} {
+		hdr := Header{Opcode: OpGetReply, Flags: FlagPartial, RegionID: 3, RequestID: 99, TraceID: traceID, Epoch: 2, Tenant: 1, SentAt: 12345}
+		for name, p := range everyPayload() {
+			payload := p.Encode(mb.Reserve(p.Size()))
+			got := mb.Finish(hdr, payload)
+			if !bytes.Equal(got, reference(hdr, p.Encode(nil))) {
+				t.Fatalf("%s, trace %d: in-place message differs from the reference", name, traceID)
+			}
+			if traceID == 0 && len(got) > HeaderSize && &payload[0] != &got[HeaderSize] {
+				t.Fatalf("%s: payload was not encoded in place", name)
+			}
+			// A retry: same payload, new header.
+			retry := hdr
+			retry.RequestID, retry.ReplyOffset = 100, 4096
+			if got := mb.Finish(retry, payload); !bytes.Equal(got, reference(retry, p.Encode(nil))) {
+				t.Fatalf("%s, trace %d: re-finished message differs from the reference", name, traceID)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { mb.Finish(hdr, p.Encode(mb.Reserve(p.Size()))) }); allocs != 0 {
+				t.Errorf("%s, trace %d: building a message in a warm MsgBuf allocates %v times", name, traceID, allocs)
+			}
 		}
 	}
 
+	hdr := Header{Opcode: OpGetReply, Flags: FlagPartial, RegionID: 3, RequestID: 99, Epoch: 2, Tenant: 1, SentAt: 12345}
 	// A payload from elsewhere (an error text) is copied in.
 	for _, text := range [][]byte{[]byte("server: region epoch mismatch"), bytes.Repeat([]byte("long "), 40)} {
-		if got := mb.Finish(hdr, text); !bytes.Equal(got, reference(t, hdr, text)) {
+		if got := mb.Finish(hdr, text); !bytes.Equal(got, reference(hdr, text)) {
 			t.Fatalf("foreign payload of %d bytes: message differs from the reference", len(text))
 		}
 	}

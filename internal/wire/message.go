@@ -10,11 +10,14 @@
 // the whole arrival test. Decoders take both shapes; a MsgBuf or ReplyBuf
 // picks the one to send.
 //
-// The request form is what a client writes into a server's ring and a
-// primary sends a backup: a 128-byte header (HeaderSize) whose fields take
-// bytes [0, 48), with Magic as its word. Because its sizes are multiples
-// of the header size, the spinning thread only ever needs to zero the
-// possible header locations after consuming a message.
+// Both forms are 64-byte lines. The request form is what a client writes
+// into a server's ring and a primary sends a backup: a 64-byte header
+// (HeaderSize) whose fields take bytes [0, 32), with Magic as its word.
+// Because its sizes are multiples of the header size, the spinning thread
+// only ever needs to zero the possible header locations after consuming a
+// message. A sampled request (FlagTraced) carries its trace ID as the
+// first TracePrefix bytes of its payload, not in a header field, so the
+// other requests do not pay for it.
 //
 // The reply form is what a server writes into a client's reply slot and a
 // backup sends back as an ack: a 64-byte line (ReplyLine) holding the
@@ -31,13 +34,19 @@ import (
 
 // Protocol constants.
 const (
-	// HeaderSize is the request form's header size.
-	HeaderSize = 128
-	// Magic is the request form's rendezvous word ("TEBI").
-	Magic = 0x54454249
+	// HeaderSize is the request form's header size: one 64-byte line.
+	HeaderSize = 64
+	// Magic is the request form's rendezvous word ("TEBQ"). The 128-byte
+	// request header that came before the line had its own word, "TEBI",
+	// so a frame of that format never passes for a request.
+	Magic = 0x54454251
 	// InlineMax is the largest payload that rides inside a request
-	// header, in the reserved bytes between its last field and its word.
+	// header, in the reserved bytes between its last field and its word —
+	// a traced request's TracePrefix among them.
 	InlineMax = HeaderSize - 4 - headerFields
+	// TracePrefix is how many payload bytes a traced request's trace ID
+	// takes, ahead of the payload proper.
+	TracePrefix = 8
 
 	// ReplyLine is the reply form's header size: one 64-byte line.
 	ReplyLine = 64
@@ -48,11 +57,15 @@ const (
 	ReplyInlineMax = ReplyLine - 4 - replyFields
 
 	// headerFields is how many leading request-header bytes the fields of
-	// Header occupy; the bytes from there to the word are reserved.
-	headerFields = 48
+	// Header occupy; the bytes from there to the word are reserved. A
+	// field byte added here is taken from every inline get.
+	headerFields = 32
 	// replyFields is how many leading bytes of a reply's line its fields
 	// occupy: the request header's first 16, cut short there.
 	replyFields = 16
+	// replySizeUnit is the unit a request header counts ReplySize in:
+	// reply slots are whole reply lines.
+	replySizeUnit = ReplyLine
 )
 
 // form is one of the two message forms: the header's size, which is also
@@ -67,6 +80,10 @@ var (
 	requestForm = form{unit: HeaderSize, fields: headerFields, magic: Magic}
 	replyForm   = form{unit: ReplyLine, fields: replyFields, magic: ReplyMagic}
 )
+
+// request reports whether f is the request form: the one with fields
+// past a reply's 16 bytes, and a trace prefix on a traced message.
+func (f form) request() bool { return f.fields == headerFields }
 
 // inlineMax is the largest payload that rides inside the header.
 func (f form) inlineMax() int { return f.unit - 4 - f.fields }
@@ -102,13 +119,35 @@ func (f form) maxPayload(size int) int {
 	return size/f.unit*f.unit - f.unit - 4
 }
 
+// prefix returns how many bytes ahead of its payload the message h heads
+// carries: TracePrefix for a traced request, else none.
+func (f form) prefix(h Header) int {
+	if f.request() && h.Flags&FlagTraced != 0 {
+		return TracePrefix
+	}
+	return 0
+}
+
+// shaped returns h as an encoder sends it out of line for a payload of
+// payloadLen bytes: the flags that describe the message's shape set by
+// the encoder, whatever the caller's Header says — FlagInline clear,
+// FlagTraced on a request with a trace ID.
+func (f form) shaped(h Header, payloadLen int) Header {
+	h.PayloadSize = uint32(payloadLen)
+	h.Flags &^= FlagInline | FlagTraced
+	if f.request() && h.TraceID != 0 {
+		h.Flags |= FlagTraced
+	}
+	return h
+}
+
 // wireSize returns the size of the message h heads, in the shape it
 // arrived in.
 func (f form) wireSize(h Header) int {
 	if h.Inline() {
 		return f.unit
 	}
-	return f.outOfLine(int(h.PayloadSize))
+	return f.outOfLine(int(h.PayloadSize) + f.prefix(h))
 }
 
 // arrived reports whether word holds the form's rendezvous magic.
@@ -117,7 +156,9 @@ func (f form) arrived(word []byte) bool {
 }
 
 // encodeHeader writes h into buf[0:f.unit]: the fields the form carries,
-// zeros up to the word, and the word.
+// zeros up to the word, and the word. A request's header carries
+// ReplySize in whole lines (a slot is never less than what it names) and
+// the low 32 bits of SentAt; its TraceID is no header field.
 func (f form) encodeHeader(buf []byte, h Header) {
 	clear(buf[:f.unit])
 	binary.LittleEndian.PutUint32(buf[0:4], h.PayloadSize)
@@ -125,21 +166,22 @@ func (f form) encodeHeader(buf []byte, h Header) {
 	buf[5] = h.Flags
 	binary.LittleEndian.PutUint16(buf[6:8], h.RegionID)
 	binary.LittleEndian.PutUint64(buf[8:16], h.RequestID)
-	if f.fields == headerFields {
+	if f.request() {
 		binary.LittleEndian.PutUint32(buf[16:20], h.ReplyOffset)
-		binary.LittleEndian.PutUint32(buf[20:24], h.ReplySize)
-		binary.LittleEndian.PutUint64(buf[24:32], h.TraceID)
-		binary.LittleEndian.PutUint32(buf[32:36], h.Epoch)
-		buf[36] = h.Tenant
-		buf[37] = h.Priority
-		binary.LittleEndian.PutUint64(buf[40:48], uint64(h.SentAt))
+		binary.LittleEndian.PutUint16(buf[20:22], uint16(min(h.ReplySize/replySizeUnit, 0xFFFF)))
+		buf[22] = h.Tenant
+		buf[23] = h.Priority
+		binary.LittleEndian.PutUint32(buf[24:28], h.Epoch)
+		binary.LittleEndian.PutUint32(buf[28:32], uint32(h.SentAt))
 	}
 	binary.LittleEndian.PutUint32(buf[f.unit-4:f.unit], f.magic)
 }
 
 // decodeHeader parses buf[0:f.unit]; it fails unless the form's word is
 // there, and on a header that names no opcode or, flagged inline, claims
-// more payload than the header holds.
+// more payload than the header holds. The trace ID of an inline traced
+// request is read from the header's bytes; that of an out-of-line one is
+// behind the header, and decode reads it.
 func (f form) decodeHeader(buf []byte) (Header, error) {
 	if len(buf) < f.unit {
 		return Header{}, ErrShortBuffer
@@ -154,40 +196,48 @@ func (f form) decodeHeader(buf []byte) (Header, error) {
 		RegionID:    binary.LittleEndian.Uint16(buf[6:8]),
 		RequestID:   binary.LittleEndian.Uint64(buf[8:16]),
 	}
-	if f.fields == headerFields {
+	if f.request() {
 		h.ReplyOffset = binary.LittleEndian.Uint32(buf[16:20])
-		h.ReplySize = binary.LittleEndian.Uint32(buf[20:24])
-		h.TraceID = binary.LittleEndian.Uint64(buf[24:32])
-		h.Epoch = binary.LittleEndian.Uint32(buf[32:36])
-		h.Tenant = buf[36]
-		h.Priority = buf[37]
-		h.SentAt = int64(binary.LittleEndian.Uint64(buf[40:48]))
+		h.ReplySize = uint32(binary.LittleEndian.Uint16(buf[20:22])) * replySizeUnit
+		h.Tenant = buf[22]
+		h.Priority = buf[23]
+		h.Epoch = binary.LittleEndian.Uint32(buf[24:28])
+		h.SentAt = int64(binary.LittleEndian.Uint32(buf[28:32]))
 	}
-	if h.Opcode == OpInvalid || (h.Inline() && h.PayloadSize > uint32(f.inlineMax())) {
+	pre := f.prefix(h)
+	if h.Opcode == OpInvalid || (h.Inline() && int(h.PayloadSize)+pre > f.inlineMax()) {
 		return Header{}, ErrBadHeader
+	}
+	if h.Inline() && pre > 0 {
+		h.TraceID = binary.LittleEndian.Uint64(buf[f.fields:])
 	}
 	return h, nil
 }
 
 // decode parses a complete message of either shape at buf, returning the
-// header and the unpadded payload (aliasing buf). Of an inline message it
-// reads the header and nothing behind it.
+// header and the unpadded payload (aliasing buf), a traced request's
+// trace ID taken out of the payload's first bytes into the header. Of an
+// inline message it reads the header and nothing behind it.
 func (f form) decode(buf []byte) (Header, []byte, error) {
 	h, err := f.decodeHeader(buf)
 	if err != nil {
 		return Header{}, nil, err
 	}
+	pre, n := f.prefix(h), int(h.PayloadSize)
 	if h.Inline() {
-		return h, buf[f.fields : f.fields+int(h.PayloadSize)], nil
+		return h, buf[f.fields+pre : f.fields+pre+n], nil
 	}
-	end := f.outOfLine(int(h.PayloadSize))
+	end := f.outOfLine(pre + n)
 	if len(buf) < end {
 		return Header{}, nil, ErrShortBuffer
 	}
 	if end > f.unit && !f.arrived(buf[end-4:end]) {
 		return Header{}, nil, ErrBadMagic
 	}
-	return h, buf[f.unit : f.unit+int(h.PayloadSize)], nil
+	if pre > 0 {
+		h.TraceID = binary.LittleEndian.Uint64(buf[f.unit:])
+	}
+	return h, buf[f.unit+pre : f.unit+pre+n], nil
 }
 
 // Op identifies a message type.
@@ -285,18 +335,26 @@ const (
 	// was applied, and the client should back off before retrying.
 	FlagOverload = 1 << 4
 	// FlagInline marks a message whose payload sits in the header's
-	// bytes behind its fields — [48, 48+PayloadSize) of a request,
-	// [16, 16+PayloadSize) of a reply — and that ends with the header: no
-	// padded payload or trailer word follows.
+	// bytes behind its fields — [32, 32+PayloadSize) of a request (behind
+	// its trace prefix when it is traced), [16, 16+PayloadSize) of a
+	// reply — and that ends with the header: no padded payload or trailer
+	// word follows.
 	// It describes the message's shape, so the encoders set and clear it
 	// themselves whatever the caller's Header says.
 	FlagInline = 1 << 5
+	// FlagTraced marks a request whose payload starts with its TraceID:
+	// TracePrefix bytes that PayloadSize does not count, ahead of the
+	// payload proper. The encoders set it on a request with a trace ID and
+	// clear it on every other message; the decoders take the prefix back
+	// into Header.TraceID.
+	FlagTraced = 1 << 6
 )
 
 // Header is a decoded message header. A reply carries the fields up to
 // RequestID; the rest are request fields, zero in a decoded reply.
 type Header struct {
-	// PayloadSize is the unpadded payload length in bytes.
+	// PayloadSize is the unpadded payload length in bytes, a traced
+	// request's TracePrefix not counted.
 	PayloadSize uint32
 	// Opcode identifies the message type.
 	Opcode Op
@@ -309,41 +367,40 @@ type Header struct {
 	// ReplyOffset is where in the client's reply buffer the server must
 	// RDMA-write the reply (client-managed allocation, §3.4.1).
 	ReplyOffset uint32
-	// ReplySize is the size of the reply slot the client allocated.
+	// ReplySize is the size of the reply slot the client allocated. A
+	// request header carries it in whole 64-byte lines, so it decodes
+	// rounded down to one (and at most 0xFFFF lines, 4 MiB less a line).
 	ReplySize uint32
 	// TraceID carries the request-scoped trace context: non-zero only
 	// for sampled client operations, propagated so every hop (server
 	// dispatch, primary apply, backup ship/ack) records spans under one
-	// ID. It occupies header bytes previously reserved-as-zero, so old
-	// encoders produce TraceID 0 (unsampled) and old decoders ignore the
-	// field — forward and backward compatible by construction.
+	// ID. It is no header field: a request that has one is sent
+	// FlagTraced, with the ID as its payload's first TracePrefix bytes,
+	// and the decoders put it back here. A reply never carries it.
 	TraceID uint64
 	// Epoch is the region epoch the client routed with. Servers compare
 	// it against the hosted region's epoch and reject mismatches with
 	// FlagWrongEpoch, so a request routed with a pre-migration map can
-	// never read or write a region its server no longer owns. Like
-	// TraceID it lives in previously reserved-as-zero bytes; epoch 0
-	// means "unchecked" (old encoders), preserving compatibility.
+	// never read or write a region its server no longer owns. Epoch 0
+	// means "unchecked".
 	Epoch uint32
 	// Tenant identifies the requesting tenant for per-tenant latency
 	// attribution and admission control (DESIGN.md "Data path" and
-	// "Observability"). One previously reserved-as-zero byte: old encoders
-	// produce tenant 0 (the default tenant), old decoders ignore it —
-	// compatible by construction like TraceID and Epoch.
+	// "Observability"). 0 is the default tenant.
 	Tenant uint8
 	// SentAt is the client's send wall-clock in Unix nanoseconds,
-	// stamped on every request (SentAt 0 = unstamped). The
-	// worker subtracts it from its pickup time to attribute the whole
-	// pre-service wait — ring, wire, spinning-thread detection, and
-	// worker queue — to the dispatch stage, and to feed the admission
-	// controller's queue-wait signal (DESIGN.md "Data path"). Meaningful only
-	// within one process (shared clock); zero by construction for old
-	// encoders.
+	// stamped on every request (SentAt 0 = unstamped). A request header
+	// carries its low 32 bits, so it decodes to those alone, and the
+	// worker takes the wait from it modulo 2^32 ns — exact for any wait
+	// under 4.29 s. The wait attributes the whole pre-service
+	// time — ring, wire, spinning-thread detection, and worker queue — to
+	// the dispatch stage, and feeds the admission controller's queue-wait
+	// signal (DESIGN.md "Data path"). Meaningful only within one process
+	// (shared clock).
 	SentAt int64
-	// Priority is the request's admission-control class. 0 (the old
-	// encoders' implicit value) is the lowest class — the one admission
-	// control delays or sheds first under overload; higher classes are
-	// never shed.
+	// Priority is the request's admission-control class. 0 is the
+	// lowest class — the one admission control delays or sheds first
+	// under overload; higher classes are never shed.
 	Priority uint8
 }
 
@@ -356,17 +413,19 @@ var (
 
 // PaddedPayloadSize returns the on-wire size of a request payload that
 // follows its header: padded to a multiple of HeaderSize with room for
-// the 4-byte end-of-payload rendezvous.
+// the 4-byte end-of-payload rendezvous. A traced request's payload counts
+// its TracePrefix.
 func PaddedPayloadSize(payloadLen int) int { return requestForm.padded(payloadLen) }
 
 // MessageSize returns the total size of a request whose payload of the
 // given length follows the header — the out-of-line shape, which is what
-// every payload over InlineMax is sent in.
+// every payload over InlineMax is sent in. A traced request's payload
+// counts its TracePrefix.
 func MessageSize(payloadLen int) int { return requestForm.outOfLine(payloadLen) }
 
 // SentSize returns the size of the request MsgBuf.Finish emits for a
 // payload of the given length: the header alone up to InlineMax,
-// MessageSize beyond.
+// MessageSize beyond. A traced request's payload counts its TracePrefix.
 func SentSize(payloadLen int) int { return requestForm.sent(payloadLen) }
 
 // ReplyMessageSize returns the size of the reply ReplyBuf.Finish emits
@@ -384,6 +443,9 @@ func MaxPayload(size int) int { return replyForm.maxPayload(size) }
 // the header.
 func (h Header) Inline() bool { return h.Flags&FlagInline != 0 }
 
+// Traced reports whether the request h heads carries a trace prefix.
+func (h Header) Traced() bool { return h.Flags&FlagTraced != 0 }
+
 // WireSize returns the size of the request h heads, in the shape it
 // arrived in.
 func (h Header) WireSize() int { return requestForm.wireSize(h) }
@@ -392,10 +454,20 @@ func (h Header) WireSize() int { return requestForm.wireSize(h) }
 // arrived in.
 func (h Header) ReplyWireSize() int { return replyForm.wireSize(h) }
 
+// PayloadOffset returns where the payload proper of the out-of-line
+// request h heads starts, from the start of the message: behind the
+// header and, of a traced request, behind the trace ID there.
+func (h Header) PayloadOffset() int { return HeaderSize + requestForm.prefix(h) }
+
+// TraceIDAt returns the trace ID in the first TracePrefix bytes of an
+// out-of-line traced request's payload, at h.PayloadOffset()-TracePrefix.
+func TraceIDAt(prefix []byte) uint64 { return binary.LittleEndian.Uint64(prefix) }
+
 // InlinePayload returns the payload of the inline request whose header
-// bytes are hdr and decoded to h. It aliases hdr.
+// bytes are hdr and decoded to h, a trace prefix left out. It aliases hdr.
 func InlinePayload(hdr []byte, h Header) []byte {
-	return hdr[headerFields : headerFields+int(h.PayloadSize)]
+	at := headerFields + requestForm.prefix(h)
+	return hdr[at : at+int(h.PayloadSize)]
 }
 
 // ReplyInlinePayload returns the payload of the inline reply whose line
@@ -405,7 +477,9 @@ func ReplyInlinePayload(line []byte, h Header) []byte {
 }
 
 // EncodeHeader writes h into buf[0:HeaderSize] as a request header,
-// including the rendezvous magic in the final four bytes.
+// including the rendezvous magic in the final four bytes. It writes the
+// flags as h has them and no TraceID, which is no header field: the
+// message encoders place a trace ID and flag it.
 func EncodeHeader(buf []byte, h Header) error {
 	if len(buf) < HeaderSize {
 		return ErrShortBuffer
@@ -416,7 +490,8 @@ func EncodeHeader(buf []byte, h Header) error {
 
 // DecodeHeader parses a request header at buf[0:HeaderSize]; it fails
 // unless Magic is present, and on an inline header that claims more
-// payload than a header holds.
+// payload than a header holds. An out-of-line traced request's TraceID is
+// behind the header (TraceIDAt) and decodes as 0 here.
 func DecodeHeader(buf []byte) (Header, error) { return requestForm.decodeHeader(buf) }
 
 // DecodeReplyHeader parses a reply's line at buf[0:ReplyLine]; it fails
@@ -435,9 +510,10 @@ func MagicArrived(word []byte) bool { return requestForm.arrived(word) }
 func ReplyArrived(word []byte) bool { return replyForm.arrived(word) }
 
 // PayloadArrived reports whether the end-of-payload rendezvous magic for
-// an out-of-line request with the given payload size is present (the
-// spinning thread's second poll point). Messages without payload, and
-// inline ones, are complete once the header is.
+// an out-of-line request with the given payload size — a trace prefix
+// counted — is present (the spinning thread's second poll point).
+// Messages without payload, and inline ones, are complete once the header
+// is.
 func PayloadArrived(buf []byte, payloadSize int) bool {
 	padded := PaddedPayloadSize(payloadSize)
 	if padded == 0 {
@@ -447,78 +523,97 @@ func PayloadArrived(buf []byte, payloadSize int) bool {
 	return len(buf) >= end && MagicArrived(buf[end-4:end])
 }
 
-// EncodeMessage writes a complete out-of-line request (header + payload +
-// padding + trailer magic) into buf and returns the total size. No
-// product code sends through it — every sender builds in a MsgBuf, which
-// also knows the inline shape; it is the reference the tests hold Finish
-// to and what the benchmark ladder's wire rungs time.
+// EncodeMessage writes a complete out-of-line request (header, the trace
+// prefix of a header with a TraceID, payload, padding and trailer magic)
+// into buf and returns the total size. No product code sends through it
+// — every sender builds in a MsgBuf, which also knows the inline shape;
+// it is the reference the tests hold Finish to and what the benchmark
+// ladder's wire rungs time.
 func EncodeMessage(buf []byte, h Header, payload []byte) (int, error) {
-	total := MessageSize(len(payload))
+	h = requestForm.shaped(h, len(payload))
+	pre := requestForm.prefix(h)
+	total := MessageSize(pre + len(payload))
 	if len(buf) < total {
 		return 0, fmt.Errorf("%w: need %d, have %d", ErrShortBuffer, total, len(buf))
 	}
-	copy(buf[HeaderSize:], payload)
-	requestForm.finishOutOfLine(buf[:total], h, len(payload))
+	copy(buf[HeaderSize+pre:], payload)
+	requestForm.finishOutOfLine(buf[:total], h)
 	return total, nil
 }
 
-// finishOutOfLine completes msg — exactly f.outOfLine(payloadLen) bytes
-// whose payload already sits behind the header — by writing the header,
-// zeroing the padding up to the trailer, and writing the trailer word.
-// Only the bytes around the payload are touched.
-func (f form) finishOutOfLine(msg []byte, h Header, payloadLen int) {
-	h.PayloadSize = uint32(payloadLen)
-	h.Flags &^= FlagInline
+// finishOutOfLine completes msg — exactly the out-of-line size of the
+// message h heads, shaped, whose payload already sits behind the header
+// and its prefix — by writing the header, the trace prefix, zeroing the
+// padding up to the trailer, and writing the trailer word. Only the bytes
+// around the payload are touched.
+func (f form) finishOutOfLine(msg []byte, h Header) {
 	f.encodeHeader(msg, h)
+	pre := f.prefix(h)
+	if pre > 0 {
+		binary.LittleEndian.PutUint64(msg[f.unit:], h.TraceID)
+	}
 	if len(msg) > f.unit {
-		clear(msg[f.unit+payloadLen : len(msg)-4])
+		clear(msg[f.unit+pre+int(h.PayloadSize) : len(msg)-4])
 		binary.LittleEndian.PutUint32(msg[len(msg)-4:], f.magic)
 	}
 }
 
 // frameBuf is the buffer behind a MsgBuf or a ReplyBuf; each method takes
-// the form the message is built in.
+// the form the message is built in. traced is where a traced request
+// whose payload follows its header is built: its payload moves behind the
+// trace ID, and where it was built stays as it is, for a retry.
 type frameBuf struct {
-	b []byte
+	b, traced []byte
 }
 
-// room returns the buffer sized to total bytes, replacing it (contents
+// room returns the buffer *b sized to total bytes, replacing it (contents
 // and all) when it is too small.
-func (m *frameBuf) room(total int) []byte {
-	if cap(m.b) < total {
-		m.b = make([]byte, total)
+func room(b *[]byte, total int) []byte {
+	if cap(*b) < total {
+		*b = make([]byte, total)
 	}
-	return m.b[:total]
+	return (*b)[:total]
 }
 
 // reserve returns the empty position behind the header, with capacity
 // for payloadLen payload bytes and the padding and trailer that follow.
 func (m *frameBuf) reserve(f form, payloadLen int) []byte {
-	msg := m.room(f.outOfLine(payloadLen))
+	msg := room(&m.b, f.outOfLine(payloadLen))
 	return msg[f.unit:f.unit]
 }
 
 // finish builds the message around payload and returns it. A payload
 // over the form's inline limit built on reserve's slice is already in
 // place and is not copied; any other (an error text, a payload that
-// outgrew its reservation) is copied in behind the header first. A
-// payload that fits the header's reserved bytes is copied there instead —
-// where it was built stays as it is, for a retry — and the header is the
-// message.
+// outgrew its reservation, a traced request's) is copied in behind the
+// header first. A payload that fits the header's reserved bytes — with a
+// traced request's trace ID — is copied there instead, and the header is
+// the message. Either way a payload copied stays where it was built, for
+// a retry.
 func (m *frameBuf) finish(f form, h Header, payload []byte) []byte {
-	if n := len(payload); n > 0 && n <= f.inlineMax() {
-		msg := m.room(f.unit)
-		h.PayloadSize = uint32(n)
+	n := len(payload)
+	h = f.shaped(h, n)
+	pre := f.prefix(h)
+	if n+pre > 0 && n+pre <= f.inlineMax() {
 		h.Flags |= FlagInline
+		msg := room(&m.b, f.unit)
 		f.encodeHeader(msg, h)
-		copy(msg[f.fields:], payload)
+		if pre > 0 {
+			binary.LittleEndian.PutUint64(msg[f.fields:], h.TraceID)
+		}
+		copy(msg[f.fields+pre:], payload)
 		return msg
 	}
-	msg := m.room(f.outOfLine(len(payload)))
-	if len(payload) > 0 && &payload[0] != &msg[f.unit] {
-		copy(msg[f.unit:], payload)
+	var msg []byte
+	if pre > 0 {
+		msg = room(&m.traced, f.outOfLine(pre+n))
+	} else {
+		msg = room(&m.b, f.outOfLine(n))
 	}
-	f.finishOutOfLine(msg, h, len(payload))
+	if n > 0 && &payload[0] != &msg[f.unit+pre] {
+		copy(msg[f.unit+pre:], payload)
+	}
+	f.finishOutOfLine(msg, h)
 	return msg
 }
 
@@ -532,9 +627,12 @@ func (m *frameBuf) finish(f form, h Header, payload []byte) []byte {
 // a one-sided write copies it into the peer's registered memory, so the
 // buffer is free again when the write returns. Finishing the same
 // payload again under another header (a retry) touches the header slot
-// only. A payload of at most InlineMax bytes is moved into the header
-// slot and msg is that slot alone (SentSize says which, beforehand). The
-// zero value is ready to use; a MsgBuf serves one goroutine at a time.
+// only. A payload of at most InlineMax bytes — a traced request's trace
+// prefix counted — is moved into the header slot and msg is that slot
+// alone (SentSize says which, beforehand). A traced request whose payload
+// follows its header is built beside the payload, which stays where it
+// was built. The zero value is ready to use; a MsgBuf serves one goroutine
+// at a time.
 type MsgBuf struct {
 	frameBuf
 }
@@ -546,7 +644,8 @@ func (m *MsgBuf) Reserve(payloadLen int) []byte { return m.reserve(requestForm, 
 
 // Finish builds the request around payload and returns it: in place
 // behind the header when the payload was built on Reserve's slice, inside
-// the header when it is at most InlineMax bytes.
+// the header when it is at most InlineMax bytes. A header with a TraceID
+// is sent FlagTraced, the ID ahead of the payload.
 func (m *MsgBuf) Finish(h Header, payload []byte) []byte {
 	return m.finish(requestForm, h, payload)
 }
@@ -570,8 +669,9 @@ func (m *ReplyBuf) Finish(h Header, payload []byte) []byte {
 }
 
 // DecodeMessage parses a complete request of either shape at buf,
-// returning the header and the unpadded payload (aliasing buf). Of an
-// inline message it reads the header and nothing behind it.
+// returning the header and the unpadded payload (aliasing buf), a trace
+// prefix taken back into the header's TraceID. Of an inline message it
+// reads the header and nothing behind it.
 func DecodeMessage(buf []byte) (Header, []byte, error) { return requestForm.decode(buf) }
 
 // DecodeReply parses a complete reply of either shape at buf, returning

@@ -112,27 +112,34 @@ func TestReplyShapesByPayloadLength(t *testing.T) {
 	}
 }
 
-// TestRepliesAndRequestsNeverPassForEachOther: each form has its own
-// rendezvous word, so a request written where a reply is polled for — in
-// a reply slot, zeros behind it — fails with ErrBadMagic, and so does a
-// reply in the request ring, at every payload length around both forms'
-// inline limits; each decodes in its own form.
+// TestRepliesAndRequestsNeverPassForEachOther: both forms are 64-byte
+// lines, each with its own rendezvous word, so a request written where a
+// reply is polled for — in a reply slot, zeros behind it — fails with
+// ErrBadMagic, and so does a reply in the request ring, at every payload
+// length around both forms' inline limits (28 and 29, 20 and 21 for a
+// traced request, 44 and 45, and a line's 60 and 61), traced or not; each
+// decodes in its own form.
 func TestRepliesAndRequestsNeverPassForEachOther(t *testing.T) {
+	if InlineMax != 28 || ReplyInlineMax != 44 || HeaderSize != ReplyLine {
+		t.Fatalf("InlineMax %d, ReplyInlineMax %d, lines of %d and %d bytes", InlineMax, ReplyInlineMax, HeaderSize, ReplyLine)
+	}
 	var mb MsgBuf
 	var rb ReplyBuf
-	for _, n := range []int{0, 1, ReplyInlineMax, ReplyInlineMax + 1, 60, 61, InlineMax, InlineMax + 1, 124, 125, 200, 384} {
+	for _, n := range []int{0, 1, 20, 21, 28, 29, 44, 45, 60, 61, 124, 125, 200, 384} {
 		payload := bytes.Repeat([]byte{0x5a}, n)
-		req := mb.Finish(Header{Opcode: OpPut, RegionID: 1, RequestID: 7, ReplySize: ReplyLine}, payload)
-		slot := make([]byte, len(req)+HeaderSize)
-		copy(slot, req)
-		if _, _, err := DecodeMessage(slot); err != nil {
-			t.Fatalf("a request of %d payload bytes does not decode as one: %v", n, err)
-		}
-		if _, err := DecodeReplyHeader(slot); !errors.Is(err, ErrBadMagic) {
-			t.Fatalf("a request of %d payload bytes in a reply slot: DecodeReplyHeader %v", n, err)
-		}
-		if _, _, err := DecodeReply(slot); !errors.Is(err, ErrBadMagic) {
-			t.Fatalf("a request of %d payload bytes in a reply slot: DecodeReply %v", n, err)
+		for _, traceID := range []uint64{0, 5} {
+			req := mb.Finish(Header{Opcode: OpPut, RegionID: 1, RequestID: 7, ReplySize: ReplyLine, TraceID: traceID}, payload)
+			slot := make([]byte, len(req)+HeaderSize)
+			copy(slot, req)
+			if h, p, err := DecodeMessage(slot); err != nil || h.TraceID != traceID || !bytes.Equal(p, payload) {
+				t.Fatalf("a request of %d payload bytes, trace %d, does not decode as one: %+v, %v", n, traceID, h, err)
+			}
+			if _, err := DecodeReplyHeader(slot); !errors.Is(err, ErrBadMagic) {
+				t.Fatalf("a request of %d payload bytes, trace %d, in a reply slot: DecodeReplyHeader %v", n, traceID, err)
+			}
+			if _, _, err := DecodeReply(slot); !errors.Is(err, ErrBadMagic) {
+				t.Fatalf("a request of %d payload bytes, trace %d, in a reply slot: DecodeReply %v", n, traceID, err)
+			}
 		}
 
 		rep := rb.Finish(Header{Opcode: OpPutReply, RegionID: 1, RequestID: 7}, payload)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -15,17 +16,17 @@ import (
 func TestPaddedPayloadSize(t *testing.T) {
 	cases := []struct{ in, want int }{
 		{0, 0},
-		{1, 128},     // one slot: no minimum payload
+		{1, 64},      // one line: no minimum payload
+		{60, 64},     // 60+4 = 64 exactly
+		{61, 128},    // spills into a second line
 		{124, 128},   // 124+4 = 128 exactly
-		{125, 256},   // spills into a second slot
-		{200, 256},   // two slots
+		{125, 192},   // spills
+		{200, 256},   // four lines
 		{252, 256},   // fits with trailer
-		{253, 384},   // 253+4 > 256 → next multiple of 128
-		{256, 384},   // needs trailer room
-		{380, 384},   // 380+4 = 384 exactly
-		{381, 512},   // spills
+		{253, 320},   // 253+4 > 256 → next multiple of 64
+		{256, 320},   // needs trailer room
 		{1000, 1024}, // 1000+4 → 1024
-		{1021, 1152}, // 1021+4 > 1024
+		{1021, 1088}, // 1021+4 > 1024
 	}
 	for _, c := range cases {
 		if got := PaddedPayloadSize(c.in); got != c.want {
@@ -309,92 +310,150 @@ func TestDecodeRobustnessRandomBytes(t *testing.T) {
 	}
 }
 
+// TestHeaderTraceIDRoundTrip: a trace ID is no header field. A traced
+// request, inline or out of line, carries it as the first TracePrefix
+// bytes behind its fields — of the header's reserved bytes or of the
+// payload behind the header — flags itself FlagTraced, and decodes back
+// to it, the payload without the prefix. EncodeHeader, which writes
+// header fields alone, writes none of it.
 func TestHeaderTraceIDRoundTrip(t *testing.T) {
-	h := Header{
-		PayloadSize: 12,
-		Opcode:      OpPut,
-		RegionID:    7,
-		RequestID:   99,
-		TraceID:     0x1122334455667788,
+	h := Header{Opcode: OpPut, RegionID: 7, RequestID: 99, TraceID: 0x1122334455667788}
+	for _, n := range []int{12, InlineMax - TracePrefix, InlineMax - TracePrefix + 1, 300} {
+		payload := bytes.Repeat([]byte{0x5a}, n)
+		var mb MsgBuf
+		msg := mb.Finish(h, payload)
+		at, flags := headerFields, uint8(FlagTraced|FlagInline)
+		if n+TracePrefix > InlineMax {
+			at, flags = HeaderSize, FlagTraced
+		}
+		if msg[5] != flags {
+			t.Fatalf("%d payload bytes: flags %#x, want %#x", n, msg[5], flags)
+		}
+		if id := binary.LittleEndian.Uint64(msg[at:]); id != h.TraceID {
+			t.Fatalf("%d payload bytes: trace ID at [%d:%d] = %#x, want %#x", n, at, at+8, id, h.TraceID)
+		}
+		got, p, err := DecodeMessage(msg)
+		want := h
+		want.PayloadSize, want.Flags = uint32(n), msg[5]
+		if err != nil || got != want || !bytes.Equal(p, payload) {
+			t.Fatalf("%d payload bytes: round trip = %+v, %d bytes, %v; want %+v", n, got, len(p), err, want)
+		}
 	}
 	buf := make([]byte, HeaderSize)
-	if err := EncodeHeader(buf, h); err != nil {
+	if err := EncodeHeader(buf, Header{Opcode: OpPut, PayloadSize: 12, TraceID: h.TraceID}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeHeader(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Fatalf("round trip = %+v, want %+v", got, h)
-	}
-	if id := binary.LittleEndian.Uint64(buf[24:32]); id != h.TraceID {
-		t.Fatalf("trace ID encoded at [24:32] = %#x, want %#x", id, h.TraceID)
+	if got, err := DecodeHeader(buf); err != nil || got.TraceID != 0 || got.Traced() {
+		t.Fatalf("EncodeHeader with a trace ID decodes to %+v, %v", got, err)
 	}
 }
 
-// TestTraceIDFrameCompat pins the wire-compatibility argument for the
-// trace-context header field: it lives in bytes the old format left
-// zero, so old-format frames decode as unsampled (TraceID 0) and
-// new-format frames differ from old ones only in bytes an old decoder
-// never read.
+// TestTraceIDFrameCompat pins the argument for carrying a trace ID ahead
+// of the payload instead of in a header field (it had header bytes
+// [24, 32) of the 128-byte request header): the fields of a traced
+// request's header are those of the same request unsampled, byte for
+// byte, but for FlagTraced, so a trace costs the other 127 requests in
+// 128 nothing; the traced request's payload is the unsampled one's behind
+// 8 bytes of ID; and both decode to the same header but for the flag and
+// the ID.
 func TestTraceIDFrameCompat(t *testing.T) {
 	h := Header{
-		PayloadSize: 300,
 		Opcode:      OpGet,
 		Flags:       FlagPartial,
 		RegionID:    11,
 		RequestID:   0xfeedface,
 		ReplyOffset: 2048,
 		ReplySize:   256,
+		Epoch:       3,
+		SentAt:      99,
 	}
-
-	// Backward: an old-format frame (trace bytes zero) decodes on the
-	// new side with TraceID 0 and every other field intact.
-	old := make([]byte, HeaderSize)
-	if err := EncodeHeader(old, h); err != nil {
-		t.Fatal(err)
-	}
-	for i := 24; i < 32; i++ {
-		old[i] = 0 // what a pre-trace encoder wrote
-	}
-	got, err := DecodeHeader(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TraceID != 0 {
-		t.Fatalf("old frame decoded TraceID %#x, want 0", got.TraceID)
-	}
-	if got != h {
-		t.Fatalf("old frame decode = %+v, want %+v", got, h)
-	}
-
-	// Forward: a new frame carrying a trace ID differs from the old
-	// encoding only inside [24:32), so an old decoder (which never reads
-	// those bytes) sees an identical header.
+	payload := bytes.Repeat([]byte{0x42}, 300)
+	var plainBuf, tracedBuf MsgBuf
+	plain := plainBuf.Finish(h, payload)
 	traced := h
 	traced.TraceID = 0xabcdef
-	neu := make([]byte, HeaderSize)
-	if err := EncodeHeader(neu, traced); err != nil {
-		t.Fatal(err)
-	}
-	for i := range neu {
-		if i >= 24 && i < 32 {
-			continue
-		}
-		if neu[i] != old[i] {
-			t.Fatalf("traced frame differs from old frame at byte %d (%#x vs %#x)",
-				i, neu[i], old[i])
+	neu := tracedBuf.Finish(traced, payload)
+	for i := 0; i < HeaderSize; i++ {
+		if d := neu[i] ^ plain[i]; d != 0 && (i != 5 || d != FlagTraced) {
+			t.Fatalf("traced header differs from the unsampled one at byte %d (%#x vs %#x)", i, neu[i], plain[i])
 		}
 	}
-	// And a sampled frame still round-trips all legacy fields.
-	got, err = DecodeHeader(neu)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(neu[HeaderSize+TracePrefix:HeaderSize+TracePrefix+len(payload)], plain[HeaderSize:HeaderSize+len(payload)]) ||
+		binary.LittleEndian.Uint64(neu[HeaderSize:]) != traced.TraceID {
+		t.Fatal("the traced payload is not the unsampled one behind its trace ID")
 	}
-	if got != traced {
-		t.Fatalf("traced decode = %+v, want %+v", got, traced)
+	ph, _, err := DecodeMessage(plain)
+	if err != nil || ph.TraceID != 0 || ph.Traced() {
+		t.Fatalf("unsampled decode = %+v, %v", ph, err)
 	}
+	th, p, err := DecodeMessage(neu)
+	if err != nil || !bytes.Equal(p, payload) {
+		t.Fatalf("traced decode: %d payload bytes, %v", len(p), err)
+	}
+	th.Flags &^= FlagTraced
+	th.TraceID = 0
+	if th != ph {
+		t.Fatalf("traced decode = %+v, unsampled %+v", th, ph)
+	}
+}
+
+// TestOldRequestFrameDoesNotDecode: a request in the 128-byte header
+// format that came before the 64-byte line — its fields in [0, 48), a
+// payload of up to 76 bytes inline in [48, 124) or behind it padded to
+// 128 bytes, and "TEBI" as its word — is no request in the new format,
+// nor a reply: its first line holds no word of either form.
+func TestOldRequestFrameDoesNotDecode(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		inline  bool
+		payload []byte
+	}{
+		{"an inline get", true, GetReq{Key: []byte("user6284781860667377211")}.Encode(nil)},
+		{"an inline put", true, PutReq{Key: []byte("user000042"), Value: bytes.Repeat([]byte("s"), 23)}.Encode(nil)},
+		{"an out-of-line put", false, PutReq{Key: []byte("user000064"), Value: bytes.Repeat([]byte("m"), 113)}.Encode(nil)},
+		{"a noop", false, nil},
+	} {
+		old := oldRequestFrame(Header{Opcode: OpGet, RegionID: 1, RequestID: 7, ReplyOffset: 64, ReplySize: 1024,
+			TraceID: 5, Epoch: 2, Tenant: 1, Priority: 1, SentAt: 1 << 40}, tc.payload, tc.inline)
+		if _, err := DecodeHeader(old); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("%s in the old format: DecodeHeader %v", tc.name, err)
+		}
+		if _, _, err := DecodeMessage(old); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("%s in the old format: DecodeMessage %v", tc.name, err)
+		}
+		if _, _, err := DecodeReply(old); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("%s in the old format: DecodeReply %v", tc.name, err)
+		}
+	}
+}
+
+// oldRequestFrame writes a request as the 128-byte header format did.
+func oldRequestFrame(h Header, payload []byte, inline bool) []byte {
+	const oldHeader, oldMagic = 128, 0x54454249
+	size := oldHeader
+	if !inline && len(payload) > 0 {
+		size += (len(payload) + 4 + oldHeader - 1) / oldHeader * oldHeader
+	}
+	msg := make([]byte, size)
+	binary.LittleEndian.PutUint32(msg[0:4], uint32(len(payload)))
+	msg[4] = byte(h.Opcode)
+	binary.LittleEndian.PutUint16(msg[6:8], h.RegionID)
+	binary.LittleEndian.PutUint64(msg[8:16], h.RequestID)
+	binary.LittleEndian.PutUint32(msg[16:20], h.ReplyOffset)
+	binary.LittleEndian.PutUint32(msg[20:24], h.ReplySize)
+	binary.LittleEndian.PutUint64(msg[24:32], h.TraceID)
+	binary.LittleEndian.PutUint32(msg[32:36], h.Epoch)
+	msg[36], msg[37] = h.Tenant, h.Priority
+	binary.LittleEndian.PutUint64(msg[40:48], uint64(h.SentAt))
+	binary.LittleEndian.PutUint32(msg[oldHeader-4:oldHeader], oldMagic)
+	if inline {
+		msg[5] = FlagInline
+		copy(msg[48:], payload)
+	} else if len(payload) > 0 {
+		copy(msg[oldHeader:], payload)
+		binary.LittleEndian.PutUint32(msg[size-4:], oldMagic)
+	}
+	return msg
 }
 
 func TestGCReleaseRoundTrip(t *testing.T) {
@@ -430,8 +489,8 @@ func TestHeaderEpochRoundTrip(t *testing.T) {
 	if got != h {
 		t.Fatalf("round trip = %+v, want %+v", got, h)
 	}
-	if e := binary.LittleEndian.Uint32(buf[32:36]); e != h.Epoch {
-		t.Fatalf("epoch encoded at [32:36] = %#x, want %#x", e, h.Epoch)
+	if e := binary.LittleEndian.Uint32(buf[24:28]); e != h.Epoch {
+		t.Fatalf("epoch encoded at [24:28] = %#x, want %#x", e, h.Epoch)
 	}
 	// Epoch 0 (old encoders) must survive as "unchecked".
 	buf2 := make([]byte, HeaderSize)
@@ -447,41 +506,39 @@ func TestHeaderEpochRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTenantPriorityFrameCompat pins the wire-compatibility argument
-// for the tenant and priority header bytes: they live at [36] and [37],
-// bytes the old format left zero, so old frames decode as tenant 0 /
-// priority 0 (the default tenant in the lowest admission class) and new
-// frames differ from old ones only in bytes an old decoder never read.
+// TestTenantPriorityFrameCompat pins the argument for the tenant and
+// priority header bytes: they live at [22] and [23] (they were [36] and
+// [37] of the 128-byte request header), so a request of the default
+// tenant in the lowest admission class has zeros there and decodes as
+// tenant 0 / priority 0, and a stamped request differs from it only in
+// those two bytes.
 func TestTenantPriorityFrameCompat(t *testing.T) {
 	h := Header{
 		PayloadSize: 300,
 		Opcode:      OpPut,
 		RegionID:    4,
 		RequestID:   0xcafe,
-		TraceID:     0x42,
 		Epoch:       9,
 	}
 
-	// Backward: an old frame (tenant/priority bytes zero) decodes with
-	// the defaults and every other field intact.
+	// Unstamped: the tenant/priority bytes are zero and decode to the
+	// defaults, every other field intact.
 	old := make([]byte, HeaderSize)
 	if err := EncodeHeader(old, h); err != nil {
 		t.Fatal(err)
 	}
-	old[36], old[37] = 0, 0 // what a pre-tenant encoder wrote
+	if old[22] != 0 || old[23] != 0 {
+		t.Fatalf("an unstamped header holds %#x %#x at [22] and [23]", old[22], old[23])
+	}
 	got, err := DecodeHeader(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Tenant != 0 || got.Priority != 0 {
-		t.Fatalf("old frame decoded tenant/priority %d/%d, want 0/0", got.Tenant, got.Priority)
-	}
 	if got != h {
-		t.Fatalf("old frame decode = %+v, want %+v", got, h)
+		t.Fatalf("unstamped decode = %+v, want %+v", got, h)
 	}
 
-	// Forward: a tenant-stamped frame differs from the old encoding only
-	// at bytes 36 and 37, which an old decoder never reads.
+	// Stamped: the frame differs only at bytes 22 and 23.
 	stamped := h
 	stamped.Tenant = 3
 	stamped.Priority = 1
@@ -490,11 +547,11 @@ func TestTenantPriorityFrameCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range neu {
-		if i == 36 || i == 37 {
+		if i == 22 || i == 23 {
 			continue
 		}
 		if neu[i] != old[i] {
-			t.Fatalf("stamped frame differs from old frame at byte %d (%#x vs %#x)",
+			t.Fatalf("stamped frame differs from the unstamped one at byte %d (%#x vs %#x)",
 				i, neu[i], old[i])
 		}
 	}
