@@ -29,7 +29,7 @@ check:
 # writer stalls, a job's ships from inside its build on its one
 # goroutine and its failures mid-job, the builder's fill of the node
 # cache beside lock-free lookups, the client ring/freeList property tests,
-# the master's hand-over and interrupted-reconfiguration suites, the
+# the master's failover suites, the
 # lock-free segment reads of the device and the value log, and the
 # request path's lock-free polls, rkey table, spinner fast path,
 # one-spinner-per-P rule and unsignaled request and reply writes —

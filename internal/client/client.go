@@ -204,13 +204,12 @@ func (c *Client) dial(name string, h ServerHandle) (*serverConn, error) {
 // Map returns the client's cached region map.
 func (c *Client) Map() *region.Map { return c.routes.Load().rmap }
 
-// routeInfo is one routing decision: the region (with the epoch the op
-// must carry) and the map version it came from, so a failed attempt can
-// tell the refresher which map it found stale.
+// routeInfo is one routing decision: the region and the map version it
+// came from, so a failed attempt can tell the refresher which map it
+// found stale.
 type routeInfo struct {
 	conn    *serverConn
 	id      region.ID
-	epoch   uint32
 	version uint64
 }
 
@@ -229,12 +228,11 @@ func (c *Client) route(key []byte) (routeInfo, error) {
 	if !ok {
 		return routeInfo{}, fmt.Errorf("%w: %s", ErrNoServer, r.Primary)
 	}
-	return routeInfo{conn: conn, id: r.ID, epoch: r.Epoch, version: rt.rmap.Version}, nil
+	return routeInfo{conn: conn, id: r.ID, version: rt.rmap.Version}, nil
 }
 
 // StaleRetries returns how many ops were retried after a wrong-region
-// or wrong-epoch reply — the convergence cost a reconfiguration imposes
-// on this client.
+// reply — the convergence cost a failover imposes on this client.
 func (c *Client) StaleRetries() uint64 {
 	return c.staleRetries.Load()
 }
@@ -247,9 +245,8 @@ func (c *Client) OverloadRetries() uint64 {
 
 // refreshMap re-reads the region map after a wrong-region reply.
 // Single-flight: concurrent stale ops serialize here, and a refresh
-// that already superseded staleVersion is not repeated, so a
-// reconfiguration triggers one map fetch per client rather than one per
-// parked op.
+// that already superseded staleVersion is not repeated, so a failover
+// triggers one map fetch per client rather than one per stale op.
 func (c *Client) refreshMap(staleVersion uint64) error {
 	if c.cfg.Refresh == nil {
 		return fmt.Errorf("client: stale region map and no refresh source")
@@ -352,7 +349,7 @@ func (sc *serverConn) noopRoundTrip(off, payloadLen int) error {
 // unsampled), carried ahead of the payload (wire.FlagTraced) so every
 // server-side hop records spans under it. keep asks for the reply's
 // payload; an error reply's text is returned either way.
-func (sc *serverConn) call(op wire.Op, regionID region.ID, epoch uint32, sb *sendBuf, replySize int, traceID uint64, keep bool) (wire.Header, []byte, error) {
+func (sc *serverConn) call(op wire.Op, regionID region.ID, sb *sendBuf, replySize int, traceID uint64, keep bool) (wire.Header, []byte, error) {
 	wireLen := len(sb.payload)
 	if traceID != 0 {
 		wireLen += wire.TracePrefix
@@ -383,7 +380,6 @@ func (sc *serverConn) call(op wire.Op, regionID region.ID, epoch uint32, sb *sen
 	hdr := wire.Header{
 		Opcode:      op,
 		RegionID:    uint16(regionID),
-		Epoch:       epoch,
 		RequestID:   sc.c.reqID.Add(1),
 		ReplyOffset: uint32(replyOff),
 		ReplySize:   uint32(replySize),
@@ -549,7 +545,7 @@ func (c *Client) doAttempts(key []byte, op wire.Op, sb *sendBuf, replySize int, 
 			return wire.Header{}, nil, rid, err
 		}
 		rid = rt.id
-		h, body, err := rt.conn.call(op, rt.id, rt.epoch, sb, replySize, traceID, keep)
+		h, body, err := rt.conn.call(op, rt.id, sb, replySize, traceID, keep)
 		if err != nil {
 			if isTransportErr(err) && attempt < maxAttempts {
 				time.Sleep(2 * time.Millisecond)
@@ -570,9 +566,8 @@ func (c *Client) doAttempts(key []byte, op wire.Op, sb *sendBuf, replySize int, 
 			continue
 		}
 		if h.Flags&wire.FlagWrongRegion != 0 && attempt < maxAttempts {
-			// Stale map — plain wrong-region or the epoch refinement
-			// (FlagWrongEpoch): refresh and re-route. The single-flight
-			// refresher keeps a reconfiguration from stampeding the master.
+			// Stale map: refresh and re-route. The single-flight
+			// refresher keeps a failover from stampeding the master.
 			c.staleRetries.Add(1)
 			if err := c.refreshMap(rt.version); err != nil {
 				return wire.Header{}, nil, rid, err

@@ -341,7 +341,7 @@ func TestADroppedRequestTimesOut(t *testing.T) {
 	req := wire.GetReq{Key: []byte("k")}
 	sb.payload = req.Encode(sb.Reserve(req.Size()))
 	start := time.Now()
-	_, _, err = rt.conn.call(wire.OpGet, rt.id, rt.epoch, sb, 1024, 0, true)
+	_, _, err = rt.conn.call(wire.OpGet, rt.id, sb, 1024, 0, true)
 	took := time.Since(start)
 	if !errors.Is(err, errReplyTimeout) {
 		t.Fatalf("a dropped request's call = %v, want errReplyTimeout", err)

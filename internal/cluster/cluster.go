@@ -353,21 +353,9 @@ func mapReferences(rmap *region.Map, name string) bool {
 	return false
 }
 
-// MigrateRegion live-migrates a region to another server: the
-// destination is seeded with the source's built index segments and log
-// tail over the replica ship path, writes drain through a short freeze
-// window, and clients chase the move via stale-epoch retries. Returns
-// the bytes shipped — zero when the destination is already one of the
-// region's backups, the planned primary hand-over used for load
-// balancing.
-func (c *Cluster) MigrateRegion(id region.ID, to string) (int64, error) {
-	return c.leader.MigrateRegion(id, to)
-}
-
 // FailMaster kills the acting master. A standby candidate wins the
-// election, loads the published region map, resumes (or rolls back) any
-// reconfiguration the dead leader left in flight, and resumes the watch
-// — during the gap, existing primaries keep serving (§3.5).
+// election, loads the published region map and resumes the watch —
+// during the gap, existing primaries keep serving (§3.5).
 func (c *Cluster) FailMaster() error {
 	if len(c.Masters) < 2 {
 		return fmt.Errorf("cluster: no standby master")
@@ -489,9 +477,6 @@ func (c *Cluster) Observe(reg *obs.Registry) {
 	}
 	for _, n := range c.Nodes {
 		n.Server.Observe(reg)
-	}
-	for _, m := range c.Masters {
-		m.Observe(reg)
 	}
 }
 

@@ -275,130 +275,6 @@ func TestSendIndexClusterBeatsBuildIndexOnBackupIO(t *testing.T) {
 	}
 }
 
-func TestGracefulPrimarySwitch(t *testing.T) {
-	c := newTestCluster(t, replica.SendIndex, 2)
-	cl, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	const n = 1200
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("key-%02x-%06d", i%211, i)
-		if err := cl.Put([]byte(k), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.WaitIdle(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A second client keeps writing across every hand-over — each one
-	// waits for a fresh ack first, so the writes interleave with all of
-	// them. The freeze window parks its ops and the epoch bump bounces them
-	// to the new primary, so each put it saw acknowledged must be readable
-	// afterwards.
-	wcl, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wcl.Close()
-	stop := make(chan struct{})
-	progress := make(chan struct{}) // one token per ack, dropped when nobody waits
-	writerDone := make(chan struct{})
-	var acked []string
-	go func() {
-		defer close(writerDone)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			k := fmt.Sprintf("live-%02x-%06d", i%211, i)
-			if err := wcl.Put([]byte(k), []byte(k)); err != nil {
-				t.Errorf("Put(%s) during a planned hand-over: %v", k, err)
-				return
-			}
-			acked = append(acked, k)
-			select {
-			case progress <- struct{}{}:
-			default:
-			}
-		}
-	}()
-
-	// Move every region's primary to its first backup (a full cluster
-	// rebalance) while the clients keep their stale maps.
-	before, _ := c.Map()
-	for _, r := range before.Regions {
-		select {
-		case <-progress:
-		case <-writerDone:
-			t.FailNow()
-		}
-		shipped, err := c.MigrateRegion(r.ID, r.Backups[0])
-		if err != nil {
-			t.Fatalf("hand over region %d: %v", r.ID, err)
-		}
-		if shipped != 0 {
-			t.Fatalf("hand-over of region %d to an existing backup shipped %d bytes", r.ID, shipped)
-		}
-	}
-	close(stop)
-	<-writerDone
-	for _, k := range acked {
-		v, found, err := cl.Get([]byte(k))
-		if err != nil || !found || string(v) != k {
-			t.Fatalf("acknowledged Get(%s) after hand-over = %q, %v, %v", k, v, found, err)
-		}
-	}
-	t.Logf("verified %d puts acknowledged across the hand-overs", len(acked))
-	after, _ := c.Map()
-	if after.Version <= before.Version {
-		t.Fatal("map version did not advance")
-	}
-	for i, r := range after.Regions {
-		if r.Primary != before.Regions[i].Backups[0] {
-			t.Fatalf("region %d primary = %s", r.ID, r.Primary)
-		}
-	}
-
-	// Stale-map clients retry through wrong-region replies; all data
-	// must be served by the new primaries, and new writes accepted.
-	for i := 0; i < n; i += 9 {
-		k := fmt.Sprintf("key-%02x-%06d", i%211, i)
-		v, found, err := cl.Get([]byte(k))
-		if err != nil || !found || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("Get(%s) after switch = %q, %v, %v", k, v, found, err)
-		}
-	}
-	for i := 0; i < 300; i++ {
-		if err := cl.Put([]byte(fmt.Sprintf("post-%06d", i)), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// And the switched cluster still survives a crash of a NEW primary.
-	victim := after.Regions[0].Primary
-	if err := c.Crash(victim); err != nil {
-		t.Fatal(err)
-	}
-	lost := 0
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("key-%02x-%06d", i%211, i)
-		if _, found, err := cl.Get([]byte(k)); err != nil {
-			t.Fatal(err)
-		} else if !found {
-			lost++
-		}
-	}
-	if lost > 0 {
-		t.Fatalf("%d writes lost after switch+crash", lost)
-	}
-}
-
 // TestCrashUnderLoadLosesNoAckedWrites crashes a server while clients
 // are actively writing. Requests in flight at the crash may fail, but
 // every acknowledged write must survive the failover — the durability

@@ -82,14 +82,15 @@ func labelKeys(t *testing.T, line string) []string {
 // TestFamiliesGolden pins the whole exported surface — every family's
 // HELP and TYPE line and the label names its series carry, no values —
 // against testdata/families.golden, the metric catalogue DESIGN.md
-// links to. Run with -update-golden after adding a family.
+// links to, after a failover, so the families a promotion feeds have
+// children. Run with -update-golden after adding a family.
 func TestFamiliesGolden(t *testing.T) {
 	c, reg := observedCluster(t)
 	r0, err := c.Leader().Map().ByID(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.MigrateRegion(0, r0.Backups[0]); err != nil {
+	if err := c.Crash(r0.Primary); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -14,15 +14,14 @@ import (
 // struct a deployment fills in, and the method count of master.Host, the
 // command surface the master drives region servers through. Each field
 // is a knob that a named experiment, test or binary must read, and each
-// method a step of bootstrap, failover or migration, so the counts may
-// only fall: a PR that deletes one lowers its bound here, and one that
+// method a step of bootstrap or failover, so the counts may only fall: a PR that deletes one lowers its bound here, and one that
 // adds one fails.
 func TestOptionCountsOnlyGoDown(t *testing.T) {
 	for _, c := range []struct {
 		typ reflect.Type
 		max int
 	}{
-		{reflect.TypeFor[master.Host](), 11},
+		{reflect.TypeFor[master.Host](), 7},
 		{reflect.TypeFor[Config](), 21},
 		{reflect.TypeFor[server.Config](), 21},
 		{reflect.TypeFor[replica.PrimaryConfig](), 16},

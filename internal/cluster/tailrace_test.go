@@ -18,8 +18,9 @@ import (
 // concurrently under the race detector: two tenants (a paced victim and
 // an unpaced flash crowd) hammer a Send-Index cluster with tracing,
 // stage attribution, and admission control all on, while a scraper
-// renders /metrics and a sampler ticks /metrics/history — and a region
-// migrates mid-burst. Nothing here asserts latency; the test
+// renders /metrics and a sampler ticks /metrics/history — and region
+// 0's primary crashes mid-burst, so a backup is promoted while the
+// scraper reads. Nothing here asserts latency; the test
 // exists so `go test -race` exercises every lock the telemetry layer
 // takes while the data path is hot.
 func TestTailTelemetryRace(t *testing.T) {
@@ -111,14 +112,14 @@ func TestTailTelemetryRace(t *testing.T) {
 	}()
 
 	time.Sleep(250 * time.Millisecond)
-	// Mid-burst migration: region 0 moves to its backup while tenants
-	// write and the scraper reads.
+	// Mid-burst failover: region 0's primary crashes and its backup is
+	// promoted while tenants write and the scraper reads.
 	r0, err := c.Leader().Map().ByID(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.MigrateRegion(0, r0.Backups[0]); err != nil {
-		t.Fatalf("migrate mid-burst: %v", err)
+	if err := c.Crash(r0.Primary); err != nil {
+		t.Fatalf("crash mid-burst: %v", err)
 	}
 	time.Sleep(250 * time.Millisecond)
 	close(stop)

@@ -15,7 +15,6 @@ import (
 	"tebis/internal/obs"
 	"tebis/internal/region"
 	"tebis/internal/replica"
-	"tebis/internal/storage"
 	"tebis/internal/zklite"
 )
 
@@ -36,16 +35,9 @@ type Host interface {
 	OpenPrimary(r region.Region, mode replica.Mode) (*replica.Primary, error)
 	OpenBackup(r region.Region, mode replica.Mode) (*replica.Backup, error)
 	PromoteToPrimary(id region.ID) (*replica.Primary, error)
-	DemoteToBackup(id region.ID, mode replica.Mode, oldToNew map[storage.SegmentID]storage.SegmentID) (*replica.Backup, error)
 	Backup(id region.ID) (*replica.Backup, bool)
 	Primary(id region.ID) (*replica.Primary, bool)
 	DropRegion(id region.ID) error
-
-	// Reconfiguration surface: the freeze window a migration brackets
-	// its hand-off in.
-	Freeze(id region.ID) error
-	Unfreeze(r region.Region, l region.Lease) error
-	Frozen(id region.ID) bool
 }
 
 // Errors reported by the master.
@@ -63,23 +55,11 @@ type Master struct {
 	mode   replica.Mode
 	events *obs.EventLog
 
-	// ReconfigHook, when non-nil, runs at each durable phase point of a
-	// reconfiguration (see beginPhase/hookPoint). Returning an error
-	// abandons the operation exactly where a master crash would — state is
-	// left as-is for a successor's TakeOver to complete or abort. Tests
-	// use it to kill the master mid-handoff; set it before driving any
-	// reconfiguration.
-	ReconfigHook func(op, phase string) error
-
-	mu            sync.Mutex
-	hosts         map[string]Host
-	live          map[string]bool
-	rmap          *region.Map
-	replicas      int
-	reconfiguring bool
-	shipBytes     map[region.ID]int64
-	migrations    uint64
-	reconfAborts  uint64
+	mu       sync.Mutex
+	hosts    map[string]Host
+	live     map[string]bool
+	rmap     *region.Map
+	replicas int
 
 	stop chan struct{}
 	done chan struct{}
@@ -94,8 +74,8 @@ type Config struct {
 	// Mode is the cluster-wide replication mode.
 	Mode replica.Mode
 	// Events, when non-nil, journals the master's control-plane
-	// transitions (failovers, backup replacement, reconfiguration
-	// phases). Typically the cluster-shared journal.
+	// transitions (failovers, backup replacement). Typically the
+	// cluster-shared journal.
 	Events *obs.EventLog
 }
 
@@ -107,16 +87,15 @@ func New(cfg Config) (*Master, error) {
 		return nil, err
 	}
 	m := &Master{
-		name:      cfg.Name,
-		sess:      cfg.Session,
-		elec:      elec,
-		mode:      cfg.Mode,
-		events:    cfg.Events,
-		hosts:     map[string]Host{},
-		live:      map[string]bool{},
-		shipBytes: map[region.ID]int64{},
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		name:   cfg.Name,
+		sess:   cfg.Session,
+		elec:   elec,
+		mode:   cfg.Mode,
+		events: cfg.Events,
+		hosts:  map[string]Host{},
+		live:   map[string]bool{},
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	return m, nil
 }
@@ -128,6 +107,17 @@ func (m *Master) Name() string { return m.name }
 // returned channel fires when leadership may have changed.
 func (m *Master) IsLeader() (bool, <-chan zklite.Event, error) {
 	return m.elec.IsLeader()
+}
+
+func (m *Master) requireLeader() error {
+	lead, _, err := m.elec.IsLeader()
+	if err != nil {
+		return err
+	}
+	if !lead {
+		return ErrNotLeader
+	}
+	return nil
 }
 
 // RegisterHost makes a region server drivable by this master. The
@@ -217,10 +207,8 @@ func (m *Master) openRegion(r region.Region) error {
 	return nil
 }
 
-// TakeOver loads the published region map (a successor master resumes
-// from coordination-service state after winning the election) and then
-// finishes or rolls back any reconfiguration the previous master left
-// in flight.
+// TakeOver loads the published region map: a successor master resumes
+// from coordination-service state after winning the election.
 func (m *Master) TakeOver() error {
 	if err := m.requireLeader(); err != nil {
 		return err
@@ -237,7 +225,7 @@ func (m *Master) TakeOver() error {
 	m.rmap = rmap
 	m.replicas = maxBackups(rmap)
 	m.mu.Unlock()
-	return m.resumeReconfig()
+	return nil
 }
 
 // maxBackups infers the cluster replication factor from a region map.
@@ -344,15 +332,11 @@ func (m *Master) liveBackups(r region.Region, except string) []string {
 	return out
 }
 
-// handOver is the one promote-and-rewire sequence behind every change of
-// a region's primary — failure promotion and migration (§3.1, §3.5): the
-// backup of region id on server to becomes the primary, the followers
-// re-key their log maps through its pre-promotion log map and attach to
-// it, and demoted (the old primary's host; nil when it failed) joins
-// them as one more backup. The caller has detached the old primary from
-// its backups and, for a planned hand-over, frozen the region, drained
-// compactions and sealed the log tail.
-func (m *Master) handOver(id region.ID, to string, followers []string, demoted Host) error {
+// handOver is the promote-and-rewire sequence behind every change of a
+// region's primary, failover (§3.5): the backup of region id on server
+// to becomes the primary, and the followers re-key their log maps
+// through its pre-promotion log map and attach to it.
+func (m *Master) handOver(id region.ID, to string, followers []string) error {
 	dst, err := m.host(to)
 	if err != nil {
 		return err
@@ -382,13 +366,6 @@ func (m *Master) handOver(id region.ID, to string, followers []string, demoted H
 		}
 		replica.Attach(p, ob)
 	}
-	if demoted != nil {
-		ob, err := demoted.DemoteToBackup(id, m.mode, oldToNew)
-		if err != nil {
-			return err
-		}
-		replica.Attach(p, ob)
-	}
 	return nil
 }
 
@@ -400,7 +377,7 @@ func (m *Master) failPrimary(r region.Region) error {
 		return fmt.Errorf("%w: region %d lost its primary and has no live backup", ErrNoCapacity, r.ID)
 	}
 	promoteTo := live[0]
-	if err := m.handOver(r.ID, promoteTo, live[1:], nil); err != nil {
+	if err := m.handOver(r.ID, promoteTo, live[1:]); err != nil {
 		return err
 	}
 
@@ -408,18 +385,8 @@ func (m *Master) failPrimary(r region.Region) error {
 	m.mu.Lock()
 	err := m.rmap.SetPrimary(r.ID, promoteTo)
 	updated, _ := m.rmap.ByID(r.ID)
-	host := m.hosts[promoteTo]
 	m.mu.Unlock()
 	if err != nil {
-		return err
-	}
-
-	// The promoted backup's hosted descriptor may predate a migration of
-	// the region (backups don't track epoch bumps); install the current
-	// one with a serving lease.
-	if err := host.Unfreeze(updated, region.Lease{
-		Region: r.ID, Epoch: updated.Epoch, Holder: promoteTo,
-	}); err != nil {
 		return err
 	}
 	m.events.Record(obs.Event{

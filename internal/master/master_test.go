@@ -215,6 +215,88 @@ func TestHandlePrimaryFailurePromotesAndRefills(t *testing.T) {
 	}
 }
 
+// testFailoverThroughAFollower fails a three-way region's primary twice.
+// The first failover promotes one backup and rewires the other behind
+// it, re-keying its log map through the promoted backup's; writes and
+// compactions then reach that follower in the new primary's segment
+// space, and the second failover promotes it. Every key written before
+// and between the failures reads back from it. The backup promoted first
+// holds other segments on its device, so its segment numbers are not the
+// old primary's, and a follower that kept its old keying would resolve
+// the new primary's segments to the wrong local ones.
+func testFailoverThroughAFollower(t *testing.T, mode replica.Mode) {
+	h := newHarness(t, 3, mode)
+	// Region 0 is s0's, backed by s1 and s2 (region.Partition).
+	for i := 0; i < 7; i++ {
+		if _, err := h.devs["s1"].Alloc(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.bootstrap(2, 2)
+	write := func(srv, prefix string, n int) {
+		t.Helper()
+		p, ok := h.servers[srv].Primary(0)
+		if !ok {
+			t.Fatalf("%s does not host region 0's primary", srv)
+		}
+		for i := 0; i < n; i++ {
+			if err := p.DB().Put([]byte(fmt.Sprintf("%s%06d", prefix, i)), []byte(fmt.Sprintf("%s-v%d", prefix, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.servers[srv].WaitIdle(); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fail := func(name string) region.Region {
+		t.Helper()
+		h.servers[name].Crash()
+		h.sess[name].Close()
+		if err := h.m.HandleServerFailure(name); err != nil {
+			t.Fatal(err)
+		}
+		r, _ := h.m.Map().ByID(0)
+		return r
+	}
+
+	r0, _ := h.m.Map().ByID(0)
+	const n = 1200
+	write(r0.Primary, "key", n)
+	r1 := fail(r0.Primary)
+	if r1.Primary != r0.Backups[0] || len(r1.Backups) != 1 || r1.Backups[0] != r0.Backups[1] {
+		t.Fatalf("after the first failover: primary %s, backups %v", r1.Primary, r1.Backups)
+	}
+	write(r1.Primary, "post", n)
+	r2 := fail(r1.Primary)
+	if r2.Primary != r0.Backups[1] {
+		t.Fatalf("after the second failover: primary %s, want the follower %s", r2.Primary, r0.Backups[1])
+	}
+	fp, ok := h.servers[r2.Primary].Primary(0)
+	if !ok {
+		t.Fatalf("final primary %s not hosted", r2.Primary)
+	}
+	for _, prefix := range []string{"key", "post"} {
+		for i := 0; i < n; i++ {
+			k := fmt.Sprintf("%s%06d", prefix, i)
+			v, found, err := fp.DB().Get([]byte(k))
+			if err != nil || !found || string(v) != fmt.Sprintf("%s-v%d", prefix, i) {
+				t.Fatalf("Get(%s) after two failovers = %q, %v, %v", k, v, found, err)
+			}
+		}
+	}
+}
+
+func TestFailoverThroughAFollowerSendIndex(t *testing.T) {
+	testFailoverThroughAFollower(t, replica.SendIndex)
+}
+
+func TestFailoverThroughAFollowerBuildIndex(t *testing.T) {
+	testFailoverThroughAFollower(t, replica.BuildIndex)
+}
+
 func TestHandleBackupFailureRefills(t *testing.T) {
 	h := newHarness(t, 3, replica.SendIndex)
 	h.bootstrap(3, 1)

@@ -14,8 +14,8 @@ import (
 )
 
 // Event types of the control plane. Every state transition the cluster
-// makes — replication-group membership, role changes, reconfiguration
-// phases, admission walks, GC passes — records exactly
+// makes — replication-group membership, role changes, admission walks,
+// GC passes — records exactly
 // one typed event, so the journal is an auditable transition history
 // and tebis_events_total{type} counts each kind.
 const (
@@ -25,13 +25,9 @@ const (
 	EvSyncStarted    = "sync_started"
 	EvSyncDone       = "sync_done"
 	EvPromoted       = "promoted"
-	EvDemoted        = "demoted"
 	EvPrimaryFailed  = "primary_failover"
-	EvReconfigPhase  = "reconfig_phase"
 	EvAdmissionState = "admission_state"
 	EvGCPass         = "gc_pass"
-	EvFreeze         = "freeze"
-	EvUnfreeze       = "unfreeze"
 )
 
 // Log levels, ordered by severity.

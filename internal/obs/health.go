@@ -11,8 +11,8 @@ import (
 // /readyz endpoints. Liveness (/healthz) answers "is the process
 // serving" and is always ok while the mux responds; readiness
 // (/readyz) runs every registered check and fails with 503 while any
-// of them reports an error — degraded replication, a frozen region
-// mid-reconfiguration, a faulted device. All methods are nil-safe: a
+// of them reports an error — degraded replication, a faulted device.
+// All methods are nil-safe: a
 // nil *Health has no checks and is always ready.
 type Health struct {
 	mu     sync.Mutex

@@ -323,29 +323,29 @@ func TestAmplificationZeroDataset(t *testing.T) {
 // after the registration's labels, sorted, and re-enumerates per scrape.
 func TestDynamicChildren(t *testing.T) {
 	r := NewRegistry()
-	src := &fixedSource{fams: []metrics.Family{metrics.Counter("tebis_region_ops_total", "per-region ops")}}
-	src.fams[0].Add(`region="1",kind="read"`, 7)
-	src.fams[0].Add(`region="0",kind="write"`, 3)
+	src := &fixedSource{fams: []metrics.Family{metrics.Counter("tebis_fixture_ops_total", "per-shard ops")}}
+	src.fams[0].Add(`shard="1",kind="read"`, 7)
+	src.fams[0].Add(`shard="0",kind="write"`, 3)
 	r.Register(Labels{"node": "s0"}, src)
 	out := render(t, r)
 	for _, want := range []string{
-		"# TYPE tebis_region_ops_total counter",
-		`tebis_region_ops_total{node="s0",region="0",kind="write"} 3`,
-		`tebis_region_ops_total{node="s0",region="1",kind="read"} 7`,
+		"# TYPE tebis_fixture_ops_total counter",
+		`tebis_fixture_ops_total{node="s0",shard="0",kind="write"} 3`,
+		`tebis_fixture_ops_total{node="s0",shard="1",kind="read"} 7`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Index(out, `region="0"`) > strings.Index(out, `region="1"`) {
+	if strings.Index(out, `shard="0"`) > strings.Index(out, `shard="1"`) {
 		t.Fatalf("children not sorted:\n%s", out)
 	}
-	src.fams[0].Add(`region="2",kind="read"`, 1)
-	if !strings.Contains(render(t, r), `region="2"`) {
+	src.fams[0].Add(`shard="2",kind="read"`, 1)
+	if !strings.Contains(render(t, r), `shard="2"`) {
 		t.Fatal("new child not exposed on re-scrape")
 	}
 	series := r.ReadSeries()
-	if series[`tebis_region_ops_total{node="s0",region="1",kind="read"}`] != 7 {
+	if series[`tebis_fixture_ops_total{node="s0",shard="1",kind="read"}`] != 7 {
 		t.Fatalf("ReadSeries keys: %v", series)
 	}
 }

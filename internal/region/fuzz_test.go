@@ -15,7 +15,9 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	m.Regions[1].Epoch = 7
+	if err := m.SetPrimary(1, "s0"); err != nil {
+		f.Fatal(err)
+	}
 	enc := m.Encode()
 	f.Add(enc)
 	f.Add(enc[:len(enc)/2])

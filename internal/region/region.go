@@ -1,8 +1,7 @@
 // Package region implements Tebis regions: non-overlapping key ranges,
 // each assigned to one primary and zero or more backup region servers
 // (§3.1). The region map is the small (hundreds of KB in the paper)
-// structure clients cache to route requests; it only changes on failures
-// or load balancing.
+// structure clients cache to route requests; it only changes on failures.
 package region
 
 import (
@@ -30,12 +29,6 @@ type Region struct {
 	Primary string
 	// Backups are the region servers holding backup roles.
 	Backups []string
-	// Epoch is the region's reconfiguration generation. Key ranges are
-	// fixed at bootstrap, so it advances only when a migration moves the
-	// region's primary role, and servers reject requests routed with a
-	// stale map (wrong-epoch) instead of serving a region they no longer
-	// own. Epoch 0 on the wire means "unchecked".
-	Epoch uint32
 }
 
 // Contains reports whether key falls in the region's range.
@@ -182,38 +175,6 @@ func (m *Map) AddBackup(id ID, server string) error {
 	return fmt.Errorf("%w: %d", ErrUnknownID, id)
 }
 
-// SetRegion replaces the stored region with the same ID (a migration
-// updates placement and epoch in one step). Bumps Version.
-func (m *Map) SetRegion(r Region) error {
-	for i := range m.Regions {
-		if m.Regions[i].ID == r.ID {
-			m.Regions[i] = r.Clone()
-			m.Version++
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %d", ErrUnknownID, r.ID)
-}
-
-// Lease is the serving grant the master hands a region's primary: the
-// holder may serve writes for the region while the lease epoch matches
-// the region's epoch. Revoking the lease (the freeze window of a
-// reconfiguration) stops writes without unhosting the region.
-type Lease struct {
-	// Region is the leased region.
-	Region ID
-	// Epoch is the region epoch the lease was granted for; a lease goes
-	// stale the moment the region's epoch advances.
-	Epoch uint32
-	// Holder is the server the lease was granted to.
-	Holder string
-}
-
-// Valid reports whether the lease authorizes serving at the given epoch.
-func (l Lease) Valid(epoch uint32) bool {
-	return l.Holder != "" && l.Epoch == epoch
-}
-
 // Partition tiles the 2-byte key prefix space into n regions and assigns
 // primaries and backups round-robin over servers, placing each region's
 // replicas on distinct servers. This mirrors the paper's setup of 32
@@ -248,7 +209,6 @@ func Partition(n int, servers []string, replicas int) (*Map, error) {
 			End:     end,
 			Primary: primary,
 			Backups: backups,
-			Epoch:   1,
 		})
 	}
 	return m, nil
@@ -300,7 +260,6 @@ func (m *Map) Encode() []byte {
 		for _, b := range r.Backups {
 			out = appendBytes16(out, []byte(b))
 		}
-		out = binary.LittleEndian.AppendUint32(out, r.Epoch)
 	}
 	return out
 }
@@ -362,11 +321,6 @@ func Decode(p []byte) (*Map, error) {
 			}
 			r.Backups = append(r.Backups, string(b))
 		}
-		if len(p) < 4 {
-			return nil, ErrBadMap
-		}
-		r.Epoch = binary.LittleEndian.Uint32(p)
-		p = p[4:]
 		m.Regions = append(m.Regions, r)
 	}
 	if len(p) != 0 {

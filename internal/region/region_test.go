@@ -2,6 +2,7 @@ package region
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -159,16 +160,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeEpochsAndParents(t *testing.T) {
+// TestEncodeDecodePlacementAndOldLayouts: a map round-trips its
+// placement, and a map in an older layout is refused, not misread —
+// neither the one that followed each region with a parent flag nor the
+// one that followed it with a 4-byte epoch.
+func TestEncodeDecodePlacementAndOldLayouts(t *testing.T) {
 	m, _ := Partition(3, threeServers(), 1)
-	for i := range m.Regions {
-		m.Regions[i].Epoch = uint32(1 + i*i)
-	}
-	// A migration moves the primary role and advances the epoch in one step.
-	moved, _ := m.ByID(1)
-	moved.Primary, moved.Backups = "s2", []string{"s0"}
-	moved.Epoch++
-	if err := m.SetRegion(moved); err != nil {
+	if err := m.SetPrimary(1, "s2"); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(m.Encode())
@@ -177,15 +175,19 @@ func TestEncodeDecodeEpochsAndParents(t *testing.T) {
 	}
 	for i, r := range m.Regions {
 		g := got.Regions[i]
-		if g.Epoch != r.Epoch || g.Primary != r.Primary || fmt.Sprint(g.Backups) != fmt.Sprint(r.Backups) {
-			t.Fatalf("region %d epoch/placement mismatch: %+v vs %+v", r.ID, g, r)
+		if g.Primary != r.Primary || fmt.Sprint(g.Backups) != fmt.Sprint(r.Backups) {
+			t.Fatalf("region %d placement mismatch: %+v vs %+v", r.ID, g, r)
 		}
 	}
-	// Regions no longer carry a parent link: a map in the layout that
-	// followed each epoch with a parent flag must be refused, not misread.
 	one, _ := Partition(1, threeServers(), 1)
-	if _, err := Decode(append(one.Encode(), 0)); !errors.Is(err, ErrBadMap) {
-		t.Fatalf("parent-linked layout decoded: %v", err)
+	enc := one.Encode()
+	for _, old := range []struct {
+		name string
+		tail []byte
+	}{{"parent-linked", []byte{0}}, {"epoch-carrying", binary.LittleEndian.AppendUint32(nil, 1)}} {
+		if _, err := Decode(append(enc[:len(enc):len(enc)], old.tail...)); !errors.Is(err, ErrBadMap) {
+			t.Fatalf("%s layout decoded: %v", old.name, err)
+		}
 	}
 }
 
@@ -220,38 +222,6 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 		if _, err := Decode(p); !errors.Is(err, ErrBadMap) {
 			t.Fatalf("Decode of %d bytes with %d trailing = %v, want ErrBadMap", len(p), len(p)-len(enc), err)
 		}
-	}
-}
-
-func TestSetRegion(t *testing.T) {
-	m, _ := Partition(2, threeServers(), 1)
-	r, _ := m.ByID(1)
-	r.Primary = "s9"
-	r.Epoch = 42
-	v := m.Version
-	if err := m.SetRegion(r); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := m.ByID(1)
-	if got.Primary != "s9" || got.Epoch != 42 || m.Version <= v {
-		t.Fatalf("SetRegion: %+v v%d", got, m.Version)
-	}
-	r.ID = 77
-	if err := m.SetRegion(r); err == nil {
-		t.Fatal("SetRegion of unknown id accepted")
-	}
-}
-
-func TestLeaseValidity(t *testing.T) {
-	l := Lease{Region: 3, Epoch: 5, Holder: "s1"}
-	if !l.Valid(5) {
-		t.Fatal("matching lease invalid")
-	}
-	if l.Valid(6) {
-		t.Fatal("stale-epoch lease valid")
-	}
-	if (Lease{}).Valid(0) {
-		t.Fatal("zero lease valid")
 	}
 }
 

@@ -98,14 +98,6 @@ func (s *SegMap) MarkFlushed(primary storage.SegmentID) {
 	s.mu.Unlock()
 }
 
-// Put records an explicit <primary, local> mapping (used when a demoted
-// primary re-keys its own segments under the new primary's numbering).
-func (s *SegMap) Put(primary, local storage.SegmentID, flushed bool) {
-	s.mu.Lock()
-	s.publish(primary, local, flushed)
-	s.mu.Unlock()
-}
-
 // Delete retires the mapping for primary (after GC released the local
 // copy). Freeing the local segment, when appropriate, is the caller's
 // job; Delete only forgets the name so a recycled primary segment ID

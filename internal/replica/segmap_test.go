@@ -8,6 +8,14 @@ import (
 	"tebis/internal/storage"
 )
 
+// Put records an explicit <primary, local> mapping, as a test stages a
+// map state the replication path would take many steps to reach.
+func (s *SegMap) Put(primary, local storage.SegmentID, flushed bool) {
+	s.mu.Lock()
+	s.publish(primary, local, flushed)
+	s.mu.Unlock()
+}
+
 func newTestSegMap(t testing.TB) (*SegMap, *storage.MemDevice) {
 	t.Helper()
 	dev, err := storage.NewMemDevice(4096, 0)

@@ -32,9 +32,7 @@ import (
 // include the new backup from their start.
 //
 // Sync returns the number of payload bytes it shipped — log segments,
-// tail, and built index segments — which region migration reports
-// through the tebis_region_ship_bytes_total family: the evidence the
-// destination was seeded by shipping, not by re-compacting.
+// tail, and built index segments.
 func (p *Primary) Sync(b *Backup) (int64, error) {
 	db := p.DB()
 	if db == nil {

@@ -158,7 +158,7 @@ func (s *Server) spin(idx int) {
 	hdr := make([]byte, wire.HeaderSize)
 	// sp is this thread's own worker, for the tasks it answers itself
 	// (dispatch says which) and for its sheds.
-	sp := &worker{s: s, spinner: true}
+	sp := &worker{s: s}
 	emptySweeps := &s.spinStats[idx].emptySweeps
 	for {
 		select {
@@ -304,13 +304,11 @@ func (s *Server) detect(conn *clientConn, hdr []byte) (task, bool, error) {
 // task on a worker queue: stay on the current worker while its queue is
 // shallow, else move to the next (§3.4.2). So a burst that piles up in a
 // connection goes to the workers, and its queue wait reaches the
-// admission controller, as before. An op on a frozen region is never
-// waited for on the spinning thread; it goes to a queue, where a worker
-// parks on it. With admission control enabled, the wake-up threshold is
-// the controller's adaptive value (never above the configured one), and
-// overloaded states act at the door: a shed task is refused before any
-// worker slot or engine work is spent on it, a delayed one paces the
-// spinning thread itself (DESIGN.md "Data path").
+// admission controller, as before. With admission control enabled, the
+// wake-up threshold is the controller's adaptive value (never above the
+// configured one), and overloaded states act at the door: a shed task is
+// refused before any worker slot or engine work is spent on it, a delayed
+// one paces the spinning thread itself (DESIGN.md "Data path").
 func (s *Server) dispatch(t task, next int, sp *worker, alone bool) int {
 	if t.hdr.Opcode == wire.OpPut || t.hdr.Opcode == wire.OpDelete {
 		// Only mutations face the admission door: writes are the
@@ -326,7 +324,8 @@ func (s *Server) dispatch(t task, next int, sp *worker, alone bool) int {
 			time.Sleep(d.Delay)
 		}
 	}
-	if alone && s.queuesEmpty() && sp.process(t) {
+	if alone && s.queuesEmpty() {
+		sp.process(t)
 		return next
 	}
 	threshold := s.cfg.TaskThreshold

@@ -3,12 +3,12 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"tebis/internal/metrics"
-	"tebis/internal/region"
+	"tebis/internal/rdma"
 	"tebis/internal/replica"
 	"tebis/internal/wire"
 )
@@ -117,59 +117,54 @@ func TestMessageWithAnotherBehindItGoesToAWorker(t *testing.T) {
 	}
 }
 
-// TestQueuedAndFrozenOpsGoToWorkers: an op on a frozen region is not
-// waited for on the spinning thread — a worker parks on it, and the
-// spinning thread keeps answering another region — and while a task
-// waits in a worker queue, a new one queues behind it instead of
-// overtaking it.
-func TestQueuedAndFrozenOpsGoToWorkers(t *testing.T) {
+// TestQueuedOpsGoToWorkers: while a task waits in a worker queue, a new
+// one queues behind it instead of overtaking it on the spinning thread.
+// A fault hook on the server's NIC holds a worker in its reply write to
+// the first request, so the requests found behind it wait in its queue.
+func TestQueuedOpsGoToWorkers(t *testing.T) {
 	s, _ := newTestServer(t, "s0")
-	frozen := wholeKeyspace("s0")
-	frozen.End = []byte("m")
-	other := region.Region{ID: 2, Start: []byte("m"), Primary: "s0"}
-	for _, r := range []region.Region{frozen, other} {
-		if _, err := s.OpenPrimary(r, replica.NoReplication); err != nil {
+	if _, err := s.OpenPrimary(wholeKeyspace("s0"), replica.NoReplication); err != nil {
+		t.Fatal(err)
+	}
+	const heldID = 100
+	held, release := make(chan struct{}), make(chan struct{})
+	var unblock sync.Once
+	defer unblock.Do(func() { close(release) }) // a failure must not leave the worker held
+	s.cfg.Endpoint.InjectFault(func(op rdma.FaultOp, _, _ string, _ int, payload []byte) rdma.Fault {
+		if h, err := wire.DecodeReplyHeader(payload); op == rdma.FaultWrite && err == nil && h.RequestID == heldID {
+			close(held)
+			<-release
+		}
+		return rdma.Fault{}
+	})
+	a, b := newRawClient(t, s), newRawClient(t, s)
+	// Three gets land at once, the first last, so the spinning thread
+	// finds each with the next behind it but the last: the first goes to
+	// a worker, which is held replying to it, and the other two wait in
+	// its queue.
+	for slot := 2; slot >= 0; slot-- {
+		req := wire.GetReq{Key: []byte("k")}
+		msg := a.mb.Finish(wire.Header{Opcode: wire.OpGet, RegionID: 1, RequestID: uint64(heldID + slot),
+			ReplyOffset: uint32(slot * 512), ReplySize: 512}, req.Encode(a.mb.Reserve(req.Size())))
+		if err := a.qp.WriteUnsignaled(a.info.ReqRKey, slot*wire.HeaderSize, msg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	a, b := newRawClient(t, s), newRawClient(t, s)
-	if err := s.Freeze(1); err != nil {
-		t.Fatal(err)
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no worker replied to the first request")
 	}
-	// The spinning thread hands a's op to a worker, which parks on it;
-	// the spinning thread is free to answer b.
-	a.sendGet(1, 0, []byte("a"))
-	stacks := make([]byte, 1<<20)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		if bytes.Contains(stacks[:runtime.Stack(stacks, true)], []byte("server.(*Server).acquire(")) {
-			break // only a worker waits in acquire
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no worker parked on the frozen-region op")
-		}
-	}
-	if h, rep := b.get(2, 0, []byte("x")); h.Flags&wire.FlagError != 0 || rep.Found {
-		t.Fatalf("get on the other region during the freeze: flags %#x, %+v", h.Flags, rep)
-	}
-
-	a.sendGet(1, 512, []byte("b")) // waits in the queue behind the parked op
-	for deadline := time.Now().Add(5 * time.Second); s.queuesEmpty(); time.Sleep(100 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the second frozen-region op never queued")
-		}
-	}
-	b.sendGet(2, 512, []byte("y")) // must queue behind it, not overtake it
+	b.sendGet(1, 0, []byte("x")) // must queue behind them, not overtake them
 	time.Sleep(20 * time.Millisecond)
-	if ok, _ := b.replyBuf.ReadIfWord(512, make([]byte, wire.ReplyLine), wire.ReplyMagic); ok {
+	if ok, _ := b.replyBuf.ReadIfWord(0, make([]byte, wire.ReplyLine), wire.ReplyMagic); ok {
 		t.Fatal("a task overtook one waiting in a worker queue")
 	}
-	if err := s.Unfreeze(frozen, region.Lease{Region: 1, Holder: "s0"}); err != nil {
-		t.Fatal(err)
-	}
+	unblock.Do(func() { close(release) })
 	for _, r := range []struct {
 		c   *rawClient
 		off int
-	}{{a, 0}, {a, 512}, {b, 512}} {
+	}{{a, 0}, {a, 512}, {a, 1024}, {b, 0}} {
 		if h, _ := r.c.await(r.off); h.Flags&wire.FlagError != 0 {
 			t.Fatalf("reply at %d: flags %#x", r.off, h.Flags)
 		}
@@ -177,8 +172,8 @@ func TestQueuedAndFrozenOpsGoToWorkers(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := served(s); got != 3 {
-		t.Fatalf("workers served %d tasks, want the 2 frozen-region ops and the one queued behind them", got)
+	if got := served(s); got != 4 {
+		t.Fatalf("workers served %d tasks, want the held one and the three queued behind it", got)
 	}
 }
 

@@ -1,12 +1,9 @@
 package server
 
 import (
-	"fmt"
-
 	"tebis/internal/lsm"
 	"tebis/internal/metrics"
 	"tebis/internal/obs"
-	"tebis/internal/region"
 	"tebis/internal/storage"
 	"tebis/internal/vlog"
 )
@@ -37,24 +34,12 @@ func (s *Server) Observe(reg *obs.Registry) {
 // owns, all from one pass over the hosted-region table and one read of
 // each byte counter: device and network bytes with the amplification
 // ratios derived from them (Figure 7), live engine gauges (memtable
-// size, value-log position and space, compaction queue depth), the
-// engines' point-lookup level counts, and the per-region families: an
-// epoch for every region hosted here, traffic for the ones it serves.
+// size, value-log position and space, compaction queue depth) and the
+// engines' point-lookup level counts.
 func (s *Server) Collect() []metrics.Family {
-	type hosted struct {
-		id    region.ID
-		epoch uint32
-		stats *regionStats // nil unless this server serves the region's ops
-	}
 	s.mu.Lock()
-	regions := make([]hosted, 0, len(s.regions))
 	var dbs []*lsm.DB // hosted primaries plus Build-Index backup engines
-	for id, hr := range s.regions {
-		h := hosted{id: id, epoch: hr.info.Epoch}
-		if hr.db != nil {
-			h.stats = hr.stats
-		}
-		regions = append(regions, h)
+	for _, hr := range s.regions {
 		if hr.db != nil {
 			dbs = append(dbs, hr.db)
 		}
@@ -63,29 +48,6 @@ func (s *Server) Collect() []metrics.Family {
 		}
 	}
 	s.mu.Unlock()
-
-	ops := metrics.Counter("tebis_region_ops_total",
-		"Operations served per hosted region, by kind.")
-	bytes := metrics.Counter("tebis_region_bytes_total",
-		"Request payload bytes absorbed per hosted region.")
-	epoch := metrics.Gauge("tebis_region_epoch",
-		"Current epoch of every hosted region; a jump marks a migration or a failover.")
-	latency := metrics.Gauge("tebis_region_op_latency_seconds",
-		"Per-region service latency quantiles over the region's lifetime.")
-	for _, h := range regions {
-		epoch.Add(fmt.Sprintf(`region="%d"`, h.id), float64(h.epoch))
-		if h.stats == nil {
-			continue
-		}
-		ops.Add(fmt.Sprintf(`kind="read",region="%d"`, h.id), float64(h.stats.reads.Load()))
-		ops.Add(fmt.Sprintf(`kind="scan",region="%d"`, h.id), float64(h.stats.scans.Load()))
-		ops.Add(fmt.Sprintf(`kind="write",region="%d"`, h.id), float64(h.stats.writes.Load()))
-		bytes.Add(fmt.Sprintf(`region="%d"`, h.id), float64(h.stats.bytes.Load()))
-		_, ps := h.stats.lat.Summarize()
-		for i, q := range metrics.Quantiles {
-			latency.Add(fmt.Sprintf(`quantile="%s",region="%d"`, q.Label, h.id), ps[i].Seconds())
-		}
-	}
 
 	// Hosted engines share one device, so segment IDs are node-unique
 	// and the per-segment children of the space report merge.
@@ -110,7 +72,6 @@ func (s *Server) Collect() []metrics.Family {
 	dev := s.cfg.Device.Stats()
 	tx, rx := s.cfg.Endpoint.TxBytes(), s.cfg.Endpoint.RxBytes()
 	fams := []metrics.Family{
-		ops, bytes, epoch, latency,
 		metrics.Gauge("tebis_memtable_bytes",
 			"Byte footprint of the active L0 memtables across hosted regions.", metrics.Value(float64(memtable))),
 		metrics.Gauge("tebis_vlog_bytes",

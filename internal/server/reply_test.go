@@ -116,9 +116,9 @@ func TestReplyThatOutgrowsItsSlot(t *testing.T) {
 		wantFlags uint8
 		want      []byte
 	}{
-		{"wrong epoch into a put's slot", wire.ReplyMessageSize(wire.StatusReply{}.Size()),
-			wire.FlagError | wire.FlagWrongRegion | wire.FlagWrongEpoch, text,
-			wire.FlagError | wire.FlagWrongRegion | wire.FlagWrongEpoch | wire.FlagInline, text[:wire.ReplyInlineMax]},
+		{"wrong region into a put's slot", wire.ReplyMessageSize(wire.StatusReply{}.Size()),
+			wire.FlagError | wire.FlagWrongRegion, text,
+			wire.FlagError | wire.FlagWrongRegion | wire.FlagInline, text[:wire.ReplyInlineMax]},
 		{"overload into a two-line slot", 2 * wire.ReplyLine,
 			wire.FlagError | wire.FlagOverload, text,
 			wire.FlagError | wire.FlagOverload, text[:wire.MaxPayload(2*wire.ReplyLine)]},

@@ -97,7 +97,7 @@ type Config struct {
 	// experiment uses it to price the tracker's hot-path tax.
 	DisableLag bool
 	// Events journals every control-plane transition this node makes —
-	// evictions, syncs, promotions, freezes, GC passes (created on
+	// evictions, syncs, promotions, GC passes (created on
 	// demand when nil). May be shared cluster-wide so one journal holds
 	// the whole cluster's transition history.
 	Events *obs.EventLog
@@ -167,20 +167,6 @@ type hostedRegion struct {
 	primary *replica.Primary // non-nil when this server is the primary
 	db      *lsm.DB          // the engine (primary role only)
 	backup  *replica.Backup  // non-nil when this server is a backup
-
-	// lease authorizes serving writes at info.Epoch; Freeze revokes it,
-	// the master re-grants it with the post-reconfiguration epoch.
-	lease region.Lease
-
-	// frozen parks new ops during a reconfiguration freeze window;
-	// waiters block on freezeCh until Unfreeze (or DropRegion) closes it.
-	frozen   bool
-	freezeCh chan struct{}
-	// inflight counts admitted ops so Freeze can drain them: every
-	// acknowledged write completes before the transfer starts.
-	inflight atomic.Int64
-
-	stats *regionStats
 }
 
 // Server is a Tebis region server.
@@ -246,13 +232,6 @@ var (
 	ErrUnknownRegion = errors.New("server: region not hosted here")
 	ErrNotPrimary    = errors.New("server: not primary for region")
 	ErrRegionExists  = errors.New("server: region already hosted")
-	// ErrWrongEpoch rejects an op routed with a stale region map: the
-	// region is hosted here but was migrated since the client fetched its
-	// map. Replies carry FlagWrongEpoch.
-	ErrWrongEpoch = errors.New("server: region epoch mismatch")
-	// ErrNoLease rejects a write on a region whose lease was revoked or
-	// outdated by a reconfiguration; clients recover like wrong-epoch.
-	ErrNoLease = errors.New("server: no valid lease for region")
 )
 
 // New creates a region server and starts its spinning threads and
@@ -346,33 +325,25 @@ func (s *Server) Events() *obs.EventLog { return s.cfg.Events }
 // Ready reports whether this node is safe to serve and fail over to:
 // nil while healthy, an error naming the first failing condition —
 // closed, a degraded replication group (an evicted backup not yet
-// replaced), a region frozen mid-reconfiguration, or a device fault
-// (a read found a corrupt segment). A faulted node stays faulted: the
-// master recovers its regions by failing it over (DESIGN.md "Storage
-// integrity").
+// replaced), or a device fault (a read found a corrupt segment). A
+// faulted node stays faulted: the master recovers its regions by failing
+// it over (DESIGN.md "Storage integrity").
 func (s *Server) Ready() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	var degraded, frozen []region.ID
+	var degraded []region.ID
 	for id, hr := range s.regions {
 		if hr.primary != nil && hr.primary.Degraded() {
 			degraded = append(degraded, id)
 		}
-		if hr.frozen {
-			frozen = append(frozen, id)
-		}
 	}
 	s.mu.Unlock()
 	sort.Slice(degraded, func(i, j int) bool { return degraded[i] < degraded[j] })
-	sort.Slice(frozen, func(i, j int) bool { return frozen[i] < frozen[j] })
 	if len(degraded) > 0 {
 		return fmt.Errorf("server: replication degraded on regions %v", degraded)
-	}
-	if len(frozen) > 0 {
-		return fmt.Errorf("server: regions %v frozen for reconfiguration", frozen)
 	}
 	if n := s.dev.Corruptions(); n > 0 {
 		return fmt.Errorf("server: device faulted: %d corrupt segments", n)
@@ -381,8 +352,8 @@ func (s *Server) Ready() error {
 }
 
 // RegisterHealth wires this node's readiness conditions into an
-// obs.Health so /readyz flips unhealthy while the node is degraded,
-// frozen, or device-faulted.
+// obs.Health so /readyz flips unhealthy while the node is degraded or
+// device-faulted.
 func (s *Server) RegisterHealth(h *obs.Health) {
 	if h == nil {
 		return
@@ -468,10 +439,6 @@ func (s *Server) OpenPrimary(r region.Region, mode replica.Mode) (*replica.Prima
 	p.SetDB(db)
 	s.regions[r.ID] = &hostedRegion{
 		info: r.Clone(), mode: mode, primary: p, db: db,
-		// The master only places a primary where it means it to serve, so
-		// opening self-grants the lease at the region's current epoch.
-		lease: region.Lease{Region: r.ID, Epoch: r.Epoch, Holder: s.cfg.Name},
-		stats: newRegionStats(),
 	}
 	return p, nil
 }
@@ -490,7 +457,7 @@ func (s *Server) OpenBackup(r region.Region, mode replica.Mode) (*replica.Backup
 	if err != nil {
 		return nil, err
 	}
-	s.regions[r.ID] = &hostedRegion{info: r.Clone(), mode: mode, backup: b, stats: newRegionStats()}
+	s.regions[r.ID] = &hostedRegion{info: r.Clone(), mode: mode, backup: b}
 	return b, nil
 }
 
@@ -517,7 +484,6 @@ func (s *Server) PromoteToPrimary(id region.ID) (*replica.Primary, error) {
 	hr.db = db
 	hr.info.Primary = s.cfg.Name
 	hr.backup = nil
-	hr.lease = region.Lease{Region: id, Epoch: hr.info.Epoch, Holder: s.cfg.Name}
 	s.mu.Unlock()
 	s.cfg.Events.Record(obs.Event{
 		Type: obs.EvPromoted, Node: s.cfg.Name,
@@ -525,38 +491,6 @@ func (s *Server) PromoteToPrimary(id region.ID) (*replica.Primary, error) {
 		Fields: map[string]string{"region": fmt.Sprint(id)},
 	})
 	return p, nil
-}
-
-// DemoteToBackup converts a hosted primary into a backup of a newly
-// promoted primary (the graceful-switch path used for load balancing).
-// oldToNew is the new primary's log-map snapshot taken before its
-// promotion. The master calls it inside the region's freeze window, so
-// client traffic is quiesced; after demotion this server answers
-// wrong-region so clients refresh their maps.
-func (s *Server) DemoteToBackup(id region.ID, mode replica.Mode, oldToNew map[storage.SegmentID]storage.SegmentID) (*replica.Backup, error) {
-	s.mu.Lock()
-	hr, ok := s.regions[id]
-	cfg := s.backupConfig(id, mode)
-	s.mu.Unlock()
-	if !ok || hr.primary == nil {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownRegion, id)
-	}
-	b, err := replica.NewBackupFromPrimary(hr.primary, cfg, oldToNew)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	hr.backup = b
-	hr.primary = nil
-	hr.db = nil
-	hr.lease = region.Lease{}
-	s.mu.Unlock()
-	s.cfg.Events.Record(obs.Event{
-		Type: obs.EvDemoted, Node: s.cfg.Name,
-		Msg:    "primary demoted to backup",
-		Fields: map[string]string{"region": fmt.Sprint(id)},
-	})
-	return b, nil
 }
 
 // Backup returns the hosted backup replica of a region, if any.
@@ -586,13 +520,6 @@ func (s *Server) DropRegion(id region.ID) error {
 	s.mu.Lock()
 	hr, ok := s.regions[id]
 	delete(s.regions, id)
-	if ok && hr.frozen {
-		// Release parked ops; they re-resolve to unknown-region and bounce
-		// the client to a map refresh.
-		hr.frozen = false
-		close(hr.freezeCh)
-		hr.freezeCh = nil
-	}
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownRegion, id)
@@ -612,18 +539,6 @@ func (s *Server) Regions() []region.ID {
 		out = append(out, id)
 	}
 	return out
-}
-
-// primaryDB resolves the engine serving a region without epoch or lease
-// checks — the pre-epoch resolution path, kept for direct engine access
-// in tests and tools.
-func (s *Server) primaryDB(id region.ID) (*lsm.DB, error) {
-	ref, err := s.acquire(id, 0, false)
-	if err != nil {
-		return nil, err
-	}
-	ref.release()
-	return ref.db, nil
 }
 
 // ShipStats returns the node's ship-codec traffic counters.

@@ -87,6 +87,7 @@ func TestBackupLifecycleAndPromote(t *testing.T) {
 	sb, _ := newTestServer(t, "sb")
 
 	r := wholeKeyspace("sp", "sb")
+	r.End = []byte("m")
 	p, err := sp.OpenPrimary(r, replica.SendIndex)
 	if err != nil {
 		t.Fatal(err)
@@ -117,6 +118,12 @@ func TestBackupLifecycleAndPromote(t *testing.T) {
 	}
 	if _, ok := sb.Backup(1); ok {
 		t.Fatal("promoted region still a backup")
+	}
+	// The promoted region serves under the descriptor its backup was
+	// opened with: key ranges are fixed at bootstrap, so its scan bound
+	// is already the region's.
+	if ref, err := sb.acquire(1); err != nil || ref.db != p2.DB() || string(ref.end) != "m" {
+		t.Fatalf("promoted region resolves to %+v, %v; want its engine and bound m", ref, err)
 	}
 	v, found, err := p2.DB().Get([]byte("key000042"))
 	if err != nil || !found || string(v) != "v" {
@@ -149,13 +156,13 @@ func TestDropRegion(t *testing.T) {
 
 func TestPrimaryDBRouting(t *testing.T) {
 	s, _ := newTestServer(t, "s0")
-	if _, err := s.primaryDB(1); !errors.Is(err, ErrUnknownRegion) {
+	if _, err := s.acquire(1); !errors.Is(err, ErrUnknownRegion) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := s.OpenBackup(wholeKeyspace("other", "s0"), replica.SendIndex); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.primaryDB(1); !errors.Is(err, ErrNotPrimary) {
+	if _, err := s.acquire(1); !errors.Is(err, ErrNotPrimary) {
 		t.Fatalf("backup-only region err = %v", err)
 	}
 }

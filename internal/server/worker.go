@@ -18,10 +18,6 @@ type worker struct {
 	s     *Server
 	id    int
 	queue chan task // nil for a spinning thread's own worker
-	// spinner marks a spinning thread's own worker: it answers tasks on
-	// the thread that detected them and must never park it, so an op on a
-	// frozen region sets deferred instead and is left to a queue worker.
-	spinner, deferred bool
 	// served counts the tasks this worker took from its queue; only its
 	// goroutine writes it.
 	served int
@@ -32,9 +28,6 @@ type worker struct {
 	// log — and the message finished around it. Nothing here outlives
 	// the op's reply write.
 	msg wire.ReplyBuf
-	// stats is the addressed region's sink, set by acquire for the op in
-	// progress (nil when the op never resolved a hosted region).
-	stats *regionStats
 }
 
 func newWorker(s *Server, id int) *worker {
@@ -49,10 +42,8 @@ func (w *worker) run() {
 	}
 }
 
-// process executes one request and replies. It reports false, with
-// nothing answered and t left as it was, only on a spinning thread's
-// worker for an op that would park on a frozen region.
-func (w *worker) process(t task) bool {
+// process executes one request and replies.
+func (w *worker) process(t task) {
 	var (
 		op      wire.Op
 		flags   uint8
@@ -102,19 +93,11 @@ func (w *worker) process(t task) bool {
 	default:
 		op, flags, payload = wire.OpNoopReply, wire.FlagError, badOpcodeText
 	}
-	if w.deferred {
-		w.deferred, w.stats = false, nil
-		return false
-	}
 	w.reply(t, op, flags, payload)
 	if lat := w.s.opLat[t.hdr.Opcode]; lat != nil {
-		elapsed := time.Since(start)
-		lat.Record(elapsed)
-		w.stats.record(t.hdr.Opcode, len(t.payload()), elapsed)
+		lat.Record(time.Since(start))
 	}
-	w.stats = nil
 	w.s.recycle(t)
-	return true
 }
 
 // dispatchWait is the dispatch stage of the request h heads, picked up at
@@ -125,23 +108,6 @@ func dispatchWait(h wire.Header, start time.Time) time.Duration {
 	return time.Duration(uint32(start.UnixNano()) - uint32(h.SentAt))
 }
 
-// acquire resolves the region t addresses (Server.acquire) and notes its
-// stats sink for process, so an op takes s.mu once, not once to resolve
-// and once more to account. A spinning thread's worker does not wait out
-// a freeze window: it marks the op deferred.
-func (w *worker) acquire(t task, write bool) (ref regionRef, err error) {
-	id := region.ID(t.hdr.RegionID)
-	if w.spinner {
-		var wait chan struct{}
-		ref, wait, err = w.s.tryAcquire(id, t.hdr.Epoch, write)
-		w.deferred = wait != nil
-	} else {
-		ref, err = w.s.acquire(id, t.hdr.Epoch, write)
-	}
-	w.stats = ref.stats
-	return ref, err
-}
-
 // statusOK encodes the OK status payload into the worker's scratch.
 func (w *worker) statusOK() []byte {
 	return wire.StatusReply{}.Encode(w.msg.Reserve(wire.StatusReply{}.Size()))
@@ -149,12 +115,6 @@ func (w *worker) statusOK() []byte {
 
 // errReply classifies engine errors for the client.
 func errReply(err error, okOp wire.Op) (wire.Op, uint8, []byte) {
-	if errors.Is(err, ErrWrongEpoch) || errors.Is(err, ErrNoLease) {
-		// The region is hosted here but moved on: wrong-epoch refines
-		// wrong-region, and both flags are set so pre-epoch clients still
-		// take the refresh path.
-		return okOp, wire.FlagError | wire.FlagWrongRegion | wire.FlagWrongEpoch, []byte(err.Error())
-	}
 	if errors.Is(err, ErrUnknownRegion) || errors.Is(err, ErrNotPrimary) {
 		// Stale region map: tell the client to refresh (§3.1).
 		return okOp, wire.FlagError | wire.FlagWrongRegion, []byte(err.Error())
@@ -171,11 +131,10 @@ func (w *worker) doPut(t task, del bool, rt *obs.ReqTrace) (wire.Op, uint8, []by
 	if err != nil {
 		return okOp, wire.FlagError, []byte(err.Error())
 	}
-	ref, err := w.acquire(t, true)
+	ref, err := w.s.acquire(region.ID(t.hdr.RegionID))
 	if err != nil {
 		return errReply(err, okOp)
 	}
-	defer ref.release()
 	var applyStart time.Time
 	if rt != nil {
 		applyStart = time.Now()
@@ -238,11 +197,10 @@ func (w *worker) doGetRest(t task) (wire.Op, uint8, []byte) {
 // value that reaches past the slot is sent FlagPartial and the client
 // fetches the rest (§3.4.1); an offset past the value's end is a miss.
 func (w *worker) getRange(t task, key []byte, from int) (wire.Op, uint8, []byte) {
-	ref, err := w.acquire(t, false)
+	ref, err := w.s.acquire(region.ID(t.hdr.RegionID))
 	if err != nil {
 		return errReply(err, wire.OpGetReply)
 	}
-	defer ref.release()
 	budget := getReplyBudget(t.hdr)
 	rep := wire.BeginGetReply(w.msg.Reserve(wire.GetReplyPrefix + budget))
 	rep, total, found, err := ref.db.GetRange(rep, key, from, budget)
@@ -265,11 +223,10 @@ func (w *worker) doScan(t task) (wire.Op, uint8, []byte) {
 	if err != nil {
 		return wire.OpScanReply, wire.FlagError, []byte(err.Error())
 	}
-	ref, err := w.acquire(t, false)
+	ref, err := w.s.acquire(region.ID(t.hdr.RegionID))
 	if err != nil {
 		return errReply(err, wire.OpScanReply)
 	}
-	defer ref.release()
 	end := ref.end
 	budget := int(t.hdr.ReplySize) - scanReserve
 	// Each pair goes into the reply as the scan hands it over — it is

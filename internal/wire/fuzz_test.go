@@ -17,7 +17,8 @@ import (
 // trusted). Every input is decoded as a request and as a reply.
 //
 // The corpus starts from the golden and compat fixtures: headers with
-// their request fields left zero, the reserved opcodes 21, 22 and 25 to
+// their request fields left zero and one with its reserved bytes
+// [24, 28) not zero, the reserved opcodes 21, 22 and 25 to
 // 30, and the payloads whose ship-codec fields ride at the end (with and
 // without them) — and the inline shape of a request at its edges: one
 // payload byte, exactly InlineMax, a header flagged inline that claims a
@@ -45,16 +46,19 @@ func FuzzDecodeMessage(f *testing.F) {
 		return append([]byte(nil), rb.Finish(h, payload)...)
 	}
 	full := Header{Opcode: OpPut, Flags: FlagPartial, RegionID: 11, RequestID: 0xfeedface,
-		ReplyOffset: 2048, ReplySize: 1024, TraceID: 0xabcdef, Epoch: 9, Tenant: 3, Priority: 1, SentAt: 1<<40 | 777}
+		ReplyOffset: 2048, ReplySize: 1024, TraceID: 0xabcdef, Tenant: 3, Priority: 1, SentAt: 1<<40 | 777}
 	put := PutReq{Key: []byte("user000042"), Value: []byte("value-bytes")}.Encode(nil)
 	f.Add(msg(full, put))
-	// Request fields left zero: the epoch, SentAt, tenant and priority,
-	// and all of them from the reply offset on.
-	for _, zero := range [][2]int{{24, 28}, {28, 32}, {22, 24}, {16, 32}} {
+	// Request fields left zero: SentAt, tenant and priority, and all of
+	// them from the reply offset on.
+	for _, zero := range [][2]int{{28, 32}, {22, 24}, {16, 32}} {
 		old := msg(full, put)
 		clear(old[zero[0]:zero[1]])
 		f.Add(old)
 	}
+	reserved := msg(full, put)
+	copy(reserved[24:28], "\xa1\xb2\xc3\xd4")
+	f.Add(reserved)
 	f.Add(msg(Header{Opcode: OpNoop, RequestID: 1}, nil)) // header-only
 	for op := Op(21); op <= 30; op++ {
 		if op != OpSyncTail && op != OpSyncTailAck {
@@ -73,7 +77,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	for _, r := range scans {
 		f.Add(reply(Header{Opcode: OpScanReply}, r.Encode(nil)))
 	}
-	f.Add(reply(Header{Opcode: OpPutReply, Flags: FlagError | FlagWrongRegion | FlagWrongEpoch}, []byte("server: region epoch mismatch")))
+	f.Add(reply(Header{Opcode: OpPutReply, Flags: FlagError | FlagWrongRegion}, []byte("server: region not hosted here")))
 	f.Add(msg(Header{Opcode: OpFlushTail}, FlushTail{RegionID: 3, PrimarySeg: 12}.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpCompactionStart}, CompactionStart{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2}.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpCompactionDone}, CompactionDone{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2, Root: 1 << 33, NumKeys: 5, Watermark: 99}.Encode(nil)))

@@ -41,7 +41,6 @@ func reference(h Header, payload []byte) []byte {
 	binary.LittleEndian.PutUint32(msg[16:20], h.ReplyOffset)
 	binary.LittleEndian.PutUint16(msg[20:22], uint16(h.ReplySize/64))
 	msg[22], msg[23] = h.Tenant, h.Priority
-	binary.LittleEndian.PutUint32(msg[24:28], h.Epoch)
 	binary.LittleEndian.PutUint32(msg[28:32], uint32(h.SentAt))
 	binary.LittleEndian.PutUint32(msg[60:64], Magic)
 	if pre > 0 {
@@ -79,7 +78,7 @@ func TestRequestShapesByPayloadLength(t *testing.T) {
 	mb.Finish(Header{Opcode: OpPut, TraceID: 1}, bytes.Repeat([]byte{0xAB}, 8*HeaderSize))
 	for _, traceID := range []uint64{0, 0x1122334455667788} {
 		hdr := Header{Opcode: OpPut, Flags: FlagPartial | FlagInline | FlagTraced, RegionID: 3, RequestID: 99,
-			ReplyOffset: 4096, ReplySize: 384, TraceID: traceID, Epoch: 2, Tenant: 1, Priority: 1, SentAt: 12345}
+			ReplyOffset: 4096, ReplySize: 384, TraceID: traceID, Tenant: 1, Priority: 1, SentAt: 12345}
 		pre := 0
 		if traceID != 0 {
 			pre = TracePrefix
@@ -262,7 +261,7 @@ func TestInlineHeaderClaimingTooMuchIsMalformed(t *testing.T) {
 // (The premise is the 64-byte header's now: an S put of 20 bytes, not
 // one of 29, is what fits.)
 func TestInlineFrameCompat(t *testing.T) {
-	h := Header{Opcode: OpPut, RegionID: 11, RequestID: 0xfeedface, ReplyOffset: 2048, ReplySize: 384, Epoch: 9}
+	h := Header{Opcode: OpPut, RegionID: 11, RequestID: 0xfeedface, ReplyOffset: 2048, ReplySize: 384}
 	put := PutReq{Key: []byte("user000042"), Value: []byte("v1")}.Encode(nil)
 
 	old := make([]byte, MessageSize(len(put)))

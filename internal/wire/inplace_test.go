@@ -68,7 +68,7 @@ func TestMsgBufBuildsTheSameBytesInPlace(t *testing.T) {
 	mb.Finish(Header{Opcode: OpPut, TraceID: 1}, dirty)
 
 	for _, traceID := range []uint64{0, 7} {
-		hdr := Header{Opcode: OpGetReply, Flags: FlagPartial, RegionID: 3, RequestID: 99, TraceID: traceID, Epoch: 2, Tenant: 1, SentAt: 12345}
+		hdr := Header{Opcode: OpGetReply, Flags: FlagPartial, RegionID: 3, RequestID: 99, TraceID: traceID, Tenant: 1, SentAt: 12345}
 		for name, p := range everyPayload() {
 			payload := p.Encode(mb.Reserve(p.Size()))
 			got := mb.Finish(hdr, payload)
@@ -90,7 +90,7 @@ func TestMsgBufBuildsTheSameBytesInPlace(t *testing.T) {
 		}
 	}
 
-	hdr := Header{Opcode: OpGetReply, Flags: FlagPartial, RegionID: 3, RequestID: 99, Epoch: 2, Tenant: 1, SentAt: 12345}
+	hdr := Header{Opcode: OpGetReply, Flags: FlagPartial, RegionID: 3, RequestID: 99, Tenant: 1, SentAt: 12345}
 	// A payload from elsewhere (an error text) is copied in.
 	for _, text := range [][]byte{[]byte("server: region epoch mismatch"), bytes.Repeat([]byte("long "), 40)} {
 		if got := mb.Finish(hdr, text); !bytes.Equal(got, reference(hdr, text)) {

@@ -12,7 +12,8 @@
 //
 // Both forms are 64-byte lines. The request form is what a client writes
 // into a server's ring and a primary sends a backup: a 64-byte header
-// (HeaderSize) whose fields take bytes [0, 32), with Magic as its word.
+// (HeaderSize) whose fields take bytes [0, 32), with Magic as its word;
+// bytes [24, 28) of them are reserved, written as zero and not read.
 // Because its sizes are multiples of the header size, the spinning thread
 // only ever needs to zero the possible header locations after consuming a
 // message. A sampled request (FlagTraced) carries its trace ID as the
@@ -171,7 +172,6 @@ func (f form) encodeHeader(buf []byte, h Header) {
 		binary.LittleEndian.PutUint16(buf[20:22], uint16(min(h.ReplySize/replySizeUnit, 0xFFFF)))
 		buf[22] = h.Tenant
 		buf[23] = h.Priority
-		binary.LittleEndian.PutUint32(buf[24:28], h.Epoch)
 		binary.LittleEndian.PutUint32(buf[28:32], uint32(h.SentAt))
 	}
 	binary.LittleEndian.PutUint32(buf[f.unit-4:f.unit], f.magic)
@@ -201,7 +201,6 @@ func (f form) decodeHeader(buf []byte) (Header, error) {
 		h.ReplySize = uint32(binary.LittleEndian.Uint16(buf[20:22])) * replySizeUnit
 		h.Tenant = buf[22]
 		h.Priority = buf[23]
-		h.Epoch = binary.LittleEndian.Uint32(buf[24:28])
 		h.SentAt = int64(binary.LittleEndian.Uint32(buf[28:32]))
 	}
 	pre := f.prefix(h)
@@ -325,11 +324,7 @@ const (
 	FlagError = 1 << 1
 	// FlagWrongRegion tells the client its region map is stale (§3.1).
 	FlagWrongRegion = 1 << 2
-	// FlagWrongEpoch refines FlagWrongRegion: the server still hosts the
-	// region but at a newer epoch (it was migrated), so the client must
-	// refresh its map before retrying. Servers set it together with
-	// FlagWrongRegion so old clients fall back to the same refresh path.
-	FlagWrongEpoch = 1 << 3
+	// Bit 3 is reserved: it is written as zero.
 	// FlagOverload marks a reply shed by admission control (DESIGN.md
 	// "Data path"): the server refused the request under overload, nothing
 	// was applied, and the client should back off before retrying.
@@ -378,12 +373,6 @@ type Header struct {
 	// FlagTraced, with the ID as its payload's first TracePrefix bytes,
 	// and the decoders put it back here. A reply never carries it.
 	TraceID uint64
-	// Epoch is the region epoch the client routed with. Servers compare
-	// it against the hosted region's epoch and reject mismatches with
-	// FlagWrongEpoch, so a request routed with a pre-migration map can
-	// never read or write a region its server no longer owns. Epoch 0
-	// means "unchecked".
-	Epoch uint32
 	// Tenant identifies the requesting tenant for per-tenant latency
 	// attribution and admission control (DESIGN.md "Data path" and
 	// "Observability"). 0 is the default tenant.

@@ -416,8 +416,7 @@ func DecodeCompactionStart(p []byte) (CompactionStart, error) {
 //
 // Codec rides at the end of the payload so pre-codec frames (which stop
 // after DataLen) still decode: a missing Codec reads as zero, i.e. an
-// uncompressed image — the same rolling-upgrade convention as the
-// header's TraceID and Epoch fields. A nonzero Codec means the staged
+// uncompressed image. A nonzero Codec means the staged
 // bytes are a shipcodec frame. Bytes past Codec (an older primary's
 // page-delta base) are ignored.
 type IndexSegment struct {

@@ -53,7 +53,7 @@ func TestReplyShapesByPayloadLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	// The request fields are set so that a reply that sent them shows.
 	hdr := Header{Opcode: OpGetReply, Flags: FlagPartial | FlagInline, RegionID: 3, RequestID: 99,
-		ReplyOffset: 4096, ReplySize: 384, TraceID: 7, Epoch: 2, Tenant: 1, Priority: 1, SentAt: 12345}
+		ReplyOffset: 4096, ReplySize: 384, TraceID: 7, Tenant: 1, Priority: 1, SentAt: 12345}
 	var rb ReplyBuf
 	rb.Finish(Header{Opcode: OpGetReply}, bytes.Repeat([]byte{0xAB}, 8*ReplyLine)) // dirty
 	for n := 0; n <= 384; n++ {

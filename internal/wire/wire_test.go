@@ -71,6 +71,15 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if got != h {
 		t.Fatalf("round trip = %+v, want %+v", got, h)
 	}
+	// Bytes [24, 28) are reserved: written as zero, and a line with
+	// anything there decodes to the same header.
+	if !bytes.Equal(buf[24:28], make([]byte, 4)) {
+		t.Fatalf("reserved bytes [24, 28) encoded as %x", buf[24:28])
+	}
+	copy(buf[24:28], "\xa1\xb2\xc3\xd4")
+	if got, err := DecodeHeader(buf); err != nil || got != h {
+		t.Fatalf("with reserved bytes set: %+v, %v, want %+v", got, err, h)
+	}
 }
 
 func TestDecodeHeaderRejectsBadMagic(t *testing.T) {
@@ -364,7 +373,6 @@ func TestTraceIDFrameCompat(t *testing.T) {
 		RequestID:   0xfeedface,
 		ReplyOffset: 2048,
 		ReplySize:   256,
-		Epoch:       3,
 		SentAt:      99,
 	}
 	payload := bytes.Repeat([]byte{0x42}, 300)
@@ -414,7 +422,7 @@ func TestOldRequestFrameDoesNotDecode(t *testing.T) {
 		{"a noop", false, nil},
 	} {
 		old := oldRequestFrame(Header{Opcode: OpGet, RegionID: 1, RequestID: 7, ReplyOffset: 64, ReplySize: 1024,
-			TraceID: 5, Epoch: 2, Tenant: 1, Priority: 1, SentAt: 1 << 40}, tc.payload, tc.inline)
+			TraceID: 5, Tenant: 1, Priority: 1, SentAt: 1 << 40}, tc.payload, tc.inline)
 		if _, err := DecodeHeader(old); !errors.Is(err, ErrBadMagic) {
 			t.Errorf("%s in the old format: DecodeHeader %v", tc.name, err)
 		}
@@ -442,7 +450,7 @@ func oldRequestFrame(h Header, payload []byte, inline bool) []byte {
 	binary.LittleEndian.PutUint32(msg[16:20], h.ReplyOffset)
 	binary.LittleEndian.PutUint32(msg[20:24], h.ReplySize)
 	binary.LittleEndian.PutUint64(msg[24:32], h.TraceID)
-	binary.LittleEndian.PutUint32(msg[32:36], h.Epoch)
+	binary.LittleEndian.PutUint32(msg[32:36], 2) // the region epoch it carried
 	msg[36], msg[37] = h.Tenant, h.Priority
 	binary.LittleEndian.PutUint64(msg[40:48], uint64(h.SentAt))
 	binary.LittleEndian.PutUint32(msg[oldHeader-4:oldHeader], oldMagic)
@@ -469,43 +477,6 @@ func TestGCReleaseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHeaderEpochRoundTrip(t *testing.T) {
-	h := Header{
-		PayloadSize: 8,
-		Opcode:      OpPut,
-		Flags:       FlagWrongRegion | FlagWrongEpoch,
-		RegionID:    5,
-		RequestID:   123,
-		Epoch:       0xa1b2c3d4,
-	}
-	buf := make([]byte, HeaderSize)
-	if err := EncodeHeader(buf, h); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeHeader(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Fatalf("round trip = %+v, want %+v", got, h)
-	}
-	if e := binary.LittleEndian.Uint32(buf[24:28]); e != h.Epoch {
-		t.Fatalf("epoch encoded at [24:28] = %#x, want %#x", e, h.Epoch)
-	}
-	// Epoch 0 (old encoders) must survive as "unchecked".
-	buf2 := make([]byte, HeaderSize)
-	if err := EncodeHeader(buf2, Header{Opcode: OpGet, RequestID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := DecodeHeader(buf2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Epoch != 0 {
-		t.Fatalf("zero epoch decoded as %d", got2.Epoch)
-	}
-}
-
 // TestTenantPriorityFrameCompat pins the argument for the tenant and
 // priority header bytes: they live at [22] and [23] (they were [36] and
 // [37] of the 128-byte request header), so a request of the default
@@ -518,7 +489,6 @@ func TestTenantPriorityFrameCompat(t *testing.T) {
 		Opcode:      OpPut,
 		RegionID:    4,
 		RequestID:   0xcafe,
-		Epoch:       9,
 	}
 
 	// Unstamped: the tenant/priority bytes are zero and decode to the
