@@ -40,7 +40,8 @@ type Config struct {
 	// may be nil when the topology is static.
 	Refresh func() (*region.Map, error)
 	// ReplySlot is the default reply slot size for get/scan
-	// (grows after partial replies). Defaults to 1 KiB.
+	// (grows after partial replies), rounded up to whole 64-byte lines.
+	// Defaults to 1 KiB.
 	ReplySlot int
 	// Trace receives request-scoped spans for sampled operations; nil
 	// disables request tracing entirely.
@@ -144,6 +145,9 @@ func New(cfg Config) (*Client, error) {
 	if cfg.ReplySlot == 0 {
 		cfg.ReplySlot = 1024
 	}
+	// Reply slots are whole lines, so every slot the reply buffer hands
+	// out starts on a line, which is how a request header addresses it.
+	cfg.ReplySlot = (cfg.ReplySlot + wire.ReplyLine - 1) / wire.ReplyLine * wire.ReplyLine
 	c := &Client{
 		cfg: cfg,
 		ep:  rdma.NewEndpoint(cfg.Name),
@@ -186,6 +190,9 @@ func (c *Client) dial(name string, h ServerHandle) (*serverConn, error) {
 	if err != nil {
 		return nil, err
 	}
+	if replyBuf.Size() > wire.ReplyBufferMax {
+		return nil, fmt.Errorf("client: a %d-byte reply buffer is past the %d bytes a request can address", replyBuf.Size(), wire.ReplyBufferMax)
+	}
 	info, err := h.Connect(c.ep, replyBuf.RKey())
 	if err != nil {
 		return nil, err
@@ -200,6 +207,10 @@ func (c *Client) dial(name string, h ServerHandle) (*serverConn, error) {
 		replyFL:  newFreeList(replyBuf.Size()),
 	}, nil
 }
+
+// Endpoint returns the client's NIC: its counters are the client's side
+// of every request and reply it exchanged.
+func (c *Client) Endpoint() *rdma.Endpoint { return c.ep }
 
 // Map returns the client's cached region map.
 func (c *Client) Map() *region.Map { return c.routes.Load().rmap }

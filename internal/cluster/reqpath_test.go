@@ -144,14 +144,17 @@ func TestRequestPathAllocCeilings(t *testing.T) {
 // TestRequestPathWireBytes counts what one round trip puts on the
 // server's NIC, with no backup so that nothing else crosses it. A
 // request is a 64-byte line too (DESIGN.md "Data path"): a payload of at
-// most wire.InlineMax (28) bytes rides inside it — a get of any key up to
-// 24 bytes — and a larger one follows it, padded to 64-byte lines, so the
-// S put's 41 bytes take two lines and the M put's 131 four. A reply is a
-// 64-byte line, a payload of at most wire.ReplyInlineMax bytes inside it
-// — the status that answers any put, a small get's value — and a larger
-// one behind it, padded to 64-byte lines. Byte counters, exact: a message
-// that stops going inline, a request that grows a header field, or one
-// message sent in the other's shape turns one of these red.
+// most wire.InlineMax (34) bytes rides inside it — a put of a 24-byte key
+// and a 9-byte value, its key behind a one-byte length and its value
+// running to the payload's end — and a larger one follows it, padded to
+// 64-byte lines. So an S put (34 bytes, with the benchmark's 24-byte key
+// or a 10-byte one) is one line, an M put (124 bytes) three, and a scan of
+// a 24-byte key (26 bytes) one. A reply is a 64-byte line, a payload of at
+// most wire.ReplyInlineMax bytes inside it — the status that answers any
+// put, a small get's value — and a larger one behind it, padded to 64-byte
+// lines. Byte counters, exact: a message that stops going inline, a
+// request that grows a header field or a length, or one message sent in
+// the other's shape turns one of these red.
 func TestRequestPathWireBytes(t *testing.T) {
 	c, cl := steadyCluster(t, 0)
 	net := func(op func()) uint64 {
@@ -174,24 +177,44 @@ func TestRequestPathWireBytes(t *testing.T) {
 			}
 		}
 	}
-	// The benchmark's S pair: 33 bytes of key and value.
+	scan := func(start []byte) func() {
+		return func() {
+			if pairs, err := cl.Scan(start, 16); err != nil || len(pairs) == 0 {
+				t.Fatalf("Scan = %d pairs, %v", len(pairs), err)
+			}
+		}
+	}
+	// The benchmark's S and M pairs: a 24-byte ycsb key and 9 or 99 bytes
+	// of value, 33 and 123 bytes a pair.
+	yKey := []byte("user6284781860667377211x")
+	ySVal, yMVal := bytes.Repeat([]byte("s"), 9), bytes.Repeat([]byte("m"), 99)
+	// The same sizes with a 10-byte key: 33 bytes of key and value, and 123.
 	sKey, sVal := []byte("user000032"), bytes.Repeat([]byte("s"), 23)
-	// And its M pair: 123 bytes.
 	mKey, mVal := []byte("user000064"), bytes.Repeat([]byte("m"), 113)
 	for _, tc := range []struct {
 		name string
 		op   func()
 		want uint64
 	}{
-		{"S put", put(sKey, sVal), 128 + 64},
+		{"S put", put(sKey, sVal), 64 + 64},
 		{"S get", get(sKey, sVal), 64 + 64},
-		{"M put", put(mKey, mVal), 256 + 64},
+		{"M put", put(mKey, mVal), 192 + 64},
 		{"M get", get(mKey, mVal), 64 + 192},
-		{"S put again", put(sKey, sVal), 128 + 64},
+		{"S put again", put(sKey, sVal), 64 + 64},
+		{"benchmark S put", put(yKey, ySVal), 64 + 64},
+		{"benchmark M put", put(yKey, yMVal), 192 + 64},
+		{"benchmark S put again", put(yKey, ySVal), 64 + 64},
 	} {
 		if got := net(tc.op); got != tc.want {
 			t.Errorf("%s: %d bytes through the server's NIC, want %d", tc.name, got, tc.want)
 		}
+	}
+	// A scan's reply is as long as what it found; its request, the
+	// server's receive side, is one line.
+	reqBefore := c.Nodes["s0"].Server.Endpoint().RxBytes()
+	scan(yKey)()
+	if got := c.Nodes["s0"].Server.Endpoint().RxBytes() - reqBefore; got != 64 {
+		t.Errorf("benchmark scan: a %d-byte request, want 64", got)
 	}
 }
 

@@ -125,8 +125,9 @@ func TestRequestTraceFanOut(t *testing.T) {
 // TestTraceIDRidesAheadOfThePayload: a request carries no trace ID in
 // its header; a sampled one carries it ahead of its payload
 // (wire.FlagTraced), inline or behind the header. Each sampled op — an S
-// get, whose key and prefix ride inside the header line, a get of a
-// 24-byte key, whose prefix pushes it out of line, and an M put — arrives
+// get and a get of a 24-byte key, whose key and prefix ride inside the
+// header line, a put of a 24-byte key and a 9-byte value, exactly
+// InlineMax, whose prefix pushes it out of line, and an M put — arrives
 // with the client's trace ID: the server's dispatch span is recorded
 // under the ID of the client's span, the dispatch stage retains it as an
 // exemplar, and the op's payload reaches the engine whole.
@@ -155,8 +156,12 @@ func TestTraceIDRidesAheadOfThePayload(t *testing.T) {
 	if n := len(wire.GetReq{Key: sKey}.Encode(nil)) + wire.TracePrefix; n > wire.InlineMax {
 		t.Fatalf("a traced S get is %d bytes, not inline", n)
 	}
-	if n := len(wire.GetReq{Key: longKey}.Encode(nil)); n != wire.InlineMax {
-		t.Fatalf("a get of a 24-byte key is %d bytes, want InlineMax", n)
+	if n := len(wire.GetReq{Key: longKey}.Encode(nil)) + wire.TracePrefix; n > wire.InlineMax {
+		t.Fatalf("a traced get of a 24-byte key is %d bytes, not inline", n)
+	}
+	sPutVal := bytes.Repeat([]byte("p"), 9)
+	if n := len(wire.PutReq{Key: longKey, Value: sPutVal}.Encode(nil)); n != wire.InlineMax {
+		t.Fatalf("a put of a 24-byte key and a 9-byte value is %d bytes, want InlineMax", n)
 	}
 	for _, tc := range []struct {
 		name, span string
@@ -176,6 +181,7 @@ func TestTraceIDRidesAheadOfThePayload(t *testing.T) {
 			}
 			return err
 		}},
+		{"S put of a 24-byte key", "put", func() error { return cl.Put(longKey, sPutVal) }},
 		{"M put", "put", func() error { return cl.Put(mKey, mVal) }},
 	} {
 		before := len(cfg.Trace.Snapshot())
@@ -207,6 +213,9 @@ func TestTraceIDRidesAheadOfThePayload(t *testing.T) {
 	}
 	if v, found, err := cl.Get(mKey); err != nil || !found || !bytes.Equal(v, mVal) {
 		t.Fatalf("the traced M put stored %d bytes, %v, %v", len(v), found, err)
+	}
+	if v, found, err := cl.Get(longKey); err != nil || !found || !bytes.Equal(v, sPutVal) {
+		t.Fatalf("the traced S put stored %q, %v, %v", v, found, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package master
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"tebis/internal/replica"
 	"tebis/internal/server"
 	"tebis/internal/storage"
+	"tebis/internal/vlog"
 	"tebis/internal/zklite"
 )
 
@@ -223,7 +225,13 @@ func TestHandlePrimaryFailurePromotesAndRefills(t *testing.T) {
 // and between the failures reads back from it. The backup promoted first
 // holds other segments on its device, so its segment numbers are not the
 // old primary's, and a follower that kept its old keying would resolve
-// the new primary's segments to the wrong local ones.
+// the new primary's segments to the wrong local ones. Between the
+// failures the follower's log map is checked directly too: each flushed
+// segment it maps holds the records the new primary's segment of that
+// number holds. A Build-Index follower reads no shipped index through the
+// map, but it resolves every flushed segment the new primary names in it
+// (and a GC release, and its unflushed tail at promotion), so both modes
+// hold it.
 func testFailoverThroughAFollower(t *testing.T, mode replica.Mode) {
 	h := newHarness(t, 3, mode)
 	// Region 0 is s0's, backed by s1 and s2 (region.Partition).
@@ -270,6 +278,7 @@ func testFailoverThroughAFollower(t *testing.T, mode replica.Mode) {
 		t.Fatalf("after the first failover: primary %s, backups %v", r1.Primary, r1.Backups)
 	}
 	write(r1.Primary, "post", n)
+	sameLog(t, h, r1.Primary, r1.Backups[0])
 	r2 := fail(r1.Primary)
 	if r2.Primary != r0.Backups[1] {
 		t.Fatalf("after the second failover: primary %s, want the follower %s", r2.Primary, r0.Backups[1])
@@ -286,6 +295,45 @@ func testFailoverThroughAFollower(t *testing.T, mode replica.Mode) {
 				t.Fatalf("Get(%s) after two failovers = %q, %v, %v", k, v, found, err)
 			}
 		}
+	}
+}
+
+// sameLog checks that the log map of follower's backup of region 0 is
+// keyed by primary's segments: each flushed segment it maps holds, on the
+// follower, the records primary's segment of that number holds.
+func sameLog(t *testing.T, h *harness, primary, follower string) {
+	t.Helper()
+	fb, ok := h.servers[follower].Backup(0)
+	if !ok {
+		t.Fatalf("%s does not host a backup of region 0", follower)
+	}
+	unflushed, hasUnflushed, err := fb.LogMap().UnflushedLocal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pdev, fdev := h.devs[primary], h.devs[follower]
+	geo := pdev.Geometry()
+	pimg, fimg := make([]byte, geo.SegmentSize()), make([]byte, geo.SegmentSize())
+	checked := 0
+	for pseg, local := range fb.LogMap().Snapshot() {
+		if hasUnflushed && local == unflushed {
+			continue
+		}
+		if err := fdev.ReadAt(geo.Pack(local, 0), fimg); err != nil {
+			t.Fatal(err)
+		}
+		if err := pdev.ReadAt(geo.Pack(pseg, 0), pimg); err != nil {
+			t.Fatalf("%s maps %s's segment %d, which %s cannot read: %v", follower, primary, pseg, primary, err)
+		}
+		used := vlog.ScanUsed(fimg)
+		if used == 0 || vlog.ScanUsed(pimg) != used || !bytes.Equal(pimg[:used], fimg[:used]) {
+			t.Fatalf("%s maps %s's segment %d to its segment %d, which holds other records (%d bytes there, %d on %s)",
+				follower, primary, pseg, local, used, vlog.ScanUsed(pimg), primary)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatalf("%s maps no flushed segment of %s", follower, primary)
 	}
 }
 

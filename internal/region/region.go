@@ -123,25 +123,6 @@ func (m *Map) SetPrimary(id ID, server string) error {
 	return fmt.Errorf("%w: %d", ErrUnknownID, id)
 }
 
-// ReplaceBackup swaps a failed backup for a new server. Bumps Version.
-func (m *Map) ReplaceBackup(id ID, oldServer, newServer string) error {
-	for i := range m.Regions {
-		if m.Regions[i].ID != id {
-			continue
-		}
-		r := &m.Regions[i]
-		for j, b := range r.Backups {
-			if b == oldServer {
-				r.Backups[j] = newServer
-				m.Version++
-				return nil
-			}
-		}
-		return fmt.Errorf("region: %d has no backup %q", id, oldServer)
-	}
-	return fmt.Errorf("%w: %d", ErrUnknownID, id)
-}
-
 // RemoveBackup drops a server from the region's backup list without a
 // replacement (the master refills the slot separately). Bumps Version.
 func (m *Map) RemoveBackup(id ID, server string) error {

@@ -122,22 +122,6 @@ func TestSetPrimaryPromotesBackup(t *testing.T) {
 	}
 }
 
-func TestReplaceBackup(t *testing.T) {
-	m, _ := Partition(4, threeServers(), 1)
-	r0, _ := m.ByID(0)
-	old := r0.Backups[0]
-	if err := m.ReplaceBackup(0, old, "s9"); err != nil {
-		t.Fatal(err)
-	}
-	r0, _ = m.ByID(0)
-	if r0.Backups[0] != "s9" {
-		t.Fatalf("backups = %v", r0.Backups)
-	}
-	if err := m.ReplaceBackup(0, "nope", "s9"); err == nil {
-		t.Fatal("replacing absent backup accepted")
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	m, _ := Partition(32, threeServers(), 2)
 	m.Version = 17

@@ -17,22 +17,24 @@ import (
 // trusted). Every input is decoded as a request and as a reply.
 //
 // The corpus starts from the golden and compat fixtures: headers with
-// their request fields left zero and one with its reserved bytes
-// [24, 28) not zero, the reserved opcodes 21, 22 and 25 to
-// 30, and the payloads whose ship-codec fields ride at the end (with and
-// without them) — and the inline shape of a request at its edges: one
-// payload byte, exactly InlineMax, a header flagged inline that claims a
-// byte more, and an inline message with a longer one's stale trailer
-// behind it — the resync's sync-tail message, and a move's
-// CompactionDone, its flag in the level byte. Replies and acks are in the
-// reply form, at its edges too: no payload, one byte, exactly
-// ReplyInlineMax and a byte more, a line flagged inline that claims
-// ReplyInlineMax+1, and an inline reply over a longer one's stale
-// trailer. Then the 64-byte request line's own edges: a get of a 24-byte
-// key (28 bytes, inline) and of a 25-byte one (29, out of line), traced
-// requests of both shapes with their trace prefix, a traced inline line
-// that claims a byte more than its prefix leaves, and requests in the
-// 128-byte header format that came before the line.
+// their request fields left zero and one with bytes behind its fields not
+// zero, the reserved opcodes 21, 22 and 25 to 30, and the payloads whose
+// ship-codec fields ride at the end (with and without them) — and the
+// inline shape of a request at its edges: one payload byte, exactly
+// InlineMax, a header flagged inline that claims a byte more, and an
+// inline message with a longer one's stale trailer behind it — the
+// resync's sync-tail message, and a move's CompactionDone, its flag in the
+// level byte. Replies and acks are in the reply form, at its edges too: no
+// payload, one byte, exactly ReplyInlineMax and a byte more, a line
+// flagged inline that claims ReplyInlineMax+1, and an inline reply over a
+// longer one's stale trailer. Then the 64-byte request line's own edges:
+// a get of a 24-byte key and of a 25-byte one, traced requests of both
+// shapes with their trace prefix, a traced inline line that claims a byte
+// more than its prefix leaves, the benchmark's S put at exactly InlineMax
+// (34 bytes, inline) and a byte more (35, out of line), a traced S put,
+// an inline line that claims 35 bytes, and requests in the formats that
+// came before the line with 26 field bytes: the 128-byte header ("TEBI")
+// and the line with 32 field bytes ("TEBQ").
 func FuzzDecodeMessage(f *testing.F) {
 	msg := func(h Header, payload []byte) []byte {
 		buf := make([]byte, MessageSize(len(payload)))
@@ -51,13 +53,13 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(msg(full, put))
 	// Request fields left zero: SentAt, tenant and priority, and all of
 	// them from the reply offset on.
-	for _, zero := range [][2]int{{28, 32}, {22, 24}, {16, 32}} {
+	for _, zero := range [][2]int{{22, 26}, {20, 22}, {16, 26}} {
 		old := msg(full, put)
 		clear(old[zero[0]:zero[1]])
 		f.Add(old)
 	}
 	reserved := msg(full, put)
-	copy(reserved[24:28], "\xa1\xb2\xc3\xd4")
+	copy(reserved[26:30], "\xa1\xb2\xc3\xd4") // behind the fields of an out-of-line header
 	f.Add(reserved)
 	f.Add(msg(Header{Opcode: OpNoop, RequestID: 1}, nil)) // header-only
 	for op := Op(21); op <= 30; op++ {
@@ -119,8 +121,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		reply(Header{Opcode: OpGetReply}, make([]byte, 200))[ReplyLine:]...)) // a stale trailer behind it
 	// The request line's edges.
 	key24 := []byte("user6284781860667377211x")
-	f.Add(inline(Header{Opcode: OpGet, RequestID: 8, ReplySize: 1024}, GetReq{Key: key24}.Encode(nil)))              // 28 bytes, inline
-	f.Add(inline(Header{Opcode: OpGet, RequestID: 9, ReplySize: 1024}, GetReq{Key: append(key24, 'y')}.Encode(nil))) // 29, out of line
+	f.Add(inline(Header{Opcode: OpGet, RequestID: 8, ReplySize: 1024}, GetReq{Key: key24}.Encode(nil)))              // 25 bytes, inline
+	f.Add(inline(Header{Opcode: OpGet, RequestID: 9, ReplySize: 1024}, GetReq{Key: append(key24, 'y')}.Encode(nil))) // 26, inline
 	f.Add(inline(full, GetReq{Key: []byte("user000042")}.Encode(nil)))                                               // traced, inline
 	f.Add(inline(full, put))                                                                                         // traced, out of line
 	overTraced := inline(full, make([]byte, InlineMax-TracePrefix))
@@ -128,6 +130,15 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(overTraced)
 	f.Add(oldRequestFrame(full, GetReq{Key: key24}.Encode(nil), true)) // the 128-byte format
 	f.Add(oldRequestFrame(full, PutReq{Key: []byte("user000064"), Value: bytes.Repeat([]byte("m"), 113)}.Encode(nil), false))
+	sPut := PutReq{Key: key24, Value: []byte("012345678")}.Encode(nil)
+	f.Add(inline(Header{Opcode: OpPut, RequestID: 10, ReplySize: 64}, sPut))                                    // 34 bytes, inline
+	f.Add(inline(Header{Opcode: OpPut, RequestID: 11, ReplySize: 64}, append(sPut[:len(sPut):len(sPut)], 'z'))) // 35, out of line
+	f.Add(inline(full, sPut))                                                                                   // traced: 42 bytes, out of line
+	over35 := inline(Header{Opcode: OpPut}, sPut)
+	over35[0]++ // flagged inline, claims 35 bytes
+	f.Add(over35)
+	f.Add(oldLineFrame(full, oldKeyed(key24)))                      // the line with 32 field bytes, inline
+	f.Add(oldLineFrame(full, oldKeyed(key24, []byte("012345678")))) // its S put, out of line
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The input sits in front of spare capacity, as a message sits in

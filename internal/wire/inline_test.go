@@ -11,13 +11,13 @@ import (
 // reference is the request MsgBuf.Finish must produce, written out byte
 // by byte from the format: a 64-byte header with the payload size,
 // opcode, flags, region and request ID in [0, 16) — a reply's line's
-// first 16 bytes — the reply offset in [16, 20), the reply slot in
-// 64-byte lines in [20, 22), tenant and priority in [22] and [23], the
-// epoch in [24, 28), the low 32 bits of SentAt in [28, 32), and Magic in
-// [60, 64). A request with a trace ID is flagged FlagTraced and carries
-// the ID in the 8 bytes ahead of its payload. A payload that fits [32,
-// 60) with its prefix rides there under FlagInline; a longer one follows
-// the header, padded to 64-byte lines whose last four hold Magic again.
+// first 16 bytes — the reply offset in 64-byte lines in [16, 18), the
+// reply slot in lines in [18, 20), tenant and priority in [20] and [21],
+// the low 32 bits of SentAt in [22, 26), and Magic in [60, 64). A request
+// with a trace ID is flagged FlagTraced and carries the ID in the 8 bytes
+// ahead of its payload. A payload that fits [26, 60) with its prefix
+// rides there under FlagInline; a longer one follows the header, padded
+// to 64-byte lines whose last four hold Magic again.
 func reference(h Header, payload []byte) []byte {
 	n, pre := len(payload), 0
 	flags := h.Flags &^ (FlagInline | FlagTraced)
@@ -26,9 +26,9 @@ func reference(h Header, payload []byte) []byte {
 	}
 	size, at := 64, 64
 	switch w := n + pre; {
-	case w > 0 && w <= 28:
+	case w > 0 && w <= 34:
 		flags |= FlagInline
-		at = 32
+		at = 26
 	case w > 0:
 		size += (w + 4 + 63) / 64 * 64
 	}
@@ -38,10 +38,10 @@ func reference(h Header, payload []byte) []byte {
 	msg[5] = flags
 	binary.LittleEndian.PutUint16(msg[6:8], h.RegionID)
 	binary.LittleEndian.PutUint64(msg[8:16], h.RequestID)
-	binary.LittleEndian.PutUint32(msg[16:20], h.ReplyOffset)
-	binary.LittleEndian.PutUint16(msg[20:22], uint16(h.ReplySize/64))
-	msg[22], msg[23] = h.Tenant, h.Priority
-	binary.LittleEndian.PutUint32(msg[28:32], uint32(h.SentAt))
+	binary.LittleEndian.PutUint16(msg[16:18], uint16(h.ReplyOffset/64))
+	binary.LittleEndian.PutUint16(msg[18:20], uint16(h.ReplySize/64))
+	msg[20], msg[21] = h.Tenant, h.Priority
+	binary.LittleEndian.PutUint32(msg[22:26], uint32(h.SentAt))
 	binary.LittleEndian.PutUint32(msg[60:64], Magic)
 	if pre > 0 {
 		binary.LittleEndian.PutUint64(msg[at:], h.TraceID)
@@ -55,8 +55,9 @@ func reference(h Header, payload []byte) []byte {
 
 // TestRequestShapesByPayloadLength walks every request payload length
 // from nothing to 384 bytes, untraced and traced. The header's fields fill
-// 32 bytes, so InlineMax is 28 — a get for a 24-byte key — and a field
-// byte added would take a line's worth from such a get. Finish emits
+// 26 bytes, so InlineMax is 34 — a put of a 24-byte key and a 9-byte
+// value — and a field byte added would take a line's worth from such a
+// put. Finish emits
 // exactly SentSize bytes of the payload and its trace prefix — the header
 // alone up to InlineMax, MessageSize beyond — and they are the format's
 // bytes, field by field; it flags a request inline iff its payload rides
@@ -68,8 +69,8 @@ func reference(h Header, payload []byte) []byte {
 // same fields; and in a warm buffer building and decoding a request
 // allocate nothing.
 func TestRequestShapesByPayloadLength(t *testing.T) {
-	if InlineMax != 28 || headerFields != 32 || HeaderSize != 64 {
-		t.Fatalf("InlineMax = %d with %d field bytes in a %d-byte header: a 64-byte line less 32 field bytes and a 4-byte word leaves 28",
+	if InlineMax != 34 || headerFields != 26 || HeaderSize != 64 {
+		t.Fatalf("InlineMax = %d with %d field bytes in a %d-byte header: a 64-byte line less 26 field bytes and a 4-byte word leaves 34",
 			InlineMax, headerFields, HeaderSize)
 	}
 	rng := rand.New(rand.NewSource(53))
@@ -151,10 +152,23 @@ func TestRequestShapesByPayloadLength(t *testing.T) {
 	}
 }
 
-// TestRequestHeaderFieldWidths: a request header carries ReplySize in
-// whole 64-byte lines — rounded down, so the server never writes past a
-// slot, and capped at 0xFFFF lines — and SentAt's low 32 bits.
+// TestRequestHeaderFieldWidths: a request header's fields take 26 bytes,
+// which leaves InlineMax = 34 — exactly the benchmark's S put, a 24-byte
+// key and a 9-byte value behind a one-byte key length, so a field byte
+// added sends that put out of line. The header carries ReplySize in whole
+// 64-byte lines — rounded down, so the server never writes past a slot,
+// and capped at 0xFFFF lines — ReplyOffset in lines too, refusing one
+// that is no whole line or lies past ReplyBufferMax, and SentAt's low 32
+// bits.
 func TestRequestHeaderFieldWidths(t *testing.T) {
+	if headerFields != 26 || InlineMax != 34 {
+		t.Fatalf("%d field bytes, InlineMax %d; want 26 and 34", headerFields, InlineMax)
+	}
+	sPut := PutReq{Key: []byte("user6284781860667377211x"), Value: []byte("012345678")}
+	if len(sPut.Key) != 24 || len(sPut.Value) != 9 || sPut.Size() != InlineMax || SentSize(sPut.Size()) != HeaderSize {
+		t.Fatalf("an S put of a %d-byte key and a %d-byte value is %d bytes, sent in %d; want InlineMax (%d) in one line",
+			len(sPut.Key), len(sPut.Value), sPut.Size(), SentSize(sPut.Size()), InlineMax)
+	}
 	for _, tc := range []struct{ size, want uint32 }{
 		{0, 0}, {63, 0}, {64, 64}, {127, 64}, {1024, 1024}, {256 << 10, 256 << 10},
 		{0xFFFF * 64, 0xFFFF * 64}, {4 << 20, 0xFFFF * 64}, {1 << 31, 0xFFFF * 64},
@@ -167,6 +181,33 @@ func TestRequestHeaderFieldWidths(t *testing.T) {
 		if err != nil || h.ReplySize != tc.want || h.SentAt != 12345 {
 			t.Fatalf("ReplySize %d decodes to %d, SentAt to %d (%v); want %d and 12345", tc.size, h.ReplySize, h.SentAt, err, tc.want)
 		}
+	}
+	for _, off := range []uint32{0, 64, 4096, 256<<10 - 64, ReplyBufferMax - 64} {
+		buf := make([]byte, HeaderSize)
+		if err := EncodeHeader(buf, Header{Opcode: OpGet, ReplyOffset: off}); err != nil {
+			t.Fatalf("ReplyOffset %d: %v", off, err)
+		}
+		if h, err := DecodeHeader(buf); err != nil || h.ReplyOffset != off {
+			t.Fatalf("ReplyOffset %d decodes to %d, %v", off, h.ReplyOffset, err)
+		}
+	}
+	for _, off := range []uint32{1, 63, 100, 4096 + 32, ReplyBufferMax, 1 << 31} {
+		h := Header{Opcode: OpGet, ReplyOffset: off}
+		if err := EncodeHeader(make([]byte, HeaderSize), h); !errors.Is(err, ErrBadHeader) {
+			t.Fatalf("EncodeHeader with ReplyOffset %d: %v", off, err)
+		}
+		if _, err := EncodeMessage(make([]byte, MessageSize(1)), h, []byte{1}); !errors.Is(err, ErrBadHeader) {
+			t.Fatalf("EncodeMessage with ReplyOffset %d: %v", off, err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("MsgBuf.Finish with ReplyOffset %d did not refuse it", off)
+				}
+			}()
+			var mb MsgBuf
+			mb.Finish(h, nil)
+		}()
 	}
 }
 
@@ -258,8 +299,8 @@ func TestInlineHeaderClaimingTooMuchIsMalformed(t *testing.T) {
 // have no minimum size — decodes, and the inline frame differs from that
 // frame's header only in the flag bit and in bytes that are
 // reserved-as-zero there, so a decoder finds the same payload in both.
-// (The premise is the 64-byte header's now: an S put of 20 bytes, not
-// one of 29, is what fits.)
+// (The premise is the 64-byte header's with 26 field bytes now: a put
+// of 34 bytes, not one of 35, is what fits.)
 func TestInlineFrameCompat(t *testing.T) {
 	h := Header{Opcode: OpPut, RegionID: 11, RequestID: 0xfeedface, ReplyOffset: 2048, ReplySize: 384}
 	put := PutReq{Key: []byte("user000042"), Value: []byte("v1")}.Encode(nil)

@@ -12,13 +12,17 @@
 //
 // Both forms are 64-byte lines. The request form is what a client writes
 // into a server's ring and a primary sends a backup: a 64-byte header
-// (HeaderSize) whose fields take bytes [0, 32), with Magic as its word;
-// bytes [24, 28) of them are reserved, written as zero and not read.
-// Because its sizes are multiples of the header size, the spinning thread
-// only ever needs to zero the possible header locations after consuming a
-// message. A sampled request (FlagTraced) carries its trace ID as the
-// first TracePrefix bytes of its payload, not in a header field, so the
-// other requests do not pay for it.
+// (HeaderSize) whose fields take bytes [0, 26), with Magic as its word,
+// which leaves InlineMax = 34 bytes for a payload inside it — an S put of
+// a 24-byte key and a 9-byte value. The reply offset and the reply slot
+// are counted in 64-byte lines to fit that. Because its sizes are
+// multiples of the header size, the spinning thread only ever needs to
+// zero the possible header locations after consuming a message. A sampled
+// request (FlagTraced) carries its trace ID as the first TracePrefix
+// bytes of its payload, not in a header field, so the other requests do
+// not pay for it. A request payload spends no bytes on its last length:
+// PayloadSize, which the header's word or the trailer word vouches for,
+// says where it ends (payload.go).
 //
 // The reply form is what a server writes into a client's reply slot and a
 // backup sends back as an ack: a 64-byte line (ReplyLine) holding the
@@ -37,10 +41,11 @@ import (
 const (
 	// HeaderSize is the request form's header size: one 64-byte line.
 	HeaderSize = 64
-	// Magic is the request form's rendezvous word ("TEBQ"). The 128-byte
-	// request header that came before the line had its own word, "TEBI",
-	// so a frame of that format never passes for a request.
-	Magic = 0x54454251
+	// Magic is the request form's rendezvous word ("TEBS"). The formats
+	// that came before had their own words — "TEBQ" the line with 32 field
+	// bytes, "TEBI" the 128-byte header — so a frame of either never
+	// passes for a request.
+	Magic = 0x54454253
 	// InlineMax is the largest payload that rides inside a request
 	// header, in the reserved bytes between its last field and its word —
 	// a traced request's TracePrefix among them.
@@ -58,15 +63,22 @@ const (
 	ReplyInlineMax = ReplyLine - 4 - replyFields
 
 	// headerFields is how many leading request-header bytes the fields of
-	// Header occupy; the bytes from there to the word are reserved. A
-	// field byte added here is taken from every inline get.
-	headerFields = 32
+	// Header occupy: [0, 16) as a reply's line has them, the reply offset
+	// and the reply slot in lines at [16, 18) and [18, 20), tenant and
+	// priority at [20] and [21], SentAt's low 32 bits at [22, 26). The
+	// bytes from there to the word hold an inline payload and are zero
+	// otherwise. A field byte added here is taken from every inline
+	// payload: the benchmark's S put fills InlineMax exactly.
+	headerFields = 26
 	// replyFields is how many leading bytes of a reply's line its fields
 	// occupy: the request header's first 16, cut short there.
 	replyFields = 16
-	// replySizeUnit is the unit a request header counts ReplySize in:
-	// reply slots are whole reply lines.
+	// replySizeUnit is the unit a request header counts ReplyOffset and
+	// ReplySize in: reply slots are whole reply lines, at line offsets.
 	replySizeUnit = ReplyLine
+	// ReplyBufferMax is the largest reply buffer a request can address:
+	// its ReplyOffset is a 16-bit count of lines.
+	ReplyBufferMax = (0xFFFF + 1) * replySizeUnit
 )
 
 // form is one of the two message forms: the header's size, which is also
@@ -158,8 +170,9 @@ func (f form) arrived(word []byte) bool {
 
 // encodeHeader writes h into buf[0:f.unit]: the fields the form carries,
 // zeros up to the word, and the word. A request's header carries
-// ReplySize in whole lines (a slot is never less than what it names) and
-// the low 32 bits of SentAt; its TraceID is no header field.
+// ReplyOffset in lines (replyOffsetOK holds of it), ReplySize in whole
+// lines (a slot is never less than what it names) and the low 32 bits of
+// SentAt; its TraceID is no header field.
 func (f form) encodeHeader(buf []byte, h Header) {
 	clear(buf[:f.unit])
 	binary.LittleEndian.PutUint32(buf[0:4], h.PayloadSize)
@@ -168,11 +181,11 @@ func (f form) encodeHeader(buf []byte, h Header) {
 	binary.LittleEndian.PutUint16(buf[6:8], h.RegionID)
 	binary.LittleEndian.PutUint64(buf[8:16], h.RequestID)
 	if f.request() {
-		binary.LittleEndian.PutUint32(buf[16:20], h.ReplyOffset)
-		binary.LittleEndian.PutUint16(buf[20:22], uint16(min(h.ReplySize/replySizeUnit, 0xFFFF)))
-		buf[22] = h.Tenant
-		buf[23] = h.Priority
-		binary.LittleEndian.PutUint32(buf[28:32], uint32(h.SentAt))
+		binary.LittleEndian.PutUint16(buf[16:18], uint16(h.ReplyOffset/replySizeUnit))
+		binary.LittleEndian.PutUint16(buf[18:20], uint16(min(h.ReplySize/replySizeUnit, 0xFFFF)))
+		buf[20] = h.Tenant
+		buf[21] = h.Priority
+		binary.LittleEndian.PutUint32(buf[22:26], uint32(h.SentAt))
 	}
 	binary.LittleEndian.PutUint32(buf[f.unit-4:f.unit], f.magic)
 }
@@ -197,11 +210,11 @@ func (f form) decodeHeader(buf []byte) (Header, error) {
 		RequestID:   binary.LittleEndian.Uint64(buf[8:16]),
 	}
 	if f.request() {
-		h.ReplyOffset = binary.LittleEndian.Uint32(buf[16:20])
-		h.ReplySize = uint32(binary.LittleEndian.Uint16(buf[20:22])) * replySizeUnit
-		h.Tenant = buf[22]
-		h.Priority = buf[23]
-		h.SentAt = int64(binary.LittleEndian.Uint32(buf[28:32]))
+		h.ReplyOffset = uint32(binary.LittleEndian.Uint16(buf[16:18])) * replySizeUnit
+		h.ReplySize = uint32(binary.LittleEndian.Uint16(buf[18:20])) * replySizeUnit
+		h.Tenant = buf[20]
+		h.Priority = buf[21]
+		h.SentAt = int64(binary.LittleEndian.Uint32(buf[22:26]))
 	}
 	pre := f.prefix(h)
 	if h.Opcode == OpInvalid || (h.Inline() && int(h.PayloadSize)+pre > f.inlineMax()) {
@@ -330,7 +343,7 @@ const (
 	// was applied, and the client should back off before retrying.
 	FlagOverload = 1 << 4
 	// FlagInline marks a message whose payload sits in the header's
-	// bytes behind its fields — [32, 32+PayloadSize) of a request (behind
+	// bytes behind its fields — [26, 26+PayloadSize) of a request (behind
 	// its trace prefix when it is traced), [16, 16+PayloadSize) of a
 	// reply — and that ends with the header: no padded payload or trailer
 	// word follows.
@@ -360,7 +373,9 @@ type Header struct {
 	// RequestID correlates replies with requests.
 	RequestID uint64
 	// ReplyOffset is where in the client's reply buffer the server must
-	// RDMA-write the reply (client-managed allocation, §3.4.1).
+	// RDMA-write the reply (client-managed allocation, §3.4.1). A request
+	// header carries it in 64-byte lines, so it is a multiple of ReplyLine
+	// below ReplyBufferMax; EncodeHeader refuses any other.
 	ReplyOffset uint32
 	// ReplySize is the size of the reply slot the client allocated. A
 	// request header carries it in whole 64-byte lines, so it decodes
@@ -468,13 +483,24 @@ func ReplyInlinePayload(line []byte, h Header) []byte {
 // EncodeHeader writes h into buf[0:HeaderSize] as a request header,
 // including the rendezvous magic in the final four bytes. It writes the
 // flags as h has them and no TraceID, which is no header field: the
-// message encoders place a trace ID and flag it.
+// message encoders place a trace ID and flag it. A ReplyOffset the header
+// cannot carry — not a whole number of lines, or past ReplyBufferMax — is
+// ErrBadHeader.
 func EncodeHeader(buf []byte, h Header) error {
 	if len(buf) < HeaderSize {
 		return ErrShortBuffer
 	}
+	if !replyOffsetOK(h.ReplyOffset) {
+		return fmt.Errorf("%w: reply offset %d is not a line below %d", ErrBadHeader, h.ReplyOffset, ReplyBufferMax)
+	}
 	requestForm.encodeHeader(buf, h)
 	return nil
+}
+
+// replyOffsetOK reports whether a request header carries the reply offset
+// off: a whole number of 64-byte lines, below ReplyBufferMax.
+func replyOffsetOK(off uint32) bool {
+	return off%replySizeUnit == 0 && off < ReplyBufferMax
 }
 
 // DecodeHeader parses a request header at buf[0:HeaderSize]; it fails
@@ -519,6 +545,9 @@ func PayloadArrived(buf []byte, payloadSize int) bool {
 // it is the reference the tests hold Finish to and what the benchmark
 // ladder's wire rungs time.
 func EncodeMessage(buf []byte, h Header, payload []byte) (int, error) {
+	if !replyOffsetOK(h.ReplyOffset) {
+		return 0, fmt.Errorf("%w: reply offset %d is not a line below %d", ErrBadHeader, h.ReplyOffset, ReplyBufferMax)
+	}
 	h = requestForm.shaped(h, len(payload))
 	pre := requestForm.prefix(h)
 	total := MessageSize(pre + len(payload))
@@ -634,8 +663,13 @@ func (m *MsgBuf) Reserve(payloadLen int) []byte { return m.reserve(requestForm, 
 // Finish builds the request around payload and returns it: in place
 // behind the header when the payload was built on Reserve's slice, inside
 // the header when it is at most InlineMax bytes. A header with a TraceID
-// is sent FlagTraced, the ID ahead of the payload.
+// is sent FlagTraced, the ID ahead of the payload. It panics on a
+// ReplyOffset the header cannot carry (EncodeHeader's ErrBadHeader): a
+// sender's reply slots are whole lines, so its offsets are too.
 func (m *MsgBuf) Finish(h Header, payload []byte) []byte {
+	if !replyOffsetOK(h.ReplyOffset) {
+		panic(fmt.Sprintf("wire: reply offset %d is not a line below %d", h.ReplyOffset, ReplyBufferMax))
+	}
 	return m.finish(requestForm, h, payload)
 }
 

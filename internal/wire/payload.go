@@ -3,12 +3,28 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"tebis/internal/kv"
 )
 
-// Payload codecs for every operation. All integers are little-endian;
-// byte strings are length-prefixed (u32).
+// Payload codecs for every operation. All fixed-width integers are
+// little-endian. A reply or control payload prefixes each byte string
+// with its u32 length. A client request spends fewer bytes, since it
+// rides inside its header line when it fits InlineMax: a key is prefixed
+// with its length as a uvarint (one byte under 128, the rule the value
+// log's short record header follows), a get-rest's offset and a scan's
+// count are uvarints, and a put's value takes no length at all — it runs
+// to the end of the payload, whose length is the header's PayloadSize.
+// That is safe because PayloadSize is as trustworthy as the value bytes
+// themselves: the receiver takes a message once the word that closes it
+// — the header's for an inline message, the trailer's at the offset
+// PayloadSize names for a longer one — has landed, and an inline header
+// claiming more than its line holds is refused. The request decoders are
+// handed exactly PayloadSize bytes: one whose fields run past them fails,
+// and so does a get, get-rest or scan that leaves a byte behind its last
+// field.
 //
 // Every payload type has a Size (its exact encoded length) and an Encode
 // that appends to dst after one grow(dst, Size()): Encode(nil) allocates
@@ -65,30 +81,91 @@ func readU64(src []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(src), src[8:], nil
 }
 
-// PutReq is the payload of OpPut (and OpDelete without a value).
+// uvarintLen is how many bytes binary.AppendUvarint takes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// readUvarint reads a uvarint from src: one that runs past src is
+// ErrShortBuffer, one longer than 64 bits ErrBadHeader.
+func readUvarint(src []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(src)
+	switch {
+	case n == 0:
+		return 0, nil, ErrShortBuffer
+	case n < 0:
+		return 0, nil, fmt.Errorf("%w: uvarint overflows 64 bits", ErrBadHeader)
+	}
+	return v, src[n:], nil
+}
+
+// appendKey appends a request's key: its uvarint length, then its bytes.
+func appendKey(dst, key []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(key))), key...)
+}
+
+// keySize is the encoded length of a request's key.
+func keySize(key []byte) int { return uvarintLen(uint64(len(key))) + len(key) }
+
+// readKey reads a request's key from src: a key length that runs past
+// src, or names more bytes than follow it, is ErrShortBuffer.
+func readKey(src []byte) ([]byte, []byte, error) {
+	n, rest, err := readUvarint(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n > uint64(len(rest)) {
+		return nil, nil, ErrShortBuffer
+	}
+	return rest[:n], rest[n:], nil
+}
+
+// readKeyCount reads a get-rest's or a scan's payload: a key, then a
+// uvarint of at most 32 bits that ends the payload.
+func readKeyCount(p []byte) ([]byte, uint32, error) {
+	key, rest, err := readKey(p)
+	if err != nil {
+		return nil, 0, err
+	}
+	v, rest, err := readUvarint(rest)
+	switch {
+	case err != nil:
+		return nil, 0, err
+	case v > math.MaxUint32:
+		return nil, 0, fmt.Errorf("%w: uvarint overflows 32 bits", ErrBadHeader)
+	}
+	return key, uint32(v), ended(rest)
+}
+
+// ended fails unless rest — what a request's fields left of its payload —
+// is empty: PayloadSize names the payload's end, so a byte past the last
+// field is a malformed request, not padding.
+func ended(rest []byte) error {
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d bytes behind the last field", ErrBadHeader, len(rest))
+	}
+	return nil
+}
+
+// PutReq is the payload of OpPut (and OpDelete without a value): the key,
+// then the value to the payload's end.
 type PutReq struct {
 	Key   []byte
 	Value []byte
 }
 
 // Size returns the encoded payload length.
-func (r PutReq) Size() int { return 4 + len(r.Key) + 4 + len(r.Value) }
+func (r PutReq) Size() int { return keySize(r.Key) + len(r.Value) }
 
 // Encode appends the payload to dst.
 func (r PutReq) Encode(dst []byte) []byte {
-	dst = appendBytes(grow(dst, r.Size()), r.Key)
-	return appendBytes(dst, r.Value)
+	return append(appendKey(grow(dst, r.Size()), r.Key), r.Value...)
 }
 
-// DecodePutReq parses a PutReq payload.
+// DecodePutReq parses a PutReq payload. The value is whatever follows the
+// key: p must be exactly the payload, PayloadSize bytes.
 func DecodePutReq(p []byte) (PutReq, error) {
-	key, rest, err := readBytes(p)
+	key, val, err := readKey(p)
 	if err != nil {
 		return PutReq{}, fmt.Errorf("put key: %w", err)
-	}
-	val, _, err := readBytes(rest)
-	if err != nil {
-		return PutReq{}, fmt.Errorf("put value: %w", err)
 	}
 	return PutReq{Key: key, Value: val}, nil
 }
@@ -99,14 +176,17 @@ type GetReq struct {
 }
 
 // Size returns the encoded payload length.
-func (r GetReq) Size() int { return 4 + len(r.Key) }
+func (r GetReq) Size() int { return keySize(r.Key) }
 
 // Encode appends the payload to dst.
-func (r GetReq) Encode(dst []byte) []byte { return appendBytes(grow(dst, r.Size()), r.Key) }
+func (r GetReq) Encode(dst []byte) []byte { return appendKey(grow(dst, r.Size()), r.Key) }
 
 // DecodeGetReq parses a GetReq payload.
 func DecodeGetReq(p []byte) (GetReq, error) {
-	key, _, err := readBytes(p)
+	key, rest, err := readKey(p)
+	if err == nil {
+		err = ended(rest)
+	}
 	if err != nil {
 		return GetReq{}, fmt.Errorf("get key: %w", err)
 	}
@@ -121,21 +201,16 @@ type GetRestReq struct {
 }
 
 // Size returns the encoded payload length.
-func (r GetRestReq) Size() int { return 4 + len(r.Key) + 4 }
+func (r GetRestReq) Size() int { return keySize(r.Key) + uvarintLen(uint64(r.Offset)) }
 
 // Encode appends the payload to dst.
 func (r GetRestReq) Encode(dst []byte) []byte {
-	dst = appendBytes(grow(dst, r.Size()), r.Key)
-	return appendU32(dst, r.Offset)
+	return binary.AppendUvarint(appendKey(grow(dst, r.Size()), r.Key), uint64(r.Offset))
 }
 
 // DecodeGetRestReq parses a GetRestReq payload.
 func DecodeGetRestReq(p []byte) (GetRestReq, error) {
-	key, rest, err := readBytes(p)
-	if err != nil {
-		return GetRestReq{}, err
-	}
-	off, _, err := readU32(rest)
+	key, off, err := readKeyCount(p)
 	if err != nil {
 		return GetRestReq{}, err
 	}
@@ -149,21 +224,16 @@ type ScanReq struct {
 }
 
 // Size returns the encoded payload length.
-func (r ScanReq) Size() int { return 4 + len(r.Start) + 4 }
+func (r ScanReq) Size() int { return keySize(r.Start) + uvarintLen(uint64(r.Count)) }
 
 // Encode appends the payload to dst.
 func (r ScanReq) Encode(dst []byte) []byte {
-	dst = appendBytes(grow(dst, r.Size()), r.Start)
-	return appendU32(dst, r.Count)
+	return binary.AppendUvarint(appendKey(grow(dst, r.Size()), r.Start), uint64(r.Count))
 }
 
 // DecodeScanReq parses a ScanReq payload.
 func DecodeScanReq(p []byte) (ScanReq, error) {
-	start, rest, err := readBytes(p)
-	if err != nil {
-		return ScanReq{}, err
-	}
-	count, _, err := readU32(rest)
+	start, count, err := readKeyCount(p)
 	if err != nil {
 		return ScanReq{}, err
 	}

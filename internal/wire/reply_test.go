@@ -116,16 +116,16 @@ func TestReplyShapesByPayloadLength(t *testing.T) {
 // lines, each with its own rendezvous word, so a request written where a
 // reply is polled for — in a reply slot, zeros behind it — fails with
 // ErrBadMagic, and so does a reply in the request ring, at every payload
-// length around both forms' inline limits (28 and 29, 20 and 21 for a
+// length around both forms' inline limits (34 and 35, 26 and 27 for a
 // traced request, 44 and 45, and a line's 60 and 61), traced or not; each
 // decodes in its own form.
 func TestRepliesAndRequestsNeverPassForEachOther(t *testing.T) {
-	if InlineMax != 28 || ReplyInlineMax != 44 || HeaderSize != ReplyLine {
+	if InlineMax != 34 || ReplyInlineMax != 44 || HeaderSize != ReplyLine {
 		t.Fatalf("InlineMax %d, ReplyInlineMax %d, lines of %d and %d bytes", InlineMax, ReplyInlineMax, HeaderSize, ReplyLine)
 	}
 	var mb MsgBuf
 	var rb ReplyBuf
-	for _, n := range []int{0, 1, 20, 21, 28, 29, 44, 45, 60, 61, 124, 125, 200, 384} {
+	for _, n := range []int{0, 1, 26, 27, 34, 35, 44, 45, 60, 61, 124, 125, 200, 384} {
 		payload := bytes.Repeat([]byte{0x5a}, n)
 		for _, traceID := range []uint64{0, 5} {
 			req := mb.Finish(Header{Opcode: OpPut, RegionID: 1, RequestID: 7, ReplySize: ReplyLine, TraceID: traceID}, payload)

@@ -71,14 +71,14 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if got != h {
 		t.Fatalf("round trip = %+v, want %+v", got, h)
 	}
-	// Bytes [24, 28) are reserved: written as zero, and a line with
-	// anything there decodes to the same header.
-	if !bytes.Equal(buf[24:28], make([]byte, 4)) {
-		t.Fatalf("reserved bytes [24, 28) encoded as %x", buf[24:28])
+	// Bytes [26, 60) of a header that is not inline carry nothing: written
+	// as zero, and a line with anything there decodes to the same header.
+	if !bytes.Equal(buf[26:60], make([]byte, 34)) {
+		t.Fatalf("bytes [26, 60) encoded as %x", buf[26:60])
 	}
-	copy(buf[24:28], "\xa1\xb2\xc3\xd4")
+	copy(buf[26:30], "\xa1\xb2\xc3\xd4")
 	if got, err := DecodeHeader(buf); err != nil || got != h {
-		t.Fatalf("with reserved bytes set: %+v, %v, want %+v", got, err, h)
+		t.Fatalf("with bytes behind the fields set: %+v, %v, want %+v", got, err, h)
 	}
 }
 
@@ -245,12 +245,89 @@ func TestControlPayloadsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodersRejectTruncation: a decoder fails on every cut of its
+// payload that falls inside a length, a key or a fixed field. A put's
+// value has no length of its own — PayloadSize, which the header's or the
+// trailer's word vouches for, is where it ends — so a put cut inside its
+// value is a put of a shorter value, and one cut inside its key length or
+// key fails. A uvarint that runs past the payload, or a key length larger
+// than the payload, is ErrShortBuffer; a byte behind a get's, get-rest's
+// or scan's last field is ErrBadHeader.
 func TestDecodersRejectTruncation(t *testing.T) {
-	full := PutReq{Key: []byte("abc"), Value: []byte("defg")}.Encode(nil)
+	key, val := []byte("abc"), []byte("defg")
+	full := PutReq{Key: key, Value: val}.Encode(nil)
 	for i := 0; i < len(full); i++ {
-		if _, err := DecodePutReq(full[:i]); err == nil {
-			t.Fatalf("truncated put at %d decoded", i)
+		r, err := DecodePutReq(full[:i])
+		switch {
+		case i < 1+len(key):
+			if err == nil {
+				t.Fatalf("put cut at %d, inside its key, decoded to %+v", i, r)
+			}
+		case err != nil || !bytes.Equal(r.Key, key) || !bytes.Equal(r.Value, val[:i-1-len(key)]):
+			t.Fatalf("put cut at %d, inside its value: %+v, %v; want the value's first %d bytes", i, r, err, i-1-len(key))
 		}
+	}
+	long := bytes.Repeat([]byte("k"), 200) // a two-byte key length
+	for name, enc := range map[string][]byte{
+		"get":      GetReq{Key: long}.Encode(nil),
+		"get-rest": GetRestReq{Key: long, Offset: 1 << 20}.Encode(nil),
+		"scan":     ScanReq{Start: long, Count: 300}.Encode(nil),
+		"put":      PutReq{Key: long}.Encode(nil),
+	} {
+		for i := 0; i < len(enc); i++ {
+			var err error
+			switch name {
+			case "get":
+				_, err = DecodeGetReq(enc[:i])
+			case "get-rest":
+				_, err = DecodeGetRestReq(enc[:i])
+			case "scan":
+				_, err = DecodeScanReq(enc[:i])
+			case "put":
+				_, err = DecodePutReq(enc[:i])
+			}
+			if !errors.Is(err, ErrShortBuffer) {
+				t.Fatalf("%s cut at %d of %d bytes: %v, want ErrShortBuffer", name, i, len(enc), err)
+			}
+		}
+	}
+	for name, p := range map[string][]byte{
+		"a key length that runs past the payload": {0x80},
+		"a key length past the payload":           {5, 'a', 'b'},
+		"a key length past a 64-bit payload":      binary.AppendUvarint(nil, 1<<40),
+	} {
+		if _, err := DecodePutReq(p); !errors.Is(err, ErrShortBuffer) {
+			t.Errorf("put with %s: %v, want ErrShortBuffer", name, err)
+		}
+		if _, err := DecodeGetReq(p); !errors.Is(err, ErrShortBuffer) {
+			t.Errorf("get with %s: %v, want ErrShortBuffer", name, err)
+		}
+	}
+	for name, p := range map[string][]byte{
+		"a count that runs past the payload": {1, 'k', 0x90},
+		"no count":                           {1, 'k'},
+	} {
+		if _, err := DecodeScanReq(p); !errors.Is(err, ErrShortBuffer) {
+			t.Errorf("scan with %s: %v, want ErrShortBuffer", name, err)
+		}
+		if _, err := DecodeGetRestReq(p); !errors.Is(err, ErrShortBuffer) {
+			t.Errorf("get-rest with %s: %v, want ErrShortBuffer", name, err)
+		}
+	}
+	for name, p := range map[string][]byte{
+		"a count past 32 bits":         binary.AppendUvarint([]byte{1, 'k'}, 1<<32),
+		"a byte behind the count":      {1, 'k', 16, 0},
+		"a uvarint longer than 64 bit": {1, 'k', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	} {
+		if _, err := DecodeScanReq(p); !errors.Is(err, ErrBadHeader) {
+			t.Errorf("scan with %s: %v, want ErrBadHeader", name, err)
+		}
+		if _, err := DecodeGetRestReq(p); !errors.Is(err, ErrBadHeader) {
+			t.Errorf("get-rest with %s: %v, want ErrBadHeader", name, err)
+		}
+	}
+	if _, err := DecodeGetReq([]byte{1, 'k', 0}); !errors.Is(err, ErrBadHeader) {
+		t.Errorf("get with a byte behind its key: %v, want ErrBadHeader", err)
 	}
 	fullCD := CompactionDone{RegionID: 1, JobID: 3, Root: 7}.Encode(nil)
 	for i := 0; i < len(fullCD); i++ {
@@ -405,34 +482,81 @@ func TestTraceIDFrameCompat(t *testing.T) {
 	}
 }
 
-// TestOldRequestFrameDoesNotDecode: a request in the 128-byte header
-// format that came before the 64-byte line — its fields in [0, 48), a
-// payload of up to 76 bytes inline in [48, 124) or behind it padded to
-// 128 bytes, and "TEBI" as its word — is no request in the new format,
-// nor a reply: its first line holds no word of either form.
+// TestOldRequestFrameDoesNotDecode: a request in a format that came
+// before this one is no request in it, nor a reply: its first line holds
+// no word of either form. That holds of the 128-byte header format — its
+// fields in [0, 48), a payload of up to 76 bytes inline in [48, 124) or
+// behind it padded to 128 bytes, and "TEBI" as its word — and of the
+// 64-byte line with 32 field bytes — a payload of up to 28 bytes inline in
+// [32, 60) or behind it padded to 64 bytes, u32 lengths in its payloads,
+// and "TEBQ" as its word.
 func TestOldRequestFrameDoesNotDecode(t *testing.T) {
+	h := Header{Opcode: OpGet, RegionID: 1, RequestID: 7, ReplyOffset: 64, ReplySize: 1024,
+		TraceID: 5, Tenant: 1, Priority: 1, SentAt: 1 << 40}
 	for _, tc := range []struct {
-		name    string
-		inline  bool
-		payload []byte
+		name string
+		old  []byte
 	}{
-		{"an inline get", true, GetReq{Key: []byte("user6284781860667377211")}.Encode(nil)},
-		{"an inline put", true, PutReq{Key: []byte("user000042"), Value: bytes.Repeat([]byte("s"), 23)}.Encode(nil)},
-		{"an out-of-line put", false, PutReq{Key: []byte("user000064"), Value: bytes.Repeat([]byte("m"), 113)}.Encode(nil)},
-		{"a noop", false, nil},
+		{"an inline get", oldRequestFrame(h, oldKeyed([]byte("user6284781860667377211")), true)},
+		{"an inline put", oldRequestFrame(h, oldKeyed([]byte("user000042"), bytes.Repeat([]byte("s"), 23)), true)},
+		{"an out-of-line put", oldRequestFrame(h, oldKeyed([]byte("user000064"), bytes.Repeat([]byte("m"), 113)), false)},
+		{"a noop", oldRequestFrame(h, nil, false)},
+		{"an inline get on a 32-field line", oldLineFrame(h, oldKeyed([]byte("user6284781860667377211x")))},
+		{"an S put on a 32-field line", oldLineFrame(h, oldKeyed([]byte("user6284781860667377211x"), []byte("012345678")))},
+		{"an inline put on a 32-field line", oldLineFrame(h, oldKeyed([]byte("user000042"), []byte("v1")))},
+		{"a noop on a 32-field line", oldLineFrame(h, nil)},
 	} {
-		old := oldRequestFrame(Header{Opcode: OpGet, RegionID: 1, RequestID: 7, ReplyOffset: 64, ReplySize: 1024,
-			TraceID: 5, Tenant: 1, Priority: 1, SentAt: 1 << 40}, tc.payload, tc.inline)
-		if _, err := DecodeHeader(old); !errors.Is(err, ErrBadMagic) {
+		if _, err := DecodeHeader(tc.old); !errors.Is(err, ErrBadMagic) {
 			t.Errorf("%s in the old format: DecodeHeader %v", tc.name, err)
 		}
-		if _, _, err := DecodeMessage(old); !errors.Is(err, ErrBadMagic) {
+		if _, _, err := DecodeMessage(tc.old); !errors.Is(err, ErrBadMagic) {
 			t.Errorf("%s in the old format: DecodeMessage %v", tc.name, err)
 		}
-		if _, _, err := DecodeReply(old); !errors.Is(err, ErrBadMagic) {
+		if _, _, err := DecodeReply(tc.old); !errors.Is(err, ErrBadMagic) {
 			t.Errorf("%s in the old format: DecodeReply %v", tc.name, err)
 		}
 	}
+}
+
+// oldKeyed writes a request payload as the formats before this one did:
+// each byte string behind its u32 length.
+func oldKeyed(strs ...[]byte) []byte {
+	var p []byte
+	for _, s := range strs {
+		p = appendBytes(p, s)
+	}
+	return p
+}
+
+// oldLineFrame writes a request as the 64-byte line with 32 field bytes
+// did: the reply offset in bytes at [16, 20), the slot in lines at
+// [20, 22), tenant and priority at [22] and [23], [24, 28) reserved, the
+// low 32 bits of SentAt at [28, 32), a payload of up to 28 bytes inline
+// behind them, and "TEBQ" as its word.
+func oldLineFrame(h Header, payload []byte) []byte {
+	const oldMagic = 0x54454251
+	size, inline := 64, len(payload) > 0 && len(payload) <= 28
+	if !inline && len(payload) > 0 {
+		size += (len(payload) + 4 + 63) / 64 * 64
+	}
+	msg := make([]byte, size)
+	binary.LittleEndian.PutUint32(msg[0:4], uint32(len(payload)))
+	msg[4] = byte(h.Opcode)
+	binary.LittleEndian.PutUint16(msg[6:8], h.RegionID)
+	binary.LittleEndian.PutUint64(msg[8:16], h.RequestID)
+	binary.LittleEndian.PutUint32(msg[16:20], h.ReplyOffset)
+	binary.LittleEndian.PutUint16(msg[20:22], uint16(h.ReplySize/64))
+	msg[22], msg[23] = h.Tenant, h.Priority
+	binary.LittleEndian.PutUint32(msg[28:32], uint32(h.SentAt))
+	binary.LittleEndian.PutUint32(msg[60:64], oldMagic)
+	if inline {
+		msg[5] = FlagInline
+		copy(msg[32:], payload)
+	} else if len(payload) > 0 {
+		copy(msg[64:], payload)
+		binary.LittleEndian.PutUint32(msg[size-4:], oldMagic)
+	}
+	return msg
 }
 
 // oldRequestFrame writes a request as the 128-byte header format did.
@@ -478,8 +602,9 @@ func TestGCReleaseRoundTrip(t *testing.T) {
 }
 
 // TestTenantPriorityFrameCompat pins the argument for the tenant and
-// priority header bytes: they live at [22] and [23] (they were [36] and
-// [37] of the 128-byte request header), so a request of the default
+// priority header bytes: they live at [20] and [21] (they were [22] and
+// [23] of the line with 32 field bytes, [36] and [37] of the 128-byte
+// request header), so a request of the default
 // tenant in the lowest admission class has zeros there and decodes as
 // tenant 0 / priority 0, and a stamped request differs from it only in
 // those two bytes.
@@ -497,8 +622,8 @@ func TestTenantPriorityFrameCompat(t *testing.T) {
 	if err := EncodeHeader(old, h); err != nil {
 		t.Fatal(err)
 	}
-	if old[22] != 0 || old[23] != 0 {
-		t.Fatalf("an unstamped header holds %#x %#x at [22] and [23]", old[22], old[23])
+	if old[20] != 0 || old[21] != 0 {
+		t.Fatalf("an unstamped header holds %#x %#x at [20] and [21]", old[20], old[21])
 	}
 	got, err := DecodeHeader(old)
 	if err != nil {
@@ -508,7 +633,7 @@ func TestTenantPriorityFrameCompat(t *testing.T) {
 		t.Fatalf("unstamped decode = %+v, want %+v", got, h)
 	}
 
-	// Stamped: the frame differs only at bytes 22 and 23.
+	// Stamped: the frame differs only at bytes 20 and 21.
 	stamped := h
 	stamped.Tenant = 3
 	stamped.Priority = 1
@@ -517,7 +642,7 @@ func TestTenantPriorityFrameCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range neu {
-		if i == 22 || i == 23 {
+		if i == 20 || i == 21 {
 			continue
 		}
 		if neu[i] != old[i] {
