@@ -187,8 +187,8 @@ func runLagFault(sc Scale) (*measurement, []LagSample, error) {
 	if err := puts(baseline); err != nil {
 		return nil, nil, err
 	}
-	// Stall every RDMA write targeting the backup — value-log appends
-	// and index-segment ships both ride QP.Write.
+	// Stall every RDMA write targeting the backup — value-log appends,
+	// index-segment ships and control requests all ride one.
 	setPhase("delayed")
 	c.Nodes[backup].Server.Endpoint().InjectFault(
 		func(op rdma.FaultOp, from, to string, seq int, payload []byte) rdma.Fault {

@@ -12,10 +12,9 @@ type FaultOp int
 // Operation classes observable by fault hooks.
 const (
 	// FaultWrite is a one-sided QP.Write or QP.WriteUnsignaled (log
-	// records, index segments, requests, replies).
+	// records, index segments, requests and replies, a replica's control
+	// requests and acks).
 	FaultWrite FaultOp = iota
-	// FaultSend is a two-sided QP.Send (control RPCs and their acks).
-	FaultSend
 
 	numFaultOps
 )
@@ -25,8 +24,6 @@ func (op FaultOp) String() string {
 	switch op {
 	case FaultWrite:
 		return "write"
-	case FaultSend:
-		return "send"
 	}
 	return fmt.Sprintf("fault-op(%d)", int(op))
 }
@@ -72,14 +69,15 @@ func (f Fault) error() error {
 // FaultFunc decides the fate of one operation. It runs on the operating
 // goroutine with the initiator and target endpoint names, the
 // per-endpoint 0-based sequence number of this operation class, and the
-// payload about to go on the wire (read-only; control payloads can be
-// matched with wire.DecodeHeader). Tests install hooks to kill a
+// payload about to go on the wire (read-only; a request line can be
+// matched with wire.DecodeHeader, a reply or ack line with
+// wire.DecodeReplyHeader). Tests install hooks to kill a
 // replica at an exact protocol step — e.g. between IndexSegment and
 // CompactionDone, or mid-Sync.
 type FaultFunc func(op FaultOp, from, to string, seq int, payload []byte) Fault
 
 // InjectFault installs (or, with nil, clears) the endpoint's fault
-// hook. The hook sees every Write and Send touching this endpoint as
+// hook. The hook sees every write touching this endpoint as
 // initiator or target, and its verdict applies before any effect of the
 // operation. Sequence numbers keep counting across InjectFault calls.
 func (ep *Endpoint) InjectFault(fn FaultFunc) {

@@ -81,81 +81,35 @@ func TestFaultErrorAndDelay(t *testing.T) {
 	}
 }
 
-func TestFaultMatchesNthSend(t *testing.T) {
+// TestFaultMatchesNthWrite: a hook's sequence number counts the writes
+// touching its endpoint, so it can drop exactly the second.
+func TestFaultMatchesNthWrite(t *testing.T) {
 	a, b := NewEndpoint("a"), NewEndpoint("b")
+	mr, _ := b.Register(64)
 	ab := Connect(a, b, 4)
-	ba := Connect(b, a, 4)
 
-	// Drop exactly the second send targeting b.
 	b.InjectFault(func(op FaultOp, from, to string, seq int, payload []byte) Fault {
-		if op == FaultSend && seq == 1 {
+		if op == FaultWrite && seq == 1 {
 			return Fault{Action: FaultDrop}
 		}
 		return Fault{}
 	})
-	ba.PostRecv(make([]byte, 64))
-	ba.PostRecv(make([]byte, 64))
-	ba.PostRecv(make([]byte, 64))
-	for i, want := range []string{"first", "second", "third"} {
-		if err := ab.Send(ba, []byte(want)); err != nil {
-			t.Fatalf("send %d: %v", i, err)
+	got := make([]byte, 5)
+	for i, want := range []string{"first", "secnd", "third"} {
+		if err := ab.WriteUnsignaled(mr.RKey(), 0, []byte(want)); err != nil {
+			t.Fatalf("write %d: %v", i, err)
 		}
-	}
-	for _, want := range []string{"first", "third"} {
-		msg, err := ba.RecvTimeout(time.Second)
-		if err != nil {
+		if err := mr.ReadAt(0, got); err != nil {
 			t.Fatal(err)
 		}
-		if string(msg) != want {
-			t.Fatalf("got %q, want %q", msg, want)
+		if i == 1 {
+			want = "first" // the dropped write left the region as it was
+		}
+		if string(got) != want {
+			t.Fatalf("after write %d the region holds %q, want %q", i, got, want)
 		}
 	}
-	if _, err := ba.RecvTimeout(10 * time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("dropped send arrived anyway: %v", err)
-	}
-}
-
-func TestSendTimeoutWithoutPostedBuffer(t *testing.T) {
-	a, b := NewEndpoint("a"), NewEndpoint("b")
-	ab := Connect(a, b, 4)
-	ba := Connect(b, a, 4)
-
-	start := time.Now()
-	err := ab.SendTimeout(ba, []byte("nobody listens"), 20*time.Millisecond)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("send without receiver = %v, want ErrTimeout", err)
-	}
-	if d := time.Since(start); d < 20*time.Millisecond {
-		t.Fatalf("timed out after only %v", d)
-	}
-
-	// A buffer posted in time unblocks the send.
-	done := make(chan error, 1)
-	go func() { done <- ab.SendTimeout(ba, []byte("hello"), time.Second) }()
-	time.Sleep(2 * time.Millisecond)
-	ba.PostRecv(make([]byte, 64))
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if msg, err := ba.Recv(); err != nil || string(msg) != "hello" {
-		t.Fatalf("recv = %q, %v", msg, err)
-	}
-}
-
-func TestRecvTimeoutThenDelivery(t *testing.T) {
-	a, b := NewEndpoint("a"), NewEndpoint("b")
-	ab := Connect(a, b, 4)
-	ba := Connect(b, a, 4)
-
-	if _, err := ba.RecvTimeout(10 * time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("recv on empty inbox = %v, want ErrTimeout", err)
-	}
-	ba.PostRecv(make([]byte, 64))
-	if err := ab.Send(ba, []byte("late")); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := ba.RecvTimeout(time.Second)
-	if err != nil || string(msg) != "late" {
-		t.Fatalf("recv = %q, %v", msg, err)
+	if a.TxBytes() != 10 || b.RxBytes() != 10 {
+		t.Fatalf("tx=%d rx=%d, want the two writes that landed", a.TxBytes(), b.RxBytes())
 	}
 }

@@ -22,8 +22,9 @@
 // only a bounded wait (WaitCompletionTimeout) or the initiator's own
 // deadline notices it.
 //
-// Two-sided Send/Recv is also provided for control messages, costing
-// CPU on both sides like real verbs send/receive.
+// There is no two-sided send or receive: every message, a replica's
+// control requests and acks among them, is a write into a region its
+// receiver reads, as in Tebis (§3.4).
 package rdma
 
 import (
@@ -41,8 +42,6 @@ var (
 	ErrBadRKey       = errors.New("rdma: unknown rkey")
 	ErrBounds        = errors.New("rdma: access outside registered region")
 	ErrDisconnected  = errors.New("rdma: queue pair disconnected")
-	ErrNoRecvBuffer  = errors.New("rdma: no posted receive buffer")
-	ErrSendTooLarge  = errors.New("rdma: send larger than posted receive buffer")
 	ErrCQOverflow    = errors.New("rdma: completion queue overflow")
 	ErrAlreadyClosed = errors.New("rdma: endpoint closed")
 	ErrTimeout       = errors.New("rdma: operation timed out")
@@ -67,7 +66,7 @@ type Endpoint struct {
 
 	// faultFn is the installed fault hook (nil when none); faultSeq
 	// counts operations per class for the hook's seq argument. Every
-	// Write and Send reads both at both ends, so neither takes a lock.
+	// Write reads both at both ends, so neither takes a lock.
 	faultFn  atomic.Pointer[FaultFunc]
 	faultSeq [numFaultOps]atomic.Int64
 }
@@ -243,27 +242,20 @@ type QP struct {
 	local  *Endpoint
 	remote *Endpoint
 
-	cq   chan Completion
-	done chan struct{}
-
-	recvMu   sync.Mutex
-	recvCond *sync.Cond
-	recvQ    [][]byte // posted receive buffers (two-sided)
-	inbox    [][]byte // arrived sends not yet received
-	closed   bool
+	cq        chan Completion
+	done      chan struct{}
+	closeOnce sync.Once
 }
 
 // Connect creates a reliable QP from local to remote with the given
 // completion-queue depth.
 func Connect(local, remote *Endpoint, cqDepth int) *QP {
-	qp := &QP{
+	return &QP{
 		local:  local,
 		remote: remote,
 		cq:     make(chan Completion, cqDepth),
 		done:   make(chan struct{}),
 	}
-	qp.recvCond = sync.NewCond(&qp.recvMu)
-	return qp
 }
 
 // Local returns the initiating endpoint.
@@ -387,124 +379,8 @@ func (qp *QP) WaitCompletionTimeout(d time.Duration) (Completion, error) {
 	}
 }
 
-// PostRecv posts buf as a receive buffer for two-sided traffic, as a
-// verbs consumer posts a registered buffer: the next message sent to qp
-// that finds it first in the queue lands in it, and Recv returns that
-// message in place, a prefix of buf. The caller may post buf again once
-// it is done reading the message; a message longer than buf fails its
-// Send.
-func (qp *QP) PostRecv(buf []byte) {
-	qp.recvMu.Lock()
-	qp.recvQ = append(qp.recvQ, buf)
-	qp.recvCond.Broadcast()
-	qp.recvMu.Unlock()
-}
-
-// Send performs a two-sided send: the payload lands in the remote QP's
-// posted receive queue and is retrieved by Recv. Unlike Write, this
-// costs CPU on both sides (the callers charge it). Reliable-connection
-// semantics: when the receiver has no posted buffer the sender blocks
-// until one appears (hardware RNR retry).
-func (qp *QP) Send(peer *QP, data []byte) error {
-	return qp.send(peer, data, time.Time{})
-}
-
-// SendTimeout is Send bounded by d on the receiver posting a buffer
-// (the RNR retries give up); it returns ErrTimeout when d elapses
-// first.
-func (qp *QP) SendTimeout(peer *QP, data []byte, d time.Duration) error {
-	return qp.send(peer, data, time.Now().Add(d))
-}
-
-func (qp *QP) send(peer *QP, data []byte, deadline time.Time) error {
-	switch f := evalFault(FaultSend, qp.local, qp.remote, data); f.Action {
-	case FaultDrop:
-		return nil // vanished on the wire: the receiver never sees it
-	case FaultError:
-		return f.error()
-	case FaultDelay:
-		time.Sleep(f.Delay)
-	}
-	peer.recvMu.Lock()
-	defer peer.recvMu.Unlock()
-	for len(peer.recvQ) == 0 && !peer.closed {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return ErrTimeout
-		}
-		waitCond(peer.recvCond, deadline)
-	}
-	if peer.closed {
-		return ErrDisconnected
-	}
-	buf := peer.recvQ[0]
-	if len(data) > len(buf) {
-		return fmt.Errorf("%w: %d > %d", ErrSendTooLarge, len(data), len(buf))
-	}
-	peer.recvQ = peer.recvQ[1:]
-	msg := append(buf[:0], data...)
-	peer.inbox = append(peer.inbox, msg)
-	qp.local.tx.Add(uint64(len(data)))
-	qp.remote.rx.Add(uint64(len(data)))
-	peer.recvCond.Broadcast()
-	return nil
-}
-
-// Recv blocks until a sent message arrives (or the QP closes).
-func (qp *QP) Recv() ([]byte, error) {
-	return qp.recv(time.Time{})
-}
-
-// RecvTimeout is Recv bounded by d; it returns ErrTimeout when nothing
-// arrives in time — the primary's ack deadline.
-func (qp *QP) RecvTimeout(d time.Duration) ([]byte, error) {
-	return qp.recv(time.Now().Add(d))
-}
-
-func (qp *QP) recv(deadline time.Time) ([]byte, error) {
-	qp.recvMu.Lock()
-	defer qp.recvMu.Unlock()
-	for len(qp.inbox) == 0 && !qp.closed {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return nil, ErrTimeout
-		}
-		waitCond(qp.recvCond, deadline)
-	}
-	if len(qp.inbox) == 0 {
-		return nil, ErrDisconnected
-	}
-	msg := qp.inbox[0]
-	qp.inbox = qp.inbox[1:]
-	return msg, nil
-}
-
-// waitCond waits on cond, waking no later than the deadline (zero
-// deadline waits indefinitely). The caller holds cond.L and re-checks
-// its predicate and deadline on return.
-func waitCond(cond *sync.Cond, deadline time.Time) {
-	if deadline.IsZero() {
-		cond.Wait()
-		return
-	}
-	remain := time.Until(deadline)
-	if remain <= 0 {
-		return
-	}
-	t := time.AfterFunc(remain, func() {
-		cond.L.Lock()
-		cond.Broadcast()
-		cond.L.Unlock()
-	})
-	cond.Wait()
-	t.Stop()
-}
-
-// Close tears the QP down, waking blocked receivers and completers.
+// Close tears the QP down, waking a blocked completer; later writes
+// fail with ErrDisconnected. Closing twice is harmless.
 func (qp *QP) Close() {
-	qp.recvMu.Lock()
-	if !qp.closed {
-		qp.closed = true
-		close(qp.done)
-	}
-	qp.recvCond.Broadcast()
-	qp.recvMu.Unlock()
+	qp.closeOnce.Do(func() { close(qp.done) })
 }

@@ -1,8 +1,8 @@
 package replica
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -104,9 +104,9 @@ type Backup struct {
 	db atomic.Pointer[lsm.DB]
 
 	mu sync.Mutex
-	// conn is the link of the primary attached last (nil before Attach),
-	// the one Crash severs.
-	conn    *link
+	// ctls are the control slots of the links attached to this backup,
+	// one per primary, which Crash unpins every one of.
+	ctls    []*rdma.MemoryRegion
 	log     *vlog.Log
 	logMap  *SegMap
 	flushed map[storage.SegmentID]bool // primary log segments flushed here
@@ -118,7 +118,7 @@ type Backup struct {
 	// watermarkPrimary is the last compaction watermark in primary
 	// device space.
 	watermarkPrimary storage.Offset
-	loopErr          error
+	firstErr         error
 	promoted         bool
 
 	// flushImg is handleFlushTail's segment-sized scratch, reused from
@@ -229,105 +229,102 @@ func (b *Backup) charge(c metrics.Component, n uint64) {
 	}
 }
 
-// serve is the backup's control loop on one link: it receives the
-// primary's commands and acknowledges them. The loop exits when the
-// link's control QP closes.
+// answer is the backup's side of one control RPC on link l, run on the
+// primary's goroutine once the primary's request line has landed in l's
+// control slot. It reads the request where it landed, handles it — or,
+// for a retry (the same RequestID), replays the cached ack — clears the
+// slot and writes the ack line into the primary's ack slot. A slot that
+// holds no request (it was dropped on the wire) answers nothing, and an
+// ack that does not land is the primary's to notice: both are a missed
+// ack to it. The caller holds the handle's mu, which guards l.lastReq
+// and l.lastAck.
 //
-// lastReq/lastAck deduplicate retried control RPCs: the primary
-// serializes RPCs per backup and retries reuse the RequestID, so a
-// one-entry cache per link gives at-most-once handler execution (a retry
-// whose original was handled but whose ack was lost replays the cached
-// ack instead of re-running the handler). Request IDs are the primary's,
-// so the cache is the link's: another primary's IDs do not match it.
-//
-// One receive buffer serves the link: it is posted again only once its
-// message is handled and acknowledged, the decoders copy out every field
-// a handler keeps, and acks are built in buffers of their own, so by
-// then nothing points into it.
-func (b *Backup) serve(l *link) {
-	defer close(l.loopDone)
-	var (
-		lastReq uint64
-		lastAck []byte
-	)
-	recvBuf := make([]byte, 64<<10)
-	for {
-		l.reqRecv.PostRecv(recvBuf)
-		msg, err := l.reqRecv.Recv()
-		if err != nil {
-			return
+// A request the backup cannot decode or handle fails the backup (Err)
+// and silences the link: its control slot is unpinned, so every later
+// request on it fails at the write and the primary evicts this backup
+// once its retries run out.
+func (b *Backup) answer(l *link) {
+	var line [wire.HeaderSize]byte
+	ok, err := l.ctl.ReadIfWord(0, line[:], wire.Magic)
+	if ok {
+		var ack []byte
+		if ack, err = b.respond(l, line[:]); err == nil {
+			_ = l.toPrimary.WriteUnsignaled(l.ack.RKey(), 0, ack) // a lost ack is a miss to the primary
 		}
-		// Control messages are two-sided: detection and parsing cost
-		// backup CPU (unlike the one-sided data writes).
-		b.charge(metrics.CompOther, b.cfg.Cost.PollPerMessage)
-		h, payload, err := wire.DecodeMessage(msg)
-		if err != nil {
-			b.fail(fmt.Errorf("replica: backup decode: %w", err))
-			return
-		}
-		// At-most-once: a retried request (same RequestID) whose
-		// original already executed replays the cached ack.
-		ack := lastAck
-		if h.RequestID == 0 || h.RequestID != lastReq {
-			ack, err = b.handle(h, payload)
-			if err != nil {
-				b.fail(err)
-				return
-			}
-			lastReq, lastAck = h.RequestID, ack
-		}
-		if err := l.ackSend.Send(l.ackRecv, ack); err != nil {
-			if !errors.Is(err, rdma.ErrDisconnected) {
-				b.fail(err)
-			}
-			return
-		}
+	}
+	if err != nil {
+		b.mu.Lock()
+		b.failLocked(err)
+		b.mu.Unlock()
+		b.cfg.Endpoint.Deregister(l.ctl)
 	}
 }
 
-func (b *Backup) fail(err error) {
-	b.mu.Lock()
-	b.failLocked(err)
-	b.mu.Unlock()
+// respond is answer's work on a request whose header line has landed:
+// it returns the ack and clears the slot. Caller holds the handle's mu.
+func (b *Backup) respond(l *link, line []byte) ([]byte, error) {
+	// Detecting and parsing a request costs backup CPU, unlike the
+	// one-sided data writes, which it never looks at.
+	b.charge(metrics.CompOther, b.cfg.Cost.PollPerMessage)
+	msg := line
+	if h, err := wire.DecodeHeader(msg); err == nil && h.WireSize() > len(msg) {
+		msg = make([]byte, min(h.WireSize(), l.ctl.Size()))
+		if err := l.ctl.ReadAt(0, msg); err != nil {
+			return nil, err
+		}
+	}
+	h, payload, err := wire.DecodeMessage(msg)
+	if err != nil {
+		return nil, fmt.Errorf("replica: backup decode: %w", err)
+	}
+	if h.RequestID == 0 || h.RequestID != l.lastReq {
+		ack, err := b.handle(h, payload)
+		if err != nil {
+			return nil, err
+		}
+		l.lastReq, l.lastAck = h.RequestID, ack
+	}
+	return l.lastAck, l.ctl.Clear(0, len(msg))
 }
 
-// failLocked is fail for callers already holding b.mu (handlers that
-// must record an error without killing the control loop).
+// failLocked records the backup's first error (Err). Caller holds b.mu;
+// a handler calls it for an error that must not silence the link.
 func (b *Backup) failLocked(err error) {
-	if b.loopErr == nil {
-		b.loopErr = err
+	if b.firstErr == nil {
+		b.firstErr = err
 	}
 }
 
-// Err returns the first control-loop error, if any.
+// Err returns the first error a request failed the backup with, if any.
 func (b *Backup) Err() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.loopErr
+	return b.firstErr
 }
 
-// Crash severs the backup's transport without any cleanup: the
-// registered buffers deregister and the control QPs close, so a remote
-// primary's next operation fails fast and evicts this replica — the
-// "machine" is gone (§3.5). A crashed server calls this for each
-// hosted backup; without it the primary would keep replicating into a
-// dead node's memory.
-//
-// The "machine" dies, but this process lives on: Crash also reaps the
-// backup's goroutine — it waits for the control loop to exit on the
-// closed QPs — so repeated crash/failover tests do not accumulate
-// leaked loops.
+// unlink unpins a detached link's control slot and forgets it.
+func (b *Backup) unlink(ctl *rdma.MemoryRegion) {
+	b.cfg.Endpoint.Deregister(ctl)
+	b.mu.Lock()
+	b.ctls = slices.DeleteFunc(b.ctls, func(c *rdma.MemoryRegion) bool { return c == ctl })
+	b.mu.Unlock()
+}
+
+// Crash severs the backup's transport without any cleanup: its
+// registered buffers deregister, the control slot of every link among
+// them, so each remote primary's next write (a log append or a control
+// request) fails and evicts this replica; the "machine" is gone (§3.5).
+// A crashed server calls this for each hosted backup; without it the
+// primary would keep replicating into a dead node's memory. The backup
+// owns no goroutine, so nothing is left running.
 func (b *Backup) Crash() {
 	b.cfg.Endpoint.Deregister(b.logBuf)
 	b.cfg.Endpoint.Deregister(b.idxBuf)
 	b.mu.Lock()
-	l := b.conn
-	b.mu.Unlock()
-	if l != nil {
-		l.reqRecv.Close()
-		l.ackSend.Close()
-		<-l.loopDone
+	for _, ctl := range b.ctls {
+		b.cfg.Endpoint.Deregister(ctl)
 	}
+	b.mu.Unlock()
 }
 
 func (b *Backup) handle(h wire.Header, payload []byte) ([]byte, error) {
@@ -378,9 +375,9 @@ func ackMessage(h wire.Header, op wire.Op) []byte {
 }
 
 // ackError builds a FlagError reply: the handler failed for this
-// request, but the failure belongs to the request, not the control
-// loop, so the loop keeps serving (a frame the backup cannot decode
-// must not take the whole replica down).
+// request, but the failure belongs to the request, not the link, so the
+// link keeps answering (a frame the backup cannot decode must not take
+// the whole replica down).
 func ackError(h wire.Header, op wire.Op, err error) []byte {
 	return buildAck(h, op, wire.FlagError, []byte(err.Error()))
 }
@@ -477,7 +474,7 @@ func (b *Backup) handleCompactionStart(h wire.Header, req wire.CompactionStart) 
 	// that failed): discard its partial segments. A failed free leaks
 	// segments rather than corrupting anything, so record it where
 	// Backup.Err() surfaces it instead of silently swallowing it — or
-	// killing the control loop over a bookkeeping leak.
+	// silencing the link over a bookkeeping leak.
 	if err := b.discardShipLocked(); err != nil {
 		b.failLocked(fmt.Errorf("replica: freeing a stale ship job before job %d: %w", req.JobID, err))
 	}
@@ -514,7 +511,7 @@ func (b *Backup) handleIndexSegment(h wire.Header, req wire.IndexSegment) ([]byt
 		raw, err := shipcodec.Decode(data, nil, 0)
 		if err != nil {
 			// Request-scoped failure (a corrupt frame): a FlagError ack
-			// keeps the loop alive; the primary evicts this backup.
+			// keeps the link answering; the primary evicts this backup.
 			return ackError(h, wire.OpIndexSegmentAck, err), nil
 		}
 		data = raw

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,15 +37,15 @@ func TestBackupFailureMidCompactionEvictsAndCompletes(t *testing.T) {
 		pc.Failures = failures
 	}, nil)
 
-	// Arm the fault on backup0's NIC: the first IndexSegment command is
-	// delivered, then the node goes silent — every later operation
-	// touching it (acks out, retries and writes in) drops on the wire.
+	// Arm the fault on backup0's NIC: the first IndexSegment request line
+	// lands, then the node goes silent — every later write touching it
+	// (its ack out, retries and data writes in) drops on the wire.
 	var armed atomic.Bool
 	r.epB[0].InjectFault(func(op rdma.FaultOp, from, to string, seq int, payload []byte) rdma.Fault {
 		if armed.Load() {
 			return rdma.Fault{Action: rdma.FaultDrop}
 		}
-		if op == rdma.FaultSend && to == "backup0" {
+		if op == rdma.FaultWrite && to == "backup0" {
 			if h, err := wire.DecodeHeader(payload); err == nil && h.Opcode == wire.OpIndexSegment {
 				armed.Store(true) // this command lands; its ack never will
 			}
@@ -165,45 +166,78 @@ func TestBackupCrashEvictsOnNextAppend(t *testing.T) {
 }
 
 // TestRPCRetryRecoversFromTransientDrop checks that the retry path,
-// not just eviction, works: exactly one control message vanishes and
-// the retried attempt (same RequestID, deduplicated at the backup)
-// succeeds with no eviction.
+// not just eviction, works: exactly one control line vanishes — a
+// FlushTail request on its way in, or its ack on its way out — and the
+// retried attempt (same RequestID, deduplicated at the backup) succeeds
+// with no eviction. Each flush's handler runs once: the backup charges
+// one segment write per distinct FlushTail request, the retry of a lost
+// ack replaying the cached ack instead.
 func TestRPCRetryRecoversFromTransientDrop(t *testing.T) {
-	failures := &metrics.FailureStats{}
-	r := newRigCfg(t, SendIndex, 1, nil, func(pc *PrimaryConfig) {
-		pc.Retry = RetryPolicy{AckTimeout: 40 * time.Millisecond, MaxRetries: 3, Backoff: time.Millisecond}
-		pc.Failures = failures
-	}, nil)
+	for _, tc := range []struct {
+		name string
+		drop func(from, to string, payload []byte) bool
+	}{
+		{"request", func(_, to string, payload []byte) bool {
+			h, err := wire.DecodeHeader(payload)
+			return to == "backup0" && err == nil && h.Opcode == wire.OpFlushTail
+		}},
+		{"ack", func(from, _ string, payload []byte) bool {
+			h, err := wire.DecodeReplyHeader(payload)
+			return from == "backup0" && err == nil && h.Opcode == wire.OpFlushTailAck
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			failures := &metrics.FailureStats{}
+			r := newRigCfg(t, SendIndex, 1, nil, func(pc *PrimaryConfig) {
+				pc.Retry = RetryPolicy{AckTimeout: 40 * time.Millisecond, MaxRetries: 3, Backoff: time.Millisecond}
+				pc.Failures = failures
+			}, nil)
 
-	// Drop exactly one FlushTail command on its way in.
-	var dropped atomic.Bool
-	r.epB[0].InjectFault(func(op rdma.FaultOp, from, to string, seq int, payload []byte) rdma.Fault {
-		if op != rdma.FaultSend || to != "backup0" || dropped.Load() {
-			return rdma.Fault{}
-		}
-		if h, err := wire.DecodeHeader(payload); err == nil && h.Opcode == wire.OpFlushTail {
-			dropped.Store(true)
-			return rdma.Fault{Action: rdma.FaultDrop}
-		}
-		return rdma.Fault{}
-	})
+			var dropped atomic.Bool
+			var mu sync.Mutex
+			flushes := map[uint64]bool{} // FlushTail request IDs that landed
+			r.epB[0].InjectFault(func(op rdma.FaultOp, from, to string, seq int, payload []byte) rdma.Fault {
+				if op != rdma.FaultWrite {
+					return rdma.Fault{}
+				}
+				if !dropped.Load() && tc.drop(from, to, payload) {
+					dropped.Store(true)
+					return rdma.Fault{Action: rdma.FaultDrop}
+				}
+				if h, err := wire.DecodeHeader(payload); err == nil && h.Opcode == wire.OpFlushTail {
+					mu.Lock()
+					flushes[h.RequestID] = true
+					mu.Unlock()
+				}
+				return rdma.Fault{}
+			})
 
-	r.load(2000, 30)
-	if !dropped.Load() {
-		t.Fatal("no FlushTail was ever sent")
-	}
-	if evs := r.primary.Evictions(); len(evs) != 0 {
-		t.Fatalf("transient drop caused eviction: %+v", evs)
-	}
-	if failures.Snapshot().Retries == 0 {
-		t.Fatal("no retry recorded for the dropped command")
-	}
-	// The backup converged despite the drop: its levels match.
-	bLevels := r.backups[0].LevelStates(lsmOpts().MaxLevels)
-	for i, st := range r.db.Levels() {
-		if st.NumKeys != bLevels[i].NumKeys {
-			t.Fatalf("level %d: primary %d keys, backup %d", i+1, st.NumKeys, bLevels[i].NumKeys)
-		}
+			r.load(2000, 30)
+			if !dropped.Load() {
+				t.Fatal("no FlushTail line was ever dropped")
+			}
+			if evs := r.primary.Evictions(); len(evs) != 0 {
+				t.Fatalf("transient drop caused eviction: %+v", evs)
+			}
+			if got := failures.Snapshot().Retries; got != 1 {
+				t.Fatalf("%d retries recorded, want 1 for the dropped line", got)
+			}
+			mu.Lock()
+			handled := uint64(len(flushes))
+			mu.Unlock()
+			segWrite := metrics.DefaultCostModel().WriteIO(int(r.backups[0].geo.SegmentSize()))
+			if got := r.cyB[0].Snapshot()[metrics.CompLogReplication]; got != handled*segWrite {
+				t.Fatalf("the backup charged %d cycles of flushes, want %d for %d requests handled once each",
+					got, handled*segWrite, handled)
+			}
+			// The backup converged despite the drop: its levels match.
+			bLevels := r.backups[0].LevelStates(lsmOpts().MaxLevels)
+			for i, st := range r.db.Levels() {
+				if st.NumKeys != bLevels[i].NumKeys {
+					t.Fatalf("level %d: primary %d keys, backup %d", i+1, st.NumKeys, bLevels[i].NumKeys)
+				}
+			}
+		})
 	}
 }
 
@@ -358,10 +392,9 @@ func TestRetryPolicyDefaults(t *testing.T) {
 	}
 }
 
-// TestCrashLeavesNoGoroutines asserts that Crash tears down every
-// goroutine the backup owns: its control loop, which in Build-Index mode
-// also indexes each flushed segment. A leaked loop would pin the
-// backup's engine (and its memory) for the life of the process.
+// TestCrashLeavesNoGoroutines asserts that a crashed backup leaves no
+// goroutine behind. A leaked one would pin the backup's engine (and its
+// memory) for the life of the process.
 func TestCrashLeavesNoGoroutines(t *testing.T) {
 	for _, mode := range []Mode{SendIndex, BuildIndex} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -453,12 +486,12 @@ func TestReattachToASecondPrimary(t *testing.T) {
 	}
 }
 
-// TestControlBuffersAreReused: a backup receives every control message
-// of its link into one buffer, and the primary every ack into one buffer
-// of its handle. A handled request's effects, and the ack cached for its
-// retry, survive the next message landing in that buffer: a retry that
-// reuses a request ID with other bytes gets the first ack back and
-// changes nothing.
+// TestControlBuffersAreReused: a link carries every request in one
+// control slot and every ack in one ack slot. A handled request's
+// effects, and the ack cached for its retry, survive the next request
+// landing in that slot: a retry that reuses a request ID with other
+// bytes gets the first ack back and changes nothing, and both slots are
+// empty once the primary has taken the ack.
 func TestControlBuffersAreReused(t *testing.T) {
 	r := newRig(t, SendIndex, 1)
 	p, b := r.primary, r.backups[0]
@@ -480,26 +513,34 @@ func TestControlBuffersAreReused(t *testing.T) {
 	}
 
 	// A retry of the last request, its payload naming another segment.
+	reqID := p.reqID.Load()
 	var mb wire.MsgBuf
 	retry := mb.Finish(wire.Header{
 		Opcode:    wire.OpFlushTail,
 		RegionID:  uint16(p.cfg.RegionID),
-		RequestID: p.reqID.Load(),
+		RequestID: reqID,
 	}, flush(1003))
 	h.mu.Lock()
-	h.ackRecv.PostRecv(h.ackBuf())
-	err := h.reqSend.SendTimeout(h.reqRecv, retry, time.Second)
-	var ah wire.Header
+	err := h.toBackup.WriteUnsignaled(h.ctl.RKey(), 0, retry)
+	var line [wire.ReplyLine]byte
+	var landed bool
 	if err == nil {
-		ah, _, err = h.nextAck(time.Second)
+		b.answer(h.link)
+		landed, err = h.ack.ReadIfWord(0, line[:], wire.ReplyMagic)
 	}
-	bufs := len(h.ackBufs)
+	if err == nil {
+		err = h.takeAck(reqID)
+	}
+	var left [2][wire.HeaderSize]byte
+	ctlHeld, _ := h.ctl.ReadIfWord(0, left[0][:], wire.Magic)
+	ackHeld, _ := h.ack.ReadIfWord(0, left[1][:], wire.ReplyMagic)
 	h.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ah.RequestID != p.reqID.Load() || ah.Opcode != wire.OpFlushTailAck || ah.Flags&wire.FlagError != 0 {
-		t.Fatalf("the retry was answered with %+v, want the cached ack of request %d", ah, p.reqID.Load())
+	ah, err := wire.DecodeReplyHeader(line[:])
+	if !landed || err != nil || ah.RequestID != reqID || ah.Opcode != wire.OpFlushTailAck || ah.Flags&wire.FlagError != 0 {
+		t.Fatalf("the retry was answered with %+v (%v, landed %v), want the cached ack of request %d", ah, err, landed, reqID)
 	}
 	if _, ok := b.LogMap().Lookup(1003); ok {
 		t.Fatal("the retry ran its handler again")
@@ -509,8 +550,134 @@ func TestControlBuffersAreReused(t *testing.T) {
 			t.Fatalf("primary segment %d maps to %d (%v), was %d", seg, got, ok, local)
 		}
 	}
-	if bufs != 1 {
-		t.Fatalf("the handle holds %d ack buffers after three acks, want 1", bufs)
+	if ctlHeld || ackHeld {
+		t.Fatalf("after the round trip the control slot holds a request (%v), the ack slot an ack (%v)", ctlHeld, ackHeld)
+	}
+	r.checkHealthy()
+}
+
+// TestHandlerErrorSilencesTheLink: a request the backup fails to handle
+// fails the backup and silences that link, so the primary's retries miss
+// and it evicts the backup at its next control RPC.
+func TestHandlerErrorSilencesTheLink(t *testing.T) {
+	failures := &metrics.FailureStats{}
+	r := newRigCfg(t, SendIndex, 1, nil, func(pc *PrimaryConfig) {
+		pc.Retry = fastRetry()
+		pc.Failures = failures
+	}, nil)
+	p, b := r.primary, r.backups[0]
+	// A segment of a job the backup never saw start: its handler fails.
+	stray := wire.IndexSegment{RegionID: uint16(p.cfg.RegionID), JobID: 999}.Encode(nil)
+	err := p.rpc(p.handles()[0], wire.OpIndexSegment, stray)
+	var rerr *RemoteError
+	if err == nil || errors.As(err, &rerr) {
+		t.Fatalf("an RPC the backup failed to handle returned %v, want a missed ack", err)
+	}
+	if b.Err() == nil {
+		t.Fatal("the handler's error did not fail the backup")
+	}
+	if got := failures.Snapshot().Retries; got != uint64(fastRetry().MaxRetries) {
+		t.Fatalf("%d retries, want %d", got, fastRetry().MaxRetries)
+	}
+	for i := 0; i < 2000 && len(p.Evictions()) == 0; i++ {
+		if err := r.db.Put([]byte(fmt.Sprintf("user%08d", i)), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if evs := p.Evictions(); len(evs) != 1 || evs[0].Backup != "backup0" {
+		t.Fatalf("evictions = %+v, want one eviction of backup0", evs)
+	}
+}
+
+// TestCrashSeversEveryLink: a backup attached to two primaries and then
+// crashed answers neither: each primary's control RPC fails at the
+// write, as its log appends do.
+func TestCrashSeversEveryLink(t *testing.T) {
+	r := newRigCfg(t, SendIndex, 1, nil, func(c *PrimaryConfig) { c.Retry = fastRetry() }, nil)
+	b := r.backups[0]
+	p2 := NewPrimary(PrimaryConfig{
+		RegionID: 1, ServerName: "primary2", Mode: SendIndex,
+		Endpoint: rdma.NewEndpoint("primary2"), Cost: metrics.DefaultCostModel(), Retry: fastRetry(),
+	})
+	Attach(p2, b)
+	t.Cleanup(p2.DetachAll)
+	release := wire.GCRelease{RegionID: 1}.Encode(nil) // names no segment: a no-op to handle
+	for _, p := range []*Primary{r.primary, p2} {
+		if err := p.rpc(p.handles()[0], wire.OpGCRelease, release); err != nil {
+			t.Fatalf("%s's RPC before the crash: %v", p.cfg.ServerName, err)
+		}
+	}
+	b.Crash()
+	for _, p := range []*Primary{r.primary, p2} {
+		if err := p.rpc(p.handles()[0], wire.OpGCRelease, release); !errors.Is(err, rdma.ErrBadRKey) {
+			t.Fatalf("%s's RPC after the crash = %v, want ErrBadRKey", p.cfg.ServerName, err)
+		}
+	}
+}
+
+// TestAttachStartsNoGoroutine: attaching backups and syncing one starts
+// no goroutine that outlives the calls, in either mode — the backup
+// answers its control RPCs on the primary's goroutine.
+func TestAttachStartsNoGoroutine(t *testing.T) {
+	for _, mode := range []Mode{SendIndex, BuildIndex} {
+		t.Run(mode.String(), func(t *testing.T) {
+			r := newRig(t, mode, 0)
+			r.load(600, 20)
+			if err := r.db.WaitIdle(); err != nil {
+				t.Fatal(err)
+			}
+			nb := []*Backup{r.addEmptyBackup(mode), r.addEmptyBackup(mode)}
+			r.primary.DetachAll() // addEmptyBackup attaches; the count starts before that
+			before := runtime.NumGoroutine()
+			for _, b := range nb {
+				Attach(r.primary, b)
+			}
+			if _, err := r.primary.Sync(nb[0]); err != nil {
+				t.Fatal(err)
+			}
+			if db := nb[0].DB(); db != nil {
+				if err := db.WaitIdle(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A compaction job of the Build-Index backup's own engine is
+			// one goroutine, which WaitIdle has retired or is retiring.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("goroutines: %d before attaching two backups and a Sync, %d after", before, n)
+			}
+		})
+	}
+}
+
+// TestControlRPCBytes: one control RPC moves its request line from the
+// primary's NIC to the backup's and one ack line back — the bytes a
+// two-sided send of the same messages counted — so replication's
+// network amplification does not depend on how the control path runs.
+func TestControlRPCBytes(t *testing.T) {
+	r := newRig(t, SendIndex, 1)
+	p := r.primary
+	payload := wire.FlushTail{RegionID: uint16(p.cfg.RegionID), PrimarySeg: 7}.Encode(nil)
+	ptx, prx, btx, brx := r.epP.TxBytes(), r.epP.RxBytes(), r.epB[0].TxBytes(), r.epB[0].RxBytes()
+	if err := p.rpc(p.handles()[0], wire.OpFlushTail, payload); err != nil {
+		t.Fatal(err)
+	}
+	req := uint64(wire.SentSize(len(payload)))
+	for _, c := range []struct {
+		what      string
+		got, want uint64
+	}{
+		{"primary Tx", r.epP.TxBytes() - ptx, req},
+		{"backup Rx", r.epB[0].RxBytes() - brx, req},
+		{"backup Tx", r.epB[0].TxBytes() - btx, wire.ReplyLine},
+		{"primary Rx", r.epP.RxBytes() - prx, wire.ReplyLine},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s moved %d bytes, want %d", c.what, c.got, c.want)
+		}
 	}
 	r.checkHealthy()
 }

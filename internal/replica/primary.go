@@ -24,8 +24,9 @@ import (
 // before declaring it dead (§3.5). The zero value selects
 // DefaultRetryPolicy.
 type RetryPolicy struct {
-	// AckTimeout is the per-attempt deadline for a control-RPC ack or a
-	// one-sided write completion.
+	// AckTimeout is the per-attempt deadline for a signalled write's
+	// completion. A control RPC waits for none: its ack is in the ack
+	// slot when the backup's answer step returns, or it is missed.
 	AckTimeout time.Duration
 	// MaxRetries is the number of additional attempts after the first
 	// (0 in a non-zero policy means fail on the first miss).
@@ -115,7 +116,7 @@ type PrimaryConfig struct {
 
 // backupHandle is the primary's view of one attached backup.
 type backupHandle struct {
-	backup *Backup // the in-process peer (gives QP targets and rkeys)
+	backup *Backup // the in-process peer (gives rkeys and the answer step)
 	*link          // this primary's connection to it, owned here
 	// lag is the backup's stream in the primary's lag set, held so a
 	// record looks nothing up (nil without one).
@@ -123,64 +124,39 @@ type backupHandle struct {
 
 	mu  sync.Mutex  // one control RPC in flight per backup
 	msg wire.MsgBuf // the RPC in flight is built here (guarded by mu)
-	// ackBufs are receive buffers for acks that are neither posted nor
-	// being read (guarded by mu). An ack that arrives is read and its
-	// buffer put back, so one buffer serves every RPC; only an ack that
-	// never arrives keeps its buffer posted, and the retry takes another.
-	ackBufs [][]byte
 }
 
-// ackBuf returns a receive buffer for the next ack. Caller holds h.mu.
-func (h *backupHandle) ackBuf() []byte {
-	if n := len(h.ackBufs); n > 0 {
-		buf := h.ackBufs[n-1]
-		h.ackBufs = h.ackBufs[:n-1]
-		return buf
-	}
-	return make([]byte, ackRecvSize)
-}
-
-// nextAck receives the next ack within timeout and returns its header
-// and, for a FlagError ack, its error text, copied out: the ack's buffer
-// goes back to h for the next post. Caller holds h.mu.
-func (h *backupHandle) nextAck(timeout time.Duration) (wire.Header, string, error) {
-	ack, err := h.ackRecv.RecvTimeout(timeout)
-	if err != nil {
-		return wire.Header{}, "", err
-	}
-	ah, payload, err := wire.DecodeReply(ack)
-	var text string
-	if err == nil && ah.Flags&wire.FlagError != 0 {
-		text = string(payload)
-	}
-	h.ackBufs = append(h.ackBufs, ack[:cap(ack)])
-	return ah, text, err
-}
-
-// link is one primary-to-backup connection: the queue pairs of both ends
-// and the backup control loop serving it. Attach builds it whole and
-// never edits it, so a backup re-attached to a new primary gets a link of
-// its own, and closing the old one touches nothing of the new.
+// link is one primary-to-backup connection: a QP each way and the two
+// slots a control RPC uses. The primary writes a request line into the
+// backup's control slot and runs the backup's answer step, which writes
+// the ack line into the primary's ack slot. Attach builds a link whole
+// and never edits it, so a backup re-attached to a new primary gets a
+// link of its own, and closing the old one touches nothing of the new.
 type link struct {
-	dataQP  *rdma.QP // one-sided writes into the backup's buffers
-	reqSend *rdma.QP // control commands out
-	ackRecv *rdma.QP // acks back
+	toBackup  *rdma.QP // log records and index frames (signalled), request lines
+	toPrimary *rdma.QP // ack lines
 
-	reqRecv *rdma.QP // the backup's end of reqSend
-	ackSend *rdma.QP // the backup's end of ackRecv
-	// loopDone closes when the backup's control loop on this link exits.
-	loopDone chan struct{}
+	ctl *rdma.MemoryRegion // the backup's control slot, on its endpoint
+	ack *rdma.MemoryRegion // the primary's ack slot, on its endpoint
+
+	// lastReq and lastAck deduplicate retried requests (guarded by the
+	// handle's mu): the primary serializes RPCs per backup and a retry
+	// reuses its RequestID, so this one-entry cache gives at-most-once
+	// handler execution — a retry whose original was handled but whose
+	// ack was lost gets the cached ack instead of a second run. Request
+	// IDs are the primary's, so the cache is the link's: another
+	// primary's IDs do not match it.
+	lastReq uint64
+	lastAck []byte
 }
 
-// close tears the link down at both ends and waits for the backup's
-// control loop on it to exit.
-func (l *link) close() {
-	l.dataQP.Close()
-	l.reqSend.Close()
-	l.ackRecv.Close()
-	l.reqRecv.Close()
-	l.ackSend.Close()
-	<-l.loopDone
+// close tears the link down at both ends: later writes on it fail with
+// rdma.ErrDisconnected, and both slots are unpinned.
+func (h *backupHandle) close() {
+	h.toBackup.Close()
+	h.toPrimary.Close()
+	h.toBackup.Local().Deregister(h.ack)
+	h.backup.unlink(h.ctl)
 }
 
 // Primary is the primary-side replica of one region. It implements
@@ -274,32 +250,41 @@ func (p *Primary) charge(c metrics.Component, n uint64) {
 	}
 }
 
-// Attach wires a backup to this primary: data QP for one-sided writes
-// and a control channel, then starts the backup's control loop.
+// Attach wires a backup to this primary: a QP each way, a control slot
+// on the backup's endpoint and an ack slot on the primary's. It starts
+// no goroutine: the backup answers each request on the primary's
+// goroutine (Backup.answer).
 func Attach(p *Primary, b *Backup) {
+	pep, bep := p.cfg.Endpoint, b.cfg.Endpoint
 	l := &link{
-		dataQP:   rdma.Connect(p.cfg.Endpoint, b.cfg.Endpoint, 1024),
-		reqSend:  rdma.Connect(p.cfg.Endpoint, b.cfg.Endpoint, 16),
-		ackRecv:  rdma.Connect(p.cfg.Endpoint, b.cfg.Endpoint, 16),
-		reqRecv:  rdma.Connect(b.cfg.Endpoint, p.cfg.Endpoint, 16),
-		ackSend:  rdma.Connect(b.cfg.Endpoint, p.cfg.Endpoint, 16),
-		loopDone: make(chan struct{}),
+		toBackup:  rdma.Connect(pep, bep, 1024),
+		toPrimary: rdma.Connect(bep, pep, 0), // ack lines are unsignalled
+		ctl:       register(bep, ctlSlotSize),
+		ack:       register(pep, ackRecvSize),
 	}
 	h := &backupHandle{backup: b, link: l, lag: p.cfg.Lag.Stream(uint64(p.cfg.RegionID), b.cfg.ServerName)}
 
 	b.mu.Lock()
-	b.conn = l
+	b.ctls = append(b.ctls, l.ctl)
 	b.mu.Unlock()
 
 	p.mu.Lock()
 	p.backups = append(slices.Clone(p.backups), h)
 	p.mu.Unlock()
+}
 
-	go b.serve(l)
+// register pins one of a link's slots. Registering fails only on a
+// closed endpoint, and a node's endpoint is never closed.
+func register(ep *rdma.Endpoint, size int) *rdma.MemoryRegion {
+	mr, err := ep.Register(size)
+	if err != nil {
+		panic(fmt.Sprintf("replica: registering a %d-byte slot at %s: %v", size, ep.Name(), err))
+	}
+	return mr
 }
 
 // Detach severs the connection to a backup (failure injection and
-// shutdown). The backup's control loop exits.
+// shutdown): the link's QPs close and its slots are unpinned.
 func (p *Primary) Detach(b *Backup) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -341,13 +326,16 @@ func (p *Primary) Backups() []*Backup {
 	return out
 }
 
-// rpc performs one synchronous control round trip with a backup,
-// charging the primary's two-sided send cost.
+// rpc performs one synchronous control round trip with a backup.
 func (p *Primary) rpc(h *backupHandle, op wire.Op, payload []byte) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return p.rpcLocked(h, op, payload)
 }
+
+// ctlSlotSize is a backup's control slot on one link: it holds the
+// largest request, a GCRelease naming thousands of segments.
+const ctlSlotSize = 64 << 10
 
 // ackRecvSize fits every ack: a reply whose status byte rides in its one
 // line, or an error text, which buildAck cuts to what this size holds.
@@ -373,14 +361,17 @@ func (e *RemoteError) Error() string {
 // holds it across the data write and the control message, so the
 // staged frame and the message naming it go out as one pair).
 //
-// Each attempt is bounded by the retry policy's ack deadline. Retries
-// resend the SAME RequestID: the backup deduplicates re-deliveries and
-// replays its cached ack, so non-idempotent handlers never run twice
-// even when only the ack was lost. Stale acks of earlier attempts are
-// discarded by RequestID matching.
+// An attempt writes the request line into the backup's control slot,
+// unsignalled, and runs the backup's answer step; the ack is in the
+// primary's ack slot when that returns, or it never comes. A missed ack
+// — the request or the ack dropped on the wire, or a backup that stopped
+// answering — is retried after the backoff with the SAME RequestID: the
+// backup deduplicates re-deliveries and replays its cached ack, so
+// non-idempotent handlers never run twice even when only the ack was
+// lost.
 func (p *Primary) rpcLocked(h *backupHandle, op wire.Op, payload []byte) error {
 	reqID := p.reqID.Add(1)
-	// A send copies the message into the backup's posted receive, so one
+	// A write copies the message into the backup's control slot, so one
 	// buffer per handle serves every RPC and all of its retries.
 	msg := h.msg.Finish(wire.Header{
 		Opcode:    op,
@@ -394,20 +385,20 @@ func (p *Primary) rpcLocked(h *backupHandle, op wire.Op, payload []byte) error {
 			p.cfg.Failures.RecordRetry()
 			time.Sleep(pol.backoff(attempt))
 		}
-		h.ackRecv.PostRecv(h.ackBuf())
-		if err := h.reqSend.SendTimeout(h.reqRecv, msg, pol.AckTimeout); err != nil {
+		if err := h.toBackup.WriteUnsignaled(h.ctl.RKey(), 0, msg); err != nil {
 			if errors.Is(err, rdma.ErrDisconnected) {
 				return err // the QP is gone; retrying cannot help
 			}
 			lastErr = err
 			continue
 		}
-		err := p.awaitAck(h, reqID, pol.AckTimeout)
+		h.backup.answer(h.link)
+		err := h.takeAck(reqID)
 		if err == nil {
 			return nil
 		}
 		var rerr *RemoteError
-		if errors.Is(err, rdma.ErrDisconnected) || errors.As(err, &rerr) {
+		if errors.As(err, &rerr) {
 			return err
 		}
 		lastErr = err
@@ -416,27 +407,43 @@ func (p *Primary) rpcLocked(h *backupHandle, op wire.Op, payload []byte) error {
 		h.backup.cfg.ServerName, op, pol.MaxRetries+1, lastErr)
 }
 
-// awaitAck waits for the ack matching reqID, discarding stale acks of
-// earlier attempts (a slow backup may ack after the primary retried).
-func (p *Primary) awaitAck(h *backupHandle, reqID uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return rdma.ErrTimeout
-		}
-		ah, text, err := h.nextAck(remain)
-		if err != nil {
-			return err
-		}
-		if ah.RequestID != reqID {
-			continue
-		}
-		if ah.Flags&wire.FlagError != 0 {
-			return &RemoteError{Op: ah.Opcode, Msg: text}
-		}
-		return nil
+// takeAck takes the ack of request reqID out of the ack slot, as a
+// client takes a reply: the line's ReplyMagic, its RequestID, then a
+// clear. The backup's answer step has returned, so nothing lands later:
+// an empty slot, or another request's ack, is a missed ack
+// (rdma.ErrTimeout). A FlagError ack is a *RemoteError. Caller holds
+// h.mu.
+func (h *backupHandle) takeAck(reqID uint64) error {
+	var line [wire.ReplyLine]byte
+	ok, err := h.ack.ReadIfWord(0, line[:], wire.ReplyMagic)
+	if err != nil {
+		return err
 	}
+	if !ok {
+		return rdma.ErrTimeout
+	}
+	ah, err := wire.DecodeReplyHeader(line[:])
+	var text []byte
+	if err == nil && ah.Flags&wire.FlagError != 0 {
+		if ah.Inline() {
+			text = wire.ReplyInlinePayload(line[:], ah)
+		} else {
+			text = make([]byte, ah.PayloadSize)
+			err = h.ack.ReadAt(wire.ReplyLine, text)
+		}
+	}
+	if cerr := h.ack.Clear(0, h.ack.Size()); err == nil {
+		err = cerr
+	}
+	switch {
+	case err != nil:
+		return err
+	case ah.RequestID != reqID:
+		return rdma.ErrTimeout
+	case ah.Flags&wire.FlagError != 0:
+		return &RemoteError{Op: ah.Opcode, Msg: string(text)}
+	}
+	return nil
 }
 
 // writeWithRetry performs one one-sided write and waits for its
@@ -457,7 +464,7 @@ func (p *Primary) writeWithRetryTraced(h *backupHandle, rkey uint32, off int, da
 			p.cfg.Failures.RecordRetry()
 			time.Sleep(pol.backoff(attempt))
 		}
-		if err := h.dataQP.Write(rkey, off, data, wrID); err != nil {
+		if err := h.toBackup.Write(rkey, off, data, wrID); err != nil {
 			if errors.Is(err, rdma.ErrDisconnected) {
 				return err
 			}
@@ -468,7 +475,7 @@ func (p *Primary) writeWithRetryTraced(h *backupHandle, rkey uint32, off int, da
 		if rt != nil {
 			ackStart = time.Now()
 		}
-		if _, err := h.dataQP.WaitCompletionTimeout(pol.AckTimeout); err != nil {
+		if _, err := h.toBackup.WaitCompletionTimeout(pol.AckTimeout); err != nil {
 			if errors.Is(err, rdma.ErrDisconnected) {
 				return err
 			}
@@ -494,8 +501,8 @@ func (p *Primary) writeWithRetryTraced(h *backupHandle, rkey uint32, off int, da
 }
 
 // evict declares a backup dead and detaches it: the handle leaves the
-// replication group, its in-flight ship state dies with its QPs (which
-// also stops the backup's control loop), and the primary keeps serving
+// replication group, its in-flight ship state dies with its link, and
+// the primary keeps serving
 // Puts/Gets with the survivors — graceful degradation until the master
 // attaches a replacement and drives Sync (§3.5). Idempotent: only the
 // first removal of a handle counts.

@@ -30,13 +30,15 @@ go test -race ./...
 # spinning thread, not two (server.DefaultSpinThreads), a compaction
 # job merges, builds and ships on one goroutine beside the request path
 # on that P, the builder fills the node cache on that goroutine beside
-# gets that read it without a lock, and the value log's lock-free
-# sealed reads (a long header's second read among them) race with its
-# seals; this runs the request path's, the compactor's, the replicas',
-# the tree's, the device's and the log's suites in that configuration
-# too.
-echo "== go test -race -cpu 1 (request path, compaction, shipping, node cache and log reads on one P)"
-go test -race -cpu 1 ./internal/server ./internal/client ./internal/cluster ./internal/lsm ./internal/replica ./internal/btree ./internal/storage ./internal/vlog
+# gets that read it without a lock, the value log's lock-free sealed
+# reads (a long header's second read among them) race with its seals,
+# and a backup answers each control RPC on the goroutine that sent it —
+# a primary's writer or compaction job, or the master's refill (Sync)
+# of a backup it attached after a failover; this runs the request path's, the compactor's, the replicas', the master's,
+# the transport's, the tree's, the device's and the log's suites in that
+# configuration too.
+echo "== go test -race -cpu 1 (request path, compaction, shipping, replica control, node cache and log reads on one P)"
+go test -race -cpu 1 ./internal/server ./internal/client ./internal/cluster ./internal/lsm ./internal/replica ./internal/master ./internal/rdma ./internal/btree ./internal/storage ./internal/vlog
 
 # The benchmark drains its cluster at one P too, which only holds while
 # a Build-Index backup indexes each flushed segment before it acks the
