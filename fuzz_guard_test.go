@@ -75,3 +75,50 @@ func TestEveryDecoderIsFuzzed(t *testing.T) {
 	}
 	t.Logf("%d of %d decoders fuzzed", len(decoders)-len(missing), len(decoders))
 }
+
+// TestEveryFuzzTargetIsSmoked: `make fuzz-smoke` (run by
+// scripts/check.sh) mutates each native fuzz target for a few seconds,
+// one line per target, since `go test -fuzz` takes one at a time. A
+// Fuzz* function under internal/ that no line names would never be
+// mutated there; this lists each.
+func TestEveryFuzzTargetIsSmoked(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := filepath.Glob("internal/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := 0
+	for _, dir := range dirs {
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			continue
+		}
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+			return strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				for _, decl := range file.Decls {
+					fn, ok := decl.(*ast.FuncDecl)
+					if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Fuzz") {
+						continue
+					}
+					targets++
+					line := "./" + dir + " -run '^$$' -fuzz '^" + fn.Name.Name + "$$'"
+					if !strings.Contains(string(makefile), line) {
+						t.Errorf("%s.%s: make fuzz-smoke has no line for it (want one with %q)", dir, fn.Name.Name, line)
+					}
+				}
+			}
+		}
+	}
+	if targets == 0 {
+		t.Fatal("found no fuzz targets under internal/")
+	}
+	t.Logf("%d fuzz targets, each in make fuzz-smoke", targets)
+}

@@ -40,7 +40,8 @@ type Config struct {
 	// may be nil when the topology is static.
 	Refresh func() (*region.Map, error)
 	// ReplySlot is the default reply slot size for get/scan
-	// (grows after partial replies), rounded up to whole 64-byte lines.
+	// (grows after partial replies), rounded up to whole 32-byte reply
+	// lines.
 	// Defaults to 1 KiB.
 	ReplySlot int
 	// Trace receives request-scoped spans for sampled operations; nil
@@ -130,6 +131,7 @@ type routes struct {
 type serverConn struct {
 	c        *Client
 	name     string
+	server   *rdma.Endpoint
 	reqQP    *rdma.QP // client → server one-sided writes
 	reqRKey  uint32
 	reqRing  *ring
@@ -200,6 +202,7 @@ func (c *Client) dial(name string, h ServerHandle) (*serverConn, error) {
 	return &serverConn{
 		c:        c,
 		name:     name,
+		server:   h.Endpoint(),
 		reqQP:    rdma.Connect(c.ep, h.Endpoint(), 1024),
 		reqRKey:  info.ReqRKey,
 		reqRing:  newRing(info.BufSize),
@@ -430,11 +433,13 @@ var replyTimeout = 30 * time.Second
 // reply to reqID lands and takes it (takeReply). poll was taken before
 // the request went out, when the slot could hold nothing for it, so a
 // look waits — with no lock — for the server to write into the buffer.
-// It yields 256 times, then sleeps between looks. A long silence (the
-// server died mid-request, or the request or its reply was lost on the
-// wire) surfaces as errReplyTimeout, replyTimeout after the first sleep:
-// most replies land during the yields, which read no clock, and a sleep
-// costs far more than the clock read beside it.
+// It yields 256 times, then sleeps between looks. A server that crashed
+// with the request in flight has closed its endpoint, which a look
+// before each sleep sees: that is rdma.ErrDisconnected, at once. A long
+// silence otherwise (the request or its reply was lost on the wire)
+// surfaces as errReplyTimeout, replyTimeout after the first sleep: most
+// replies land during the yields, which read no clock, and a sleep costs
+// far more than the clock read beside it.
 func (sc *serverConn) awaitReply(poll *rdma.Poller, off, slot int, reqID uint64, keep bool) (wire.Header, []byte, error) {
 	var deadline time.Time
 	for spins := 0; ; spins++ {
@@ -444,6 +449,9 @@ func (sc *serverConn) awaitReply(poll *rdma.Poller, off, slot int, reqID uint64,
 		if spins < 256 {
 			runtime.Gosched()
 			continue
+		}
+		if sc.server.Closed() {
+			return wire.Header{}, nil, fmt.Errorf("%w: server %s", rdma.ErrDisconnected, sc.name)
 		}
 		if now := time.Now(); deadline.IsZero() {
 			deadline = now.Add(replyTimeout)
@@ -456,7 +464,7 @@ func (sc *serverConn) awaitReply(poll *rdma.Poller, off, slot int, reqID uint64,
 
 // takeReply looks at the reply slot once, through poll, reading the
 // reply where it landed: the line's rendezvous word and, only once it is
-// there, the 64-byte line into a stack buffer; of an out-of-line reply
+// there, the 32-byte line into a stack buffer; of an out-of-line reply
 // then the trailer word; then — when the caller keeps the payload, or the reply is an
 // error whose text it will need — the payload, copied exactly once (an
 // inline one out of the line's copy) into a slice the caller owns from
@@ -627,62 +635,87 @@ func (c *Client) Delete(key []byte) error { return c.mutate(wire.OpDelete, key, 
 
 // Get fetches the value for a key. Values exceeding the reply slot are
 // completed with follow-up OpGetRest round trips, and the slot estimate
-// grows so later gets avoid the extra trip (§3.4.1). The returned value
-// is the caller's: it aliases no buffer the client reuses.
+// grows so later gets avoid the extra trip (§3.4.1). Each get-rest reads
+// the log record the partial reply came from, so the pieces are one
+// version of the value even when the key is put over in between; a
+// record gone by then (reclaimed, or a failover since) starts the get
+// over. The returned value is the caller's: it aliases no buffer the
+// client reuses.
 func (c *Client) Get(key []byte) ([]byte, bool, error) {
-	slot := int(c.replySlot.Load())
-	req := wire.GetReq{Key: key}
 	sb := c.sendBuf()
 	defer c.sendBufs.Put(sb)
+	for restarts := 0; ; restarts++ {
+		val, found, done, err := c.get(key, sb)
+		if done || err != nil {
+			return val, found, err
+		}
+		if restarts == maxGetRestarts {
+			return nil, false, fmt.Errorf("%w: the value's record went away mid-fetch %d times", ErrServer, restarts+1)
+		}
+	}
+}
+
+// maxGetRestarts bounds how often a get starts over because the record a
+// partial reply named was gone by its get-rest. The first partial reply
+// grows the slot, so a restart normally fetches the value whole.
+const maxGetRestarts = 4
+
+// get is one attempt at Get: a get, and the get-rests its partial reply
+// calls for. done is false when a get-rest found the record gone, and the
+// get has to start over.
+func (c *Client) get(key []byte, sb *sendBuf) (val []byte, found, done bool, err error) {
+	req := wire.GetReq{Key: key}
 	sb.payload = req.Encode(sb.Reserve(req.Size()))
-	h, body, err := c.do(key, wire.OpGet, sb, slot, true)
+	_, body, err := c.do(key, wire.OpGet, sb, int(c.replySlot.Load()), true)
 	if err != nil {
-		return nil, false, err
+		return nil, false, true, err
 	}
 	rep, err := wire.DecodeGetReply(body)
-	if err != nil {
-		return nil, false, err
-	}
-	if !rep.Found {
-		return nil, false, nil
+	if err != nil || !rep.Found {
+		return nil, false, true, err
 	}
 	// body is this call's own copy of the reply payload, so the value
 	// inside it is returned as it is.
-	val := rep.Value
-	if h.Flags&wire.FlagPartial != 0 {
-		// Grow the slot estimate for subsequent requests: room for the
-		// whole value and 192 bytes more, the reply's prefix among them —
-		// no less room past the value than a slot had when a reply took a
-		// 128-byte header, so a later, slightly longer value goes partial
-		// no more often.
-		want := wire.ReplyMessageSize(int(rep.TotalSize) + 192)
-		for {
-			cur := c.replySlot.Load()
-			if int64(want) <= cur || c.replySlot.CompareAndSwap(cur, int64(want)) {
-				break
-			}
-		}
-		for uint32(len(val)) < rep.TotalSize {
-			rest := wire.GetRestReq{Key: key, Offset: uint32(len(val))}
-			sb.payload = rest.Encode(sb.Reserve(rest.Size()))
-			h2, body2, err := c.do(key, wire.OpGetRest, sb, want, true)
-			if err != nil {
-				return nil, false, err
-			}
-			rep2, err := wire.DecodeGetReply(body2)
-			if err != nil {
-				return nil, false, err
-			}
-			if !rep2.Found || len(rep2.Value) == 0 {
-				return nil, false, fmt.Errorf("%w: value vanished mid-fetch", ErrServer)
-			}
-			val = append(val, rep2.Value...)
-			if h2.Flags&wire.FlagPartial == 0 {
-				break
-			}
+	val = rep.Value
+	if !rep.Partial {
+		return val, true, true, nil
+	}
+	// Grow the slot estimate for subsequent requests: room for the whole
+	// value and 256 bytes more, the reply's status byte among them — more
+	// room past the value than a slot had when a reply took a 64-byte
+	// line and a 9-byte prefix, so a later, slightly longer value goes
+	// partial no more often — but no more than the reply buffer, which a
+	// larger slot would wait for forever.
+	want := min(wire.ReplyMessageSize(int(rep.TotalSize)+256), server.DefaultBufferSize)
+	for {
+		cur := c.replySlot.Load()
+		if int64(want) <= cur || c.replySlot.CompareAndSwap(cur, int64(want)) {
+			break
 		}
 	}
-	return val, true, nil
+	total, record := rep.TotalSize, rep.Record
+	for rep.Partial {
+		if len(rep.Value) == 0 {
+			return nil, false, true, fmt.Errorf("%w: a partial reply of no value bytes", ErrServer)
+		}
+		rest := wire.GetRestReq{Key: key, Offset: uint32(len(val)), Record: record}
+		sb.payload = rest.Encode(sb.Reserve(rest.Size()))
+		_, body, err := c.do(key, wire.OpGetRest, sb, want, true)
+		if err != nil {
+			return nil, false, true, err
+		}
+		if rep, err = wire.DecodeGetReply(body); err != nil {
+			return nil, false, true, err
+		}
+		if !rep.Found {
+			return nil, false, false, nil
+		}
+		val = append(val, rep.Value...)
+	}
+	if uint32(len(val)) != total {
+		return nil, false, true, fmt.Errorf("%w: a %d-byte value came back as %d bytes", ErrServer, total, len(val))
+	}
+	return val, true, true, nil
 }
 
 // Scan returns up to count pairs with keys >= start. Scans are served by

@@ -351,6 +351,93 @@ func TestADroppedRequestTimesOut(t *testing.T) {
 	}
 }
 
+// TestAnInFlightRequestFailsFastAtACrashedServer: a request the server
+// never answered — here lost on the wire, so the client is well into its
+// sleeps — ends with rdma.ErrDisconnected within 100 ms of the server's
+// crash, because a crash closes the server's endpoint and the client
+// looks at it before each sleep; it does not wait out replyTimeout.
+func TestAnInFlightRequestFailsFastAtACrashedServer(t *testing.T) {
+	srv, cl := newServerAndClient(t)
+	sent := make(chan struct{})
+	var once sync.Once
+	srv.Endpoint().InjectFault(func(_ rdma.FaultOp, _, _ string, _ int, p []byte) rdma.Fault {
+		if h, err := wire.DecodeHeader(p); err == nil && h.Opcode == wire.OpGet {
+			once.Do(func() { close(sent) })
+			return rdma.Fault{Action: rdma.FaultDrop}
+		}
+		return rdma.Fault{}
+	})
+	rt, err := cl.route([]byte("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := cl.sendBuf()
+	req := wire.GetReq{Key: []byte("k")}
+	sb.payload = req.Encode(sb.Reserve(req.Size()))
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := rt.conn.call(wire.OpGet, rt.id, sb, 1024, 0, true)
+		errc <- err
+	}()
+	<-sent
+	time.Sleep(20 * time.Millisecond) // past the yields, into the sleeps
+	start := time.Now()
+	srv.Crash()
+	select {
+	case err := <-errc:
+		if took := time.Since(start); took > 100*time.Millisecond {
+			t.Fatalf("the in-flight get returned %v after the crash, want within 100ms", took)
+		}
+		if !errors.Is(err, rdma.ErrDisconnected) {
+			t.Fatalf("the in-flight get = %v, want rdma.ErrDisconnected", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the in-flight get still waits 5s after the crash (replyTimeout is %v)", replyTimeout)
+	}
+}
+
+// TestGetRestNeverStitchesTwoVersions: a value larger than the reply slot
+// crosses in two round trips, and a put of the key between them — made
+// here by another client while the get-rest is on the wire — must not
+// make Get return the first chunk of one version joined to the rest of
+// the other. The get-rest reads the record the partial reply came from,
+// so Get returns the version it started on, whole.
+func TestGetRestNeverStitchesTwoVersions(t *testing.T) {
+	srv, cl := newServerAndClient(t)
+	other, err := New(Config{Name: "client1", Servers: map[string]ServerHandle{"s0": srv}, Map: cl.Map()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(other.Close)
+	key := []byte("torn")
+	first := bytes.Repeat([]byte("A"), 3000)  // over the 1 KB slot
+	second := bytes.Repeat([]byte("B"), 3000) // the same length
+	if err := cl.Put(key, first); err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	var putErr error
+	srv.Endpoint().InjectFault(func(_ rdma.FaultOp, from, _ string, _ int, p []byte) rdma.Fault {
+		if h, err := wire.DecodeHeader(p); err == nil && h.Opcode == wire.OpGetRest && from == "client0" {
+			once.Do(func() { putErr = other.Put(key, second) })
+		}
+		return rdma.Fault{}
+	})
+	v, found, err := cl.Get(key)
+	if putErr != nil {
+		t.Fatal(putErr)
+	}
+	if err != nil || !found {
+		t.Fatalf("Get = %v, %v", found, err)
+	}
+	if !bytes.Equal(v, first) && !bytes.Equal(v, second) {
+		t.Fatalf("Get returned %d bytes, %q…%q: neither version whole", len(v), v[:4], v[len(v)-4:])
+	}
+	if v, _, err := cl.Get(key); err != nil || !bytes.Equal(v, second) {
+		t.Fatalf("the next Get = %d bytes, %v; want the second version", len(v), err)
+	}
+}
+
 func TestAsyncPipelining(t *testing.T) {
 	_, cl := newServerAndClient(t)
 	a := cl.Async(16)

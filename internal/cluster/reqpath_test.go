@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tebis/internal/client"
 	"tebis/internal/kv"
@@ -149,12 +150,14 @@ func TestRequestPathAllocCeilings(t *testing.T) {
 // running to the payload's end — and a larger one follows it, padded to
 // 64-byte lines. So an S put (34 bytes, with the benchmark's 24-byte key
 // or a 10-byte one) is one line, an M put (124 bytes) three, and a scan of
-// a 24-byte key (26 bytes) one. A reply is a 64-byte line, a payload of at
-// most wire.ReplyInlineMax bytes inside it — the status that answers any
-// put, a small get's value — and a larger one behind it, padded to 64-byte
-// lines. Byte counters, exact: a message that stops going inline, a
-// request that grows a header field or a length, or one message sent in
-// the other's shape turns one of these red.
+// a 24-byte key (26 bytes) one. A reply is a 32-byte line, a payload of at
+// most wire.ReplyInlineMax (12) bytes inside it — the status that answers
+// any put, the benchmark's S get (a status byte and 9 value bytes) — and a
+// larger one behind it, padded to 32-byte lines: a 23-byte value's get
+// (24 bytes) takes two lines, an M get's (100 or 114 bytes) five. Byte
+// counters, exact: a message that stops going inline, a request that
+// grows a header field or a length, or one message sent in the other's
+// shape turns one of these red.
 func TestRequestPathWireBytes(t *testing.T) {
 	c, cl := steadyCluster(t, 0)
 	net := func(op func()) uint64 {
@@ -196,14 +199,16 @@ func TestRequestPathWireBytes(t *testing.T) {
 		op   func()
 		want uint64
 	}{
-		{"S put", put(sKey, sVal), 64 + 64},
+		{"S put", put(sKey, sVal), 64 + 32},
 		{"S get", get(sKey, sVal), 64 + 64},
-		{"M put", put(mKey, mVal), 192 + 64},
-		{"M get", get(mKey, mVal), 64 + 192},
-		{"S put again", put(sKey, sVal), 64 + 64},
-		{"benchmark S put", put(yKey, ySVal), 64 + 64},
-		{"benchmark M put", put(yKey, yMVal), 192 + 64},
-		{"benchmark S put again", put(yKey, ySVal), 64 + 64},
+		{"M put", put(mKey, mVal), 192 + 32},
+		{"M get", get(mKey, mVal), 64 + 160},
+		{"S put again", put(sKey, sVal), 64 + 32},
+		{"benchmark S put", put(yKey, ySVal), 64 + 32},
+		{"benchmark S get", get(yKey, ySVal), 64 + 32},
+		{"benchmark M put", put(yKey, yMVal), 192 + 32},
+		{"benchmark M get", get(yKey, yMVal), 64 + 160},
+		{"benchmark S put again", put(yKey, ySVal), 64 + 32},
 	} {
 		if got := net(tc.op); got != tc.want {
 			t.Errorf("%s: %d bytes through the server's NIC, want %d", tc.name, got, tc.want)
@@ -255,11 +260,11 @@ func TestGetRestReadsTheRangeOnly(t *testing.T) {
 }
 
 // TestGrownSlotHoldsALongerValue: a get that went partial grows the
-// client's slot estimate to the value and 192 bytes more — as much room
-// past the value as a slot had when a reply took a 128-byte header — so
-// a later get of a value up to 183 bytes longer (192 less the reply's
-// prefix) is whole, in one round trip. Get-rests counted on the server's
-// NIC.
+// client's slot estimate to the value and at least 192 bytes more — as
+// much room past the value as a slot had when a reply took a 128-byte
+// header — so a later get of a value up to 191 bytes longer (192 less
+// the reply's status byte) is whole, in one round trip. Get-rests counted
+// on the server's NIC.
 func TestGrownSlotHoldsALongerValue(t *testing.T) {
 	c, cl := steadyCluster(t, 0)
 	var rests atomic.Int64
@@ -293,6 +298,87 @@ func TestGrownSlotHoldsALongerValue(t *testing.T) {
 			}
 		}
 		fresh.Close()
+	}
+}
+
+// TestValueSweepGetRests: a fresh client — its slot estimate the 1 KB
+// default — gets values of every size from 600 bytes to 4 000 in steps
+// of 17, ascending, and then the same values descending. Each value over
+// the slot takes one get-rest and grows the slot; a get-rest costs a
+// round trip, so the sweep counts them on the server's NIC. A 32-byte
+// reply line holds 40 more value bytes in the 1 KB slot than the 64-byte
+// line with a 9-byte prefix did, and a grown slot at least as many as it
+// did, so the sweep takes no more get-rests than that form's 13.
+func TestValueSweepGetRests(t *testing.T) {
+	c, cl := steadyCluster(t, 0)
+	var rests atomic.Int64
+	for _, n := range c.Nodes {
+		n.Server.Endpoint().InjectFault(func(_ rdma.FaultOp, _, _ string, _ int, p []byte) rdma.Fault {
+			if h, err := wire.DecodeHeader(p); err == nil && h.Opcode == wire.OpGetRest {
+				rests.Add(1)
+			}
+			return rdma.Fault{}
+		})
+	}
+	var sizes []int
+	for n := 600; n <= 4000; n += 17 {
+		sizes = append(sizes, n)
+	}
+	valueOf := func(n int) []byte { return bytes.Repeat([]byte{byte(n)}, n) }
+	for _, n := range sizes {
+		if err := cl.Put([]byte(fmt.Sprintf("sweep%05d", n)), valueOf(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for pass := 0; pass < 2; pass++ {
+		for i := range sizes {
+			n := sizes[i]
+			if pass == 1 {
+				n = sizes[len(sizes)-1-i]
+			}
+			if v, found, err := fresh.Get([]byte(fmt.Sprintf("sweep%05d", n))); err != nil || !found || !bytes.Equal(v, valueOf(n)) {
+				t.Fatalf("Get of a %d-byte value = %d bytes, %v, %v", n, len(v), found, err)
+			}
+		}
+	}
+	const before = 13 // the 64-byte reply line's count
+	if got := rests.Load(); got > before {
+		t.Fatalf("the sweep took %d get-rests, more than the %d of the 64-byte reply line", got, before)
+	} else {
+		t.Logf("the sweep took %d get-rests (the 64-byte reply line's: %d)", got, before)
+	}
+}
+
+// TestGetOfAValueNearTheReplyBuffer: a value whose grown slot would be
+// longer than the client's whole reply buffer (256 KiB) — one a put still
+// sends — is fetched through a slot of the whole buffer, not waited for
+// forever.
+func TestGetOfAValueNearTheReplyBuffer(t *testing.T) {
+	_, cl := steadyCluster(t, 0)
+	value := bytes.Repeat([]byte("x"), 262000)
+	if err := cl.Put([]byte("big"), value); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		got, found, err := cl.Get([]byte("big"))
+		if err == nil && (!found || !bytes.Equal(got, value)) {
+			err = fmt.Errorf("%d bytes, found %v", len(got), found)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Get of a %d-byte value: %v", len(value), err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Get of a %d-byte value still waits after 10s", len(value))
 	}
 }
 
@@ -442,5 +528,55 @@ func TestReturnedSlicesAreTheCallers(t *testing.T) {
 		if !intact(i, p.Value) {
 			t.Fatalf("a retained scan value of key %d is no version of it", i)
 		}
+	}
+}
+
+// TestGetRestAcrossAFailoverStartsOver: the primary crashes while a get's
+// get-rest is on the wire. The client fails over, and the get-rest names
+// a record of the old primary's log, which is no record of the key's on
+// the promoted backup — so the get starts over there and returns the
+// value whole.
+func TestGetRestAcrossAFailoverStartsOver(t *testing.T) {
+	c := newTestCluster(t, replica.SendIndex, 1)
+	cl, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	key, value := []byte("failover-big"), make([]byte, 3000) // over the 1 KB slot
+	rand.New(rand.NewSource(7)).Read(value)
+	if err := cl.Put(key, value); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Leader().Map().Lookup(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crashed atomic.Bool
+	var gets, rests atomic.Int64
+	for name, n := range c.Nodes {
+		n.Server.Endpoint().InjectFault(func(_ rdma.FaultOp, _, _ string, _ int, p []byte) rdma.Fault {
+			h, err := wire.DecodeHeader(p)
+			switch {
+			case err != nil:
+			case name == r.Primary && h.Opcode == wire.OpGetRest && !crashed.Load():
+				crashed.Store(true)
+				if err := c.Crash(name); err != nil {
+					t.Errorf("crash: %v", err)
+				}
+			case name != r.Primary && h.Opcode == wire.OpGet:
+				gets.Add(1)
+			case name != r.Primary && h.Opcode == wire.OpGetRest:
+				rests.Add(1)
+			}
+			return rdma.Fault{}
+		})
+	}
+	got, found, err := cl.Get(key)
+	if err != nil || !found || !bytes.Equal(got, value) {
+		t.Fatalf("Get across the failover = %d bytes, %v, %v", len(got), found, err)
+	}
+	if gets.Load() != 1 || rests.Load() != 1 {
+		t.Fatalf("after the crash the new primary saw %d gets and %d get-rests, want the get-rest that missed and the get that started over", gets.Load(), rests.Load())
 	}
 }

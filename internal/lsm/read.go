@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"math"
 	"slices"
 	"sync"
@@ -141,48 +142,88 @@ func (db *DB) Get(key []byte) (value []byte, found bool, err error) {
 // GetAppend appends the value for key to dst and returns the extended
 // slice; dst comes back unchanged when the key is not found.
 func (db *DB) GetAppend(dst, key []byte) (out []byte, found bool, err error) {
-	out, _, found, err = db.GetRange(dst, key, 0, math.MaxInt)
+	out, _, found, err = db.GetRange(dst, key, Range{N: math.MaxInt})
 	return out, found, err
 }
 
-// GetRange appends up to n bytes of key's value, from byte from of it
-// on, to dst, and returns the extended slice and the whole value's
-// length: a caller with room for part of a value reads that part only.
-// The range is clipped to the value. Nothing before len(dst) is
-// written.
+// Range is the part of a value GetRange reads.
+type Range struct {
+	// Record, when not storage.NilOffset, is the log record a read in
+	// parts started on: the rest is read from that record, not from
+	// whatever the key's newest record is now, so the parts are one
+	// version's.
+	Record storage.Offset
+	// From is the first value byte read, N the most bytes read.
+	From, N int
+	// Tail is what a range that stops short of the value's end gives up
+	// of N, for its caller to append behind it (a partial reply's
+	// suffix): a range that reaches the end reads up to N bytes.
+	Tail int
+}
+
+// GetRange appends the part rg names of key's value to dst, and returns
+// the extended slice and the header of the record it was read from,
+// which says how long the whole value is (ValLen) and where the record
+// is (Off): a caller with room for part of a value reads that part only,
+// and names the record when it comes back for the rest. The range is
+// clipped to the value. Nothing before len(dst) is written.
 //
 // A value in a level costs three log reads — the header and key that
 // resolved the prefix tie, then the value; one in L0, whose key the
-// memtable holds, two — the header, then the value.
-func (db *DB) GetRange(dst, key []byte, from, n int) (out []byte, total int, found bool, err error) {
+// memtable holds, two — the header, then the value. The rest of a
+// record the key has since been put over costs the record's header and
+// key too, read to check that it is key's; a record that is gone (its
+// segment reclaimed, or a failover since) or is not key's is not found.
+func (db *DB) GetRange(dst, key []byte, rg Range) (out []byte, h vlog.Header, found bool, err error) {
 	r := db.acquireReader()
 	defer r.release()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
-		return dst, 0, false, ErrClosed
+		return dst, vlog.Header{}, false, ErrClosed
 	}
 	off, tomb, found, cost, err := db.locateLocked(key, r.fullKey, db.lookups)
 	if err != nil {
-		return dst, 0, false, err
+		return dst, vlog.Header{}, false, err
 	}
 	db.charge(metrics.CompOther, cost)
-	if !found || tomb {
-		return dst, 0, false, nil
-	}
-	h, err := r.header(off)
-	if err != nil {
-		return dst, 0, false, err
+	switch {
+	case rg.Record != storage.NilOffset && (!found || tomb || off != rg.Record):
+		if h, found = r.recordOf(key, rg.Record); !found {
+			return dst, vlog.Header{}, false, nil
+		}
+	case !found || tomb:
+		return dst, vlog.Header{}, false, nil
+	default:
+		if h, err = r.header(off); err != nil {
+			return dst, vlog.Header{}, false, err
+		}
 	}
 	if h.Tombstone() {
-		return dst, 0, false, nil
+		return dst, vlog.Header{}, false, nil
 	}
-	out, err = db.log.AppendValue(dst, h, from, n)
+	n := rg.N
+	if h.ValLen()-rg.From > n {
+		n -= rg.Tail
+	}
+	out, err = db.log.AppendValue(dst, h, rg.From, n)
 	if err != nil {
-		return dst, 0, false, err
+		return dst, vlog.Header{}, false, err
 	}
 	db.charge(metrics.CompOther, db.cost.ReadIO(len(out)-len(dst)))
-	return out, h.ValLen(), true, nil
+	return out, h, true, nil
+}
+
+// recordOf reads the header and key of the record at off, which the
+// index no longer names for key, and returns the header when the record
+// is key's. Any failure to read one there — a reclaimed segment, an
+// offset inside a record or past the log — is no record of key's.
+func (r *reader) recordOf(key []byte, off storage.Offset) (vlog.Header, bool) {
+	rec, err := r.fullKey(off)
+	if err != nil || !bytes.Equal(rec, key) {
+		return vlog.Header{}, false
+	}
+	return r.hdr, true
 }
 
 // appendKey reads the full key of the record at off into dst's memory,

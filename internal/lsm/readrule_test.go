@@ -241,9 +241,9 @@ func TestGetReadsTheRecordOnce(t *testing.T) {
 
 	// A range of the value reads that range.
 	dev.ResetStats()
-	part, total, found, err := db.GetRange([]byte("held"), key, 5, 7)
-	if err != nil || !found || total != ruleValLen || string(part) != "heldvvvvvvv" {
-		t.Fatalf("GetRange(5, 7) = %q of %d, %v, %v", part, total, found, err)
+	part, h, found, err := db.GetRange([]byte("held"), key, Range{From: 5, N: 7})
+	if err != nil || !found || h.ValLen() != ruleValLen || string(part) != "heldvvvvvvv" {
+		t.Fatalf("GetRange(5, 7) = %q of %d, %v, %v", part, h.ValLen(), found, err)
 	}
 	headerAndKey := vlog.EncodedLen(ruleKeyLen, ruleValLen) - ruleValLen
 	if st := dev.Stats(); st.BytesRead != uint64(headerAndKey+7) {
@@ -265,6 +265,72 @@ func TestGetReadsTheRecordOnce(t *testing.T) {
 	headerAndValue := vlog.EncodedLen(len(key), len(fresh)) - len(key)
 	if st := dev.Stats(); st.ReadOps != 2 || st.BytesRead != uint64(headerAndValue) {
 		t.Fatalf("an L0-resident get made %d reads of %d bytes, want 2 of %d", st.ReadOps, st.BytesRead, headerAndValue)
+	}
+}
+
+// The rest of a value read in parts comes from the record its first part
+// came from (Range.Record). While the index still names that record the
+// read costs what an unnamed one does; once the key is put over, the
+// rest is still the old record's, at the cost of its header and key read
+// to check that it is the key's; a record that is another key's, or no
+// record at all, is not found — and no error.
+func TestGetRangeOfANamedRecord(t *testing.T) {
+	db, dev, _ := twoLevelDB(t)
+	key := ruleKey(100)
+	_, h, found, err := db.GetRange(nil, key, Range{N: math.MaxInt})
+	if err != nil || !found {
+		t.Fatalf("GetRange = %v, %v", found, err)
+	}
+	rec := h.Off()
+	dev.ResetStats()
+	if _, _, _, err := db.GetRange(nil, key, Range{From: 5, N: 7}); err != nil {
+		t.Fatal(err)
+	}
+	unnamed := dev.Stats().BytesRead
+	dev.ResetStats()
+	part, h, found, err := db.GetRange(nil, key, Range{Record: rec, From: 5, N: 7})
+	if err != nil || !found || h.Off() != rec || string(part) != "vvvvvvv" {
+		t.Fatalf("the named record's range = %q at %#x, %v, %v", part, h.Off(), found, err)
+	}
+	if named := dev.Stats().BytesRead; named != unnamed {
+		t.Fatalf("the newest record named read %d bytes, unnamed %d", named, unnamed)
+	}
+
+	// Put over: the named record still answers, with its own bytes.
+	if err := db.Put(key, bytes.Repeat([]byte("w"), ruleValLen)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Log().Seal(); err != nil {
+		t.Fatal(err)
+	}
+	dev.ResetStats()
+	part, h, found, err = db.GetRange(nil, key, Range{Record: rec, From: 5, N: 7})
+	if err != nil || !found || h.Off() != rec || string(part) != "vvvvvvv" {
+		t.Fatalf("the put-over record's range = %q at %#x, %v, %v", part, h.Off(), found, err)
+	}
+	if now, _, _, _ := db.GetRange(nil, key, Range{From: 5, N: 7}); string(now) != "wwwwwww" {
+		t.Fatalf("the newest record's range = %q", now)
+	}
+	// Deleted: the record is there still.
+	if err := db.Delete(key); err != nil {
+		t.Fatal(err)
+	}
+	if part, _, found, err := db.GetRange(nil, key, Range{Record: rec, From: 18, N: 7}); err != nil || !found || string(part) != "vv" {
+		t.Fatalf("the deleted key's record = %q, %v, %v", part, found, err)
+	}
+	other := ruleKey(101)
+	for name, at := range map[string]storage.Offset{
+		"another key's record": rec,
+		"inside the record":    rec + 1,
+		"past the log":         1 << 50,
+	} {
+		k := key
+		if name == "another key's record" {
+			k = other
+		}
+		if part, _, found, err := db.GetRange(nil, k, Range{Record: at, N: 7}); err != nil || found || len(part) != 0 {
+			t.Errorf("%s: %q, %v, %v; want no record and no error", name, part, found, err)
+		}
 	}
 }
 

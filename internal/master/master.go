@@ -202,7 +202,9 @@ func (m *Master) openRegion(r region.Region) error {
 		if err != nil {
 			return err
 		}
-		replica.Attach(p, b)
+		if err := replica.Attach(p, b); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -364,7 +366,9 @@ func (m *Master) handOver(id region.ID, to string, followers []string) error {
 		if err := ob.LogMap().Retarget(oldToNew); err != nil {
 			return err
 		}
-		replica.Attach(p, ob)
+		if err := replica.Attach(p, ob); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -488,7 +492,9 @@ func (m *Master) refillBackup(r region.Region, avoid string) error {
 		if !ok {
 			return fmt.Errorf("master: %s lost primary of region %d", r.Primary, r.ID)
 		}
-		replica.Attach(p, b)
+		if err := replica.Attach(p, b); err != nil {
+			return err
+		}
 		if _, err := p.Sync(b); err != nil {
 			return err
 		}

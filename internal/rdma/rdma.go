@@ -59,7 +59,8 @@ type Endpoint struct {
 	mu      sync.Mutex
 	regions atomic.Pointer[[]*MemoryRegion]
 	nextKey uint32
-	closed  bool
+	// closed is set once by Close; every write reads it at both ends.
+	closed atomic.Bool
 
 	tx atomic.Uint64
 	rx atomic.Uint64
@@ -111,7 +112,7 @@ type MemoryRegion struct {
 func (ep *Endpoint) Register(size int) (*MemoryRegion, error) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	if ep.closed {
+	if ep.closed.Load() {
 		return nil, ErrAlreadyClosed
 	}
 	mr := &MemoryRegion{ep: ep, rkey: ep.nextKey, buf: make([]byte, size)}
@@ -122,6 +123,21 @@ func (ep *Endpoint) Register(size int) (*MemoryRegion, error) {
 	ep.regions.Store(&table)
 	return mr, nil
 }
+
+// Close takes the endpoint down, as a NIC goes down with its machine:
+// every region is deregistered, Register fails with ErrAlreadyClosed, and
+// a write to or from the endpoint fails with ErrDisconnected. Closing
+// twice is harmless.
+func (ep *Endpoint) Close() {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	ep.closed.Store(true)
+	ep.regions.Store(new([]*MemoryRegion))
+}
+
+// Closed reports whether the endpoint has been closed: whether a peer
+// waiting on it for a message waits in vain.
+func (ep *Endpoint) Closed() bool { return ep.closed.Load() }
 
 // Deregister unpins the region; subsequent remote writes fail.
 func (ep *Endpoint) Deregister(mr *MemoryRegion) {
@@ -300,6 +316,9 @@ func (qp *QP) write(rkey uint32, off int, data []byte) (landed bool, err error) 
 	case <-qp.done:
 		return false, ErrDisconnected
 	default:
+	}
+	if qp.local.closed.Load() || qp.remote.closed.Load() {
+		return false, ErrDisconnected
 	}
 	switch f := evalFault(FaultWrite, qp.local, qp.remote, data); f.Action {
 	case FaultDrop:

@@ -61,6 +61,43 @@ func TestDeregisteredRegionRejected(t *testing.T) {
 	}
 }
 
+// TestEndpointClose: a closed endpoint is a NIC that went down with its
+// machine — its regions are gone, Register fails with ErrAlreadyClosed,
+// a write to it or from it fails with ErrDisconnected and lands nothing,
+// and Closed says so to a peer. Closing twice is harmless, and the other
+// endpoint's regions and QPs work on.
+func TestEndpointClose(t *testing.T) {
+	a, b, c := NewEndpoint("a"), NewEndpoint("b"), NewEndpoint("c")
+	mb, _ := b.Register(64)
+	ma, _ := a.Register(64)
+	mc, _ := c.Register(64)
+	ab, ba, ac := Connect(a, b, 4), Connect(b, a, 4), Connect(a, c, 4)
+	b.Close()
+	b.Close()
+	if !b.Closed() || a.Closed() {
+		t.Fatalf("Closed: b %v, a %v", b.Closed(), a.Closed())
+	}
+	if _, err := b.Register(64); !errors.Is(err, ErrAlreadyClosed) {
+		t.Fatalf("Register on a closed endpoint = %v, want ErrAlreadyClosed", err)
+	}
+	if err := ab.Write(mb.RKey(), 0, []byte("x"), 1); !errors.Is(err, ErrDisconnected) {
+		t.Fatalf("a write to a closed endpoint = %v, want ErrDisconnected", err)
+	}
+	if err := ba.WriteUnsignaled(ma.RKey(), 0, []byte("x")); !errors.Is(err, ErrDisconnected) {
+		t.Fatalf("a write from a closed endpoint = %v, want ErrDisconnected", err)
+	}
+	if b.region(mb.RKey()) != nil {
+		t.Fatal("a closed endpoint kept a region registered")
+	}
+	got := make([]byte, 1)
+	if err := ma.ReadAt(0, got); err != nil || got[0] != 0 || a.RxBytes() != 0 || b.TxBytes() != 0 {
+		t.Fatalf("a write from the closed endpoint landed: %q, rx %d, tx %d, %v", got, a.RxBytes(), b.TxBytes(), err)
+	}
+	if err := ac.Write(mc.RKey(), 0, []byte("x"), 1); err != nil {
+		t.Fatalf("a write between open endpoints = %v", err)
+	}
+}
+
 // TestCloseWakesReceiver: a goroutine blocked receiving a completion
 // wakes with ErrDisconnected when the QP closes, and a second Close is
 // harmless.

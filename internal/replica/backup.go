@@ -383,8 +383,8 @@ func ackError(h wire.Header, op wire.Op, err error) []byte {
 }
 
 // buildAck finishes the reply to h the way a server answers a client, in
-// the reply form, so a status byte or a short error text goes back as one
-// 64-byte line. An error text is cut to what the primary's ack buffer
+// the reply form, so a status byte goes back as one 32-byte line and an
+// error text behind it. An error text is cut to what the primary's ack buffer
 // holds (ackRecvSize). An ack outlives its request — it is cached for the
 // primary's retry — so each is built in a buffer of its own.
 func buildAck(h wire.Header, op wire.Op, flags uint8, payload []byte) []byte {

@@ -615,6 +615,40 @@ func TestCrashSeversEveryLink(t *testing.T) {
 	}
 }
 
+// TestAttachToAClosedEndpointFails: a node whose endpoint closed (its
+// machine crashed) cannot be attached: Attach returns
+// rdma.ErrAlreadyClosed, pins nothing on the other node, and adds no
+// backup to the primary.
+func TestAttachToAClosedEndpointFails(t *testing.T) {
+	r := newRig(t, SendIndex, 1)
+	b := r.backups[0]
+	p2 := NewPrimary(PrimaryConfig{
+		RegionID: 1, ServerName: "primary2", Mode: SendIndex,
+		Endpoint: rdma.NewEndpoint("primary2"), Cost: metrics.DefaultCostModel(),
+	})
+	p2.cfg.Endpoint.Close()
+	if err := Attach(p2, b); !errors.Is(err, rdma.ErrAlreadyClosed) {
+		t.Fatalf("Attach from a closed primary endpoint = %v, want ErrAlreadyClosed", err)
+	}
+	if n := len(p2.handles()); n != 0 {
+		t.Fatalf("the failed attach added %d backups", n)
+	}
+	b.mu.Lock()
+	ctls := len(b.ctls)
+	b.mu.Unlock()
+	if ctls != 1 {
+		t.Fatalf("the backup holds %d control slots after a failed attach, want its first link's 1", ctls)
+	}
+	b.cfg.Endpoint.Close()
+	p3 := NewPrimary(PrimaryConfig{
+		RegionID: 1, ServerName: "primary3", Mode: SendIndex,
+		Endpoint: rdma.NewEndpoint("primary3"), Cost: metrics.DefaultCostModel(),
+	})
+	if err := Attach(p3, b); !errors.Is(err, rdma.ErrAlreadyClosed) {
+		t.Fatalf("Attach to a closed backup endpoint = %v, want ErrAlreadyClosed", err)
+	}
+}
+
 // TestAttachStartsNoGoroutine: attaching backups and syncing one starts
 // no goroutine that outlives the calls, in either mode — the backup
 // answers its control RPCs on the primary's goroutine.

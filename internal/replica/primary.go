@@ -253,14 +253,24 @@ func (p *Primary) charge(c metrics.Component, n uint64) {
 // Attach wires a backup to this primary: a QP each way, a control slot
 // on the backup's endpoint and an ack slot on the primary's. It starts
 // no goroutine: the backup answers each request on the primary's
-// goroutine (Backup.answer).
-func Attach(p *Primary, b *Backup) {
+// goroutine (Backup.answer). It fails, attaching nothing, when either
+// node's endpoint is closed (rdma.ErrAlreadyClosed): its machine crashed.
+func Attach(p *Primary, b *Backup) error {
 	pep, bep := p.cfg.Endpoint, b.cfg.Endpoint
+	ctl, err := register(bep, ctlSlotSize)
+	if err != nil {
+		return err
+	}
+	ack, err := register(pep, ackRecvSize)
+	if err != nil {
+		bep.Deregister(ctl)
+		return err
+	}
 	l := &link{
 		toBackup:  rdma.Connect(pep, bep, 1024),
 		toPrimary: rdma.Connect(bep, pep, 0), // ack lines are unsignalled
-		ctl:       register(bep, ctlSlotSize),
-		ack:       register(pep, ackRecvSize),
+		ctl:       ctl,
+		ack:       ack,
 	}
 	h := &backupHandle{backup: b, link: l, lag: p.cfg.Lag.Stream(uint64(p.cfg.RegionID), b.cfg.ServerName)}
 
@@ -271,16 +281,16 @@ func Attach(p *Primary, b *Backup) {
 	p.mu.Lock()
 	p.backups = append(slices.Clone(p.backups), h)
 	p.mu.Unlock()
+	return nil
 }
 
-// register pins one of a link's slots. Registering fails only on a
-// closed endpoint, and a node's endpoint is never closed.
-func register(ep *rdma.Endpoint, size int) *rdma.MemoryRegion {
+// register pins one of a link's slots at ep.
+func register(ep *rdma.Endpoint, size int) (*rdma.MemoryRegion, error) {
 	mr, err := ep.Register(size)
 	if err != nil {
-		panic(fmt.Sprintf("replica: registering a %d-byte slot at %s: %v", size, ep.Name(), err))
+		return nil, fmt.Errorf("replica: registering a %d-byte slot at %s: %w", size, ep.Name(), err)
 	}
-	return mr
+	return mr, nil
 }
 
 // Detach severs the connection to a backup (failure injection and

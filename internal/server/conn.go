@@ -389,15 +389,16 @@ func (s *Server) shed(t task, mb *wire.ReplyBuf) {
 	s.recycle(t)
 }
 
-// Fixed reply payloads, built once.
+// Fixed reply payloads, built once. Each rides inside a reply's line
+// (wire.ReplyInlineMax), so it reaches the client whole in any slot.
 var (
-	shedText          = []byte("shed by admission control")
-	replyOverflowText = []byte("reply overflow")
+	shedText          = []byte("shed")
+	replyOverflowText = []byte("slot overrun")
 	badOpcodeText     = []byte("bad opcode")
 )
 
 // sendReply finishes the reply to t in mb, around payload, and
-// RDMA-writes it into the client's reply slot: a 64-byte line carrying
+// RDMA-writes it into the client's reply slot: a 32-byte line carrying
 // the header fields a reply is read by, with a payload of up to
 // wire.ReplyInlineMax bytes inside it. The write is unsignaled:
 // nothing waits on a reply having landed, and a reply lost on the wire is

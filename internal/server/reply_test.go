@@ -104,6 +104,11 @@ func (c *rawClient) await(off int) (wire.Header, []byte) {
 // holds; any slot of at least a reply's line holds some, inline. A
 // result that outgrows the slot still becomes the overflow error.
 func TestReplyThatOutgrowsItsSlot(t *testing.T) {
+	for _, fixed := range [][]byte{shedText, replyOverflowText, badOpcodeText} {
+		if len(fixed) > wire.ReplyInlineMax {
+			t.Errorf("the fixed reply %q does not fit a reply's line", fixed)
+		}
+	}
 	s, _ := newTestServer(t, "s0")
 	c := newRawClient(t, s)
 	w := newWorker(s, 0)

@@ -590,6 +590,9 @@ func (s *Server) Flush() error {
 // Crash simulates a node failure: message processing stops immediately
 // and replication connections drop, without flushing or closing the
 // hosted engines (their in-memory state is lost with the "machine").
+// Last, the node's endpoint closes, as its NIC would: a client waiting
+// on a reply to a request the server never answered sees that and
+// fails over at once.
 func (s *Server) Crash() {
 	s.mu.Lock()
 	if s.closed {
@@ -627,6 +630,7 @@ func (s *Server) Crash() {
 			hr.backup.Crash()
 		}
 	}
+	s.cfg.Endpoint.Close()
 }
 
 // Close shuts the server down: spinning threads and workers exit, all

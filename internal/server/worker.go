@@ -9,6 +9,7 @@ import (
 	"tebis/internal/metrics"
 	"tebis/internal/obs"
 	"tebis/internal/region"
+	"tebis/internal/storage"
 	"tebis/internal/wire"
 )
 
@@ -163,7 +164,8 @@ func (w *worker) doPut(t task, del bool, rt *obs.ReqTrace) (wire.Op, uint8, []by
 
 // getReplyBudget returns how many value bytes fit in the client's reply
 // slot for a get: the largest reply payload the slot holds, less the
-// GetReply prefix.
+// GetReply status byte. A partial reply gives up the room its suffix
+// takes (wire.PartialGetReplySuffix); a whole one does not.
 func getReplyBudget(h wire.Header) int {
 	return max(wire.MaxPayload(int(h.ReplySize))-wire.GetReplyPrefix, 0)
 }
@@ -179,7 +181,7 @@ func (w *worker) doGet(t task) (wire.Op, uint8, []byte) {
 	if err != nil {
 		return wire.OpGetReply, wire.FlagError, []byte(err.Error())
 	}
-	return w.getRange(t, req.Key, 0)
+	return w.getRange(t, req.Key, lsm.Range{})
 }
 
 func (w *worker) doGetRest(t task) (wire.Op, uint8, []byte) {
@@ -187,35 +189,40 @@ func (w *worker) doGetRest(t task) (wire.Op, uint8, []byte) {
 	if err != nil {
 		return wire.OpGetReply, wire.FlagError, []byte(err.Error())
 	}
-	return w.getRange(t, req.Key, int(req.Offset))
+	return w.getRange(t, req.Key, lsm.Range{Record: storage.Offset(req.Record), From: int(req.Offset)})
 }
 
 // getRange answers a get (from 0) or a get-rest (from the offset the
-// client has reached): the engine appends the value bytes from there
-// on, as many as the client's reply slot holds and no more, behind the
-// reply's prefix in w.msg, and the prefix is filled in afterwards. A
-// value that reaches past the slot is sent FlagPartial and the client
-// fetches the rest (§3.4.1); an offset past the value's end is a miss.
-func (w *worker) getRange(t task, key []byte, from int) (wire.Op, uint8, []byte) {
+// client has reached, of the record the partial reply named): the engine
+// appends the value bytes from there on, as many as the client's reply
+// slot holds and no more, behind the reply's status byte in w.msg, and
+// the reply is finished around them. A value that reaches past the slot
+// is sent FlagPartial, its chunk short by the suffix that names the
+// value's length and its record, and the client fetches the rest
+// (§3.4.1). An offset past the value's end is a miss, and so is a
+// get-rest whose record is gone or is not the key's: the client then
+// starts the get over.
+func (w *worker) getRange(t task, key []byte, rg lsm.Range) (wire.Op, uint8, []byte) {
 	ref, err := w.s.acquire(region.ID(t.hdr.RegionID))
 	if err != nil {
 		return errReply(err, wire.OpGetReply)
 	}
-	budget := getReplyBudget(t.hdr)
-	rep := wire.BeginGetReply(w.msg.Reserve(wire.GetReplyPrefix + budget))
-	rep, total, found, err := ref.db.GetRange(rep, key, from, budget)
+	rg.N, rg.Tail = getReplyBudget(t.hdr), wire.PartialGetReplySuffix
+	rep := wire.BeginGetReply(w.msg.Reserve(wire.GetReplyPrefix + rg.N))
+	rep, h, found, err := ref.db.GetRange(rep, key, rg)
 	if err != nil {
 		return wire.OpGetReply, wire.FlagError, []byte(err.Error())
 	}
-	var flags uint8
-	switch {
-	case !found || from > total:
-		found, total, rep = false, 0, rep[:wire.GetReplyPrefix]
-	case total-from > budget:
-		flags |= wire.FlagPartial
+	switch total := h.ValLen(); {
+	case !found || rg.From > total:
+		rep = rep[:wire.GetReplyPrefix]
+		wire.FinishGetReply(rep, false)
+	case total-rg.From > rg.N:
+		return wire.OpGetReply, wire.FlagPartial, wire.FinishPartialGetReply(rep, 0, uint32(total), uint64(h.Off()))
+	default:
+		wire.FinishGetReply(rep, true)
 	}
-	wire.FinishGetReply(rep, found, uint32(total))
-	return wire.OpGetReply, flags, rep
+	return wire.OpGetReply, 0, rep
 }
 
 func (w *worker) doScan(t task) (wire.Op, uint8, []byte) {

@@ -7,17 +7,21 @@ import (
 	"time"
 
 	"tebis/internal/kv"
+	"tebis/internal/lsm"
 	"tebis/internal/replica"
 	"tebis/internal/wire"
 )
 
 // TestRepliesBuiltInPlaceAreTheSameBytes: a worker builds a get's and a
 // scan's reply where it is sent from — the engine appends the value, or
-// pair after pair, behind the reply's blank prefix in the worker's
+// pair after pair, behind the reply's blank status byte in the worker's
 // message buffer — and what leaves must be, byte for byte and flag for
 // flag, what collecting the result first and encoding it afterwards
 // gave: that path, written out here over DB.Get and DB.ScanN, is the
-// reference.
+// reference. A partial reply's chunk leaves room for the value's total
+// and its record behind it; a whole reply's value may use that room. A
+// get-rest that names the record reads it; one that names a record that
+// is no record of the key's is a miss.
 func TestRepliesBuiltInPlaceAreTheSameBytes(t *testing.T) {
 	s, _ := newTestServer(t, "s0")
 	p, err := s.OpenPrimary(wholeKeyspace("s0"), replica.NoReplication)
@@ -53,18 +57,32 @@ func TestRepliesBuiltInPlaceAreTheSameBytes(t *testing.T) {
 		return w.doScan(tk)
 	}
 
-	// The get and get-rest the parent commit served.
-	reference := func(key []byte, from, replySize int) (uint8, []byte) {
+	// recordOf is where key's newest record is.
+	recordOf := func(key string) uint64 {
+		_, h, found, err := db.GetRange(nil, []byte(key), lsm.Range{})
+		if err != nil || !found {
+			t.Fatalf("GetRange %q: %v, %v", key, found, err)
+		}
+		return uint64(h.Off())
+	}
+	bigRec := recordOf("big")
+	// The get and get-rest, collected first and encoded after.
+	reference := func(key []byte, from, replySize int, rec uint64) (uint8, []byte) {
 		val, found, err := db.Get(key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep, flags := wire.GetReply{}, uint8(0)
+		if rec != 0 && rec != recordOf(string(key)) {
+			found = false
+		}
 		if found && from <= len(val) {
 			rest := val[from:]
-			rep = wire.GetReply{Found: true, TotalSize: uint32(len(val)), Value: rest}
+			rep = wire.GetReply{Found: true, TotalSize: uint32(len(rest)), Value: rest}
 			if budget := getReplyBudget(wire.Header{ReplySize: uint32(replySize)}); len(rest) > budget {
-				rep.Value, flags = rest[:budget], wire.FlagPartial
+				rep = wire.GetReply{Found: true, Partial: true, TotalSize: uint32(len(val)),
+					Value: rest[:budget-wire.PartialGetReplySuffix], Record: recordOf(string(key))}
+				flags = wire.FlagPartial
 			}
 		}
 		return flags, rep.Encode(nil)
@@ -72,29 +90,35 @@ func TestRepliesBuiltInPlaceAreTheSameBytes(t *testing.T) {
 	for _, tc := range []struct {
 		key             string
 		from, replySize int
+		rec             uint64 // the record a get-rest names
 	}{
-		{"key0042", 0, 1024},    // found, in a level
-		{"key0599", 0, 1024},    // found, in L0
-		{"nokey", 0, 1024},      // miss
-		{"gone", 0, 1024},       // deleted
-		{"empty", 0, 1024},      // found, no bytes
-		{"big", 0, 1024},        // partial
-		{"big", 0, 128},         // two lines
-		{"big", 0, 64},          // the smallest slot: one line
-		{"big", 0, 8192},        // whole
-		{"big", 883, 1024},      // the rest, partial again
-		{"big", 883, 8192},      // the rest, whole
-		{"big", 3000, 1024},     // the rest of nothing
-		{"big", 3001, 1024},     // past the end
-		{"key0042", 3, 1024},    // a small value's tail
-		{"nokey", 5, 1024},      // the rest of a miss
-		{"big", 1 << 31, 1024},  // an offset no value has
-		{"big", 1<<32 - 1, 256}, // the largest the field holds
+		{"key0042", 0, 1024, 0},        // found, in a level
+		{"key0599", 0, 1024, 0},        // found, in L0
+		{"nokey", 0, 1024, 0},          // miss
+		{"gone", 0, 1024, 0},           // deleted
+		{"empty", 0, 1024, 0},          // found, no bytes
+		{"big", 0, 1024, 0},            // partial
+		{"big", 0, 128, 0},             // two lines
+		{"big", 0, 64, 0},              // the smallest slot: one line
+		{"big", 0, 8192, 0},            // whole
+		{"big", 883, 1024, 0},          // the rest, partial again
+		{"big", 883, 8192, 0},          // the rest, whole
+		{"big", 3000, 1024, 0},         // the rest of nothing
+		{"big", 3001, 1024, 0},         // past the end
+		{"key0042", 3, 1024, 0},        // a small value's tail
+		{"nokey", 5, 1024, 0},          // the rest of a miss
+		{"big", 1 << 31, 1024, 0},      // an offset no value has
+		{"big", 1<<32 - 1, 256, 0},     // the largest the field holds
+		{"big", 883, 1024, bigRec},     // the record the partial reply named
+		{"big", 2000, 1024, bigRec},    // its last chunk
+		{"big", 883, 1024, bigRec + 1}, // inside the record: no record of the key's
+		{"key0042", 3, 1024, bigRec},   // another key's record
+		{"big", 883, 1024, 1 << 40},    // past the log
 	} {
-		wantFlags, want := reference([]byte(tc.key), tc.from, tc.replySize)
+		wantFlags, want := reference([]byte(tc.key), tc.from, tc.replySize, tc.rec)
 		op, req := wire.OpGet, wire.GetReq{Key: []byte(tc.key)}.Encode(nil)
 		if tc.from != 0 {
-			op, req = wire.OpGetRest, wire.GetRestReq{Key: []byte(tc.key), Offset: uint32(tc.from)}.Encode(nil)
+			op, req = wire.OpGetRest, wire.GetRestReq{Key: []byte(tc.key), Offset: uint32(tc.from), Record: tc.rec}.Encode(nil)
 		}
 		gotOp, flags, got := call(op, tc.replySize, req)
 		if gotOp != wire.OpGetReply || flags != wantFlags || !bytes.Equal(got, want) {

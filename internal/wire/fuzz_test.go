@@ -27,7 +27,13 @@ import (
 // level byte. Replies and acks are in the reply form, at its edges too: no
 // payload, one byte, exactly ReplyInlineMax and a byte more, a line
 // flagged inline that claims ReplyInlineMax+1, and an inline reply over a
-// longer one's stale trailer. Then the 64-byte request line's own edges:
+// longer one's stale trailer. Then the 32-byte reply line's own edges: a
+// 12-byte payload inline, a 13-byte one out of line, a line flagged
+// inline that claims 13 bytes, a 28-byte payload (two lines) and a
+// 29-byte one (three), an S get's 10-byte reply inline, a partial get
+// reply with its total and record behind its chunk, and replies in the
+// 64-byte-line layout that came before ("TEBR"), inline and not. Then
+// the 64-byte request line's own edges:
 // a get of a 24-byte key and of a 25-byte one, traced requests of both
 // shapes with their trace prefix, a traced inline line that claims a byte
 // more than its prefix leaves, the benchmark's S put at exactly InlineMax
@@ -68,9 +74,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 	}
 	f.Add(msg(Header{Opcode: OpGet}, GetReq{Key: []byte("k")}.Encode(nil)))
-	f.Add(msg(Header{Opcode: OpGetRest}, GetRestReq{Key: []byte("k"), Offset: 900}.Encode(nil)))
+	f.Add(msg(Header{Opcode: OpGetRest}, GetRestReq{Key: []byte("k"), Offset: 900, Record: 1<<30 | 17}.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpScan}, ScanReq{Start: []byte("k"), Count: 16}.Encode(nil)))
-	f.Add(reply(Header{Opcode: OpGetReply, Flags: FlagPartial}, GetReply{Found: true, TotalSize: 4096, Value: []byte("chunk")}.Encode(nil)))
+	f.Add(reply(Header{Opcode: OpGetReply, Flags: FlagPartial}, GetReply{Found: true, Partial: true, TotalSize: 4096, Value: []byte("chunk"), Record: 1 << 33}.Encode(nil)))
 	f.Add(reply(Header{Opcode: OpScanReply}, ScanReply{Pairs: []kv.Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b")}}}.Encode(nil)))
 	gets, scans := replyCases() // every shape a worker builds in place
 	for _, r := range gets {
@@ -119,6 +125,29 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(overLine)
 	f.Add(append(reply(Header{Opcode: OpFlushTailAck, RequestID: 6}, StatusReply{}.Encode(nil)),
 		reply(Header{Opcode: OpGetReply}, make([]byte, 200))[ReplyLine:]...)) // a stale trailer behind it
+	// The 32-byte reply line's edges.
+	f.Add(reply(Header{Opcode: OpGetReply, RequestID: 12}, bytes.Repeat([]byte{0x5a}, 12))) // inline
+	f.Add(reply(Header{Opcode: OpGetReply, RequestID: 13}, bytes.Repeat([]byte{0x5a}, 13))) // out of line
+	over13 := reply(Header{Opcode: OpGetReply}, make([]byte, 12))
+	over13[0]++ // flagged inline, claims 13 bytes
+	f.Add(over13)
+	f.Add(reply(Header{Opcode: OpGetReply}, make([]byte, 28)))
+	f.Add(reply(Header{Opcode: OpGetReply}, make([]byte, 29)))
+	f.Add(reply(Header{Opcode: OpGetReply}, GetReply{Found: true, TotalSize: 9, Value: []byte("012345678")}.Encode(nil)))
+	f.Add(reply(Header{Opcode: OpGetReply, Flags: FlagPartial, RequestID: 14},
+		GetReply{Found: true, Partial: true, TotalSize: 999, Value: bytes.Repeat([]byte("l"), 975), Record: 1<<40 | 3}.Encode(nil)))
+	for _, n := range []int{1, 300} {
+		old := make([]byte, 64)
+		binary.LittleEndian.PutUint32(old[0:4], uint32(n))
+		old[4], old[5] = byte(OpGetReply), FlagInline
+		binary.LittleEndian.PutUint32(old[60:64], 0x54454252) // "TEBR"
+		if n > 44 {
+			old[5] = 0
+			old = append(old, make([]byte, (n+4+63)/64*64)...)
+			binary.LittleEndian.PutUint32(old[len(old)-4:], 0x54454252)
+		}
+		f.Add(old)
+	}
 	// The request line's edges.
 	key24 := []byte("user6284781860667377211x")
 	f.Add(inline(Header{Opcode: OpGet, RequestID: 8, ReplySize: 1024}, GetReq{Key: key24}.Encode(nil)))              // 25 bytes, inline
@@ -171,8 +200,14 @@ func FuzzDecodeMessage(f *testing.F) {
 			if r, err := DecodeScanReq(p); err == nil {
 				inside("ScanReq.Start", r.Start)
 			}
+			// A get reply that decodes re-encodes to exactly its bytes:
+			// a whole one is its status byte and value, a partial one
+			// carries its total and record behind its chunk.
 			if r, err := DecodeGetReply(p); err == nil {
 				inside("GetReply.Value", r.Value)
+				if !bytes.Equal(r.Encode(nil), p) {
+					t.Fatalf("GetReply %+v re-encodes to %x, read from %x", r, r.Encode(nil), p)
+				}
 			}
 			if r, err := DecodeScanReply(p); err == nil {
 				for _, pair := range r.Pairs {

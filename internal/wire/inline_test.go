@@ -11,8 +11,8 @@ import (
 // reference is the request MsgBuf.Finish must produce, written out byte
 // by byte from the format: a 64-byte header with the payload size,
 // opcode, flags, region and request ID in [0, 16) — a reply's line's
-// first 16 bytes — the reply offset in 64-byte lines in [16, 18), the
-// reply slot in lines in [18, 20), tenant and priority in [20] and [21],
+// first 16 bytes — the reply offset in 32-byte reply lines in [16, 18),
+// the reply slot in reply lines in [18, 20), tenant and priority in [20] and [21],
 // the low 32 bits of SentAt in [22, 26), and Magic in [60, 64). A request
 // with a trace ID is flagged FlagTraced and carries the ID in the 8 bytes
 // ahead of its payload. A payload that fits [26, 60) with its prefix
@@ -38,8 +38,8 @@ func reference(h Header, payload []byte) []byte {
 	msg[5] = flags
 	binary.LittleEndian.PutUint16(msg[6:8], h.RegionID)
 	binary.LittleEndian.PutUint64(msg[8:16], h.RequestID)
-	binary.LittleEndian.PutUint16(msg[16:18], uint16(h.ReplyOffset/64))
-	binary.LittleEndian.PutUint16(msg[18:20], uint16(h.ReplySize/64))
+	binary.LittleEndian.PutUint16(msg[16:18], uint16(h.ReplyOffset/32))
+	binary.LittleEndian.PutUint16(msg[18:20], uint16(h.ReplySize/32))
 	msg[20], msg[21] = h.Tenant, h.Priority
 	binary.LittleEndian.PutUint32(msg[22:26], uint32(h.SentAt))
 	binary.LittleEndian.PutUint32(msg[60:64], Magic)
@@ -156,10 +156,10 @@ func TestRequestShapesByPayloadLength(t *testing.T) {
 // which leaves InlineMax = 34 — exactly the benchmark's S put, a 24-byte
 // key and a 9-byte value behind a one-byte key length, so a field byte
 // added sends that put out of line. The header carries ReplySize in whole
-// 64-byte lines — rounded down, so the server never writes past a slot,
-// and capped at 0xFFFF lines — ReplyOffset in lines too, refusing one
-// that is no whole line or lies past ReplyBufferMax, and SentAt's low 32
-// bits.
+// 32-byte reply lines — rounded down, so the server never writes past a
+// slot, and capped at 0xFFFF lines — ReplyOffset in lines too, refusing
+// one that is no whole line or lies past ReplyBufferMax (2 MiB), and
+// SentAt's low 32 bits.
 func TestRequestHeaderFieldWidths(t *testing.T) {
 	if headerFields != 26 || InlineMax != 34 {
 		t.Fatalf("%d field bytes, InlineMax %d; want 26 and 34", headerFields, InlineMax)
@@ -170,8 +170,8 @@ func TestRequestHeaderFieldWidths(t *testing.T) {
 			len(sPut.Key), len(sPut.Value), sPut.Size(), SentSize(sPut.Size()), InlineMax)
 	}
 	for _, tc := range []struct{ size, want uint32 }{
-		{0, 0}, {63, 0}, {64, 64}, {127, 64}, {1024, 1024}, {256 << 10, 256 << 10},
-		{0xFFFF * 64, 0xFFFF * 64}, {4 << 20, 0xFFFF * 64}, {1 << 31, 0xFFFF * 64},
+		{0, 0}, {31, 0}, {32, 32}, {63, 32}, {1024, 1024}, {256 << 10, 256 << 10},
+		{0xFFFF * 32, 0xFFFF * 32}, {2 << 20, 0xFFFF * 32}, {1 << 31, 0xFFFF * 32},
 	} {
 		buf := make([]byte, HeaderSize)
 		if err := EncodeHeader(buf, Header{Opcode: OpGet, ReplySize: tc.size, SentAt: 7<<32 | 12345}); err != nil {
@@ -182,7 +182,10 @@ func TestRequestHeaderFieldWidths(t *testing.T) {
 			t.Fatalf("ReplySize %d decodes to %d, SentAt to %d (%v); want %d and 12345", tc.size, h.ReplySize, h.SentAt, err, tc.want)
 		}
 	}
-	for _, off := range []uint32{0, 64, 4096, 256<<10 - 64, ReplyBufferMax - 64} {
+	if ReplyBufferMax != 2<<20 {
+		t.Fatalf("ReplyBufferMax = %d, want 2 MiB: 0x10000 reply lines of 32 bytes", ReplyBufferMax)
+	}
+	for _, off := range []uint32{0, 32, 4096, 256<<10 - 32, ReplyBufferMax - 32} {
 		buf := make([]byte, HeaderSize)
 		if err := EncodeHeader(buf, Header{Opcode: OpGet, ReplyOffset: off}); err != nil {
 			t.Fatalf("ReplyOffset %d: %v", off, err)
@@ -191,7 +194,7 @@ func TestRequestHeaderFieldWidths(t *testing.T) {
 			t.Fatalf("ReplyOffset %d decodes to %d, %v", off, h.ReplyOffset, err)
 		}
 	}
-	for _, off := range []uint32{1, 63, 100, 4096 + 32, ReplyBufferMax, 1 << 31} {
+	for _, off := range []uint32{1, 31, 100, 4096 + 16, ReplyBufferMax, 1 << 31} {
 		h := Header{Opcode: OpGet, ReplyOffset: off}
 		if err := EncodeHeader(make([]byte, HeaderSize), h); !errors.Is(err, ErrBadHeader) {
 			t.Fatalf("EncodeHeader with ReplyOffset %d: %v", off, err)
@@ -265,7 +268,7 @@ func TestInlineHeaderClaimingTooMuchIsMalformed(t *testing.T) {
 	}
 
 	var mb MsgBuf
-	text := bytes.Repeat([]byte("x"), ReplyInlineMax)
+	text := bytes.Repeat([]byte("x"), max(InlineMax, ReplyInlineMax))
 	msg := mb.Finish(Header{Opcode: OpPut}, text[:InlineMax])
 	exact := append(make([]byte, 0, HeaderSize), msg...)
 	if _, p, err := DecodeMessage(exact); err != nil || !bytes.Equal(p, text[:InlineMax]) {
@@ -281,14 +284,14 @@ func TestInlineHeaderClaimingTooMuchIsMalformed(t *testing.T) {
 	}
 
 	var rb ReplyBuf
-	reply := rb.Finish(Header{Opcode: OpGetReply}, text)
+	reply := rb.Finish(Header{Opcode: OpGetReply}, text[:ReplyInlineMax])
 	exact = append(make([]byte, 0, ReplyLine), reply...)
-	if _, p, err := DecodeReply(exact); err != nil || !bytes.Equal(p, text) {
+	if _, p, err := DecodeReply(exact); err != nil || !bytes.Equal(p, text[:ReplyInlineMax]) {
 		t.Fatalf("an inline reply alone in its buffer: %d bytes, %v", len(p), err)
 	}
 	stale = replyReference(Header{Opcode: OpGetReply}, bytes.Repeat([]byte("y"), 200))
 	copy(stale, reply)
-	if _, p, err := DecodeReply(stale); err != nil || !bytes.Equal(p, text) {
+	if _, p, err := DecodeReply(stale); err != nil || !bytes.Equal(p, text[:ReplyInlineMax]) {
 		t.Fatalf("an inline reply over a stale longer one: %d bytes, %v", len(p), err)
 	}
 }

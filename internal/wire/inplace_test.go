@@ -115,7 +115,7 @@ func replyCases() (gets map[string]GetReply, scans map[string]ScanReply) {
 	return map[string]GetReply{
 			"found":       {Found: true, TotalSize: 300, Value: bytes.Repeat([]byte("x"), 300)},
 			"miss":        {},
-			"partial":     {Found: true, TotalSize: 70000, Value: bytes.Repeat([]byte("p"), 883)},
+			"partial":     {Found: true, Partial: true, TotalSize: 70000, Value: bytes.Repeat([]byte("p"), 883), Record: 0x0123456789},
 			"empty value": {Found: true},
 		}, map[string]ScanReply{
 			"no pairs": {},
@@ -125,7 +125,8 @@ func replyCases() (gets map[string]GetReply, scans map[string]ScanReply) {
 }
 
 // TestRepliesBuiltInPlace: a GetReply whose value the engine appends
-// behind a blank prefix, and a ScanReply whose pairs arrive one by one
+// behind a blank status byte — a partial one's total and record appended
+// behind its chunk — and a ScanReply whose pairs arrive one by one
 // behind a blank count, are — once finished — the bytes the format
 // says, written out here field by field, and the bytes Encode gives;
 // they decode to what went in; and over a buffer an earlier, longer
@@ -141,12 +142,22 @@ func TestRepliesBuiltInPlace(t *testing.T) {
 		if r.Found {
 			want[0] = 1
 		}
-		want = append(le32(le32(want, int(r.TotalSize)), len(r.Value)), r.Value...)
+		want = append(want, r.Value...)
+		if r.Partial {
+			want[0] |= 2
+			want = le32(le32(le32(want, int(r.TotalSize)), int(r.Record)), int(r.Record>>32))
+		}
+		if len(want) != r.Size() {
+			t.Fatalf("get %s: Size %d, the format's %d bytes", name, r.Size(), len(want))
+		}
 
 		build := func() []byte {
-			p := BeginGetReply(mb.Reserve(GetReplyPrefix + len(r.Value)))
+			p := BeginGetReply(mb.Reserve(r.Size()))
 			p = append(p, r.Value...) // the engine's append
-			FinishGetReply(p, r.Found, r.TotalSize)
+			if r.Partial {
+				return FinishPartialGetReply(p, 0, r.TotalSize, r.Record)
+			}
+			FinishGetReply(p, r.Found)
 			return p
 		}
 		got := build()
@@ -157,7 +168,8 @@ func TestRepliesBuiltInPlace(t *testing.T) {
 			t.Fatalf("get %s: the reply was not built in the message", name)
 		}
 		back, err := DecodeGetReply(got)
-		if err != nil || back.Found != r.Found || back.TotalSize != r.TotalSize || !bytes.Equal(back.Value, r.Value) {
+		if err != nil || back.Found != r.Found || back.Partial != r.Partial || back.TotalSize != r.TotalSize ||
+			back.Record != r.Record || !bytes.Equal(back.Value, r.Value) {
 			t.Fatalf("get %s: decodes to %+v, %v", name, back, err)
 		}
 		if allocs := testing.AllocsPerRun(20, func() { build() }); allocs != 0 {

@@ -10,25 +10,27 @@
 // the whole arrival test. Decoders take both shapes; a MsgBuf or ReplyBuf
 // picks the one to send.
 //
-// Both forms are 64-byte lines. The request form is what a client writes
-// into a server's ring and a primary sends a backup: a 64-byte header
-// (HeaderSize) whose fields take bytes [0, 26), with Magic as its word,
-// which leaves InlineMax = 34 bytes for a payload inside it — an S put of
-// a 24-byte key and a 9-byte value. The reply offset and the reply slot
-// are counted in 64-byte lines to fit that. Because its sizes are
-// multiples of the header size, the spinning thread only ever needs to
-// zero the possible header locations after consuming a message. A sampled
-// request (FlagTraced) carries its trace ID as the first TracePrefix
-// bytes of its payload, not in a header field, so the other requests do
-// not pay for it. A request payload spends no bytes on its last length:
-// PayloadSize, which the header's word or the trailer word vouches for,
-// says where it ends (payload.go).
+// The request form is what a client writes into a server's ring and a
+// primary sends a backup: a 64-byte header (HeaderSize) whose fields take
+// bytes [0, 26), with Magic as its word, which leaves InlineMax = 34 bytes
+// for a payload inside it — an S put of a 24-byte key and a 9-byte value.
+// Because its sizes are multiples of the header size, the spinning thread
+// only ever needs to zero the possible header locations after consuming a
+// message. A sampled request (FlagTraced) carries its trace ID as the
+// first TracePrefix bytes of its payload, not in a header field, so the
+// other requests do not pay for it. A request payload spends no bytes on
+// its last length: PayloadSize, which the header's word or the trailer
+// word vouches for, says where it ends (payload.go).
 //
 // The reply form is what a server writes into a client's reply slot and a
-// backup sends back as an ack: a 64-byte line (ReplyLine) holding the
+// backup sends back as an ack: a 32-byte line (ReplyLine) holding the
 // request header's first 16 bytes — payload size, opcode, flags, region
 // and request ID, all a reply is read by — with ReplyMagic as its word,
-// so a frame of one form never passes for the other.
+// so a frame of one form never passes for the other. That leaves
+// ReplyInlineMax = 12 bytes inside the line: a status, an ack, a miss and
+// a get of a 9-byte value each travel as the line alone, and a longer
+// payload follows it in 32-byte units. A request header counts the reply
+// offset and the reply slot in these 32-byte lines.
 package wire
 
 import (
@@ -54,17 +56,19 @@ const (
 	// takes, ahead of the payload proper.
 	TracePrefix = 8
 
-	// ReplyLine is the reply form's header size: one 64-byte line.
-	ReplyLine = 64
-	// ReplyMagic is the reply form's rendezvous word ("TEBR").
-	ReplyMagic = 0x54454252
+	// ReplyLine is the reply form's header size: one 32-byte line.
+	ReplyLine = 32
+	// ReplyMagic is the reply form's rendezvous word ("TEBA"). "TEBR" was
+	// the word of the 64-byte reply line before it, so a reply in that
+	// layout never passes for one.
+	ReplyMagic = 0x54454241
 	// ReplyInlineMax is the largest payload that rides inside a reply's
 	// line, between its fields and its word.
 	ReplyInlineMax = ReplyLine - 4 - replyFields
 
 	// headerFields is how many leading request-header bytes the fields of
 	// Header occupy: [0, 16) as a reply's line has them, the reply offset
-	// and the reply slot in lines at [16, 18) and [18, 20), tenant and
+	// and the reply slot in reply lines at [16, 18) and [18, 20), tenant and
 	// priority at [20] and [21], SentAt's low 32 bits at [22, 26). The
 	// bytes from there to the word hold an inline payload and are zero
 	// otherwise. A field byte added here is taken from every inline
@@ -77,7 +81,7 @@ const (
 	// ReplySize in: reply slots are whole reply lines, at line offsets.
 	replySizeUnit = ReplyLine
 	// ReplyBufferMax is the largest reply buffer a request can address:
-	// its ReplyOffset is a 16-bit count of lines.
+	// its ReplyOffset is a 16-bit count of 32-byte lines, 2 MiB.
 	ReplyBufferMax = (0xFFFF + 1) * replySizeUnit
 )
 
@@ -331,7 +335,9 @@ func (o Op) String() string {
 // Flags carried in the header.
 const (
 	// FlagPartial marks a get reply that did not fit the client's reply
-	// slot; the client must fetch the rest with OpGetRest (§3.4.1).
+	// slot; the client must fetch the rest with OpGetRest (§3.4.1). The
+	// reply's status byte says so too (GetReply.Partial), for a reader of
+	// the payload alone.
 	FlagPartial = 1 << 0
 	// FlagError marks a reply carrying an error string payload.
 	FlagError = 1 << 1
@@ -374,12 +380,13 @@ type Header struct {
 	RequestID uint64
 	// ReplyOffset is where in the client's reply buffer the server must
 	// RDMA-write the reply (client-managed allocation, §3.4.1). A request
-	// header carries it in 64-byte lines, so it is a multiple of ReplyLine
+	// header carries it in 32-byte reply lines, so it is a multiple of ReplyLine
 	// below ReplyBufferMax; EncodeHeader refuses any other.
 	ReplyOffset uint32
 	// ReplySize is the size of the reply slot the client allocated. A
-	// request header carries it in whole 64-byte lines, so it decodes
-	// rounded down to one (and at most 0xFFFF lines, 4 MiB less a line).
+	// request header carries it in whole 32-byte reply lines, so it
+	// decodes rounded down to one (and at most 0xFFFF lines, 2 MiB less a
+	// line).
 	ReplySize uint32
 	// TraceID carries the request-scoped trace context: non-zero only
 	// for sampled client operations, propagated so every hop (server
@@ -498,7 +505,7 @@ func EncodeHeader(buf []byte, h Header) error {
 }
 
 // replyOffsetOK reports whether a request header carries the reply offset
-// off: a whole number of 64-byte lines, below ReplyBufferMax.
+// off: a whole number of 32-byte reply lines, below ReplyBufferMax.
 func replyOffsetOK(off uint32) bool {
 	return off%replySizeUnit == 0 && off < ReplyBufferMax
 }
@@ -674,7 +681,7 @@ func (m *MsgBuf) Finish(h Header, payload []byte) []byte {
 }
 
 // ReplyBuf is MsgBuf for replies: the same Reserve-then-Finish building,
-// in the reply form — a 64-byte line, a payload of at most ReplyInlineMax
+// in the reply form — a 32-byte line, a payload of at most ReplyInlineMax
 // bytes inside it, a longer one behind it (ReplyMessageSize says how
 // long the reply is). The request-only fields of the Header handed to
 // Finish are not sent.

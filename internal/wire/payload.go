@@ -10,13 +10,16 @@ import (
 )
 
 // Payload codecs for every operation. All fixed-width integers are
-// little-endian. A reply or control payload prefixes each byte string
-// with its u32 length. A client request spends fewer bytes, since it
-// rides inside its header line when it fits InlineMax: a key is prefixed
-// with its length as a uvarint (one byte under 128, the rule the value
-// log's short record header follows), a get-rest's offset and a scan's
-// count are uvarints, and a put's value takes no length at all — it runs
-// to the end of the payload, whose length is the header's PayloadSize.
+// little-endian. A scan reply or a control payload prefixes each byte
+// string with its u32 length; a get reply's value, like a put's, runs to
+// the end of the payload, behind a status byte (GetReply), so a small one
+// rides inside its reply's 32-byte line. A client request spends fewer
+// bytes, since it rides inside its header line when it fits InlineMax: a
+// key is prefixed with its length as a uvarint (one byte under 128, the
+// rule the value log's short record header follows), a get-rest's offset
+// and record and a scan's count are uvarints, and a put's value takes no
+// length at all — it runs to the end of the payload, whose length is the
+// header's PayloadSize.
 // That is safe because PayloadSize is as trustworthy as the value bytes
 // themselves: the receiver takes a message once the word that closes it
 // — the header's for an inline message, the trailer's at the offset
@@ -118,21 +121,30 @@ func readKey(src []byte) ([]byte, []byte, error) {
 	return rest[:n], rest[n:], nil
 }
 
-// readKeyCount reads a get-rest's or a scan's payload: a key, then a
-// uvarint of at most 32 bits that ends the payload.
+// readUvarint32 reads a uvarint of at most 32 bits from src.
+func readUvarint32(src []byte) (uint32, []byte, error) {
+	v, rest, err := readUvarint(src)
+	switch {
+	case err != nil:
+		return 0, nil, err
+	case v > math.MaxUint32:
+		return 0, nil, fmt.Errorf("%w: uvarint overflows 32 bits", ErrBadHeader)
+	}
+	return uint32(v), rest, nil
+}
+
+// readKeyCount reads a scan's payload: a key, then a uvarint of at most
+// 32 bits that ends the payload.
 func readKeyCount(p []byte) ([]byte, uint32, error) {
 	key, rest, err := readKey(p)
 	if err != nil {
 		return nil, 0, err
 	}
-	v, rest, err := readUvarint(rest)
-	switch {
-	case err != nil:
+	v, rest, err := readUvarint32(rest)
+	if err != nil {
 		return nil, 0, err
-	case v > math.MaxUint32:
-		return nil, 0, fmt.Errorf("%w: uvarint overflows 32 bits", ErrBadHeader)
 	}
-	return key, uint32(v), ended(rest)
+	return key, v, ended(rest)
 }
 
 // ended fails unless rest — what a request's fields left of its payload —
@@ -194,27 +206,42 @@ func DecodeGetReq(p []byte) (GetReq, error) {
 }
 
 // GetRestReq is the payload of OpGetRest: fetch value bytes from Offset
-// onward after a partial reply (§3.4.1).
+// onward after a partial reply (§3.4.1), out of the log record that
+// reply named (GetReply.Record), so that a value read in pieces is one
+// version's, whatever was put over the key in between.
 type GetRestReq struct {
 	Key    []byte
 	Offset uint32
+	Record uint64
 }
 
 // Size returns the encoded payload length.
-func (r GetRestReq) Size() int { return keySize(r.Key) + uvarintLen(uint64(r.Offset)) }
+func (r GetRestReq) Size() int {
+	return keySize(r.Key) + uvarintLen(uint64(r.Offset)) + uvarintLen(r.Record)
+}
 
-// Encode appends the payload to dst.
+// Encode appends the payload to dst: the key, then the offset and the
+// record as uvarints.
 func (r GetRestReq) Encode(dst []byte) []byte {
-	return binary.AppendUvarint(appendKey(grow(dst, r.Size()), r.Key), uint64(r.Offset))
+	dst = binary.AppendUvarint(appendKey(grow(dst, r.Size()), r.Key), uint64(r.Offset))
+	return binary.AppendUvarint(dst, r.Record)
 }
 
 // DecodeGetRestReq parses a GetRestReq payload.
 func DecodeGetRestReq(p []byte) (GetRestReq, error) {
-	key, off, err := readKeyCount(p)
+	key, rest, err := readKey(p)
 	if err != nil {
 		return GetRestReq{}, err
 	}
-	return GetRestReq{Key: key, Offset: off}, nil
+	off, rest, err := readUvarint32(rest)
+	if err != nil {
+		return GetRestReq{}, err
+	}
+	rec, rest, err := readUvarint(rest)
+	if err != nil {
+		return GetRestReq{}, err
+	}
+	return GetRestReq{Key: key, Offset: off, Record: rec}, ended(rest)
 }
 
 // ScanReq is the payload of OpScan.
@@ -240,65 +267,108 @@ func DecodeScanReq(p []byte) (ScanReq, error) {
 	return ScanReq{Start: start, Count: count}, nil
 }
 
-// GetReply is the payload of OpGetReply. Found=false encodes a miss.
-// When the value did not fit the reply slot, FlagPartial is set in the
-// header, Value holds the first chunk, and TotalSize the full length.
+// GetReply is the payload of OpGetReply: a status byte, then the value
+// bytes to the payload's end — PayloadSize says where that is. A miss is
+// the status byte alone. When the value did not fit the reply slot the
+// reply is partial (FlagPartial in the header, and in the status byte):
+// Value holds the first chunk, and behind it ride the value's TotalSize
+// and the Record it was read from, which the client's get-rest names
+// back. A whole reply carries neither: it decodes with TotalSize the
+// length of its Value and no Record. So an S get's reply (10 bytes) and
+// a miss ride inside the reply's line.
 type GetReply struct {
 	Found     bool
 	TotalSize uint32
 	Value     []byte
+	// Partial marks a reply holding only the value's first chunk.
+	Partial bool
+	// Record names the log record a partial reply was read from.
+	Record uint64
 }
 
+// Get-reply status bits, the payload's first byte.
+const (
+	getFound   = 1 << 0
+	getPartial = 1 << 1
+)
+
+// GetReplyPrefix is the fixed part of a GetReply ahead of the value
+// bytes: the status byte.
+const GetReplyPrefix = 1
+
+// PartialGetReplySuffix is what a partial GetReply carries behind its
+// chunk: the value's total size (4) and the record it was read from (8).
+const PartialGetReplySuffix = 4 + 8
+
 // Size returns the encoded payload length.
-func (r GetReply) Size() int { return GetReplyPrefix + len(r.Value) }
+func (r GetReply) Size() int {
+	if r.Partial {
+		return GetReplyPrefix + len(r.Value) + PartialGetReplySuffix
+	}
+	return GetReplyPrefix + len(r.Value)
+}
 
 // Encode appends the payload to dst.
 func (r GetReply) Encode(dst []byte) []byte {
 	start := len(dst)
 	dst = append(BeginGetReply(grow(dst, r.Size())), r.Value...)
-	FinishGetReply(dst[start:], r.Found, r.TotalSize)
+	if r.Partial {
+		return FinishPartialGetReply(dst, start, r.TotalSize, r.Record)
+	}
+	FinishGetReply(dst[start:], r.Found)
 	return dst
 }
 
-// GetReplyPrefix is the fixed part of a GetReply, ahead of the value
-// bytes: found (1), total size (4), value length (4).
-const GetReplyPrefix = 1 + 4 + 4
-
 // BeginGetReply starts a GetReply built where it is sent from: it
-// appends the prefix, still blank, to dst. The caller appends the value
-// bytes behind it — the engine reads them straight there — and
-// FinishGetReply fills the prefix in. A blank prefix alone is a miss.
-func BeginGetReply(dst []byte) []byte {
-	return append(dst, make([]byte, GetReplyPrefix)...)
-}
+// appends the status byte, still blank, to dst. The caller appends the
+// value bytes behind it — the engine reads them straight there — and
+// FinishGetReply or FinishPartialGetReply completes the reply. A blank
+// status byte alone is a miss.
+func BeginGetReply(dst []byte) []byte { return append(dst, 0) }
 
-// FinishGetReply completes the GetReply p — BeginGetReply's prefix and
-// whatever value bytes were appended behind it — giving the same bytes
-// as GetReply.Encode.
-func FinishGetReply(p []byte, found bool, total uint32) {
+// FinishGetReply completes the whole GetReply p — BeginGetReply's status
+// byte and whatever value bytes were appended behind it, none for a
+// miss — giving the same bytes as GetReply.Encode.
+func FinishGetReply(p []byte, found bool) {
 	p[0] = 0
 	if found {
-		p[0] = 1
+		p[0] = getFound
 	}
-	binary.LittleEndian.PutUint32(p[1:5], total)
-	binary.LittleEndian.PutUint32(p[5:GetReplyPrefix], uint32(len(p)-GetReplyPrefix))
 }
 
-// DecodeGetReply parses a GetReply payload.
+// FinishPartialGetReply completes the partial GetReply that starts at
+// dst[start] — BeginGetReply's status byte and the chunk appended behind
+// it — by appending the value's total size and the record the chunk was
+// read from, and returns the extended dst: the same bytes as
+// GetReply.Encode.
+func FinishPartialGetReply(dst []byte, start int, total uint32, record uint64) []byte {
+	dst[start] = getFound | getPartial
+	return appendU64(appendU32(dst, total), record)
+}
+
+// DecodeGetReply parses a GetReply payload. A status byte with an
+// unknown bit, a miss that carries bytes, or a partial reply shorter
+// than its suffix or whose chunk is longer than its total is malformed.
 func DecodeGetReply(p []byte) (GetReply, error) {
-	if len(p) < 1 {
+	if len(p) < GetReplyPrefix {
 		return GetReply{}, ErrShortBuffer
 	}
-	found := p[0] == 1
-	total, rest, err := readU32(p[1:])
-	if err != nil {
-		return GetReply{}, err
+	switch st, body := p[0], p[GetReplyPrefix:]; {
+	case st == 0 && len(body) == 0:
+		return GetReply{}, nil
+	case st == getFound:
+		return GetReply{Found: true, TotalSize: uint32(len(body)), Value: body}, nil
+	case st == getFound|getPartial && len(body) >= PartialGetReplySuffix:
+		chunk := body[:len(body)-PartialGetReplySuffix]
+		tail := body[len(chunk):]
+		r := GetReply{Found: true, Partial: true, Value: chunk,
+			TotalSize: binary.LittleEndian.Uint32(tail), Record: binary.LittleEndian.Uint64(tail[4:])}
+		if uint64(len(chunk)) > uint64(r.TotalSize) {
+			break
+		}
+		return r, nil
 	}
-	val, _, err := readBytes(rest)
-	if err != nil {
-		return GetReply{}, err
-	}
-	return GetReply{Found: found, TotalSize: total, Value: val}, nil
+	return GetReply{}, fmt.Errorf("get reply: %w: status %#x, %d bytes", ErrBadHeader, p[0], len(p))
 }
 
 // ScanReply is the payload of OpScanReply.

@@ -175,8 +175,8 @@ func TestGetReqAndRestRoundTrip(t *testing.T) {
 	if err != nil || string(g.Key) != "abc" {
 		t.Fatalf("get = %+v %v", g, err)
 	}
-	rr, err := DecodeGetRestReq(GetRestReq{Key: []byte("abc"), Offset: 512}.Encode(nil))
-	if err != nil || string(rr.Key) != "abc" || rr.Offset != 512 {
+	rr, err := DecodeGetRestReq(GetRestReq{Key: []byte("abc"), Offset: 512, Record: 1<<40 | 77}.Encode(nil))
+	if err != nil || string(rr.Key) != "abc" || rr.Offset != 512 || rr.Record != 1<<40|77 {
 		t.Fatalf("rest = %+v %v", rr, err)
 	}
 }
@@ -196,15 +196,42 @@ func TestScanRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGetReplyRoundTrip: a partial reply carries its total and record
+// behind its chunk; a whole one neither, so it decodes with the total its
+// value's length; a miss is the status byte alone. A status byte with an
+// unknown bit, a miss with bytes behind it, a partial reply too short for
+// its suffix or whose chunk outruns its total are malformed.
 func TestGetReplyRoundTrip(t *testing.T) {
-	r := GetReply{Found: true, TotalSize: 1000, Value: bytes.Repeat([]byte{7}, 100)}
+	r := GetReply{Found: true, Partial: true, TotalSize: 1000, Value: bytes.Repeat([]byte{7}, 100), Record: 1 << 33}
 	got, err := DecodeGetReply(r.Encode(nil))
-	if err != nil || !got.Found || got.TotalSize != 1000 || len(got.Value) != 100 {
-		t.Fatalf("get reply = %+v %v", got, err)
+	if err != nil || !got.Found || !got.Partial || got.TotalSize != 1000 || got.Record != 1<<33 || len(got.Value) != 100 {
+		t.Fatalf("partial get reply = %+v %v", got, err)
+	}
+	whole := GetReply{Found: true, TotalSize: 100, Value: r.Value}
+	if enc := whole.Encode(nil); len(enc) != 101 {
+		t.Fatalf("a whole reply of 100 value bytes is %d bytes, want 101", len(enc))
+	}
+	got, err = DecodeGetReply(whole.Encode(nil))
+	if err != nil || !got.Found || got.Partial || got.TotalSize != 100 || got.Record != 0 || len(got.Value) != 100 {
+		t.Fatalf("whole get reply = %+v %v", got, err)
 	}
 	miss, err := DecodeGetReply(GetReply{}.Encode(nil))
-	if err != nil || miss.Found {
+	if err != nil || miss.Found || len(GetReply{}.Encode(nil)) != 1 {
 		t.Fatalf("miss = %+v %v", miss, err)
+	}
+	if _, err := DecodeGetReply(nil); !errors.Is(err, ErrShortBuffer) {
+		t.Fatalf("an empty get reply: %v", err)
+	}
+	for name, p := range map[string][]byte{
+		"an unknown status bit":        {1 | 4, 'v'},
+		"partial without found":        append([]byte{2}, make([]byte, PartialGetReplySuffix)...),
+		"a miss with a value":          {0, 'v'},
+		"a partial reply with no room": {3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"a chunk past its total":       append([]byte{3, 'a', 'b'}, make([]byte, PartialGetReplySuffix)...),
+	} {
+		if _, err := DecodeGetReply(p); !errors.Is(err, ErrBadHeader) {
+			t.Errorf("a get reply with %s: %v, want ErrBadHeader", name, err)
+		}
 	}
 }
 
@@ -322,6 +349,15 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		if _, err := DecodeScanReq(p); !errors.Is(err, ErrBadHeader) {
 			t.Errorf("scan with %s: %v, want ErrBadHeader", name, err)
 		}
+	}
+	// A get-rest's offset, like a scan's count, is 32 bits; its record,
+	// behind the offset, ends the payload.
+	for name, p := range map[string][]byte{
+		"an offset past 32 bits":        binary.AppendUvarint([]byte{1, 'k'}, 1<<32),
+		"a byte behind the record":      {1, 'k', 16, 0, 0},
+		"a record longer than 64 bits":  {1, 'k', 16, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		"an offset longer than 64 bits": {1, 'k', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	} {
 		if _, err := DecodeGetRestReq(p); !errors.Is(err, ErrBadHeader) {
 			t.Errorf("get-rest with %s: %v, want ErrBadHeader", name, err)
 		}
