@@ -2,9 +2,9 @@ GO ?= go
 
 # The experiments whose gates scripts/check.sh enforces (EXPERIMENTS.md,
 # "Gates", has the table).
-GATED = figures,observability,integrity,tail,gc,lag
+GATED = figures,observability,integrity,tail,gc
 
-.PHONY: all build test race check stress fuzz-smoke fmt vet bench figures gates obs-smoke tail-smoke lag-smoke clean
+.PHONY: all build test race check stress fuzz-smoke fmt vet bench figures gates obs-smoke tail-smoke clean
 
 all: build
 
@@ -74,9 +74,6 @@ gates:
 
 tail-smoke:
 	$(GO) run ./cmd/tebis-bench -quick -out-dir "" -experiment tail
-
-lag-smoke:
-	$(GO) run ./cmd/tebis-bench -quick -out-dir "" -experiment lag
 
 # obs-smoke boots tebis-server with -metrics and -replica, drives load,
 # and asserts /metrics, /debug/trace, and /debug/vars all serve the

@@ -3,11 +3,11 @@
 //
 // Usage:
 //
-//	tebis-bench [-experiment all|table2,fig6,fig7a,fig7b,fig8,table3,fig9a,fig9b,fig10a,fig10b,sec55,compaction,observability,integrity,figures,tail,gc,lag]
+//	tebis-bench [-experiment all|table2,fig6,fig7a,fig7b,fig8,table3,fig9a,fig9b,fig10a,fig10b,sec55,observability,integrity,figures,tail,gc]
 //	            [-records N] [-ops N] [-l0 N] [-quick] [-out-dir DIR]
 //
-// Experiments with machine-readable output (compaction, observability,
-// integrity, figures, tail, gc, lag) write one bench.Report as
+// Experiments with machine-readable output (observability, integrity,
+// figures, tail, gc) write one bench.Report as
 // BENCH_<experiment>.json, plus their BENCH_fig*.csv series, into
 // -out-dir (default "."). Each declares its acceptance gates in
 // internal/bench; tebis-bench prints the gate table and exits non-zero

@@ -11,9 +11,10 @@
 //
 // With -top, the client becomes tebis-top: a refreshing cluster health
 // view that scrapes every node's /metrics, /debug/events, and /readyz
-// and renders per-backup replication lag, staleness, backlog, admission
-// state, GC progress, and the most recent journal events. -once renders
-// a single frame and exits (for scripts).
+// and renders each node's readiness, admission state, replication
+// retries, backup evictions, degraded flag, GC progress and index node
+// cache, then the most recent journal events. -once renders a single
+// frame and exits (for scripts).
 package main
 
 import (

@@ -14,9 +14,12 @@ import (
 // tebis-top: a refreshing cluster health view assembled from each
 // node's observability endpoint. Every interval it scrapes /metrics,
 // /debug/events, and /readyz on every node and renders one table of
-// node state (readiness, admission state, GC progress, index node
-// cache) and one of replication streams (per-region, per-backup lag,
-// staleness, backlog), followed by the most recent journal events.
+// node state (readiness, admission state, replication health, GC
+// progress, index node cache) followed by the most recent journal
+// events. Replication is synchronous — a put is acked only once every
+// backup holds its record — so replication health is what that
+// produces: retries against a stalled backup, evictions of a dead one,
+// and whether the node runs degraded.
 
 // sample is one parsed Prometheus exposition line.
 type sample struct {
@@ -147,13 +150,6 @@ func scrapeNode(client *http.Client, addr string) nodeScrape {
 	return ns
 }
 
-// streamRow is one replication stream (region × backup) in the table.
-type streamRow struct {
-	node, region, backup                 string
-	lagOps, lagBytes, backlog, staleness float64
-	acks                                 float64
-}
-
 // runTop drives the watch loop: scrape every node, render, sleep,
 // repeat. With once set it renders a single frame without clearing the
 // screen — the scriptable (and testable) mode.
@@ -182,20 +178,32 @@ func renderTop(out io.Writer, scrapes []nodeScrape) {
 	fmt.Fprintf(out, "tebis-top  %s  %d node(s)\n\n",
 		time.Now().Format("15:04:05"), len(scrapes))
 
-	// Node table: readiness, admission state, GC progress, node cache.
-	fmt.Fprintf(out, "%-22s %-10s %-10s %12s %14s %8s %10s %10s %10s\n",
-		"NODE", "READY", "ADMISSION", "GC-FREED", "GC-RECLAIMED", "IDX-HIT", "IDX-CACHE", "IDX-EVICT", "IDX-INVAL")
+	// Node table: readiness, admission state, replication health, GC
+	// progress, node cache.
+	fmt.Fprintf(out, "%-22s %-10s %-10s %8s %9s %8s %12s %14s %8s %10s %10s %10s\n",
+		"NODE", "READY", "ADMISSION", "RETRIES", "EVICTIONS", "DEGRADED",
+		"GC-FREED", "GC-RECLAIMED", "IDX-HIT", "IDX-CACHE", "IDX-EVICT", "IDX-INVAL")
 	for _, ns := range scrapes {
 		if ns.err != nil {
 			fmt.Fprintf(out, "%-22s %-10s %s\n", ns.addr, "DOWN", ns.err)
 			continue
 		}
 		admission := "-"
+		degraded := "no"
+		var retries, backupEvictions float64
 		var gcFreed, gcBytes, hits, misses, cacheBytes, evictions, invalidations float64
 		for _, s := range ns.samples {
 			switch s.name {
 			case "tebis_admission_state":
 				admission = admissionStateName(s.value)
+			case "tebis_replication_retries_total":
+				retries += s.value
+			case "tebis_backup_evictions_total":
+				backupEvictions += s.value
+			case "tebis_degraded":
+				if s.value != 0 {
+					degraded = "YES"
+				}
 			case "tebis_vlog_gc_segments_freed_total":
 				gcFreed += s.value
 			case "tebis_vlog_gc_reclaimed_bytes_total":
@@ -220,67 +228,12 @@ func renderTop(out io.Writer, scrapes []nodeScrape) {
 		if !ns.ready {
 			ready = "NOT-READY"
 		}
-		fmt.Fprintf(out, "%-22s %-10s %-10s %12.0f %14s %8s %10s %10.0f %10.0f\n",
-			ns.addr, ready, admission, gcFreed, fmtBytes(gcBytes),
+		fmt.Fprintf(out, "%-22s %-10s %-10s %8.0f %9.0f %8s %12.0f %14s %8s %10s %10.0f %10.0f\n",
+			ns.addr, ready, admission, retries, backupEvictions, degraded, gcFreed, fmtBytes(gcBytes),
 			hitRatio, fmtBytes(cacheBytes), evictions, invalidations)
 		if ns.readyWhy != "" {
 			fmt.Fprintf(out, "  └─ %s\n", ns.readyWhy)
 		}
-	}
-
-	// Replication streams across every node.
-	rows := map[string]*streamRow{}
-	for _, ns := range scrapes {
-		for _, s := range ns.samples {
-			if !strings.HasPrefix(s.name, "tebis_replica_") {
-				continue
-			}
-			region, backup := s.labels["region"], s.labels["backup"]
-			if region == "" || backup == "" {
-				continue
-			}
-			key := ns.addr + "/" + region + "/" + backup
-			row := rows[key]
-			if row == nil {
-				row = &streamRow{node: ns.addr, region: region, backup: backup}
-				rows[key] = row
-			}
-			switch s.name {
-			case "tebis_replica_lag_ops":
-				row.lagOps = s.value
-			case "tebis_replica_lag_bytes":
-				row.lagBytes = s.value
-			case "tebis_replica_backlog":
-				row.backlog = s.value
-			case "tebis_replica_staleness_seconds":
-				row.staleness = s.value
-			case "tebis_replica_ack_seconds_count":
-				row.acks = s.value
-			}
-		}
-	}
-	sorted := make([]*streamRow, 0, len(rows))
-	for _, r := range rows {
-		sorted = append(sorted, r)
-	}
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].region != sorted[j].region {
-			return sorted[i].region < sorted[j].region
-		}
-		if sorted[i].backup != sorted[j].backup {
-			return sorted[i].backup < sorted[j].backup
-		}
-		return sorted[i].node < sorted[j].node
-	})
-	fmt.Fprintf(out, "\n%-8s %-12s %-22s %9s %10s %8s %10s %9s\n",
-		"REGION", "BACKUP", "PRIMARY-NODE", "LAG-OPS", "LAG-BYTES", "BACKLOG", "STALENESS", "ACKS")
-	for _, r := range sorted {
-		fmt.Fprintf(out, "%-8s %-12s %-22s %9.0f %10s %8.0f %9.2fs %9.0f\n",
-			r.region, r.backup, r.node,
-			r.lagOps, fmtBytes(r.lagBytes), r.backlog, r.staleness, r.acks)
-	}
-	if len(sorted) == 0 {
-		fmt.Fprintln(out, "(no replication streams)")
 	}
 
 	// Most recent journal events across all nodes, newest last.

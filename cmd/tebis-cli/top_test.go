@@ -9,16 +9,12 @@ import (
 	"time"
 )
 
-const topTestMetrics = `# TYPE tebis_replica_lag_ops gauge
-tebis_replica_lag_ops{node="s0",backup="s1",region="3"} 42
-# TYPE tebis_replica_lag_bytes gauge
-tebis_replica_lag_bytes{node="s0",backup="s1",region="3"} 10752
-# TYPE tebis_replica_backlog gauge
-tebis_replica_backlog{node="s0",backup="s1",region="3"} 2
-# TYPE tebis_replica_staleness_seconds gauge
-tebis_replica_staleness_seconds{node="s0",backup="s1",region="3"} 0.25
-# TYPE tebis_replica_ack_seconds_count counter
-tebis_replica_ack_seconds_count{node="s0",backup="s1",region="3"} 1500
+const topTestMetrics = `# TYPE tebis_replication_retries_total counter
+tebis_replication_retries_total{node="s0"} 42
+# TYPE tebis_backup_evictions_total counter
+tebis_backup_evictions_total{node="s0"} 13
+# TYPE tebis_degraded gauge
+tebis_degraded{node="s0"} 1
 # TYPE tebis_admission_state gauge
 tebis_admission_state{node="s0"} 1
 # TYPE tebis_vlog_gc_segments_freed_total counter
@@ -79,11 +75,9 @@ func TestTopRendersOneFrame(t *testing.T) {
 		"1.0MiB",         // GC reclaimed bytes
 		"97.5%",          // node cache hit ratio
 		"2.0MiB",         // node cache resident bytes
-		"s1",             // backup column
-		"42",             // lag ops
-		"10.5KiB",        // lag bytes
-		"0.25s",          // staleness
-		"1500",           // ack count
+		"42",             // replication retries
+		"13",             // backup evictions
+		"YES",            // degraded gauge
 		"backup_evicted", // journal tail
 	} {
 		if !strings.Contains(out, want) {
@@ -133,15 +127,15 @@ func TestParseProm(t *testing.T) {
 	samples := parseProm(topTestMetrics)
 	found := false
 	for _, s := range samples {
-		if s.name == "tebis_replica_lag_ops" {
+		if s.name == "tebis_replication_retries_total" {
 			found = true
-			if s.labels["backup"] != "s1" || s.labels["region"] != "3" || s.value != 42 {
+			if s.labels["node"] != "s0" || s.value != 42 {
 				t.Fatalf("bad sample: %+v", s)
 			}
 		}
 	}
 	if !found {
-		t.Fatal("tebis_replica_lag_ops not parsed")
+		t.Fatal("tebis_replication_retries_total not parsed")
 	}
 	// Quoted commas inside label values must not split.
 	s := parseProm(`x{path="a,b",k="v"} 1`)

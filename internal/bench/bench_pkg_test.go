@@ -129,7 +129,7 @@ func TestRunExperimentTable2(t *testing.T) {
 
 // reportExperiments are the experiments with machine-readable output.
 var reportExperiments = []Experiment{
-	ExpObservability, ExpIntegrity, ExpFigures, ExpTail, ExpGC, ExpLag,
+	ExpObservability, ExpIntegrity, ExpFigures, ExpTail, ExpGC,
 }
 
 // detailAs decodes a decoded report's Detail into its typed form.
@@ -248,12 +248,6 @@ var reportChecks = map[Experiment]func(t *testing.T, rep Report, raw []byte){
 		if amp := rep.Metrics["gc_off.final_space_amp"]; amp < gcRounds/2 {
 			t.Errorf("GC off holds %.2fx the live data after a %dx overwrite", amp, gcRounds)
 		}
-	},
-	ExpLag: func(t *testing.T, rep Report, _ []byte) {
-		if len(detailAs[map[string][]LagSample](t, rep)["series"]) == 0 {
-			t.Error("no lag series")
-		}
-		positive(t, rep, "acked_writes", "max_lag_ops", "tracking_on.paced_kops_per_sec")
 	},
 }
 

@@ -69,18 +69,13 @@ const (
 	// measuring steady-state space amplification and GC's offered-load
 	// cost.
 	ExpGC Experiment = "gc"
-	// ExpLag is not a paper artifact: it injects a 50ms-delayed backup
-	// via RDMA fault hooks and verifies the replication-plane health
-	// surface (DESIGN.md "Observability") — lag/staleness rise then
-	// drain to ~0 with zero lost acks and a ~free tracker.
-	ExpLag Experiment = "lag"
 )
 
 // AllExperiments lists every reproducible artifact in paper order.
 var AllExperiments = []Experiment{
 	ExpTable2, ExpFig6, ExpFig7a, ExpFig7b, ExpFig8, ExpTable3,
 	ExpFig9a, ExpFig9b, ExpFig10a, ExpFig10b, ExpSec55,
-	ExpObservability, ExpIntegrity, ExpFigures, ExpTail, ExpGC, ExpLag,
+	ExpObservability, ExpIntegrity, ExpFigures, ExpTail, ExpGC,
 }
 
 // twoWaySetups are the Figure 6/7 configurations.
@@ -91,7 +86,7 @@ var threeWaySetups = []Setup{BuildIndexRL, BuildIndex, SendIndex, NoReplication}
 
 // experiments is every runnable artifact with the gates it must hold
 // and the series files it writes. Gates are declared beside the
-// experiment that measures them (observability.go … lag.go).
+// experiment that measures them (observability.go … gc.go).
 var experiments = map[Experiment]experiment{
 	ExpTable2: {run: rows(runTable2)},
 	ExpFig6:   {run: rows(runFig6)},
@@ -110,7 +105,6 @@ var experiments = map[Experiment]experiment{
 	ExpFigures:       {run: runFigures, gates: figuresGates, csvs: figuresCSVs},
 	ExpTail:          {run: runTail, gates: tailGates, csvs: []string{tailCSV}},
 	ExpGC:            {run: runGC, gates: gcGates, csvs: []string{gcCSV}},
-	ExpLag:           {run: runLag, gates: lagGates, csvs: []string{lagCSV}},
 }
 
 // RunExperiment executes one artifact, writing the paper-shaped rows to

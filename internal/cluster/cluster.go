@@ -93,9 +93,6 @@ type Config struct {
 	// every server and master candidate (created on demand): one ring
 	// ordering control-plane transitions across the whole deployment.
 	Events *obs.EventLog
-	// DisableLag turns the per-backup lag trackers off on every server
-	// (bench-only ablation; see server.Config.DisableLag).
-	DisableLag bool
 }
 
 func (c *Config) applyDefaults() {
@@ -209,7 +206,6 @@ func New(cfg Config) (*Cluster, error) {
 			ShipCodec:     shipCodec,
 			GC:            cfg.GC,
 			Events:        cfg.Events,
-			DisableLag:    cfg.DisableLag,
 		})
 		if err != nil {
 			return nil, err

@@ -22,10 +22,10 @@ func TestOptionCountsOnlyGoDown(t *testing.T) {
 		max int
 	}{
 		{reflect.TypeFor[master.Host](), 7},
-		{reflect.TypeFor[Config](), 21},
-		{reflect.TypeFor[server.Config](), 21},
-		{reflect.TypeFor[replica.PrimaryConfig](), 16},
-		{reflect.TypeFor[replica.BackupConfig](), 10},
+		{reflect.TypeFor[Config](), 20},
+		{reflect.TypeFor[server.Config](), 19},
+		{reflect.TypeFor[replica.PrimaryConfig](), 15},
+		{reflect.TypeFor[replica.BackupConfig](), 9},
 		{reflect.TypeFor[lsm.Options](), 11},
 	} {
 		n, what := 0, "fields"

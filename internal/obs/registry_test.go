@@ -65,7 +65,7 @@ func TestRegistryNilSafe(t *testing.T) {
 	for _, src := range []metrics.Source{
 		(*metrics.CompactionStats)(nil), (*metrics.FailureStats)(nil),
 		(*metrics.ShipStats)(nil), (*metrics.GCStats)(nil), (*metrics.Cycles)(nil),
-		(*metrics.StageSet)(nil), (*metrics.LagSet)(nil), (*metrics.Histogram)(nil),
+		(*metrics.StageSet)(nil), (*metrics.Histogram)(nil),
 		(*Tracer)(nil), (*EventLog)(nil),
 	} {
 		live.Register(Labels{"node": "s0"}, src)
@@ -250,20 +250,6 @@ func TestExpositionGolden(t *testing.T) {
 	gs.AddRelocation(7, 120, 2, 700)
 	gs.AddReclaim(3, 12288)
 	r.Register(node, gs)
-
-	// Replication lag: a fully caught-up stream (shipped == acked) keeps
-	// the staleness gauge deterministically zero; the backlog and ack
-	// quantiles still exercise their families.
-	lag := metrics.NewLagSet()
-	stream := lag.Stream(7, "s1")
-	for i := 0; i < 3; i++ {
-		stream.RecordShip(256, time.Now())
-		stream.RecordAck(256, time.Now(), time.Duration(i+1)*time.Millisecond)
-	}
-	stream.BacklogAdd()
-	stream.BacklogAdd()
-	stream.BacklogDone()
-	r.Register(node, lag)
 
 	ev := NewEventLog(8)
 	ev.Record(Event{Type: EvBackupEvicted, Node: "s0"})

@@ -76,7 +76,7 @@ func TestFaultErrorAndDelay(t *testing.T) {
 	if d := time.Since(start); d < 5*time.Millisecond {
 		t.Fatalf("delayed write returned after only %v", d)
 	}
-	if c, err := qp.WaitCompletion(); err != nil || c.WRID != 3 {
+	if c, err := qp.WaitCompletion(); err != nil || c.WRID != 3 || c.Delay != 5*time.Millisecond {
 		t.Fatalf("completion after delay = %+v, %v", c, err)
 	}
 }

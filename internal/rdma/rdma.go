@@ -249,6 +249,11 @@ type Completion struct {
 	WRID uint64
 	// Bytes is the payload size of the completed operation.
 	Bytes int
+	// Delay is how long a FaultDelay stalled the write before it landed.
+	// A real post returns at once and the completion arrives that much
+	// later, so a deadline counted from the post is missed by a
+	// completion whose Delay reaches it.
+	Delay time.Duration
 }
 
 // QP is one direction of a reliable connection: operations initiated at
@@ -283,11 +288,12 @@ func (qp *QP) Local() *Endpoint { return qp.local }
 // memory (reliable connection semantics, §3.2). It is WriteUnsignaled
 // plus that completion.
 func (qp *QP) Write(rkey uint32, off int, data []byte, wrID uint64) error {
-	if landed, err := qp.write(rkey, off, data); !landed {
+	landed, delay, err := qp.write(rkey, off, data)
+	if !landed {
 		return err
 	}
 	select {
-	case qp.cq <- Completion{WRID: wrID, Bytes: len(data)}:
+	case qp.cq <- Completion{WRID: wrID, Bytes: len(data), Delay: delay}:
 		return nil
 	default:
 	}
@@ -305,37 +311,39 @@ func (qp *QP) Write(rkey uint32, off int, data []byte, wrID uint64) error {
 // initiator learns some other way, as a client learns from the reply
 // that its request landed.
 func (qp *QP) WriteUnsignaled(rkey uint32, off int, data []byte) error {
-	_, err := qp.write(rkey, off, data)
+	_, _, err := qp.write(rkey, off, data)
 	return err
 }
 
 // write is the one implementation of a one-sided WRITE; landed reports
-// whether data reached remote memory, so Write completes only what did.
-func (qp *QP) write(rkey uint32, off int, data []byte) (landed bool, err error) {
+// whether data reached remote memory, so Write completes only what did,
+// and delay how long a fault stalled it first.
+func (qp *QP) write(rkey uint32, off int, data []byte) (landed bool, delay time.Duration, err error) {
 	select {
 	case <-qp.done:
-		return false, ErrDisconnected
+		return false, 0, ErrDisconnected
 	default:
 	}
 	if qp.local.closed.Load() || qp.remote.closed.Load() {
-		return false, ErrDisconnected
+		return false, 0, ErrDisconnected
 	}
 	switch f := evalFault(FaultWrite, qp.local, qp.remote, data); f.Action {
 	case FaultDrop:
-		return false, nil // vanished on the wire: no data, no completion
+		return false, 0, nil // vanished on the wire: no data, no completion
 	case FaultError:
-		return false, f.error()
+		return false, 0, f.error()
 	case FaultDelay:
 		time.Sleep(f.Delay)
+		delay = f.Delay
 	}
 	mr := qp.remote.region(rkey)
 	if mr == nil {
-		return false, fmt.Errorf("%w: %d at %s", ErrBadRKey, rkey, qp.remote.name)
+		return false, 0, fmt.Errorf("%w: %d at %s", ErrBadRKey, rkey, qp.remote.name)
 	}
 	mr.mu.Lock()
 	if off < 0 || off+len(data) > len(mr.buf) {
 		mr.mu.Unlock()
-		return false, fmt.Errorf("%w: write [%d,%d) of %d", ErrBounds, off, off+len(data), len(mr.buf))
+		return false, 0, fmt.Errorf("%w: write [%d,%d) of %d", ErrBounds, off, off+len(data), len(mr.buf))
 	}
 	copy(mr.buf[off:], data)
 	mr.mu.Unlock()
@@ -343,7 +351,7 @@ func (qp *QP) write(rkey uint32, off int, data []byte) (landed bool, err error) 
 
 	qp.local.tx.Add(uint64(len(data)))
 	qp.remote.rx.Add(uint64(len(data)))
-	return true, nil
+	return true, delay, nil
 }
 
 // WaitCompletion blocks for the next completion (or QP teardown). Write

@@ -68,26 +68,9 @@ type BackupConfig struct {
 	// LSM configures the backup's own engine in Build-Index mode and is
 	// reused by Promote in both modes.
 	LSM lsm.Options
-	// LogBufferSize sizes the registered RDMA log buffer the primary
-	// mirrors its tail into. Zero selects the device segment size; it
-	// must not exceed it.
-	LogBufferSize int
 	// Trace records offset-rewrite spans keyed by compaction job ID
 	// (optional).
 	Trace *obs.Tracer
-}
-
-// logBufferSize resolves the configured log-buffer size against the
-// device geometry.
-func logBufferSize(cfg BackupConfig, geo storage.Geometry) (int, error) {
-	if cfg.LogBufferSize == 0 {
-		return int(geo.SegmentSize()), nil
-	}
-	if int64(cfg.LogBufferSize) > geo.SegmentSize() {
-		return 0, fmt.Errorf("replica: log buffer %d exceeds segment size %d",
-			cfg.LogBufferSize, geo.SegmentSize())
-	}
-	return cfg.LogBufferSize, nil
 }
 
 // Backup is the backup-side replica of one region.
@@ -165,11 +148,8 @@ func NewBackup(cfg BackupConfig) (*Backup, error) {
 		return nil, fmt.Errorf("replica: backup needs Device and Endpoint")
 	}
 	geo := cfg.Device.Geometry()
-	logBufSize, err := logBufferSize(cfg, geo)
-	if err != nil {
-		return nil, err
-	}
-	logBuf, err := cfg.Endpoint.Register(logBufSize)
+	// The log buffer mirrors the primary's tail segment byte for byte.
+	logBuf, err := cfg.Endpoint.Register(int(geo.SegmentSize()))
 	if err != nil {
 		return nil, err
 	}
@@ -407,17 +387,16 @@ func (b *Backup) handleFlushTail(h wire.Header, req wire.FlushTail) ([]byte, err
 	b.mu.Lock()
 	defer b.mu.Unlock()
 
-	// Adopted segments are full segment images; a log buffer smaller
-	// than a segment is zero-padded (the unwritten suffix holds no
-	// records by construction). Past the buffer's size only the frame
-	// writes the scratch: a framing device stamps its trailer into the
+	// Adopted segments are full segment images: the log buffer is one
+	// segment, and its unwritten suffix is zero (it holds no records by
+	// construction). A framing device stamps its trailer into the
 	// image's last bytes (storage.FramedWriter), above the usable
-	// capacity no record reaches, and stamps over it on the next flush.
+	// capacity no record reaches; the next flush's read overwrites it.
 	if b.flushImg == nil {
 		b.flushImg = make([]byte, b.geo.SegmentSize())
 	}
 	data := b.flushImg
-	if err := b.logBuf.ReadAt(0, data[:b.logBuf.Size()]); err != nil {
+	if err := b.logBuf.ReadAt(0, data); err != nil {
 		return nil, err
 	}
 	// The log map may already hold a lazily allocated segment for this

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -165,6 +166,83 @@ func TestBackupCrashEvictsOnNextAppend(t *testing.T) {
 	}
 }
 
+// TestSlowBackupIsAbsorbed: a backup whose every incoming write — log
+// appends, index ships, control requests — stalls on the wire, well
+// below AckTimeout, slows the puts it replicates but is neither retried
+// nor evicted, and loses nothing: every acked key reads back byte for
+// byte from the primary and, after Promote, from the backup.
+func TestSlowBackupIsAbsorbed(t *testing.T) {
+	const (
+		stall   = 2 * time.Millisecond
+		before  = 300 // puts before the stall
+		stalled = 150 // puts while every write into the backup stalls
+		after   = 300 // puts after it clears
+	)
+	failures := &metrics.FailureStats{}
+	r := newRigCfg(t, SendIndex, 1, nil, func(pc *PrimaryConfig) {
+		pc.Retry = RetryPolicy{AckTimeout: 25 * stall, MaxRetries: 1, Backoff: time.Millisecond}
+		pc.Failures = failures
+	}, nil)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("slow%06d", i)) }
+	val := func(i int) []byte { return []byte(fmt.Sprintf("v%d-%0*d", i, i%97, i)) }
+	put := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := r.db.Put(key(i), val(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	put(0, before)
+	var delayed atomic.Int64
+	r.epB[0].InjectFault(func(op rdma.FaultOp, _, to string, _ int, _ []byte) rdma.Fault {
+		if op != rdma.FaultWrite || to != "backup0" {
+			return rdma.Fault{}
+		}
+		delayed.Add(1)
+		return rdma.Fault{Action: rdma.FaultDelay, Delay: stall}
+	})
+	put(before, before+stalled)
+	r.epB[0].InjectFault(nil)
+	put(before+stalled, before+stalled+after)
+	if err := r.db.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	r.checkHealthy()
+
+	if evs := r.primary.Evictions(); len(evs) != 0 {
+		t.Fatalf("a slow backup was evicted: %+v", evs)
+	}
+	if r.primary.Degraded() {
+		t.Fatal("a slow backup left the primary degraded")
+	}
+	if got := failures.Snapshot().Retries; got != 0 {
+		t.Fatalf("%d retries against a backup that missed no deadline", got)
+	}
+	if n := delayed.Load(); n < stalled {
+		t.Fatalf("%d writes into the backup stalled, want at least one per stalled put (%d)", n, stalled)
+	}
+
+	const n = before + stalled + after
+	check := func(who string, get func([]byte) ([]byte, bool, error)) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			v, found, err := get(key(i))
+			if err != nil || !found || !bytes.Equal(v, val(i)) {
+				t.Fatalf("%s: Get(%s) = %q, %v, %v; want %q", who, key(i), v, found, err, val(i))
+			}
+		}
+	}
+	check("primary", r.db.Get)
+	r.primary.Detach(r.backups[0])
+	db2, err := r.backups[0].Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	check("promoted backup", db2.Get)
+}
+
 // TestRPCRetryRecoversFromTransientDrop checks that the retry path,
 // not just eviction, works: exactly one control line vanishes — a
 // FlushTail request on its way in, or its ack on its way out — and the
@@ -304,38 +382,32 @@ func encodeLogRecord(buf []byte, key, val string) []byte {
 	return vlog.AppendEncoded(buf, []byte(key), []byte(val), false)
 }
 
-// TestPromoteSmallLogBufferPersistsFullSegment is the satellite
-// regression for the promote persistence bug: with a log buffer smaller
-// than a segment, Promote must still persist the adopted tail as a
-// full, zero-padded segment image so device reads through level
-// pointers resolve.
-func TestPromoteSmallLogBufferPersistsFullSegment(t *testing.T) {
+// TestPromotePersistsTailAsFullSegment: Promote reads every record of
+// the replicated tail back and persists the adopted tail as a full,
+// zero-padded segment image, so device reads through level pointers
+// resolve.
+func TestPromotePersistsTailAsFullSegment(t *testing.T) {
 	const segSize = 16 << 10
-	const bufSize = 4 << 10
 	dev, err := storage.NewMemDevice(segSize, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dev.Close()
 	b, err := NewBackup(BackupConfig{
-		RegionID:      1,
-		ServerName:    "small",
-		Mode:          SendIndex,
-		Device:        dev,
-		Endpoint:      rdma.NewEndpoint("small"),
-		Cost:          metrics.DefaultCostModel(),
-		LSM:           lsmOpts(),
-		LogBufferSize: bufSize,
+		RegionID:   1,
+		ServerName: "b",
+		Mode:       SendIndex,
+		Device:     dev,
+		Endpoint:   rdma.NewEndpoint("b"),
+		Cost:       metrics.DefaultCostModel(),
+		LSM:        lsmOpts(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.logBuf.Size(); got != bufSize {
-		t.Fatalf("log buffer size = %d, want %d", got, bufSize)
-	}
 
-	// Mirror two records into the (small) replicated tail buffer, the
-	// way a primary's one-sided writes would.
+	// Mirror two records into the replicated tail buffer, the way a
+	// primary's one-sided writes would.
 	var img []byte
 	img = encodeLogRecord(img, "alpha", "one")
 	img = encodeLogRecord(img, "beta", "two")

@@ -25,8 +25,11 @@ import (
 // DefaultRetryPolicy.
 type RetryPolicy struct {
 	// AckTimeout is the per-attempt deadline for a signalled write's
-	// completion. A control RPC waits for none: its ack is in the ack
-	// slot when the backup's answer step returns, or it is missed.
+	// completion, counted from its post: a completion that arrives, or
+	// was stalled on the wire (rdma.Completion.Delay), that long after
+	// the post misses it. A control RPC waits for none: its ack is in
+	// the ack slot when the backup's answer step returns, or it is
+	// missed.
 	AckTimeout time.Duration
 	// MaxRetries is the number of additional attempts after the first
 	// (0 in a non-zero policy means fail on the first miss).
@@ -106,9 +109,6 @@ type PrimaryConfig struct {
 	// Stages aggregates the ship/ack stage latency of sampled requests
 	// per tenant (optional; DESIGN.md "Observability").
 	Stages *metrics.StageSet
-	// Lag tracks per-backup acked-vs-shipped lag, staleness, and ack
-	// round trips (optional; DESIGN.md "Observability").
-	Lag *metrics.LagSet
 	// Events journals control-plane transitions — evictions, syncs —
 	// this primary makes (optional; DESIGN.md "Observability").
 	Events *obs.EventLog
@@ -118,9 +118,6 @@ type PrimaryConfig struct {
 type backupHandle struct {
 	backup *Backup // the in-process peer (gives rkeys and the answer step)
 	*link          // this primary's connection to it, owned here
-	// lag is the backup's stream in the primary's lag set, held so a
-	// record looks nothing up (nil without one).
-	lag *metrics.LagStream
 
 	mu  sync.Mutex  // one control RPC in flight per backup
 	msg wire.MsgBuf // the RPC in flight is built here (guarded by mu)
@@ -272,7 +269,7 @@ func Attach(p *Primary, b *Backup) error {
 		ctl:       ctl,
 		ack:       ack,
 	}
-	h := &backupHandle{backup: b, link: l, lag: p.cfg.Lag.Stream(uint64(p.cfg.RegionID), b.cfg.ServerName)}
+	h := &backupHandle{backup: b, link: l}
 
 	b.mu.Lock()
 	b.ctls = append(b.ctls, l.ctl)
@@ -485,7 +482,11 @@ func (p *Primary) writeWithRetryTraced(h *backupHandle, rkey uint32, off int, da
 		if rt != nil {
 			ackStart = time.Now()
 		}
-		if _, err := h.toBackup.WaitCompletionTimeout(pol.AckTimeout); err != nil {
+		c, err := h.toBackup.WaitCompletionTimeout(pol.AckTimeout)
+		if err == nil && c.Delay >= pol.AckTimeout {
+			err = rdma.ErrTimeout // completed, but past the deadline
+		}
+		if err != nil {
 			if errors.Is(err, rdma.ErrDisconnected) {
 				return err
 			}
@@ -536,7 +537,6 @@ func (p *Primary) evict(h *backupHandle, cause error) {
 	}
 	p.cfg.Failures.RecordEviction()
 	p.cfg.Failures.EnterDegraded()
-	p.cfg.Lag.Evict(uint64(p.cfg.RegionID), h.backup.cfg.ServerName)
 	p.cfg.Events.Record(obs.Event{
 		Type: obs.EvBackupEvicted, Level: obs.LevelWarn, Node: p.cfg.ServerName,
 		Msg: "backup declared dead, replication degraded",
@@ -586,7 +586,8 @@ func (p *Primary) Degraded() bool {
 // work completions (§3.2). When the append belongs to a sampled
 // request, rt records one "ship" span per backup (the whole record
 // transfer) with a nested "ack" span for the completion wait, so the
-// request's Chrome trace shows its full replication fan-out.
+// request's Chrome trace shows its full replication fan-out. An
+// unsampled append (rt nil) reads no clock.
 func (p *Primary) OnAppend(res vlog.AppendResult, rt *obs.ReqTrace) {
 	handles := p.handles()
 	if len(handles) == 0 {
@@ -612,16 +613,16 @@ func (p *Primary) OnAppend(res vlog.AppendResult, rt *obs.ReqTrace) {
 				continue
 			}
 		}
-		shipStart := time.Now()
-		h.lag.RecordShip(len(res.Rec), shipStart)
+		var shipStart time.Time
+		if rt != nil {
+			shipStart = time.Now()
+		}
 		if err := p.writeWithRetryTraced(h, h.backup.LogBufferRKey(), int(res.TailPos), res.Rec, wrLogAppend, rt); err != nil {
 			p.evict(h, err)
 			continue
 		}
-		ackAt := time.Now()
-		shipDur := ackAt.Sub(shipStart)
-		h.lag.RecordAck(len(res.Rec), ackAt, shipDur)
 		if rt != nil {
+			shipDur := time.Since(shipStart)
 			rt.Record(obs.Span{
 				Node:   p.cfg.ServerName,
 				Cat:    "request",
@@ -729,9 +730,7 @@ func (p *Primary) shipSegment(job lsm.CompactionJob, seg btree.EmittedSegment) {
 	for _, h := range p.jobTargets(job.ID) {
 		h.mu.Lock()
 		shipStart := time.Now()
-		h.lag.BacklogAdd()
 		err := p.shipFrameLocked(h, job, seg, frame, codec, wrIndexShip)
-		h.lag.BacklogDone()
 		h.mu.Unlock()
 		if err != nil {
 			p.evict(h, err)

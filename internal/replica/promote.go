@@ -63,10 +63,8 @@ func (b *Backup) Promote() (*lsm.DB, error) {
 		return nil, err
 	}
 	// Persist the adopted tail so level pointers into it resolve even
-	// for reads that go to the device. The used bytes are zero-padded
-	// to a full segment image: buf is sized by the RDMA log buffer,
-	// which may be smaller than a segment, and persistence must not
-	// depend on that configuration.
+	// for reads that go to the device: the used bytes, zero-padded to a
+	// full segment image.
 	img := make([]byte, b.geo.SegmentSize())
 	copy(img, buf[:used])
 	if err := b.cfg.Device.WriteAt(b.geo.Pack(tailSeg, 0), img); err != nil {

@@ -18,7 +18,7 @@ func (s *Server) Observe(reg *obs.Registry) {
 	labels := obs.Labels{"node": s.cfg.Name}
 	for _, src := range []metrics.Source{
 		s, s.cfg.Cycles, s.cfg.LSM.CompactionStats, s.cfg.Failures,
-		s.cfg.Ship, s.cfg.GC.Stats, s.cfg.Lag, s.ctrl, storage.NodeCacheOf(s.cfg.Device),
+		s.cfg.Ship, s.cfg.GC.Stats, s.ctrl, storage.NodeCacheOf(s.cfg.Device),
 	} {
 		reg.Register(labels, src)
 	}

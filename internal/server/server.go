@@ -88,14 +88,6 @@ type Config struct {
 	// requests (created on demand when nil); Observe exposes it as the
 	// tebis_op_stage_* families (DESIGN.md "Observability").
 	Stages *metrics.StageSet
-	// Lag tracks per-backup replication lag, staleness, and ack round
-	// trips on hosted primaries (created on demand when nil); Observe
-	// exposes it as the tebis_replica_* families (DESIGN.md "Observability").
-	Lag *metrics.LagSet
-	// DisableLag leaves the lag tracker off entirely (every record site
-	// tolerates a nil LagSet). Bench-only ablation knob: the lag
-	// experiment uses it to price the tracker's hot-path tax.
-	DisableLag bool
 	// Events journals every control-plane transition this node makes —
 	// evictions, syncs, promotions, GC passes (created on
 	// demand when nil). May be shared cluster-wide so one journal holds
@@ -138,9 +130,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Stages == nil {
 		c.Stages = metrics.NewStageSet()
-	}
-	if c.Lag == nil && !c.DisableLag {
-		c.Lag = metrics.NewLagSet()
 	}
 	if c.Events == nil {
 		c.Events = obs.NewEventLog(0)
@@ -316,9 +305,6 @@ func (s *Server) Stages() *metrics.StageSet { return s.cfg.Stages }
 // runs with the fixed-knob dispatch threshold.
 func (s *Server) Admission() *admission.Controller { return s.ctrl }
 
-// Lag returns the per-backup replication-lag aggregator.
-func (s *Server) Lag() *metrics.LagSet { return s.cfg.Lag }
-
 // Events returns this node's control-plane event journal.
 func (s *Server) Events() *obs.EventLog { return s.cfg.Events }
 
@@ -394,7 +380,6 @@ func (s *Server) primaryConfig(id region.ID, mode replica.Mode) replica.PrimaryC
 		Failures:     s.cfg.Failures,
 		Trace:        s.trace,
 		Stages:       s.cfg.Stages,
-		Lag:          s.cfg.Lag,
 		Events:       s.cfg.Events,
 	}
 }

@@ -56,14 +56,7 @@ var requiredFamilies = []string{
 	"tebis_admission_threshold",
 	"tebis_admission_queue_wait_seconds",
 	"tebis_admission_threshold_adjustments_total",
-	// Replication-plane health (DESIGN.md "Observability"): per-backup
-	// lag/staleness from the primary's lag tracker and the structured event
-	// journal's per-type counters.
-	"tebis_replica_lag_ops",
-	"tebis_replica_lag_bytes",
-	"tebis_replica_backlog",
-	"tebis_replica_staleness_seconds",
-	"tebis_replica_ack_seconds",
+	// The structured event journal's per-type counters.
 	"tebis_events_total",
 }
 
@@ -266,10 +259,11 @@ func metricsComplete(body string) error {
 	if !strings.Contains(body, `tebis_op_stage_seconds{stage="dispatch"`) {
 		return fmt.Errorf("tebis_op_stage_seconds has no dispatch children")
 	}
-	// With the in-process backup attached, every replicated append feeds
-	// the lag tracker, so the per-backup children must exist.
-	if !strings.Contains(body, "tebis_replica_lag_ops{") {
-		return fmt.Errorf("tebis_replica_lag_ops has no per-backup children")
+	// With the in-process backup attached, a sampled put waits for its
+	// record's write completion at the backup, so the ack stage must
+	// have children too: replicated puts are observed.
+	if !strings.Contains(body, `tebis_op_stage_seconds{stage="ack"`) {
+		return fmt.Errorf("tebis_op_stage_seconds has no ack children")
 	}
 	// At least one compaction must have completed end to end.
 	for _, line := range strings.Split(body, "\n") {
