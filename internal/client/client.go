@@ -203,7 +203,7 @@ func (c *Client) dial(name string, h ServerHandle) (*serverConn, error) {
 		c:        c,
 		name:     name,
 		server:   h.Endpoint(),
-		reqQP:    rdma.Connect(c.ep, h.Endpoint(), 1024),
+		reqQP:    rdma.Connect(c.ep, h.Endpoint(), 0), // requests are unsignalled
 		reqRKey:  info.ReqRKey,
 		reqRing:  newRing(info.BufSize),
 		replyBuf: replyBuf,

@@ -70,7 +70,7 @@ func (s *Server) Connect(clientEP *rdma.Endpoint, replyRKey uint32) (ConnInfo, e
 		id:       len(s.conns),
 		reqBuf:   reqBuf,
 		poll:     reqBuf.Poller(),
-		replyQP:  rdma.Connect(s.cfg.Endpoint, clientEP, 1024),
+		replyQP:  rdma.Connect(s.cfg.Endpoint, clientEP, 0), // replies are unsignalled
 		replyKey: replyRKey,
 	}
 	s.conns = append(s.conns, conn)
