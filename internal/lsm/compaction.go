@@ -51,6 +51,15 @@ func (db *DB) AtJobBoundary(fn func() error) error {
 	return fn()
 }
 
+// AtAppendBoundary runs fn under the engine lock, between two appends:
+// no write appends to the log or reaches the listener until fn returns.
+// Replication mirrors the log tail into a newly attached backup in it.
+func (db *DB) AtAppendBoundary(fn func() error) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return fn()
+}
+
 // CompactAll forces every populated level down into the next one until
 // only the last level holds data. Garbage collection uses it to
 // eliminate every stale index entry pointing into victim segments

@@ -78,9 +78,9 @@ type Backup struct {
 	cfg BackupConfig
 	geo storage.Geometry
 
-	// Registered RDMA buffers the primary writes into.
-	logBuf *rdma.MemoryRegion // value-log tail replica (§3.2)
-	idxBuf *rdma.MemoryRegion // index segment staging (§3.3)
+	// logBuf is the value-log tail replica the primary's appends land in
+	// (§3.2); every other transfer rides in a control request.
+	logBuf *rdma.MemoryRegion
 
 	// db is the own engine (Build-Index, or once promoted). Writers hold
 	// mu; DB reads it without, as a metrics sampler does.
@@ -153,17 +153,10 @@ func NewBackup(cfg BackupConfig) (*Backup, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The staging buffer holds one shipped frame; a codec frame can
-	// exceed the raw segment image by its header.
-	idxBuf, err := cfg.Endpoint.Register(int(geo.SegmentSize()) + shipcodec.MaxOverhead)
-	if err != nil {
-		return nil, err
-	}
 	b := &Backup{
 		cfg:    cfg,
 		geo:    geo,
 		logBuf: logBuf,
-		idxBuf: idxBuf,
 		logMap: NewSegMap(cfg.Device),
 		levels: make(map[int]lsm.LevelState),
 	}
@@ -187,12 +180,6 @@ func NewBackup(cfg BackupConfig) (*Backup, error) {
 	}
 	return b, nil
 }
-
-// LogBufferRKey returns the rkey the primary writes log records to.
-func (b *Backup) LogBufferRKey() uint32 { return b.logBuf.RKey() }
-
-// IndexBufferRKey returns the rkey the primary stages index segments to.
-func (b *Backup) IndexBufferRKey() uint32 { return b.idxBuf.RKey() }
 
 // ServerName returns the hosting server's name.
 func (b *Backup) ServerName() string { return b.cfg.ServerName }
@@ -224,11 +211,10 @@ func (b *Backup) charge(c metrics.Component, n uint64) {
 // request on it fails at the write and the primary evicts this backup
 // once its retries run out.
 func (b *Backup) answer(l *link) {
-	var line [wire.HeaderSize]byte
-	ok, err := l.ctl.ReadIfWord(0, line[:], wire.Magic)
+	ok, err := l.ctl.ReadIfWord(0, l.line[:], wire.Magic)
 	if ok {
 		var ack []byte
-		if ack, err = b.respond(l, line[:]); err == nil {
+		if ack, err = b.respond(l, l.line[:]); err == nil {
 			_ = l.toPrimary.WriteUnsignaled(l.ack.RKey(), 0, ack) // a lost ack is a miss to the primary
 		}
 	}
@@ -299,7 +285,6 @@ func (b *Backup) unlink(ctl *rdma.MemoryRegion) {
 // owns no goroutine, so nothing is left running.
 func (b *Backup) Crash() {
 	b.cfg.Endpoint.Deregister(b.logBuf)
-	b.cfg.Endpoint.Deregister(b.idxBuf)
 	b.mu.Lock()
 	for _, ctl := range b.ctls {
 		b.cfg.Endpoint.Deregister(ctl)
@@ -377,12 +362,14 @@ func buildAck(h wire.Header, op wire.Op, flags uint8, payload []byte) []byte {
 	}, payload[:min(len(payload), wire.MaxPayload(ackRecvSize))])
 }
 
-// handleFlushTail persists the replicated log buffer as a local segment
+// handleFlushTail persists the replicated log buffer — or, from a state
+// transfer, the segment image the request carries — as a local segment
 // (§3.2 steps 2c-2d) and, in Build-Index mode, inserts the flushed
 // records into the backup's own L0 before it acks: once a flush is
 // acked its records are in the engine, so draining the engine drains
 // every flush acked so far (the backup's compactions still run on the
-// engine's own goroutine, as in the paper's baseline).
+// engine's own goroutine, as in the paper's baseline). Adopting a
+// segment again writes the same image again.
 func (b *Backup) handleFlushTail(h wire.Header, req wire.FlushTail) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -392,12 +379,15 @@ func (b *Backup) handleFlushTail(h wire.Header, req wire.FlushTail) ([]byte, err
 	// construction). A framing device stamps its trailer into the
 	// image's last bytes (storage.FramedWriter), above the usable
 	// capacity no record reaches; the next flush's read overwrites it.
-	if b.flushImg == nil {
-		b.flushImg = make([]byte, b.geo.SegmentSize())
-	}
-	data := b.flushImg
-	if err := b.logBuf.ReadAt(0, data); err != nil {
-		return nil, err
+	data := req.Image
+	if data == nil {
+		if b.flushImg == nil {
+			b.flushImg = make([]byte, b.geo.SegmentSize())
+		}
+		data = b.flushImg
+		if err := b.logBuf.ReadAt(0, data); err != nil {
+			return nil, err
+		}
 	}
 	// The log map may already hold a lazily allocated segment for this
 	// primary segment (an index leaf referenced it before the flush).
@@ -424,9 +414,12 @@ func (b *Backup) handleFlushTail(h wire.Header, req wire.FlushTail) ([]byte, err
 		}
 	}
 
-	// Clear the buffer for the next tail (the primary restarts at 0).
-	if err := b.logBuf.Clear(0, b.logBuf.Size()); err != nil {
-		return nil, err
+	// Clear the buffer for the next tail (the primary restarts at 0); a
+	// carried image left it alone.
+	if req.Image == nil {
+		if err := b.logBuf.Clear(0, b.logBuf.Size()); err != nil {
+			return nil, err
+		}
 	}
 	return ackMessage(h, wire.OpFlushTailAck), nil
 }
@@ -470,8 +463,9 @@ func (b *Backup) handleCompactionStart(h wire.Header, req wire.CompactionStart) 
 }
 
 // handleIndexSegment rewrites and persists one shipped index segment
-// (§3.3): resolve a local segment through the index map, rebase every
-// pivot and KV device offset, write it out.
+// (§3.3), whose frame is the request's payload: decode it, resolve a
+// local segment through the index map, rebase every pivot and KV device
+// offset, write it out.
 func (b *Backup) handleIndexSegment(h wire.Header, req wire.IndexSegment) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -479,13 +473,7 @@ func (b *Backup) handleIndexSegment(h wire.Header, req wire.IndexSegment) ([]byt
 	if ship == nil || ship.id != req.JobID {
 		return nil, fmt.Errorf("replica: index segment for unknown job %d", req.JobID)
 	}
-	if int64(req.DataLen) > b.geo.SegmentSize()+int64(shipcodec.MaxOverhead) {
-		return nil, fmt.Errorf("replica: index segment of %d bytes", req.DataLen)
-	}
-	data := make([]byte, req.DataLen)
-	if err := b.idxBuf.ReadAt(0, data); err != nil {
-		return nil, err
-	}
+	data := req.Frame
 	if req.Codec != 0 {
 		raw, err := shipcodec.Decode(data, nil, 0)
 		if err != nil {
@@ -494,6 +482,9 @@ func (b *Backup) handleIndexSegment(h wire.Header, req wire.IndexSegment) ([]byt
 			return ackError(h, wire.OpIndexSegmentAck, err), nil
 		}
 		data = raw
+	}
+	if int64(len(data)) > b.geo.SegmentSize() {
+		return nil, fmt.Errorf("replica: index segment image of %d bytes", len(data))
 	}
 	rewriteStart := time.Now()
 	entries := ship.filter.Len()

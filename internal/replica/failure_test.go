@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"tebis/internal/btree"
+	"tebis/internal/lsm"
 	"tebis/internal/metrics"
 	"tebis/internal/rdma"
 	"tebis/internal/storage"
@@ -412,7 +414,7 @@ func TestPromotePersistsTailAsFullSegment(t *testing.T) {
 	img = encodeLogRecord(img, "alpha", "one")
 	img = encodeLogRecord(img, "beta", "two")
 	qp := rdma.Connect(rdma.NewEndpoint("primary"), b.cfg.Endpoint, 1)
-	if err := qp.Write(b.LogBufferRKey(), 0, img, 0); err != nil {
+	if err := qp.Write(b.logBuf.RKey(), 0, img, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -639,7 +641,7 @@ func TestHandlerErrorSilencesTheLink(t *testing.T) {
 	}, nil)
 	p, b := r.primary, r.backups[0]
 	// A segment of a job the backup never saw start: its handler fails.
-	stray := wire.IndexSegment{RegionID: uint16(p.cfg.RegionID), JobID: 999}.Encode(nil)
+	stray := wire.IndexSegment{RegionID: uint16(p.cfg.RegionID), JobID: 999, Frame: make([]byte, 512)}.Encode(nil)
 	err := p.rpc(p.handles()[0], wire.OpIndexSegment, stray)
 	var rerr *RemoteError
 	if err == nil || errors.As(err, &rerr) {
@@ -759,31 +761,137 @@ func TestAttachStartsNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestControlRPCBytes: one control RPC moves its request line from the
+// TestControlRPCBytes: one control RPC moves its request from the
 // primary's NIC to the backup's and one ack line back — the bytes a
 // two-sided send of the same messages counted — so replication's
 // network amplification does not depend on how the control path runs.
+// A shipped index segment is one such request, its frame its payload:
+// one write into the backup per segment, not a frame staged ahead of a
+// line that names it.
 func TestControlRPCBytes(t *testing.T) {
 	r := newRig(t, SendIndex, 1)
 	p := r.primary
-	payload := wire.FlushTail{RegionID: uint16(p.cfg.RegionID), PrimarySeg: 7}.Encode(nil)
-	ptx, prx, btx, brx := r.epP.TxBytes(), r.epP.RxBytes(), r.epB[0].TxBytes(), r.epB[0].RxBytes()
-	if err := p.rpc(p.handles()[0], wire.OpFlushTail, payload); err != nil {
-		t.Fatal(err)
-	}
-	req := uint64(wire.SentSize(len(payload)))
+	var writes atomic.Int64
+	r.epB[0].InjectFault(func(op rdma.FaultOp, _, to string, _ int, _ []byte) rdma.Fault {
+		if op == rdma.FaultWrite && to == "backup0" {
+			writes.Add(1)
+		}
+		return rdma.Fault{}
+	})
+	job := lsm.CompactionJob{ID: 5, SrcLevel: 0, DstLevel: 1}
+	p.OnCompactionStart(job)
+	seg := btree.EmittedSegment{Seg: 9, Data: make([]byte, 8*lsmOpts().NodeSize)} // free nodes: nothing to rewrite
+	flush := wire.FlushTail{RegionID: uint16(p.cfg.RegionID), PrimarySeg: 7}.Encode(nil)
 	for _, c := range []struct {
-		what      string
-		got, want uint64
+		what    string
+		payload []byte
+		send    func() error
 	}{
-		{"primary Tx", r.epP.TxBytes() - ptx, req},
-		{"backup Rx", r.epB[0].RxBytes() - brx, req},
-		{"backup Tx", r.epB[0].TxBytes() - btx, wire.ReplyLine},
-		{"primary Rx", r.epP.RxBytes() - prx, wire.ReplyLine},
+		{"flush", flush, func() error { return p.rpc(p.handles()[0], wire.OpFlushTail, flush) }},
+		{"index segment", wire.IndexSegment{RegionID: uint16(p.cfg.RegionID), JobID: job.ID, DstLevel: 1, PrimarySeg: 9, Frame: seg.Data}.Encode(nil), func() error {
+			p.OnIndexSegment(job, seg)
+			return p.Err()
+		}},
 	} {
-		if c.got != c.want {
-			t.Errorf("%s moved %d bytes, want %d", c.what, c.got, c.want)
+		ptx, prx, btx, brx := r.epP.TxBytes(), r.epP.RxBytes(), r.epB[0].TxBytes(), r.epB[0].RxBytes()
+		w := writes.Load()
+		if err := c.send(); err != nil {
+			t.Fatal(err)
+		}
+		req := uint64(wire.SentSize(len(c.payload)))
+		for _, m := range []struct {
+			what      string
+			got, want uint64
+		}{
+			{"primary Tx", r.epP.TxBytes() - ptx, req},
+			{"backup Rx", r.epB[0].RxBytes() - brx, req},
+			{"backup Tx", r.epB[0].TxBytes() - btx, wire.ReplyLine},
+			{"primary Rx", r.epP.RxBytes() - prx, wire.ReplyLine},
+			{"writes into the backup", uint64(writes.Load() - w), 1},
+		} {
+			if m.got != m.want {
+				t.Errorf("%s: %s moved %d, want %d", c.what, m.what, m.got, m.want)
+			}
 		}
 	}
+	if len(p.Evictions()) != 0 {
+		t.Fatalf("evictions = %+v", p.Evictions())
+	}
 	r.checkHealthy()
+}
+
+// TestDroppedShipIsRetried: the request that ships a segment vanishes on
+// the wire during a Flush, and a put starts while the ship waits to
+// retry it. The put's log write completes for the put alone: the ship
+// is retried, not acknowledged by the put's completion, so the backup
+// installs the level, nothing is evicted, the put returns without
+// waiting out AckTimeout, and every key reads back from the promoted
+// backup.
+func TestDroppedShipIsRetried(t *testing.T) {
+	const ackTimeout = 2 * time.Second
+	failures := &metrics.FailureStats{}
+	r := newRigCfg(t, SendIndex, 1, nil, func(pc *PrimaryConfig) {
+		pc.Retry = RetryPolicy{AckTimeout: ackTimeout, MaxRetries: 2, Backoff: 50 * time.Millisecond}
+		pc.Failures = failures
+	}, nil)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
+	const n = 200 // under L0MaxKeys: the Flush's job is the first
+	for i := 0; i < n; i++ {
+		if err := r.db.Put(key(i), []byte(fmt.Sprintf("v-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var dropped atomic.Bool
+	raced := make(chan time.Duration, 1)
+	r.epB[0].InjectFault(func(op rdma.FaultOp, _, to string, _ int, payload []byte) rdma.Fault {
+		if op != rdma.FaultWrite || to != "backup0" || len(payload) <= 1024 || !dropped.CompareAndSwap(false, true) {
+			return rdma.Fault{}
+		}
+		go func() {
+			time.Sleep(20 * time.Millisecond)
+			start := time.Now()
+			if err := r.db.Put(key(n), []byte("raced")); err != nil {
+				t.Error(err)
+			}
+			raced <- time.Since(start)
+		}()
+		return rdma.Fault{Action: rdma.FaultDrop}
+	})
+	if err := r.db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !dropped.Load() {
+		t.Fatal("the Flush shipped nothing; no write was dropped")
+	}
+	if d := <-raced; d >= ackTimeout/2 {
+		t.Fatalf("the put beside the dropped ship took %v, AckTimeout is %v", d, ackTimeout)
+	}
+	if err := r.db.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	r.epB[0].InjectFault(nil)
+	r.checkHealthy()
+	if evs := r.primary.Evictions(); len(evs) != 0 {
+		t.Fatalf("evictions = %+v", evs)
+	}
+	if got := failures.Snapshot().Retries; got < 1 {
+		t.Fatalf("%d retries, want the dropped ship's", got)
+	}
+
+	r.primary.Detach(r.backups[0])
+	db2, err := r.backups[0].Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	for i := 0; i <= n; i++ {
+		want := fmt.Sprintf("v-%d", i)
+		if i == n {
+			want = "raced"
+		}
+		if v, found, err := db2.Get(key(i)); err != nil || !found || string(v) != want {
+			t.Fatalf("promoted Get(%s) = %q, %v, %v; want %q", key(i), v, found, err, want)
+		}
+	}
 }

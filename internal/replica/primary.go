@@ -87,9 +87,9 @@ type PrimaryConfig struct {
 	Cycles *metrics.Cycles
 	// Cost is the cycle cost model.
 	Cost metrics.CostModel
-	// ShipCodec compresses index-segment images on the wire before they
-	// are staged in a backup's buffer (DESIGN.md "Replication"). Zero
-	// (None) ships raw bytes — the paper's baseline.
+	// ShipCodec compresses index-segment images on the wire, in the
+	// request that ships them (DESIGN.md "Replication"). Zero (None)
+	// ships raw bytes — the paper's baseline.
 	ShipCodec shipcodec.Codec
 	// ShipDelta is ignored; kept only because benchmark/ sets it (ROADMAP item 18).
 	ShipDelta bool
@@ -124,13 +124,16 @@ type backupHandle struct {
 }
 
 // link is one primary-to-backup connection: a QP each way and the two
-// slots a control RPC uses. The primary writes a request line into the
+// slots a control RPC uses. The primary writes a request into the
 // backup's control slot and runs the backup's answer step, which writes
 // the ack line into the primary's ack slot. Attach builds a link whole
 // and never edits it, so a backup re-attached to a new primary gets a
 // link of its own, and closing the old one touches nothing of the new.
 type link struct {
-	toBackup  *rdma.QP // log records and index frames (signalled), request lines
+	// toBackup carries requests, and signalled writes into the backup's
+	// log buffer: a put's record and Sync's tail mirror, both under the
+	// engine lock, so its completion queue is one deep.
+	toBackup  *rdma.QP
 	toPrimary *rdma.QP // ack lines
 
 	ctl *rdma.MemoryRegion // the backup's control slot, on its endpoint
@@ -145,6 +148,9 @@ type link struct {
 	// primary's IDs do not match it.
 	lastReq uint64
 	lastAck []byte
+	// line is where the answer step reads a request's header line (guarded
+	// by the handle's mu); one on the stack would escape to the heap.
+	line [wire.HeaderSize]byte
 }
 
 // close tears the link down at both ends: later writes on it fail with
@@ -182,6 +188,11 @@ type Primary struct {
 	// compaction job, from OnCompactionStart to OnCompactionDone (nil
 	// between jobs).
 	job *jobState
+
+	// ship is where an index segment or a log image Sync replays is
+	// built and sent from, to each backup in turn: by the engine's one
+	// compaction job, or by Sync, which runs between jobs.
+	ship wire.MsgBuf
 }
 
 // jobState is the primary's view of the in-flight compaction job.
@@ -254,7 +265,10 @@ func (p *Primary) charge(c metrics.Component, n uint64) {
 // node's endpoint is closed (rdma.ErrAlreadyClosed): its machine crashed.
 func Attach(p *Primary, b *Backup) error {
 	pep, bep := p.cfg.Endpoint, b.cfg.Endpoint
-	ctl, err := register(bep, ctlSlotSize)
+	// The control slot holds the largest request: an IndexSegment whose
+	// frame is a whole segment, or a GCRelease of thousands of segments.
+	ctlSize := wire.MessageSize(wire.IndexSegment{}.Size() + int(b.geo.SegmentSize()) + shipcodec.MaxOverhead)
+	ctl, err := register(bep, max(ctlSize, gcReleaseSlot))
 	if err != nil {
 		return err
 	}
@@ -264,7 +278,7 @@ func Attach(p *Primary, b *Backup) error {
 		return err
 	}
 	l := &link{
-		toBackup:  rdma.Connect(pep, bep, 1024),
+		toBackup:  rdma.Connect(pep, bep, 1),
 		toPrimary: rdma.Connect(bep, pep, 0), // ack lines are unsignalled
 		ctl:       ctl,
 		ack:       ack,
@@ -333,16 +347,8 @@ func (p *Primary) Backups() []*Backup {
 	return out
 }
 
-// rpc performs one synchronous control round trip with a backup.
-func (p *Primary) rpc(h *backupHandle, op wire.Op, payload []byte) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return p.rpcLocked(h, op, payload)
-}
-
-// ctlSlotSize is a backup's control slot on one link: it holds the
-// largest request, a GCRelease naming thousands of segments.
-const ctlSlotSize = 64 << 10
+// gcReleaseSlot is the control slot a GCRelease may fill.
+const gcReleaseSlot = 64 << 10
 
 // ackRecvSize fits every ack: a reply whose status byte rides in its one
 // line, or an error text, which buildAck cuts to what this size holds.
@@ -364,11 +370,8 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("replica: backup rejected %v: %s", e.Op, e.Msg)
 }
 
-// rpcLocked is rpc for callers that already hold h.mu (segment shipping
-// holds it across the data write and the control message, so the
-// staged frame and the message naming it go out as one pair).
-//
-// An attempt writes the request line into the backup's control slot,
+// rpc performs one synchronous control round trip with a backup. An
+// attempt writes the request into the backup's control slot,
 // unsignalled, and runs the backup's answer step; the ack is in the
 // primary's ack slot when that returns, or it never comes. A missed ack
 // — the request or the ack dropped on the wire, or a backup that stopped
@@ -376,11 +379,18 @@ func (e *RemoteError) Error() string {
 // backup deduplicates re-deliveries and replays its cached ack, so
 // non-idempotent handlers never run twice even when only the ack was
 // lost.
-func (p *Primary) rpcLocked(h *backupHandle, op wire.Op, payload []byte) error {
+func (p *Primary) rpc(h *backupHandle, op wire.Op, payload []byte) error {
+	return p.rpcIn(h, &h.msg, op, payload)
+}
+
+// rpcIn is rpc with the request finished in mb, in place when payload
+// was built on mb.Reserve's slice. A write copies the message into the
+// backup's control slot, so one buffer serves an RPC and its retries.
+func (p *Primary) rpcIn(h *backupHandle, mb *wire.MsgBuf, op wire.Op, payload []byte) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	reqID := p.reqID.Add(1)
-	// A write copies the message into the backup's control slot, so one
-	// buffer per handle serves every RPC and all of its retries.
-	msg := h.msg.Finish(wire.Header{
+	msg := mb.Finish(wire.Header{
 		Opcode:    op,
 		RegionID:  uint16(p.cfg.RegionID),
 		RequestID: reqID,
@@ -453,17 +463,13 @@ func (h *backupHandle) takeAck(reqID uint64) error {
 	return nil
 }
 
-// writeWithRetry performs one one-sided write and waits for its
-// completion under the retry policy. A dropped write never completes,
-// so the completion deadline doubles as the liveness check; re-issuing
-// the identical write is idempotent.
-func (p *Primary) writeWithRetry(h *backupHandle, rkey uint32, off int, data []byte, wrID uint64) error {
-	return p.writeWithRetryTraced(h, rkey, off, data, wrID, nil)
-}
-
-// writeWithRetryTraced is writeWithRetry recording the completion wait
-// as a per-backup "ack" request span when rt is non-nil.
-func (p *Primary) writeWithRetryTraced(h *backupHandle, rkey uint32, off int, data []byte, wrID uint64, rt *obs.ReqTrace) error {
+// writeLog writes data into the backup's log buffer at off and waits for
+// its completion under the retry policy, recording the wait as a
+// per-backup "ack" request span when rt is non-nil. A dropped write never
+// completes, so the completion deadline doubles as the liveness check;
+// re-issuing the identical write is idempotent. Caller holds the engine
+// lock (lsm.DB), so the link's one completion is this write's.
+func (p *Primary) writeLog(h *backupHandle, off int, data []byte, rt *obs.ReqTrace) error {
 	pol := p.retry
 	var lastErr error
 	for attempt := 0; attempt <= pol.MaxRetries; attempt++ {
@@ -471,7 +477,7 @@ func (p *Primary) writeWithRetryTraced(h *backupHandle, rkey uint32, off int, da
 			p.cfg.Failures.RecordRetry()
 			time.Sleep(pol.backoff(attempt))
 		}
-		if err := h.toBackup.Write(rkey, off, data, wrID); err != nil {
+		if err := h.toBackup.Write(h.backup.logBuf.RKey(), off, data, 0); err != nil {
 			if errors.Is(err, rdma.ErrDisconnected) {
 				return err
 			}
@@ -589,35 +595,17 @@ func (p *Primary) Degraded() bool {
 // request's Chrome trace shows its full replication fan-out. An
 // unsampled append (rt nil) reads no clock.
 func (p *Primary) OnAppend(res vlog.AppendResult, rt *obs.ReqTrace) {
-	handles := p.handles()
-	if len(handles) == 0 {
-		return
-	}
-	var flushPayload []byte
-	if res.Sealed != nil {
-		flushPayload = wire.FlushTail{
-			RegionID:   uint16(p.cfg.RegionID),
-			PrimarySeg: uint32(res.Sealed.Seg),
-		}.Encode(nil)
-	}
+	p.OnSeal(res.Sealed)
 	// A failing backup is evicted and the append continues with the
 	// survivors: one dead replica must not block the write path (§3.5).
 	// Reliable QP semantics still hold per surviving backup — the write
 	// completion is awaited before the client is acknowledged.
-	const wrLogAppend = 1
-	for _, h := range handles {
-		if flushPayload != nil {
-			p.charge(metrics.CompLogReplication, p.cfg.Cost.RDMAWrite(wire.SentSize(len(flushPayload))))
-			if err := p.rpc(h, wire.OpFlushTail, flushPayload); err != nil {
-				p.evict(h, err)
-				continue
-			}
-		}
+	for _, h := range p.handles() {
 		var shipStart time.Time
 		if rt != nil {
 			shipStart = time.Now()
 		}
-		if err := p.writeWithRetryTraced(h, h.backup.LogBufferRKey(), int(res.TailPos), res.Rec, wrLogAppend, rt); err != nil {
+		if err := p.writeLog(h, int(res.TailPos), res.Rec, rt); err != nil {
 			p.evict(h, err)
 			continue
 		}
@@ -687,91 +675,71 @@ func (p *Primary) jobTargets(jobID uint64) []*backupHandle {
 	return out
 }
 
-// OnIndexSegment ships one sealed index segment: a one-sided write of
-// the segment image into the backup's staging buffer followed by a
-// control message with the translation metadata (§3.3). The job's
-// builder invokes it as it seals the segment, before it builds the
-// later ones — the Send-Index streaming.
+// OnIndexSegment ships one sealed index segment: one control request
+// that carries the segment's frame and the translation metadata (§3.3).
+// The job's builder invokes it as it seals the segment, before it builds
+// the later ones — the Send-Index streaming.
+//
+// The codec runs once per segment, not per backup: every backup
+// receives the same request. A backup that stops responding mid-ship, or
+// cannot decode the frame (a FlagError ack), is evicted and the
+// remaining backups still receive the segment — the compaction job must
+// complete on the survivors rather than wedge inside the ship.
 func (p *Primary) OnIndexSegment(job lsm.CompactionJob, seg btree.EmittedSegment) {
 	if p.cfg.Mode != SendIndex {
 		return
 	}
-	p.shipSegment(job, seg)
-}
-
-// encodeShip frames one segment image for the wire: the one place a
-// primary runs the ship codec, for compaction ships and Sync alike.
-// Without a codec the image ships raw, under codec 0.
-func (p *Primary) encodeShip(data []byte) (frame []byte, codec uint8, err error) {
-	if p.cfg.ShipCodec == shipcodec.None {
-		return data, 0, nil
-	}
-	frame, err = shipcodec.EncodePages(p.cfg.ShipCodec, data, p.cfg.ShipPageSize)
-	return frame, uint8(p.cfg.ShipCodec), err
-}
-
-// shipSegment performs the actual transfer of one segment. It holds the
-// backup handle's control lock across the staging-buffer write and the
-// metadata message: the backup stages one segment at a time, so nothing
-// else sent on the handle may come between the frame and its message.
-//
-// The codec runs once per segment, not per backup: every backup
-// receives the same frame. A backup that stops responding mid-ship, or
-// cannot decode the frame (a FlagError ack), is evicted and the
-// remaining backups still receive the segment — the compaction job must
-// complete on the survivors rather than wedge inside the ship.
-func (p *Primary) shipSegment(job lsm.CompactionJob, seg btree.EmittedSegment) {
-	const wrIndexShip = 2
-	frame, codec, err := p.encodeShip(seg.Data)
+	payload, frame, err := p.indexSegment(job.ID, job.DstLevel, seg.Seg, seg.Data)
 	if err != nil {
 		p.setErr(err)
 		return
 	}
 	for _, h := range p.jobTargets(job.ID) {
-		h.mu.Lock()
 		shipStart := time.Now()
-		err := p.shipFrameLocked(h, job, seg, frame, codec, wrIndexShip)
-		h.mu.Unlock()
-		if err != nil {
+		p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAWrite(wire.SentSize(len(payload))))
+		if err := p.rpcIn(h, &p.ship, wire.OpIndexSegment, payload); err != nil {
 			p.evict(h, err)
 			continue
 		}
-		p.cfg.Ship.RecordShip(len(seg.Data), len(frame))
+		p.cfg.Ship.RecordShip(len(seg.Data), frame)
 		p.cfg.Trace.Record(obs.Span{
 			Cat: "replication", Name: "ship", JobID: job.ID,
-			Backup: h.backup.cfg.ServerName, Bytes: int64(len(frame)),
+			Backup: h.backup.cfg.ServerName, Bytes: int64(frame),
 			Start: shipStart, Dur: time.Since(shipStart),
 		})
 	}
 }
 
-// shipFrameLocked stages one encoded frame in a backup's index buffer
-// and sends the IndexSegment control message. Caller holds h.mu.
-func (p *Primary) shipFrameLocked(h *backupHandle, job lsm.CompactionJob, seg btree.EmittedSegment, frame []byte, codec uint8, wrID uint64) error {
-	if err := p.writeWithRetry(h, h.backup.IndexBufferRKey(), 0, frame, wrID); err != nil {
-		return err
-	}
-	p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAWrite(len(frame)))
-	payload := wire.IndexSegment{
+// indexSegment builds in p.ship the payload that ships segment seg's
+// image to level lvl of job jobID, and returns it with its frame's
+// length: the one place a primary runs the ship codec, for compaction
+// ships and Sync alike. Without a codec the image ships raw, codec 0.
+func (p *Primary) indexSegment(jobID uint64, lvl int, seg storage.SegmentID, image []byte) (payload []byte, frame int, err error) {
+	req := wire.IndexSegment{
 		RegionID:   uint16(p.cfg.RegionID),
-		JobID:      job.ID,
-		DstLevel:   uint8(job.DstLevel),
-		PrimarySeg: uint32(seg.Seg),
-		DataLen:    uint32(len(frame)),
-		Codec:      codec,
-	}.Encode(nil)
-	p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAWrite(wire.SentSize(len(payload))))
-	return p.rpcLocked(h, wire.OpIndexSegment, payload)
+		JobID:      jobID,
+		DstLevel:   uint8(lvl),
+		PrimarySeg: uint32(seg),
+	}
+	fields := req.Size()
+	payload = p.ship.Reserve(fields + shipcodec.MaxOverhead + len(image))
+	if p.cfg.ShipCodec == shipcodec.None {
+		req.Frame = image
+		return req.Encode(payload), len(image), nil
+	}
+	req.Codec = uint8(p.cfg.ShipCodec)
+	payload, err = shipcodec.AppendPages(req.Encode(payload), p.cfg.ShipCodec, image, p.cfg.ShipPageSize)
+	return payload, len(payload) - fields, err
 }
 
-// OnSeal reacts to a GC relocation commit point: the engine force-
-// sealed a partial tail holding relocated records, and every backup
-// must persist its mirrored log buffer before any victim segment can
-// be released (DESIGN.md "Value-log GC"). It is the same flush-tail
-// handshake a natural seal performs in OnAppend, invoked under the engine
-// lock so backups observe it in log order.
+// OnSeal is the flush-tail handshake of a sealed tail (nil: none): every
+// backup persists its mirrored log buffer. OnAppend runs it for a
+// natural seal, and the engine for a GC relocation commit point, which
+// force-sealed a partial tail holding relocated records before any
+// victim segment can be released (DESIGN.md "Value-log GC"); both run
+// under the engine lock, so backups observe it in log order.
 func (p *Primary) OnSeal(sealed *vlog.Sealed) {
-	if p.cfg.Mode == NoReplication || sealed == nil {
+	if sealed == nil {
 		return
 	}
 	payload := wire.FlushTail{

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"slices"
 
 	"tebis/internal/metrics"
 	"tebis/internal/obs"
@@ -15,21 +16,23 @@ import (
 // the region servers in the group to transfer their region data to the
 // new backup").
 //
-// It reuses the regular replication machinery: every sealed value-log
-// segment is pushed through the log buffer + flush-tail path (which also
-// populates the new backup's log map, and, under Build-Index, feeds its
-// own LSM), the unflushed tail is mirrored into the log buffer, and
-// under Send-Index every level is shipped through the index path.
+// Writes keep flowing: the backup receives every append from Attach on.
+// With appends held off (lsm.AtAppendBoundary) Sync mirrors the
+// unflushed tail into the backup's log buffer, so a flush of it is whole
+// from then on. Then every sealed value-log segment ships as the image a
+// FlushTail carries (populating the backup's log map, and, under
+// Build-Index, its own LSM), and under Send-Index every level ships
+// through the index path. A segment a live flush adopted before — from
+// a buffer without the records appended before Attach, or ahead of the
+// older segments shipped after it — is adopted again
+// (vlog.Log.AdoptSegmentAs).
 //
-// The caller must quiesce writes to the region for the duration of the
-// transfer (the master performs transfers on regions whose primary just
-// changed, before re-admitting client traffic). An incremental catch-up
-// protocol is future work, as in the paper. Background compactions need
-// no quiescing: the transfer runs at a job boundary (lsm.AtJobBoundary),
-// so a job in flight when the backup was attached finishes first — it
-// ships only to the backups that saw its start — and the level snapshot
-// shipped here already holds its result; jobs planned afterwards
-// include the new backup from their start.
+// Background compactions need no quiescing either: the transfer runs at
+// a job boundary (lsm.AtJobBoundary), so a job in flight when the backup
+// was attached finishes first — it ships only to the backups that saw
+// its start — and the level snapshot shipped here already holds its
+// result; jobs planned afterwards include the new backup from their
+// start.
 //
 // Sync returns the number of payload bytes it shipped — log segments,
 // tail, and built index segments.
@@ -69,59 +72,81 @@ func (p *Primary) transfer(b *Backup) (int64, error) {
 		},
 	})
 	log := db.Log()
-	geo := db.Log().Geometry()
+	geo := log.Geometry()
 
-	// 1. Replay every sealed log segment through the flush path.
-	segImage := make([]byte, geo.SegmentSize())
-	for _, seg := range log.Segments() {
-		if err := log.ReadSegmentImage(seg, segImage); err != nil {
-			return shipped, err
-		}
-		if err := p.writeWithRetry(h, b.LogBufferRKey(), 0, segImage, 0); err != nil {
-			return shipped, err
-		}
-		p.charge(metrics.CompLogReplication, p.cfg.Cost.RDMAWrite(len(segImage)))
-		p.cfg.Failures.AddResyncBytes(len(segImage))
-		shipped += int64(len(segImage))
-		payload := wire.FlushTail{
-			RegionID:   uint16(p.cfg.RegionID),
-			PrimarySeg: uint32(seg),
-		}.Encode(nil)
-		if err := p.rpc(h, wire.OpFlushTail, payload); err != nil {
-			return shipped, err
-		}
-	}
-
-	// 2. Mirror the unflushed tail into the backup's log buffer (no
+	// 1. Mirror the unflushed tail into the backup's log buffer (no
 	// flush: the backup holds it in memory exactly like live replicas)
-	// and register the tail's primary segment in the backup's log map.
-	// Without the mapping a later Promote would adopt the tail into a
-	// fresh local segment while indexes shipped in step 3 may reference
-	// the tail through a different lazily allocated one — every pointer
-	// into the unflushed tail would dangle.
-	tailSeg, tailData, tailLen := log.TailSnapshot()
-	if tailLen > 0 {
-		if err := p.writeWithRetry(h, b.LogBufferRKey(), 0, tailData, 0); err != nil {
-			return shipped, err
+	// and register the tail's primary segment in the backup's log map,
+	// appends held off; take the sealed segments there. Without the
+	// mapping a later Promote would adopt the tail into a fresh local
+	// segment while indexes shipped in step 3 may reference the tail
+	// through a different lazily allocated one — every pointer into the
+	// unflushed tail would dangle.
+	var sealed []storage.SegmentID
+	err := db.AtAppendBoundary(func() error {
+		sealed = log.Segments()
+		tailSeg, tailData, tailLen := log.TailSnapshot()
+		if tailLen == 0 {
+			return nil
+		}
+		if err := p.writeLog(h, 0, tailData, nil); err != nil {
+			return err
 		}
 		p.charge(metrics.CompLogReplication, p.cfg.Cost.RDMAWrite(len(tailData)))
 		p.cfg.Failures.AddResyncBytes(len(tailData))
 		shipped += int64(len(tailData))
-		payload := wire.FlushTail{
+		return p.rpc(h, wire.OpSyncTail, wire.FlushTail{
 			RegionID:   uint16(p.cfg.RegionID),
 			PrimarySeg: uint32(tailSeg),
-		}.Encode(nil)
-		if err := p.rpc(h, wire.OpSyncTail, payload); err != nil {
-			return shipped, err
+		}.Encode(nil))
+	})
+
+	// 2. Ship every sealed log segment as the image of a FlushTail, read
+	// in behind the fields it follows, in p.ship. Then ship again,
+	// appends held off, each segment that sealed meanwhile: its live
+	// flush was adopted ahead of older segments shipped after it, and a
+	// backup's log order is its adoption order (replay, a Build-Index
+	// backup's L0).
+	fields := wire.FlushTail{}.Size()
+	payload := p.ship.Reserve(fields + int(geo.SegmentSize()))[:fields+int(geo.SegmentSize())]
+	flush := func(segs []storage.SegmentID) error {
+		for _, seg := range segs {
+			wire.FlushTail{RegionID: uint16(p.cfg.RegionID), PrimarySeg: uint32(seg)}.Encode(payload[:0])
+			if err := log.ReadSegmentImage(seg, payload[fields:]); err != nil {
+				return err
+			}
+			p.charge(metrics.CompLogReplication, p.cfg.Cost.RDMAWrite(wire.SentSize(len(payload))))
+			p.cfg.Failures.AddResyncBytes(len(payload) - fields)
+			shipped += int64(len(payload) - fields)
+			if err := p.rpcIn(h, &p.ship, wire.OpFlushTail, payload); err != nil {
+				return err
+			}
 		}
+		return nil
+	}
+	if err == nil {
+		err = flush(sealed)
+	}
+	if err == nil {
+		err = db.AtAppendBoundary(func() error {
+			return flush(slices.DeleteFunc(log.Segments(), func(seg storage.SegmentID) bool {
+				return slices.Contains(sealed, seg)
+			}))
+		})
+	}
+	if err != nil {
+		return shipped, err
 	}
 
 	// 3. Send-Index: ship every populated level through the index path.
 	// Sync uses a reserved job-ID namespace (high bit set, keyed by
 	// level) so its pseudo-jobs can never collide with the scheduler's
-	// monotonically assigned compaction job IDs.
+	// monotonically assigned compaction job IDs. A level segment ships as
+	// its full image (the backup's rewrite stops at the first free node
+	// slot, so full images of partially used segments are safe).
 	if p.cfg.Mode == SendIndex {
 		watermark := db.Watermark()
+		image := make([]byte, geo.SegmentSize())
 		for i, st := range db.Levels() {
 			lvl := i + 1
 			if st.NumKeys == 0 {
@@ -139,9 +164,18 @@ func (p *Primary) transfer(b *Backup) (int64, error) {
 				return shipped, err
 			}
 			for _, seg := range st.Segments {
-				n, err := p.shipSegmentImage(h, jobID, lvl, seg, geo)
-				shipped += n
+				if err := log.ReadSegmentImage(seg, image); err != nil {
+					return shipped, err
+				}
+				payload, frame, err := p.indexSegment(jobID, lvl, seg, image)
 				if err != nil {
+					return shipped, err
+				}
+				p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAWrite(wire.SentSize(len(payload))))
+				p.cfg.Failures.AddResyncBytes(frame)
+				p.cfg.Ship.RecordShip(len(image), frame)
+				shipped += int64(frame)
+				if err := p.rpcIn(h, &p.ship, wire.OpIndexSegment, payload); err != nil {
 					return shipped, err
 				}
 			}
@@ -179,33 +213,3 @@ func (p *Primary) transfer(b *Backup) (int64, error) {
 
 // syncJobBase marks the pseudo job IDs Sync ships whole levels under.
 const syncJobBase = uint64(1) << 63
-
-// shipSegmentImage sends one full level segment image through the
-// Send-Index path (the backup's rewrite stops at the first free node
-// slot, so full images of partially used segments are safe), framed by
-// the ship codec like a compaction ship.
-func (p *Primary) shipSegmentImage(h *backupHandle, jobID uint64, lvl int, seg storage.SegmentID, geo storage.Geometry) (int64, error) {
-	image := make([]byte, geo.SegmentSize())
-	if err := p.DB().Log().ReadSegmentImage(seg, image); err != nil {
-		return 0, err
-	}
-	data, codec, err := p.encodeShip(image)
-	if err != nil {
-		return 0, err
-	}
-	if err := p.writeWithRetry(h, h.backup.IndexBufferRKey(), 0, data, 0); err != nil {
-		return 0, err
-	}
-	p.charge(metrics.CompSendIndex, p.cfg.Cost.RDMAWrite(len(data)))
-	p.cfg.Failures.AddResyncBytes(len(data))
-	p.cfg.Ship.RecordShip(len(image), len(data))
-	payload := wire.IndexSegment{
-		RegionID:   uint16(p.cfg.RegionID),
-		JobID:      jobID,
-		DstLevel:   uint8(lvl),
-		PrimarySeg: uint32(seg),
-		DataLen:    uint32(len(data)),
-		Codec:      codec,
-	}.Encode(nil)
-	return int64(len(data)), p.rpc(h, wire.OpIndexSegment, payload)
-}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tebis/internal/btree"
 	"tebis/internal/lsm"
@@ -192,3 +193,109 @@ func TestReservedOpcodesRejected(t *testing.T) {
 		}
 	}
 }
+
+// testSyncUnderLivePuts: Sync runs while a client keeps writing — as the
+// master's refill does — new keys and overwrites of the preloaded ones,
+// and the synced backup, once promoted, serves the last value of every
+// key. A live append that lands between a sealed segment's image and its
+// flush, or a tail that seals before Sync mirrored it and flushes a
+// buffer without the records appended before Attach, loses or garbles
+// acked writes; so does a Build-Index backup that indexes a segment
+// sealed during the transfer ahead of the older ones the transfer ships
+// after it.
+func testSyncUnderLivePuts(t *testing.T, mode Mode) {
+	r := newRig(t, mode, 1)
+	const preload, live = 2800, 3000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
+	want := make(map[string]string, preload+live)
+	for i := 0; i < preload; i++ {
+		v := fmt.Sprintf("v-%d", i)
+		if err := r.db.Put(key(i), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		want[string(key(i))] = v
+	}
+	if err := r.db.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The live writer's puts: a new key each, every third one an
+	// overwrite of a preloaded key as well.
+	type put struct{ k, v string }
+	var puts []put
+	for i := 0; i < live; i++ {
+		puts = append(puts, put{string(key(preload + i)), fmt.Sprintf("w-%d", i)})
+		if i%3 == 0 {
+			puts = append(puts, put{string(key(i * 997 % preload)), fmt.Sprintf("o-%d", i)})
+		}
+	}
+	nb := r.addEmptyBackup(mode)
+	// Each segment-sized write into the new backup — the transfer's —
+	// lingers on the wire, so the writer's appends, and the seals among
+	// them, run beside the transfer.
+	r.epB[len(r.epB)-1].InjectFault(func(op rdma.FaultOp, _, to string, _ int, payload []byte) rdma.Fault {
+		if op == rdma.FaultWrite && to == nb.ServerName() && len(payload) > 4<<10 {
+			return rdma.Fault{Action: rdma.FaultDelay, Delay: time.Millisecond}
+		}
+		return rdma.Fault{}
+	})
+	started := make(chan struct{})
+	putErr := make(chan error, 1)
+	go func() {
+		for j, p := range puts {
+			if j == 50 {
+				close(started)
+			}
+			if err := r.db.Put([]byte(p.k), []byte(p.v)); err != nil {
+				putErr <- err
+				return
+			}
+		}
+		putErr <- nil
+	}()
+	<-started
+	if _, err := r.primary.Sync(nb); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-putErr; err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range puts {
+		want[p.k] = p.v
+	}
+	if err := r.db.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if mode == BuildIndex {
+		if err := nb.DB().WaitIdle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.checkHealthy()
+	if evs := r.primary.Evictions(); len(evs) != 0 {
+		t.Fatalf("evictions = %+v", evs)
+	}
+
+	r.primary.Detach(nb)
+	db2, err := nb.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	wrong := 0
+	for k, v := range want {
+		got, found, err := db2.Get([]byte(k))
+		if err != nil || !found || string(got) != v {
+			if wrong < 5 {
+				t.Errorf("synced-backup Get(%s) = %q, %v, %v; want %q", k, got, found, err, v)
+			}
+			wrong++
+		}
+	}
+	if wrong > 0 {
+		t.Fatalf("%d of %d keys wrong on the backup synced under live puts", wrong, len(want))
+	}
+}
+
+func TestSyncUnderLivePutsSendIndex(t *testing.T)  { testSyncUnderLivePuts(t, SendIndex) }
+func TestSyncUnderLivePutsBuildIndex(t *testing.T) { testSyncUnderLivePuts(t, BuildIndex) }

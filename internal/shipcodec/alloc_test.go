@@ -46,12 +46,12 @@ func TestShipCodecSteadyStateAllocatesTheFrameAndTheImage(t *testing.T) {
 		"random spans (residue)":  randSegment(rand.New(rand.NewSource(3)), 256<<10),
 		"leaves then a short end": leaves[:len(leaves)-100],
 	} {
-		frame, err := EncodePages(Flate, raw, 4096)
+		frame, err := AppendPages(nil, Flate, raw, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}
 		const slack = 16 << 10 // size-class rounding of the one large allocation
-		if got := allocatedBy(func() { frame, err = EncodePages(Flate, raw, 4096) }); err != nil || got > uint64(HeaderSize+len(raw))+slack {
+		if got := allocatedBy(func() { frame, err = AppendPages(nil, Flate, raw, 4096) }); err != nil || got > uint64(HeaderSize+len(raw))+slack {
 			t.Fatalf("%s: Encode of a %d-byte image into a %d-byte frame allocated %d bytes (err %v)", name, len(raw), len(frame), got, err)
 		}
 		var out []byte
@@ -86,7 +86,7 @@ func TestShipCodecHostileRawLen(t *testing.T) {
 		// that far (doubling), but no further.
 		"residue": {bytes.Repeat([]byte("tebis"), 4096), func([]byte) uint64 { return 4 * 20480 }},
 	} {
-		frame, err := EncodePages(Flate, tc.raw, 4096)
+		frame, err := AppendPages(nil, Flate, tc.raw, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}

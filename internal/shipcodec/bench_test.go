@@ -21,7 +21,7 @@ func BenchmarkShipCodec(b *testing.B) {
 		{"index", indexImages(b, 4096, ycsbKeys(16<<10), 0, rand.New(rand.NewSource(51)))[0]},
 		{"log", logImage(b)},
 	} {
-		frame, err := EncodePages(Flate, img.raw, 4096)
+		frame, err := AppendPages(nil, Flate, img.raw, 4096)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func BenchmarkShipCodec(b *testing.B) {
 		b.Run(img.name+"/encode", func(b *testing.B) {
 			b.SetBytes(int64(len(img.raw)))
 			for i := 0; i < b.N; i++ {
-				if benchSink, err = EncodePages(Flate, img.raw, 4096); err != nil {
+				if benchSink, err = AppendPages(nil, Flate, img.raw, 4096); err != nil {
 					b.Fatal(err)
 				}
 			}

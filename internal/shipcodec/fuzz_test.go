@@ -33,16 +33,16 @@ func FuzzDecode(f *testing.F) {
 		binary.LittleEndian.PutUint32(frame[4:8], rawLen)
 		return frame
 	}
-	packed := seed(EncodePages(Flate, leaves, pageSize))
+	packed := seed(AppendPages(nil, Flate, leaves, pageSize))
 	for _, frame := range [][]byte{
 		packed, // packed pages only
-		seed(EncodePages(Flate, mixed, pageSize)),                 // packed, residue, short tail
-		seed(EncodePages(Flate, index, pageSize)),                 // residue only
-		seed(EncodePages(None, leaves[:pageSize], pageSize)),      // stored
-		seed(EncodePages(Flate, randSegment(rnd, 700), pageSize)), // stored by fallback, or nearly
-		header(packed, codecPages, 1, uint32(len(leaves))),        // delta flag on a page stream
-		header(packed, 1, 1, uint32(len(leaves))),                 // an older primary's delta codec
-		header(packed, codecPages, 0, 1<<32-1),                    // a 4 GB claim
+		seed(AppendPages(nil, Flate, mixed, pageSize)),                 // packed, residue, short tail
+		seed(AppendPages(nil, Flate, index, pageSize)),                 // residue only
+		seed(AppendPages(nil, None, leaves[:pageSize], pageSize)),      // stored
+		seed(AppendPages(nil, Flate, randSegment(rnd, 700), pageSize)), // stored by fallback, or nearly
+		header(packed, codecPages, 1, uint32(len(leaves))),             // delta flag on a page stream
+		header(packed, 1, 1, uint32(len(leaves))),                      // an older primary's delta codec
+		header(packed, codecPages, 0, 1<<32-1),                         // a 4 GB claim
 	} {
 		f.Add(frame)
 		f.Add(frame[:len(frame)/2])

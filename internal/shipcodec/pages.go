@@ -38,6 +38,7 @@ const decodeHeadroom = 8
 // appendPageStream appends the page stream of raw to frame, whose
 // payload it becomes.
 func appendPageStream(frame, raw []byte, pageSize int) ([]byte, error) {
+	start := len(frame)
 	frame = binary.AppendUvarint(frame, uint64(pageSize))
 	offAt := len(frame)
 	frame = append(frame, 0, 0, 0, 0)
@@ -73,7 +74,7 @@ func appendPageStream(frame, raw []byte, pageSize int) ([]byte, error) {
 	if run > 0 {
 		frame = binary.AppendUvarint(frame, run)
 	}
-	binary.LittleEndian.PutUint32(frame[offAt:], uint32(len(frame)-HeaderSize))
+	binary.LittleEndian.PutUint32(frame[offAt:], uint32(len(frame)-start))
 	if d != nil {
 		if err := d.zw.Close(); err != nil {
 			return nil, err

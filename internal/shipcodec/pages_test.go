@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -123,12 +124,17 @@ func deflatedFrameLen(t testing.TB, raw []byte) int {
 
 // checkRoundTrip frames raw at pageSize and decodes it — with a page
 // size argument that is deliberately not the encoder's: a full frame
-// carries its own — to the identical bytes, inside MaxOverhead.
+// carries its own — to the identical bytes, inside MaxOverhead. The frame
+// appended behind other bytes, as a request's fields, is the same frame.
 func checkRoundTrip(t testing.TB, raw []byte, pageSize int) []byte {
 	t.Helper()
-	frame, err := EncodePages(Flate, raw, pageSize)
+	frame, err := AppendPages(nil, Flate, raw, pageSize)
 	if err != nil {
-		t.Fatalf("EncodePages(%d bytes, page %d): %v", len(raw), pageSize, err)
+		t.Fatalf("AppendPages(nil, %d bytes, page %d): %v", len(raw), pageSize, err)
+	}
+	fields := []byte("eighteen-byte head")
+	if behind, err := AppendPages(slices.Clone(fields), Flate, raw, pageSize); err != nil || !bytes.Equal(behind, append(fields, frame...)) {
+		t.Fatalf("the frame of a %d-byte image appended behind %d bytes is not the frame alone (%v)", len(raw), len(fields), err)
 	}
 	if len(frame) > len(raw)+MaxOverhead {
 		t.Fatalf("frame of %d bytes for a %d-byte image exceeds MaxOverhead", len(frame), len(raw))

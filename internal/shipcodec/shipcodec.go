@@ -28,8 +28,8 @@
 // narrows to the bytes the page needs (about 0.83 of the image; a
 // byte-stream compressor spends 12–16 µs/KB to reach about 0.80). Every
 // other page (index nodes, a short last page, and all of a value-log
-// segment: Sync pushes those through the same Encode) is gathered in
-// order as residue and DEFLATE-d behind the packed pages.
+// segment) is gathered in order as residue and DEFLATE-d behind the
+// packed pages.
 package shipcodec
 
 import (
@@ -176,23 +176,31 @@ func putHeader(frame []byte, cbyte uint8, raw []byte) {
 // Encode frames raw as a segment image under codec, paged at
 // DefaultPageSize.
 func Encode(codec Codec, raw []byte) ([]byte, error) {
-	return EncodePages(codec, raw, DefaultPageSize)
+	return AppendPages(nil, codec, raw, DefaultPageSize)
 }
 
-// EncodePages frames raw as a segment image under codec. pageSize is the
+// AppendPages appends the frame of raw, a segment image, under codec to
+// dst and returns the extended buffer, so a message that carries the
+// frame behind fields of its own is built in one buffer. pageSize is the
 // node size of the B+-tree raw may be a segment of (out of range selects
 // DefaultPageSize): pages of that size that are leaves are packed. It
 // decides only how small the frame is — any image round-trips at any
 // page size — and the frame carries it, so Decode needs none. The frame
 // is built in the one buffer returned.
-func EncodePages(codec Codec, raw []byte, pageSize int) ([]byte, error) {
+func AppendPages(dst []byte, codec Codec, raw []byte, pageSize int) ([]byte, error) {
 	if codec != None && codec != Flate {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownCodec, codec)
 	}
 	if pageSize <= 0 || pageSize > maxPageSize {
 		pageSize = DefaultPageSize
 	}
-	frame := make([]byte, HeaderSize, HeaderSize+len(raw))
+	at, frame := len(dst), dst
+	if cap(frame)-at < HeaderSize+len(raw) {
+		frame = make([]byte, at, at+HeaderSize+len(raw))
+		copy(frame, dst)
+	}
+	frame = frame[:at+HeaderSize]
+	clear(frame[at:])
 	cbyte := uint8(codecStored)
 	if codec == Flate {
 		var err error
@@ -200,14 +208,14 @@ func EncodePages(codec Codec, raw []byte, pageSize int) ([]byte, error) {
 			return nil, err
 		}
 		cbyte = codecPages
-		if len(frame)-HeaderSize >= len(raw) {
-			frame, cbyte = frame[:HeaderSize], codecStored
+		if len(frame)-at-HeaderSize >= len(raw) {
+			frame, cbyte = frame[:at+HeaderSize], codecStored
 		}
 	}
 	if cbyte == codecStored {
 		frame = append(frame, raw...)
 	}
-	putHeader(frame, cbyte, raw)
+	putHeader(frame[at:], cbyte, raw)
 	return frame, nil
 }
 

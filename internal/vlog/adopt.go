@@ -2,6 +2,7 @@ package vlog
 
 import (
 	"fmt"
+	"slices"
 
 	"tebis/internal/integrity"
 	"tebis/internal/storage"
@@ -34,17 +35,27 @@ func (l *Log) AdoptSegment(data []byte) (storage.SegmentID, error) {
 }
 
 // AdoptSegmentAs is AdoptSegment for a segment the caller has already
-// allocated (a backup's lazily resolved log-map entry).
+// allocated (a backup's lazily resolved log-map entry). A segment adopted
+// again moves to the end of the log, the order replay walks, and is
+// written again only if its copy holds no record: a sealed segment's
+// records never change, and readers may be reading a copy that has them.
 func (l *Log) AdoptSegmentAs(seg storage.SegmentID, data []byte) error {
 	if int64(len(data)) != l.geo.SegmentSize() {
 		return fmt.Errorf("vlog: adopt segment of %d bytes, want %d", len(data), l.geo.SegmentSize())
 	}
-	if err := storage.WriteFramed(l.dev, l.geo.Pack(seg, 0), data, integrity.KindLog); err != nil {
-		return err
+	sp := l.space.Load(seg)
+	if sp == nil || sp.total == 0 {
+		if err := storage.WriteFramed(l.dev, l.geo.Pack(seg, 0), data, integrity.KindLog); err != nil {
+			return err
+		}
+		sp = &segSpace{total: uint64(ScanUsed(data[:l.cap]))}
 	}
 	l.mu.Lock()
+	if i := slices.Index(l.segs, seg); i >= 0 {
+		l.segs = slices.Delete(l.segs, i, i+1)
+	}
 	l.segs = append(l.segs, seg)
-	l.space.Store(seg, &segSpace{total: uint64(ScanUsed(data[:l.cap]))})
+	l.space.Store(seg, sp)
 	l.mu.Unlock()
 	return nil
 }

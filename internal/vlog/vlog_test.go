@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -363,5 +364,62 @@ func TestReplayFromTrimmedSegmentReturnsErrTrimmed(t *testing.T) {
 	}
 	if n == 0 || n > 100 {
 		t.Fatalf("full replay after trim visited %d records", n)
+	}
+}
+
+// TestAdoptAgainMovesToTheEnd: a segment adopted a second time — a
+// backup's state transfer re-ships one a live flush adopted — takes the
+// last place in the log, once, so replay walks it after the segments
+// adopted before it. Its copy is written again only if it held no record
+// (a flush of a buffer that lacked its first ones); a copy holding
+// records is the sealed image already and is left as it is.
+func TestAdoptAgainMovesToTheEnd(t *testing.T) {
+	l, dev := newTestLog(t, 4096)
+	image := func(kvs ...string) []byte {
+		img := make([]byte, 4096)
+		var recs []byte
+		for i := 0; i < len(kvs); i += 2 {
+			recs = AppendEncoded(recs, []byte(kvs[i]), []byte(kvs[i+1]), false)
+		}
+		copy(img, recs)
+		return img
+	}
+	var segs []storage.SegmentID
+	for range 3 {
+		seg, err := dev.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, seg)
+	}
+	lacking := image("a", "zero", "b", "zero2")
+	clear(lacking[:len(AppendEncoded(nil, []byte("a"), []byte("zero"), false))])
+	for _, a := range []struct {
+		seg storage.SegmentID
+		img []byte
+	}{
+		{segs[0], lacking},
+		{segs[1], image("k", "one")},
+		{segs[2], image("k", "two")},
+		{segs[0], image("a", "zero", "b", "zero2")},
+		{segs[1], image("k", "changed")},
+	} {
+		if err := l.AdoptSegmentAs(a.seg, a.img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []storage.SegmentID{segs[2], segs[0], segs[1]}
+	if got := l.Segments(); !slices.Equal(got, want) {
+		t.Fatalf("segments after adopting %d and %d again = %v, want %v", segs[0], segs[1], got, want)
+	}
+	var vals []string
+	if err := l.Replay(storage.NilOffset, func(_ storage.Offset, pair kv.Pair, _ bool) bool {
+		vals = append(vals, string(pair.Value))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"two", "zero", "zero2", "one"}; !slices.Equal(vals, want) {
+		t.Fatalf("replay walked %q, want %q", vals, want)
 	}
 }

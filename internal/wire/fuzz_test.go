@@ -91,12 +91,12 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(msg(Header{Opcode: OpCompactionDone}, CompactionDone{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2, Root: 1 << 33, NumKeys: 5, Watermark: 99}.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpCompactionDone}, CompactionDone{RegionID: 3, JobID: 78, SrcLevel: 2, DstLevel: 3, Root: 1 << 33, NumKeys: 5, Watermark: 99, Moved: true}.Encode(nil)))
 	f.Add(msg(Header{Opcode: OpGCRelease}, GCRelease{RegionID: 7, Segs: []uint32{3, 1 << 20, 9}}.Encode(nil)))
-	// Append-at-payload-end fields, present and — as older peers wrote
-	// them — absent.
-	seg := IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, PrimarySeg: 12, DataLen: 65536, Codec: 1}
+	// A shipped segment: its fixed fields, then its frame; and one cut
+	// inside the fixed fields.
+	seg := IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, PrimarySeg: 12, Codec: 1, Frame: bytes.Repeat([]byte{0xC5}, 300)}
 	f.Add(msg(Header{Opcode: OpIndexSegment}, seg.Encode(nil)))
-	f.Add(msg(Header{Opcode: OpIndexSegment}, seg.Encode(nil)[:seg.Size()-1]))
-	f.Add(msg(Header{Opcode: OpIndexSegment}, append(seg.Encode(nil), 9, 0, 0, 0))) // an older primary's delta base behind the codec byte
+	f.Add(msg(Header{Opcode: OpIndexSegment}, seg.Encode(nil)[:IndexSegment{}.Size()-1]))
+	f.Add(msg(Header{Opcode: OpFlushTail}, FlushTail{RegionID: 3, PrimarySeg: 12, Image: bytes.Repeat([]byte{0x3A}, 200)}.Encode(nil)))
 	// A header that promises more payload than follows it.
 	short := msg(full, put)
 	binary.LittleEndian.PutUint32(short[0:4], 1<<31)
@@ -219,14 +219,22 @@ func FuzzDecodeMessage(f *testing.F) {
 				t.Fatalf("GCRelease: %d segments out of %d bytes", len(r.Segs), len(p))
 			}
 			_, _ = DecodeStatusReply(p)
-			_, _ = DecodeFlushTail(p)
+			if r, err := DecodeFlushTail(p); err == nil {
+				inside("FlushTail.Image", r.Image)
+			}
 			// The compaction messages' flags ride in a level byte: past
 			// the region ID (a u32 on the wire, 16 bits in the struct)
 			// one that decodes re-encodes to the bytes it was read from.
 			if r, err := DecodeCompactionStart(p); err == nil && !bytes.Equal(r.Encode(nil)[4:], p[4:r.Size()]) {
 				t.Fatalf("CompactionStart %+v re-encodes to %x, read from %x", r, r.Encode(nil), p[:r.Size()])
 			}
-			_, _ = DecodeIndexSegment(p)
+			// A shipped segment's frame runs to the payload's end.
+			if r, err := DecodeIndexSegment(p); err == nil {
+				inside("IndexSegment.Frame", r.Frame)
+				if !bytes.Equal(r.Encode(nil)[4:], p[4:]) {
+					t.Fatalf("IndexSegment %+v re-encodes to %x, read from %x", r, r.Encode(nil), p)
+				}
+			}
 			if r, err := DecodeCompactionDone(p); err == nil && !bytes.Equal(r.Encode(nil)[4:], p[4:r.Size()]) {
 				t.Fatalf("CompactionDone %+v re-encodes to %x, read from %x", r, r.Encode(nil), p[:r.Size()])
 			}

@@ -24,7 +24,7 @@ func everyPayload() map[string]sizedPayload {
 		"StatusReply":     StatusReply{Status: 1},
 		"FlushTail":       FlushTail{RegionID: 3, PrimarySeg: 12},
 		"CompactionStart": CompactionStart{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2},
-		"IndexSegment":    IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, PrimarySeg: 12, DataLen: 65536, Codec: 1},
+		"IndexSegment":    IndexSegment{RegionID: 3, JobID: 77, DstLevel: 2, PrimarySeg: 12, Codec: 1, Frame: bytes.Repeat([]byte{0xC5}, 900)},
 		"GCRelease":       GCRelease{RegionID: 7, Segs: []uint32{3, 1 << 20, 9}},
 		"CompactionDone":  CompactionDone{RegionID: 3, JobID: 77, SrcLevel: 1, DstLevel: 2, Root: 1 << 33, NumKeys: 5, Watermark: 99},
 	}

@@ -466,32 +466,42 @@ func DecodeStatusReply(p []byte) (StatusReply, error) {
 
 // FlushTail is the primary → backup command to persist the replicated
 // log tail buffer (§3.2 step 2b). PrimarySeg lets the backup create its
-// <primary seg, backup seg> log-map entry (step 2d).
+// <primary seg, backup seg> log-map entry (step 2d). A state transfer's
+// FlushTail carries the sealed segment's Image, which the backup adopts
+// instead of its log buffer; the image runs to the end of the payload,
+// and a FlushTail without one is the live tail's.
 type FlushTail struct {
 	RegionID   uint16
 	PrimarySeg uint32
+	Image      []byte
 }
 
 // Size returns the encoded payload length.
-func (r FlushTail) Size() int { return 4 + 4 }
+func (r FlushTail) Size() int { return 4 + 4 + len(r.Image) }
 
 // Encode appends the payload to dst.
 func (r FlushTail) Encode(dst []byte) []byte {
 	dst = appendU32(grow(dst, r.Size()), uint32(r.RegionID))
-	return appendU32(dst, r.PrimarySeg)
+	dst = appendU32(dst, r.PrimarySeg)
+	return append(dst, r.Image...)
 }
 
-// DecodeFlushTail parses a FlushTail payload.
+// DecodeFlushTail parses a FlushTail payload; its Image aliases p and is
+// nil when the payload carries none.
 func DecodeFlushTail(p []byte) (FlushTail, error) {
 	rid, rest, err := readU32(p)
 	if err != nil {
 		return FlushTail{}, err
 	}
-	seg, _, err := readU32(rest)
+	seg, rest, err := readU32(rest)
 	if err != nil {
 		return FlushTail{}, err
 	}
-	return FlushTail{RegionID: uint16(rid), PrimarySeg: seg}, nil
+	r := FlushTail{RegionID: uint16(rid), PrimarySeg: seg}
+	if len(rest) > 0 {
+		r.Image = rest
+	}
+	return r, nil
 }
 
 // CompactionStart is the primary → backup announcement of one
@@ -550,40 +560,36 @@ func DecodeCompactionStart(p []byte) (CompactionStart, error) {
 	}, nil
 }
 
-// IndexSegment is the primary → backup metadata for one shipped index
-// segment (its data travels by one-sided RDMA write into the backup's
-// staging buffer). JobID matches the owning CompactionStart.
-//
-// Codec rides at the end of the payload so pre-codec frames (which stop
-// after DataLen) still decode: a missing Codec reads as zero, i.e. an
-// uncompressed image. A nonzero Codec means the staged
-// bytes are a shipcodec frame. Bytes past Codec (an older primary's
-// page-delta base) are ignored.
+// IndexSegment is the primary → backup message that ships one index
+// segment (§3.3): its fixed fields, then the segment's Frame, which runs
+// to the end of the payload. JobID matches the owning CompactionStart.
+// Codec 0 ships the segment image raw; a nonzero Codec says Frame is a
+// shipcodec frame of it.
 type IndexSegment struct {
 	RegionID   uint16
 	JobID      uint64
 	DstLevel   uint8
 	PrimarySeg uint32
-	DataLen    uint32
 	Codec      uint8 // shipcodec.Codec; 0 = raw bytes, no frame
+	Frame      []byte
 }
 
 // Size returns the encoded payload length.
-func (r IndexSegment) Size() int { return 4 + 8 + 2 + 4 + 4 + 1 }
+func (r IndexSegment) Size() int { return 4 + 8 + 1 + 4 + 1 + len(r.Frame) }
 
 // Encode appends the payload to dst.
 func (r IndexSegment) Encode(dst []byte) []byte {
 	dst = appendU32(grow(dst, r.Size()), uint32(r.RegionID))
 	dst = appendU64(dst, r.JobID)
-	// The byte behind the level is reserved: sent as 0, skipped on
-	// decode (a segment holds leaves and index nodes alike).
-	dst = append(dst, r.DstLevel, 0)
+	dst = append(dst, r.DstLevel)
 	dst = appendU32(dst, r.PrimarySeg)
-	dst = appendU32(dst, r.DataLen)
-	return append(dst, r.Codec)
+	dst = append(dst, r.Codec)
+	return append(dst, r.Frame...)
 }
 
-// DecodeIndexSegment parses an IndexSegment payload.
+// DecodeIndexSegment parses an IndexSegment payload; its Frame aliases
+// p. A payload that ends with its fixed fields ships no segment and is
+// refused.
 func DecodeIndexSegment(p []byte) (IndexSegment, error) {
 	rid, rest, err := readU32(p)
 	if err != nil {
@@ -593,21 +599,17 @@ func DecodeIndexSegment(p []byte) (IndexSegment, error) {
 	if err != nil {
 		return IndexSegment{}, err
 	}
-	if len(rest) < 2 {
+	if len(rest) < 1 {
 		return IndexSegment{}, ErrShortBuffer
 	}
 	r := IndexSegment{RegionID: uint16(rid), JobID: job, DstLevel: rest[0]}
-	rest = rest[2:]
-	if r.PrimarySeg, rest, err = readU32(rest); err != nil {
+	if r.PrimarySeg, rest, err = readU32(rest[1:]); err != nil {
 		return IndexSegment{}, err
 	}
-	if r.DataLen, rest, err = readU32(rest); err != nil {
-		return IndexSegment{}, err
+	if len(rest) < 2 {
+		return IndexSegment{}, ErrShortBuffer
 	}
-	// Optional codec byte: absent on pre-codec frames.
-	if len(rest) >= 1 {
-		r.Codec = rest[0]
-	}
+	r.Codec, r.Frame = rest[0], rest[1:]
 	return r, nil
 }
 

@@ -244,7 +244,7 @@ func TestStatusReplyRoundTrip(t *testing.T) {
 
 func TestControlPayloadsRoundTrip(t *testing.T) {
 	ft, err := DecodeFlushTail(FlushTail{RegionID: 5, PrimarySeg: 77}.Encode(nil))
-	if err != nil || ft.RegionID != 5 || ft.PrimarySeg != 77 {
+	if err != nil || ft.RegionID != 5 || ft.PrimarySeg != 77 || ft.Image != nil {
 		t.Fatalf("flush = %+v %v", ft, err)
 	}
 	for _, filter := range []bool{false, true} {
@@ -255,11 +255,24 @@ func TestControlPayloadsRoundTrip(t *testing.T) {
 			t.Fatalf("compaction start = %+v %v", cs, err)
 		}
 	}
-	is, err := DecodeIndexSegment(IndexSegment{
-		RegionID: 9, JobID: 41, DstLevel: 2, PrimarySeg: 33, DataLen: 4096,
-	}.Encode(nil))
-	if err != nil || is.JobID != 41 || is.DstLevel != 2 || is.PrimarySeg != 33 || is.DataLen != 4096 {
-		t.Fatalf("index segment = %+v %v", is, err)
+	frame := bytes.Repeat([]byte{0xC5}, 4096)
+	for _, codec := range []uint8{0, 1} {
+		is, err := DecodeIndexSegment(IndexSegment{
+			RegionID: 9, JobID: 41, DstLevel: 2, PrimarySeg: 33, Codec: codec, Frame: frame,
+		}.Encode(nil))
+		if err != nil || is.RegionID != 9 || is.JobID != 41 || is.DstLevel != 2 || is.PrimarySeg != 33 || is.Codec != codec || !bytes.Equal(is.Frame, frame) {
+			t.Fatalf("index segment = %+v %v", is, err)
+		}
+	}
+	// Its fixed fields alone ship no segment.
+	fixed := IndexSegment{RegionID: 9, JobID: 41, DstLevel: 2, PrimarySeg: 33, Codec: 1, Frame: frame}.Encode(nil)[:IndexSegment{}.Size()]
+	if is, err := DecodeIndexSegment(fixed); !errors.Is(err, ErrShortBuffer) {
+		t.Fatalf("an index segment without a frame = %+v %v, want ErrShortBuffer", is, err)
+	}
+	image := bytes.Repeat([]byte{0x3A}, 512)
+	ft, err = DecodeFlushTail(FlushTail{RegionID: 5, PrimarySeg: 78, Image: image}.Encode(nil))
+	if err != nil || ft.RegionID != 5 || ft.PrimarySeg != 78 || !bytes.Equal(ft.Image, image) {
+		t.Fatalf("flush with an image = %+v %v", ft, err)
 	}
 	for _, moved := range []bool{false, true} {
 		want := CompactionDone{
@@ -692,5 +705,35 @@ func TestTenantPriorityFrameCompat(t *testing.T) {
 	}
 	if got != stamped {
 		t.Fatalf("stamped decode = %+v, want %+v", got, stamped)
+	}
+}
+
+// TestMovedRidesInTheLevelByte: CompactionDone.Moved takes DstLevel's top
+// bit, as CompactionStart.Filter does, so a done that moved nothing is
+// the payload an older primary sent, byte for byte, and a move's is no
+// longer than a merge's.
+func TestMovedRidesInTheLevelByte(t *testing.T) {
+	merged := CompactionDone{RegionID: 3, JobID: 77, SrcLevel: 2, DstLevel: 3, Root: 1 << 33, NumKeys: 5, Watermark: 99}
+	var old []byte
+	old = appendU32(old, uint32(merged.RegionID))
+	old = appendU64(old, merged.JobID)
+	old = append(old, merged.SrcLevel, merged.DstLevel)
+	old = appendU64(old, merged.Root)
+	old = appendU32(old, merged.NumKeys)
+	old = appendU64(old, merged.Watermark)
+	if enc := merged.Encode(nil); !bytes.Equal(enc, old) {
+		t.Fatalf("a merge's done encodes to %x, an older primary's to %x", enc, old)
+	}
+	moved := merged
+	moved.Moved = true
+	enc := moved.Encode(nil)
+	if len(enc) != len(old) || len(enc) != moved.Size() {
+		t.Fatalf("a move's done is %d bytes, a merge's %d", len(enc), len(old))
+	}
+	if got, err := DecodeCompactionDone(enc); err != nil || got != moved {
+		t.Fatalf("move done decodes to %+v %v, want %+v", got, err, moved)
+	}
+	if got, err := DecodeCompactionDone(old); err != nil || got != merged {
+		t.Fatalf("older done decodes to %+v %v, want %+v", got, err, merged)
 	}
 }
